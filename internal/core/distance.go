@@ -37,7 +37,8 @@ var (
 // condition 1 fails (unless the state-order requirement is ablated
 // off).
 func (p Params) Distance(q, c plr.Sequence, rel SourceRelation) (float64, error) {
-	return p.distance(q, c, rel, nil)
+	d, _, err := p.distanceBounded(q, c, rel, 0)
+	return d, err
 }
 
 // OfflineDistance is the Section 5 variant: all vertex weights are 1
@@ -46,24 +47,14 @@ func (p Params) Distance(q, c plr.Sequence, rel SourceRelation) (float64, error)
 func (p Params) OfflineDistance(q, c plr.Sequence, rel SourceRelation) (float64, error) {
 	offline := p
 	offline.UseVertexWeights = false
-	return offline.distance(q, c, rel, nil)
+	return offline.Distance(q, c, rel)
 }
 
-// distance is the shared implementation. vw, when non-nil, supplies
-// precomputed vertex weights (a matcher-loop optimization); it must
-// have length len(q)-1.
-func (p Params) distance(q, c plr.Sequence, rel SourceRelation, vw []float64) (float64, error) {
-	d, _, err := p.distanceBounded(q, c, rel, vw, 0)
-	return d, err
-}
-
-// distanceBounded additionally supports early abandonment: when
-// bound > 0 and the partial weighted sum already guarantees the final
-// distance exceeds bound, the computation stops and ok is false. The
-// retrieval loop passes its acceptance threshold here, which skips
-// most of the arithmetic on clearly-distant candidates (every term of
-// the sum is non-negative, so the partial normalized sum only grows).
-func (p Params) distanceBounded(q, c plr.Sequence, rel SourceRelation, vw []float64, bound float64) (d float64, ok bool, err error) {
+// distanceBounded validates one (query, candidate) pair the way the
+// exported API promises and then scores it with weightedDistance. The
+// retrieval funnel does not come through here: its driver owns these
+// checks and hands the kernel precomputed weights (queryPlan.run).
+func (p Params) distanceBounded(q, c plr.Sequence, rel SourceRelation, bound float64) (d float64, ok bool, err error) {
 	if len(q) != len(c) {
 		return 0, false, fmt.Errorf("%w: %d vs %d vertices", ErrLengthMismatch, len(q), len(c))
 	}
@@ -73,16 +64,23 @@ func (p Params) distanceBounded(q, c plr.Sequence, rel SourceRelation, vw []floa
 	if p.RequireStateOrder && !statesEqual(q, c) {
 		return 0, false, ErrStateMismatch
 	}
-	if vw == nil {
-		vw = p.VertexWeights(nil, len(q))
-	}
+	vw := p.VertexWeights(nil, len(q))
+	wsum, _ := sumMin(vw)
 	wa, wf := p.ampFreqWeights()
-	ws := p.StreamWeight(rel)
+	d, ok = weightedDistance(q, c, vw, wa, wf, p.StreamWeight(rel), wsum, bound)
+	return d, ok, nil
+}
 
-	var wsum float64
-	for _, w := range vw {
-		wsum += w
-	}
+// weightedDistance is the Definition-2 arithmetic: the vertex-weighted
+// sum of per-segment amplitude and duration differences between two
+// equal-length windows, normalized by ws·wsum (wsum = Σ vw). It
+// supports early abandonment: when bound > 0 and the partial weighted
+// sum already guarantees the final distance exceeds bound, the
+// computation stops and ok is false. The retrieval loop passes its
+// acceptance bound here, which skips most of the arithmetic on
+// clearly-distant candidates (every term of the sum is non-negative,
+// so the partial normalized sum only grows).
+func weightedDistance(q, c plr.Sequence, vw []float64, wa, wf, ws, wsum, bound float64) (d float64, ok bool) {
 	// Early abandonment threshold on the raw (unnormalized) sum. The
 	// tiny relative slack makes abandonment conservative under
 	// floating-point rounding: a candidate whose final distance ties
@@ -111,10 +109,10 @@ func (p Params) distanceBounded(q, c plr.Sequence, rel SourceRelation, vw []floa
 		durDiff := math.Abs((q[i+1].T - q[i].T) - (c[i+1].T - c[i].T))
 		sum += vw[i] * (wa*ampDiff + wf*durDiff)
 		if sum > abandonAt {
-			return sum / (ws * wsum), false, nil
+			return sum / (ws * wsum), false
 		}
 	}
-	return sum / (ws * wsum), true, nil
+	return sum / (ws * wsum), true
 }
 
 // boundSlack is the relative float safety margin of the pruning

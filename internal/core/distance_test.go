@@ -290,7 +290,7 @@ func TestDistanceBoundedAgreesWithExact(t *testing.T) {
 			return false
 		}
 		bound := 0.05 + float64(boundRaw)/64
-		got, ok, err := p.distanceBounded(q, c, SamePatient, nil, bound)
+		got, ok, err := p.distanceBounded(q, c, SamePatient, bound)
 		if err != nil {
 			return false
 		}

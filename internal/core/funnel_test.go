@@ -1,0 +1,329 @@
+package core
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"stsmatch/internal/plr"
+	"stsmatch/internal/store"
+)
+
+// partitions reports the FunnelCounts identity: every window the
+// candidate source ranged over landed in exactly one bucket.
+func partitions(c FunnelCounts) bool {
+	return c.Windows == c.StateRejected+c.SelfExcluded+c.LBPruned+c.DistRejected+c.Matched
+}
+
+// registryCounts reads the funnel counters back from the registry in
+// FunnelCounts form (the inverse of FunnelCounts.record).
+func registryCounts() FunnelCounts {
+	m := funnelMetrics()
+	get := func(name string) int { return int(m["stsmatch_matcher_"+name+"_total"]) }
+	c := FunnelCounts{
+		StateRejected: get("index_pruned"),
+		SelfExcluded:  get("self_excluded"),
+		LBPruned:      get("lb_pruned"),
+		DistRejected:  get("distance_rejected"),
+		Matched:       get("matches"),
+	}
+	c.Windows = get("candidates_scanned") + c.StateRejected
+	return c
+}
+
+// searchCounts runs one search and returns what it added to the
+// registry.
+func searchCounts(t *testing.T, search func() ([]Match, error)) ([]Match, FunnelCounts) {
+	t.Helper()
+	before := registryCounts()
+	out, err := search()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := registryCounts()
+	return out, FunnelCounts{
+		Windows:       after.Windows - before.Windows,
+		StateRejected: after.StateRejected - before.StateRejected,
+		SelfExcluded:  after.SelfExcluded - before.SelfExcluded,
+		LBPruned:      after.LBPruned - before.LBPruned,
+		DistRejected:  after.DistRejected - before.DistRejected,
+		Matched:       after.Matched - before.Matched,
+	}
+}
+
+// TestFunnelCountsPartitionUnderAppend is the regression test for the
+// concurrent-append accounting bug: a start list taken after the
+// snapshot can name windows beyond it (an append landed in between).
+// Those windows must be clipped before counting — the old driver
+// counted them as candidates and then skipped them, so the funnel no
+// longer summed.
+func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
+	db := buildTestDB(t)
+	st := db.Patient("P2").StreamBySession("S1")
+	own := db.Patient("P1").StreamBySession("S1").Seq()
+	pl, err := newQueryPlan(DefaultParams(), NewQuery(own[len(own)-10:], "P1", "S1"), DefaultParams().DistThreshold, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := candidateSet{listed: true}
+	c.seq, c.amps = st.Snapshot()
+	possible := len(c.seq) - pl.n + 1
+	// The append lands between the snapshot and the window lookup.
+	last := c.seq[len(c.seq)-1].T
+	if err := st.Append(breathingWindow(last+1, 11, unitDurs(12))...); err != nil {
+		t.Fatal(err)
+	}
+	late := st.FindWindows(pl.sig)
+	if late[len(late)-1] < possible {
+		t.Fatal("fixture: the late lookup found no window beyond the snapshot")
+	}
+
+	c.starts = late
+	var w workerState
+	pl.run(&w, st, 0, c)
+	if w.counts.Windows != possible {
+		t.Errorf("Windows = %d, want the snapshot's %d", w.counts.Windows, possible)
+	}
+	if !partitions(w.counts) {
+		t.Errorf("counts do not partition: %+v", w.counts)
+	}
+	for _, mt := range w.matches {
+		if mt.Start+mt.N > len(c.seq) {
+			t.Errorf("match at %d reaches beyond the %d-vertex snapshot", mt.Start, len(c.seq))
+		}
+	}
+
+	// The same list in the index probe's type takes the same clip.
+	c.starts, c.probed = nil, make([]int32, len(late))
+	for i, j := range late {
+		c.probed[i] = int32(j)
+	}
+	var w32 workerState
+	pl.run(&w32, st, 0, c)
+	if w32.counts != w.counts {
+		t.Errorf("probed-list counts %+v differ from start-list counts %+v", w32.counts, w.counts)
+	}
+}
+
+// TestFunnelCountsPartitionAllSources: the identity holds whichever of
+// the four candidate sources fed the driver, in threshold and top-k
+// mode, and the probe source — including fallback streams and a
+// widened top-k — counts exactly the windows the scan source counts.
+func TestFunnelCountsPartitionAllSources(t *testing.T) {
+	db := buildTestDB(t)
+	idx := buildIndex(t, db)
+	// P5 arrives after the index was built: the probe path must fall
+	// back to scanning it.
+	p5, err := db.AddPatient(store.PatientInfo{ID: "P5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p5.AddStream("S1").Append(breathingWindow(0, 10.2, unitDurs(36))...); err != nil {
+		t.Fatal(err)
+	}
+	own := db.Patient("P1").StreamBySession("S1").Seq()
+	q := NewQuery(own[len(own)-10:], "P1", "S1")
+
+	ablation := DefaultParams()
+	ablation.RequireStateOrder = false
+	probed := DefaultParams()
+	probed.UseIndex = true
+	windows := map[string]int{}
+	for _, src := range []struct {
+		name   string
+		params Params
+	}{{"scan", DefaultParams()}, {"ablation", ablation}, {"probe", probed}} {
+		m, err := NewMatcher(db, src.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src.params.UseIndex {
+			m.Index = idx
+		}
+		for _, mode := range []struct {
+			name   string
+			search func() ([]Match, error)
+		}{
+			{"threshold", func() ([]Match, error) { return m.FindSimilar(q, nil) }},
+			{"top3", func() ([]Match, error) { return m.FindSimilarTopK(q, 3, nil) }},
+			// k beyond the candidate count forces the probe to widen
+			// until it is exhaustive.
+			{"top50", func() ([]Match, error) { return m.TopK(q, 50, nil) }},
+		} {
+			widenings := sigindexMetric("stsmatch_sigindex_widenings_total")
+			out, c := searchCounts(t, mode.search)
+			label := src.name + "/" + mode.name
+			if !partitions(c) {
+				t.Errorf("%s: counts do not partition: %+v", label, c)
+			}
+			if c.Matched != len(out) {
+				t.Errorf("%s: Matched = %d, returned %d", label, c.Matched, len(out))
+			}
+			windows[label] = c.Windows
+			if label == "probe/top50" && sigindexMetric("stsmatch_sigindex_widenings_total") == widenings {
+				t.Errorf("%s: the probe never widened", label)
+			}
+		}
+	}
+	for _, mode := range []string{"threshold", "top3", "top50"} {
+		if s, p := windows["scan/"+mode], windows["probe/"+mode]; s != p || s == 0 {
+			t.Errorf("%s: scan considered %d windows, probe %d (want equal, nonzero)", mode, s, p)
+		}
+	}
+}
+
+// randomBreathing builds n vertices of breathing-like motion with
+// jittered amplitudes and durations; about one segment in twelve is
+// irregular, so windows disagree on state order.
+func randomBreathing(rng *rand.Rand, n int) plr.Sequence {
+	states := []plr.State{plr.EX, plr.EOE, plr.IN}
+	out := make(plr.Sequence, n)
+	t, y := 0.0, 10.0
+	for i := range out {
+		st := states[i%3]
+		if rng.Intn(12) == 0 {
+			st = plr.IRR
+		}
+		out[i] = plr.Vertex{T: t, Pos: []float64{y}, State: st}
+		t += 0.8 + 0.4*rng.Float64()
+		switch st {
+		case plr.EX:
+			y -= 7 + 6*rng.Float64()
+		case plr.IN:
+			y += 7 + 6*rng.Float64()
+		case plr.IRR:
+			y += 4 * (rng.Float64() - 0.5)
+		}
+	}
+	return out
+}
+
+// TestStandingEqualsSearchDiff is the core-level proof behind the
+// subscription subsystem: feeding a stream to a standing query in
+// arbitrary append batches yields, batch by batch, exactly the matches
+// a full FindSimilar gains from that batch — same windows, distances
+// and weights — because both are the same funnel driver over different
+// candidate sets.
+func TestStandingEqualsSearchDiff(t *testing.T) {
+	const qn = 7
+	for seed, tc := range []struct {
+		name       string
+		stateOrder bool
+		k          int
+		sameStream bool
+	}{
+		{"other-patient", true, 0, false},
+		{"other-patient/top1", true, 1, false},
+		{"other-patient/ablation", false, 0, false},
+		{"other-patient/ablation/top1", false, 1, false},
+		{"same-session", true, 0, true},
+		{"same-session/top1", true, 1, true},
+		{"same-session/ablation", false, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			full := randomBreathing(rng, 160)
+			params := DefaultParams()
+			params.RequireStateOrder = tc.stateOrder
+			params.DistThreshold = 5
+
+			// The pattern is a regular stretch of the stream itself. For
+			// the same-session case its clock is moved to mid-stream, so
+			// self-exclusion admits the first half of the stream's
+			// windows and rejects the rest.
+			from := 30
+			for !statesEqual(full[from:from+qn], breathingWindow(0, 1, unitDurs(qn-1))) {
+				from++
+			}
+			pattern := full[from : from+qn].Clone()
+			q := Query{Seq: pattern, PatientID: "Q"}
+			if tc.sameStream {
+				shift := full[len(full)/2].T - pattern[0].T
+				for i := range pattern {
+					pattern[i].T += shift
+				}
+				q = NewQuery(pattern, "P1", "S1")
+			}
+
+			db := store.NewDB()
+			p1, err := db.AddPatient(store.PatientInfo{ID: "P1"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := p1.AddStream("S1")
+			st.EnableIndex()
+			sq, err := NewStandingQuery(params, q, 0, tc.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewMatcher(db, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var total FunnelCounts
+			emitted, capped := 0, 0
+			for done := 0; done < len(full); {
+				batch := 1 + rng.Intn(12)
+				if done+batch > len(full) {
+					batch = len(full) - done
+				}
+				if err := st.Append(full[done : done+batch]...); err != nil {
+					t.Fatal(err)
+				}
+				got, counts, err := sq.EvalRange(st, done, done+batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !partitions(counts) {
+					t.Fatalf("batch at %d: counts do not partition: %+v", done, counts)
+				}
+				if counts.Matched != len(got) {
+					t.Fatalf("batch at %d: Matched = %d, emitted %d", done, counts.Matched, len(got))
+				}
+				total.Add(counts)
+
+				// The oracle: what a full search gained from this batch,
+				// capped to the k best and put back in stream order.
+				all, err := m.FindSimilar(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []Match
+				for _, mt := range all {
+					if end := mt.Start + mt.N - 1; end >= done && end < done+batch {
+						want = append(want, mt)
+					}
+				}
+				if tc.k > 0 && len(want) > tc.k {
+					want = want[:tc.k] // FindSimilar output is already in matchLess order
+					capped++
+				}
+				sort.Slice(want, func(a, b int) bool { return want[a].Start < want[b].Start })
+				if len(got) != len(want) {
+					t.Fatalf("batch at %d: standing emitted %d matches, search diff has %d", done, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("batch at %d match %d:\nstanding: %+v\nsearch:   %+v", done, i, got[i], want[i])
+					}
+				}
+				emitted += len(got)
+				done += batch
+			}
+			if emitted == 0 || (tc.k > 0) != (capped > 0) {
+				t.Errorf("fixture: %d matches emitted, %d batches hit the k=%d cap", emitted, capped, tc.k)
+			}
+			if want := len(full) - qn + 1; total.Windows != want {
+				t.Errorf("standing considered %d windows over the stream's life, want every one of %d", total.Windows, want)
+			}
+			if tc.sameStream == (total.SelfExcluded == 0) {
+				t.Errorf("self-excluded %d windows with sameStream=%v", total.SelfExcluded, tc.sameStream)
+			}
+			if !tc.stateOrder && total.StateRejected != 0 {
+				t.Errorf("ablation rejected %d windows on state order", total.StateRejected)
+			}
+		})
+	}
+}

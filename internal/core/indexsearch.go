@@ -46,14 +46,11 @@ const (
 	topKWidenFactor = 4
 )
 
-// probeStats accumulates one search's probe telemetry for the
-// "index.probe" trace span; counts mirror the stsmatch_sigindex_*
-// metric deltas the same search produces.
+// probeStats is one search's probe telemetry for the "index.probe"
+// trace span; counts mirror the stsmatch_sigindex_* metric deltas the
+// same search produces. Every probe after the first is a widening.
 type probeStats struct {
-	used            bool
 	probes          int
-	widenings       int
-	rounds          int
 	candidates      int
 	cells           int
 	fallbackStreams int
@@ -73,7 +70,7 @@ func (m *Matcher) indexSearchable(n int) bool {
 // envelope converts an acceptance bound into the probe rectangle
 // guaranteed to contain every candidate whose O(1) lower bound is
 // within the bound. Inverting distanceLowerBound with the stream
-// weight at its maximum,
+// weight at its maximum (same-session: Validate orders the weights),
 //
 //	bound >= vwMin * (wa*|Δamp| + wf*|Δdur| - slack·mags) / (ws·wsum)
 //
@@ -82,138 +79,100 @@ func (m *Matcher) indexSearchable(n int) bool {
 // pad derived from the query aggregates and g, so float rounding can
 // never exclude an admissible candidate. A bound at or beyond inf
 // yields the unbounded envelope.
-func (sc *searchCtx) envelope(bound float64) sigindex.ProbeQuery {
-	q := sigindex.ProbeQuery{Sig: sc.sig}
-	p := sc.params
-	wa, wf := p.ampFreqWeights()
-	if bound >= inf || sc.vwMin <= 0 {
+func (pl *queryPlan) envelope(bound float64) sigindex.ProbeQuery {
+	q := sigindex.ProbeQuery{Sig: pl.sig}
+	if bound >= inf || pl.vwMin <= 0 {
 		q.AmpLo, q.AmpHi = math.Inf(-1), math.Inf(1)
 		q.DurLo, q.DurHi = math.Inf(-1), math.Inf(1)
 		return q
 	}
-	g := bound * p.maxStreamWeight() * sc.wsum / sc.vwMin
-	pad := boundSlack * (2*(wa*sc.ampQ+wf*sc.durQ) + 4*g)
-	ra := (g + pad) / wa
-	rd := (g + pad) / wf
-	q.AmpLo, q.AmpHi = sc.ampQ-ra, sc.ampQ+ra
-	q.DurLo, q.DurHi = sc.durQ-rd, sc.durQ+rd
+	g := bound * pl.ws[SameSession] * pl.wsum / pl.vwMin
+	pad := boundSlack * (2*(pl.wa*pl.ampQ+pl.wf*pl.durQ) + 4*g)
+	ra := (g + pad) / pl.wa
+	rd := (g + pad) / pl.wf
+	q.AmpLo, q.AmpHi = pl.ampQ-ra, pl.ampQ+ra
+	q.DurLo, q.DurHi = pl.durQ-rd, pl.durQ+rd
 	return q
 }
 
-// indexWork is one stream's share of a probe round: either a probed
-// start list or a full scan for streams the index cannot answer for.
-type indexWork struct {
-	st     *store.Stream
-	ord    int
-	starts []int32
-	probed bool
-}
-
-// searchIndexed is the index-backed replacement for the stream scan
-// loop of search(). It consults the index's per-stream coverage once —
-// streams that are unknown, stale (appended to without the hook), or
-// poisoned fall back to a full scan every round — then runs probe
-// rounds until a termination condition proves the result set complete.
-// Each top-k round restarts with a fresh collector and funnel so only
-// the final, complete round determines both the results and the
-// metrics.
-func (m *Matcher) searchIndexed(sc *searchCtx, active []*workerState, streams []*store.Stream, k int) error {
+// probeRounds is the index-backed candidate source of search(). It
+// consults the index's per-stream coverage once — streams that are
+// unknown, stale (appended to without the hook), or poisoned generate
+// their own candidates every round — then dispatches probe rounds
+// until a termination condition proves the result set complete. Each
+// top-k round restarts with an empty collector and drained workers, so
+// only the final, complete round determines both the results and the
+// counts.
+func (m *Matcher) probeRounds(pl *queryPlan, active []*workerState, streams []*store.Stream) probeStats {
 	cov := m.Index.Coverage()
-	sc.probe.used = true
-
-	var probed, fallback []indexWork
+	var ps probeStats
+	var covered, fallback []streamWork
 	for ord, st := range streams {
 		c, ok := cov[sigindex.StreamKey{PatientID: st.PatientID, SessionID: st.SessionID}]
 		if !ok || c.Poisoned || c.Vertices != st.Len() {
-			fallback = append(fallback, indexWork{st: st, ord: ord})
+			fallback = append(fallback, streamWork{st: st, ord: ord})
 			continue
 		}
-		probed = append(probed, indexWork{st: st, ord: ord, probed: true})
+		covered = append(covered, streamWork{st: st, ord: ord})
 	}
-	sc.probe.fallbackStreams = len(fallback)
+	ps.fallbackStreams = len(fallback)
 
-	bound := sc.threshold
-	if k > 0 {
+	topK := pl.col != nil
+	bound := pl.threshold
+	if topK {
 		seed := m.Params.DistThreshold
-		if sc.threshold < seed {
-			seed = sc.threshold
+		if pl.threshold < seed {
+			seed = pl.threshold
 		}
 		bound = seed / topKSeedDiv
 	}
-	for round := 0; ; round++ {
-		if k > 0 {
-			// Restart the round from scratch: the collector bound must
-			// re-tighten from the threshold over the wider candidate
-			// set, and only the final round's funnel counts describe
-			// the search that produced the output.
-			sc.col = newCollector(k, sc.threshold)
-			for _, w := range active {
-				w.funnel = funnelCounts{}
-				w.stage = stageNS{}
-				w.matches = w.matches[:0]
-			}
+	for {
+		pq := pl.envelope(bound)
+		pq.Widened = ps.probes > 0
+		if pq.Widened {
+			// The collector bound must re-tighten from the threshold
+			// over the wider candidate set.
+			pl.col.reset()
+			drainWorkers(active)
 		}
-
-		pq := sc.envelope(bound)
-		pq.Widened = round > 0
 		var t0 time.Time
-		if sc.timed {
+		if pl.timed {
 			t0 = time.Now()
 		}
 		pr := m.Index.Probe(pq)
-		if sc.timed {
-			sc.probe.dur += time.Since(t0)
+		if pl.timed {
+			ps.dur += time.Since(t0)
 		}
-		sc.probe.probes++
-		if pq.Widened {
-			sc.probe.widenings++
-		}
-		sc.probe.rounds++
-		sc.probe.candidates += pr.Candidates
-		sc.probe.cells += pr.Cells
+		ps.probes++
+		ps.candidates += pr.Candidates
+		ps.cells += pr.Cells
 
-		work := make([]indexWork, 0, len(fallback)+len(probed))
-		work = append(work, fallback...)
-		for _, it := range probed {
-			it.starts = pr.Starts[sigindex.StreamKey{PatientID: it.st.PatientID, SessionID: it.st.SessionID}]
-			if len(it.starts) == 0 {
+		m.work = append(m.work[:0], fallback...)
+		for _, it := range covered {
+			it.probed = pr.Starts[sigindex.StreamKey{PatientID: it.st.PatientID, SessionID: it.st.SessionID}]
+			if len(it.probed) == 0 {
 				// The probe proves this stream offers nothing inside
 				// the envelope: every window it could offer is pruned
-				// without touching the stream at all.
-				if possible := it.st.Len() - sc.n + 1; possible > 0 {
-					active[0].funnel.indexPruned += possible
+				// without scoring any.
+				if possible := it.st.Len() - pl.n + 1; possible > 0 {
+					active[0].counts.Windows += possible
+					active[0].counts.StateRejected += possible
 				}
 				continue
 			}
-			work = append(work, it)
+			m.work = append(m.work, it)
 		}
+		pl.dispatch(active, m.work)
 
-		do := func(w *workerState, i int) error {
-			if it := work[i]; it.probed {
-				return sc.scanProbed(w, it.st, it.ord, it.starts)
-			} else {
-				return sc.scanStream(w, it.st, it.ord)
-			}
+		if !topK || pr.Exhaustive || bound >= pl.threshold {
+			return ps
 		}
-		if len(active) == 1 || len(work) <= 1 {
-			for i := range work {
-				if err := do(active[0], i); err != nil {
-					return err
-				}
-			}
-		} else if err := runParallel(active, len(work), do); err != nil {
-			return err
-		}
-
-		if k == 0 || pr.Exhaustive || bound >= sc.threshold {
-			return nil
-		}
-		if full, kd := sc.col.kth(); full && kd <= bound {
-			return nil
+		if full, kd := pl.col.kth(); full && kd <= bound {
+			return ps
 		}
 		bound *= topKWidenFactor
-		if bound > sc.threshold {
-			bound = sc.threshold
+		if bound > pl.threshold {
+			bound = pl.threshold
 		}
 	}
 }

@@ -108,50 +108,79 @@ type Matcher struct {
 	// goroutine owns one workerState; the slice grows to the effective
 	// parallelism and is reused across searches.
 	vw      []float64
+	work    []streamWork
 	workers []*workerState
 }
 
-// workerState is one search worker's private scratch.
+// workerState is one funnel worker's private output: the matches it
+// accepted in threshold mode plus its stage counts and clocks, kept
+// worker-local so the hot loop never contends on shared counters.
 type workerState struct {
-	starts  []int   // ablation-mode candidate starts, reused across streams
-	matches []Match // threshold-mode partial results
-	funnel  funnelCounts
+	matches []Match
+	counts  FunnelCounts
 	stage   stageNS
 }
 
-// stageNS accumulates per-funnel-stage wall time (nanoseconds),
-// worker-locally. Only populated when the search is traced
-// (searchCtx.timed) — untraced searches pay no clock reads in the
-// candidate loop.
+// stageNS accumulates per-funnel-stage wall time (nanoseconds). Only
+// populated when the search is traced (queryPlan.timed) — untraced
+// searches pay no clock reads in the candidate loop.
 type stageNS struct {
-	stateOrder int64 // FindWindows index probes
+	stateOrder int64 // FindWindows index lookups
 	lb         int64 // O(1) lower-bound evaluations
 	dist       int64 // bounded exact distance computations
 }
 
-func (s *stageNS) add(o stageNS) {
-	s.stateOrder += o.stateOrder
-	s.lb += o.lb
-	s.dist += o.dist
+// FunnelCounts is the pruning-funnel breakdown of one funnel run (a
+// search, or one standing-query evaluation). The fields after Windows
+// partition the windows considered exactly:
+//
+//	Windows = StateRejected + SelfExcluded + LBPruned + DistRejected + Matched
+//
+// which is the identity the funnel spans, the subscribe.eval span and
+// the stsmatch_matcher_* counters are all derived from.
+type FunnelCounts struct {
+	// Windows is every window of the query's length the candidate
+	// source ranged over.
+	Windows int
+	// StateRejected windows never reached the later stages: their state
+	// order differs from the query's, or (index probe) their aggregates
+	// lie outside the envelope the acceptance bound allows.
+	StateRejected int
+	SelfExcluded  int // overlap the query's own present
+	LBPruned      int // failed the O(1) prefix-sum lower bound
+	// DistRejected windows exceeded the acceptance bound after (possibly
+	// abandoned) exact evaluation, or were displaced from a top-k result.
+	DistRejected int
+	Matched      int
 }
 
-// funnelCounts accumulates the pruning-funnel metrics worker-locally,
-// so the hot loop does not contend on the shared atomic counters; the
-// totals are flushed to the registry once per search.
-type funnelCounts struct {
-	candidates   int
-	indexPruned  int
-	selfExcluded int
-	lbPruned     int
-	distRejected int
+// Add accumulates another run's counts.
+func (c *FunnelCounts) Add(o FunnelCounts) {
+	c.Windows += o.Windows
+	c.StateRejected += o.StateRejected
+	c.SelfExcluded += o.SelfExcluded
+	c.LBPruned += o.LBPruned
+	c.DistRejected += o.DistRejected
+	c.Matched += o.Matched
 }
 
-func (f *funnelCounts) add(o funnelCounts) {
-	f.candidates += o.candidates
-	f.indexPruned += o.indexPruned
-	f.selfExcluded += o.selfExcluded
-	f.lbPruned += o.lbPruned
-	f.distRejected += o.distRejected
+// Scanned is the number of windows that passed the state-order filter
+// and entered the per-candidate stages (candidates_scanned).
+func (c FunnelCounts) Scanned() int { return c.Windows - c.StateRejected }
+
+// drainWorkers sums and resets the workers' counts, clocks and match
+// buffers. Workers are reused across searches (and across the rounds
+// of an index-probed top-k), so this is the one place their state is
+// cleared.
+func drainWorkers(workers []*workerState) (c FunnelCounts, sg stageNS) {
+	for _, w := range workers {
+		c.Add(w.counts)
+		sg.stateOrder += w.stage.stateOrder
+		sg.lb += w.stage.lb
+		sg.dist += w.stage.dist
+		*w = workerState{matches: w.matches[:0]}
+	}
+	return c, sg
 }
 
 // NewMatcher builds a matcher; it returns an error for invalid
@@ -187,7 +216,7 @@ func relationOf(q Query, st *store.Stream) SourceRelation {
 // patients (the cluster-restricted search of Section 5.3); keys are
 // patient IDs.
 func (m *Matcher) FindSimilar(q Query, restrict map[string]bool) ([]Match, error) {
-	return m.search(context.Background(), q, restrict, 0, m.Params.DistThreshold)
+	return m.FindSimilarCtx(context.Background(), q, restrict)
 }
 
 // FindSimilarCtx is FindSimilar with a context: when the context
@@ -207,10 +236,7 @@ func (m *Matcher) FindSimilarCtx(ctx context.Context, q Query, restrict map[stri
 // search rather than by mutating m.Params, so an error or panic
 // mid-search can never leak an infinite threshold into later calls.
 func (m *Matcher) TopK(q Query, k int, restrict map[string]bool) ([]Match, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: TopK needs k > 0, got %d", k)
-	}
-	return m.search(context.Background(), q, restrict, k, inf)
+	return m.TopKCtx(context.Background(), q, k, restrict)
 }
 
 // TopKCtx is TopK with trace-context support (see FindSimilarCtx).
@@ -228,10 +254,7 @@ func (m *Matcher) TopKCtx(ctx context.Context, q Query, k int, restrict map[stri
 // need the best k within epsilon pay far less distance arithmetic than
 // FindSimilar followed by truncation.
 func (m *Matcher) FindSimilarTopK(q Query, k int, restrict map[string]bool) ([]Match, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: FindSimilarTopK needs k > 0, got %d", k)
-	}
-	return m.search(context.Background(), q, restrict, k, m.Params.DistThreshold)
+	return m.FindSimilarTopKCtx(context.Background(), q, k, restrict)
 }
 
 // FindSimilarTopKCtx is FindSimilarTopK with trace-context support
@@ -243,48 +266,74 @@ func (m *Matcher) FindSimilarTopKCtx(ctx context.Context, q Query, k int, restri
 	return m.search(ctx, q, restrict, k, m.Params.DistThreshold)
 }
 
-// searchCtx carries one search's read-only shared state across
-// workers: the query, its precomputed aggregates, and the collector.
-type searchCtx struct {
-	params    *Params
+// queryPlan is everything about one query that is fixed while it runs:
+// the query, its precomputed aggregates and weights, the acceptance
+// threshold and — for a top-k search — the shared collector. Only
+// newQueryPlan builds one; search attaches its collector and trace flag
+// before any worker sees the plan, and from then on it is read-only
+// (the collector synchronises itself). search builds one per call, a
+// StandingQuery keeps one for life.
+type queryPlan struct {
+	params    Params
 	q         Query
 	sig       string
 	n         int
-	vw        []float64 // per-segment vertex weights (read-only)
-	wsum      float64   // Σ vw
-	vwMin     float64   // min vw — the lower-bound weight floor
-	ampQ      float64   // Σ per-segment displacement norms of the query
-	durQ      float64   // query duration
+	vw        []float64  // per-segment vertex weights
+	wsum      float64    // Σ vw
+	vwMin     float64    // min vw — the lower-bound weight floor
+	ampQ      float64    // Σ per-segment displacement norms of the query
+	durQ      float64    // query duration
+	wa, wf    float64    // amplitude / frequency weights
+	ws        [3]float64 // stream weight by SourceRelation
 	threshold float64
-	col       *collector
+	// col, when non-nil, is the top-k collector whose tightening bound
+	// replaces the threshold; nil keeps every match within threshold in
+	// the worker-local buffers.
+	col *collector
 	// timed is set when the search runs under a trace span: workers
-	// then accumulate per-stage wall time. Untraced searches skip the
-	// per-candidate clock reads entirely.
+	// then accumulate per-stage wall time.
 	timed bool
-	// probe accumulates index-probe telemetry when the search routes
-	// through the signature index (see indexsearch.go).
-	probe probeStats
+}
+
+// newQueryPlan computes the query-side funnel aggregates. vw is an
+// optional scratch buffer for the vertex weights.
+func newQueryPlan(p Params, q Query, threshold float64, vw []float64) (*queryPlan, error) {
+	if len(q.Seq) < 2 {
+		return nil, ErrTooShort
+	}
+	pl := &queryPlan{
+		params:    p,
+		q:         q,
+		sig:       q.Seq.StateSignature(),
+		n:         len(q.Seq),
+		vw:        p.VertexWeights(vw, len(q.Seq)),
+		ampQ:      dispNormSum(q.Seq),
+		durQ:      q.Seq.Duration(),
+		threshold: threshold,
+	}
+	pl.wsum, pl.vwMin = sumMin(pl.vw)
+	pl.wa, pl.wf = p.ampFreqWeights()
+	for rel := range pl.ws {
+		pl.ws[rel] = p.StreamWeight(SourceRelation(rel))
+	}
+	return pl, nil
 }
 
 // search is the unified retrieval core behind FindSimilar (k == 0),
 // TopK (threshold == inf) and FindSimilarTopK. Candidate streams are
 // partitioned dynamically across Params.Parallelism workers; every
-// candidate runs the funnel
-//
-//	state-order filter -> self-exclusion -> O(1) lower bound
-//	  -> bounded exact distance -> threshold / adaptive top-k
-//
-// and partial results merge into the matchLess total order, so the
-// output is byte-identical at every parallelism setting.
+// candidate goes through queryPlan.run, and partial results merge into
+// the matchLess total order, so the output is byte-identical at every
+// parallelism setting and for every candidate source.
 func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool, k int, threshold float64) ([]Match, error) {
-	if len(q.Seq) < 2 {
-		return nil, ErrTooShort
-	}
 	start := time.Now()
+	pl, err := newQueryPlan(m.Params, q, threshold, m.vw)
+	if err != nil {
+		return nil, err
+	}
+	m.vw = pl.vw
 	mSearches.Inc()
-	n := len(q.Seq)
-	mQueryLen.Observe(float64(n))
-	m.vw = m.Params.VertexWeights(m.vw, n)
+	mQueryLen.Observe(float64(pl.n))
 
 	// When the caller's context carries a trace, the whole search runs
 	// as one child span and the funnel stages report their aggregate
@@ -292,20 +341,10 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	// the span's wall-clock duration at parallelism > 1).
 	ctx, span := obs.StartSpan(ctx, "matcher.search")
 	defer span.Finish()
-
-	sc := &searchCtx{
-		params:    &m.Params,
-		q:         q,
-		sig:       q.Seq.StateSignature(),
-		n:         n,
-		vw:        m.vw,
-		ampQ:      dispNormSum(q.Seq),
-		durQ:      q.Seq.Duration(),
-		threshold: threshold,
-		col:       newCollector(k, threshold),
-		timed:     span != nil,
+	pl.timed = span != nil
+	if k > 0 {
+		pl.col = newCollector(k, threshold)
 	}
-	sc.wsum, sc.vwMin = sumMin(m.vw)
 
 	streams := m.DB.Streams()
 	if restrict != nil {
@@ -324,39 +363,26 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	}
 	active := m.workers[:par]
 
-	// Flush the worker-local funnel counters to the registry and reset
-	// the match buffers whatever happens — the workers are reused, so
-	// stale state must never survive into the next search, even on an
-	// error or panic.
+	// Publish the funnel counts and clear the reused workers whatever
+	// happens: after a clean search the workers are already drained and
+	// this adds nothing; after a panic it keeps stale matches and counts
+	// out of the next search.
+	var counts FunnelCounts
 	defer func() {
-		var f funnelCounts
-		for _, w := range active {
-			f.add(w.funnel)
-			w.funnel = funnelCounts{}
-			w.stage = stageNS{}
-			w.matches = w.matches[:0]
-		}
-		mCandidates.Add(f.candidates)
-		mIndexPruned.Add(f.indexPruned)
-		mSelfExcluded.Add(f.selfExcluded)
-		mLBPruned.Add(f.lbPruned)
-		mDistanceRejected.Add(f.distRejected)
+		left, _ := drainWorkers(active)
+		counts.Add(left)
+		counts.record()
 	}()
 
-	if m.indexSearchable(n) {
-		if err := m.searchIndexed(sc, active, streams, k); err != nil {
-			return nil, err
-		}
-	} else if par == 1 {
+	var probe probeStats
+	if m.indexSearchable(pl.n) {
+		probe = m.probeRounds(pl, active, streams)
+	} else {
+		m.work = m.work[:0]
 		for ord, st := range streams {
-			if err := sc.scanStream(active[0], st, ord); err != nil {
-				return nil, err
-			}
+			m.work = append(m.work, streamWork{st: st, ord: ord})
 		}
-	} else if err := runParallel(active, len(streams), func(w *workerState, i int) error {
-		return sc.scanStream(w, streams[i], i)
-	}); err != nil {
-		return nil, err
+		pl.dispatch(active, m.work)
 	}
 
 	// Merge: threshold mode concatenates the worker-local buffers,
@@ -364,8 +390,8 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	// total order fully determines the output, so worker scheduling
 	// cannot affect it.
 	var out []Match
-	if k > 0 {
-		out = sc.col.heap
+	if pl.col != nil {
+		out = pl.col.heap
 	} else {
 		total := 0
 		for _, w := range active {
@@ -379,37 +405,34 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	mergeStart := time.Now()
 	sort.Slice(out, func(a, b int) bool { return matchLess(out[a], out[b]) })
 	mergeDur := time.Since(mergeStart)
-	mMatched.Add(len(out))
+
+	var sg stageNS
+	counts, sg = drainWorkers(active)
+	// A top-k match displaced from the heap by a better one was rejected
+	// by the adaptive bound after all.
+	counts.DistRejected += counts.Matched - len(out)
+	counts.Matched = len(out)
 	mSearchSeconds.Observe(time.Since(start).Seconds())
 
 	if span != nil {
-		// Read the worker-local funnel counts and stage clocks before
-		// the deferred flush resets them; the counts here are exactly
-		// what that flush adds to the global funnel metrics.
-		var f funnelCounts
-		var sg stageNS
-		for _, w := range active {
-			f.add(w.funnel)
-			sg.add(w.stage)
-		}
 		obs.AddSpan(ctx, "funnel.state_order", start, time.Duration(sg.stateOrder), map[string]any{
-			"candidates": f.candidates, "indexPruned": f.indexPruned})
+			"candidates": counts.Scanned(), "indexPruned": counts.StateRejected})
 		obs.AddSpan(ctx, "funnel.self_exclusion", start, 0, map[string]any{
-			"selfExcluded": f.selfExcluded})
+			"selfExcluded": counts.SelfExcluded})
 		obs.AddSpan(ctx, "funnel.lb_prune", start, time.Duration(sg.lb), map[string]any{
-			"lbPruned": f.lbPruned})
+			"lbPruned": counts.LBPruned})
 		obs.AddSpan(ctx, "funnel.exact_distance", start, time.Duration(sg.dist), map[string]any{
-			"distRejected": f.distRejected})
+			"distRejected": counts.DistRejected})
 		obs.AddSpan(ctx, "funnel.topk_merge", mergeStart, mergeDur, map[string]any{
-			"matched": len(out)})
-		if sc.probe.used {
-			obs.AddSpan(ctx, "index.probe", start, sc.probe.dur, map[string]any{
-				"probes":          sc.probe.probes,
-				"widenings":       sc.probe.widenings,
-				"rounds":          sc.probe.rounds,
-				"candidates":      sc.probe.candidates,
-				"cells":           sc.probe.cells,
-				"fallbackStreams": sc.probe.fallbackStreams,
+			"matched": counts.Matched})
+		if probe.probes > 0 {
+			obs.AddSpan(ctx, "index.probe", start, probe.dur, map[string]any{
+				"probes":          probe.probes,
+				"widenings":       probe.probes - 1,
+				"rounds":          probe.probes,
+				"candidates":      probe.candidates,
+				"cells":           probe.cells,
+				"fallbackStreams": probe.fallbackStreams,
 				"windows":         m.Index.Stats().Windows,
 			})
 			span.Annotate("indexed", true)
@@ -417,28 +440,38 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		span.Annotate("streams", len(streams))
 		span.Annotate("parallelism", par)
 		span.Annotate("k", k)
-		span.Annotate("queryLen", n)
-		span.Annotate("matches", len(out))
-		span.Annotate("funnel.candidates", f.candidates)
-		span.Annotate("funnel.indexPruned", f.indexPruned)
-		span.Annotate("funnel.selfExcluded", f.selfExcluded)
-		span.Annotate("funnel.lbPruned", f.lbPruned)
-		span.Annotate("funnel.distRejected", f.distRejected)
+		span.Annotate("queryLen", pl.n)
+		span.Annotate("matches", counts.Matched)
 	}
 	return out, nil
 }
 
-// runParallel fans n work items across the worker goroutines pulling
-// item indices off a shared atomic cursor (dynamic load balancing —
-// heavy items do not serialize behind a static partition). The first
-// error stops the fan-out; a worker panic is re-raised on the caller's
-// goroutine instead of crashing the process.
-func runParallel(workers []*workerState, n int, do func(w *workerState, i int) error) error {
+// streamWork is one stream's share of a search. probed carries the
+// stream's index-probe hits; nil means the candidates come from the
+// stream itself (FindWindows, or every window in ablation mode).
+type streamWork struct {
+	st     *store.Stream
+	ord    int
+	probed []int32
+}
+
+// dispatch feeds every work item through the funnel. With more than
+// one worker and item it fans the items across worker goroutines
+// pulling indices off a shared atomic cursor (dynamic load balancing —
+// heavy streams do not serialize behind a static partition); a worker
+// panic stops the fan-out and is re-raised on the caller's goroutine
+// instead of crashing the process.
+func (pl *queryPlan) dispatch(workers []*workerState, work []streamWork) {
+	if len(workers) == 1 || len(work) <= 1 {
+		for _, it := range work {
+			pl.feed(workers[0], it)
+		}
+		return
+	}
 	var (
 		next     atomic.Int64
 		stop     atomic.Bool
 		mu       sync.Mutex
-		firstErr error
 		panicked any
 		wg       sync.WaitGroup
 	)
@@ -458,18 +491,10 @@ func runParallel(workers []*workerState, n int, do func(w *workerState, i int) e
 			}()
 			for !stop.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i >= len(work) {
 					return
 				}
-				if err := do(w, i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					stop.Store(true)
-					return
-				}
+				pl.feed(w, work[i])
 			}
 		}(w)
 	}
@@ -477,118 +502,139 @@ func runParallel(workers []*workerState, n int, do func(w *workerState, i int) e
 	if panicked != nil {
 		panic(panicked)
 	}
-	return firstErr
 }
 
-// scanStream runs the candidate funnel over one stream, generating the
-// candidate start list by FindWindows (or, in ablation mode, every
-// window of the query's length).
-func (sc *searchCtx) scanStream(w *workerState, st *store.Stream, ord int) error {
-	p := sc.params
-	seq, amps := st.Snapshot()
-	n := sc.n
-	var starts []int
-	if p.RequireStateOrder {
+// feed builds one work item's candidate set over a fresh snapshot of
+// its stream and runs the funnel over it.
+func (pl *queryPlan) feed(w *workerState, it streamWork) {
+	c := candidateSet{listed: true, probed: it.probed}
+	c.seq, c.amps = it.st.Snapshot()
+	switch {
+	case it.probed != nil:
+		// The index probe already produced the list.
+	case pl.params.RequireStateOrder:
 		var t0 time.Time
-		if sc.timed {
+		if pl.timed {
 			t0 = time.Now()
 		}
-		starts = st.FindWindows(sc.sig)
-		if sc.timed {
+		c.starts = it.st.FindWindows(pl.sig)
+		if pl.timed {
 			w.stage.stateOrder += int64(time.Since(t0))
 		}
-		if possible := len(seq) - n + 1; possible > len(starts) {
-			w.funnel.indexPruned += possible - len(starts)
-		}
-	} else {
+	default:
 		// Ablation mode: every window of the query's length is a
-		// candidate, regardless of its state order. The start list
-		// is written into a scratch buffer sized once per stream
-		// (len(seq)-n+1 entries) and reused across streams, keeping
-		// this hot loop allocation-free after the largest stream.
-		possible := len(seq) - n + 1
-		if possible < 0 {
-			possible = 0
-		}
-		if cap(w.starts) < possible {
-			w.starts = make([]int, 0, possible)
-		}
-		starts = w.starts[:possible]
-		for j := range starts {
-			starts[j] = j
-		}
+		// candidate, regardless of its state order.
+		c.listed, c.hi = false, len(c.seq)
 	}
-	return sc.runFunnel(w, st, ord, seq, amps, starts)
+	pl.run(w, it.st, it.ord, c)
 }
 
-// scanProbed runs the candidate funnel over index-probed start
-// positions: the signature index already applied both the state-order
-// filter and an envelope version of the lower bound, so the start list
-// is typically a small fraction of what FindWindows would return. The
-// windows the probe ruled out are charged to indexPruned, exactly as
-// the scan path charges non-matching state orders.
-func (sc *searchCtx) scanProbed(w *workerState, st *store.Stream, ord int, probed []int32) error {
-	seq, amps := st.Snapshot()
-	if cap(w.starts) < len(probed) {
-		w.starts = make([]int, 0, len(probed))
-	}
-	starts := w.starts[:len(probed)]
-	for i, j := range probed {
-		starts[i] = int(j)
-	}
-	if possible := len(seq) - sc.n + 1; possible > len(starts) {
-		w.funnel.indexPruned += possible - len(starts)
-	}
-	return sc.runFunnel(w, st, ord, seq, amps, starts)
+// candidateSet names the windows of one stream snapshot that a funnel
+// run considers: either an explicit list of window starts whose state
+// order the producer already proved — in whichever integer type the
+// producer emits, ascending — or the contiguous start range [lo, hi).
+type candidateSet struct {
+	seq  plr.Sequence // the snapshot the starts index into
+	amps []float64    // its displacement-norm prefix sums
+
+	listed bool
+	starts []int   // FindWindows hits
+	probed []int32 // index-probe hits
+
+	lo, hi int
+	// check makes the driver verify each range candidate's state order
+	// (standing queries); without it every window in range is scored
+	// (ablation).
+	check bool
 }
 
-// runFunnel pushes a candidate start list through the funnel stages —
-// self-exclusion, O(1) lower bound, bounded exact distance, threshold
-// or adaptive top-k acceptance — accumulating accepted matches into
-// the collector and stage counts into the worker's scratch. It is the
-// shared back half of the scan and probe paths, which is what keeps
-// their results byte-identical.
-func (sc *searchCtx) runFunnel(w *workerState, st *store.Stream, ord int, seq plr.Sequence, amps []float64, starts []int) error {
-	p := sc.params
-	rel := relationOf(sc.q, st)
-	n := sc.n
-	w.funnel.candidates += len(starts)
-	ws := p.StreamWeight(rel)
+// run is the candidate funnel — the only code that applies
+//
+//	state-order check -> self-exclusion -> O(1) lower bound
+//	  -> bounded exact distance -> threshold / adaptive top-k
+//
+// to a window. Scan, ablation, index probe and standing evaluation
+// differ only in the candidate set they hand it, which is what keeps
+// their results byte-identical. Accepted matches go to the plan's
+// collector (top-k) or the worker's buffer; every window the set
+// ranges over lands in exactly one FunnelCounts bucket.
+func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c candidateSet) {
+	seq, amps, n, q := c.seq, c.amps, pl.n, pl.q.Seq
+	possible := len(seq) - n + 1 // windows the snapshot offers
+	if possible < 0 {
+		possible = 0
+	}
+	// Clip to the snapshot before counting: an append landing between
+	// the snapshot and the candidate lookup yields starts beyond it, and
+	// those windows are the next search's business.
+	var count int
+	if c.listed {
+		for len(c.starts) > 0 && c.starts[len(c.starts)-1] >= possible {
+			c.starts = c.starts[:len(c.starts)-1]
+		}
+		for len(c.probed) > 0 && int(c.probed[len(c.probed)-1]) >= possible {
+			c.probed = c.probed[:len(c.probed)-1]
+		}
+		count = len(c.starts) + len(c.probed)
+		w.counts.Windows += possible
+		w.counts.StateRejected += possible - count
+	} else {
+		if c.lo < 0 {
+			c.lo = 0
+		}
+		if c.hi > possible {
+			c.hi = possible
+		}
+		if count = c.hi - c.lo; count < 0 {
+			count = 0
+		}
+		w.counts.Windows += count
+	}
+
+	rel := relationOf(pl.q, st)
+	ws := pl.ws[rel]
 	useLB := len(amps) == len(seq)
-	for _, j := range starts {
-		if j+n > len(seq) {
-			// A concurrent append grew the stream between the snapshot
-			// and the window lookup; windows beyond the snapshot are
-			// the next search's business.
-			continue
+	for i := 0; i < count; i++ {
+		j := c.lo + i
+		if c.starts != nil {
+			j = c.starts[i]
+		} else if c.listed {
+			j = int(c.probed[i])
 		}
 		cand := seq[j : j+n]
-		if rel == SameSession && cand[n-1].T >= sc.q.Seq[0].T {
+		if c.check && !statesEqual(q, cand) {
+			w.counts.StateRejected++
+			continue
+		}
+		if rel == SameSession && cand[n-1].T >= q[0].T {
 			// Exclude the query itself and any window whose
 			// span overlaps the query's present.
-			w.funnel.selfExcluded++
+			w.counts.SelfExcluded++
 			continue
 		}
 		// The acceptance bound: the distance threshold, tightened to
 		// the k-th best distance seen so far in top-k mode. It only
 		// ever shrinks, so rejecting against a stale (looser) load is
 		// always safe.
-		bound := sc.col.bound()
+		bound := pl.threshold
+		if pl.col != nil {
+			bound = pl.col.bound()
+		}
 		if useLB {
 			// O(1) lower-bound rejection from the stream's prefix
 			// sums: no per-segment arithmetic touched.
 			var t0 time.Time
-			if sc.timed {
+			if pl.timed {
 				t0 = time.Now()
 			}
 			ampC := amps[j+n-1] - amps[j]
-			durC := seq[j+n-1].T - seq[j].T
-			pruned := p.distanceLowerBound(sc.ampQ, sc.durQ, ampC, durC, sc.vwMin, sc.wsum, rel) > bound
-			if sc.timed {
+			durC := cand[n-1].T - cand[0].T
+			pruned := pl.params.distanceLowerBound(pl.ampQ, pl.durQ, ampC, durC, pl.vwMin, pl.wsum, rel) > bound
+			if pl.timed {
 				w.stage.lb += int64(time.Since(t0))
 			}
 			if pruned {
-				w.funnel.lbPruned++
+				w.counts.LBPruned++
 				continue
 			}
 		}
@@ -601,18 +647,15 @@ func (sc *searchCtx) runFunnel(w *workerState, st *store.Stream, ord int, seq pl
 			dbound = 0
 		}
 		var t0 time.Time
-		if sc.timed {
+		if pl.timed {
 			t0 = time.Now()
 		}
-		d, within, err := p.distanceBounded(sc.q.Seq, cand, rel, sc.vw, dbound)
-		if sc.timed {
+		d, within := weightedDistance(q, cand, pl.vw, pl.wa, pl.wf, ws, pl.wsum, dbound)
+		if pl.timed {
 			w.stage.dist += int64(time.Since(t0))
 		}
-		if err != nil {
-			return err
-		}
-		if (!within && dbound > 0) || d > sc.threshold {
-			w.funnel.distRejected++
+		if !within || d > pl.threshold {
+			w.counts.DistRejected++
 			continue
 		}
 		mt := Match{
@@ -624,19 +667,23 @@ func (sc *searchCtx) runFunnel(w *workerState, st *store.Stream, ord int, seq pl
 			Weight:   ws / (1 + d),
 			ord:      ord,
 		}
-		if !sc.col.offer(mt, &w.matches) {
-			w.funnel.distRejected++
+		switch {
+		case pl.col == nil:
+			w.matches = append(w.matches, mt)
+			w.counts.Matched++
+		case pl.col.offer(mt):
+			w.counts.Matched++
+		default:
+			w.counts.DistRejected++
 		}
 	}
-	return nil
 }
 
-// collector accumulates accepted matches. In top-k mode it maintains a
-// bounded max-heap (ordered by matchLess) under a mutex and publishes
-// the k-th best distance as a monotonically tightening atomic bound
-// that workers feed back into the lower-bound filter and the distance
-// early-abandonment. In threshold mode matches go to worker-local
-// buffers and the bound stays pinned at the threshold.
+// collector accumulates a top-k search's accepted matches: a bounded
+// max-heap (ordered by matchLess) under a mutex, publishing the k-th
+// best distance as a monotonically tightening atomic bound that
+// workers feed back into the lower-bound filter and the distance
+// early-abandonment.
 type collector struct {
 	k         int
 	threshold float64
@@ -648,27 +695,28 @@ type collector struct {
 
 func newCollector(k int, threshold float64) *collector {
 	c := &collector{k: k, threshold: threshold}
-	c.boundBits.Store(math.Float64bits(threshold))
+	c.reset()
 	return c
+}
+
+// reset empties the heap and loosens the bound back to the threshold.
+// Not safe while workers run.
+func (c *collector) reset() {
+	c.heap = c.heap[:0]
+	c.boundBits.Store(math.Float64bits(c.threshold))
 }
 
 // bound returns the current acceptance bound: no candidate with a
 // distance strictly above it can enter the final result set.
 func (c *collector) bound() float64 {
-	if c.k <= 0 {
-		return c.threshold
-	}
 	return math.Float64frombits(c.boundBits.Load())
 }
 
-// kth reports whether the top-k heap is full and, if so, the current
-// k-th best distance (the largest retained). The index search uses it
-// to decide whether the probe envelope already covers every candidate
+// kth reports whether the heap is full and, if so, the current k-th
+// best distance (the largest retained). The index search uses it to
+// decide whether the probe envelope already covers every candidate
 // that could still displace a result.
 func (c *collector) kth() (full bool, dist float64) {
-	if c.k <= 0 {
-		return false, 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.heap) < c.k {
@@ -678,13 +726,9 @@ func (c *collector) kth() (full bool, dist float64) {
 }
 
 // offer submits an accepted candidate. It reports whether the match
-// was retained; in top-k mode a candidate ordering after the current
-// k-th best is dropped.
-func (c *collector) offer(mt Match, local *[]Match) bool {
-	if c.k <= 0 {
-		*local = append(*local, mt)
-		return true
-	}
+// was retained; a candidate ordering after the current k-th best is
+// dropped.
+func (c *collector) offer(mt Match) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.heap) < c.k {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -251,35 +252,49 @@ func TestTopKRestrict(t *testing.T) {
 	}
 }
 
-func TestFindSimilarAblationScratchReuse(t *testing.T) {
-	// With RequireStateOrder off, candidate starts come from a scratch
-	// buffer reused across streams and searches; reuse must not change
-	// results, including when a longer query follows a shorter one.
-	db := buildTestDB(t)
+// TestFindSimilarAblationAllocatesNoStartList: with RequireStateOrder
+// off every window is a candidate, and the driver walks them as a
+// start range — it must not materialise the 0..possible start list the
+// old scan filled per stream.
+func TestFindSimilarAblationAllocatesNoStartList(t *testing.T) {
+	const cycles = 4000
+	db := store.NewDB()
+	p1, err := db.AddPatient(store.PatientInfo{ID: "P1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p1.AddStream("S1")
+	if err := st.Append(breathingWindow(0, 10, unitDurs(3*cycles))...); err != nil {
+		t.Fatal(err)
+	}
 	p := DefaultParams()
 	p.RequireStateOrder = false
-	reused, _ := NewMatcher(db, p)
-	own := db.Patient("P1").StreamBySession("S1")
-	seq := own.Seq()
-	for _, n := range []int{6, 12, 8} {
-		q := NewQuery(seq[len(seq)-n:], "P1", "S1")
-		fresh, _ := NewMatcher(db, p)
-		want, err := fresh.FindSimilar(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := reused.FindSimilar(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: reused matcher found %d matches, fresh found %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Stream != want[i].Stream || got[i].Start != want[i].Start || got[i].Distance != want[i].Distance {
-				t.Errorf("n=%d match %d: reused %+v != fresh %+v", n, i, got[i], want[i])
-			}
-		}
+	p.Parallelism = 1
+	// No window of a different amplitude is within this threshold, so
+	// the search allocates for bookkeeping only.
+	p.DistThreshold = 1e-3
+	q := Query{Seq: breathingWindow(0, 20, unitDurs(9)), PatientID: "Q"}
+
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	// A fresh matcher, so no scratch from an earlier search can hide
+	// the allocation.
+	m, err := NewMatcher(db, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches, err := m.FindSimilar(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	if len(matches) != 0 {
+		t.Fatalf("fixture: %d matches, want none", len(matches))
+	}
+	// A start list for this stream would be 3*cycles ints (~94 KB).
+	if got, list := ms.TotalAlloc-before, uint64(3*cycles*8); got >= list {
+		t.Errorf("ablation search allocated %d bytes; a materialised start list alone is %d", got, list)
 	}
 }
 

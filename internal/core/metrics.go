@@ -35,3 +35,14 @@ var (
 	mUnstableQueries = obs.Default().Counter("stsmatch_query_unstable_total",
 		"Dynamic queries that hit the maximum length still unstable.")
 )
+
+// record adds one search's funnel counts to the registry counters —
+// the only place the stsmatch_matcher_* funnel series are written.
+func (c FunnelCounts) record() {
+	mCandidates.Add(c.Scanned())
+	mIndexPruned.Add(c.StateRejected)
+	mSelfExcluded.Add(c.SelfExcluded)
+	mLBPruned.Add(c.LBPruned)
+	mDistanceRejected.Add(c.DistRejected)
+	mMatched.Add(c.Matched)
+}

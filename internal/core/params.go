@@ -193,17 +193,6 @@ func (p Params) StreamWeight(r SourceRelation) float64 {
 	}
 }
 
-// maxStreamWeight returns the largest w_s any relation can carry —
-// the safe choice when inverting the lower bound into a probe
-// envelope that must admit candidates of every relation. Validate
-// enforces same-session >= same-patient >= other-patient.
-func (p Params) maxStreamWeight() float64 {
-	if !p.UseStreamWeights {
-		return 1
-	}
-	return p.WeightSameSession
-}
-
 // ampFreqWeights returns (w_a, w_f), collapsing to (1, 1) when the
 // amplitude/frequency layer is ablated off.
 func (p Params) ampFreqWeights() (wa, wf float64) {

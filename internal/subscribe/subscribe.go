@@ -61,7 +61,7 @@ type Subscription struct {
 	evals     uint64 // incremental evaluations run
 	delivered uint64 // events written to consumers (counter, not hwm)
 	dropped   uint64 // undelivered events evicted by the buffer cap
-	counts    core.StandingCounts
+	counts    core.FunnelCounts
 	notify    chan struct{} // closed and replaced when events arrive
 }
 
@@ -352,19 +352,12 @@ func (m *Manager) evalStreamLocked(ctx context.Context, st *store.Stream, to uin
 			continue
 		}
 		start := time.Now()
-		matches, counts, err := s.sq.EvalRange(st, int(from), int(to))
+		// EvalRange's error is always nil (kept for its call shape).
+		matches, counts, _ := s.sq.EvalRange(st, int(from), int(to))
 		s.cursors[key] = to
 		s.evals++
 		s.counts.Add(counts)
 		mEvals.Inc()
-		if err != nil {
-			// Unreachable with state-order filtering on; advance the
-			// cursor anyway so a poisoned window cannot wedge the
-			// subscription.
-			obs.AddSpan(ctx, "subscribe.eval", start, time.Since(start),
-				map[string]any{"sub": id, "error": err.Error()})
-			continue
-		}
 		now := m.now()
 		for _, mt := range matches {
 			seq := mt.Stream.Seq()
@@ -398,7 +391,7 @@ func (m *Manager) evalStreamLocked(ctx context.Context, st *store.Stream, to uin
 			"session":       st.SessionID,
 			"from":          from,
 			"to":            to,
-			"candidates":    counts.Candidates,
+			"candidates":    counts.Windows,
 			"state_reject":  counts.StateRejected,
 			"self_excluded": counts.SelfExcluded,
 			"lb_pruned":     counts.LBPruned,
@@ -470,7 +463,7 @@ func (m *Manager) List() []Status {
 			PatternN:  len(s.state.Pattern),
 
 			Evals:      s.evals,
-			Candidates: s.counts.Candidates,
+			Candidates: s.counts.Windows,
 			Matched:    s.counts.Matched,
 			NextSeq:    s.state.NextSeq,
 			Delivered:  s.state.Delivered,

@@ -1,11 +1,10 @@
 package wal
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"stsmatch/internal/store"
@@ -128,72 +127,105 @@ func TestIndexConfigSurvivesCompaction(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1StillReadable: a hand-written version-1 snapshot (no
-// index section) loads cleanly with a nil index config.
-func TestSnapshotV1StillReadable(t *testing.T) {
-	db := store.NewDB()
-	p, err := db.AddPatient(store.PatientInfo{ID: "P1", Class: "calm"})
+// TestSnapshotOtherVersionRefused: there is one snapshot format. A file
+// stamped with any other version is refused by name, and a log whose
+// newest snapshot is such a file fails Open — the segments below it
+// were compacted away, so starting from an empty database would lose
+// data silently.
+func TestSnapshotOtherVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, KeepSnapshots: 1, SegmentMaxBytes: 256}
+	l, _, err := Open(opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := p.AddStream("S1")
-	if err := st.Append(mkVerts(0, 5)...); err != nil {
+	appendSession(t, l, "P1", "S1", mkVerts(0, 24)) // several 256-byte segments
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	l, res, err := Open(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := l.Snapshot(res.DB, nil, nil) // compacts the segments below it
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName(lsn))
+	if _, err := readSnapshotFile(path); err != nil {
+		t.Fatalf("current-version snapshot unreadable: %v", err)
 	}
 
-	path := filepath.Join(t.TempDir(), "snap-0000000000000007.db")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := bufio.NewWriter(f)
-	var hdr [4 + 2 + 8]byte
-	copy(hdr[:4], snapMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], snapVersionV1)
-	binary.LittleEndian.PutUint64(hdr[6:], 7)
-	if _, err := w.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	// v1 body: session count then the db payload, with no index
-	// section in between.
-	if _, err := w.Write([]byte{0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WriteBinary(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	got, sessions, ic, _, _, lsn, err := readSnapshotFile(path)
-	if err != nil {
-		t.Fatalf("v1 snapshot unreadable: %v", err)
-	}
-	if ic != nil {
-		t.Fatalf("v1 snapshot produced index config %+v", ic)
-	}
-	if lsn != 7 || len(sessions) != 0 {
-		t.Fatalf("lsn=%d sessions=%d, want 7/0", lsn, len(sessions))
-	}
-	var a, b bytes.Buffer
-	if err := db.WriteBinary(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.WriteBinary(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("v1 snapshot database differs after load")
+	for _, version := range []uint16{1, 3, snapVersion + 1} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(raw[4:6], version)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = readSnapshotFile(path)
+		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+			t.Errorf("version %d: read error = %v, want unsupported snapshot version", version, err)
+		}
+		if l2, _, err := Open(opts, nil); err == nil {
+			l2.Close()
+			t.Errorf("version %d: Open started from an empty database over a refused snapshot", version)
+		}
 	}
 }
 
-// TestSnapshotV2EmbedsIndexConfig: writer stamps the configured index
+// TestSnapshotTruncatedRefused: every proper prefix of a snapshot that
+// fills all four sections is refused with an error — no section reader
+// panics, loops, or accepts a short file.
+func TestSnapshotTruncatedRefused(t *testing.T) {
+	dir := t.TempDir()
+	db := store.NewDB()
+	p, err := db.AddPatient(store.PatientInfo{ID: "P1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddStream("S1").Append(mkVerts(0, 8)...); err != nil {
+		t.Fatal(err)
+	}
+	ic := testIndexConfig()
+	full := filepath.Join(dir, "full.db")
+	err = writeSnapshotFile(full, 7, db,
+		[]SessionState{{PatientID: "P1", SessionID: "S1", Samples: 240, LastT: 7.4, LastPos: []float64{3.6}}},
+		&ic, []SubState{*testSubState()},
+		[]MigrationState{{SessionID: "S1", PatientID: "P1", Target: "http://b", Epoch: 2, Phase: MigrateCommit}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := readSnapshotFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sf.LSN != 7 || len(sf.Sessions) != 1 || sf.IndexConf == nil || len(sf.Subs) != 1 || len(sf.Migrations) != 1 {
+		t.Fatalf("full snapshot decoded to %+v", sf)
+	}
+	raw, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "cut.db")
+	for n := 0; n < len(raw); n++ {
+		if err := os.WriteFile(cut, raw[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readSnapshotFile(cut); err == nil {
+			t.Fatalf("snapshot truncated to %d of %d bytes was accepted", n, len(raw))
+		}
+	}
+}
+
+// TestSnapshotEmbedsIndexConfig: writer stamps the configured index
 // into the snapshot and the reader returns it.
-func TestSnapshotV2EmbedsIndexConfig(t *testing.T) {
+func TestSnapshotEmbedsIndexConfig(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(Options{Dir: dir}, nil)
 	if err != nil {
@@ -208,14 +240,14 @@ func TestSnapshotV2EmbedsIndexConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, ic, _, _, gotLSN, err := readSnapshotFile(filepath.Join(dir, snapshotName(lsn)))
+	sf, err := readSnapshotFile(filepath.Join(dir, snapshotName(lsn)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotLSN != lsn {
-		t.Fatalf("snapshot lsn %d, want %d", gotLSN, lsn)
+	if sf.LSN != lsn {
+		t.Fatalf("snapshot lsn %d, want %d", sf.LSN, lsn)
 	}
-	if ic == nil || *ic != want {
-		t.Fatalf("snapshot index config = %+v, want %+v", ic, want)
+	if sf.IndexConf == nil || *sf.IndexConf != want {
+		t.Fatalf("snapshot index config = %+v, want %+v", sf.IndexConf, want)
 	}
 }

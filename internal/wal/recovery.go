@@ -129,19 +129,14 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 	// during rename is prevented, but disks rot) falls back to the
 	// previous one, and failing all of them to an empty database plus
 	// full replay.
-	var db *store.DB
-	var sessions []SessionState
-	var snapIdxConf *IndexConfig
-	var snapSubs []SubState
-	var snapMigs []MigrationState
-	var snapLSN uint64
+	snap := &snapshotFile{}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		d, ss, ic, sb, mg, lsn, err := readSnapshotFile(filepath.Join(opts.Dir, snapshotName(snaps[i])))
-		if err == nil {
-			db, sessions, snapIdxConf, snapSubs, snapMigs, snapLSN = d, ss, ic, sb, mg, lsn
+		if sf, err := readSnapshotFile(filepath.Join(opts.Dir, snapshotName(snaps[i]))); err == nil {
+			snap = sf
 			break
 		}
 	}
+	db := snap.DB
 	if db == nil {
 		if res.Fresh && initial != nil {
 			db = initial
@@ -149,22 +144,23 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 			db = store.NewDB()
 		}
 	}
+	snapLSN := snap.LSN
 	res.SnapshotLSN = snapLSN
 
 	rs := &replayState{
 		db:         db,
 		idx:        make(map[string]int),
-		indexConf:  snapIdxConf,
+		indexConf:  snap.IndexConf,
 		subs:       make(map[string]bool),
 		migrations: make(map[string]MigrationState),
 	}
-	for _, ss := range sessions {
+	for _, ss := range snap.Sessions {
 		rs.open(ss)
 	}
-	for i := range snapSubs {
-		rs.subs[snapSubs[i].ID] = true
+	for i := range snap.Subs {
+		rs.subs[snap.Subs[i].ID] = true
 	}
-	for _, m := range snapMigs {
+	for _, m := range snap.Migrations {
 		rs.migrations[m.SessionID] = m
 	}
 
@@ -214,7 +210,7 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 	res.RecordsReplayed = rs.applied
 	res.DB = db
 	res.IndexConfig = rs.indexConf
-	res.Subscriptions = snapSubs
+	res.Subscriptions = snap.Subs
 	res.SubOps = rs.subOps
 	res.Migrations = rs.migrationList()
 	// Carry the recovered config forward so the next snapshot embeds it

@@ -15,17 +15,10 @@ import (
 
 const (
 	snapMagic = "STSS"
-	// snapVersion 2 (PR 7) inserts a window-signature index-config
-	// section between the session manifest and the database payload;
-	// version 3 (PR 8) inserts a standing-subscription section after
-	// the index section; version 4 (PR 10) inserts a session-migration
-	// section (in-flight prepares and committed tombstones) after the
-	// subscription section. The reader still accepts versions 1-3, so
-	// older snapshots recover cleanly.
-	snapVersion   = 4
-	snapVersionV3 = 3
-	snapVersionV2 = 2
-	snapVersionV1 = 1
+	// snapVersion is the one snapshot format: header, session manifest,
+	// window-signature index config, standing subscriptions, session
+	// migrations, database payload. Any other version is refused.
+	snapVersion = 4
 )
 
 // SessionState is the durable part of one open ingestion session: the
@@ -105,7 +98,7 @@ func writeSnapshotFile(path string, lsn uint64, db *store.DB, sessions []Session
 			b = appendF64(b, x)
 		}
 	}
-	// v2: index-config section — presence byte, then the config. The
+	// Index-config section — presence byte, then the config. The
 	// config must live in snapshots as well as records because
 	// compaction may delete the segment holding the TypeIndexConfig
 	// record.
@@ -118,7 +111,7 @@ func writeSnapshotFile(path string, lsn uint64, db *store.DB, sessions []Session
 		b = appendF64(b, idxConf.AmpBucket)
 		b = appendF64(b, idxConf.DurBucket)
 	}
-	// v3: standing-subscription section — count, then each state as a
+	// Standing-subscription section — count, then each state as a
 	// length-prefixed appendSubState blob (the TypeSubUpsert body).
 	// Subscription state must live in snapshots because compaction may
 	// delete the segments holding the registration records and the
@@ -129,7 +122,7 @@ func writeSnapshotFile(path string, lsn uint64, db *store.DB, sessions []Session
 		b = binary.AppendUvarint(b, uint64(len(blob)))
 		b = append(b, blob...)
 	}
-	// v4: session-migration section — count, then each state. Migration
+	// Session-migration section — count, then each state. Migration
 	// state must live in snapshots because compaction may delete the
 	// segment holding the TypeSessionMigrate record while the tombstone
 	// (or an in-flight prepare) is still load-bearing.
@@ -153,186 +146,152 @@ func writeSnapshotFile(path string, lsn uint64, db *store.DB, sessions []Session
 	return f.Sync()
 }
 
-// readSnapshotFile loads one snapshot file (version 1 through 4). The
-// returned IndexConfig is nil for v1 snapshots and for newer snapshots
-// written without an index; the subscription list is nil below v3 and
-// the migration list nil below v4.
-func readSnapshotFile(path string) (*store.DB, []SessionState, *IndexConfig, []SubState, []MigrationState, uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, nil, nil, 0, err
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
-	var hdr [4 + 2 + 8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: snapshot header: %w", err)
-	}
-	if string(hdr[:4]) != snapMagic {
-		return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: bad snapshot magic %q", hdr[:4])
-	}
-	version := binary.LittleEndian.Uint16(hdr[4:6])
-	if version < snapVersionV1 || version > snapVersion {
-		return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: unsupported snapshot version %d", version)
-	}
-	lsn := binary.LittleEndian.Uint64(hdr[6:])
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, nil, nil, nil, nil, 0, err
-	}
-	if n > 1<<20 {
-		return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: implausible session count %d", n)
-	}
-	sessions := make([]SessionState, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var ss SessionState
-		if ss.PatientID, err = readSnapString(r); err != nil {
-			return nil, nil, nil, nil, nil, 0, err
-		}
-		if ss.SessionID, err = readSnapString(r); err != nil {
-			return nil, nil, nil, nil, nil, 0, err
-		}
-		if ss.Samples, err = binary.ReadUvarint(r); err != nil {
-			return nil, nil, nil, nil, nil, 0, err
-		}
-		var tbuf [8]byte
-		if _, err := io.ReadFull(r, tbuf[:]); err != nil {
-			return nil, nil, nil, nil, nil, 0, err
-		}
-		ss.LastT = math.Float64frombits(binary.LittleEndian.Uint64(tbuf[:]))
-		dims, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, nil, nil, nil, nil, 0, err
-		}
-		if dims > maxDims {
-			return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: implausible anchor dims %d", dims)
-		}
-		ss.LastPos = make([]float64, dims)
-		for j := range ss.LastPos {
-			if _, err := io.ReadFull(r, tbuf[:]); err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			ss.LastPos[j] = math.Float64frombits(binary.LittleEndian.Uint64(tbuf[:]))
-		}
-		sessions = append(sessions, ss)
-	}
-	var idxConf *IndexConfig
-	if version >= snapVersionV2 {
-		present, err := r.ReadByte()
-		if err != nil {
-			return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: snapshot index section: %w", err)
-		}
-		if present != 0 {
-			var ic IndexConfig
-			minSeg, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			maxSeg, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			if minSeg > math.MaxUint32 || maxSeg > math.MaxUint32 {
-				return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: implausible index config %d/%d", minSeg, maxSeg)
-			}
-			ic.MinSegments, ic.MaxSegments = uint32(minSeg), uint32(maxSeg)
-			var tbuf [8]byte
-			if _, err := io.ReadFull(r, tbuf[:]); err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			ic.AmpBucket = math.Float64frombits(binary.LittleEndian.Uint64(tbuf[:]))
-			if _, err := io.ReadFull(r, tbuf[:]); err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			ic.DurBucket = math.Float64frombits(binary.LittleEndian.Uint64(tbuf[:]))
-			idxConf = &ic
-		}
-	}
-	var subs []SubState
-	if version >= snapVersionV3 {
-		ns, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: snapshot subscription section: %w", err)
-		}
-		if ns > 1<<20 {
-			return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: implausible subscription count %d", ns)
-		}
-		for i := uint64(0); i < ns; i++ {
-			sz, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			if sz > maxPayload {
-				return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: implausible subscription blob length %d", sz)
-			}
-			blob := make([]byte, sz)
-			if _, err := io.ReadFull(r, blob); err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			d := decoder{b: blob}
-			st := d.subState()
-			if d.err != nil {
-				return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: snapshot subscription %d: %w", i, d.err)
-			}
-			if d.off != len(d.b) {
-				return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: snapshot subscription %d: %d trailing bytes", i, len(d.b)-d.off)
-			}
-			subs = append(subs, *st)
-		}
-	}
-	var migrations []MigrationState
-	if version >= snapVersion {
-		nm, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: snapshot migration section: %w", err)
-		}
-		if nm > 1<<20 {
-			return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: implausible migration count %d", nm)
-		}
-		for i := uint64(0); i < nm; i++ {
-			var m MigrationState
-			if m.SessionID, err = readSnapString(r); err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			if m.PatientID, err = readSnapString(r); err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			if m.Target, err = readSnapString(r); err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			if m.Epoch, err = binary.ReadUvarint(r); err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			if m.Phase, err = r.ReadByte(); err != nil {
-				return nil, nil, nil, nil, nil, 0, err
-			}
-			if m.Phase < MigratePrepare || m.Phase > MigrateAbort {
-				return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: snapshot migration %d: invalid phase %d", i, m.Phase)
-			}
-			migrations = append(migrations, m)
-		}
-	}
-	db, err := store.ReadBinary(r)
-	if err != nil {
-		return nil, nil, nil, nil, nil, 0, fmt.Errorf("wal: snapshot payload: %w", err)
-	}
-	return db, sessions, idxConf, subs, migrations, lsn, nil
+// snapshotFile is one snapshot's decoded content. IndexConf is nil when
+// the snapshot was written without an index.
+type snapshotFile struct {
+	LSN        uint64
+	DB         *store.DB
+	Sessions   []SessionState
+	IndexConf  *IndexConfig
+	Subs       []SubState
+	Migrations []MigrationState
 }
 
-func readSnapString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
+// readSnapshotFile loads one snapshot file.
+func readSnapshotFile(path string) (*snapshotFile, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if n > maxString {
-		return "", fmt.Errorf("wal: implausible string length %d", n)
+	defer f.Close()
+	s := snapReader{r: bufio.NewReaderSize(f, 1<<16)}
+	var hdr [4 + 2 + 8]byte
+	if _, err := io.ReadFull(s.r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("wal: snapshot header: %w", err)
+	}
+	if string(hdr[:4]) != snapMagic {
+		return nil, fmt.Errorf("wal: bad snapshot magic %q", hdr[:4])
+	}
+	if version := binary.LittleEndian.Uint16(hdr[4:6]); version != snapVersion {
+		return nil, fmt.Errorf("wal: unsupported snapshot version %d", version)
+	}
+	sf := &snapshotFile{LSN: binary.LittleEndian.Uint64(hdr[6:])}
+
+	for i, n := 0, s.count(1<<20, "session count"); uint64(i) < n && s.err == nil; i++ {
+		ss := SessionState{PatientID: s.str(), SessionID: s.str(), Samples: s.uvarint(), LastT: s.f64()}
+		ss.LastPos = make([]float64, s.count(maxDims, "anchor dims"))
+		for j := range ss.LastPos {
+			ss.LastPos[j] = s.f64()
+		}
+		sf.Sessions = append(sf.Sessions, ss)
+	}
+	if s.err != nil {
+		return nil, fmt.Errorf("wal: snapshot session section: %w", s.err)
+	}
+
+	if s.u8() != 0 {
+		minSeg, maxSeg := s.count(math.MaxUint32, "index config"), s.count(math.MaxUint32, "index config")
+		sf.IndexConf = &IndexConfig{
+			MinSegments: uint32(minSeg), MaxSegments: uint32(maxSeg),
+			AmpBucket: s.f64(), DurBucket: s.f64(),
+		}
+	}
+	if s.err != nil {
+		return nil, fmt.Errorf("wal: snapshot index section: %w", s.err)
+	}
+
+	for i, n := 0, s.count(1<<20, "subscription count"); uint64(i) < n && s.err == nil; i++ {
+		d := decoder{b: s.bytes(s.count(maxPayload, "subscription blob length"))}
+		if s.err != nil {
+			break
+		}
+		st := d.subState()
+		if d.err == nil && d.off != len(d.b) {
+			d.err = fmt.Errorf("%d trailing bytes", len(d.b)-d.off)
+		}
+		if d.err != nil {
+			s.err = fmt.Errorf("subscription %d: %w", i, d.err)
+			break
+		}
+		sf.Subs = append(sf.Subs, *st)
+	}
+	if s.err != nil {
+		return nil, fmt.Errorf("wal: snapshot subscription section: %w", s.err)
+	}
+
+	for i, n := 0, s.count(1<<20, "migration count"); uint64(i) < n && s.err == nil; i++ {
+		m := MigrationState{SessionID: s.str(), PatientID: s.str(), Target: s.str(), Epoch: s.uvarint(), Phase: s.u8()}
+		if s.err == nil && (m.Phase < MigratePrepare || m.Phase > MigrateAbort) {
+			s.err = fmt.Errorf("migration %d: invalid phase %d", i, m.Phase)
+		}
+		sf.Migrations = append(sf.Migrations, m)
+	}
+	if s.err != nil {
+		return nil, fmt.Errorf("wal: snapshot migration section: %w", s.err)
+	}
+
+	if sf.DB, err = store.ReadBinary(s.r); err != nil {
+		return nil, fmt.Errorf("wal: snapshot payload: %w", err)
+	}
+	return sf, nil
+}
+
+// snapReader reads a snapshot's sections off the stream, latching the
+// first error so the section decoders read straight-line (what decoder
+// does for a record's byte slice). After an error every read returns
+// zero.
+type snapReader struct {
+	r   *bufio.Reader
+	err error
+}
+
+func (s *snapReader) uvarint() uint64 {
+	if s.err != nil {
+		return 0
+	}
+	var v uint64
+	v, s.err = binary.ReadUvarint(s.r)
+	return v
+}
+
+// count reads a uvarint that sizes an allocation or a loop and refuses
+// values above max, so a corrupt file cannot demand unbounded work.
+func (s *snapReader) count(max uint64, what string) uint64 {
+	v := s.uvarint()
+	if s.err == nil && v > max {
+		s.err = fmt.Errorf("implausible %s %d", what, v)
+		return 0
+	}
+	return v
+}
+
+func (s *snapReader) bytes(n uint64) []byte {
+	if s.err != nil {
+		return nil
 	}
 	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	_, s.err = io.ReadFull(s.r, buf)
+	return buf
 }
+
+func (s *snapReader) u8() byte {
+	if s.err != nil {
+		return 0
+	}
+	var v byte
+	v, s.err = s.r.ReadByte()
+	return v
+}
+
+func (s *snapReader) f64() float64 {
+	var b [8]byte
+	if s.err == nil {
+		_, s.err = io.ReadFull(s.r, b[:])
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+}
+
+func (s *snapReader) str() string { return string(s.bytes(s.count(maxString, "string length"))) }
 
 // compactLocked prunes old snapshots and deletes log segments no
 // retained snapshot needs. Recovery may fall back to the OLDEST kept

@@ -10,7 +10,9 @@
 //	wal-<firstLSN hex>.log   log segments ("STWL" u16 version u64 firstLSN,
 //	                         then framed records)
 //	snap-<LSN hex>.db        snapshots ("STSS" u16 version u64 LSN,
-//	                         open-session manifest, store binary payload)
+//	                         open-session manifest, index config,
+//	                         subscriptions, migrations, store binary
+//	                         payload — one format, see snapshot.go)
 //
 // Records are framed as u32 payload length | u32 CRC-32C | payload and
 // carry their LSN; recovery verifies both the checksum and LSN
