@@ -64,23 +64,44 @@ func (p Params) distanceBounded(q, c plr.Sequence, rel SourceRelation, bound flo
 	if p.RequireStateOrder && !statesEqual(q, c) {
 		return 0, false, ErrStateMismatch
 	}
-	vw := p.VertexWeights(nil, len(q))
+	// Weights and query segments of the usual query fit on the stack.
+	var stack [96]float64
+	buf := stack[:]
+	if need := (len(q) - 1) * (q.Dims() + 2); need > len(buf) {
+		buf = make([]float64, need)
+	}
+	vw := p.VertexWeights(buf[:0], len(q))
 	wsum, _ := sumMin(vw)
 	wa, wf := p.ampFreqWeights()
-	d, ok = weightedDistance(q, c, vw, wa, wf, p.StreamWeight(rel), wsum, bound)
+	d, ok = weightedDistance(querySegments(buf[len(q)-1:], q), c, vw, wa, wf, p.StreamWeight(rel), wsum, bound)
 	return d, ok, nil
 }
 
+// querySegments fills dst with the query side of the distance kernel,
+// one record per segment: its duration, then its displacement vector.
+// dst must hold (len(q)-1)*(q.Dims()+1) values.
+func querySegments(dst []float64, q plr.Sequence) []float64 {
+	dst = dst[:0]
+	for i := 0; i+1 < len(q); i++ {
+		dst = append(dst, q[i+1].T-q[i].T)
+		for k := range q[0].Pos {
+			dst = append(dst, q[i+1].Pos[k]-q[i].Pos[k])
+		}
+	}
+	return dst
+}
+
 // weightedDistance is the Definition-2 arithmetic: the vertex-weighted
-// sum of per-segment amplitude and duration differences between two
-// equal-length windows, normalized by ws·wsum (wsum = Σ vw). It
-// supports early abandonment: when bound > 0 and the partial weighted
-// sum already guarantees the final distance exceeds bound, the
+// sum of per-segment amplitude and duration differences between the
+// query (qseg, its querySegments) and an equal-length window c,
+// normalized by ws·wsum (wsum = Σ vw). Each candidate vertex is loaded
+// once. It supports early abandonment: when bound > 0 and the partial
+// weighted sum already guarantees the final distance exceeds bound, the
 // computation stops and ok is false. The retrieval loop passes its
 // acceptance bound here, which skips most of the arithmetic on
 // clearly-distant candidates (every term of the sum is non-negative,
 // so the partial normalized sum only grows).
-func weightedDistance(q, c plr.Sequence, vw []float64, wa, wf, ws, wsum, bound float64) (d float64, ok bool) {
+func weightedDistance(qseg []float64, c plr.Sequence, vw []float64, wa, wf, ws, wsum, bound float64) (d float64, ok bool) {
 	// Early abandonment threshold on the raw (unnormalized) sum. The
 	// tiny relative slack makes abandonment conservative under
 	// floating-point rounding: a candidate whose final distance ties
@@ -94,23 +115,24 @@ func weightedDistance(q, c plr.Sequence, vw []float64, wa, wf, ws, wsum, bound f
 	}
 
 	var sum float64
-	dims := len(q[0].Pos)
-	for i := 0; i < len(q)-1; i++ {
-		// Segment displacement difference (amplitude term). Computed
-		// inline to avoid per-segment allocations on the hot path.
+	stride := len(qseg) / len(vw) // 1 + dims
+	prevT, prevPos := c[0].T, c[0].Pos
+	for i, w := range vw {
+		seg := qseg[i*stride : (i+1)*stride]
+		curT, curPos := c[i+1].T, c[i+1].Pos
+		// Segment displacement difference (amplitude term).
 		var dd float64
-		for k := 0; k < dims; k++ {
-			dq := q[i+1].Pos[k] - q[i].Pos[k]
-			dc := c[i+1].Pos[k] - c[i].Pos[k]
-			d := dq - dc
+		for k, dq := range seg[1:] {
+			d := dq - (curPos[k] - prevPos[k])
 			dd += d * d
 		}
 		ampDiff := math.Sqrt(dd)
-		durDiff := math.Abs((q[i+1].T - q[i].T) - (c[i+1].T - c[i].T))
-		sum += vw[i] * (wa*ampDiff + wf*durDiff)
+		durDiff := math.Abs(seg[0] - (curT - prevT))
+		sum += w * (wa*ampDiff + wf*durDiff)
 		if sum > abandonAt {
 			return sum / (ws * wsum), false
 		}
+		prevT, prevPos = curT, curPos
 	}
 	return sum / (ws * wsum), true
 }
@@ -125,9 +147,10 @@ func weightedDistance(q, c plr.Sequence, vw []float64, wa, wf, ws, wsum, bound f
 // exact) arithmetic while giving up no meaningful pruning power.
 const boundSlack = 1e-9
 
-// distanceLowerBound returns a constant-time admissible lower bound on
-// the Definition-2 weighted distance between a query and a candidate
-// window, from aggregate quantities alone:
+// lowerBound returns a constant-time admissible lower bound on the
+// Definition-2 weighted distance between the plan's query and a
+// candidate window at the given relation, from aggregate quantities
+// alone:
 //
 //	ampQ, ampC — sums of per-segment displacement norms Σ|Δ_i|
 //	durQ, durC — total durations (last vertex time - first)
@@ -143,20 +166,19 @@ const boundSlack = 1e-9
 //	D * ws * wsum >= vwMin * (wa*|ampQ-ampC| + wf*|durQ-durC|)
 //
 // The candidate-side sums come from store.Stream prefix sums in O(1),
-// so candidates can be rejected before any per-segment arithmetic.
-func (p Params) distanceLowerBound(ampQ, durQ, ampC, durC, vwMin, wsum float64, rel SourceRelation) float64 {
-	wa, wf := p.ampFreqWeights()
-	ws := p.StreamWeight(rel)
-	gap := wa*math.Abs(ampQ-ampC) + wf*math.Abs(durQ-durC)
+// so candidates can be rejected before any per-segment arithmetic; the
+// query side and every weight are constants of the plan.
+func (pl *queryPlan) lowerBound(ampC, durC float64, rel SourceRelation) float64 {
+	gap := pl.wa*math.Abs(pl.ampQ-ampC) + pl.wf*math.Abs(pl.durQ-durC)
 	// Deflate by a slack proportional to the input magnitude (not the
 	// gap): rounding error in the prefix sums and in the exact
 	// distance scales with the magnitudes, so a near-zero gap between
 	// large sums must not produce a spuriously positive bound.
-	gap -= boundSlack * (wa*(ampQ+ampC) + wf*(durQ+durC))
-	if gap <= 0 || wsum <= 0 {
+	gap -= boundSlack * (pl.wa*(pl.ampQ+ampC) + pl.wf*(pl.durQ+durC))
+	if gap <= 0 || pl.wsum <= 0 {
 		return 0
 	}
-	return vwMin * gap / (ws * wsum)
+	return pl.vwMin * gap / (pl.ws[rel] * pl.wsum)
 }
 
 // Similar reports whether q and c satisfy Definition 2: same state

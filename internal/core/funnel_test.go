@@ -51,14 +51,14 @@ func searchCounts(t *testing.T, search func() ([]Match, error)) ([]Match, Funnel
 	}
 }
 
-// TestFunnelCountsPartitionUnderAppend is the regression test for the
-// concurrent-append accounting bug: a start list taken after the
-// snapshot can name windows beyond it (an append landed in between).
-// Those windows must be clipped before counting — the old driver
-// counted them as candidates and then skipped them, so the funnel no
-// longer summed.
+// TestFunnelCountsPartitionUnderAppend: a funnel run over a view taken
+// before an append counts and scores exactly the view's windows. The
+// candidate list and the vertices come from the same lock acquisition,
+// so no start can lie beyond the vertices (the old driver took its start
+// list after its snapshot and had to clip it).
 func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
 	db := buildTestDB(t)
+	db.EnableIndexes()
 	st := db.Patient("P2").StreamBySession("S1")
 	own := db.Patient("P1").StreamBySession("S1").Seq()
 	pl, err := newQueryPlan(DefaultParams(), NewQuery(own[len(own)-10:], "P1", "S1"), DefaultParams().DistThreshold, nil)
@@ -66,43 +66,36 @@ func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := candidateSet{listed: true}
-	c.seq, c.amps = st.Snapshot()
-	possible := len(c.seq) - pl.n + 1
-	// The append lands between the snapshot and the window lookup.
-	last := c.seq[len(c.seq)-1].T
+	c := candidateSet{view: st.ScanView(pl.sig), sig: pl.sig, starts: make([]int32, 8), lbs: make([]float64, 8)}
+	c.hi = len(c.view.Seq)
+	if !c.view.Listed || len(c.view.Postings) == 0 {
+		t.Fatal("fixture: the indexed stream lists no postings")
+	}
+	possible := len(c.view.Seq) - pl.n + 1
+	// The append lands between taking the view and running the funnel.
+	last := c.view.Seq[len(c.view.Seq)-1].T
 	if err := st.Append(breathingWindow(last+1, 11, unitDurs(12))...); err != nil {
 		t.Fatal(err)
 	}
-	late := st.FindWindows(pl.sig)
-	if late[len(late)-1] < possible {
-		t.Fatal("fixture: the late lookup found no window beyond the snapshot")
+	if late := st.FindWindows(pl.sig); late[len(late)-1] < possible {
+		t.Fatal("fixture: the append completed no window beyond the view")
 	}
 
-	c.starts = late
 	var w workerState
-	pl.run(&w, st, 0, c)
+	pl.run(&w, st, 0, &c)
 	if w.counts.Windows != possible {
-		t.Errorf("Windows = %d, want the snapshot's %d", w.counts.Windows, possible)
+		t.Errorf("Windows = %d, want the view's %d", w.counts.Windows, possible)
 	}
 	if !partitions(w.counts) {
 		t.Errorf("counts do not partition: %+v", w.counts)
 	}
+	if len(w.matches) == 0 {
+		t.Error("fixture: no match in the view")
+	}
 	for _, mt := range w.matches {
-		if mt.Start+mt.N > len(c.seq) {
-			t.Errorf("match at %d reaches beyond the %d-vertex snapshot", mt.Start, len(c.seq))
+		if mt.Start+mt.N > len(c.view.Seq) {
+			t.Errorf("match at %d reaches beyond the %d-vertex view", mt.Start, len(c.view.Seq))
 		}
-	}
-
-	// The same list in the index probe's type takes the same clip.
-	c.starts, c.probed = nil, make([]int32, len(late))
-	for i, j := range late {
-		c.probed[i] = int32(j)
-	}
-	var w32 workerState
-	pl.run(&w32, st, 0, c)
-	if w32.counts != w.counts {
-		t.Errorf("probed-list counts %+v differ from start-list counts %+v", w32.counts, w.counts)
 	}
 }
 

@@ -54,6 +54,7 @@ func sigindexMetric(name string) float64 {
 // including the deterministic tie-break order (the extra P4 stream
 // duplicates P1/S2's amplitude so equal distances exist).
 func TestIndexScanEquivalence(t *testing.T) {
+	alwaysFanOut(t) // the "default" cases cover the probed lists on workers
 	db := buildTestDB(t)
 	p4, err := db.AddPatient(store.PatientInfo{ID: "P4"})
 	if err != nil {

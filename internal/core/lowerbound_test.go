@@ -56,12 +56,13 @@ func checkAdmissible(t *testing.T, p Params, q, c plr.Sequence, rel SourceRelati
 	if err != nil {
 		t.Fatal(err)
 	}
-	vw := p.VertexWeights(nil, len(q))
-	wsum, vwMin := sumMin(vw)
-	lb := p.distanceLowerBound(
-		dispNormSum(q), q.Duration(),
-		dispNormSum(c), c.Duration(),
-		vwMin, wsum, rel)
+	// The bound under test is the funnel's own: the plan method run
+	// applies to every candidate.
+	pl, err := newQueryPlan(p, Query{Seq: q}, p.DistThreshold, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := pl.lowerBound(dispNormSum(c), c.Duration(), rel)
 	if lb > d {
 		t.Fatalf("lower bound %v exceeds exact distance %v\nparams %+v\nq %v\nc %v",
 			lb, d, p, q, c)

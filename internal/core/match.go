@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,28 +69,30 @@ func (m Match) EndTime() float64 {
 	return m.Stream.Seq()[m.Start+m.N-1].T
 }
 
-// matchLess is the total result order: ascending distance, then
+// matchCmp is the total result order: ascending distance, then
 // (patient, session, start, stream ordinal). The deterministic suffix
-// keys break distance ties — sort.Slice is unstable, so ordering by
+// keys break distance ties — the sort is unstable, so ordering by
 // distance alone would make equal-distance results flap between runs
 // (and between sequential and parallel scans), breaking the gateway's
 // byte-identical exact-merge guarantee. The same key is used by the
 // sharding gateway's merge (internal/shard).
-func matchLess(a, b Match) bool {
-	if a.Distance != b.Distance {
-		return a.Distance < b.Distance
+func matchCmp(a, b Match) int {
+	if c := cmp.Compare(a.Distance, b.Distance); c != 0 {
+		return c
 	}
-	if a.Stream.PatientID != b.Stream.PatientID {
-		return a.Stream.PatientID < b.Stream.PatientID
+	if c := strings.Compare(a.Stream.PatientID, b.Stream.PatientID); c != 0 {
+		return c
 	}
-	if a.Stream.SessionID != b.Stream.SessionID {
-		return a.Stream.SessionID < b.Stream.SessionID
+	if c := strings.Compare(a.Stream.SessionID, b.Stream.SessionID); c != 0 {
+		return c
 	}
-	if a.Start != b.Start {
-		return a.Start < b.Start
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
 	}
-	return a.ord < b.ord
+	return cmp.Compare(a.ord, b.ord)
 }
+
+func matchLess(a, b Match) bool { return matchCmp(a, b) < 0 }
 
 // Matcher runs similarity search over a stream database.
 type Matcher struct {
@@ -107,7 +111,8 @@ type Matcher struct {
 	// concurrent use; create one per goroutine). Each search worker
 	// goroutine owns one workerState; the slice grows to the effective
 	// parallelism and is reused across searches.
-	vw      []float64
+	buf     []float64 // the plan's vertex weights and query segments
+	streams []*store.Stream
 	work    []streamWork
 	workers []*workerState
 }
@@ -119,15 +124,40 @@ type workerState struct {
 	matches []Match
 	counts  FunnelCounts
 	stage   stageNS
+	mark    time.Time // the previous lap's clock reading
+	// The pass buffers lent to each candidate set (candidateSet.starts).
+	starts []int32
+	lbs    []float64
 }
 
+// passBlock is how many windows a search worker takes through the funnel
+// passes at a time: a block's buffers (3 KB) stay in L1.
+const passBlock = 256
+
 // stageNS accumulates per-funnel-stage wall time (nanoseconds). Only
-// populated when the search is traced (queryPlan.timed) — untraced
-// searches pay no clock reads in the candidate loop.
+// populated when the search is traced (queryPlan.timed): the clock is
+// read once per pass of a stream, never per candidate, and untraced
+// searches do not read it at all.
 type stageNS struct {
-	stateOrder int64 // FindWindows index lookups
+	stateOrder int64 // view, postings walk, state check, self-exclusion
 	lb         int64 // O(1) lower-bound evaluations
 	dist       int64 // bounded exact distance computations
+}
+
+// now is the stage clock; the clock-read test counts its calls.
+var now = time.Now
+
+// lap, in a traced search, reads the clock and adds the time since the
+// worker's previous lap to acc (nil just starts a lap).
+func (w *workerState) lap(pl *queryPlan, acc *int64) {
+	if !pl.timed {
+		return
+	}
+	t := now()
+	if acc != nil {
+		*acc += int64(t.Sub(w.mark))
+	}
+	w.mark = t
 }
 
 // FunnelCounts is the pruning-funnel breakdown of one funnel run (a
@@ -178,7 +208,7 @@ func drainWorkers(workers []*workerState) (c FunnelCounts, sg stageNS) {
 		sg.stateOrder += w.stage.stateOrder
 		sg.lb += w.stage.lb
 		sg.dist += w.stage.dist
-		*w = workerState{matches: w.matches[:0]}
+		*w = workerState{matches: w.matches[:0], starts: w.starts, lbs: w.lbs}
 	}
 	return c, sg
 }
@@ -274,11 +304,12 @@ func (m *Matcher) FindSimilarTopKCtx(ctx context.Context, q Query, k int, restri
 // (the collector synchronises itself). search builds one per call, a
 // StandingQuery keeps one for life.
 type queryPlan struct {
-	params    Params
 	q         Query
 	sig       string
+	scanSig   string // what scans filter by: sig, or "" with the state order ablated off
 	n         int
 	vw        []float64  // per-segment vertex weights
+	qseg      []float64  // per-segment durations and displacements (querySegments)
 	wsum      float64    // Σ vw
 	vwMin     float64    // min vw — the lower-bound weight floor
 	ampQ      float64    // Σ per-segment displacement norms of the query
@@ -295,21 +326,28 @@ type queryPlan struct {
 	timed bool
 }
 
-// newQueryPlan computes the query-side funnel aggregates. vw is an
-// optional scratch buffer for the vertex weights.
-func newQueryPlan(p Params, q Query, threshold float64, vw []float64) (*queryPlan, error) {
+// newQueryPlan computes the query-side funnel aggregates. buf is an
+// optional scratch buffer for the vertex weights and query segments.
+func newQueryPlan(p Params, q Query, threshold float64, buf []float64) (*queryPlan, error) {
 	if len(q.Seq) < 2 {
 		return nil, ErrTooShort
 	}
+	segs := len(q.Seq) - 1
+	if need := segs * (q.Seq.Dims() + 2); cap(buf) < need {
+		buf = make([]float64, need)
+	}
 	pl := &queryPlan{
-		params:    p,
 		q:         q,
 		sig:       q.Seq.StateSignature(),
 		n:         len(q.Seq),
-		vw:        p.VertexWeights(vw, len(q.Seq)),
+		vw:        p.VertexWeights(buf[:0], len(q.Seq)),
+		qseg:      querySegments(buf[segs:cap(buf)], q.Seq),
 		ampQ:      dispNormSum(q.Seq),
 		durQ:      q.Seq.Duration(),
 		threshold: threshold,
+	}
+	if p.RequireStateOrder {
+		pl.scanSig = pl.sig
 	}
 	pl.wsum, pl.vwMin = sumMin(pl.vw)
 	pl.wa, pl.wf = p.ampFreqWeights()
@@ -327,11 +365,11 @@ func newQueryPlan(p Params, q Query, threshold float64, vw []float64) (*queryPla
 // parallelism setting and for every candidate source.
 func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool, k int, threshold float64) ([]Match, error) {
 	start := time.Now()
-	pl, err := newQueryPlan(m.Params, q, threshold, m.vw)
+	pl, err := newQueryPlan(m.Params, q, threshold, m.buf)
 	if err != nil {
 		return nil, err
 	}
-	m.vw = pl.vw
+	m.buf = pl.vw // the (possibly regrown) scratch, by its full capacity
 	mSearches.Inc()
 	mQueryLen.Observe(float64(pl.n))
 
@@ -346,7 +384,7 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		pl.col = newCollector(k, threshold)
 	}
 
-	streams := m.DB.Streams()
+	streams := m.DB.AppendStreams(m.streams[:0])
 	if restrict != nil {
 		kept := streams[:0]
 		for _, st := range streams {
@@ -356,10 +394,11 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		}
 		streams = kept
 	}
+	m.streams = streams
 
-	par := m.Params.parallelism(len(streams))
+	par := m.fanOut(streams)
 	for len(m.workers) < par {
-		m.workers = append(m.workers, &workerState{})
+		m.workers = append(m.workers, &workerState{starts: make([]int32, passBlock), lbs: make([]float64, passBlock)})
 	}
 	active := m.workers[:par]
 
@@ -403,7 +442,7 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		}
 	}
 	mergeStart := time.Now()
-	sort.Slice(out, func(a, b int) bool { return matchLess(out[a], out[b]) })
+	slices.SortFunc(out, matchCmp)
 	mergeDur := time.Since(mergeStart)
 
 	var sg stageNS
@@ -446,9 +485,27 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	return out, nil
 }
 
+// fanOutMinVertices is the corpus size below which a search stays on the
+// calling goroutine whatever Params.Parallelism allows: starting and
+// joining workers costs more than scanning some 13k vertices (the
+// measured ladder is in DESIGN §10). A variable so that tests can drive
+// the parallel path over small fixtures.
+var fanOutMinVertices = 16384
+
+// fanOut resolves the worker count for a search over streams.
+func (m *Matcher) fanOut(streams []*store.Stream) int {
+	par := m.Params.parallelism(len(streams))
+	for total, i := 0, 0; par > 1 && i < len(streams); i++ {
+		if total += streams[i].Len(); total >= fanOutMinVertices {
+			return par
+		}
+	}
+	return 1
+}
+
 // streamWork is one stream's share of a search. probed carries the
 // stream's index-probe hits; nil means the candidates come from the
-// stream itself (FindWindows, or every window in ablation mode).
+// stream's own scan view (its postings, or every window).
 type streamWork struct {
 	st     *store.Stream
 	ord    int
@@ -504,48 +561,35 @@ func (pl *queryPlan) dispatch(workers []*workerState, work []streamWork) {
 	}
 }
 
-// feed builds one work item's candidate set over a fresh snapshot of
-// its stream and runs the funnel over it.
+// feed builds one work item's candidate set over a fresh view of its
+// stream and runs the funnel over it.
 func (pl *queryPlan) feed(w *workerState, it streamWork) {
-	c := candidateSet{listed: true, probed: it.probed}
-	c.seq, c.amps = it.st.Snapshot()
-	switch {
-	case it.probed != nil:
-		// The index probe already produced the list.
-	case pl.params.RequireStateOrder:
-		var t0 time.Time
-		if pl.timed {
-			t0 = time.Now()
-		}
-		c.starts = it.st.FindWindows(pl.sig)
-		if pl.timed {
-			w.stage.stateOrder += int64(time.Since(t0))
-		}
-	default:
-		// Ablation mode: every window of the query's length is a
-		// candidate, regardless of its state order.
-		c.listed, c.hi = false, len(c.seq)
+	w.lap(pl, nil)
+	// An indexed stream's postings for the signature's first gram,
+	// consumed in place; every start of an unindexed one, or of any
+	// stream in ablation mode.
+	c := candidateSet{view: it.st.ScanView(pl.scanSig), sig: pl.scanSig, starts: w.starts, lbs: w.lbs}
+	if it.probed != nil {
+		// The index probe already produced the list, state order proven.
+		c.view.Listed, c.view.Postings, c.sig = true, it.probed, ""
 	}
-	pl.run(w, it.st, it.ord, c)
+	c.hi = len(c.view.Seq)
+	pl.run(w, it.st, it.ord, &c)
 }
 
-// candidateSet names the windows of one stream snapshot that a funnel
-// run considers: either an explicit list of window starts whose state
-// order the producer already proved — in whichever integer type the
-// producer emits, ascending — or the contiguous start range [lo, hi).
+// candidateSet names the windows of one stream view that a funnel run
+// considers: the view's windows (store.ScanView.AppendWindows) with
+// starts in [lo, hi) and state signature sig. An empty sig takes every
+// one — the ablation, or a list whose producer proved the state order.
 type candidateSet struct {
-	seq  plr.Sequence // the snapshot the starts index into
-	amps []float64    // its displacement-norm prefix sums
-
-	listed bool
-	starts []int   // FindWindows hits
-	probed []int32 // index-probe hits
-
+	view   store.ScanView
 	lo, hi int
-	// check makes the driver verify each range candidate's state order
-	// (standing queries); without it every window in range is scored
-	// (ablation).
-	check bool
+	sig    string
+	// Pass buffers, equally long: a block's surviving window starts and,
+	// from pass 2 on, their lower bounds. They are the search worker's,
+	// lent for the run; a standing evaluation brings its own.
+	starts []int32
+	lbs    []float64
 }
 
 // run is the candidate funnel — the only code that applies
@@ -558,125 +602,112 @@ type candidateSet struct {
 // their results byte-identical. Accepted matches go to the plan's
 // collector (top-k) or the worker's buffer; every window the set
 // ranges over lands in exactly one FunnelCounts bucket.
-func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c candidateSet) {
-	seq, amps, n, q := c.seq, c.amps, pl.n, pl.q.Seq
-	possible := len(seq) - n + 1 // windows the snapshot offers
-	if possible < 0 {
-		possible = 0
+//
+// The windows go through the stages a block at a time, as many as the
+// worker's pass buffers hold, so that each stage is a tight loop over
+// one kind of memory and is clocked per block, never per window.
+func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidateSet) {
+	seq, amps, n := c.view.Seq, c.view.Amps, pl.n
+	lo, hi := max(c.lo, 0), min(c.hi, len(seq)-n+1)
+	if lo >= hi {
+		return
 	}
-	// Clip to the snapshot before counting: an append landing between
-	// the snapshot and the candidate lookup yields starts beyond it, and
-	// those windows are the next search's business.
-	var count int
-	if c.listed {
-		for len(c.starts) > 0 && c.starts[len(c.starts)-1] >= possible {
-			c.starts = c.starts[:len(c.starts)-1]
-		}
-		for len(c.probed) > 0 && int(c.probed[len(c.probed)-1]) >= possible {
-			c.probed = c.probed[:len(c.probed)-1]
-		}
-		count = len(c.starts) + len(c.probed)
-		w.counts.Windows += possible
-		w.counts.StateRejected += possible - count
-	} else {
-		if c.lo < 0 {
-			c.lo = 0
-		}
-		if c.hi > possible {
-			c.hi = possible
-		}
-		if count = c.hi - c.lo; count < 0 {
-			count = 0
-		}
-		w.counts.Windows += count
-	}
-
+	w.counts.Windows += hi - lo
 	rel := relationOf(pl.q, st)
-	ws := pl.ws[rel]
-	useLB := len(amps) == len(seq)
-	for i := 0; i < count; i++ {
-		j := c.lo + i
-		if c.starts != nil {
-			j = c.starts[i]
-		} else if c.listed {
-			j = int(c.probed[i])
-		}
-		cand := seq[j : j+n]
-		if c.check && !statesEqual(q, cand) {
-			w.counts.StateRejected++
-			continue
-		}
-		if rel == SameSession && cand[n-1].T >= q[0].T {
-			// Exclude the query itself and any window whose
-			// span overlaps the query's present.
-			w.counts.SelfExcluded++
-			continue
-		}
-		// The acceptance bound: the distance threshold, tightened to
-		// the k-th best distance seen so far in top-k mode. It only
-		// ever shrinks, so rejecting against a stale (looser) load is
-		// always safe.
-		bound := pl.threshold
-		if pl.col != nil {
-			bound = pl.col.bound()
-		}
-		if useLB {
-			// O(1) lower-bound rejection from the stream's prefix
-			// sums: no per-segment arithmetic touched.
-			var t0 time.Time
-			if pl.timed {
-				t0 = time.Now()
+	ws, qStart := pl.ws[rel], pl.q.Seq[0].T
+	for lo < hi {
+		// Pass 1 — state order: the store's walk over postings or state
+		// string. Whatever it skips fails condition 1 (or the envelope of
+		// the probe that made the list).
+		from := lo
+		var starts []int32
+		starts, lo = c.view.AppendWindows(c.starts[:0], c.sig, from, hi)
+		w.counts.StateRejected += lo - from - len(starts)
+		// Self-exclusion: the query itself and any window whose span
+		// overlaps the query's present.
+		if rel == SameSession {
+			kept := starts[:0]
+			for _, j := range starts {
+				if seq[int(j)+n-1].T >= qStart {
+					w.counts.SelfExcluded++
+				} else {
+					kept = append(kept, j)
+				}
 			}
-			ampC := amps[j+n-1] - amps[j]
-			durC := cand[n-1].T - cand[0].T
-			pruned := pl.params.distanceLowerBound(pl.ampQ, pl.durQ, ampC, durC, pl.vwMin, pl.wsum, rel) > bound
-			if pl.timed {
-				w.stage.lb += int64(time.Since(t0))
-			}
-			if pruned {
+			starts = kept
+		}
+		w.lap(pl, &w.stage.stateOrder)
+
+		// Pass 2 — the O(1) lower bound from the stream's prefix sums, no
+		// per-segment arithmetic touched, against the acceptance bound as
+		// it stands on entering the block.
+		bound, kept := pl.bound(), 0
+		for _, j32 := range starts {
+			j := int(j32)
+			lb := pl.lowerBound(amps[j+n-1]-amps[j], seq[j+n-1].T-seq[j].T, rel)
+			if lb > bound {
 				w.counts.LBPruned++
 				continue
 			}
+			starts[kept], c.lbs[kept] = j32, lb
+			kept++
 		}
-		// Early abandonment: the acceptance bound caps the distance
-		// computation on clearly-distant candidates. An infinite bound
-		// (top-k mode before the heap fills) means exact distances are
-		// needed.
-		dbound := bound
-		if dbound >= inf {
-			dbound = 0
+		starts = starts[:kept]
+		w.lap(pl, &w.stage.lb)
+
+		// Pass 3 — bounded exact distance for the survivors.
+		for i, j32 := range starts {
+			// The bound may have tightened since pass 2: a survivor it now
+			// excludes is pruned as if the bound had been current all along.
+			bound := pl.bound()
+			if c.lbs[i] > bound {
+				w.counts.LBPruned++
+				continue
+			}
+			// Early abandonment: the acceptance bound caps the distance
+			// computation on clearly-distant candidates. An infinite bound
+			// (top-k mode before the heap fills) means exact distances are
+			// needed.
+			if bound >= inf {
+				bound = 0
+			}
+			j := int(j32)
+			d, within := weightedDistance(pl.qseg, seq[j:j+n], pl.vw, pl.wa, pl.wf, ws, pl.wsum, bound)
+			if !within || d > pl.threshold {
+				w.counts.DistRejected++
+				continue
+			}
+			mt := Match{
+				Stream:   st,
+				Start:    j,
+				N:        n,
+				Relation: rel,
+				Distance: d,
+				Weight:   ws / (1 + d),
+				ord:      ord,
+			}
+			switch {
+			case pl.col == nil:
+				w.matches = append(w.matches, mt)
+				w.counts.Matched++
+			case pl.col.offer(mt):
+				w.counts.Matched++
+			default:
+				w.counts.DistRejected++
+			}
 		}
-		var t0 time.Time
-		if pl.timed {
-			t0 = time.Now()
-		}
-		d, within := weightedDistance(q, cand, pl.vw, pl.wa, pl.wf, ws, pl.wsum, dbound)
-		if pl.timed {
-			w.stage.dist += int64(time.Since(t0))
-		}
-		if !within || d > pl.threshold {
-			w.counts.DistRejected++
-			continue
-		}
-		mt := Match{
-			Stream:   st,
-			Start:    j,
-			N:        n,
-			Relation: rel,
-			Distance: d,
-			Weight:   ws / (1 + d),
-			ord:      ord,
-		}
-		switch {
-		case pl.col == nil:
-			w.matches = append(w.matches, mt)
-			w.counts.Matched++
-		case pl.col.offer(mt):
-			w.counts.Matched++
-		default:
-			w.counts.DistRejected++
-		}
+		w.lap(pl, &w.stage.dist)
 	}
+}
+
+// bound is the acceptance bound: the distance threshold, tightened to
+// the k-th best distance seen so far in top-k mode. It only ever
+// shrinks, so rejecting against a stale (looser) load is always safe.
+func (pl *queryPlan) bound() float64 {
+	if pl.col != nil {
+		return pl.col.bound()
+	}
+	return pl.threshold
 }
 
 // collector accumulates a top-k search's accepted matches: a bounded

@@ -37,6 +37,15 @@ func randomDB(t *testing.T, rng *rand.Rand) *store.DB {
 	return db
 }
 
+// alwaysFanOut lowers the fan-out cutoff for the test's duration, so
+// that a small fixture runs on worker goroutines whenever its
+// Parallelism allows.
+func alwaysFanOut(t testing.TB) {
+	old := fanOutMinVertices
+	fanOutMinVertices = 0
+	t.Cleanup(func() { fanOutMinVertices = old })
+}
+
 // matchesIdentical asserts two result lists are element-wise identical
 // in every exported field, including bit-exact distances.
 func matchesIdentical(t *testing.T, label string, want, got []Match) {
@@ -58,6 +67,7 @@ func matchesIdentical(t *testing.T, label string, want, got []Match) {
 // TopK and FindSimilarTopK return byte-identical results. Run under
 // -race this also exercises the collector's synchronization.
 func TestParallelSequentialEquivalence(t *testing.T) {
+	alwaysFanOut(t)
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		db := randomDB(t, rng)
@@ -147,6 +157,7 @@ func TestFindSimilarTopKSemantics(t *testing.T) {
 // asserts the result order is the documented total order — identical
 // between sequential and parallel runs.
 func TestDeterministicTieBreak(t *testing.T) {
+	alwaysFanOut(t)
 	db := store.NewDB()
 	durs := unitDurs(30)
 	content := breathingWindow(0, 10, durs)
@@ -240,6 +251,7 @@ func dimMismatchDB(t *testing.T) (*store.DB, Query) {
 // every parallelism setting — and parallel workers must re-raise the
 // panic on the caller's goroutine rather than crash the process.
 func TestTopKPanicDoesNotCorruptParams(t *testing.T) {
+	alwaysFanOut(t)
 	db, q := dimMismatchDB(t)
 	for _, par := range []int{1, 8} {
 		p := DefaultParams()

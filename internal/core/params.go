@@ -62,7 +62,7 @@ type Params struct {
 	// UseIndex routes candidate generation through the matcher's
 	// window-signature index (Matcher.Index) when one is attached:
 	// envelope probes with iterative widening replace the per-stream
-	// FindWindows scans. Results are byte-identical to the scan path;
+	// posting scans. Results are byte-identical to the scan path;
 	// streams the index does not fully cover fall back to scanning.
 	// Ignored when RequireStateOrder is false — the ablation needs
 	// every window, which the index cannot enumerate — or when the

@@ -49,19 +49,20 @@ func (m *Matcher) PredictPosition(q Query, matches []Match, delta float64, minMa
 		return Prediction{}, ErrTooShort
 	}
 	dims := q.Seq.Dims()
-	acc := make([]float64, dims)
+	buf := make([]float64, 2*dims)
+	acc, f := buf[:dims], buf[dims:]
 	var wsum, dsum float64
 	used := 0
 	for _, mt := range matches {
-		seq := mt.Stream.Seq()
-		endT := mt.EndTime()
-		f, inside := seq.PositionAt(endT + delta)
-		if !inside {
+		// One view of the stream per match; the future point lies a
+		// horizon past the window's last vertex, so look from there.
+		seq, end := mt.Stream.Seq(), mt.Start+mt.N-1
+		if !seq.PositionFrom(f, seq[end].T+delta, end) {
 			continue // stream ends before the future point
 		}
 		anchor := seq[mt.Start].Pos
 		if m.Params.AnchorAtQueryEnd {
-			anchor = seq[mt.Start+mt.N-1].Pos
+			anchor = seq[end].Pos
 		}
 		for k := 0; k < dims; k++ {
 			acc[k] += mt.Weight * (f[k] - anchor[k])
@@ -148,15 +149,14 @@ func (m *Matcher) PredictDisplacement(q Query, matches []Match, d1, d2 float64, 
 		return nil, ErrTooShort
 	}
 	dims := q.Seq.Dims()
-	acc := make([]float64, dims)
+	buf := make([]float64, 3*dims)
+	acc, a, b := buf[:dims:dims], buf[dims:2*dims], buf[2*dims:]
 	var wsum float64
 	used := 0
 	for _, mt := range matches {
-		seq := mt.Stream.Seq()
-		endT := mt.EndTime()
-		a, insideA := seq.PositionAt(endT + d1)
-		b, insideB := seq.PositionAt(endT + d2)
-		if !insideA || !insideB {
+		seq, end := mt.Stream.Seq(), mt.Start+mt.N-1
+		endT := seq[end].T
+		if !seq.PositionFrom(a, endT+d1, end) || !seq.PositionFrom(b, endT+d2, end) {
 			continue
 		}
 		for k := 0; k < dims; k++ {

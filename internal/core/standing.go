@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
@@ -67,19 +68,22 @@ func (sq *StandingQuery) K() int { return sq.k }
 // of repeated full searches. The error is always nil.
 func (sq *StandingQuery) EvalRange(st *store.Stream, fromEnd, toEnd int) ([]Match, FunnelCounts, error) {
 	pl := sq.plan
-	c := candidateSet{lo: fromEnd - pl.n + 1, hi: toEnd - pl.n + 1, check: pl.params.RequireStateOrder}
-	c.seq, c.amps = st.Snapshot()
+	// An arrival completes a window or two: pass buffers on the stack.
+	var starts [8]int32
+	var lbs [8]float64
+	c := candidateSet{view: st.ScanView(""), lo: fromEnd - pl.n + 1, hi: toEnd - pl.n + 1,
+		sig: pl.scanSig, starts: starts[:], lbs: lbs[:]}
 	var w workerState
-	pl.run(&w, st, 0, c)
+	pl.run(&w, st, 0, &c)
 	matches, counts := w.matches, w.counts
 	if sq.k > 0 && len(matches) > sq.k {
-		sort.Slice(matches, func(a, b int) bool { return matchLess(matches[a], matches[b]) })
+		slices.SortFunc(matches, matchCmp)
 		dropped := len(matches) - sq.k
 		counts.Matched -= dropped
 		counts.DistRejected += dropped
 		matches = matches[:sq.k]
 		// Restore start order so event emission stays in stream order.
-		sort.Slice(matches, func(a, b int) bool { return matches[a].Start < matches[b].Start })
+		slices.SortFunc(matches, func(a, b Match) int { return cmp.Compare(a.Start, b.Start) })
 	}
 	return matches, counts, nil
 }

@@ -255,30 +255,41 @@ func (s Sequence) PositionAt(t float64) ([]float64, bool) {
 	if len(s) == 0 {
 		return nil, false
 	}
-	if t <= s[0].T {
-		return append([]float64(nil), s[0].Pos...), t == s[0].T
+	out := make([]float64, len(s[0].Pos))
+	return out, s.PositionFrom(out, t, -1)
+}
+
+// PositionFrom is PositionAt without the allocation and, for a caller
+// that knows roughly where t falls, without the search: it writes the
+// position into dst (of the sequence's dimensionality) and, when vertex
+// hint lies at or before t, walks forward from it instead of bisecting
+// the whole sequence. Any other hint (-1, say) bisects.
+func (s Sequence) PositionFrom(dst []float64, t float64, hint int) bool {
+	if len(s) == 0 {
+		return false
 	}
-	last := s[len(s)-1]
-	if t >= last.T {
-		return append([]float64(nil), last.Pos...), t == last.T
+	if first := s[0]; t <= first.T {
+		copy(dst, first.Pos)
+		return t == first.T
 	}
-	// Binary search for the segment containing t.
-	lo, hi := 0, len(s)-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if s[mid].T <= t {
-			lo = mid
-		} else {
-			hi = mid
-		}
+	if last := s[len(s)-1]; t >= last.T {
+		copy(dst, last.Pos)
+		return t == last.T
 	}
-	a, b := s[lo], s[hi]
+	// The segment containing t: s[lo].T <= t < s[lo+1].T.
+	lo := hint
+	if lo < 0 || lo >= len(s) || s[lo].T > t {
+		lo = s.IndexAtTime(t)
+	}
+	for s[lo+1].T <= t {
+		lo++
+	}
+	a, b := s[lo], s[lo+1]
 	frac := (t - a.T) / (b.T - a.T)
-	out := make([]float64, len(a.Pos))
-	for k := range out {
-		out[k] = a.Pos[k] + frac*(b.Pos[k]-a.Pos[k])
+	for k := range dst {
+		dst[k] = a.Pos[k] + frac*(b.Pos[k]-a.Pos[k])
 	}
-	return out, true
+	return true
 }
 
 // IndexAtTime returns the index of the last vertex with T <= t, or -1

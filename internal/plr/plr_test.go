@@ -3,6 +3,7 @@ package plr
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -321,3 +322,32 @@ func TestWindowSharesBacking(t *testing.T) {
 }
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// TestPositionFromEqualsPositionAt: whatever the hint — before t, after
+// it, out of range — PositionFrom writes exactly what PositionAt
+// returns, bit for bit, clamped ends included.
+func TestPositionFromEqualsPositionAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := make(Sequence, 40)
+	tt := 0.0
+	for i := range s {
+		tt += 0.1 + rng.Float64()
+		s[i] = Vertex{T: tt, Pos: []float64{rng.NormFloat64(), rng.NormFloat64()}, State: EX}
+	}
+	dst := make([]float64, 2)
+	for trial := 0; trial < 2000; trial++ {
+		at := s[0].T - 1 + rng.Float64()*(s[len(s)-1].T-s[0].T+2)
+		if trial%10 == 0 {
+			at = s[rng.Intn(len(s))].T // exactly on a vertex
+		}
+		want, wantInside := s.PositionAt(at)
+		for _, hint := range []int{-1, 0, rng.Intn(len(s)), len(s) - 1, len(s) + 3} {
+			if inside := s.PositionFrom(dst, at, hint); inside != wantInside || dst[0] != want[0] || dst[1] != want[1] {
+				t.Fatalf("PositionFrom(t=%v, hint=%d) = %v, %v; PositionAt = %v, %v", at, hint, dst, inside, want, wantInside)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.PositionFrom(dst, s[20].T+0.05, 20) }); allocs != 0 {
+		t.Errorf("PositionFrom allocates %v times, want 0", allocs)
+	}
+}

@@ -32,21 +32,3 @@ func (ix *ngramIndex) extend(stateStr []byte) {
 		ix.postings[g] = append(ix.postings[g], int32(ix.built))
 	}
 }
-
-// find returns window starts j <= limit where stateStr[j:j+len(sig)]
-// == sig, using the postings of the signature's first gram as
-// candidates and verifying the remainder directly.
-func (ix *ngramIndex) find(stateStr []byte, sig string, limit int) []int {
-	first := sig[:ngramSize]
-	var out []int
-	for _, p := range ix.postings[first] {
-		j := int(p)
-		if j > limit {
-			break // postings are in increasing order
-		}
-		if j+len(sig) <= len(stateStr) && string(stateStr[j:j+len(sig)]) == sig {
-			out = append(out, j)
-		}
-	}
-	return out
-}

@@ -13,10 +13,11 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -109,6 +110,7 @@ type Stream struct {
 	// subsequence distance from these sums; like the n-gram index they
 	// are extended incrementally on Append.
 	ampSum []float64
+	pos    []float64 // the open chunk of stored vertex positions
 }
 
 // NewStream creates an empty stream owned by the given patient and
@@ -138,6 +140,17 @@ func (s *Stream) Append(vs ...plr.Vertex) error {
 			s.ampSum = append(s.ampSum, 0)
 		} else {
 			s.ampSum = append(s.ampSum, s.ampSum[n-1]+dispNorm(s.seq[n-1].Pos, v.Pos))
+		}
+		// The stored vertex's position is a copy in the stream's open
+		// chunk, so that a window's positions are adjacent in memory (and
+		// the caller's slice is not retained). A new chunk holds the rest
+		// of the batch, or for one-at-a-time appends doubles up to 4 KB.
+		if len(s.pos)+len(v.Pos) > cap(s.pos) {
+			s.pos = make([]float64, 0, max(len(v.Pos)*(len(vs)-appended), min(2*cap(s.pos), 512), 8))
+		}
+		if len(v.Pos) > 0 {
+			s.pos = append(s.pos, v.Pos...)
+			v.Pos = s.pos[len(s.pos)-len(v.Pos) : len(s.pos) : len(s.pos)]
 		}
 		s.seq = append(s.seq, v)
 		s.stateStr = append(s.stateStr, v.State.Byte())
@@ -228,6 +241,85 @@ func (s *Stream) IndexEnabled() bool {
 	return s.index != nil
 }
 
+// ScanView is one consistent read-locked view of a stream, everything a
+// candidate scan reads: the vertices, their displacement-norm prefix
+// sums (Snapshot's), one state byte per vertex and, when the stream is
+// indexed, the postings to walk. All four are append-only, so a view
+// stays valid (and mutually consistent) across later appends.
+type ScanView struct {
+	Seq    plr.Sequence
+	Amps   []float64
+	States []byte
+	// Listed restricts the view's windows to the starts in Postings
+	// (ascending): the stream's own postings of the signature's first
+	// n-gram, consumed in place — a superset of the windows with that
+	// signature — or a list the caller substitutes. Otherwise (no index,
+	// or a signature shorter than a gram) every start is a candidate.
+	Listed   bool
+	Postings []int32
+}
+
+// ScanView returns the view for scanning windows of len(sig)+1 vertices
+// whose segment-state signature is sig, under one lock acquisition.
+func (s *Stream) ScanView(sig string) ScanView {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v := ScanView{Seq: s.seq, Amps: s.ampSum, States: s.stateStr}
+	if s.index != nil && len(sig) >= ngramSize {
+		v.Listed, v.Postings = true, s.index.postings[sig[:ngramSize]]
+	}
+	return v
+}
+
+// AppendWindows appends to dst, until it is full, the view's window
+// starts in [from, to) whose signature is sig (every start, for an empty
+// sig), and returns the start to resume from: to, once the range is
+// exhausted. The caller keeps to within the starts that leave room for
+// a whole window. This is the one walk over postings and state string;
+// FindWindows and the matcher's funnel both sit on it.
+func (v *ScanView) AppendWindows(dst []int32, sig string, from, to int) ([]int32, int) {
+	switch {
+	case v.Listed:
+		list, states := v.Postings, v.States
+		if from > 0 {
+			list = list[sort.Search(len(list), func(i int) bool { return int(list[i]) >= from }):]
+		}
+		for _, p := range list {
+			j := int(p)
+			if j >= to {
+				break
+			}
+			if len(dst) == cap(dst) {
+				return dst, j
+			}
+			if string(states[j:j+len(sig)]) == sig {
+				dst = append(dst, p)
+			}
+		}
+	case sig == "":
+		for ; from < to; from++ {
+			if len(dst) == cap(dst) {
+				return dst, from
+			}
+			dst = append(dst, int32(from))
+		}
+	default:
+		hay, pat := v.States[:to+len(sig)-1], []byte(sig)
+		for from < to {
+			i := bytes.Index(hay[from:], pat)
+			if i < 0 {
+				break
+			}
+			if len(dst) == cap(dst) {
+				return dst, from + i
+			}
+			dst = append(dst, int32(from+i))
+			from += i + 1
+		}
+	}
+	return dst, to
+}
+
 // FindWindows returns the start indices of every window of n =
 // len(sig)+1 vertices whose segment-state signature equals sig. A
 // window needs one more vertex than it has segments, so starts range
@@ -236,33 +328,15 @@ func (s *Stream) FindWindows(sig string) []int {
 	if len(sig) == 0 {
 		return nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	limit := len(s.seq) - len(sig) - 1 // inclusive upper bound for start
-	if limit < 0 {
-		return nil
-	}
-	if s.index != nil && len(sig) >= ngramSize {
-		return s.index.find(s.stateStr, sig, limit)
-	}
-	return scanWindows(s.stateStr, sig, limit)
-}
-
-// scanWindows is the brute-force state-string scan.
-func scanWindows(stateStr []byte, sig string, limit int) []int {
+	v := s.ScanView(sig)
 	var out []int
-	hay := string(stateStr)
-	for from := 0; ; {
-		i := strings.Index(hay[from:], sig)
-		if i < 0 {
-			break
+	var buf [64]int32
+	for from, to := 0, len(v.Seq)-len(sig); from < to; {
+		var blk []int32
+		blk, from = v.AppendWindows(buf[:0], sig, from, to)
+		for _, j := range blk {
+			out = append(out, int(j))
 		}
-		j := from + i
-		if j > limit {
-			break
-		}
-		out = append(out, j)
-		from = j + 1
 	}
 	return out
 }
@@ -402,14 +476,17 @@ func (db *DB) NumPatients() int {
 }
 
 // Streams returns every stream in the database in patient order.
-func (db *DB) Streams() []*Stream {
+func (db *DB) Streams() []*Stream { return db.AppendStreams(nil) }
+
+// AppendStreams appends every stream, in patient order, to dst (the
+// matcher's reusable form of Streams).
+func (db *DB) AppendStreams(dst []*Stream) []*Stream {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var out []*Stream
 	for _, p := range db.patients {
-		out = append(out, p.Streams...)
+		dst = append(dst, p.Streams...)
 	}
-	return out
+	return dst
 }
 
 // NumVertices returns the total vertex count across all streams.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -217,8 +219,11 @@ func TestIndexFreshAfterDBEnableIndexes(t *testing.T) {
 		t.Fatalf("FindWindows after post-EnableIndexes append = %v, want [9]", got)
 	}
 	// And the indexed result must agree with a brute-force scan.
-	want := scanWindows([]byte("EOIEOIEOIEEOOI"), "EEOO", st.Len()-4-1)
-	if !reflect.DeepEqual(got, want) {
+	fresh := NewStream("P", "S")
+	if err := fresh.Append(st.Seq()...); err != nil {
+		t.Fatal(err)
+	}
+	if want := fresh.FindWindows("EEOO"); !reflect.DeepEqual(got, want) {
 		t.Errorf("indexed = %v, scan = %v", got, want)
 	}
 }
@@ -518,5 +523,144 @@ func TestSnapshotPartialBatchKeepsSumsConsistent(t *testing.T) {
 	seq, sums := st.Snapshot()
 	if len(seq) != 3 || len(sums) != 3 {
 		t.Fatalf("after partial batch: %d vertices, %d sums (want 3, 3)", len(seq), len(sums))
+	}
+}
+
+// TestFindWindowsShortSignatureAllocs is the regression test for the
+// state-string copy: a lookup that takes the scan path (a signature
+// shorter than an n-gram) used to copy the whole state string into a
+// fresh Go string per call. Its allocations are the result slice's
+// growth and nothing that scales with the stream.
+func TestFindWindowsShortSignatureAllocs(t *testing.T) {
+	st := NewStream("P", "S")
+	if err := st.Append(seqFromStates(strings.Repeat("EOI", 3334)[:10000])...); err != nil {
+		t.Fatal(err)
+	}
+	st.EnableIndex()
+	tail := seqFromStates("RRE") // one window of two irregular segments
+	for i := range tail {
+		tail[i].T += 1e6
+	}
+	if err := st.Append(tail...); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	allocs := testing.AllocsPerRun(20, func() { got = st.FindWindows("RR") })
+	if len(got) != 1 || got[0] != 10000 {
+		t.Fatalf("FindWindows(RR) = %v, want [10000]", got)
+	}
+	if allocs > 1 {
+		t.Errorf("a one-hit short-signature lookup allocates %v times on a 10k-vertex stream, want 1 (the result)", allocs)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	st.FindWindows("RR")
+	runtime.ReadMemStats(&ms1)
+	if b := ms1.TotalAlloc - ms0.TotalAlloc; b >= 1000 {
+		t.Errorf("the lookup allocated %d bytes; the 10 KB state string must not be copied", b)
+	}
+}
+
+// TestScanViewConsistentUnderAppend (run under -race): while a writer
+// appends, every view a reader takes is self-consistent — equally long
+// columns, state bytes that spell the vertices' states, and window
+// starts, straight from the postings, that all lie inside the view and
+// carry the signature.
+func TestScanViewConsistentUnderAppend(t *testing.T) {
+	const total, sig = 3000, "EOIEOI"
+	st := NewStream("P", "S")
+	st.EnableIndex()
+	full := seqFromStates(strings.Repeat("EOIEOIRE", total/8))
+
+	var (
+		wg    sync.WaitGroup
+		views atomic.Int64
+	)
+	done := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]int32, 64)
+			for ; ; views.Add(1) {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v := st.ScanView(sig)
+				if !v.Listed || len(v.Amps) != len(v.Seq) || len(v.States) != len(v.Seq) {
+					t.Errorf("view: listed=%v, %d vertices, %d sums, %d states", v.Listed, len(v.Seq), len(v.Amps), len(v.States))
+					return
+				}
+				for _, p := range v.Postings {
+					if int(p)+ngramSize > len(v.States) {
+						t.Errorf("posting %d lies beyond the view's %d states", p, len(v.States))
+						return
+					}
+				}
+				found := 0
+				for from, to := 0, len(v.Seq)-len(sig); from < to; {
+					var blk []int32
+					blk, from = v.AppendWindows(buf[:0], sig, from, to)
+					for _, j := range blk {
+						found++
+						for k := 0; k < len(sig); k++ {
+							if v.Seq[int(j)+k].State.Byte() != sig[k] || v.States[int(j)+k] != sig[k] {
+								t.Errorf("window %d of a %d-vertex view does not spell %s", j, len(v.Seq), sig)
+								return
+							}
+						}
+					}
+				}
+				if want := strings.Count(string(v.States[:max(len(v.Seq)-1, 0)]), sig); found != want {
+					t.Errorf("%d-vertex view: %d windows, the state string has %d", len(v.Seq), found, want)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < len(full); i += 3 {
+		if err := st.Append(full[i:min(i+3, len(full))]...); err != nil {
+			t.Fatal(err)
+		}
+		// Every hundredth append waits for a view taken after it, so the
+		// readers see the stream at many lengths.
+		for seen := views.Load(); i%300 == 0 && views.Load() <= seen+3 && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestAppendCopiesPositions: a stored vertex owns its position — the
+// stream copies it into its own chunk, where a window's positions are
+// adjacent — so a caller reusing its slice cannot corrupt the stream.
+func TestAppendCopiesPositions(t *testing.T) {
+	st := NewStream("P", "S")
+	batch := seqFromStates("EOIEOI")
+	if err := st.Append(batch...); err != nil {
+		t.Fatal(err)
+	}
+	one := plr.Vertex{T: 100, Pos: []float64{42}, State: plr.EX}
+	if err := st.Append(one); err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch {
+		batch[i].Pos[0] = -1
+	}
+	one.Pos[0] = -1
+	seq := st.Seq()
+	for i, v := range seq[:6] {
+		if v.Pos[0] != float64(i%5) {
+			t.Errorf("vertex %d position = %v after the caller reused its slice, want %v", i, v.Pos[0], i%5)
+		}
+		if i > 0 && reflect.ValueOf(v.Pos).Pointer() != reflect.ValueOf(seq[i-1].Pos).Pointer()+8 {
+			t.Errorf("vertex %d's position is not adjacent to its predecessor's", i)
+		}
+	}
+	if seq[6].Pos[0] != 42 || len(seq[6].Pos) != 1 || cap(seq[6].Pos) != 1 {
+		t.Errorf("appended vertex position = %v (cap %d), want [42] with no spare capacity", seq[6].Pos, cap(seq[6].Pos))
 	}
 }
