@@ -82,19 +82,19 @@ func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
 	}
 
 	var w workerState
-	pl.run(&w, st, 0, &c)
+	w.hits = pl.run(&w, st, 0, &c, nil)
 	if w.counts.Windows != possible {
 		t.Errorf("Windows = %d, want the view's %d", w.counts.Windows, possible)
 	}
 	if !partitions(w.counts) {
 		t.Errorf("counts do not partition: %+v", w.counts)
 	}
-	if len(w.matches) == 0 {
+	if len(w.hits) == 0 {
 		t.Error("fixture: no match in the view")
 	}
-	for _, mt := range w.matches {
-		if mt.Start+mt.N > len(c.view.Seq) {
-			t.Errorf("match at %d reaches beyond the %d-vertex view", mt.Start, len(c.view.Seq))
+	for _, h := range w.hits {
+		if int(h.start)+pl.n > len(c.view.Seq) {
+			t.Errorf("match at %d reaches beyond the %d-vertex view", h.start, len(c.view.Seq))
 		}
 	}
 }

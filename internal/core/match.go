@@ -115,16 +115,17 @@ type Matcher struct {
 	streams []*store.Stream
 	work    []streamWork
 	workers []*workerState
+	hits    []hit // rank's two buffers, a half each
 }
 
-// workerState is one funnel worker's private output: the matches it
+// workerState is one funnel worker's private output: the hits it
 // accepted in threshold mode plus its stage counts and clocks, kept
 // worker-local so the hot loop never contends on shared counters.
 type workerState struct {
-	matches []Match
-	counts  FunnelCounts
-	stage   stageNS
-	mark    time.Time // the previous lap's clock reading
+	hits   []hit
+	counts FunnelCounts
+	stage  stageNS
+	mark   time.Time // the previous lap's clock reading
 	// The pass buffers lent to each candidate set (candidateSet.starts).
 	starts []int32
 	lbs    []float64
@@ -198,7 +199,7 @@ func (c *FunnelCounts) Add(o FunnelCounts) {
 // and entered the per-candidate stages (candidates_scanned).
 func (c FunnelCounts) Scanned() int { return c.Windows - c.StateRejected }
 
-// drainWorkers sums and resets the workers' counts, clocks and match
+// drainWorkers sums and resets the workers' counts, clocks and hit
 // buffers. Workers are reused across searches (and across the rounds
 // of an index-probed top-k), so this is the one place their state is
 // cleared.
@@ -208,7 +209,7 @@ func drainWorkers(workers []*workerState) (c FunnelCounts, sg stageNS) {
 		sg.stateOrder += w.stage.stateOrder
 		sg.lb += w.stage.lb
 		sg.dist += w.stage.dist
-		*w = workerState{matches: w.matches[:0], starts: w.starts, lbs: w.lbs}
+		*w = workerState{hits: w.hits[:0], starts: w.starts, lbs: w.lbs}
 	}
 	return c, sg
 }
@@ -424,25 +425,17 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		pl.dispatch(active, m.work)
 	}
 
-	// Merge: threshold mode concatenates the worker-local buffers,
-	// top-k mode drains the shared heap. Either way the matchLess
-	// total order fully determines the output, so worker scheduling
-	// cannot affect it.
+	// Merge: top-k mode drains the shared heap, threshold mode ranks the
+	// workers' hits. Either way the matchCmp total order fully determines
+	// the output, so worker scheduling cannot affect it.
+	mergeStart := time.Now()
 	var out []Match
 	if pl.col != nil {
 		out = pl.col.heap
+		slices.SortFunc(out, matchCmp)
 	} else {
-		total := 0
-		for _, w := range active {
-			total += len(w.matches)
-		}
-		out = make([]Match, 0, total)
-		for _, w := range active {
-			out = append(out, w.matches...)
-		}
+		out = m.rank(pl, active, streams)
 	}
-	mergeStart := time.Now()
-	slices.SortFunc(out, matchCmp)
 	mergeDur := time.Since(mergeStart)
 
 	var sg stageNS
@@ -574,7 +567,7 @@ func (pl *queryPlan) feed(w *workerState, it streamWork) {
 		c.view.Listed, c.view.Postings, c.sig = true, it.probed, ""
 	}
 	c.hi = len(c.view.Seq)
-	pl.run(w, it.st, it.ord, &c)
+	w.hits = pl.run(w, it.st, it.ord, &c, w.hits)
 }
 
 // candidateSet names the windows of one stream view that a funnel run
@@ -599,18 +592,20 @@ type candidateSet struct {
 //
 // to a window. Scan, ablation, index probe and standing evaluation
 // differ only in the candidate set they hand it, which is what keeps
-// their results byte-identical. Accepted matches go to the plan's
-// collector (top-k) or the worker's buffer; every window the set
-// ranges over lands in exactly one FunnelCounts bucket.
+// their results byte-identical. An accepted window goes to the plan's
+// collector (top-k) or, as a hit, onto hits, the caller's buffer, which
+// run returns (a parameter, not a field of w, so that a standing
+// evaluation's can stay on its stack); every window the set ranges over
+// lands in exactly one FunnelCounts bucket.
 //
 // The windows go through the stages a block at a time, as many as the
 // worker's pass buffers hold, so that each stage is a tight loop over
 // one kind of memory and is clocked per block, never per window.
-func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidateSet) {
+func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidateSet, hits []hit) []hit {
 	seq, amps, n := c.view.Seq, c.view.Amps, pl.n
 	lo, hi := max(c.lo, 0), min(c.hi, len(seq)-n+1)
 	if lo >= hi {
-		return
+		return hits
 	}
 	w.counts.Windows += hi - lo
 	rel := relationOf(pl.q, st)
@@ -673,30 +668,39 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidate
 			}
 			j := int(j32)
 			d, within := weightedDistance(pl.qseg, seq[j:j+n], pl.vw, pl.wa, pl.wf, ws, pl.wsum, bound)
-			if !within || d > pl.threshold {
+			// Written so that a NaN distance (displacements that overflow:
+			// Inf-Inf) is rejected too: every accepted distance is finite.
+			if !within || !(d <= pl.threshold) {
 				w.counts.DistRejected++
 				continue
 			}
-			mt := Match{
-				Stream:   st,
-				Start:    j,
-				N:        n,
-				Relation: rel,
-				Distance: d,
-				Weight:   ws / (1 + d),
-				ord:      ord,
-			}
+			h := hit{dist: d, start: j32, ord: int32(ord)}
 			switch {
 			case pl.col == nil:
-				w.matches = append(w.matches, mt)
+				hits = append(hits, h)
 				w.counts.Matched++
-			case pl.col.offer(mt):
+			case pl.col.offer(pl.match(st, rel, h)):
 				w.counts.Matched++
 			default:
 				w.counts.DistRejected++
 			}
 		}
 		w.lap(pl, &w.stage.dist)
+	}
+	return hits
+}
+
+// match builds the result for a hit in stream st, which stands in
+// relation rel to the query.
+func (pl *queryPlan) match(st *store.Stream, rel SourceRelation, h hit) Match {
+	return Match{
+		Stream:   st,
+		Start:    int(h.start),
+		N:        pl.n,
+		Relation: rel,
+		Distance: h.dist,
+		Weight:   pl.ws[rel] / (1 + h.dist),
+		ord:      int(h.ord),
 	}
 }
 
@@ -830,12 +834,7 @@ func siftDown(h []Match, i int) {
 func dispNormSum(seq plr.Sequence) float64 {
 	var s float64
 	for i := 0; i+1 < len(seq); i++ {
-		var dd float64
-		for k := range seq[i].Pos {
-			d := seq[i+1].Pos[k] - seq[i].Pos[k]
-			dd += d * d
-		}
-		s += math.Sqrt(dd)
+		s += plr.Dist(seq[i+1].Pos, seq[i].Pos)
 	}
 	return s
 }

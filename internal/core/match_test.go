@@ -345,3 +345,60 @@ func TestNewQuerySetsNow(t *testing.T) {
 		t.Error("empty query Now should be 0")
 	}
 }
+
+// TestNonFiniteDistanceNeverMatches: finite vertices can still make a
+// distance that is not a number — displacements that overflow to an
+// infinity on both sides, and Inf-Inf — and such a distance fails the
+// threshold comparison instead of slipping past it: no search mode and
+// no standing evaluation returns it, and the counts still partition.
+func TestNonFiniteDistanceNeverMatches(t *testing.T) {
+	db := buildTestDB(t)
+	huge := breathingWindow(0, 1, unitDurs(36))
+	for i := range huge {
+		huge[i].Pos[0] = (2*huge[i].Pos[0] - 1) * 1.5e308 // each displacement overflows
+	}
+	for _, pid := range []string{"H1", "H2"} {
+		p, err := db.AddPatient(store.PatientInfo{ID: pid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddStream("S1").Append(huge.Clone()...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := NewQuery(huge[20:30], "H1", "S1")
+	if d, err := DefaultParams().Distance(q.Seq, huge[2:12], OtherPatient); err != nil || !math.IsNaN(d) {
+		t.Fatalf("fixture: distance between overflowing windows = %v, %v; want NaN", d, err)
+	}
+	m, err := NewMatcher(db, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, got []Match) {
+		t.Helper()
+		for _, mt := range got {
+			if math.IsNaN(mt.Distance) || math.IsNaN(mt.Weight) {
+				t.Errorf("%s: returned %+v", label, mt)
+			}
+		}
+	}
+	got, err := m.FindSimilar(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("FindSimilar", got)
+	if got, err = m.TopK(q, 5, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("TopK", got)
+	sq, err := NewStandingQuery(DefaultParams(), q, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := db.Patient("H2").StreamBySession("S1")
+	got, counts, _ := sq.EvalRange(st, 0, st.Len())
+	check("EvalRange", got)
+	if !partitions(counts) || counts.Matched != len(got) || counts.DistRejected == 0 {
+		t.Errorf("EvalRange counts %+v for %d matches", counts, len(got))
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -49,10 +50,11 @@ func regularQuery(t testing.TB, st *store.Stream, qn int) Query {
 
 // TestSearchAllocsConstant: a steady-state search allocates for its
 // plan and its result only — nothing that grows with the number of
-// streams or candidates — and evaluating one arriving vertex against a
-// standing query allocates nothing unless it matches.
+// streams, candidates or matches — and evaluating one arriving vertex
+// against a standing query allocates nothing unless it matches.
 func TestSearchAllocsConstant(t *testing.T) {
-	perCorpus := map[int][2]float64{}
+	perCorpus := map[int][3]float64{}
+	matched := map[int]int{}
 	for _, streams := range []int{4, 64} {
 		db := scanCorpus(t, 1, streams, 400)
 		p := DefaultParams()
@@ -77,13 +79,25 @@ func TestSearchAllocsConstant(t *testing.T) {
 				t.Fatalf("FindSimilar: %d matches, err %v", len(got), err)
 			}
 		})
-		perCorpus[streams] = [2]float64{topk, empty}
-		if topk > 10 || empty > 10 {
-			t.Errorf("%d streams: TopK allocates %v times, an empty FindSimilar %v; want <= 10", streams, topk, empty)
+		// The hit buffers and the ordering scratch are the matcher's,
+		// sized by the warm-up run: a result costs its own slice.
+		all := testing.AllocsPerRun(20, func() {
+			got, err := m.FindSimilar(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matched[streams] = len(got)
+		})
+		perCorpus[streams] = [3]float64{topk, empty, all}
+		if topk > 10 || empty > 10 || all > 10 {
+			t.Errorf("%d streams: TopK allocates %v times, an empty FindSimilar %v, a full one %v; want <= 10", streams, topk, empty, all)
 		}
 	}
 	if perCorpus[4] != perCorpus[64] {
-		t.Errorf("allocations grow with the corpus: 4 streams %v, 64 streams %v (TopK, empty FindSimilar)", perCorpus[4], perCorpus[64])
+		t.Errorf("allocations grow with the corpus: 4 streams %v, 64 streams %v (TopK, empty FindSimilar, full FindSimilar)", perCorpus[4], perCorpus[64])
+	}
+	if matched[4] < radixMin || matched[64] < 8*matched[4] {
+		t.Errorf("fixture: FindSimilar matched %d windows of 4 streams and %d of 64; want the radix path and a result that grows", matched[4], matched[64])
 	}
 
 	db := scanCorpus(t, 1, 1, 400)
@@ -260,6 +274,46 @@ func TestTracedSearchClockReads(t *testing.T) {
 	}
 	if perSearch[120] != perSearch[480] {
 		t.Errorf("clock reads grow with the candidate count: %d for 120-vertex streams, %d for 480", perSearch[120], perSearch[480])
+	}
+}
+
+// TestThresholdStagesCoverSearch: the stage durations of a traced
+// sequential threshold search add up to its matcher.search span — in
+// particular funnel.topk_merge spans ordering the hits and building the
+// result, the largest piece of a search with thousands of matches, and
+// not just a sort. Timing: the best of a few searches must come within
+// 5 %.
+func TestThresholdStagesCoverSearch(t *testing.T) {
+	db := scanCorpus(t, 1, 64, 400)
+	p := DefaultParams()
+	p.Parallelism = 1
+	m, err := NewMatcher(db, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := regularQuery(t, db.Streams()[0], 10)
+	best := 0.0
+	for try := 0; try < 12 && best < 0.95; try++ {
+		col := obs.NewCollector(1, time.Hour)
+		root := obs.StartTrace("test.query", "test", obs.SpanContext{}, col)
+		got, err := m.FindSimilarCtx(obs.ContextWithSpan(context.Background(), root), q, nil)
+		root.Finish()
+		if err != nil || len(got) < 1000 {
+			t.Fatalf("fixture: %d matches, err %v", len(got), err)
+		}
+		var stages, search int64
+		for _, sd := range col.Recent()[0].Spans {
+			switch {
+			case sd.Name == "matcher.search":
+				search = sd.DurationNS
+			case strings.HasPrefix(sd.Name, "funnel."):
+				stages += sd.DurationNS
+			}
+		}
+		best = max(best, float64(stages)/float64(search))
+	}
+	if best < 0.95 {
+		t.Errorf("funnel stages cover at best %.1f %% of matcher.search, want >= 95 %%", 100*best)
 	}
 }
 

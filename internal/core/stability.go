@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+
 	"stsmatch/internal/plr"
 	"stsmatch/internal/stats"
 )
@@ -33,20 +34,21 @@ func (p Params) Stability(s plr.Sequence) float64 {
 	}
 	wa, wf := p.ampFreqWeights()
 
+	// Two passes straight over the vertices — per-state means, then the
+	// deviations from them — and no segment list: the dynamic query calls
+	// this once per strip position on every prediction.
 	var amp, dur [plr.NumStates]stats.Welford
-	segs := make([]plr.Segment, n)
 	for i := 0; i < n; i++ {
-		segs[i] = s.SegmentAt(i)
-		k := segs[i].State
-		amp[k].Add(segs[i].Amplitude())
-		dur[k].Add(segs[i].Duration)
+		k := s[i].State
+		amp[k].Add(plr.Dist(s[i+1].Pos, s[i].Pos))
+		dur[k].Add(s[i+1].T - s[i].T)
 	}
 
 	var sigma float64
 	for i := 0; i < n; i++ {
-		k := segs[i].State
-		da := math.Abs(segs[i].Amplitude() - amp[k].Mean())
-		dt := math.Abs(segs[i].Duration - dur[k].Mean())
+		k := s[i].State
+		da := math.Abs(plr.Dist(s[i+1].Pos, s[i].Pos) - amp[k].Mean())
+		dt := math.Abs(s[i+1].T - s[i].T - dur[k].Mean())
 		sigma += wa*da + wf*dt
 	}
 	return sigma

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"stsmatch/internal/plr"
+	"stsmatch/internal/stats"
 )
 
 func TestStabilityRegularIsLow(t *testing.T) {
@@ -188,4 +190,99 @@ func TestStabilityUsesAmpFreqWeights(t *testing.T) {
 		t.Error("WeightAmp has no effect on amplitude irregularity")
 	}
 	_ = math.Pi
+}
+
+// stabilityBySegments is Definition 1 computed the long way, through the
+// exported segment list: the reference the slice-free Params.Stability
+// must agree with bit for bit.
+func stabilityBySegments(p Params, s plr.Sequence) float64 {
+	if s.NumSegments() < 2 {
+		return 0
+	}
+	wa, wf := p.ampFreqWeights()
+	segs := s.Segments()
+	var amp, dur [plr.NumStates]stats.Welford
+	for _, g := range segs {
+		amp[g.State].Add(g.Amplitude())
+		dur[g.State].Add(g.Duration)
+	}
+	var sigma float64
+	for _, g := range segs {
+		sigma += wa*math.Abs(g.Amplitude()-amp[g.State].Mean()) + wf*math.Abs(g.Duration-dur[g.State].Mean())
+	}
+	return sigma
+}
+
+// stabilityFixtures are the sequences of the tests above, a jittered
+// multi-dimensional one and one with an irregular stretch.
+func stabilityFixtures() []plr.Sequence {
+	irregular := breathingWindow(0, 10, unitDurs(12))
+	for i := 1; i < len(irregular); i++ {
+		if (i/3)%2 == 0 {
+			irregular[i].Pos[0] *= 3
+		}
+		irregular[i].T = irregular[i-1].T + 0.3 + 1.7*float64(i%2)
+	}
+	scrambled := breathingWindow(0, 10, unitDurs(30))
+	for i := len(scrambled) - 12; i < len(scrambled); i++ {
+		scrambled[i].Pos[0] += 14 * float64(i%4)
+		scrambled[i].T += 0.4 * float64(i%3)
+	}
+	drifting := breathingWindow(0, 10, unitDurs(60))
+	for i := range drifting {
+		drifting[i].Pos[0] += 0.3 * float64(i%5)
+	}
+	rng := rand.New(rand.NewSource(3))
+	jittered := randomBreathing(rng, 80)
+	for i := range jittered {
+		jittered[i].Pos = append(jittered[i].Pos, 3*rng.Float64(), -2*rng.Float64())
+	}
+	return []plr.Sequence{
+		nil,
+		breathingWindow(0, 10, unitDurs(1)),
+		breathingWindow(0, 10, unitDurs(12)),
+		breathingWindow(0, 10, []float64{1, 1, 1, 2, 1, 1, 1, 1, 1}),
+		irregular, scrambled, drifting, jittered,
+	}
+}
+
+// TestStabilityEqualsSegmentReference: sigma of every window of every
+// fixture, and the dynamic query's choice over every prefix, are what
+// the segment-list computation gives.
+func TestStabilityEqualsSegmentReference(t *testing.T) {
+	p := DefaultParams()
+	for fi, seq := range stabilityFixtures() {
+		for lo := 0; lo < len(seq); lo++ {
+			for _, n := range []int{2, 3, p.MinQueryVertices(), len(seq) - lo} {
+				if lo+n > len(seq) {
+					continue
+				}
+				w := seq[lo : lo+n]
+				if got, want := p.Stability(w), stabilityBySegments(p, w); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("fixture %d window [%d,%d): sigma %v, segment reference %v", fi, lo, lo+n, got, want)
+				}
+			}
+		}
+		if q, info := p.DynamicQuery(seq); len(q) > 0 {
+			if want := stabilityBySegments(p, seq[info.Start:min(info.Start+p.MinQueryVertices(), len(seq))]); info.StripStability != want {
+				t.Errorf("fixture %d: strip stability %v, segment reference %v", fi, info.StripStability, want)
+			}
+		}
+	}
+}
+
+// TestStabilityAllocatesNothing: the dynamic query runs on every
+// prediction and moves its strip a vertex at a time, so neither it nor
+// the stability of one strip position may allocate.
+func TestStabilityAllocatesNothing(t *testing.T) {
+	p := DefaultParams()
+	p.StabilityThreshold = 2 // the scrambled tail makes the strip walk back
+	for fi, seq := range stabilityFixtures() {
+		if allocs := testing.AllocsPerRun(20, func() { p.Stability(seq) }); allocs != 0 {
+			t.Errorf("fixture %d: Stability allocates %v times, want 0", fi, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { p.DynamicQuery(seq) }); allocs != 0 {
+			t.Errorf("fixture %d: DynamicQuery allocates %v times, want 0", fi, allocs)
+		}
+	}
 }

@@ -68,14 +68,24 @@ func (sq *StandingQuery) K() int { return sq.k }
 // of repeated full searches. The error is always nil.
 func (sq *StandingQuery) EvalRange(st *store.Stream, fromEnd, toEnd int) ([]Match, FunnelCounts, error) {
 	pl := sq.plan
-	// An arrival completes a window or two: pass buffers on the stack.
+	// An arrival completes a window or two: pass and hit buffers on the
+	// stack.
 	var starts [8]int32
 	var lbs [8]float64
+	var hits [8]hit
 	c := candidateSet{view: st.ScanView(""), lo: fromEnd - pl.n + 1, hi: toEnd - pl.n + 1,
 		sig: pl.scanSig, starts: starts[:], lbs: lbs[:]}
 	var w workerState
-	pl.run(&w, st, 0, &c)
-	matches, counts := w.matches, w.counts
+	found := pl.run(&w, st, 0, &c, hits[:0])
+	counts := w.counts
+	var matches []Match
+	if len(found) > 0 {
+		matches = make([]Match, len(found))
+		rel := relationOf(pl.q, st)
+		for i, h := range found {
+			matches[i] = pl.match(st, rel, h)
+		}
+	}
 	if sq.k > 0 && len(matches) > sq.k {
 		slices.SortFunc(matches, matchCmp)
 		dropped := len(matches) - sq.k

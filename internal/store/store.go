@@ -121,7 +121,8 @@ func NewStream(patientID, sessionID string) *Stream {
 
 // Append adds vertices to the end of the stream, maintaining the state
 // string and, when enabled, the index. Vertices must continue the
-// existing time order.
+// existing time order and be finite; the batch stops at the first that
+// does not or is not.
 func (s *Stream) Append(vs ...plr.Vertex) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -134,6 +135,10 @@ func (s *Stream) Append(vs ...plr.Vertex) error {
 		}
 		if !v.State.Valid() {
 			err = fmt.Errorf("store: invalid state on appended vertex")
+			break
+		}
+		if !finite(v) {
+			err = fmt.Errorf("store: vertex at time %v of stream %s has a non-finite time or position", v.T, s.SessionID)
 			break
 		}
 		if n := len(s.seq); n == 0 {
@@ -187,6 +192,17 @@ func (s *Stream) Seq() plr.Sequence {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.seq
+}
+
+// finite reports whether the vertex's time and every coordinate are
+// finite. One NaN or infinity in a stream would poison the distance of
+// every window over it (and every prefix sum after it).
+func finite(v plr.Vertex) bool {
+	ok := !math.IsNaN(v.T) && !math.IsInf(v.T, 0)
+	for _, x := range v.Pos {
+		ok = ok && !math.IsNaN(x) && !math.IsInf(x, 0)
+	}
+	return ok
 }
 
 // dispNorm is the Euclidean norm of b-a over the dimensions both

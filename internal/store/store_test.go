@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -429,31 +430,47 @@ func TestMutationHookCoversPreexistingStreams(t *testing.T) {
 func TestMutationHookReportsPartialAppend(t *testing.T) {
 	// A batch that fails mid-way must still journal the prefix that
 	// landed, because the stream state advanced by exactly that prefix.
-	db := NewDB()
-	p, err := db.AddPatient(PatientInfo{ID: "P1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := p.AddStream("S1")
-	var appended int
-	db.SetMutationHook(func(m Mutation) {
-		if m.Kind == MutVertexAppend {
-			appended += len(m.Vertices)
+	// A vertex is refused when its time does not advance or when its time
+	// or a coordinate is not finite (NaN <= t is false, so the time-order
+	// check alone lets a NaN time in).
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, bad := range map[string]plr.Vertex{
+		"time does not advance": {T: 2, Pos: []float64{0, 0}, State: plr.IN},
+		"NaN time":              {T: nan, Pos: []float64{0, 0}, State: plr.IN},
+		"infinite time":         {T: inf, Pos: []float64{0, 0}, State: plr.IN},
+		"NaN coordinate":        {T: 3, Pos: []float64{nan, 0}, State: plr.IN},
+		"infinite coordinate":   {T: 3, Pos: []float64{0, -inf}, State: plr.IN},
+	} {
+		db := NewDB()
+		p, err := db.AddPatient(PatientInfo{ID: "P1"})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	batch := plr.Sequence{
-		{T: 1, Pos: []float64{0}, State: plr.EX},
-		{T: 2, Pos: []float64{0}, State: plr.EOE},
-		{T: 2, Pos: []float64{0}, State: plr.IN}, // does not advance: rejected
-	}
-	if err := st.Append(batch...); err == nil {
-		t.Fatal("expected mid-batch append error")
-	}
-	if appended != 2 {
-		t.Errorf("hook saw %d appended vertices, want the 2 that landed", appended)
-	}
-	if st.Len() != 2 {
-		t.Errorf("stream holds %d vertices, want 2", st.Len())
+		st := p.AddStream("S1")
+		var appended int
+		db.SetMutationHook(func(m Mutation) {
+			if m.Kind == MutVertexAppend {
+				appended += len(m.Vertices)
+			}
+		})
+		batch := plr.Sequence{
+			{T: 1, Pos: []float64{0, 0}, State: plr.EX},
+			{T: 2, Pos: []float64{0, 0}, State: plr.EOE},
+			bad,
+			{T: 4, Pos: []float64{0, 0}, State: plr.EX},
+		}
+		if err := st.Append(batch...); err == nil {
+			t.Fatalf("%s: expected mid-batch append error", name)
+		}
+		if appended != 2 {
+			t.Errorf("%s: hook saw %d appended vertices, want the 2 that landed", name, appended)
+		}
+		if st.Len() != 2 {
+			t.Errorf("%s: stream holds %d vertices, want 2", name, st.Len())
+		}
+		if err := NewStream("P", "S").Append(bad); name != "time does not advance" && err == nil {
+			t.Errorf("%s: accepted as a stream's first vertex", name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -198,6 +199,49 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	}
 	if len(res3.Sessions) != 0 {
 		t.Error("post-tear append lost")
+	}
+}
+
+// TestRecoveryStopsAtNonFiniteVertex: the log's vertex encoding carries
+// any float64 bit pattern, NaN included (JSON over HTTP cannot). Replay
+// does not rebuild a stream with a NaN in it: the stream refuses the
+// vertex, the record counts as the log's damaged tail and is cut off
+// with what follows, and everything before it is recovered.
+func TestRecoveryStopsAtNonFiniteVertex(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Options{Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSession(t, l, "P1", "S1", mkVerts(0, 8))
+	bad := mkVerts(8, 3)
+	bad[1].Pos[0] = math.NaN()
+	for _, vs := range []plr.Sequence{bad, mkVerts(11, 2)} {
+		if err := l.Append(Record{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S1", Vertices: vs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, res, err := Open(Options{Dir: dir}, nil)
+	if err != nil {
+		t.Fatalf("recovery must survive a non-finite vertex: %v", err)
+	}
+	defer l2.Close()
+	if res.RecordsTruncated != 1 {
+		t.Errorf("RecordsTruncated = %d, want 1", res.RecordsTruncated)
+	}
+	st := res.DB.Patient("P1").StreamBySession("S1")
+	// The record's finite prefix landed before the refusal.
+	if st.Len() != 9 {
+		t.Errorf("recovered %d vertices, want the 8 before the record and its 1 finite vertex", st.Len())
+	}
+	for _, v := range st.Seq() {
+		if math.IsNaN(v.Pos[0]) {
+			t.Fatalf("recovered stream holds %+v", v)
+		}
 	}
 }
 

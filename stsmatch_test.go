@@ -107,6 +107,63 @@ func TestPublicStreamingIngestion(t *testing.T) {
 	}
 }
 
+// TestPublicNonFiniteSampleRefused: a tracker that starts reporting NaN
+// on one axis gets an error from the stream on the first vertex that
+// carries it; what the stream already holds stays finite, and so does
+// every prediction made from it.
+func TestPublicNonFiniteSampleRefused(t *testing.T) {
+	cfg := synth.DefaultRespiration()
+	cfg.Dims, cfg.IrregularProb = 2, 0.005
+	gen, err := synth.NewRespiration(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := gen.Generate(270)
+	seg, err := stsmatch.NewSegmenter(stsmatch.DefaultSegmenterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := stsmatch.NewDB()
+	p, _ := db.AddPatient(stsmatch.PatientInfo{ID: "P01"})
+	st := p.AddStream("S01")
+	var refused error
+	for _, s := range samples {
+		if s.T > 240 {
+			s.Pos[1] = math.NaN() // the secondary axis: segmentation carries on
+		}
+		vs, err := seg.Push(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(vs...); err != nil {
+			refused = err
+			break
+		}
+	}
+	if refused == nil {
+		t.Fatal("a vertex with a NaN coordinate was appended")
+	}
+	seq := st.Seq()
+	for _, v := range seq {
+		if math.IsNaN(v.Pos[0]) || math.IsNaN(v.Pos[1]) || v.T > 241 {
+			t.Fatalf("stream holds %+v", v)
+		}
+	}
+	params := stsmatch.DefaultParams()
+	matcher, err := stsmatch.NewMatcher(db, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qseq, _ := params.DynamicQuery(seq)
+	pred, err := matcher.Predict(stsmatch.NewQuery(qseq, "P01", "S01"), 0.2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(pred.Pos[0]) || math.IsNaN(pred.Pos[1]) || math.IsNaN(pred.MeanDist) {
+		t.Errorf("prediction %+v", pred)
+	}
+}
+
 func TestPublicClusterPatients(t *testing.T) {
 	// Two slow-deep patients vs two fast-shallow patients must cluster
 	// apart.
