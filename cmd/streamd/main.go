@@ -84,7 +84,6 @@ func main() {
 	advertise := flag.String("advertise", "", "base URL this daemon advertises as the source of its WAL shipments (e.g. http://10.0.0.1:8750)")
 	replicateFrom := flag.String("replicate-from", "", "comma-separated source URLs allowed to ship WAL batches here (empty = accept any)")
 	subBuffer := flag.Int("sub-buffer", 0, "per-subscription undelivered event buffer (0 = default 4096; oldest events drop past it)")
-	migrateRounds := flag.Int("migrate-catchup-rounds", 0, "catch-up flush rounds a live-session migration may spend before fencing (0 = default)")
 	traceCap := flag.Int("trace-capacity", obs.DefaultTraceCapacity, "traces retained in each in-memory ring (recent and slow)")
 	traceSlow := flag.Duration("trace-slow", obs.DefaultSlowThreshold, "latency threshold at which a trace is pinned in the slow ring")
 	demo := flag.Bool("demo", false, "run the self-contained demo client and exit")
@@ -125,17 +124,16 @@ func main() {
 		}
 	}
 	srv, err := server.NewWithOptions(db, core.DefaultParams(), fsm.DefaultConfig(), server.Options{
-		DataDir:              *dataDir,
-		FsyncInterval:        *fsyncEvery,
-		SnapshotEvery:        *snapshotEvery,
-		MatcherParallelism:   *matchPar,
-		MatchIndex:           *matchIndex,
-		AdvertiseURL:         strings.TrimRight(*advertise, "/"),
-		ReplicateFrom:        replFrom,
-		SubscriptionBuffer:   *subBuffer,
-		MigrateCatchupRounds: *migrateRounds,
-		TraceCapacity:        *traceCap,
-		TraceSlowThreshold:   *traceSlow,
+		DataDir:            *dataDir,
+		FsyncInterval:      *fsyncEvery,
+		SnapshotEvery:      *snapshotEvery,
+		MatcherParallelism: *matchPar,
+		MatchIndex:         *matchIndex,
+		AdvertiseURL:       strings.TrimRight(*advertise, "/"),
+		ReplicateFrom:      replFrom,
+		SubscriptionBuffer: *subBuffer,
+		TraceCapacity:      *traceCap,
+		TraceSlowThreshold: *traceSlow,
 	})
 	if err != nil {
 		fatal(log, err)

@@ -38,10 +38,6 @@ type Options struct {
 	// Zero snapshots only on graceful shutdown.
 	SnapshotEvery time.Duration
 
-	// SegmentMaxBytes overrides the WAL segment rotation size
-	// (0 = wal default).
-	SegmentMaxBytes int64
-
 	// MaxBodyBytes caps request bodies on the body-accepting endpoints
 	// (session create, sample ingest, remote match) via
 	// http.MaxBytesReader, so a misbehaving client cannot balloon a
@@ -72,10 +68,6 @@ type Options struct {
 	// source is in this list. Empty accepts any source.
 	ReplicateFrom []string
 
-	// ReplicateTimeout bounds one replication shipment (the ingest ack
-	// waits on it). 0 selects DefaultReplicateTimeout.
-	ReplicateTimeout time.Duration
-
 	// ReplicateTransport overrides the HTTP transport used for
 	// replication shipments (tests inject fault-injecting transports
 	// here). Nil uses the default transport.
@@ -94,11 +86,6 @@ type Options struct {
 	// event buffer; the oldest events are dropped (and counted) past
 	// it. 0 selects subscribe.DefaultBuffer.
 	SubscriptionBuffer int
-
-	// MigrateCatchupRounds caps how many catch-up flush rounds one
-	// POST /v1/sessions/{sid}/migrate runs before giving up on a target
-	// that cannot keep pace. 0 selects DefaultMigrateCatchupRounds.
-	MigrateCatchupRounds int
 }
 
 // DefaultMaxBodyBytes is the default request-body cap: 8 MiB holds
@@ -123,10 +110,9 @@ type durability struct {
 // store so every further mutation is journaled.
 func (s *Server) openDurability(initial *store.DB, opts Options) error {
 	log, res, err := wal.Open(wal.Options{
-		Dir:             opts.DataDir,
-		FsyncInterval:   opts.FsyncInterval,
-		SegmentMaxBytes: opts.SegmentMaxBytes,
-		Collector:       s.col,
+		Dir:           opts.DataDir,
+		FsyncInterval: opts.FsyncInterval,
+		Collector:     s.col,
 	}, initial)
 	if err != nil {
 		return fmt.Errorf("server: opening WAL: %w", err)
@@ -154,11 +140,13 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 	// its vertices) came back via snapshot+replay; the segmenter is
 	// fresh and re-primed from the PLR tail.
 	for _, ss := range res.Sessions {
-		if err := s.resumeSession(ss); err != nil {
+		sess, err := s.resumeSession(ss)
+		if err != nil {
 			s.log.Warn("could not resume session",
 				slog.String("sessionId", ss.SessionID), slog.Any("err", err))
 			continue
 		}
+		s.sessions[ss.SessionID] = sess
 		d.resumed++
 	}
 	s.met.sessionsOpen.Set(int64(len(s.sessions)))
@@ -190,23 +178,26 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 	return nil
 }
 
-// resumeSession rebuilds one live session from its recovered state.
-func (s *Server) resumeSession(ss wal.SessionState) error {
+// resumeSession rebuilds one live session from stored state — crash
+// recovery's, or a replica's at promotion — around the stream in the
+// database and a fresh segmenter re-primed from its PLR tail. The
+// caller installs it in s.sessions.
+func (s *Server) resumeSession(ss wal.SessionState) (*session, error) {
 	p := s.db.Patient(ss.PatientID)
 	if p == nil {
-		return fmt.Errorf("recovered session references unknown patient %q", ss.PatientID)
+		return nil, fmt.Errorf("resumed session references unknown patient %q", ss.PatientID)
 	}
 	st := p.StreamBySession(ss.SessionID)
 	if st == nil {
-		return fmt.Errorf("recovered session references unknown stream %q", ss.SessionID)
+		return nil, fmt.Errorf("resumed session references unknown stream %q", ss.SessionID)
 	}
 	seg, err := fsm.New(s.segCfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	seq := st.Seq()
 	if err := seg.Prime(seq); err != nil {
-		return err
+		return nil, fmt.Errorf("priming segmenter: %w", err)
 	}
 	sess := &session{
 		patientID: ss.PatientID,
@@ -227,8 +218,7 @@ func (s *Server) resumeSession(ss wal.SessionState) error {
 			sess.lastPos = append([]float64(nil), seq[n-1].Pos...)
 		}
 	}
-	s.sessions[ss.SessionID] = sess
-	return nil
+	return sess, nil
 }
 
 // replaySubscriptions re-arms the subscriptions persisted in the
@@ -305,6 +295,23 @@ func (s *Server) walAppendCtx(ctx context.Context, rec wal.Record) {
 		}
 		s.wal.lastErr.Store(err.Error())
 	}
+}
+
+// journalSync journals one record and fsyncs it before returning: the
+// write a handler is about to acknowledge as durable. On failure the
+// caller must not acknowledge. A no-op on in-memory servers.
+func (s *Server) journalSync(ctx context.Context, rec wal.Record) error {
+	if s.wal == nil {
+		return nil
+	}
+	err := s.wal.log.AppendCtx(ctx, rec)
+	if err == nil {
+		err = s.wal.log.SyncCtx(ctx)
+	}
+	if err != nil {
+		s.wal.lastErr.Store(err.Error())
+	}
+	return err
 }
 
 // sessionStates snapshots the open sessions. Callers hold s.mu.

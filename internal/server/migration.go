@@ -1,24 +1,25 @@
 // Live session migration (PR 10): POST /v1/sessions/{sid}/migrate
 // moves one open session to another shard with zero acked-vertex loss,
 // generalizing the failover machinery into a planned handover. The
-// source bootstraps the target as a temporary follower through the
-// snapshot catch-up path, ships the WAL tail until the link is
-// current, fences local writes, journals a durable prepare marker,
-// drains the last records, promotes the target through the normal
-// epoch-fenced promote path, and finally journals a commit tombstone:
-// the session is closed here and stale routes get 410 Gone plus the
-// target URL as a redirect hint.
+// source adds the target as one more follower link on the session's
+// replicator — snapshot-first, like a freshly promoted primary's links —
+// so every ingest ack, subscription operation and close reaches it
+// like any replica; it then fences local writes, journals a durable
+// prepare marker, drains the link, promotes the target through the
+// normal epoch-fenced promote path, and finally journals a commit
+// tombstone: the session is closed here and stale routes get 410 Gone
+// plus the target URL as a redirect hint.
 //
 // Crash safety is two-sided. The prepare record is fsynced before the
 // promote call, so a source restart resumes the session *fenced* — no
 // write can land in the ambiguous window between promote and commit —
 // and the whole handler is idempotent: re-driving it on a prepared (or
 // already-committed) session converges without re-shipping acknowledged
-// data it can avoid. If the target turns out to be primary already (a
-// previous attempt's promote landed but the response was lost), the
-// catch-up shipment is fenced with 412, which the handler reads as
-// "cutover already happened" and completes the commit after verifying
-// the target holds at least everything this node acked.
+// data it can avoid. A target that is primary already (a previous
+// attempt's promote landed but the response was lost) fences the
+// catch-up shipment with 412; the commit then completes after verifying
+// the target holds at least everything this node acked. DESIGN §11
+// tabulates the transitions.
 
 package server
 
@@ -31,16 +32,12 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 
 	"stsmatch/internal/obs"
 	"stsmatch/internal/wal"
 )
-
-// DefaultMigrateCatchupRounds bounds how many flush rounds the migrate
-// handler runs before giving up on catching the target up under
-// sustained ingest (each round ships everything staged so far).
-const DefaultMigrateCatchupRounds = 10
 
 // MigrateRequest asks the source to hand a session to Target.
 // Replicate lists the replica set the target should ship to once
@@ -69,58 +66,58 @@ type MigrateResponse struct {
 // "cutover" (fenced and prepared, before the final drain + promote),
 // "tombstone" (promote succeeded, before the commit record).
 func (s *Server) migrateHook(phase string) {
-	if h := s.testHookMigrate; h != nil {
-		h(phase)
+	if h := s.testHookMigrate.Load(); h != nil {
+		(*h)(phase)
 	}
 }
 
-// SetMigrationHook installs a test-only fault point called at each
-// migration phase boundary ("catchup", "cutover", "tombstone"). Tests
-// use it to kill nodes at scripted points inside a cutover.
-func (s *Server) SetMigrationHook(h func(phase string)) { s.testHookMigrate = h }
+// SetMigrationHook installs the test-only fault point migrateHook runs
+// (nil removes it); tests use it to kill nodes at scripted points inside
+// a cutover. Safe while a migration is in flight.
+func (s *Server) SetMigrationHook(h func(phase string)) {
+	if h == nil {
+		s.testHookMigrate.Store(nil)
+		return
+	}
+	s.testHookMigrate.Store(&h)
+}
 
-// migratedTarget returns the committed tombstone's target for sid, if
-// one exists.
-func (s *Server) migratedTarget(sid string) (string, bool) {
+// migratedLocked returns the already-migrated answer for a session
+// with a committed tombstone. Callers hold s.mu.
+func (s *Server) migratedLocked(sid string) (MigrateResponse, bool) {
+	m, ok := s.migrations[sid]
+	if !ok || m.Phase != wal.MigrateCommit {
+		return MigrateResponse{}, false
+	}
+	return MigrateResponse{
+		PatientID: m.PatientID, SessionID: sid, Target: m.Target,
+		Epoch: m.Epoch, AlreadyMigrated: true,
+	}, true
+}
+
+// goneOr404 is the shared not-found tail of the session-scoped
+// handlers. A migrated-away session answers 410 Gone with the new
+// owner in both the Location header and the JSON body — the redirect
+// hint the gateway uses to repair its placement table; anything else
+// stays a plain 404.
+func (s *Server) goneOr404(w http.ResponseWriter, sid string) {
 	s.lock()
-	defer s.mu.Unlock()
-	return s.migratedTargetLocked(sid)
-}
-
-func (s *Server) migratedTargetLocked(sid string) (string, bool) {
-	if m, ok := s.migrations[sid]; ok && m.Phase == wal.MigrateCommit {
-		return m.Target, true
+	m, gone := s.migratedLocked(sid)
+	s.mu.Unlock()
+	if !gone {
+		httpError(w, http.StatusNotFound, fmt.Errorf("no open session %q", sid))
+		return
 	}
-	return "", false
-}
-
-// sessionGone answers a request for a migrated-away session: 410 Gone
-// with the new owner in both the Location header and the JSON body —
-// the redirect hint the gateway uses to repair its placement table.
-func sessionGone(w http.ResponseWriter, sid, target string) {
-	w.Header().Set("Location", target)
+	w.Header().Set("Location", m.Target)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusGone)
 	json.NewEncoder(w).Encode(map[string]string{ //nolint:errcheck
 		"error":    fmt.Sprintf("session %q migrated away", sid),
-		"location": target,
+		"location": m.Target,
 	})
 }
 
-// goneOr404 is the shared not-found tail of the session-scoped
-// handlers: a tombstoned session answers 410 + redirect hint, anything
-// else stays a plain 404.
-func (s *Server) goneOr404(w http.ResponseWriter, sid string) {
-	if target, ok := s.migratedTarget(sid); ok {
-		sessionGone(w, sid, target)
-		return
-	}
-	httpError(w, http.StatusNotFound, fmt.Errorf("no open session %q", sid))
-}
-
-// handleMigrate drives one session's handover to req.Target. The
-// handler is re-drivable: calling it again after any crash or error —
-// on a fresh, prepared, or committed migration — converges.
+// handleMigrate answers POST /v1/sessions/{sid}/migrate.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
 	s.capBody(w, r)
@@ -142,125 +139,98 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	defer sp.Finish()
 	sp.Annotate("sessionId", sid)
 	sp.Annotate("target", target)
-
-	// Set-up: idempotent short-circuit, then build (or reuse) the
-	// migration link — a single-target replicator starting in snapshot
-	// catch-up, exactly like a freshly promoted primary's links.
-	s.lock()
-	if m, ok := s.migrations[sid]; ok && m.Phase == wal.MigrateCommit {
-		resp := MigrateResponse{
-			PatientID: m.PatientID, SessionID: sid, Target: m.Target,
-			Epoch: m.Epoch, AlreadyMigrated: true,
-		}
-		s.mu.Unlock()
-		sp.Annotate("alreadyMigrated", true)
+	resp, code, err := s.migrate(ctx, sid, target, req.Replicate)
+	switch {
+	case err == nil:
+		sp.Annotate("alreadyMigrated", resp.AlreadyMigrated)
+		sp.Annotate("epoch", resp.Epoch)
+		sp.Annotate("vertices", resp.Vertices)
 		writeJSON(w, http.StatusOK, resp)
-		return
+	case code == http.StatusNotFound:
+		s.goneOr404(w, sid)
+	default:
+		httpError(w, code, err)
+	}
+}
+
+// migrate hands session sid over to target: add link → flush → fence +
+// fsync prepare → flush → promote → fsync commit. A failure before the
+// target is promoted rolls back at the one deferred site below and
+// leaves the session serving here; a failure after it keeps the
+// session fenced and prepared for the re-drive, because unfencing
+// beside a promoted target could diverge — unless it already has.
+func (s *Server) migrate(ctx context.Context, sid, target string, replicate []string) (resp MigrateResponse, code int, err error) {
+	// Add link: from here on every path that stages or flushes records
+	// for the session's followers reaches the target too.
+	s.lock()
+	if done, ok := s.migratedLocked(sid); ok {
+		s.mu.Unlock()
+		return done, http.StatusOK, nil
 	}
 	sess, ok := s.sessions[sid]
 	if !ok {
 		s.mu.Unlock()
-		httpError(w, http.StatusNotFound, fmt.Errorf("no open session %q", sid))
-		return
+		return resp, http.StatusNotFound, fmt.Errorf("no open session %q", sid)
 	}
-	var mig *replicator
-	if sess.repl != nil && sess.repl.hasTarget(target) {
-		// The target already follows this session on the ordinary
-		// replica link; reuse it — a second link would fight the first
-		// over the follower's cursor anchoring.
-		mig = sess.repl
-	} else {
-		if sess.migrating == nil || sess.migrating.links[0].target != target {
-			epoch := uint64(1)
-			if sess.repl != nil {
-				epoch = sess.repl.epoch
-			}
-			sess.migrating = newReplicator(sess.patientID, sid, s.advertise, epoch, []string{target}, true)
-			sess.migrating.migration = true
-		}
-		mig = sess.migrating
+	if sess.repl == nil {
+		sess.repl = newReplicator(sess.patientID, sid, s.advertise, 1, nil, false)
 	}
+	repl := sess.repl
+	link := repl.handoffLink(target)
 	s.met.migrationsInFlight.Inc()
 	s.mu.Unlock()
 	defer s.met.migrationsInFlight.Dec()
 
+	rollback := true
+	defer func() {
+		if err != nil && rollback && !s.abortMigration(ctx, sid, sess, err) {
+			code = http.StatusNotFound // closed meanwhile, whatever step noticed
+		}
+	}()
+
 	s.migrateHook("catchup")
 
-	// Catch-up: ship the snapshot and then the tail until the link is
-	// current. Concurrent ingest keeps staging onto the link (see
-	// ingestLocked), so each round closes the remaining gap; the round
-	// cap keeps a hot session from pinning the handler forever.
-	rounds := s.migrateCatchupRounds
-	if rounds <= 0 {
-		rounds = DefaultMigrateCatchupRounds
-	}
-	caught := false
-	for i := 0; i < rounds && !caught; i++ {
-		if errs := s.replFlush(ctx, mig); len(errs) > 0 {
-			if mig.isDeposed() {
-				break // target is already primary: finish the commit below
-			}
-			s.abortMigration(ctx, sid, sess, fmt.Errorf("catch-up: %s", strings.Join(errs, "; ")))
-			httpError(w, http.StatusBadGateway, fmt.Errorf("migration catch-up failed: %s", strings.Join(errs, "; ")))
-			return
-		}
-		caught = mig.lag() == 0
-	}
-	sp.Annotate("deposed", mig.isDeposed())
-	if !caught && !mig.isDeposed() {
-		s.abortMigration(ctx, sid, sess, fmt.Errorf("still %d records behind after %d rounds", mig.lag(), rounds))
-		httpError(w, http.StatusBadGateway, fmt.Errorf("target still behind after %d catch-up rounds", rounds))
-		return
+	// Flush: the snapshot ships before anything is fenced; each ingest
+	// ack keeps the target current from then on. errFenced, here and in
+	// the drain, means the target is primary already (a lost promote
+	// response) and the link is as current as it will ever be: the
+	// promote below is idempotent there, and the commit's divergence
+	// check has the last word.
+	if ferr := s.flushLink(ctx, repl, link); ferr != nil && !errors.Is(ferr, errFenced) {
+		return resp, http.StatusBadGateway, fmt.Errorf("migration catch-up failed: %s: %w", target, ferr)
 	}
 
-	if !mig.isDeposed() {
-		// Cutover: fence new writes and journal the prepare durably
-		// BEFORE promoting, so a crash in the ambiguous window resumes
-		// the session fenced (re-drivable, no divergent writes).
-		s.lock()
-		if _, still := s.sessions[sid]; !still {
-			s.mu.Unlock()
-			s.goneOr404(w, sid)
-			return
-		}
-		sess.fenced = true
-		err := s.journalMigrationLocked(ctx, wal.MigrationState{
-			SessionID: sid, PatientID: sess.patientID, Target: target, Phase: wal.MigratePrepare,
-		})
-		if err != nil {
-			sess.fenced = false
-			s.mu.Unlock()
-			s.met.migrationFailures.Inc()
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("flushing migration prepare: %w", err))
-			return
-		}
+	// Fence new writes and journal the prepare durably BEFORE promoting,
+	// so a crash in the ambiguous window resumes the session fenced
+	// (re-drivable, no divergent writes).
+	s.lock()
+	if s.sessions[sid] != sess {
 		s.mu.Unlock()
-
-		s.migrateHook("cutover")
-
-		// Final drain: the fence was set under s.mu, so nothing new can
-		// be staged; one clean flush means the target holds everything
-		// this node ever acknowledged.
-		if errs := s.replFlush(ctx, mig); len(errs) > 0 && !mig.isDeposed() {
-			s.abortMigration(ctx, sid, sess, fmt.Errorf("final drain: %s", strings.Join(errs, "; ")))
-			httpError(w, http.StatusBadGateway, fmt.Errorf("migration final drain failed: %s", strings.Join(errs, "; ")))
-			return
-		}
-		if mig.lag() > 0 && !mig.isDeposed() {
-			s.abortMigration(ctx, sid, sess, errors.New("final drain left a backlog"))
-			httpError(w, http.StatusBadGateway, errors.New("migration final drain left a backlog"))
-			return
-		}
+		return resp, http.StatusNotFound, fmt.Errorf("session %q closed mid-migration", sid)
+	}
+	sess.fenced = true
+	jerr := s.journalMigrationLocked(ctx, wal.MigrationState{
+		SessionID: sid, PatientID: sess.patientID, Target: target, Phase: wal.MigratePrepare,
+	})
+	s.mu.Unlock()
+	if jerr != nil {
+		return resp, http.StatusInternalServerError, fmt.Errorf("flushing migration prepare: %w", jerr)
 	}
 
-	// Promote the target (idempotent there: if it is already primary it
-	// answers 200 with its current epoch).
-	presp, err := s.promoteTarget(ctx, target, sid, req.Replicate)
-	if err != nil {
-		s.abortMigration(ctx, sid, sess, fmt.Errorf("promote: %w", err))
-		httpError(w, http.StatusBadGateway, fmt.Errorf("promoting migration target: %w", err))
-		return
+	s.migrateHook("cutover")
+
+	// Final drain: the fence was set under s.mu, so no vertex can be
+	// staged behind it; a clean flush means the target holds everything
+	// this node ever acknowledged.
+	if ferr := s.flushLink(ctx, repl, link); ferr != nil && !errors.Is(ferr, errFenced) {
+		return resp, http.StatusBadGateway, fmt.Errorf("migration final drain failed: %s: %w", target, ferr)
 	}
+
+	presp, perr := s.promoteTarget(ctx, target, sid, replicate)
+	if perr != nil {
+		return resp, http.StatusBadGateway, fmt.Errorf("promoting migration target: %w", perr)
+	}
+	rollback = false
 
 	s.migrateHook("tombstone")
 
@@ -268,86 +238,76 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	// check guards the one unwinnable window — a past promote landed,
 	// this node kept serving unfenced, and now holds vertices the
 	// target lacks; dropping the session would lose acked data, so the
-	// handler refuses and surfaces it instead.
+	// hand-off refuses, surfaces it, and keeps serving the superset.
+	retire := false
 	s.lock()
-	if _, still := s.sessions[sid]; !still {
-		if t, ok := s.migratedTargetLocked(sid); ok {
-			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, MigrateResponse{
-				PatientID: sess.patientID, SessionID: sid, Target: t,
-				Epoch: presp.Epoch, AlreadyMigrated: true,
-			})
-			return
-		}
+	defer func() {
 		s.mu.Unlock()
-		httpError(w, http.StatusConflict, fmt.Errorf("session %q closed mid-migration", sid))
-		return
+		if retire {
+			// Best effort, like a close's.
+			if errs := s.replFlush(ctx, repl); len(errs) > 0 {
+				s.log.Warn("migration not told to every retired follower", slog.Any("replicaErrors", errs))
+			}
+		}
+	}()
+	if s.sessions[sid] != sess {
+		if done, ok := s.migratedLocked(sid); ok {
+			return done, http.StatusOK, nil
+		}
+		return resp, http.StatusConflict, fmt.Errorf("session %q closed mid-migration", sid)
 	}
 	if sess.stream.Len() > presp.Vertices {
-		s.mu.Unlock()
-		s.met.migrationFailures.Inc()
-		httpError(w, http.StatusConflict, fmt.Errorf(
+		rollback = true
+		return resp, http.StatusConflict, fmt.Errorf(
 			"migration diverged: source holds %d vertices, promoted target %d; refusing to drop acked data",
-			sess.stream.Len(), presp.Vertices))
-		return
+			sess.stream.Len(), presp.Vertices)
 	}
-	commit := wal.MigrationState{
+	if jerr := s.journalMigrationLocked(ctx, wal.MigrationState{
 		SessionID: sid, PatientID: sess.patientID, Target: target,
 		Epoch: presp.Epoch, Phase: wal.MigrateCommit,
-	}
-	if err := s.journalMigrationLocked(ctx, commit); err != nil {
-		// Keep the session fenced and prepared: a re-drive (or restart)
-		// completes the commit; unfencing now could diverge.
-		s.mu.Unlock()
+	}); jerr != nil {
 		s.met.migrationFailures.Inc()
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("flushing migration commit: %w", err))
-		return
+		return resp, http.StatusInternalServerError, fmt.Errorf("flushing migration commit: %w", jerr)
 	}
-	s.migrations[sid] = &commit
-	vertices := sess.stream.Len()
 	delete(s.sessions, sid)
-	s.expelMigratedSubsLocked(ctx, sess.patientID, sid)
+	// Retire: the followers the new owner does not keep are told what
+	// a close would tell them, so none stays a failover candidate
+	// holding a stale copy.
+	repl.unlink(func(l *replicaLink) bool { return l.target == target || slices.Contains(replicate, l.target) })
+	s.expelMigratedSubsLocked(ctx, sess.patientID, sid, repl)
+	repl.enqueue(wal.Record{Type: wal.TypeSessionClose, SessionID: sid})
+	retire = true
 	s.met.sessionsOpen.Set(int64(len(s.sessions)))
 	s.met.migrations.Inc()
-	s.mu.Unlock()
-	sp.Annotate("epoch", presp.Epoch)
-	sp.Annotate("vertices", vertices)
 	s.log.Info("session migrated away",
 		slog.String("patientId", sess.patientID),
 		slog.String("sessionId", sid),
 		slog.String("target", target),
 		slog.Uint64("epoch", presp.Epoch),
-		slog.Int("vertices", vertices),
-		slog.String("requestId", obs.RequestIDFrom(r.Context())))
-	writeJSON(w, http.StatusOK, MigrateResponse{
+		slog.Int("vertices", sess.stream.Len()),
+		slog.String("requestId", obs.RequestIDFrom(ctx)))
+	return MigrateResponse{
 		PatientID: sess.patientID,
 		SessionID: sid,
 		Target:    target,
 		Epoch:     presp.Epoch,
-		Vertices:  vertices,
-	})
+		Vertices:  sess.stream.Len(),
+	}, http.StatusOK, nil
 }
 
 // journalMigrationLocked journals and fsyncs one migration phase
 // transition and records it in the in-memory migration table. Callers
 // hold s.mu. In-memory servers (no WAL) keep only the table entry.
 func (s *Server) journalMigrationLocked(ctx context.Context, m wal.MigrationState) error {
-	if s.wal != nil {
-		err := s.wal.log.AppendCtx(ctx, wal.Record{
-			Type:      wal.TypeSessionMigrate,
-			PatientID: m.PatientID,
-			SessionID: m.SessionID,
-			Target:    m.Target,
-			Epoch:     m.Epoch,
-			Phase:     m.Phase,
-		})
-		if err == nil {
-			err = s.wal.log.SyncCtx(ctx)
-		}
-		if err != nil {
-			s.wal.lastErr.Store(err.Error())
-			return err
-		}
+	if err := s.journalSync(ctx, wal.Record{
+		Type:      wal.TypeSessionMigrate,
+		PatientID: m.PatientID,
+		SessionID: m.SessionID,
+		Target:    m.Target,
+		Epoch:     m.Epoch,
+		Phase:     m.Phase,
+	}); err != nil {
+		return err
 	}
 	if m.Phase == wal.MigrateAbort {
 		delete(s.migrations, m.SessionID)
@@ -359,17 +319,18 @@ func (s *Server) journalMigrationLocked(ctx context.Context, m wal.MigrationStat
 }
 
 // expelMigratedSubsLocked hands in-scope subscriptions over with the
-// migrated session. They were shipped to the target inside the
-// catch-up snapshot, so the source's copies are dropped: journaled as
-// deletes (no dedicated fsync — resurrection after a crash only
-// leaves an idle armed copy the list dedupe already tolerates) and
-// expelled from the manager, which wakes attached event streams so
-// the gateway proxy re-resolves to the new primary and resumes from
-// its Last-Event-ID. Session-scoped subscriptions always follow the
+// migrated session. They reached the target over its link — inside the
+// catch-up snapshot or staged behind it — so the source's copies are
+// dropped: journaled as deletes (no dedicated fsync — resurrection
+// after a crash only leaves an idle armed copy the list dedupe already
+// tolerates), staged as deletes for the retired followers, and
+// expelled from the manager, which wakes attached event streams so the
+// gateway proxy re-resolves to the new primary and resumes from its
+// Last-Event-ID. Session-scoped subscriptions always follow the
 // session; patient-scoped ones follow only when this was the
 // patient's last open session here. Callers hold s.mu, with the
 // migrated session already removed from s.sessions.
-func (s *Server) expelMigratedSubsLocked(ctx context.Context, pid, sid string) {
+func (s *Server) expelMigratedSubsLocked(ctx context.Context, pid, sid string, retired *replicator) {
 	for _, st := range s.subs.States() {
 		follows := st.SessionID == sid
 		if !follows && st.SessionID == "" && st.PatientID == pid {
@@ -384,48 +345,44 @@ func (s *Server) expelMigratedSubsLocked(ctx context.Context, pid, sid string) {
 		if !follows {
 			continue
 		}
-		if s.wal != nil {
-			if err := s.wal.log.AppendCtx(ctx, wal.Record{Type: wal.TypeSubDelete, SubID: st.ID}); err != nil {
-				s.wal.lastErr.Store(err.Error())
-				s.log.Error("journaling migrated subscription handoff",
-					slog.String("subId", st.ID), slog.Any("err", err))
-			}
-		}
+		del := wal.Record{Type: wal.TypeSubDelete, SubID: st.ID}
+		s.walAppendCtx(ctx, del)
+		retired.enqueue(del)
 		s.subs.Expel(st.ID)
 	}
 }
 
-// abortMigration rolls a failed cutover back so the session keeps
-// serving on this node: unfence, detach the migration link, and undo a
-// journaled prepare with a durable abort record.
-func (s *Server) abortMigration(ctx context.Context, sid string, sess *session, cause error) {
+// abortMigration rolls a failed hand-off back so the session keeps
+// serving on this node: unfence, take the link the hand-off added off
+// the replicator (and the replicator off a session nothing else
+// follows), and undo a journaled prepare with a durable abort record.
+// It reports false when the session was closed meanwhile.
+func (s *Server) abortMigration(ctx context.Context, sid string, sess *session, cause error) bool {
 	s.lock()
 	defer s.mu.Unlock()
-	sess.fenced = false
-	sess.migrating = nil
-	if m, ok := s.migrations[sid]; ok && m.Phase == wal.MigratePrepare {
-		if s.wal != nil {
-			err := s.wal.log.AppendCtx(ctx, wal.Record{
-				Type: wal.TypeSessionMigrate, PatientID: m.PatientID,
-				SessionID: sid, Target: m.Target, Phase: wal.MigrateAbort,
-			})
-			if err == nil {
-				err = s.wal.log.SyncCtx(ctx)
-			}
-			if err != nil {
-				// The abort is in memory only: a crash before the next
-				// successful transition resumes the session fenced, which
-				// is safe (a re-drive or a later abort converges).
-				s.wal.lastErr.Store(err.Error())
-				s.log.Error("flushing migration abort", slog.Any("err", err))
-			}
-		}
-		delete(s.migrations, sid)
-	}
 	s.met.migrationFailures.Inc()
 	s.log.Warn("migration aborted",
 		slog.String("sessionId", sid),
 		slog.Any("cause", cause))
+	if s.sessions[sid] != sess {
+		return false
+	}
+	sess.fenced = false
+	if sess.repl != nil && sess.repl.unlink(func(l *replicaLink) bool { return l.handoff }) == 0 {
+		sess.repl = nil
+	}
+	if m, ok := s.migrations[sid]; ok && m.Phase == wal.MigratePrepare {
+		abort := *m
+		abort.Phase = wal.MigrateAbort
+		if err := s.journalMigrationLocked(ctx, abort); err != nil {
+			// The abort is in memory only: a crash before the next
+			// successful transition resumes the session fenced, which
+			// is safe (a re-drive or a later abort converges).
+			s.log.Error("flushing migration abort", slog.Any("err", err))
+			delete(s.migrations, sid)
+		}
+	}
+	return true
 }
 
 // promoteTarget asks the target to take the session over, returning

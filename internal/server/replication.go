@@ -28,11 +28,11 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"stsmatch/internal/fsm"
 	"stsmatch/internal/obs"
 	"stsmatch/internal/store"
 	"stsmatch/internal/wal"
@@ -55,31 +55,11 @@ type replicator struct {
 	epoch     uint64
 	deposed   bool // a replica rejected us with a newer epoch
 	links     []*replicaLink
-
-	// migration marks the temporary single-target link a live session
-	// migration ships over (see migration.go); its traffic is counted
-	// separately so drains are observable.
-	migration bool
 }
 
-// isDeposed reports whether a replica fenced this replicator with a
-// newer epoch — for a migration link, the signal that the target is
-// already primary.
-func (r *replicator) isDeposed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.deposed
-}
-
-// hasTarget reports whether this replicator already ships to target.
-func (r *replicator) hasTarget(target string) bool {
-	for _, link := range r.links {
-		if link.target == target {
-			return true
-		}
-	}
-	return false
-}
+// errFenced is a link's answer from a replica that follows (or serves)
+// the session under a newer epoch.
+var errFenced = errors.New("fenced by newer epoch")
 
 // replicaLink is one primary→replica shipping lane.
 type replicaLink struct {
@@ -88,6 +68,11 @@ type replicaLink struct {
 	pending  []wal.Record // enqueued, not yet acknowledged by the replica
 	needSnap bool         // next shipment must be a full snapshot
 	lastErr  string
+
+	// handoff marks the link a migration added for its target (see
+	// migration.go): its traffic is counted as migration bytes, and a
+	// rolled-back hand-off removes it again.
+	handoff bool
 
 	// shipMu serializes shipments on this link so concurrent ingest
 	// flushes cannot interleave batches. Held across the HTTP call;
@@ -129,6 +114,36 @@ func (r *replicator) enqueue(recs ...wal.Record) {
 			link.needSnap = true
 		}
 	}
+}
+
+// handoffLink returns the link shipping to target, adding one when
+// target does not follow the session yet: snapshot-first, exactly what
+// a freshly promoted primary's links are.
+func (r *replicator) handoffLink(target string) *replicaLink {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, link := range r.links {
+		if link.target == target {
+			return link
+		}
+	}
+	link := &replicaLink{target: target, nextSeq: 1, needSnap: true, handoff: true}
+	r.links = append(r.links, link)
+	return link
+}
+
+// unlink removes the links drop selects and reports how many remain.
+func (r *replicator) unlink(drop func(*replicaLink) bool) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	kept := r.links[:0]
+	for _, link := range r.links {
+		if !drop(link) {
+			kept = append(kept, link)
+		}
+	}
+	r.links = kept
+	return len(kept)
 }
 
 // ReplLinkStatus is one primary→replica shipping lane's sequence
@@ -234,14 +249,7 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 				r.mu.Unlock()
 				return nil
 			}
-			batch = wal.Batch{
-				Source:    r.source,
-				SessionID: r.sessionID,
-				PatientID: r.patientID,
-				Epoch:     r.epoch,
-				FirstSeq:  link.pending[0].LSN,
-				Records:   append([]wal.Record(nil), link.pending...),
-			}
+			batch = r.batch(append([]wal.Record(nil), link.pending...))
 		}
 		r.mu.Unlock()
 		if needSnap {
@@ -271,7 +279,7 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 			retry := len(link.pending) > 0 || link.needSnap
 			r.mu.Unlock()
 			s.met.replShipped.Add(len(batch.Records))
-			if r.migration {
+			if link.handoff {
 				s.met.migrationBytes.Add(sent)
 			}
 			if !retry {
@@ -290,10 +298,10 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 			// shipping; the new primary owns the session now.
 			r.mu.Lock()
 			r.deposed = true
-			link.lastErr = "fenced by newer epoch"
+			link.lastErr = errFenced.Error()
 			r.mu.Unlock()
 			s.met.replShipErrors.Inc()
-			return errors.New("fenced by newer epoch")
+			return errFenced
 		default:
 			if err == nil {
 				err = fmt.Errorf("replica answered %d", status)
@@ -354,14 +362,19 @@ func (s *Server) snapshotBatch(r *replicator, link *replicaLink) (wal.Batch, boo
 	}
 	link.pending = nil
 	link.needSnap = false
+	return r.batch(recs), true
+}
+
+// batch wraps sequenced records into one shipment of this session.
+func (r *replicator) batch(recs []wal.Record) wal.Batch {
 	return wal.Batch{
 		Source:    r.source,
 		SessionID: r.sessionID,
 		PatientID: r.patientID,
 		Epoch:     r.epoch,
-		FirstSeq:  snap.LSN,
+		FirstSeq:  recs[0].LSN,
 		Records:   recs,
-	}, true
+	}
 }
 
 // shipBatch POSTs one encoded batch to a replica's /v1/replicate. A
@@ -431,18 +444,9 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if len(s.replFrom) > 0 {
-		allowed := false
-		for _, src := range s.replFrom {
-			if src == b.Source {
-				allowed = true
-				break
-			}
-		}
-		if !allowed {
-			httpError(w, http.StatusForbidden, fmt.Errorf("source %q not in replicate-from allowlist", b.Source))
-			return
-		}
+	if len(s.replFrom) > 0 && !slices.Contains(s.replFrom, b.Source) {
+		httpError(w, http.StatusForbidden, fmt.Errorf("source %q not in replicate-from allowlist", b.Source))
+		return
 	}
 	if b.SessionID == "" || b.PatientID == "" {
 		httpError(w, http.StatusBadRequest, errors.New("batch missing session or patient ID"))
@@ -633,9 +637,9 @@ type PromoteResponse struct {
 }
 
 // handlePromote fails a replicated session over to this node: the
-// replica's stream becomes the live session, its segmenter re-primed
-// from the PLR tail exactly like crash recovery, under a bumped epoch
-// that fences the deposed primary.
+// replica's stream becomes the live session through resumeSession —
+// the crash-recovery path — under a bumped epoch that fences the
+// deposed primary.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
 	s.capBody(w, r)
@@ -665,54 +669,28 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no replica state for session %q", sid))
 		return
 	}
-	seg, err := fsm.New(s.segCfg)
+	sess, err := s.resumeSession(wal.SessionState{
+		PatientID: rs.patientID, SessionID: sid,
+		Samples: rs.samples, LastT: rs.lastT, LastPos: rs.lastPos,
+	})
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("resuming replica: %w", err))
 		return
-	}
-	seq := rs.stream.Seq()
-	if err := seg.Prime(seq); err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("priming segmenter: %w", err))
-		return
-	}
-	sess := &session{
-		patientID: rs.patientID,
-		sessionID: sid,
-		seg:       seg,
-		stream:    rs.stream,
-		samples:   int(rs.samples),
-		lastT:     rs.lastT,
-		lastPos:   append([]float64(nil), rs.lastPos...),
-		resumed:   true,
-	}
-	if n := len(seq); n > 0 {
-		sess.resumedAt = seq[n-1].T
-		if sess.lastT < seq[n-1].T {
-			sess.lastT = seq[n-1].T
-			sess.lastPos = append([]float64(nil), seq[n-1].Pos...)
-		}
 	}
 	epoch := rs.cursor.Epoch + 1
-	if s.wal != nil {
-		// Journal (and flush) the promotion before going live: a 200
-		// must mean a restart resumes this session as primary.
-		err := s.wal.log.AppendCtx(r.Context(), wal.Record{
-			Type:      wal.TypeReplicaPromote,
-			PatientID: sess.patientID,
-			SessionID: sid,
-			Samples:   uint64(sess.samples),
-			AnchorT:   sess.lastT,
-			AnchorPos: sess.lastPos,
-			Epoch:     epoch,
-		})
-		if err == nil {
-			err = s.wal.log.SyncCtx(r.Context())
-		}
-		if err != nil {
-			s.wal.lastErr.Store(err.Error())
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("flushing promotion: %w", err))
-			return
-		}
+	// Journal (and flush) the promotion before going live: a 200 must
+	// mean a restart resumes this session as primary.
+	if err := s.journalSync(r.Context(), wal.Record{
+		Type:      wal.TypeReplicaPromote,
+		PatientID: sess.patientID,
+		SessionID: sid,
+		Samples:   uint64(sess.samples),
+		AnchorT:   sess.lastT,
+		AnchorPos: sess.lastPos,
+		Epoch:     epoch,
+	}); err != nil {
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("flushing promotion: %w", err))
+		return
 	}
 	delete(s.replicas, sid)
 	if len(req.Replicate) > 0 {
@@ -725,13 +703,13 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		slog.String("patientId", sess.patientID),
 		slog.String("sessionId", sid),
 		slog.Uint64("epoch", epoch),
-		slog.Int("vertices", len(seq)),
+		slog.Int("vertices", sess.stream.Len()),
 		slog.Int("replicas", len(req.Replicate)))
 	writeJSON(w, http.StatusOK, PromoteResponse{
 		PatientID: sess.patientID,
 		SessionID: sid,
 		Epoch:     epoch,
-		Vertices:  len(seq),
+		Vertices:  sess.stream.Len(),
 		Samples:   sess.samples,
 	})
 }

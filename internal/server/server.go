@@ -43,6 +43,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stsmatch/internal/core"
@@ -97,13 +98,12 @@ type Server struct {
 
 	// Live session migration (see migration.go): per-session migration
 	// state (guarded by mu; committed entries are tombstones answering
-	// 410 with a redirect hint) and the catch-up round cap.
-	migrations           map[string]*wal.MigrationState
-	migrateCatchupRounds int
+	// 410 with a redirect hint).
+	migrations map[string]*wal.MigrationState
 
 	// testHookMigrate, when non-nil, runs at each migration phase
 	// boundary; chaos tests kill nodes there (see SetMigrationHook).
-	testHookMigrate func(phase string)
+	testHookMigrate atomic.Pointer[func(phase string)]
 
 	// testHookMidMatch, when non-nil, runs in handleMatch between
 	// scoring and the response write; tests inject a concurrent write
@@ -127,14 +127,17 @@ type session struct {
 	samples   int
 	lastT     float64
 	lastPos   []float64
-	repl      *replicator // nil when the session is not replicated
+
+	// repl is the one place records are staged for whoever follows this
+	// session: replicas and, during a hand-off, the migration target.
+	// Nil when nothing does. A migration sets and clears it under s.mu,
+	// so handlers that flush outside the lock capture it inside.
+	repl *replicator
 
 	// fenced rejects new writes while a migration cutover is in flight
 	// (or after a restart recovered a prepared-but-uncommitted
-	// migration); migrating is the temporary catch-up link shipping the
-	// session to its migration target.
-	fenced    bool
-	migrating *replicator
+	// migration).
+	fenced bool
 
 	// resumed marks a session rebuilt by crash recovery: its segmenter
 	// was re-primed from the stored PLR tail, so vertices it re-emits
@@ -168,32 +171,27 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 		db = store.NewDB()
 	}
 	s := &Server{
-		db:                   db,
-		params:               params,
-		segCfg:               segCfg,
-		sessions:             make(map[string]*session),
-		mux:                  http.NewServeMux(),
-		log:                  obs.Logger("server"),
-		met:                  newServerMetrics(obs.Default()),
-		start:                time.Now(),
-		maxBody:              opts.MaxBodyBytes,
-		replicas:             make(map[string]*replicaState),
-		migrations:           make(map[string]*wal.MigrationState),
-		migrateCatchupRounds: opts.MigrateCatchupRounds,
-		advertise:            opts.AdvertiseURL,
-		replFrom:             opts.ReplicateFrom,
-		col:                  obs.NewCollector(opts.TraceCapacity, opts.TraceSlowThreshold),
+		db:         db,
+		params:     params,
+		segCfg:     segCfg,
+		sessions:   make(map[string]*session),
+		mux:        http.NewServeMux(),
+		log:        obs.Logger("server"),
+		met:        newServerMetrics(obs.Default()),
+		start:      time.Now(),
+		maxBody:    opts.MaxBodyBytes,
+		replicas:   make(map[string]*replicaState),
+		migrations: make(map[string]*wal.MigrationState),
+		advertise:  opts.AdvertiseURL,
+		replFrom:   opts.ReplicateFrom,
+		col:        obs.NewCollector(opts.TraceCapacity, opts.TraceSlowThreshold),
 	}
 	s.seqEpoch = s.start.UnixNano()
 	obs.RegisterBuildInfo(obs.Default())
 	if s.maxBody == 0 {
 		s.maxBody = DefaultMaxBodyBytes
 	}
-	replTimeout := opts.ReplicateTimeout
-	if replTimeout == 0 {
-		replTimeout = DefaultReplicateTimeout
-	}
-	s.replClient = &http.Client{Timeout: replTimeout, Transport: opts.ReplicateTransport}
+	s.replClient = &http.Client{Timeout: DefaultReplicateTimeout, Transport: opts.ReplicateTransport}
 	s.subs = subscribe.NewManager(params, opts.SubscriptionBuffer)
 	if opts.DataDir != "" {
 		if err := s.openDurability(db, opts); err != nil {
@@ -319,18 +317,18 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, errors.New("patientId and sessionId are required"))
 		return
 	}
-	sess, code, err := s.createSession(req)
+	repl, code, err := s.createSession(req)
 	if err != nil {
 		httpError(w, code, err)
 		return
 	}
 	var replErrs []string
-	if sess.repl != nil {
+	if repl != nil {
 		// Ship the open synchronously: a 201 means the replicas know the
 		// session exists (or the response says which ones do not).
-		replErrs = s.replFlush(r.Context(), sess.repl)
+		replErrs = s.replFlush(r.Context(), repl)
 	}
-	s.setFreshnessHeaders(w, sess, s.patientFreshness(req.PatientID), replErrs)
+	s.setFreshnessHeaders(w, repl, s.patientFreshness(req.PatientID), replErrs)
 	s.log.Info("session opened",
 		slog.String("patientId", req.PatientID),
 		slog.String("sessionId", req.SessionID),
@@ -344,8 +342,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // createSession performs the locked portion of session creation and
-// stages the opening records on the session's replica links.
-func (s *Server) createSession(req CreateSessionRequest) (*session, int, error) {
+// stages the opening records on the session's replica links; it
+// returns the replicator to flush (nil for an unreplicated session).
+func (s *Server) createSession(req CreateSessionRequest) (*replicator, int, error) {
 	s.lock()
 	defer s.mu.Unlock()
 	if _, exists := s.sessions[req.SessionID]; exists {
@@ -383,7 +382,7 @@ func (s *Server) createSession(req CreateSessionRequest) (*session, int, error) 
 	}
 	s.sessions[req.SessionID] = sess
 	s.met.sessionsOpen.Set(int64(len(s.sessions)))
-	return sess, 0, nil
+	return sess.repl, 0, nil
 }
 
 // SampleIn is one ingested observation.
@@ -412,21 +411,23 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding samples: %w", err))
 		return
 	}
-	resp, sess, fresh, code, err := s.ingestLocked(r.Context(), sid, batch)
-	if sess != nil && sess.repl != nil {
+	resp, repl, fresh, code, err := s.ingestLocked(r.Context(), sid, batch)
+	switch code {
+	case http.StatusNotFound:
+		s.goneOr404(w, sid)
+		return
+	case http.StatusServiceUnavailable: // fenced: nothing stored, nothing to ship
+		httpError(w, code, err)
+		return
+	}
+	if repl != nil {
 		// Ship before answering — even on error, so replicas hold
 		// exactly what this node stored. The ack then implies every
 		// healthy replica has every acknowledged vertex.
-		resp.ReplicaErrors = s.replFlush(r.Context(), sess.repl)
+		resp.ReplicaErrors = s.replFlush(r.Context(), repl)
 	}
-	if sess != nil {
-		s.setFreshnessHeaders(w, sess, fresh, resp.ReplicaErrors)
-	}
+	s.setFreshnessHeaders(w, repl, fresh, resp.ReplicaErrors)
 	if err != nil {
-		if code == http.StatusNotFound {
-			s.goneOr404(w, sid)
-			return
-		}
 		httpError(w, code, err)
 		return
 	}
@@ -439,12 +440,12 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 // follower holds at least the advertised streams/vertices — the fact
 // the gateway's freshness tracker records for both primary and
 // followers off a single ingest ack.
-func (s *Server) setFreshnessHeaders(w http.ResponseWriter, sess *session, fresh PatientFreshness, replErrs []string) {
+func (s *Server) setFreshnessHeaders(w http.ResponseWriter, repl *replicator, fresh PatientFreshness, replErrs []string) {
 	h := w.Header()
 	h.Set(HeaderPatientStreams, strconv.Itoa(fresh.Streams))
 	h.Set(HeaderPatientVertices, strconv.Itoa(fresh.Vertices))
 	switch {
-	case sess.repl == nil:
+	case repl == nil:
 		h.Set(HeaderReplicated, "none")
 	case len(replErrs) == 0:
 		h.Set(HeaderReplicated, "full")
@@ -456,8 +457,9 @@ func (s *Server) setFreshnessHeaders(w http.ResponseWriter, sess *session, fresh
 // ingestLocked runs one ingest batch under the session lock and stages
 // the resulting records on the session's replica links. The returned
 // replicator (nil for unreplicated sessions) must be flushed by the
-// caller after the lock is released.
-func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn) (SamplesResponse, *session, PatientFreshness, int, error) {
+// caller after the lock is released. Status 404 (no such session) and
+// 503 (fenced) mean nothing was stored.
+func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn) (SamplesResponse, *replicator, PatientFreshness, int, error) {
 	s.lock()
 	defer s.mu.Unlock()
 	sess, ok := s.sessions[sid]
@@ -523,7 +525,7 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 		// from exactly the newest pre-crash observation.
 		s.walAppendCtx(ctx, anchor)
 	}
-	if (sess.repl != nil || sess.migrating != nil) && resp.Accepted > 0 {
+	if sess.repl != nil && resp.Accepted > 0 {
 		// Stage everything this call stored — including partial progress
 		// before an error — so replicas never trail what we kept.
 		recs := make([]wal.Record, 0, 2)
@@ -537,25 +539,18 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 		}
 		anchor.AnchorPos = append([]float64(nil), anchor.AnchorPos...)
 		recs = append(recs, anchor)
-		if sess.repl != nil {
-			sess.repl.enqueue(recs...)
-		}
-		if sess.migrating != nil {
-			// A migration catch-up link tails the same records, so the
-			// target converges even under sustained ingest.
-			sess.migrating.enqueue(recs...)
-		}
+		sess.repl.enqueue(recs...)
 	}
 	// Snapshot the patient's holdings before the caller flushes
 	// replication: a clean flush then proves followers hold at least
 	// these counts.
 	fresh := s.patientFreshnessLocked(sess.patientID)
 	if pushErr != nil {
-		return resp, sess, fresh, pushCode, pushErr
+		return resp, sess.repl, fresh, pushCode, pushErr
 	}
 	resp.TotalSamples = sess.samples
 	resp.CurrentState = sess.seg.CurrentState().String()
-	return resp, sess, fresh, 0, nil
+	return resp, sess.repl, fresh, 0, nil
 }
 
 // CloseSessionResponse reports the final state of a closed session.
@@ -573,6 +568,7 @@ type CloseSessionResponse struct {
 // sessions map only ever grows.
 func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
+	var repl *replicator
 	sess, code, err := func() (*session, int, error) {
 		s.lock()
 		defer s.mu.Unlock()
@@ -583,23 +579,17 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 		if sess.fenced {
 			return nil, http.StatusConflict, fmt.Errorf("session %q is mid-migration; close it on its new home", sid)
 		}
-		if s.wal != nil {
-			// Journal and fsync the close record before removing the
-			// session, so a 200 really means "durably closed": if the flush
-			// fails the session stays open and the client can retry.
-			// Holding s.mu across one fsync is acceptable on this rare path.
-			err := s.wal.log.AppendCtx(r.Context(), wal.Record{Type: wal.TypeSessionClose, SessionID: sid})
-			if err == nil {
-				err = s.wal.log.SyncCtx(r.Context())
-			}
-			if err != nil {
-				s.wal.lastErr.Store(err.Error())
-				s.log.Error("flushing session close", slog.Any("err", err))
-				return nil, http.StatusInternalServerError, fmt.Errorf("flushing session close: %w", err)
-			}
+		// Journal and fsync the close record before removing the
+		// session, so a 200 really means "durably closed": if the flush
+		// fails the session stays open and the client can retry.
+		// Holding s.mu across one fsync is acceptable on this rare path.
+		closed := wal.Record{Type: wal.TypeSessionClose, SessionID: sid}
+		if err := s.journalSync(r.Context(), closed); err != nil {
+			s.log.Error("flushing session close", slog.Any("err", err))
+			return nil, http.StatusInternalServerError, fmt.Errorf("flushing session close: %w", err)
 		}
-		if sess.repl != nil {
-			sess.repl.enqueue(wal.Record{Type: wal.TypeSessionClose, SessionID: sid})
+		if repl = sess.repl; repl != nil {
+			repl.enqueue(closed)
 		}
 		delete(s.sessions, sid)
 		s.met.sessionsOpen.Set(int64(len(s.sessions)))
@@ -614,10 +604,10 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, err)
 		return
 	}
-	if sess.repl != nil {
+	if repl != nil {
 		// Tell the replicas the session is closed; failures are logged
 		// (a lagging replica just keeps stale follower state around).
-		if errs := s.replFlush(r.Context(), sess.repl); len(errs) > 0 {
+		if errs := s.replFlush(r.Context(), repl); len(errs) > 0 {
 			s.log.Warn("close not replicated everywhere", slog.Any("replicaErrors", errs))
 		}
 	}

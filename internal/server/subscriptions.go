@@ -177,24 +177,19 @@ func (s *Server) registerSubscription(r *http.Request, st *wal.SubState) ([]*rep
 	if _, err := s.subs.Register(st, s.db); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	if s.wal != nil {
-		// Durable before the 201: a recovered node must re-arm exactly
-		// the subscriptions whose creation was acknowledged.
-		err := s.wal.log.AppendCtx(r.Context(), wal.Record{Type: wal.TypeSubUpsert, Sub: st})
-		if err == nil {
-			err = s.wal.log.SyncCtx(r.Context())
-		}
-		if err != nil {
-			s.subs.Delete(st.ID)
-			s.wal.lastErr.Store(err.Error())
-			return nil, http.StatusInternalServerError, fmt.Errorf("flushing subscription: %w", err)
-		}
+	// Durable before the 201: a recovered node must re-arm exactly the
+	// subscriptions whose creation was acknowledged.
+	upsert := wal.Record{Type: wal.TypeSubUpsert, Sub: st}
+	if err := s.journalSync(r.Context(), upsert); err != nil {
+		s.subs.Delete(st.ID)
+		return nil, http.StatusInternalServerError, fmt.Errorf("flushing subscription: %w", err)
 	}
-	return s.enqueueSubRecord(wal.Record{Type: wal.TypeSubUpsert, Sub: st}, *st), 0, nil
+	return s.enqueueSubRecord(upsert, *st), 0, nil
 }
 
-// enqueueSubRecord stages a subscription record on the replication
-// links of every in-scope replicated session. Callers hold s.mu.
+// enqueueSubRecord stages a subscription record on the links of every
+// in-scope session something follows — replicas and, mid-hand-off, the
+// migration target alike. Callers hold s.mu.
 func (s *Server) enqueueSubRecord(rec wal.Record, st wal.SubState) []*replicator {
 	var repls []*replicator
 	for _, sess := range s.sessions {
@@ -219,20 +214,14 @@ func (s *Server) handleDeleteSubscription(w http.ResponseWriter, r *http.Request
 		if !ok {
 			return nil, http.StatusNotFound, fmt.Errorf("no subscription %q", id)
 		}
-		if s.wal != nil {
-			// Journal and fsync the delete before removing, so a 200 means
-			// the subscription can never resurrect after recovery.
-			err := s.wal.log.AppendCtx(r.Context(), wal.Record{Type: wal.TypeSubDelete, SubID: id})
-			if err == nil {
-				err = s.wal.log.SyncCtx(r.Context())
-			}
-			if err != nil {
-				s.wal.lastErr.Store(err.Error())
-				return nil, http.StatusInternalServerError, fmt.Errorf("flushing subscription delete: %w", err)
-			}
+		// Journal and fsync the delete before removing, so a 200 means
+		// the subscription can never resurrect after recovery.
+		del := wal.Record{Type: wal.TypeSubDelete, SubID: id}
+		if err := s.journalSync(r.Context(), del); err != nil {
+			return nil, http.StatusInternalServerError, fmt.Errorf("flushing subscription delete: %w", err)
 		}
 		s.subs.Delete(id)
-		return s.enqueueSubRecord(wal.Record{Type: wal.TypeSubDelete, SubID: id}, st), 0, nil
+		return s.enqueueSubRecord(del, st), 0, nil
 	}()
 	if err != nil {
 		httpError(w, code, err)
@@ -259,11 +248,10 @@ func (s *Server) ackSubscription(r *http.Request, id string, seq uint64) {
 		s.mu.Unlock()
 		return
 	}
-	if s.wal != nil {
-		s.walAppendCtx(r.Context(), wal.Record{Type: wal.TypeSubAck, SubID: id, SubAck: seq})
-	}
+	ack := wal.Record{Type: wal.TypeSubAck, SubID: id, SubAck: seq}
+	s.walAppendCtx(r.Context(), ack)
 	s.subs.Ack(id, seq)
-	repls := s.enqueueSubRecord(wal.Record{Type: wal.TypeSubAck, SubID: id, SubAck: seq}, st)
+	repls := s.enqueueSubRecord(ack, st)
 	s.mu.Unlock()
 	// Ship with the request, but do not fail it: the ack rides the
 	// next ingest flush anyway if a replica is unreachable.

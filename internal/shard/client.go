@@ -445,7 +445,7 @@ func (p *Pool) doHdr(ctx context.Context, b *Backend, method, path string, body 
 			sp.Annotate("retry", true)
 			sp.Annotate("attempt", attempt+1)
 		}
-		status, respBody, respHdr, err := p.once(actx, b, method, path, body, hdr)
+		status, respBody, respHdr, err := p.once(actx, b, method, path, body, hdr, p.opts.Timeout)
 		if err != nil {
 			sp.Annotate("error", err.Error())
 			sp.Finish()
@@ -474,9 +474,9 @@ func (p *Pool) doHdr(ctx context.Context, b *Backend, method, path string, body 
 	return 0, nil, nil, lastErr
 }
 
-// once performs a single attempt with the per-attempt timeout.
-func (p *Pool) once(ctx context.Context, b *Backend, method, path string, body []byte, hdr http.Header) (int, []byte, http.Header, error) {
-	rctx, cancel := context.WithTimeout(ctx, p.opts.Timeout)
+// once performs a single attempt under the given timeout.
+func (p *Pool) once(ctx context.Context, b *Backend, method, path string, body []byte, hdr http.Header, timeout time.Duration) (int, []byte, http.Header, error) {
+	rctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -568,7 +568,7 @@ func (p *Pool) ProbeAll() {
 		wg.Add(1)
 		go func(b *Backend) {
 			defer wg.Done()
-			status, _, _, err := p.once(context.Background(), b, http.MethodGet, "/v1/healthz", nil, nil)
+			status, _, _, err := p.once(context.Background(), b, http.MethodGet, "/v1/healthz", nil, nil, p.opts.Timeout)
 			if err != nil || status != http.StatusOK {
 				p.recordFailure(b)
 				return

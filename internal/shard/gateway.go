@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -66,10 +67,6 @@ type Gateway struct {
 	fresh *freshTracker
 	cache *matchCache
 
-	// migClient carries migrate calls (see rebalance.go): its timeout
-	// budgets a full session drain, not one proxied request.
-	migClient *http.Client
-
 	// stopFresh/freshDone bound the optional background freshness
 	// poller started when Options.FreshnessInterval > 0.
 	stopFresh chan struct{}
@@ -114,7 +111,6 @@ func NewGateway(backends []string, opts Options) (*Gateway, error) {
 		freshDone: make(chan struct{}),
 	}
 	g.cache = newMatchCache(opts.MatchCacheSize, pool.met)
-	g.migClient = &http.Client{Timeout: opts.MigrateTimeout, Transport: opts.Transport}
 	obs.RegisterBuildInfo(obs.Default())
 	if opts.FreshnessInterval > 0 {
 		go g.freshLoop(opts.FreshnessInterval)
@@ -176,31 +172,54 @@ func (g *Gateway) freshLoop(interval time.Duration) {
 	}
 }
 
-// RefreshFreshness polls every healthy backend's /v1/shard/stats and
-// folds the per-patient holdings into the freshness tracker. The
-// background poller calls this on a timer; tests call it directly for
-// deterministic convergence.
-func (g *Gateway) RefreshFreshness(ctx context.Context) {
+// inventory is one backend's /v1/shard/stats answer.
+type inventory struct {
+	url   string
+	stats server.ShardStatsResponse
+}
+
+// inventories polls /v1/shard/stats on every healthy backend of one
+// Backends() snapshot and returns the answers that arrived, in backend
+// order: what placement rediscovery, the rebalance diff and the
+// freshness poll all read.
+func (g *Gateway) inventories(ctx context.Context) []inventory {
+	backends := g.pool.Backends()
+	polled := make([]*inventory, len(backends))
 	var wg sync.WaitGroup
-	for _, b := range g.pool.Backends() {
+	for i, b := range backends {
 		if !b.Healthy() {
 			continue
 		}
 		wg.Add(1)
-		go func(b *Backend) {
+		go func(i int, b *Backend) {
 			defer wg.Done()
 			status, body, err := g.pool.do(ctx, b, http.MethodGet, "/v1/shard/stats", nil, true)
 			if err != nil || status != http.StatusOK {
 				return
 			}
-			var stats server.ShardStatsResponse
-			if json.Unmarshal(body, &stats) != nil {
-				return
+			inv := &inventory{url: b.URL()}
+			if json.Unmarshal(body, &inv.stats) == nil {
+				polled[i] = inv
 			}
-			g.fresh.observeMap(b.URL(), stats.Freshness)
-		}(b)
+		}(i, b)
 	}
 	wg.Wait()
+	invs := make([]inventory, 0, len(polled))
+	for _, inv := range polled {
+		if inv != nil {
+			invs = append(invs, *inv)
+		}
+	}
+	return invs
+}
+
+// RefreshFreshness folds every healthy backend's per-patient holdings
+// into the freshness tracker. The background poller calls this on a
+// timer; tests call it directly for deterministic convergence.
+func (g *Gateway) RefreshFreshness(ctx context.Context) {
+	for _, inv := range g.inventories(ctx) {
+		g.fresh.observeMap(inv.url, inv.stats.Freshness)
+	}
 }
 
 // MatchCacheLen reports the number of cached match results (tests,
@@ -437,11 +456,7 @@ func (g *Gateway) placementAfterGone(r *http.Request, sid string, pl *placement,
 					pl.owners = append([]string(nil), desired...)
 				}
 			}
-			has := false
-			for _, u := range pl.owners {
-				has = has || u == hint
-			}
-			if !has {
+			if !slices.Contains(pl.owners, hint) {
 				pl.owners = append([]string{hint}, pl.owners...)
 			}
 			g.mu.Unlock()
@@ -585,54 +600,20 @@ func (g *Gateway) placementFor(r *http.Request, sid string) (*placement, error) 
 		return pl, nil
 	}
 	g.mu.Unlock()
-	type found struct {
-		primary   string
-		replica   string
-		patientID string
-	}
-	results := make([]*found, len(g.pool.Backends()))
-	var wg sync.WaitGroup
-	for i, b := range g.pool.Backends() {
-		if !b.Healthy() {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			status, body, err := g.pool.do(r.Context(), b, http.MethodGet, "/v1/shard/stats", nil, true)
-			if err != nil || status != http.StatusOK {
-				return
-			}
-			var stats server.ShardStatsResponse
-			if json.Unmarshal(body, &stats) != nil {
-				return
-			}
-			for _, s := range stats.Sessions {
-				if s.SessionID == sid {
-					results[i] = &found{primary: b.URL(), patientID: s.PatientID}
-					return
-				}
-			}
-			for _, s := range stats.Replicas {
-				if s.SessionID == sid {
-					results[i] = &found{replica: b.URL(), patientID: s.PatientID}
-					return
-				}
-			}
-		}(i, b)
-	}
-	wg.Wait()
 	pl := &placement{}
-	for _, f := range results {
-		if f == nil {
-			continue
+	for _, inv := range g.inventories(r.Context()) {
+		for _, e := range inv.stats.Sessions {
+			if e.SessionID == sid && pl.primary == "" {
+				pl.patientID = e.PatientID
+				pl.primary = inv.url
+				pl.owners = append([]string{inv.url}, pl.owners...)
+			}
 		}
-		pl.patientID = f.patientID
-		if f.primary != "" && pl.primary == "" {
-			pl.primary = f.primary
-			pl.owners = append([]string{f.primary}, pl.owners...)
-		} else if f.replica != "" {
-			pl.owners = append(pl.owners, f.replica)
+		for _, e := range inv.stats.Replicas {
+			if e.SessionID == sid {
+				pl.patientID = e.PatientID
+				pl.owners = append(pl.owners, inv.url)
+			}
 		}
 	}
 	if len(pl.owners) == 0 {

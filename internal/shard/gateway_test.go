@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"stsmatch/internal/core"
@@ -289,4 +290,47 @@ func TestGatewaySessionRoutingAndDiscovery(t *testing.T) {
 	if _, _, still := f.cluster.Gateway.SessionPlacement(f.querySID); still {
 		t.Error("placement not dropped after close")
 	}
+}
+
+// TestPlacementLookupRacesAddBackend: a lookup for a session the
+// gateway does not know polls the shards' inventories; the poll must
+// be taken over one snapshot of the backend set, so growing the cluster
+// underneath it (POST /v1/admin/backends is exactly this) is safe.
+// Sizing the result slots from one Backends() call and indexing them
+// from a second made a lookup that straddled the grow write out of
+// range and take the process down.
+func TestPlacementLookupRacesAddBackend(t *testing.T) {
+	c := testutil.StartCluster(t, 2, 1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(fmt.Sprintf("%s/v1/sessions/nobody-%d-%d/plr", c.URL, w, i))
+				if err != nil {
+					t.Errorf("lookup during grow: %v", err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusNotFound {
+					t.Errorf("lookup of an unknown session: status %d, want 404", resp.StatusCode)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 8; i++ {
+		if err := c.Gateway.AddBackend(c.AddNode(nil).URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

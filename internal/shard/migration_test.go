@@ -744,3 +744,264 @@ func TestMigrateTombstoneRepairsPlacement(t *testing.T) {
 		ingestBatch(t, c.URL, sid, b)
 	}
 }
+
+// subIDsOn lists the subscription IDs armed on one shard.
+func subIDsOn(t *testing.T, nodeURL string) map[string]uint64 {
+	t.Helper()
+	list := testutil.GetJSON[shard.GatewaySubsResponse](t, nodeURL+"/v1/subscriptions")
+	ids := make(map[string]uint64, len(list.Subscriptions))
+	for _, st := range list.Subscriptions {
+		ids[st.ID] = st.NextSeq
+	}
+	return ids
+}
+
+// TestMigrateSubscriptionRegisteredMidCutover is the regression test
+// for the second-replicator fork: subscription operations the source
+// acknowledges inside the cutover window (fenced and prepared, target
+// not yet promoted) must ride the same link as everything else. A
+// subscription registered there must be armed on the new primary — and
+// on no node that neither serves nor follows the session afterwards —
+// and push the events of post-move ingest through the gateway with
+// contiguous sequence numbers; a subscription deleted there must not
+// resurrect on the target. At the parent commit both operations were
+// staged for the replicas only, so the registration was armed on no
+// serving node and the deleted subscription lived on.
+func TestMigrateSubscriptionRegisteredMidCutover(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("R=%d", replicas), func(t *testing.T) {
+			c := testutil.StartCluster(t, 2, replicas)
+			n3 := c.AddNode(nil)
+			pid := movedPatient(t, []string{c.Nodes[0].URL, c.Nodes[1].URL}, n3.URL)
+			sid := "S-" + pid
+			batches := respBatches(t, 77, 90)
+			q1, half := len(batches)/4, len(batches)/2
+
+			createSession(t, c.URL, pid, sid)
+			for _, b := range batches[:q1] {
+				ingestBatch(t, c.URL, sid, b)
+			}
+			pr := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/"+sid+"/plr")
+			if len(pr.Vertices) < 10 {
+				t.Fatalf("PLR too short at registration point: %d", len(pr.Vertices))
+			}
+			qseq := plr.Sequence(pr.Vertices[len(pr.Vertices)-8:])
+			if resp := testutil.PostJSON(t, c.URL+"/v1/subscriptions", server.SubscriptionRequest{
+				ID: "doomed", Seq: qseq, SessionID: sid,
+			}); resp.StatusCode != http.StatusCreated {
+				t.Fatalf("pre-migration subscribe: status %d", resp.StatusCode)
+			}
+			for _, b := range batches[q1:half] {
+				ingestBatch(t, c.URL, sid, b)
+			}
+			src, _, _ := c.Gateway.SessionPlacement(sid)
+
+			// Inside the cutover window, straight at the source: register
+			// one subscription, delete the other.
+			type windowOps struct {
+				created, deleted int
+				replicaErrors    []string
+			}
+			ops := make(chan windowOps, 1)
+			var once sync.Once
+			c.Node(src).Server.SetMigrationHook(func(phase string) {
+				if phase != "cutover" {
+					return
+				}
+				once.Do(func() {
+					// Not the test's goroutine: report with t.Error and let
+					// the zero statuses fail the check below.
+					var got windowOps
+					defer func() { ops <- got }()
+					body, _ := json.Marshal(server.SubscriptionRequest{ID: "mid", Seq: qseq, SessionID: sid})
+					resp, err := http.Post(src+"/v1/subscriptions", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var sr server.SubscriptionResponse
+					json.NewDecoder(resp.Body).Decode(&sr) //nolint:errcheck // the status is what is asserted
+					resp.Body.Close()
+					got.created, got.replicaErrors = resp.StatusCode, sr.ReplicaErrors
+					del, err := http.NewRequest(http.MethodDelete, src+"/v1/subscriptions/doomed", nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if resp, err = http.DefaultClient.Do(del); err != nil {
+						t.Error(err)
+						return
+					}
+					resp.Body.Close()
+					got.deleted = resp.StatusCode
+				})
+			})
+			ar := growBackends(t, c.URL, n3.URL)
+			if len(ar.Rebalance.Failed) != 0 {
+				t.Fatalf("rebalance failures: %v", ar.Rebalance.Failed)
+			}
+			assertSessionMoved(t, ar.Rebalance, sid, n3.URL)
+			got := <-ops
+			if got.created != http.StatusCreated || got.deleted != http.StatusOK || len(got.replicaErrors) > 0 {
+				t.Fatalf("operations inside the cutover window: %+v, want 201 + 200 with no replica errors", got)
+			}
+
+			for _, b := range batches[half:] {
+				ingestBatch(t, c.URL, sid, b)
+			}
+
+			// Armed exactly where the session now lives or is followed.
+			_, owners, _ := c.Gateway.SessionPlacement(sid)
+			var produced uint64
+			for _, n := range c.Nodes {
+				ids := subIDsOn(t, n.URL)
+				if _, ok := ids["doomed"]; ok {
+					t.Errorf("%s: subscription deleted inside the cutover window is armed again", n.URL)
+				}
+				next, armed := ids["mid"]
+				follows := false
+				for _, u := range owners {
+					follows = follows || u == n.URL
+				}
+				switch {
+				case n.URL == n3.URL && !armed:
+					t.Fatalf("subscription acknowledged inside the cutover window is not armed on the new primary")
+				case n.URL == n3.URL:
+					produced = next - 1
+				case armed && !follows:
+					t.Errorf("%s neither serves nor follows %s but still arms its subscription", n.URL, sid)
+				}
+			}
+			if produced == 0 {
+				t.Fatal("post-move ingest produced no events; fixture is broken")
+			}
+
+			// The events of post-move ingest arrive through the gateway,
+			// which never saw the registration and finds it by scatter.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.URL+"/v1/subscriptions/mid/events", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stream.Body.Close()
+			if stream.StatusCode != http.StatusOK {
+				t.Fatalf("stream via gateway: status %d", stream.StatusCode)
+			}
+			timeout := time.AfterFunc(60*time.Second, cancel)
+			defer timeout.Stop()
+			var want uint64 = 1
+			sc := bufio.NewScanner(stream.Body)
+			sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+			for want <= produced && sc.Scan() {
+				id, ok := strings.CutPrefix(sc.Text(), "id: ")
+				if !ok {
+					continue
+				}
+				if n, _ := strconv.ParseUint(id, 10, 64); n != want {
+					t.Fatalf("event id %d, want %d: sequence not contiguous across the move", n, want)
+				}
+				want++
+			}
+			if want <= produced {
+				t.Fatalf("stream ended after %d of %d events: %v", want-1, produced, sc.Err())
+			}
+		})
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestMigrateCloseDuringCatchup closes a session while its hand-off is
+// in flight but not yet fenced — once before anything was shipped, once
+// right after the snapshot landed on the target. The close must reach
+// the target like any follower (no replica state for a closed session
+// stays behind there), and the migrate call must answer that the
+// session is gone, not that the target failed.
+func TestMigrateCloseDuringCatchup(t *testing.T) {
+	for _, when := range []string{"before snapshot", "after snapshot"} {
+		t.Run(when, func(t *testing.T) {
+			// afterShip is armed once the topology is known; it runs on the
+			// source, inside the shipment it observes.
+			var afterShip atomic.Pointer[func(*http.Request)]
+			c := testutil.StartCluster(t, 2, 2, func(cfg *testutil.ClusterConfig) {
+				cfg.ConfigureServer = func(i int, o *server.Options) {
+					o.ReplicateTransport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+						resp, err := http.DefaultTransport.RoundTrip(r)
+						if fn := afterShip.Load(); fn != nil {
+							(*fn)(r)
+						}
+						return resp, err
+					})
+				}
+			})
+			n3 := c.AddNode(nil)
+			const pid, sid = "P70", "S-P70"
+			createSession(t, c.URL, pid, sid)
+			for _, b := range respBatches(t, 31, 30) {
+				ingestBatch(t, c.URL, sid, b)
+			}
+			src, _, _ := c.Gateway.SessionPlacement(sid)
+			srcNode := c.Node(src)
+
+			// closeSession closes the session through the gateway and
+			// returns when the source has let go of it: the close's own
+			// flush may still be waiting for the shipment this runs inside.
+			var once sync.Once
+			var closed atomic.Bool
+			closeSession := func() {
+				once.Do(func() {
+					go func() {
+						req, _ := http.NewRequest(http.MethodDelete, c.URL+"/v1/sessions/"+sid, nil)
+						resp, err := http.DefaultClient.Do(req)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						resp.Body.Close()
+					}()
+					for srcNode.Server.OpenSessions() > 0 {
+						time.Sleep(time.Millisecond)
+					}
+					closed.Store(true)
+				})
+			}
+			if when == "after snapshot" {
+				fn := func(r *http.Request) {
+					if strings.HasPrefix(r.URL.String(), n3.URL+"/v1/replicate") {
+						closeSession()
+					}
+				}
+				afterShip.Store(&fn)
+			} else {
+				srcNode.Server.SetMigrationHook(func(phase string) {
+					if phase == "catchup" {
+						closeSession()
+					}
+				})
+			}
+
+			resp := testutil.PostJSON(t, src+"/v1/sessions/"+sid+"/migrate", server.MigrateRequest{Target: n3.URL})
+			if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusGone {
+				t.Fatalf("migrate of a session closed mid-catch-up: status %d, want 404 or 410", resp.StatusCode)
+			}
+			if !closed.Load() {
+				t.Fatal("the close never fired; fixture is broken")
+			}
+			for _, n := range c.Nodes {
+				st := testutil.GetJSON[server.ShardStatsResponse](t, n.URL+"/v1/shard/stats")
+				for _, r := range st.Replicas {
+					if r.SessionID == sid {
+						t.Errorf("%s still follows closed session %s", n.URL, sid)
+					}
+				}
+			}
+		})
+	}
+}

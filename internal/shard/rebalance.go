@@ -22,10 +22,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -195,7 +195,8 @@ func (g *Gateway) migrateSession(ctx context.Context, sid string, desired []stri
 }
 
 // callMigrate POSTs one migrate request to the session's source shard,
-// on the dedicated long-budget client.
+// under the budget of a full session drain rather than one proxied
+// request.
 func (g *Gateway) callMigrate(ctx context.Context, src *Backend, sid string, desired []string) (*server.MigrateResponse, error) {
 	// Unhealthy designated replicas are dropped from the tail, exactly
 	// as failover drops a dead primary: shipping to a dead node would
@@ -211,25 +212,12 @@ func (g *Gateway) callMigrate(ctx context.Context, src *Backend, sid string, des
 	if err != nil {
 		return nil, err
 	}
-	rctx, cancel := context.WithTimeout(ctx, g.opts.MigrateTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost,
-		src.URL()+"/v1/sessions/"+url.PathEscape(sid)+"/migrate", strings.NewReader(string(body)))
+	status, data, _, err := g.pool.once(ctx, src, http.MethodPost,
+		"/v1/sessions/"+url.PathEscape(sid)+"/migrate", body, nil, g.opts.MigrateTimeout)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	obs.InjectHeaders(rctx, req.Header)
-	hresp, err := g.migClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer hresp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hresp.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	switch hresp.StatusCode {
+	switch status {
 	case http.StatusOK:
 		var mr server.MigrateResponse
 		if err := json.Unmarshal(data, &mr); err != nil {
@@ -241,7 +229,7 @@ func (g *Gateway) callMigrate(ctx context.Context, src *Backend, sid string, des
 		// committed); the migration is done.
 		return &server.MigrateResponse{SessionID: sid, Target: desired[0], AlreadyMigrated: true}, nil
 	default:
-		return nil, fmt.Errorf("migrate on %s: status %d: %s", src.URL(), hresp.StatusCode, errDetail(data))
+		return nil, fmt.Errorf("migrate on %s: status %d: %s", src.URL(), status, errDetail(data))
 	}
 }
 
@@ -262,39 +250,10 @@ func (g *Gateway) updatePlacement(sid string, desired []string) {
 // gateway restart. Only unknown sessions are added; live placements
 // (updated synchronously on create/migrate/failover) are authoritative.
 func (g *Gateway) discoverPlacements(ctx context.Context) {
-	backends := g.pool.Backends()
-	type inventory struct {
-		url   string
-		stats server.ShardStatsResponse
-		ok    bool
-	}
-	invs := make([]inventory, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		if !b.Healthy() {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			status, body, err := g.pool.do(ctx, b, http.MethodGet, "/v1/shard/stats", nil, true)
-			if err != nil || status != http.StatusOK {
-				return
-			}
-			if json.Unmarshal(body, &invs[i].stats) != nil {
-				return
-			}
-			invs[i].url = b.URL()
-			invs[i].ok = true
-		}(i, b)
-	}
-	wg.Wait()
+	invs := g.inventories(ctx)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, inv := range invs {
-		if !inv.ok {
-			continue
-		}
 		for _, s := range inv.stats.Sessions {
 			pl, ok := g.places[s.SessionID]
 			if !ok {
@@ -313,22 +272,8 @@ func (g *Gateway) discoverPlacements(ctx context.Context) {
 	// Fold follower claims into owner sets so failover candidates are
 	// known for sessions learned above.
 	for _, inv := range invs {
-		if !inv.ok {
-			continue
-		}
 		for _, s := range inv.stats.Replicas {
-			pl, ok := g.places[s.SessionID]
-			if !ok {
-				continue
-			}
-			has := false
-			for _, u := range pl.owners {
-				if u == inv.url {
-					has = true
-					break
-				}
-			}
-			if !has {
+			if pl, ok := g.places[s.SessionID]; ok && !slices.Contains(pl.owners, inv.url) {
 				pl.owners = append(pl.owners, inv.url)
 			}
 		}

@@ -74,30 +74,12 @@ func StartCluster(t testing.TB, n, replicas int, conf ...func(*ClusterConfig)) *
 	c := &Cluster{t: t}
 	urls := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		node := &Node{}
-		// The handler closes over the node so the listener (and its
-		// URL) can exist before the server it fronts: backends need
-		// their own URL at construction time to advertise it.
-		node.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if node.dead.Load() {
-				panic(http.ErrAbortHandler) // sever without a response
+		node := c.AddNode(func(o *server.Options) {
+			if cfg.ConfigureServer != nil {
+				cfg.ConfigureServer(i, o)
 			}
-			node.Server.ServeHTTP(w, r)
-		}))
-		node.URL = node.ts.URL
-		opts := server.Options{AdvertiseURL: node.URL}
-		if cfg.ConfigureServer != nil {
-			cfg.ConfigureServer(i, &opts)
-		}
-		srv, err := server.NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), opts)
-		if err != nil {
-			node.ts.Close()
-			t.Fatalf("testutil: backend %d: %v", i, err)
-		}
-		node.Server = srv
-		c.Nodes = append(c.Nodes, node)
+		})
 		urls = append(urls, node.URL)
-		t.Cleanup(node.ts.Close)
 	}
 
 	gopts := cfg.Gateway
@@ -129,17 +111,20 @@ func StartCluster(t testing.TB, n, replicas int, conf ...func(*ClusterConfig)) *
 	return c
 }
 
-// AddNode boots one additional streamd backend after the cluster is
-// running and appends it to c.Nodes. The gateway is NOT told about it:
-// tests grow the deployment the way an operator would, via
-// Gateway.AddBackend or POST /v1/admin/backends, which also triggers
-// the rebalance that moves sessions onto the new node. configure, when
-// non-nil, mutates the backend's server options before construction.
+// AddNode boots one streamd backend and appends it to c.Nodes. On a
+// running cluster the gateway is NOT told about it: tests grow the
+// deployment the way an operator would, via Gateway.AddBackend or POST
+// /v1/admin/backends, which also triggers the rebalance that moves
+// sessions onto the new node. configure, when non-nil, mutates the
+// backend's server options before construction.
 func (c *Cluster) AddNode(configure func(o *server.Options)) *Node {
 	if h, ok := c.t.(interface{ Helper() }); ok {
 		h.Helper()
 	}
 	node := &Node{}
+	// The handler closes over the node so the listener (and its URL)
+	// can exist before the server it fronts: backends need their own
+	// URL at construction time to advertise it.
 	node.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if node.dead.Load() {
 			panic(http.ErrAbortHandler) // sever without a response
@@ -154,7 +139,7 @@ func (c *Cluster) AddNode(configure func(o *server.Options)) *Node {
 	srv, err := server.NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), opts)
 	if err != nil {
 		node.ts.Close()
-		c.t.Fatalf("testutil: added backend: %v", err)
+		c.t.Fatalf("testutil: backend %d: %v", len(c.Nodes), err)
 	}
 	node.Server = srv
 	c.Nodes = append(c.Nodes, node)
