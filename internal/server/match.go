@@ -10,6 +10,8 @@ import (
 	"stsmatch/internal/core"
 	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
+	"stsmatch/internal/store"
+	"stsmatch/internal/wal"
 )
 
 // MatchRequest is a serialized similarity query, as POSTed by the
@@ -37,6 +39,21 @@ type MatchRequest struct {
 	// the gateway serve a patient's arc from a follower whose holdings
 	// trail the primary by at most MaxLag vertices.
 	MaxLag int `json:"maxLag,omitempty"`
+}
+
+// Validate reports why a decoded request cannot be searched for, in the
+// words a client sees with the 400.
+func (req MatchRequest) Validate() error {
+	if len(req.Seq) < 2 {
+		return errors.New("query sequence needs at least 2 vertices")
+	}
+	if err := req.Seq.Validate(); err != nil {
+		return fmt.Errorf("invalid query sequence: %w", err)
+	}
+	if req.K < 0 {
+		return fmt.Errorf("k must be >= 0, got %d", req.K)
+	}
+	return nil
 }
 
 // RemoteMatch is one match in wire form: the stream is named rather
@@ -72,23 +89,35 @@ type MatchResponse struct {
 // handleMatch runs a similarity search for a serialized query. Like
 // prediction, the search runs on a pooled matcher outside the session
 // lock, so remote queries never block ingestion.
+//
+// The route speaks two codecs, told apart by Content-Type: the public
+// JSON (MatchRequest in, MatchResponse out), and the binary leg format
+// of internal/wal that the gateway's scatter and retry legs use. Only
+// decoding the request and encoding the result differ; scope headers,
+// the X-Store-Seq stamp, validation and the search are one path.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	s.capBody(w, r)
-	var req MatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	leg := r.Header.Get("Content-Type") == wal.MatchLegContentType
+	buf, err := s.readBody(w, r)
+	if err != nil {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding match request: %w", err))
 		return
 	}
-	if len(req.Seq) < 2 {
-		httpError(w, http.StatusBadRequest, errors.New("query sequence needs at least 2 vertices"))
+	// Both decoders copy what they keep out of the body.
+	var req MatchRequest
+	if leg {
+		var lr wal.MatchLegRequest
+		lr, err = wal.DecodeMatchLegRequest(buf.Bytes())
+		req = MatchRequest{Seq: lr.Seq, PatientID: lr.PatientID, SessionID: lr.SessionID, Now: lr.Now, K: lr.K}
+	} else {
+		err = json.Unmarshal(buf.Bytes(), &req)
+	}
+	releaseBody(buf)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding match request: %w", err))
 		return
 	}
-	if err := req.Seq.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid query sequence: %w", err))
-		return
-	}
-	if req.K < 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("k must be >= 0, got %d", req.K))
+	if err := req.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	scope, err := ParseMatchScope(r.Header)
@@ -124,6 +153,20 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if s.testHookMidMatch != nil {
 		s.testHookMidMatch()
 	}
+	sort.Strings(refused)
+	var profile *obs.Profile
+	if r.URL.Query().Get("debug") == "profile" {
+		// Inline "explain": serialize this query's span tree. The
+		// handler root span is still open, so it reports elapsed-so-far
+		// and is marked inProgress.
+		if id, spans := obs.SnapshotTrace(r.Context()); id != "" {
+			profile = &obs.Profile{TraceID: id, Root: obs.BuildTree(spans)}
+		}
+	}
+	if leg {
+		writeMatchLeg(w, matches, refused, fresh, profile)
+		return
+	}
 	out := make([]RemoteMatch, len(matches))
 	for i, mt := range matches {
 		out[i] = RemoteMatch{
@@ -136,17 +179,40 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			Weight:    mt.Weight,
 		}
 	}
-	sort.Strings(refused)
-	resp := MatchResponse{Matches: out, Refused: refused, Freshness: fresh}
-	if r.URL.Query().Get("debug") == "profile" {
-		// Inline "explain": serialize this query's span tree. The
-		// handler root span is still open, so it reports elapsed-so-far
-		// and is marked inProgress.
-		if id, spans := obs.SnapshotTrace(r.Context()); id != "" {
-			resp.Profile = &obs.Profile{TraceID: id, Root: obs.BuildTree(spans)}
+	writeJSON(w, http.StatusOK, MatchResponse{Matches: out, Profile: profile, Refused: refused, Freshness: fresh})
+}
+
+// writeMatchLeg answers a binary leg: the matches as hits over a table
+// of the streams they fall in, in the order the matcher ranked them.
+func writeMatchLeg(w http.ResponseWriter, matches []core.Match, refused []string,
+	fresh map[string]PatientFreshness, profile *obs.Profile) {
+	rep := wal.MatchLegReply{Hits: make([]wal.LegHit, len(matches)), Refused: refused}
+	index := make(map[*store.Stream]uint32)
+	for i, mt := range matches {
+		si, ok := index[mt.Stream]
+		if !ok {
+			si = uint32(len(rep.Streams))
+			index[mt.Stream] = si
+			rep.Streams = append(rep.Streams, wal.LegStream{
+				PatientID: mt.Stream.PatientID,
+				SessionID: mt.Stream.SessionID,
+				Relation:  uint8(mt.Relation),
+			})
 		}
+		rep.Hits[i] = wal.LegHit{Stream: si, Start: uint32(mt.Start), N: uint32(mt.N), Distance: mt.Distance, Weight: mt.Weight}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	for pid, fr := range fresh {
+		rep.Freshness = append(rep.Freshness, wal.LegFreshness{PatientID: pid, Streams: uint64(fr.Streams), Vertices: uint64(fr.Vertices)})
+	}
+	sort.Slice(rep.Freshness, func(a, b int) bool { return rep.Freshness[a].PatientID < rep.Freshness[b].PatientID })
+	if profile != nil {
+		// The span tree crosses as the JSON the public route embeds: the
+		// codec carries it opaquely and only a profiled query pays for it.
+		rep.Profile, _ = json.Marshal(profile) // a tree of plain values cannot fail to marshal
+	}
+	w.Header().Set("Content-Type", wal.MatchLegContentType)
+	w.WriteHeader(http.StatusOK)
+	w.Write(wal.AppendMatchLegReply(nil, rep)) //nolint:errcheck
 }
 
 // ShardSession describes one open ingestion session in shard-local

@@ -23,7 +23,12 @@
 // /v1/match and /v1/shard/stats exist for the sharding gateway
 // (internal/shard): the former runs a similarity search for a
 // serialized query sequence, the latter inventories open sessions so
-// a restarted gateway can rediscover session placement.
+// a restarted gateway can rediscover session placement. The gateway's
+// own /v1/match legs arrive in internal/wal's binary leg format on the
+// same route (see handleMatch); everything a client sees is JSON.
+//
+// A request body is exactly one JSON value: trailing bytes other than
+// whitespace are a 400, a body over Options.MaxBodyBytes a 413.
 //
 // With Options.DataDir set, every mutation is journaled to a
 // write-ahead log and compacted into snapshots (see internal/wal); a
@@ -307,9 +312,8 @@ type CreateSessionRequest struct {
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	s.capBody(w, r)
 	var req CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeJSONBody(w, r, &req); err != nil {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
@@ -405,10 +409,16 @@ type SamplesResponse struct {
 
 func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
-	s.capBody(w, r)
-	var batch []SampleIn
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
+	buf, err := s.readBody(w, r)
+	if err != nil {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding samples: %w", err))
+		return
+	}
+	// The decoded batch copies every number out of the body.
+	batch, err := decodeSamples(buf.Bytes())
+	releaseBody(buf)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding samples: %w", err))
 		return
 	}
 	resp, repl, fresh, code, err := s.ingestLocked(r.Context(), sid, batch)

@@ -249,13 +249,6 @@ func TestServerRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestMatcherParallelismOption(t *testing.T) {
 	srv, err := NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), Options{
 		MatcherParallelism: 3,

@@ -103,9 +103,8 @@ func subScopeCovers(st wal.SubState, patientID, sessionID string) bool {
 }
 
 func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request) {
-	s.capBody(w, r)
 	var req SubscriptionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := s.decodeJSONBody(w, r, &req); err != nil {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding subscription: %w", err))
 		return
 	}

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 
 	"stsmatch/internal/obs"
 	"stsmatch/internal/server"
+	"stsmatch/internal/wal"
 )
 
 // Gateway fronts N streamd backends. Session-scoped traffic (create,
@@ -827,6 +829,12 @@ func legScope(plan map[string]*patientAssign, backend string) server.MatchScope 
 // byte-identical across plans because the scope only changes which
 // holder scores a copy, never what is scored.
 //
+// The public request and response are JSON; the legs are not. The
+// query is encoded once in the binary leg format of internal/wal and
+// those bytes go to every leg and retry, each shard answers with hits
+// over a stream table, and a RemoteMatch exists only for a hit that
+// survived the merge.
+//
 // The result cache is keyed on (canonical query, every healthy
 // backend's store high-water mark): any ingest through the gateway
 // advances the primary's tracked token before the ack returns, so the
@@ -842,6 +850,12 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	var req server.MatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		gwError(w, http.StatusBadRequest, fmt.Errorf("decoding match request: %w", err))
+		return
+	}
+	// The leg encoding takes a sequence's shape on trust, so what a
+	// shard would refuse is refused here, in the shard's words.
+	if err := req.Validate(); err != nil {
+		gwError(w, http.StatusBadRequest, err)
 		return
 	}
 	// ?max-lag= overrides the body knob; merging it into the request
@@ -864,14 +878,14 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if profile {
 		path += "?debug=profile"
 	}
-	// Canonical query bytes: a re-marshal normalizes field order and
-	// whitespace so equivalent requests share one cache signature, and
-	// every scatter leg (and retry) reuses these bytes verbatim.
-	canonical, err := json.Marshal(req)
-	if err != nil {
-		gwError(w, http.StatusInternalServerError, err)
-		return
-	}
+	// Canonical query bytes: the leg encoding has one spelling for a
+	// query, so equivalent requests share one cache signature — the leg
+	// bytes plus max-lag, which shards never see — and every scatter
+	// leg (and retry) reuses the leg bytes verbatim.
+	canonical := wal.AppendMatchLegRequest(nil, wal.MatchLegRequest{
+		K: req.K, Now: req.Now, PatientID: req.PatientID, SessionID: req.SessionID, Seq: req.Seq})
+	legBody := canonical
+	canonical = binary.AppendUvarint(canonical, uint64(req.MaxLag))
 	backends := g.pool.Backends()
 	// Profiled requests bypass the cache: their payload embeds a
 	// per-request trace.
@@ -894,52 +908,19 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	for pid, pa := range plan {
 		assigned[pa.backend] = append(assigned[pa.backend], pid)
 	}
-	type leg struct {
-		resp server.MatchResponse
-		tok  string // X-Store-Seq the leg's response carried
-		err  error
-	}
-	legs := make([]leg, len(backends))
+	legs := make([]legResult, len(backends))
 	var wg sync.WaitGroup
 	for i, b := range backends {
 		if !b.Healthy() {
 			legs[i].err = errors.New("unhealthy (ejected)")
 			continue
 		}
-		sc := legScope(plan, b.URL())
-		var hdr http.Header
-		if !sc.Empty() {
-			hdr = make(http.Header)
-			sc.SetHeaders(hdr)
-		}
-		nAssigned := len(assigned[b.URL()])
 		wg.Add(1)
-		go func(i int, b *Backend, hdr http.Header, nAssigned, nExcluded int) {
+		go func(i int, b *Backend) {
 			defer wg.Done()
-			// One span per scatter leg; the leg's context flows into the
-			// pool, whose per-attempt spans (and the backend's own trace,
-			// via the propagated traceparent) nest underneath.
-			lctx, sp := obs.StartSpan(r.Context(), "scatter.leg")
-			defer sp.Finish()
-			sp.Annotate("backend", b.URL())
-			if plan != nil {
-				sp.Annotate("assigned", nAssigned)
-				sp.Annotate("excluded", nExcluded)
-			}
-			status, respBody, respHdr, err := g.pool.doHdr(lctx, b, http.MethodPost, path, canonical, hdr, true)
-			switch {
-			case err != nil:
-				sp.Annotate("error", err.Error())
-				legs[i].err = err
-			case status != http.StatusOK:
-				sp.Annotate("status", status)
-				legs[i].err = fmt.Errorf("status %d: %s", status, errDetail(respBody))
-			default:
-				sp.Annotate("status", status)
-				legs[i].tok = respHdr.Get(server.HeaderStoreSeq)
-				legs[i].err = json.Unmarshal(respBody, &legs[i].resp)
-			}
-		}(i, b, hdr, nAssigned, len(sc.Exclude))
+			legs[i] = g.matchLeg(r.Context(), "scatter.leg", b, path, legBody,
+				legScope(plan, b.URL()), len(assigned[b.URL()]))
+		}(i, b)
 	}
 	wg.Wait()
 
@@ -948,7 +929,7 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	answered := make(map[string]bool, len(backends))
 	served := make(map[string]bool, len(plan))
 	var needRetry []string
-	var lists [][]server.RemoteMatch
+	var merge hitMerger
 	for i, b := range backends {
 		if legs[i].err != nil {
 			res.ShardErrors[b.URL()] = legs[i].err.Error()
@@ -959,30 +940,8 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 		res.ShardsOK++
 		answered[b.URL()] = true
-		lists = append(lists, legs[i].resp.Matches)
-		g.fresh.observeMap(b.URL(), legs[i].resp.Freshness)
-		refused := make(map[string]bool, len(legs[i].resp.Refused))
-		for _, pid := range legs[i].resp.Refused {
-			refused[pid] = true
-			g.met.readRefusals.Inc()
-			needRetry = append(needRetry, pid)
-		}
-		for _, pid := range assigned[b.URL()] {
-			if refused[pid] {
-				continue
-			}
-			served[pid] = true
-			if pa := plan[pid]; pa.backend != pa.primary {
-				res.FollowerServed++
-				g.met.followerReads.Inc()
-			}
-		}
-		if p := legs[i].resp.Profile; p != nil {
-			// The shard's handler root is parented on this gateway's
-			// attempt span (it continued our traceparent), so grafting
-			// the flattened spans into the trace reassembles one tree.
-			obs.AddExternalSpans(r.Context(), p.Root.Flatten())
-		}
+		needRetry = append(needRetry, legs[i].reply.Refused...)
+		g.gatherLeg(r.Context(), b.URL(), &legs[i].reply, assigned[b.URL()], plan, served, &res, &merge)
 	}
 	if res.ShardsOK == 0 {
 		g.met.scatter.Observe(time.Since(start).Seconds())
@@ -993,7 +952,7 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(needRetry) > 0 {
-		lists = append(lists, g.retryScatter(r.Context(), path, canonical, plan, needRetry, served, &res)...)
+		g.retryScatter(r.Context(), path, legBody, plan, needRetry, served, &res, &merge)
 	}
 	for pid := range plan {
 		if !served[pid] {
@@ -1001,7 +960,7 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	sort.Strings(res.UnservedPatients)
-	res.Matches = MergeMatches(lists, req.K)
+	res.Matches = merge.merged(req.K)
 	// A failed shard only degrades the result if some arc it owns has
 	// no answering replica; the coverage test is against the shards
 	// that actually answered this query, not nominal health.
@@ -1065,19 +1024,89 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	relay(w, http.StatusOK, out)
 }
 
+// legResult is what one match leg brought back: the decoded reply and
+// the X-Store-Seq it carried, or why there is neither.
+type legResult struct {
+	reply wal.MatchLegReply
+	tok   string
+	err   error
+}
+
+// matchLeg asks one backend to score the query under a scope — a
+// scatter leg or a retry leg, named by span — in the binary leg format.
+// One span per leg; the leg's context flows into the pool, whose
+// per-attempt spans (and the backend's own trace, via the propagated
+// traceparent) nest underneath. A reply that does not decode is the
+// leg's error like any other: the shard is reported, nothing is merged.
+func (g *Gateway) matchLeg(ctx context.Context, span string, b *Backend, path string, legBody []byte,
+	sc server.MatchScope, pinned int) legResult {
+	lctx, sp := obs.StartSpan(ctx, span)
+	defer sp.Finish()
+	sp.Annotate("backend", b.URL())
+	if !sc.Empty() {
+		sp.Annotate("assigned", pinned)
+		sp.Annotate("excluded", len(sc.Exclude))
+	}
+	hdr := http.Header{"Content-Type": {wal.MatchLegContentType}}
+	sc.SetHeaders(hdr)
+	status, respBody, respHdr, err := g.pool.doHdr(lctx, b, http.MethodPost, path, legBody, hdr, true)
+	if err != nil {
+		sp.Annotate("error", err.Error())
+		return legResult{err: err}
+	}
+	sp.Annotate("status", status)
+	if status != http.StatusOK {
+		return legResult{err: fmt.Errorf("status %d: %s", status, errDetail(respBody))}
+	}
+	reply, err := wal.DecodeMatchLegReply(respBody)
+	return legResult{reply: reply, tok: respHdr.Get(server.HeaderStoreSeq), err: err}
+}
+
+// gatherLeg folds one answered leg into the query's state: the shard's
+// freshness piggyback, its refusals, which of the patients pinned to it
+// it served (and whether as a follower), its hits, and — for a profiled
+// query — its span tree. The shard's handler root is parented on this
+// gateway's attempt span (it continued our traceparent), so grafting
+// the flattened spans into the trace reassembles one tree.
+func (g *Gateway) gatherLeg(ctx context.Context, backend string, reply *wal.MatchLegReply, pinned []string,
+	plan map[string]*patientAssign, served map[string]bool, res *MatchResult, merge *hitMerger) {
+	if len(reply.Freshness) > 0 {
+		fresh := make(map[string]server.PatientFreshness, len(reply.Freshness))
+		for _, f := range reply.Freshness {
+			fresh[f.PatientID] = server.PatientFreshness{Streams: int(f.Streams), Vertices: int(f.Vertices)}
+		}
+		g.fresh.observeMap(backend, fresh)
+	}
+	g.met.readRefusals.Add(len(reply.Refused))
+	for _, pid := range pinned {
+		if slices.Contains(reply.Refused, pid) {
+			continue
+		}
+		served[pid] = true
+		if backend != plan[pid].primary {
+			res.FollowerServed++
+			g.met.followerReads.Inc()
+		}
+	}
+	merge.addLeg(reply)
+	if len(reply.Profile) > 0 {
+		var p obs.Profile
+		if json.Unmarshal(reply.Profile, &p) == nil && p.Root != nil {
+			obs.AddExternalSpans(ctx, p.Root.Flatten())
+		}
+	}
+}
+
 // retryScatter runs one recovery round for planned patients whose leg
 // failed or refused them: each patient goes to its first healthy
 // untried alternate (primary first), grouped so one extra request per
-// backend covers all its retries. Patients with no viable alternate
-// are left unserved; the caller reports them and degrades the result.
-func (g *Gateway) retryScatter(ctx context.Context, path string, canonical []byte,
+// backend covers all its retries. Patients with no viable alternate,
+// or whose retry leg fails or refuses them again, are left unserved;
+// the caller reports them and degrades the result.
+func (g *Gateway) retryScatter(ctx context.Context, path string, legBody []byte,
 	plan map[string]*patientAssign, needRetry []string, served map[string]bool,
-	res *MatchResult) [][]server.RemoteMatch {
-	type retryGroup struct {
-		only    []string
-		require map[string]server.PatientFreshness
-	}
-	groups := make(map[string]*retryGroup)
+	res *MatchResult, merge *hitMerger) {
+	groups := make(map[string]*server.MatchScope)
 	for _, pid := range needRetry {
 		pa := plan[pid]
 		for _, alt := range pa.alts {
@@ -1091,95 +1120,44 @@ func (g *Gateway) retryScatter(ctx context.Context, path string, canonical []byt
 			if alt != pa.primary && pa.require == nil {
 				continue
 			}
-			gr := groups[alt]
-			if gr == nil {
-				gr = &retryGroup{}
-				groups[alt] = gr
+			sc := groups[alt]
+			if sc == nil {
+				sc = &server.MatchScope{}
+				groups[alt] = sc
 			}
-			gr.only = append(gr.only, pid)
+			sc.Only = append(sc.Only, pid)
 			if alt != pa.primary {
-				if gr.require == nil {
-					gr.require = make(map[string]server.PatientFreshness)
+				if sc.Require == nil {
+					sc.Require = make(map[string]server.PatientFreshness)
 				}
-				gr.require[pid] = *pa.require
+				sc.Require[pid] = *pa.require
 			}
 			break
 		}
-	}
-	if len(groups) == 0 {
-		return nil
 	}
 	targets := make([]string, 0, len(groups))
 	for u := range groups {
 		targets = append(targets, u)
 	}
 	sort.Strings(targets)
-	lists := make([][]server.RemoteMatch, len(targets))
-	type outcome struct {
-		backend string
-		resp    server.MatchResponse
-		ok      bool
-	}
-	outs := make([]outcome, len(targets))
+	legs := make([]legResult, len(targets))
 	var wg sync.WaitGroup
 	for i, u := range targets {
-		gr := groups[u]
-		sort.Strings(gr.only)
-		b := g.pool.ByURL(u)
-		if b == nil {
-			continue
-		}
+		sc := groups[u]
+		sort.Strings(sc.Only)
 		g.met.retryLegs.Inc()
 		wg.Add(1)
-		go func(i int, b *Backend, gr *retryGroup) {
+		go func(i int, b *Backend, sc server.MatchScope) {
 			defer wg.Done()
-			lctx, sp := obs.StartSpan(ctx, "scatter.retry")
-			defer sp.Finish()
-			sp.Annotate("backend", b.URL())
-			sp.Annotate("patients", len(gr.only))
-			sc := server.MatchScope{Only: gr.only, Require: gr.require}
-			hdr := make(http.Header)
-			sc.SetHeaders(hdr)
-			status, respBody, _, err := g.pool.doHdr(lctx, b, http.MethodPost, path, canonical, hdr, true)
-			if err != nil {
-				sp.Annotate("error", err.Error())
-				return
-			}
-			if status != http.StatusOK {
-				sp.Annotate("status", status)
-				return
-			}
-			if json.Unmarshal(respBody, &outs[i].resp) != nil {
-				return
-			}
-			outs[i].backend = b.URL()
-			outs[i].ok = true
-		}(i, b, gr)
+			legs[i] = g.matchLeg(ctx, "scatter.retry", b, path, legBody, sc, len(sc.Only))
+		}(i, g.pool.ByURL(u), *sc)
 	}
 	wg.Wait()
 	for i, u := range targets {
-		if !outs[i].ok {
-			continue
-		}
-		lists[i] = outs[i].resp.Matches
-		g.fresh.observeMap(u, outs[i].resp.Freshness)
-		refused := make(map[string]bool, len(outs[i].resp.Refused))
-		for _, pid := range outs[i].resp.Refused {
-			refused[pid] = true
-			g.met.readRefusals.Inc()
-		}
-		for _, pid := range groups[u].only {
-			if refused[pid] {
-				continue
-			}
-			served[pid] = true
-			if u != plan[pid].primary {
-				res.FollowerServed++
-				g.met.followerReads.Inc()
-			}
+		if legs[i].err == nil {
+			g.gatherLeg(ctx, u, &legs[i].reply, groups[u].Only, plan, served, res, merge)
 		}
 	}
-	return lists
 }
 
 // errDetail extracts the "error" field of a JSON error body, falling
@@ -1196,44 +1174,6 @@ func errDetail(body []byte) string {
 		body = body[:max]
 	}
 	return string(body)
-}
-
-// MergeMatches merges shard-local result lists into the global order:
-// ascending distance, with a deterministic (patient, session, start)
-// tie-break so equal-distance matches do not flap between requests.
-// Identical matches are deduplicated first — a replicated stream is
-// scored independently by its primary and each follower, and those
-// duplicates would otherwise crowd out genuine results under top-k
-// truncation. k > 0 truncates to the global top-k.
-func MergeMatches(lists [][]server.RemoteMatch, k int) []server.RemoteMatch {
-	out := []server.RemoteMatch{}
-	seen := make(map[server.RemoteMatch]struct{})
-	for _, l := range lists {
-		for _, m := range l {
-			if _, dup := seen[m]; dup {
-				continue
-			}
-			seen[m] = struct{}{}
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		x, y := out[a], out[b]
-		if x.Distance != y.Distance {
-			return x.Distance < y.Distance
-		}
-		if x.PatientID != y.PatientID {
-			return x.PatientID < y.PatientID
-		}
-		if x.SessionID != y.SessionID {
-			return x.SessionID < y.SessionID
-		}
-		return x.Start < y.Start
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
 }
 
 // GatewayStatsResponse aggregates the shards' database stats. Totals

@@ -162,3 +162,68 @@ func FuzzReplicationBatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMatchLegCodec hammers both match-leg decoders with the same
+// arbitrary bytes: malformed input must fail cleanly as ErrTorn without
+// panicking or allocating for counts the input cannot back, anything
+// that decodes must hold the properties the gateway and the shard rely
+// on (finite floats, in-range stream indices), and encode→decode is
+// the identity on whatever a decoder produced (as for batches, header
+// varints may be non-minimal, so identity is on values, and the encoder
+// is a fixed point).
+func FuzzMatchLegCodec(f *testing.F) {
+	req := AppendMatchLegRequest(nil, legRequestFixture())
+	rep := AppendMatchLegReply(nil, legReplyFixture())
+	for _, seed := range [][]byte{
+		req, rep, req[:len(req)/2], rep[:len(rep)-1], rep[1:],
+		AppendMatchLegRequest(nil, MatchLegRequest{Seq: mkVerts(0, 2)}),
+		AppendMatchLegReply(nil, MatchLegReply{}),
+		[]byte("STMQ"), []byte("STMR\x01\x00"), {},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if q, err := DecodeMatchLegRequest(data); err != nil {
+			if !errors.Is(err, ErrTorn) {
+				t.Fatalf("DecodeMatchLegRequest: unexpected error class: %v", err)
+			}
+		} else {
+			for _, v := range q.Seq {
+				if !finite(v.T) || !v.State.Valid() || len(v.Pos) != q.Seq.Dims() {
+					t.Fatalf("decoded an unusable vertex: %+v", v)
+				}
+			}
+			enc := AppendMatchLegRequest(nil, q)
+			q2, err := DecodeMatchLegRequest(enc)
+			if err != nil || !reflect.DeepEqual(q, q2) {
+				t.Fatalf("request changed across round-trip (%v):\n got %+v\nwant %+v", err, q2, q)
+			}
+			if again := AppendMatchLegRequest(nil, q2); !bytes.Equal(again, enc) {
+				t.Fatalf("request encoder is not a fixed point")
+			}
+		}
+		p, err := DecodeMatchLegReply(data)
+		if err != nil {
+			if !errors.Is(err, ErrTorn) {
+				t.Fatalf("DecodeMatchLegReply: unexpected error class: %v", err)
+			}
+			return
+		}
+		if n := len(p.Streams) + len(p.Hits) + len(p.Refused) + len(p.Freshness); n > len(data) {
+			t.Fatalf("decoded %d elements from %d bytes", n, len(data))
+		}
+		for _, h := range p.Hits {
+			if int(h.Stream) >= len(p.Streams) || !finite(h.Distance) || !finite(h.Weight) {
+				t.Fatalf("decoded an unusable hit: %+v (%d streams)", h, len(p.Streams))
+			}
+		}
+		enc := AppendMatchLegReply(nil, p)
+		p2, err := DecodeMatchLegReply(enc)
+		if err != nil || !reflect.DeepEqual(p, p2) {
+			t.Fatalf("reply changed across round-trip (%v):\n got %+v\nwant %+v", err, p2, p)
+		}
+		if again := AppendMatchLegReply(nil, p2); !bytes.Equal(again, enc) {
+			t.Fatalf("reply encoder is not a fixed point")
+		}
+	})
+}

@@ -449,22 +449,41 @@ func decodePayload(b []byte) (Record, error) {
 	default:
 		return rec, fmt.Errorf("%w: unknown record type %d", ErrTorn, rec.Type)
 	}
-	if d.err != nil {
-		return rec, d.err
-	}
-	if d.off != len(d.b) {
-		return rec, fmt.Errorf("%w: %d trailing bytes", ErrTorn, len(d.b)-d.off)
-	}
-	return rec, nil
+	return rec, d.finish()
 }
 
 // appendFrame wraps a payload with the length + CRC framing.
 func appendFrame(b, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	b = append(b, hdr[:]...)
-	return append(b, payload...)
+	off := len(b)
+	b = append(b, make([]byte, frameHeaderLen)...)
+	return sealFrame(append(b, payload...), off)
+}
+
+// sealFrame fills in the frame header reserved at b[off:] for the
+// payload that follows it to the end of b, so an encoder can build a
+// payload in place instead of in a buffer of its own.
+func sealFrame(b []byte, off int) []byte {
+	payload := b[off+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(b[off:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[off+4:], crc32.Checksum(payload, castagnoli))
+	return b
+}
+
+// frameLen validates a frame header's payload length.
+func frameLen(hdr []byte) (uint32, error) {
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if n == 0 || n > maxPayload {
+		return 0, fmt.Errorf("%w: implausible payload length %d", ErrTorn, n)
+	}
+	return n, nil
+}
+
+// checkFrame verifies a payload against its frame header's checksum.
+func checkFrame(hdr, payload []byte) error {
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return fmt.Errorf("%w: checksum mismatch", ErrTorn)
+	}
+	return nil
 }
 
 // readFrame reads one framed payload. It returns io.EOF at a clean end
@@ -477,18 +496,38 @@ func readFrame(r io.Reader) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("%w: partial frame header", ErrTorn)
 	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n == 0 || n > maxPayload {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrTorn, n)
+	n, err := frameLen(hdr[:])
+	if err != nil {
+		return nil, err
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: partial payload", ErrTorn)
 	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrTorn)
+	if err := checkFrame(hdr[:], payload); err != nil {
+		return nil, err
 	}
 	return payload, nil
+}
+
+// splitFrame is readFrame over bytes already in memory: it returns the
+// first frame's payload, aliasing data, and what follows the frame.
+func splitFrame(data []byte) (payload, rest []byte, err error) {
+	if len(data) < frameHeaderLen {
+		return nil, nil, fmt.Errorf("%w: partial frame header", ErrTorn)
+	}
+	n, err := frameLen(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if uint64(len(data)-frameHeaderLen) < uint64(n) {
+		return nil, nil, fmt.Errorf("%w: partial payload", ErrTorn)
+	}
+	payload, rest = data[frameHeaderLen:frameHeaderLen+int(n)], data[frameHeaderLen+int(n):]
+	if err := checkFrame(data, payload); err != nil {
+		return nil, nil, err
+	}
+	return payload, rest, nil
 }
 
 // decoder is a bounds-checked cursor over a payload; the first failure
@@ -523,6 +562,31 @@ func (d *decoder) uvarint() uint64 {
 	}
 	d.off += n
 	return v
+}
+
+// count reads an element count and refuses one the rest of the payload
+// could not hold at minSize bytes an element, so a caller may allocate
+// exactly that many.
+func (d *decoder) count(minSize int) int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64((len(d.b)-d.off)/minSize) {
+		d.err = fmt.Errorf("%w: count %d exceeds the payload", ErrTorn, n)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// finish reports the first decoding failure, or bytes left over.
+func (d *decoder) finish() error {
+	if d.err != nil {
+		return d.err
+	}
+	if d.off != len(d.b) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrTorn, len(d.b)-d.off)
+	}
+	return nil
 }
 
 // u32 reads a uvarint that must fit in 32 bits (the index config

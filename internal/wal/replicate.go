@@ -24,11 +24,9 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 const (
@@ -82,44 +80,28 @@ func EncodeBatch(b Batch) []byte {
 // ErrTorn; a valid batch can be handed to Cursor.Accept.
 func DecodeBatch(data []byte) (Batch, error) {
 	var b Batch
-	r := bytes.NewReader(data)
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return b, fmt.Errorf("%w: short batch header", ErrTorn)
-	}
-	if string(hdr[:4]) != batchMagic {
-		return b, fmt.Errorf("%w: bad batch magic %q", ErrTorn, hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != batchVersion {
-		return b, fmt.Errorf("%w: unsupported batch version %d", ErrTorn, v)
-	}
-	var err error
-	if b.Source, err = readBatchString(r); err != nil {
-		return b, err
-	}
-	if b.SessionID, err = readBatchString(r); err != nil {
-		return b, err
-	}
-	if b.PatientID, err = readBatchString(r); err != nil {
-		return b, err
-	}
-	if b.Epoch, err = readBatchUvarint(r); err != nil {
-		return b, err
-	}
-	if b.FirstSeq, err = readBatchUvarint(r); err != nil {
-		return b, err
-	}
-	n, err := readBatchUvarint(r)
+	body, err := checkHeader(data, batchMagic, batchVersion)
 	if err != nil {
 		return b, err
+	}
+	d := decoder{b: body}
+	b.Source = d.str()
+	b.SessionID = d.str()
+	b.PatientID = d.str()
+	b.Epoch = d.uvarint()
+	b.FirstSeq = d.uvarint()
+	n := d.uvarint()
+	if d.err != nil {
+		return b, d.err
 	}
 	if n > maxBatchRecords {
 		return b, fmt.Errorf("%w: implausible batch of %d records", ErrTorn, n)
 	}
 	b.Records = make([]Record, 0, min(int(n), 4096))
+	rest := body[d.off:]
 	for i := uint64(0); i < n; i++ {
-		payload, err := readFrame(r)
-		if err != nil {
+		var payload []byte
+		if payload, rest, err = splitFrame(rest); err != nil {
 			return b, fmt.Errorf("%w: record %d: %v", ErrTorn, i, err)
 		}
 		rec, err := decodePayload(payload)
@@ -132,33 +114,26 @@ func DecodeBatch(data []byte) (Batch, error) {
 		}
 		b.Records = append(b.Records, rec)
 	}
-	if r.Len() != 0 {
-		return b, fmt.Errorf("%w: %d trailing bytes after batch", ErrTorn, r.Len())
+	if len(rest) != 0 {
+		return b, fmt.Errorf("%w: %d trailing bytes after batch", ErrTorn, len(rest))
 	}
 	return b, nil
 }
 
-func readBatchString(r *bytes.Reader) (string, error) {
-	n, err := readBatchUvarint(r)
-	if err != nil {
-		return "", err
+// checkHeader strips the 4-byte magic and u16 version that open every
+// wire message built on the record framing (replication batches, match
+// legs) and returns what follows.
+func checkHeader(data []byte, magic string, version uint16) ([]byte, error) {
+	if len(data) < len(magic)+2 {
+		return nil, fmt.Errorf("%w: short %s header", ErrTorn, magic)
 	}
-	if n > maxString || n > uint64(r.Len()) {
-		return "", fmt.Errorf("%w: bad batch string length %d", ErrTorn, n)
+	if string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("%w: bad magic %q, want %s", ErrTorn, data[:len(magic)], magic)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("%w: short batch string", ErrTorn)
+	if v := binary.LittleEndian.Uint16(data[len(magic):]); v != version {
+		return nil, fmt.Errorf("%w: unsupported %s version %d", ErrTorn, magic, v)
 	}
-	return string(buf), nil
-}
-
-func readBatchUvarint(r *bytes.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad batch uvarint", ErrTorn)
-	}
-	return v, nil
+	return data[len(magic)+2:], nil
 }
 
 // ErrGap reports a batch whose sequence range does not connect to the
