@@ -181,6 +181,43 @@ func (pl *queryPlan) lowerBound(ampC, durC float64, rel SourceRelation) float64 
 	return pl.vwMin * gap / (pl.ws[rel] * pl.wsum)
 }
 
+// stageAGuard is the extra relative deflation of the amplitude-first
+// bound, on its slack and again on its scale: a thousand times the
+// rounding error of either formula, a thousandth of boundSlack's own
+// margin. A variable so that a test can set it to 1, which makes stage A
+// vacuous (every candidate takes the full bound, as before the split).
+var stageAGuard = 1e-3
+
+// ampBound holds the constants of lowerBoundAmp for candidates at one
+// relation; a funnel run computes them once, so no candidate pays the
+// division.
+type ampBound struct{ slack, floor, scale float64 }
+
+func (pl *queryPlan) ampBound(rel SourceRelation) ampBound {
+	a := ampBound{slack: boundSlack * (1 + stageAGuard)}
+	a.floor = 2 * a.slack * pl.wf * pl.durQ
+	if pl.wsum > 0 {
+		a.scale = (1 - stageAGuard) * pl.vwMin / (pl.ws[rel] * pl.wsum)
+	}
+	return a
+}
+
+// lowerBoundAmp is lowerBound without the candidate's duration: stage A
+// of the funnel's pass 2, computable from the prefix-sum column alone.
+// The duration term of the deflated gap, wf*(|durQ-durC| -
+// boundSlack*(durQ+durC)), falls with slope -(1+boundSlack) up to durC =
+// durQ and rises with slope 1-boundSlack after it, so over every durC >=
+// 0 it is at least its value there, -2*boundSlack*wf*durQ (a.floor).
+// Substituting that minimum leaves a bound that never exceeds the full
+// one in exact arithmetic; stageAGuard widens the slack and shrinks the
+// scale vwMin/(ws[rel]*wsum) far enough that the computed values are
+// ordered the same way, so stage A prunes only what lowerBound would. A
+// gap that is not positive gives a bound that is not, which is above no
+// acceptance bound.
+func (pl *queryPlan) lowerBoundAmp(a ampBound, ampC float64) float64 {
+	return (pl.wa*(math.Abs(pl.ampQ-ampC)-a.slack*(pl.ampQ+ampC)) - a.floor) * a.scale
+}
+
 // Similar reports whether q and c satisfy Definition 2: same state
 // order and weighted distance within the threshold.
 func (p Params) Similar(q, c plr.Sequence, rel SourceRelation) (bool, error) {

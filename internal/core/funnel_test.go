@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -163,6 +164,109 @@ func TestFunnelCountsPartitionAllSources(t *testing.T) {
 		if s, p := windows["scan/"+mode], windows["probe/"+mode]; s != p || s == 0 {
 			t.Errorf("%s: scan considered %d windows, probe %d (want equal, nonzero)", mode, s, p)
 		}
+	}
+}
+
+// TestFunnelCountsEqualSingleStageBound: splitting pass 2 into the
+// amplitude-first stage and the full bound moves no window between
+// FunnelCounts buckets and changes no result, whichever of the four
+// candidate sources feeds the driver, in threshold mode and top-k. The
+// reference is the same driver with stage A switched off: stageAGuard
+// = 1 zeroes its scale, so every candidate takes the full bound, which
+// is what pass 2 was before the split.
+func TestFunnelCountsEqualSingleStageBound(t *testing.T) {
+	db := scanCorpus(t, 5, 12, 300)
+	idx := buildIndex(t, db)
+	q := regularQuery(t, db.Streams()[0], 10)
+	// At this threshold each stage has work: stage A discards a third of
+	// the corpus' same-order windows, the full bound a few it let through.
+	tight := DefaultParams()
+	tight.DistThreshold = 3
+	tight.Parallelism = 1
+	ablation, probed := tight, tight
+	ablation.RequireStateOrder = false
+	probed.UseIndex = true
+	pl, err := newQueryPlan(tight, q, tight.DistThreshold, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byA, byFull := 0, 0
+	for _, st := range db.Streams() {
+		seq, amps := st.Snapshot()
+		for _, j := range st.FindWindows(pl.sig) {
+			ampC, rel := amps[j+pl.n-1]-amps[j], relationOf(q, st)
+			if pl.lowerBoundAmp(pl.ampBound(rel), ampC) > pl.threshold {
+				byA++
+			} else if pl.lowerBound(ampC, seq[j+pl.n-1].T-seq[j].T, rel) > pl.threshold {
+				byFull++
+			}
+		}
+	}
+	if byA < 100 || byFull == 0 {
+		t.Fatalf("fixture: stage A prunes %d windows, the full bound %d more", byA, byFull)
+	}
+
+	type outcome struct {
+		matches []Match
+		counts  FunnelCounts
+	}
+	run := func(guard float64) map[string]outcome {
+		defer func(old float64) { stageAGuard = old }(stageAGuard)
+		stageAGuard = guard
+		if a := pl.ampBound(OtherPatient); (a.scale == 0) != (guard == 1) {
+			t.Fatalf("guard %v: stage-A scale %v", guard, a.scale)
+		}
+		got := map[string]outcome{}
+		for _, src := range []struct {
+			name   string
+			params Params
+		}{{"scan", tight}, {"ablation", ablation}, {"probe", probed}} {
+			m, err := NewMatcher(db, src.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src.params.UseIndex {
+				m.Index = idx
+			}
+			for _, k := range []int{0, 1, 10} {
+				out, c := searchCounts(t, func() ([]Match, error) {
+					if k == 0 {
+						return m.FindSimilar(q, nil)
+					}
+					return m.TopK(q, k, nil)
+				})
+				got[fmt.Sprintf("%s/k=%d", src.name, k)] = outcome{out, c}
+			}
+		}
+		// Standing: every stream fed to the query seven vertices at a time.
+		for _, k := range []int{0, 1, 10} {
+			sq, err := NewStandingQuery(tight, Query{Seq: q.Seq, PatientID: "Q"}, 0, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var o outcome
+			for _, st := range db.Streams() {
+				for from := 0; from < st.Len(); from += 7 {
+					ms, c, _ := sq.EvalRange(st, from, min(from+7, st.Len()))
+					o.matches = append(o.matches, ms...)
+					o.counts.Add(c)
+				}
+			}
+			got[fmt.Sprintf("standing/k=%d", k)] = o
+		}
+		return got
+	}
+
+	split, single := run(stageAGuard), run(1)
+	for label, want := range single {
+		got := split[label]
+		if got.counts != want.counts {
+			t.Errorf("%s: counts %+v, with the full bound alone %+v", label, got.counts, want.counts)
+		}
+		if !partitions(got.counts) || got.counts.LBPruned == 0 || got.counts.Matched == 0 {
+			t.Errorf("%s: fixture or identity: %+v", label, got.counts)
+		}
+		assertSameMatches(t, label, want.matches, got.matches)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -48,8 +49,10 @@ func randomPair(rng *rand.Rand) (q, c plr.Sequence) {
 	return mk(), mk()
 }
 
-// checkAdmissible asserts the O(1) bound never exceeds the exact
-// distance for the given pair — the safety property of lb pruning.
+// checkAdmissible asserts the chain stage A <= full bound <= exact
+// distance for the given pair — the safety property of lb pruning, and
+// what makes the amplitude-first stage prune only what the full bound
+// would.
 func checkAdmissible(t *testing.T, p Params, q, c plr.Sequence, rel SourceRelation) {
 	t.Helper()
 	d, err := p.Distance(q, c, rel)
@@ -62,10 +65,23 @@ func checkAdmissible(t *testing.T, p Params, q, c plr.Sequence, rel SourceRelati
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := pl.lowerBound(dispNormSum(c), c.Duration(), rel)
+	ampC := dispNormSum(c)
+	lb := pl.lowerBound(ampC, c.Duration(), rel)
 	if lb > d {
 		t.Fatalf("lower bound %v exceeds exact distance %v\nparams %+v\nq %v\nc %v",
 			lb, d, p, q, c)
+	}
+	// Stage A never sees the candidate's duration, so it must stay under
+	// the full bound for every one: the candidate's own, the query's
+	// (where the duration term is least) and its two neighbours, and 0.
+	for _, amp := range []float64{ampC, pl.ampQ, 0} {
+		lbA := pl.lowerBoundAmp(pl.ampBound(rel), amp)
+		for _, dur := range []float64{c.Duration(), pl.durQ, math.Nextafter(pl.durQ, math.Inf(1)), math.Nextafter(pl.durQ, 0), 0} {
+			if full := pl.lowerBound(amp, dur, rel); lbA > full {
+				t.Fatalf("stage A %v exceeds the full bound %v at amplitude %v, duration %v (query %v, %v)\nparams %+v",
+					lbA, full, amp, dur, pl.ampQ, pl.durQ, p)
+			}
+		}
 	}
 }
 
@@ -102,6 +118,22 @@ func TestLowerBoundNearTies(t *testing.T) {
 		}
 		// Re-sort violations of time order are possible only if the
 		// nudge exceeded a gap; gaps are >= 0.1, so times stay ordered.
+		checkAdmissible(t, p, q, c, SameSession)
+
+		// The same window with a duration one ulp either side of the
+		// query's, then flattened to zero amplitude, then to zero duration.
+		last := len(c) - 1
+		for _, dur := range []float64{math.Nextafter(q.Duration(), math.Inf(1)), math.Nextafter(q.Duration(), 0)} {
+			c[last].T = c[0].T + dur
+			checkAdmissible(t, p, q, c, SameSession)
+		}
+		for i := range c {
+			copy(c[i].Pos, c[0].Pos)
+		}
+		checkAdmissible(t, p, q, c, SameSession)
+		for i := range c {
+			c[i].T = c[0].T
+		}
 		checkAdmissible(t, p, q, c, SameSession)
 	}
 }

@@ -609,7 +609,7 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidate
 	}
 	w.counts.Windows += hi - lo
 	rel := relationOf(pl.q, st)
-	ws, qStart := pl.ws[rel], pl.q.Seq[0].T
+	ws, qStart, stageA := pl.ws[rel], pl.q.Seq[0].T, pl.ampBound(rel)
 	for lo < hi {
 		// Pass 1 — state order: the store's walk over postings or state
 		// string. Whatever it skips fails condition 1 (or the envelope of
@@ -633,13 +633,20 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidate
 		}
 		w.lap(pl, &w.stage.stateOrder)
 
-		// Pass 2 — the O(1) lower bound from the stream's prefix sums, no
-		// per-segment arithmetic touched, against the acceptance bound as
-		// it stands on entering the block.
+		// Pass 2 — the O(1) lower bound, against the acceptance bound as it
+		// stands on entering the block. Stage A reads the prefix-sum column
+		// only and discards nearly everything the bound can; what it lets
+		// through loads its two end vertices for the full bound, the value
+		// pass 3 re-checks.
 		bound, kept := pl.bound(), 0
 		for _, j32 := range starts {
 			j := int(j32)
-			lb := pl.lowerBound(amps[j+n-1]-amps[j], seq[j+n-1].T-seq[j].T, rel)
+			ampC := amps[j+n-1] - amps[j]
+			if pl.lowerBoundAmp(stageA, ampC) > bound {
+				w.counts.LBPruned++
+				continue
+			}
+			lb := pl.lowerBound(ampC, seq[j+n-1].T-seq[j].T, rel)
 			if lb > bound {
 				w.counts.LBPruned++
 				continue

@@ -263,26 +263,33 @@ func (s *Segmenter) Push(sm plr.Sample) ([]plr.Vertex, error) {
 		s.smooth = y
 	}
 
-	// The stored sample keeps the full position but with the cleaned
-	// primary dimension, so emitted vertices are denoised too.
-	clean := sm.Clone()
-	clean.Pos[s.cfg.PrimaryDim] = s.smooth
-
-	var out []plr.Vertex
-	if !s.started {
-		s.started = true
-		s.segStart = clean
-		s.segStartT = clean.T
-	}
-	s.lastRaw = clean
-
-	// Maintain the trend window.
+	// Maintain the trend window; the sample it evicts gives up its
+	// position slot to the new one, so a steady-state Push allocates
+	// nothing.
+	var slot []float64
 	if len(s.win) == s.cfg.SlopeWindow {
 		old := s.win[0]
 		s.reg.Remove(old.T, old.Pos[s.cfg.PrimaryDim])
 		copy(s.win, s.win[1:])
 		s.win = s.win[:len(s.win)-1]
+		slot = old.Pos[:0]
 	}
+
+	// The stored sample keeps the full position but with the cleaned
+	// primary dimension, so emitted vertices are denoised too. Window
+	// slots are recycled, so whatever outlives the window — the open
+	// segment's start, the last sample — holds a copy of its own.
+	clean := plr.Sample{T: sm.T, Pos: append(slot, sm.Pos...)}
+	clean.Pos[s.cfg.PrimaryDim] = s.smooth
+
+	var out []plr.Vertex
+	if !s.started {
+		s.started = true
+		s.segStart = clean.Clone()
+		s.segStartT = clean.T
+	}
+	s.lastRaw = plr.Sample{T: clean.T, Pos: append(s.lastRaw.Pos[:0], clean.Pos...)}
+
 	s.win = append(s.win, clean)
 	s.reg.Add(clean.T, s.smooth)
 

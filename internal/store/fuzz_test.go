@@ -48,11 +48,14 @@ func FuzzReadBinary(f *testing.F) {
 
 // FuzzFindWindows checks the scan candidate generator against
 // arbitrary state strings and signatures: results must be in-range,
-// sorted, and exact matches.
+// sorted, and exact matches, and the walk underneath must equal the
+// byte-by-byte reference, indexed or not, in blocks of any size.
 func FuzzFindWindows(f *testing.F) {
 	f.Add("EOIEOIEOI", "EOI")
 	f.Add("RRRRRR", "EO")
 	f.Add("EOIEOIE", "")
+	f.Add("EOIEOIEOIEOIEOIEOIEOIE", "EOIEOIEOIEOI")
+	f.Add("EOIEOIEOIEOIEOIEOIEOIE", "OIEOIEOIEOIEOIEOIE")
 	f.Fuzz(func(t *testing.T, streamStates, sig string) {
 		if len(streamStates) > 500 || len(sig) > 50 {
 			return
@@ -95,6 +98,9 @@ func FuzzFindWindows(f *testing.F) {
 			if streamStates[j:j+len(sig)] != sig {
 				t.Fatalf("window %d does not match signature", j)
 			}
+		}
+		if len(sig) < len(streamStates) {
+			checkAppendWindows(t, streamStates, sig)
 		}
 	})
 }

@@ -14,6 +14,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -273,6 +274,7 @@ type ScanView struct {
 	// or a signature shorter than a gram) every start is a candidate.
 	Listed   bool
 	Postings []int32
+	next     int // AppendWindows' cursor into Postings
 }
 
 // ScanView returns the view for scanning windows of len(sig)+1 vertices
@@ -292,26 +294,51 @@ func (s *Stream) ScanView(sig string) ScanView {
 // sig), and returns the start to resume from: to, once the range is
 // exhausted. The caller keeps to within the starts that leave room for
 // a whole window. This is the one walk over postings and state string;
-// FindWindows and the matcher's funnel both sit on it.
+// FindWindows and the matcher's funnel both sit on it. A walk over
+// postings keeps its place in them between calls, so resuming where the
+// previous call stopped costs no search.
 func (v *ScanView) AppendWindows(dst []int32, sig string, from, to int) ([]int32, int) {
 	switch {
 	case v.Listed:
-		list, states := v.Postings, v.States
-		if from > 0 {
-			list = list[sort.Search(len(list), func(i int) bool { return int(list[i]) >= from }):]
+		list, states, i := v.Postings, v.States, v.next
+		// The cursor is where the previous block stopped; any other from
+		// is searched for.
+		if i > len(list) || i > 0 && int(list[i-1]) >= from || i < len(list) && int(list[i]) < from {
+			i = sort.Search(len(list), func(k int) bool { return int(list[k]) >= from })
 		}
-		for _, p := range list {
-			j := int(p)
+		// A signature of up to 16 states is compared as one or two
+		// (overlapping) 8-byte words prepared here, not by a call per
+		// posting; a longer one, or a posting within 8 bytes of the
+		// stream's end, keeps the byte compare.
+		var pad [16]byte
+		n := copy(pad[:], sig)
+		w0, w1, mask, off := binary.LittleEndian.Uint64(pad[:]), uint64(0), ^uint64(0), 0
+		if n < 8 {
+			mask = 1<<(8*n) - 1
+		} else {
+			off = n - 8
+			w1 = binary.LittleEndian.Uint64(pad[off:])
+		}
+		for ; i < len(list); i++ {
+			j := int(list[i])
 			if j >= to {
 				break
 			}
 			if len(dst) == cap(dst) {
+				v.next = i
 				return dst, j
 			}
-			if string(states[j:j+len(sig)]) == sig {
-				dst = append(dst, p)
+			if len(sig) > len(pad) || j+8 > len(states) {
+				if string(states[j:j+len(sig)]) != sig {
+					continue
+				}
+			} else if (binary.LittleEndian.Uint64(states[j:])^w0)&mask != 0 ||
+				off > 0 && binary.LittleEndian.Uint64(states[j+off:]) != w1 {
+				continue
 			}
+			dst = append(dst, list[i])
 		}
+		v.next = i
 	case sig == "":
 		for ; from < to; from++ {
 			if len(dst) == cap(dst) {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -679,5 +680,99 @@ func TestAppendCopiesPositions(t *testing.T) {
 	}
 	if seq[6].Pos[0] != 42 || len(seq[6].Pos) != 1 || cap(seq[6].Pos) != 1 {
 		t.Errorf("appended vertex position = %v (cap %d), want [42] with no spare capacity", seq[6].Pos, cap(seq[6].Pos))
+	}
+}
+
+// naiveWindows is the byte-by-byte reference for AppendWindows: the
+// starts in [from, to) whose next len(sig) states spell sig.
+func naiveWindows(states, sig string, from, to int) []int32 {
+	var out []int32
+	for j := max(from, 0); j < to; j++ {
+		same := true
+		for k := 0; k < len(sig); k++ {
+			same = same && states[j+k] == sig[k]
+		}
+		if same {
+			out = append(out, int32(j))
+		}
+	}
+	return out
+}
+
+// checkAppendWindows holds AppendWindows to naiveWindows over a stream
+// with the given states, indexed and not, walked in blocks of 1, 3 and
+// 256 starts from the stream's head and from inside it, and once more
+// on the same view after its cursor has run to the end.
+func checkAppendWindows(t *testing.T, states, sig string) {
+	t.Helper()
+	to := len(states) - len(sig)
+	for _, indexed := range []bool{false, true} {
+		st := NewStream("P", "S")
+		if indexed {
+			st.EnableIndex()
+		}
+		if err := st.Append(seqFromStates(states)...); err != nil {
+			t.Fatal(err)
+		}
+		for _, blk := range []int{1, 3, 256} {
+			v := st.ScanView(sig)
+			for _, from := range []int{0, to / 3, 0} {
+				var got []int32
+				buf := make([]int32, blk)
+				for at := from; at < to; {
+					b, next := v.AppendWindows(buf[:0], sig, at, to)
+					if next <= at || next > to {
+						t.Fatalf("%q in %q (indexed %v, block %d): resume point %d after %d", sig, states, indexed, blk, next, at)
+					}
+					got, at = append(got, b...), next
+				}
+				if want := naiveWindows(states, sig, from, to); !slices.Equal(got, want) {
+					t.Fatalf("%q in %q (indexed %v, block %d, from %d):\n got %v\nwant %v", sig, states, indexed, blk, from, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAppendWindowsWordCompareEqualsNaive: the word-at-a-time state
+// compare and the postings cursor find exactly the windows a byte loop
+// finds — for every signature length either side of the 8- and 16-state
+// word boundaries, in streams shorter than a word, for a window ending on
+// the stream's last vertex, for near misses in each byte of the
+// signature, and when a walk resumes across blocks.
+func TestAppendWindowsWordCompareEqualsNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{2, 3, 5, 7, 8, 9, 12, 16, 17, 18, 21, 24, 40, 300} {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "EOI"[i%3]
+			if rng.Intn(10) == 0 {
+				b[i] = 'R'
+			}
+		}
+		states := string(b)
+		for l := 1; l <= 20 && l < n; l++ {
+			// The signature of the stream's last window, which must be
+			// found, and of one from its middle.
+			tail := states[n-l-1 : n-1]
+			checkAppendWindows(t, states, tail)
+			st := NewStream("P", "S")
+			st.EnableIndex()
+			if err := st.Append(seqFromStates(states)...); err != nil {
+				t.Fatal(err)
+			}
+			if ws := st.FindWindows(tail); len(ws) == 0 || ws[len(ws)-1] != n-l-1 {
+				t.Fatalf("%q in %q: windows %v miss the one ending on the last vertex", tail, states, ws)
+			}
+			mid := (n - l) / 2
+			checkAppendWindows(t, states, states[mid:mid+l])
+			// Near misses: the stream's own signature with one state
+			// changed, at every position.
+			for k := 0; k < l; k++ {
+				miss := []byte(states[mid : mid+l])
+				miss[k] = "EOIR"[(strings.IndexByte("EOIR", miss[k])+1)%4]
+				checkAppendWindows(t, states, string(miss))
+			}
+		}
 	}
 }
