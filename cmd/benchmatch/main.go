@@ -9,7 +9,6 @@
 //
 //	benchmatch                       # defaults: 12 patients, k=10, 300 iters
 //	benchmatch -patients 24 -iters 500 -out BENCH_matcher.json
-//	benchmatch -corpus-scale 100     # scanned vs index-probed at 1x/10x/100x
 //
 // The cohort is seeded deterministically, so candidate counts and
 // match sets are identical run to run; only wall-clock numbers vary
@@ -19,13 +18,6 @@
 // single-CPU runner the parallel scenario is skipped outright — a
 // "speedup" there would only measure goroutine overhead — and the
 // report carries cpus/gomaxprocs so readers can tell.
-//
-// With -corpus-scale S the runner additionally grows the corpus to
-// 1x, sqrt(S)x and Sx the base cohort and measures the same top-k
-// query through a full scan and through the window-signature index
-// (internal/sigindex), asserting identical results at every point;
-// the per-point funnel shows whether candidates examined grows with
-// the corpus (scan: linear) or stays flat (probed: sub-linear).
 //
 // With -clients N > 0 (default 8) the runner boots an R=2 replicated
 // 3-shard cluster, ingests the cohort through the gateway, and
@@ -62,7 +54,6 @@ import (
 	"stsmatch/internal/plr"
 	"stsmatch/internal/server"
 	"stsmatch/internal/shard"
-	"stsmatch/internal/sigindex"
 	"stsmatch/internal/signal"
 	"stsmatch/internal/store"
 	"stsmatch/internal/subscribe"
@@ -112,27 +103,6 @@ type scenarioResult struct {
 	StageLatency map[string]stagePct `json:"stageLatency,omitempty"`
 }
 
-// indexScalePoint compares full-scan and index-probed candidate
-// retrieval over the same corpus at one scale multiplier. The
-// sub-linearity claim reads off Probed.Funnel.CandidatesScanned
-// across points: scanned candidates grow linearly with the corpus,
-// probed candidates should not.
-type indexScalePoint struct {
-	Scale        int     `json:"scale"`
-	Streams      int     `json:"streams"`
-	Vertices     int     `json:"vertices"`
-	BuildSeconds float64 `json:"indexBuildSeconds"`
-	IndexWindows int64   `json:"indexWindows"`
-
-	Scanned scenarioResult `json:"scanned"`
-	Probed  scenarioResult `json:"probed"`
-
-	// Probe traffic per query, from the sigindex metric deltas across
-	// every query the probed pass issued (warmup + timed + traced).
-	ProbesPerQuery    float64 `json:"probesPerQuery"`
-	WideningsPerQuery float64 `json:"wideningsPerQuery"`
-}
-
 // benchReport is the BENCH_matcher.json schema.
 type benchReport struct {
 	Patients   int     `json:"patients"`
@@ -153,12 +123,6 @@ type benchReport struct {
 	// reported only when the parallel scenario ran (>= 2 CPUs). The
 	// >= 2x expectation applies to >= 4 core hardware.
 	ParallelSpeedup float64 `json:"parallelSpeedup,omitempty"`
-
-	// CorpusScale and IndexComparison are present when -corpus-scale
-	// was given: scanned-vs-probed funnel comparisons at corpus scales
-	// 1, sqrt(S) and S.
-	CorpusScale     int               `json:"corpusScale,omitempty"`
-	IndexComparison []indexScalePoint `json:"indexComparison,omitempty"`
 
 	// Concurrent is the multi-client read-path scenario: the same
 	// deterministic top-k query hammered by N workers against an R=2
@@ -272,8 +236,6 @@ func main() {
 	duration := flag.Float64("duration", 180, "seconds of breathing data per patient")
 	k := flag.Int("k", 10, "top-k for the benchmark queries")
 	iters := flag.Int("iters", 300, "measured iterations per scenario")
-	corpusScale := flag.Int("corpus-scale", 0,
-		"when S > 0, additionally compare scanned vs index-probed retrieval at corpus scales 1, sqrt(S) and S")
 	standingScale := flag.Int("standing-scale", 16,
 		"largest corpus multiplier for the standing-query scenario (0 disables it)")
 	clients := flag.Int("clients", 8,
@@ -357,23 +319,6 @@ func main() {
 		report.Rebalance = &rres
 	}
 
-	if *corpusScale > 0 {
-		report.CorpusScale = *corpusScale
-		// Scaled corpora are big; fewer iterations still average a
-		// deterministic query to a stable per-query funnel.
-		scaleIters := *iters / 10
-		if scaleIters < 20 {
-			scaleIters = 20
-		}
-		for _, s := range scalePoints(*corpusScale) {
-			pt, err := benchIndexScale(*patients, *duration, s, *k, scaleIters, len(qseq))
-			if err != nil {
-				fatal(err)
-			}
-			report.IndexComparison = append(report.IndexComparison, pt)
-		}
-	}
-
 	if *standingScale > 0 {
 		report.StandingScale = *standingScale
 		for _, s := range scalePoints(*standingScale) {
@@ -426,11 +371,6 @@ func main() {
 			r.SessionsMoved, r.VerticesMoved, r.DrainSeconds, r.SessionsPerSec,
 			r.MatchNsBefore, r.MatchNsDuring, r.MatchNsAfter, r.QueriesDuring)
 	}
-	for _, pt := range report.IndexComparison {
-		fmt.Printf("scale %4dx: scanned %8d candidates/query, probed %6d (%.1f probes, %.1f widenings/query), %9.0f -> %9.0f ns/op\n",
-			pt.Scale, pt.Scanned.Funnel.CandidatesScanned, pt.Probed.Funnel.CandidatesScanned,
-			pt.ProbesPerQuery, pt.WideningsPerQuery, pt.Scanned.NsPerOp, pt.Probed.NsPerOp)
-	}
 	for _, pt := range report.Standing {
 		fmt.Printf("standing %2dx: %9.0f ns/vertex (%5.1f candidates/vertex, %d events) vs poll %10.0f ns/query (%d candidates)\n",
 			pt.Scale, pt.NsPerVertex, pt.CandidatesPerVertex, pt.Events,
@@ -444,8 +384,8 @@ func main() {
 }
 
 // scalePoints picks the corpus multipliers to measure: 1, sqrt(S)
-// and S, deduplicated — three points are enough to see whether
-// candidates examined grows with the corpus or stays flat.
+// and S, deduplicated — three points are enough to see whether the
+// work per arriving vertex grows with the corpus or stays flat.
 func scalePoints(s int) []int {
 	pts := []int{1}
 	if mid := int(math.Round(math.Sqrt(float64(s)))); mid > 1 && mid < s {
@@ -662,7 +602,7 @@ func benchMatcher(m *core.Matcher, q core.Query, k, iters int) (scenarioResult, 
 	return res, matches, nil
 }
 
-// sigMetric reads one sigindex counter from the default registry.
+// sigMetric reads one unlabeled metric from the default registry.
 func sigMetric(name string) float64 {
 	for _, p := range obs.Default().Gather() {
 		if p.Name == name {
@@ -670,83 +610,6 @@ func sigMetric(name string) float64 {
 		}
 	}
 	return 0
-}
-
-// benchIndexScale builds a corpus scale× the base cohort and measures
-// the same top-k query through a full-scan matcher and through an
-// index-probed matcher, asserting the two return identical matches.
-// Both run sequentially so the candidates-examined comparison is not
-// confounded by scheduling.
-func benchIndexScale(basePatients int, duration float64, scale, k, iters, qlen int) (indexScalePoint, error) {
-	data, err := buildCohort(basePatients*scale, duration)
-	if err != nil {
-		return indexScalePoint{}, err
-	}
-	db, err := loadDB(data)
-	if err != nil {
-		return indexScalePoint{}, err
-	}
-	vertices := 0
-	for _, pd := range data {
-		vertices += len(pd.vertices)
-	}
-
-	// One window width is all the benchmark query needs; a single-width
-	// index keeps the 100x corpus build cheap and its memory bounded.
-	cfg := sigindex.Config{MinSegments: qlen - 1, MaxSegments: qlen - 1, AmpBucket: 4, DurBucket: 4}
-	idx, err := sigindex.New(cfg)
-	if err != nil {
-		return indexScalePoint{}, err
-	}
-	buildStart := time.Now()
-	idx.BuildFrom(db)
-	pt := indexScalePoint{
-		Scale:        scale,
-		Streams:      len(data),
-		Vertices:     vertices,
-		BuildSeconds: time.Since(buildStart).Seconds(),
-		IndexWindows: idx.Stats().Windows,
-	}
-
-	params := core.DefaultParams()
-	params.Parallelism = 1
-	scanM, err := core.NewMatcher(db, params)
-	if err != nil {
-		return indexScalePoint{}, err
-	}
-	params.UseIndex = true
-	probeM, err := core.NewMatcher(db, params)
-	if err != nil {
-		return indexScalePoint{}, err
-	}
-	probeM.Index = idx
-
-	qseq := data[0].vertices
-	qseq = qseq[len(qseq)-qlen:]
-	q := core.NewQuery(qseq, data[0].pid, data[0].sid)
-
-	scanned, scanMatches, err := benchMatcher(scanM, q, k, iters)
-	if err != nil {
-		return indexScalePoint{}, err
-	}
-	probesBefore := sigMetric("stsmatch_sigindex_probes_total")
-	widenBefore := sigMetric("stsmatch_sigindex_widenings_total")
-	probed, probeMatches, err := benchMatcher(probeM, q, k, iters)
-	if err != nil {
-		return indexScalePoint{}, err
-	}
-	if err := assertIdentical(scanMatches, probeMatches); err != nil {
-		return indexScalePoint{}, fmt.Errorf("scale %d: probed search diverges from scan: %w", scale, err)
-	}
-	// The query is deterministic, so dividing the metric deltas by
-	// every query benchMatcher issued (warmup + timed + traced) gives
-	// the exact per-query probe traffic.
-	queries := float64(1 + iters + tracedIters)
-	pt.Scanned = scanned
-	pt.Probed = probed
-	pt.ProbesPerQuery = (sigMetric("stsmatch_sigindex_probes_total") - probesBefore) / queries
-	pt.WideningsPerQuery = (sigMetric("stsmatch_sigindex_widenings_total") - widenBefore) / queries
-	return pt, nil
 }
 
 // benchStanding measures the push path at one corpus scale: a

@@ -80,7 +80,6 @@ func main() {
 	fsyncEvery := flag.Duration("fsync", 50*time.Millisecond, "WAL group-commit fsync interval (0 = fsync every append)")
 	snapshotEvery := flag.Duration("snapshot-every", 5*time.Minute, "periodic WAL compaction into snapshots (0 = only on shutdown)")
 	matchPar := flag.Int("match-parallelism", 0, "worker goroutines per similarity search (0 = GOMAXPROCS, 1 = sequential)")
-	matchIndex := flag.Bool("match-index", false, "enable the window-signature index for sub-linear candidate retrieval (a data dir that had it on re-enables it automatically)")
 	advertise := flag.String("advertise", "", "base URL this daemon advertises as the source of its WAL shipments (e.g. http://10.0.0.1:8750)")
 	replicateFrom := flag.String("replicate-from", "", "comma-separated source URLs allowed to ship WAL batches here (empty = accept any)")
 	subBuffer := flag.Int("sub-buffer", 0, "per-subscription undelivered event buffer (0 = default 4096; oldest events drop past it)")
@@ -123,12 +122,12 @@ func main() {
 			replFrom = append(replFrom, strings.TrimRight(u, "/"))
 		}
 	}
-	srv, err := server.NewWithOptions(db, core.DefaultParams(), fsm.DefaultConfig(), server.Options{
+	params := core.DefaultParams()
+	params.Parallelism = *matchPar
+	srv, err := server.NewWithOptions(db, params, fsm.DefaultConfig(), server.Options{
 		DataDir:            *dataDir,
 		FsyncInterval:      *fsyncEvery,
 		SnapshotEvery:      *snapshotEvery,
-		MatcherParallelism: *matchPar,
-		MatchIndex:         *matchIndex,
 		AdvertiseURL:       strings.TrimRight(*advertise, "/"),
 		ReplicateFrom:      replFrom,
 		SubscriptionBuffer: *subBuffer,

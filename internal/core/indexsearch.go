@@ -39,8 +39,8 @@ import (
 // dense corpus immediately outgrows, while an over-loose seed scans
 // the whole threshold ball when the top-k lived nearby. Seeding at a
 // quarter of the threshold resolves dense-corpus top-k queries in one
-// round (benchmatch -corpus-scale 100) and costs at most one extra
-// round — T/4 then T — on sparse ones.
+// round and costs at most one extra round — T/4 then T — on sparse
+// ones.
 const (
 	topKSeedDiv     = 4
 	topKWidenFactor = 4

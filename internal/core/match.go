@@ -101,9 +101,10 @@ type Matcher struct {
 
 	// Index, when non-nil and Params.UseIndex is set, answers
 	// candidate generation through window-signature probes instead of
-	// per-stream scans (see indexsearch.go). The index must be built
-	// over DB and kept current via the store mutation hook; streams it
-	// does not fully cover fall back to scanning, so the results stay
+	// per-stream scans (see indexsearch.go). Library-only: the server's
+	// pooled matchers never have one. The index must be built over DB
+	// and kept current via the store mutation hook; streams it does not
+	// fully cover fall back to scanning, so the results stay
 	// byte-identical either way.
 	Index *sigindex.Index
 

@@ -59,8 +59,10 @@ type Params struct {
 	// ablation that shows why the model layer matters.
 	RequireStateOrder bool
 
-	// UseIndex routes candidate generation through the matcher's
-	// window-signature index (Matcher.Index) when one is attached:
+	// UseIndex is library-only — no daemon sets it and a served shard
+	// always scans; bench/ and the equivalence tests drive it. It routes
+	// candidate generation through the matcher's window-signature
+	// index (Matcher.Index) when one is attached:
 	// envelope probes with iterative widening replace the per-stream
 	// posting scans. Results are byte-identical to the scan path;
 	// streams the index does not fully cover fall back to scanning.

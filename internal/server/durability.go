@@ -45,20 +45,6 @@ type Options struct {
 	// the cap.
 	MaxBodyBytes int64
 
-	// MatchIndex enables the window-signature index (internal/sigindex)
-	// with its default configuration: candidate generation for
-	// similarity searches becomes index probes instead of per-stream
-	// scans. With durability on, the enablement is journaled, and a
-	// recovered data dir that had the index on re-enables it
-	// automatically — the persisted configuration wins over this flag.
-	MatchIndex bool
-
-	// MatcherParallelism overrides core.Params.Parallelism for the
-	// server's matcher pool: the number of worker goroutines each
-	// similarity search fans its candidate streams across. 0 keeps the
-	// params' own setting (which itself defaults to GOMAXPROCS).
-	MatcherParallelism int
-
 	// AdvertiseURL is this node's base URL as replicas should see it;
 	// it is stamped into shipped batches as the source and checked
 	// against the receivers' ReplicateFrom allowlists.

@@ -86,6 +86,18 @@ type MatchResponse struct {
 	Freshness map[string]PatientFreshness `json:"freshness,omitempty"`
 }
 
+// decodeMatchRequest decodes a /v1/match body in either codec. Both
+// decoders copy what they keep out of body.
+func decodeMatchRequest(body []byte, leg bool) (MatchRequest, error) {
+	if leg {
+		lr, err := wal.DecodeMatchLegRequest(body)
+		return MatchRequest{Seq: lr.Seq, PatientID: lr.PatientID, SessionID: lr.SessionID, Now: lr.Now, K: lr.K}, err
+	}
+	var req MatchRequest
+	err := json.Unmarshal(body, &req)
+	return req, err
+}
+
 // handleMatch runs a similarity search for a serialized query. Like
 // prediction, the search runs on a pooled matcher outside the session
 // lock, so remote queries never block ingestion.
@@ -102,15 +114,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding match request: %w", err))
 		return
 	}
-	// Both decoders copy what they keep out of the body.
-	var req MatchRequest
-	if leg {
-		var lr wal.MatchLegRequest
-		lr, err = wal.DecodeMatchLegRequest(buf.Bytes())
-		req = MatchRequest{Seq: lr.Seq, PatientID: lr.PatientID, SessionID: lr.SessionID, Now: lr.Now, K: lr.K}
-	} else {
-		err = json.Unmarshal(buf.Bytes(), &req)
-	}
+	req, err := decodeMatchRequest(buf.Bytes(), leg)
 	releaseBody(buf)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding match request: %w", err))

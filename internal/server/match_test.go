@@ -1,6 +1,9 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -11,6 +14,7 @@ import (
 	"stsmatch/internal/plr"
 	"stsmatch/internal/signal"
 	"stsmatch/internal/store"
+	"stsmatch/internal/wal"
 )
 
 // matchTestServer ingests one synthetic session so the database has
@@ -173,4 +177,57 @@ func TestMaxBodyBytes(t *testing.T) {
 	if srv3.maxBody != DefaultMaxBodyBytes {
 		t.Errorf("maxBody = %d, want default %d", srv3.maxBody, DefaultMaxBodyBytes)
 	}
+}
+
+// FuzzMatchRequest feeds arbitrary bytes to /v1/match's JSON decoder
+// and Validate: neither may panic, and a request that validates is one
+// the gateway will put on a leg, so it must come back from the leg
+// codec with the k, now, provenance and sequence it went in with. The
+// leg format has the WAL's record limits (64 dimensions, 1 MiB
+// strings), which JSON does not: past them the leg decoder must refuse
+// the request whole (ErrTorn, a 400 from the shard), never change it.
+func FuzzMatchRequest(f *testing.F) {
+	now := 12.5
+	valid, err := json.Marshal(MatchRequest{Seq: seqStates("EOIEOI", 3), PatientID: "P01", SessionID: "S01", Now: &now, K: 5, MaxLag: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		valid, valid[:len(valid)/2], append(append([]byte{}, valid...), '}'),
+		[]byte(`{"seq":[{"t":0,"pos":null,"state":1},{"t":1,"pos":[],"state":2}]}`),
+		[]byte(`{"seq":[{"t":1,"pos":[1],"state":1},{"t":1,"pos":[1,2],"state":9}],"k":-1}`),
+		[]byte(`{"seq":null,"now":1e999}`), []byte(`[]`), []byte(`{"k":1e3}`), {},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeMatchRequest(body, false)
+		if err != nil || req.Validate() != nil {
+			return
+		}
+		got, err := wal.DecodeMatchLegRequest(wal.AppendMatchLegRequest(nil, wal.MatchLegRequest{
+			K: req.K, Now: req.Now, PatientID: req.PatientID, SessionID: req.SessionID, Seq: req.Seq,
+		}))
+		if err != nil {
+			if errors.Is(err, wal.ErrTorn) && (req.Seq.Dims() > 64 || len(req.PatientID) > 1<<20 || len(req.SessionID) > 1<<20) {
+				return
+			}
+			t.Fatalf("a validated request did not survive the leg codec: %v\n%+v", err, req)
+		}
+		same := got.K == req.K && got.PatientID == req.PatientID && got.SessionID == req.SessionID &&
+			(got.Now == nil) == (req.Now == nil) && len(got.Seq) == len(req.Seq)
+		if same && req.Now != nil {
+			same = math.Float64bits(*got.Now) == math.Float64bits(*req.Now)
+		}
+		for i := 0; same && i < len(req.Seq); i++ {
+			a, b := got.Seq[i], req.Seq[i]
+			same = math.Float64bits(a.T) == math.Float64bits(b.T) && a.State == b.State && len(a.Pos) == len(b.Pos)
+			for j := 0; same && j < len(b.Pos); j++ {
+				same = math.Float64bits(a.Pos[j]) == math.Float64bits(b.Pos[j])
+			}
+		}
+		if !same {
+			t.Fatalf("leg codec changed a validated request:\n got %+v\nwant %+v", got, req)
+		}
+	})
 }

@@ -145,6 +145,13 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metric %s = %v, want > 0", name, v)
 		}
 	}
+	// core links internal/sigindex into every daemon, but a shard never
+	// builds an index, so it must not export the index's series.
+	for name := range first {
+		if strings.HasPrefix(name, "stsmatch_sigindex_") {
+			t.Errorf("served shard exports %s", name)
+		}
+	}
 	// Histogram bucket lines must be cumulative and end at +Inf ==
 	// count.
 	inf := first[`stsmatch_http_request_seconds_bucket{route="predict",le="+Inf"}`]

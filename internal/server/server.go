@@ -55,7 +55,6 @@ import (
 	"stsmatch/internal/fsm"
 	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
-	"stsmatch/internal/sigindex"
 	"stsmatch/internal/store"
 	"stsmatch/internal/subscribe"
 	"stsmatch/internal/wal"
@@ -82,11 +81,6 @@ type Server struct {
 	// recovery can re-arm persisted subscriptions and replay their
 	// incremental evaluations in log order.
 	subs *subscribe.Manager
-
-	// index is the window-signature index (nil when disabled); see
-	// matchindex.go. Built before serving and maintained through the
-	// store mutation hook, it is shared by every pooled matcher.
-	index *sigindex.Index
 
 	// col is this server's trace collector: per-instance (not global)
 	// so in-process multi-node tests and embedded deployments keep
@@ -163,9 +157,6 @@ func New(db *store.DB, params core.Params, segCfg fsm.Config) (*Server, error) {
 // serving: the recovered database replaces db (db then only seeds a
 // fresh data dir), and sessions open at the crash resume mid-stream.
 func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Options) (*Server, error) {
-	if opts.MatcherParallelism != 0 {
-		params.Parallelism = opts.MatcherParallelism
-	}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -203,18 +194,16 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 			return nil, err
 		}
 	}
-	if err := s.setupMatchIndex(opts); err != nil {
-		return nil, err
-	}
 	// Appends buffer deltas for standing-query evaluation; the ingest
 	// and replication paths drain them synchronously under s.mu, so
-	// event order is deterministic. Added after the index hook: the
-	// index must observe a vertex before a standing query can match it.
+	// event order is deterministic. Added after the WAL hook, so a
+	// vertex is journaled before a standing query can match it.
 	s.db.AddMutationHook(s.subs.OnMutation)
 	s.matchers.New = func() any {
-		// params were validated above; the error path is unreachable.
+		// params were validated above; the error path is unreachable. A
+		// pooled matcher never has a signature index (core.Matcher.Index
+		// is library-only): every served search takes the scan.
 		m, _ := core.NewMatcher(s.db, s.params)
-		m.Index = s.index
 		return m
 	}
 	s.route("POST /v1/sessions", "create_session", s.handleCreateSession)
@@ -779,7 +768,6 @@ type HealthzResponse struct {
 	OpenSessions  int                `json:"openSessions"`
 	WAL           *WALHealth         `json:"wal,omitempty"`
 	Replication   *ReplicationHealth `json:"replication,omitempty"`
-	Index         *IndexHealth       `json:"index,omitempty"`
 	Subscriptions *subscribe.Health  `json:"subscriptions,omitempty"`
 }
 
@@ -795,7 +783,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		OpenSessions:  s.OpenSessions(),
 		WAL:           s.walHealth(),
 		Replication:   s.replicationHealth(),
-		Index:         s.indexHealth(),
 		Subscriptions: s.subscriptionHealth(),
 	})
 }

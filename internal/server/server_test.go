@@ -249,25 +249,27 @@ func TestServerRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestMatcherParallelismOption: the worker count of a served search is
+// params.Parallelism and nothing else — what streamd -match-parallelism
+// writes reaches every pooled matcher, and a negative count is refused.
 func TestMatcherParallelismOption(t *testing.T) {
-	srv, err := NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), Options{
-		MatcherParallelism: 3,
-	})
+	params := core.DefaultParams()
+	params.Parallelism = 3
+	srv, err := New(nil, params, fsm.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if srv.params.Parallelism != 3 {
-		t.Errorf("server params Parallelism = %d, want 3", srv.params.Parallelism)
 	}
 	m := srv.matchers.Get().(*core.Matcher)
 	if m.Params.Parallelism != 3 {
 		t.Errorf("pooled matcher Parallelism = %d, want 3", m.Params.Parallelism)
 	}
+	if m.Index != nil {
+		t.Error("pooled matcher has a signature index")
+	}
 	srv.matchers.Put(m)
 
-	if _, err := NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), Options{
-		MatcherParallelism: -2,
-	}); err == nil {
-		t.Error("negative MatcherParallelism accepted")
+	params.Parallelism = -2
+	if _, err := New(nil, params, fsm.DefaultConfig()); err == nil {
+		t.Error("negative Parallelism accepted")
 	}
 }

@@ -190,6 +190,7 @@ func New(cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	registerMetrics()
 	return &Index{
 		cfg:   cfg,
 		sigs:  make(map[string]*sigEntry),

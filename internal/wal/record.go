@@ -46,12 +46,13 @@ const (
 	// rejected by followers.
 	TypeReplicaPromote Type = 7
 
-	// TypeIndexConfig persists the window-signature index configuration
-	// (PR 7). The index itself is derived data rebuilt from the
-	// recovered database, so the record carries only the Config needed
-	// to rebuild it identically; last record wins, and snapshots embed
-	// the same config so compaction cannot lose it.
-	TypeIndexConfig Type = 8
+	// typeRetiredIndex is retired: it carried the window-signature index
+	// configuration (PR 7's TypeIndexConfig) while a shard could serve
+	// the index. Nothing writes it any more and the number is never
+	// reused, but a data dir that ran with the index on still holds one,
+	// so it decodes — its payload skipped — and replay passes over it;
+	// answering ErrTorn would make recovery cut the log off there.
+	typeRetiredIndex Type = 8
 
 	// Standing-subscription record types (PR 8). A subscription's
 	// events are a deterministic function of (pattern, stream content,
@@ -129,8 +130,8 @@ func (t Type) String() string {
 		return "replica-snapshot"
 	case TypeReplicaPromote:
 		return "replica-promote"
-	case TypeIndexConfig:
-		return "index-config"
+	case typeRetiredIndex:
+		return "retired-index-config"
 	case TypeSubUpsert:
 		return "sub-upsert"
 	case TypeSubDelete:
@@ -168,9 +169,6 @@ type Record struct {
 	// the migration phase (MigratePrepare/Commit/Abort).
 	Target string // TypeSessionMigrate
 	Phase  uint8  // TypeSessionMigrate
-
-	// Index is the window-signature index configuration.
-	Index IndexConfig // TypeIndexConfig
 
 	// Sub carries a standing subscription's full durable state.
 	Sub *SubState // TypeSubUpsert
@@ -222,17 +220,6 @@ type SubEvent struct {
 	Weight    float64
 	EndT      float64
 	At        float64 // emission wall time, unix seconds (delivery lag)
-}
-
-// IndexConfig is the journaled window-signature index configuration:
-// enough to rebuild the (derived) index deterministically after
-// recovery. It mirrors sigindex.Config without importing it, keeping
-// the WAL free of matcher dependencies.
-type IndexConfig struct {
-	MinSegments uint32
-	MaxSegments uint32
-	AmpBucket   float64
-	DurBucket   float64
 }
 
 // ErrTorn marks a record that is incomplete or fails its checksum —
@@ -300,11 +287,6 @@ func encodePayload(rec Record) []byte {
 		b = appendString(b, rec.SessionID)
 		b = appendAnchor(b, rec)
 		b = binary.AppendUvarint(b, rec.Epoch)
-	case TypeIndexConfig:
-		b = binary.AppendUvarint(b, uint64(rec.Index.MinSegments))
-		b = binary.AppendUvarint(b, uint64(rec.Index.MaxSegments))
-		b = appendF64(b, rec.Index.AmpBucket)
-		b = appendF64(b, rec.Index.DurBucket)
 	case TypeSubUpsert:
 		b = appendSubState(b, rec.Sub)
 	case TypeSubDelete:
@@ -425,11 +407,8 @@ func decodePayload(b []byte) (Record, error) {
 		rec.SessionID = d.str()
 		d.anchor(&rec)
 		rec.Epoch = d.uvarint()
-	case TypeIndexConfig:
-		rec.Index.MinSegments = d.u32()
-		rec.Index.MaxSegments = d.u32()
-		rec.Index.AmpBucket = d.f64()
-		rec.Index.DurBucket = d.f64()
+	case typeRetiredIndex:
+		d.off = len(d.b)
 	case TypeSubUpsert:
 		rec.Sub = d.subState()
 	case TypeSubDelete:
@@ -589,8 +568,8 @@ func (d *decoder) finish() error {
 	return nil
 }
 
-// u32 reads a uvarint that must fit in 32 bits (the index config
-// counts); larger values could not round-trip and are torn.
+// u32 reads a uvarint that must fit in 32 bits; larger values could
+// not round-trip and are torn.
 func (d *decoder) u32() uint32 {
 	v := d.uvarint()
 	if d.err == nil && v > math.MaxUint32 {

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
+	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
 )
@@ -47,12 +49,6 @@ type RecoveryResult struct {
 
 	// SegmentsScanned is how many log segments replay visited.
 	SegmentsScanned int
-
-	// IndexConfig is the persisted window-signature index
-	// configuration, from the snapshot or the latest TypeIndexConfig
-	// record (records win). Nil when the directory never enabled the
-	// index. The caller rebuilds the index from DB with this config.
-	IndexConfig *IndexConfig
 
 	// Subscriptions are the standing subscriptions materialized in the
 	// loaded snapshot. SubOps then replays the WAL tail's
@@ -150,7 +146,6 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 	rs := &replayState{
 		db:         db,
 		idx:        make(map[string]int),
-		indexConf:  snap.IndexConf,
 		subs:       make(map[string]bool),
 		migrations: make(map[string]MigrationState),
 	}
@@ -209,13 +204,13 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 	res.Sessions = rs.list()
 	res.RecordsReplayed = rs.applied
 	res.DB = db
-	res.IndexConfig = rs.indexConf
 	res.Subscriptions = snap.Subs
 	res.SubOps = rs.subOps
 	res.Migrations = rs.migrationList()
-	// Carry the recovered config forward so the next snapshot embeds it
-	// even if the owner never calls SetIndexConfig again.
-	l.idxConf.Store(rs.indexConf)
+	if rs.retired > 0 {
+		obs.Logger("wal").Warn("log holds window-signature index configuration records; the served index was removed and they are ignored",
+			slog.String("dir", opts.Dir), slog.Int("records", rs.retired))
+	}
 
 	// Reopen the tail segment for appending, or start the first one. A
 	// tail whose own header was torn (crash between segment creation
@@ -324,11 +319,11 @@ type replayState struct {
 	db         *store.DB
 	sessions   []SessionState
 	idx        map[string]int            // sessionID -> index in sessions, -1 when closed
-	indexConf  *IndexConfig              // latest TypeIndexConfig seen (snapshot-seeded)
 	subs       map[string]bool           // live subscription IDs (snapshot-seeded)
 	subOps     []SubReplayOp             // subscription-relevant history, log order
 	migrations map[string]MigrationState // surviving migration states (snapshot-seeded)
 	applied    uint64
+	retired    int // typeRetiredIndex records passed over
 }
 
 func (rs *replayState) open(ss SessionState) {
@@ -434,9 +429,8 @@ func (rs *replayState) apply(rec Record) error {
 			rs.sessions[i].LastT = rec.AnchorT
 			rs.sessions[i].LastPos = rec.AnchorPos
 		}
-	case TypeIndexConfig:
-		c := rec.Index
-		rs.indexConf = &c // last record wins
+	case typeRetiredIndex:
+		rs.retired++
 	case TypeSubUpsert:
 		if rec.Sub == nil {
 			return fmt.Errorf("sub-upsert without state")

@@ -16,8 +16,8 @@ import (
 const (
 	snapMagic = "STSS"
 	// snapVersion is the one snapshot format: header, session manifest,
-	// window-signature index config, standing subscriptions, session
-	// migrations, database payload. Any other version is refused.
+	// one reserved byte, standing subscriptions, session migrations,
+	// database payload. Any other version is refused.
 	snapVersion = 4
 )
 
@@ -54,7 +54,7 @@ func (l *Log) Snapshot(db *store.DB, sessions []SessionState, subs []SubState, m
 	lsn := l.nextLSN
 	final := filepath.Join(l.opts.Dir, snapshotName(lsn))
 	tmp := final + ".tmp"
-	if err := writeSnapshotFile(tmp, lsn, db, sessions, l.idxConf.Load(), subs, migrations); err != nil {
+	if err := writeSnapshotFile(tmp, lsn, db, sessions, subs, migrations); err != nil {
 		os.Remove(tmp) //nolint:errcheck
 		l.fail(err)
 		return 0, l.err
@@ -72,7 +72,7 @@ func (l *Log) Snapshot(db *store.DB, sessions []SessionState, subs []SubState, m
 }
 
 // writeSnapshotFile writes and fsyncs one snapshot file.
-func writeSnapshotFile(path string, lsn uint64, db *store.DB, sessions []SessionState, idxConf *IndexConfig, subs []SubState, migrations []MigrationState) error {
+func writeSnapshotFile(path string, lsn uint64, db *store.DB, sessions []SessionState, subs []SubState, migrations []MigrationState) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -98,19 +98,9 @@ func writeSnapshotFile(path string, lsn uint64, db *store.DB, sessions []Session
 			b = appendF64(b, x)
 		}
 	}
-	// Index-config section — presence byte, then the config. The
-	// config must live in snapshots as well as records because
-	// compaction may delete the segment holding the TypeIndexConfig
-	// record.
-	if idxConf == nil {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
-		b = binary.AppendUvarint(b, uint64(idxConf.MinSegments))
-		b = binary.AppendUvarint(b, uint64(idxConf.MaxSegments))
-		b = appendF64(b, idxConf.AmpBucket)
-		b = appendF64(b, idxConf.DurBucket)
-	}
+	// Reserved byte, always 0: it was the presence byte of the
+	// window-signature index configuration (see typeRetiredIndex).
+	b = append(b, 0)
 	// Standing-subscription section — count, then each state as a
 	// length-prefixed appendSubState blob (the TypeSubUpsert body).
 	// Subscription state must live in snapshots because compaction may
@@ -146,13 +136,11 @@ func writeSnapshotFile(path string, lsn uint64, db *store.DB, sessions []Session
 	return f.Sync()
 }
 
-// snapshotFile is one snapshot's decoded content. IndexConf is nil when
-// the snapshot was written without an index.
+// snapshotFile is one snapshot's decoded content.
 type snapshotFile struct {
 	LSN        uint64
 	DB         *store.DB
 	Sessions   []SessionState
-	IndexConf  *IndexConfig
 	Subs       []SubState
 	Migrations []MigrationState
 }
@@ -189,15 +177,16 @@ func readSnapshotFile(path string) (*snapshotFile, error) {
 		return nil, fmt.Errorf("wal: snapshot session section: %w", s.err)
 	}
 
+	// The reserved byte: a snapshot written while the index was served
+	// set it and put the four configuration fields after it.
 	if s.u8() != 0 {
-		minSeg, maxSeg := s.count(math.MaxUint32, "index config"), s.count(math.MaxUint32, "index config")
-		sf.IndexConf = &IndexConfig{
-			MinSegments: uint32(minSeg), MaxSegments: uint32(maxSeg),
-			AmpBucket: s.f64(), DurBucket: s.f64(),
-		}
+		s.uvarint()
+		s.uvarint()
+		s.f64()
+		s.f64()
 	}
 	if s.err != nil {
-		return nil, fmt.Errorf("wal: snapshot index section: %w", s.err)
+		return nil, fmt.Errorf("wal: snapshot reserved section: %w", s.err)
 	}
 
 	for i, n := 0, s.count(1<<20, "subscription count"); uint64(i) < n && s.err == nil; i++ {

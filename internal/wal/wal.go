@@ -35,7 +35,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stsmatch/internal/obs"
@@ -95,11 +94,6 @@ func (o Options) withDefaults() Options {
 type Log struct {
 	opts Options
 
-	// idxConf is the window-signature index configuration stamped into
-	// every snapshot (nil = no index). Open seeds it from recovery;
-	// SetIndexConfig updates it when the owner enables the index.
-	idxConf atomic.Pointer[IndexConfig]
-
 	mu       sync.Mutex
 	f        *os.File
 	w        *bufio.Writer
@@ -112,18 +106,6 @@ type Log struct {
 
 	stop chan struct{}
 	done chan struct{}
-}
-
-// SetIndexConfig records the index configuration future snapshots must
-// embed (nil clears it). Callers journal a TypeIndexConfig record
-// alongside, so the config survives both replay and compaction.
-func (l *Log) SetIndexConfig(c *IndexConfig) {
-	if c == nil {
-		l.idxConf.Store(nil)
-		return
-	}
-	cp := *c
-	l.idxConf.Store(&cp)
 }
 
 // NextLSN returns the LSN the next appended record will receive.

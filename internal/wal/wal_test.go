@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"stsmatch/internal/plr"
@@ -543,6 +545,108 @@ func TestSnapshotPruneKeepsNewest(t *testing.T) {
 	}
 	if len(snaps) != 2 {
 		t.Errorf("%d snapshots kept, want 2", len(snaps))
+	}
+}
+
+// TestSnapshotOtherVersionRefused: there is one snapshot format. A file
+// stamped with any other version is refused by name, and a log whose
+// newest snapshot is such a file fails Open — the segments below it
+// were compacted away, so starting from an empty database would lose
+// data silently.
+func TestSnapshotOtherVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, KeepSnapshots: 1, SegmentMaxBytes: 256}
+	l, _, err := Open(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSession(t, l, "P1", "S1", mkVerts(0, 24)) // several 256-byte segments
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, res, err := Open(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := l.Snapshot(res.DB, nil, nil) // compacts the segments below it
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName(lsn))
+	if _, err := readSnapshotFile(path); err != nil {
+		t.Fatalf("current-version snapshot unreadable: %v", err)
+	}
+
+	for _, version := range []uint16{1, 3, snapVersion + 1} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(raw[4:6], version)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = readSnapshotFile(path)
+		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+			t.Errorf("version %d: read error = %v, want unsupported snapshot version", version, err)
+		}
+		if l2, _, err := Open(opts, nil); err == nil {
+			l2.Close()
+			t.Errorf("version %d: Open started from an empty database over a refused snapshot", version)
+		}
+	}
+}
+
+// TestSnapshotTruncatedRefused: every proper prefix of a snapshot that
+// fills all three sections is refused with an error — no section reader
+// panics, loops, or accepts a short file. Once as the writer makes it
+// (reserved byte 0) and once with the byte set and the four retired
+// fields behind it, so the skip is cut short at every byte too.
+func TestSnapshotTruncatedRefused(t *testing.T) {
+	dir := t.TempDir()
+	db := store.NewDB()
+	p, err := db.AddPatient(store.PatientInfo{ID: "P1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddStream("S1").Append(mkVerts(0, 8)...); err != nil {
+		t.Fatal(err)
+	}
+	full := filepath.Join(dir, "full.db")
+	err = writeSnapshotFile(full, 7, db,
+		[]SessionState{{PatientID: "P1", SessionID: "S1", Samples: 240, LastT: 7.4, LastPos: []float64{3.6}}},
+		[]SubState{*testSubState()},
+		[]MigrationState{{SessionID: "S1", PatientID: "P1", Target: "http://b", Epoch: 2, Phase: MigrateCommit}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "cut.db")
+	for name, file := range map[string][]byte{"reserved byte 0": raw, "reserved byte 1": withRetiredIndexSection(t, raw)} {
+		if err := os.WriteFile(cut, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sf, err := readSnapshotFile(cut)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sf.LSN != 7 || len(sf.Sessions) != 1 || len(sf.Subs) != 1 || len(sf.Migrations) != 1 || sf.DB.NumVertices() != 8 {
+			t.Fatalf("%s: full snapshot decoded to %+v", name, sf)
+		}
+		for n := 0; n < len(file); n++ {
+			if err := os.WriteFile(cut, file[:n], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := readSnapshotFile(cut); err == nil {
+				t.Fatalf("%s: snapshot truncated to %d of %d bytes was accepted", name, n, len(file))
+			}
+		}
 	}
 }
 
