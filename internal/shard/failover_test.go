@@ -2,14 +2,17 @@ package shard_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"stsmatch/internal/core"
 	"stsmatch/internal/fsm"
@@ -263,6 +266,79 @@ func TestFailoverKillPrimary(t *testing.T) {
 			"stsmatch_repl_applied_records_total", "stsmatch_repl_promotions_total",
 			"stsmatch_repl_snapshots_total")
 	}
+}
+
+// TestRebalanceAfterGatewayRestartFailsOverOrphan: a session whose
+// primary died is held only by its follower, which lists it under
+// "replicas", never "sessions". A gateway started after the death has
+// an empty placement table, and its Rebalance must still see that
+// session — the inventory fold that serves routing and the one that
+// feeds the rebalance diff are the same fold — promote the follower,
+// and report the session instead of passing it over. (The move onto the
+// ring's first owner then fails, because that owner is the dead node;
+// what matters is that the session has a live primary afterwards.)
+func TestRebalanceAfterGatewayRestartFailsOverOrphan(t *testing.T) {
+	c := testutil.StartCluster(t, 3, 2)
+	const pid, sid = "P00", "S-P00"
+	createSession(t, c.URL, pid, sid)
+	for _, b := range respBatches(t, 77, 30) {
+		ingestBatch(t, c.URL, sid, b)
+	}
+	want := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/"+sid+"/plr")
+	primary, owners, ok := c.Gateway.SessionPlacement(sid)
+	if !ok || len(owners) != 2 {
+		t.Fatalf("placement = %q %v, want a primary with 2 owners", primary, owners)
+	}
+	follower := owners[1]
+	c.Kill(primary)
+
+	urls := make([]string, len(c.Nodes))
+	for i, n := range c.Nodes {
+		urls[i] = n.URL
+	}
+	gw2, err := shard.NewGateway(urls, shard.Options{
+		Replicas:          2,
+		HealthInterval:    -1,
+		FreshnessInterval: -1,
+		FailThreshold:     1,
+		BackoffBase:       time.Millisecond,
+		BackoffMax:        5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw2.Close()
+	ts2 := httptest.NewServer(gw2)
+	defer ts2.Close()
+	gw2.Pool().ProbeAll() // eject the corpse
+
+	rep := gw2.Rebalance(context.Background())
+	_, failed := rep.Failed[sid]
+	moved := slices.ContainsFunc(rep.Moved, func(m shard.MovedSession) bool { return m.SessionID == sid })
+	if rep.Checked != 1 || rep.Skipped != 0 || !(failed || moved) {
+		t.Fatalf("rebalance passed over the follower-only session: %+v", rep)
+	}
+	if got, _, ok := gw2.SessionPlacement(sid); !ok || got != follower {
+		t.Fatalf("placement after rebalance = %q (known %v), want the promoted follower %q", got, ok, follower)
+	}
+	st := testutil.GetJSON[server.ShardStatsResponse](t, follower+"/v1/shard/stats")
+	if !slices.ContainsFunc(st.Sessions, func(e server.ShardSession) bool { return e.SessionID == sid }) {
+		t.Fatalf("follower %s does not list %s as a primary after the rebalance: %+v", follower, sid, st)
+	}
+
+	// Zero acknowledged loss, and the session goes on taking writes.
+	got := testutil.GetJSON[server.PLRResponse](t, ts2.URL+"/v1/sessions/"+sid+"/plr")
+	if !reflect.DeepEqual(got.Vertices, want.Vertices) {
+		t.Fatalf("PLR after failover has %d vertices, before the kill %d: acknowledged data lost or altered",
+			len(got.Vertices), len(want.Vertices))
+	}
+	last := want.Vertices[len(want.Vertices)-1].T
+	resp := testutil.PostJSON(t, ts2.URL+"/v1/sessions/"+sid+"/samples",
+		[]server.SampleIn{{T: last + 100, Pos: []float64{0}}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest after failover: status %d", resp.StatusCode)
+	}
+	resp.Body.Close()
 }
 
 // TestReplicationEquivalence checks the steady-state invariant behind

@@ -382,19 +382,14 @@ func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 // idempotent and retried; mutations get a single attempt.
 func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
-	pl, err := g.placementFor(r, sid)
+	b, pl, err := g.serving(r.Context(), sid)
 	if err != nil {
-		gwError(w, http.StatusNotFound, err)
-		return
-	}
-	b := g.primaryBackend(pl)
-	if b == nil {
-		b, err = g.failover(r.Context(), sid, pl)
-		if err != nil {
-			gwError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("session %s: primary down and no replica promoted: %w", sid, err))
-			return
+		code := http.StatusServiceUnavailable
+		if pl == nil {
+			code = http.StatusNotFound
 		}
+		gwError(w, code, err)
+		return
 	}
 	body, err := readBody(w, r)
 	if err != nil {
@@ -470,11 +465,8 @@ func (g *Gateway) placementAfterGone(r *http.Request, sid string, pl *placement,
 	g.mu.Lock()
 	delete(g.places, sid)
 	g.mu.Unlock()
-	npl, err := g.placementFor(r, sid)
-	if err != nil {
-		return nil
-	}
-	return g.primaryBackend(npl)
+	nb, _, _ := g.serving(r.Context(), sid)
+	return nb
 }
 
 // primaryBackend returns the backend currently serving a session, or
@@ -588,47 +580,84 @@ func bodyErrCode(err error) int {
 	return http.StatusBadRequest
 }
 
-// placementFor finds where a session lives: the local table first,
-// then (after e.g. a gateway restart) a scatter over the healthy
-// shards' session inventories. The scatter distinguishes primaries
-// (Sessions) from followers (Replicas), so a rebuilt placement routes
-// to the live primary and keeps the followers as failover candidates;
-// if only followers survive, the placement has no primary and the
-// caller's failover path promotes one.
-func (g *Gateway) placementFor(r *http.Request, sid string) (*placement, error) {
+// serving resolves who serves a session: its placement (the table, or
+// after a gateway restart the shards' inventories), then its healthy
+// primary, else the replica a failover promotes. Every session-addressed
+// path — proxied requests, subscription routing, the rebalance drain —
+// asks here. A nil placement with the error means the session is
+// unknown; a non-nil one means nothing healthy holds it.
+func (g *Gateway) serving(ctx context.Context, sid string) (*Backend, *placement, error) {
 	g.mu.Lock()
-	if pl, ok := g.places[sid]; ok {
-		g.mu.Unlock()
-		return pl, nil
-	}
+	pl, ok := g.places[sid]
 	g.mu.Unlock()
-	pl := &placement{}
-	for _, inv := range g.inventories(r.Context()) {
+	if !ok {
+		g.discoverPlacements(ctx, sid)
+		g.mu.Lock()
+		pl, ok = g.places[sid]
+		g.mu.Unlock()
+		if !ok {
+			return nil, nil, fmt.Errorf("no open session %q on any reachable shard", sid)
+		}
+	}
+	if b := g.primaryBackend(pl); b != nil {
+		return b, pl, nil
+	}
+	b, err := g.failover(ctx, sid, pl)
+	if err != nil {
+		return nil, pl, fmt.Errorf("session %s: primary down and no replica promoted: %w", sid, err)
+	}
+	return b, pl, nil
+}
+
+// discoverPlacements folds the healthy shards' session inventories into
+// the placement table — for one session, or for all of them when only
+// is "" — so routing after a gateway restart and the rebalance diff
+// both start from where sessions ACTUALLY live. A Sessions claim names
+// the primary, a Replicas claim a follower; a session whose only
+// survivors are followers gets a placement with no primary, which the
+// first caller of serving fails over. The table stays authoritative
+// (it is updated synchronously on create/migrate/failover): only
+// unknown sessions are added, and a missing primary is filled.
+func (g *Gateway) discoverPlacements(ctx context.Context, only string) {
+	found := make(map[string]*placement)
+	claim := func(e server.ShardSession) *placement {
+		if only != "" && e.SessionID != only {
+			return nil
+		}
+		pl := found[e.SessionID]
+		if pl == nil {
+			pl = &placement{patientID: e.PatientID}
+			found[e.SessionID] = pl
+		}
+		return pl
+	}
+	for _, inv := range g.inventories(ctx) {
 		for _, e := range inv.stats.Sessions {
-			if e.SessionID == sid && pl.primary == "" {
-				pl.patientID = e.PatientID
+			if pl := claim(e); pl != nil && pl.primary == "" {
 				pl.primary = inv.url
 				pl.owners = append([]string{inv.url}, pl.owners...)
 			}
 		}
 		for _, e := range inv.stats.Replicas {
-			if e.SessionID == sid {
-				pl.patientID = e.PatientID
+			if pl := claim(e); pl != nil {
 				pl.owners = append(pl.owners, inv.url)
 			}
 		}
 	}
-	if len(pl.owners) == 0 {
-		return nil, fmt.Errorf("no open session %q on any reachable shard", sid)
-	}
 	g.mu.Lock()
-	if cur, ok := g.places[sid]; ok {
-		pl = cur // another request rebuilt it first
-	} else {
-		g.places[sid] = pl
+	defer g.mu.Unlock()
+	for sid, pl := range found {
+		cur, ok := g.places[sid]
+		switch {
+		case !ok:
+			g.places[sid] = pl
+		case cur.primary == "" && pl.primary != "":
+			cur.primary = pl.primary
+			if !slices.Contains(cur.owners, pl.primary) {
+				cur.owners = append([]string{pl.primary}, cur.owners...)
+			}
+		}
 	}
-	g.mu.Unlock()
-	return pl, nil
 }
 
 // MatchResult is the gateway's scatter-gather response: the exact

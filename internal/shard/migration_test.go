@@ -27,7 +27,7 @@ import (
 // rebuilt with the gateway's deterministic layout (DefaultVnodes), so
 // the prediction matches what Rebalance will decide at runtime even
 // though the loopback URLs differ per run.
-func movedPatient(t *testing.T, urls []string, newURL string) string {
+func movedPatient(t testing.TB, urls []string, newURL string) string {
 	t.Helper()
 	before := shard.NewRing(0)
 	for _, u := range urls {

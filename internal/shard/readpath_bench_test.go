@@ -3,18 +3,23 @@ package shard_test
 // Read-path benchmarks: the same deterministic query through the
 // legacy primary-only scatter (max-lag 0), the follower-read plan
 // (loose bound, arcs pinned to caught-up replicas), and the gateway
-// result cache. Every iteration's match list is checked against the
-// primary-only reference, so CI's bench smoke at -benchtime=1x doubles
-// as a cheap end-to-end exercise of all three modes; representative
-// numbers come from `benchmatch -clients`.
+// result cache — and, in BenchmarkRebalanceDrain, while the cluster
+// grows a backend underneath it. Every response's match list is checked
+// against the primary-only reference, so CI's bench smoke at
+// -benchtime=1x doubles as a cheap end-to-end exercise of all four;
+// for representative numbers run them at the default -benchtime (the
+// `cluster` workload of bench/ is the gated figure for the scatter
+// itself).
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"testing"
+	"time"
 
 	"stsmatch/internal/server"
 	"stsmatch/internal/shard"
@@ -49,41 +54,48 @@ func benchIngest(tb testing.TB, baseURL, pid, sid string, seed int64) {
 	}
 }
 
-// benchMatch posts raw body bytes and returns the decoded result plus
-// the X-Cache header.
-func benchMatch(tb testing.TB, baseURL string, body []byte) (shard.MatchResult, string) {
-	tb.Helper()
+// tryMatch posts raw body bytes and returns the decoded result plus the
+// X-Cache header.
+func tryMatch(baseURL string, body []byte) (shard.MatchResult, string, error) {
+	var res shard.MatchResult
 	resp, err := http.Post(baseURL+"/v1/match", "application/json", bytes.NewReader(body))
 	if err != nil {
-		tb.Fatal(err)
+		return res, "", err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		tb.Fatal(err)
+		return res, "", err
 	}
 	if resp.StatusCode != http.StatusOK {
-		tb.Fatalf("match status %d: %s", resp.StatusCode, raw)
+		return res, "", fmt.Errorf("match status %d: %s", resp.StatusCode, raw)
 	}
-	var res shard.MatchResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		tb.Fatal(err)
-	}
-	return res, resp.Header.Get("X-Cache")
+	return res, resp.Header.Get("X-Cache"), json.Unmarshal(raw, &res)
 }
 
-// setupReadBench boots an R=2 cluster with an ingested cohort and
-// returns the gateway URL, the primary-only and follower-read request
-// bodies, and the reference match-list bytes both must reproduce.
-func setupReadBench(b *testing.B, cacheSize int) (gwURL string, prim, fol, want []byte) {
+// benchMatch is tryMatch for the benchmark's own goroutine.
+func benchMatch(tb testing.TB, baseURL string, body []byte) (shard.MatchResult, string) {
+	tb.Helper()
+	res, cc, err := tryMatch(baseURL, body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res, cc
+}
+
+// benchCohort ingests one 30 s session per patient through the gateway.
+func benchCohort(b *testing.B, c *testutil.Cluster, pids []string) {
 	b.Helper()
-	c := testutil.StartCluster(b, 3, 2, func(cfg *testutil.ClusterConfig) {
-		cfg.Gateway.MatchCacheSize = cacheSize
-	})
-	for i := 0; i < 3; i++ {
-		pid := fmt.Sprintf("P%02d", i)
+	for i, pid := range pids {
 		benchIngest(b, c.URL, pid, "S-"+pid, int64(100+i))
 	}
+}
+
+// benchQuery builds the primary-only and follower-read request bodies
+// off the tail of S-P00, and the reference match-list bytes every
+// response to either must reproduce.
+func benchQuery(b *testing.B, c *testutil.Cluster) (prim, fol, want []byte) {
+	b.Helper()
 	pr := testutil.GetJSON[server.PLRResponse](b, c.URL+"/v1/sessions/S-P00/plr")
 	if len(pr.Vertices) < 12 {
 		b.Fatalf("query stream too short: %d vertices", len(pr.Vertices))
@@ -105,18 +117,38 @@ func setupReadBench(b *testing.B, cacheSize int) (gwURL string, prim, fol, want 
 	if want, err = json.Marshal(res.Matches); err != nil {
 		b.Fatal(err)
 	}
+	return prim, fol, want
+}
+
+// setupReadBench boots an R=2 cluster with an ingested cohort and
+// returns the gateway URL, the two request bodies and the reference.
+func setupReadBench(b *testing.B, cacheSize int) (gwURL string, prim, fol, want []byte) {
+	b.Helper()
+	c := testutil.StartCluster(b, 3, 2, func(cfg *testutil.ClusterConfig) {
+		cfg.Gateway.MatchCacheSize = cacheSize
+	})
+	benchCohort(b, c, []string{"P00", "P01", "P02"})
+	prim, fol, want = benchQuery(b, c)
 	return c.URL, prim, fol, want
+}
+
+// sameMatches reports how a response differs from the reference merge.
+func sameMatches(res shard.MatchResult, want []byte) error {
+	got, err := json.Marshal(res.Matches)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(got, want) {
+		return fmt.Errorf("matches diverged from primary-only merge:\nwant %s\ngot  %s", want, got)
+	}
+	return nil
 }
 
 // checkMatches asserts one iteration reproduced the reference merge.
 func checkMatches(b *testing.B, res shard.MatchResult, want []byte) {
 	b.Helper()
-	got, err := json.Marshal(res.Matches)
-	if err != nil {
+	if err := sameMatches(res, want); err != nil {
 		b.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		b.Fatalf("matches diverged from primary-only merge:\nwant %s\ngot  %s", want, got)
 	}
 }
 
@@ -161,4 +193,103 @@ func BenchmarkMatchCacheHit(b *testing.B) {
 		}
 		checkMatches(b, res, want)
 	}
+}
+
+// BenchmarkRebalanceDrain is elasticity seen by a reader: an R=2
+// 3-shard cluster holding 12 sessions grows a fourth backend
+// (AddBackend + Rebalance, every ring-displaced session drained through
+// the live-migration protocol) while a client keeps asking the same
+// top-k query. It fails on a failed move, on a drain that moved
+// nothing, and on any response before, during or after the drain that
+// is degraded or differs from the pre-drain merge. One iteration is one
+// whole scenario, cluster boot and ingest included, so ns/op is not the
+// number to read: the drain's wall clock and the query latency in the
+// three windows are reported as their own metrics.
+func BenchmarkRebalanceDrain(b *testing.B) {
+	const probes = 20 // timed queries before and after the drain
+	var drainS, before, during, after, moved float64
+	for i := 0; i < b.N; i++ {
+		c := testutil.StartCluster(b, 3, 2, func(cfg *testutil.ClusterConfig) {
+			cfg.Gateway.MatchCacheSize = -1 // every query really scatters
+		})
+		urls := []string{c.Nodes[0].URL, c.Nodes[1].URL, c.Nodes[2].URL}
+		n4 := c.AddNode(nil)
+		// Loopback ports differ per run and so does the ring: one patient
+		// is picked for an arc that does move, the rest fall as they may.
+		pids := []string{movedPatient(b, urls, n4.URL)}
+		for p := 0; p < 11; p++ {
+			pids = append(pids, fmt.Sprintf("P%02d", p))
+		}
+		benchCohort(b, c, pids)
+		prim, _, want := benchQuery(b, c)
+
+		checked := func() error {
+			res, _, err := tryMatch(c.URL, prim)
+			if err != nil {
+				return err
+			}
+			if res.Degraded {
+				return fmt.Errorf("degraded: %d/%d shards", res.ShardsOK, res.ShardsQueried)
+			}
+			return sameMatches(res, want)
+		}
+		timed := func(window string) float64 {
+			start := time.Now()
+			for q := 0; q < probes; q++ {
+				if err := checked(); err != nil {
+					b.Fatalf("%s the drain: %v", window, err)
+				}
+			}
+			return float64(time.Since(start).Nanoseconds()) / probes
+		}
+		before += timed("before")
+
+		// The background reader: at least one query, then until told to
+		// stop; its counters are read only after done delivers.
+		stop, done := make(chan struct{}), make(chan error, 1)
+		var queries int
+		var spent time.Duration
+		go func() {
+			for {
+				start := time.Now()
+				if err := checked(); err != nil {
+					done <- err
+					return
+				}
+				spent += time.Since(start)
+				queries++
+				select {
+				case <-stop:
+					done <- nil
+					return
+				default:
+				}
+			}
+		}()
+		if err := c.Gateway.AddBackend(n4.URL); err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		rep := c.Gateway.Rebalance(context.Background())
+		drainS += time.Since(start).Seconds()
+		close(stop)
+		if err := <-done; err != nil {
+			b.Fatalf("during the drain: %v", err)
+		}
+		if len(rep.Failed) > 0 {
+			b.Fatalf("rebalance failed %d sessions: %v", len(rep.Failed), rep.Failed)
+		}
+		if len(rep.Moved) == 0 {
+			b.Fatalf("rebalance moved no session onto the new backend (checked %d)", rep.Checked)
+		}
+		moved += float64(len(rep.Moved))
+		during += float64(spent.Nanoseconds()) / float64(queries)
+		after += timed("after")
+	}
+	n := float64(b.N)
+	b.ReportMetric(drainS/n, "drain-s")
+	b.ReportMetric(moved/n, "moved-sessions")
+	b.ReportMetric(before/n, "before-ns/match")
+	b.ReportMetric(during/n, "during-ns/match")
+	b.ReportMetric(after/n, "after-ns/match")
 }

@@ -25,7 +25,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -78,7 +77,7 @@ func (g *Gateway) AddBackend(url string) error {
 // ring, and the re-drive path after any crash.
 func (g *Gateway) Rebalance(ctx context.Context) RebalanceReport {
 	g.met.rebalances.Inc()
-	g.discoverPlacements(ctx)
+	g.discoverPlacements(ctx, "")
 
 	type task struct {
 		sid, pid, from string
@@ -157,24 +156,17 @@ func (g *Gateway) migrateSession(ctx context.Context, sid string, desired []stri
 				return ctx.Err()
 			}
 		}
-		g.mu.Lock()
-		pl, ok := g.places[sid]
-		g.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("session %q vanished from the placement table", sid)
+		// A dead or unknown source is failed over first, so there is a
+		// live primary to migrate from. The promoted replica holds every
+		// acked vertex (replication is synchronous with the ack), so no
+		// data is at risk; the move then re-drives.
+		src, pl, err := g.serving(ctx, sid)
+		if pl == nil {
+			return err // closed since the diff was taken
 		}
-		src := g.primaryBackend(pl)
-		if src == nil {
-			// Source is dead or unknown: promote a surviving replica so
-			// there is a live primary to migrate from. The replica holds
-			// every acked vertex (replication is synchronous with the
-			// ack), so no data is at risk; the move then re-drives.
-			var err error
-			src, err = g.failover(ctx, sid, pl)
-			if err != nil {
-				lastErr = fmt.Errorf("source down and no replica promoted: %w", err)
-				continue
-			}
+		if err != nil {
+			lastErr = err
+			continue
 		}
 		if src.URL() == desired[0] {
 			// Failover (or a prior partially-observed attempt) already put
@@ -241,42 +233,6 @@ func (g *Gateway) updatePlacement(sid string, desired []string) {
 	if pl, ok := g.places[sid]; ok {
 		pl.primary = desired[0]
 		pl.owners = append([]string(nil), desired...)
-	}
-}
-
-// discoverPlacements fills the placement table from the shards' own
-// session inventories, so a rebalance diff starts from where sessions
-// ACTUALLY live — the property that makes a drain re-drivable after a
-// gateway restart. Only unknown sessions are added; live placements
-// (updated synchronously on create/migrate/failover) are authoritative.
-func (g *Gateway) discoverPlacements(ctx context.Context) {
-	invs := g.inventories(ctx)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, inv := range invs {
-		for _, s := range inv.stats.Sessions {
-			pl, ok := g.places[s.SessionID]
-			if !ok {
-				g.places[s.SessionID] = &placement{
-					patientID: s.PatientID,
-					primary:   inv.url,
-					owners:    []string{inv.url},
-				}
-				continue
-			}
-			if pl.primary == "" {
-				pl.primary = inv.url
-			}
-		}
-	}
-	// Fold follower claims into owner sets so failover candidates are
-	// known for sessions learned above.
-	for _, inv := range invs {
-		for _, s := range inv.stats.Replicas {
-			if pl, ok := g.places[s.SessionID]; ok && !slices.Contains(pl.owners, inv.url) {
-				pl.owners = append(pl.owners, inv.url)
-			}
-		}
 	}
 }
 

@@ -91,18 +91,8 @@ func (g *Gateway) handleCreateSubscription(w http.ResponseWriter, r *http.Reques
 // replica); patient scope takes the first healthy ring owner.
 func (g *Gateway) subBackend(r *http.Request, patientID, sessionID string) (*Backend, error) {
 	if sessionID != "" {
-		pl, err := g.placementFor(r, sessionID)
-		if err != nil {
-			return nil, err
-		}
-		if b := g.primaryBackend(pl); b != nil {
-			return b, nil
-		}
-		b, err := g.failover(r.Context(), sessionID, pl)
-		if err != nil {
-			return nil, fmt.Errorf("session %s: primary down and no replica promoted: %w", sessionID, err)
-		}
-		return b, nil
+		b, _, err := g.serving(r.Context(), sessionID)
+		return b, err
 	}
 	owners := g.ring.Owners(patientID, g.opts.Replicas)
 	for _, u := range owners {

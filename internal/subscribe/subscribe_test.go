@@ -2,10 +2,14 @@ package subscribe
 
 import (
 	"context"
+	"sort"
 	"testing"
 
 	"stsmatch/internal/core"
+	"stsmatch/internal/dataset"
+	"stsmatch/internal/fsm"
 	"stsmatch/internal/plr"
+	"stsmatch/internal/signal"
 	"stsmatch/internal/store"
 	"stsmatch/internal/wal"
 )
@@ -247,5 +251,75 @@ func TestStateRoundTripRearms(t *testing.T) {
 	st2, _ := m2.State("s1")
 	if st2.NextSeq != 2 {
 		t.Errorf("re-armed nextSeq = %d, want 2", st2.NextSeq)
+	}
+}
+
+// TestStandingEvalDoesNotGrowWithCorpus: a standing query examines only
+// the suffix windows each append completes, so the candidates it
+// considers per appended vertex must not grow with the corpus it is
+// armed over. The same 30 s continuation of one stream is appended,
+// vertex by vertex with a drain after each (the ingest path's own
+// sequence), under an unscoped subscription over a 3-patient cohort and
+// over one 16 times the size. The funnel is deterministic, so the bound
+// is on counts, not on a clock.
+func TestStandingEvalDoesNotGrowWithCorpus(t *testing.T) {
+	gen, err := signal.NewRespiration(signal.DefaultRespiration(), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := fsm.SegmentAll(fsm.DefaultConfig(), gen.Generate(90))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := sort.Search(len(live), func(i int) bool { return live[i].T > 60 })
+	if cut < 10 || cut == len(live) {
+		t.Fatalf("live trace splits %d/%d at 60 s; fixture is broken", cut, len(live))
+	}
+	perVertex := func(patients int) (candidates float64, corpus int) {
+		cfg := signal.DefaultCohort()
+		cfg.NumPatients, cfg.SessionsPer, cfg.SessionDur = patients, 1, 60
+		db, _, err := dataset.Build(cfg, fsm.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := db.AddPatient(store.PatientInfo{ID: "LIVE"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := p.AddStream("S-LIVE")
+		if err := st.Append(live[:cut]...); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range db.Streams() {
+			corpus += s.Len()
+		}
+		m := NewManager(core.DefaultParams(), 0)
+		db.AddMutationHook(m.OnMutation)
+		if _, err := m.Register(&wal.SubState{ID: "s", Pattern: live[cut-10 : cut]}, db); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range live[cut:] {
+			if err := st.Append(v); err != nil {
+				t.Fatal(err)
+			}
+			m.Drain(context.Background(), db)
+		}
+		status, ok := m.Get("s")
+		if !ok {
+			t.Fatal("subscription vanished")
+		}
+		return float64(status.Candidates) / float64(len(live)-cut), corpus
+	}
+	small, nSmall := perVertex(3)
+	large, nLarge := perVertex(48)
+	t.Logf("candidates per appended vertex: %.2f over %d vertices, %.2f over %d", small, nSmall, large, nLarge)
+	if nLarge < 10*nSmall {
+		t.Fatalf("the large corpus is %d vertices against %d: not the scale the test is about", nLarge, nSmall)
+	}
+	if small == 0 {
+		t.Fatal("the standing query considered no candidate at 1x: nothing was measured")
+	}
+	if large > 1.5*small {
+		t.Errorf("standing eval is not sub-linear in the corpus: %.2f candidates per vertex at 1x, %.2f at 16x", small, large)
 	}
 }
