@@ -51,9 +51,10 @@ func (p Params) OfflineDistance(q, c plr.Sequence, rel SourceRelation) (float64,
 }
 
 // distanceBounded validates one (query, candidate) pair the way the
-// exported API promises and then scores it with weightedDistance. The
-// retrieval funnel does not come through here: its driver owns these
-// checks and hands the kernel precomputed weights (queryPlan.run).
+// exported API promises, copies the candidate into columns and scores it
+// with weightedDistance. The retrieval funnel does not come through
+// here: its driver owns these checks and hands the kernel precomputed
+// weights and the store's own columns (queryPlan.run).
 func (p Params) distanceBounded(q, c plr.Sequence, rel SourceRelation, bound float64) (d float64, ok bool, err error) {
 	if len(q) != len(c) {
 		return 0, false, fmt.Errorf("%w: %d vs %d vertices", ErrLengthMismatch, len(q), len(c))
@@ -64,16 +65,24 @@ func (p Params) distanceBounded(q, c plr.Sequence, rel SourceRelation, bound flo
 	if p.RequireStateOrder && !statesEqual(q, c) {
 		return 0, false, ErrStateMismatch
 	}
-	// Weights and query segments of the usual query fit on the stack.
-	var stack [96]float64
+	// Weights, query segments and candidate columns of the usual query
+	// (up to 12 vertices of up to 3 coordinates) fit on the stack.
+	var stack [128]float64
 	buf := stack[:]
-	if need := (len(q) - 1) * (q.Dims() + 2); need > len(buf) {
+	n, dims := len(q), q.Dims()
+	segs := (n - 1) * (dims + 2)
+	if need := segs + n*(dims+1); need > len(buf) {
 		buf = make([]float64, need)
 	}
-	vw := p.VertexWeights(buf[:0], len(q))
+	vw := p.VertexWeights(buf[:0], n)
 	wsum, _ := sumMin(vw)
 	wa, wf := p.ampFreqWeights()
-	d, ok = weightedDistance(querySegments(buf[len(q)-1:], q), c, vw, wa, wf, p.StreamWeight(rel), wsum, bound)
+	qseg := querySegments(buf[n-1:segs], q)
+	ts, pos := buf[segs:segs+n], buf[segs+n:segs+n]
+	for i, v := range c {
+		ts[i], pos = v.T, append(pos, v.Pos[:dims]...)
+	}
+	d, ok = weightedDistance(qseg, ts, pos, vw, wa, wf, p.StreamWeight(rel), wsum, bound)
 	return d, ok, nil
 }
 
@@ -93,15 +102,17 @@ func querySegments(dst []float64, q plr.Sequence) []float64 {
 
 // weightedDistance is the Definition-2 arithmetic: the vertex-weighted
 // sum of per-segment amplitude and duration differences between the
-// query (qseg, its querySegments) and an equal-length window c,
-// normalized by ws·wsum (wsum = Σ vw). Each candidate vertex is loaded
-// once. It supports early abandonment: when bound > 0 and the partial
+// query (qseg, its querySegments) and an equal-length window given as
+// columns (its len(vw)+1 vertex times ts and their positions pos, the
+// query's dimensionality per vertex), normalized by ws·wsum (wsum = Σ
+// vw). Each candidate value is loaded once. It supports early
+// abandonment: when bound > 0 and the partial
 // weighted sum already guarantees the final distance exceeds bound, the
 // computation stops and ok is false. The retrieval loop passes its
 // acceptance bound here, which skips most of the arithmetic on
 // clearly-distant candidates (every term of the sum is non-negative,
 // so the partial normalized sum only grows).
-func weightedDistance(qseg []float64, c plr.Sequence, vw []float64, wa, wf, ws, wsum, bound float64) (d float64, ok bool) {
+func weightedDistance(qseg, ts, pos, vw []float64, wa, wf, ws, wsum, bound float64) (d float64, ok bool) {
 	// Early abandonment threshold on the raw (unnormalized) sum. The
 	// tiny relative slack makes abandonment conservative under
 	// floating-point rounding: a candidate whose final distance ties
@@ -116,10 +127,11 @@ func weightedDistance(qseg []float64, c plr.Sequence, vw []float64, wa, wf, ws, 
 
 	var sum float64
 	stride := len(qseg) / len(vw) // 1 + dims
-	prevT, prevPos := c[0].T, c[0].Pos
+	dims := stride - 1
+	prevT, prevPos := ts[0], pos[:dims]
 	for i, w := range vw {
 		seg := qseg[i*stride : (i+1)*stride]
-		curT, curPos := c[i+1].T, c[i+1].Pos
+		curT, curPos := ts[i+1], pos[(i+1)*dims:(i+2)*dims]
 		// Segment displacement difference (amplitude term).
 		var dd float64
 		for k, dq := range seg[1:] {

@@ -68,13 +68,13 @@ func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
 	}
 
 	c := candidateSet{view: st.ScanView(pl.sig), sig: pl.sig, starts: make([]int32, 8), lbs: make([]float64, 8)}
-	c.hi = len(c.view.Seq)
+	c.hi = c.view.Len()
 	if !c.view.Listed || len(c.view.Postings) == 0 {
 		t.Fatal("fixture: the indexed stream lists no postings")
 	}
-	possible := len(c.view.Seq) - pl.n + 1
+	possible := c.view.Len() - pl.n + 1
 	// The append lands between taking the view and running the funnel.
-	last := c.view.Seq[len(c.view.Seq)-1].T
+	last := c.view.T[c.view.Len()-1]
 	if err := st.Append(breathingWindow(last+1, 11, unitDurs(12))...); err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
 		t.Error("fixture: no match in the view")
 	}
 	for _, h := range w.hits {
-		if int(h.start)+pl.n > len(c.view.Seq) {
-			t.Errorf("match at %d reaches beyond the %d-vertex view", h.start, len(c.view.Seq))
+		if int(h.start)+pl.n > c.view.Len() {
+			t.Errorf("match at %d reaches beyond the %d-vertex view", h.start, c.view.Len())
 		}
 	}
 }

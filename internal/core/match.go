@@ -61,12 +61,13 @@ type Match struct {
 	ord int
 }
 
-// Window returns the matched subsequence.
+// Window returns a copy of the matched subsequence.
 func (m Match) Window() plr.Sequence { return m.Stream.Window(m.Start, m.N) }
 
 // EndTime returns the time of the window's final vertex.
 func (m Match) EndTime() float64 {
-	return m.Stream.Seq()[m.Start+m.N-1].T
+	ts, _, _ := m.Stream.Track()
+	return ts[m.Start+m.N-1]
 }
 
 // matchCmp is the total result order: ascending distance, then
@@ -567,7 +568,7 @@ func (pl *queryPlan) feed(w *workerState, it streamWork) {
 		// The index probe already produced the list, state order proven.
 		c.view.Listed, c.view.Postings, c.sig = true, it.probed, ""
 	}
-	c.hi = len(c.view.Seq)
+	c.hi = c.view.Len()
 	w.hits = pl.run(w, it.st, it.ord, &c, w.hits)
 }
 
@@ -603,9 +604,11 @@ type candidateSet struct {
 // worker's pass buffers hold, so that each stage is a tight loop over
 // one kind of memory and is clocked per block, never per window.
 func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidateSet, hits []hit) []hit {
-	seq, amps, n := c.view.Seq, c.view.Amps, pl.n
-	lo, hi := max(c.lo, 0), min(c.hi, len(seq)-n+1)
-	if lo >= hi {
+	ts, pos, amps, n, dims := c.view.T, c.view.Pos, c.view.Amps, pl.n, c.view.Dims
+	lo, hi := max(c.lo, 0), min(c.hi, len(ts)-n+1)
+	// A stream of another dimensionality than the query's holds nothing
+	// comparable with it.
+	if lo >= hi || dims != pl.q.Seq.Dims() {
 		return hits
 	}
 	w.counts.Windows += hi - lo
@@ -624,7 +627,7 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidate
 		if rel == SameSession {
 			kept := starts[:0]
 			for _, j := range starts {
-				if seq[int(j)+n-1].T >= qStart {
+				if ts[int(j)+n-1] >= qStart {
 					w.counts.SelfExcluded++
 				} else {
 					kept = append(kept, j)
@@ -637,7 +640,7 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidate
 		// Pass 2 — the O(1) lower bound, against the acceptance bound as it
 		// stands on entering the block. Stage A reads the prefix-sum column
 		// only and discards nearly everything the bound can; what it lets
-		// through loads its two end vertices for the full bound, the value
+		// through reads its two end times for the full bound, the value
 		// pass 3 re-checks.
 		bound, kept := pl.bound(), 0
 		for _, j32 := range starts {
@@ -647,7 +650,7 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidate
 				w.counts.LBPruned++
 				continue
 			}
-			lb := pl.lowerBound(ampC, seq[j+n-1].T-seq[j].T, rel)
+			lb := pl.lowerBound(ampC, ts[j+n-1]-ts[j], rel)
 			if lb > bound {
 				w.counts.LBPruned++
 				continue
@@ -675,7 +678,7 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidate
 				bound = 0
 			}
 			j := int(j32)
-			d, within := weightedDistance(pl.qseg, seq[j:j+n], pl.vw, pl.wa, pl.wf, ws, pl.wsum, bound)
+			d, within := weightedDistance(pl.qseg, ts[j:j+n], pos[j*dims:(j+n)*dims], pl.vw, pl.wa, pl.wf, ws, pl.wsum, bound)
 			// Written so that a NaN distance (displacements that overflow:
 			// Inf-Inf) is rejected too: every accepted distance is finite.
 			if !within || !(d <= pl.threshold) {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
 )
@@ -217,8 +221,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 
 // dimMismatchDB builds a database whose first stream has 2-dim
 // positions matching a 2-dim query and whose second has 1-dim
-// positions, so exact distance evaluation on the second panics with an
-// index out of range.
+// positions: nothing in the second is comparable with the query.
 func dimMismatchDB(t *testing.T) (*store.DB, Query) {
 	t.Helper()
 	db := store.NewDB()
@@ -249,10 +252,21 @@ func dimMismatchDB(t *testing.T) (*store.DB, Query) {
 // an effectively infinite threshold. The rewritten search never
 // mutates Params, so the threshold must survive a panicking search at
 // every parallelism setting — and parallel workers must re-raise the
-// panic on the caller's goroutine rather than crash the process.
+// panic on the caller's goroutine rather than crash the process. The
+// panic comes from the stage clock of a traced search. The corpus holds
+// a stream of another dimensionality than the query's, which a search
+// passes over: it used to be an index out of range in the kernel.
 func TestTopKPanicDoesNotCorruptParams(t *testing.T) {
 	alwaysFanOut(t)
 	db, q := dimMismatchDB(t)
+	var boom atomic.Bool
+	now = func() time.Time {
+		if boom.Load() {
+			panic("stage clock")
+		}
+		return time.Now()
+	}
+	t.Cleanup(func() { now = time.Now })
 	for _, par := range []int{1, 8} {
 		p := DefaultParams()
 		p.DistThreshold = 4.25
@@ -263,22 +277,30 @@ func TestTopKPanicDoesNotCorruptParams(t *testing.T) {
 		}
 		func() {
 			defer func() {
+				boom.Store(false)
 				if recover() == nil {
-					t.Errorf("par=%d: dimension mismatch did not panic", par)
+					t.Errorf("par=%d: the stage clock's panic did not reach the caller", par)
 				}
 			}()
-			_, _ = m.TopK(q, 3, nil)
+			root := obs.StartTrace("test.query", "test", obs.SpanContext{}, obs.NewCollector(1, time.Hour))
+			boom.Store(true)
+			_, _ = m.TopKCtx(obs.ContextWithSpan(context.Background(), root), q, 3, nil)
 		}()
 		if m.Params.DistThreshold != 4.25 {
 			t.Errorf("par=%d: panic corrupted DistThreshold: %v", par, m.Params.DistThreshold)
 		}
-		// The matcher must remain usable on well-formed streams.
-		got, err := m.TopK(q, 3, map[string]bool{"P1": true})
+		// The matcher must remain usable, and pass over the 1-dim stream.
+		got, err := m.TopK(q, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) == 0 {
 			t.Errorf("par=%d: matcher unusable after recovered panic", par)
+		}
+		for _, mt := range got {
+			if mt.Stream.PatientID != "P1" {
+				t.Errorf("par=%d: a 2-dim query matched in the 1-dim stream of %s", par, mt.Stream.PatientID)
+			}
 		}
 	}
 }

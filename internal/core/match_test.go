@@ -346,6 +346,48 @@ func TestNewQuerySetsNow(t *testing.T) {
 	}
 }
 
+// TestFindSimilarOverRefusedDimension is the regression test for a
+// vertex without a position in the middle of a 1-dimensional batch: the
+// store used to take it (its prefix sums clamp to the shorter vector) and
+// the next loose search indexed the missing coordinate. The append stops
+// there now, and a search over what landed scores whole windows only.
+func TestFindSimilarOverRefusedDimension(t *testing.T) {
+	db := buildTestDB(t)
+	p, err := db.AddPatient(store.PatientInfo{ID: "P4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := breathingWindow(0, 10, unitDurs(36))
+	batch[18].Pos = nil
+	st := p.AddStream("S1")
+	if err := st.Append(batch...); err == nil || st.Len() != 18 {
+		t.Fatalf("append over a vertex without a position: %v, %d vertices landed; want an error and 18", err, st.Len())
+	}
+	params := DefaultParams()
+	params.DistThreshold = 1e6
+	m, err := NewMatcher(db, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := db.Patient("P1").StreamBySession("S1").Seq()
+	got, err := m.FindSimilar(NewQuery(own[len(own)-10:], "P1", "S1"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inP4 := 0
+	for _, mt := range got {
+		if mt.Stream == st {
+			inP4++
+			if mt.Start+mt.N > 18 {
+				t.Errorf("match [%d, %d) reaches past the 18 vertices that landed", mt.Start, mt.Start+mt.N)
+			}
+		}
+	}
+	if inP4 == 0 {
+		t.Error("fixture: the loose search matched nothing in the stream that refused a vertex")
+	}
+}
+
 // TestNonFiniteDistanceNeverMatches: finite vertices can still make a
 // distance that is not a number — displacements that overflow to an
 // infinity on both sides, and Inf-Inf — and such a distance fails the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sort"
 
 	"stsmatch/internal/plr"
 )
@@ -56,14 +57,16 @@ func (m *Matcher) PredictPosition(q Query, matches []Match, delta float64, minMa
 	for _, mt := range matches {
 		// One view of the stream per match; the future point lies a
 		// horizon past the window's last vertex, so look from there.
-		seq, end := mt.Stream.Seq(), mt.Start+mt.N-1
-		if !seq.PositionFrom(f, seq[end].T+delta, end) {
+		ts, pos, d := mt.Stream.Track()
+		end := mt.Start + mt.N - 1
+		if !positionFrom(ts, pos, d, f, ts[end]+delta, end) {
 			continue // stream ends before the future point
 		}
-		anchor := seq[mt.Start].Pos
+		at := mt.Start
 		if m.Params.AnchorAtQueryEnd {
-			anchor = seq[end].Pos
+			at = end
 		}
+		anchor := pos[at*dims:]
 		for k := 0; k < dims; k++ {
 			acc[k] += mt.Weight * (f[k] - anchor[k])
 		}
@@ -154,9 +157,9 @@ func (m *Matcher) PredictDisplacement(q Query, matches []Match, d1, d2 float64, 
 	var wsum float64
 	used := 0
 	for _, mt := range matches {
-		seq, end := mt.Stream.Seq(), mt.Start+mt.N-1
-		endT := seq[end].T
-		if !seq.PositionFrom(a, endT+d1, end) || !seq.PositionFrom(b, endT+d2, end) {
+		ts, pos, d := mt.Stream.Track()
+		end := mt.Start + mt.N - 1
+		if !positionFrom(ts, pos, d, a, ts[end]+d1, end) || !positionFrom(ts, pos, d, b, ts[end]+d2, end) {
 			continue
 		}
 		for k := 0; k < dims; k++ {
@@ -196,15 +199,17 @@ func (m *Matcher) PredictNextSegment(q Query, matches []Match, minMatches int) (
 	counts := [plr.NumStates]float64{}
 	used := 0
 	for _, mt := range matches {
-		seq := mt.Stream.Seq()
+		v := mt.Stream.ScanView("")
 		next := mt.Start + mt.N - 1
-		if next+1 >= len(seq) {
+		if next+1 >= v.Len() {
 			continue // no following segment stored
 		}
-		seg := seq.SegmentAt(next)
-		durSum += mt.Weight * seg.Duration
-		ampSum += mt.Weight * seg.Amplitude()
-		counts[seg.State] += mt.Weight
+		// The amplitude is summed over the coordinates, not read off the
+		// prefix-sum column, which rounds differently.
+		d := v.Dims
+		durSum += mt.Weight * (v.T[next+1] - v.T[next])
+		ampSum += mt.Weight * plr.Dist(v.Pos[(next+1)*d:(next+2)*d], v.Pos[next*d:(next+1)*d])
+		counts[plr.StateOfByte(v.States[next])] += mt.Weight
 		wsum += mt.Weight
 		used++
 	}
@@ -224,4 +229,42 @@ func (m *Matcher) PredictNextSegment(q Query, matches []Match, minMatches int) (
 		Amplitude:  ampSum / wsum,
 		NumMatches: used,
 	}, nil
+}
+
+// positionFrom is plr.Sequence.PositionFrom over a stream's time and
+// position columns (store.Stream.Track): it writes the position the
+// stream held at time t into dst, which must have the stream's d
+// coordinates (times outside the stream clamp to its ends), and reports
+// whether t lies inside the stream. When vertex hint lies at or before t
+// the segment holding t is walked to from there; any other hint bisects.
+func positionFrom(ts, pos []float64, d int, dst []float64, t float64, hint int) bool {
+	last := len(ts) - 1
+	if last < 0 || len(dst) != d {
+		return false
+	}
+	if t <= ts[0] {
+		copy(dst, pos[:d])
+		return t == ts[0]
+	}
+	if t >= ts[last] {
+		copy(dst, pos[last*d:])
+		return t == ts[last]
+	}
+	// The segment containing t: ts[lo] <= t < ts[lo+1].
+	lo := hint
+	if lo < 0 || lo > last || ts[lo] > t {
+		lo = sort.SearchFloat64s(ts, t)
+		if ts[lo] > t {
+			lo--
+		}
+	}
+	for ts[lo+1] <= t {
+		lo++
+	}
+	a, b := pos[lo*d:(lo+1)*d], pos[(lo+1)*d:(lo+2)*d]
+	frac := (t - ts[lo]) / (ts[lo+1] - ts[lo])
+	for k := range dst {
+		dst[k] = a[k] + frac*(b[k]-a[k])
+	}
+	return true
 }

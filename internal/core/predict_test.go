@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"stsmatch/internal/plr"
@@ -306,5 +307,44 @@ func TestPredictionMultiDim(t *testing.T) {
 		if e := math.Abs(pred.Pos[k] - truth[k]); e > 2 {
 			t.Errorf("dim %d error %.2f", k, e)
 		}
+	}
+}
+
+// TestPositionFromEqualsSequence: the prediction folds' positionFrom over
+// a stream's columns writes what plr.Sequence.PositionFrom writes over
+// the same vertices, bit for bit — on every segment boundary, a float to
+// either side of it, inside every segment, before the first vertex and
+// after the last — whatever the hint.
+func TestPositionFromEqualsSequence(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	st := store.NewStream("P", "S")
+	for i, tm := 0, 0.0; i < 40; i++ {
+		tm += 0.05 + rng.Float64()
+		v := plr.Vertex{T: tm, Pos: []float64{rng.NormFloat64() * 10, rng.NormFloat64() * 3}, State: plr.State(i % 3)}
+		if err := st.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := st.Seq()
+	ts, pos, d := st.Track()
+	last := len(seq) - 1
+	times := []float64{seq[0].T - 1, seq[last].T + 1, math.Inf(-1), math.Inf(1)}
+	for i, v := range seq {
+		times = append(times, v.T, math.Nextafter(v.T, math.Inf(-1)), math.Nextafter(v.T, math.Inf(1)))
+		if i < last {
+			times = append(times, v.T+rng.Float64()*(seq[i+1].T-v.T))
+		}
+	}
+	got, want := make([]float64, 2), make([]float64, 2)
+	for _, at := range times {
+		for _, hint := range []int{-1, 0, seq.IndexAtTime(at) - 1, seq.IndexAtTime(at), seq.IndexAtTime(at) + 1, last, last + 5} {
+			gotIn, wantIn := positionFrom(ts, pos, d, got, at, hint), seq.PositionFrom(want, at, hint)
+			if gotIn != wantIn || math.Float64bits(got[0]) != math.Float64bits(want[0]) || math.Float64bits(got[1]) != math.Float64bits(want[1]) {
+				t.Fatalf("t=%v hint=%d: columns give %v, %v; the sequence %v, %v", at, hint, got, gotIn, want, wantIn)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { positionFrom(ts, pos, d, got, seq[20].T+0.01, 20) }); allocs != 0 {
+		t.Errorf("positionFrom allocates %v times, want 0", allocs)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // State is the finite-state-model state of a line segment. The three
@@ -60,6 +61,15 @@ func (s State) Byte() byte {
 	default:
 		return 'R'
 	}
+}
+
+// StateOfByte is the inverse of Byte: the state a signature letter
+// stands for, IRR for any but 'E', 'O' and 'I'.
+func StateOfByte(b byte) State {
+	if i := strings.IndexByte("EOI", b); i >= 0 {
+		return State(i)
+	}
+	return IRR
 }
 
 // Valid reports whether s is one of the four defined states.

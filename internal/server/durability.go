@@ -181,8 +181,12 @@ func (s *Server) resumeSession(ss wal.SessionState) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq := st.Seq()
-	if err := seg.Prime(seq); err != nil {
+	// Only the tail the segmenter re-warms from is copied out of the
+	// stream's columns.
+	view := st.ScanView("")
+	n := view.Len()
+	tail := min(n, s.segCfg.SlopeWindow)
+	if err := seg.Prime(view.Window(n-tail, tail)); err != nil {
 		return nil, fmt.Errorf("priming segmenter: %w", err)
 	}
 	sess := &session{
@@ -195,13 +199,14 @@ func (s *Server) resumeSession(ss wal.SessionState) (*session, error) {
 		lastPos:   append([]float64(nil), ss.LastPos...),
 		resumed:   true,
 	}
-	if n := len(seq); n > 0 {
-		sess.resumedAt = seq[n-1].T
+	if n > 0 {
+		last := view.Vertex(n - 1)
+		sess.resumedAt = last.T
 		// The anchor record can lag the last replayed vertex when the
 		// crash clipped the final anchor; never resume behind the PLR.
-		if sess.lastT < seq[n-1].T {
-			sess.lastT = seq[n-1].T
-			sess.lastPos = append([]float64(nil), seq[n-1].Pos...)
+		if sess.lastT < last.T {
+			sess.lastT = last.T
+			sess.lastPos = append([]float64(nil), last.Pos...)
 		}
 	}
 	return sess, nil

@@ -334,12 +334,13 @@ func (s *Server) snapshotBatch(r *replicator, link *replicaLink) (wal.Batch, boo
 	if p := s.db.Patient(r.patientID); p != nil {
 		info = p.Info
 	}
+	view := sess.stream.ScanView("") // its copy for the encoder goes with the batch
 	snap := wal.Record{
 		Type:      wal.TypeReplicaSnapshot,
 		Patient:   info,
 		PatientID: r.patientID,
 		SessionID: r.sessionID,
-		Vertices:  sess.stream.Seq(),
+		Vertices:  view.Window(0, view.Len()),
 		Samples:   uint64(sess.samples),
 		AnchorT:   sess.lastT,
 		AnchorPos: append([]float64(nil), sess.lastPos...),
@@ -545,14 +546,7 @@ func (s *Server) applyReplicated(rs *replicaState, rec wal.Record) error {
 		}
 		// Append only the vertices past our current tail: a snapshot
 		// re-ships the whole stream, and Append rejects regressions.
-		vs := rec.Vertices
-		if seq := st.Seq(); len(seq) > 0 {
-			lastT := seq[len(seq)-1].T
-			for len(vs) > 0 && vs[0].T <= lastT {
-				vs = vs[1:]
-			}
-		}
-		if len(vs) > 0 {
+		if vs := wal.TailAfter(st, rec.Vertices); len(vs) > 0 {
 			if err := st.Append(vs...); err != nil {
 				return err
 			}

@@ -208,7 +208,7 @@ func (x *Index) Config() Config { return x.cfg }
 // to the scan path.
 func (x *Index) BuildFrom(db *store.DB) {
 	for _, st := range db.Streams() {
-		seq := st.Seq()
+		seq := st.Window(0, st.Len()) // a copy dropped after the build, not the stream's memo
 		x.mu.Lock()
 		si, fresh := x.registerLocked(StreamKey{PatientID: st.PatientID, SessionID: st.SessionID})
 		if fresh {

@@ -60,27 +60,18 @@ func (db *DB) WriteBinary(w io.Writer) error {
 
 func writeStream(bw *bufio.Writer, st *Stream) error {
 	writeString(bw, st.SessionID)
-	seq := st.Seq()
-	dims := seq.Dims()
-	writeUvarint(bw, uint64(dims))
-	writeUvarint(bw, uint64(len(seq)))
-	var f64 [8]byte
-	for _, v := range seq {
-		binary.LittleEndian.PutUint64(f64[:], math.Float64bits(v.T))
-		if _, err := bw.Write(f64[:]); err != nil {
+	v := st.ScanView("")
+	writeUvarint(bw, uint64(v.Dims))
+	writeUvarint(bw, uint64(v.Len()))
+	var rec []byte
+	for i, t := range v.T {
+		rec = binary.LittleEndian.AppendUint64(rec[:0], math.Float64bits(t))
+		rec = append(rec, byte(plr.StateOfByte(v.States[i])))
+		for _, x := range v.Pos[i*v.Dims : (i+1)*v.Dims] {
+			rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(x))
+		}
+		if _, err := bw.Write(rec); err != nil {
 			return err
-		}
-		if err := bw.WriteByte(byte(v.State)); err != nil {
-			return err
-		}
-		if len(v.Pos) != dims {
-			return fmt.Errorf("store: stream %s vertex dims %d != %d", st.SessionID, len(v.Pos), dims)
-		}
-		for _, x := range v.Pos {
-			binary.LittleEndian.PutUint64(f64[:], math.Float64bits(x))
-			if _, err := bw.Write(f64[:]); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -167,32 +158,27 @@ func readStream(br *bufio.Reader, p *Patient) error {
 	if n > 1<<30 {
 		return fmt.Errorf("store: implausible vertex count %d", n)
 	}
+	// Vertices go from the file's records straight into the stream's
+	// columns, through the checks every append passes. The count sizes
+	// the columns only as far as a plausible stream; a longer one grows.
 	st := p.AddStream(sessionID)
-	buf := make([]byte, 8)
-	seq := make(plr.Sequence, 0, n)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.cols.Dims = int(dims)
+	st.reserve(int(min(n, 1<<16)))
+	rec, pos := make([]byte, 9+8*dims), make([]float64, dims)
 	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
+		if _, err := io.ReadFull(br, rec); err != nil {
 			return err
 		}
-		v := plr.Vertex{T: math.Float64frombits(binary.LittleEndian.Uint64(buf))}
-		stByte, err := br.ReadByte()
-		if err != nil {
+		for d := range pos {
+			pos[d] = math.Float64frombits(binary.LittleEndian.Uint64(rec[9+8*d:]))
+		}
+		if err := st.push(math.Float64frombits(binary.LittleEndian.Uint64(rec)), pos, plr.State(rec[8])); err != nil {
 			return err
 		}
-		v.State = plr.State(stByte)
-		if !v.State.Valid() {
-			return fmt.Errorf("store: invalid state byte %d", stByte)
-		}
-		v.Pos = make([]float64, dims)
-		for d := range v.Pos {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return err
-			}
-			v.Pos[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		}
-		seq = append(seq, v)
 	}
-	return st.Append(seq...)
+	return nil
 }
 
 func writeUvarint(bw *bufio.Writer, x uint64) {

@@ -6,29 +6,23 @@ package store
 // "EOI EOI ..." dominates.
 const ngramSize = 4
 
-// ngramIndex is an inverted index from state-string n-grams to their
-// start positions. It supports incremental extension as vertices are
-// appended to the owning stream.
+// ngramIndex is an inverted index from state-string n-grams, packed into
+// a word (gramKey), to their start positions. It supports incremental
+// extension as vertices are appended to the owning stream.
 type ngramIndex struct {
-	postings map[string][]int32
+	postings map[uint32][]int32
 	built    int // number of state-string positions already indexed
 }
 
-func newNgramIndex() *ngramIndex {
-	return &ngramIndex{postings: make(map[string][]int32)}
-}
-
-// build indexes the full state string from scratch.
-func (ix *ngramIndex) build(stateStr []byte) {
-	ix.postings = make(map[string][]int32)
-	ix.built = 0
-	ix.extend(stateStr)
+// gramKey packs the first ngramSize state letters of g.
+func gramKey[S string | []byte](g S) uint32 {
+	return uint32(g[0]) | uint32(g[1])<<8 | uint32(g[2])<<16 | uint32(g[3])<<24
 }
 
 // extend indexes any new complete grams introduced by appended states.
 func (ix *ngramIndex) extend(stateStr []byte) {
 	for ; ix.built+ngramSize <= len(stateStr); ix.built++ {
-		g := string(stateStr[ix.built : ix.built+ngramSize])
+		g := gramKey(stateStr[ix.built:])
 		ix.postings[g] = append(ix.postings[g], int32(ix.built))
 	}
 }

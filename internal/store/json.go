@@ -39,7 +39,8 @@ func (db *DB) WriteJSON(w io.Writer) error {
 		jp := jsonPatient{Info: p.Info}
 		for _, st := range p.Streams {
 			js := jsonStream{SessionID: st.SessionID}
-			for _, v := range st.Seq() {
+			for view, i := st.ScanView(""), 0; i < view.Len(); i++ {
+				v := view.Vertex(i)
 				js.Vertices = append(js.Vertices, jsonVertex{T: v.T, Pos: v.Pos, State: v.State.String()})
 			}
 			jp.Streams = append(jp.Streams, js)
@@ -63,15 +64,16 @@ func ReadJSON(r io.Reader) (*DB, error) {
 			return nil, err
 		}
 		for _, js := range jp.Streams {
-			st := p.AddStream(js.SessionID)
-			for _, jv := range js.Vertices {
+			vs := make([]plr.Vertex, len(js.Vertices))
+			for i, jv := range js.Vertices {
 				state, err := plr.ParseState(jv.State)
 				if err != nil {
 					return nil, fmt.Errorf("store: stream %s: %w", js.SessionID, err)
 				}
-				if err := st.Append(plr.Vertex{T: jv.T, Pos: jv.Pos, State: state}); err != nil {
-					return nil, err
-				}
+				vs[i] = plr.Vertex{T: jv.T, Pos: jv.Pos, State: state}
+			}
+			if err := p.AddStream(js.SessionID).Append(vs...); err != nil {
+				return nil, err
 			}
 		}
 	}

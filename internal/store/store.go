@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,24 +95,28 @@ type PatientInfo struct {
 // Stream is one treatment session's PLR stream. Streams support
 // online appends (the real-time ingestion path) and window lookups by
 // state signature.
+//
+// A stored vertex is a row of four dense, pointer-free, append-only
+// columns, which is all that searches, predictions, standing evaluations,
+// snapshots and replication read (through ScanView). The plr.Sequence
+// form is a memo for the callers that ask for it (Seq, Snapshot): a
+// stream nobody asks never pays the 40-byte vertex headers.
 type Stream struct {
 	PatientID string
 	SessionID string
 
-	mu       sync.RWMutex
-	seq      plr.Sequence
-	stateStr []byte
-	index    *ngramIndex
-	hook     *hookRef
+	mu    sync.RWMutex
+	index *ngramIndex
+	hook  *hookRef
 
-	// ampSum holds per-vertex prefix sums of segment displacement
-	// norms: ampSum[i] is the sum of |Pos[j+1]-Pos[j]| over segments
-	// j < i (so ampSum[0] == 0 and len(ampSum) == len(seq)). The
-	// matcher derives a constant-time lower bound on the weighted
-	// subsequence distance from these sums; like the n-gram index they
-	// are extended incrementally on Append.
-	ampSum []float64
-	pos    []float64 // the open chunk of stored vertex positions
+	// cols holds the columns (ScanView documents them; its postings
+	// fields stay zero here). Amps is extended incrementally on Append,
+	// like the n-gram index.
+	cols ScanView
+
+	// memo is Seq()'s materialisation of the first len(memo) vertices;
+	// their positions alias cols.Pos as it was when each was built.
+	memo plr.Sequence
 }
 
 // NewStream creates an empty stream owned by the given patient and
@@ -120,50 +125,27 @@ func NewStream(patientID, sessionID string) *Stream {
 	return &Stream{PatientID: patientID, SessionID: sessionID}
 }
 
-// Append adds vertices to the end of the stream, maintaining the state
-// string and, when enabled, the index. Vertices must continue the
-// existing time order and be finite; the batch stops at the first that
-// does not or is not.
+// Append adds vertices to the end of the stream, maintaining the
+// columns and, when enabled, the index. Vertices must continue the
+// existing time order, be finite and have the stream's dimensionality
+// (the first vertex fixes it); the batch stops at the first that does
+// not.
 func (s *Stream) Append(vs ...plr.Vertex) error {
+	if len(vs) == 0 {
+		return nil // what a segmenter emits for most samples
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.cols.Len() == 0 {
+		s.cols.Dims = len(vs[0].Pos)
+	}
+	s.reserve(len(vs))
 	appended := 0
 	var err error
 	for _, v := range vs {
-		if n := len(s.seq); n > 0 && v.T <= s.seq[n-1].T {
-			err = fmt.Errorf("store: vertex time %v does not advance stream %s", v.T, s.SessionID)
+		if err = s.push(v.T, v.Pos, v.State); err != nil {
 			break
 		}
-		if !v.State.Valid() {
-			err = fmt.Errorf("store: invalid state on appended vertex")
-			break
-		}
-		if !finite(v) {
-			err = fmt.Errorf("store: vertex at time %v of stream %s has a non-finite time or position", v.T, s.SessionID)
-			break
-		}
-		if n := len(s.seq); n == 0 {
-			s.ampSum = append(s.ampSum, 0)
-		} else {
-			s.ampSum = append(s.ampSum, s.ampSum[n-1]+dispNorm(s.seq[n-1].Pos, v.Pos))
-		}
-		// The stored vertex's position is a copy in the stream's open
-		// chunk, so that a window's positions are adjacent in memory (and
-		// the caller's slice is not retained). A new chunk holds the rest
-		// of the batch, or for one-at-a-time appends doubles up to 4 KB.
-		if len(s.pos)+len(v.Pos) > cap(s.pos) {
-			s.pos = make([]float64, 0, max(len(v.Pos)*(len(vs)-appended), min(2*cap(s.pos), 512), 8))
-		}
-		if len(v.Pos) > 0 {
-			s.pos = append(s.pos, v.Pos...)
-			v.Pos = s.pos[len(s.pos)-len(v.Pos) : len(s.pos) : len(s.pos)]
-		}
-		s.seq = append(s.seq, v)
-		s.stateStr = append(s.stateStr, v.State.Byte())
-		if s.index != nil {
-			s.index.extend(s.stateStr)
-		}
-		mVertices.Inc()
 		appended++
 	}
 	// Report the prefix that actually landed, even on a mid-batch
@@ -179,50 +161,96 @@ func (s *Stream) Append(vs ...plr.Vertex) error {
 	return err
 }
 
+// reserve makes room for n more vertices in every column, so a batch
+// grows each of them once. Called with s.mu held and cols.Dims set.
+func (s *Stream) reserve(n int) {
+	c := &s.cols
+	c.T = slices.Grow(c.T, n)
+	c.Pos = slices.Grow(c.Pos, n*c.Dims)
+	c.States = slices.Grow(c.States, n)
+	c.Amps = slices.Grow(c.Amps, n)
+}
+
+// push validates and stores one vertex, copying its position. Called
+// with s.mu held and, for a first vertex, cols.Dims set.
+func (s *Stream) push(t float64, pos []float64, state plr.State) error {
+	c := &s.cols
+	n := len(c.T)
+	switch {
+	case n > 0 && t <= c.T[n-1]:
+		return fmt.Errorf("store: vertex time %v does not advance stream %s", t, s.SessionID)
+	case !state.Valid():
+		return fmt.Errorf("store: invalid state on appended vertex")
+	case !finite(t, pos):
+		return fmt.Errorf("store: vertex at time %v of stream %s has a non-finite time or position", t, s.SessionID)
+	case len(pos) != c.Dims:
+		return fmt.Errorf("store: vertex at time %v of stream %s has %d dimensions, the stream has %d", t, s.SessionID, len(pos), c.Dims)
+	}
+	if n == 0 {
+		c.Amps = append(c.Amps, 0)
+	} else {
+		c.Amps = append(c.Amps, c.Amps[n-1]+dispNorm(c.Pos[(n-1)*c.Dims:], pos))
+	}
+	c.T = append(c.T, t)
+	c.Pos = append(c.Pos, pos...)
+	c.States = append(c.States, state.Byte())
+	if s.index != nil {
+		s.index.extend(c.States)
+	}
+	mVertices.Inc()
+	return nil
+}
+
 // Len returns the number of vertices.
 func (s *Stream) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.seq)
+	return s.cols.Len()
 }
 
-// Seq returns the underlying sequence. The returned slice must be
-// treated as read-only; it remains valid across appends (appends may
-// reallocate but never mutate existing vertices).
+// Seq returns the stream as a plr.Sequence, for callers at the API edge
+// that want vertices rather than columns. It is materialised on the first
+// call and extended on later ones. The returned slice must be treated as
+// read-only; it remains valid across appends (appends may reallocate but
+// never mutate existing vertices).
 func (s *Stream) Seq() plr.Sequence {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.seq
+	memo, n := s.memo, s.cols.Len()
+	s.mu.RUnlock()
+	if len(memo) == n {
+		return memo
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.memo = slices.Grow(s.memo, s.cols.Len()-len(s.memo))
+	for i := len(s.memo); i < s.cols.Len(); i++ {
+		s.memo = append(s.memo, s.cols.Vertex(i))
+	}
+	return s.memo
 }
 
-// finite reports whether the vertex's time and every coordinate are
-// finite. One NaN or infinity in a stream would poison the distance of
-// every window over it (and every prefix sum after it).
-func finite(v plr.Vertex) bool {
-	ok := !math.IsNaN(v.T) && !math.IsInf(v.T, 0)
-	for _, x := range v.Pos {
+// finite reports whether the time and every coordinate are finite. One
+// NaN or infinity in a stream would poison the distance of every window
+// over it (and every prefix sum after it).
+func finite(t float64, pos []float64) bool {
+	ok := !math.IsNaN(t) && !math.IsInf(t, 0)
+	for _, x := range pos {
 		ok = ok && !math.IsNaN(x) && !math.IsInf(x, 0)
 	}
 	return ok
 }
 
-// dispNorm is the Euclidean norm of b-a over the dimensions both
-// vectors share (streams are homogeneous in practice; the clamp only
-// guards against malformed appends).
+// dispNorm is the Euclidean norm of b-a, a read as long as b.
 func dispNorm(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
 	var s float64
-	for k := 0; k < n; k++ {
-		d := b[k] - a[k]
+	for k, x := range b {
+		d := x - a[k]
 		s += d * d
 	}
 	return math.Sqrt(s)
 }
 
-// Snapshot returns the vertex sequence together with its matching
+// Snapshot returns the vertex sequence (Seq) together with its matching
 // displacement-norm prefix sums as one consistent view: sums[i] is the
 // sum of segment displacement norms |Pos[j+1]-Pos[j]| over j < i, so a
 // window of n vertices starting at j has displacement-norm sum
@@ -230,16 +258,16 @@ func dispNorm(a, b []float64) float64 {
 // caller and remain valid across appends (appends may reallocate but
 // never mutate existing entries).
 func (s *Stream) Snapshot() (seq plr.Sequence, sums []float64) {
+	seq = s.Seq()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.seq, s.ampSum
+	return seq, s.cols.Amps[:len(seq)]
 }
 
-// Window returns the n-vertex window starting at index j.
+// Window returns a copy of the n-vertex window starting at index j.
 func (s *Stream) Window(j, n int) plr.Sequence {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.seq[j : j+n]
+	v := s.ScanView("")
+	return v.Window(j, n)
 }
 
 // EnableIndex builds (or rebuilds) the n-gram index over the stream's
@@ -247,8 +275,8 @@ func (s *Stream) Window(j, n int) plr.Sequence {
 func (s *Stream) EnableIndex() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.index = newNgramIndex()
-	s.index.build(s.stateStr)
+	s.index = &ngramIndex{postings: make(map[uint32][]int32)}
+	s.index.extend(s.cols.States)
 }
 
 // IndexEnabled reports whether the n-gram index is active.
@@ -258,13 +286,17 @@ func (s *Stream) IndexEnabled() bool {
 	return s.index != nil
 }
 
-// ScanView is one consistent read-locked view of a stream, everything a
-// candidate scan reads: the vertices, their displacement-norm prefix
-// sums (Snapshot's), one state byte per vertex and, when the stream is
-// indexed, the postings to walk. All four are append-only, so a view
-// stays valid (and mutually consistent) across later appends.
+// ScanView is one consistent read-locked view of a stream's columns,
+// everything a reader of stored vertices needs: vertex i has time T[i],
+// position Pos[i*Dims:(i+1)*Dims], signature letter States[i] and
+// displacement-norm prefix sum Amps[i] (Snapshot's sums). When the
+// stream is indexed the view also carries the postings to walk. All of
+// it is append-only, so a view stays valid (and mutually consistent)
+// across later appends.
 type ScanView struct {
-	Seq    plr.Sequence
+	T      []float64
+	Pos    []float64
+	Dims   int
 	Amps   []float64
 	States []byte
 	// Listed restricts the view's windows to the starts in Postings
@@ -278,15 +310,45 @@ type ScanView struct {
 }
 
 // ScanView returns the view for scanning windows of len(sig)+1 vertices
-// whose segment-state signature is sig, under one lock acquisition.
+// whose segment-state signature is sig, under one lock acquisition. A
+// reader that walks no windows passes "".
 func (s *Stream) ScanView(sig string) ScanView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v := ScanView{Seq: s.seq, Amps: s.ampSum, States: s.stateStr}
+	v := s.cols
 	if s.index != nil && len(sig) >= ngramSize {
-		v.Listed, v.Postings = true, s.index.postings[sig[:ngramSize]]
+		v.Listed, v.Postings = true, s.index.postings[gramKey(sig)]
 	}
 	return v
+}
+
+// Track returns the time and position columns alone (dims coordinates
+// per vertex), for a reader that interpolates along the stream once per
+// match: three words in registers where a ScanView is copied through
+// memory. The slices are append-only, like a view's.
+func (s *Stream) Track() (ts, pos []float64, dims int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.cols.T, s.cols.Pos, s.cols.Dims
+}
+
+// Len returns the number of vertices in the view.
+func (v *ScanView) Len() int { return len(v.T) }
+
+// Vertex returns vertex i in plr form. Its position aliases the column
+// and must be treated as read-only.
+func (v *ScanView) Vertex(i int) plr.Vertex {
+	lo, hi := i*v.Dims, (i+1)*v.Dims
+	return plr.Vertex{T: v.T[i], Pos: v.Pos[lo:hi:hi], State: plr.StateOfByte(v.States[i])}
+}
+
+// Window materialises the n-vertex window starting at index j.
+func (v *ScanView) Window(j, n int) plr.Sequence {
+	out := make(plr.Sequence, n)
+	for i := range out {
+		out[i] = v.Vertex(j + i)
+	}
+	return out
 }
 
 // AppendWindows appends to dst, until it is full, the view's window
@@ -374,7 +436,7 @@ func (s *Stream) FindWindows(sig string) []int {
 	v := s.ScanView(sig)
 	var out []int
 	var buf [64]int32
-	for from, to := 0, len(v.Seq)-len(sig); from < to; {
+	for from, to := 0, v.Len()-len(sig); from < to; {
 		var blk []int32
 		blk, from = v.AppendWindows(buf[:0], sig, from, to)
 		for _, j := range blk {

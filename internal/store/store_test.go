@@ -431,9 +431,10 @@ func TestMutationHookCoversPreexistingStreams(t *testing.T) {
 func TestMutationHookReportsPartialAppend(t *testing.T) {
 	// A batch that fails mid-way must still journal the prefix that
 	// landed, because the stream state advanced by exactly that prefix.
-	// A vertex is refused when its time does not advance or when its time
+	// A vertex is refused when its time does not advance, when its time
 	// or a coordinate is not finite (NaN <= t is false, so the time-order
-	// check alone lets a NaN time in).
+	// check alone lets a NaN time in), or when it has another
+	// dimensionality than the stream (the first vertex fixes it).
 	nan, inf := math.NaN(), math.Inf(1)
 	for name, bad := range map[string]plr.Vertex{
 		"time does not advance": {T: 2, Pos: []float64{0, 0}, State: plr.IN},
@@ -441,6 +442,9 @@ func TestMutationHookReportsPartialAppend(t *testing.T) {
 		"infinite time":         {T: inf, Pos: []float64{0, 0}, State: plr.IN},
 		"NaN coordinate":        {T: 3, Pos: []float64{nan, 0}, State: plr.IN},
 		"infinite coordinate":   {T: 3, Pos: []float64{0, -inf}, State: plr.IN},
+		"no position":           {T: 3, State: plr.IN},
+		"one dimension short":   {T: 3, Pos: []float64{0}, State: plr.IN},
+		"one dimension over":    {T: 3, Pos: []float64{0, 0, 0}, State: plr.IN},
 	} {
 		db := NewDB()
 		p, err := db.AddPatient(PatientInfo{ID: "P1"})
@@ -469,8 +473,10 @@ func TestMutationHookReportsPartialAppend(t *testing.T) {
 		if st.Len() != 2 {
 			t.Errorf("%s: stream holds %d vertices, want 2", name, st.Len())
 		}
-		if err := NewStream("P", "S").Append(bad); name != "time does not advance" && err == nil {
-			t.Errorf("%s: accepted as a stream's first vertex", name)
+		// A first vertex has no time to advance past and no dimensionality
+		// to differ from; it must still be finite.
+		if err := NewStream("P", "S").Append(bad); finite(bad.T, bad.Pos) != (err == nil) {
+			t.Errorf("%s: as a stream's first vertex: %v", name, err)
 		}
 	}
 }
@@ -530,7 +536,7 @@ func TestSnapshotPrefixSums(t *testing.T) {
 }
 
 func TestSnapshotPartialBatchKeepsSumsConsistent(t *testing.T) {
-	// A mid-batch append error must leave ampSum aligned with the
+	// A mid-batch append error must leave the prefix sums aligned with the
 	// vertices that actually landed.
 	st := NewStream("P", "S")
 	good := seqFromStates("EOI")
@@ -607,8 +613,8 @@ func TestScanViewConsistentUnderAppend(t *testing.T) {
 				default:
 				}
 				v := st.ScanView(sig)
-				if !v.Listed || len(v.Amps) != len(v.Seq) || len(v.States) != len(v.Seq) {
-					t.Errorf("view: listed=%v, %d vertices, %d sums, %d states", v.Listed, len(v.Seq), len(v.Amps), len(v.States))
+				if !v.Listed || len(v.Amps) != v.Len() || len(v.States) != v.Len() || len(v.Pos) != v.Len()*v.Dims {
+					t.Errorf("view: listed=%v, %d vertices, %d sums, %d states, %d coordinates", v.Listed, v.Len(), len(v.Amps), len(v.States), len(v.Pos))
 					return
 				}
 				for _, p := range v.Postings {
@@ -618,21 +624,21 @@ func TestScanViewConsistentUnderAppend(t *testing.T) {
 					}
 				}
 				found := 0
-				for from, to := 0, len(v.Seq)-len(sig); from < to; {
+				for from, to := 0, v.Len()-len(sig); from < to; {
 					var blk []int32
 					blk, from = v.AppendWindows(buf[:0], sig, from, to)
 					for _, j := range blk {
 						found++
 						for k := 0; k < len(sig); k++ {
-							if v.Seq[int(j)+k].State.Byte() != sig[k] || v.States[int(j)+k] != sig[k] {
-								t.Errorf("window %d of a %d-vertex view does not spell %s", j, len(v.Seq), sig)
+							if v.Vertex(int(j)+k).State.Byte() != sig[k] || v.States[int(j)+k] != sig[k] {
+								t.Errorf("window %d of a %d-vertex view does not spell %s", j, v.Len(), sig)
 								return
 							}
 						}
 					}
 				}
-				if want := strings.Count(string(v.States[:max(len(v.Seq)-1, 0)]), sig); found != want {
-					t.Errorf("%d-vertex view: %d windows, the state string has %d", len(v.Seq), found, want)
+				if want := strings.Count(string(v.States[:max(v.Len()-1, 0)]), sig); found != want {
+					t.Errorf("%d-vertex view: %d windows, the state string has %d", v.Len(), found, want)
 					return
 				}
 			}
@@ -652,9 +658,70 @@ func TestScanViewConsistentUnderAppend(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSeqMemoExtends (run under -race): Seq materialises a stream on the
+// first request and extends that on later ones — a stream nobody asked
+// holds no memo, a slice handed out before an append reads the same after
+// it, the next call has the new vertices — and readers calling it while a
+// writer appends each see a whole prefix of what was appended.
+func TestSeqMemoExtends(t *testing.T) {
+	full := seqFromStates(strings.Repeat("EOIEOIRE", 60))
+	st := NewStream("P", "S")
+	if err := st.Append(full[:10]...); err != nil {
+		t.Fatal(err)
+	}
+	if st.ScanView("EOI"); st.Window(2, 4) == nil || st.memo != nil {
+		t.Fatal("reading columns left a memo behind")
+	}
+	before := st.Seq()
+	if !reflect.DeepEqual(before, full[:10]) || len(st.memo) != 10 {
+		t.Fatalf("first Seq() = %v (memo of %d)", before, len(st.memo))
+	}
+	if err := st.Append(full[10:15]...); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, full[:10]) {
+		t.Errorf("a sequence handed out before an append reads %v after it", before)
+	}
+	if after := st.Seq(); !reflect.DeepEqual(after, full[:15]) {
+		t.Errorf("Seq() after the append = %v", after)
+	}
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				seq, sums := st.Snapshot()
+				if len(seq) < 15 || len(sums) != len(seq) || !reflect.DeepEqual(seq[len(seq)-5:], full[len(seq)-5:len(seq)]) {
+					t.Errorf("concurrent Snapshot(): %d vertices, %d sums, tail %v", len(seq), len(sums), seq[max(len(seq)-5, 0):])
+					return
+				}
+			}
+		}()
+	}
+	for i := 15; i < len(full); i += 7 {
+		if err := st.Append(full[i:min(i+7, len(full))]...); err != nil {
+			t.Fatal(err)
+		}
+		runtime.Gosched()
+	}
+	close(done)
+	wg.Wait()
+	if got := st.Seq(); !reflect.DeepEqual(got, full) {
+		t.Error("the stream's final Seq() differs from what was appended")
+	}
+}
+
 // TestAppendCopiesPositions: a stored vertex owns its position — the
-// stream copies it into its own chunk, where a window's positions are
-// adjacent — so a caller reusing its slice cannot corrupt the stream.
+// stream copies it into its position column, where a window's positions
+// are adjacent — so a caller reusing its slice cannot corrupt the stream.
 func TestAppendCopiesPositions(t *testing.T) {
 	st := NewStream("P", "S")
 	batch := seqFromStates("EOIEOI")

@@ -360,7 +360,6 @@ func (m *Manager) evalStreamLocked(ctx context.Context, st *store.Stream, to uin
 		mEvals.Inc()
 		now := m.now()
 		for _, mt := range matches {
-			seq := mt.Stream.Seq()
 			e := wal.SubEvent{
 				Seq:       s.state.NextSeq,
 				PatientID: mt.Stream.PatientID,
@@ -370,7 +369,7 @@ func (m *Manager) evalStreamLocked(ctx context.Context, st *store.Stream, to uin
 				Relation:  uint8(mt.Relation),
 				Distance:  mt.Distance,
 				Weight:    mt.Weight,
-				EndT:      seq[mt.Start+mt.N-1].T,
+				EndT:      mt.EndTime(),
 				At:        now,
 			}
 			s.state.NextSeq++

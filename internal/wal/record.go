@@ -594,12 +594,17 @@ func (d *decoder) f64() float64 {
 // vertices parses a serialized PLR sequence (appendVertices inverse).
 func (d *decoder) vertices() plr.Sequence {
 	dims := d.uvarint()
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
+	if d.err == nil && dims > maxDims {
+		d.err = fmt.Errorf("%w: implausible vertex dims %d", ErrTorn, dims)
 	}
-	if dims > maxDims || n > maxVertices {
-		d.err = fmt.Errorf("%w: implausible vertex batch (%d x %d dims)", ErrTorn, n, dims)
+	// A vertex is 9+8*dims bytes: a count the payload cannot hold is
+	// refused before anything is sized by it (count reads nothing once an
+	// error is latched).
+	n := d.count(9 + 8*int(dims))
+	if d.err == nil && n > maxVertices {
+		d.err = fmt.Errorf("%w: implausible vertex count %d", ErrTorn, n)
+	}
+	if d.err != nil {
 		return nil
 	}
 	if n == 0 && dims != 0 {
@@ -608,18 +613,18 @@ func (d *decoder) vertices() plr.Sequence {
 		d.err = fmt.Errorf("%w: empty vertex batch with dims %d", ErrTorn, dims)
 		return nil
 	}
-	vs := make(plr.Sequence, 0, min(int(n), 4096))
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		v := plr.Vertex{T: d.f64(), State: plr.State(d.u8())}
-		if d.err == nil && !v.State.Valid() {
+	// The positions share one array.
+	vs, pos := make(plr.Sequence, n), make([]float64, n*int(dims))
+	for i := range vs {
+		v := plr.Vertex{T: d.f64(), State: plr.State(d.u8()), Pos: pos[:dims:dims]}
+		if !v.State.Valid() {
 			d.err = fmt.Errorf("%w: invalid state byte", ErrTorn)
 			return nil
 		}
-		v.Pos = make([]float64, dims)
 		for j := range v.Pos {
 			v.Pos[j] = d.f64()
 		}
-		vs = append(vs, v)
+		vs[i], pos = v, pos[dims:]
 	}
 	return vs
 }

@@ -478,11 +478,11 @@ func (rs *replayState) apply(rec Record) error {
 // subscription is live, records the append boundaries so the owner can
 // re-derive the events the pre-crash node emitted for it.
 func (rs *replayState) appendTail(st *store.Stream, rec Record) error {
-	vs := tailAfter(st, rec.Vertices)
+	vs := TailAfter(st, rec.Vertices)
 	if len(vs) == 0 {
 		return nil
 	}
-	from := len(st.Seq())
+	from := st.Len()
 	if err := st.Append(vs...); err != nil {
 		return err
 	}
@@ -497,15 +497,16 @@ func (rs *replayState) appendTail(st *store.Stream, rec Record) error {
 	return nil
 }
 
-// tailAfter drops the prefix of vs already present in the stream
-// (vertices at or before the stream's last time), so replays that
-// overlap existing state stay idempotent. The kept tail aliases vs.
-func tailAfter(st *store.Stream, vs []plr.Vertex) []plr.Vertex {
-	seq := st.Seq()
-	if len(seq) == 0 {
+// TailAfter drops the vertices of vs already present in the stream
+// (those at or before the stream's last time), so replays and re-shipped
+// snapshots that overlap existing state stay idempotent. The kept tail
+// reuses vs.
+func TailAfter(st *store.Stream, vs []plr.Vertex) []plr.Vertex {
+	view := st.ScanView("")
+	if view.Len() == 0 {
 		return vs
 	}
-	lastT := seq[len(seq)-1].T
+	lastT := view.T[view.Len()-1]
 	keep := vs[:0]
 	for _, v := range vs {
 		if v.T > lastT {

@@ -247,6 +247,50 @@ func TestRecoveryStopsAtNonFiniteVertex(t *testing.T) {
 	}
 }
 
+// TestRecoveryStopsAtMismatchedDimension: a logged batch of another
+// dimensionality than its stream (a store that accepted one could write
+// it) is the damaged tail, as a non-finite vertex is: the log is cut at
+// the record, and what recovery serves holds one dimensionality per
+// stream.
+func TestRecoveryStopsAtMismatchedDimension(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Options{Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSession(t, l, "P1", "S1", mkVerts(0, 8))
+	good, bad := mkVerts(0, 1), mkVerts(8, 3)
+	for i := range bad {
+		bad[i].Pos = nil
+	}
+	for _, vs := range []plr.Sequence{bad, mkVerts(11, 2)} {
+		if err := l.Append(Record{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S1", Vertices: vs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, res, err := Open(Options{Dir: dir}, nil)
+	if err != nil {
+		t.Fatalf("recovery must survive a vertex of another dimensionality: %v", err)
+	}
+	defer l2.Close()
+	if res.RecordsTruncated != 1 {
+		t.Errorf("RecordsTruncated = %d, want 1", res.RecordsTruncated)
+	}
+	st := res.DB.Patient("P1").StreamBySession("S1")
+	if st.Len() != 8 {
+		t.Errorf("recovered %d vertices, want the 8 before the record", st.Len())
+	}
+	for i, v := range st.Seq() {
+		if len(v.Pos) != len(good[0].Pos) {
+			t.Fatalf("recovered vertex %d has %d dimensions, the stream %d", i, len(v.Pos), len(good[0].Pos))
+		}
+	}
+}
+
 func TestRecoveryStopsAtCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(Options{Dir: dir}, nil)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -140,5 +141,42 @@ func TestCLIErrorHandling(t *testing.T) {
 	cmd = exec.Command(filepath.Join(bin, "segmenter"), "-in", bad)
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Errorf("malformed CSV accepted: %s", out)
+	}
+}
+
+// TestSeqOnlyAtTheAPIEdge guards the column store: the packages on the
+// served paths read a stream through store.ScanView, and call
+// (*store.Stream).Seq or Snapshot — which materialise the stream as a
+// plr.Sequence and keep it — only at the sites listed here, each with
+// why it may. A new call is a decision to re-materialise whatever
+// streams reach it, to be made on this list.
+func TestSeqOnlyAtTheAPIEdge(t *testing.T) {
+	allowed := map[string]string{
+		// The offline evaluation harness replays cut points of whole streams.
+		"internal/core/evaluate.go: seq := st.Seq()": "evaluateStream",
+		// A live session's dynamic query is cut from its own stream's tail.
+		"internal/server/server.go: seq := sess.stream.Seq()": "handlePredict, handlePLR",
+	}
+	call := regexp.MustCompile(`\.(Seq|Snapshot)\(\)`)
+	for _, dir := range []string{"internal/core", "internal/subscribe", "internal/server"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("listing %s: %d files, %v", dir, len(files), err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				code, _, _ := strings.Cut(line, "//")
+				if call.MatchString(code) && allowed[filepath.ToSlash(file)+": "+strings.TrimSpace(code)] == "" {
+					t.Errorf("%s:%d materialises a stream off the API edge: %s", file, i+1, strings.TrimSpace(line))
+				}
+			}
+		}
 	}
 }
