@@ -10,8 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"stsmatch/internal/core"
 	"stsmatch/internal/stats"
@@ -70,72 +70,48 @@ func (c Config) Validate() error {
 // order at all (every query window is an outlier).
 var ErrNoComparable = errors.New("cluster: streams share no comparable subsequences")
 
-// relationBetween classifies the source relation between two streams
-// for the offline source weight w_s.
-func relationBetween(a, b *store.Stream) core.SourceRelation {
-	switch {
-	case a == b || (a.PatientID == b.PatientID && a.SessionID == b.SessionID):
-		return core.SameSession
-	case a.PatientID == b.PatientID:
-		return core.SamePatient
-	default:
-		return core.OtherPatient
-	}
+// searcher computes distances under one configuration that passed
+// Validate. It owns the scratch of core's offline top-h search, so the
+// matrix builders keep one per worker. Its methods return no error but
+// ErrNoComparable.
+type searcher struct {
+	cfg Config
+	top *core.OfflineSearch
+}
+
+func newSearcher(cfg Config) *searcher {
+	return &searcher{cfg: cfg, top: core.NewOfflineSearch(cfg.Params, cfg.TopH)}
 }
 
 // directedDistance computes d(R->S) of Definition 3: every length-n
-// window of R queries S; queries with fewer than TopH same-state-order
-// candidates are outliers; survivors contribute the mean offline
-// distance of their TopH nearest candidates. The result is the mean
-// contribution and the number of surviving queries.
-func directedDistance(r, s *store.Stream, cfg Config) (float64, int, error) {
-	n := cfg.WindowVertices
+// window of R asks S for its TopH nearest windows of the same state order
+// (one run of the matcher's candidate funnel); a query S cannot answer is
+// an outlier; survivors contribute the mean offline distance of those
+// TopH. The result is the mean contribution and the surviving queries.
+func (sc *searcher) directedDistance(r, s *store.Stream) (float64, int) {
+	n := sc.cfg.WindowVertices
 	rSeq := r.Seq()
-	if len(rSeq) < n {
-		return 0, 0, nil
-	}
-	rel := relationBetween(r, s)
-	params := cfg.Params
-	sSeq := s.Seq()
-
+	states := rSeq.StateString() // every window's signature is a slice of it
+	q := core.Query{PatientID: r.PatientID, SessionID: r.SessionID}
 	var total float64
 	used := 0
-	dists := make([]float64, 0, 64)
-	for qStart := 0; qStart+n <= len(rSeq); qStart += cfg.QueryStride {
-		q := rSeq[qStart : qStart+n]
-		cands := s.FindWindows(q.StateSignature())
-		// When R and S are the same stream, the query window itself
-		// (and only it) is excluded: a stream should be most similar
-		// to itself through its *other* occurrences of the pattern.
+	for qStart := 0; qStart+n <= len(rSeq); qStart += sc.cfg.QueryStride {
+		// When R and S are the same stream, the query window itself (and
+		// only it) is excluded; streams that merely share IDs exclude none.
+		self := -1
 		if r == s {
-			filtered := cands[:0]
-			for _, j := range cands {
-				if j != qStart {
-					filtered = append(filtered, j)
-				}
-			}
-			cands = filtered
+			self = qStart
 		}
-		if len(cands) < cfg.TopH {
-			continue // outlier query
+		q.Seq = rSeq[qStart : qStart+n]
+		if top, ok := sc.top.TopH(q, states[qStart:qStart+n-1], s, self); ok {
+			total += stats.Mean(top)
+			used++
 		}
-		dists = dists[:0]
-		for _, j := range cands {
-			d, err := params.OfflineDistance(q, sSeq[j:j+n], rel)
-			if err != nil {
-				return 0, 0, err
-			}
-			dists = append(dists, d)
-		}
-		sort.Float64s(dists)
-		top := dists[:cfg.TopH]
-		total += stats.Mean(top)
-		used++
 	}
 	if used == 0 {
-		return 0, 0, nil
+		return 0, 0
 	}
-	return total / float64(used), used, nil
+	return total / float64(used), used
 }
 
 // StreamDistance computes the symmetric Definition 3 distance between
@@ -145,14 +121,12 @@ func StreamDistance(r, s *store.Stream, cfg Config) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	drs, nrs, err := directedDistance(r, s, cfg)
-	if err != nil {
-		return 0, err
-	}
-	dsr, nsr, err := directedDistance(s, r, cfg)
-	if err != nil {
-		return 0, err
-	}
+	return newSearcher(cfg).streamDistance(r, s)
+}
+
+func (sc *searcher) streamDistance(r, s *store.Stream) (float64, error) {
+	drs, nrs := sc.directedDistance(r, s)
+	dsr, nsr := sc.directedDistance(s, r)
 	switch {
 	case nrs == 0 && nsr == 0:
 		return 0, ErrNoComparable
@@ -173,6 +147,10 @@ func PatientDistance(p1, p2 *store.Patient, cfg Config) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
+	return newSearcher(cfg).patientDistance(p1, p2)
+}
+
+func (sc *searcher) patientDistance(p1, p2 *store.Patient) (float64, error) {
 	var total float64
 	pairs := 0
 	for _, s1 := range p1.Streams {
@@ -180,15 +158,10 @@ func PatientDistance(p1, p2 *store.Patient, cfg Config) (float64, error) {
 			if p1 == p2 && s1 == s2 {
 				continue // self-pairs excluded within a patient
 			}
-			d, err := StreamDistance(s1, s2, cfg)
-			if errors.Is(err, ErrNoComparable) {
-				continue
+			if d, err := sc.streamDistance(s1, s2); err == nil {
+				total += d
+				pairs++
 			}
-			if err != nil {
-				return 0, err
-			}
-			total += d
-			pairs++
 		}
 	}
 	if pairs == 0 {
@@ -197,131 +170,82 @@ func PatientDistance(p1, p2 *store.Patient, cfg Config) (float64, error) {
 	return total / float64(pairs), nil
 }
 
-// PatientDistanceMatrix computes the full symmetric patient distance
-// matrix in parallel. Incomparable pairs receive the largest observed
-// finite distance times 1.5 (so clustering treats them as far apart
-// rather than failing).
-func PatientDistanceMatrix(patients []*store.Patient, cfg Config) (*stats.DistMatrix, error) {
+// eachPair calls do(sc, i, j) for every 0 <= i < j < n, and for i == j
+// too when diagonal is set, from GOMAXPROCS workers that each own a
+// searcher. do writes what it computes where no other pair's call does.
+// The only error is an invalid configuration.
+func eachPair(n int, diagonal bool, cfg Config, do func(sc *searcher, i, j int)) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	n := len(patients)
-	m := stats.NewDistMatrix(n)
-
-	type pair struct{ i, j int }
-	var jobs []pair
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			jobs = append(jobs, pair{i, j})
-		}
-	}
-
-	type result struct {
-		pair
-		d    float64
-		miss bool
-		err  error
-	}
-	results := make([]result, len(jobs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) && len(jobs) > 0 {
-		workers = len(jobs)
-	}
+	var next atomic.Int64 // the next cell of the n x n grid, row-major
 	var wg sync.WaitGroup
-	next := make(chan int)
-	go func() {
-		for k := range jobs {
-			next <- k
-		}
-		close(next)
-	}()
-	for w := 0; w < workers; w++ {
+	for w := runtime.GOMAXPROCS(0); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range next {
-				jb := jobs[k]
-				d, err := PatientDistance(patients[jb.i], patients[jb.j], cfg)
-				switch {
-				case errors.Is(err, ErrNoComparable):
-					results[k] = result{pair: jb, miss: true}
-				case err != nil:
-					results[k] = result{pair: jb, err: err}
-				default:
-					results[k] = result{pair: jb, d: d}
+			sc := newSearcher(cfg)
+			for k := int(next.Add(1)) - 1; k < n*n; k = int(next.Add(1)) - 1 {
+				if i, j := k/n, k%n; i < j || i == j && diagonal {
+					do(sc, i, j)
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	return nil
+}
 
+// PatientDistanceMatrix computes the full symmetric patient distance
+// matrix in parallel. Incomparable pairs receive the largest observed
+// finite distance times 1.5 (so clustering treats them as far apart
+// rather than failing).
+func PatientDistanceMatrix(patients []*store.Patient, cfg Config) (*stats.DistMatrix, error) {
+	n := len(patients)
+	m := stats.NewDistMatrix(n)
+	incomparable := make([]bool, n*n)
+	err := eachPair(n, false, cfg, func(sc *searcher, i, j int) {
+		d, err := sc.patientDistance(patients[i], patients[j])
+		m.Set(i, j, d)
+		incomparable[i*n+j] = err != nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	maxFinite := 0.0
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		if !r.miss && r.d > maxFinite {
-			maxFinite = r.d
-		}
+	for k := range incomparable {
+		maxFinite = max(maxFinite, m.At(k/n, k%n))
 	}
 	if maxFinite == 0 {
 		maxFinite = 1
 	}
-	for _, r := range results {
-		if r.miss {
-			m.Set(r.i, r.j, maxFinite*1.5)
-		} else {
-			m.Set(r.i, r.j, r.d)
+	for k, miss := range incomparable {
+		if miss {
+			m.Set(k/n, k%n, maxFinite*1.5)
 		}
 	}
 	return m, nil
 }
 
-// StreamDistanceMatrix computes the pairwise distance matrix over a
-// set of streams, including the self-distances on the diagonal's
-// neighbours (the diagonal itself is the self-distance d(R,R), which
-// Definition 3 makes non-zero in general — Figure 8b reports it as the
-// smallest value in each row). Since stats.DistMatrix forces a zero
-// diagonal, self-distances are returned separately.
+// StreamDistanceMatrix computes the pairwise distance matrix over a set
+// of streams and, separately (stats.DistMatrix forces a zero diagonal),
+// each stream's self-distance d(R,R), which Definition 3 makes non-zero
+// in general: Figure 8b reports it as the smallest value in each row.
+// An incomparable pair, or stream against itself, is left at 0.
 func StreamDistanceMatrix(streams []*store.Stream, cfg Config) (*stats.DistMatrix, []float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
 	n := len(streams)
 	m := stats.NewDistMatrix(n)
 	self := make([]float64, n)
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i, j int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				d, err := StreamDistance(streams[i], streams[j], cfg)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil && !errors.Is(err, ErrNoComparable) && firstErr == nil {
-					firstErr = err
-					return
-				}
-				if errors.Is(err, ErrNoComparable) {
-					return // leave as 0; callers treat missing as incomparable
-				}
-				if i == j {
-					self[i] = d
-				} else {
-					m.Set(i, j, d)
-				}
-			}(i, j)
+	err := eachPair(n, true, cfg, func(sc *searcher, i, j int) {
+		d, _ := sc.streamDistance(streams[i], streams[j])
+		if i == j {
+			self[i] = d
+		} else {
+			m.Set(i, j, d)
 		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return m, self, nil
 }

@@ -2,10 +2,15 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
+	"stsmatch/internal/core"
 	"stsmatch/internal/plr"
+	"stsmatch/internal/stats"
 	"stsmatch/internal/store"
 )
 
@@ -245,6 +250,19 @@ func TestStreamDistanceMatrix(t *testing.T) {
 	}
 }
 
+// relationBetween classifies the source relation between two streams
+// for the offline source weight w_s, as the oracle states it.
+func relationBetween(a, b *store.Stream) core.SourceRelation {
+	switch {
+	case a == b || (a.PatientID == b.PatientID && a.SessionID == b.SessionID):
+		return core.SameSession
+	case a.PatientID == b.PatientID:
+		return core.SamePatient
+	default:
+		return core.OtherPatient
+	}
+}
+
 func TestRelationBetween(t *testing.T) {
 	a := store.NewStream("P1", "S1")
 	b := store.NewStream("P1", "S2")
@@ -257,5 +275,203 @@ func TestRelationBetween(t *testing.T) {
 	}
 	if relationBetween(a, c) != 2 { // OtherPatient
 		t.Error("other patient relation wrong")
+	}
+}
+
+// bruteDirectedDistance is d(R->S) as Definition 3 reads, the oracle
+// directedDistance is held to: every window of S with the query's state
+// order (FindWindows) is scored through the validating entry point
+// (Params.OfflineDistance) and all of them are sorted to keep TopH. No
+// lower bound, no collector, no abandonment.
+func bruteDirectedDistance(r, s *store.Stream, cfg Config) (float64, int, error) {
+	n := cfg.WindowVertices
+	rSeq := r.Seq()
+	if len(rSeq) < n {
+		return 0, 0, nil
+	}
+	rel := relationBetween(r, s)
+	sSeq := s.Seq()
+
+	var total float64
+	used := 0
+	var dists []float64
+	for qStart := 0; qStart+n <= len(rSeq); qStart += cfg.QueryStride {
+		q := rSeq[qStart : qStart+n]
+		dists = dists[:0]
+		for _, j := range s.FindWindows(q.StateSignature()) {
+			if r == s && j == qStart {
+				continue // the query window itself, and only it
+			}
+			d, err := cfg.Params.OfflineDistance(q, sSeq[j:j+n], rel)
+			if err != nil {
+				return 0, 0, err
+			}
+			dists = append(dists, d)
+		}
+		if len(dists) < cfg.TopH {
+			continue // outlier query
+		}
+		sort.Float64s(dists)
+		total += stats.Mean(dists[:cfg.TopH])
+		used++
+	}
+	if used == 0 {
+		return 0, 0, nil
+	}
+	return total / float64(used), used, nil
+}
+
+// variedStream builds breathing cycles whose amplitudes and durations
+// vary from segment to segment, with an irregular segment now and then,
+// so that candidate distances differ and some signatures are rare.
+func variedStream(pid, sid string, seed int64, cycles int) *store.Stream {
+	rng := rand.New(rand.NewSource(seed))
+	st := store.NewStream(pid, sid)
+	regular := []plr.State{plr.EX, plr.EOE, plr.IN}
+	var vs plr.Sequence
+	t, y := 0.0, 10.0
+	for i := 0; i <= cycles*3; i++ {
+		state := regular[i%3]
+		if rng.Intn(17) == 0 {
+			state = plr.IRR
+		}
+		vs = append(vs, plr.Vertex{T: t, Pos: []float64{y}, State: state})
+		t += 0.5 + rng.Float64()
+		switch state {
+		case plr.EX:
+			y -= 8 + 4*rng.Float64()
+		case plr.IN:
+			y += 8 + 4*rng.Float64()
+		default:
+			y += rng.Float64() - 0.5
+		}
+	}
+	if err := st.Append(vs...); err != nil {
+		panic(err)
+	}
+	return st
+}
+
+// TestDirectedDistanceEqualsBruteForce holds the funnel-driven directed
+// distance to the oracle, bit for bit, on both return values.
+func TestDirectedDistanceEqualsBruteForce(t *testing.T) {
+	for _, indexed := range []bool{false, true} {
+		a := variedStream("P1", "S1", 1, 40)
+		twin := variedStream("P1", "S1", 1, 40) // a's IDs and vertices, another *store.Stream
+		b := variedStream("P1", "S2", 2, 40)
+		c := variedStream("P2", "S1", 3, 40)
+		short := variedStream("P3", "S1", 4, 1) // 4 vertices < window 7
+		if indexed {
+			for _, st := range []*store.Stream{a, twin, b, c, short} {
+				st.EnableIndex()
+			}
+		}
+		for _, pair := range []struct {
+			name string
+			r, s *store.Stream
+		}{
+			{"self", a, a},
+			{"twin", a, twin},
+			{"same patient", a, b},
+			{"other patient", a, c},
+			{"other patient reversed", c, a},
+			{"short query stream", short, a},
+			{"short candidate stream", a, short},
+		} {
+			base := smallConfig()
+			base.QueryStride = 1
+			// The most candidates any query of r finds in s: TopH there is
+			// the last value some query survives, one above it none does.
+			most := 0
+			for qStart := 0; qStart+base.WindowVertices <= pair.r.Len(); qStart++ {
+				cands := len(pair.s.FindWindows(pair.r.Seq()[qStart : qStart+base.WindowVertices].StateSignature()))
+				if pair.r == pair.s {
+					cands--
+				}
+				most = max(most, cands)
+			}
+			type variant struct {
+				name string
+				mut  func(*Config)
+			}
+			variants := []variant{
+				{"stride 1", func(*Config) {}},
+				{"stride 3", func(c *Config) { c.QueryStride = 3 }},
+				{"no state order", func(c *Config) { c.Params.RequireStateOrder = false }},
+			}
+			if most > 0 {
+				variants = append(variants,
+					variant{"h = most candidates", func(c *Config) { c.TopH = most }},
+					variant{"h = most candidates + 1", func(c *Config) { c.TopH = most + 1 }})
+			}
+			for _, v := range variants {
+				cfg := base
+				v.mut(&cfg)
+				name := fmt.Sprintf("%s/%s/indexed=%v", pair.name, v.name, indexed)
+				if err := cfg.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				got, gotUsed := newSearcher(cfg).directedDistance(pair.r, pair.s)
+				want, wantUsed, err := bruteDirectedDistance(pair.r, pair.s, cfg)
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", name, err)
+				}
+				if got != want || gotUsed != wantUsed {
+					t.Errorf("%s: directedDistance = %v over %d queries, oracle %v over %d", name, got, gotUsed, want, wantUsed)
+				}
+				switch tooShort := pair.r == short || pair.s == short; {
+				case tooShort || cfg.TopH > most:
+					if wantUsed != 0 {
+						t.Errorf("%s: fixture: %d queries survive, want none", name, wantUsed)
+					}
+				case wantUsed == 0:
+					t.Errorf("%s: fixture: no query survives", name)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamDistanceMixedDims: streams (and windows) of different
+// dimensionality hold nothing comparable, in either argument order; no
+// entry point indexes past the shorter position.
+func TestStreamDistanceMixedDims(t *testing.T) {
+	flat := periodicStream("P1", "S1", 10, 1, 20)
+	deep := store.NewStream("P2", "S1")
+	for _, v := range flat.Seq() {
+		if err := deep.Append(plr.Vertex{T: v.T, Pos: []float64{v.Pos[0], v.Pos[0] / 2}, State: v.State}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := core.DefaultParams()
+	for _, tc := range []struct {
+		name string
+		r, s *store.Stream
+	}{{"1-D against 2-D", flat, deep}, {"2-D against 1-D", deep, flat}} {
+		if _, err := StreamDistance(tc.r, tc.s, smallConfig()); !errors.Is(err, ErrNoComparable) {
+			t.Errorf("%s: StreamDistance error %v, want ErrNoComparable", tc.name, err)
+		}
+		q, c := tc.r.Seq()[:7], tc.s.Seq()[:7]
+		if _, err := p.Distance(q, c, core.OtherPatient); !errors.Is(err, core.ErrDimsMismatch) {
+			t.Errorf("%s: Distance error %v, want ErrDimsMismatch", tc.name, err)
+		}
+		if _, err := p.OfflineDistance(q, c, core.OtherPatient); !errors.Is(err, core.ErrDimsMismatch) {
+			t.Errorf("%s: OfflineDistance error %v, want ErrDimsMismatch", tc.name, err)
+		}
+	}
+}
+
+// TestDirectedDistanceAllocsConstant: a directed distance allocates for
+// the query stream's state string and for nothing per query window.
+func TestDirectedDistanceAllocsConstant(t *testing.T) {
+	cfg := smallConfig()
+	sc := newSearcher(cfg)
+	s := variedStream("P2", "S1", 3, 40)
+	for _, cycles := range []int{10, 80} {
+		r := variedStream("P1", "S1", 1, cycles)
+		r.Seq() // the memo is the store's, built once per stream
+		if got := testing.AllocsPerRun(10, func() { sc.directedDistance(r, s) }); got > 2 {
+			t.Errorf("%d cycles: %v allocations per directed distance, want at most 2", cycles, got)
+		}
 	}
 }

@@ -29,6 +29,7 @@ var (
 	ErrLengthMismatch = errors.New("core: subsequences have different lengths")
 	ErrStateMismatch  = errors.New("core: subsequences have different state orders")
 	ErrTooShort       = errors.New("core: subsequence needs at least two vertices")
+	ErrDimsMismatch   = errors.New("core: subsequences have different dimensionality")
 )
 
 // Distance computes the online weighted subsequence distance between a
@@ -80,7 +81,10 @@ func (p Params) distanceBounded(q, c plr.Sequence, rel SourceRelation, bound flo
 	qseg := querySegments(buf[n-1:segs], q)
 	ts, pos := buf[segs:segs+n], buf[segs+n:segs+n]
 	for i, v := range c {
-		ts[i], pos = v.T, append(pos, v.Pos[:dims]...)
+		if len(v.Pos) != dims {
+			return 0, false, fmt.Errorf("%w: query has %d, candidate vertex %d has %d", ErrDimsMismatch, dims, i, len(v.Pos))
+		}
+		ts[i], pos = v.T, append(pos, v.Pos...)
 	}
 	d, ok = weightedDistance(qseg, ts, pos, vw, wa, wf, p.StreamWeight(rel), wsum, bound)
 	return d, ok, nil
@@ -228,17 +232,4 @@ func (pl *queryPlan) ampBound(rel SourceRelation) ampBound {
 // acceptance bound.
 func (pl *queryPlan) lowerBoundAmp(a ampBound, ampC float64) float64 {
 	return (pl.wa*(math.Abs(pl.ampQ-ampC)-a.slack*(pl.ampQ+ampC)) - a.floor) * a.scale
-}
-
-// Similar reports whether q and c satisfy Definition 2: same state
-// order and weighted distance within the threshold.
-func (p Params) Similar(q, c plr.Sequence, rel SourceRelation) (bool, error) {
-	d, err := p.Distance(q, c, rel)
-	if errors.Is(err, ErrStateMismatch) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return d <= p.DistThreshold, nil
 }

@@ -99,10 +99,6 @@ func TestDistanceStateMismatch(t *testing.T) {
 	if _, err := p.Distance(q, c, SameSession); err != nil {
 		t.Errorf("ablated state order should not error: %v", err)
 	}
-	ok, err := DefaultParams().Similar(q, c, SameSession)
-	if err != nil || ok {
-		t.Errorf("Similar with mismatched states = %v, %v; want false, nil", ok, err)
-	}
 }
 
 func TestDistanceLengthMismatchAndTooShort(t *testing.T) {

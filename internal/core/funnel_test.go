@@ -62,7 +62,7 @@ func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
 	db.EnableIndexes()
 	st := db.Patient("P2").StreamBySession("S1")
 	own := db.Patient("P1").StreamBySession("S1").Seq()
-	pl, err := newQueryPlan(DefaultParams(), NewQuery(own[len(own)-10:], "P1", "S1"), DefaultParams().DistThreshold, nil)
+	pl, err := newQueryPlan(DefaultParams(), NewQuery(own[len(own)-10:], "P1", "S1"), own[len(own)-10:].StateSignature(), DefaultParams().DistThreshold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
 	}
 
 	var w workerState
-	w.hits = pl.run(&w, st, 0, &c, nil)
+	w.hits = pl.run(&w, st, relationOf(pl.q, st), 0, &c, nil)
 	if w.counts.Windows != possible {
 		t.Errorf("Windows = %d, want the view's %d", w.counts.Windows, possible)
 	}
@@ -186,7 +186,7 @@ func TestFunnelCountsEqualSingleStageBound(t *testing.T) {
 	ablation, probed := tight, tight
 	ablation.RequireStateOrder = false
 	probed.UseIndex = true
-	pl, err := newQueryPlan(tight, q, tight.DistThreshold, nil)
+	pl, err := newQueryPlan(tight, q, q.Seq.StateSignature(), tight.DistThreshold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

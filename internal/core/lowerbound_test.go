@@ -61,7 +61,7 @@ func checkAdmissible(t *testing.T, p Params, q, c plr.Sequence, rel SourceRelati
 	}
 	// The bound under test is the funnel's own: the plan method run
 	// applies to every candidate.
-	pl, err := newQueryPlan(p, Query{Seq: q}, p.DistThreshold, nil)
+	pl, err := newQueryPlan(p, Query{Seq: q}, q.StateSignature(), p.DistThreshold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

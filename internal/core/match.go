@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -262,8 +263,8 @@ func (m *Matcher) FindSimilarCtx(ctx context.Context, q Query, restrict map[stri
 }
 
 // TopK retrieves the k nearest stored subsequences with the query's
-// state order, regardless of the distance threshold. It is the
-// building block of the offline stream distance (Definition 3).
+// state order, regardless of the distance threshold. (Definition 3's
+// top-h within one stream is OfflineSearch.TopH.)
 //
 // The threshold is ignored by plumbing an infinite bound through the
 // search rather than by mutating m.Params, so an error or panic
@@ -304,8 +305,8 @@ func (m *Matcher) FindSimilarTopKCtx(ctx context.Context, q Query, k int, restri
 // threshold and — for a top-k search — the shared collector. Only
 // newQueryPlan builds one; search attaches its collector and trace flag
 // before any worker sees the plan, and from then on it is read-only
-// (the collector synchronises itself). search builds one per call, a
-// StandingQuery keeps one for life.
+// (the collector synchronises itself). search builds one per call, an
+// OfflineSearch one per query window, a StandingQuery keeps one for life.
 type queryPlan struct {
 	q         Query
 	sig       string
@@ -329,19 +330,21 @@ type queryPlan struct {
 	timed bool
 }
 
-// newQueryPlan computes the query-side funnel aggregates. buf is an
+// newQueryPlan computes the query-side funnel aggregates. sig is
+// q.Seq.StateSignature(), a parameter so that a caller ranging over one
+// stream's windows can slice it from that stream's state string. buf is an
 // optional scratch buffer for the vertex weights and query segments.
-func newQueryPlan(p Params, q Query, threshold float64, buf []float64) (*queryPlan, error) {
+func newQueryPlan(p Params, q Query, sig string, threshold float64, buf []float64) (queryPlan, error) {
 	if len(q.Seq) < 2 {
-		return nil, ErrTooShort
+		return queryPlan{}, ErrTooShort
 	}
 	segs := len(q.Seq) - 1
 	if need := segs * (q.Seq.Dims() + 2); cap(buf) < need {
 		buf = make([]float64, need)
 	}
-	pl := &queryPlan{
+	pl := queryPlan{
 		q:         q,
-		sig:       q.Seq.StateSignature(),
+		sig:       sig,
 		n:         len(q.Seq),
 		vw:        p.VertexWeights(buf[:0], len(q.Seq)),
 		qseg:      querySegments(buf[segs:cap(buf)], q.Seq),
@@ -368,10 +371,11 @@ func newQueryPlan(p Params, q Query, threshold float64, buf []float64) (*queryPl
 // parallelism setting and for every candidate source.
 func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool, k int, threshold float64) ([]Match, error) {
 	start := time.Now()
-	pl, err := newQueryPlan(m.Params, q, threshold, m.buf)
+	plan, err := newQueryPlan(m.Params, q, q.Seq.StateSignature(), threshold, m.buf)
 	if err != nil {
 		return nil, err
 	}
+	pl := &plan
 	m.buf = pl.vw // the (possibly regrown) scratch, by its full capacity
 	mSearches.Inc()
 	mQueryLen.Observe(float64(pl.n))
@@ -569,7 +573,9 @@ func (pl *queryPlan) feed(w *workerState, it streamWork) {
 		c.view.Listed, c.view.Postings, c.sig = true, it.probed, ""
 	}
 	c.hi = c.view.Len()
-	w.hits = pl.run(w, it.st, it.ord, &c, w.hits)
+	rel := relationOf(pl.q, it.st)
+	c.excludePresent(pl, rel)
+	w.hits = pl.run(w, it.st, rel, it.ord, &c, w.hits)
 }
 
 // candidateSet names the windows of one stream view that a funnel run
@@ -580,6 +586,11 @@ type candidateSet struct {
 	view   store.ScanView
 	lo, hi int
 	sig    string
+	// Self-exclusion, stated on window starts: a window of the query's
+	// state order that starts in [exLo, exHi) is the query itself or
+	// overlaps it, and is counted out, not scored. No start of [lo, hi) is
+	// in it for a stream that is not the query's own.
+	exLo, exHi int
 	// Pass buffers, equally long: a block's surviving window starts and,
 	// from pass 2 on, their lower bounds. They are the search worker's,
 	// lent for the run; a standing evaluation brings its own.
@@ -587,12 +598,23 @@ type candidateSet struct {
 	lbs    []float64
 }
 
+// excludePresent is the online self-exclusion rule: in a stream of the
+// query's own session a candidate must end strictly before the query
+// begins (its "future" must already be history). Times ascend strictly,
+// so the windows that do not are a suffix of the starts: one binary search.
+func (c *candidateSet) excludePresent(pl *queryPlan, rel SourceRelation) {
+	if rel == SameSession {
+		c.exLo, c.exHi = sort.SearchFloat64s(c.view.T, pl.q.Seq[0].T)-(pl.n-1), c.view.Len()
+	}
+}
+
 // run is the candidate funnel — the only code that applies
 //
 //	state-order check -> self-exclusion -> O(1) lower bound
 //	  -> bounded exact distance -> threshold / adaptive top-k
 //
-// to a window. Scan, ablation, index probe and standing evaluation
+// to a window of stream st, which stands in relation rel to the query.
+// Scan, ablation, index probe, standing evaluation and offline top-h
 // differ only in the candidate set they hand it, which is what keeps
 // their results byte-identical. An accepted window goes to the plan's
 // collector (top-k) or, as a hit, onto hits, the caller's buffer, which
@@ -603,7 +625,7 @@ type candidateSet struct {
 // The windows go through the stages a block at a time, as many as the
 // worker's pass buffers hold, so that each stage is a tight loop over
 // one kind of memory and is clocked per block, never per window.
-func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidateSet, hits []hit) []hit {
+func (pl *queryPlan) run(w *workerState, st *store.Stream, rel SourceRelation, ord int, c *candidateSet, hits []hit) []hit {
 	ts, pos, amps, n, dims := c.view.T, c.view.Pos, c.view.Amps, pl.n, c.view.Dims
 	lo, hi := max(c.lo, 0), min(c.hi, len(ts)-n+1)
 	// A stream of another dimensionality than the query's holds nothing
@@ -612,8 +634,8 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidate
 		return hits
 	}
 	w.counts.Windows += hi - lo
-	rel := relationOf(pl.q, st)
-	ws, qStart, stageA := pl.ws[rel], pl.q.Seq[0].T, pl.ampBound(rel)
+	ws, stageA := pl.ws[rel], pl.ampBound(rel)
+	exLo, exHi := max(c.exLo, lo), min(c.exHi, hi)
 	for lo < hi {
 		// Pass 1 — state order: the store's walk over postings or state
 		// string. Whatever it skips fails condition 1 (or the envelope of
@@ -622,12 +644,11 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, ord int, c *candidate
 		var starts []int32
 		starts, lo = c.view.AppendWindows(c.starts[:0], c.sig, from, hi)
 		w.counts.StateRejected += lo - from - len(starts)
-		// Self-exclusion: the query itself and any window whose span
-		// overlaps the query's present.
-		if rel == SameSession {
+		// Self-exclusion: the starts the candidate set's source rules out.
+		if exLo < exHi {
 			kept := starts[:0]
 			for _, j := range starts {
-				if ts[int(j)+n-1] >= qStart {
+				if int(j) >= exLo && int(j) < exHi {
 					w.counts.SelfExcluded++
 				} else {
 					kept = append(kept, j)

@@ -44,11 +44,11 @@ func NewStandingQuery(p Params, q Query, threshold float64, k int) (*StandingQue
 	if threshold <= 0 {
 		threshold = p.DistThreshold
 	}
-	plan, err := newQueryPlan(p, q, threshold, nil)
+	plan, err := newQueryPlan(p, q, q.Seq.StateSignature(), threshold, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &StandingQuery{plan: plan, k: k}, nil
+	return &StandingQuery{plan: &plan, k: k}, nil
 }
 
 // Pattern returns the registered query sequence (read-only).
@@ -75,13 +75,14 @@ func (sq *StandingQuery) EvalRange(st *store.Stream, fromEnd, toEnd int) ([]Matc
 	var hits [8]hit
 	c := candidateSet{view: st.ScanView(""), lo: fromEnd - pl.n + 1, hi: toEnd - pl.n + 1,
 		sig: pl.scanSig, starts: starts[:], lbs: lbs[:]}
+	rel := relationOf(pl.q, st)
+	c.excludePresent(pl, rel)
 	var w workerState
-	found := pl.run(&w, st, 0, &c, hits[:0])
+	found := pl.run(&w, st, rel, 0, &c, hits[:0])
 	counts := w.counts
 	var matches []Match
 	if len(found) > 0 {
 		matches = make([]Match, len(found))
-		rel := relationOf(pl.q, st)
 		for i, h := range found {
 			matches[i] = pl.match(st, rel, h)
 		}
