@@ -131,11 +131,33 @@ func weightedDistance(qseg, ts, pos, vw []float64, wa, wf, ws, wsum, bound float
 
 	var sum float64
 	stride := len(qseg) / len(vw) // 1 + dims
-	dims := stride - 1
-	prevT, prevPos := ts[0], pos[:dims]
+	if stride == 2 {
+		// One coordinate, as in the paper's SI-axis traces: the norm of
+		// Definition 2 is an absolute value. In radix 2
+		// sqrt(RN(d*d)) = |d| unless d*d overflows or underflows (Boldo
+		// 2015), so inside the guard this body is bit-equal to the general
+		// one, term by term in the same order, with no square root.
+		prevT, prevP := ts[0], pos[0]
+		for i, w := range vw {
+			curT, curP := ts[i+1], pos[i+1]
+			d := qseg[2*i+1] - (curP - prevP)
+			ampDiff := math.Abs(d)
+			if !(ampDiff >= absExactMin && ampDiff < absExactMax) {
+				ampDiff = math.Sqrt(d * d)
+			}
+			durDiff := math.Abs(qseg[2*i] - (curT - prevT))
+			sum += w * (wa*ampDiff + wf*durDiff)
+			if sum > abandonAt {
+				return sum / (ws * wsum), false
+			}
+			prevT, prevP = curT, curP
+		}
+		return sum / (ws * wsum), true
+	}
+	dims, off, prevT := stride-1, 0, ts[0]
 	for i, w := range vw {
-		seg := qseg[i*stride : (i+1)*stride]
-		curT, curPos := ts[i+1], pos[(i+1)*dims:(i+2)*dims]
+		seg, curT := qseg[i*stride:(i+1)*stride], ts[i+1]
+		prevPos, curPos := pos[off:off+dims], pos[off+dims:off+2*dims]
 		// Segment displacement difference (amplitude term).
 		var dd float64
 		for k, dq := range seg[1:] {
@@ -148,10 +170,13 @@ func weightedDistance(qseg, ts, pos, vw []float64, wa, wf, ws, wsum, bound float
 		if sum > abandonAt {
 			return sum / (ws * wsum), false
 		}
-		prevT, prevPos = curT, curPos
+		prevT, off = curT, off+dims
 	}
 	return sum / (ws * wsum), true
 }
+
+// The 1-D body's guard: 2^-511 <= |d| < 2^511 keeps d*d a normal number.
+const absExactMin, absExactMax = 0x1p-511, 0x1p511
 
 // boundSlack is the relative float safety margin of the pruning
 // layers: abandonment triggers only when the partial sum exceeds the

@@ -319,3 +319,53 @@ func TestDistanceLengthNormalization(t *testing.T) {
 		}
 	}
 }
+
+// FuzzKernelOneDim holds the kernel's one-coordinate body to its general
+// one: a 1-D pair and the same pair padded to three coordinates with
+// zeros (whose squared norm is d*d + 0 + 0, the square root taken) give
+// the same bits from Params.Distance, and the same bits and the same
+// within-bound flag from the bounded form. x1 is the first segment's
+// displacement difference exactly, so the seeds sit on the guard's edges.
+func FuzzKernelOneDim(f *testing.F) {
+	ulps := func(x float64, n int64) float64 { return math.Float64frombits(uint64(int64(math.Float64bits(x)) + n)) }
+	for _, d := range []float64{0, 3.5, -3.5, 1e300, -1e300, 5e-324, -5e-324, 0x1p-1040, math.MaxFloat64,
+		0x1p-511, ulps(0x1p-511, 1), ulps(0x1p-511, -1), -0x1p-511, 0x1p511, ulps(0x1p511, 1), ulps(0x1p511, -1), -ulps(0x1p511, -1)} {
+		f.Add(d, 1.25, 0.5, 1.0, 2.0)
+		f.Add(d, d, -d, 0.25, d)
+	}
+	f.Fuzz(func(t *testing.T, x1, x2, y2, dt, bound float64) {
+		window := func(dims int, disp [2]float64, dur float64) plr.Sequence {
+			seq := plr.Sequence{{State: plr.EX}, {State: plr.EOE}, {State: plr.IN}}
+			at := 0.0
+			for i := range seq {
+				seq[i].T, seq[i].Pos = float64(i)*dur, make([]float64, dims)
+				seq[i].Pos[0] = at
+				if i < 2 {
+					at += disp[i]
+				}
+			}
+			return seq
+		}
+		p := DefaultParams()
+		rel := SourceRelation(math.Float64bits(x2) % 3)
+		q1, c1 := window(1, [2]float64{x1, x2}, 1), window(1, [2]float64{0, y2}, 1+dt)
+		q3, c3 := window(3, [2]float64{x1, x2}, 1), window(3, [2]float64{0, y2}, 1+dt)
+		d1, err1 := p.Distance(q1, c1, rel)
+		d3, err3 := p.Distance(q3, c3, rel)
+		if err1 != nil || err3 != nil {
+			t.Fatalf("Distance: %v, %v", err1, err3)
+		}
+		// Two NaNs are the same answer whatever their payloads.
+		same := func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+		}
+		if !same(d1, d3) {
+			t.Fatalf("x1=%x: 1-D distance %x, padded to 3-D %x", x1, d1, d3)
+		}
+		b1, ok1, _ := p.distanceBounded(q1, c1, rel, bound)
+		b3, ok3, _ := p.distanceBounded(q3, c3, rel, bound)
+		if !same(b1, b3) || ok1 != ok3 {
+			t.Fatalf("x1=%x bound=%x: 1-D bounded distance %x (within %v), padded to 3-D %x (within %v)", x1, bound, b1, ok1, b3, ok3)
+		}
+	})
+}

@@ -50,16 +50,15 @@ type Match struct {
 	Start    int // index of the window's first vertex
 	N        int // window length in vertices
 	Relation SourceRelation
+	// ord is the candidate stream's position in the search's work
+	// list: the final tie-break of the result order, making output
+	// deterministic even for byte-identical streams registered under
+	// the same patient and session IDs. It shares Relation's word.
+	ord      int32
 	Distance float64
 	// Weight is the subsequence weight w'_j used by prediction:
 	// the source-stream trust scaled by closeness, w_s / (1 + D).
 	Weight float64
-
-	// ord is the candidate stream's position in the search's work
-	// list: the final tie-break of the result order, making output
-	// deterministic even for byte-identical streams registered under
-	// the same patient and session IDs.
-	ord int
 }
 
 // Window returns a copy of the matched subsequence.
@@ -118,17 +117,20 @@ type Matcher struct {
 	streams []*store.Stream
 	work    []streamWork
 	workers []*workerState
-	hits    []hit // rank's two buffers, a half each
+	buckets []int32 // rank's bucket table
 }
 
 // workerState is one funnel worker's private output: the hits it
 // accepted in threshold mode plus its stage counts and clocks, kept
 // worker-local so the hot loop never contends on shared counters.
 type workerState struct {
-	hits   []hit
-	counts FunnelCounts
-	stage  stageNS
-	mark   time.Time // the previous lap's clock reading
+	hits []hit
+	// The least and greatest distance among hits, what rank scales its
+	// buckets to; meaningful once counts.Matched > 0.
+	dmin, dmax float64
+	counts     FunnelCounts
+	stage      stageNS
+	mark       time.Time // the previous lap's clock reading
 	// The pass buffers lent to each candidate set (candidateSet.starts).
 	starts []int32
 	lbs    []float64
@@ -710,6 +712,10 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, rel SourceRelation, o
 			switch {
 			case pl.col == nil:
 				hits = append(hits, h)
+				if w.counts.Matched == 0 || d < w.dmin {
+					w.dmin = d
+				}
+				w.dmax = max(w.dmax, d)
 				w.counts.Matched++
 			case pl.col.offer(pl.match(st, rel, h)):
 				w.counts.Matched++
@@ -732,7 +738,7 @@ func (pl *queryPlan) match(st *store.Stream, rel SourceRelation, h hit) Match {
 		Relation: rel,
 		Distance: h.dist,
 		Weight:   pl.ws[rel] / (1 + h.dist),
-		ord:      int(h.ord),
+		ord:      h.ord,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
@@ -442,5 +443,13 @@ func TestNonFiniteDistanceNeverMatches(t *testing.T) {
 	check("EvalRange", got)
 	if !partitions(counts) || counts.Matched != len(got) || counts.DistRejected == 0 {
 		t.Errorf("EvalRange counts %+v for %d matches", counts, len(got))
+	}
+}
+
+// TestMatchSize: a threshold search's result slice is nearly all a
+// prediction allocates, so a Match stays six words.
+func TestMatchSize(t *testing.T) {
+	if size := unsafe.Sizeof(Match{}); size != 48 {
+		t.Errorf("a Match is %d bytes, want 48", size)
 	}
 }

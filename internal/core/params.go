@@ -158,7 +158,7 @@ func (p Params) parallelism(streams int) int {
 
 // SourceRelation classifies where a candidate subsequence comes from
 // relative to the query.
-type SourceRelation int
+type SourceRelation uint8
 
 // The three source relations, from most to least trusted.
 const (

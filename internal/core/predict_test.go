@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"stsmatch/internal/plr"
@@ -346,5 +347,83 @@ func TestPositionFromEqualsSequence(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { positionFrom(ts, pos, d, got, seq[20].T+0.01, 20) }); allocs != 0 {
 		t.Errorf("positionFrom allocates %v times, want 0", allocs)
+	}
+}
+
+// TestFoldUnderConcurrentAppend (run under -race): every prediction fold
+// takes one view of each matched stream, and a writer appending to a
+// matched stream meanwhile changes nothing for matches whose horizons
+// lay inside the stream as it stood — each fold is bit-equal to the
+// fold over the quiescent corpus.
+func TestFoldUnderConcurrentAppend(t *testing.T) {
+	db := scanCorpus(t, 9, 6, 300)
+	m, err := NewMatcher(db, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := regularQuery(t, db.Streams()[0], 10)
+	found, err := m.FindSimilar(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grow := db.Streams()[1]
+	horizons := []float64{0.1, 0.4, 1.5}
+	var matches []Match
+	inGrow := 0
+	for _, mt := range found {
+		ts, _, _ := mt.Stream.Track()
+		if end := mt.Start + mt.N - 1; end+1 < len(ts) && ts[end]+horizons[2] <= ts[len(ts)-1] {
+			matches = append(matches, mt)
+			if mt.Stream == grow {
+				inGrow++
+			}
+		}
+	}
+	if len(matches) < 20 || inGrow < 3 {
+		t.Fatalf("fixture: %d usable matches, %d in the stream that grows", len(matches), inGrow)
+	}
+	type folds struct {
+		pos  Prediction
+		disp []float64
+		traj []Prediction
+		seg  SegmentForecast
+	}
+	fold := func() folds {
+		var f folds
+		var errs [4]error
+		f.pos, errs[0] = m.PredictPosition(q, matches, horizons[1], 0)
+		f.disp, errs[1] = m.PredictDisplacement(q, matches, horizons[0], horizons[2], 0)
+		f.traj, errs[2] = m.PredictTrajectory(q, matches, horizons, 0)
+		f.seg, errs[3] = m.PredictNextSegment(q, matches, 0)
+		if err := errors.Join(errs[:]...); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	want := fold()
+
+	more := randomBreathing(rand.New(rand.NewSource(10)), 2000)
+	for i := range more {
+		more[i].T += 1e4
+	}
+	appended := make(chan struct{})
+	go func() {
+		defer close(appended)
+		for i := range more {
+			if err := grow.Append(more[i]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for folding := true; folding; {
+		select {
+		case <-appended:
+			folding = false // one last fold over the final corpus
+		default:
+		}
+		if got := fold(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fold under append differs from the quiescent fold:\n got %+v\nwant %+v", got, want)
+		}
 	}
 }

@@ -8,87 +8,82 @@ import (
 )
 
 // hit is a window a funnel run accepted in threshold mode, as small as
-// the result order needs it: Matches are built from hits once, in rank
-// order, so nothing the size of a Match is ever sorted.
+// the result order needs it: Matches are built from hits once, where
+// they belong in the result, so nothing the size of a Match is moved
+// except inside a bucket that holds several.
 type hit struct {
 	dist       float64
 	start, ord int32 // window start; the stream's place in the search's stream list
 }
 
-// radixMin is the hit count from which rank orders by radix passes.
-// Below it the passes' fixed cost (eight 256-counter histograms) exceeds
-// a comparison sort of the built matches.
-const radixMin = 48
+// bucketsPerHit sizes rank's bucket table: at four buckets a hit most
+// matches are alone in theirs (measured at 1, 2, 4 and 8: DESIGN §10).
+const bucketsPerHit = 4
 
 // rank turns the workers' hits into a threshold search's result, in the
-// matchCmp total order. The hits are ordered by distance alone — radix
-// passes over 16-byte records, no comparator — each Match is built once,
-// where it belongs, and matchCmp runs only inside runs of equal
-// distance, which is where the rest of its key decides.
+// matchCmp total order, by placement: the hits are counted into buckets
+// that are monotone in distance — bucket (d-dmin)·scale over the range
+// the workers observed, so no hit of a lower bucket has a larger
+// distance than one of a higher bucket and equal distances share one —
+// a prefix sum turns the counts into each bucket's place in the result,
+// every Match is built once, at its bucket's cursor, and matchCmp runs
+// only inside a bucket holding several. A range that does not scale
+// (zero: all distances equal) is the one-bucket case, build and sort;
+// no result is small enough for that to be the cheaper way (measured
+// from two hits up: DESIGN §10).
 func (m *Matcher) rank(pl *queryPlan, workers []*workerState, streams []*store.Stream) []Match {
-	hits := m.hits[:0]
+	total, dmin, dmax := 0, 0.0, 0.0
 	for _, w := range workers {
-		hits = append(hits, w.hits...)
-	}
-	total := len(hits)
-	hits = slices.Grow(hits, total) // room for the passes' other buffer
-	m.hits = hits
-	byDist := total >= radixMin
-	if byDist {
-		hits = sortHits(hits, hits[total:2*total])
-	}
-	out := make([]Match, total)
-	for i, h := range hits {
-		st := streams[h.ord]
-		out[i] = pl.match(st, relationOf(pl.q, st), h)
-	}
-	// Unordered, the whole result is one run.
-	for i := 0; i < total; {
-		j := i + 1
-		for j < total && (!byDist || out[j].Distance == out[i].Distance) {
-			j++
-		}
-		if j-i > 1 {
-			slices.SortFunc(out[i:j], matchCmp)
-		}
-		i = j
-	}
-	return out
-}
-
-// sortHits orders a by ascending distance and returns the buffer the
-// result is in: a or tmp, which must be as long. It is an LSD radix sort
-// on math.Float64bits(dist), a byte per pass: an accepted distance is
-// finite and not below +0 (run rejects NaN, every term of the distance
-// sum is non-negative), and over those values the bit patterns order as
-// the numbers do. A byte that is the same in every key needs no pass,
-// and of a distance's eight, the top one or two usually are.
-func sortHits(a, tmp []hit) []hit {
-	if len(a) < 2 {
-		return a
-	}
-	var count [8][256]int32
-	for _, h := range a {
-		k := math.Float64bits(h.dist)
-		for b := range count {
-			count[b][byte(k>>(8*b))]++
-		}
-	}
-	for b := range count {
-		shift := 8 * b
-		if count[b][byte(math.Float64bits(a[0].dist)>>shift)] == int32(len(a)) {
+		if len(w.hits) == 0 {
 			continue
 		}
-		c, pos := &count[b], int32(0)
-		for d, n := range c {
-			c[d], pos = pos, pos+n
+		if total == 0 || w.dmin < dmin {
+			dmin = w.dmin
 		}
-		for _, h := range a {
-			d := byte(math.Float64bits(h.dist) >> shift)
-			tmp[c[d]] = h
-			c[d]++
-		}
-		a, tmp = tmp, a
+		total, dmax = total+len(w.hits), max(dmax, w.dmax)
 	}
-	return a
+	nb := bucketsPerHit * total
+	scale := float64(nb) / (dmax - dmin)
+	if !(scale <= math.MaxFloat64) {
+		nb, scale = 1, 0
+	}
+	bucket := func(d float64) int { return min(int((d-dmin)*scale), nb-1) }
+
+	m.buckets = slices.Grow(m.buckets[:0], nb)[:nb]
+	at := m.buckets
+	clear(at)
+	for _, w := range workers {
+		for _, h := range w.hits {
+			at[bucket(h.dist)]++
+		}
+	}
+	next := int32(0)
+	for b, n := range at {
+		at[b], next = next, next+n
+	}
+	out := make([]Match, total)
+	for _, w := range workers {
+		// A worker's hits come a stream at a time.
+		var st *store.Stream
+		var rel SourceRelation
+		ord := int32(-1)
+		for _, h := range w.hits {
+			if h.ord != ord {
+				ord, st = h.ord, streams[h.ord]
+				rel = relationOf(pl.q, st)
+			}
+			b := bucket(h.dist)
+			out[at[b]] = pl.match(st, rel, h)
+			at[b]++
+		}
+	}
+	// Every cursor now stands at its bucket's end.
+	lo := int32(0)
+	for _, hi := range at {
+		if hi-lo > 1 {
+			slices.SortFunc(out[lo:hi], matchCmp)
+		}
+		lo = hi
+	}
+	return out
 }

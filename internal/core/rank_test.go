@@ -5,41 +5,69 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
 )
 
-// TestSortHitsEqualsStableSort: the radix passes order any set of
-// non-negative finite distances exactly as a stable comparison sort
-// does, whichever bytes of the keys vary and whatever the length.
-func TestSortHitsEqualsStableSort(t *testing.T) {
+// TestThresholdPlacementEqualsSort: rank's placement gives, element for
+// element, what building every match and sorting with matchCmp gives —
+// whatever the distances do to the bucket table (all in one bucket, one
+// outlier stretching the range, a range of zero or of one denormal, the
+// largest finite threshold), from no hits to a thousand, from one
+// worker's hits and from several's.
+func TestThresholdPlacementEqualsSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	denormal := math.Float64frombits(1)
+	const eps = 8.0
 	keysets := map[string]func(i int) float64{
-		"all equal":          func(int) float64 { return 3.25 },
-		"all zero":           func(int) float64 { return 0 },
-		"one high byte":      func(i int) float64 { return []float64{1.5, 1.5, 1e300, 1.5}[i%4] },
-		"one low bit":        func(i int) float64 { return math.Float64frombits(math.Float64bits(2) + uint64(i%2)) },
-		"zero and denormals": func(i int) float64 { return float64(i%3) * denormal * float64(1+i%7) },
-		"extremes":           func(i int) float64 { return []float64{1e308, 0, denormal, inf, 1, math.MaxFloat64}[i%6] },
-		"threshold ball":     func(int) float64 { return 8 * rng.Float64() },
-		"every binade":       func(int) float64 { return math.Float64frombits(rng.Uint64() >> 1 % math.Float64bits(math.Inf(1))) },
-		"few distinct":       func(int) float64 { return float64(rng.Intn(5)) / 3 },
-	}
-	for name, key := range keysets {
-		for _, n := range []int{0, 1, 2, 3, 47, 256, 257, 1000} {
-			a := make([]hit, n)
-			for i := range a {
-				a[i] = hit{dist: key(i), start: int32(i), ord: int32(rng.Intn(9))}
+		"all equal":         func(int) float64 { return 3.25 },
+		"all equal to eps":  func(int) float64 { return eps },
+		"dmin == dmax == 0": func(int) float64 { return 0 },
+		"one outlier": func(i int) float64 {
+			if i == 7 {
+				return 1e12
 			}
-			want := slices.Clone(a)
-			sort.SliceStable(want, func(i, j int) bool { return want[i].dist < want[j].dist })
-			got := sortHits(a, make([]hit, n))
-			if !slices.Equal(got, want) {
-				t.Errorf("%s, %d hits: radix order differs from the stable sort", name, n)
+			return rng.Float64()
+		},
+		"eps = 1e308":    func(int) float64 { return inf * rng.Float64() },
+		"eps = 5e-324":   func(i int) float64 { return float64(i%2) * denormal },
+		"denormal range": func(i int) float64 { return float64(i%5) * denormal },
+		"one low bit":    func(i int) float64 { return math.Float64frombits(math.Float64bits(2) + uint64(i%2)) },
+		"threshold ball": func(int) float64 { return eps * rng.Float64() },
+		"few distinct":   func(int) float64 { return float64(rng.Intn(5)) / 3 },
+		"every binade":   func(int) float64 { return math.Float64frombits(rng.Uint64() >> 1 % math.Float64bits(math.Inf(1))) },
+	}
+	// Streams that tie on every prefix of the matchCmp key.
+	var streams []*store.Stream
+	for _, id := range [][2]string{{"A", "s"}, {"A", "s"}, {"A", "t"}, {"B", "s"}, {"B", "s"}, {"C", "u"}} {
+		streams = append(streams, store.NewStream(id[0], id[1]))
+	}
+	pl := &queryPlan{q: Query{PatientID: "A", SessionID: "s"}, n: 5, ws: [3]float64{1, 0.8, 0.5}}
+	m := &Matcher{}
+	for name, key := range keysets {
+		for _, n := range []int{0, 1, 2, 3, 48, 257, 1000} {
+			for _, nw := range []int{1, 3} {
+				workers := make([]*workerState, nw)
+				for i := range workers {
+					workers[i] = &workerState{}
+				}
+				var want []Match
+				for i := 0; i < n; i++ {
+					h := hit{dist: key(i), start: int32(i / 2), ord: int32(rng.Intn(len(streams)))}
+					st := streams[h.ord]
+					want = append(want, pl.match(st, relationOf(pl.q, st), h))
+					w := workers[rng.Intn(nw)]
+					if len(w.hits) == 0 || h.dist < w.dmin {
+						w.dmin = h.dist
+					}
+					w.hits, w.dmax = append(w.hits, h), max(w.dmax, h.dist)
+				}
+				slices.SortFunc(want, matchCmp)
+				if got := m.rank(pl, workers, streams); !slices.Equal(got, want) {
+					t.Errorf("%s, %d hits from %d workers: placement differs from build-and-sort", name, n, nw)
+				}
 			}
 		}
 	}
@@ -79,8 +107,8 @@ func tieCorpus(t *testing.T, seed int64) *store.DB {
 	return db
 }
 
-// TestThresholdOrderEqualsMatchCmp: results built in radix order, with
-// matchCmp applied only inside runs of equal distance, are element for
+// TestThresholdOrderEqualsMatchCmp: results placed by bucket, with
+// matchCmp applied only inside a bucket, are element for
 // element what sorting the same set with matchCmp gives — FindSimilar
 // and FindSimilarTopK, restricted and not, sequential and fanned out.
 func TestThresholdOrderEqualsMatchCmp(t *testing.T) {
@@ -138,8 +166,8 @@ func TestThresholdOrderEqualsMatchCmp(t *testing.T) {
 							ties++
 						}
 					}
-					if len(got) < 2*radixMin || ties < 8 {
-						t.Errorf("%s: fixture has %d matches and %d ties; want the radix path and tied runs", label, len(got), ties)
+					if len(got) < 96 || ties < 8 {
+						t.Errorf("%s: fixture has %d matches and %d ties; want many buckets and tied runs", label, len(got), ties)
 					}
 				}
 			}

@@ -96,8 +96,8 @@ func TestSearchAllocsConstant(t *testing.T) {
 	if perCorpus[4] != perCorpus[64] {
 		t.Errorf("allocations grow with the corpus: 4 streams %v, 64 streams %v (TopK, empty FindSimilar, full FindSimilar)", perCorpus[4], perCorpus[64])
 	}
-	if matched[4] < radixMin || matched[64] < 8*matched[4] {
-		t.Errorf("fixture: FindSimilar matched %d windows of 4 streams and %d of 64; want the radix path and a result that grows", matched[4], matched[64])
+	if matched[4] < 48 || matched[64] < 8*matched[4] {
+		t.Errorf("fixture: FindSimilar matched %d windows of 4 streams and %d of 64; want many buckets and a result that grows", matched[4], matched[64])
 	}
 
 	db := scanCorpus(t, 1, 1, 400)
@@ -143,7 +143,7 @@ func bruteForce(t *testing.T, db *store.DB, p Params, q Query, k int, threshold 
 			}
 			if d <= threshold {
 				all = append(all, Match{Stream: st, Start: j, N: n, Relation: rel,
-					Distance: d, Weight: p.StreamWeight(rel) / (1 + d), ord: ord})
+					Distance: d, Weight: p.StreamWeight(rel) / (1 + d), ord: int32(ord)})
 			}
 		}
 	}

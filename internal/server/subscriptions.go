@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -52,6 +53,46 @@ type SubscriptionRequest struct {
 	// best new matches.
 	Threshold float64 `json:"threshold,omitempty"`
 	K         int     `json:"k,omitempty"`
+}
+
+// What a journalled subscription may hold: wal's decoder refuses more
+// on recovery, so the registration is refused instead.
+const (
+	maxSubDims   = 64
+	maxSubString = 1 << 20
+)
+
+// Validate reports why a decoded request cannot be registered, in the
+// words a client sees with the 400.
+func (req SubscriptionRequest) Validate() error {
+	if len(req.Seq) < 2 {
+		return errors.New("pattern needs at least 2 vertices")
+	}
+	if err := req.Seq.Validate(); err != nil {
+		return fmt.Errorf("invalid pattern: %w", err)
+	}
+	if req.K < 0 || uint64(req.K) > math.MaxUint32 {
+		return fmt.Errorf("k must be in [0, %d], got %d", uint32(math.MaxUint32), req.K)
+	}
+	if d := req.Seq.Dims(); d > maxSubDims {
+		return fmt.Errorf("pattern has %d dimensions, at most %d can be journalled", d, maxSubDims)
+	}
+	if max(len(req.ID), len(req.PatientID), len(req.SessionID)) > maxSubString {
+		return fmt.Errorf("id, patientId and sessionId take at most %d bytes each", maxSubString)
+	}
+	return nil
+}
+
+// state is the subscription a validated request registers.
+func (req SubscriptionRequest) state() wal.SubState {
+	return wal.SubState{
+		ID:        req.ID,
+		PatientID: req.PatientID,
+		SessionID: req.SessionID,
+		Threshold: req.Threshold,
+		K:         uint32(req.K),
+		Pattern:   req.Seq,
+	}
 }
 
 // SubscriptionResponse acknowledges a registration.
@@ -108,16 +149,8 @@ func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding subscription: %w", err))
 		return
 	}
-	if len(req.Seq) < 2 {
-		httpError(w, http.StatusBadRequest, errors.New("pattern needs at least 2 vertices"))
-		return
-	}
-	if err := req.Seq.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid pattern: %w", err))
-		return
-	}
-	if req.K < 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("k must be >= 0, got %d", req.K))
+	if err := req.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.ID == "" {
@@ -128,14 +161,7 @@ func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request
 		}
 		req.ID = "sub-" + hex.EncodeToString(b[:])
 	}
-	st := wal.SubState{
-		ID:        req.ID,
-		PatientID: req.PatientID,
-		SessionID: req.SessionID,
-		Threshold: req.Threshold,
-		K:         uint32(req.K),
-		Pattern:   req.Seq,
-	}
+	st := req.state()
 	repls, code, err := s.registerSubscription(r, &st)
 	if err != nil {
 		httpError(w, code, err)

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"stsmatch/internal/plr"
 	"stsmatch/internal/signal"
 	"stsmatch/internal/subscribe"
+	"stsmatch/internal/wal"
 )
 
 // matchKey identifies one matched window independent of how it was
@@ -305,9 +307,18 @@ func TestSubscriptionLifecycle(t *testing.T) {
 	ts, seq := matchTestServer(t)
 	qseq := seq[len(seq)-6:]
 
+	wide := qseq.Clone()
+	for i := range wide {
+		wide[i].Pos = make([]float64, 65)
+	}
 	for name, req := range map[string]SubscriptionRequest{
 		"short pattern": {Seq: qseq[:1]},
 		"negative k":    {Seq: qseq, K: -1},
+		// Stored as a uint32, this k used to register as k = 1.
+		"k past uint32": {Seq: qseq, K: 4294967297},
+		// What the journal's decoder would refuse on recovery.
+		"65-dimensional pattern": {Seq: wide},
+		"2 MiB id":               {Seq: qseq, ID: strings.Repeat("x", 2<<20)},
 	} {
 		if resp := postJSON(t, ts.URL+"/v1/subscriptions", req); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
@@ -456,4 +467,59 @@ func TestSubscriptionCrashRecovery(t *testing.T) {
 			t.Fatalf("post-recovery seq %d at index %d, want %d (gap or duplicate)", e.Seq, i, want)
 		}
 	}
+}
+
+// FuzzSubscriptionRequest: the register body's decoder and Validate
+// survive arbitrary bytes, and the subscription a validated request
+// registers comes back from the journal's codec unchanged — so no
+// acknowledged registration is one that recovery cannot read.
+func FuzzSubscriptionRequest(f *testing.F) {
+	valid, err := json.Marshal(SubscriptionRequest{ID: "s", Seq: seqStates("EOIEOI", 3), PatientID: "P01", SessionID: "S01", Threshold: 2.5, K: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	wide := seqStates("EOI", 1)
+	for i := range wide {
+		wide[i].Pos = make([]float64, 65)
+	}
+	tooWide, err := json.Marshal(SubscriptionRequest{Seq: wide})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		valid, valid[:len(valid)/2], append(append([]byte{}, valid...), '}'), tooWide,
+		[]byte(`{"seq":[{"t":0,"pos":[1],"state":1},{"t":1,"pos":[2],"state":2}],"k":4294967297}`),
+		[]byte(`{"seq":[{"t":0,"pos":null,"state":1},{"t":1,"pos":[],"state":2}],"k":4294967295,"threshold":-1}`),
+		[]byte(`{"seq":[{"t":1,"pos":[1],"state":1},{"t":1,"pos":[1,2],"state":9}],"k":-1}`),
+		[]byte(`{"seq":null,"threshold":1e999}`), []byte(`[]`), []byte(`{"k":1e3}`), {},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req SubscriptionRequest
+		if json.Unmarshal(body, &req) != nil || req.Validate() != nil {
+			return
+		}
+		want := req.state()
+		if int(want.K) != req.K {
+			t.Fatalf("k = %d registers as %d", req.K, want.K)
+		}
+		b, err := wal.DecodeBatch(wal.EncodeBatch(wal.Batch{Records: []wal.Record{{Type: wal.TypeSubUpsert, Sub: &want}}}))
+		if err != nil {
+			t.Fatalf("a validated registration did not survive the journal's codec: %v\n%+v", err, req)
+		}
+		got := b.Records[0].Sub
+		same := got.ID == want.ID && got.PatientID == want.PatientID && got.SessionID == want.SessionID && got.K == want.K &&
+			math.Float64bits(got.Threshold) == math.Float64bits(want.Threshold) && len(got.Pattern) == len(want.Pattern)
+		for i := 0; same && i < len(want.Pattern); i++ {
+			a, b := got.Pattern[i], want.Pattern[i]
+			same = math.Float64bits(a.T) == math.Float64bits(b.T) && a.State == b.State && len(a.Pos) == len(b.Pos)
+			for j := 0; same && j < len(b.Pos); j++ {
+				same = math.Float64bits(a.Pos[j]) == math.Float64bits(b.Pos[j])
+			}
+		}
+		if !same {
+			t.Fatalf("the journal's codec changed a validated registration:\n got %+v\nwant %+v", got, want)
+		}
+	})
 }

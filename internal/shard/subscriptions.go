@@ -56,6 +56,10 @@ func (g *Gateway) handleCreateSubscription(w http.ResponseWriter, r *http.Reques
 		gwError(w, http.StatusBadRequest, fmt.Errorf("decoding subscription: %w", err))
 		return
 	}
+	if err := req.Validate(); err != nil {
+		gwError(w, http.StatusBadRequest, err)
+		return
+	}
 	if req.PatientID == "" && req.SessionID == "" {
 		gwError(w, http.StatusBadRequest,
 			errors.New("sharded subscriptions need a patientId or sessionId scope"))
