@@ -85,11 +85,11 @@ func main() {
 	opts.QueriesPerStream = *queries
 
 	if *adapt > 0 {
-		runAdaptive(log, m, delta.Seconds(), *queries, *adapt)
+		runAdaptive(log, m, opts, *adapt)
 		return
 	}
 	if *verbose {
-		runVerbose(log, m, delta.Seconds(), *queries)
+		runVerbose(log, m, opts)
 		return
 	}
 
@@ -123,8 +123,9 @@ func main() {
 
 // runAdaptive replays the database with the online epsilon controller
 // (the paper's "dynamically adjust their values during online
-// procedures" future work) and reports where it settles.
-func runAdaptive(log *slog.Logger, m *core.Matcher, delta float64, queries int, target float64) {
+// procedures" future work) and reports where it settles: the same replay
+// as the evaluation, retrieving under the controller's threshold.
+func runAdaptive(log *slog.Logger, m *core.Matcher, opts core.EvalOptions, target float64) {
 	ctl, err := core.NewCoverageController(target, m.Params.DistThreshold,
 		m.Params.DistThreshold/8, m.Params.DistThreshold*4)
 	if err != nil {
@@ -132,26 +133,17 @@ func runAdaptive(log *slog.Logger, m *core.Matcher, delta float64, queries int, 
 	}
 	var errSum float64
 	var predicted int
-	for _, st := range m.DB.Streams() {
-		seq := st.Seq()
-		minCut := m.Params.MaxQueryVertices() + 2
-		if minCut >= len(seq)-2 {
-			continue
-		}
-		for qi := 0; qi < queries; qi++ {
-			cut := minCut + (len(seq)-1-minCut)*qi/queries
-			prefix := seq[:cut+1]
-			qseq, _ := m.Params.DynamicQuery(prefix)
-			q := core.NewQuery(qseq, st.PatientID, st.SessionID)
-			pred, err := m.PredictAdaptive(q, delta, ctl)
-			if err != nil {
-				continue
-			}
-			if truth, inside := seq.PositionAt(q.Now + delta); inside {
-				errSum += abs(pred.Pos[0] - truth[0])
+	_, err = m.Replay(opts,
+		func(q core.Query) ([]core.Match, error) { return ctl.FindSimilar(m, q) },
+		func(a core.Attempt) {
+			ctl.Observe(a.Predicted)
+			if a.Predicted {
+				errSum += a.AbsErr
 				predicted++
 			}
-		}
+		})
+	if err != nil {
+		fatal(log, err)
 	}
 	log.Info("epsilon settled",
 		slog.Float64("targetCoveragePct", 100*target),
@@ -166,51 +158,29 @@ func runAdaptive(log *slog.Logger, m *core.Matcher, delta float64, queries int, 
 	}
 }
 
-// runVerbose logs each prediction as it would stream during
-// treatment.
-func runVerbose(log *slog.Logger, m *core.Matcher, delta float64, queries int) {
-	for _, st := range m.DB.Streams() {
-		seq := st.Seq()
-		minCut := m.Params.MaxQueryVertices() + 2
-		if minCut >= len(seq)-2 {
-			continue
+// runVerbose is the evaluation's replay with each prediction logged as it
+// would stream during treatment.
+func runVerbose(log *slog.Logger, m *core.Matcher, opts core.EvalOptions) {
+	_, err := m.Replay(opts, nil, func(a core.Attempt) {
+		attrs := []any{
+			slog.String("session", a.Stream.SessionID),
+			slog.Float64("t", a.Query.Now),
+			slog.Int("queryVertices", len(a.Query.Seq)),
+			slog.Bool("stable", a.Info.Stable),
 		}
-		for qi := 0; qi < queries; qi++ {
-			cut := minCut + (len(seq)-1-minCut)*qi/queries
-			prefix := seq[:cut+1]
-			qseq, info := m.Params.DynamicQuery(prefix)
-			q := core.NewQuery(qseq, st.PatientID, st.SessionID)
-			pred, err := m.Predict(q, delta, nil)
-			now := q.Now
-			truth, inside := seq.PositionAt(now + delta)
-			attrs := []any{
-				slog.String("session", st.SessionID),
-				slog.Float64("t", now),
-				slog.Int("queryVertices", len(qseq)),
-				slog.Bool("stable", info.Stable),
-			}
-			switch {
-			case err == core.ErrNoMatches:
-				log.Info("no prediction", attrs...)
-			case err != nil:
-				fatal(log, err)
-			case inside:
-				attrs = append(attrs,
-					slog.Float64("predictedMM", pred.Pos[0]),
-					slog.Float64("truthMM", truth[0]),
-					slog.Float64("errorMM", abs(pred.Pos[0]-truth[0])),
-					slog.Int("matches", pred.NumMatches))
-				log.Info("prediction", attrs...)
-			}
+		if !a.Predicted {
+			log.Info("no prediction", attrs...)
+			return
 		}
+		log.Info("prediction", append(attrs,
+			slog.Float64("predictedMM", a.Pred.Pos[0]),
+			slog.Float64("truthMM", a.Truth[0]),
+			slog.Float64("errorMM", a.AbsErr),
+			slog.Int("matches", a.Pred.NumMatches))...)
+	})
+	if err != nil {
+		fatal(log, err)
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func fatal(log *slog.Logger, err error) {

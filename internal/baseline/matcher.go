@@ -95,9 +95,10 @@ func (m *Matcher) distance(qv, cv []float64) (float64, error) {
 }
 
 // FindSimilar retrieves the TopK nearest windows to the query under
-// the baseline distance. Results reuse core.Match so the prediction
-// machinery is shared; Weight is 1/(1+D) (no stream weighting — the
-// baselines are deliberately structure-blind).
+// the baseline distance. Results are core.Match, so they go through
+// core.Matcher.PredictPosition like any others (this package has no
+// prediction fold of its own); Weight is 1/(1+D) (no stream weighting —
+// the baselines are deliberately structure-blind).
 func (m *Matcher) FindSimilar(q core.Query) ([]core.Match, error) {
 	n := len(q.Seq)
 	if n < 2 {
@@ -138,44 +139,6 @@ func (m *Matcher) FindSimilar(q core.Query) ([]core.Match, error) {
 		out = out[:m.TopK]
 	}
 	return out, nil
-}
-
-// PredictPosition mirrors the core prediction (Section 4.3) on
-// baseline matches, so prediction quality comparisons isolate the
-// distance function as the only changed variable.
-func (m *Matcher) PredictPosition(q core.Query, matches []core.Match, delta float64, minMatches int) (core.Prediction, error) {
-	if minMatches <= 0 {
-		minMatches = core.MinMatchesForPrediction
-	}
-	if len(q.Seq) == 0 {
-		return core.Prediction{}, fmt.Errorf("baseline: empty query")
-	}
-	dims := q.Seq.Dims()
-	acc := make([]float64, dims)
-	var wsum, dsum float64
-	used := 0
-	for _, mt := range matches {
-		seq := mt.Stream.Seq()
-		f, inside := seq.PositionAt(mt.EndTime() + delta)
-		if !inside {
-			continue
-		}
-		first := seq[mt.Start].Pos
-		for k := 0; k < dims; k++ {
-			acc[k] += mt.Weight * (f[k] - first[k])
-		}
-		wsum += mt.Weight
-		dsum += mt.Distance
-		used++
-	}
-	if used < minMatches || wsum == 0 {
-		return core.Prediction{}, core.ErrNoMatches
-	}
-	out := make([]float64, dims)
-	for k := 0; k < dims; k++ {
-		out[k] = q.Seq[0].Pos[k] + acc[k]/wsum
-	}
-	return core.Prediction{Pos: out, Delta: delta, NumMatches: used, MeanDist: dsum / float64(used)}, nil
 }
 
 // LastObserved is the no-prediction clinical baseline of Figure 1: the

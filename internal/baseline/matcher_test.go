@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -95,6 +96,8 @@ func TestBaselineMatcherAllMethods(t *testing.T) {
 	}
 }
 
+// TestBaselinePrediction: baseline matches predict through the core fold
+// (this package has none of its own).
 func TestBaselinePrediction(t *testing.T) {
 	db := buildDB()
 	m := NewMatcher(db, MethodWeightedEuclidean)
@@ -104,7 +107,11 @@ func TestBaselinePrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := m.PredictPosition(q, matches, 0.3, 1)
+	cm, err := core.NewMatcher(db, core.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := cm.PredictPosition(q, matches, 0.3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +119,7 @@ func TestBaselinePrediction(t *testing.T) {
 	if e := math.Abs(pred.Pos[0] - truth[0]); e > 4 {
 		t.Errorf("baseline prediction error %.2f unreasonably large", e)
 	}
-	if _, err := m.PredictPosition(q, nil, 0.3, 1); err != core.ErrNoMatches {
+	if _, err := cm.PredictPosition(q, nil, 0.3, 1); !errors.Is(err, core.ErrNoMatches) {
 		t.Errorf("want ErrNoMatches, got %v", err)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Online parameter adaptation — the second half of the paper's tuning
 // future work: "learn the proper parameter settings from training data
@@ -96,14 +99,21 @@ func (c *CoverageController) Coverage() float64 {
 // Attempts returns the number of observations.
 func (c *CoverageController) Attempts() int { return c.attempts }
 
+// FindSimilar is m.FindSimilar under the controller's current threshold.
+// The threshold goes to the search as an argument: m.Params is never
+// written, so nothing leaks into later calls whatever the search does.
+func (c *CoverageController) FindSimilar(m *Matcher, q Query) ([]Match, error) {
+	return m.search(context.Background(), q, nil, 0, c.eps)
+}
+
 // PredictAdaptive runs one retrieval + prediction under the
-// controller's current threshold and feeds the outcome back. It is the
-// online loop of predictd/streamd with adaptation switched on.
+// controller's current threshold and feeds the outcome back.
 func (m *Matcher) PredictAdaptive(q Query, delta float64, ctl *CoverageController) (Prediction, error) {
-	saved := m.Params.DistThreshold
-	m.Params.DistThreshold = ctl.Epsilon()
-	pred, err := m.Predict(q, delta, nil)
-	m.Params.DistThreshold = saved
+	var pred Prediction
+	matches, err := ctl.FindSimilar(m, q)
+	if err == nil {
+		pred, err = m.PredictPosition(q, matches, delta, 0)
+	}
 	ctl.Observe(err == nil)
 	return pred, err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -97,12 +98,55 @@ func TestPredictAdaptive(t *testing.T) {
 	if ctl.Attempts() != 1 || ctl.Coverage() != 1 {
 		t.Errorf("controller not fed: attempts=%d coverage=%v", ctl.Attempts(), ctl.Coverage())
 	}
-	// The matcher's own threshold must be restored.
+	// The matcher's own threshold must be untouched.
 	if m.Params.DistThreshold != DefaultParams().DistThreshold {
 		t.Errorf("threshold leaked: %v", m.Params.DistThreshold)
 	}
 	// A hit must lower epsilon slightly (toward accuracy).
 	if ctl.Epsilon() >= 8 {
 		t.Errorf("eps = %v, want below start after a hit", ctl.Epsilon())
+	}
+}
+
+// TestPredictAdaptiveLeavesParams: the controller's epsilon reaches the
+// search as an argument, so neither an erroring search (a one-vertex
+// query) nor a panicking one (the database pulled from under the matcher)
+// can leave it in m.Params — the swap-and-restore this replaced had no
+// defer.
+func TestPredictAdaptiveLeavesParams(t *testing.T) {
+	db := buildTestDB(t)
+	given := DefaultParams()
+	given.DistThreshold = 4.25
+	m, err := NewMatcher(db, given)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := NewCoverageController(0.8, 11, 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := db.Patient("P1").StreamBySession("S1").Seq()
+
+	if _, err := m.PredictAdaptive(NewQuery(seq[:1], "P1", "S1"), 0.2, ctl); !errors.Is(err, ErrTooShort) {
+		t.Fatalf("one-vertex query: err = %v, want ErrTooShort", err)
+	}
+	if m.Params != given {
+		t.Errorf("erroring search changed Params: %+v", m.Params)
+	}
+	if ctl.Attempts() != 1 || ctl.Coverage() != 0 {
+		t.Errorf("failed attempt not observed: attempts=%d coverage=%v", ctl.Attempts(), ctl.Coverage())
+	}
+
+	m.DB = nil
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("search over a nil database did not panic")
+			}
+		}()
+		_, _ = m.PredictAdaptive(NewQuery(seq[len(seq)-10:len(seq)-2], "P1", "S1"), 0.2, ctl)
+	}()
+	if m.Params != given {
+		t.Errorf("panicking search changed Params: %+v", m.Params)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -109,12 +110,59 @@ func (r EvalResult) Coverage() float64 {
 	return float64(pred) / float64(att)
 }
 
+// Attempt is one prediction attempt of the replay: one cut of one stream
+// at one horizon.
+type Attempt struct {
+	Stream *store.Stream
+	Query  Query
+	Info   QueryInfo // zero for a fixed-length query
+	Delta  float64
+
+	// Predicted is false when the matches supported no prediction
+	// (ErrNoMatches); Pred, Truth and AbsErr are then zero.
+	Predicted bool
+	Pred      Prediction
+	Truth     []float64 // the PLR position at Query.Now + Delta
+	AbsErr    float64   // |Pred - Truth| on the primary axis (mm)
+}
+
+// ReplayCuts returns the cut vertices of a replayed stream: n evenly
+// spaced indices from the first that leaves room for the longest query up
+// to, not including, end. It returns nil when there is no such index.
+func (p Params) ReplayCuts(end, n int) []int {
+	minCut := p.MaxQueryVertices() + 2
+	if minCut >= end {
+		return nil
+	}
+	cuts := make([]int, n)
+	for qi := range cuts {
+		cuts[qi] = minCut + (end-minCut)*qi/n
+	}
+	return cuts
+}
+
 // Evaluate runs the replay protocol over every stream in the matcher's
 // database. Streams are evaluated in parallel (one worker-local
 // matcher each — a Matcher is not safe for concurrent use) and merged
 // in stream order, so results are deterministic regardless of
 // parallelism.
 func (m *Matcher) Evaluate(opts EvalOptions) (EvalResult, error) {
+	return m.replay(opts, runtime.GOMAXPROCS(0), nil, nil)
+}
+
+// Replay is Evaluate one stream at a time, in stream order, for callers
+// that vary the protocol's one free part or watch it run. retrieve
+// supplies the matches each query predicts from (nil: FindSimilar under
+// opts.RestrictFor) and may carry state from one query to the next; each,
+// when non-nil, sees every attempt as it is scored.
+func (m *Matcher) Replay(opts EvalOptions, retrieve func(Query) ([]Match, error), each func(Attempt)) (EvalResult, error) {
+	return m.replay(opts, 1, retrieve, each)
+}
+
+// replay is the driver behind both: workers goroutines, a matcher each,
+// take streams off a queue, and the per-stream results merge in stream
+// order.
+func (m *Matcher) replay(opts EvalOptions, workers int, retrieve func(Query) ([]Match, error), each func(Attempt)) (EvalResult, error) {
 	if len(opts.Deltas) == 0 {
 		return EvalResult{}, fmt.Errorf("core: evaluation needs at least one delta")
 	}
@@ -133,7 +181,6 @@ func (m *Matcher) Evaluate(opts EvalOptions) (EvalResult, error) {
 	errs := make([]error, len(streams))
 	var wg sync.WaitGroup
 	next := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
 	if workers > len(streams) && len(streams) > 0 {
 		workers = len(streams)
 	}
@@ -142,8 +189,18 @@ func (m *Matcher) Evaluate(opts EvalOptions) (EvalResult, error) {
 		go func() {
 			defer wg.Done()
 			local := &Matcher{DB: m.DB, Params: m.Params}
+			find := retrieve
+			if find == nil {
+				find = func(q Query) ([]Match, error) {
+					var restrict map[string]bool
+					if opts.RestrictFor != nil {
+						restrict = opts.RestrictFor(q.PatientID)
+					}
+					return local.FindSimilar(q, restrict)
+				}
+			}
 			for i := range next {
-				partials[i], errs[i] = local.evaluateStream(streams[i], opts, maxDelta)
+				partials[i], errs[i] = local.evaluateStream(streams[i], opts, maxDelta, find, each)
 			}
 		}()
 	}
@@ -177,35 +234,32 @@ func (m *Matcher) Evaluate(opts EvalOptions) (EvalResult, error) {
 	return res, nil
 }
 
-// evaluateStream replays one stream's cut points.
-func (m *Matcher) evaluateStream(st *store.Stream, opts EvalOptions, maxDelta float64) (EvalResult, error) {
+// evaluateStream replays one stream's cut points: the query ends at the cut
+// vertex, and truth must exist maxDelta beyond it.
+func (m *Matcher) evaluateStream(st *store.Stream, opts EvalOptions, maxDelta float64, retrieve func(Query) ([]Match, error), each func(Attempt)) (EvalResult, error) {
 	seq := st.Seq()
-	minCut := m.Params.MaxQueryVertices() + 2
-	if minCut >= len(seq)-2 {
-		return EvalResult{}, nil // too short; PerDelta stays empty
+	cuts := m.Params.ReplayCuts(len(seq)-1, opts.QueriesPerStream)
+	if len(cuts) == 0 || cuts[0] == len(seq)-2 {
+		// Too short: no cut, or none but the final segment's first
+		// vertex. PerDelta stays empty.
+		return EvalResult{}, nil
 	}
 	res := EvalResult{PerDelta: make([]DeltaResult, len(opts.Deltas))}
 	for i, d := range opts.Deltas {
 		res.PerDelta[i].Delta = d
 	}
-	// Cut points: evenly spaced vertex indices. The query ends at the
-	// cut vertex; truth must exist maxDelta beyond it.
-	for qi := 0; qi < opts.QueriesPerStream; qi++ {
-		cut := minCut + (len(seq)-1-minCut)*qi/opts.QueriesPerStream
-		if cut <= minCut {
-			cut = minCut
-		}
+	for _, cut := range cuts {
 		prefix := seq[:cut+1]
-		now := prefix[len(prefix)-1].T
+		now := seq[cut].T
 		if _, inside := seq.PositionAt(now + maxDelta); !inside {
 			continue
 		}
 
 		var qseq plr.Sequence
+		var info QueryInfo
 		if opts.FixedCycles > 0 {
 			qseq = FixedQuery(prefix, opts.FixedCycles)
 		} else {
-			var info QueryInfo
 			qseq, info = m.Params.DynamicQuery(prefix)
 			if info.Stable {
 				res.StableQueries++
@@ -215,33 +269,27 @@ func (m *Matcher) evaluateStream(st *store.Stream, opts EvalOptions, maxDelta fl
 		res.QueryLen.Add(float64(len(qseq)))
 
 		q := NewQuery(qseq, st.PatientID, st.SessionID)
-		var restrict map[string]bool
-		if opts.RestrictFor != nil {
-			restrict = opts.RestrictFor(st.PatientID)
-		}
-		matches, err := m.FindSimilar(q, restrict)
+		matches, err := retrieve(q)
 		if err != nil {
 			return EvalResult{}, err
 		}
 		for di, delta := range opts.Deltas {
-			res.PerDelta[di].Attempts++
+			d := &res.PerDelta[di]
+			d.Attempts++
+			a := Attempt{Stream: st, Query: q, Info: info, Delta: delta}
 			pred, err := m.PredictPosition(q, matches, delta, opts.MinMatches)
-			if errors.Is(err, ErrNoMatches) {
-				continue
-			}
-			if err != nil {
+			if err != nil && !errors.Is(err, ErrNoMatches) {
 				return EvalResult{}, err
 			}
-			truth, inside := seq.PositionAt(now + delta)
-			if !inside {
-				continue
+			if truth, inside := seq.PositionAt(now + delta); err == nil && inside {
+				a.Predicted, a.Pred, a.Truth = true, pred, truth
+				a.AbsErr = math.Abs(pred.Pos[0] - truth[0])
+				d.Predictions++
+				d.Err.Add(a.AbsErr)
 			}
-			res.PerDelta[di].Predictions++
-			e := pred.Pos[0] - truth[0]
-			if e < 0 {
-				e = -e
+			if each != nil {
+				each(a)
 			}
-			res.PerDelta[di].Err.Add(e)
 		}
 	}
 	return res, nil

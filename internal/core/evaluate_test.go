@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"stsmatch/internal/store"
@@ -174,5 +175,62 @@ func TestTuneImprovesOrMatchesStart(t *testing.T) {
 	bad.WeightAmp = 0
 	if _, err := Tune(db, bad, space, opts); err == nil {
 		t.Error("invalid start accepted")
+	}
+}
+
+// TestReplayCutsEqualLegacyLoops: the one cut-point walk visits exactly
+// the vertices the six hand-copied loops it replaced visited. legacy is
+// their formula, kept here as the reference, in both forms they had: the
+// position replay's (end len-1, no cuts when minCut >= len-2) and
+// SegmentForecasts' (end and guard len-3, which it now passes itself).
+// The position replay is driven end to end, one stream per length, with a
+// retrieval that finds nothing and horizon 0, so every cut is attempted and
+// reports the vertex its query ends at.
+func TestReplayCutsEqualLegacyLoops(t *testing.T) {
+	p := DefaultParams()
+	minCut := p.MaxQueryVertices() + 2
+	legacy := func(n, end, guard int) []int {
+		if minCut >= guard {
+			return nil
+		}
+		var cuts []int
+		for qi := 0; qi < n; qi++ {
+			cuts = append(cuts, minCut+(end-minCut)*qi/n)
+		}
+		return cuts
+	}
+	none := func(Query) ([]Match, error) { return nil, nil }
+	for length := minCut; length <= minCut+40; length++ {
+		db := store.NewDB()
+		pt, err := db.AddPatient(store.PatientInfo{ID: "A"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Unit durations from 0: vertex i is at time i.
+		if err := pt.AddStream("A-S1").Append(breathingWindow(0, 10, unitDurs(length-1))...); err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMatcher(db, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 4, 6, 12} {
+			var got []int
+			opts := EvalOptions{Deltas: []float64{0}, QueriesPerStream: n}
+			res, err := m.Replay(opts, none, func(a Attempt) { got = append(got, int(a.Query.Now)) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := legacy(n, length-1, length-2); !slices.Equal(got, want) {
+				t.Errorf("len %d n %d: replay cut at %v, the old loops at %v", length, n, got, want)
+			}
+			if res.TotalQueries != len(got) || res.PerDelta[0].Attempts != len(got) || res.PerDelta[0].Predictions != 0 {
+				t.Errorf("len %d n %d: %d attempts seen, result counts %d queries, %d attempts, %d predictions",
+					length, n, len(got), res.TotalQueries, res.PerDelta[0].Attempts, res.PerDelta[0].Predictions)
+			}
+			if got, want := p.ReplayCuts(length-3, n), legacy(n, length-3, length-3); !slices.Equal(got, want) {
+				t.Errorf("len %d n %d: ReplayCuts(len-3) = %v, SegmentForecasts' old loop %v", length, n, got, want)
+			}
+		}
 	}
 }

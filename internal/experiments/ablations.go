@@ -105,88 +105,56 @@ type IndexAblationResult struct {
 }
 
 // AblateIndex measures FindSimilar latency with the stream indexes
-// disabled (fresh scan streams) versus enabled.
+// enabled (Setup's database) versus disabled. Indexes cannot be disabled
+// in place, so the scan path runs on a copy rebuilt from the raw cohort.
 func AblateIndex(env *Env) (*IndexAblationResult, error) {
-	m, err := core.NewMatcher(env.DB, core.DefaultParams())
-	if err != nil {
-		return nil, err
-	}
-	// Build queries from a few streams.
-	var queries []core.Query
-	for _, st := range env.DB.Streams() {
-		seq := st.Seq()
-		if len(seq) < 30 {
-			continue
+	// measure builds queries from the first few streams of db and times
+	// their retrieval.
+	measure := func(db *store.DB) (us float64, n int, err error) {
+		m, err := core.NewMatcher(db, core.DefaultParams())
+		if err != nil {
+			return 0, 0, err
 		}
-		qseq, _ := m.Params.DynamicQuery(seq[:len(seq)-2])
-		queries = append(queries, core.NewQuery(qseq, st.PatientID, st.SessionID))
-		if len(queries) >= 8 {
-			break
+		var queries []core.Query
+		for _, st := range db.Streams() {
+			seq := st.Seq()
+			if len(seq) < 30 {
+				continue
+			}
+			qseq, _ := m.Params.DynamicQuery(seq[:len(seq)-2])
+			queries = append(queries, core.NewQuery(qseq, st.PatientID, st.SessionID))
+			if len(queries) >= 8 {
+				break
+			}
 		}
-	}
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("ablate-index: no usable queries")
-	}
-
-	run := func() (float64, error) {
-		start := time.Now()
+		if len(queries) == 0 {
+			return 0, 0, fmt.Errorf("ablate-index: no usable queries")
+		}
 		const reps = 5
+		start := time.Now()
 		for r := 0; r < reps; r++ {
 			for _, q := range queries {
 				if _, err := m.FindSimilar(q, nil); err != nil {
-					return 0, err
+					return 0, 0, err
 				}
 			}
 		}
-		return float64(time.Since(start).Microseconds()) / float64(reps*len(queries)), nil
+		return float64(time.Since(start).Microseconds()) / float64(reps*len(queries)), len(queries), nil
 	}
 
-	// Indexes are enabled by Setup; measure, then rebuild streams
-	// without indexes by... indexes cannot be disabled in place, so
-	// measure the scan path on fresh copies.
-	indexedUS, err := run()
+	indexedUS, n, err := measure(env.DB)
 	if err != nil {
 		return nil, err
 	}
-	scanDB, err := cloneWithoutIndexes(env)
+	scanDB, err := dataset.FromCohort(env.Cohort, fsm.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	mScan, err := core.NewMatcher(scanDB, core.DefaultParams())
+	scanUS, _, err := measure(scanDB)
 	if err != nil {
 		return nil, err
 	}
-	var scanQueries []core.Query
-	for _, st := range scanDB.Streams() {
-		seq := st.Seq()
-		if len(seq) < 30 {
-			continue
-		}
-		qseq, _ := mScan.Params.DynamicQuery(seq[:len(seq)-2])
-		scanQueries = append(scanQueries, core.NewQuery(qseq, st.PatientID, st.SessionID))
-		if len(scanQueries) >= 8 {
-			break
-		}
-	}
-	start := time.Now()
-	const reps = 5
-	for r := 0; r < reps; r++ {
-		for _, q := range scanQueries {
-			if _, err := mScan.FindSimilar(q, nil); err != nil {
-				return nil, err
-			}
-		}
-	}
-	scanUS := float64(time.Since(start).Microseconds()) / float64(reps*len(scanQueries))
-
-	return &IndexAblationResult{ScanUS: scanUS, IndexedUS: indexedUS, Queries: len(queries)}, nil
-}
-
-// cloneWithoutIndexes rebuilds the environment database from the raw
-// cohort without enabling the n-gram indexes, so FindWindows takes the
-// scan path.
-func cloneWithoutIndexes(env *Env) (*store.DB, error) {
-	return dataset.FromCohort(env.Cohort, fsm.DefaultConfig())
+	return &IndexAblationResult{ScanUS: scanUS, IndexedUS: indexedUS, Queries: n}, nil
 }
 
 // Table renders the index ablation.

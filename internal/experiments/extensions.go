@@ -285,37 +285,24 @@ func Dims3(env *Env) (*Dims3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := core.DefaultParams()
-	m, err := core.NewMatcher(db, params)
+	m, err := core.NewMatcher(db, core.DefaultParams())
 	if err != nil {
 		return nil, err
 	}
 	res := &Dims3Result{}
 	var errW [3]stats.Welford
-	for _, st := range db.Streams() {
-		seq := st.Seq()
-		minCut := params.MaxQueryVertices() + 2
-		if minCut >= len(seq)-2 {
-			continue
+	opts := core.EvalOptions{Deltas: []float64{0.2}, QueriesPerStream: 6}
+	_, err = m.Replay(opts, nil, func(a core.Attempt) {
+		if !a.Predicted {
+			return
 		}
-		for qi := 0; qi < 6; qi++ {
-			cut := minCut + (len(seq)-1-minCut)*qi/6
-			prefix := seq[:cut+1]
-			qseq, _ := params.DynamicQuery(prefix)
-			q := core.NewQuery(qseq, st.PatientID, st.SessionID)
-			pred, err := m.Predict(q, 0.2, nil)
-			if err != nil {
-				continue
-			}
-			truth, inside := seq.PositionAt(q.Now + 0.2)
-			if !inside {
-				continue
-			}
-			res.Queries++
-			for k := 0; k < 3; k++ {
-				errW[k].Add(abs(pred.Pos[k] - truth[k]))
-			}
+		res.Queries++
+		for k := 0; k < 3; k++ {
+			errW[k].Add(abs(a.Pred.Pos[k] - a.Truth[k]))
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	for k := 0; k < 3; k++ {
 		res.MeanErr[k] = errW[k].Mean()

@@ -137,12 +137,7 @@ func SegmentForecasts(env *Env) (*ForecastResult, error) {
 	var durAll, ampAll stats.Welford
 	for _, st := range env.DB.Streams() {
 		seq := st.Seq()
-		minCut := params.MaxQueryVertices() + 2
-		if minCut >= len(seq)-3 {
-			continue
-		}
-		for qi := 0; qi < env.Scale.QueriesPerStream; qi++ {
-			cut := minCut + (len(seq)-3-minCut)*qi/env.Scale.QueriesPerStream
+		for _, cut := range params.ReplayCuts(len(seq)-3, env.Scale.QueriesPerStream) {
 			// Query ends exactly at vertex `cut`; the actual next
 			// segment is seq[cut] -> seq[cut+1].
 			prefix := seq[:cut+1]

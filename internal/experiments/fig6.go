@@ -5,7 +5,6 @@ import (
 
 	"stsmatch/internal/baseline"
 	"stsmatch/internal/core"
-	"stsmatch/internal/stats"
 )
 
 // Figure 6: prediction quality under different weighting factors of the
@@ -87,65 +86,28 @@ func Fig6(env *Env) (*Fig6Result, error) {
 		res.Reduction = append(res.Reduction, red)
 	}
 
-	// Weighted Euclidean baseline, evaluated with the same replay
-	// protocol.
-	euc, err := evaluateBaseline(env, baseline.MethodWeightedEuclidean, opts)
+	// The weighted Euclidean baseline, scored against all-weighting (the
+	// last configuration) with that curve's parameters.
+	euc, err := baselineError(env, configs[len(configs)-1].Params, opts)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fig6 weighted-euclidean: %w", err)
 	}
 	res.EuclideanAvg = euc
 	return res, nil
 }
 
-// evaluateBaseline replays the evaluation protocol with a baseline
-// matcher and returns the horizon-averaged mean error.
-func evaluateBaseline(env *Env, method baseline.Method, opts core.EvalOptions) (float64, error) {
-	bm := baseline.NewMatcher(env.DB, method)
-	params := core.DefaultParams()
-	var errAcc stats.Welford
-	maxDelta := 0.0
-	for _, d := range opts.Deltas {
-		if d > maxDelta {
-			maxDelta = d
-		}
+// baselineError replays the protocol with the weighted-Euclidean retrieval
+// in place of the core matcher's — same cuts, queries, prediction fold
+// (with p's anchor) and truth, so the distance function is the only thing
+// that varies — and returns the horizon-averaged mean error.
+func baselineError(env *Env, p core.Params, opts core.EvalOptions) (float64, error) {
+	m, err := core.NewMatcher(env.DB, p)
+	if err != nil {
+		return 0, err
 	}
-	for _, st := range env.DB.Streams() {
-		seq := st.Seq()
-		minCut := params.MaxQueryVertices() + 2
-		if minCut >= len(seq)-2 {
-			continue
-		}
-		for qi := 0; qi < opts.QueriesPerStream; qi++ {
-			cut := minCut + (len(seq)-1-minCut)*qi/opts.QueriesPerStream
-			prefix := seq[:cut+1]
-			now := prefix[len(prefix)-1].T
-			if _, inside := seq.PositionAt(now + maxDelta); !inside {
-				continue
-			}
-			qseq, _ := params.DynamicQuery(prefix)
-			q := core.NewQuery(qseq, st.PatientID, st.SessionID)
-			matches, err := bm.FindSimilar(q)
-			if err != nil {
-				return 0, err
-			}
-			for _, delta := range opts.Deltas {
-				pred, err := bm.PredictPosition(q, matches, delta, 0)
-				if err != nil {
-					continue
-				}
-				truth, inside := seq.PositionAt(now + delta)
-				if !inside {
-					continue
-				}
-				e := pred.Pos[0] - truth[0]
-				if e < 0 {
-					e = -e
-				}
-				errAcc.Add(e)
-			}
-		}
-	}
-	return errAcc.Mean(), nil
+	bm := baseline.NewMatcher(env.DB, baseline.MethodWeightedEuclidean)
+	er, err := m.Replay(opts, bm.FindSimilar, nil)
+	return er.MeanError(), err
 }
 
 // Tables renders the three panels.

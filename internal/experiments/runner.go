@@ -17,171 +17,70 @@ type Runner struct {
 	CheckShapes bool
 }
 
-// expFunc runs one experiment and writes its tables, returning the
-// shape-check error (nil when the shape holds or is not checkable).
-type expFunc func(r *Runner) error
-
 // registry maps experiment ids (as used by the -exp flag and
-// DESIGN.md's per-experiment index) to implementations.
-var registry = map[string]expFunc{
-	"table1": func(r *Runner) error {
-		fmt.Fprintln(r.Out, Table1())
-		return nil
-	},
-	"fig6a": runFig6, "fig6b": runFig6, "fig6c": runFig6,
-	"fig7a": func(r *Runner) error {
-		res, err := Fig7a(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return r.check(res.ShapeHolds())
-	},
-	"fig7b": func(r *Runner) error {
-		res, err := Fig7b(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return r.check(res.ShapeHolds())
-	},
-	"fig8a": func(r *Runner) error {
-		res, err := Fig8a(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return r.check(res.ShapeHolds())
-	},
-	"fig8b": func(r *Runner) error {
-		res, err := Fig8b(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return r.check(res.ShapeHolds())
-	},
-	"fig8c": func(r *Runner) error {
-		res, err := Fig8c(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return r.check(res.ShapeHolds())
-	},
-	"fig9": func(r *Runner) error {
-		res, err := Fig9(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return r.check(res.ShapeHolds())
-	},
-	"efficiency": func(r *Runner) error {
-		res, err := Efficiency(r.Env)
-		if err != nil {
-			return err
-		}
-		for _, t := range res.Tables() {
+// DESIGN.md's per-experiment index) to implementations. fig6a/b/c are one
+// computation that prints all three panels.
+var registry = map[string]func(*Env) (any, error){
+	"table1":               exp(func(*Env) (*Table, error) { return Table1(), nil }),
+	"fig6a":                exp(Fig6),
+	"fig6b":                exp(Fig6),
+	"fig6c":                exp(Fig6),
+	"fig7a":                exp(Fig7a),
+	"fig7b":                exp(Fig7b),
+	"fig8a":                exp(Fig8a),
+	"fig8b":                exp(Fig8b),
+	"fig8c":                exp(Fig8c),
+	"fig9":                 exp(Fig9),
+	"efficiency":           exp(Efficiency),
+	"ablate-state-order":   exp(AblateStateOrder),
+	"ablate-anchor":        exp(AblateAnchor),
+	"ablate-index":         exp(AblateIndex),
+	"dtw-cost":             exp(DTWCost),
+	"tuning":               exp(Tuning),
+	"ext-predictors":       exp(Predictors),
+	"plr-fidelity":         exp(Fidelity),
+	"dims3":                exp(Dims3),
+	"ablate-segmenter":     exp(CompareSegmenters),
+	"ext-segment-forecast": exp(SegmentForecasts),
+}
+
+// exp erases an experiment's result type for the registry.
+func exp[T any](f func(*Env) (T, error)) func(*Env) (any, error) {
+	return func(env *Env) (any, error) { return f(env) }
+}
+
+// run executes one registered experiment: it prints the table or tables
+// the result renders, then checks the paper shape if the result asserts
+// one.
+func (r *Runner) run(name string) error {
+	res, err := registry[name](r.Env)
+	if err != nil {
+		return err
+	}
+	switch v := res.(type) {
+	case *Table:
+		fmt.Fprintln(r.Out, v)
+	case interface{ Table() *Table }:
+		fmt.Fprintln(r.Out, v.Table())
+	case interface{ Tables() []*Table }:
+		for _, t := range v.Tables() {
 			fmt.Fprintln(r.Out, t)
 		}
-		return r.check(res.ShapeHolds())
-	},
-	"ablate-state-order": func(r *Runner) error {
-		res, err := AblateStateOrder(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return nil
-	},
-	"ablate-anchor": func(r *Runner) error {
-		res, err := AblateAnchor(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return nil
-	},
-	"ablate-index": func(r *Runner) error {
-		res, err := AblateIndex(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return nil
-	},
-	"dtw-cost": func(r *Runner) error {
-		res, err := DTWCost(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return nil
-	},
-	"tuning": runTuning,
-	"ext-predictors": func(r *Runner) error {
-		res, err := Predictors(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return r.check(res.ShapeHolds())
-	},
-	"plr-fidelity": func(r *Runner) error {
-		res, err := Fidelity(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return r.check(res.ShapeHolds())
-	},
-	"dims3": func(r *Runner) error {
-		res, err := Dims3(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return r.check(res.ShapeHolds())
-	},
-	"ablate-segmenter": func(r *Runner) error {
-		res, err := CompareSegmenters(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return r.check(res.ShapeHolds())
-	},
-	"ext-segment-forecast": func(r *Runner) error {
-		res, err := SegmentForecasts(r.Env)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(r.Out, res.Table())
-		return r.check(res.ShapeHolds())
-	},
+	}
+	if s, ok := res.(interface{ ShapeHolds() error }); ok {
+		return r.check(s.ShapeHolds())
+	}
+	return nil
 }
 
-// fig6 computes once and prints all three panels.
-func runFig6(r *Runner) error {
-	res, err := Fig6(r.Env)
-	if err != nil {
-		return err
-	}
-	for _, t := range res.Tables() {
-		fmt.Fprintln(r.Out, t)
-	}
-	return r.check(res.ShapeHolds())
-}
-
-// runTuning demonstrates the automatic parameter tuning extension.
-func runTuning(r *Runner) error {
+// Tuning demonstrates the automatic parameter tuning extension.
+func Tuning(env *Env) (*Table, error) {
 	opts := core.DefaultEvalOptions()
 	opts.Deltas = []float64{0.1, 0.3}
-	opts.QueriesPerStream = max(2, r.Env.Scale.QueriesPerStream/2)
-	res, err := core.Tune(r.Env.DB, core.DefaultParams(), core.DefaultTuneSpace(), opts)
+	opts.QueriesPerStream = max(2, env.Scale.QueriesPerStream/2)
+	res, err := core.Tune(env.DB, core.DefaultParams(), core.DefaultTuneSpace(), opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	t := &Table{
 		Title:  "Extension: automatic parameter tuning (paper future work)",
@@ -194,8 +93,7 @@ func runTuning(r *Runner) error {
 	for _, step := range res.Trace {
 		t.AddRow(step.Param, f2(step.Value), f3(step.Error))
 	}
-	fmt.Fprintln(r.Out, t)
-	return nil
+	return t, nil
 }
 
 func (r *Runner) check(err error) error {
@@ -218,30 +116,22 @@ func Names() []string {
 	return out
 }
 
-// Run executes one experiment by id ("all" runs everything; fig6a/b/c
-// share one computation and are deduplicated under "all").
+// Run executes one experiment by id ("all" runs everything, Figure 6 once).
 func (r *Runner) Run(name string) error {
 	if name == "all" {
-		done := map[string]bool{}
 		for _, n := range Names() {
-			fn := registry[n]
 			if n == "fig6b" || n == "fig6c" {
 				continue // fig6a prints all panels
 			}
-			if done[n] {
-				continue
-			}
-			done[n] = true
 			fmt.Fprintf(r.Out, "### %s\n", n)
-			if err := fn(r); err != nil {
+			if err := r.run(n); err != nil {
 				return fmt.Errorf("%s: %w", n, err)
 			}
 		}
 		return nil
 	}
-	fn, ok := registry[name]
-	if !ok {
+	if _, ok := registry[name]; !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (have: %v)", name, Names())
 	}
-	return fn(r)
+	return r.run(name)
 }
