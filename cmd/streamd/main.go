@@ -30,8 +30,8 @@
 // followers can allowlist it) and -replicate-from restricts which
 // sources may ship WAL batches here. Followers also serve reads:
 // POST /v1/match on a replica answers from its WAL-applied store, and
-// a leg carrying an X-Match-Require freshness bound is refused for any
-// patient whose local holdings fall short — the contract behind the
+// a match leg whose scope carries a Require freshness bound is refused
+// for any patient whose local holdings fall short — the contract behind the
 // gateway's bounded-staleness follower reads. /v1/shard/stats and
 // /v1/healthz report per-session per-link shipped/acked sequence
 // numbers plus per-patient holdings, and every response carries an

@@ -154,13 +154,13 @@ func RequestIDFrom(ctx context.Context) string {
 
 // AccessLog logs one line per request. Successful requests log at
 // debug (so steady-state traffic stays quiet at the default level);
-// server errors log at warn. Scrape and probe endpoints (/metrics,
-// /v1/healthz) are not logged at all — a 15-second scrape interval
-// would otherwise dominate the output — but still count in the HTTP
-// request metrics, which wrap routes below this middleware.
+// server errors log at warn. The paths TraceHTTP skips (noisyPath:
+// scrapes, probes, /v1/traces) are not logged at all — a 15-second
+// scrape interval would otherwise dominate the output — but still count
+// in the HTTP request metrics, which wrap routes below this middleware.
 func AccessLog(log *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/metrics" || r.URL.Path == "/v1/healthz" {
+		if noisyPath(r.URL.Path) {
 			next.ServeHTTP(w, r)
 			return
 		}

@@ -105,6 +105,8 @@ func TestTraceHTTPContinuesValidTrace(t *testing.T) {
 	}
 }
 
+// TestTraceHTTPSkipsNoisyPaths: the paths the tracer skips are the
+// paths the access log skips — one list, noisyPath.
 func TestTraceHTTPSkipsNoisyPaths(t *testing.T) {
 	col := NewCollector(8, time.Hour)
 	h := TraceHTTP("svc", col, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -112,11 +114,18 @@ func TestTraceHTTPSkipsNoisyPaths(t *testing.T) {
 			t.Errorf("%s is traced", r.URL.Path)
 		}
 	}))
+	var buf strings.Builder
+	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	logged := AccessLog(log, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {}))
 	for _, p := range []string{"/metrics", "/v1/healthz", "/v1/traces"} {
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", p, nil))
+		logged.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", p, nil))
 	}
 	if got := col.Recent(); len(got) != 0 {
 		t.Fatalf("noisy paths produced %d traces", len(got))
+	}
+	if out := buf.String(); out != "" {
+		t.Fatalf("noisy paths access-logged: %s", out)
 	}
 }
 

@@ -53,6 +53,9 @@ func (req MatchRequest) Validate() error {
 	if req.K < 0 {
 		return fmt.Errorf("k must be >= 0, got %d", req.K)
 	}
+	if req.MaxLag < 0 {
+		return fmt.Errorf("maxLag must be >= 0, got %d", req.MaxLag)
+	}
 	return nil
 }
 
@@ -76,26 +79,19 @@ type RemoteMatch struct {
 type MatchResponse struct {
 	Matches []RemoteMatch `json:"matches"`
 	Profile *obs.Profile  `json:"profile,omitempty"`
-	// Refused lists patients this shard declined to score because its
-	// holdings were below the leg's X-Match-Require bound (see
-	// readpath.go); the gateway retries them on another holder.
-	Refused []string `json:"refused,omitempty"`
-	// Freshness reports this shard's holdings for every patient the
-	// leg's scope named, refused or served — the gateway's freshness
-	// tracker converges from these piggybacks.
-	Freshness map[string]PatientFreshness `json:"freshness,omitempty"`
 }
 
-// decodeMatchRequest decodes a /v1/match body in either codec. Both
-// decoders copy what they keep out of body.
-func decodeMatchRequest(body []byte, leg bool) (MatchRequest, error) {
+// decodeMatchRequest decodes a /v1/match body in either codec: the
+// query, and for a leg the whole leg with its scope (the JSON route is
+// never scoped). Both decoders copy what they keep out of body.
+func decodeMatchRequest(body []byte, leg bool) (MatchRequest, wal.MatchLegRequest, error) {
 	if leg {
 		lr, err := wal.DecodeMatchLegRequest(body)
-		return MatchRequest{Seq: lr.Seq, PatientID: lr.PatientID, SessionID: lr.SessionID, Now: lr.Now, K: lr.K}, err
+		return MatchRequest{Seq: lr.Seq, PatientID: lr.PatientID, SessionID: lr.SessionID, Now: lr.Now, K: lr.K}, lr, err
 	}
 	var req MatchRequest
 	err := json.Unmarshal(body, &req)
-	return req, err
+	return req, wal.MatchLegRequest{}, err
 }
 
 // handleMatch runs a similarity search for a serialized query. Like
@@ -104,8 +100,8 @@ func decodeMatchRequest(body []byte, leg bool) (MatchRequest, error) {
 //
 // The route speaks two codecs, told apart by Content-Type: the public
 // JSON (MatchRequest in, MatchResponse out), and the binary leg format
-// of internal/wal that the gateway's scatter and retry legs use. Only
-// decoding the request and encoding the result differ; scope headers,
+// of internal/wal that the gateway's scatter and retry legs use. Only a
+// leg carries a scope, so only a leg can refuse a patient; otherwise
 // the X-Store-Seq stamp, validation and the search are one path.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	leg := r.Header.Get("Content-Type") == wal.MatchLegContentType
@@ -114,18 +110,13 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding match request: %w", err))
 		return
 	}
-	req, err := decodeMatchRequest(buf.Bytes(), leg)
+	req, lr, err := decodeMatchRequest(buf.Bytes(), leg)
 	releaseBody(buf)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding match request: %w", err))
 		return
 	}
 	if err := req.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	scope, err := ParseMatchScope(r.Header)
-	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -137,7 +128,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// lets the gateway's cache re-file pre-write bytes under a
 	// post-write key (an acked write would then vanish from a hit).
 	w.Header().Set(HeaderStoreSeq, s.storeSeqToken())
-	restrict, refused, fresh := s.matchScopeRestrict(scope)
+	restrict, rep := s.matchScopeRestrict(lr)
 	q := core.NewQuery(req.Seq, req.PatientID, req.SessionID)
 	if req.Now != nil {
 		q.Now = *req.Now
@@ -157,7 +148,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if s.testHookMidMatch != nil {
 		s.testHookMidMatch()
 	}
-	sort.Strings(refused)
 	var profile *obs.Profile
 	if r.URL.Query().Get("debug") == "profile" {
 		// Inline "explain": serialize this query's span tree. The
@@ -168,7 +158,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if leg {
-		writeMatchLeg(w, matches, refused, fresh, profile)
+		writeMatchLeg(w, matches, rep, profile)
 		return
 	}
 	out := make([]RemoteMatch, len(matches))
@@ -183,14 +173,14 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			Weight:    mt.Weight,
 		}
 	}
-	writeJSON(w, http.StatusOK, MatchResponse{Matches: out, Profile: profile, Refused: refused, Freshness: fresh})
+	writeJSON(w, http.StatusOK, MatchResponse{Matches: out, Profile: profile})
 }
 
 // writeMatchLeg answers a binary leg: the matches as hits over a table
-// of the streams they fall in, in the order the matcher ranked them.
-func writeMatchLeg(w http.ResponseWriter, matches []core.Match, refused []string,
-	fresh map[string]PatientFreshness, profile *obs.Profile) {
-	rep := wal.MatchLegReply{Hits: make([]wal.LegHit, len(matches)), Refused: refused}
+// of the streams they fall in, in the order the matcher ranked them,
+// alongside the refusals and freshness rep already carries.
+func writeMatchLeg(w http.ResponseWriter, matches []core.Match, rep wal.MatchLegReply, profile *obs.Profile) {
+	rep.Hits = make([]wal.LegHit, len(matches))
 	index := make(map[*store.Stream]uint32)
 	for i, mt := range matches {
 		si, ok := index[mt.Stream]
@@ -205,10 +195,6 @@ func writeMatchLeg(w http.ResponseWriter, matches []core.Match, refused []string
 		}
 		rep.Hits[i] = wal.LegHit{Stream: si, Start: uint32(mt.Start), N: uint32(mt.N), Distance: mt.Distance, Weight: mt.Weight}
 	}
-	for pid, fr := range fresh {
-		rep.Freshness = append(rep.Freshness, wal.LegFreshness{PatientID: pid, Streams: uint64(fr.Streams), Vertices: uint64(fr.Vertices)})
-	}
-	sort.Slice(rep.Freshness, func(a, b int) bool { return rep.Freshness[a].PatientID < rep.Freshness[b].PatientID })
 	if profile != nil {
 		// The span tree crosses as the JSON the public route embeds: the
 		// codec carries it opaquely and only a profiled query pays for it.

@@ -201,7 +201,7 @@ func FuzzMatchRequest(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := decodeMatchRequest(body, false)
+		req, _, err := decodeMatchRequest(body, false)
 		if err != nil || req.Validate() != nil {
 			return
 		}

@@ -1,22 +1,16 @@
-// Follower read path: the wire protocol that lets the gateway spread
-// /v1/match scatter legs across replicas while keeping merged results
-// byte-identical to a primary-only scatter.
+// Follower read path: what lets the gateway spread /v1/match scatter
+// legs across replicas while keeping merged results byte-identical to
+// a primary-only scatter.
 //
-// The scatter body is canonical — encoded once by the gateway and
-// reused across every leg and retry — so all per-leg variation rides
-// in request headers:
-//
-//	X-Match-Exclude: p1,p2     skip these patients (scored elsewhere)
-//	X-Match-Only:    p1,p2     score only these patients (retry legs)
-//	X-Match-Require: p=s:v,... serve patient p only if this shard holds
-//	                           at least s streams and v vertices for it
-//
-// A shard that cannot meet a Require bound refuses that patient
-// (MatchResponse.Refused) instead of answering with data staler than
-// the query's max-lag tolerance; the gateway then retries the patient
-// on another holder. Every response also reports the shard's local
-// per-patient stream/vertex counts (MatchResponse.Freshness) so the
-// gateway's freshness tracker converges without extra polling.
+// A leg's scope travels inside the leg itself (wal.MatchLegRequest:
+// Only, Exclude, Require). A shard that cannot meet a Require bound
+// refuses that patient (MatchLegReply.Refused) instead of answering
+// with data staler than the query's max-lag tolerance; the gateway
+// then retries the patient on another holder. Every scoped reply also
+// reports the shard's local per-patient stream/vertex counts
+// (MatchLegReply.Freshness) so the gateway's freshness tracker
+// converges without extra polling. The public JSON route is never
+// scoped.
 //
 // Separately, every response carries X-Store-Seq, the shard's
 // mutation high-water mark: "<epoch>-<seq>" where epoch is a
@@ -35,17 +29,14 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"net/url"
-	"strconv"
-	"strings"
+	"sort"
+
+	"stsmatch/internal/wal"
 )
 
 // Headers of the follower-read protocol.
 const (
 	HeaderStoreSeq        = "X-Store-Seq"
-	HeaderMatchExclude    = "X-Match-Exclude"
-	HeaderMatchOnly       = "X-Match-Only"
-	HeaderMatchRequire    = "X-Match-Require"
 	HeaderPatientStreams  = "X-Patient-Streams"
 	HeaderPatientVertices = "X-Patient-Vertices"
 	HeaderReplicated      = "X-Replicated"
@@ -58,108 +49,6 @@ const (
 type PatientFreshness struct {
 	Streams  int `json:"streams"`
 	Vertices int `json:"vertices"`
-}
-
-// MatchScope is the decoded per-leg scope of a scatter query. The zero
-// value means "score everything local" — exactly the pre-follower-read
-// behaviour.
-type MatchScope struct {
-	// Exclude lists patients this leg must not score (another leg owns
-	// them). Ignored when Only is non-empty.
-	Exclude []string
-	// Only restricts the leg to exactly these patients (retry legs).
-	Only []string
-	// Require maps a patient to the minimum holdings this shard must
-	// have to serve it; a shard below either bound refuses the patient.
-	Require map[string]PatientFreshness
-}
-
-// Empty reports whether the scope imposes no restriction.
-func (sc MatchScope) Empty() bool {
-	return len(sc.Exclude) == 0 && len(sc.Only) == 0 && len(sc.Require) == 0
-}
-
-// SetHeaders encodes the scope onto an outgoing request's headers.
-// Patient IDs are query-escaped so separators in IDs cannot corrupt
-// the lists.
-func (sc MatchScope) SetHeaders(h http.Header) {
-	if len(sc.Only) > 0 {
-		h.Set(HeaderMatchOnly, encodePatientList(sc.Only))
-	} else if len(sc.Exclude) > 0 {
-		h.Set(HeaderMatchExclude, encodePatientList(sc.Exclude))
-	}
-	if len(sc.Require) > 0 {
-		parts := make([]string, 0, len(sc.Require))
-		for pid, min := range sc.Require {
-			parts = append(parts, fmt.Sprintf("%s=%d:%d", url.QueryEscape(pid), min.Streams, min.Vertices))
-		}
-		h.Set(HeaderMatchRequire, strings.Join(parts, ","))
-	}
-}
-
-// ParseMatchScope decodes the scope headers of an incoming request.
-func ParseMatchScope(h http.Header) (MatchScope, error) {
-	var sc MatchScope
-	var err error
-	if sc.Only, err = decodePatientList(h.Get(HeaderMatchOnly)); err != nil {
-		return sc, fmt.Errorf("%s: %w", HeaderMatchOnly, err)
-	}
-	if sc.Exclude, err = decodePatientList(h.Get(HeaderMatchExclude)); err != nil {
-		return sc, fmt.Errorf("%s: %w", HeaderMatchExclude, err)
-	}
-	if raw := h.Get(HeaderMatchRequire); raw != "" {
-		sc.Require = make(map[string]PatientFreshness)
-		for _, part := range strings.Split(raw, ",") {
-			pidEsc, bounds, ok := strings.Cut(part, "=")
-			if !ok {
-				return sc, fmt.Errorf("%s: entry %q missing '='", HeaderMatchRequire, part)
-			}
-			pid, err := url.QueryUnescape(pidEsc)
-			if err != nil {
-				return sc, fmt.Errorf("%s: %w", HeaderMatchRequire, err)
-			}
-			sStr, vStr, ok := strings.Cut(bounds, ":")
-			if !ok {
-				return sc, fmt.Errorf("%s: entry %q missing ':'", HeaderMatchRequire, part)
-			}
-			streams, err := strconv.Atoi(sStr)
-			if err != nil {
-				return sc, fmt.Errorf("%s: bad stream bound %q", HeaderMatchRequire, sStr)
-			}
-			vertices, err := strconv.Atoi(vStr)
-			if err != nil {
-				return sc, fmt.Errorf("%s: bad vertex bound %q", HeaderMatchRequire, vStr)
-			}
-			sc.Require[pid] = PatientFreshness{Streams: streams, Vertices: vertices}
-		}
-	}
-	return sc, nil
-}
-
-func encodePatientList(pids []string) string {
-	esc := make([]string, len(pids))
-	for i, pid := range pids {
-		esc[i] = url.QueryEscape(pid)
-	}
-	return strings.Join(esc, ",")
-}
-
-func decodePatientList(raw string) ([]string, error) {
-	if raw == "" {
-		return nil, nil
-	}
-	parts := strings.Split(raw, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		pid, err := url.QueryUnescape(p)
-		if err != nil {
-			return nil, err
-		}
-		if pid != "" {
-			out = append(out, pid)
-		}
-	}
-	return out, nil
 }
 
 // storeSeqToken renders this server's mutation high-water mark.
@@ -236,62 +125,70 @@ func (s *Server) patientFreshness(pid string) PatientFreshness {
 	return s.patientFreshnessLocked(pid)
 }
 
-// matchScopeRestrict translates a scope into the matcher's patient
-// restrict set, deciding refusals against local holdings. It returns
-// a nil restrict for an empty scope (full local scan), the refused
-// patients, and the local freshness of every patient named by the
-// scope's Require/Only sets (piggybacked so the gateway's tracker
-// converges from query traffic alone).
-func (s *Server) matchScopeRestrict(sc MatchScope) (restrict map[string]bool, refused []string, fresh map[string]PatientFreshness) {
-	if sc.Empty() {
-		return nil, nil, nil
+// matchScopeRestrict translates a leg's scope into the matcher's
+// patient restrict set, deciding refusals against local holdings. It
+// returns a nil restrict for an unscoped leg (full local scan), and a
+// reply holding the refused patients and the local freshness of every
+// patient named by the scope's Require/Only sets (piggybacked so the
+// gateway's tracker converges from query traffic alone), both sorted
+// by patient.
+func (s *Server) matchScopeRestrict(lr wal.MatchLegRequest) (restrict map[string]bool, rep wal.MatchLegReply) {
+	if len(lr.Only)+len(lr.Exclude)+len(lr.Require) == 0 {
+		return nil, rep
 	}
+	require := make(map[string]wal.LegFreshness, len(lr.Require))
+	for _, min := range lr.Require {
+		require[min.PatientID] = min
+	}
+	fresh := make(map[string]PatientFreshness)
+	restrict = make(map[string]bool)
 	s.lock()
-	defer s.mu.Unlock()
-	fresh = make(map[string]PatientFreshness)
 	admit := func(pid string) bool {
-		min, bounded := sc.Require[pid]
+		min, bounded := require[pid]
 		if !bounded {
 			return true
 		}
 		fr := s.patientFreshnessLocked(pid)
 		fresh[pid] = fr
-		if fr.Streams < min.Streams || fr.Vertices < min.Vertices {
-			refused = append(refused, pid)
+		if uint64(fr.Streams) < min.Streams || uint64(fr.Vertices) < min.Vertices {
+			rep.Refused = append(rep.Refused, pid)
 			return false
 		}
 		return true
 	}
-	restrict = make(map[string]bool)
-	if len(sc.Only) > 0 {
-		for _, pid := range sc.Only {
-			if _, bounded := sc.Require[pid]; !bounded {
+	if len(lr.Only) > 0 {
+		for _, pid := range lr.Only {
+			if _, bounded := require[pid]; !bounded {
 				fresh[pid] = s.patientFreshnessLocked(pid)
 			}
 			if admit(pid) {
 				restrict[pid] = true
 			}
 		}
-		return restrict, refused, fresh
-	}
-	excluded := make(map[string]bool, len(sc.Exclude))
-	for _, pid := range sc.Exclude {
-		excluded[pid] = true
-	}
-	for _, p := range s.db.Patients() {
-		pid := p.Info.ID
-		if excluded[pid] || !admit(pid) {
-			continue
+	} else {
+		excluded := make(map[string]bool, len(lr.Exclude))
+		for _, pid := range lr.Exclude {
+			excluded[pid] = true
 		}
-		restrict[pid] = true
-	}
-	// Require bounds for patients this shard does not hold at all still
-	// produce a refusal (admit already recorded holders).
-	for pid := range sc.Require {
-		if _, seen := fresh[pid]; !seen {
-			fresh[pid] = s.patientFreshnessLocked(pid)
-			refused = append(refused, pid)
+		for _, p := range s.db.Patients() {
+			if pid := p.Info.ID; !excluded[pid] && admit(pid) {
+				restrict[pid] = true
+			}
+		}
+		// Require bounds for patients this shard does not hold at all
+		// still produce a refusal (admit already recorded holders).
+		for pid := range require {
+			if _, seen := fresh[pid]; !seen {
+				fresh[pid] = s.patientFreshnessLocked(pid)
+				rep.Refused = append(rep.Refused, pid)
+			}
 		}
 	}
-	return restrict, refused, fresh
+	s.mu.Unlock()
+	sort.Strings(rep.Refused)
+	for pid, fr := range fresh {
+		rep.Freshness = append(rep.Freshness, wal.LegFreshness{PatientID: pid, Streams: uint64(fr.Streams), Vertices: uint64(fr.Vertices)})
+	}
+	sort.Slice(rep.Freshness, func(a, b int) bool { return rep.Freshness[a].PatientID < rep.Freshness[b].PatientID })
+	return restrict, rep
 }

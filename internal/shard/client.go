@@ -407,20 +407,13 @@ func (p *Pool) backoff(n int) time.Duration {
 	return time.Duration(float64(d) * (0.5 + 0.5*rand.Float64()))
 }
 
-// do performs one logical request against a backend. Idempotent calls
-// are retried up to MaxRetries times on transport errors and
-// retryable statuses; non-idempotent calls get exactly one attempt.
-// The returned status/body reflect the backend's response verbatim; a
-// non-nil error means no usable response was obtained.
-func (p *Pool) do(ctx context.Context, b *Backend, method, path string, body []byte, idempotent bool) (int, []byte, error) {
-	status, respBody, _, err := p.doHdr(ctx, b, method, path, body, nil, idempotent)
-	return status, respBody, err
-}
-
-// doHdr is do with per-request extra headers (the scatter planner's
-// per-leg scope rides here, keeping the body canonical across legs)
-// and the backend's response headers returned (freshness piggybacks).
-func (p *Pool) doHdr(ctx context.Context, b *Backend, method, path string, body []byte, hdr http.Header, idempotent bool) (int, []byte, http.Header, error) {
+// do performs one logical request against a backend, its body (if
+// any) sent as ctype. Idempotent calls are retried up to MaxRetries
+// times on transport errors and retryable statuses; non-idempotent
+// calls get exactly one attempt. The returned status, body and headers
+// are the backend's response verbatim; a non-nil error means no usable
+// response was obtained.
+func (p *Pool) do(ctx context.Context, b *Backend, method, path, ctype string, body []byte, idempotent bool) (int, []byte, http.Header, error) {
 	attempts := 1
 	if idempotent {
 		attempts += p.opts.MaxRetries
@@ -445,7 +438,7 @@ func (p *Pool) doHdr(ctx context.Context, b *Backend, method, path string, body 
 			sp.Annotate("retry", true)
 			sp.Annotate("attempt", attempt+1)
 		}
-		status, respBody, respHdr, err := p.once(actx, b, method, path, body, hdr, p.opts.Timeout)
+		status, respBody, respHdr, err := p.once(actx, b, method, path, ctype, body, p.opts.Timeout)
 		if err != nil {
 			sp.Annotate("error", err.Error())
 			sp.Finish()
@@ -475,7 +468,7 @@ func (p *Pool) doHdr(ctx context.Context, b *Backend, method, path string, body 
 }
 
 // once performs a single attempt under the given timeout.
-func (p *Pool) once(ctx context.Context, b *Backend, method, path string, body []byte, hdr http.Header, timeout time.Duration) (int, []byte, http.Header, error) {
+func (p *Pool) once(ctx context.Context, b *Backend, method, path, ctype string, body []byte, timeout time.Duration) (int, []byte, http.Header, error) {
 	rctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	var rd io.Reader
@@ -487,10 +480,7 @@ func (p *Pool) once(ctx context.Context, b *Backend, method, path string, body [
 		return 0, nil, nil, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	for k, vs := range hdr {
-		req.Header[k] = vs
+		req.Header.Set("Content-Type", ctype)
 	}
 	// Propagate the trace context and request ID to the backend, so one
 	// logical request joins up across gateway and shard logs/traces.
@@ -568,7 +558,7 @@ func (p *Pool) ProbeAll() {
 		wg.Add(1)
 		go func(b *Backend) {
 			defer wg.Done()
-			status, _, _, err := p.once(context.Background(), b, http.MethodGet, "/v1/healthz", nil, nil, p.opts.Timeout)
+			status, _, _, err := p.once(context.Background(), b, http.MethodGet, "/v1/healthz", "", nil, p.opts.Timeout)
 			if err != nil || status != http.StatusOK {
 				p.recordFailure(b)
 				return

@@ -45,7 +45,7 @@ func TestPoolRetriesIdempotent(t *testing.T) {
 	defer p.Close()
 	b := p.Backends()[0]
 
-	status, body, err := p.do(context.Background(), b, http.MethodGet, "/", nil, true)
+	status, body, _, err := p.do(context.Background(), b, http.MethodGet, "/", "", nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPoolNoRetryOnMutation(t *testing.T) {
 	}
 	defer p.Close()
 
-	status, _, err := p.do(context.Background(), p.Backends()[0], http.MethodPost, "/", []byte("[]"), false)
+	status, _, _, err := p.do(context.Background(), p.Backends()[0], http.MethodPost, "/", "application/json", []byte("[]"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPoolPassiveFailureDetection(t *testing.T) {
 	ts.Close() // kill the backend
 
 	for i := 0; i < opts.FailThreshold; i++ {
-		if _, _, err := p.do(context.Background(), b, http.MethodGet, "/", nil, false); err == nil {
+		if _, _, _, err := p.do(context.Background(), b, http.MethodGet, "/", "", nil, false); err == nil {
 			t.Fatal("request to a closed backend succeeded")
 		}
 	}

@@ -6,9 +6,9 @@
 //
 // The tracker is advisory, never authoritative: a follower asked to
 // serve a patient re-verifies its real local holdings against the
-// leg's X-Match-Require bound and refuses if short, and the gateway
-// retries refused patients on the primary. A stale tracker therefore
-// costs a retry leg, not correctness.
+// Require bound its leg carries (wal.MatchLegRequest) and refuses if
+// short, and the gateway retries refused patients on the primary. A
+// stale tracker therefore costs a retry leg, not correctness.
 //
 // It is fed from three sides, all piggybacked on traffic the gateway
 // already sends:
@@ -17,7 +17,7 @@
 //     full credits the session's followers with the same counts, since
 //     a clean synchronous flush proves they hold at least that much.
 //   - match legs: each shard self-reports its holdings for every
-//     patient the leg's scope named (MatchResponse.Freshness).
+//     patient the leg's scope named (wal.MatchLegReply.Freshness).
 //   - /v1/shard/stats polling (RefreshFreshness): per-patient holdings
 //     for every live or followed session on the shard.
 

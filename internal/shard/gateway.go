@@ -195,7 +195,7 @@ func (g *Gateway) inventories(ctx context.Context) []inventory {
 		wg.Add(1)
 		go func(i int, b *Backend) {
 			defer wg.Done()
-			status, body, err := g.pool.do(ctx, b, http.MethodGet, "/v1/shard/stats", nil, true)
+			status, body, _, err := g.pool.do(ctx, b, http.MethodGet, "/v1/shard/stats", "", nil, true)
 			if err != nil || status != http.StatusOK {
 				return
 			}
@@ -351,7 +351,7 @@ func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		gwError(w, http.StatusInternalServerError, err)
 		return
 	}
-	status, respBody, respHdr, err := g.pool.doHdr(r.Context(), primary, http.MethodPost, "/v1/sessions", fwd, nil, false)
+	status, respBody, respHdr, err := g.pool.do(r.Context(), primary, http.MethodPost, "/v1/sessions", "application/json", fwd, false)
 	if err != nil {
 		gwError(w, http.StatusBadGateway, err)
 		return
@@ -401,7 +401,7 @@ func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 		path += "?" + r.URL.RawQuery
 	}
 	idempotent := r.Method == http.MethodGet
-	status, respBody, respHdr, err := g.pool.doHdr(r.Context(), b, r.Method, path, body, nil, idempotent)
+	status, respBody, respHdr, err := g.pool.do(r.Context(), b, r.Method, path, "application/json", body, idempotent)
 	if err != nil {
 		gwError(w, http.StatusBadGateway, err)
 		return
@@ -414,7 +414,7 @@ func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 		// client.
 		if nb := g.placementAfterGone(r, sid, pl, respHdr); nb != nil && nb.URL() != b.URL() {
 			b = nb
-			status, respBody, respHdr, err = g.pool.doHdr(r.Context(), b, r.Method, path, body, nil, idempotent)
+			status, respBody, respHdr, err = g.pool.do(r.Context(), b, r.Method, path, "application/json", body, idempotent)
 			if err != nil {
 				gwError(w, http.StatusBadGateway, err)
 				return
@@ -520,8 +520,8 @@ func (g *Gateway) failover(ctx context.Context, sid string, pl *placement) (*Bac
 		if err != nil {
 			return nil, err
 		}
-		status, respBody, err := g.pool.do(ctx, b,
-			http.MethodPost, "/v1/sessions/"+url.PathEscape(sid)+"/promote", body, false)
+		status, respBody, _, err := g.pool.do(ctx, b,
+			http.MethodPost, "/v1/sessions/"+url.PathEscape(sid)+"/promote", "application/json", body, false)
 		if err != nil {
 			lastErr = err
 			continue
@@ -818,25 +818,24 @@ func (g *Gateway) planScatter(maxLag int) map[string]*patientAssign {
 	return plan
 }
 
-// legScope builds one backend's per-leg scope from the plan: the
+// legScope scopes the query for one backend's scatter leg: the
 // patients it is pinned to keep their Require bounds; every other
-// planned patient is excluded.
-func legScope(plan map[string]*patientAssign, backend string) server.MatchScope {
-	var sc server.MatchScope
+// planned patient is excluded. With no plan the leg is unscoped.
+func legScope(q wal.MatchLegRequest, plan map[string]*patientAssign, backend string) wal.MatchLegRequest {
 	for pid, pa := range plan {
 		if pa.backend != backend {
-			sc.Exclude = append(sc.Exclude, pid)
-			continue
-		}
-		if pa.require != nil {
-			if sc.Require == nil {
-				sc.Require = make(map[string]server.PatientFreshness)
-			}
-			sc.Require[pid] = *pa.require
+			q.Exclude = append(q.Exclude, pid)
+		} else if pa.require != nil {
+			q.Require = append(q.Require, legBound(pid, *pa.require))
 		}
 	}
-	sort.Strings(sc.Exclude)
-	return sc
+	sort.Strings(q.Exclude)
+	return q
+}
+
+// legBound is a planned patient's freshness bound as a leg carries it.
+func legBound(pid string, fr server.PatientFreshness) wal.LegFreshness {
+	return wal.LegFreshness{PatientID: pid, Streams: uint64(fr.Streams), Vertices: uint64(fr.Vertices)}
 }
 
 // handleMatch answers a similarity query: result cache first, then a
@@ -851,18 +850,19 @@ func legScope(plan map[string]*patientAssign, backend string) server.MatchScope 
 // replicated streams are scored on both their primary and their
 // followers and the merge deduplicates, exactly the legacy behaviour.
 // With maxLag > 0 the planner pins each live patient to one caught-up
-// holder (preferring followers, so primaries shed read work) and the
-// leg's scope headers exclude that patient everywhere else; a follower
+// holder (preferring followers, so primaries shed read work) and every
+// other leg's scope excludes that patient; a follower
 // that cannot meet the leg's freshness bound refuses the patient and
 // the gateway retries it on an alternate. The merged result is
 // byte-identical across plans because the scope only changes which
 // holder scores a copy, never what is scored.
 //
-// The public request and response are JSON; the legs are not. The
-// query is encoded once in the binary leg format of internal/wal and
-// those bytes go to every leg and retry, each shard answers with hits
-// over a stream table, and a RemoteMatch exists only for a hit that
-// survived the merge.
+// The public request and response are JSON; the legs are not. Each leg
+// is one message in the binary leg format of internal/wal — the query
+// and that leg's scope — and an unscoped leg (every leg at max-lag 0)
+// sends the one scope-free encoding all of them share. Each shard
+// answers with hits over a stream table, and a RemoteMatch exists only
+// for a hit that survived the merge.
 //
 // The result cache is keyed on (canonical query, every healthy
 // backend's store high-water mark): any ingest through the gateway
@@ -881,12 +881,6 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		gwError(w, http.StatusBadRequest, fmt.Errorf("decoding match request: %w", err))
 		return
 	}
-	// The leg encoding takes a sequence's shape on trust, so what a
-	// shard would refuse is refused here, in the shard's words.
-	if err := req.Validate(); err != nil {
-		gwError(w, http.StatusBadRequest, err)
-		return
-	}
 	// ?max-lag= overrides the body knob; merging it into the request
 	// before canonicalization keeps it part of the cache signature.
 	if v := r.URL.Query().Get("max-lag"); v != "" {
@@ -897,8 +891,11 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 		req.MaxLag = n
 	}
-	if req.MaxLag < 0 {
-		req.MaxLag = 0
+	// The leg encoding takes a sequence's shape on trust, so what a
+	// shard would refuse is refused here, in the shard's words.
+	if err := req.Validate(); err != nil {
+		gwError(w, http.StatusBadRequest, err)
+		return
 	}
 	// ?debug=profile asks each shard for its span tree inline and
 	// merges them under this request's scatter legs.
@@ -908,11 +905,11 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		path += "?debug=profile"
 	}
 	// Canonical query bytes: the leg encoding has one spelling for a
-	// query, so equivalent requests share one cache signature — the leg
-	// bytes plus max-lag, which shards never see — and every scatter
-	// leg (and retry) reuses the leg bytes verbatim.
-	canonical := wal.AppendMatchLegRequest(nil, wal.MatchLegRequest{
-		K: req.K, Now: req.Now, PatientID: req.PatientID, SessionID: req.SessionID, Seq: req.Seq})
+	// query, so equivalent requests share one cache signature — the
+	// scope-free leg bytes plus max-lag, which shards never see — and
+	// every unscoped leg reuses the leg bytes verbatim.
+	query := wal.MatchLegRequest{K: req.K, Now: req.Now, PatientID: req.PatientID, SessionID: req.SessionID, Seq: req.Seq}
+	canonical := wal.AppendMatchLegRequest(nil, query)
 	legBody := canonical
 	canonical = binary.AppendUvarint(canonical, uint64(req.MaxLag))
 	backends := g.pool.Backends()
@@ -947,8 +944,8 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, b *Backend) {
 			defer wg.Done()
-			legs[i] = g.matchLeg(r.Context(), "scatter.leg", b, path, legBody,
-				legScope(plan, b.URL()), len(assigned[b.URL()]))
+			legs[i] = g.matchLeg(r.Context(), "scatter.leg", b, path,
+				legScope(query, plan, b.URL()), legBody, len(assigned[b.URL()]))
 		}(i, b)
 	}
 	wg.Wait()
@@ -981,7 +978,7 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(needRetry) > 0 {
-		g.retryScatter(r.Context(), path, legBody, plan, needRetry, served, &res, &merge)
+		g.retryScatter(r.Context(), path, query, plan, needRetry, served, &res, &merge)
 	}
 	for pid := range plan {
 		if !served[pid] {
@@ -1061,24 +1058,26 @@ type legResult struct {
 	err   error
 }
 
-// matchLeg asks one backend to score the query under a scope — a
-// scatter leg or a retry leg, named by span — in the binary leg format.
-// One span per leg; the leg's context flows into the pool, whose
-// per-attempt spans (and the backend's own trace, via the propagated
-// traceparent) nest underneath. A reply that does not decode is the
-// leg's error like any other: the shard is reported, nothing is merged.
-func (g *Gateway) matchLeg(ctx context.Context, span string, b *Backend, path string, legBody []byte,
-	sc server.MatchScope, pinned int) legResult {
+// matchLeg asks one backend to score a scoped query — a scatter leg or
+// a retry leg, named by span — in the binary leg format. An unscoped
+// leg sends unscoped, the query's shared scope-free encoding; a scoped
+// one is encoded here. One span per leg; the leg's context flows into
+// the pool, whose per-attempt spans (and the backend's own trace, via
+// the propagated traceparent) nest underneath. A reply that does not
+// decode is the leg's error like any other: the shard is reported,
+// nothing is merged.
+func (g *Gateway) matchLeg(ctx context.Context, span string, b *Backend, path string,
+	q wal.MatchLegRequest, unscoped []byte, pinned int) legResult {
 	lctx, sp := obs.StartSpan(ctx, span)
 	defer sp.Finish()
 	sp.Annotate("backend", b.URL())
-	if !sc.Empty() {
+	body := unscoped
+	if len(q.Only)+len(q.Exclude)+len(q.Require) > 0 {
 		sp.Annotate("assigned", pinned)
-		sp.Annotate("excluded", len(sc.Exclude))
+		sp.Annotate("excluded", len(q.Exclude))
+		body = wal.AppendMatchLegRequest(nil, q)
 	}
-	hdr := http.Header{"Content-Type": {wal.MatchLegContentType}}
-	sc.SetHeaders(hdr)
-	status, respBody, respHdr, err := g.pool.doHdr(lctx, b, http.MethodPost, path, legBody, hdr, true)
+	status, respBody, respHdr, err := g.pool.do(lctx, b, http.MethodPost, path, wal.MatchLegContentType, body, true)
 	if err != nil {
 		sp.Annotate("error", err.Error())
 		return legResult{err: err}
@@ -1132,10 +1131,10 @@ func (g *Gateway) gatherLeg(ctx context.Context, backend string, reply *wal.Matc
 // backend covers all its retries. Patients with no viable alternate,
 // or whose retry leg fails or refuses them again, are left unserved;
 // the caller reports them and degrades the result.
-func (g *Gateway) retryScatter(ctx context.Context, path string, legBody []byte,
+func (g *Gateway) retryScatter(ctx context.Context, path string, query wal.MatchLegRequest,
 	plan map[string]*patientAssign, needRetry []string, served map[string]bool,
 	res *MatchResult, merge *hitMerger) {
-	groups := make(map[string]*server.MatchScope)
+	groups := make(map[string]*wal.MatchLegRequest)
 	for _, pid := range needRetry {
 		pa := plan[pid]
 		for _, alt := range pa.alts {
@@ -1149,17 +1148,15 @@ func (g *Gateway) retryScatter(ctx context.Context, path string, legBody []byte,
 			if alt != pa.primary && pa.require == nil {
 				continue
 			}
-			sc := groups[alt]
-			if sc == nil {
-				sc = &server.MatchScope{}
-				groups[alt] = sc
+			q := groups[alt]
+			if q == nil {
+				c := query
+				q = &c
+				groups[alt] = q
 			}
-			sc.Only = append(sc.Only, pid)
+			q.Only = append(q.Only, pid)
 			if alt != pa.primary {
-				if sc.Require == nil {
-					sc.Require = make(map[string]server.PatientFreshness)
-				}
-				sc.Require[pid] = *pa.require
+				q.Require = append(q.Require, legBound(pid, *pa.require))
 			}
 			break
 		}
@@ -1172,14 +1169,14 @@ func (g *Gateway) retryScatter(ctx context.Context, path string, legBody []byte,
 	legs := make([]legResult, len(targets))
 	var wg sync.WaitGroup
 	for i, u := range targets {
-		sc := groups[u]
-		sort.Strings(sc.Only)
+		q := groups[u]
+		sort.Strings(q.Only)
 		g.met.retryLegs.Inc()
 		wg.Add(1)
-		go func(i int, b *Backend, sc server.MatchScope) {
+		go func(i int, b *Backend, q wal.MatchLegRequest) {
 			defer wg.Done()
-			legs[i] = g.matchLeg(ctx, "scatter.retry", b, path, legBody, sc, len(sc.Only))
-		}(i, g.pool.ByURL(u), *sc)
+			legs[i] = g.matchLeg(ctx, "scatter.retry", b, path, q, nil, len(q.Only))
+		}(i, g.pool.ByURL(u), *q)
 	}
 	wg.Wait()
 	for i, u := range targets {
@@ -1235,7 +1232,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, b *Backend) {
 			defer wg.Done()
-			status, body, err := g.pool.do(r.Context(), b, http.MethodGet, "/v1/stats", nil, true)
+			status, body, _, err := g.pool.do(r.Context(), b, http.MethodGet, "/v1/stats", "", nil, true)
 			switch {
 			case err != nil:
 				legs[i].err = err

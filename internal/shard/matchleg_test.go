@@ -10,8 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"stsmatch/internal/core"
@@ -23,17 +25,11 @@ import (
 	"stsmatch/internal/wal"
 )
 
-// postMatch POSTs a /v1/match body to a shard under a scope and returns
-// the 200 response's body and headers.
-func postMatch(t *testing.T, url, contentType string, body []byte, sc server.MatchScope) ([]byte, http.Header) {
+// postMatch POSTs a /v1/match body to a shard and returns the 200
+// response's body and headers.
+func postMatch(t *testing.T, url, contentType string, body []byte) ([]byte, http.Header) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", contentType)
-	sc.SetHeaders(req.Header)
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Post(url, contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +44,8 @@ func postMatch(t *testing.T, url, contentType string, body []byte, sc server.Mat
 	return out, resp.Header
 }
 
-// legAsResponse spells a decoded leg reply the way the JSON route
-// spells the same result.
+// legAsResponse spells a decoded leg reply's hits the way the JSON
+// route spells the same result.
 func legAsResponse(t *testing.T, rep wal.MatchLegReply) server.MatchResponse {
 	t.Helper()
 	resp := server.MatchResponse{Matches: make([]server.RemoteMatch, len(rep.Hits))}
@@ -65,15 +61,6 @@ func legAsResponse(t *testing.T, rep wal.MatchLegReply) server.MatchResponse {
 			Weight:    h.Weight,
 		}
 	}
-	if len(rep.Refused) > 0 {
-		resp.Refused = rep.Refused
-	}
-	for _, f := range rep.Freshness {
-		if resp.Freshness == nil {
-			resp.Freshness = map[string]server.PatientFreshness{}
-		}
-		resp.Freshness[f.PatientID] = server.PatientFreshness{Streams: int(f.Streams), Vertices: int(f.Vertices)}
-	}
 	if len(rep.Profile) > 0 {
 		resp.Profile = new(obs.Profile)
 		if err := json.Unmarshal(rep.Profile, resp.Profile); err != nil {
@@ -85,10 +72,13 @@ func legAsResponse(t *testing.T, rep wal.MatchLegReply) server.MatchResponse {
 
 // TestLegEqualsJSON: /v1/match speaks two codecs over one search. On
 // every shard of a replicated fixture, for a query cut from every
-// session and an anonymous one, in top-k and threshold mode, under
-// every kind of scope a leg can carry — including a Require bound the
-// shard must refuse — the binary leg reply decodes to the MatchResponse
-// the JSON route returns, under the same X-Store-Seq.
+// session and an anonymous one, in top-k and threshold mode, with and
+// without an explicit now, an unscoped binary leg reply decodes to the
+// MatchResponse the JSON route returns, under the same X-Store-Seq. A
+// scoped leg — every kind of scope a leg can carry, including a
+// Require bound the shard must refuse — answers the unscoped result
+// restricted to the patients its scope admits: a refusal is reported
+// exactly when the holdings the shard reports fall short of the bound.
 func TestLegEqualsJSON(t *testing.T) {
 	f := newFixture(t, 2)
 	type query struct {
@@ -101,42 +91,58 @@ func TestLegEqualsJSON(t *testing.T) {
 		queries = append(queries, query{pid, sid, pr.Vertices[len(pr.Vertices)-10:]})
 	}
 	queries = append(queries, query{seq: queries[0].seq})
-	unmeetable := server.PatientFreshness{Streams: 1, Vertices: 1 << 30}
-	scopes := map[string]server.MatchScope{
-		"unscoped": {},
-		"exclude":  {Exclude: []string{"P01", "P02"}},
-		"only":     {Only: []string{"P00", "P03", "P05"}},
-		"require":  {Exclude: []string{"P04"}, Require: map[string]server.PatientFreshness{"P00": {Streams: 1, Vertices: 1}, "P01": unmeetable}},
-		"retry":    {Only: []string{"P02", "P03"}, Require: map[string]server.PatientFreshness{"P02": {Streams: 1}, "P03": unmeetable}},
+	const unmeetable = 1 << 30
+	scopes := []struct {
+		name          string
+		only, exclude []string
+		require       []wal.LegFreshness
+	}{
+		{name: "exclude", exclude: []string{"P01", "P02"}},
+		{name: "only", only: []string{"P00", "P03", "P05"}},
+		{name: "require", exclude: []string{"P04"}, require: []wal.LegFreshness{
+			{PatientID: "P00", Streams: 1, Vertices: 1}, {PatientID: "P01", Streams: 1, Vertices: unmeetable}}},
+		{name: "retry", only: []string{"P02", "P03"}, require: []wal.LegFreshness{
+			{PatientID: "P02", Streams: 1}, {PatientID: "P03", Streams: 1, Vertices: unmeetable}}},
 	}
 	now := 1e6
 	compared, matched, refused := 0, 0, 0
 	for _, node := range f.cluster.Nodes {
 		for _, q := range queries {
 			for _, k := range []int{0, 10} {
-				for name, sc := range scopes {
-					label := fmt.Sprintf("%s %s/%s k=%d %s", node.URL, q.pid, q.sid, k, name)
-					req := server.MatchRequest{Seq: q.seq, PatientID: q.pid, SessionID: q.sid, K: k}
-					lr := wal.MatchLegRequest{K: k, PatientID: q.pid, SessionID: q.sid, Seq: q.seq}
-					if name == "only" { // also carry an explicit now across both codecs
-						req.Now, lr.Now = &now, &now
-					}
-					jsonBody, err := json.Marshal(req)
+				viaJSON := func(req server.MatchRequest) (server.MatchResponse, http.Header) {
+					t.Helper()
+					body, err := json.Marshal(req)
 					if err != nil {
 						t.Fatal(err)
 					}
-					jraw, jhdr := postMatch(t, node.URL+"/v1/match", "application/json", jsonBody, sc)
-					var want server.MatchResponse
-					if err := json.Unmarshal(jraw, &want); err != nil {
+					raw, hdr := postMatch(t, node.URL+"/v1/match", "application/json", body)
+					var resp server.MatchResponse
+					if err := json.Unmarshal(raw, &resp); err != nil {
 						t.Fatal(err)
 					}
-					lraw, lhdr := postMatch(t, node.URL+"/v1/match", wal.MatchLegContentType, wal.AppendMatchLegRequest(nil, lr), sc)
-					if ct := lhdr.Get("Content-Type"); ct != wal.MatchLegContentType {
-						t.Fatalf("%s: leg reply Content-Type %q", label, ct)
+					return resp, hdr
+				}
+				viaLeg := func(lr wal.MatchLegRequest) (wal.MatchLegReply, http.Header) {
+					t.Helper()
+					raw, hdr := postMatch(t, node.URL+"/v1/match", wal.MatchLegContentType, wal.AppendMatchLegRequest(nil, lr))
+					if ct := hdr.Get("Content-Type"); ct != wal.MatchLegContentType {
+						t.Fatalf("leg reply Content-Type %q", ct)
 					}
-					rep, err := wal.DecodeMatchLegReply(lraw)
+					rep, err := wal.DecodeMatchLegReply(raw)
 					if err != nil {
-						t.Fatalf("%s: %v", label, err)
+						t.Fatal(err)
+					}
+					return rep, hdr
+				}
+				req := server.MatchRequest{Seq: q.seq, PatientID: q.pid, SessionID: q.sid, K: k}
+				lr := wal.MatchLegRequest{K: k, PatientID: q.pid, SessionID: q.sid, Seq: q.seq}
+				for _, at := range []*float64{nil, &now} {
+					label := fmt.Sprintf("%s %s/%s k=%d now=%v unscoped", node.URL, q.pid, q.sid, k, at != nil)
+					req.Now, lr.Now = at, at
+					want, jhdr := viaJSON(req)
+					rep, lhdr := viaLeg(lr)
+					if rep.Refused != nil || rep.Freshness != nil {
+						t.Errorf("%s: unscoped leg reported scope fields %v %v", label, rep.Refused, rep.Freshness)
 					}
 					if got := legAsResponse(t, rep); !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: leg reply differs from the JSON route\n leg  %+v\n json %+v", label, got, want)
@@ -146,7 +152,52 @@ func TestLegEqualsJSON(t *testing.T) {
 					}
 					compared++
 					matched += len(want.Matches)
-					refused += len(want.Refused)
+				}
+				// The reference a scope restricts: every candidate ranked for
+				// a top-k leg (a restricted top-k is the top k of what it
+				// admits), the threshold result otherwise.
+				req.Now = nil
+				if k > 0 {
+					req.K = 1 << 16
+				}
+				all, _ := viaJSON(req)
+				for _, sc := range scopes {
+					label := fmt.Sprintf("%s %s/%s k=%d %s", node.URL, q.pid, q.sid, k, sc.name)
+					lr.Now, lr.Only, lr.Exclude, lr.Require = nil, sc.only, sc.exclude, sc.require
+					rep, _ := viaLeg(lr)
+					lr.Only, lr.Exclude, lr.Require = nil, nil, nil
+					held := map[string]wal.LegFreshness{}
+					for _, fr := range rep.Freshness {
+						held[fr.PatientID] = fr
+					}
+					for _, b := range sc.require {
+						if sc.only != nil && !slices.Contains(sc.only, b.PatientID) {
+							continue
+						}
+						fr, reported := held[b.PatientID]
+						short := fr.Streams < b.Streams || fr.Vertices < b.Vertices
+						if !reported || short != slices.Contains(rep.Refused, b.PatientID) {
+							t.Errorf("%s: bound %+v, reported holdings %+v (%v), refused %v", label, b, fr, reported, rep.Refused)
+						}
+					}
+					admits := func(pid string) bool {
+						if slices.Contains(rep.Refused, pid) {
+							return false
+						}
+						if sc.only != nil {
+							return slices.Contains(sc.only, pid)
+						}
+						return !slices.Contains(sc.exclude, pid)
+					}
+					want := []server.RemoteMatch{}
+					for _, m := range all.Matches {
+						if admits(m.PatientID) && (k == 0 || len(want) < k) {
+							want = append(want, m)
+						}
+					}
+					mustEqualMatches(t, label, want, legAsResponse(t, rep).Matches)
+					compared++
+					refused += len(rep.Refused)
 				}
 			}
 		}
@@ -161,13 +212,13 @@ func TestLegEqualsJSON(t *testing.T) {
 	q := queries[0]
 	jsonBody, _ := json.Marshal(server.MatchRequest{Seq: q.seq, PatientID: q.pid, SessionID: q.sid, K: 10})
 	url := f.cluster.Nodes[0].URL + "/v1/match?debug=profile"
-	jraw, _ := postMatch(t, url, "application/json", jsonBody, server.MatchScope{})
+	jraw, _ := postMatch(t, url, "application/json", jsonBody)
 	var want server.MatchResponse
 	if err := json.Unmarshal(jraw, &want); err != nil {
 		t.Fatal(err)
 	}
 	lraw, _ := postMatch(t, url, wal.MatchLegContentType,
-		wal.AppendMatchLegRequest(nil, wal.MatchLegRequest{K: 10, PatientID: q.pid, SessionID: q.sid, Seq: q.seq}), server.MatchScope{})
+		wal.AppendMatchLegRequest(nil, wal.MatchLegRequest{K: 10, PatientID: q.pid, SessionID: q.sid, Seq: q.seq}))
 	rep, err := wal.DecodeMatchLegReply(lraw)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +259,7 @@ func TestGatewayReportsBadLegReply(t *testing.T) {
 	}
 	valid := wal.AppendMatchLegReply(nil, okReply)
 	otherVersion := append([]byte(nil), valid...)
-	otherVersion[4] = 2
+	otherVersion[4] = 1
 	badCRC := append([]byte(nil), valid...)
 	badCRC[len(badCRC)-1] ^= 1
 	for name, reply := range map[string][]byte{
@@ -241,6 +292,155 @@ func TestGatewayReportsBadLegReply(t *testing.T) {
 		gts.Close()
 		gw.Close()
 		bad.Close()
+	}
+}
+
+// TestGatewayLegsCarryScope records what the gateway sends each shard.
+// At max-lag 0 every leg is the one shared, unscoped encoding. Above it
+// each planned patient is pinned, with its Require bound, on exactly
+// one leg and excluded on every other; a patient that leg refuses is
+// retried on another backend by a leg whose Only names it. No request
+// carries a scope header.
+func TestGatewayLegsCarryScope(t *testing.T) {
+	type sent struct {
+		backend string
+		body    []byte
+		leg     wal.MatchLegRequest
+	}
+	var (
+		mu   sync.Mutex
+		legs []sent
+	)
+	var urls []string
+	for range 3 {
+		var ts *httptest.Server
+		ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			for h := range r.Header {
+				if strings.HasPrefix(h, "X-Match-") {
+					t.Errorf("%s %s carries %s", r.Method, r.URL.Path, h)
+				}
+			}
+			if r.URL.Path == "/v1/sessions" {
+				// Every create acks fully replicated holdings, so the planner
+				// may pin any owner.
+				w.Header().Set(server.HeaderPatientStreams, "1")
+				w.Header().Set(server.HeaderPatientVertices, "50")
+				w.Header().Set(server.HeaderReplicated, "full")
+				w.WriteHeader(http.StatusCreated)
+				w.Write([]byte(`{}`)) //nolint:errcheck
+				return
+			}
+			body, _ := io.ReadAll(r.Body)
+			lr, err := wal.DecodeMatchLegRequest(body)
+			if r.URL.Path != "/v1/match" || r.Header.Get("Content-Type") != wal.MatchLegContentType || err != nil {
+				t.Errorf("unexpected %s %s (%s): %v", r.Method, r.URL.Path, r.Header.Get("Content-Type"), err)
+				return
+			}
+			mu.Lock()
+			legs = append(legs, sent{ts.URL, body, lr})
+			mu.Unlock()
+			// A scatter leg refuses every patient it must prove a bound
+			// for; a retry leg refuses nothing.
+			var rep wal.MatchLegReply
+			if lr.Only == nil {
+				for _, b := range lr.Require {
+					rep.Refused = append(rep.Refused, b.PatientID)
+				}
+			}
+			w.Header().Set("Content-Type", wal.MatchLegContentType)
+			w.Write(wal.AppendMatchLegReply(nil, rep)) //nolint:errcheck
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	gw, err := shard.NewGateway(urls, shard.Options{Replicas: 2, HealthInterval: -1, MatchCacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	gts := httptest.NewServer(gw)
+	t.Cleanup(gts.Close)
+	var pids []string
+	for i := range 6 {
+		pid := fmt.Sprintf("P%02d", i)
+		pids = append(pids, pid)
+		if resp := testutil.PostJSON(t, gts.URL+"/v1/sessions", server.CreateSessionRequest{PatientID: pid, SessionID: "S-" + pid}); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s: status %d", pid, resp.StatusCode)
+		}
+	}
+	seq := plr.Sequence{{T: 0, Pos: []float64{0}, State: plr.EX}, {T: 1, Pos: []float64{1}, State: plr.IN}}
+	query := func(maxLag int) (shard.MatchResult, []sent) {
+		t.Helper()
+		mu.Lock()
+		legs = nil
+		mu.Unlock()
+		_, res, _ := matchFull(t, gts.URL, server.MatchRequest{Seq: seq, K: 5, MaxLag: maxLag})
+		mu.Lock()
+		defer mu.Unlock()
+		return res, legs
+	}
+
+	res, got := query(0)
+	if res.Degraded || res.PlannedPatients != 0 || len(got) != len(urls) {
+		t.Fatalf("max-lag 0: degraded=%v planned=%d, %d legs; want a clean unplanned scatter to %d shards",
+			res.Degraded, res.PlannedPatients, len(got), len(urls))
+	}
+	for _, l := range got {
+		if l.leg.Only != nil || l.leg.Exclude != nil || l.leg.Require != nil || !bytes.Equal(l.body, got[0].body) {
+			t.Errorf("max-lag 0 leg to %s: scope %v/%v/%v; want the one shared unscoped encoding",
+				l.backend, l.leg.Only, l.leg.Exclude, l.leg.Require)
+		}
+	}
+
+	res, got = query(10)
+	if res.Degraded || res.PlannedPatients != len(pids) || len(res.UnservedPatients) != 0 {
+		t.Fatalf("max-lag 10: degraded=%v planned=%d unserved=%v; want every patient planned and served",
+			res.Degraded, res.PlannedPatients, res.UnservedPatients)
+	}
+	var scatter, retry []sent
+	for _, l := range got {
+		if l.leg.Only == nil {
+			scatter = append(scatter, l)
+		} else {
+			retry = append(retry, l)
+		}
+	}
+	if len(scatter) != len(urls) {
+		t.Fatalf("%d scatter legs, want %d", len(scatter), len(urls))
+	}
+	for _, pid := range pids {
+		bound := wal.LegFreshness{PatientID: pid, Streams: 1, Vertices: 50 - 10} // the primary's holdings less the max-lag
+		var pinned []string
+		for _, l := range scatter {
+			i := slices.IndexFunc(l.leg.Require, func(b wal.LegFreshness) bool { return b.PatientID == pid })
+			excluded := slices.Contains(l.leg.Exclude, pid)
+			if i >= 0 {
+				pinned = append(pinned, l.backend)
+				if l.leg.Require[i] != bound {
+					t.Errorf("%s: bound %+v on %s, want %+v", pid, l.leg.Require[i], l.backend, bound)
+				}
+			}
+			if (i >= 0) == excluded {
+				t.Errorf("%s on %s: pinned=%v excluded=%v; want exactly one", pid, l.backend, i >= 0, excluded)
+			}
+		}
+		if len(pinned) != 1 {
+			t.Fatalf("%s pinned on %v, want exactly one leg", pid, pinned)
+		}
+		var retriedOn []string
+		for _, l := range retry {
+			if slices.Contains(l.leg.Only, pid) {
+				retriedOn = append(retriedOn, l.backend)
+			}
+		}
+		if len(retriedOn) != 1 || retriedOn[0] == pinned[0] {
+			t.Errorf("%s refused on %s, retried on %v; want one retry leg elsewhere", pid, pinned[0], retriedOn)
+		}
+	}
+	for _, l := range retry {
+		if l.leg.Exclude != nil {
+			t.Errorf("retry leg to %s carries Exclude %v", l.backend, l.leg.Exclude)
+		}
 	}
 }
 
@@ -281,11 +481,12 @@ func TestGatewayStrictBodies(t *testing.T) {
 		}
 	}
 	for name, body := range map[string]string{
-		"one vertex":    `{"seq":[{"t":0,"pos":[0],"state":0}]}`,
-		"ragged dims":   `{"seq":[{"t":0,"pos":[0],"state":0},{"t":1,"pos":[1,2],"state":1}]}`,
-		"time order":    `{"seq":[{"t":1,"pos":[0],"state":0},{"t":1,"pos":[1],"state":1}]}`,
-		"invalid state": `{"seq":[{"t":0,"pos":[0],"state":9},{"t":1,"pos":[1],"state":1}]}`,
-		"negative k":    `{"k":-1,"seq":` + string(seq) + `}`,
+		"one vertex":      `{"seq":[{"t":0,"pos":[0],"state":0}]}`,
+		"ragged dims":     `{"seq":[{"t":0,"pos":[0],"state":0},{"t":1,"pos":[1,2],"state":1}]}`,
+		"time order":      `{"seq":[{"t":1,"pos":[0],"state":0},{"t":1,"pos":[1],"state":1}]}`,
+		"invalid state":   `{"seq":[{"t":0,"pos":[0],"state":9},{"t":1,"pos":[1],"state":1}]}`,
+		"negative k":      `{"k":-1,"seq":` + string(seq) + `}`,
+		"negative maxLag": `{"maxLag":-1,"seq":` + string(seq) + `}`,
 	} {
 		if code, out := post("/v1/match", body); code != http.StatusBadRequest {
 			t.Errorf("invalid query (%s): status %d, want 400: %s", name, code, out)

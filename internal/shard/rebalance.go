@@ -205,7 +205,7 @@ func (g *Gateway) callMigrate(ctx context.Context, src *Backend, sid string, des
 		return nil, err
 	}
 	status, data, _, err := g.pool.once(ctx, src, http.MethodPost,
-		"/v1/sessions/"+url.PathEscape(sid)+"/migrate", body, nil, g.opts.MigrateTimeout)
+		"/v1/sessions/"+url.PathEscape(sid)+"/migrate", "application/json", body, g.opts.MigrateTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -70,7 +70,7 @@ func (g *Gateway) handleCreateSubscription(w http.ResponseWriter, r *http.Reques
 		gwError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	status, respBody, err := g.pool.do(r.Context(), b, http.MethodPost, "/v1/subscriptions", body, false)
+	status, respBody, _, err := g.pool.do(r.Context(), b, http.MethodPost, "/v1/subscriptions", "application/json", body, false)
 	if err != nil {
 		gwError(w, http.StatusBadGateway, err)
 		return
@@ -133,7 +133,7 @@ func (g *Gateway) handleListSubscriptions(w http.ResponseWriter, r *http.Request
 		wg.Add(1)
 		go func(i int, b *Backend) {
 			defer wg.Done()
-			status, body, err := g.pool.do(r.Context(), b, http.MethodGet, "/v1/subscriptions", nil, true)
+			status, body, _, err := g.pool.do(r.Context(), b, http.MethodGet, "/v1/subscriptions", "", nil, true)
 			switch {
 			case err != nil:
 				legs[i].err = err
@@ -185,7 +185,7 @@ func (g *Gateway) handleDeleteSubscription(w http.ResponseWriter, r *http.Reques
 	g.mu.Unlock()
 	if pl != nil {
 		if b, err := g.subBackend(r, pl.patientID, pl.sessionID); err == nil {
-			status, body, err := g.pool.do(r.Context(), b, http.MethodDelete, path, nil, false)
+			status, body, _, err := g.pool.do(r.Context(), b, http.MethodDelete, path, "", nil, false)
 			if err == nil && status != http.StatusNotFound {
 				relay(w, status, body)
 				return
@@ -199,7 +199,7 @@ func (g *Gateway) handleDeleteSubscription(w http.ResponseWriter, r *http.Reques
 		if !b.Healthy() {
 			continue
 		}
-		st, rb, err := g.pool.do(r.Context(), b, http.MethodDelete, path, nil, false)
+		st, rb, _, err := g.pool.do(r.Context(), b, http.MethodDelete, path, "", nil, false)
 		if err != nil {
 			continue
 		}
@@ -290,7 +290,7 @@ func (g *Gateway) subEventsBackend(r *http.Request, id string) (*Backend, error)
 		if !b.Healthy() {
 			continue
 		}
-		status, body, err := g.pool.do(r.Context(), b, http.MethodGet, "/v1/subscriptions", nil, true)
+		status, body, _, err := g.pool.do(r.Context(), b, http.MethodGet, "/v1/subscriptions", "", nil, true)
 		if err != nil || status != http.StatusOK {
 			continue
 		}

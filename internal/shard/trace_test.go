@@ -36,16 +36,23 @@ func matcherFunnelTotals() map[string]float64 {
 // metrics.
 func TestMatchProfileAcrossShards(t *testing.T) {
 	c := testutil.StartCluster(t, 2, 1)
-	for i := 0; i < 4; i++ {
+	// Both shards must hold data or the scatter tree is degenerate. The
+	// ring hashes the nodes' ephemeral addresses, so four patients can
+	// all land on one shard: keep adding patients until each holds one.
+	emptyShard := func() string {
+		for _, n := range c.Nodes {
+			if testutil.GetJSON[server.StatsResponse](t, n.URL+"/v1/stats").Patients == 0 {
+				return n.URL
+			}
+		}
+		return ""
+	}
+	for i := 0; i < 4 || emptyShard() != ""; i++ {
+		if i == 16 {
+			t.Fatalf("ring placed none of %d patients on %s", i, emptyShard())
+		}
 		pid := fmt.Sprintf("P%02d", i)
 		ingestSession(t, c.URL, pid, "S-"+pid, int64(300+i))
-	}
-	// Both shards must hold data or the scatter tree is degenerate.
-	for _, n := range c.Nodes {
-		st := testutil.GetJSON[server.StatsResponse](t, n.URL+"/v1/stats")
-		if st.Patients == 0 {
-			t.Skipf("ring placed no patients on %s; scatter profile would be degenerate", n.URL)
-		}
 	}
 	pr := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/S-P00/plr")
 	if len(pr.Vertices) < 12 {

@@ -168,7 +168,8 @@ func FuzzReplicationBatch(f *testing.F) {
 // arbitrary bytes: malformed input must fail cleanly as ErrTorn without
 // panicking or allocating for counts the input cannot back, anything
 // that decodes must hold the properties the gateway and the shard rely
-// on (finite floats, in-range stream indices), and encode→decode is
+// on (finite floats, in-range stream indices, never both only and
+// exclude), and encode→decode is
 // the identity on whatever a decoder produced (as for batches, header
 // varints may be non-minimal, so identity is on values, and the encoder
 // is a fixed point).
@@ -183,6 +184,9 @@ func FuzzMatchLegCodec(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	for _, shape := range legScopeShapes() {
+		f.Add(AppendMatchLegRequest(nil, shape))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if q, err := DecodeMatchLegRequest(data); err != nil {
 			if !errors.Is(err, ErrTorn) {
@@ -193,6 +197,9 @@ func FuzzMatchLegCodec(f *testing.F) {
 				if !finite(v.T) || !v.State.Valid() || len(v.Pos) != q.Seq.Dims() {
 					t.Fatalf("decoded an unusable vertex: %+v", v)
 				}
+			}
+			if q.Only != nil && q.Exclude != nil {
+				t.Fatalf("decoded a leg scoped by both only %v and exclude %v", q.Only, q.Exclude)
 			}
 			enc := AppendMatchLegRequest(nil, q)
 			q2, err := DecodeMatchLegRequest(enc)

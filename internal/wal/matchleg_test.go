@@ -17,6 +17,25 @@ func legRequestFixture() MatchLegRequest {
 	return MatchLegRequest{K: 10, Now: &now, PatientID: "P01", SessionID: "S-P01", Seq: mkVerts(30, 10)}
 }
 
+// legScopeShapes is the fixture query under every shape of scope a leg
+// can carry, with identifiers no separator-based encoding could hold.
+func legScopeShapes() []MatchLegRequest {
+	shapes := []MatchLegRequest{
+		{},
+		{Exclude: []string{"P01", "p,with,commas", "p with spaces", "p=eq:colon"}},
+		{Only: []string{"P02", "ünïcode"}},
+		{Only: []string{"P03", "P04"}, Require: []LegFreshness{{"P03", 2, 117}}},
+		{Exclude: []string{"P05"}, Require: []LegFreshness{{"P06", 1, 0}}},
+		{Require: []LegFreshness{{"P07", 1 << 40, math.MaxUint64}, {"", 0, 0}}},
+	}
+	for i := range shapes {
+		req := legRequestFixture()
+		req.Only, req.Exclude, req.Require = shapes[i].Only, shapes[i].Exclude, shapes[i].Require
+		shapes[i] = req
+	}
+	return shapes
+}
+
 func legReplyFixture() MatchLegReply {
 	return MatchLegReply{
 		Streams: []LegStream{{"P01", "S-P01", 0}, {"P01", "S-old", 1}, {"P07", "S-P07", 2}},
@@ -60,6 +79,39 @@ func TestMatchLegRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMatchLegScopeCodec: every shape of scope survives the wire, and
+// the decoder refuses a leg scoped by both Only and Exclude, a scope
+// list whose count the remaining bytes cannot back, and a version-1 leg
+// (which carried its scope in headers).
+func TestMatchLegScopeCodec(t *testing.T) {
+	for i, req := range legScopeShapes() {
+		got, err := DecodeMatchLegRequest(AppendMatchLegRequest(nil, req))
+		if err != nil || !reflect.DeepEqual(got, req) {
+			t.Errorf("shape %d: got %+v, %v; want %+v", i, got, err, req)
+		}
+	}
+	both := legRequestFixture()
+	both.Only, both.Exclude = []string{"P01"}, []string{"P02"}
+	// A request whose Require count claims more entries than bytes follow.
+	b, off := appendLegHeader(nil, legRequestMagic)
+	b = append(binary.AppendUvarint(b, 1), 0)
+	b = appendString(appendString(b, ""), "")
+	b = appendVertices(b, mkVerts(0, 2))
+	b = binary.AppendUvarint(binary.AppendUvarint(b, 0), 0)
+	hugeCount := sealFrame(binary.AppendUvarint(b, 1<<40), off)
+	v1 := AppendMatchLegRequest(nil, legRequestFixture())
+	v1[4] = 1
+	for name, msg := range map[string][]byte{
+		"only and exclude":   AppendMatchLegRequest(nil, both),
+		"count beyond bytes": hugeCount,
+		"version 1":          reseal(v1),
+	} {
+		if _, err := DecodeMatchLegRequest(msg); !errors.Is(err, ErrTorn) {
+			t.Errorf("%s: err = %v, want ErrTorn", name, err)
+		}
+	}
+}
+
 // reseal recomputes a mutated message's frame header, so a decoder
 // under test gets past the CRC to the field that was changed.
 func reseal(msg []byte) []byte {
@@ -83,7 +135,7 @@ func TestMatchLegDecodersRefuse(t *testing.T) {
 	requests := map[string][]byte{
 		"empty":           nil,
 		"bad magic":       append([]byte("STRB"), okReq[4:]...),
-		"unknown version": reseal(append(append([]byte("STMQ"), 2, 0), okReq[6:]...)),
+		"unknown version": reseal(append(append([]byte("STMQ"), 3, 0), okReq[6:]...)),
 		"reply magic":     AppendMatchLegReply(nil, legReplyFixture()),
 		"bad crc":         append(append([]byte{}, okReq[:len(okReq)-1]...), okReq[len(okReq)-1]^1),
 		"truncated":       okReq[:len(okReq)-3],
