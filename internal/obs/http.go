@@ -5,10 +5,10 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"expvar"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -52,11 +52,24 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
+// recordStatus returns a recorder of the status written to w: w itself
+// when an enclosing middleware already records it, so stacked wrappers
+// share one.
+func recordStatus(w http.ResponseWriter) *statusRecorder {
+	if rec, ok := w.(*statusRecorder); ok {
+		return rec
+	}
+	return &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+}
+
+// statusClasses are the code label values, indexed by code/100 - 1.
+var statusClasses = [...]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
+
 func statusClass(code int) string {
 	if code < 100 || code > 599 {
 		return "other"
 	}
-	return fmt.Sprintf("%dxx", code/100)
+	return statusClasses[code/100-1]
 }
 
 // Wrap instruments one route: requests count under the given route
@@ -81,7 +94,7 @@ func (m *HTTPMetrics) wrap(route string, next http.Handler, inFlight bool) http.
 			defer m.InFlight.Dec()
 		}
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+		rec := recordStatus(w)
 		next.ServeHTTP(rec, r)
 		m.Requests.With(route, statusClass(rec.code)).Inc()
 		m.Latency.With(route).Observe(time.Since(start).Seconds())
@@ -103,8 +116,18 @@ var ridPrefix = func() string {
 
 var ridCounter atomic.Uint64
 
+// newRequestID returns "<prefix>-<counter>", the counter zero-padded to
+// at least six digits.
 func newRequestID() string {
-	return fmt.Sprintf("%s-%06d", ridPrefix, ridCounter.Add(1))
+	var b [len("00000000-") + 20]byte
+	id := append(b[:0], ridPrefix...)
+	id = append(id, '-')
+	var digits [20]byte
+	n := strconv.AppendUint(digits[:0], ridCounter.Add(1), 10)
+	for pad := len(n); pad < 6; pad++ {
+		id = append(id, '0')
+	}
+	return string(append(id, n...))
 }
 
 // maxRequestIDLen caps accepted client-supplied request IDs; longer
@@ -165,8 +188,15 @@ func AccessLog(log *slog.Logger, next http.Handler) http.Handler {
 			return
 		}
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+		rec := recordStatus(w)
 		next.ServeHTTP(rec, r)
+		level := slog.LevelDebug
+		if rec.code >= 500 {
+			level = slog.LevelWarn
+		}
+		if !log.Enabled(r.Context(), level) {
+			return
+		}
 		attrs := []any{
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
@@ -177,11 +207,7 @@ func AccessLog(log *slog.Logger, next http.Handler) http.Handler {
 		if sp := SpanFromContext(r.Context()); sp != nil {
 			attrs = append(attrs, slog.String("traceId", sp.TraceID()))
 		}
-		if rec.code >= 500 {
-			log.Warn("request", attrs...)
-		} else {
-			log.Debug("request", attrs...)
-		}
+		log.Log(r.Context(), level, "request", attrs...)
 	})
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -64,10 +65,22 @@ func TestHTTPMetricsWrap(t *testing.T) {
 }
 
 func TestStatusClass(t *testing.T) {
-	cases := map[int]string{200: "2xx", 201: "2xx", 404: "4xx", 503: "5xx", 42: "other"}
+	cases := map[int]string{200: "2xx", 201: "2xx", 404: "4xx", 503: "5xx", 42: "other",
+		99: "other", 100: "1xx", 399: "3xx", 599: "5xx", 600: "other", -200: "other"}
 	for code, want := range cases {
 		if got := statusClass(code); got != want {
 			t.Errorf("statusClass(%d) = %q, want %q", code, got, want)
+		}
+	}
+}
+
+// TestNewRequestIDFormat pins the generated ID: the process prefix, a
+// dash, and the counter zero-padded to at least six digits.
+func TestNewRequestIDFormat(t *testing.T) {
+	for _, n := range []uint64{0, 41, 999_998, 1<<64 - 2} {
+		ridCounter.Store(n)
+		if got, want := newRequestID(), fmt.Sprintf("%s-%06d", ridPrefix, n+1); got != want {
+			t.Errorf("counter %d: %q, want %q", n+1, got, want)
 		}
 	}
 }

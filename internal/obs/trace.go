@@ -15,21 +15,33 @@
 //     children. When the context carries no span, StartSpan returns a
 //     nil *Span whose methods all no-op, so instrumented code pays
 //     nothing on untraced paths.
-//   - When the root span finishes, the whole trace is offered to the
-//     service's Collector: a fixed-capacity ring of recent traces plus
-//     a second ring that only admits traces slower than a threshold,
-//     so a burst of fast requests can never evict the evidence of a
-//     slow one. GET /v1/traces serves both rings as JSON.
+//   - Sampling is decided once, at the head: TraceHTTP records a
+//     request whose caller sampled it (the traceparent flag), that asks
+//     for ?debug=profile, or that is one in SampleEvery of those
+//     arriving without a trace context. Every other request gets a root
+//     span carrying trace context only — its IDs still propagate and
+//     are echoed — under which StartSpan returns nil as on an untraced
+//     context.
+//   - When a sampled root span finishes, the whole trace is offered to
+//     the service's Collector: a fixed-capacity ring of recent traces
+//     plus a second ring that only admits traces slower than a
+//     threshold, so a burst of fast requests can never evict the
+//     evidence of a slow one. An unsampled request that turns out slow
+//     reaches the slow ring as its root span alone. GET /v1/traces
+//     serves both rings as JSON.
 package obs
 
 import (
 	"context"
-	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"math/rand/v2"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -38,6 +50,9 @@ import (
 type SpanContext struct {
 	TraceID string // 32 lowercase hex chars, not all-zero
 	SpanID  string // 16 lowercase hex chars, not all-zero
+	// Sampled is the W3C sampled flag: the trace is being recorded, so
+	// a service continuing it records its part too.
+	Sampled bool
 }
 
 // Valid reports whether the context identifies a real trace position.
@@ -64,27 +79,32 @@ func isHexID(s string, n int) bool {
 	return !zero
 }
 
-func newHexID(bytes int) string {
-	b := make([]byte, bytes)
+// newHexID returns words random 64-bit words as lowercase hex, never
+// all-zero. IDs only need to be unique, not unpredictable, so they come
+// from the runtime's per-thread generator rather than crypto/rand: no
+// syscall, and the string is the one allocation.
+func newHexID(words int) string {
+	var b [16]byte
+	var h [32]byte
 	for {
-		if _, err := rand.Read(b); err != nil {
-			// crypto/rand failing is effectively fatal elsewhere; fall
-			// back to a fixed non-zero ID rather than panicking in an
-			// observability layer.
-			b[0] = 1
+		zero := true
+		for i := 0; i < words; i++ {
+			w := rand.Uint64()
+			binary.BigEndian.PutUint64(b[8*i:], w)
+			zero = zero && w == 0
 		}
-		s := hex.EncodeToString(b)
-		if isHexID(s, 2*bytes) {
-			return s
+		if !zero {
+			hex.Encode(h[:], b[:8*words])
+			return string(h[:16*words])
 		}
 	}
 }
 
 // NewTraceID returns a fresh 128-bit trace ID.
-func NewTraceID() string { return newHexID(16) }
+func NewTraceID() string { return newHexID(2) }
 
 // NewSpanID returns a fresh 64-bit span ID.
-func NewSpanID() string { return newHexID(8) }
+func NewSpanID() string { return newHexID(1) }
 
 // TraceparentHeader is the propagation header, in the W3C trace
 // context format: "00-<trace-id>-<parent-span-id>-<flags>".
@@ -94,9 +114,10 @@ const TraceparentHeader = "Traceparent"
 // value; anything longer is oversized and rejected.
 const traceparentLen = 2 + 1 + 32 + 1 + 16 + 1 + 2
 
-// ParseTraceparent parses a traceparent header value. Malformed,
-// oversized, or all-zero inputs return ok=false — the caller then
-// starts a fresh trace instead of propagating garbage.
+// ParseTraceparent parses a traceparent header value, the sampled flag
+// (bit 0 of the flags byte) included. Malformed, oversized, or all-zero
+// inputs return ok=false — the caller then starts a fresh trace instead
+// of propagating garbage.
 func ParseTraceparent(h string) (sc SpanContext, ok bool) {
 	if len(h) != traceparentLen {
 		return SpanContext{}, false
@@ -108,6 +129,7 @@ func ParseTraceparent(h string) (sc SpanContext, ok bool) {
 	if !sc.Valid() || !isHexByte(h[53]) || !isHexByte(h[54]) {
 		return SpanContext{}, false
 	}
+	sc.Sampled = strings.IndexByte("13579bdf", h[54]) >= 0 // bit 0 set: the low hex digit is odd
 	return sc, true
 }
 
@@ -116,9 +138,13 @@ func isHexByte(c byte) bool {
 }
 
 // FormatTraceparent renders the traceparent header value for an
-// outgoing request, with the sampled flag set.
+// outgoing request, with the sampled flag as c carries it.
 func FormatTraceparent(c SpanContext) string {
-	return "00-" + c.TraceID + "-" + c.SpanID + "-01"
+	flags := "-00"
+	if c.Sampled {
+		flags = "-01"
+	}
+	return "00-" + c.TraceID + "-" + c.SpanID + flags
 }
 
 // SpanData is one finished (or snapshotted in-progress) span in wire
@@ -151,34 +177,45 @@ type Span struct {
 	done  bool
 }
 
-// trace accumulates one request's spans until the root finishes.
+// trace accumulates one request's spans until the root finishes. An
+// unsampled trace holds its root alone: it exists to carry the trace
+// context, and StartSpan derives nothing from it.
 type trace struct {
 	id      string
 	service string
 	col     *Collector
-	root    *Span
+	root    Span // allocated with the trace
+	sampled bool
 
 	mu    sync.Mutex
 	spans []*Span
 	extra []SpanData // merged spans from downstream services
 }
 
-// StartTrace begins a new trace rooted at a span with the given name.
-// A valid parent (from an incoming traceparent header) continues the
-// caller's trace; otherwise a fresh trace ID is minted. When the root
-// span finishes, the assembled trace is offered to col (which may be
-// nil to trace without collecting, e.g. in benchmarks).
+// StartTrace begins a new recording trace rooted at a span with the
+// given name. A valid parent (from an incoming traceparent header)
+// continues the caller's trace; otherwise a fresh trace ID is minted.
+// When the root span finishes, the assembled trace is offered to col
+// (which may be nil to trace without collecting, e.g. in benchmarks).
 func StartTrace(name, service string, parent SpanContext, col *Collector) *Span {
-	tr := &trace{service: service, col: col}
-	sp := &Span{tr: tr, name: name, id: NewSpanID(), start: time.Now()}
+	return startTrace(name, service, parent, col, true)
+}
+
+// startTrace is StartTrace with the sampling decision made by the
+// caller.
+func startTrace(name, service string, parent SpanContext, col *Collector, sampled bool) *Span {
+	tr := &trace{service: service, col: col, sampled: sampled}
+	sp := &tr.root
+	sp.tr, sp.name, sp.id, sp.start = tr, name, NewSpanID(), time.Now()
 	if parent.Valid() {
 		tr.id = parent.TraceID
 		sp.parentID = parent.SpanID
 	} else {
 		tr.id = NewTraceID()
 	}
-	tr.root = sp
-	tr.spans = append(tr.spans, sp)
+	if sampled {
+		tr.spans = append(tr.spans, sp)
+	}
 	return sp
 }
 
@@ -203,12 +240,13 @@ func SpanFromContext(ctx context.Context) *Span {
 }
 
 // StartSpan starts a child of the context's current span and returns
-// a derived context carrying it. On an untraced context it returns
-// (ctx, nil); the nil span's methods no-op, so callers need no guard
-// beyond skipping genuinely expensive measurement work.
+// a derived context carrying it. On an untraced context, and under the
+// root of an unsampled request, it returns (ctx, nil); the nil span's
+// methods no-op, so callers need no guard beyond skipping genuinely
+// expensive measurement work (see Span.Recording).
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := SpanFromContext(ctx)
-	if parent == nil || parent.tr == nil {
+	if !parent.Recording() {
 		return ctx, nil
 	}
 	sp := &Span{tr: parent.tr, name: name, id: NewSpanID(), parentID: parent.id, start: time.Now()}
@@ -239,7 +277,7 @@ func AddSpan(ctx context.Context, name string, start time.Time, d time.Duration,
 // the collector retains the full cross-service tree.
 func AddExternalSpans(ctx context.Context, spans []SpanData) {
 	sp := SpanFromContext(ctx)
-	if sp == nil || sp.tr == nil || len(spans) == 0 {
+	if !sp.Recording() || len(spans) == 0 {
 		return
 	}
 	sp.tr.mu.Lock()
@@ -247,12 +285,19 @@ func AddExternalSpans(ctx context.Context, spans []SpanData) {
 	sp.tr.mu.Unlock()
 }
 
+// Recording reports whether spans started under s are recorded: false
+// for a nil span and for the root of an unsampled request. Code that
+// builds annotations before it can hand them to a span checks it first.
+func (s *Span) Recording() bool {
+	return s != nil && s.tr.sampled
+}
+
 // Context returns the span's propagation context (zero for nil).
 func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: s.tr.id, SpanID: s.id}
+	return SpanContext{TraceID: s.tr.id, SpanID: s.id, Sampled: s.tr.sampled}
 }
 
 // TraceID returns the span's trace ID ("" for nil).
@@ -288,7 +333,9 @@ func (s *Span) Finish() {
 }
 
 // FinishWithDuration finishes the span with an explicit duration
-// (synthetic stage spans measured out-of-band).
+// (synthetic stage spans measured out-of-band). Finishing a sampled
+// root offers its trace to the collector; an unsampled root is kept
+// only if slow, as a root-only record in the slow ring.
 func (s *Span) FinishWithDuration(d time.Duration) {
 	if s == nil {
 		return
@@ -301,8 +348,15 @@ func (s *Span) FinishWithDuration(d time.Duration) {
 	s.done = true
 	s.dur = d
 	s.mu.Unlock()
-	if s == s.tr.root && s.tr.col != nil {
-		s.tr.col.Offer(s.tr.data())
+	col := s.tr.col
+	if s != &s.tr.root || col == nil {
+		return
+	}
+	switch {
+	case s.tr.sampled:
+		col.Offer(s.tr.data())
+	case col.KeepsSlow(d):
+		col.offerRootOnly(s.data())
 	}
 }
 
@@ -333,34 +387,30 @@ func (s *Span) data() SpanData {
 	return d
 }
 
-// data snapshots the whole trace, including merged external spans.
+// data snapshots a recorded trace, including merged external spans.
 func (t *trace) data() TraceData {
 	t.mu.Lock()
 	spans := append([]*Span(nil), t.spans...)
 	extra := append([]SpanData(nil), t.extra...)
 	t.mu.Unlock()
-	td := TraceData{TraceID: t.id, Service: t.service}
+	td := TraceData{TraceID: t.id, Service: t.service, Spans: make([]SpanData, 0, len(spans)+len(extra))}
 	for _, sp := range spans {
 		td.Spans = append(td.Spans, sp.data())
 	}
 	td.Spans = append(td.Spans, extra...)
-	if t.root != nil {
-		rd := t.root.data()
-		td.Root = rd.Name
-		td.Start = rd.Start
-		td.DurationNS = rd.DurationNS
-	}
+	root := td.Spans[0] // a recorded trace lists its root first
+	td.Root, td.Start, td.DurationNS = root.Name, root.Start, root.DurationNS
 	return td
 }
 
 // SnapshotTrace returns the context's trace ID and every span
 // recorded so far, including still-open spans (marked InProgress).
-// An untraced context returns ("", nil). This is the building block
-// of the ?debug=profile inline explain: a handler can serialize its
-// own trace before the root span has finished.
+// An untraced or unsampled context returns ("", nil). This is the
+// building block of the ?debug=profile inline explain: a handler can
+// serialize its own trace before the root span has finished.
 func SnapshotTrace(ctx context.Context) (traceID string, spans []SpanData) {
 	sp := SpanFromContext(ctx)
-	if sp == nil || sp.tr == nil {
+	if !sp.Recording() {
 		return "", nil
 	}
 	td := sp.tr.data()
@@ -378,12 +428,13 @@ type TraceData struct {
 }
 
 // Collector is a bounded in-memory trace store: a FIFO ring of the
-// most recent traces plus a slow-trace ring that only admits traces
-// whose root duration meets the threshold, so the worst requests
-// survive any amount of fast traffic.
+// most recent sampled traces plus a slow-trace ring that only admits
+// traces whose root duration meets the threshold — sampled or not, so
+// the worst requests survive any amount of fast traffic. offered counts
+// the traces kept.
 type Collector struct {
 	capacity  int
-	threshold time.Duration
+	threshold time.Duration // fixed at construction: read without mu
 
 	mu      sync.Mutex
 	recent  ring
@@ -463,19 +514,38 @@ func (c *Collector) Offer(td TraceData) {
 	}
 }
 
+// KeepsSlow reports whether the slow ring admits a record of duration
+// d (false on a nil collector). Work that only ever reaches the slow
+// ring asks before it builds its record.
+func (c *Collector) KeepsSlow(d time.Duration) bool {
+	return c != nil && d >= c.threshold
+}
+
 // OfferSlow stores a trace only if it meets the slow threshold,
 // bypassing the recent ring. Background work (e.g. WAL group-commit
 // flushes) uses this so steady-state ticks don't drown request traces.
 func (c *Collector) OfferSlow(td TraceData) {
-	if c == nil {
+	if !c.KeepsSlow(time.Duration(td.DurationNS)) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if time.Duration(td.DurationNS) >= c.threshold {
-		c.offered++
-		c.slow.push(td)
-	}
+	c.offered++
+	c.slow.push(td)
+}
+
+// offerRootOnly stores one span as a whole trace in the slow ring: a
+// standalone record, or the root of an unsampled request that turned
+// out slow.
+func (c *Collector) offerRootOnly(sd SpanData) {
+	c.OfferSlow(TraceData{
+		TraceID:    sd.TraceID,
+		Root:       sd.Name,
+		Service:    sd.Service,
+		Start:      sd.Start,
+		DurationNS: sd.DurationNS,
+		Spans:      []SpanData{sd},
+	})
 }
 
 // Recent returns the recent-trace ring, newest first.
@@ -533,6 +603,10 @@ func filterTraces(in []TraceData, id string) []TraceData {
 	return out
 }
 
+// SampleEvery is the head-sampling rate: TraceHTTP records one in
+// SampleEvery of the requests that arrive without a trace context.
+const SampleEvery = 64
+
 // TraceHTTP starts (or, from an incoming Traceparent header,
 // continues) a trace for each request, stores the root span in the
 // request context, and echoes the trace ID as X-Trace-Id so clients
@@ -540,23 +614,55 @@ func filterTraces(in []TraceData, id string) []TraceData {
 // Scrape and probe endpoints (/metrics, /v1/healthz) and /v1/traces
 // itself are not traced: a 2-second health prober would otherwise
 // dominate the recent ring.
+//
+// The sampling decision is made here, once per request: a request is
+// recorded if its caller sampled it, if it asks for ?debug=profile, or
+// if it is the SampleEvery-th request this handler has seen arrive
+// without a trace context. A caller's unsampled flag is honoured, so a
+// downstream service records exactly the parts of the traces its
+// caller keeps. An unsampled request still carries its trace context
+// (X-Trace-Id, the access log's traceId, outgoing Traceparent with the
+// flag clear); it is kept only if slow, as a root-only record with its
+// status and requestId.
 func TraceHTTP(service string, col *Collector, next http.Handler) http.Handler {
+	var arrivals atomic.Uint64 // requests without a trace context
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if noisyPath(r.URL.Path) {
 			next.ServeHTTP(w, r)
 			return
 		}
-		parent, _ := ParseTraceparent(r.Header.Get(TraceparentHeader))
-		sp := StartTrace(r.Method+" "+r.URL.Path, service, parent, col)
-		if rid := RequestIDFrom(r.Context()); rid != "" {
+		parent, continued := ParseTraceparent(r.Header.Get(TraceparentHeader))
+		sampled := parent.Sampled
+		if !continued {
+			sampled = arrivals.Add(1)%SampleEvery == 0
+		}
+		sampled = sampled || wantsProfile(r)
+		sp := startTrace(r.Method+" "+r.URL.Path, service, parent, col, sampled)
+		rid := RequestIDFrom(r.Context())
+		if sampled && rid != "" {
 			sp.Annotate("requestId", rid)
 		}
 		w.Header().Set("X-Trace-Id", sp.TraceID())
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
+		rec := recordStatus(w)
 		next.ServeHTTP(rec, r.WithContext(ContextWithSpan(r.Context(), sp)))
+		d := time.Since(sp.start)
+		if !sampled {
+			if !col.KeepsSlow(d) {
+				return // nothing of this request is kept
+			}
+			if rid != "" {
+				sp.Annotate("requestId", rid)
+			}
+		}
 		sp.Annotate("status", rec.code)
-		sp.Finish()
+		sp.FinishWithDuration(d)
 	})
+}
+
+// wantsProfile reports whether a request asks for its span tree inline
+// (?debug=profile), which only a recorded trace has.
+func wantsProfile(r *http.Request) bool {
+	return strings.Contains(r.URL.RawQuery, "debug=profile") && r.URL.Query().Get("debug") == "profile"
 }
 
 // noisyPath reports whether a path is high-frequency machine traffic
@@ -566,9 +672,10 @@ func noisyPath(p string) bool {
 }
 
 // InjectHeaders stamps the outgoing propagation headers — Traceparent
-// from the context's span and X-Request-Id from the request-ID
-// middleware — onto a downstream request, so one logical request can
-// be joined across services in both traces and logs.
+// from the context's span, its sampled flag the request's sampling
+// decision, and X-Request-Id from the request-ID middleware — onto a
+// downstream request, so one logical request can be joined across
+// services in both traces and logs.
 func InjectHeaders(ctx context.Context, h http.Header) {
 	if sp := SpanFromContext(ctx); sp != nil {
 		h.Set(TraceparentHeader, FormatTraceparent(sp.Context()))
@@ -652,14 +759,16 @@ func (n *SpanNode) Flatten() []SpanData {
 	return out
 }
 
-// RecordStandalone builds a single-span trace for background work
-// that has no request context (e.g. the WAL group-commit flusher) and
-// offers it to the collector's slow ring only.
+// RecordStandalone offers a single-span trace for background work that
+// has no request context (e.g. the WAL group-commit flusher) to the
+// collector's slow ring only. A record under the threshold costs one
+// comparison: nothing is built for it. Callers with attributes to build
+// check col.KeepsSlow first.
 func RecordStandalone(col *Collector, service, name string, start time.Time, d time.Duration, attrs map[string]any) {
-	if col == nil {
+	if !col.KeepsSlow(d) {
 		return
 	}
-	sd := SpanData{
+	col.offerRootOnly(SpanData{
 		TraceID:    NewTraceID(),
 		SpanID:     NewSpanID(),
 		Name:       name,
@@ -667,13 +776,5 @@ func RecordStandalone(col *Collector, service, name string, start time.Time, d t
 		Start:      start.UnixNano(),
 		DurationNS: d.Nanoseconds(),
 		Attrs:      attrs,
-	}
-	col.OfferSlow(TraceData{
-		TraceID:    sd.TraceID,
-		Root:       name,
-		Service:    service,
-		Start:      sd.Start,
-		DurationNS: sd.DurationNS,
-		Spans:      []SpanData{sd},
 	})
 }

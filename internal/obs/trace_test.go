@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -14,15 +16,46 @@ import (
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
-	sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
-	if !sc.Valid() {
-		t.Fatalf("fresh IDs invalid: %+v", sc)
+	for _, sampled := range []bool{false, true} {
+		sc := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: sampled}
+		if !sc.Valid() {
+			t.Fatalf("fresh IDs invalid: %+v", sc)
+		}
+		h := FormatTraceparent(sc)
+		got, ok := ParseTraceparent(h)
+		if !ok || got != sc {
+			t.Fatalf("round trip: %q -> (%+v, %v), want %+v", h, got, ok, sc)
+		}
 	}
-	h := FormatTraceparent(sc)
-	got, ok := ParseTraceparent(h)
-	if !ok || got != sc {
-		t.Fatalf("round trip: %q -> (%+v, %v), want %+v", h, got, ok, sc)
+	// The sampled bit is bit 0 of the flags byte; the other bits are
+	// accepted and not propagated.
+	const prefix = "00-0123456789abcdef0123456789abcdef-0123456789abcdef-"
+	for flags, want := range map[string]bool{"00": false, "01": true, "03": true, "02": false, "ff": true, "fe": false, "0b": true} {
+		sc, ok := ParseTraceparent(prefix + flags)
+		if !ok || sc.Sampled != want {
+			t.Errorf("flags %s: (%+v, %v), want sampled=%v", flags, sc, ok, want)
+		}
+		if out := FormatTraceparent(sc); out[:len(prefix)] != prefix || (out[len(prefix):] == "01") != want {
+			t.Errorf("flags %s re-formatted as %q", flags, out)
+		}
 	}
+}
+
+// malformedTraceparents are values ParseTraceparent must refuse; they
+// also seed FuzzTraceparent.
+var malformedTraceparents = []string{
+	"",
+	"00",
+	"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01-extrastate", // oversized
+	"ff-0123456789abcdef0123456789abcdef-0123456789abcdef-01",            // unknown version
+	"00-00000000000000000000000000000000-0123456789abcdef-01",            // all-zero trace ID
+	"00-0123456789abcdef0123456789abcdef-0000000000000000-01",            // all-zero span ID
+	"00-0123456789ABCDEF0123456789ABCDEF-0123456789abcdef-01",            // uppercase hex
+	"00_0123456789abcdef0123456789abcdef-0123456789abcdef-01",            // wrong separator
+	"00-0123456789abcdef0123456789abcdef-0123456789abcdef-0g",            // non-hex flags
+	"00-0123456789abcdef0123456789abcde-0123456789abcdeff-01",            // shifted field widths
+	strings.Repeat("0", 2*traceparentLen),                                // oversized garbage
+	"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01\n",          // trailing byte
 }
 
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
@@ -30,25 +63,51 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	if _, ok := ParseTraceparent(valid); !ok {
 		t.Fatalf("reference value rejected: %q", valid)
 	}
-	bad := []string{
-		"",
-		"00",
-		valid + "-extrastate", // oversized
-		"ff-0123456789abcdef0123456789abcdef-0123456789abcdef-01",   // unknown version
-		"00-00000000000000000000000000000000-0123456789abcdef-01",   // all-zero trace ID
-		"00-0123456789abcdef0123456789abcdef-0000000000000000-01",   // all-zero span ID
-		"00-0123456789ABCDEF0123456789ABCDEF-0123456789abcdef-01",   // uppercase hex
-		"00_0123456789abcdef0123456789abcdef-0123456789abcdef-01",   // wrong separator
-		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-0g",   // non-hex flags
-		"00-0123456789abcdef0123456789abcde-0123456789abcdeff-01",   // shifted field widths
-		strings.Repeat("0", 2*traceparentLen),                       // oversized garbage
-		"00-0123456789abcdef0123456789abcdef-0123456789abcdef-01\n", // trailing byte
-	}
-	for _, h := range bad {
+	for _, h := range malformedTraceparents {
 		if sc, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) accepted as %+v", h, sc)
 		}
 	}
+}
+
+// wellFormedTraceparent is the reference grammar ParseTraceparent
+// implements: version 00, a non-zero 128-bit trace ID, a non-zero
+// 64-bit span ID and a flags byte, all lowercase hex.
+var wellFormedTraceparent = regexp.MustCompile(`^00-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}$`)
+
+// FuzzTraceparent: the header comes from outside the process. No input
+// panics, the accepted values are exactly the reference grammar's, and
+// every accepted value round-trips through FormatTraceparent with its
+// sampled bit.
+func FuzzTraceparent(f *testing.F) {
+	for _, h := range malformedTraceparents {
+		f.Add(h)
+	}
+	for _, flags := range []string{"00", "01", "03"} {
+		f.Add("00-0123456789abcdef0123456789abcdef-0123456789abcdef-" + flags)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceparent(h)
+		m := wellFormedTraceparent.FindStringSubmatch(h)
+		want := m != nil && strings.Trim(m[1], "0") != "" && strings.Trim(m[2], "0") != ""
+		if ok != want {
+			t.Fatalf("ParseTraceparent(%q) ok=%v, reference grammar says %v", h, ok, want)
+		}
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("refused %q but returned %+v", h, sc)
+			}
+			return
+		}
+		out := FormatTraceparent(sc)
+		if out[:53] != h[:53] {
+			t.Fatalf("%q re-formatted as %q", h, out)
+		}
+		back, ok := ParseTraceparent(out)
+		if !ok || back != sc {
+			t.Fatalf("round trip %q -> %+v -> %q -> (%+v, %v)", h, sc, out, back, ok)
+		}
+	})
 }
 
 // TestTraceHTTPFreshTraceOnMalformedHeader is the propagation safety
@@ -82,7 +141,7 @@ func TestTraceHTTPFreshTraceOnMalformedHeader(t *testing.T) {
 
 func TestTraceHTTPContinuesValidTrace(t *testing.T) {
 	col := NewCollector(8, time.Hour)
-	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
 	var gotTrace, gotParent string
 	h := TraceHTTP("svc", col, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sp := SpanFromContext(r.Context())
@@ -128,6 +187,175 @@ func TestTraceHTTPSkipsNoisyPaths(t *testing.T) {
 		t.Fatalf("noisy paths access-logged: %s", out)
 	}
 }
+
+// sampledProbe is a handler reporting what a request's context
+// carries: whether a child span records, and the Traceparent it would
+// send downstream.
+type sampledProbe struct {
+	recorded   bool
+	downstream string
+}
+
+func (p *sampledProbe) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	_, child := StartSpan(r.Context(), "child")
+	child.Finish()
+	p.recorded = child != nil
+	h := http.Header{}
+	InjectHeaders(r.Context(), h)
+	p.downstream = h.Get(TraceparentHeader)
+}
+
+// TestTraceHTTPHeadSampling: of the requests arriving without a trace
+// context, every SampleEvery-th is recorded in full and the rest carry
+// trace context only — an X-Trace-Id, a Traceparent with the sampled
+// flag clear — and leave nothing in the collector.
+func TestTraceHTTPHeadSampling(t *testing.T) {
+	col := NewCollector(4*SampleEvery, time.Hour)
+	var probe sampledProbe
+	h := TraceHTTP("svc", col, &probe)
+	for i := 1; i <= 2*SampleEvery; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/match", nil))
+		id := rec.Header().Get("X-Trace-Id")
+		if !isHexID(id, 32) {
+			t.Fatalf("request %d: X-Trace-Id %q", i, id)
+		}
+		down, ok := ParseTraceparent(probe.downstream)
+		if !ok || down.TraceID != id {
+			t.Fatalf("request %d: downstream traceparent %q does not carry trace %s", i, probe.downstream, id)
+		}
+		want := i%SampleEvery == 0
+		if probe.recorded != want || down.Sampled != want {
+			t.Fatalf("request %d: child span recorded=%v, downstream sampled=%v; want %v", i, probe.recorded, down.Sampled, want)
+		}
+		if got := len(col.Recent()); got != i/SampleEvery {
+			t.Fatalf("after request %d the recent ring holds %d traces, want %d", i, got, i/SampleEvery)
+		}
+	}
+	for _, td := range col.Recent() {
+		if len(td.Spans) != 2 {
+			t.Fatalf("sampled trace has %d spans, want root + child: %+v", len(td.Spans), td.Spans)
+		}
+	}
+}
+
+// TestTraceHTTPHonoursCallerFlag: a caller's sampled flag decides, in
+// both directions, whatever the local count — and ?debug=profile is
+// always recorded.
+func TestTraceHTTPHonoursCallerFlag(t *testing.T) {
+	for _, tc := range []struct {
+		flags, query string
+		want         bool
+	}{
+		{"-00", "", false},
+		{"-01", "", true},
+		{"-03", "", true},
+		{"", "?debug=profile", true},
+		{"-00", "?debug=profile", true},
+		{"", "?debug=profiles", false},
+	} {
+		col := NewCollector(4*SampleEvery, time.Hour)
+		var probe sampledProbe
+		h := TraceHTTP("svc", col, &probe)
+		parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
+		for i := 0; i < 2*SampleEvery; i++ {
+			req := httptest.NewRequest("POST", "/v1/match"+tc.query, nil)
+			if tc.flags != "" {
+				req.Header.Set(TraceparentHeader, "00-"+parent.TraceID+"-"+parent.SpanID+tc.flags)
+			}
+			h.ServeHTTP(httptest.NewRecorder(), req)
+			if tc.flags == "" && !tc.want {
+				continue // the local count samples these
+			}
+			if probe.recorded != tc.want {
+				t.Fatalf("flags %q query %q, request %d: recorded=%v, want %v", tc.flags, tc.query, i, probe.recorded, tc.want)
+			}
+			if down, _ := ParseTraceparent(probe.downstream); down.Sampled != tc.want {
+				t.Fatalf("flags %q query %q: downstream %q", tc.flags, tc.query, probe.downstream)
+			}
+		}
+		kept := len(col.Recent())
+		switch {
+		case tc.flags == "" && !tc.want:
+			if kept != 2 {
+				t.Errorf("query %q: %d of %d requests recorded, want 2", tc.query, kept, 2*SampleEvery)
+			}
+		case tc.want && kept != 2*SampleEvery, !tc.want && kept != 0:
+			t.Errorf("flags %q query %q: %d of %d requests recorded", tc.flags, tc.query, kept, 2*SampleEvery)
+		}
+	}
+}
+
+// TestTraceHTTPSlowUnsampledKept: an unsampled request that turns out
+// slow reaches the slow ring as its root span alone, with its status
+// and requestId, under the trace ID the client was given; the recent
+// ring stays for sampled traces.
+func TestTraceHTTPSlowUnsampledKept(t *testing.T) {
+	col := NewCollector(4, 5*time.Millisecond)
+	slow := true
+	h := RequestID(TraceHTTP("svc", col, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if slow {
+			time.Sleep(10 * time.Millisecond)
+		}
+		w.WriteHeader(http.StatusTeapot)
+	})))
+	unsampled := "00-0123456789abcdef0123456789abcdef-0123456789abcdef-00"
+	req := httptest.NewRequest("GET", "/v1/sessions/S1/predict", nil)
+	req.Header.Set(TraceparentHeader, unsampled)
+	req.Header.Set("X-Request-Id", "client-7")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if got := col.Recent(); len(got) != 0 {
+		t.Fatalf("unsampled request in the recent ring: %+v", got)
+	}
+	sl := col.Slow()
+	if len(sl) != 1 || sl[0].TraceID != rec.Header().Get("X-Trace-Id") || sl[0].Root != "GET /v1/sessions/S1/predict" || len(sl[0].Spans) != 1 {
+		t.Fatalf("slow ring %+v, want the root-only record of trace %s", sl, rec.Header().Get("X-Trace-Id"))
+	}
+	root := sl[0].Spans[0]
+	if root.Attrs["requestId"] != "client-7" || root.Attrs["status"] != http.StatusTeapot || root.ParentID != "0123456789abcdef" {
+		t.Fatalf("root-only record %+v", root)
+	}
+	// A fast unsampled request leaves nothing anywhere.
+	slow = false
+	h.ServeHTTP(httptest.NewRecorder(), req)
+	if len(col.Recent()) != 0 || len(col.Slow()) != 1 {
+		t.Fatalf("fast unsampled request kept: recent %d, slow %d", len(col.Recent()), len(col.Slow()))
+	}
+}
+
+// TestUnsampledChainAllocs bounds what an unsampled request costs the
+// wrappers every served request passes through.
+func TestUnsampledChainAllocs(t *testing.T) {
+	col := NewCollector(4, time.Hour)
+	log := slog.New(slog.NewTextHandler(io.Discard, nil)) // Info: the access log's Debug line is dropped
+	h := RequestID(TraceHTTP("svc", col, AccessLog(log, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))))
+	req := httptest.NewRequest("POST", "/v1/match", nil)
+	req.Header.Set(TraceparentHeader, "00-0123456789abcdef0123456789abcdef-0123456789abcdef-00")
+	w := &discardWriter{h: http.Header{}}
+	allocs := testing.AllocsPerRun(200, func() {
+		clear(w.h)
+		h.ServeHTTP(w, req)
+	})
+	// RequestID: the ID, its header value, the boxed context value, the
+	// context and the request copy (5). TraceHTTP: the root's name, the
+	// trace holding the root span, the span ID, the X-Trace-Id header
+	// value, the status recorder AccessLog shares, the context and the
+	// request copy (7). Recording the request in full was 37.
+	if allocs > 12 {
+		t.Errorf("an unsampled request allocates %.0f times in RequestID(TraceHTTP(AccessLog)), want <= 12", allocs)
+	}
+	if len(col.Recent())+len(col.Slow()) != 0 {
+		t.Fatal("unsampled fast requests were kept")
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing but headers.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
 
 func TestCollectorFIFOEviction(t *testing.T) {
 	col := NewCollector(3, time.Hour)
@@ -313,6 +541,18 @@ func TestRecordStandaloneSlowOnly(t *testing.T) {
 		t.Fatalf("slow ring %+v, want one group-commit trace", sl)
 	}
 	RecordStandalone(nil, "wal", "x", time.Now(), time.Second, nil) // nil collector no-ops
+
+	// A record under the threshold is refused before anything is built.
+	attrs := map[string]any{"fsyncMs": 1.0}
+	start := time.Now()
+	if allocs := testing.AllocsPerRun(100, func() {
+		RecordStandalone(col, "wal", "wal.group_commit", start, time.Millisecond, attrs)
+	}); allocs != 0 {
+		t.Errorf("a fast standalone record allocates %.0f times, want 0", allocs)
+	}
+	if col.KeepsSlow(99*time.Millisecond) || !col.KeepsSlow(100*time.Millisecond) || (*Collector)(nil).KeepsSlow(time.Hour) {
+		t.Error("KeepsSlow disagrees with the 100ms threshold")
+	}
 }
 
 func TestTracesHandlerFilters(t *testing.T) {

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"stsmatch/internal/obs"
 	"stsmatch/internal/server"
@@ -244,6 +246,130 @@ func TestTracePropagation(t *testing.T) {
 	ftd := findTrace(c.Node(follower).Server.Traces(), "follower")
 	if ftd.Root != "POST /v1/replicate" {
 		t.Fatalf("follower trace root %q, want POST /v1/replicate", ftd.Root)
+	}
+}
+
+// TestGatewayHeadSampling: the gateway's sampling decision travels with
+// its legs. Of obs.SampleEvery consecutive queries arriving without a
+// trace context, the one the gateway samples leaves one tree across the
+// gateway and all three shards, and the others leave no trace anywhere;
+// a caller's -01 query is one tree every time.
+func TestGatewayHeadSampling(t *testing.T) {
+	// Every query is the same one: without the result cache each
+	// scatters to all three shards.
+	c := testutil.StartCluster(t, 3, 1, func(cfg *testutil.ClusterConfig) { cfg.Gateway.MatchCacheSize = -1 })
+	emptyShard := func() bool {
+		for _, n := range c.Nodes {
+			if testutil.GetJSON[server.StatsResponse](t, n.URL+"/v1/stats").Patients == 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < 3 || emptyShard(); i++ {
+		if i == 24 {
+			t.Fatalf("ring left a shard empty after %d patients", i)
+		}
+		pid := fmt.Sprintf("P%02d", i)
+		ingestSession(t, c.URL, pid, "S-"+pid, int64(500+i))
+	}
+	pr := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/S-P00/plr")
+	body, err := json.Marshal(server.MatchRequest{Seq: pr.Vertices[len(pr.Vertices)-10:], PatientID: "P00", SessionID: "S-P00"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	match := func(traceparent string) string {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, c.URL+"/v1/match", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if traceparent != "" {
+			req.Header.Set(obs.TraceparentHeader, traceparent)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("match status %d", resp.StatusCode)
+		}
+		return resp.Header.Get("X-Trace-Id")
+	}
+	recorded := func(col *obs.Collector, id string) []obs.TraceData {
+		var out []obs.TraceData
+		for _, td := range col.Recent() {
+			if td.TraceID == id {
+				out = append(out, td)
+			}
+		}
+		return out
+	}
+	// oneTree: the gateway holds the query's trace and every shard holds
+	// exactly one trace under the same ID, rooted on a gateway span.
+	oneTree := func(id string) {
+		t.Helper()
+		gw := recorded(c.Gateway.Traces(), id)
+		if len(gw) != 1 {
+			t.Fatalf("gateway holds %d traces %s, want 1", len(gw), id)
+		}
+		gwSpans := map[string]bool{}
+		for _, sd := range gw[0].Spans {
+			gwSpans[sd.SpanID] = true
+		}
+		for _, n := range c.Nodes {
+			// A shard's trace is offered when its handler chain unwinds,
+			// which can be just after the gateway has its reply.
+			tds := recorded(n.Server.Traces(), id)
+			for wait := 0; len(tds) == 0 && wait < 200; wait++ {
+				time.Sleep(5 * time.Millisecond)
+				tds = recorded(n.Server.Traces(), id)
+			}
+			if len(tds) != 1 {
+				t.Fatalf("shard %s holds %d traces %s, want 1", n.URL, len(tds), id)
+			}
+			for _, sd := range tds[0].Spans {
+				if sd.Name == tds[0].Root && !gwSpans[sd.ParentID] {
+					t.Fatalf("shard %s root %s has parent %s, not a gateway span", n.URL, sd.Name, sd.ParentID)
+				}
+			}
+			if !slices.ContainsFunc(tds[0].Spans, func(sd obs.SpanData) bool { return sd.Name == "matcher.search" }) {
+				t.Fatalf("shard %s trace has no matcher.search: %v", n.URL, traceSpanNames(tds[0]))
+			}
+		}
+	}
+
+	sampled := 0
+	var unsampled []string
+	for i := 0; i < obs.SampleEvery; i++ {
+		id := match("")
+		if len(recorded(c.Gateway.Traces(), id)) == 1 {
+			sampled++
+			oneTree(id)
+		} else {
+			unsampled = append(unsampled, id)
+		}
+	}
+	if sampled != 1 {
+		t.Fatalf("gateway sampled %d of %d consecutive queries, want 1", sampled, obs.SampleEvery)
+	}
+	for i := 1; i <= 2; i++ {
+		id := fmt.Sprintf("%032x", 0xc0ffee+i)
+		if got := match("00-" + id + "-00000000000000aa-01"); got != id {
+			t.Fatalf("X-Trace-Id %q, want the caller's %q", got, id)
+		}
+		oneTree(id)
+	}
+	// Checked last, after the waits above, so a late-landing shard
+	// trace would be seen.
+	for _, id := range unsampled {
+		for _, n := range c.Nodes {
+			if tds := recorded(n.Server.Traces(), id); len(tds) != 0 {
+				t.Fatalf("unsampled query %s left a trace on shard %s: %v", id, n.URL, traceSpanNames(tds[0]))
+			}
+		}
 	}
 }
 

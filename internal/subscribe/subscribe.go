@@ -341,6 +341,7 @@ func (m *Manager) EvalStream(ctx context.Context, db *store.DB, patientID, sessi
 // evaluation over the windows of st ending in [cursor, to).
 func (m *Manager) evalStreamLocked(ctx context.Context, st *store.Stream, to uint64) int {
 	emitted := 0
+	recording := obs.SpanFromContext(ctx).Recording() // the spans' attribute maps are built only for a recorded trace
 	for _, id := range m.order {
 		s := m.subs[id]
 		if !s.inScope(st.PatientID, st.SessionID) {
@@ -384,19 +385,21 @@ func (m *Manager) evalStreamLocked(ctx context.Context, st *store.Stream, to uin
 			close(s.notify)
 			s.notify = make(chan struct{})
 		}
-		obs.AddSpan(ctx, "subscribe.eval", start, time.Since(start), map[string]any{
-			"sub":           id,
-			"patient":       st.PatientID,
-			"session":       st.SessionID,
-			"from":          from,
-			"to":            to,
-			"candidates":    counts.Windows,
-			"state_reject":  counts.StateRejected,
-			"self_excluded": counts.SelfExcluded,
-			"lb_pruned":     counts.LBPruned,
-			"dist_rejected": counts.DistRejected,
-			"matched":       counts.Matched,
-		})
+		if recording {
+			obs.AddSpan(ctx, "subscribe.eval", start, time.Since(start), map[string]any{
+				"sub":           id,
+				"patient":       st.PatientID,
+				"session":       st.SessionID,
+				"from":          from,
+				"to":            to,
+				"candidates":    counts.Windows,
+				"state_reject":  counts.StateRejected,
+				"self_excluded": counts.SelfExcluded,
+				"lb_pruned":     counts.LBPruned,
+				"dist_rejected": counts.DistRejected,
+				"matched":       counts.Matched,
+			})
+		}
 	}
 	return emitted
 }

@@ -225,11 +225,13 @@ func (l *Log) flushLocked() error {
 	met.groupCommitSeconds.Observe(now.Sub(start).Seconds())
 	// A slow group commit is the classic silent ingest-ack stall; the
 	// collector keeps it (slow ring only — a healthy flush cadence must
-	// not crowd out request traces).
-	obs.RecordStandalone(l.opts.Collector, "wal", "wal.group_commit", start, now.Sub(start), map[string]any{
-		"fsyncMs":      float64(now.Sub(syncStart)) / float64(time.Millisecond),
-		"segmentBytes": l.size,
-	})
+	// not crowd out request traces), and only a kept one is built.
+	if d := now.Sub(start); l.opts.Collector.KeepsSlow(d) {
+		obs.RecordStandalone(l.opts.Collector, "wal", "wal.group_commit", start, d, map[string]any{
+			"fsyncMs":      float64(now.Sub(syncStart)) / float64(time.Millisecond),
+			"segmentBytes": l.size,
+		})
+	}
 	l.dirty = false
 	return nil
 }
