@@ -17,11 +17,7 @@
 // followers preferred — tolerating up to N vertices of staleness, with
 // the merged answer byte-identical to the primary-only scatter; an
 // over-stale follower refuses its arc and the gateway retries it on
-// the primary. A bounded result cache (-match-cache) keyed on the
-// canonical query plus every backend's X-Store-Seq token serves
-// repeated identical queries with zero backend calls (X-Cache: hit);
-// any write routed through the gateway changes the key before its ack
-// returns.
+// the primary. Every query is scattered: the gateway caches no results.
 //
 //	gateway -listen :8760 -replicas 2 \
 //	        -backends http://127.0.0.1:8751,http://127.0.0.1:8752,http://127.0.0.1:8753
@@ -66,7 +62,6 @@ func main() {
 	healthEvery := flag.Duration("health-interval", 2*time.Second, "active health-probe period (negative = disabled)")
 	failThreshold := flag.Int("fail-threshold", 3, "consecutive failures before a backend is ejected")
 	readmitThreshold := flag.Int("readmit-threshold", 2, "consecutive probe successes before an ejected backend is readmitted")
-	matchCache := flag.Int("match-cache", shard.DefaultMatchCacheSize, "match result cache entries (negative = disable); keyed on query + per-shard store high-water marks")
 	rebalanceConc := flag.Int("rebalance-concurrency", shard.DefaultRebalanceConcurrency, "sessions migrated in parallel during a rebalance drain")
 	migrateTimeout := flag.Duration("migrate-timeout", shard.DefaultMigrateTimeout, "per-session migration deadline during a rebalance")
 	freshEvery := flag.Duration("freshness-interval", shard.DefaultFreshnessInterval, "background /v1/shard/stats polling period seeding the follower-read freshness tracker (negative = piggyback-only; 0 = default when -replicas > 1)")
@@ -103,7 +98,6 @@ func main() {
 		FailThreshold:    *failThreshold,
 		ReadmitThreshold: *readmitThreshold,
 
-		MatchCacheSize:    *matchCache,
 		FreshnessInterval: *freshEvery,
 
 		RebalanceConcurrency: *rebalanceConc,

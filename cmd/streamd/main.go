@@ -34,8 +34,7 @@
 // for any patient whose local holdings fall short — the contract behind the
 // gateway's bounded-staleness follower reads. /v1/shard/stats and
 // /v1/healthz report per-session per-link shipped/acked sequence
-// numbers plus per-patient holdings, and every response carries an
-// X-Store-Seq mutation high-water mark for the gateway's result cache.
+// numbers plus per-patient holdings.
 //
 // With -pprof the daemon additionally serves net/http/pprof under
 // /debug/pprof/ on the same listener. The daemon shuts down gracefully

@@ -102,7 +102,7 @@ func decodeMatchRequest(body []byte, leg bool) (MatchRequest, wal.MatchLegReques
 // JSON (MatchRequest in, MatchResponse out), and the binary leg format
 // of internal/wal that the gateway's scatter and retry legs use. Only a
 // leg carries a scope, so only a leg can refuse a patient; otherwise
-// the X-Store-Seq stamp, validation and the search are one path.
+// validation and the search are one path.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	leg := r.Header.Get("Content-Type") == wal.MatchLegContentType
 	buf, err := s.readBody(w, r)
@@ -120,14 +120,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A read's token must lower-bound its data: snapshot the store
-	// high-water mark BEFORE touching the store, so a write landing
-	// mid-query leaves the response token older than the scored data,
-	// never newer. Leaving the stamp to seqWriter's lazy first-write
-	// path would evaluate it AFTER scoring; a token newer than the data
-	// lets the gateway's cache re-file pre-write bytes under a
-	// post-write key (an acked write would then vanish from a hit).
-	w.Header().Set(HeaderStoreSeq, s.storeSeqToken())
 	restrict, rep := s.matchScopeRestrict(lr)
 	q := core.NewQuery(req.Seq, req.PatientID, req.SessionID)
 	if req.Now != nil {
@@ -144,9 +136,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
-	}
-	if s.testHookMidMatch != nil {
-		s.testHookMidMatch()
 	}
 	var profile *obs.Profile
 	if r.URL.Query().Get("debug") == "profile" {

@@ -11,24 +11,10 @@
 // (MatchLegReply.Freshness) so the gateway's freshness tracker
 // converges without extra polling. The public JSON route is never
 // scoped.
-//
-// Separately, every response carries X-Store-Seq, the shard's
-// mutation high-water mark: "<epoch>-<seq>" where epoch is a
-// per-process start nonce (a restart must never repeat a token) and
-// seq the store's monotone mutation counter. Two equal tokens bracket
-// a quiescent store, which is what makes the gateway's result cache
-// coherent without any invalidation protocol. The stamp direction
-// differs by request kind: mutation acks stamp lazily at first write
-// (post-mutation — the gateway may advance its tracked mark before
-// acking the client), while /v1/match snapshots the token before
-// scoring (pre-read — the token lower-bounds the data scored, so the
-// gateway never binds a result to a key newer than its contents).
 
 package server
 
 import (
-	"fmt"
-	"net/http"
 	"sort"
 
 	"stsmatch/internal/wal"
@@ -36,7 +22,6 @@ import (
 
 // Headers of the follower-read protocol.
 const (
-	HeaderStoreSeq        = "X-Store-Seq"
 	HeaderPatientStreams  = "X-Patient-Streams"
 	HeaderPatientVertices = "X-Patient-Vertices"
 	HeaderReplicated      = "X-Replicated"
@@ -49,59 +34,6 @@ const (
 type PatientFreshness struct {
 	Streams  int `json:"streams"`
 	Vertices int `json:"vertices"`
-}
-
-// storeSeqToken renders this server's mutation high-water mark.
-func (s *Server) storeSeqToken() string {
-	return fmt.Sprintf("%d-%d", s.seqEpoch, s.db.MutationSeq())
-}
-
-// seqStamp wraps a handler so every response carries X-Store-Seq,
-// evaluated lazily at first write: an ingest response then reflects
-// the post-mutation counter, which is what lets the gateway advance
-// its cached high-water mark before acknowledging the client.
-//
-// A handler that has already set the header wins: reads snapshot
-// their token BEFORE touching the store (see handleMatch) because a
-// read's token must lower-bound its data, while the mutation acks
-// this lazy path exists for must reflect the post-mutation counter.
-func (s *Server) seqStamp(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&seqWriter{ResponseWriter: w, srv: s}, r)
-	})
-}
-
-type seqWriter struct {
-	http.ResponseWriter
-	srv     *Server
-	stamped bool
-}
-
-func (w *seqWriter) stamp() {
-	if !w.stamped {
-		w.stamped = true
-		if w.Header().Get(HeaderStoreSeq) == "" {
-			w.Header().Set(HeaderStoreSeq, w.srv.storeSeqToken())
-		}
-	}
-}
-
-func (w *seqWriter) WriteHeader(code int) {
-	w.stamp()
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *seqWriter) Write(b []byte) (int, error) {
-	w.stamp()
-	return w.ResponseWriter.Write(b)
-}
-
-// Flush keeps SSE streaming (subscription events) working through the
-// wrapper.
-func (w *seqWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // patientFreshnessLocked reports this shard's holdings for a patient.

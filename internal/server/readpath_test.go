@@ -16,114 +16,6 @@ import (
 	"stsmatch/internal/wal"
 )
 
-// TestStoreSeqTokenAdvances: every response carries X-Store-Seq, the
-// token is constant across reads of a quiescent store, and an ingest
-// response already reflects the post-mutation counter.
-func TestStoreSeqTokenAdvances(t *testing.T) {
-	_, ts := newReplServer(t, Options{})
-
-	get := func() string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		tok := resp.Header.Get(HeaderStoreSeq)
-		if tok == "" {
-			t.Fatal("response missing X-Store-Seq")
-		}
-		if !strings.Contains(tok, "-") {
-			t.Fatalf("token %q not in epoch-seq form", tok)
-		}
-		return tok
-	}
-
-	before := get()
-	if again := get(); again != before {
-		t.Fatalf("quiescent store token moved: %q -> %q", before, again)
-	}
-
-	resp := postJSON(t, ts.URL+"/v1/sessions", CreateSessionRequest{PatientID: "P01", SessionID: "S01"})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create status %d", resp.StatusCode)
-	}
-	createTok := resp.Header.Get(HeaderStoreSeq)
-	if createTok == before {
-		t.Fatal("create response did not advance the store token")
-	}
-	if after := get(); after != createTok {
-		t.Fatalf("create response token %q != settled token %q: ack must reflect the post-mutation counter", createTok, after)
-	}
-
-	resp = postJSON(t, ts.URL+"/v1/sessions/S01/samples", respSamples(t, 3, 10))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status %d", resp.StatusCode)
-	}
-	ingestTok := resp.Header.Get(HeaderStoreSeq)
-	if ingestTok == createTok {
-		t.Fatal("ingest response did not advance the store token")
-	}
-	if after := get(); after != ingestTok {
-		t.Fatalf("ingest token %q != settled token %q", ingestTok, after)
-	}
-}
-
-// TestMatchTokenLowerBoundsMidQueryWrite: a write landing between
-// scoring and the response write must not advance the match
-// response's X-Store-Seq. The token is snapshotted before the store
-// is read, so it lower-bounds the scored data; a lazily stamped
-// (post-scoring) token would let the gateway's cache re-file the
-// pre-write merge under a post-write key and serve a later hit that
-// is missing an already-acked write.
-func TestMatchTokenLowerBoundsMidQueryWrite(t *testing.T) {
-	srv, ts := newReplServer(t, Options{})
-	resp := postJSON(t, ts.URL+"/v1/sessions", CreateSessionRequest{PatientID: "PA", SessionID: "S-PA"})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create status %d", resp.StatusCode)
-	}
-	samples := respSamples(t, 21, 40)
-	mid := len(samples) / 2
-	ingestBatches(t, ts.URL, "S-PA", samples[:mid], 256)
-	plr, _ := getJSON[PLRResponse](t, ts.URL+"/v1/sessions/S-PA/plr")
-	if len(plr.Vertices) < 8 {
-		t.Fatalf("query stream too short: %d vertices", len(plr.Vertices))
-	}
-
-	healthTok := func() string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.Header.Get(HeaderStoreSeq)
-	}
-
-	before := healthTok()
-	srv.testHookMidMatch = func() {
-		// The second half of the stream lands after the matcher scored
-		// but before the response is written.
-		ingestBatches(t, ts.URL, "S-PA", samples[mid:], 256)
-	}
-	defer func() { srv.testHookMidMatch = nil }()
-
-	resp = postJSON(t, ts.URL+"/v1/match",
-		MatchRequest{Seq: plr.Vertices[len(plr.Vertices)-6:], PatientID: "PA", SessionID: "S-PA", K: 5})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("match status %d", resp.StatusCode)
-	}
-	got := resp.Header.Get(HeaderStoreSeq)
-	after := healthTok()
-	if after == before {
-		t.Fatal("fixture broken: mid-match ingest did not advance the store token")
-	}
-	if got != before {
-		t.Fatalf("match token %q reflects the mid-query write; want pre-scoring snapshot %q (settled token %q)",
-			got, before, after)
-	}
-}
-
 // TestIngestFreshnessHeaders: ingest and create acks piggyback the
 // patient's post-write holdings and the replication outcome.
 func TestIngestFreshnessHeaders(t *testing.T) {

@@ -72,7 +72,6 @@ type Server struct {
 	log      *slog.Logger
 	met      *serverMetrics
 	start    time.Time
-	seqEpoch int64       // start nonce prefixed onto X-Store-Seq tokens
 	wal      *durability // nil when Options.DataDir is unset
 	maxBody  int64       // request-body cap; <= 0 disables
 
@@ -103,11 +102,6 @@ type Server struct {
 	// testHookMigrate, when non-nil, runs at each migration phase
 	// boundary; chaos tests kill nodes there (see SetMigrationHook).
 	testHookMigrate atomic.Pointer[func(phase string)]
-
-	// testHookMidMatch, when non-nil, runs in handleMatch between
-	// scoring and the response write; tests inject a concurrent write
-	// there to pin the token-snapshot-before-scoring ordering.
-	testHookMidMatch func()
 
 	// matchers pools core.Matcher instances (one in flight per
 	// prediction; a Matcher carries scratch buffers and is not safe for
@@ -182,7 +176,6 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 		replFrom:   opts.ReplicateFrom,
 		col:        obs.NewCollector(opts.TraceCapacity, opts.TraceSlowThreshold),
 	}
-	s.seqEpoch = s.start.UnixNano()
 	obs.RegisterBuildInfo(obs.Default())
 	if s.maxBody == 0 {
 		s.maxBody = DefaultMaxBodyBytes
@@ -226,9 +219,7 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 	// /metrics is excluded from the access log and from tracing, but
 	// still counts in the request metrics like any other route.
 	s.mux.Handle("GET /metrics", s.met.http.WrapScrape("metrics", obs.Default().Handler()))
-	// seqStamp sits innermost so the X-Store-Seq high-water mark is
-	// evaluated as late as possible — after the handler's mutations.
-	s.handler = obs.RequestID(obs.TraceHTTP("server", s.col, obs.AccessLog(s.log, s.seqStamp(s.mux))))
+	s.handler = obs.RequestID(obs.TraceHTTP("server", s.col, obs.AccessLog(s.log, s.mux)))
 	return s, nil
 }
 

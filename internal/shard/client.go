@@ -3,19 +3,17 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"stsmatch/internal/obs"
-	"stsmatch/internal/server"
 )
 
 // Options tunes the gateway's backend clients. The zero value selects
@@ -73,13 +71,6 @@ type Options struct {
 	// trace is pinned in the slow ring (0 = obs.DefaultSlowThreshold).
 	TraceSlowThreshold time.Duration
 
-	// MatchCacheSize bounds the gateway's /v1/match result cache in
-	// entries (0 = DefaultMatchCacheSize, negative = disable caching).
-	// The cache is keyed on (query signature, per-backend store
-	// high-water marks), so entries go stale only by construction,
-	// never by time.
-	MatchCacheSize int
-
 	// RebalanceConcurrency bounds how many session migrations a
 	// rebalance drains concurrently (0 = DefaultRebalanceConcurrency).
 	RebalanceConcurrency int
@@ -102,10 +93,6 @@ type Options struct {
 	// defaults on whenever follower reads are possible.
 	FreshnessInterval time.Duration
 }
-
-// DefaultMatchCacheSize bounds the gateway result cache when
-// Options.MatchCacheSize is zero.
-const DefaultMatchCacheSize = 512
 
 // DefaultFreshnessInterval is the background freshness-polling period
 // when Options.FreshnessInterval is zero and replication is enabled.
@@ -150,9 +137,6 @@ func (o Options) withDefaults() Options {
 	if o.ReadmitThreshold <= 0 {
 		o.ReadmitThreshold = 2
 	}
-	if o.MatchCacheSize == 0 {
-		o.MatchCacheSize = DefaultMatchCacheSize
-	}
 	if o.RebalanceConcurrency <= 0 {
 		o.RebalanceConcurrency = DefaultRebalanceConcurrency
 	}
@@ -170,6 +154,11 @@ func (o Options) withDefaults() Options {
 // large).
 const maxResponseBytes = 64 << 20
 
+// errResponseTooLarge reports a backend response longer than
+// maxResponseBytes. The backend did answer, so it is not a health
+// failure, and an identical retry would only fetch the same bytes.
+var errResponseTooLarge = fmt.Errorf("response exceeds %d bytes", maxResponseBytes)
+
 // Backend is one streamd instance as seen by the gateway: a base URL,
 // a pooled HTTP client, and the health state maintained by active
 // probes and passive request outcomes.
@@ -179,11 +168,6 @@ type Backend struct {
 	healthy   atomic.Bool
 	fails     atomic.Int64
 	successes atomic.Int64 // consecutive successes while ejected
-
-	// storeSeq is the backend's last seen X-Store-Seq token — its
-	// mutation high-water mark, refreshed by every response including
-	// health probes. The match result cache keys on it.
-	storeSeq atomic.Value // string
 }
 
 // URL returns the backend's base URL.
@@ -191,78 +175,6 @@ func (b *Backend) URL() string { return b.url }
 
 // Healthy reports whether the backend is currently admitted.
 func (b *Backend) Healthy() bool { return b.healthy.Load() }
-
-// StoreSeq returns the backend's last seen store high-water token
-// ("" until any response has been observed).
-func (b *Backend) StoreSeq() string {
-	if v := b.storeSeq.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
-}
-
-// noteStoreSeq advances the tracked token, never retreating it: match
-// legs and ingest acks race on this slot, and a slow read carrying a
-// pre-ingest token must not overwrite the newer high-water mark a
-// write ack already published (that would let a later cache hit serve
-// pre-ingest bytes under a fresh-looking key).
-func (b *Backend) noteStoreSeq(tok string) {
-	for {
-		cur := b.StoreSeq()
-		if !storeSeqNewer(tok, cur) {
-			return
-		}
-		if b.storeSeq.CompareAndSwap(cur, tok) {
-			return
-		}
-	}
-}
-
-// storeSeqNewer reports whether token a ("epoch-seq") supersedes cur.
-// Epochs are per-process start nonces (UnixNano at boot), so across
-// epochs only a numerically greater one is newer: a delayed in-flight
-// response from a shard's previous incarnation must not retreat the
-// token back to the old epoch after post-restart tokens were observed
-// (the retreated token would reconstruct a pre-restart cache key and
-// let a stale pre-restart result hit). An empty or unparsable current
-// value is always superseded.
-func storeSeqNewer(a, cur string) bool {
-	if cur == "" {
-		return true
-	}
-	ae, as, aok := splitStoreSeq(a)
-	ce, cs, cok := splitStoreSeq(cur)
-	if !cok {
-		return true
-	}
-	if !aok {
-		return false
-	}
-	if ae != ce {
-		an, aerr := strconv.ParseInt(ae, 10, 64)
-		cn, cerr := strconv.ParseInt(ce, 10, 64)
-		if cerr != nil {
-			return true
-		}
-		if aerr != nil {
-			return false
-		}
-		return an > cn
-	}
-	return as > cs
-}
-
-func splitStoreSeq(tok string) (epoch string, seq uint64, ok bool) {
-	i := strings.LastIndexByte(tok, '-')
-	if i < 0 {
-		return "", 0, false
-	}
-	n, err := strconv.ParseUint(tok[i+1:], 10, 64)
-	if err != nil {
-		return "", 0, false
-	}
-	return tok[:i], n, true
-}
 
 // Pool manages the set of backends: per-backend pooled clients,
 // bounded retries with jittered exponential backoff on idempotent
@@ -339,7 +251,6 @@ func (p *Pool) addLocked(u string) *Backend {
 		hc:  &http.Client{Transport: transport},
 	}
 	b.healthy.Store(true)
-	b.storeSeq.Store("") // non-nil slot so noteStoreSeq can CAS
 	p.met.healthy.With(u).Set(1)
 	p.backends = append(p.backends, b)
 	p.byURL[u] = b
@@ -412,7 +323,9 @@ func (p *Pool) backoff(n int) time.Duration {
 // times on transport errors and retryable statuses; non-idempotent
 // calls get exactly one attempt. The returned status, body and headers
 // are the backend's response verbatim; a non-nil error means no usable
-// response was obtained.
+// response was obtained. A response over maxResponseBytes is such an
+// error after one attempt, and it does not count against the backend's
+// health.
 func (p *Pool) do(ctx context.Context, b *Backend, method, path, ctype string, body []byte, idempotent bool) (int, []byte, http.Header, error) {
 	attempts := 1
 	if idempotent {
@@ -444,6 +357,9 @@ func (p *Pool) do(ctx context.Context, b *Backend, method, path, ctype string, b
 			sp.Finish()
 			lastErr = fmt.Errorf("backend %s: %w", b.url, err)
 			p.met.requests.With(b.url, "error").Inc()
+			if errors.Is(err, errResponseTooLarge) {
+				return 0, nil, nil, lastErr
+			}
 			p.recordFailure(b)
 			if ctx.Err() != nil {
 				return 0, nil, nil, lastErr
@@ -492,16 +408,15 @@ func (p *Pool) once(ctx context.Context, b *Backend, method, path, ctype string,
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	// One byte past the cap tells a response that fits from one that was
+	// cut off: relaying the first maxResponseBytes as a success would hand
+	// the client truncated JSON under a 200.
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	// Every response refreshes the backend's store high-water token —
-	// regular traffic and health probes alike — which is what keeps the
-	// match result cache's keys current even for writes that bypass
-	// this gateway.
-	if tok := resp.Header.Get(server.HeaderStoreSeq); tok != "" {
-		b.noteStoreSeq(tok)
+	if len(respBody) > maxResponseBytes {
+		return 0, nil, nil, errResponseTooLarge
 	}
 	return resp.StatusCode, respBody, resp.Header, nil
 }

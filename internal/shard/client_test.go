@@ -2,8 +2,10 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -170,53 +172,57 @@ func TestPoolValidation(t *testing.T) {
 	}
 }
 
-func TestStoreSeqNewer(t *testing.T) {
-	cases := []struct {
-		a, cur string
-		want   bool
-	}{
-		{"100-5", "", true}, // anything supersedes the unknown token
-		{"100-6", "100-5", true},
-		{"100-5", "100-5", false},
-		{"100-4", "100-5", false},
-		// A later incarnation (greater epoch) supersedes regardless of
-		// its counter.
-		{"200-1", "100-99", true},
-		// A delayed response from a previous incarnation must NOT
-		// retreat the token past a post-restart observation: the
-		// retreated token would reconstruct a pre-restart cache key.
-		{"100-99", "200-1", false},
-		// Unparsable current values are always superseded; unparsable
-		// candidates never supersede a parsable current.
-		{"100-5", "garbage", true},
-		{"garbage", "100-5", false},
-		{"100-5", "bogus-x", true},
-		{"bogus-x", "100-5", false},
-		// Parsable seqs under unparsable epochs: epoch comparison decides.
-		{"epochB-1", "epochA-9", true}, // current epoch unparsable -> accept
-	}
-	for _, c := range cases {
-		if got := storeSeqNewer(c.a, c.cur); got != c.want {
-			t.Errorf("storeSeqNewer(%q, %q) = %v, want %v", c.a, c.cur, got, c.want)
+// TestPoolResponseTooLarge: a backend response one byte over the cap
+// is an error, not a success carrying the first maxResponseBytes. The
+// call is idempotent, yet the backend is asked once (a retry would
+// fetch the same bytes), and it stays admitted at a fail threshold of
+// one (it answered; only its answer was unusable). The gateway answers
+// such a response with a 502.
+func TestPoolResponseTooLarge(t *testing.T) {
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		chunk := make([]byte, 64<<10)
+		for left := maxResponseBytes + 1; left > 0; left -= len(chunk) {
+			if _, err := w.Write(chunk[:min(len(chunk), left)]); err != nil {
+				return
+			}
 		}
-	}
-}
+	}))
+	defer ts.Close()
 
-// TestNoteStoreSeqNoEpochRetreat: once a post-restart token is
-// tracked, racing responses from the shard's previous incarnation can
-// neither retreat the token nor ping-pong it between epochs.
-func TestNoteStoreSeqNoEpochRetreat(t *testing.T) {
-	b := &Backend{}
-	b.storeSeq.Store("")
-	b.noteStoreSeq("100-7") // pre-restart incarnation
-	b.noteStoreSeq("200-1") // shard restarted
-	b.noteStoreSeq("100-9") // delayed in-flight pre-restart response
-	if got := b.StoreSeq(); got != "200-1" {
-		t.Fatalf("tracked token = %q after delayed old-epoch response, want 200-1", got)
+	opts := fastOpts()
+	opts.FailThreshold = 1
+	p, err := NewPool([]string{ts.URL}, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.noteStoreSeq("200-2")
-	if got := b.StoreSeq(); got != "200-2" {
-		t.Fatalf("tracked token = %q, want 200-2", got)
+	defer p.Close()
+	b := p.Backends()[0]
+
+	status, body, _, err := p.do(context.Background(), b, http.MethodGet, "/v1/sessions/S/plr", "", nil, true)
+	if !errors.Is(err, errResponseTooLarge) {
+		t.Fatalf("do = status %d, %d body bytes, err %v; want an error wrapping errResponseTooLarge", status, len(body), err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("backend saw %d requests, want exactly 1 (no retry)", got)
+	}
+	if !b.Healthy() {
+		t.Error("backend ejected for an oversized answer")
+	}
+
+	// Through the gateway, a session's PLR that does not fit is a 502
+	// naming the cause, never a 200 carrying cut-off JSON.
+	gw, err := NewGateway([]string{ts.URL}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	gw.places["S"] = &placement{patientID: "P", primary: ts.URL, owners: []string{ts.URL}}
+	rec := httptest.NewRecorder()
+	gw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/S/plr", nil))
+	if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), errResponseTooLarge.Error()) {
+		t.Errorf("gateway relayed status %d, %.200s; want 502 naming the oversized response", rec.Code, rec.Body.String())
 	}
 }
 

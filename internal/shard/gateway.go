@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -64,10 +63,8 @@ type Gateway struct {
 	promoteMu sync.Mutex
 
 	// fresh tracks per-backend per-patient holdings for the follower-
-	// read planner (see freshness.go); cache is the high-water-mark
-	// keyed /v1/match result cache (nil when disabled; see cache.go).
+	// read planner (see freshness.go).
 	fresh *freshTracker
-	cache *matchCache
 
 	// stopFresh/freshDone bound the optional background freshness
 	// poller started when Options.FreshnessInterval > 0.
@@ -112,7 +109,6 @@ func NewGateway(backends []string, opts Options) (*Gateway, error) {
 		stopFresh: make(chan struct{}),
 		freshDone: make(chan struct{}),
 	}
-	g.cache = newMatchCache(opts.MatchCacheSize, pool.met)
 	obs.RegisterBuildInfo(obs.Default())
 	if opts.FreshnessInterval > 0 {
 		go g.freshLoop(opts.FreshnessInterval)
@@ -223,10 +219,6 @@ func (g *Gateway) RefreshFreshness(ctx context.Context) {
 		g.fresh.observeMap(inv.url, inv.stats.Freshness)
 	}
 }
-
-// MatchCacheLen reports the number of cached match results (tests,
-// stats).
-func (g *Gateway) MatchCacheLen() int { return g.cache.Len() }
 
 // CreditFreshness raises the tracked holdings of a backend for a
 // patient, never lowering a self-report — the same inference rule the
@@ -838,10 +830,10 @@ func legBound(pid string, fr server.PatientFreshness) wal.LegFreshness {
 	return wal.LegFreshness{PatientID: pid, Streams: uint64(fr.Streams), Vertices: uint64(fr.Vertices)}
 }
 
-// handleMatch answers a similarity query: result cache first, then a
-// planned scatter to the backends, merging the shard-local results
-// into the global answer. The merge is exact: every shard scores
-// candidates with identical Params and the query's own provenance, so
+// handleMatch answers a similarity query: a planned scatter to the
+// backends, merging the shard-local results into the global answer.
+// The merge is exact: every shard scores candidates with identical
+// Params and the query's own provenance, so
 // ascending weighted distance is a total order the gateway can merge
 // on; for k-NN queries each shard returns its local top-k and the
 // merged top-k of those is the union's top-k.
@@ -863,12 +855,6 @@ func legBound(pid string, fr server.PatientFreshness) wal.LegFreshness {
 // sends the one scope-free encoding all of them share. Each shard
 // answers with hits over a stream table, and a RemoteMatch exists only
 // for a hit that survived the merge.
-//
-// The result cache is keyed on (canonical query, every healthy
-// backend's store high-water mark): any ingest through the gateway
-// advances the primary's tracked token before the ack returns, so the
-// next identical query misses naturally. Hits are served from the
-// exact bytes a miss produced — zero backend calls, byte-identical.
 func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	body, err := readBody(w, r)
@@ -881,8 +867,7 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		gwError(w, http.StatusBadRequest, fmt.Errorf("decoding match request: %w", err))
 		return
 	}
-	// ?max-lag= overrides the body knob; merging it into the request
-	// before canonicalization keeps it part of the cache signature.
+	// ?max-lag= overrides the body knob.
 	if v := r.URL.Query().Get("max-lag"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
@@ -904,31 +889,10 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if profile {
 		path += "?debug=profile"
 	}
-	// Canonical query bytes: the leg encoding has one spelling for a
-	// query, so equivalent requests share one cache signature — the
-	// scope-free leg bytes plus max-lag, which shards never see — and
-	// every unscoped leg reuses the leg bytes verbatim.
+	// Every unscoped leg reuses the query's scope-free encoding verbatim.
 	query := wal.MatchLegRequest{K: req.K, Now: req.Now, PatientID: req.PatientID, SessionID: req.SessionID, Seq: req.Seq}
-	canonical := wal.AppendMatchLegRequest(nil, query)
-	legBody := canonical
-	canonical = binary.AppendUvarint(canonical, uint64(req.MaxLag))
+	legBody := wal.AppendMatchLegRequest(nil, query)
 	backends := g.pool.Backends()
-	// Profiled requests bypass the cache: their payload embeds a
-	// per-request trace.
-	var key string
-	if g.cache != nil && !profile {
-		if k, ok := cacheKey(canonical, backends); ok {
-			key = k
-			if cached, hit := g.cache.get(key); hit {
-				w.Header().Set("X-Cache", "hit")
-				relay(w, http.StatusOK, cached)
-				g.met.scatter.Observe(time.Since(start).Seconds())
-				return
-			}
-			w.Header().Set("X-Cache", "miss")
-		}
-	}
-
 	plan := g.planScatter(req.MaxLag)
 	assigned := make(map[string][]string, len(backends))
 	for pid, pa := range plan {
@@ -1016,45 +980,13 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		gwError(w, http.StatusInternalServerError, err)
 		return
 	}
-	// Only clean, complete results are worth caching: degraded or
-	// partial answers would otherwise be replayed until the next write.
-	if key != "" && !res.Degraded && len(res.ShardErrors) == 0 {
-		g.cache.put(key, out)
-		// A replicated write acked through this gateway advances only
-		// the primary's tracked token; the followers' advance is first
-		// observed by this very scatter. Re-file the same bytes under
-		// the post-scatter key so the next identical query hits instead
-		// of recomputing — but only while every healthy backend's
-		// tracked token still equals the token its leg returned:
-		// equality means no newer write was acked in between, so the
-		// new key binds exactly these bytes. Sound because a match
-		// leg's token is snapshotted before scoring (see
-		// server/readpath.go): it can never be newer than the data the
-		// leg scored, so equal tokens can't mask a mid-query write.
-		if key2, ok := cacheKey(canonical, backends); ok && key2 != key {
-			fresh := true
-			for i, b := range backends {
-				if !b.Healthy() {
-					continue
-				}
-				if legs[i].tok == "" || b.StoreSeq() != legs[i].tok {
-					fresh = false
-					break
-				}
-			}
-			if fresh {
-				g.cache.put(key2, out)
-			}
-		}
-	}
 	relay(w, http.StatusOK, out)
 }
 
-// legResult is what one match leg brought back: the decoded reply and
-// the X-Store-Seq it carried, or why there is neither.
+// legResult is what one match leg brought back: the decoded reply, or
+// why there is none.
 type legResult struct {
 	reply wal.MatchLegReply
-	tok   string
 	err   error
 }
 
@@ -1077,7 +1009,7 @@ func (g *Gateway) matchLeg(ctx context.Context, span string, b *Backend, path st
 		sp.Annotate("excluded", len(q.Exclude))
 		body = wal.AppendMatchLegRequest(nil, q)
 	}
-	status, respBody, respHdr, err := g.pool.do(lctx, b, http.MethodPost, path, wal.MatchLegContentType, body, true)
+	status, respBody, _, err := g.pool.do(lctx, b, http.MethodPost, path, wal.MatchLegContentType, body, true)
 	if err != nil {
 		sp.Annotate("error", err.Error())
 		return legResult{err: err}
@@ -1087,7 +1019,7 @@ func (g *Gateway) matchLeg(ctx context.Context, span string, b *Backend, path st
 		return legResult{err: fmt.Errorf("status %d: %s", status, errDetail(respBody))}
 	}
 	reply, err := wal.DecodeMatchLegReply(respBody)
-	return legResult{reply: reply, tok: respHdr.Get(server.HeaderStoreSeq), err: err}
+	return legResult{reply: reply, err: err}
 }
 
 // gatherLeg folds one answered leg into the query's state: the shard's

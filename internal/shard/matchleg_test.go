@@ -74,9 +74,9 @@ func legAsResponse(t *testing.T, rep wal.MatchLegReply) server.MatchResponse {
 // every shard of a replicated fixture, for a query cut from every
 // session and an anonymous one, in top-k and threshold mode, with and
 // without an explicit now, an unscoped binary leg reply decodes to the
-// MatchResponse the JSON route returns, under the same X-Store-Seq. A
-// scoped leg — every kind of scope a leg can carry, including a
-// Require bound the shard must refuse — answers the unscoped result
+// MatchResponse the JSON route returns. A scoped leg — every kind of
+// scope a leg can carry, including a Require bound the shard must
+// refuse — answers the unscoped result
 // restricted to the patients its scope admits: a refusal is reported
 // exactly when the holdings the shard reports fall short of the bound.
 func TestLegEqualsJSON(t *testing.T) {
@@ -109,20 +109,20 @@ func TestLegEqualsJSON(t *testing.T) {
 	for _, node := range f.cluster.Nodes {
 		for _, q := range queries {
 			for _, k := range []int{0, 10} {
-				viaJSON := func(req server.MatchRequest) (server.MatchResponse, http.Header) {
+				viaJSON := func(req server.MatchRequest) server.MatchResponse {
 					t.Helper()
 					body, err := json.Marshal(req)
 					if err != nil {
 						t.Fatal(err)
 					}
-					raw, hdr := postMatch(t, node.URL+"/v1/match", "application/json", body)
+					raw, _ := postMatch(t, node.URL+"/v1/match", "application/json", body)
 					var resp server.MatchResponse
 					if err := json.Unmarshal(raw, &resp); err != nil {
 						t.Fatal(err)
 					}
-					return resp, hdr
+					return resp
 				}
-				viaLeg := func(lr wal.MatchLegRequest) (wal.MatchLegReply, http.Header) {
+				viaLeg := func(lr wal.MatchLegRequest) wal.MatchLegReply {
 					t.Helper()
 					raw, hdr := postMatch(t, node.URL+"/v1/match", wal.MatchLegContentType, wal.AppendMatchLegRequest(nil, lr))
 					if ct := hdr.Get("Content-Type"); ct != wal.MatchLegContentType {
@@ -132,23 +132,20 @@ func TestLegEqualsJSON(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return rep, hdr
+					return rep
 				}
 				req := server.MatchRequest{Seq: q.seq, PatientID: q.pid, SessionID: q.sid, K: k}
 				lr := wal.MatchLegRequest{K: k, PatientID: q.pid, SessionID: q.sid, Seq: q.seq}
 				for _, at := range []*float64{nil, &now} {
 					label := fmt.Sprintf("%s %s/%s k=%d now=%v unscoped", node.URL, q.pid, q.sid, k, at != nil)
 					req.Now, lr.Now = at, at
-					want, jhdr := viaJSON(req)
-					rep, lhdr := viaLeg(lr)
+					want := viaJSON(req)
+					rep := viaLeg(lr)
 					if rep.Refused != nil || rep.Freshness != nil {
 						t.Errorf("%s: unscoped leg reported scope fields %v %v", label, rep.Refused, rep.Freshness)
 					}
 					if got := legAsResponse(t, rep); !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: leg reply differs from the JSON route\n leg  %+v\n json %+v", label, got, want)
-					}
-					if jt, lt := jhdr.Get(server.HeaderStoreSeq), lhdr.Get(server.HeaderStoreSeq); jt == "" || jt != lt {
-						t.Errorf("%s: X-Store-Seq json %q, leg %q", label, jt, lt)
 					}
 					compared++
 					matched += len(want.Matches)
@@ -160,11 +157,11 @@ func TestLegEqualsJSON(t *testing.T) {
 				if k > 0 {
 					req.K = 1 << 16
 				}
-				all, _ := viaJSON(req)
+				all := viaJSON(req)
 				for _, sc := range scopes {
 					label := fmt.Sprintf("%s %s/%s k=%d %s", node.URL, q.pid, q.sid, k, sc.name)
 					lr.Now, lr.Only, lr.Exclude, lr.Require = nil, sc.only, sc.exclude, sc.require
-					rep, _ := viaLeg(lr)
+					rep := viaLeg(lr)
 					lr.Only, lr.Exclude, lr.Require = nil, nil, nil
 					held := map[string]wal.LegFreshness{}
 					for _, fr := range rep.Freshness {
@@ -279,12 +276,12 @@ func TestGatewayReportsBadLegReply(t *testing.T) {
 			w.Header().Set("Content-Type", wal.MatchLegContentType)
 			w.Write(reply) //nolint:errcheck
 		}))
-		gw, err := shard.NewGateway([]string{good.URL, bad.URL}, shard.Options{HealthInterval: -1, MatchCacheSize: -1})
+		gw, err := shard.NewGateway([]string{good.URL, bad.URL}, shard.Options{HealthInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		gts := httptest.NewServer(gw)
-		_, res, _ := matchFull(t, gts.URL, server.MatchRequest{Seq: seq, PatientID: f.queryPID, SessionID: f.querySID, K: 10})
+		res := matchFull(t, gts.URL, server.MatchRequest{Seq: seq, PatientID: f.queryPID, SessionID: f.querySID, K: 10})
 		if !res.Degraded || res.ShardsOK != 1 || res.ShardErrors[bad.URL] == "" {
 			t.Errorf("%s: degraded=%v shardsOk=%d shardErrors=%v; want the bad shard reported", name, res.Degraded, res.ShardsOK, res.ShardErrors)
 		}
@@ -353,7 +350,7 @@ func TestGatewayLegsCarryScope(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}
-	gw, err := shard.NewGateway(urls, shard.Options{Replicas: 2, HealthInterval: -1, MatchCacheSize: -1})
+	gw, err := shard.NewGateway(urls, shard.Options{Replicas: 2, HealthInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +371,7 @@ func TestGatewayLegsCarryScope(t *testing.T) {
 		mu.Lock()
 		legs = nil
 		mu.Unlock()
-		_, res, _ := matchFull(t, gts.URL, server.MatchRequest{Seq: seq, K: 5, MaxLag: maxLag})
+		res := matchFull(t, gts.URL, server.MatchRequest{Seq: seq, K: 5, MaxLag: maxLag})
 		mu.Lock()
 		defer mu.Unlock()
 		return res, legs

@@ -15,14 +15,10 @@ type shardMetrics struct {
 	routed    *obs.CounterVec // backend: sessions routed by the ring
 	failovers *obs.Counter    // sessions promoted onto a replica
 
-	// Follower-read planner and result cache (see gateway.go handleMatch).
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheEvictions *obs.Counter
-	cacheEntries   *obs.Gauge
-	followerReads  *obs.Counter // patient arcs assigned to a follower leg
-	readRefusals   *obs.Counter // patients refused by a shard's freshness check
-	retryLegs      *obs.Counter // extra legs sent to recover refused/failed patients
+	// Follower-read planner (see gateway.go handleMatch).
+	followerReads *obs.Counter // patient arcs assigned to a follower leg
+	readRefusals  *obs.Counter // patients refused by a shard's freshness check
+	retryLegs     *obs.Counter // extra legs sent to recover refused/failed patients
 
 	// Elastic rebalancing (see rebalance.go).
 	rebalances             *obs.Counter
@@ -51,14 +47,6 @@ func newShardMetrics(r *obs.Registry) *shardMetrics {
 			"Sessions routed to a backend by the consistent-hash ring.", "backend"),
 		failovers: r.Counter("stsmatch_gateway_failovers_total",
 			"Sessions failed over to a replica after the primary was ejected."),
-		cacheHits: r.Counter("stsmatch_gateway_match_cache_hits_total",
-			"Match queries served from the result cache with zero backend calls."),
-		cacheMisses: r.Counter("stsmatch_gateway_match_cache_misses_total",
-			"Match cache lookups that fell through to a scatter."),
-		cacheEvictions: r.Counter("stsmatch_gateway_match_cache_evictions_total",
-			"Match cache entries evicted by the LRU bound."),
-		cacheEntries: r.Gauge("stsmatch_gateway_match_cache_entries",
-			"Match cache entries currently resident."),
 		followerReads: r.Counter("stsmatch_gateway_follower_reads_total",
 			"Patient arcs served by a follower leg instead of the primary."),
 		readRefusals: r.Counter("stsmatch_gateway_read_refusals_total",

@@ -218,19 +218,19 @@ func TestMigrateLiveSession(t *testing.T) {
 
 	want := assertPLREqual(t, "post-migration", c.URL, oracle.URL, sid)
 
-	c.Probe(1) // learn the new backend's store token
+	c.Probe(1)
 	c.Gateway.RefreshFreshness(context.Background())
 	seq := plr.Sequence(want.Vertices[len(want.Vertices)-10:])
 	req := server.MatchRequest{Seq: seq, PatientID: pid, SessionID: sid}
 	assertMatchEquivalence(t, "strict", c.URL, oracle.URL, req, 3, 3)
 
 	// Freshness equivalence: the loose bound may plan follower reads,
-	// but a token must never let a stale or tombstoned arc answer — the
+	// but never let a stale or tombstoned arc answer — the
 	// result stays byte-identical to the strict scatter and the oracle.
 	loose := req
 	loose.MaxLag = 1 << 20
 	assertMatchEquivalence(t, "loose", c.URL, oracle.URL, loose, 3, 3)
-	_, resL, _ := matchFull(t, c.URL, loose)
+	resL := matchFull(t, c.URL, loose)
 	if len(resL.UnservedPatients) != 0 {
 		t.Errorf("loose scatter left unserved patients: %v", resL.UnservedPatients)
 	}

@@ -1,12 +1,12 @@
 package shard_test
 
 // Read-path benchmarks: the same deterministic query through the
-// legacy primary-only scatter (max-lag 0), the follower-read plan
-// (loose bound, arcs pinned to caught-up replicas), and the gateway
-// result cache — and, in BenchmarkRebalanceDrain, while the cluster
-// grows a backend underneath it. Every response's match list is checked
-// against the primary-only reference, so CI's bench smoke at
-// -benchtime=1x doubles as a cheap end-to-end exercise of all four;
+// legacy primary-only scatter (max-lag 0) and the follower-read plan
+// (loose bound, arcs pinned to caught-up replicas) — and, in
+// BenchmarkRebalanceDrain, while the cluster grows a backend underneath
+// it. Every response's match list is checked against the primary-only
+// reference, so CI's bench smoke at -benchtime=1x doubles as a cheap
+// end-to-end exercise of all three;
 // for representative numbers run them at the default -benchtime (the
 // `cluster` workload of bench/ is the gated figure for the scatter
 // itself).
@@ -54,33 +54,32 @@ func benchIngest(tb testing.TB, baseURL, pid, sid string, seed int64) {
 	}
 }
 
-// tryMatch posts raw body bytes and returns the decoded result plus the
-// X-Cache header.
-func tryMatch(baseURL string, body []byte) (shard.MatchResult, string, error) {
+// tryMatch posts raw body bytes and returns the decoded result.
+func tryMatch(baseURL string, body []byte) (shard.MatchResult, error) {
 	var res shard.MatchResult
 	resp, err := http.Post(baseURL+"/v1/match", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return res, "", err
+		return res, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return res, "", err
+		return res, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return res, "", fmt.Errorf("match status %d: %s", resp.StatusCode, raw)
+		return res, fmt.Errorf("match status %d: %s", resp.StatusCode, raw)
 	}
-	return res, resp.Header.Get("X-Cache"), json.Unmarshal(raw, &res)
+	return res, json.Unmarshal(raw, &res)
 }
 
 // benchMatch is tryMatch for the benchmark's own goroutine.
-func benchMatch(tb testing.TB, baseURL string, body []byte) (shard.MatchResult, string) {
+func benchMatch(tb testing.TB, baseURL string, body []byte) shard.MatchResult {
 	tb.Helper()
-	res, cc, err := tryMatch(baseURL, body)
+	res, err := tryMatch(baseURL, body)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return res, cc
+	return res
 }
 
 // benchCohort ingests one 30 s session per patient through the gateway.
@@ -110,7 +109,7 @@ func benchQuery(b *testing.B, c *testutil.Cluster) (prim, fol, want []byte) {
 	if fol, err = json.Marshal(req); err != nil {
 		b.Fatal(err)
 	}
-	res, _ := benchMatch(b, c.URL, prim)
+	res := benchMatch(b, c.URL, prim)
 	if res.Degraded || len(res.Matches) == 0 {
 		b.Fatalf("warmup degraded=%v matches=%d", res.Degraded, len(res.Matches))
 	}
@@ -122,11 +121,9 @@ func benchQuery(b *testing.B, c *testutil.Cluster) (prim, fol, want []byte) {
 
 // setupReadBench boots an R=2 cluster with an ingested cohort and
 // returns the gateway URL, the two request bodies and the reference.
-func setupReadBench(b *testing.B, cacheSize int) (gwURL string, prim, fol, want []byte) {
+func setupReadBench(b *testing.B) (gwURL string, prim, fol, want []byte) {
 	b.Helper()
-	c := testutil.StartCluster(b, 3, 2, func(cfg *testutil.ClusterConfig) {
-		cfg.Gateway.MatchCacheSize = cacheSize
-	})
+	c := testutil.StartCluster(b, 3, 2)
 	benchCohort(b, c, []string{"P00", "P01", "P02"})
 	prim, fol, want = benchQuery(b, c)
 	return c.URL, prim, fol, want
@@ -153,17 +150,17 @@ func checkMatches(b *testing.B, res shard.MatchResult, want []byte) {
 }
 
 func BenchmarkMatchPrimaryOnly(b *testing.B) {
-	gwURL, prim, _, want := setupReadBench(b, -1)
+	gwURL, prim, _, want := setupReadBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := benchMatch(b, gwURL, prim)
+		res := benchMatch(b, gwURL, prim)
 		checkMatches(b, res, want)
 	}
 }
 
 func BenchmarkMatchFollowerReads(b *testing.B) {
-	gwURL, _, fol, want := setupReadBench(b, -1)
-	res, _ := benchMatch(b, gwURL, fol)
+	gwURL, _, fol, want := setupReadBench(b)
+	res := benchMatch(b, gwURL, fol)
 	if res.FollowerServed == 0 || res.PlannedPatients == 0 {
 		b.Fatalf("follower-read warmup: planned=%d followerServed=%d",
 			res.PlannedPatients, res.FollowerServed)
@@ -171,26 +168,7 @@ func BenchmarkMatchFollowerReads(b *testing.B) {
 	checkMatches(b, res, want)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := benchMatch(b, gwURL, fol)
-		checkMatches(b, res, want)
-	}
-}
-
-func BenchmarkMatchCacheHit(b *testing.B) {
-	gwURL, prim, _, want := setupReadBench(b, 0) // 0 = default-sized cache
-	// The setup query ran before any store tokens were known
-	// (uncacheable); the next fills the cache and the one after must
-	// hit.
-	benchMatch(b, gwURL, prim)
-	if _, cc := benchMatch(b, gwURL, prim); cc != "hit" {
-		b.Fatalf("cache warmup: X-Cache = %q, want hit", cc)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, cc := benchMatch(b, gwURL, prim)
-		if cc != "hit" {
-			b.Fatalf("iteration %d: X-Cache = %q, want hit", i, cc)
-		}
+		res := benchMatch(b, gwURL, fol)
 		checkMatches(b, res, want)
 	}
 }
@@ -209,9 +187,7 @@ func BenchmarkRebalanceDrain(b *testing.B) {
 	const probes = 20 // timed queries before and after the drain
 	var drainS, before, during, after, moved float64
 	for i := 0; i < b.N; i++ {
-		c := testutil.StartCluster(b, 3, 2, func(cfg *testutil.ClusterConfig) {
-			cfg.Gateway.MatchCacheSize = -1 // every query really scatters
-		})
+		c := testutil.StartCluster(b, 3, 2)
 		urls := []string{c.Nodes[0].URL, c.Nodes[1].URL, c.Nodes[2].URL}
 		n4 := c.AddNode(nil)
 		// Loopback ports differ per run and so does the ring: one patient
@@ -224,7 +200,7 @@ func BenchmarkRebalanceDrain(b *testing.B) {
 		prim, _, want := benchQuery(b, c)
 
 		checked := func() error {
-			res, _, err := tryMatch(c.URL, prim)
+			res, err := tryMatch(c.URL, prim)
 			if err != nil {
 				return err
 			}

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"stsmatch/internal/server"
@@ -17,23 +19,14 @@ import (
 	"stsmatch/internal/testutil"
 )
 
-// matchFull posts a match request and returns the raw response bytes,
-// the decoded result, and the X-Cache header.
-func matchFull(t *testing.T, baseURL string, req server.MatchRequest) ([]byte, shard.MatchResult, string) {
+// matchFull posts a match request and decodes the gateway's result.
+func matchFull(t *testing.T, baseURL string, req server.MatchRequest) shard.MatchResult {
 	t.Helper()
 	resp := testutil.PostJSON(t, baseURL+"/v1/match", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("match via %s: status %d", baseURL, resp.StatusCode)
 	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res shard.MatchResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatal(err)
-	}
-	return raw, res, resp.Header.Get("X-Cache")
+	return testutil.Decode[shard.MatchResult](t, resp)
 }
 
 // scrapeCounter reads one unlabelled counter from a /metrics endpoint.
@@ -89,7 +82,7 @@ func TestFollowerReadsByteIdenticalToPrimary(t *testing.T) {
 	for _, k := range []int{0, 10} {
 		base := server.MatchRequest{Seq: seq, PatientID: f.queryPID, SessionID: f.querySID, K: k}
 
-		_, res0, _ := matchFull(t, f.cluster.URL, base)
+		res0 := matchFull(t, f.cluster.URL, base)
 		if res0.Degraded || res0.ShardsOK != 3 {
 			t.Fatalf("k=%d: primary-only scatter degraded=%v shardsOk=%d", k, res0.Degraded, res0.ShardsOK)
 		}
@@ -100,7 +93,7 @@ func TestFollowerReadsByteIdenticalToPrimary(t *testing.T) {
 
 		loose := base
 		loose.MaxLag = 1 << 20
-		_, resL, _ := matchFull(t, f.cluster.URL, loose)
+		resL := matchFull(t, f.cluster.URL, loose)
 		if resL.Degraded || len(resL.UnservedPatients) != 0 {
 			t.Fatalf("k=%d: follower-read scatter degraded=%v unserved=%v",
 				k, resL.Degraded, resL.UnservedPatients)
@@ -118,63 +111,6 @@ func TestFollowerReadsByteIdenticalToPrimary(t *testing.T) {
 	}
 	logMetricLines(t, "gateway", f.cluster.URL,
 		"stsmatch_gateway_follower_reads_total", "stsmatch_gateway_read_refusals_total")
-}
-
-// TestMatchCacheHitMissAndInvalidation: an identical repeated query is
-// a byte-identical cache hit with zero extra backend work, and any
-// ingest that advances a shard's high-water mark makes the next query
-// miss and recompute against the new data.
-func TestMatchCacheHitMissAndInvalidation(t *testing.T) {
-	f := newFixture(t, 2)
-	f.cluster.Probe(1) // ensure every backend's store token is known
-	seq := f.querySeq(t)
-	req := server.MatchRequest{Seq: seq, PatientID: f.queryPID, SessionID: f.querySID, K: 10, MaxLag: 1 << 20}
-
-	raw1, res1, cc1 := matchFull(t, f.cluster.URL, req)
-	if cc1 != "miss" {
-		t.Fatalf("first query X-Cache = %q, want miss", cc1)
-	}
-	if res1.Degraded {
-		t.Fatal("healthy cluster degraded")
-	}
-	raw2, _, cc2 := matchFull(t, f.cluster.URL, req)
-	if cc2 != "hit" {
-		t.Fatalf("repeat query X-Cache = %q, want hit", cc2)
-	}
-	if !bytes.Equal(raw1, raw2) {
-		t.Fatalf("cache hit is not byte-identical to the miss\nmiss: %s\nhit:  %s", trunc(raw1), trunc(raw2))
-	}
-	if f.cluster.Gateway.MatchCacheLen() == 0 {
-		t.Error("cache reports zero entries after a stored result")
-	}
-
-	// A different max-lag is a different canonical query: its own miss.
-	other := req
-	other.MaxLag = 0
-	if _, _, cc := matchFull(t, f.cluster.URL, other); cc != "miss" {
-		t.Errorf("different max-lag served from cache (X-Cache %q)", cc)
-	}
-
-	// Ingest through the gateway (new patient, new session) advances
-	// its owners' high-water marks: the exact original query must miss
-	// and reflect the new data.
-	ingestSession(t, f.cluster.URL, "P06", "S-P06", 206)
-	ingestSession(t, f.oracle.URL, "P06", "S-P06", 206)
-	raw3, res3, cc3 := matchFull(t, f.cluster.URL, req)
-	if cc3 != "miss" {
-		t.Fatalf("post-ingest query X-Cache = %q, want miss (stale entry replayed)", cc3)
-	}
-	oresp := testutil.PostJSON(t, f.oracle.URL+"/v1/match",
-		server.MatchRequest{Seq: seq, PatientID: f.queryPID, SessionID: f.querySID, K: 10})
-	oracle := testutil.Decode[server.MatchResponse](t, oresp)
-	mustEqualMatches(t, "post-ingest recompute vs oracle", oracle.Matches, res3.Matches)
-
-	// And the recomputed result is itself cached.
-	raw4, _, cc4 := matchFull(t, f.cluster.URL, req)
-	if cc4 != "hit" || !bytes.Equal(raw3, raw4) {
-		t.Errorf("recomputed result not re-cached (X-Cache %q, identical %v)", cc4, bytes.Equal(raw3, raw4))
-	}
-	logMetricLines(t, "gateway", f.cluster.URL, "stsmatch_gateway_match_cache")
 }
 
 // TestStaleFollowerRefusedThenServedAtLooseBound drives the refusal
@@ -267,7 +203,7 @@ func TestStaleFollowerRefusedThenServedAtLooseBound(t *testing.T) {
 
 	tight := req
 	tight.MaxLag = 1
-	_, resT, _ := matchFull(t, c.URL, tight)
+	resT := matchFull(t, c.URL, tight)
 	if resT.PlannedPatients != 1 {
 		t.Fatalf("tight-bound query planned %d patients, want 1", resT.PlannedPatients)
 	}
@@ -291,7 +227,7 @@ func TestStaleFollowerRefusedThenServedAtLooseBound(t *testing.T) {
 		testutil.PostJSON(t, followerURL+"/v1/match", req))
 	looseReq := req
 	looseReq.MaxLag = 1 << 20
-	_, resL, _ := matchFull(t, c.URL, looseReq)
+	resL := matchFull(t, c.URL, looseReq)
 	if resL.FollowerServed != 1 {
 		t.Fatalf("loose bound follower-served = %d, want 1", resL.FollowerServed)
 	}
@@ -306,12 +242,7 @@ func TestStaleFollowerRefusedThenServedAtLooseBound(t *testing.T) {
 // checker notices — must keep results byte-identical to the oracle via
 // surviving owners, with nothing unserved.
 func TestKillPrimaryDuringFollowerReads(t *testing.T) {
-	// The cache is disabled so every query really exercises the scatter
-	// planner (a cached pre-kill answer would be correct but prove
-	// nothing about failover).
-	cluster := testutil.StartCluster(t, 3, 2, func(cfg *testutil.ClusterConfig) {
-		cfg.Gateway.MatchCacheSize = -1
-	})
+	cluster := testutil.StartCluster(t, 3, 2)
 	oracle := newOracleTS(t)
 	for i := 0; i < 6; i++ {
 		pid := fmt.Sprintf("P%02d", i)
@@ -329,7 +260,7 @@ func TestKillPrimaryDuringFollowerReads(t *testing.T) {
 		t.Fatal("oracle found no matches; fixture broken")
 	}
 
-	_, pre, _ := matchFull(t, cluster.URL, req)
+	pre := matchFull(t, cluster.URL, req)
 	if pre.Degraded || pre.FollowerServed == 0 {
 		t.Fatalf("pre-kill follower reads: degraded=%v followerServed=%d", pre.Degraded, pre.FollowerServed)
 	}
@@ -340,7 +271,7 @@ func TestKillPrimaryDuringFollowerReads(t *testing.T) {
 
 	// Before the prober notices, legs to the dead shard fail and their
 	// planned patients must be recovered on alternates in-query.
-	_, mid, _ := matchFull(t, cluster.URL, req)
+	mid := matchFull(t, cluster.URL, req)
 	if mid.Degraded || len(mid.UnservedPatients) != 0 {
 		t.Fatalf("mid-kill query degraded=%v unserved=%v shardErrors=%v",
 			mid.Degraded, mid.UnservedPatients, mid.ShardErrors)
@@ -352,7 +283,7 @@ func TestKillPrimaryDuringFollowerReads(t *testing.T) {
 
 	// After ejection the planner routes around the dead shard entirely.
 	cluster.Probe(1)
-	_, post, _ := matchFull(t, cluster.URL, req)
+	post := matchFull(t, cluster.URL, req)
 	if post.Degraded || len(post.UnservedPatients) != 0 {
 		t.Fatalf("post-ejection query degraded=%v unserved=%v", post.Degraded, post.UnservedPatients)
 	}
@@ -363,82 +294,96 @@ func TestKillPrimaryDuringFollowerReads(t *testing.T) {
 		"stsmatch_gateway_read_refusals_total")
 }
 
-// TestMatchCacheConcurrentIngest hammers one query from several
-// goroutines while sessions are created and ingested through the same
-// gateway. Invariants: every cache hit is byte-identical to some
-// previously computed miss (hits never invent data), and once all
-// ingest is acknowledged the next query reflects the complete data
-// set, byte-identical to an oracle holding the same union.
-func TestMatchCacheConcurrentIngest(t *testing.T) {
-	f := newFixture(t, 1)
-	f.cluster.Probe(1)
-	seq := f.querySeq(t)
-	req := server.MatchRequest{Seq: seq, PatientID: f.queryPID, SessionID: f.querySID, K: 10}
+// The two read-your-writes tests below keep the names they had when the
+// gateway cached match results; the gateway caches nothing now, and
+// what outlives the cache is that a query through the gateway reads
+// every write the gateway has acknowledged.
 
-	type obsd struct {
-		cache string
-		body  string
+// oracleMatches answers req on the fixture's single-node oracle.
+func (f *fixture) oracleMatches(t *testing.T, req server.MatchRequest) []server.RemoteMatch {
+	t.Helper()
+	return testutil.Decode[server.MatchResponse](t, testutil.PostJSON(t, f.oracle.URL+"/v1/match", req)).Matches
+}
+
+// TestMatchCacheHitMissAndInvalidation: after an acked ingest of a new
+// patient, the next query — cut from that patient's session, so its
+// answer must include the patient — equals a single-node oracle holding
+// the same union, at max-lag 0 and at a loose bound.
+func TestMatchCacheHitMissAndInvalidation(t *testing.T) {
+	f := newFixture(t, 2)
+	for i, maxLag := range []int{0, 1 << 20} {
+		pid := fmt.Sprintf("P%02d", 6+i)
+		ingestSession(t, f.cluster.URL, pid, "S-"+pid, int64(206+i))
+		ingestSession(t, f.oracle.URL, pid, "S-"+pid, int64(206+i))
+		pr := testutil.GetJSON[server.PLRResponse](t, f.oracle.URL+"/v1/sessions/S-"+pid+"/plr")
+		req := server.MatchRequest{Seq: pr.Vertices[len(pr.Vertices)-20 : len(pr.Vertices)-10], K: 10, MaxLag: maxLag}
+		res := matchFull(t, f.cluster.URL, req)
+		if res.Degraded {
+			t.Fatalf("max-lag %d: healthy cluster degraded: %+v", maxLag, res)
+		}
+		if !slices.ContainsFunc(res.Matches, func(m server.RemoteMatch) bool { return m.PatientID == pid }) {
+			t.Errorf("max-lag %d: no match from %s, whose ingest was acked", maxLag, pid)
+		}
+		mustEqualMatches(t, fmt.Sprintf("max-lag %d after the acked ingest of %s", maxLag, pid), f.oracleMatches(t, req), res.Matches)
 	}
-	var mu sync.Mutex
-	var seen []obsd
+}
 
-	const queriers = 4
-	const perQuerier = 20
+// TestMatchCacheConcurrentIngest: four queriers run while sessions are
+// created and ingested through the same gateway. Every response is a
+// complete 200, and once the last ingest is acked the query equals a
+// single-node oracle holding the same union, at max-lag 0 and at a
+// loose bound.
+func TestMatchCacheConcurrentIngest(t *testing.T) {
+	f := newFixture(t, 2)
+	seq := f.querySeq(t)
+	reqs := []server.MatchRequest{
+		{Seq: seq, PatientID: f.queryPID, SessionID: f.querySID, K: 10},
+		{Seq: seq, PatientID: f.queryPID, SessionID: f.querySID, K: 10, MaxLag: 1 << 20},
+	}
+	var bodies [][]byte
+	for _, req := range reqs {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	var answered atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < queriers; w++ {
+	ingested := make(chan struct{})
+	for w := range 4 {
 		wg.Add(1)
-		go func() {
+		go func(body []byte) {
 			defer wg.Done()
-			for i := 0; i < perQuerier; i++ {
-				resp := testutil.PostJSON(t, f.cluster.URL+"/v1/match", req)
-				raw, err := io.ReadAll(resp.Body)
-				if err != nil || resp.StatusCode != http.StatusOK {
-					t.Errorf("concurrent match: status %d err %v", resp.StatusCode, err)
+			for {
+				res, err := tryMatch(f.cluster.URL, body)
+				if err != nil {
+					t.Errorf("concurrent match: %v", err)
 					return
 				}
-				mu.Lock()
-				seen = append(seen, obsd{cache: resp.Header.Get("X-Cache"), body: string(raw)})
-				mu.Unlock()
+				if res.Degraded {
+					t.Errorf("concurrent match degraded: %+v", res)
+					return
+				}
+				answered.Add(1)
+				select {
+				case <-ingested:
+					return
+				default:
+				}
 			}
-		}()
+		}(bodies[w%len(bodies)])
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 3; i++ {
+	func() {
+		defer func() { close(ingested); wg.Wait() }()
+		for i := range 3 {
 			pid := fmt.Sprintf("P1%d", i)
 			ingestSession(t, f.cluster.URL, pid, "S-"+pid, int64(300+i))
 			ingestSession(t, f.oracle.URL, pid, "S-"+pid, int64(300+i))
 		}
 	}()
-	wg.Wait()
-
-	misses := make(map[string]bool)
-	for _, o := range seen {
-		if o.cache != "hit" {
-			misses[o.body] = true
-		}
-	}
-	hits := 0
-	for _, o := range seen {
-		if o.cache != "hit" {
-			continue
-		}
-		hits++
-		if !misses[o.body] {
-			t.Fatalf("cache hit served bytes no miss ever computed: %s", trunc([]byte(o.body)))
-		}
-	}
-	t.Logf("concurrent phase: %d responses, %d hits, %d distinct miss bodies", len(seen), hits, len(misses))
-
-	// Quiescent now: the query must reflect all acknowledged ingest —
-	// whether freshly computed or a hit on a post-ingest entry, the
-	// high-water-mark key guarantees no pre-ingest bytes survive.
-	raw1, res1, _ := matchFull(t, f.cluster.URL, req)
-	owant := testutil.Decode[server.MatchResponse](t, testutil.PostJSON(t, f.oracle.URL+"/v1/match", req))
-	mustEqualMatches(t, "settled concurrent-ingest state vs oracle", owant.Matches, res1.Matches)
-	raw2, _, cc2 := matchFull(t, f.cluster.URL, req)
-	if cc2 != "hit" || !bytes.Equal(raw1, raw2) {
-		t.Errorf("settled repeat: X-Cache %q, byte-identical %v", cc2, bytes.Equal(raw1, raw2))
+	t.Logf("%d queries answered during ingest", answered.Load())
+	for _, req := range reqs {
+		mustEqualMatches(t, fmt.Sprintf("max-lag %d once ingest settled", req.MaxLag), f.oracleMatches(t, req), matchFull(t, f.cluster.URL, req).Matches)
 	}
 }

@@ -255,9 +255,8 @@ func TestTracePropagation(t *testing.T) {
 // gateway and all three shards, and the others leave no trace anywhere;
 // a caller's -01 query is one tree every time.
 func TestGatewayHeadSampling(t *testing.T) {
-	// Every query is the same one: without the result cache each
-	// scatters to all three shards.
-	c := testutil.StartCluster(t, 3, 1, func(cfg *testutil.ClusterConfig) { cfg.Gateway.MatchCacheSize = -1 })
+	// Every query is the same one, and each scatters to all three shards.
+	c := testutil.StartCluster(t, 3, 1)
 	emptyShard := func() bool {
 		for _, n := range c.Nodes {
 			if testutil.GetJSON[server.StatsResponse](t, n.URL+"/v1/stats").Patients == 0 {
@@ -307,11 +306,21 @@ func TestGatewayHeadSampling(t *testing.T) {
 		}
 		return out
 	}
+	// A service offers a trace when its handler chain unwinds, which can
+	// be just after its caller has the reply's headers: wait for it.
+	awaitRecorded := func(col *obs.Collector, id string) []obs.TraceData {
+		tds := recorded(col, id)
+		for wait := 0; len(tds) == 0 && wait < 200; wait++ {
+			time.Sleep(5 * time.Millisecond)
+			tds = recorded(col, id)
+		}
+		return tds
+	}
 	// oneTree: the gateway holds the query's trace and every shard holds
 	// exactly one trace under the same ID, rooted on a gateway span.
 	oneTree := func(id string) {
 		t.Helper()
-		gw := recorded(c.Gateway.Traces(), id)
+		gw := awaitRecorded(c.Gateway.Traces(), id)
 		if len(gw) != 1 {
 			t.Fatalf("gateway holds %d traces %s, want 1", len(gw), id)
 		}
@@ -320,13 +329,7 @@ func TestGatewayHeadSampling(t *testing.T) {
 			gwSpans[sd.SpanID] = true
 		}
 		for _, n := range c.Nodes {
-			// A shard's trace is offered when its handler chain unwinds,
-			// which can be just after the gateway has its reply.
-			tds := recorded(n.Server.Traces(), id)
-			for wait := 0; len(tds) == 0 && wait < 200; wait++ {
-				time.Sleep(5 * time.Millisecond)
-				tds = recorded(n.Server.Traces(), id)
-			}
+			tds := awaitRecorded(n.Server.Traces(), id)
 			if len(tds) != 1 {
 				t.Fatalf("shard %s holds %d traces %s, want 1", n.URL, len(tds), id)
 			}
@@ -341,20 +344,28 @@ func TestGatewayHeadSampling(t *testing.T) {
 		}
 	}
 
-	sampled := 0
-	var unsampled []string
-	for i := 0; i < obs.SampleEvery; i++ {
-		id := match("")
-		if len(recorded(c.Gateway.Traces(), id)) == 1 {
-			sampled++
-			oneTree(id)
+	ids := make([]string, obs.SampleEvery)
+	for i := range ids {
+		ids[i] = match("")
+	}
+	// Wait until the gateway has offered a trace for one of the queries,
+	// then split them by whether it holds theirs.
+	isSampled := func(id string) bool { return len(recorded(c.Gateway.Traces(), id)) != 0 }
+	for wait := 0; !slices.ContainsFunc(ids, isSampled) && wait < 200; wait++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	var sampled, unsampled []string
+	for _, id := range ids {
+		if isSampled(id) {
+			sampled = append(sampled, id)
 		} else {
 			unsampled = append(unsampled, id)
 		}
 	}
-	if sampled != 1 {
-		t.Fatalf("gateway sampled %d of %d consecutive queries, want 1", sampled, obs.SampleEvery)
+	if len(sampled) != 1 {
+		t.Fatalf("gateway sampled %d of %d consecutive queries, want 1", len(sampled), obs.SampleEvery)
 	}
+	oneTree(sampled[0])
 	for i := 1; i <= 2; i++ {
 		id := fmt.Sprintf("%032x", 0xc0ffee+i)
 		if got := match("00-" + id + "-00000000000000aa-01"); got != id {
@@ -362,9 +373,12 @@ func TestGatewayHeadSampling(t *testing.T) {
 		}
 		oneTree(id)
 	}
-	// Checked last, after the waits above, so a late-landing shard
-	// trace would be seen.
+	// Checked last, after the waits above, so a late-landing gateway or
+	// shard trace would be seen.
 	for _, id := range unsampled {
+		if isSampled(id) {
+			t.Fatalf("unsampled query %s left a trace on the gateway", id)
+		}
 		for _, n := range c.Nodes {
 			if tds := recorded(n.Server.Traces(), id); len(tds) != 0 {
 				t.Fatalf("unsampled query %s left a trace on shard %s: %v", id, n.URL, traceSpanNames(tds[0]))

@@ -60,22 +60,12 @@ type MutationHook func(Mutation)
 // emit never takes a lock.
 type hookRef struct {
 	fns atomic.Pointer[[]MutationHook]
-
-	// seq counts every mutation emitted through this cell, whether or
-	// not hooks are installed. It is the database's logical high-water
-	// mark: any write — patient upsert, stream open, vertex append,
-	// local or replicated — advances it, so equal sequence numbers mean
-	// the database cannot have changed in between. The server exposes
-	// it as the X-Store-Seq response header and the gateway keys its
-	// result cache on it.
-	seq atomic.Uint64
 }
 
 func (h *hookRef) emit(m Mutation) {
 	if h == nil {
 		return
 	}
-	h.seq.Add(1)
 	if fns := h.fns.Load(); fns != nil {
 		for _, fn := range *fns {
 			fn(m)
@@ -452,14 +442,22 @@ type Patient struct {
 	Streams []*Stream
 
 	hook *hookRef // inherited from the owning DB; nil for bare records
+	db   *DB      // the owning DB; nil for bare records
 }
 
 // AddStream creates, registers and returns a new stream for the given
-// session.
+// session. The append holds the owning DB's lock: a search lists the
+// streams under it (AppendStreams), outside any lock of the caller's.
 func (p *Patient) AddStream(sessionID string) *Stream {
 	st := NewStream(p.Info.ID, sessionID)
 	st.hook = p.hook
+	if p.db != nil {
+		p.db.mu.Lock()
+	}
 	p.Streams = append(p.Streams, st)
+	if p.db != nil {
+		p.db.mu.Unlock()
+	}
 	mStreams.Inc()
 	p.hook.emit(Mutation{
 		Kind:      MutStreamOpen,
@@ -541,7 +539,7 @@ func (db *DB) AddPatient(info PatientInfo) (*Patient, error) {
 	if _, ok := db.byID[info.ID]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicatePatient, info.ID)
 	}
-	p := &Patient{Info: info, hook: db.hook}
+	p := &Patient{Info: info, hook: db.hook, db: db}
 	db.patients = append(db.patients, p)
 	db.byID[info.ID] = p
 	mPatients.Inc()
@@ -564,13 +562,6 @@ func (db *DB) Patients() []*Patient {
 	out := make([]*Patient, len(db.patients))
 	copy(out, db.patients)
 	return out
-}
-
-// MutationSeq returns the database's monotone mutation counter: the
-// number of mutations emitted since the DB was created. Two equal
-// readings bracket a quiescent database.
-func (db *DB) MutationSeq() uint64 {
-	return db.hook.seq.Load()
 }
 
 // NumPatients returns the number of patient records.

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -358,6 +359,38 @@ func TestStreamConcurrentReadsDuringAppend(t *testing.T) {
 	wg.Wait()
 	if st.Len() != 500 {
 		t.Errorf("Len = %d, want 500", st.Len())
+	}
+}
+
+// TestStreamsDuringAddStream: a search lists the streams (AppendStreams)
+// under no lock but the DB's, while a server opens sessions under its
+// own; under -race this fails unless AddStream takes the DB's lock.
+func TestStreamsDuringAddStream(t *testing.T) {
+	db := NewDB()
+	p, err := db.AddPatient(PatientInfo{ID: "P"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			p.AddStream(strconv.Itoa(i))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			for _, st := range db.Streams() {
+				st.Len()
+			}
+		}
+	}()
+	wg.Wait()
+	if got := len(db.Streams()); got != n {
+		t.Errorf("%d streams, want %d", got, n)
 	}
 }
 
