@@ -30,6 +30,10 @@
 //	curl localhost:8760/v1/healthz                     # per-backend health
 //	curl localhost:8760/metrics                        # Prometheus text
 //
+// Backend calls ride pooled connections upgraded to frames
+// (internal/frame) on each backend's own port; only a relayed event
+// stream stays on HTTP. No flag is involved.
+//
 // The gateway keeps no durable state: session placement is derived
 // from the ring on create and rediscovered from the shards'
 // /v1/shard/stats inventories after a restart.

@@ -36,10 +36,15 @@
 // /v1/healthz report per-session per-link shipped/acked sequence
 // numbers plus per-patient holdings.
 //
+// A gateway or peer shard upgrades its connections on the same port to
+// frames (internal/frame), served by the same handlers; curl and every
+// other client speak HTTP there as before. Nothing needs configuring.
+//
 // With -pprof the daemon additionally serves net/http/pprof under
 // /debug/pprof/ on the same listener. The daemon shuts down gracefully
-// on SIGINT/SIGTERM, draining in-flight requests, then flushing the
-// WAL and writing a final snapshot so no in-memory state is lost.
+// on SIGINT/SIGTERM, draining in-flight requests, closing its framed
+// connections, then flushing the WAL and writing a final snapshot so
+// no in-memory state is lost.
 //
 // With -demo, streamd instead runs an in-process end-to-end demo
 // against its own API: it starts the server on the listen address,

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"stsmatch/internal/frame"
 	"stsmatch/internal/fsm"
 	"stsmatch/internal/store"
 	"stsmatch/internal/wal"
@@ -54,9 +55,10 @@ type Options struct {
 	// source is in this list. Empty accepts any source.
 	ReplicateFrom []string
 
-	// ReplicateTransport overrides the HTTP transport used for
-	// replication shipments (tests inject fault-injecting transports
-	// here). Nil uses the default transport.
+	// ReplicateTransport overrides the transport of this node's calls
+	// to other shards: replication shipments and migration promotes
+	// (tests inject fault-injecting transports here). Nil uses the frame
+	// carrier (internal/frame).
 	ReplicateTransport http.RoundTripper
 
 	// TraceCapacity bounds the in-memory trace collector's rings (both
@@ -355,10 +357,15 @@ func (s *Server) snapshotLoop(every time.Duration) {
 	}
 }
 
-// Close flushes the WAL, takes a final snapshot, and releases the data
-// dir. It is a no-op for in-memory servers. Call it after the HTTP
-// listener has drained so no requests race the final snapshot.
+// Close closes the framed connections served and dialed (an exchange in
+// flight first ends), flushes the WAL, takes a final snapshot, and
+// releases the data dir. Call it after the HTTP listener has drained so
+// no requests race the final snapshot.
 func (s *Server) Close() error {
+	s.frames.Close()
+	if t, ok := s.peers.(*frame.Transport); ok {
+		t.Close()
+	}
 	if s.wal == nil {
 		return nil
 	}

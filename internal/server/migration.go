@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
@@ -392,24 +391,12 @@ func (s *Server) promoteTarget(ctx context.Context, target, sid string, replicat
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		target+"/v1/sessions/"+url.PathEscape(sid)+"/promote", strings.NewReader(string(body)))
+	status, data, err := s.callPeer(ctx, target+"/v1/sessions/"+url.PathEscape(sid)+"/promote", "application/json", body)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	obs.InjectHeaders(ctx, req.Header)
-	resp, err := s.replClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("target answered %d: %s", resp.StatusCode, strings.TrimSpace(string(data)))
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("target answered %d: %s", status, strings.TrimSpace(string(data)))
 	}
 	var pr PromoteResponse
 	if err := json.Unmarshal(data, &pr); err != nil {

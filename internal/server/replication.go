@@ -393,23 +393,34 @@ func (s *Server) shipBatch(ctx context.Context, target string, b wal.Batch) (sta
 		sp.Annotate("snapshot", true)
 	}
 	payload := wal.EncodeBatch(b)
-	req, err := http.NewRequestWithContext(sctx, http.MethodPost,
-		target+"/v1/replicate", bytes.NewReader(payload))
+	status, _, err = s.callPeer(sctx, target+"/v1/replicate", "application/octet-stream", payload)
 	if err != nil {
 		sp.Annotate("error", err.Error())
 		return 0, 0, err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	obs.InjectHeaders(sctx, req.Header)
-	resp, err := s.replClient.Do(req)
+	sp.Annotate("status", status)
+	return status, len(payload), nil
+}
+
+// callPeer POSTs one request to another shard through s.peers under
+// DefaultReplicateTimeout, with the trace context and request ID, and
+// returns the status and up to 1 MiB of the reply.
+func (s *Server) callPeer(ctx context.Context, url, ctype string, body []byte) (int, []byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, DefaultReplicateTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		sp.Annotate("error", err.Error())
-		return 0, 0, err
+		return 0, nil, err
 	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck
-	resp.Body.Close()
-	sp.Annotate("status", resp.StatusCode)
-	return resp.StatusCode, len(payload), nil
+	req.Header.Set("Content-Type", ctype)
+	obs.InjectHeaders(ctx, req.Header)
+	resp, err := s.peers.RoundTrip(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	return resp.StatusCode, data, err
 }
 
 // replicaState is a follower's view of one replicated session: the

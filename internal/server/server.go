@@ -40,6 +40,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -52,6 +53,7 @@ import (
 	"time"
 
 	"stsmatch/internal/core"
+	"stsmatch/internal/frame"
 	"stsmatch/internal/fsm"
 	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
@@ -68,7 +70,6 @@ type Server struct {
 	segCfg   fsm.Config
 	sessions map[string]*session
 	mux      *http.ServeMux
-	handler  http.Handler
 	log      *slog.Logger
 	met      *serverMetrics
 	start    time.Time
@@ -87,12 +88,16 @@ type Server struct {
 	col *obs.Collector
 
 	// Replication (see replication.go): sessions this node follows as
-	// a replica (guarded by mu), the client primaries ship with, this
-	// node's advertised URL, and the source allowlist for /v1/replicate.
-	replicas   map[string]*replicaState
-	replClient *http.Client
-	advertise  string
-	replFrom   []string
+	// a replica (guarded by mu), this node's advertised URL, and the
+	// source allowlist for /v1/replicate.
+	replicas  map[string]*replicaState
+	advertise string
+	replFrom  []string
+
+	// peers carries replication shipments and migration promotes to other
+	// shards; frames serves every request, HTTP or framed.
+	peers  http.RoundTripper
+	frames frame.Server
 
 	// Live session migration (see migration.go): per-session migration
 	// state (guarded by mu; committed entries are tombstones answering
@@ -180,7 +185,8 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 	if s.maxBody == 0 {
 		s.maxBody = DefaultMaxBodyBytes
 	}
-	s.replClient = &http.Client{Timeout: DefaultReplicateTimeout, Transport: opts.ReplicateTransport}
+	s.frames.MaxBody = s.maxBody
+	s.peers = cmp.Or[http.RoundTripper](opts.ReplicateTransport, &frame.Transport{})
 	s.subs = subscribe.NewManager(params, opts.SubscriptionBuffer)
 	if opts.DataDir != "" {
 		if err := s.openDurability(db, opts); err != nil {
@@ -219,7 +225,7 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 	// /metrics is excluded from the access log and from tracing, but
 	// still counts in the request metrics like any other route.
 	s.mux.Handle("GET /metrics", s.met.http.WrapScrape("metrics", obs.Default().Handler()))
-	s.handler = obs.RequestID(obs.TraceHTTP("server", s.col, obs.AccessLog(s.log, s.mux)))
+	s.frames.Handler = obs.RequestID(obs.TraceHTTP("server", s.col, obs.AccessLog(s.log, s.mux)))
 	return s, nil
 }
 
@@ -231,8 +237,9 @@ func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 	s.mux.Handle(pattern, s.met.http.Wrap(name, h))
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler; an upgrade to the frame carrier
+// (internal/frame) takes the connection over.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.frames.ServeHTTP(w, r) }
 
 // OpenSessions returns the number of currently open ingestion
 // sessions (used by daemons for shutdown reporting).

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"stsmatch/internal/frame"
 	"stsmatch/internal/obs"
 )
 
@@ -58,9 +60,9 @@ type Options struct {
 	// between crashes stays ejected.
 	ReadmitThreshold int
 
-	// Transport overrides the HTTP transport for every backend client
-	// (tests inject deterministic fault-injecting transports here).
-	// Nil selects a production-shaped pooled transport.
+	// Transport overrides the transport of every backend call (tests
+	// inject deterministic fault-injecting transports here). Nil selects
+	// the frame carrier (internal/frame), which Close closes.
 	Transport http.RoundTripper
 
 	// TraceCapacity bounds the gateway's in-memory trace collector
@@ -149,22 +151,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// maxResponseBytes caps how much of a backend response the gateway
-// buffers (a full-stream PLR response can be large, but not this
-// large).
-const maxResponseBytes = 64 << 20
+// errResponseTooLarge is a backend reply over frame.MaxReplyBytes (a
+// full-stream PLR response can be large, but not this large), refused
+// unread. The backend did answer, so it is not a health failure, and an
+// identical retry would only fetch the same bytes.
+var errResponseTooLarge = frame.ErrTooLarge
 
-// errResponseTooLarge reports a backend response longer than
-// maxResponseBytes. The backend did answer, so it is not a health
-// failure, and an identical retry would only fetch the same bytes.
-var errResponseTooLarge = fmt.Errorf("response exceeds %d bytes", maxResponseBytes)
-
-// Backend is one streamd instance as seen by the gateway: a base URL,
-// a pooled HTTP client, and the health state maintained by active
-// probes and passive request outcomes.
+// Backend is one streamd instance as seen by the gateway: a base URL
+// and the health state maintained by active probes and passive request
+// outcomes.
 type Backend struct {
 	url       string
-	hc        *http.Client
 	healthy   atomic.Bool
 	fails     atomic.Int64
 	successes atomic.Int64 // consecutive successes while ejected
@@ -191,6 +188,8 @@ type Pool struct {
 	met      *shardMetrics
 	log      *slog.Logger
 
+	rt http.RoundTripper // Options.Transport, else the frame carrier
+
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
@@ -211,6 +210,7 @@ func NewPool(urls []string, opts Options) (*Pool, error) {
 		log:   obs.Logger("shard"),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
+		rt:    cmp.Or[http.RoundTripper](opts.Transport, &frame.Transport{}),
 	}
 	for _, u := range urls {
 		if u == "" {
@@ -229,27 +229,20 @@ func NewPool(urls []string, opts Options) (*Pool, error) {
 	return p, nil
 }
 
-// Close stops the active health checker.
+// Close stops the active health checker and closes every framed
+// connection the pool dialed.
 func (p *Pool) Close() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	<-p.done
+	if t, ok := p.rt.(*frame.Transport); ok {
+		t.Close()
+	}
 }
 
 // addLocked builds and registers one backend. Callers hold p.mu (or
 // own the pool exclusively, as NewPool does).
 func (p *Pool) addLocked(u string) *Backend {
-	transport := p.opts.Transport
-	if transport == nil {
-		transport = &http.Transport{
-			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 32,
-			IdleConnTimeout:     90 * time.Second,
-		}
-	}
-	b := &Backend{
-		url: u,
-		hc:  &http.Client{Transport: transport},
-	}
+	b := &Backend{url: u}
 	b.healthy.Store(true)
 	p.met.healthy.With(u).Set(1)
 	p.backends = append(p.backends, b)
@@ -323,7 +316,7 @@ func (p *Pool) backoff(n int) time.Duration {
 // times on transport errors and retryable statuses; non-idempotent
 // calls get exactly one attempt. The returned status, body and headers
 // are the backend's response verbatim; a non-nil error means no usable
-// response was obtained. A response over maxResponseBytes is such an
+// response was obtained. A response over frame.MaxReplyBytes is such an
 // error after one attempt, and it does not count against the backend's
 // health.
 func (p *Pool) do(ctx context.Context, b *Backend, method, path, ctype string, body []byte, idempotent bool) (int, []byte, http.Header, error) {
@@ -387,11 +380,7 @@ func (p *Pool) do(ctx context.Context, b *Backend, method, path, ctype string, b
 func (p *Pool) once(ctx context.Context, b *Backend, method, path, ctype string, body []byte, timeout time.Duration) (int, []byte, http.Header, error) {
 	rctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(rctx, method, b.url+path, rd)
+	req, err := http.NewRequestWithContext(rctx, method, b.url+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -402,21 +391,15 @@ func (p *Pool) once(ctx context.Context, b *Backend, method, path, ctype string,
 	// logical request joins up across gateway and shard logs/traces.
 	obs.InjectHeaders(rctx, req.Header)
 	start := time.Now()
-	resp, err := b.hc.Do(req)
+	resp, err := p.rt.RoundTrip(req)
 	p.met.latency.With(b.url).Observe(time.Since(start).Seconds())
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	// One byte past the cap tells a response that fits from one that was
-	// cut off: relaying the first maxResponseBytes as a success would hand
-	// the client truncated JSON under a 200.
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	respBody, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return 0, nil, nil, err
-	}
-	if len(respBody) > maxResponseBytes {
-		return 0, nil, nil, errResponseTooLarge
 	}
 	return resp.StatusCode, respBody, resp.Header, nil
 }

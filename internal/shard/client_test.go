@@ -2,13 +2,20 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stsmatch/internal/core"
+	"stsmatch/internal/frame"
+	"stsmatch/internal/fsm"
+	"stsmatch/internal/server"
 )
 
 // fastOpts keeps retry/backoff timing negligible in tests; the active
@@ -30,14 +37,14 @@ func fastOpts() Options {
 
 func TestPoolRetriesIdempotent(t *testing.T) {
 	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(&frame.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) < 3 {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte(`{"ok":true}`)) //nolint:errcheck
-	}))
+	})})
 	defer ts.Close()
 
 	p, err := NewPool([]string{ts.URL}, fastOpts())
@@ -64,10 +71,10 @@ func TestPoolRetriesIdempotent(t *testing.T) {
 
 func TestPoolNoRetryOnMutation(t *testing.T) {
 	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(&frame.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusServiceUnavailable)
-	}))
+	})})
 	defer ts.Close()
 
 	p, err := NewPool([]string{ts.URL}, fastOpts())
@@ -90,7 +97,7 @@ func TestPoolNoRetryOnMutation(t *testing.T) {
 
 func TestPoolEjectionAndReadmission(t *testing.T) {
 	var down atomic.Bool
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(&frame.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if down.Load() {
 			// Simulate a dead process: hijack-close would be more
 			// realistic, but an error status on /v1/healthz is what the
@@ -99,7 +106,7 @@ func TestPoolEjectionAndReadmission(t *testing.T) {
 			return
 		}
 		w.WriteHeader(http.StatusOK)
-	}))
+	})})
 	defer ts.Close()
 
 	opts := fastOpts()
@@ -137,9 +144,9 @@ func TestPoolEjectionAndReadmission(t *testing.T) {
 func TestPoolPassiveFailureDetection(t *testing.T) {
 	// A backend that stops responding is ejected by request failures
 	// alone, without waiting for the active checker.
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(&frame.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
-	}))
+	})})
 	opts := fastOpts()
 	opts.Timeout = 200 * time.Millisecond
 	p, err := NewPool([]string{ts.URL}, opts)
@@ -172,23 +179,26 @@ func TestPoolValidation(t *testing.T) {
 	}
 }
 
-// TestPoolResponseTooLarge: a backend response one byte over the cap
-// is an error, not a success carrying the first maxResponseBytes. The
-// call is idempotent, yet the backend is asked once (a retry would
-// fetch the same bytes), and it stays admitted at a fail threshold of
-// one (it answered; only its answer was unusable). The gateway answers
-// such a response with a 502.
+// TestPoolResponseTooLarge: a backend response one byte over the cap —
+// a reply frame the carrier refuses unread — is an error, not a success
+// carrying the first frame.MaxReplyBytes. The call is idempotent, yet
+// the backend is asked once (a retry would fetch the same bytes), and it
+// stays admitted at a fail threshold of one (it answered; only its
+// answer was unusable). The gateway answers such a response with a 502.
 func TestPoolResponseTooLarge(t *testing.T) {
 	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(&frame.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
+		if _, plain := w.(http.Hijacker); plain { // a framed request's writer is no Hijacker
+			t.Errorf("%s arrived over plain HTTP, want a frame", r.URL.Path)
+		}
 		chunk := make([]byte, 64<<10)
-		for left := maxResponseBytes + 1; left > 0; left -= len(chunk) {
+		for left := frame.MaxReplyBytes + 1; left > 0; left -= len(chunk) {
 			if _, err := w.Write(chunk[:min(len(chunk), left)]); err != nil {
 				return
 			}
 		}
-	}))
+	})})
 	defer ts.Close()
 
 	opts := fastOpts()
@@ -223,6 +233,63 @@ func TestPoolResponseTooLarge(t *testing.T) {
 	gw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/S/plr", nil))
 	if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), errResponseTooLarge.Error()) {
 		t.Errorf("gateway relayed status %d, %.200s; want 502 naming the oversized response", rec.Code, rec.Body.String())
+	}
+}
+
+// TestPoolBackendRestarted: a backend restarted on its URL leaves the
+// pool holding connections its old process closed. The next call — a
+// non-idempotent ingest, which is never sent twice — reaches the new
+// process on a fresh connection: it succeeds, runs once, and nothing
+// counts against the backend's health (one failure would eject it here).
+func TestPoolBackendRestarted(t *testing.T) {
+	dir := t.TempDir()
+	start := func(addr string) (*server.Server, *http.Server, string) {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), server.Options{DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := &http.Server{Handler: srv}
+		go hs.Serve(ln) //nolint:errcheck // ErrServerClosed
+		return srv, hs, ln.Addr().String()
+	}
+	srv, hs, addr := start("127.0.0.1:0")
+	opts := fastOpts()
+	opts.FailThreshold, opts.MaxRetries = 1, -1
+	p, err := NewPool([]string{"http://" + addr}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	b := p.Backends()[0]
+	ctx := context.Background()
+	if status, body, _, err := p.do(ctx, b, http.MethodPost, "/v1/sessions", "application/json",
+		[]byte(`{"patientId":"P","sessionId":"S"}`), false); err != nil || status != http.StatusCreated {
+		t.Fatalf("create: %d %s %v", status, body, err)
+	}
+
+	hs.Close()
+	if err := srv.Close(); err != nil { // its framed connections, then a snapshot
+		t.Fatal(err)
+	}
+	srv, hs, _ = start(addr)
+	defer srv.Close()
+	defer hs.Close()
+
+	status, body, _, err := p.do(ctx, b, http.MethodPost, "/v1/sessions/S/samples", "application/json",
+		[]byte(`[{"t":0,"pos":[1]},{"t":0.1,"pos":[2]},{"t":0.2,"pos":[3]}]`), false)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("ingest after the restart: %d %s %v", status, body, err)
+	}
+	var sr server.SamplesResponse
+	if err := json.Unmarshal(body, &sr); err != nil || sr.TotalSamples != 3 {
+		t.Errorf("ingest after the restart: %s (%v); want 3 samples in total, sent once", body, err)
+	}
+	if !b.Healthy() || b.fails.Load() != 0 {
+		t.Errorf("restarted backend: healthy %v, %d failures counted; want healthy with none", b.Healthy(), b.fails.Load())
 	}
 }
 

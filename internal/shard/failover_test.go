@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"stsmatch/internal/core"
+	"stsmatch/internal/frame"
 	"stsmatch/internal/fsm"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/server"
@@ -431,14 +432,56 @@ func TestReplicationEquivalence(t *testing.T) {
 	}
 }
 
+// TestFramesCarryClusterTraffic runs TestReplicationEquivalence's shape
+// through the gateway alone — sessions created and ingested at R=2, a
+// match in both modes, predict, PLR, stats, a freshness poll, probes,
+// then a primary killed and its session failed over and ingested again —
+// and counts what each shard served: no HTTP request but the upgrades
+// to the frame carrier, which carried every call from the gateway or a
+// peer.
+func TestFramesCarryClusterTraffic(t *testing.T) {
+	c := testutil.StartCluster(t, 3, 2)
+	for i := 0; i < 6; i++ {
+		pid := fmt.Sprintf("P%02d", i)
+		createSession(t, c.URL, pid, "S-"+pid)
+		for _, b := range respBatches(t, int64(300+i), 45) {
+			ingestBatch(t, c.URL, "S-"+pid, b)
+		}
+	}
+	pr := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/S-P00/plr")
+	seq := plr.Sequence(pr.Vertices[len(pr.Vertices)-10:])
+	for _, k := range []int{0, 10} {
+		if _, res := matchBody(t, c.URL, server.MatchRequest{Seq: seq, PatientID: "P00", SessionID: "S-P00", K: k}); res.ShardsOK != 3 {
+			t.Errorf("k=%d: shardsOk %d, want 3", k, res.ShardsOK)
+		}
+	}
+	testutil.GetJSON[server.PredictionResponse](t, c.URL+"/v1/sessions/S-P00/predict?delta=200ms")
+	testutil.GetJSON[shard.GatewayStatsResponse](t, c.URL+"/v1/stats")
+	c.Gateway.RefreshFreshness(context.Background())
+	c.Probe(2)
+	primary, _, _ := c.Gateway.SessionPlacement("S-P01")
+	c.Kill(primary)
+	c.Probe(1)
+	ingestBatch(t, c.URL, "S-P01", []server.SampleIn{{T: 50, Pos: []float64{1}}, {T: 50.1, Pos: []float64{2}}})
+	if now, _, _ := c.Gateway.SessionPlacement("S-P01"); now == primary {
+		t.Fatal("S-P01 did not fail over")
+	}
+	for _, n := range c.Nodes {
+		plain, upgrades := n.Requests()
+		if plain != 0 || upgrades == 0 {
+			t.Errorf("%s served %d plain HTTP requests besides %d upgrades, want none besides at least one", n.URL, plain, upgrades)
+		}
+	}
+}
+
 // TestFlapDampingRequiresConsecutiveSuccesses is the regression test
 // for the health checker readmitting a backend on a single passing
 // probe: a backend that answers one probe between crashes must stay
 // ejected until ReadmitThreshold consecutive successes.
 func TestFlapDampingRequiresConsecutiveSuccesses(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(&frame.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
-	}))
+	})})
 	defer ts.Close()
 
 	// Probe outcomes, by index: fail (eject), pass (single success — a

@@ -388,7 +388,9 @@ func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 		gwError(w, bodyErrCode(err), fmt.Errorf("reading request: %w", err))
 		return
 	}
-	path := r.URL.Path
+	// The escaped path: r.URL.Path is decoded, and a session ID with a
+	// reserved character ("a/b", "100%") would name another route.
+	path := r.URL.EscapedPath()
 	if r.URL.RawQuery != "" {
 		path += "?" + r.URL.RawQuery
 	}

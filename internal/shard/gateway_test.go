@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 
@@ -333,4 +335,65 @@ func TestPlacementLookupRacesAddBackend(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestGatewaySessionIDEscaping: a session ID holding a character the
+// path reserves ("/", "%", "?", "#", " ") reaches its session through the
+// gateway. Create, ingest, PLR and close answer what the same request
+// answers sent straight to a server holding the same session, and
+// predict what the session's primary answers. Forwarding the decoded
+// path instead answers 404 for "a/b", 502 for "100%" and 405 for "q?x"
+// and "hash#1".
+func TestGatewaySessionIDEscaping(t *testing.T) {
+	c := testutil.StartCluster(t, 3, 2)
+	oracle := newOracleTS(t)
+	send := func(method, url string, body any) (int, string) {
+		t.Helper()
+		var rd io.Reader
+		if body != nil {
+			buf, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd = bytes.NewReader(buf)
+		}
+		req, err := http.NewRequest(method, url, rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(out)
+	}
+	batches := respBatches(t, 7, 45)
+	for i, id := range []string{"a/b", "100%", "q?x", "hash#1", "plain", "sp ace"} {
+		path := "/v1/sessions/" + url.PathEscape(id)
+		same := func(op, method, direct, path string, body any) {
+			t.Helper()
+			gs, gb := send(method, c.URL+path, body)
+			ds, db := send(method, direct+path, body)
+			if gs != ds || gb != db {
+				t.Errorf("%q %s: gateway answered %d %.120s, direct %d %.120s", id, op, gs, gb, ds, db)
+			}
+		}
+		same("create", http.MethodPost, oracle.URL, "/v1/sessions",
+			server.CreateSessionRequest{PatientID: fmt.Sprintf("P%02d", i), SessionID: id})
+		for _, b := range batches {
+			same("ingest", http.MethodPost, oracle.URL, path+"/samples", b)
+		}
+		same("plr", http.MethodGet, oracle.URL, path+"/plr", nil)
+		primary, _, ok := c.Gateway.SessionPlacement(id)
+		if !ok {
+			t.Fatalf("%q: the gateway placed no session", id)
+		}
+		same("predict", http.MethodGet, primary, path+"/predict?delta=200ms", nil)
+		same("close", http.MethodDelete, oracle.URL, path, nil)
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"stsmatch/internal/core"
+	"stsmatch/internal/frame"
 	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/server"
@@ -269,13 +270,13 @@ func TestGatewayReportsBadLegReply(t *testing.T) {
 		"infinite weight":     mutate(func(r *wal.MatchLegReply) { r.Hits[0].Weight = math.Inf(1) }),
 		"stream out of range": mutate(func(r *wal.MatchLegReply) { r.Hits[0].Stream = 1 }),
 	} {
-		bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		bad := httptest.NewServer(&frame.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if ct := r.Header.Get("Content-Type"); r.URL.Path == "/v1/match" && ct != wal.MatchLegContentType {
 				t.Errorf("gateway leg arrived as %q", ct)
 			}
 			w.Header().Set("Content-Type", wal.MatchLegContentType)
 			w.Write(reply) //nolint:errcheck
-		}))
+		})})
 		gw, err := shard.NewGateway([]string{good.URL, bad.URL}, shard.Options{HealthInterval: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -311,7 +312,7 @@ func TestGatewayLegsCarryScope(t *testing.T) {
 	var urls []string
 	for range 3 {
 		var ts *httptest.Server
-		ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ts = httptest.NewServer(&frame.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			for h := range r.Header {
 				if strings.HasPrefix(h, "X-Match-") {
 					t.Errorf("%s %s carries %s", r.Method, r.URL.Path, h)
@@ -346,7 +347,7 @@ func TestGatewayLegsCarryScope(t *testing.T) {
 			}
 			w.Header().Set("Content-Type", wal.MatchLegContentType)
 			w.Write(wal.AppendMatchLegReply(nil, rep)) //nolint:errcheck
-		}))
+		})})
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"stsmatch/internal/frame"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/server"
 	"stsmatch/internal/shard"
@@ -932,8 +933,10 @@ func TestMigrateCloseDuringCatchup(t *testing.T) {
 			var afterShip atomic.Pointer[func(*http.Request)]
 			c := testutil.StartCluster(t, 2, 2, func(cfg *testutil.ClusterConfig) {
 				cfg.ConfigureServer = func(i int, o *server.Options) {
+					frames := new(frame.Transport)
+					t.Cleanup(frames.Close)
 					o.ReplicateTransport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
-						resp, err := http.DefaultTransport.RoundTrip(r)
+						resp, err := frames.RoundTrip(r)
 						if fn := afterShip.Load(); fn != nil {
 							(*fn)(r)
 						}

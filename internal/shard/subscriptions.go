@@ -322,11 +322,14 @@ func (g *Gateway) openSubStream(r *http.Request, b *Backend, id, lastID string) 
 	if err != nil {
 		return nil, err
 	}
+	// An event stream stays on net/http: the frame carrier hands any
+	// request that accepts text/event-stream to its HTTP transport.
+	req.Header.Set("Accept", "text/event-stream")
 	if lastID != "" {
 		req.Header.Set("Last-Event-ID", lastID)
 	}
 	obs.InjectHeaders(r.Context(), req.Header)
-	resp, err := b.hc.Do(req)
+	resp, err := g.pool.rt.RoundTrip(req)
 	if err != nil {
 		g.pool.recordFailure(b)
 		return nil, err

@@ -1,8 +1,10 @@
 package testutil
 
 import (
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -19,6 +21,18 @@ type Node struct {
 	ts     *httptest.Server
 	killed atomic.Bool // listener closed or partitioned off
 	dead   atomic.Bool // inbound requests aborted without a response
+
+	mu       sync.Mutex
+	frames   []net.Conn // connections the frame carrier took over
+	requests int        // HTTP requests read, upgrades included
+}
+
+// Requests counts the HTTP requests the node has served other than
+// upgrades to the frame carrier, and the upgrades.
+func (n *Node) Requests() (plain, upgrades int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.requests - len(n.frames), len(n.frames)
 }
 
 // Killed reports whether the node has been killed or partitioned off.
@@ -125,12 +139,24 @@ func (c *Cluster) AddNode(configure func(o *server.Options)) *Node {
 	// The handler closes over the node so the listener (and its URL)
 	// can exist before the server it fronts: backends need their own
 	// URL at construction time to advertise it.
-	node.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	// Framed requests are dispatched to this outermost handler too, so a
+	// partitioned node aborts them as it aborts HTTP ones.
+	node.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if node.dead.Load() {
 			panic(http.ErrAbortHandler) // sever without a response
 		}
 		node.Server.ServeHTTP(w, r)
 	}))
+	node.ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
+		node.mu.Lock()
+		defer node.mu.Unlock()
+		if st == http.StateActive {
+			node.requests++
+		} else if st == http.StateHijacked {
+			node.frames = append(node.frames, c)
+		}
+	}
+	node.ts.Start()
 	node.URL = node.ts.URL
 	opts := server.Options{AdvertiseURL: node.URL}
 	if configure != nil {
@@ -143,7 +169,7 @@ func (c *Cluster) AddNode(configure func(o *server.Options)) *Node {
 	}
 	node.Server = srv
 	c.Nodes = append(c.Nodes, node)
-	c.t.Cleanup(node.ts.Close)
+	c.t.Cleanup(func() { c.Kill(node.URL) })
 	return node
 }
 
@@ -158,15 +184,20 @@ func (c *Cluster) Node(url string) *Node {
 	return nil
 }
 
-// Kill shuts a backend's listener down hard, severing in-flight
-// connections, so the process looks dead to the gateway and to its
-// replication peers. The in-memory server object is left untouched —
-// like a machine dropping off the network.
+// Kill shuts a backend's listener down hard, severing its connections
+// — HTTP and framed, in flight and idle — so the process looks dead to
+// the gateway and to its replication peers. The in-memory server object
+// is left untouched — like a machine dropping off the network.
 func (c *Cluster) Kill(url string) {
 	n := c.Node(url)
 	n.killed.Store(true)
 	n.dead.Store(true)
 	n.ts.CloseClientConnections()
+	n.mu.Lock()
+	for _, conn := range n.frames { // the listener does not reach them
+		conn.Close()
+	}
+	n.mu.Unlock()
 	n.ts.Close()
 }
 

@@ -19,6 +19,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"stsmatch/internal/frame"
 )
 
 // Fault is one scripted behavior for a single HTTP request.
@@ -65,11 +67,13 @@ func (f Fault) String() string {
 // under concurrency the index a request draws depends on arrival
 // order, so deterministic scripts pair best with sequential callers.
 type FaultTransport struct {
-	// Inner performs the real round trips (nil = http.DefaultTransport).
+	// Inner performs the real round trips (nil = the frame carrier, as in
+	// production).
 	Inner http.RoundTripper
 	// Delay is the sleep applied by FaultDelay (0 = 5ms).
 	Delay time.Duration
 
+	frames frame.Transport // the carrier when Inner is nil
 	mu     sync.Mutex
 	n      int
 	script map[int]Fault
@@ -147,7 +151,7 @@ func (ft *FaultTransport) inner() http.RoundTripper {
 	if ft.Inner != nil {
 		return ft.Inner
 	}
-	return http.DefaultTransport
+	return &ft.frames
 }
 
 // RoundTrip implements http.RoundTripper.

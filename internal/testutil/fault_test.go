@@ -8,15 +8,17 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"stsmatch/internal/frame"
 )
 
 func newCountingBackend(t *testing.T, body string) (*httptest.Server, *atomic.Int32) {
 	t.Helper()
 	var hits atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(&frame.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		w.Write([]byte(body)) //nolint:errcheck
-	}))
+	})})
 	t.Cleanup(ts.Close)
 	return ts, &hits
 }
