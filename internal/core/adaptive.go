@@ -103,7 +103,7 @@ func (c *CoverageController) Attempts() int { return c.attempts }
 // The threshold goes to the search as an argument: m.Params is never
 // written, so nothing leaks into later calls whatever the search does.
 func (c *CoverageController) FindSimilar(m *Matcher, q Query) ([]Match, error) {
-	return m.search(context.Background(), q, nil, 0, c.eps)
+	return m.search(context.Background(), q, nil, 0, c.eps, nil)
 }
 
 // PredictAdaptive runs one retrieval + prediction under the

@@ -117,7 +117,8 @@ type Matcher struct {
 	streams []*store.Stream
 	work    []streamWork
 	workers []*workerState
-	buckets []int32 // rank's bucket table
+	buckets []int32  // order's bucket table
+	fc      forecast // PredictDisplacementCtx's collector
 }
 
 // workerState is one funnel worker's private output: the hits it
@@ -125,7 +126,12 @@ type Matcher struct {
 // worker-local so the hot loop never contends on shared counters.
 type workerState struct {
 	hits []hit
-	// The least and greatest distance among hits, what rank scales its
+	// In a forecast search, each hit's future beside it (forecast.future):
+	// whether its stream reaches both horizons, and dims values per hit
+	// of the displacement between them.
+	fut  []bool
+	disp []float64
+	// The least and greatest distance among hits, what order scales its
 	// buckets to; meaningful once counts.Matched > 0.
 	dmin, dmax float64
 	counts     FunnelCounts
@@ -214,7 +220,7 @@ func drainWorkers(workers []*workerState) (c FunnelCounts, sg stageNS) {
 		sg.stateOrder += w.stage.stateOrder
 		sg.lb += w.stage.lb
 		sg.dist += w.stage.dist
-		*w = workerState{hits: w.hits[:0], starts: w.starts, lbs: w.lbs}
+		*w = workerState{hits: w.hits[:0], fut: w.fut[:0], disp: w.disp[:0], starts: w.starts, lbs: w.lbs}
 	}
 	return c, sg
 }
@@ -261,7 +267,7 @@ func (m *Matcher) FindSimilar(q Query, restrict map[string]bool) ([]Match, error
 // stage wall time and candidate counts. Untraced contexts behave
 // exactly like FindSimilar.
 func (m *Matcher) FindSimilarCtx(ctx context.Context, q Query, restrict map[string]bool) ([]Match, error) {
-	return m.search(ctx, q, restrict, 0, m.Params.DistThreshold)
+	return m.search(ctx, q, restrict, 0, m.Params.DistThreshold, nil)
 }
 
 // TopK retrieves the k nearest stored subsequences with the query's
@@ -280,7 +286,7 @@ func (m *Matcher) TopKCtx(ctx context.Context, q Query, k int, restrict map[stri
 	if k <= 0 {
 		return nil, fmt.Errorf("core: TopK needs k > 0, got %d", k)
 	}
-	return m.search(ctx, q, restrict, k, inf)
+	return m.search(ctx, q, restrict, k, inf, nil)
 }
 
 // FindSimilarTopK retrieves the k nearest matches within the distance
@@ -299,7 +305,7 @@ func (m *Matcher) FindSimilarTopKCtx(ctx context.Context, q Query, k int, restri
 	if k <= 0 {
 		return nil, fmt.Errorf("core: FindSimilarTopK needs k > 0, got %d", k)
 	}
-	return m.search(ctx, q, restrict, k, m.Params.DistThreshold)
+	return m.search(ctx, q, restrict, k, m.Params.DistThreshold, nil)
 }
 
 // queryPlan is everything about one query that is fixed while it runs:
@@ -327,6 +333,10 @@ type queryPlan struct {
 	// replaces the threshold; nil keeps every match within threshold in
 	// the worker-local buffers.
 	col *collector
+	// fc, when non-nil, is a threshold search's forecast: workers keep
+	// each hit's future beside it, and the hits are folded into a
+	// prediction instead of listed.
+	fc *forecast
 	// timed is set when the search runs under a trace span: workers
 	// then accumulate per-stage wall time.
 	timed bool
@@ -366,12 +376,14 @@ func newQueryPlan(p Params, q Query, sig string, threshold float64, buf []float6
 }
 
 // search is the unified retrieval core behind FindSimilar (k == 0),
-// TopK (threshold == inf) and FindSimilarTopK. Candidate streams are
+// TopK (threshold == inf), FindSimilarTopK and, with a forecast fc
+// (k == 0; the result is then in fc, not returned),
+// PredictDisplacementCtx. Candidate streams are
 // partitioned dynamically across Params.Parallelism workers; every
 // candidate goes through queryPlan.run, and partial results merge into
 // the matchLess total order, so the output is byte-identical at every
 // parallelism setting and for every candidate source.
-func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool, k int, threshold float64) ([]Match, error) {
+func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool, k int, threshold float64, fc *forecast) ([]Match, error) {
 	start := time.Now()
 	plan, err := newQueryPlan(m.Params, q, q.Seq.StateSignature(), threshold, m.buf)
 	if err != nil {
@@ -392,6 +404,7 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	if k > 0 {
 		pl.col = newCollector(k, threshold)
 	}
+	pl.fc = fc
 
 	streams := m.DB.AppendStreams(m.streams[:0])
 	if restrict != nil {
@@ -433,25 +446,31 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		pl.dispatch(active, m.work)
 	}
 
-	// Merge: top-k mode drains the shared heap, threshold mode ranks the
-	// workers' hits. Either way the matchCmp total order fully determines
-	// the output, so worker scheduling cannot affect it.
+	// Merge: top-k mode drains the shared heap, threshold mode orders the
+	// workers' hits and ranks or folds them. Either way the matchCmp total
+	// order fully determines the output, so worker scheduling cannot
+	// affect it.
 	mergeStart := time.Now()
 	var out []Match
-	if pl.col != nil {
+	switch {
+	case pl.col != nil:
 		out = pl.col.heap
 		slices.SortFunc(out, matchCmp)
-	} else {
+	case fc != nil:
+		fc.fold(m, pl, active, streams)
+	default:
 		out = m.rank(pl, active, streams)
 	}
 	mergeDur := time.Since(mergeStart)
 
 	var sg stageNS
 	counts, sg = drainWorkers(active)
-	// A top-k match displaced from the heap by a better one was rejected
-	// by the adaptive bound after all.
-	counts.DistRejected += counts.Matched - len(out)
-	counts.Matched = len(out)
+	if pl.col != nil {
+		// A top-k match displaced from the heap by a better one was
+		// rejected by the adaptive bound after all.
+		counts.DistRejected += counts.Matched - len(out)
+		counts.Matched = len(out)
+	}
 	mSearchSeconds.Observe(time.Since(start).Seconds())
 
 	if span != nil {
@@ -712,6 +731,9 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, rel SourceRelation, o
 			switch {
 			case pl.col == nil:
 				hits = append(hits, h)
+				if pl.fc != nil {
+					pl.fc.future(w, ts, pos, dims, j+n-1)
+				}
 				if w.counts.Matched == 0 || d < w.dmin {
 					w.dmin = d
 				}

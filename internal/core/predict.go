@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"sort"
 
 	"stsmatch/internal/plr"
+	"stsmatch/internal/store"
 )
 
 // This file implements Section 4.3: online prediction of future tumor
@@ -175,6 +178,99 @@ func (m *Matcher) PredictDisplacement(q Query, matches []Match, d1, d2 float64, 
 		acc[k] /= wsum
 	}
 	return acc, nil
+}
+
+// PredictDisplacementCtx is the server's estimator in one funnel pass:
+// the displacement PredictDisplacement would estimate from
+// FindSimilarCtx's matches, bit for bit, together with the number of
+// those matches and their mean distance (0 without any). No Match is
+// built: each search worker records an accepted window's displacement
+// between the horizons while the window's columns are at hand, and the
+// hits, placed in the result order, are folded straight into the sums.
+// A prediction from too few matches is ErrNoMatches, still with the
+// count and mean distance. The context carries the trace, as for
+// FindSimilarCtx.
+func (m *Matcher) PredictDisplacementCtx(ctx context.Context, q Query, d1, d2 float64, minMatches int) (disp []float64, matches int, meanDist float64, err error) {
+	if minMatches <= 0 {
+		minMatches = MinMatchesForPrediction
+	}
+	f := &m.fc
+	f.d1, f.d2 = d1, d2
+	if _, err := m.search(ctx, q, nil, 0, m.Params.DistThreshold, f); err != nil {
+		return nil, 0, 0, err
+	}
+	if f.matches > 0 {
+		meanDist = f.dsum / float64(f.matches)
+	}
+	if f.used < minMatches || f.wsum == 0 {
+		return nil, f.matches, meanDist, ErrNoMatches
+	}
+	disp = make([]float64, len(f.acc))
+	for k, a := range f.acc {
+		disp[k] = a / f.wsum
+	}
+	return disp, f.matches, meanDist, nil
+}
+
+// forecast is the collector of a PredictDisplacementCtx search. Its
+// sums live in the Matcher and are cleared by every fold, so a search
+// that panicked leaves nothing behind for the next.
+type forecast struct {
+	d1, d2     float64   // the horizons, seconds past each window's last vertex
+	acc        []float64 // Σ w·(b−a), per coordinate
+	wsum, dsum float64   // Σ w over the hits with a future; Σ distance over all
+	used       int       // hits with a future
+	matches    int
+	refs       []hitRef // the hits in order
+}
+
+// future records, beside the hit worker w just accepted — a window
+// ending at vertex end of the stream with columns ts and pos — whether
+// the stream reaches both horizons past that vertex and, if it does, its
+// displacement between them. disp grows by dims values per hit either
+// way, so hit i's are disp[i*dims:].
+func (f *forecast) future(w *workerState, ts, pos []float64, dims, end int) {
+	at := len(w.disp)
+	w.disp = slices.Grow(w.disp, 2*dims)[:at+2*dims]
+	a, b := w.disp[at:at+dims], w.disp[at+dims:]
+	ok := positionFrom(ts, pos, dims, a, ts[end]+f.d1, end) && positionFrom(ts, pos, dims, b, ts[end]+f.d2, end)
+	if ok {
+		for k := range a {
+			a[k] = b[k] - a[k]
+		}
+	}
+	w.fut, w.disp = append(w.fut, ok), w.disp[:at+dims]
+}
+
+// fold puts the workers' hits in order and sums them in that order,
+// which is matchCmp's — the order of FindSimilar's result.
+// PredictDisplacement and a mean over that result add the same terms
+// (each weight computed as Match.Weight is) in the same order, so the
+// sums come out the same to the bit.
+func (f *forecast) fold(m *Matcher, pl *queryPlan, workers []*workerState, streams []*store.Stream) {
+	n := hitCount(workers)
+	f.refs = slices.Grow(f.refs[:0], n)[:n]
+	m.order(pl, workers, streams, nil, f.refs)
+
+	dims := pl.q.Seq.Dims()
+	f.acc = slices.Grow(f.acc[:0], dims)[:dims]
+	clear(f.acc)
+	f.wsum, f.dsum, f.used, f.matches = 0, 0, 0, n
+	for _, r := range f.refs {
+		w := workers[r.wk]
+		h := w.hits[r.i]
+		f.dsum += h.dist
+		if !w.fut[r.i] {
+			continue
+		}
+		wt := pl.ws[r.rel] / (1 + h.dist)
+		d := w.disp[int(r.i)*dims:][:dims]
+		for k := range f.acc {
+			f.acc[k] += wt * d[k]
+		}
+		f.wsum += wt
+		f.used++
+	}
 }
 
 // SegmentForecast is the predicted shape of the breathing segment that

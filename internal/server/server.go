@@ -668,47 +668,33 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	q := core.NewQuery(qseq, patientID, sessionID)
 	matcher := s.matchers.Get().(*core.Matcher)
 	defer s.matchers.Put(matcher)
-	work := time.Now()
-	matches, err := matcher.FindSimilarCtx(r.Context(), q, nil)
-	if err != nil {
-		s.met.predictions.With("error").Inc()
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
 	// Anchor the forecast at the newest *observation*, not the last
 	// PLR vertex (which can lag it by most of a segment): predict the
 	// displacement from the observation time to observation+delta and
 	// add it to the observed position.
 	d1 := lastT - q.Now
 	d2 := d1 + delta.Seconds()
-	disp, err := matcher.PredictDisplacement(q, matches, d1, d2, 0)
+	work := time.Now()
+	disp, matches, meanDist, err := matcher.PredictDisplacementCtx(r.Context(), q, d1, d2, 0)
 	s.met.predictWork.Observe(time.Since(work).Seconds())
-	if errors.Is(err, core.ErrNoMatches) {
+	switch {
+	case errors.Is(err, core.ErrNoMatches):
 		s.met.predictions.With("no_matches").Inc()
 		httpError(w, http.StatusConflict, err)
 		return
-	}
-	if err != nil {
+	case err != nil:
 		s.met.predictions.With("error").Inc()
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	pos := make([]float64, len(disp))
-	for k := range pos {
-		pos[k] = lastPos[k] + disp[k]
-	}
-	var meanDist float64
-	for _, mt := range matches {
-		meanDist += mt.Distance
-	}
-	if len(matches) > 0 {
-		meanDist /= float64(len(matches))
+	for k := range disp {
+		disp[k] += lastPos[k]
 	}
 	s.met.predictions.With("ok").Inc()
 	writeJSON(w, http.StatusOK, PredictionResponse{
-		Pos:        pos,
+		Pos:        disp,
 		DeltaMS:    float64(delta.Milliseconds()),
-		NumMatches: len(matches),
+		NumMatches: matches,
 		MeanDist:   meanDist,
 		QueryLen:   len(qseq),
 		Stable:     info.Stable,

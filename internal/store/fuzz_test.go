@@ -56,6 +56,14 @@ func FuzzFindWindows(f *testing.F) {
 	f.Add("EOIEOIE", "")
 	f.Add("EOIEOIEOIEOIEOIEOIEOIE", "EOIEOIEOIEOI")
 	f.Add("EOIEOIEOIEOIEOIEOIEOIE", "OIEOIEOIEOIEOIEOIE")
+	// Signatures of 17 to 33 states, the length of a dynamic predict
+	// query's, past the two-word compare; the R in the stream lands
+	// inside each 8-byte span of some window.
+	f.Add("EOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOI", "EOIEOIEOIEOIEOIEO")
+	f.Add("EOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOI", "OIEOIEOIEOIEOIEOIEOIEOIE")
+	f.Add("EOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOI", "IEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIE")
+	f.Add("EOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOI", "EOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOI")
+	f.Add("EOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIERIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOIEOI", "EOIEOIEOIEOIEOIEOIEOIEOIEOIEOI")
 	f.Fuzz(func(t *testing.T, streamStates, sig string) {
 		if len(streamStates) > 500 || len(sig) > 50 {
 			return
