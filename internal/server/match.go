@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 
@@ -89,9 +91,89 @@ func decodeMatchRequest(body []byte, leg bool) (MatchRequest, wal.MatchLegReques
 		lr, err := wal.DecodeMatchLegRequest(body)
 		return MatchRequest{Seq: lr.Seq, PatientID: lr.PatientID, SessionID: lr.SessionID, Now: lr.Now, K: lr.K}, lr, err
 	}
+	req, err := DecodeMatchRequest(body)
+	return req, wal.MatchLegRequest{}, err
+}
+
+// DecodeMatchRequest decodes a public /v1/match body, on a shard and on
+// the gateway alike. The shape json.Marshal gives a MatchRequest takes
+// the scanner below; anything else is json.Unmarshal's to accept or
+// refuse, so the accepted language and every decoded value are what
+// they were when json.Unmarshal was the only decoder.
+func DecodeMatchRequest(body []byte) (MatchRequest, error) {
+	if req, ok := scanMatchRequest(body); ok {
+		return req, nil
+	}
 	var req MatchRequest
 	err := json.Unmarshal(body, &req)
-	return req, wal.MatchLegRequest{}, err
+	return req, err
+}
+
+// maxScanInt bounds k and maxLag on the scanner's path; a larger value
+// is json.Unmarshal's, which takes any int.
+const maxScanInt = 1 << 40
+
+// scanMatchRequest decodes exactly what json.Marshal makes of a
+// MatchRequest,
+//
+//	{"seq":[{"t":N,"pos":[N,...],"state":S},...],"patientId":"P","sessionId":"P","now":N,"k":I,"maxLag":I}
+//
+// with every member after seq optional but in that order, JSON
+// whitespace between tokens, N as scanSamples takes it, S an integer of
+// at most 255, I one of at most maxScanInt, and P a string of printable
+// ASCII with no escape. Like scanSamples it declines everything else —
+// another key order, case or a repeated key, null, an escape or a byte
+// outside ASCII, a sign or a float spelling for an integer, trailing
+// bytes — and every Pos shares one backing array.
+func scanMatchRequest(data []byte) (req MatchRequest, ok bool) {
+	sc := jsonScanner{b: data}
+	if !sc.token('{') || !sc.literal(`"seq"`) || !sc.token(':') || !sc.token('[') {
+		return MatchRequest{}, false
+	}
+	// On the accepted shape n vertices of d positions each and f members
+	// after seq make n+1 '{', 3n+1+f ':' and n(d+2)-1+f ',', which sizes
+	// both allocations exactly (scanCap, as in scanSamples).
+	n := bytes.Count(data, []byte{'{'}) - 1
+	positions := bytes.Count(data, []byte{','}) + 2 + n - bytes.Count(data, []byte{':'})
+	seq := make(plr.Sequence, 0, scanCap(n))
+	backing := make([]float64, 0, scanCap(positions))
+	for more := !sc.token(']'); more; {
+		var v plr.Vertex
+		if !sc.token('{') || !sc.literal(`"t"`) || !sc.token(':') || !sc.number(&v.T) ||
+			!sc.token(',') || !sc.literal(`"pos"`) || !sc.token(':') || !sc.token('[') {
+			return MatchRequest{}, false
+		}
+		first := len(backing)
+		if backing, ok = sc.numbers(backing); !ok {
+			return MatchRequest{}, false
+		}
+		v.Pos = backing[first:len(backing):len(backing)]
+		var state int
+		if !sc.token(',') || !sc.literal(`"state"`) || !sc.token(':') || !sc.smallInt(&state, math.MaxUint8) || !sc.token('}') {
+			return MatchRequest{}, false
+		}
+		v.State = plr.State(state)
+		seq = append(seq, v)
+		if more = !sc.token(']'); more && !sc.token(',') {
+			return MatchRequest{}, false
+		}
+	}
+	req.Seq = seq
+	if sc.member(`"patientId"`) && !sc.plainString(&req.PatientID) ||
+		sc.member(`"sessionId"`) && !sc.plainString(&req.SessionID) {
+		return MatchRequest{}, false
+	}
+	if sc.member(`"now"`) {
+		if req.Now = new(float64); !sc.number(req.Now) {
+			return MatchRequest{}, false
+		}
+	}
+	if sc.member(`"k"`) && !sc.smallInt(&req.K, maxScanInt) ||
+		sc.member(`"maxLag"`) && !sc.smallInt(&req.MaxLag, maxScanInt) ||
+		!sc.token('}') || !sc.end() {
+		return MatchRequest{}, false
+	}
+	return req, true
 }
 
 // handleMatch runs a similarity search for a serialized query. Like
@@ -149,6 +231,22 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if leg {
 		writeMatchLeg(w, matches, rep, profile)
 		return
+	}
+	writeMatches(w, matches, profile)
+}
+
+// writeMatches answers the JSON route with the bytes writeJSON gives the
+// MatchResponse, appended without reflection unless a profile rides
+// along or a value needs encoding/json.
+func writeMatches(w http.ResponseWriter, matches []core.Match, profile *obs.Profile) {
+	if profile == nil {
+		a := NewJSONAnswer()
+		a.Raw("{")
+		a.coreMatches(matches)
+		a.Raw("}\n")
+		if a.Write(w, http.StatusOK) {
+			return
+		}
 	}
 	out := make([]RemoteMatch, len(matches))
 	for i, mt := range matches {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -180,12 +181,15 @@ func TestMaxBodyBytes(t *testing.T) {
 }
 
 // FuzzMatchRequest feeds arbitrary bytes to /v1/match's JSON decoder
-// and Validate: neither may panic, and a request that validates is one
-// the gateway will put on a leg, so it must come back from the leg
-// codec with the k, now, provenance and sequence it went in with. The
-// leg format has the WAL's record limits (64 dimensions, 1 MiB
-// strings), which JSON does not: past them the leg decoder must refuse
-// the request whole (ErrTorn, a 400 from the shard), never change it.
+// and Validate: neither may panic, and the scanner either declines or
+// returns exactly what json.Unmarshal returns (reflect.DeepEqual, so nil
+// is not empty), which makes the decoder json.Unmarshal by
+// construction. A request that validates is one the gateway will put on
+// a leg, so it must come back from the leg codec with the k, now,
+// provenance and sequence it went in with. The leg format has the WAL's
+// record limits (64 dimensions, 1 MiB strings), which JSON does not:
+// past them the leg decoder must refuse the request whole (ErrTorn, a
+// 400 from the shard), never change it.
 func FuzzMatchRequest(f *testing.F) {
 	now := 12.5
 	valid, err := json.Marshal(MatchRequest{Seq: seqStates("EOIEOI", 3), PatientID: "P01", SessionID: "S01", Now: &now, K: 5, MaxLag: 2})
@@ -200,7 +204,22 @@ func FuzzMatchRequest(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	for _, body := range matchBodies(f) {
+		f.Add(body)
+	}
+	for _, tc := range matchCorpus {
+		f.Add([]byte(tc.body))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		if got, ok := scanMatchRequest(body); ok {
+			var want MatchRequest
+			if err := json.Unmarshal(body, &want); err != nil {
+				t.Fatalf("the scanner took %q, which json.Unmarshal refuses: %v", body, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("scanMatchRequest(%q) = %+v, json.Unmarshal = %+v", body, got, want)
+			}
+		}
 		req, _, err := decodeMatchRequest(body, false)
 		if err != nil || req.Validate() != nil {
 			return

@@ -42,10 +42,10 @@ package server
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -276,19 +276,6 @@ func bodyErrCode(err error) int {
 	return http.StatusBadRequest
 }
 
-// httpError writes a JSON error body.
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}) //nolint:errcheck
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
-}
-
 // CreateSessionRequest opens a new ingestion session. Replicate lists
 // replica base URLs this node must ship the session's records to (the
 // gateway computes them from ring placement); empty means unreplicated.
@@ -427,6 +414,27 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		httpError(w, code, err)
 		return
+	}
+	writeSamplesAck(w, resp)
+}
+
+// writeSamplesAck answers an ingest with the bytes writeJSON gives resp,
+// appended without reflection unless a replica error rides along.
+func writeSamplesAck(w http.ResponseWriter, resp SamplesResponse) {
+	if len(resp.ReplicaErrors) == 0 {
+		a := NewJSONAnswer()
+		a.Raw(`{"accepted":`)
+		a.Int(resp.Accepted)
+		a.Raw(`,"newVertices":`)
+		a.Int(resp.NewVertices)
+		a.Raw(`,"totalSamples":`)
+		a.Int(resp.TotalSamples)
+		a.Raw(`,"currentState":`)
+		a.str(resp.CurrentState)
+		a.Raw("}\n")
+		if a.Write(w, http.StatusOK) {
+			return
+		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -687,11 +695,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
+	finite := true
 	for k := range disp {
 		disp[k] += lastPos[k]
+		finite = finite && !math.IsInf(disp[k], 0) && !math.IsNaN(disp[k])
+	}
+	if !finite {
+		// Σ w·(b−a) over many matches overflows for positions near the
+		// float64 limit, and JSON cannot carry the result.
+		s.met.predictions.With("error").Inc()
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("forecast is not finite: %v", disp))
+		return
 	}
 	s.met.predictions.With("ok").Inc()
-	writeJSON(w, http.StatusOK, PredictionResponse{
+	writePrediction(w, PredictionResponse{
 		Pos:        disp,
 		DeltaMS:    float64(delta.Milliseconds()),
 		NumMatches: matches,
@@ -699,6 +716,28 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		QueryLen:   len(qseq),
 		Stable:     info.Stable,
 	})
+}
+
+// writePrediction answers a prediction with the bytes writeJSON gives p,
+// appended without reflection.
+func writePrediction(w http.ResponseWriter, p PredictionResponse) {
+	a := NewJSONAnswer()
+	a.Raw(`{"pos":`)
+	a.floats(p.Pos)
+	a.Raw(`,"deltaMs":`)
+	a.float(p.DeltaMS)
+	a.Raw(`,"numMatches":`)
+	a.Int(p.NumMatches)
+	a.Raw(`,"meanDist":`)
+	a.float(p.MeanDist)
+	a.Raw(`,"queryLen":`)
+	a.Int(p.QueryLen)
+	a.Raw(`,"stable":`)
+	a.Raw(strconv.FormatBool(p.Stable))
+	a.Raw("}\n")
+	if !a.Write(w, http.StatusOK) {
+		writeJSON(w, http.StatusOK, p)
+	}
 }
 
 // PLRResponse carries the current segmented representation.

@@ -260,10 +260,16 @@ func gwError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}) //nolint:errcheck
 }
 
+// gwJSON answers v as json.Encoder writes it, trailing newline included.
+// The value is encoded before the status is written, so one
+// encoding/json refuses is a 500 that says why, not an empty 200.
 func gwJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
+	out, err := json.Marshal(v)
+	if err != nil {
+		gwError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
+	relay(w, code, append(out, '\n'))
 }
 
 // readBody buffers a request body under the proxy cap.
@@ -864,8 +870,8 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		gwError(w, bodyErrCode(err), fmt.Errorf("reading request: %w", err))
 		return
 	}
-	var req server.MatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := server.DecodeMatchRequest(body)
+	if err != nil {
 		gwError(w, http.StatusBadRequest, fmt.Errorf("decoding match request: %w", err))
 		return
 	}
@@ -977,6 +983,35 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	g.met.scatter.Observe(time.Since(start).Seconds())
+	writeMatchResult(w, res)
+}
+
+// writeMatchResult answers a scatter with the bytes json.Marshal gives
+// res, appended by the shard's JSON appender unless a profile, a shard
+// error or an unserved patient rides along or a value needs
+// encoding/json.
+func writeMatchResult(w http.ResponseWriter, res MatchResult) {
+	if res.Profile == nil && !res.Degraded && len(res.ShardErrors) == 0 && len(res.UnservedPatients) == 0 {
+		a := server.NewJSONAnswer()
+		a.Raw("{")
+		a.Matches(res.Matches)
+		a.Raw(`,"shardsQueried":`)
+		a.Int(res.ShardsQueried)
+		a.Raw(`,"shardsOk":`)
+		a.Int(res.ShardsOK)
+		if res.PlannedPatients != 0 {
+			a.Raw(`,"plannedPatients":`)
+			a.Int(res.PlannedPatients)
+		}
+		if res.FollowerServed != 0 {
+			a.Raw(`,"followerServed":`)
+			a.Int(res.FollowerServed)
+		}
+		a.Raw("}")
+		if a.Write(w, http.StatusOK) {
+			return
+		}
+	}
 	out, err := json.Marshal(res)
 	if err != nil {
 		gwError(w, http.StatusInternalServerError, err)
