@@ -12,12 +12,11 @@
 // checker ejects the primary the gateway promotes a replica and
 // re-routes the session there with no acknowledged data lost.
 //
-// Replicas also serve reads on request: POST /v1/match with ?max-lag=N
-// (or body "maxLag") pins each patient's arc to one caught-up holder —
-// followers preferred — tolerating up to N vertices of staleness, with
-// the merged answer byte-identical to the primary-only scatter; an
-// over-stale follower refuses its arc and the gateway retries it on
-// the primary. Every query is scattered: the gateway caches no results.
+// Every POST /v1/match is the exact scatter: each healthy shard scores
+// everything it holds, primaries and followers alike, and the merge
+// drops the duplicate copies. A client's ?max-lag=N (or body "maxLag")
+// is validated and always met, since the answer has no lag at all. The
+// gateway caches no results.
 //
 //	gateway -listen :8760 -replicas 2 \
 //	        -backends http://127.0.0.1:8751,http://127.0.0.1:8752,http://127.0.0.1:8753
@@ -68,7 +67,6 @@ func main() {
 	readmitThreshold := flag.Int("readmit-threshold", 2, "consecutive probe successes before an ejected backend is readmitted")
 	rebalanceConc := flag.Int("rebalance-concurrency", shard.DefaultRebalanceConcurrency, "sessions migrated in parallel during a rebalance drain")
 	migrateTimeout := flag.Duration("migrate-timeout", shard.DefaultMigrateTimeout, "per-session migration deadline during a rebalance")
-	freshEvery := flag.Duration("freshness-interval", shard.DefaultFreshnessInterval, "background /v1/shard/stats polling period seeding the follower-read freshness tracker (negative = piggyback-only; 0 = default when -replicas > 1)")
 	traceCap := flag.Int("trace-capacity", obs.DefaultTraceCapacity, "traces retained in each in-memory ring (recent and slow)")
 	traceSlow := flag.Duration("trace-slow", obs.DefaultSlowThreshold, "latency threshold at which a trace is pinned in the slow ring")
 	pprofOn := flag.Bool("pprof", false, "serve /debug/pprof/ on the listen address")
@@ -101,8 +99,6 @@ func main() {
 		HealthInterval:   *healthEvery,
 		FailThreshold:    *failThreshold,
 		ReadmitThreshold: *readmitThreshold,
-
-		FreshnessInterval: *freshEvery,
 
 		RebalanceConcurrency: *rebalanceConc,
 		MigrateTimeout:       *migrateTimeout,

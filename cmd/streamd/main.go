@@ -29,12 +29,10 @@
 // -advertise flag names this daemon in its outgoing shipments (so
 // followers can allowlist it) and -replicate-from restricts which
 // sources may ship WAL batches here. Followers also serve reads:
-// POST /v1/match on a replica answers from its WAL-applied store, and
-// a match leg whose scope carries a Require freshness bound is refused
-// for any patient whose local holdings fall short — the contract behind the
-// gateway's bounded-staleness follower reads. /v1/shard/stats and
-// /v1/healthz report per-session per-link shipped/acked sequence
-// numbers plus per-patient holdings.
+// POST /v1/match on a replica answers from its WAL-applied store, which
+// is how a gateway's scatter covers a dead primary's data.
+// /v1/shard/stats and /v1/healthz report per-session per-link
+// shipped/acked sequence numbers.
 //
 // A gateway or peer shard upgrades its connections on the same port to
 // frames (internal/frame), served by the same handlers; curl and every

@@ -24,7 +24,7 @@ func replyPayload(status int, h http.Header, body []byte) []byte {
 // headers.
 func seedPayloads() [][]byte {
 	seq := plr.Sequence{{T: 0, Pos: []float64{1}, State: plr.EX}, {T: 1, Pos: []float64{2}, State: plr.IN}}
-	leg := wal.AppendMatchLegRequest(nil, wal.MatchLegRequest{K: 10, PatientID: "P00", Seq: seq, Exclude: []string{"P01"}})
+	leg := wal.AppendMatchLegRequest(nil, wal.MatchLegRequest{K: 10, PatientID: "P00", Seq: seq})
 	legReply := wal.AppendMatchLegReply(nil, wal.MatchLegReply{
 		Streams: []wal.LegStream{{PatientID: "P02", SessionID: "S"}},
 		Hits:    []wal.LegHit{{Stream: 0, Start: 3, N: 2, Distance: 0.5, Weight: 1}},

@@ -35,11 +35,10 @@ type MatchRequest struct {
 	// threshold (Matcher.TopK); K == 0 returns every match within the
 	// threshold (Matcher.FindSimilar).
 	K int `json:"k,omitempty"`
-	// MaxLag is interpreted by the gateway, not by shards: the number
-	// of vertices of replication lag the client tolerates per patient.
-	// 0 (the default) keeps every scatter leg on primaries; > 0 lets
-	// the gateway serve a patient's arc from a follower whose holdings
-	// trail the primary by at most MaxLag vertices.
+	// MaxLag is the number of vertices of replication lag the client
+	// tolerates per patient. It is validated (a negative value is a
+	// 400) and otherwise changes nothing: every answer is the exact
+	// lag-0 one, which meets any tolerance.
 	MaxLag int `json:"maxLag,omitempty"`
 }
 
@@ -83,16 +82,14 @@ type MatchResponse struct {
 	Profile *obs.Profile  `json:"profile,omitempty"`
 }
 
-// decodeMatchRequest decodes a /v1/match body in either codec: the
-// query, and for a leg the whole leg with its scope (the JSON route is
-// never scoped). Both decoders copy what they keep out of body.
-func decodeMatchRequest(body []byte, leg bool) (MatchRequest, wal.MatchLegRequest, error) {
+// decodeMatchRequest decodes a /v1/match body in either codec. Both
+// decoders copy what they keep out of body.
+func decodeMatchRequest(body []byte, leg bool) (MatchRequest, error) {
 	if leg {
 		lr, err := wal.DecodeMatchLegRequest(body)
-		return MatchRequest{Seq: lr.Seq, PatientID: lr.PatientID, SessionID: lr.SessionID, Now: lr.Now, K: lr.K}, lr, err
+		return MatchRequest{Seq: lr.Seq, PatientID: lr.PatientID, SessionID: lr.SessionID, Now: lr.Now, K: lr.K}, err
 	}
-	req, err := DecodeMatchRequest(body)
-	return req, wal.MatchLegRequest{}, err
+	return DecodeMatchRequest(body)
 }
 
 // DecodeMatchRequest decodes a public /v1/match body, on a shard and on
@@ -182,9 +179,8 @@ func scanMatchRequest(data []byte) (req MatchRequest, ok bool) {
 //
 // The route speaks two codecs, told apart by Content-Type: the public
 // JSON (MatchRequest in, MatchResponse out), and the binary leg format
-// of internal/wal that the gateway's scatter and retry legs use. Only a
-// leg carries a scope, so only a leg can refuse a patient; otherwise
-// validation and the search are one path.
+// of internal/wal that the gateway's scatter legs use. Validation and
+// the search are one path.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	leg := r.Header.Get("Content-Type") == wal.MatchLegContentType
 	buf, err := s.readBody(w, r)
@@ -192,7 +188,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding match request: %w", err))
 		return
 	}
-	req, lr, err := decodeMatchRequest(buf.Bytes(), leg)
+	req, err := decodeMatchRequest(buf.Bytes(), leg)
 	releaseBody(buf)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding match request: %w", err))
@@ -202,7 +198,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	restrict, rep := s.matchScopeRestrict(lr)
 	q := core.NewQuery(req.Seq, req.PatientID, req.SessionID)
 	if req.Now != nil {
 		q.Now = *req.Now
@@ -211,9 +206,9 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	defer s.matchers.Put(matcher)
 	var matches []core.Match
 	if req.K > 0 {
-		matches, err = matcher.TopKCtx(r.Context(), q, req.K, restrict)
+		matches, err = matcher.TopKCtx(r.Context(), q, req.K, nil)
 	} else {
-		matches, err = matcher.FindSimilarCtx(r.Context(), q, restrict)
+		matches, err = matcher.FindSimilarCtx(r.Context(), q, nil)
 	}
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
@@ -229,7 +224,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if leg {
-		writeMatchLeg(w, matches, rep, profile)
+		writeMatchLeg(w, matches, profile)
 		return
 	}
 	writeMatches(w, matches, profile)
@@ -264,10 +259,9 @@ func writeMatches(w http.ResponseWriter, matches []core.Match, profile *obs.Prof
 }
 
 // writeMatchLeg answers a binary leg: the matches as hits over a table
-// of the streams they fall in, in the order the matcher ranked them,
-// alongside the refusals and freshness rep already carries.
-func writeMatchLeg(w http.ResponseWriter, matches []core.Match, rep wal.MatchLegReply, profile *obs.Profile) {
-	rep.Hits = make([]wal.LegHit, len(matches))
+// of the streams they fall in, in the order the matcher ranked them.
+func writeMatchLeg(w http.ResponseWriter, matches []core.Match, profile *obs.Profile) {
+	rep := wal.MatchLegReply{Hits: make([]wal.LegHit, len(matches))}
 	index := make(map[*store.Stream]uint32)
 	for i, mt := range matches {
 		si, ok := index[mt.Stream]
@@ -298,8 +292,7 @@ type ShardSession struct {
 	SessionID string `json:"sessionId"`
 	PatientID string `json:"patientId"`
 	Samples   int    `json:"samples"`
-	// Vertices is the session stream's current length — the per-session
-	// high-water mark a freshness tracker compares across holders.
+	// Vertices is the session stream's current length.
 	Vertices int `json:"vertices"`
 	// Links reports, for a primary session, each replica link's
 	// assigned/acked sequence numbers (see ReplLinkStatus); absent on
@@ -322,16 +315,11 @@ type ShardStatsResponse struct {
 	// failover candidates, not primaries — a gateway rediscovering
 	// placement must route to a Sessions entry, never a Replicas one.
 	Replicas []ShardSession `json:"replicas,omitempty"`
-	// Freshness reports this shard's holdings per patient, for every
-	// patient with a live or followed session here. The gateway's
-	// freshness tracker seeds itself from these on its polling path.
-	Freshness map[string]PatientFreshness `json:"freshness,omitempty"`
 }
 
 func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 	s.lock()
 	sessions := make([]ShardSession, 0, len(s.sessions))
-	fresh := make(map[string]PatientFreshness)
 	for sid, sess := range s.sessions {
 		entry := ShardSession{
 			SessionID: sid,
@@ -343,9 +331,6 @@ func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 			entry.Links = sess.repl.linkStatuses()
 		}
 		sessions = append(sessions, entry)
-		if _, ok := fresh[sess.patientID]; !ok {
-			fresh[sess.patientID] = s.patientFreshnessLocked(sess.patientID)
-		}
 	}
 	replicas := make([]ShardSession, 0, len(s.replicas))
 	for sid, rs := range s.replicas {
@@ -361,22 +346,15 @@ func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 			entry.AppliedSeq = rs.cursor.Next - 1
 		}
 		replicas = append(replicas, entry)
-		if _, ok := fresh[rs.patientID]; !ok {
-			fresh[rs.patientID] = s.patientFreshnessLocked(rs.patientID)
-		}
 	}
 	s.mu.Unlock()
 	sort.Slice(sessions, func(a, b int) bool { return sessions[a].SessionID < sessions[b].SessionID })
 	sort.Slice(replicas, func(a, b int) bool { return replicas[a].SessionID < replicas[b].SessionID })
-	if len(fresh) == 0 {
-		fresh = nil
-	}
 	writeJSON(w, http.StatusOK, ShardStatsResponse{
-		Patients:  s.db.NumPatients(),
-		Streams:   len(s.db.Streams()),
-		Vertices:  s.db.NumVertices(),
-		Sessions:  sessions,
-		Replicas:  replicas,
-		Freshness: fresh,
+		Patients: s.db.NumPatients(),
+		Streams:  len(s.db.Streams()),
+		Vertices: s.db.NumVertices(),
+		Sessions: sessions,
+		Replicas: replicas,
 	})
 }

@@ -220,7 +220,7 @@ func FuzzMatchRequest(f *testing.F) {
 				t.Fatalf("scanMatchRequest(%q) = %+v, json.Unmarshal = %+v", body, got, want)
 			}
 		}
-		req, _, err := decodeMatchRequest(body, false)
+		req, err := decodeMatchRequest(body, false)
 		if err != nil || req.Validate() != nil {
 			return
 		}

@@ -13,55 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"stsmatch/internal/core"
 	"stsmatch/internal/wal"
 )
-
-// TestIngestFreshnessHeaders: ingest and create acks piggyback the
-// patient's post-write holdings and the replication outcome.
-func TestIngestFreshnessHeaders(t *testing.T) {
-	_, replica := newReplServer(t, Options{})
-	_, primary := newReplServer(t, Options{AdvertiseURL: "http://primary"})
-
-	// Unreplicated session: X-Replicated: none.
-	resp := postJSON(t, primary.URL+"/v1/sessions", CreateSessionRequest{PatientID: "P00", SessionID: "S00"})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(HeaderReplicated); got != "none" {
-		t.Errorf("unreplicated create X-Replicated = %q, want none", got)
-	}
-
-	// Replicated session: create and ingest report "full" after a clean
-	// synchronous flush, with the patient's holdings alongside.
-	resp = postJSON(t, primary.URL+"/v1/sessions", CreateSessionRequest{
-		PatientID: "P01", SessionID: "S01", Replicate: []string{replica.URL},
-	})
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("replicated create status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(HeaderReplicated); got != "full" {
-		t.Errorf("replicated create X-Replicated = %q, want full", got)
-	}
-
-	resp = postJSON(t, primary.URL+"/v1/sessions/S01/samples", respSamples(t, 5, 20))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(HeaderReplicated); got != "full" {
-		t.Errorf("ingest X-Replicated = %q, want full", got)
-	}
-	if resp.Header.Get(HeaderPatientStreams) != "1" {
-		t.Errorf("X-Patient-Streams = %q, want 1", resp.Header.Get(HeaderPatientStreams))
-	}
-	stats, _ := getJSON[ShardStatsResponse](t, primary.URL+"/v1/shard/stats")
-	wantV := stats.Freshness["P01"].Vertices
-	if wantV == 0 {
-		t.Fatal("stats report no vertices for P01")
-	}
-	if got := resp.Header.Get(HeaderPatientVertices); got != strconv.Itoa(wantV) {
-		t.Errorf("X-Patient-Vertices = %q, stats say %d", got, wantV)
-	}
-}
 
 // postMatchLeg posts a binary leg body to /v1/match and returns the
 // status and response body.
@@ -82,11 +36,10 @@ func postMatchLeg(t *testing.T, baseURL string, body []byte) (int, []byte) {
 // scopeFixture is one shard holding the same breathing trace under
 // patient IDs that carry separator characters and unicode, and a leg
 // query cut from the first patient's stream.
-func scopeFixture(t *testing.T) (baseURL string, held []string, q wal.MatchLegRequest, holding map[string]PatientFreshness) {
+func scopeFixture(t *testing.T) (baseURL string, q wal.MatchLegRequest) {
 	t.Helper()
 	_, ts := newReplServer(t, Options{})
-	held = []string{"P01", "p,with,commas", "p with spaces", "p=eq:colon", "ünïcode"}
-	for i, pid := range held {
+	for i, pid := range []string{"P01", "p,with,commas", "p with spaces", "p=eq:colon", "ünïcode"} {
 		sid := "S" + strconv.Itoa(i)
 		resp := postJSON(t, ts.URL+"/v1/sessions", CreateSessionRequest{PatientID: pid, SessionID: sid})
 		if resp.StatusCode != http.StatusCreated {
@@ -98,148 +51,39 @@ func scopeFixture(t *testing.T) (baseURL string, held []string, q wal.MatchLegRe
 	if len(plrResp.Vertices) < 8 {
 		t.Fatalf("query stream too short: %d vertices", len(plrResp.Vertices))
 	}
-	stats, _ := getJSON[ShardStatsResponse](t, ts.URL+"/v1/shard/stats")
-	q = wal.MatchLegRequest{Seq: plrResp.Vertices[len(plrResp.Vertices)-6:], PatientID: "P01", SessionID: "S0"}
-	return ts.URL, held, q, stats.Freshness
+	return ts.URL, wal.MatchLegRequest{Seq: plrResp.Vertices[len(plrResp.Vertices)-6:], PatientID: "P01", SessionID: "S0"}
 }
 
-// TestMatchScopeHeaderRoundTrip: every shape of scope reaches the shard
-// intact, even with separator characters and unicode inside patient
-// IDs, and the reply names the same IDs back. The name dates from when
-// the scope rode in X-Match-* headers; it now rides in the STMQ frame
-// (wal.TestMatchLegScopeCodec pins the codec), and this is the shard's
-// end of that round trip.
-func TestMatchScopeHeaderRoundTrip(t *testing.T) {
-	baseURL, held, q, holding := scopeFixture(t)
-	if holding["p,with,commas"].Vertices == 0 || holding["ünïcode"].Vertices == 0 {
-		t.Fatalf("holdings = %+v", holding)
-	}
-	commas := holding["p,with,commas"]
-	cases := []struct {
-		only, exclude []string
-		require       []wal.LegFreshness
-	}{
-		{},
-		{exclude: []string{"P01", "p,with,commas", "p with spaces", "p=eq:colon"}},
-		{only: []string{"P02", "ünïcode"}},
-		{
-			only: []string{"p,with,commas", "p=eq:colon"},
-			require: []wal.LegFreshness{
-				{PatientID: "p,with,commas", Streams: uint64(commas.Streams), Vertices: uint64(commas.Vertices)},
-				{PatientID: "p=eq:colon", Streams: 2, Vertices: 117},
-			},
-		},
-		{
-			exclude: []string{"p with spaces"},
-			require: []wal.LegFreshness{{PatientID: "ünïcode", Streams: 1}, {PatientID: "P06", Streams: 1}},
-		},
-	}
-	for i, c := range cases {
-		lq := q
-		lq.Only, lq.Exclude, lq.Require = c.only, c.exclude, c.require
-		status, body := postMatchLeg(t, baseURL, wal.AppendMatchLegRequest(nil, lq))
-		if status != http.StatusOK {
-			t.Fatalf("case %d: status %d: %s", i, status, body)
-		}
-		rep, err := wal.DecodeMatchLegReply(body)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-
-		// What the shard must have seen: the refusals its holdings imply,
-		// its holdings for every patient the scope named, and hits from
-		// exactly the held patients the scope admits.
-		var wantRefused []string
-		named := map[string]bool{}
-		refused := map[string]bool{}
-		for _, pid := range c.only {
-			named[pid] = true
-		}
-		for _, min := range c.require {
-			named[min.PatientID] = true
-			if fr := holding[min.PatientID]; uint64(fr.Streams) < min.Streams || uint64(fr.Vertices) < min.Vertices {
-				wantRefused = append(wantRefused, min.PatientID)
-				refused[min.PatientID] = true
-			}
-		}
-		slices.Sort(wantRefused)
-		var wantFresh []wal.LegFreshness
-		for pid := range named {
-			fr := holding[pid]
-			wantFresh = append(wantFresh, wal.LegFreshness{PatientID: pid, Streams: uint64(fr.Streams), Vertices: uint64(fr.Vertices)})
-		}
-		slices.SortFunc(wantFresh, func(a, b wal.LegFreshness) int { return strings.Compare(a.PatientID, b.PatientID) })
-		var wantHit []string
-		for _, pid := range held {
-			scoped := slices.Contains(c.only, pid) || (c.only == nil && !slices.Contains(c.exclude, pid))
-			if scoped && !refused[pid] {
-				wantHit = append(wantHit, pid)
-			}
-		}
-		slices.Sort(wantHit)
-		var gotHit []string
-		for _, h := range rep.Hits {
-			gotHit = append(gotHit, rep.Streams[h.Stream].PatientID)
-		}
-		slices.Sort(gotHit)
-		gotHit = slices.Compact(gotHit)
-
-		if !reflect.DeepEqual(rep.Refused, wantRefused) {
-			t.Errorf("case %d: Refused = %q, want %q", i, rep.Refused, wantRefused)
-		}
-		if !reflect.DeepEqual(rep.Freshness, wantFresh) {
-			t.Errorf("case %d: Freshness = %+v, want %+v", i, rep.Freshness, wantFresh)
-		}
-		if !reflect.DeepEqual(gotHit, wantHit) {
-			t.Errorf("case %d: hits from %q, want from %q", i, gotHit, wantHit)
-		}
-	}
+// v2Bound is a version-2 require bound: the least a shard had to hold
+// of a patient before scoring it.
+type v2Bound struct {
+	pid               string
+	streams, vertices uint64
 }
 
-// TestMatchScopeHeaderParseErrors: a leg whose scope is malformed is
-// refused with 400 before anything is scored. The name dates from the
-// X-Match-* header parser; the malformed scopes are now frames (an ID
-// list whose count or string length the bytes cannot back, a Require
-// entry cut short, Only with Exclude, a version-1 leg that expected its
-// scope in headers), each resealed so the CRC passes and the scope
-// itself is what the shard refuses.
-func TestMatchScopeHeaderParseErrors(t *testing.T) {
-	baseURL, _, q, _ := scopeFixture(t)
-	scoped := func(only, exclude []string, require ...wal.LegFreshness) []byte {
-		lq := q
-		lq.Only, lq.Exclude, lq.Require = only, exclude, require
-		return wal.AppendMatchLegRequest(nil, lq)
-	}
-	// An Only list of one "P01" ends the payload with its count, the
-	// string's length, its three bytes, and two empty lists.
-	onlyTail := func(edit func(tail []byte)) []byte {
-		msg := scoped([]string{"P01"}, nil)
-		edit(msg[len(msg)-7:])
-		return resealLeg(msg)
-	}
-	withRequire := scoped(nil, nil, wal.LegFreshness{PatientID: "P01", Streams: 1, Vertices: 1})
-	v1 := scoped([]string{"P01"}, nil)
-	v1[4] = 1
-
-	if status, body := postMatchLeg(t, baseURL, scoped([]string{"P01"}, nil)); status != http.StatusOK {
-		t.Fatalf("well-formed scoped leg: status %d: %s", status, body)
-	}
-	for name, msg := range map[string][]byte{
-		"only count beyond bytes":  onlyTail(func(tail []byte) { tail[0] = 0x7f }),
-		"only ID beyond bytes":     onlyTail(func(tail []byte) { tail[1] = 0x09 }),
-		"require entry cut short":  resealLeg(withRequire[:len(withRequire)-1]),
-		"only and exclude":         scoped([]string{"P01"}, []string{"p,with,commas"}),
-		"version 1 (header scope)": resealLeg(v1),
-	} {
-		if status, body := postMatchLeg(t, baseURL, msg); status != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400: %s", name, status, body)
+// v2Leg encodes q as a version-2 leg did: the version-3 payload
+// followed by the only, exclude and require lists of its scope.
+func v2Leg(q wal.MatchLegRequest, only, exclude []string, require ...v2Bound) []byte {
+	ids := func(b []byte, ss []string) []byte {
+		b = binary.AppendUvarint(b, uint64(len(ss)))
+		for _, s := range ss {
+			b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
 		}
+		return b
 	}
+	msg := ids(ids(wal.AppendMatchLegRequest(nil, q), only), exclude)
+	msg = binary.AppendUvarint(msg, uint64(len(require)))
+	for _, r := range require {
+		msg = binary.AppendUvarint(append(binary.AppendUvarint(msg, uint64(len(r.pid))), r.pid...), r.streams)
+		msg = binary.AppendUvarint(msg, r.vertices)
+	}
+	msg[4] = 2
+	return resealLeg(msg)
 }
 
 // resealLeg recomputes a mutated leg's frame header (u32 payload length,
 // u32 CRC-32C after the 6-byte magic and version), so the shard's
-// decoder gets past the CRC to the scope that was changed.
+// decoder gets past the CRC to the field that was changed.
 func resealLeg(msg []byte) []byte {
 	const off = 6
 	payload := msg[off+8:]
@@ -248,12 +92,106 @@ func resealLeg(msg []byte) []byte {
 	return msg
 }
 
-// TestMatchScopeRefusal drives the follower-read contract directly
-// against one server with scoped legs: an Only leg with a satisfiable
-// Require bound is served, an unsatisfiable bound is refused, and an
-// Exclude leg omits the excluded patient's matches entirely. The JSON
-// route is never scoped: an X-Match-Exclude header left over from the
-// header protocol changes nothing.
+// refusedAs asserts a leg posted to the shard is a 400 whose error
+// names the given leg version.
+func refusedAs(t *testing.T, baseURL, name string, msg []byte, version int) {
+	t.Helper()
+	status, body := postMatchLeg(t, baseURL, msg)
+	if want := "version " + strconv.Itoa(version); status != http.StatusBadRequest || !strings.Contains(string(body), want) {
+		t.Errorf("%s: status %d: %s; want 400 naming %s", name, status, body, want)
+	}
+}
+
+// legEqualsJSON asserts the version-3 leg of q answers what the JSON
+// route answers for the same query, and returns that answer.
+func legEqualsJSON(t *testing.T, baseURL string, q wal.MatchLegRequest) MatchResponse {
+	t.Helper()
+	status, raw := postMatchLeg(t, baseURL, wal.AppendMatchLegRequest(nil, q))
+	if status != http.StatusOK {
+		t.Fatalf("v3 leg: status %d: %s", status, raw)
+	}
+	rep, err := wal.DecodeMatchLegReply(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]RemoteMatch, len(rep.Hits))
+	for i, h := range rep.Hits {
+		s := rep.Streams[h.Stream]
+		got[i] = RemoteMatch{PatientID: s.PatientID, SessionID: s.SessionID, Start: int(h.Start), N: int(h.N),
+			Relation: core.SourceRelation(s.Relation).String(), Distance: h.Distance, Weight: h.Weight}
+	}
+	resp := postJSON(t, baseURL+"/v1/match", MatchRequest{Seq: q.Seq, PatientID: q.PatientID, SessionID: q.SessionID, Now: q.Now, K: q.K})
+	want := decode[MatchResponse](t, resp)
+	if !reflect.DeepEqual(got, want.Matches) {
+		t.Errorf("v3 leg answered %+v, the JSON route %+v", got, want.Matches)
+	}
+	return want
+}
+
+// TestMatchScopeHeaderRoundTrip: the name dates from when a leg's scope
+// rode in X-Match-* headers, and then in the version-2 STMQ frame.
+// Version 3 carries no scope: every shape of version-2 scope, with
+// separator characters and unicode inside patient IDs, is a 400 naming
+// version 2, and the version-3 leg of the same query is the JSON answer.
+func TestMatchScopeHeaderRoundTrip(t *testing.T) {
+	baseURL, q := scopeFixture(t)
+	cases := []struct {
+		only, exclude []string
+		require       []v2Bound
+	}{
+		{},
+		{exclude: []string{"P01", "p,with,commas", "p with spaces", "p=eq:colon"}},
+		{only: []string{"P02", "ünïcode"}},
+		{only: []string{"p,with,commas", "p=eq:colon"}, require: []v2Bound{{"p,with,commas", 1, 1}, {"p=eq:colon", 2, 117}}},
+		{exclude: []string{"p with spaces"}, require: []v2Bound{{"ünïcode", 1, 0}, {"P06", 1, 0}}},
+	}
+	for i, c := range cases {
+		refusedAs(t, baseURL, "v2 shape "+strconv.Itoa(i), v2Leg(q, c.only, c.exclude, c.require...), 2)
+	}
+	for _, k := range []int{0, 10} {
+		q.K = k
+		if want := legEqualsJSON(t, baseURL, q); len(want.Matches) == 0 {
+			t.Errorf("k=%d: no matches; fixture proves nothing", k)
+		}
+	}
+}
+
+// TestMatchScopeHeaderParseErrors: the name dates from the X-Match-*
+// header parser. A leg is refused with 400 before anything is scored
+// when it is of another version — version 1, version 2 whether its
+// scope is well formed or not — or when a version-2 scope rides under a
+// version-3 header; the version-3 leg of the same query still answers.
+func TestMatchScopeHeaderParseErrors(t *testing.T) {
+	baseURL, q := scopeFixture(t)
+	withRequire := v2Leg(q, nil, nil, v2Bound{"P01", 1, 1})
+	v1 := wal.AppendMatchLegRequest(nil, q)
+	v1[4] = 1
+	relabelled := v2Leg(q, []string{"P01"}, nil)
+	relabelled[4] = 3
+	for name, c := range map[string]struct {
+		msg     []byte
+		version int
+	}{
+		"v2 only":                {v2Leg(q, []string{"P01"}, nil), 2},
+		"v2 require cut short":   {resealLeg(withRequire[:len(withRequire)-1]), 2},
+		"v2 only and exclude":    {v2Leg(q, []string{"P01"}, []string{"p,with,commas"}), 2},
+		"version 1 (header era)": {resealLeg(v1), 1},
+	} {
+		refusedAs(t, baseURL, name, c.msg, c.version)
+	}
+	if status, body := postMatchLeg(t, baseURL, resealLeg(relabelled)); status != http.StatusBadRequest || !strings.Contains(string(body), "trailing bytes") {
+		t.Errorf("v2 scope under a v3 header: status %d: %s; want 400 for trailing bytes", status, body)
+	}
+	legEqualsJSON(t, baseURL, q)
+}
+
+// TestMatchScopeRefusal: no shard refuses a patient any more, because
+// no leg can ask it to. The version-2 legs that once drove refusal — a
+// satisfiable bound, an unsatisfiable one, an exclude, a bound on a
+// patient the shard does not hold — are each a 400 naming version 2;
+// the version-3 leg scores every patient and is the JSON answer; and the
+// JSON route ignores an X-Match-Exclude header left over from the
+// header protocol.
 func TestMatchScopeRefusal(t *testing.T) {
 	_, ts := newReplServer(t, Options{})
 	for _, pid := range []string{"PA", "PB"} {
@@ -268,114 +206,43 @@ func TestMatchScopeRefusal(t *testing.T) {
 		t.Fatalf("query stream too short: %d vertices", len(plrA.Vertices))
 	}
 	q := wal.MatchLegRequest{Seq: plrA.Vertices[len(plrA.Vertices)-6:], PatientID: "PA", SessionID: "S-PA"}
-	stats, _ := getJSON[ShardStatsResponse](t, ts.URL+"/v1/shard/stats")
-	frA := wal.LegFreshness{PatientID: "PA", Streams: uint64(stats.Freshness["PA"].Streams), Vertices: uint64(stats.Freshness["PA"].Vertices)}
-	if frA.Streams != 1 || frA.Vertices == 0 {
-		t.Fatalf("PA holdings = %+v", frA)
-	}
+	held := v2Bound{"PA", 1, uint64(len(plrA.Vertices))}
+	over := held
+	over.vertices += 10
 
-	post := func(contentType string, body []byte, hdr http.Header) []byte {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/match", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header = hdr
-		req.Header.Set("Content-Type", contentType)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		out, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("match status %d (%v): %s", resp.StatusCode, err, out)
-		}
-		return out
-	}
-	leg := func(only, exclude []string, require ...wal.LegFreshness) wal.MatchLegReply {
-		t.Helper()
-		lq := q
-		lq.Only, lq.Exclude, lq.Require = only, exclude, require
-		rep, err := wal.DecodeMatchLegReply(post(wal.MatchLegContentType, wal.AppendMatchLegRequest(nil, lq), http.Header{}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	patientOf := func(rep wal.MatchLegReply, h wal.LegHit) string { return rep.Streams[h.Stream].PatientID }
+	refusedAs(t, ts.URL, "satisfiable bound", v2Leg(q, []string{"PA", "PB"}, nil, held), 2)
+	refusedAs(t, ts.URL, "unsatisfiable bound", v2Leg(q, []string{"PA", "PB"}, nil, over), 2)
+	refusedAs(t, ts.URL, "exclude", v2Leg(q, nil, []string{"PA"}), 2)
+	refusedAs(t, ts.URL, "bound on an unheld patient", v2Leg(q, nil, []string{"PA"}, v2Bound{"PZ", 1, 0}), 2)
 
-	baseline := leg(nil, nil)
-	if len(baseline.Hits) == 0 {
-		t.Fatal("baseline match found nothing; fixture broken")
+	unscoped := legEqualsJSON(t, ts.URL, q)
+	if !slices.ContainsFunc(unscoped.Matches, func(m RemoteMatch) bool { return m.PatientID == "PA" }) {
+		t.Fatalf("no match from PA; fixture proves nothing: %+v", unscoped.Matches)
 	}
-	if baseline.Refused != nil || baseline.Freshness != nil {
-		t.Errorf("unscoped leg reported scope fields: %+v %+v", baseline.Refused, baseline.Freshness)
-	}
-
-	// Satisfiable bound: served, holdings reported, nothing refused.
-	ok := leg([]string{"PA", "PB"}, nil, frA)
-	if len(ok.Refused) != 0 {
-		t.Errorf("satisfiable bound refused %v", ok.Refused)
-	}
-	if i := slices.IndexFunc(ok.Freshness, func(f wal.LegFreshness) bool { return f.PatientID == "PA" }); i < 0 || ok.Freshness[i] != frA {
-		t.Errorf("reported freshness %+v, want %+v", ok.Freshness, frA)
-	}
-	if len(ok.Hits) != len(baseline.Hits) {
-		t.Errorf("scoped full match returned %d matches, baseline %d", len(ok.Hits), len(baseline.Hits))
-	}
-
-	// Unsatisfiable bound (as if the primary were ahead): refused, and
-	// none of PA's matches leak into the reply.
-	over := frA
-	over.Vertices += 10
-	ref := leg([]string{"PA", "PB"}, nil, over)
-	if len(ref.Refused) != 1 || ref.Refused[0] != "PA" {
-		t.Fatalf("Refused = %v, want [PA]", ref.Refused)
-	}
-	for _, h := range ref.Hits {
-		if patientOf(ref, h) == "PA" {
-			t.Fatalf("refused patient still matched: %+v", h)
-		}
-	}
-
-	// Exclude mode: PA's arcs are scored elsewhere, so they must not
-	// appear here (PB's similarity to PA's query is data-dependent, so
-	// its presence is not asserted).
-	exc := leg(nil, []string{"PA"})
-	for _, h := range exc.Hits {
-		if patientOf(exc, h) == "PA" {
-			t.Fatalf("excluded patient matched: %+v", h)
-		}
-	}
-	// A bound on a patient this shard does not hold at all is refused.
-	missing := leg(nil, []string{"PA"}, wal.LegFreshness{PatientID: "PZ", Streams: 1})
-	if len(missing.Refused) != 1 || missing.Refused[0] != "PZ" {
-		t.Errorf("unknown-patient Require: Refused = %v, want [PZ]", missing.Refused)
-	}
-
-	// The JSON route ignores the retired scope header: PA still matches.
 	body, err := json.Marshal(MatchRequest{Seq: q.Seq, PatientID: q.PatientID, SessionID: q.SessionID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var unscoped, stale MatchResponse
-	if err := json.Unmarshal(post("application/json", body, http.Header{}), &unscoped); err != nil {
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/match", bytes.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(post("application/json", body, http.Header{"X-Match-Exclude": {"PA"}}), &stale); err != nil {
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Match-Exclude", "PA")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(stale, unscoped) || !slices.ContainsFunc(stale.Matches, func(m RemoteMatch) bool { return m.PatientID == "PA" }) {
-		t.Errorf("JSON match under X-Match-Exclude: PA = %d matches, unscoped %d; want the unscoped answer",
+	if stale := decode[MatchResponse](t, resp); !reflect.DeepEqual(stale, unscoped) {
+		t.Errorf("JSON match under X-Match-Exclude: %d matches, unscoped %d; want the unscoped answer",
 			len(stale.Matches), len(unscoped.Matches))
 	}
 }
 
 // TestShardStatsLinkSeqs: after a replicated ingest the primary's
-// stats expose per-link shipped/acked sequence numbers, the follower
-// reports its applied high-water mark, and both sides publish
-// per-patient holdings. The healthz payload carries the same per-
+// stats expose per-link shipped/acked sequence numbers, and the
+// follower reports its applied high-water mark and the same stream
+// length as the primary. The healthz payload carries the same per-
 // session link detail.
 func TestShardStatsLinkSeqs(t *testing.T) {
 	_, replica := newReplServer(t, Options{})
@@ -410,9 +277,6 @@ func TestShardStatsLinkSeqs(t *testing.T) {
 	if link.AckedSeq != link.ShippedSeq {
 		t.Errorf("acked %d != shipped %d after synchronous flush", link.AckedSeq, link.ShippedSeq)
 	}
-	if pStats.Freshness["P01"].Vertices == 0 {
-		t.Error("primary stats missing P01 freshness")
-	}
 
 	rStats, _ := getJSON[ShardStatsResponse](t, replica.URL+"/v1/shard/stats")
 	if len(rStats.Replicas) != 1 {
@@ -421,9 +285,8 @@ func TestShardStatsLinkSeqs(t *testing.T) {
 	if got := rStats.Replicas[0].AppliedSeq; got != link.AckedSeq {
 		t.Errorf("replica applied seq %d, primary acked %d", got, link.AckedSeq)
 	}
-	if rStats.Freshness["P01"] != pStats.Freshness["P01"] {
-		t.Errorf("follower freshness %+v != primary %+v after clean flush",
-			rStats.Freshness["P01"], pStats.Freshness["P01"])
+	if got := rStats.Replicas[0].Vertices; got != sess.Vertices {
+		t.Errorf("follower holds %d vertices, primary %d after a clean flush", got, sess.Vertices)
 	}
 
 	hz, _ := getJSON[HealthzResponse](t, primary.URL+"/v1/healthz")

@@ -147,8 +147,8 @@ func (r *replicator) unlink(drop func(*replicaLink) bool) int {
 }
 
 // ReplLinkStatus is one primary→replica shipping lane's sequence
-// state, exposed in /v1/shard/stats and /v1/healthz so operators (and
-// the gateway freshness tracker) can see which replica is behind.
+// state, exposed in /v1/shard/stats and /v1/healthz so operators can
+// see which replica is behind.
 type ReplLinkStatus struct {
 	Target string `json:"target"`
 	// ShippedSeq is the highest sequence number assigned on this link

@@ -306,7 +306,6 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		// session exists (or the response says which ones do not).
 		replErrs = s.replFlush(r.Context(), repl)
 	}
-	s.setFreshnessHeaders(w, repl, s.patientFreshness(req.PatientID), replErrs)
 	s.log.Info("session opened",
 		slog.String("patientId", req.PatientID),
 		slog.String("sessionId", req.SessionID),
@@ -395,7 +394,7 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding samples: %w", err))
 		return
 	}
-	resp, repl, fresh, code, err := s.ingestLocked(r.Context(), sid, batch)
+	resp, repl, code, err := s.ingestLocked(r.Context(), sid, batch)
 	switch code {
 	case http.StatusNotFound:
 		s.goneOr404(w, sid)
@@ -410,7 +409,6 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		// healthy replica has every acknowledged vertex.
 		resp.ReplicaErrors = s.replFlush(r.Context(), repl)
 	}
-	s.setFreshnessHeaders(w, repl, fresh, resp.ReplicaErrors)
 	if err != nil {
 		httpError(w, code, err)
 		return
@@ -439,42 +437,22 @@ func writeSamplesAck(w http.ResponseWriter, resp SamplesResponse) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// setFreshnessHeaders piggybacks the patient's post-write holdings on
-// a session-scoped response. The counts were snapshotted under s.mu
-// before replication flushed, so X-Replicated: full guarantees every
-// follower holds at least the advertised streams/vertices — the fact
-// the gateway's freshness tracker records for both primary and
-// followers off a single ingest ack.
-func (s *Server) setFreshnessHeaders(w http.ResponseWriter, repl *replicator, fresh PatientFreshness, replErrs []string) {
-	h := w.Header()
-	h.Set(HeaderPatientStreams, strconv.Itoa(fresh.Streams))
-	h.Set(HeaderPatientVertices, strconv.Itoa(fresh.Vertices))
-	switch {
-	case repl == nil:
-		h.Set(HeaderReplicated, "none")
-	case len(replErrs) == 0:
-		h.Set(HeaderReplicated, "full")
-	default:
-		h.Set(HeaderReplicated, "partial")
-	}
-}
-
 // ingestLocked runs one ingest batch under the session lock and stages
 // the resulting records on the session's replica links. The returned
 // replicator (nil for unreplicated sessions) must be flushed by the
 // caller after the lock is released. Status 404 (no such session) and
 // 503 (fenced) mean nothing was stored.
-func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn) (SamplesResponse, *replicator, PatientFreshness, int, error) {
+func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn) (SamplesResponse, *replicator, int, error) {
 	s.lock()
 	defer s.mu.Unlock()
 	sess, ok := s.sessions[sid]
 	if !ok {
-		return SamplesResponse{}, nil, PatientFreshness{}, http.StatusNotFound, fmt.Errorf("no open session %q", sid)
+		return SamplesResponse{}, nil, http.StatusNotFound, fmt.Errorf("no open session %q", sid)
 	}
 	if sess.fenced {
 		// A migration cutover is in flight; accepting the write here
 		// could lose it when the target takes over. Retryable.
-		return SamplesResponse{}, nil, PatientFreshness{}, http.StatusServiceUnavailable,
+		return SamplesResponse{}, nil, http.StatusServiceUnavailable,
 			fmt.Errorf("session %q is migrating; retry shortly", sid)
 	}
 	resp := SamplesResponse{}
@@ -546,16 +524,12 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 		recs = append(recs, anchor)
 		sess.repl.enqueue(recs...)
 	}
-	// Snapshot the patient's holdings before the caller flushes
-	// replication: a clean flush then proves followers hold at least
-	// these counts.
-	fresh := s.patientFreshnessLocked(sess.patientID)
 	if pushErr != nil {
-		return resp, sess.repl, fresh, pushCode, pushErr
+		return resp, sess.repl, pushCode, pushErr
 	}
 	resp.TotalSamples = sess.samples
 	resp.CurrentState = sess.seg.CurrentState().String()
-	return resp, sess.repl, fresh, 0, nil
+	return resp, sess.repl, 0, nil
 }
 
 // CloseSessionResponse reports the final state of a closed session.

@@ -18,7 +18,9 @@ import (
 // threshold mode — through one server and through a 3-shard gateway at
 // R=2. Every body is the bytes encoding/json makes of the value it
 // decodes to: the server's with the newline json.Encoder writes, the
-// gateway's as json.Marshal writes it.
+// gateway's as json.Marshal writes it. A max-lag never changes an
+// answer: the gateway's bytes for each query are the same with a
+// "maxLag":1<<20 body and with ?max-lag=10 as at max-lag 0.
 func TestMatchAnswerBytesUnchanged(t *testing.T) {
 	f := newFixture(t, 2)
 	var sids []string
@@ -30,7 +32,6 @@ func TestMatchAnswerBytesUnchanged(t *testing.T) {
 	for _, sid := range sids {
 		seqs[sid] = testutil.GetJSON[server.PLRResponse](t, f.oracle.URL+"/v1/sessions/"+sid+"/plr").Vertices
 	}
-	planned := 0
 	for i := 0; i < 64; i++ {
 		sid := sids[i%len(sids)]
 		seq := seqs[sid]
@@ -82,9 +83,26 @@ func TestMatchAnswerBytesUnchanged(t *testing.T) {
 		if res.Degraded || len(res.Matches) == 0 && req.K > 0 {
 			t.Fatalf("query %d: degraded=%v with %d matches", i, res.Degraded, len(res.Matches))
 		}
-		planned += res.PlannedPatients
-	}
-	if planned == 0 {
-		t.Fatal("no query was planned onto followers; the pool never wrote plannedPatients")
+
+		lag0 := req
+		lag0.MaxLag = 0
+		loose := req
+		loose.MaxLag = 1 << 20
+		for label, at := range map[string]struct {
+			url string
+			req server.MatchRequest
+		}{
+			"max-lag 0":      {f.cluster.URL + "/v1/match", lag0},
+			`"maxLag":1<<20`: {f.cluster.URL + "/v1/match", loose},
+			"?max-lag=10":    {f.cluster.URL + "/v1/match?max-lag=10", lag0},
+		} {
+			body, err := json.Marshal(at.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := postMatch(t, at.url, "application/json", body); !bytes.Equal(got, raw) {
+				t.Fatalf("query %d: %s answered\n%s\nwhere the query as asked answered\n%s", i, label, trunc(got), trunc(raw))
+			}
+		}
 	}
 }

@@ -83,22 +83,10 @@ type Options struct {
 	// DefaultMigrateTimeout).
 	MigrateTimeout time.Duration
 
-	// FreshnessInterval is the period of the gateway's background
-	// /v1/shard/stats polling that seeds and refreshes the
-	// follower-read freshness tracker (negative = disabled; 0 =
-	// DefaultFreshnessInterval when Replicas > 1, else disabled). The
-	// tracker converges from piggybacked response headers on regular
-	// traffic either way, but polling is what bounds how far the
-	// planner's max-lag baseline — the primary's tracked holdings —
-	// can trail the primary's actual state after writes that bypass
-	// this gateway (out-of-band clients, a second gateway), so it
-	// defaults on whenever follower reads are possible.
+	// Deprecated: ignored. The gateway tracks no per-patient freshness
+	// any more: every match is the exact lag-0 scatter.
 	FreshnessInterval time.Duration
 }
-
-// DefaultFreshnessInterval is the background freshness-polling period
-// when Options.FreshnessInterval is zero and replication is enabled.
-const DefaultFreshnessInterval = 5 * time.Second
 
 // DefaultRebalanceConcurrency bounds in-flight migrations during a
 // rebalance drain when Options.RebalanceConcurrency is zero.
@@ -144,9 +132,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MigrateTimeout <= 0 {
 		o.MigrateTimeout = DefaultMigrateTimeout
-	}
-	if o.FreshnessInterval == 0 && o.Replicas > 1 {
-		o.FreshnessInterval = DefaultFreshnessInterval
 	}
 	return o
 }

@@ -293,15 +293,27 @@ func TestPoolBackendRestarted(t *testing.T) {
 	}
 }
 
+// TestFreshnessIntervalDefault: the name dates from the follower-read
+// freshness poller. Options.FreshnessInterval is deprecated and ignored,
+// so a gateway asked to poll every millisecond sends no /v1/shard/stats
+// request at all.
 func TestFreshnessIntervalDefault(t *testing.T) {
-	if got := (Options{}).withDefaults().FreshnessInterval; got != 0 {
-		t.Errorf("unreplicated default FreshnessInterval = %v, want 0 (disabled)", got)
+	var polls atomic.Int32
+	ts := httptest.NewServer(&frame.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/shard/stats" {
+			polls.Add(1)
+		}
+		w.Write([]byte(`{}`)) //nolint:errcheck
+	})})
+	defer ts.Close()
+	g, err := NewGateway([]string{ts.URL}, Options{Replicas: 2, HealthInterval: -1, FreshnessInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := (Options{Replicas: 2}).withDefaults().FreshnessInterval; got != DefaultFreshnessInterval {
-		t.Errorf("R=2 default FreshnessInterval = %v, want %v", got, DefaultFreshnessInterval)
-	}
-	if got := (Options{Replicas: 2, FreshnessInterval: -1}).withDefaults().FreshnessInterval; got != -1 {
-		t.Errorf("explicit disable overridden: %v", got)
+	time.Sleep(50 * time.Millisecond)
+	g.Close()
+	if n := polls.Load(); n != 0 {
+		t.Errorf("gateway polled /v1/shard/stats %d times in 50ms; want none", n)
 	}
 }
 

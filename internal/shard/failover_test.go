@@ -298,12 +298,11 @@ func TestRebalanceAfterGatewayRestartFailsOverOrphan(t *testing.T) {
 		urls[i] = n.URL
 	}
 	gw2, err := shard.NewGateway(urls, shard.Options{
-		Replicas:          2,
-		HealthInterval:    -1,
-		FreshnessInterval: -1,
-		FailThreshold:     1,
-		BackoffBase:       time.Millisecond,
-		BackoffMax:        5 * time.Millisecond,
+		Replicas:       2,
+		HealthInterval: -1,
+		FailThreshold:  1,
+		BackoffBase:    time.Millisecond,
+		BackoffMax:     5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +433,7 @@ func TestReplicationEquivalence(t *testing.T) {
 
 // TestFramesCarryClusterTraffic runs TestReplicationEquivalence's shape
 // through the gateway alone — sessions created and ingested at R=2, a
-// match in both modes, predict, PLR, stats, a freshness poll, probes,
+// match in both modes, predict, PLR, stats, probes,
 // then a primary killed and its session failed over and ingested again —
 // and counts what each shard served: no HTTP request but the upgrades
 // to the frame carrier, which carried every call from the gateway or a
@@ -457,7 +456,6 @@ func TestFramesCarryClusterTraffic(t *testing.T) {
 	}
 	testutil.GetJSON[server.PredictionResponse](t, c.URL+"/v1/sessions/S-P00/predict?delta=200ms")
 	testutil.GetJSON[shard.GatewayStatsResponse](t, c.URL+"/v1/stats")
-	c.Gateway.RefreshFreshness(context.Background())
 	c.Probe(2)
 	primary, _, _ := c.Gateway.SessionPlacement("S-P01")
 	c.Kill(primary)

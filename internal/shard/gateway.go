@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -61,16 +60,6 @@ type Gateway struct {
 	// promoteMu serializes failovers so concurrent requests against a
 	// dead primary elect exactly one replacement.
 	promoteMu sync.Mutex
-
-	// fresh tracks per-backend per-patient holdings for the follower-
-	// read planner (see freshness.go).
-	fresh *freshTracker
-
-	// stopFresh/freshDone bound the optional background freshness
-	// poller started when Options.FreshnessInterval > 0.
-	stopFresh chan struct{}
-	freshDone chan struct{}
-	stopOnce  sync.Once
 }
 
 // placement records where a session lives: the backend currently
@@ -105,16 +94,8 @@ func NewGateway(backends []string, opts Options) (*Gateway, error) {
 		start:     time.Now(),
 		places:    make(map[string]*placement),
 		subPlaces: make(map[string]*subPlacement),
-		fresh:     newFreshTracker(),
-		stopFresh: make(chan struct{}),
-		freshDone: make(chan struct{}),
 	}
 	obs.RegisterBuildInfo(obs.Default())
-	if opts.FreshnessInterval > 0 {
-		go g.freshLoop(opts.FreshnessInterval)
-	} else {
-		close(g.freshDone)
-	}
 	g.route("POST /v1/sessions", "create_session", g.handleCreateSession)
 	g.route("POST /v1/sessions/{sid}/samples", "ingest_samples", g.handleSessionScoped)
 	g.route("DELETE /v1/sessions/{sid}", "close_session", g.handleSessionScoped)
@@ -147,28 +128,8 @@ func (g *Gateway) route(pattern, name string, h http.HandlerFunc) {
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.handler.ServeHTTP(w, r) }
 
-// Close stops the pool's health checker and the freshness poller.
-func (g *Gateway) Close() {
-	g.stopOnce.Do(func() { close(g.stopFresh) })
-	<-g.freshDone
-	g.pool.Close()
-}
-
-// freshLoop periodically refreshes the freshness tracker from the
-// shards' stats inventories.
-func (g *Gateway) freshLoop(interval time.Duration) {
-	defer close(g.freshDone)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-g.stopFresh:
-			return
-		case <-t.C:
-			g.RefreshFreshness(context.Background())
-		}
-	}
-}
+// Close stops the pool's health checker.
+func (g *Gateway) Close() { g.pool.Close() }
 
 // inventory is one backend's /v1/shard/stats answer.
 type inventory struct {
@@ -178,8 +139,7 @@ type inventory struct {
 
 // inventories polls /v1/shard/stats on every healthy backend of one
 // Backends() snapshot and returns the answers that arrived, in backend
-// order: what placement rediscovery, the rebalance diff and the
-// freshness poll all read.
+// order: what placement rediscovery and the rebalance diff read.
 func (g *Gateway) inventories(ctx context.Context) []inventory {
 	backends := g.pool.Backends()
 	polled := make([]*inventory, len(backends))
@@ -209,30 +169,6 @@ func (g *Gateway) inventories(ctx context.Context) []inventory {
 		}
 	}
 	return invs
-}
-
-// RefreshFreshness folds every healthy backend's per-patient holdings
-// into the freshness tracker. The background poller calls this on a
-// timer; tests call it directly for deterministic convergence.
-func (g *Gateway) RefreshFreshness(ctx context.Context) {
-	for _, inv := range g.inventories(ctx) {
-		g.fresh.observeMap(inv.url, inv.stats.Freshness)
-	}
-}
-
-// CreditFreshness raises the tracked holdings of a backend for a
-// patient, never lowering a self-report — the same inference rule the
-// replication piggyback uses. Exported for tests and operational
-// pre-seeding; an over-credit is safe because a follower re-verifies
-// its real holdings against every leg's bound and refuses when short.
-func (g *Gateway) CreditFreshness(backend, pid string, fr server.PatientFreshness) {
-	g.fresh.credit(backend, pid, fr)
-}
-
-// FreshnessView reports the gateway's tracked holdings of a backend
-// for a patient (tests, debugging).
-func (g *Gateway) FreshnessView(backend, pid string) (server.PatientFreshness, bool) {
-	return g.fresh.holdings(backend, pid)
 }
 
 // Ring exposes the gateway's hash ring (read-only use).
@@ -287,17 +223,6 @@ func relay(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body) //nolint:errcheck
 }
 
-// relayFreshnessHeaders forwards the shard's piggybacked per-patient
-// freshness headers to the client, so callers can observe their own
-// write's high-water mark and replication state.
-func relayFreshnessHeaders(w http.ResponseWriter, respHdr http.Header) {
-	for _, h := range []string{server.HeaderPatientStreams, server.HeaderPatientVertices, server.HeaderReplicated} {
-		if v := respHdr.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-}
-
 // handleCreateSession places a session on the ring: the first R
 // distinct owners clockwise from the patient's hash, with the first
 // healthy owner as primary and the rest injected into the create
@@ -349,13 +274,12 @@ func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		gwError(w, http.StatusInternalServerError, err)
 		return
 	}
-	status, respBody, respHdr, err := g.pool.do(r.Context(), primary, http.MethodPost, "/v1/sessions", "application/json", fwd, false)
+	status, respBody, _, err := g.pool.do(r.Context(), primary, http.MethodPost, "/v1/sessions", "application/json", fwd, false)
 	if err != nil {
 		gwError(w, http.StatusBadGateway, err)
 		return
 	}
 	if status == http.StatusCreated {
-		g.noteIngestFreshness(primary.URL(), req.PatientID, owners, respHdr)
 		g.mu.Lock()
 		g.places[req.SessionID] = &placement{
 			patientID: req.PatientID,
@@ -370,7 +294,6 @@ func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			slog.String("backend", primary.URL()),
 			slog.Int("replicas", len(req.Replicate)))
 	}
-	relayFreshnessHeaders(w, respHdr)
 	relay(w, status, respBody)
 }
 
@@ -421,19 +344,11 @@ func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if status == http.StatusOK {
-		g.mu.Lock()
-		pid := pl.patientID
-		owners := append([]string(nil), pl.owners...)
-		g.mu.Unlock()
-		g.noteIngestFreshness(b.URL(), pid, owners, respHdr)
-	}
 	if r.Method == http.MethodDelete && status == http.StatusOK {
 		g.mu.Lock()
 		delete(g.places, sid)
 		g.mu.Unlock()
 	}
-	relayFreshnessHeaders(w, respHdr)
 	relay(w, status, respBody)
 }
 
@@ -541,33 +456,6 @@ func (g *Gateway) failover(ctx context.Context, sid string, pl *placement) (*Bac
 		return b, nil
 	}
 	return nil, lastErr
-}
-
-// noteIngestFreshness folds an ingest/create ack's piggybacked patient
-// counts into the freshness tracker. The serving backend's report is
-// authoritative (observe); a clean synchronous replication flush
-// (X-Replicated: full) proves every follower holds at least the same
-// data, so they are credited too — credit only raises, never lowers,
-// so a later self-report corrects any over-estimate.
-func (g *Gateway) noteIngestFreshness(backendURL, pid string, owners []string, hdr http.Header) {
-	if pid == "" {
-		return
-	}
-	streams, err1 := strconv.Atoi(hdr.Get(server.HeaderPatientStreams))
-	vertices, err2 := strconv.Atoi(hdr.Get(server.HeaderPatientVertices))
-	if err1 != nil || err2 != nil {
-		return
-	}
-	fr := server.PatientFreshness{Streams: streams, Vertices: vertices}
-	g.fresh.observe(backendURL, pid, fr)
-	if hdr.Get(server.HeaderReplicated) != "full" {
-		return
-	}
-	for _, u := range owners {
-		if u != backendURL {
-			g.fresh.credit(u, pid, fr)
-		}
-	}
 }
 
 // bodyErrCode maps a buffered-read error to a status: 413 when the
@@ -682,187 +570,26 @@ type MatchResult struct {
 	// ShardsQueried / ShardsOK count the fan-out.
 	ShardsQueried int `json:"shardsQueried"`
 	ShardsOK      int `json:"shardsOk"`
-	// PlannedPatients / FollowerServed count the read-path plan for
-	// this query: how many patient arcs were pinned to a single holder
-	// and how many of those holders were followers. Zero at max-lag 0
-	// (the legacy everyone-scans-everything scatter).
-	PlannedPatients int `json:"plannedPatients,omitempty"`
-	FollowerServed  int `json:"followerServed,omitempty"`
-	// UnservedPatients lists planned patients no holder could serve
-	// within the query's max-lag bound even after retries; when
-	// non-empty the result is Degraded.
-	UnservedPatients []string `json:"unservedPatients,omitempty"`
 }
 
-// patientAssign is one planned patient's serving decision: the backend
-// pinned to score it, its primary, the freshness bound a follower must
-// re-verify (nil when the primary serves), and the ordered alternates
-// for retry after a refusal or leg failure.
-type patientAssign struct {
-	backend string
-	primary string
-	require *server.PatientFreshness
-	alts    []string
-}
-
-// planScatter pins each live patient to exactly one holder within the
-// query's lag tolerance. maxLag <= 0 plans nothing: every shard scans
-// all its local data and the merge deduplicates, exactly the
-// pre-follower-read behaviour. With maxLag > 0 each planned patient is
-// scored once — by a caught-up follower when that balances load —
-// and every other leg excludes it, which is what turns R-way
-// replication from duplicated scoring work into spread capacity.
+// handleMatch answers a similarity query: a scatter to every healthy
+// backend, merging the shard-local results into the global answer. The
+// merge is exact: every shard scores candidates with identical Params
+// and the query's own provenance, so ascending weighted distance is a
+// total order the gateway can merge on; for k-NN queries each shard
+// returns its local top-k and the merged top-k of those is the union's
+// top-k. Every shard scans all it holds, so a replicated stream is
+// scored by its primary and by each follower, and the merge drops the
+// duplicates. A lagging follower's copy is a prefix of the primary's
+// (closed windows never change), so its hits are a subset of the
+// primary's and the merge is exact whatever the follower's lag; a
+// client's max-lag is therefore validated and always met.
 //
-// The plan is advisory: a follower pinned here re-verifies its real
-// holdings against the Require bound and refuses when short, so a
-// stale freshness tracker costs one retry leg, never a stale answer
-// beyond the bound.
-func (g *Gateway) planScatter(maxLag int) map[string]*patientAssign {
-	if maxLag <= 0 {
-		return nil
-	}
-	type place struct {
-		primary  string
-		owners   []string
-		conflict bool
-	}
-	g.mu.Lock()
-	pats := make(map[string]*place)
-	for _, pl := range g.places {
-		if cur, ok := pats[pl.patientID]; ok {
-			// Two sessions of one patient disagreeing on their primary
-			// (transient, mid-failover): leave the patient unplanned —
-			// every holder scores it and the merge dedups.
-			if cur.primary != pl.primary {
-				cur.conflict = true
-			}
-			continue
-		}
-		pats[pl.patientID] = &place{primary: pl.primary, owners: append([]string(nil), pl.owners...)}
-	}
-	g.mu.Unlock()
-	pids := make([]string, 0, len(pats))
-	for pid := range pats {
-		pids = append(pids, pid)
-	}
-	sort.Strings(pids)
-	plan := make(map[string]*patientAssign)
-	load := make(map[string]int)
-	for _, pid := range pids {
-		pp := pats[pid]
-		if pp.conflict || pp.primary == "" {
-			continue
-		}
-		if pb := g.pool.ByURL(pp.primary); pb == nil || !pb.Healthy() {
-			// Dead primary: stay on the legacy path for this patient so
-			// the surviving followers score their copies and the ring
-			// coverage check decides degradation.
-			continue
-		}
-		primHW, known := g.fresh.holdings(pp.primary, pid)
-		pa := &patientAssign{primary: pp.primary}
-		if !known {
-			// No evidence about the primary's holdings yet: pin to the
-			// primary (always exact) and learn from its piggyback.
-			pa.backend = pp.primary
-			plan[pid] = pa
-			load[pp.primary]++
-			continue
-		}
-		bound := server.PatientFreshness{Streams: primHW.Streams, Vertices: primHW.Vertices - maxLag}
-		if bound.Vertices < 0 {
-			bound.Vertices = 0
-		}
-		// Candidates: caught-up followers first so load ties shift reads
-		// off primaries (which also carry ingest), then the primary.
-		var cands []string
-		for _, u := range pp.owners {
-			if u == pp.primary {
-				continue
-			}
-			fb := g.pool.ByURL(u)
-			if fb == nil || !fb.Healthy() {
-				continue
-			}
-			if fHW, ok := g.fresh.holdings(u, pid); ok &&
-				fHW.Streams >= bound.Streams && fHW.Vertices >= bound.Vertices {
-				cands = append(cands, u)
-			}
-		}
-		cands = append(cands, pp.primary)
-		best := cands[0]
-		for _, u := range cands[1:] {
-			if load[u] < load[best] {
-				best = u
-			}
-		}
-		pa.backend = best
-		// The bound travels with the patient even when the primary
-		// serves: if that leg fails mid-query, the retry can still fall
-		// back to a bound-checked follower.
-		pa.require = &bound
-		if best != pp.primary {
-			pa.alts = append(pa.alts, pp.primary)
-		}
-		for _, u := range cands {
-			if u != best && u != pp.primary {
-				pa.alts = append(pa.alts, u)
-			}
-		}
-		plan[pid] = pa
-		load[best]++
-	}
-	if len(plan) == 0 {
-		return nil
-	}
-	return plan
-}
-
-// legScope scopes the query for one backend's scatter leg: the
-// patients it is pinned to keep their Require bounds; every other
-// planned patient is excluded. With no plan the leg is unscoped.
-func legScope(q wal.MatchLegRequest, plan map[string]*patientAssign, backend string) wal.MatchLegRequest {
-	for pid, pa := range plan {
-		if pa.backend != backend {
-			q.Exclude = append(q.Exclude, pid)
-		} else if pa.require != nil {
-			q.Require = append(q.Require, legBound(pid, *pa.require))
-		}
-	}
-	sort.Strings(q.Exclude)
-	return q
-}
-
-// legBound is a planned patient's freshness bound as a leg carries it.
-func legBound(pid string, fr server.PatientFreshness) wal.LegFreshness {
-	return wal.LegFreshness{PatientID: pid, Streams: uint64(fr.Streams), Vertices: uint64(fr.Vertices)}
-}
-
-// handleMatch answers a similarity query: a planned scatter to the
-// backends, merging the shard-local results into the global answer.
-// The merge is exact: every shard scores candidates with identical
-// Params and the query's own provenance, so
-// ascending weighted distance is a total order the gateway can merge
-// on; for k-NN queries each shard returns its local top-k and the
-// merged top-k of those is the union's top-k.
-//
-// At max-lag 0 (the default) every shard scans all its local data —
-// replicated streams are scored on both their primary and their
-// followers and the merge deduplicates, exactly the legacy behaviour.
-// With maxLag > 0 the planner pins each live patient to one caught-up
-// holder (preferring followers, so primaries shed read work) and every
-// other leg's scope excludes that patient; a follower
-// that cannot meet the leg's freshness bound refuses the patient and
-// the gateway retries it on an alternate. The merged result is
-// byte-identical across plans because the scope only changes which
-// holder scores a copy, never what is scored.
-//
-// The public request and response are JSON; the legs are not. Each leg
-// is one message in the binary leg format of internal/wal — the query
-// and that leg's scope — and an unscoped leg (every leg at max-lag 0)
-// sends the one scope-free encoding all of them share. Each shard
-// answers with hits over a stream table, and a RemoteMatch exists only
-// for a hit that survived the merge.
+// The public request and response are JSON; the legs are not. Every
+// leg is the same message in the binary leg format of internal/wal,
+// encoded once per query. Each shard answers with hits over a stream
+// table, and a RemoteMatch exists only for a hit that survived the
+// merge.
 func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	body, err := readBody(w, r)
@@ -875,7 +602,7 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		gwError(w, http.StatusBadRequest, fmt.Errorf("decoding match request: %w", err))
 		return
 	}
-	// ?max-lag= overrides the body knob.
+	// ?max-lag= overrides the body knob; either is only validated.
 	if v := r.URL.Query().Get("max-lag"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
@@ -897,15 +624,9 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if profile {
 		path += "?debug=profile"
 	}
-	// Every unscoped leg reuses the query's scope-free encoding verbatim.
-	query := wal.MatchLegRequest{K: req.K, Now: req.Now, PatientID: req.PatientID, SessionID: req.SessionID, Seq: req.Seq}
-	legBody := wal.AppendMatchLegRequest(nil, query)
+	legBody := wal.AppendMatchLegRequest(nil, wal.MatchLegRequest{
+		K: req.K, Now: req.Now, PatientID: req.PatientID, SessionID: req.SessionID, Seq: req.Seq})
 	backends := g.pool.Backends()
-	plan := g.planScatter(req.MaxLag)
-	assigned := make(map[string][]string, len(backends))
-	for pid, pa := range plan {
-		assigned[pa.backend] = append(assigned[pa.backend], pid)
-	}
 	legs := make([]legResult, len(backends))
 	var wg sync.WaitGroup
 	for i, b := range backends {
@@ -916,30 +637,31 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, b *Backend) {
 			defer wg.Done()
-			legs[i] = g.matchLeg(r.Context(), "scatter.leg", b, path,
-				legScope(query, plan, b.URL()), legBody, len(assigned[b.URL()]))
+			legs[i] = g.matchLeg(r.Context(), b, path, legBody)
 		}(i, b)
 	}
 	wg.Wait()
 
 	res := MatchResult{ShardsQueried: len(backends), ShardErrors: map[string]string{}}
-	res.PlannedPatients = len(plan)
 	answered := make(map[string]bool, len(backends))
-	served := make(map[string]bool, len(plan))
-	var needRetry []string
 	var merge hitMerger
 	for i, b := range backends {
 		if legs[i].err != nil {
 			res.ShardErrors[b.URL()] = legs[i].err.Error()
-			// Planned patients were excluded from every other leg, so a
-			// failed leg's assignments must be retried on an alternate.
-			needRetry = append(needRetry, assigned[b.URL()]...)
 			continue
 		}
 		res.ShardsOK++
 		answered[b.URL()] = true
-		needRetry = append(needRetry, legs[i].reply.Refused...)
-		g.gatherLeg(r.Context(), b.URL(), &legs[i].reply, assigned[b.URL()], plan, served, &res, &merge)
+		merge.addLeg(&legs[i].reply)
+		// The shard's handler root is parented on this gateway's attempt
+		// span (it continued our traceparent), so grafting its flattened
+		// spans into the trace reassembles one tree.
+		if p := legs[i].reply.Profile; len(p) > 0 {
+			var tree obs.Profile
+			if json.Unmarshal(p, &tree) == nil && tree.Root != nil {
+				obs.AddExternalSpans(r.Context(), tree.Root.Flatten())
+			}
+		}
 	}
 	if res.ShardsOK == 0 {
 		g.met.scatter.Observe(time.Since(start).Seconds())
@@ -949,15 +671,6 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if len(needRetry) > 0 {
-		g.retryScatter(r.Context(), path, query, plan, needRetry, served, &res, &merge)
-	}
-	for pid := range plan {
-		if !served[pid] {
-			res.UnservedPatients = append(res.UnservedPatients, pid)
-		}
-	}
-	sort.Strings(res.UnservedPatients)
 	res.Matches = merge.merged(req.K)
 	// A failed shard only degrades the result if some arc it owns has
 	// no answering replica; the coverage test is against the shards
@@ -967,9 +680,6 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 			res.Degraded = true
 			break
 		}
-	}
-	if len(res.UnservedPatients) > 0 {
-		res.Degraded = true
 	}
 	if len(res.ShardErrors) == 0 {
 		res.ShardErrors = nil
@@ -987,11 +697,10 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeMatchResult answers a scatter with the bytes json.Marshal gives
-// res, appended by the shard's JSON appender unless a profile, a shard
-// error or an unserved patient rides along or a value needs
-// encoding/json.
+// res, appended by the shard's JSON appender unless a profile or a
+// shard error rides along or a value needs encoding/json.
 func writeMatchResult(w http.ResponseWriter, res MatchResult) {
-	if res.Profile == nil && !res.Degraded && len(res.ShardErrors) == 0 && len(res.UnservedPatients) == 0 {
+	if res.Profile == nil && !res.Degraded && len(res.ShardErrors) == 0 {
 		a := server.NewJSONAnswer()
 		a.Raw("{")
 		a.Matches(res.Matches)
@@ -999,14 +708,6 @@ func writeMatchResult(w http.ResponseWriter, res MatchResult) {
 		a.Int(res.ShardsQueried)
 		a.Raw(`,"shardsOk":`)
 		a.Int(res.ShardsOK)
-		if res.PlannedPatients != 0 {
-			a.Raw(`,"plannedPatients":`)
-			a.Int(res.PlannedPatients)
-		}
-		if res.FollowerServed != 0 {
-			a.Raw(`,"followerServed":`)
-			a.Int(res.FollowerServed)
-		}
 		a.Raw("}")
 		if a.Write(w, http.StatusOK) {
 			return
@@ -1027,25 +728,16 @@ type legResult struct {
 	err   error
 }
 
-// matchLeg asks one backend to score a scoped query — a scatter leg or
-// a retry leg, named by span — in the binary leg format. An unscoped
-// leg sends unscoped, the query's shared scope-free encoding; a scoped
-// one is encoded here. One span per leg; the leg's context flows into
-// the pool, whose per-attempt spans (and the backend's own trace, via
-// the propagated traceparent) nest underneath. A reply that does not
-// decode is the leg's error like any other: the shard is reported,
-// nothing is merged.
-func (g *Gateway) matchLeg(ctx context.Context, span string, b *Backend, path string,
-	q wal.MatchLegRequest, unscoped []byte, pinned int) legResult {
-	lctx, sp := obs.StartSpan(ctx, span)
+// matchLeg asks one backend to score the query, body in the binary leg
+// format. One span per leg; the leg's context flows into the pool,
+// whose per-attempt spans (and the backend's own trace, via the
+// propagated traceparent) nest underneath. A reply that does not decode
+// is the leg's error like any other: the shard is reported, nothing is
+// merged.
+func (g *Gateway) matchLeg(ctx context.Context, b *Backend, path string, body []byte) legResult {
+	lctx, sp := obs.StartSpan(ctx, "scatter.leg")
 	defer sp.Finish()
 	sp.Annotate("backend", b.URL())
-	body := unscoped
-	if len(q.Only)+len(q.Exclude)+len(q.Require) > 0 {
-		sp.Annotate("assigned", pinned)
-		sp.Annotate("excluded", len(q.Exclude))
-		body = wal.AppendMatchLegRequest(nil, q)
-	}
 	status, respBody, _, err := g.pool.do(lctx, b, http.MethodPost, path, wal.MatchLegContentType, body, true)
 	if err != nil {
 		sp.Annotate("error", err.Error())
@@ -1057,102 +749,6 @@ func (g *Gateway) matchLeg(ctx context.Context, span string, b *Backend, path st
 	}
 	reply, err := wal.DecodeMatchLegReply(respBody)
 	return legResult{reply: reply, err: err}
-}
-
-// gatherLeg folds one answered leg into the query's state: the shard's
-// freshness piggyback, its refusals, which of the patients pinned to it
-// it served (and whether as a follower), its hits, and — for a profiled
-// query — its span tree. The shard's handler root is parented on this
-// gateway's attempt span (it continued our traceparent), so grafting
-// the flattened spans into the trace reassembles one tree.
-func (g *Gateway) gatherLeg(ctx context.Context, backend string, reply *wal.MatchLegReply, pinned []string,
-	plan map[string]*patientAssign, served map[string]bool, res *MatchResult, merge *hitMerger) {
-	if len(reply.Freshness) > 0 {
-		fresh := make(map[string]server.PatientFreshness, len(reply.Freshness))
-		for _, f := range reply.Freshness {
-			fresh[f.PatientID] = server.PatientFreshness{Streams: int(f.Streams), Vertices: int(f.Vertices)}
-		}
-		g.fresh.observeMap(backend, fresh)
-	}
-	g.met.readRefusals.Add(len(reply.Refused))
-	for _, pid := range pinned {
-		if slices.Contains(reply.Refused, pid) {
-			continue
-		}
-		served[pid] = true
-		if backend != plan[pid].primary {
-			res.FollowerServed++
-			g.met.followerReads.Inc()
-		}
-	}
-	merge.addLeg(reply)
-	if len(reply.Profile) > 0 {
-		var p obs.Profile
-		if json.Unmarshal(reply.Profile, &p) == nil && p.Root != nil {
-			obs.AddExternalSpans(ctx, p.Root.Flatten())
-		}
-	}
-}
-
-// retryScatter runs one recovery round for planned patients whose leg
-// failed or refused them: each patient goes to its first healthy
-// untried alternate (primary first), grouped so one extra request per
-// backend covers all its retries. Patients with no viable alternate,
-// or whose retry leg fails or refuses them again, are left unserved;
-// the caller reports them and degrades the result.
-func (g *Gateway) retryScatter(ctx context.Context, path string, query wal.MatchLegRequest,
-	plan map[string]*patientAssign, needRetry []string, served map[string]bool,
-	res *MatchResult, merge *hitMerger) {
-	groups := make(map[string]*wal.MatchLegRequest)
-	for _, pid := range needRetry {
-		pa := plan[pid]
-		for _, alt := range pa.alts {
-			ab := g.pool.ByURL(alt)
-			if ab == nil || !ab.Healthy() {
-				continue
-			}
-			// A follower alternate still has to prove the freshness
-			// bound; without one (the bound was never computed) only the
-			// primary is exact.
-			if alt != pa.primary && pa.require == nil {
-				continue
-			}
-			q := groups[alt]
-			if q == nil {
-				c := query
-				q = &c
-				groups[alt] = q
-			}
-			q.Only = append(q.Only, pid)
-			if alt != pa.primary {
-				q.Require = append(q.Require, legBound(pid, *pa.require))
-			}
-			break
-		}
-	}
-	targets := make([]string, 0, len(groups))
-	for u := range groups {
-		targets = append(targets, u)
-	}
-	sort.Strings(targets)
-	legs := make([]legResult, len(targets))
-	var wg sync.WaitGroup
-	for i, u := range targets {
-		q := groups[u]
-		sort.Strings(q.Only)
-		g.met.retryLegs.Inc()
-		wg.Add(1)
-		go func(i int, b *Backend, q wal.MatchLegRequest) {
-			defer wg.Done()
-			legs[i] = g.matchLeg(ctx, "scatter.retry", b, path, q, nil, len(q.Only))
-		}(i, g.pool.ByURL(u), *q)
-	}
-	wg.Wait()
-	for i, u := range targets {
-		if legs[i].err == nil {
-			g.gatherLeg(ctx, u, &legs[i].reply, groups[u].Only, plan, served, res, merge)
-		}
-	}
 }
 
 // errDetail extracts the "error" field of a JSON error body, falling

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,12 +74,8 @@ func legAsResponse(t *testing.T, rep wal.MatchLegReply) server.MatchResponse {
 // TestLegEqualsJSON: /v1/match speaks two codecs over one search. On
 // every shard of a replicated fixture, for a query cut from every
 // session and an anonymous one, in top-k and threshold mode, with and
-// without an explicit now, an unscoped binary leg reply decodes to the
-// MatchResponse the JSON route returns. A scoped leg — every kind of
-// scope a leg can carry, including a Require bound the shard must
-// refuse — answers the unscoped result
-// restricted to the patients its scope admits: a refusal is reported
-// exactly when the holdings the shard reports fall short of the bound.
+// without an explicit now, a binary leg reply decodes to the
+// MatchResponse the JSON route returns.
 func TestLegEqualsJSON(t *testing.T) {
 	f := newFixture(t, 2)
 	type query struct {
@@ -92,21 +88,8 @@ func TestLegEqualsJSON(t *testing.T) {
 		queries = append(queries, query{pid, sid, pr.Vertices[len(pr.Vertices)-10:]})
 	}
 	queries = append(queries, query{seq: queries[0].seq})
-	const unmeetable = 1 << 30
-	scopes := []struct {
-		name          string
-		only, exclude []string
-		require       []wal.LegFreshness
-	}{
-		{name: "exclude", exclude: []string{"P01", "P02"}},
-		{name: "only", only: []string{"P00", "P03", "P05"}},
-		{name: "require", exclude: []string{"P04"}, require: []wal.LegFreshness{
-			{PatientID: "P00", Streams: 1, Vertices: 1}, {PatientID: "P01", Streams: 1, Vertices: unmeetable}}},
-		{name: "retry", only: []string{"P02", "P03"}, require: []wal.LegFreshness{
-			{PatientID: "P02", Streams: 1}, {PatientID: "P03", Streams: 1, Vertices: unmeetable}}},
-	}
 	now := 1e6
-	compared, matched, refused := 0, 0, 0
+	compared, matched := 0, 0
 	for _, node := range f.cluster.Nodes {
 		for _, q := range queries {
 			for _, k := range []int{0, 10} {
@@ -138,70 +121,21 @@ func TestLegEqualsJSON(t *testing.T) {
 				req := server.MatchRequest{Seq: q.seq, PatientID: q.pid, SessionID: q.sid, K: k}
 				lr := wal.MatchLegRequest{K: k, PatientID: q.pid, SessionID: q.sid, Seq: q.seq}
 				for _, at := range []*float64{nil, &now} {
-					label := fmt.Sprintf("%s %s/%s k=%d now=%v unscoped", node.URL, q.pid, q.sid, k, at != nil)
+					label := fmt.Sprintf("%s %s/%s k=%d now=%v", node.URL, q.pid, q.sid, k, at != nil)
 					req.Now, lr.Now = at, at
 					want := viaJSON(req)
 					rep := viaLeg(lr)
-					if rep.Refused != nil || rep.Freshness != nil {
-						t.Errorf("%s: unscoped leg reported scope fields %v %v", label, rep.Refused, rep.Freshness)
-					}
 					if got := legAsResponse(t, rep); !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: leg reply differs from the JSON route\n leg  %+v\n json %+v", label, got, want)
 					}
 					compared++
 					matched += len(want.Matches)
 				}
-				// The reference a scope restricts: every candidate ranked for
-				// a top-k leg (a restricted top-k is the top k of what it
-				// admits), the threshold result otherwise.
-				req.Now = nil
-				if k > 0 {
-					req.K = 1 << 16
-				}
-				all := viaJSON(req)
-				for _, sc := range scopes {
-					label := fmt.Sprintf("%s %s/%s k=%d %s", node.URL, q.pid, q.sid, k, sc.name)
-					lr.Now, lr.Only, lr.Exclude, lr.Require = nil, sc.only, sc.exclude, sc.require
-					rep := viaLeg(lr)
-					lr.Only, lr.Exclude, lr.Require = nil, nil, nil
-					held := map[string]wal.LegFreshness{}
-					for _, fr := range rep.Freshness {
-						held[fr.PatientID] = fr
-					}
-					for _, b := range sc.require {
-						if sc.only != nil && !slices.Contains(sc.only, b.PatientID) {
-							continue
-						}
-						fr, reported := held[b.PatientID]
-						short := fr.Streams < b.Streams || fr.Vertices < b.Vertices
-						if !reported || short != slices.Contains(rep.Refused, b.PatientID) {
-							t.Errorf("%s: bound %+v, reported holdings %+v (%v), refused %v", label, b, fr, reported, rep.Refused)
-						}
-					}
-					admits := func(pid string) bool {
-						if slices.Contains(rep.Refused, pid) {
-							return false
-						}
-						if sc.only != nil {
-							return slices.Contains(sc.only, pid)
-						}
-						return !slices.Contains(sc.exclude, pid)
-					}
-					want := []server.RemoteMatch{}
-					for _, m := range all.Matches {
-						if admits(m.PatientID) && (k == 0 || len(want) < k) {
-							want = append(want, m)
-						}
-					}
-					mustEqualMatches(t, label, want, legAsResponse(t, rep).Matches)
-					compared++
-					refused += len(rep.Refused)
-				}
 			}
 		}
 	}
-	if matched == 0 || refused == 0 {
-		t.Fatalf("fixture proves nothing: %d comparisons saw %d matches and %d refusals", compared, matched, refused)
+	if matched == 0 {
+		t.Fatalf("fixture proves nothing: %d comparisons saw no match", compared)
 	}
 
 	// ?debug=profile: the span tree is per request, so the two replies
@@ -294,16 +228,14 @@ func TestGatewayReportsBadLegReply(t *testing.T) {
 }
 
 // TestGatewayLegsCarryScope records what the gateway sends each shard.
-// At max-lag 0 every leg is the one shared, unscoped encoding. Above it
-// each planned patient is pinned, with its Require bound, on exactly
-// one leg and excluded on every other; a patient that leg refuses is
-// retried on another backend by a leg whose Only names it. No request
-// carries a scope header.
+// The name dates from the follower-read planner, which pinned patients
+// with per-leg scopes above max-lag 0. Now at every max-lag each healthy
+// shard gets exactly one leg, and every leg is the one shared, unscoped
+// version-3 encoding of the query. No request carries a scope header.
 func TestGatewayLegsCarryScope(t *testing.T) {
 	type sent struct {
 		backend string
 		body    []byte
-		leg     wal.MatchLegRequest
 	}
 	var (
 		mu   sync.Mutex
@@ -319,34 +251,20 @@ func TestGatewayLegsCarryScope(t *testing.T) {
 				}
 			}
 			if r.URL.Path == "/v1/sessions" {
-				// Every create acks fully replicated holdings, so the planner
-				// may pin any owner.
-				w.Header().Set(server.HeaderPatientStreams, "1")
-				w.Header().Set(server.HeaderPatientVertices, "50")
-				w.Header().Set(server.HeaderReplicated, "full")
 				w.WriteHeader(http.StatusCreated)
 				w.Write([]byte(`{}`)) //nolint:errcheck
 				return
 			}
 			body, _ := io.ReadAll(r.Body)
-			lr, err := wal.DecodeMatchLegRequest(body)
-			if r.URL.Path != "/v1/match" || r.Header.Get("Content-Type") != wal.MatchLegContentType || err != nil {
-				t.Errorf("unexpected %s %s (%s): %v", r.Method, r.URL.Path, r.Header.Get("Content-Type"), err)
+			if r.URL.Path != "/v1/match" || r.Header.Get("Content-Type") != wal.MatchLegContentType {
+				t.Errorf("unexpected %s %s (%s)", r.Method, r.URL.Path, r.Header.Get("Content-Type"))
 				return
 			}
 			mu.Lock()
-			legs = append(legs, sent{ts.URL, body, lr})
+			legs = append(legs, sent{ts.URL, body})
 			mu.Unlock()
-			// A scatter leg refuses every patient it must prove a bound
-			// for; a retry leg refuses nothing.
-			var rep wal.MatchLegReply
-			if lr.Only == nil {
-				for _, b := range lr.Require {
-					rep.Refused = append(rep.Refused, b.PatientID)
-				}
-			}
 			w.Header().Set("Content-Type", wal.MatchLegContentType)
-			w.Write(wal.AppendMatchLegReply(nil, rep)) //nolint:errcheck
+			w.Write(wal.AppendMatchLegReply(nil, wal.MatchLegReply{})) //nolint:errcheck
 		})})
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
@@ -358,86 +276,38 @@ func TestGatewayLegsCarryScope(t *testing.T) {
 	t.Cleanup(gw.Close)
 	gts := httptest.NewServer(gw)
 	t.Cleanup(gts.Close)
-	var pids []string
 	for i := range 6 {
 		pid := fmt.Sprintf("P%02d", i)
-		pids = append(pids, pid)
 		if resp := testutil.PostJSON(t, gts.URL+"/v1/sessions", server.CreateSessionRequest{PatientID: pid, SessionID: "S-" + pid}); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create %s: status %d", pid, resp.StatusCode)
 		}
 	}
 	seq := plr.Sequence{{T: 0, Pos: []float64{0}, State: plr.EX}, {T: 1, Pos: []float64{1}, State: plr.IN}}
-	query := func(maxLag int) (shard.MatchResult, []sent) {
-		t.Helper()
+	want := wal.AppendMatchLegRequest(nil, wal.MatchLegRequest{K: 5, Seq: seq})
+	if v := binary.LittleEndian.Uint16(want[4:]); v != 3 {
+		t.Fatalf("legs encode as version %d, want 3", v)
+	}
+	for _, maxLag := range []int{0, 10, 1 << 20} {
 		mu.Lock()
 		legs = nil
 		mu.Unlock()
 		res := matchFull(t, gts.URL, server.MatchRequest{Seq: seq, K: 5, MaxLag: maxLag})
 		mu.Lock()
-		defer mu.Unlock()
-		return res, legs
-	}
-
-	res, got := query(0)
-	if res.Degraded || res.PlannedPatients != 0 || len(got) != len(urls) {
-		t.Fatalf("max-lag 0: degraded=%v planned=%d, %d legs; want a clean unplanned scatter to %d shards",
-			res.Degraded, res.PlannedPatients, len(got), len(urls))
-	}
-	for _, l := range got {
-		if l.leg.Only != nil || l.leg.Exclude != nil || l.leg.Require != nil || !bytes.Equal(l.body, got[0].body) {
-			t.Errorf("max-lag 0 leg to %s: scope %v/%v/%v; want the one shared unscoped encoding",
-				l.backend, l.leg.Only, l.leg.Exclude, l.leg.Require)
+		got := legs
+		mu.Unlock()
+		if res.Degraded || res.ShardsOK != len(urls) || len(got) != len(urls) {
+			t.Fatalf("max-lag %d: degraded=%v shardsOk=%d, %d legs; want one clean leg to each of %d shards",
+				maxLag, res.Degraded, res.ShardsOK, len(got), len(urls))
 		}
-	}
-
-	res, got = query(10)
-	if res.Degraded || res.PlannedPatients != len(pids) || len(res.UnservedPatients) != 0 {
-		t.Fatalf("max-lag 10: degraded=%v planned=%d unserved=%v; want every patient planned and served",
-			res.Degraded, res.PlannedPatients, res.UnservedPatients)
-	}
-	var scatter, retry []sent
-	for _, l := range got {
-		if l.leg.Only == nil {
-			scatter = append(scatter, l)
-		} else {
-			retry = append(retry, l)
-		}
-	}
-	if len(scatter) != len(urls) {
-		t.Fatalf("%d scatter legs, want %d", len(scatter), len(urls))
-	}
-	for _, pid := range pids {
-		bound := wal.LegFreshness{PatientID: pid, Streams: 1, Vertices: 50 - 10} // the primary's holdings less the max-lag
-		var pinned []string
-		for _, l := range scatter {
-			i := slices.IndexFunc(l.leg.Require, func(b wal.LegFreshness) bool { return b.PatientID == pid })
-			excluded := slices.Contains(l.leg.Exclude, pid)
-			if i >= 0 {
-				pinned = append(pinned, l.backend)
-				if l.leg.Require[i] != bound {
-					t.Errorf("%s: bound %+v on %s, want %+v", pid, l.leg.Require[i], l.backend, bound)
-				}
-			}
-			if (i >= 0) == excluded {
-				t.Errorf("%s on %s: pinned=%v excluded=%v; want exactly one", pid, l.backend, i >= 0, excluded)
+		seen := map[string]bool{}
+		for _, l := range got {
+			seen[l.backend] = true
+			if !bytes.Equal(l.body, want) {
+				t.Errorf("max-lag %d leg to %s: %x; want the one shared unscoped encoding %x", maxLag, l.backend, l.body, want)
 			}
 		}
-		if len(pinned) != 1 {
-			t.Fatalf("%s pinned on %v, want exactly one leg", pid, pinned)
-		}
-		var retriedOn []string
-		for _, l := range retry {
-			if slices.Contains(l.leg.Only, pid) {
-				retriedOn = append(retriedOn, l.backend)
-			}
-		}
-		if len(retriedOn) != 1 || retriedOn[0] == pinned[0] {
-			t.Errorf("%s refused on %s, retried on %v; want one retry leg elsewhere", pid, pinned[0], retriedOn)
-		}
-	}
-	for _, l := range retry {
-		if l.leg.Exclude != nil {
-			t.Errorf("retry leg to %s carries Exclude %v", l.backend, l.leg.Exclude)
+		if len(seen) != len(urls) {
+			t.Errorf("max-lag %d: legs went to %v, want each of %v once", maxLag, seen, urls)
 		}
 	}
 }

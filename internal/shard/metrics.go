@@ -15,11 +15,6 @@ type shardMetrics struct {
 	routed    *obs.CounterVec // backend: sessions routed by the ring
 	failovers *obs.Counter    // sessions promoted onto a replica
 
-	// Follower-read planner (see gateway.go handleMatch).
-	followerReads *obs.Counter // patient arcs assigned to a follower leg
-	readRefusals  *obs.Counter // patients refused by a shard's freshness check
-	retryLegs     *obs.Counter // extra legs sent to recover refused/failed patients
-
 	// Elastic rebalancing (see rebalance.go).
 	rebalances             *obs.Counter
 	rebalanceMoved         *obs.Counter
@@ -47,12 +42,6 @@ func newShardMetrics(r *obs.Registry) *shardMetrics {
 			"Sessions routed to a backend by the consistent-hash ring.", "backend"),
 		failovers: r.Counter("stsmatch_gateway_failovers_total",
 			"Sessions failed over to a replica after the primary was ejected."),
-		followerReads: r.Counter("stsmatch_gateway_follower_reads_total",
-			"Patient arcs served by a follower leg instead of the primary."),
-		readRefusals: r.Counter("stsmatch_gateway_read_refusals_total",
-			"Patients a shard refused to serve under the query's max-lag bound."),
-		retryLegs: r.Counter("stsmatch_gateway_match_retry_legs_total",
-			"Extra scatter legs sent to recover refused or failed patients."),
 		rebalances: r.Counter("stsmatch_gateway_rebalances_total",
 			"Rebalance passes run (membership change or explicit re-drive)."),
 		rebalanceMoved: r.Counter("stsmatch_gateway_rebalance_sessions_moved_total",

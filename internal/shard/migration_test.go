@@ -150,8 +150,8 @@ func ingestContextPatients(t *testing.T, clusterURL, oracleURL string, n int) {
 // whose arcs moved, the drained session must keep ingesting through
 // the gateway on its new primary with zero acked-vertex loss, the old
 // primary must answer 410 Gone with a redirect hint, and POST
-// /v1/match — at both the strict and the loose freshness bound — must
-// stay byte-identical to a single-node oracle.
+// /v1/match — at max-lag 0 and at a loose max-lag — must stay
+// byte-identical to a single-node oracle.
 func TestMigrateLiveSession(t *testing.T) {
 	c := testutil.StartCluster(t, 2, 2)
 	oracleDir := t.TempDir()
@@ -220,21 +220,15 @@ func TestMigrateLiveSession(t *testing.T) {
 	want := assertPLREqual(t, "post-migration", c.URL, oracle.URL, sid)
 
 	c.Probe(1)
-	c.Gateway.RefreshFreshness(context.Background())
 	seq := plr.Sequence(want.Vertices[len(want.Vertices)-10:])
 	req := server.MatchRequest{Seq: seq, PatientID: pid, SessionID: sid}
 	assertMatchEquivalence(t, "strict", c.URL, oracle.URL, req, 3, 3)
 
-	// Freshness equivalence: the loose bound may plan follower reads,
-	// but never let a stale or tombstoned arc answer — the
-	// result stays byte-identical to the strict scatter and the oracle.
+	// A loose max-lag is met by the same exact answer: no tombstoned or
+	// stale copy answers for the moved session.
 	loose := req
 	loose.MaxLag = 1 << 20
 	assertMatchEquivalence(t, "loose", c.URL, oracle.URL, loose, 3, 3)
-	resL := matchFull(t, c.URL, loose)
-	if len(resL.UnservedPatients) != 0 {
-		t.Errorf("loose scatter left unserved patients: %v", resL.UnservedPatients)
-	}
 
 	if got := scrapeCounter(t, src, "stsmatch_migrations_total"); got < 1 {
 		t.Errorf("source migrations counter = %v, want >= 1", got)
@@ -297,12 +291,11 @@ func TestMigrateKillGatewayMidDrain(t *testing.T) {
 	// A fresh gateway over the full backend set: no inherited placement
 	// table, no inherited ring state beyond the configured membership.
 	gw2, err := shard.NewGateway([]string{c.Nodes[0].URL, c.Nodes[1].URL, n3.URL}, shard.Options{
-		Replicas:          2,
-		HealthInterval:    -1,
-		FreshnessInterval: -1,
-		FailThreshold:     1,
-		BackoffBase:       time.Millisecond,
-		BackoffMax:        5 * time.Millisecond,
+		Replicas:       2,
+		HealthInterval: -1,
+		FailThreshold:  1,
+		BackoffBase:    time.Millisecond,
+		BackoffMax:     5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

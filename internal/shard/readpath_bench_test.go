@@ -1,13 +1,11 @@
 package shard_test
 
 // Read-path benchmarks: the same deterministic query through the
-// legacy primary-only scatter (max-lag 0) and the follower-read plan
-// (loose bound, arcs pinned to caught-up replicas) — and, in
-// BenchmarkRebalanceDrain, while the cluster grows a backend underneath
-// it. Every response's match list is checked against the primary-only
-// reference, so CI's bench smoke at -benchtime=1x doubles as a cheap
-// end-to-end exercise of all three;
-// for representative numbers run them at the default -benchtime (the
+// scatter of a steady R=2 cluster — and, in BenchmarkRebalanceDrain,
+// while the cluster grows a backend underneath it. Every response's
+// match list is checked against the first answer, so CI's bench smoke
+// at -benchtime=1x doubles as a cheap end-to-end exercise of both; for
+// representative numbers run them at the default -benchtime (the
 // `cluster` workload of bench/ is the gated figure for the scatter
 // itself).
 
@@ -90,10 +88,9 @@ func benchCohort(b *testing.B, c *testutil.Cluster, pids []string) {
 	}
 }
 
-// benchQuery builds the primary-only and follower-read request bodies
-// off the tail of S-P00, and the reference match-list bytes every
-// response to either must reproduce.
-func benchQuery(b *testing.B, c *testutil.Cluster) (prim, fol, want []byte) {
+// benchQuery builds the request body off the tail of S-P00, and the
+// reference match-list bytes every response to it must reproduce.
+func benchQuery(b *testing.B, c *testutil.Cluster) (query, want []byte) {
 	b.Helper()
 	pr := testutil.GetJSON[server.PLRResponse](b, c.URL+"/v1/sessions/S-P00/plr")
 	if len(pr.Vertices) < 12 {
@@ -101,32 +98,18 @@ func benchQuery(b *testing.B, c *testutil.Cluster) (prim, fol, want []byte) {
 	}
 	req := server.MatchRequest{Seq: pr.Vertices[len(pr.Vertices)-10:],
 		PatientID: "P00", SessionID: "S-P00", K: 10}
-	prim, err := json.Marshal(req)
+	query, err := json.Marshal(req)
 	if err != nil {
 		b.Fatal(err)
 	}
-	req.MaxLag = 1 << 20
-	if fol, err = json.Marshal(req); err != nil {
-		b.Fatal(err)
-	}
-	res := benchMatch(b, c.URL, prim)
+	res := benchMatch(b, c.URL, query)
 	if res.Degraded || len(res.Matches) == 0 {
 		b.Fatalf("warmup degraded=%v matches=%d", res.Degraded, len(res.Matches))
 	}
 	if want, err = json.Marshal(res.Matches); err != nil {
 		b.Fatal(err)
 	}
-	return prim, fol, want
-}
-
-// setupReadBench boots an R=2 cluster with an ingested cohort and
-// returns the gateway URL, the two request bodies and the reference.
-func setupReadBench(b *testing.B) (gwURL string, prim, fol, want []byte) {
-	b.Helper()
-	c := testutil.StartCluster(b, 3, 2)
-	benchCohort(b, c, []string{"P00", "P01", "P02"})
-	prim, fol, want = benchQuery(b, c)
-	return c.URL, prim, fol, want
+	return query, want
 }
 
 // sameMatches reports how a response differs from the reference merge.
@@ -136,7 +119,7 @@ func sameMatches(res shard.MatchResult, want []byte) error {
 		return err
 	}
 	if !bytes.Equal(got, want) {
-		return fmt.Errorf("matches diverged from primary-only merge:\nwant %s\ngot  %s", want, got)
+		return fmt.Errorf("matches diverged from the reference merge:\nwant %s\ngot  %s", want, got)
 	}
 	return nil
 }
@@ -149,26 +132,15 @@ func checkMatches(b *testing.B, res shard.MatchResult, want []byte) {
 	}
 }
 
+// BenchmarkMatchPrimaryOnly keeps the name it had beside the
+// follower-read benchmark: a scatter to every shard of an R=2 cluster.
 func BenchmarkMatchPrimaryOnly(b *testing.B) {
-	gwURL, prim, _, want := setupReadBench(b)
+	c := testutil.StartCluster(b, 3, 2)
+	benchCohort(b, c, []string{"P00", "P01", "P02"})
+	query, want := benchQuery(b, c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := benchMatch(b, gwURL, prim)
-		checkMatches(b, res, want)
-	}
-}
-
-func BenchmarkMatchFollowerReads(b *testing.B) {
-	gwURL, _, fol, want := setupReadBench(b)
-	res := benchMatch(b, gwURL, fol)
-	if res.FollowerServed == 0 || res.PlannedPatients == 0 {
-		b.Fatalf("follower-read warmup: planned=%d followerServed=%d",
-			res.PlannedPatients, res.FollowerServed)
-	}
-	checkMatches(b, res, want)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := benchMatch(b, gwURL, fol)
+		res := benchMatch(b, c.URL, query)
 		checkMatches(b, res, want)
 	}
 }
@@ -197,10 +169,10 @@ func BenchmarkRebalanceDrain(b *testing.B) {
 			pids = append(pids, fmt.Sprintf("P%02d", p))
 		}
 		benchCohort(b, c, pids)
-		prim, _, want := benchQuery(b, c)
+		query, want := benchQuery(b, c)
 
 		checked := func() error {
-			res, err := tryMatch(c.URL, prim)
+			res, err := tryMatch(c.URL, query)
 			if err != nil {
 				return err
 			}

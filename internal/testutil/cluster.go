@@ -101,9 +101,6 @@ func StartCluster(t testing.TB, n, replicas int, conf ...func(*ClusterConfig)) *
 	if gopts.HealthInterval == 0 {
 		gopts.HealthInterval = -1 // tests probe deterministically
 	}
-	if gopts.FreshnessInterval == 0 {
-		gopts.FreshnessInterval = -1 // tests call RefreshFreshness deterministically
-	}
 	if gopts.FailThreshold == 0 {
 		gopts.FailThreshold = 1
 	}

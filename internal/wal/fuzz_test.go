@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -166,28 +167,39 @@ func FuzzReplicationBatch(f *testing.F) {
 
 // FuzzMatchLegCodec hammers both match-leg decoders with the same
 // arbitrary bytes: malformed input must fail cleanly as ErrTorn without
-// panicking or allocating for counts the input cannot back, anything
-// that decodes must hold the properties the gateway and the shard rely
-// on (finite floats, in-range stream indices, never both only and
-// exclude), and encode→decode is
-// the identity on whatever a decoder produced (as for batches, header
-// varints may be non-minimal, so identity is on values, and the encoder
-// is a fixed point).
+// panicking or allocating for counts the input cannot back, a message of
+// any version but the current one never decodes, anything that decodes
+// must hold the properties the gateway and the shard rely on (finite
+// floats, in-range stream indices), and encode→decode is the identity on
+// whatever a decoder produced (as for batches, header varints may be
+// non-minimal, so identity is on values, and the encoder is a fixed
+// point). The first seeds are version-2 messages, which must be refused;
+// the version-3 seeds after them decode.
 func FuzzMatchLegCodec(f *testing.F) {
-	req := AppendMatchLegRequest(nil, legRequestFixture())
-	rep := AppendMatchLegReply(nil, legReplyFixture())
+	req := appendV2Request(legRequestFixture(), v2Scope{})
+	rep := appendV2Reply(legReplyFixture(), []string{"P09"}, []v2Holdings{{"P01", 2, 88}, {"P09", 0, 0}})
 	for _, seed := range [][]byte{
 		req, rep, req[:len(req)/2], rep[:len(rep)-1], rep[1:],
-		AppendMatchLegRequest(nil, MatchLegRequest{Seq: mkVerts(0, 2)}),
-		AppendMatchLegReply(nil, MatchLegReply{}),
+		appendV2Request(MatchLegRequest{Seq: mkVerts(0, 2)}, v2Scope{}),
+		appendV2Reply(MatchLegReply{}, nil, nil),
 		[]byte("STMQ"), []byte("STMR\x01\x00"), {},
 	} {
 		f.Add(seed)
 	}
-	for _, shape := range legScopeShapes() {
-		f.Add(AppendMatchLegRequest(nil, shape))
+	for _, sc := range v2ScopeShapes() {
+		f.Add(appendV2Request(legRequestFixture(), sc))
+	}
+	req3 := AppendMatchLegRequest(nil, legRequestFixture())
+	rep3 := AppendMatchLegReply(nil, legReplyFixture())
+	for _, seed := range [][]byte{
+		req3, rep3, req3[:len(req3)-1], rep3[1:],
+		AppendMatchLegRequest(nil, MatchLegRequest{Seq: mkVerts(0, 2)}),
+		AppendMatchLegReply(nil, MatchLegReply{}),
+	} {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		current := len(data) >= 6 && binary.LittleEndian.Uint16(data[4:]) == legVersion
 		if q, err := DecodeMatchLegRequest(data); err != nil {
 			if !errors.Is(err, ErrTorn) {
 				t.Fatalf("DecodeMatchLegRequest: unexpected error class: %v", err)
@@ -198,8 +210,8 @@ func FuzzMatchLegCodec(f *testing.F) {
 					t.Fatalf("decoded an unusable vertex: %+v", v)
 				}
 			}
-			if q.Only != nil && q.Exclude != nil {
-				t.Fatalf("decoded a leg scoped by both only %v and exclude %v", q.Only, q.Exclude)
+			if !current {
+				t.Fatalf("decoded a request of version %d", binary.LittleEndian.Uint16(data[4:]))
 			}
 			enc := AppendMatchLegRequest(nil, q)
 			q2, err := DecodeMatchLegRequest(enc)
@@ -217,7 +229,10 @@ func FuzzMatchLegCodec(f *testing.F) {
 			}
 			return
 		}
-		if n := len(p.Streams) + len(p.Hits) + len(p.Refused) + len(p.Freshness); n > len(data) {
+		if !current {
+			t.Fatalf("decoded a reply of version %d", binary.LittleEndian.Uint16(data[4:]))
+		}
+		if n := len(p.Streams) + len(p.Hits); n > len(data) {
 			t.Fatalf("decoded %d elements from %d bytes", n, len(data))
 		}
 		for _, h := range p.Hits {

@@ -1,8 +1,8 @@
 // Match-leg wire format: what a gateway and a shard exchange on one
-// scatter (or retry) leg of POST /v1/match. The public API stays JSON;
-// a leg is internal to one deployment — gateway and shards ship from
-// one build, as replication batches already assume — so it is
-// versioned and an unknown version is refused, never guessed at.
+// scatter leg of POST /v1/match. The public API stays JSON; a leg is
+// internal to one deployment — gateway and shards ship from one build,
+// as replication batches already assume — so it is versioned and an
+// unknown version is refused, never guessed at.
 //
 // Both messages are the batch header (magic, u16 version) followed by
 // exactly one CRC-32C frame, built from the record payload primitives
@@ -11,27 +11,20 @@
 //	request  "STMQ" u16 version | frame:
 //	         uvarint k | u8 hasNow | f64 now (only when hasNow is 1) |
 //	         str patientID | str sessionID | vertices (dims, count, ...)
-//	         uvarint only    x str patientID
-//	         uvarint exclude x str patientID
-//	         uvarint require x (str patientID | uvarint streams | uvarint vertices)
 //
 //	reply    "STMR" u16 version | frame:
 //	         uvarint streams x (str patientID | str sessionID | u8 relation)
 //	         uvarint hits    x (uvarint stream# | uvarint start | uvarint n |
 //	                            f64 distance | f64 weight)
-//	         uvarint refused x str patientID
-//	         uvarint fresh   x (str patientID | uvarint streams | uvarint vertices)
 //	         str profile     (opaque; empty unless ?debug=profile)
 //
-// A request is the whole work order for one shard: the query and the
-// leg's scope — which patients to score (only, exclude) and the
-// holdings a shard must prove before scoring one (require). A reply
-// carries a shard's result the way a funnel produces it: hits that name
-// their stream by position in a table, so a stream matched a thousand
-// times ships its identifiers once, and the patients the shard refused
-// against a require bound with its holdings for every patient the scope
-// named. Version 2 moved the scope into the request from HTTP headers;
-// a version-1 message is refused like any other unknown version.
+// A request is the whole work order for one shard: the query, scored
+// against everything the shard holds. A reply carries a shard's result
+// the way a funnel produces it: hits that name their stream by position
+// in a table, so a stream matched a thousand times ships its identifiers
+// once. Version 3 dropped the per-leg scope (only, exclude, require) and
+// the refusals and holdings a reply reported against it; a version-1 or
+// version-2 message is refused like any other unknown version.
 //
 // JSON cannot spell NaN or Inf, so nothing behind the JSON route ever
 // had to refuse them; this format can carry any bit pattern, and both
@@ -56,28 +49,21 @@ const MatchLegContentType = "application/x-stsmatch-leg"
 const (
 	legRequestMagic = "STMQ"
 	legReplyMagic   = "STMR"
-	legVersion      = 2
+	legVersion      = 3
 
 	// maxLegRelation is the largest relation byte a reply may carry
 	// (core.OtherPatient; the WAL does not import the matcher).
 	maxLegRelation = 2
 )
 
-// MatchLegRequest is the query one leg asks a shard to score, and the
-// scope it scores it under. An empty scope scores everything local.
+// MatchLegRequest is the query one leg asks a shard to score against
+// everything it holds.
 type MatchLegRequest struct {
 	K         int
 	Now       *float64 // nil: the query's own last vertex time
 	PatientID string
 	SessionID string
 	Seq       plr.Sequence
-	// Only restricts the leg to these patients (a retry leg); Exclude
-	// skips these (another leg scores them). At most one is set.
-	Only    []string
-	Exclude []string
-	// Require is the least a shard must hold of a patient to score it;
-	// a shard short of a bound refuses the patient.
-	Require []LegFreshness
 }
 
 // LegStream is one entry of a reply's stream table.
@@ -97,21 +83,11 @@ type LegHit struct {
 	Weight   float64
 }
 
-// LegFreshness is holdings for one patient: in a reply, the shard's;
-// in a request's Require, the least the shard must have.
-type LegFreshness struct {
-	PatientID string
-	Streams   uint64
-	Vertices  uint64
-}
-
 // MatchLegReply is a shard's answer to one leg.
 type MatchLegReply struct {
-	Streams   []LegStream
-	Hits      []LegHit
-	Refused   []string
-	Freshness []LegFreshness
-	Profile   []byte
+	Streams []LegStream
+	Hits    []LegHit
+	Profile []byte
 }
 
 // appendLegHeader opens a message and reserves its frame header; the
@@ -137,47 +113,7 @@ func AppendMatchLegRequest(b []byte, req MatchLegRequest) []byte {
 	b = appendString(b, req.PatientID)
 	b = appendString(b, req.SessionID)
 	b = appendVertices(b, req.Seq)
-	b = appendStrings(b, req.Only)
-	b = appendStrings(b, req.Exclude)
-	b = appendFreshness(b, req.Require)
 	return sealFrame(b, off)
-}
-
-func appendStrings(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = appendString(b, s)
-	}
-	return b
-}
-
-func appendFreshness(b []byte, fs []LegFreshness) []byte {
-	b = binary.AppendUvarint(b, uint64(len(fs)))
-	for _, f := range fs {
-		b = appendString(b, f.PatientID)
-		b = binary.AppendUvarint(b, f.Streams)
-		b = binary.AppendUvarint(b, f.Vertices)
-	}
-	return b
-}
-
-// strs and freshness read the lists appendStrings and appendFreshness
-// write, checking each count against the bytes that remain first. An
-// empty list decodes as nil.
-func (d *decoder) strs() []string {
-	var ss []string
-	for range d.count(1) {
-		ss = append(ss, d.str())
-	}
-	return ss
-}
-
-func (d *decoder) freshness() []LegFreshness {
-	var fs []LegFreshness
-	for range d.count(3) {
-		fs = append(fs, LegFreshness{PatientID: d.str(), Streams: d.uvarint(), Vertices: d.uvarint()})
-	}
-	return fs
 }
 
 // legPayload strips a leg message down to its frame's payload.
@@ -198,10 +134,9 @@ func legPayload(data []byte, magic string) ([]byte, error) {
 
 // DecodeMatchLegRequest parses and validates a leg request: magic,
 // version, CRC, no trailing bytes, k within int, valid state bytes,
-// dims and vertex count within the record limits, every float finite,
-// every list count backed by the bytes that remain, and not both Only
-// and Exclude. It does not re-run plr.Sequence.Validate (time order);
-// the handler does, as it does for JSON.
+// dims and vertex count within the record limits, and every float
+// finite. It does not re-run plr.Sequence.Validate (time order); the
+// handler does, as it does for JSON.
 func DecodeMatchLegRequest(data []byte) (MatchLegRequest, error) {
 	var req MatchLegRequest
 	payload, err := legPayload(data, legRequestMagic)
@@ -218,17 +153,11 @@ func DecodeMatchLegRequest(data []byte) (MatchLegRequest, error) {
 	req.PatientID = d.str()
 	req.SessionID = d.str()
 	req.Seq = d.vertices()
-	req.Only = d.strs()
-	req.Exclude = d.strs()
-	req.Require = d.freshness()
 	if err := d.finish(); err != nil {
 		return req, err
 	}
 	if k > math.MaxInt || hasNow > 1 {
 		return req, fmt.Errorf("%w: invalid k or now flag", ErrTorn)
-	}
-	if req.Only != nil && req.Exclude != nil {
-		return req, fmt.Errorf("%w: a leg scoped by both only and exclude", ErrTorn)
 	}
 	req.K = int(k)
 	if req.Now != nil && !finite(*req.Now) {
@@ -267,8 +196,6 @@ func AppendMatchLegReply(b []byte, rep MatchLegReply) []byte {
 		b = appendF64(b, h.Distance)
 		b = appendF64(b, h.Weight)
 	}
-	b = appendStrings(b, rep.Refused)
-	b = appendFreshness(b, rep.Freshness)
 	b = binary.AppendUvarint(b, uint64(len(rep.Profile)))
 	b = append(b, rep.Profile...)
 	return sealFrame(b, off)
@@ -293,8 +220,6 @@ func DecodeMatchLegReply(data []byte) (MatchLegReply, error) {
 	for i := range rep.Hits {
 		rep.Hits[i] = LegHit{Stream: d.u32(), Start: d.u32(), N: d.u32(), Distance: d.f64(), Weight: d.f64()}
 	}
-	rep.Refused = d.strs()
-	rep.Freshness = d.freshness()
 	rep.Profile = []byte(d.str())
 	if err := d.finish(); err != nil {
 		return rep, err

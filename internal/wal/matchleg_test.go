@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"stsmatch/internal/plr"
@@ -17,25 +19,6 @@ func legRequestFixture() MatchLegRequest {
 	return MatchLegRequest{K: 10, Now: &now, PatientID: "P01", SessionID: "S-P01", Seq: mkVerts(30, 10)}
 }
 
-// legScopeShapes is the fixture query under every shape of scope a leg
-// can carry, with identifiers no separator-based encoding could hold.
-func legScopeShapes() []MatchLegRequest {
-	shapes := []MatchLegRequest{
-		{},
-		{Exclude: []string{"P01", "p,with,commas", "p with spaces", "p=eq:colon"}},
-		{Only: []string{"P02", "ünïcode"}},
-		{Only: []string{"P03", "P04"}, Require: []LegFreshness{{"P03", 2, 117}}},
-		{Exclude: []string{"P05"}, Require: []LegFreshness{{"P06", 1, 0}}},
-		{Require: []LegFreshness{{"P07", 1 << 40, math.MaxUint64}, {"", 0, 0}}},
-	}
-	for i := range shapes {
-		req := legRequestFixture()
-		req.Only, req.Exclude, req.Require = shapes[i].Only, shapes[i].Exclude, shapes[i].Require
-		shapes[i] = req
-	}
-	return shapes
-}
-
 func legReplyFixture() MatchLegReply {
 	return MatchLegReply{
 		Streams: []LegStream{{"P01", "S-P01", 0}, {"P01", "S-old", 1}, {"P07", "S-P07", 2}},
@@ -44,10 +27,75 @@ func legReplyFixture() MatchLegReply {
 			{Stream: 0, Start: 3, N: 10, Distance: 0.25, Weight: 0.8},
 			{Stream: 1, Start: 1 << 20, N: 10, Distance: 0.25, Weight: 0.4},
 		},
-		Refused:   []string{"P09"},
-		Freshness: []LegFreshness{{"P01", 2, 88}, {"P09", 0, 0}},
-		Profile:   []byte(`{"traceId":"abc"}`),
+		Profile: []byte(`{"traceId":"abc"}`),
 	}
+}
+
+// v2Scope is a leg's scope as version 2 carried it after the query:
+// the patients to score (only) or skip (exclude), and the holdings a
+// shard had to prove before scoring one (require). Version 3 carries
+// none of it.
+type v2Scope struct {
+	only, exclude []string
+	require       []v2Holdings
+}
+
+// v2Holdings is one patient's streams and vertices, as a version-2
+// require bound or reply report spelled them.
+type v2Holdings struct {
+	pid               string
+	streams, vertices uint64
+}
+
+// v2ScopeShapes is every shape of scope a version-2 leg could carry,
+// with identifiers no separator-based encoding could hold.
+func v2ScopeShapes() []v2Scope {
+	return []v2Scope{
+		{},
+		{exclude: []string{"P01", "p,with,commas", "p with spaces", "p=eq:colon"}},
+		{only: []string{"P02", "ünïcode"}},
+		{only: []string{"P03", "P04"}, require: []v2Holdings{{"P03", 2, 117}}},
+		{exclude: []string{"P05"}, require: []v2Holdings{{"P06", 1, 0}}},
+		{require: []v2Holdings{{"P07", 1 << 40, math.MaxUint64}, {"", 0, 0}}},
+	}
+}
+
+func appendV2Strings(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = appendString(b, s)
+	}
+	return b
+}
+
+func appendV2Holdings(b []byte, hs []v2Holdings) []byte {
+	b = binary.AppendUvarint(b, uint64(len(hs)))
+	for _, h := range hs {
+		b = binary.AppendUvarint(appendString(b, h.pid), h.streams)
+		b = binary.AppendUvarint(b, h.vertices)
+	}
+	return b
+}
+
+// appendV2Request encodes req under sc as version 2 did: the version-3
+// payload followed by the only, exclude and require lists.
+func appendV2Request(req MatchLegRequest, sc v2Scope) []byte {
+	b := AppendMatchLegRequest(nil, req)
+	b = appendV2Holdings(appendV2Strings(appendV2Strings(b, sc.only), sc.exclude), sc.require)
+	b[4] = 2
+	return reseal(b)
+}
+
+// appendV2Reply encodes rep as version 2 did: the refused and holdings
+// lists between the hits and the profile.
+func appendV2Reply(rep MatchLegReply, refused []string, fresh []v2Holdings) []byte {
+	profile := rep.Profile
+	rep.Profile = nil
+	b := AppendMatchLegReply(nil, rep)
+	b = appendV2Holdings(appendV2Strings(b[:len(b)-1], refused), fresh) // b ended with the empty profile
+	b = appendString(b, string(profile))
+	b[4] = 2
+	return reseal(b)
 }
 
 func TestMatchLegRoundTrip(t *testing.T) {
@@ -74,41 +122,45 @@ func TestMatchLegRoundTrip(t *testing.T) {
 		t.Errorf("reply changed across the wire:\n got %+v\nwant %+v", gotRep, rep)
 	}
 	empty, err := DecodeMatchLegReply(AppendMatchLegReply(nil, MatchLegReply{}))
-	if err != nil || len(empty.Streams)+len(empty.Hits)+len(empty.Refused)+len(empty.Freshness)+len(empty.Profile) != 0 {
+	if err != nil || len(empty.Streams)+len(empty.Hits)+len(empty.Profile) != 0 {
 		t.Errorf("empty reply: got %+v, %v", empty, err)
 	}
 }
 
-// TestMatchLegScopeCodec: every shape of scope survives the wire, and
-// the decoder refuses a leg scoped by both Only and Exclude, a scope
-// list whose count the remaining bytes cannot back, and a version-1 leg
-// (which carried its scope in headers).
+// TestMatchLegScopeCodec: version 3 dropped the leg scope. A version-2
+// leg under every shape of scope it could carry, a version-2 reply with
+// the refusals and holdings it reported, and a version-1 leg are each
+// refused as ErrTorn naming their version; the version-3 leg of the
+// same query, and its reply, round-trip.
 func TestMatchLegScopeCodec(t *testing.T) {
-	for i, req := range legScopeShapes() {
-		got, err := DecodeMatchLegRequest(AppendMatchLegRequest(nil, req))
-		if err != nil || !reflect.DeepEqual(got, req) {
-			t.Errorf("shape %d: got %+v, %v; want %+v", i, got, err, req)
+	refused := func(name string, decode func([]byte) error, msg []byte, version int) {
+		t.Helper()
+		err := decode(msg)
+		if !errors.Is(err, ErrTorn) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", version)) {
+			t.Errorf("%s: err = %v, want ErrTorn naming version %d", name, err, version)
 		}
 	}
-	both := legRequestFixture()
-	both.Only, both.Exclude = []string{"P01"}, []string{"P02"}
-	// A request whose Require count claims more entries than bytes follow.
-	b, off := appendLegHeader(nil, legRequestMagic)
-	b = append(binary.AppendUvarint(b, 1), 0)
-	b = appendString(appendString(b, ""), "")
-	b = appendVertices(b, mkVerts(0, 2))
-	b = binary.AppendUvarint(binary.AppendUvarint(b, 0), 0)
-	hugeCount := sealFrame(binary.AppendUvarint(b, 1<<40), off)
+	decodeReq := func(b []byte) error { _, err := DecodeMatchLegRequest(b); return err }
+	decodeRep := func(b []byte) error { _, err := DecodeMatchLegReply(b); return err }
+	for i, sc := range v2ScopeShapes() {
+		refused(fmt.Sprintf("v2 request, shape %d", i), decodeReq, appendV2Request(legRequestFixture(), sc), 2)
+	}
+	refused("v2 reply", decodeRep, appendV2Reply(legReplyFixture(), []string{"P09"}, []v2Holdings{{"P01", 2, 88}, {"P09", 0, 0}}), 2)
 	v1 := AppendMatchLegRequest(nil, legRequestFixture())
 	v1[4] = 1
-	for name, msg := range map[string][]byte{
-		"only and exclude":   AppendMatchLegRequest(nil, both),
-		"count beyond bytes": hugeCount,
-		"version 1":          reseal(v1),
-	} {
-		if _, err := DecodeMatchLegRequest(msg); !errors.Is(err, ErrTorn) {
-			t.Errorf("%s: err = %v, want ErrTorn", name, err)
-		}
+	refused("v1 request", decodeReq, reseal(v1), 1)
+
+	req := legRequestFixture()
+	msg := AppendMatchLegRequest(nil, req)
+	if v := binary.LittleEndian.Uint16(msg[4:]); v != 3 {
+		t.Fatalf("leg encodes as version %d, want 3", v)
+	}
+	if got, err := DecodeMatchLegRequest(msg); err != nil || !reflect.DeepEqual(got, req) {
+		t.Errorf("v3 request: got %+v, %v; want %+v", got, err, req)
+	}
+	rep := legReplyFixture()
+	if got, err := DecodeMatchLegReply(AppendMatchLegReply(nil, rep)); err != nil || !reflect.DeepEqual(got, rep) {
+		t.Errorf("v3 reply: got %+v, %v; want %+v", got, err, rep)
 	}
 }
 
@@ -135,7 +187,7 @@ func TestMatchLegDecodersRefuse(t *testing.T) {
 	requests := map[string][]byte{
 		"empty":           nil,
 		"bad magic":       append([]byte("STRB"), okReq[4:]...),
-		"unknown version": reseal(append(append([]byte("STMQ"), 3, 0), okReq[6:]...)),
+		"unknown version": reseal(append(append([]byte("STMQ"), 4, 0), okReq[6:]...)),
 		"reply magic":     AppendMatchLegReply(nil, legReplyFixture()),
 		"bad crc":         append(append([]byte{}, okReq[:len(okReq)-1]...), okReq[len(okReq)-1]^1),
 		"truncated":       okReq[:len(okReq)-3],
