@@ -67,7 +67,7 @@ func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := candidateSet{view: st.ScanView(pl.sig), sig: pl.sig, starts: make([]int32, 8), lbs: make([]float64, 8)}
+	c := candidateSet{view: st.ScanView(pl.scanSig), sig: pl.scanSig, starts: make([]int32, 8), lbs: make([]float64, 8)}
 	c.hi = c.view.Len()
 	if !c.view.Listed || len(c.view.Postings) == 0 {
 		t.Fatal("fixture: the indexed stream lists no postings")
@@ -78,7 +78,7 @@ func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
 	if err := st.Append(breathingWindow(last+1, 11, unitDurs(12))...); err != nil {
 		t.Fatal(err)
 	}
-	if late := st.FindWindows(pl.sig); late[len(late)-1] < possible {
+	if late := st.FindWindows(pl.scanSig); late[len(late)-1] < possible {
 		t.Fatal("fixture: the append completed no window beyond the view")
 	}
 
@@ -100,15 +100,15 @@ func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
 	}
 }
 
-// TestFunnelCountsPartitionAllSources: the identity holds whichever of
-// the four candidate sources fed the driver, in threshold and top-k
-// mode, and the probe source — including fallback streams and a
-// widened top-k — counts exactly the windows the scan source counts.
+// TestFunnelCountsPartitionAllSources: the identity holds whichever
+// candidate source fed the driver, in threshold and top-k mode, and a
+// matcher with the deprecated index fields set counts exactly what the
+// scan counts.
 func TestFunnelCountsPartitionAllSources(t *testing.T) {
 	db := buildTestDB(t)
 	idx := buildIndex(t, db)
-	// P5 arrives after the index was built: the probe path must fall
-	// back to scanning it.
+	// P5 arrives after the index was built, which changes nothing: the
+	// index is ignored.
 	p5, err := db.AddPatient(store.PatientInfo{ID: "P5"})
 	if err != nil {
 		t.Fatal(err)
@@ -121,31 +121,25 @@ func TestFunnelCountsPartitionAllSources(t *testing.T) {
 
 	ablation := DefaultParams()
 	ablation.RequireStateOrder = false
-	probed := DefaultParams()
-	probed.UseIndex = true
-	windows := map[string]int{}
+	counts := map[string]FunnelCounts{}
 	for _, src := range []struct {
-		name   string
-		params Params
-	}{{"scan", DefaultParams()}, {"ablation", ablation}, {"probe", probed}} {
-		m, err := NewMatcher(db, src.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if src.params.UseIndex {
-			m.Index = idx
-		}
+		name string
+		m    *Matcher
+	}{
+		{"scan", mustMatcher(t, db, DefaultParams())},
+		{"ablation", mustMatcher(t, db, ablation)},
+		{"deprecated", deprecatedMatcher(t, db, DefaultParams(), idx)},
+	} {
+		m := src.m
 		for _, mode := range []struct {
 			name   string
 			search func() ([]Match, error)
 		}{
 			{"threshold", func() ([]Match, error) { return m.FindSimilar(q, nil) }},
 			{"top3", func() ([]Match, error) { return m.FindSimilarTopK(q, 3, nil) }},
-			// k beyond the candidate count forces the probe to widen
-			// until it is exhaustive.
+			// k beyond the candidate count.
 			{"top50", func() ([]Match, error) { return m.TopK(q, 50, nil) }},
 		} {
-			widenings := sigindexMetric("stsmatch_sigindex_widenings_total")
 			out, c := searchCounts(t, mode.search)
 			label := src.name + "/" + mode.name
 			if !partitions(c) {
@@ -154,23 +148,21 @@ func TestFunnelCountsPartitionAllSources(t *testing.T) {
 			if c.Matched != len(out) {
 				t.Errorf("%s: Matched = %d, returned %d", label, c.Matched, len(out))
 			}
-			windows[label] = c.Windows
-			if label == "probe/top50" && sigindexMetric("stsmatch_sigindex_widenings_total") == widenings {
-				t.Errorf("%s: the probe never widened", label)
-			}
+			counts[label] = c
 		}
 	}
 	for _, mode := range []string{"threshold", "top3", "top50"} {
-		if s, p := windows["scan/"+mode], windows["probe/"+mode]; s != p || s == 0 {
-			t.Errorf("%s: scan considered %d windows, probe %d (want equal, nonzero)", mode, s, p)
+		if s, d := counts["scan/"+mode], counts["deprecated/"+mode]; s != d || s.Windows == 0 {
+			t.Errorf("%s: scan counted %+v, deprecated fields set %+v (want equal, nonzero)", mode, s, d)
 		}
 	}
 }
 
 // TestFunnelCountsEqualSingleStageBound: splitting pass 2 into the
 // amplitude-first stage and the full bound moves no window between
-// FunnelCounts buckets and changes no result, whichever of the four
-// candidate sources feeds the driver, in threshold mode and top-k. The
+// FunnelCounts buckets and changes no result, whichever candidate
+// source feeds the driver, in threshold mode and top-k, and with the
+// deprecated index fields set or not. The
 // reference is the same driver with stage A switched off: stageAGuard
 // = 1 zeroes its scale, so every candidate takes the full bound, which
 // is what pass 2 was before the split.
@@ -183,9 +175,8 @@ func TestFunnelCountsEqualSingleStageBound(t *testing.T) {
 	tight := DefaultParams()
 	tight.DistThreshold = 3
 	tight.Parallelism = 1
-	ablation, probed := tight, tight
+	ablation := tight
 	ablation.RequireStateOrder = false
-	probed.UseIndex = true
 	pl, err := newQueryPlan(tight, q, q.Seq.StateSignature(), tight.DistThreshold, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +184,7 @@ func TestFunnelCountsEqualSingleStageBound(t *testing.T) {
 	byA, byFull := 0, 0
 	for _, st := range db.Streams() {
 		seq, amps := st.Snapshot()
-		for _, j := range st.FindWindows(pl.sig) {
+		for _, j := range st.FindWindows(pl.scanSig) {
 			ampC, rel := amps[j+pl.n-1]-amps[j], relationOf(q, st)
 			if pl.lowerBoundAmp(pl.ampBound(rel), ampC) > pl.threshold {
 				byA++
@@ -218,16 +209,14 @@ func TestFunnelCountsEqualSingleStageBound(t *testing.T) {
 		}
 		got := map[string]outcome{}
 		for _, src := range []struct {
-			name   string
-			params Params
-		}{{"scan", tight}, {"ablation", ablation}, {"probe", probed}} {
-			m, err := NewMatcher(db, src.params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if src.params.UseIndex {
-				m.Index = idx
-			}
+			name string
+			m    *Matcher
+		}{
+			{"scan", mustMatcher(t, db, tight)},
+			{"ablation", mustMatcher(t, db, ablation)},
+			{"deprecated", deprecatedMatcher(t, db, tight, idx)},
+		} {
+			m := src.m
 			for _, k := range []int{0, 1, 10} {
 				out, c := searchCounts(t, func() ([]Match, error) {
 					if k == 0 {
@@ -267,6 +256,13 @@ func TestFunnelCountsEqualSingleStageBound(t *testing.T) {
 			t.Errorf("%s: fixture or identity: %+v", label, got.counts)
 		}
 		assertSameMatches(t, label, want.matches, got.matches)
+	}
+	for _, k := range []string{"0", "1", "10"} {
+		s, d := split["scan/k="+k], split["deprecated/k="+k]
+		if d.counts != s.counts {
+			t.Errorf("k=%s: deprecated fields set counted %+v, scan %+v", k, d.counts, s.counts)
+		}
+		assertSameMatches(t, "deprecated/k="+k, s.matches, d.matches)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
-	"stsmatch/internal/sigindex"
 	"stsmatch/internal/store"
 )
 
@@ -50,7 +49,7 @@ type Match struct {
 	Start    int // index of the window's first vertex
 	N        int // window length in vertices
 	Relation SourceRelation
-	// ord is the candidate stream's position in the search's work
+	// ord is the candidate stream's position in the search's stream
 	// list: the final tie-break of the result order, making output
 	// deterministic even for byte-identical streams registered under
 	// the same patient and session IDs. It shares Relation's word.
@@ -100,14 +99,9 @@ type Matcher struct {
 	DB     *store.DB
 	Params Params
 
-	// Index, when non-nil and Params.UseIndex is set, answers
-	// candidate generation through window-signature probes instead of
-	// per-stream scans (see indexsearch.go). Library-only: the server's
-	// pooled matchers never have one. The index must be built over DB
-	// and kept current via the store mutation hook; streams it does not
-	// fully cover fall back to scanning, so the results stay
-	// byte-identical either way.
-	Index *sigindex.Index
+	// Deprecated: ignored. Every search scans each stream's postings;
+	// the field stays only because the benchmark module assigns it.
+	Index any
 
 	// scratch reused across searches (a Matcher is not safe for
 	// concurrent use; create one per goroutine). Each search worker
@@ -115,7 +109,6 @@ type Matcher struct {
 	// parallelism and is reused across searches.
 	buf     []float64 // the plan's vertex weights and query segments
 	streams []*store.Stream
-	work    []streamWork
 	workers []*workerState
 	buckets []int32  // order's bucket table
 	fc      forecast // PredictDisplacementCtx's collector
@@ -185,8 +178,7 @@ type FunnelCounts struct {
 	// source ranged over.
 	Windows int
 	// StateRejected windows never reached the later stages: their state
-	// order differs from the query's, or (index probe) their aggregates
-	// lie outside the envelope the acceptance bound allows.
+	// order differs from the query's.
 	StateRejected int
 	SelfExcluded  int // overlap the query's own present
 	LBPruned      int // failed the O(1) prefix-sum lower bound
@@ -211,9 +203,8 @@ func (c *FunnelCounts) Add(o FunnelCounts) {
 func (c FunnelCounts) Scanned() int { return c.Windows - c.StateRejected }
 
 // drainWorkers sums and resets the workers' counts, clocks and hit
-// buffers. Workers are reused across searches (and across the rounds
-// of an index-probed top-k), so this is the one place their state is
-// cleared.
+// buffers. Workers are reused across searches, so this is the one place
+// their state is cleared.
 func drainWorkers(workers []*workerState) (c FunnelCounts, sg stageNS) {
 	for _, w := range workers {
 		c.Add(w.counts)
@@ -317,8 +308,7 @@ func (m *Matcher) FindSimilarTopKCtx(ctx context.Context, q Query, k int, restri
 // OfflineSearch one per query window, a StandingQuery keeps one for life.
 type queryPlan struct {
 	q         Query
-	sig       string
-	scanSig   string // what scans filter by: sig, or "" with the state order ablated off
+	scanSig   string // what scans filter by: the query's state signature, "" when ablated
 	n         int
 	vw        []float64  // per-segment vertex weights
 	qseg      []float64  // per-segment durations and displacements (querySegments)
@@ -356,7 +346,6 @@ func newQueryPlan(p Params, q Query, sig string, threshold float64, buf []float6
 	}
 	pl := queryPlan{
 		q:         q,
-		sig:       sig,
 		n:         len(q.Seq),
 		vw:        p.VertexWeights(buf[:0], len(q.Seq)),
 		qseg:      querySegments(buf[segs:cap(buf)], q.Seq),
@@ -365,7 +354,7 @@ func newQueryPlan(p Params, q Query, sig string, threshold float64, buf []float6
 		threshold: threshold,
 	}
 	if p.RequireStateOrder {
-		pl.scanSig = pl.sig
+		pl.scanSig = sig
 	}
 	pl.wsum, pl.vwMin = sumMin(pl.vw)
 	pl.wa, pl.wf = p.ampFreqWeights()
@@ -382,7 +371,7 @@ func newQueryPlan(p Params, q Query, sig string, threshold float64, buf []float6
 // partitioned dynamically across Params.Parallelism workers; every
 // candidate goes through queryPlan.run, and partial results merge into
 // the matchLess total order, so the output is byte-identical at every
-// parallelism setting and for every candidate source.
+// parallelism setting.
 func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool, k int, threshold float64, fc *forecast) ([]Match, error) {
 	start := time.Now()
 	plan, err := newQueryPlan(m.Params, q, q.Seq.StateSignature(), threshold, m.buf)
@@ -435,16 +424,7 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		counts.record()
 	}()
 
-	var probe probeStats
-	if m.indexSearchable(pl.n) {
-		probe = m.probeRounds(pl, active, streams)
-	} else {
-		m.work = m.work[:0]
-		for ord, st := range streams {
-			m.work = append(m.work, streamWork{st: st, ord: ord})
-		}
-		pl.dispatch(active, m.work)
-	}
+	pl.dispatch(active, streams)
 
 	// Merge: top-k mode drains the shared heap, threshold mode orders the
 	// workers' hits and ranks or folds them. Either way the matchCmp total
@@ -484,18 +464,6 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 			"distRejected": counts.DistRejected})
 		obs.AddSpan(ctx, "funnel.topk_merge", mergeStart, mergeDur, map[string]any{
 			"matched": counts.Matched})
-		if probe.probes > 0 {
-			obs.AddSpan(ctx, "index.probe", start, probe.dur, map[string]any{
-				"probes":          probe.probes,
-				"widenings":       probe.probes - 1,
-				"rounds":          probe.probes,
-				"candidates":      probe.candidates,
-				"cells":           probe.cells,
-				"fallbackStreams": probe.fallbackStreams,
-				"windows":         m.Index.Stats().Windows,
-			})
-			span.Annotate("indexed", true)
-		}
 		span.Annotate("streams", len(streams))
 		span.Annotate("parallelism", par)
 		span.Annotate("k", k)
@@ -523,25 +491,16 @@ func (m *Matcher) fanOut(streams []*store.Stream) int {
 	return 1
 }
 
-// streamWork is one stream's share of a search. probed carries the
-// stream's index-probe hits; nil means the candidates come from the
-// stream's own scan view (its postings, or every window).
-type streamWork struct {
-	st     *store.Stream
-	ord    int
-	probed []int32
-}
-
-// dispatch feeds every work item through the funnel. With more than
-// one worker and item it fans the items across worker goroutines
+// dispatch feeds every stream through the funnel. With more than one
+// worker and stream it fans the streams across worker goroutines
 // pulling indices off a shared atomic cursor (dynamic load balancing —
 // heavy streams do not serialize behind a static partition); a worker
 // panic stops the fan-out and is re-raised on the caller's goroutine
 // instead of crashing the process.
-func (pl *queryPlan) dispatch(workers []*workerState, work []streamWork) {
-	if len(workers) == 1 || len(work) <= 1 {
-		for _, it := range work {
-			pl.feed(workers[0], it)
+func (pl *queryPlan) dispatch(workers []*workerState, streams []*store.Stream) {
+	if len(workers) == 1 || len(streams) <= 1 {
+		for ord, st := range streams {
+			pl.feed(workers[0], st, ord)
 		}
 		return
 	}
@@ -568,10 +527,10 @@ func (pl *queryPlan) dispatch(workers []*workerState, work []streamWork) {
 			}()
 			for !stop.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(work) {
+				if i >= len(streams) {
 					return
 				}
-				pl.feed(w, work[i])
+				pl.feed(w, streams[i], i)
 			}
 		}(w)
 	}
@@ -581,28 +540,24 @@ func (pl *queryPlan) dispatch(workers []*workerState, work []streamWork) {
 	}
 }
 
-// feed builds one work item's candidate set over a fresh view of its
-// stream and runs the funnel over it.
-func (pl *queryPlan) feed(w *workerState, it streamWork) {
+// feed builds the candidate set of stream st, the search's ord-th, over
+// a fresh view of it and runs the funnel over it.
+func (pl *queryPlan) feed(w *workerState, st *store.Stream, ord int) {
 	w.lap(pl, nil)
 	// An indexed stream's postings for the signature's first gram,
 	// consumed in place; every start of an unindexed one, or of any
 	// stream in ablation mode.
-	c := candidateSet{view: it.st.ScanView(pl.scanSig), sig: pl.scanSig, starts: w.starts, lbs: w.lbs}
-	if it.probed != nil {
-		// The index probe already produced the list, state order proven.
-		c.view.Listed, c.view.Postings, c.sig = true, it.probed, ""
-	}
+	c := candidateSet{view: st.ScanView(pl.scanSig), sig: pl.scanSig, starts: w.starts, lbs: w.lbs}
 	c.hi = c.view.Len()
-	rel := relationOf(pl.q, it.st)
+	rel := relationOf(pl.q, st)
 	c.excludePresent(pl, rel)
-	w.hits = pl.run(w, it.st, rel, it.ord, &c, w.hits)
+	w.hits = pl.run(w, st, rel, ord, &c, w.hits)
 }
 
 // candidateSet names the windows of one stream view that a funnel run
 // considers: the view's windows (store.ScanView.AppendWindows) with
 // starts in [lo, hi) and state signature sig. An empty sig takes every
-// one — the ablation, or a list whose producer proved the state order.
+// one — the ablation.
 type candidateSet struct {
 	view   store.ScanView
 	lo, hi int
@@ -635,9 +590,9 @@ func (c *candidateSet) excludePresent(pl *queryPlan, rel SourceRelation) {
 //	  -> bounded exact distance -> threshold / adaptive top-k
 //
 // to a window of stream st, which stands in relation rel to the query.
-// Scan, ablation, index probe, standing evaluation and offline top-h
-// differ only in the candidate set they hand it, which is what keeps
-// their results byte-identical. An accepted window goes to the plan's
+// Scan, ablation, standing evaluation and offline top-h differ only in
+// the candidate set they hand it, which is what keeps their results
+// byte-identical. An accepted window goes to the plan's
 // collector (top-k) or, as a hit, onto hits, the caller's buffer, which
 // run returns (a parameter, not a field of w, so that a standing
 // evaluation's can stay on its stack); every window the set ranges over
@@ -659,8 +614,7 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, rel SourceRelation, o
 	exLo, exHi := max(c.exLo, lo), min(c.exHi, hi)
 	for lo < hi {
 		// Pass 1 — state order: the store's walk over postings or state
-		// string. Whatever it skips fails condition 1 (or the envelope of
-		// the probe that made the list).
+		// string. Whatever it skips fails condition 1.
 		from := lo
 		var starts []int32
 		starts, lo = c.view.AppendWindows(c.starts[:0], c.sig, from, hi)
@@ -805,19 +759,6 @@ func (c *collector) reset() {
 // distance strictly above it can enter the final result set.
 func (c *collector) bound() float64 {
 	return math.Float64frombits(c.boundBits.Load())
-}
-
-// kth reports whether the heap is full and, if so, the current k-th
-// best distance (the largest retained). The index search uses it to
-// decide whether the probe envelope already covers every candidate
-// that could still displace a result.
-func (c *collector) kth() (full bool, dist float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.heap) < c.k {
-		return false, 0
-	}
-	return true, c.heap[0].Distance
 }
 
 // offer submits an accepted candidate. It reports whether the match

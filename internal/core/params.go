@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"stsmatch/internal/plr"
@@ -59,16 +60,8 @@ type Params struct {
 	// ablation that shows why the model layer matters.
 	RequireStateOrder bool
 
-	// UseIndex is library-only — no daemon sets it and a served shard
-	// always scans; bench/ and the equivalence tests drive it. It routes
-	// candidate generation through the matcher's window-signature
-	// index (Matcher.Index) when one is attached:
-	// envelope probes with iterative widening replace the per-stream
-	// posting scans. Results are byte-identical to the scan path;
-	// streams the index does not fully cover fall back to scanning.
-	// Ignored when RequireStateOrder is false — the ablation needs
-	// every window, which the index cannot enumerate — or when the
-	// query length falls outside the indexed window range.
+	// Deprecated: ignored. Every search scans each stream's postings;
+	// the field stays only because the benchmark module sets it.
 	UseIndex bool
 
 	// Parallelism is the number of worker goroutines a similarity
@@ -110,6 +103,29 @@ func DefaultParams() Params {
 
 // Validate reports parameter errors.
 func (p Params) Validate() error {
+	// NaN fails every comparison below, so it would pass them all; an
+	// infinite weight makes a distance NaN (∞·0) or zero (x/∞).
+	for _, f := range [...]struct {
+		name     string
+		v        float64
+		isWeight bool
+	}{
+		{"WeightAmp", p.WeightAmp, true},
+		{"WeightFreq", p.WeightFreq, true},
+		{"VertexWeightBase", p.VertexWeightBase, false},
+		{"WeightSameSession", p.WeightSameSession, true},
+		{"WeightSamePatient", p.WeightSamePatient, true},
+		{"WeightOtherPatient", p.WeightOtherPatient, true},
+		{"DistThreshold", p.DistThreshold, false},
+		{"StabilityThreshold", p.StabilityThreshold, false},
+	} {
+		if math.IsNaN(f.v) {
+			return fmt.Errorf("core: %s must be a number, got NaN", f.name)
+		}
+		if f.isWeight && math.IsInf(f.v, 1) {
+			return fmt.Errorf("core: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if p.WeightAmp <= 0 || p.WeightFreq <= 0 {
 		return fmt.Errorf("core: WeightAmp and WeightFreq must be positive")
 	}

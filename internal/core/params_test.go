@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -58,6 +59,34 @@ func TestParamsValidateRejects(t *testing.T) {
 		m.mut(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: expected validation error", m.name)
+		}
+	}
+
+	// NaN passes every ordering check, and so does +Inf in a weight the
+	// ordering does not cap: each is refused, by the field's name.
+	nan, posInf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		field string
+		mut   func(*Params)
+	}{
+		{"WeightAmp", func(p *Params) { p.WeightAmp = nan }},
+		{"WeightFreq", func(p *Params) { p.WeightFreq = nan }},
+		{"VertexWeightBase", func(p *Params) { p.VertexWeightBase = nan }},
+		{"WeightSameSession", func(p *Params) { p.WeightSameSession = nan }},
+		{"WeightSamePatient", func(p *Params) { p.WeightSamePatient = nan }},
+		{"WeightOtherPatient", func(p *Params) { p.WeightOtherPatient = nan }},
+		{"DistThreshold", func(p *Params) { p.DistThreshold = nan }},
+		{"StabilityThreshold", func(p *Params) { p.StabilityThreshold = nan }},
+		{"WeightAmp", func(p *Params) { p.WeightAmp = posInf }},
+		{"WeightFreq", func(p *Params) { p.WeightFreq = posInf }},
+		{"WeightSameSession", func(p *Params) { p.WeightSameSession = posInf }},
+		{"WeightSamePatient", func(p *Params) { p.WeightSamePatient = posInf }},
+		{"WeightOtherPatient", func(p *Params) { p.WeightOtherPatient = posInf }},
+	} {
+		p := DefaultParams()
+		c.mut(&p)
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming the field", c.field, err)
 		}
 	}
 }

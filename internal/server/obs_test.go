@@ -145,8 +145,8 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("metric %s = %v, want > 0", name, v)
 		}
 	}
-	// core links internal/sigindex into every daemon, but a shard never
-	// builds an index, so it must not export the index's series.
+	// No daemon links internal/sigindex, so a shard must not export the
+	// index's series.
 	for name := range first {
 		if strings.HasPrefix(name, "stsmatch_sigindex_") {
 			t.Errorf("served shard exports %s", name)

@@ -199,9 +199,7 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 	// vertex is journaled before a standing query can match it.
 	s.db.AddMutationHook(s.subs.OnMutation)
 	s.matchers.New = func() any {
-		// params were validated above; the error path is unreachable. A
-		// pooled matcher never has a signature index (core.Matcher.Index
-		// is library-only): every served search takes the scan.
+		// params were validated above; the error path is unreachable.
 		m, _ := core.NewMatcher(s.db, s.params)
 		return m
 	}

@@ -263,9 +263,6 @@ func TestMatcherParallelismOption(t *testing.T) {
 	if m.Params.Parallelism != 3 {
 		t.Errorf("pooled matcher Parallelism = %d, want 3", m.Params.Parallelism)
 	}
-	if m.Index != nil {
-		t.Error("pooled matcher has a signature index")
-	}
 	srv.matchers.Put(m)
 
 	params.Parallelism = -2

@@ -1,10 +1,11 @@
 // Package sigindex implements the persistent window-signature index:
 // an inverted index over PLR window signatures — the state-order
 // string of each fixed-length window plus the quantized bucket of its
-// amplitude (displacement-norm sum) and duration — that turns the
-// matcher's candidate-generation stage from a full corpus scan into
-// index probes with envelope widening (the KV-match construction
-// adapted to model-based PLR windows).
+// amplitude (displacement-norm sum) and duration — answering envelope
+// probes over window aggregates (the KV-match construction adapted to
+// model-based PLR windows). It is a library only the benchmark module
+// uses: the matcher scans each stream's postings and links none of it
+// (DESIGN §13).
 //
 // For every stream position j and every indexed window length
 // l in [MinSegments, MaxSegments], the window of l segments starting
@@ -21,19 +22,17 @@
 // amp/dur against its envelope, so bucket widths never change the
 // probed set, only the constant factors.
 //
-// The index is derived state. Recovery persists only its configuration
-// (a WAL record type plus a snapshot section); the postings are
-// rebuilt deterministically from the recovered database with BuildFrom
-// and then maintained incrementally from the store's mutation hook.
-// Streams the index cannot vouch for — duplicate session keys,
-// appends observed mid-stream, or any shadow/stream length mismatch —
-// are poisoned or simply reported stale via Coverage, and the matcher
-// falls back to scanning exactly those streams.
+// The index is derived state: built deterministically from a database
+// with BuildFrom and then maintained incrementally from the store's
+// mutation hook. Streams the index cannot vouch for — duplicate session
+// keys, appends observed mid-stream, or any shadow/stream length
+// mismatch — are poisoned or simply reported stale via Coverage, and a
+// caller scans exactly those streams instead.
 //
 // Locking: OnMutation runs under the mutated stream's lock (the store
 // hook contract) and takes the index lock inside it; Probe, Coverage,
 // Stats and Dump take only the index lock and copy results out before
-// returning, so the matcher never holds index and stream locks at the
+// returning, so a caller never holds index and stream locks at the
 // same time.
 package sigindex
 
@@ -151,10 +150,10 @@ type streamShadow struct {
 }
 
 // StreamCoverage is what the index knows about one stream, consumed by
-// the matcher to decide probe vs scan-fallback per stream.
+// a caller to decide probe vs scan-fallback per stream.
 type StreamCoverage struct {
 	// Vertices is how many vertices of the stream the index has
-	// absorbed; the matcher trusts the index for a stream only when
+	// absorbed; a caller trusts the index for a stream only when
 	// this equals the stream's live length.
 	Vertices int
 	// Poisoned marks a stream the index refuses to answer for

@@ -292,8 +292,8 @@ type ScanView struct {
 	// Listed restricts the view's windows to the starts in Postings
 	// (ascending): the stream's own postings of the signature's first
 	// n-gram, consumed in place — a superset of the windows with that
-	// signature — or a list the caller substitutes. Otherwise (no index,
-	// or a signature shorter than a gram) every start is a candidate.
+	// signature. Otherwise (no index, or a signature shorter than a
+	// gram) every start is a candidate.
 	Listed   bool
 	Postings []int32
 	next     int // AppendWindows' cursor into Postings

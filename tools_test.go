@@ -142,6 +142,34 @@ func TestCLIErrorHandling(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Errorf("malformed CSV accepted: %s", out)
 	}
+	// predictd with a NaN threshold must refuse it, not evaluate a
+	// threshold nothing can be within.
+	dbPath := filepath.Join(t.TempDir(), "cohort.json")
+	runTool(t, bin, "motiongen", "-patients", "2", "-sessions", "1", "-dur", "30", "-o", dbPath)
+	cmd = exec.Command(filepath.Join(bin, "predictd"), "-db", dbPath, "-eps", "NaN")
+	if out, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(out), "DistThreshold") {
+		t.Errorf("predictd -eps NaN: exit %v, output %s", err, out)
+	}
+}
+
+// TestDaemonsDoNotLinkSigindex: the window-signature index is a library
+// the benchmark module uses; no daemon, and not the matcher, links it.
+func TestDaemonsDoNotLinkSigindex(t *testing.T) {
+	if testing.Short() {
+		t.Skip("go list is slow for -short")
+	}
+	pkgs := []string{"./cmd/streamd", "./cmd/gateway", "./cmd/predictd", "./internal/core"}
+	for _, pkg := range pkgs {
+		out, err := exec.Command("go", "list", "-deps", pkg).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v\n%s", pkg, err, out)
+		}
+		for _, dep := range strings.Fields(string(out)) {
+			if dep == "stsmatch/internal/sigindex" {
+				t.Errorf("%s links %s", pkg, dep)
+			}
+		}
+	}
 }
 
 // TestSeqOnlyAtTheAPIEdge guards the column store: the packages on the
