@@ -387,7 +387,6 @@ func largeCorpus(tb testing.TB) *store.DB {
 		if large.err != nil {
 			return
 		}
-		large.db.EnableIndexes()
 		large.heap = settledHeap() - base
 	})
 	if large.err != nil {
@@ -713,7 +712,7 @@ func BenchmarkDTWVsCoreDistance(b *testing.B) {
 	})
 }
 
-// --- Candidate generation: index ablation ----------------------------
+// --- Candidate generation ------------------------------------------
 
 func BenchmarkCandidateGeneration(b *testing.B) {
 	e := env(b)
@@ -723,22 +722,8 @@ func BenchmarkCandidateGeneration(b *testing.B) {
 		b.Skip("stream too short")
 	}
 	sig := seq[:12].StateSignature()
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			st.FindWindows(sig)
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		// A fresh stream without an index takes the scan path.
-		fresh := store.NewStream(st.PatientID, st.SessionID)
-		if err := fresh.Append(seq.Clone()...); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fresh.FindWindows(sig)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		st.FindWindows(sig)
+	}
 }

@@ -36,8 +36,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	db.EnableIndexes()
-
 	cfg := cluster.DefaultConfig()
 	cfg.QueryStride = *stride
 	patients := db.Patients()

@@ -70,8 +70,6 @@ func main() {
 	if err != nil {
 		fatal(log, err)
 	}
-	db.EnableIndexes()
-
 	params := core.DefaultParams()
 	params.DistThreshold = *eps
 	params.StabilityThreshold = *theta

@@ -111,7 +111,6 @@ func main() {
 		if err != nil {
 			fatal(log, err)
 		}
-		db.EnableIndexes()
 		log.Info("preloaded history",
 			slog.String("path", *dbPath),
 			slog.Int("patients", db.NumPatients()),

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -355,78 +354,71 @@ func variedStream(pid, sid string, seed int64, cycles int) *store.Stream {
 // TestDirectedDistanceEqualsBruteForce holds the funnel-driven directed
 // distance to the oracle, bit for bit, on both return values.
 func TestDirectedDistanceEqualsBruteForce(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		a := variedStream("P1", "S1", 1, 40)
-		twin := variedStream("P1", "S1", 1, 40) // a's IDs and vertices, another *store.Stream
-		b := variedStream("P1", "S2", 2, 40)
-		c := variedStream("P2", "S1", 3, 40)
-		short := variedStream("P3", "S1", 4, 1) // 4 vertices < window 7
-		if indexed {
-			for _, st := range []*store.Stream{a, twin, b, c, short} {
-				st.EnableIndex()
+	a := variedStream("P1", "S1", 1, 40)
+	twin := variedStream("P1", "S1", 1, 40) // a's IDs and vertices, another *store.Stream
+	b := variedStream("P1", "S2", 2, 40)
+	c := variedStream("P2", "S1", 3, 40)
+	short := variedStream("P3", "S1", 4, 1) // 4 vertices < window 7
+	for _, pair := range []struct {
+		name string
+		r, s *store.Stream
+	}{
+		{"self", a, a},
+		{"twin", a, twin},
+		{"same patient", a, b},
+		{"other patient", a, c},
+		{"other patient reversed", c, a},
+		{"short query stream", short, a},
+		{"short candidate stream", a, short},
+	} {
+		base := smallConfig()
+		base.QueryStride = 1
+		// The most candidates any query of r finds in s: TopH there is
+		// the last value some query survives, one above it none does.
+		most := 0
+		for qStart := 0; qStart+base.WindowVertices <= pair.r.Len(); qStart++ {
+			cands := len(pair.s.FindWindows(pair.r.Seq()[qStart : qStart+base.WindowVertices].StateSignature()))
+			if pair.r == pair.s {
+				cands--
 			}
+			most = max(most, cands)
 		}
-		for _, pair := range []struct {
+		type variant struct {
 			name string
-			r, s *store.Stream
-		}{
-			{"self", a, a},
-			{"twin", a, twin},
-			{"same patient", a, b},
-			{"other patient", a, c},
-			{"other patient reversed", c, a},
-			{"short query stream", short, a},
-			{"short candidate stream", a, short},
-		} {
-			base := smallConfig()
-			base.QueryStride = 1
-			// The most candidates any query of r finds in s: TopH there is
-			// the last value some query survives, one above it none does.
-			most := 0
-			for qStart := 0; qStart+base.WindowVertices <= pair.r.Len(); qStart++ {
-				cands := len(pair.s.FindWindows(pair.r.Seq()[qStart : qStart+base.WindowVertices].StateSignature()))
-				if pair.r == pair.s {
-					cands--
-				}
-				most = max(most, cands)
+			mut  func(*Config)
+		}
+		variants := []variant{
+			{"stride 1", func(*Config) {}},
+			{"stride 3", func(c *Config) { c.QueryStride = 3 }},
+			{"no state order", func(c *Config) { c.Params.RequireStateOrder = false }},
+		}
+		if most > 0 {
+			variants = append(variants,
+				variant{"h = most candidates", func(c *Config) { c.TopH = most }},
+				variant{"h = most candidates + 1", func(c *Config) { c.TopH = most + 1 }})
+		}
+		for _, v := range variants {
+			cfg := base
+			v.mut(&cfg)
+			name := pair.name + "/" + v.name
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
 			}
-			type variant struct {
-				name string
-				mut  func(*Config)
+			got, gotUsed := newSearcher(cfg).directedDistance(pair.r, pair.s)
+			want, wantUsed, err := bruteDirectedDistance(pair.r, pair.s, cfg)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
 			}
-			variants := []variant{
-				{"stride 1", func(*Config) {}},
-				{"stride 3", func(c *Config) { c.QueryStride = 3 }},
-				{"no state order", func(c *Config) { c.Params.RequireStateOrder = false }},
+			if got != want || gotUsed != wantUsed {
+				t.Errorf("%s: directedDistance = %v over %d queries, oracle %v over %d", name, got, gotUsed, want, wantUsed)
 			}
-			if most > 0 {
-				variants = append(variants,
-					variant{"h = most candidates", func(c *Config) { c.TopH = most }},
-					variant{"h = most candidates + 1", func(c *Config) { c.TopH = most + 1 }})
-			}
-			for _, v := range variants {
-				cfg := base
-				v.mut(&cfg)
-				name := fmt.Sprintf("%s/%s/indexed=%v", pair.name, v.name, indexed)
-				if err := cfg.Validate(); err != nil {
-					t.Fatal(err)
+			switch tooShort := pair.r == short || pair.s == short; {
+			case tooShort || cfg.TopH > most:
+				if wantUsed != 0 {
+					t.Errorf("%s: fixture: %d queries survive, want none", name, wantUsed)
 				}
-				got, gotUsed := newSearcher(cfg).directedDistance(pair.r, pair.s)
-				want, wantUsed, err := bruteDirectedDistance(pair.r, pair.s, cfg)
-				if err != nil {
-					t.Fatalf("%s: oracle: %v", name, err)
-				}
-				if got != want || gotUsed != wantUsed {
-					t.Errorf("%s: directedDistance = %v over %d queries, oracle %v over %d", name, got, gotUsed, want, wantUsed)
-				}
-				switch tooShort := pair.r == short || pair.s == short; {
-				case tooShort || cfg.TopH > most:
-					if wantUsed != 0 {
-						t.Errorf("%s: fixture: %d queries survive, want none", name, wantUsed)
-					}
-				case wantUsed == 0:
-					t.Errorf("%s: fixture: no query survives", name)
-				}
+			case wantUsed == 0:
+				t.Errorf("%s: fixture: no query survives", name)
 			}
 		}
 	}

@@ -119,37 +119,3 @@ func Agglomerate(m *stats.DistMatrix) *DendrogramNode {
 	}
 	return nil
 }
-
-// CutDendrogram cuts the hierarchy into k clusters by splitting the
-// highest merges first, and returns the resulting assignment.
-func CutDendrogram(root *DendrogramNode, n, k int) (Clustering, error) {
-	if root == nil {
-		return Clustering{}, fmt.Errorf("cluster: nil dendrogram")
-	}
-	if k < 1 || k > n {
-		return Clustering{}, fmt.Errorf("cluster: k=%d out of range for %d items", k, n)
-	}
-	nodes := []*DendrogramNode{root}
-	for len(nodes) < k {
-		// Split the node with the greatest merge height.
-		best, bestH := -1, -1.0
-		for i, nd := range nodes {
-			if nd.Item < 0 && nd.Height > bestH {
-				best, bestH = i, nd.Height
-			}
-		}
-		if best < 0 {
-			break // only leaves remain
-		}
-		nd := nodes[best]
-		nodes = append(nodes[:best], nodes[best+1:]...)
-		nodes = append(nodes, nd.Left, nd.Right)
-	}
-	assign := make([]int, n)
-	for ci, nd := range nodes {
-		for _, leaf := range nd.Leaves() {
-			assign[leaf] = ci
-		}
-	}
-	return Clustering{K: len(nodes), Assign: assign}, nil
-}

@@ -105,15 +105,3 @@ func (c *CoverageController) Attempts() int { return c.attempts }
 func (c *CoverageController) FindSimilar(m *Matcher, q Query) ([]Match, error) {
 	return m.search(context.Background(), q, nil, 0, c.eps, nil)
 }
-
-// PredictAdaptive runs one retrieval + prediction under the
-// controller's current threshold and feeds the outcome back.
-func (m *Matcher) PredictAdaptive(q Query, delta float64, ctl *CoverageController) (Prediction, error) {
-	var pred Prediction
-	matches, err := ctl.FindSimilar(m, q)
-	if err == nil {
-		pred, err = m.PredictPosition(q, matches, delta, 0)
-	}
-	ctl.Observe(err == nil)
-	return pred, err
-}

@@ -81,6 +81,10 @@ func TestCoverageControllerBounds(t *testing.T) {
 	}
 }
 
+// TestPredictAdaptive: one attempt of the adaptive loop predictd runs
+// — a retrieval under the controller's epsilon, a prediction from it,
+// the outcome fed back — predicts on easy data and moves epsilon toward
+// accuracy, leaving the matcher's own threshold alone.
 func TestPredictAdaptive(t *testing.T) {
 	db := buildTestDB(t)
 	m, _ := NewMatcher(db, DefaultParams())
@@ -88,11 +92,16 @@ func TestPredictAdaptive(t *testing.T) {
 	seq := own.Seq()
 	q := NewQuery(seq[len(seq)-10:len(seq)-2], "P1", "S1")
 
-	ctl, err := NewCoverageController(0.8, 8, 0.001, 16)
+	ctl, err := NewCoverageController(0.8, 5, 0.001, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.PredictAdaptive(q, 0.2, ctl); err != nil {
+	matches, err := ctl.FindSimilar(m, q)
+	if err == nil {
+		_, err = m.PredictPosition(q, matches, 0.2, 0)
+	}
+	ctl.Observe(err == nil)
+	if err != nil {
 		t.Fatalf("adaptive prediction failed on easy data: %v", err)
 	}
 	if ctl.Attempts() != 1 || ctl.Coverage() != 1 {
@@ -103,16 +112,28 @@ func TestPredictAdaptive(t *testing.T) {
 		t.Errorf("threshold leaked: %v", m.Params.DistThreshold)
 	}
 	// A hit must lower epsilon slightly (toward accuracy).
-	if ctl.Epsilon() >= 8 {
+	if ctl.Epsilon() >= 5 {
 		t.Errorf("eps = %v, want below start after a hit", ctl.Epsilon())
 	}
+	// The retrieval ran at the controller's epsilon, not the matcher's.
+	at := DefaultParams()
+	at.DistThreshold = 5
+	ref, err := NewMatcher(db, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.FindSimilar(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchesIdentical(t, "controller at epsilon 5", want, matches)
 }
 
-// TestPredictAdaptiveLeavesParams: the controller's epsilon reaches the
-// search as an argument, so neither an erroring search (a one-vertex
-// query) nor a panicking one (the database pulled from under the matcher)
-// can leave it in m.Params — the swap-and-restore this replaced had no
-// defer.
+// TestPredictAdaptiveLeavesParams: CoverageController.FindSimilar hands
+// the controller's epsilon to the search as an argument, so neither an
+// erroring search (a one-vertex query) nor a panicking one (the database
+// pulled from under the matcher) can leave it in m.Params — the
+// swap-and-restore this replaced had no defer.
 func TestPredictAdaptiveLeavesParams(t *testing.T) {
 	db := buildTestDB(t)
 	given := DefaultParams()
@@ -127,14 +148,11 @@ func TestPredictAdaptiveLeavesParams(t *testing.T) {
 	}
 	seq := db.Patient("P1").StreamBySession("S1").Seq()
 
-	if _, err := m.PredictAdaptive(NewQuery(seq[:1], "P1", "S1"), 0.2, ctl); !errors.Is(err, ErrTooShort) {
+	if _, err := ctl.FindSimilar(m, NewQuery(seq[:1], "P1", "S1")); !errors.Is(err, ErrTooShort) {
 		t.Fatalf("one-vertex query: err = %v, want ErrTooShort", err)
 	}
 	if m.Params != given {
 		t.Errorf("erroring search changed Params: %+v", m.Params)
-	}
-	if ctl.Attempts() != 1 || ctl.Coverage() != 0 {
-		t.Errorf("failed attempt not observed: attempts=%d coverage=%v", ctl.Attempts(), ctl.Coverage())
 	}
 
 	m.DB = nil
@@ -144,7 +162,7 @@ func TestPredictAdaptiveLeavesParams(t *testing.T) {
 				t.Error("search over a nil database did not panic")
 			}
 		}()
-		_, _ = m.PredictAdaptive(NewQuery(seq[len(seq)-10:len(seq)-2], "P1", "S1"), 0.2, ctl)
+		_, _ = ctl.FindSimilar(m, NewQuery(seq[len(seq)-10:len(seq)-2], "P1", "S1"))
 	}()
 	if m.Params != given {
 		t.Errorf("panicking search changed Params: %+v", m.Params)

@@ -123,7 +123,6 @@ func TestIndexScanEquivalence(t *testing.T) {
 				same(label("FindSimilar"), false, func(m *Matcher) ([]Match, error) { return m.FindSimilar(q, restrict) })
 				for _, k := range []int{1, 3, 50} {
 					same(label("TopK"), true, func(m *Matcher) ([]Match, error) { return m.TopK(q, k, restrict) })
-					same(label("FindSimilarTopK"), true, func(m *Matcher) ([]Match, error) { return m.FindSimilarTopK(q, k, restrict) })
 				}
 			}
 		}

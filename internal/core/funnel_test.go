@@ -59,7 +59,6 @@ func searchCounts(t *testing.T, search func() ([]Match, error)) ([]Match, Funnel
 // list after its snapshot and had to clip it).
 func TestFunnelCountsPartitionUnderAppend(t *testing.T) {
 	db := buildTestDB(t)
-	db.EnableIndexes()
 	st := db.Patient("P2").StreamBySession("S1")
 	own := db.Patient("P1").StreamBySession("S1").Seq()
 	pl, err := newQueryPlan(DefaultParams(), NewQuery(own[len(own)-10:], "P1", "S1"), own[len(own)-10:].StateSignature(), DefaultParams().DistThreshold, nil)
@@ -136,7 +135,7 @@ func TestFunnelCountsPartitionAllSources(t *testing.T) {
 			search func() ([]Match, error)
 		}{
 			{"threshold", func() ([]Match, error) { return m.FindSimilar(q, nil) }},
-			{"top3", func() ([]Match, error) { return m.FindSimilarTopK(q, 3, nil) }},
+			{"top3", func() ([]Match, error) { return m.TopK(q, 3, nil) }},
 			// k beyond the candidate count.
 			{"top50", func() ([]Match, error) { return m.TopK(q, 50, nil) }},
 		} {
@@ -345,7 +344,6 @@ func TestStandingEqualsSearchDiff(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := p1.AddStream("S1")
-			st.EnableIndex()
 			sq, err := NewStandingQuery(params, q, 0, tc.k)
 			if err != nil {
 				t.Fatal(err)

@@ -280,25 +280,6 @@ func (m *Matcher) TopKCtx(ctx context.Context, q Query, k int, restrict map[stri
 	return m.search(ctx, q, restrict, k, inf, nil)
 }
 
-// FindSimilarTopK retrieves the k nearest matches within the distance
-// threshold: FindSimilar's acceptance filter combined with TopK's
-// adaptive bound. The search starts from the threshold and tightens
-// the bound below it as close matches accumulate, so callers that only
-// need the best k within epsilon pay far less distance arithmetic than
-// FindSimilar followed by truncation.
-func (m *Matcher) FindSimilarTopK(q Query, k int, restrict map[string]bool) ([]Match, error) {
-	return m.FindSimilarTopKCtx(context.Background(), q, k, restrict)
-}
-
-// FindSimilarTopKCtx is FindSimilarTopK with trace-context support
-// (see FindSimilarCtx).
-func (m *Matcher) FindSimilarTopKCtx(ctx context.Context, q Query, k int, restrict map[string]bool) ([]Match, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: FindSimilarTopK needs k > 0, got %d", k)
-	}
-	return m.search(ctx, q, restrict, k, m.Params.DistThreshold, nil)
-}
-
 // queryPlan is everything about one query that is fixed while it runs:
 // the query, its precomputed aggregates and weights, the acceptance
 // threshold and — for a top-k search — the shared collector. Only
@@ -365,13 +346,12 @@ func newQueryPlan(p Params, q Query, sig string, threshold float64, buf []float6
 }
 
 // search is the unified retrieval core behind FindSimilar (k == 0),
-// TopK (threshold == inf), FindSimilarTopK and, with a forecast fc
-// (k == 0; the result is then in fc, not returned),
-// PredictDisplacementCtx. Candidate streams are
-// partitioned dynamically across Params.Parallelism workers; every
-// candidate goes through queryPlan.run, and partial results merge into
-// the matchLess total order, so the output is byte-identical at every
-// parallelism setting.
+// TopK (threshold == inf) and, with a forecast fc (k == 0; the result
+// is then in fc, not returned), PredictDisplacementCtx. Candidate
+// streams are partitioned dynamically across Params.Parallelism
+// workers; every candidate goes through queryPlan.run, and partial
+// results merge into the matchLess total order, so the output is
+// byte-identical at every parallelism setting.
 func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool, k int, threshold float64, fc *forecast) ([]Match, error) {
 	start := time.Now()
 	plan, err := newQueryPlan(m.Params, q, q.Seq.StateSignature(), threshold, m.buf)
@@ -391,7 +371,7 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	defer span.Finish()
 	pl.timed = span != nil
 	if k > 0 {
-		pl.col = newCollector(k, threshold)
+		pl.col = newCollector(k)
 	}
 	pl.fc = fc
 
@@ -718,9 +698,9 @@ func (pl *queryPlan) match(st *store.Stream, rel SourceRelation, h hit) Match {
 	}
 }
 
-// bound is the acceptance bound: the distance threshold, tightened to
-// the k-th best distance seen so far in top-k mode. It only ever
-// shrinks, so rejecting against a stale (looser) load is always safe.
+// bound is the acceptance bound: the distance threshold, or in top-k
+// mode the k-th best distance seen so far. It only ever shrinks, so
+// rejecting against a stale (looser) load is always safe.
 func (pl *queryPlan) bound() float64 {
 	if pl.col != nil {
 		return pl.col.bound()
@@ -735,24 +715,23 @@ func (pl *queryPlan) bound() float64 {
 // early-abandonment.
 type collector struct {
 	k         int
-	threshold float64
 	boundBits atomic.Uint64 // float64 bits of the current acceptance bound
 
 	mu   sync.Mutex
 	heap []Match // max-heap by matchLess; len <= k
 }
 
-func newCollector(k int, threshold float64) *collector {
-	c := &collector{k: k, threshold: threshold}
+func newCollector(k int) *collector {
+	c := &collector{k: k}
 	c.reset()
 	return c
 }
 
-// reset empties the heap and loosens the bound back to the threshold.
-// Not safe while workers run.
+// reset empties the heap and loosens the bound back to inf. Not safe
+// while workers run.
 func (c *collector) reset() {
 	c.heap = c.heap[:0]
-	c.boundBits.Store(math.Float64bits(c.threshold))
+	c.boundBits.Store(math.Float64bits(inf))
 }
 
 // bound returns the current acceptance bound: no candidate with a
@@ -784,18 +763,13 @@ func (c *collector) offer(mt Match) bool {
 	return true
 }
 
-// publish tightens the shared bound to the k-th best distance (never
-// looser than the threshold). Called with c.mu held and the heap full;
-// the max-heap root carries the largest retained distance, which only
-// shrinks as better matches displace it, so the published bound is
-// monotone non-increasing — a worker reading a stale value merely
-// prunes a little less.
+// publish tightens the shared bound to the k-th best distance. Called
+// with c.mu held and the heap full; the max-heap root carries the
+// largest retained distance, which only shrinks as better matches
+// displace it, so the published bound is monotone non-increasing — a
+// worker reading a stale value merely prunes a little less.
 func (c *collector) publish() {
-	b := c.heap[0].Distance
-	if c.threshold < b {
-		b = c.threshold
-	}
-	c.boundBits.Store(math.Float64bits(b))
+	c.boundBits.Store(math.Float64bits(c.heap[0].Distance))
 }
 
 // siftUp restores the max-heap property (parent not matchLess than

@@ -67,17 +67,14 @@ func matchesIdentical(t *testing.T, label string, want, got []Match) {
 }
 
 // TestParallelSequentialEquivalence is the correctness contract of the
-// stream-parallel search: at every parallelism setting, FindSimilar,
-// TopK and FindSimilarTopK return byte-identical results. Run under
+// stream-parallel search: at every parallelism setting, FindSimilar
+// and TopK return byte-identical results. Run under
 // -race this also exercises the collector's synchronization.
 func TestParallelSequentialEquivalence(t *testing.T) {
 	alwaysFanOut(t)
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		db := randomDB(t, rng)
-		if trial%2 == 0 {
-			db.EnableIndexes()
-		}
 		streams := db.Streams()
 		src := streams[rng.Intn(len(streams))]
 		seq := src.Seq()
@@ -99,7 +96,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantBoth, err := seqM.FindSimilarTopK(q, 5, nil)
+		wantFew, err := seqM.TopK(q, 5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,17 +117,18 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			matchesIdentical(t, "TopK", wantTop, gotTop)
-			gotBoth, err := m.FindSimilarTopK(q, 5, nil)
+			gotFew, err := m.TopK(q, 5, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			matchesIdentical(t, "FindSimilarTopK", wantBoth, gotBoth)
+			matchesIdentical(t, "TopK k=5", wantFew, gotFew)
 		}
 	}
 }
 
-// TestFindSimilarTopKSemantics: the combined mode returns exactly the
-// k best entries of the full threshold search.
+// TestFindSimilarTopKSemantics: when the threshold search finds k or
+// more matches, TopK's k nearest are exactly its first k — the two
+// searches agree on distances, weights and the order of ties.
 func TestFindSimilarTopKSemantics(t *testing.T) {
 	db := buildTestDB(t)
 	m, _ := NewMatcher(db, DefaultParams())
@@ -146,12 +144,12 @@ func TestFindSimilarTopKSemantics(t *testing.T) {
 		t.Fatalf("test needs >= 4 threshold matches, got %d", len(all))
 	}
 	k := 3
-	got, err := m.FindSimilarTopK(q, k, nil)
+	got, err := m.TopK(q, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matchesIdentical(t, "FindSimilarTopK vs FindSimilar prefix", all[:k], got)
-	if _, err := m.FindSimilarTopK(q, 0, nil); err == nil {
+	matchesIdentical(t, "TopK vs FindSimilar prefix", all[:k], got)
+	if _, err := m.TopK(q, 0, nil); err == nil {
 		t.Error("k=0 accepted")
 	}
 }

@@ -25,7 +25,7 @@ type OfflineSearch struct {
 // and source-stream weights. cluster.Config.Validate vouches for p and h.
 func NewOfflineSearch(p Params, h int) *OfflineSearch {
 	p.UseVertexWeights = false
-	return &OfflineSearch{params: p, col: newCollector(h, inf), dists: make([]float64, 0, h),
+	return &OfflineSearch{params: p, col: newCollector(h), dists: make([]float64, 0, h),
 		w: workerState{starts: make([]int32, passBlock), lbs: make([]float64, passBlock)}}
 }
 

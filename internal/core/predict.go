@@ -107,37 +107,6 @@ func (m *Matcher) Predict(q Query, delta float64, restrict map[string]bool) (Pre
 	return m.PredictPosition(q, matches, delta, 0)
 }
 
-// PredictTrajectory predicts positions at several horizons from one
-// retrieval — the shape a beam-tracking controller consumes (it plans
-// the next few control intervals at once). Horizons must be
-// non-negative; the result has one position per horizon, nil where the
-// matches' streams end too early for that horizon.
-func (m *Matcher) PredictTrajectory(q Query, matches []Match, deltas []float64, minMatches int) ([]Prediction, error) {
-	if len(deltas) == 0 {
-		return nil, errors.New("core: no horizons given")
-	}
-	out := make([]Prediction, len(deltas))
-	anyOK := false
-	for i, d := range deltas {
-		if d < 0 {
-			return nil, errors.New("core: negative horizon")
-		}
-		p, err := m.PredictPosition(q, matches, d, minMatches)
-		if errors.Is(err, ErrNoMatches) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-		anyOK = true
-	}
-	if !anyOK {
-		return nil, ErrNoMatches
-	}
-	return out, nil
-}
-
 // PredictDisplacement estimates the displacement of the target between
 // the horizons d1 and d2 (seconds after the query's current time,
 // d2 > d1 >= 0) as the weighted average of the corresponding

@@ -188,6 +188,10 @@ func TestPredictNextSegment(t *testing.T) {
 	}
 }
 
+// TestPredictTrajectory: one retrieval predicts a trajectory, the
+// position at each of several horizons — the shape a beam-tracking
+// controller consumes — and a horizon past the end of every matched
+// stream has no prediction rather than a wrong one.
 func TestPredictTrajectory(t *testing.T) {
 	db := buildTestDB(t)
 	m, _ := NewMatcher(db, DefaultParams())
@@ -198,32 +202,21 @@ func TestPredictTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltas := []float64{0, 0.2, 0.4}
-	traj, err := m.PredictTrajectory(q, matches, deltas, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traj) != 3 {
-		t.Fatalf("trajectory length %d", len(traj))
-	}
-	// Each point must agree with the single-horizon prediction.
-	for i, d := range deltas {
-		single, err := m.PredictPosition(q, matches, d, 1)
+	last := q.Seq[len(q.Seq)-1].Pos[0]
+	for _, d := range []float64{0, 0.2, 0.4} {
+		p, err := m.PredictPosition(q, matches, d, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(traj[i].Pos[0]-single.Pos[0]) > 1e-12 {
-			t.Errorf("horizon %v: trajectory %v != single %v", d, traj[i].Pos[0], single.Pos[0])
+		if p.Delta != d || p.NumMatches == 0 {
+			t.Errorf("horizon %v: prediction %+v", d, p)
+		}
+		if d == 0 && math.Abs(p.Pos[0]-last) > 1e-9 {
+			t.Errorf("horizon 0: %v, want the query's last position %v", p.Pos[0], last)
 		}
 	}
-	if _, err := m.PredictTrajectory(q, matches, nil, 1); err == nil {
-		t.Error("empty horizons accepted")
-	}
-	if _, err := m.PredictTrajectory(q, matches, []float64{-1}, 1); err == nil {
-		t.Error("negative horizon accepted")
-	}
-	if _, err := m.PredictTrajectory(q, nil, deltas, 1); !errors.Is(err, ErrNoMatches) {
-		t.Errorf("want ErrNoMatches, got %v", err)
+	if _, err := m.PredictPosition(q, matches, 1e6, 1); !errors.Is(err, ErrNoMatches) {
+		t.Errorf("a horizon past every stream's end: want ErrNoMatches, got %v", err)
 	}
 }
 
@@ -385,16 +378,14 @@ func TestFoldUnderConcurrentAppend(t *testing.T) {
 	type folds struct {
 		pos  Prediction
 		disp []float64
-		traj []Prediction
 		seg  SegmentForecast
 	}
 	fold := func() folds {
 		var f folds
-		var errs [4]error
+		var errs [3]error
 		f.pos, errs[0] = m.PredictPosition(q, matches, horizons[1], 0)
 		f.disp, errs[1] = m.PredictDisplacement(q, matches, horizons[0], horizons[2], 0)
-		f.traj, errs[2] = m.PredictTrajectory(q, matches, horizons, 0)
-		f.seg, errs[3] = m.PredictNextSegment(q, matches, 0)
+		f.seg, errs[2] = m.PredictNextSegment(q, matches, 0)
 		if err := errors.Join(errs[:]...); err != nil {
 			t.Fatal(err)
 		}

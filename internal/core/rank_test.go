@@ -103,14 +103,13 @@ func tieCorpus(t *testing.T, seed int64) *store.DB {
 	add("Q3", "dupA", dup)
 	add("Q3", "dupB", dup)
 	add("Q4", "periodic", breathingWindow(0, 10, unitDurs(120)))
-	db.EnableIndexes()
 	return db
 }
 
 // TestThresholdOrderEqualsMatchCmp: results placed by bucket, with
 // matchCmp applied only inside a bucket, are element for
 // element what sorting the same set with matchCmp gives — FindSimilar
-// and FindSimilarTopK, restricted and not, sequential and fanned out.
+// and TopK, restricted and not, sequential and fanned out.
 func TestThresholdOrderEqualsMatchCmp(t *testing.T) {
 	alwaysFanOut(t)
 	for seed := int64(1); seed <= 3; seed++ {
@@ -154,11 +153,11 @@ func TestThresholdOrderEqualsMatchCmp(t *testing.T) {
 					if !slices.Equal(resorted, got) {
 						t.Errorf("%s: FindSimilar's order is not matchCmp's", label)
 					}
-					topk, err := m.FindSimilarTopK(q, 25, restrict)
+					topk, err := m.TopK(q, 25, restrict)
 					if err != nil {
 						t.Fatal(err)
 					}
-					matchesIdentical(t, label+" FindSimilarTopK", want[:25], topk)
+					matchesIdentical(t, label+" TopK", want[:25], topk)
 
 					ties := 0
 					for i := 1; i < len(got); i++ {

@@ -29,7 +29,6 @@ func scanCorpus(t testing.TB, seed int64, streams, perStream int) *store.DB {
 			t.Fatal(err)
 		}
 	}
-	db.EnableIndexes()
 	return db
 }
 
@@ -172,8 +171,6 @@ func TestSearchEqualsBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.EnableIndexes()
-
 	for _, par := range []int{1, 3} {
 		p := DefaultParams()
 		p.Parallelism = par
@@ -199,11 +196,11 @@ func TestSearchEqualsBruteForce(t *testing.T) {
 				if len(want) < 8 {
 					t.Errorf("%s: fixture has only %d matches within the threshold", label, len(want))
 				}
-				got, err = m.FindSimilarTopK(q, 5, nil)
+				got, err = m.TopK(q, 5, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				matchesIdentical(t, label+" FindSimilarTopK", want[:5], got)
+				matchesIdentical(t, label+" TopK k=5", want[:5], got)
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"stsmatch/internal/fsm"
-	"stsmatch/internal/plr"
 	"stsmatch/internal/signal"
 	"stsmatch/internal/store"
 )
@@ -54,16 +53,4 @@ func FromCohort(cohort []signal.PatientData, segCfg fsm.Config) (*store.DB, erro
 		}
 	}
 	return db, nil
-}
-
-// BuildDefault builds the default laptop-scale database used by
-// quickstart paths: default cohort, default segmenter.
-func BuildDefault() (*store.DB, []signal.PatientData, error) {
-	return Build(signal.DefaultCohort(), fsm.DefaultConfig())
-}
-
-// SegmentSession is a convenience that segments one raw sample slice
-// with the default configuration.
-func SegmentSession(samples []plr.Sample) (plr.Sequence, error) {
-	return fsm.SegmentAll(fsm.DefaultConfig(), samples)
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"reflect"
 	"testing"
 
 	"stsmatch/internal/fsm"
@@ -64,14 +65,28 @@ func TestBuildRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestSegmentSession: a session is loaded as the segmenter cuts its
+// samples.
 func TestSegmentSession(t *testing.T) {
 	gen, err := signal.NewRespiration(signal.DefaultRespiration(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := SegmentSession(gen.Generate(30))
+	samples := gen.Generate(30)
+	db, err := FromCohort([]signal.PatientData{{
+		Profile:  signal.PatientProfile{ID: "P"},
+		Sessions: []signal.SessionData{{SessionID: "S", Samples: samples}},
+	}}, fsm.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	want, err := fsm.SegmentAll(fsm.DefaultConfig(), samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := db.Patient("P").StreamBySession("S").Seq()
+	if !reflect.DeepEqual(seq, want) {
+		t.Errorf("stored session differs from the segmenter's PLR:\n got %v\nwant %v", seq, want)
 	}
 	if seq.NumSegments() < 10 {
 		t.Errorf("segments = %d", seq.NumSegments())
@@ -82,7 +97,7 @@ func TestBuildDefaultSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default cohort build is slow for -short")
 	}
-	db, _, err := BuildDefault()
+	db, _, err := Build(signal.DefaultCohort(), fsm.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

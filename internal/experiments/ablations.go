@@ -6,14 +6,11 @@ import (
 
 	"stsmatch/internal/baseline"
 	"stsmatch/internal/core"
-	"stsmatch/internal/dataset"
-	"stsmatch/internal/fsm"
-	"stsmatch/internal/store"
 )
 
 // Ablations beyond the paper's figures, as indexed in DESIGN.md §6:
-// the state-order precondition, the n-gram candidate index, the
-// prediction anchor, and the DTW cost argument.
+// the state-order precondition, the prediction anchor, and the DTW
+// cost argument.
 
 // AblationResult is a generic named-variant comparison.
 type AblationResult struct {
@@ -94,83 +91,6 @@ func AblateAnchor(env *Env) (*AblationResult, error) {
 			er.PerDelta[0].MeanError(), er.PerDelta[len(er.PerDelta)-1].MeanError()))
 	}
 	return res, nil
-}
-
-// IndexAblationResult compares candidate generation with and without
-// the n-gram index.
-type IndexAblationResult struct {
-	ScanUS    float64
-	IndexedUS float64
-	Queries   int
-}
-
-// AblateIndex measures FindSimilar latency with the stream indexes
-// enabled (Setup's database) versus disabled. Indexes cannot be disabled
-// in place, so the scan path runs on a copy rebuilt from the raw cohort.
-func AblateIndex(env *Env) (*IndexAblationResult, error) {
-	// measure builds queries from the first few streams of db and times
-	// their retrieval.
-	measure := func(db *store.DB) (us float64, n int, err error) {
-		m, err := core.NewMatcher(db, core.DefaultParams())
-		if err != nil {
-			return 0, 0, err
-		}
-		var queries []core.Query
-		for _, st := range db.Streams() {
-			seq := st.Seq()
-			if len(seq) < 30 {
-				continue
-			}
-			qseq, _ := m.Params.DynamicQuery(seq[:len(seq)-2])
-			queries = append(queries, core.NewQuery(qseq, st.PatientID, st.SessionID))
-			if len(queries) >= 8 {
-				break
-			}
-		}
-		if len(queries) == 0 {
-			return 0, 0, fmt.Errorf("ablate-index: no usable queries")
-		}
-		const reps = 5
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			for _, q := range queries {
-				if _, err := m.FindSimilar(q, nil); err != nil {
-					return 0, 0, err
-				}
-			}
-		}
-		return float64(time.Since(start).Microseconds()) / float64(reps*len(queries)), len(queries), nil
-	}
-
-	indexedUS, n, err := measure(env.DB)
-	if err != nil {
-		return nil, err
-	}
-	scanDB, err := dataset.FromCohort(env.Cohort, fsm.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	scanUS, _, err := measure(scanDB)
-	if err != nil {
-		return nil, err
-	}
-	return &IndexAblationResult{ScanUS: scanUS, IndexedUS: indexedUS, Queries: n}, nil
-}
-
-// Table renders the index ablation.
-func (r *IndexAblationResult) Table() *Table {
-	t := &Table{
-		Title:  "Ablation: n-gram candidate index vs state-string scan",
-		Header: []string{"candidate generation", "us/query"},
-		Comment: fmt.Sprintf("%d queries; both paths must return identical windows "+
-			"(asserted by store tests); speedup %.1fx — note the 4-letter state "+
-			"alphabet makes breathing signatures highly repetitive, so gram postings "+
-			"are long and the index only pays off on large or diverse databases",
-			r.Queries, r.ScanUS/max(r.IndexedUS, 1)),
-	}
-	t.AddRow("linear scan", f1(r.ScanUS))
-	t.AddRow("n-gram index", f1(r.IndexedUS))
-	return t
 }
 
 // DTWCostResult reproduces the Section 7.2 justification for not using

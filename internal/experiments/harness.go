@@ -66,7 +66,6 @@ func Setup(s Scale) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.EnableIndexes()
 	return &Env{Scale: s, DB: db, Cohort: cohort}, nil
 }
 

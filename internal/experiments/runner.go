@@ -34,7 +34,6 @@ var registry = map[string]func(*Env) (any, error){
 	"efficiency":           exp(Efficiency),
 	"ablate-state-order":   exp(AblateStateOrder),
 	"ablate-anchor":        exp(AblateAnchor),
-	"ablate-index":         exp(AblateIndex),
 	"dtw-cost":             exp(DTWCost),
 	"tuning":               exp(Tuning),
 	"ext-predictors":       exp(Predictors),

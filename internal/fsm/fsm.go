@@ -180,8 +180,6 @@ type Segmenter struct {
 	ampStats     [plr.NumStates]stats.Welford
 	segsEmitted  int
 	samplesSeen  int
-	transitions  int
-	irrEntries   int
 	pendingState plr.State
 	pendingSince float64
 	havePending  bool
@@ -206,12 +204,6 @@ func (s *Segmenter) SamplesSeen() int { return s.samplesSeen }
 
 // SegmentsEmitted returns the number of vertices emitted so far.
 func (s *Segmenter) SegmentsEmitted() int { return s.segsEmitted }
-
-// StateTransitions returns the number of committed state transitions.
-func (s *Segmenter) StateTransitions() int { return s.transitions }
-
-// IRREntries returns how many times the automaton entered IRR.
-func (s *Segmenter) IRREntries() int { return s.irrEntries }
 
 // CurrentState returns the state of the segment currently being built.
 func (s *Segmenter) CurrentState() plr.State { return s.curState }
@@ -389,7 +381,6 @@ func (s *Segmenter) transition(obs plr.State, at plr.Sample) (plr.Vertex, bool) 
 	s.segStart = boundary.Clone()
 	s.segStartT = boundary.T
 	s.segsEmitted++
-	s.transitions++
 	mTransitions.Inc()
 	mVertices.Inc()
 	return v, true
@@ -482,7 +473,6 @@ func (s *Segmenter) segmentAnomalous(end plr.Sample) bool {
 
 func (s *Segmenter) enterIRR() {
 	if !s.irr {
-		s.irrEntries++
 		mIRREntries.Inc()
 	}
 	s.irr = true

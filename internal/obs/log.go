@@ -5,24 +5,14 @@ import (
 	"io"
 	"log/slog"
 	"strings"
-	"sync"
 )
-
-// levelVar is the shared dynamic level for loggers built by this
-// package, so daemons can raise or lower verbosity at runtime.
-var levelVar = new(slog.LevelVar)
-
-var initMu sync.Mutex
 
 // InitLogging installs a process-wide slog default handler writing to
 // w at the given level. asJSON selects JSON lines (for log shippers)
 // over the human-readable text handler. It is safe to call more than
 // once; the last call wins.
 func InitLogging(w io.Writer, level slog.Level, asJSON bool) {
-	initMu.Lock()
-	defer initMu.Unlock()
-	levelVar.Set(level)
-	opts := &slog.HandlerOptions{Level: levelVar}
+	opts := &slog.HandlerOptions{Level: level}
 	var h slog.Handler
 	if asJSON {
 		h = slog.NewJSONHandler(w, opts)
@@ -31,9 +21,6 @@ func InitLogging(w io.Writer, level slog.Level, asJSON bool) {
 	}
 	slog.SetDefault(slog.New(h))
 }
-
-// SetLevel adjusts the level of loggers installed by InitLogging.
-func SetLevel(level slog.Level) { levelVar.Set(level) }
 
 // ParseLevel converts a -log-level flag value ("debug", "info",
 // "warn", "error") to a slog.Level.

@@ -495,9 +495,6 @@ func NewCollector(capacity int, threshold time.Duration) *Collector {
 	}
 }
 
-// SlowThreshold returns the slow-trace capture threshold.
-func (c *Collector) SlowThreshold() time.Duration { return c.threshold }
-
 // Offer stores a finished trace, evicting the oldest recent trace at
 // capacity; traces at or above the slow threshold are additionally
 // pinned in the slow ring. Nil collectors discard silently.

@@ -73,32 +73,6 @@ func MeasureFidelity(seq Sequence, samples []Sample, dim int) (Fidelity, error) 
 	return f, nil
 }
 
-// StateStats summarizes the segments of one state within a sequence.
-type StateStats struct {
-	State    State
-	Count    int
-	Duration stats.Welford
-	Amp      stats.Welford
-}
-
-// SummarizeStates returns per-state segment statistics, indexed by
-// State. The paper's cycle-structure arguments (EX/EOE/IN durations,
-// amplitudes) are all reads of this summary.
-func SummarizeStates(seq Sequence) [NumStates]StateStats {
-	var out [NumStates]StateStats
-	for k := range out {
-		out[k].State = State(k)
-	}
-	for i := 0; i < seq.NumSegments(); i++ {
-		seg := seq.SegmentAt(i)
-		s := &out[seg.State]
-		s.Count++
-		s.Duration.Add(seg.Duration)
-		s.Amp.Add(seg.Amplitude())
-	}
-	return out
-}
-
 // IRRFraction returns the fraction of a sequence's time spent in
 // irregular segments.
 func IRRFraction(seq Sequence) float64 {

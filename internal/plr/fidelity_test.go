@@ -71,31 +71,6 @@ func TestMeasureFidelityErrors(t *testing.T) {
 	}
 }
 
-func TestSummarizeStates(t *testing.T) {
-	seq := Sequence{
-		{T: 0, Pos: []float64{10}, State: EX},
-		{T: 1, Pos: []float64{0}, State: EOE},
-		{T: 2.5, Pos: []float64{0}, State: IN},
-		{T: 3.5, Pos: []float64{10}, State: EX},
-		{T: 4.5, Pos: []float64{0}, State: IRR},
-		{T: 10, Pos: []float64{3}, State: EX},
-	}
-	s := SummarizeStates(seq)
-	if s[EX].Count != 2 || s[EOE].Count != 1 || s[IN].Count != 1 || s[IRR].Count != 1 {
-		t.Errorf("counts: EX=%d EOE=%d IN=%d IRR=%d",
-			s[EX].Count, s[EOE].Count, s[IN].Count, s[IRR].Count)
-	}
-	if math.Abs(s[EOE].Duration.Mean()-1.5) > 1e-12 {
-		t.Errorf("EOE duration = %v", s[EOE].Duration.Mean())
-	}
-	if math.Abs(s[EX].Amp.Mean()-10) > 1e-12 {
-		t.Errorf("EX amplitude = %v", s[EX].Amp.Mean())
-	}
-	if s[IRR].Duration.Mean() != 5.5 {
-		t.Errorf("IRR duration = %v", s[IRR].Duration.Mean())
-	}
-}
-
 func TestIRRFraction(t *testing.T) {
 	seq := Sequence{
 		{T: 0, Pos: []float64{0}, State: EX},

@@ -1,46 +1,5 @@
 package plr
 
-// Sequence post-processing utilities: state-run merging (IRR episodes
-// and classification flicker can fragment a sequence into consecutive
-// same-state segments that are semantically one) and time-windowing.
-
-// MergeAdjacent returns a copy of the sequence with consecutive
-// segments of the same state collapsed into one segment spanning their
-// union. Vertex positions at the surviving boundaries are preserved.
-// The final vertex is always kept.
-func MergeAdjacent(s Sequence) Sequence {
-	if len(s) <= 2 {
-		return s.Clone()
-	}
-	out := Sequence{s[0].Clone()}
-	for i := 1; i < len(s)-1; i++ {
-		if s[i].State == out[len(out)-1].State {
-			continue // interior vertex of a same-state run
-		}
-		out = append(out, s[i].Clone())
-	}
-	out = append(out, s[len(s)-1].Clone())
-	return out
-}
-
-// SliceByTime returns the subsequence of vertices with T in [t0, t1].
-// The result shares the receiver's backing array; it is empty when the
-// window covers no vertex.
-func (s Sequence) SliceByTime(t0, t1 float64) Sequence {
-	if len(s) == 0 || t1 < t0 {
-		return nil
-	}
-	lo := 0
-	for lo < len(s) && s[lo].T < t0 {
-		lo++
-	}
-	hi := len(s)
-	for hi > lo && s[hi-1].T > t1 {
-		hi--
-	}
-	return s[lo:hi]
-}
-
 // Resample returns the primary-dimension positions of the sequence at
 // a fixed interval across its span — the inverse of segmentation, used
 // for export and plotting.

@@ -4,82 +4,6 @@ import (
 	"testing"
 )
 
-func TestMergeAdjacent(t *testing.T) {
-	s := Sequence{
-		{T: 0, Pos: []float64{0}, State: EX},
-		{T: 1, Pos: []float64{1}, State: IRR},
-		{T: 2, Pos: []float64{2}, State: IRR},
-		{T: 3, Pos: []float64{3}, State: IRR},
-		{T: 4, Pos: []float64{4}, State: IN},
-		{T: 5, Pos: []float64{5}, State: IN},
-	}
-	m := MergeAdjacent(s)
-	// Runs: EX(0..1), IRR(1..4), IN(4..5, trailing vertex kept).
-	want := "ERII"
-	if m.StateString() != want {
-		t.Fatalf("merged states = %q, want %q", m.StateString(), want)
-	}
-	if len(m) != 4 {
-		t.Fatalf("merged length = %d, want 4", len(m))
-	}
-	if m[1].T != 1 || m[2].T != 4 {
-		t.Errorf("boundaries moved: %+v", m)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Merging must not alias the input.
-	m[0].Pos[0] = 99
-	if s[0].Pos[0] == 99 {
-		t.Error("MergeAdjacent shares storage")
-	}
-	// No-op on alternating states.
-	alt := Sequence{
-		{T: 0, Pos: []float64{0}, State: EX},
-		{T: 1, Pos: []float64{1}, State: EOE},
-		{T: 2, Pos: []float64{2}, State: IN},
-	}
-	if got := MergeAdjacent(alt); len(got) != 3 {
-		t.Errorf("alternating merged to %d vertices", len(got))
-	}
-	// Tiny sequences pass through.
-	if got := MergeAdjacent(alt[:1]); len(got) != 1 {
-		t.Error("singleton changed")
-	}
-}
-
-func TestSliceByTime(t *testing.T) {
-	var s Sequence
-	for i := 0; i < 10; i++ {
-		s = append(s, Vertex{T: float64(i), Pos: []float64{0}, State: EX})
-	}
-	cases := []struct {
-		t0, t1    float64
-		wantFirst float64
-		wantLen   int
-	}{
-		{2, 5, 2, 4},
-		{2.5, 5, 3, 3},
-		{0, 9, 0, 10},
-		{-5, 100, 0, 10},
-		{8.5, 8.9, 0, 0},
-		{5, 2, 0, 0}, // inverted window
-	}
-	for _, c := range cases {
-		got := s.SliceByTime(c.t0, c.t1)
-		if len(got) != c.wantLen {
-			t.Errorf("SliceByTime(%v,%v) len = %d, want %d", c.t0, c.t1, len(got), c.wantLen)
-			continue
-		}
-		if c.wantLen > 0 && got[0].T != c.wantFirst {
-			t.Errorf("SliceByTime(%v,%v) first = %v, want %v", c.t0, c.t1, got[0].T, c.wantFirst)
-		}
-	}
-	if (Sequence{}).SliceByTime(0, 1) != nil {
-		t.Error("empty slice should be nil")
-	}
-}
-
 func TestSequenceResample(t *testing.T) {
 	s := Sequence{
 		{T: 0, Pos: []float64{0}, State: EX},

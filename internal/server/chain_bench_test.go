@@ -41,7 +41,6 @@ func newChainBench(b *testing.B) *chainBench {
 	if err != nil {
 		b.Fatal(err)
 	}
-	db.EnableIndexes()
 	srv, err := NewWithOptions(db, core.DefaultParams(), fsm.DefaultConfig(), Options{
 		DataDir:       b.TempDir(),
 		FsyncInterval: 50 * time.Millisecond,

@@ -108,7 +108,6 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 	d := &durability{log: log, recovery: res, dataDir: opts.DataDir}
 	s.db = res.DB
 	if !res.Fresh {
-		s.db.EnableIndexes()
 		if initial != nil && initial.NumPatients() > 0 {
 			s.log.Warn("data dir holds recovered state; preloaded database ignored",
 				slog.String("dataDir", opts.DataDir))

@@ -276,7 +276,6 @@ func TestServedMatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.EnableIndexes()
 	// One worker and one P, as TestPredictAllocsFlat has them.
 	params := core.DefaultParams()
 	params.Parallelism = 1

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -202,9 +203,11 @@ func seqStates(states string, t0 float64) plr.Sequence {
 }
 
 // TestFindSimilarSeesPostEnableIndexesAppends is the stale-index
-// regression guard: vertices appended to a stream after
-// DB.EnableIndexes() must be visible to FindSimilar (the live
-// ingestion path appends to indexed streams continuously).
+// regression guard: vertices appended to a stream after it was loaded
+// must be visible to FindSimilar through its postings (the live
+// ingestion path appends to streams continuously), and FindSimilar
+// finds a window exactly where a per-start compare of the state string
+// finds one, for signatures of 1 to 20 states.
 func TestFindSimilarSeesPostEnableIndexesAppends(t *testing.T) {
 	db := store.NewDB()
 	p, err := db.AddPatient(store.PatientInfo{ID: "H"})
@@ -215,10 +218,9 @@ func TestFindSimilarSeesPostEnableIndexesAppends(t *testing.T) {
 	if err := hist.Append(seqStates("EOIEOIEOIEOI", 0)...); err != nil {
 		t.Fatal(err)
 	}
-	db.EnableIndexes()
 
 	// The suffix's state pattern EEOOII occurs nowhere in the prefix,
-	// so a match can only come from post-index appends.
+	// so a match can only come from post-load appends.
 	if err := hist.Append(seqStates("EEOOII", 12)...); err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +239,51 @@ func TestFindSimilarSeesPostEnableIndexesAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(matches) == 0 {
-		t.Fatal("FindSimilar found no matches in the post-EnableIndexes suffix (stale index)")
+		t.Fatal("FindSimilar found no matches in the post-load suffix (stale index)")
 	}
 	if matches[0].Start != 12 || matches[0].Distance != 0 {
 		t.Errorf("best match = start %d dist %v, want start 12 dist 0",
 			matches[0].Start, matches[0].Distance)
+	}
+
+	// With every distance accepted, the windows FindSimilar returns are
+	// the starts a per-start compare of the state string finds.
+	if err := hist.Append(seqStates("REOIRREOI", 18)...); err != nil {
+		t.Fatal(err)
+	}
+	const states = "EOIEOIEOIEOIEEOOIIREOIRREOI"
+	params := core.DefaultParams()
+	params.DistThreshold = 1e12
+	wide, err := core.NewMatcher(db, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := hist.Seq()
+	for l := 1; l <= 20; l++ {
+		for _, at := range []int{0, 5, len(states) - l - 1} {
+			qseq := make(plr.Sequence, l+1)
+			for i, v := range seq[at : at+l+1] {
+				qseq[i] = plr.Vertex{T: v.T + 1000, Pos: v.Pos, State: v.State}
+			}
+			ms, err := wide.FindSimilar(core.NewQuery(qseq, "Q", "other"), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, want []int
+			for _, mt := range ms {
+				got = append(got, mt.Start)
+			}
+			slices.Sort(got)
+			sig := states[at : at+l]
+			for j := 0; j+l < len(states); j++ {
+				if states[j:j+l] == sig {
+					want = append(want, j)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("signature %q: FindSimilar starts %v, per-start compare %v", sig, got, want)
+			}
+		}
 	}
 }
 

@@ -618,7 +618,6 @@ func (s *Server) replicaStream(rs *replicaState, patientID, sessionID string) (*
 	st := p.StreamBySession(sessionID)
 	if st == nil {
 		st = p.AddStream(sessionID)
-		st.EnableIndex()
 		s.walAppend(wal.Record{Type: wal.TypeSessionClose, SessionID: sessionID})
 	}
 	rs.stream = st

@@ -341,7 +341,6 @@ func (s *Server) createSession(req CreateSessionRequest) (*replicator, int, erro
 		return nil, http.StatusInternalServerError, err
 	}
 	st := p.AddStream(req.SessionID)
-	st.EnableIndex()
 	sess := &session{
 		patientID: req.PatientID,
 		sessionID: req.SessionID,

@@ -262,13 +262,16 @@ func (s *Server) handleDeleteSubscription(w http.ResponseWriter, r *http.Request
 
 // ackSubscription journals and applies a delivery acknowledgement:
 // the consumer told us (via Last-Event-ID or a poll cursor) that it
-// has everything up to seq. Best-effort durable (no fsync — a lost
-// ack only means redelivery, which the consumer's resume filter
-// already dedups) and staged on in-scope replication links so a
-// promoted follower trims too.
+// has everything up to seq. A seq past the last emitted event
+// acknowledges that event, and it is the clamped value that is
+// journaled and shipped. Best-effort durable (no fsync — a lost ack
+// only means redelivery, which the consumer's resume filter already
+// dedups) and staged on in-scope replication links so a promoted
+// follower trims too.
 func (s *Server) ackSubscription(r *http.Request, id string, seq uint64) {
 	s.lock()
 	st, ok := s.subs.State(id)
+	seq = min(seq, st.NextSeq-1)
 	if !ok || seq <= st.Delivered {
 		s.mu.Unlock()
 		return

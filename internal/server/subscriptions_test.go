@@ -369,6 +369,70 @@ func TestSubscriptionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSubscriptionAckPastLastEvent: a Last-Event-ID or ?after= beyond
+// the last emitted event acknowledges that event and no more — so a
+// fresh subscription acked at 1000 still buffers the events it emits
+// next, a real ack then trims them, and the clamped value is what the
+// journal brings back.
+func TestSubscriptionAckPastLastEvent(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newDurableServer(t, dir)
+	if resp := postJSON(t, ts.URL+"/v1/sessions", CreateSessionRequest{PatientID: "P01", SessionID: "S01"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d", resp.StatusCode)
+	}
+	gen, err := signal.NewRespiration(signal.DefaultRespiration(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := gen.Generate(90)
+	ingestChunks(t, ts.URL, samples[:len(samples)/2], 256)
+	pr, code := getJSON[PLRResponse](t, ts.URL+"/v1/sessions/S01/plr")
+	if code != http.StatusOK || len(pr.Vertices) < 10 {
+		t.Fatalf("plr: code %d, %d vertices", code, len(pr.Vertices))
+	}
+	qseq := plr.Sequence(pr.Vertices[len(pr.Vertices)-8:])
+	if resp := postJSON(t, ts.URL+"/v1/subscriptions", SubscriptionRequest{ID: "ahead", Seq: qseq, PatientID: "P01"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("subscribe status %d", resp.StatusCode)
+	}
+	status := func(url string) subscribe.Status {
+		t.Helper()
+		list, code := getJSON[struct {
+			Subscriptions []subscribe.Status `json:"subscriptions"`
+		}](t, url+"/v1/subscriptions")
+		if code != http.StatusOK || len(list.Subscriptions) != 1 {
+			t.Fatalf("list: code %d, %+v", code, list.Subscriptions)
+		}
+		return list.Subscriptions[0]
+	}
+
+	if got := pollEvents(t, ts.URL, "ahead", 1000); len(got.Events) != 0 {
+		t.Fatalf("fresh subscription returned %d events", len(got.Events))
+	}
+	if st := status(ts.URL); st.Delivered != 0 {
+		t.Errorf("an ack before any event set delivered to %d, want 0", st.Delivered)
+	}
+	ingestChunks(t, ts.URL, samples[len(samples)/2:], 256)
+	evs := pollEvents(t, ts.URL, "ahead", 0)
+	if len(evs.Events) < 2 {
+		t.Fatalf("need >= 2 events, got %d", len(evs.Events))
+	}
+	last := evs.Events[len(evs.Events)-1].Seq
+	pollEvents(t, ts.URL, "ahead", last)
+	if st := status(ts.URL); st.Delivered != last || st.Buffered != 0 {
+		t.Errorf("after acking the last event: delivered %d, %d buffered; want %d, 0", st.Delivered, st.Buffered, last)
+	}
+	pollEvents(t, ts.URL, "ahead", last+1000)
+	if st := status(ts.URL); st.Delivered != last {
+		t.Errorf("an ack past the last event set delivered to %d, want %d", st.Delivered, last)
+	}
+
+	ts.Close()
+	_, ts2 := newDurableServer(t, dir)
+	if st := status(ts2.URL); st.Delivered != last || st.Buffered != 0 {
+		t.Errorf("recovered: delivered %d, %d buffered; want %d, 0", st.Delivered, st.Buffered, last)
+	}
+}
+
 // TestSubscriptionCrashRecovery kills a durable server mid-stream and
 // requires the restarted one to re-arm the subscription and re-derive
 // the exact pre-crash event sequence: a consumer resuming from its

@@ -10,6 +10,8 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -235,20 +237,23 @@ func (p *Pool) addLocked(u string) *Backend {
 	return b
 }
 
-// AddBackend registers a new backend at runtime (elastic growth). It
-// is idempotent: adding a URL already in the pool returns the existing
-// backend, so a crash-recovered rebalance can re-drive the add.
-func (p *Pool) AddBackend(url string) (*Backend, error) {
-	if url == "" {
-		return nil, fmt.Errorf("shard: empty backend URL")
+// AddBackend registers a new backend at runtime (elastic growth). The
+// URL must be a base URL as -backends takes them: absolute, http or
+// https, with a host and no query or fragment. It is idempotent: adding
+// a URL already in the pool returns the existing backend, so a
+// crash-recovered rebalance can re-drive the add.
+func (p *Pool) AddBackend(rawURL string) (*Backend, error) {
+	u, err := url.Parse(rawURL)
+	if err != nil || u.Scheme != "http" && u.Scheme != "https" || u.Host == "" || strings.ContainsAny(rawURL, "?#") {
+		return nil, fmt.Errorf("shard: backend URL %q is not an absolute http or https base URL", rawURL)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if b, ok := p.byURL[url]; ok {
+	if b, ok := p.byURL[rawURL]; ok {
 		return b, nil
 	}
-	p.log.Info("backend added", slog.String("backend", url))
-	return p.addLocked(url), nil
+	p.log.Info("backend added", slog.String("backend", rawURL))
+	return p.addLocked(rawURL), nil
 }
 
 // Backends returns a snapshot of every backend, healthy or not, in

@@ -171,9 +171,6 @@ func (g *Gateway) inventories(ctx context.Context) []inventory {
 	return invs
 }
 
-// Ring exposes the gateway's hash ring (read-only use).
-func (g *Gateway) Ring() *Ring { return g.ring }
-
 // Pool exposes the gateway's backend pool (health introspection).
 func (g *Gateway) Pool() *Pool { return g.pool }
 

@@ -337,6 +337,43 @@ func TestPlacementLookupRacesAddBackend(t *testing.T) {
 	wg.Wait()
 }
 
+// TestAddBackendRejectsNonURL: POST /v1/admin/backends takes what
+// -backends documents, an absolute http or https URL with a host and no
+// query or fragment. Anything else is a 400 that leaves the pool and
+// the ring as they were: every session still lands on a real backend.
+func TestAddBackendRejectsNonURL(t *testing.T) {
+	c := testutil.StartCluster(t, 2, 1)
+	urls := func() []string {
+		var out []string
+		for _, b := range c.Gateway.Pool().Backends() {
+			out = append(out, b.URL())
+		}
+		return out
+	}
+	before := urls()
+	for _, bad := range []string{
+		"not a url", "127.0.0.1:8751", "/v1", "ftp://127.0.0.1:8751", "http://", "http:127.0.0.1",
+		"http://127.0.0.1:8751/?x=1", "http://127.0.0.1:8751?", "http://127.0.0.1:8751#f", "http://127.0.0.1:8751#",
+	} {
+		resp := testutil.PostJSON(t, c.URL+"/v1/admin/backends", shard.AddBackendRequest{URL: bad})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("add backend %q: status %d, want 400", bad, resp.StatusCode)
+		}
+	}
+	if got := urls(); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Errorf("pool after refused adds = %v, want %v", got, before)
+	}
+	for i := 0; i < 16; i++ {
+		req := server.CreateSessionRequest{PatientID: fmt.Sprintf("P%02d", i), SessionID: fmt.Sprintf("S%02d", i)}
+		resp := testutil.PostJSON(t, c.URL+"/v1/sessions", req)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Errorf("create session for %s after refused adds: status %d", req.PatientID, resp.StatusCode)
+		}
+	}
+}
+
 // TestGatewaySessionIDEscaping: a session ID holding a character the
 // path reserves ("/", "%", "?", "#", " ") reaches its session through the
 // gateway. Create, ingest, PLR and close answer what the same request

@@ -37,7 +37,6 @@ const subReconnects = 5
 type subPlacement struct {
 	patientID string
 	sessionID string
-	backend   string
 }
 
 // handleCreateSubscription routes a scoped registration to the owning
@@ -79,11 +78,7 @@ func (g *Gateway) handleCreateSubscription(w http.ResponseWriter, r *http.Reques
 		var resp server.SubscriptionResponse
 		if json.Unmarshal(respBody, &resp) == nil && resp.ID != "" {
 			g.mu.Lock()
-			g.subPlaces[resp.ID] = &subPlacement{
-				patientID: req.PatientID,
-				sessionID: req.SessionID,
-				backend:   b.URL(),
-			}
+			g.subPlaces[resp.ID] = &subPlacement{patientID: req.PatientID, sessionID: req.SessionID}
 			g.mu.Unlock()
 		}
 	}
@@ -301,11 +296,7 @@ func (g *Gateway) subEventsBackend(r *http.Request, id string) (*Backend, error)
 		for _, st := range resp.Subscriptions {
 			if st.ID == id {
 				g.mu.Lock()
-				g.subPlaces[id] = &subPlacement{
-					patientID: st.PatientID,
-					sessionID: st.SessionID,
-					backend:   b.URL(),
-				}
+				g.subPlaces[id] = &subPlacement{patientID: st.PatientID, sessionID: st.SessionID}
 				g.mu.Unlock()
 				return g.subBackend(r, st.PatientID, st.SessionID)
 			}

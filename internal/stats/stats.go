@@ -108,9 +108,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
 // Welford accumulates streaming mean and variance using Welford's
 // algorithm. The zero value is ready to use.
 type Welford struct {

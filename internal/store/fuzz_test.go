@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -46,14 +47,18 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// FuzzFindWindows checks the scan candidate generator against
-// arbitrary state strings and signatures: results must be in-range,
-// sorted, and exact matches, and the walk underneath must equal the
-// byte-by-byte reference, indexed or not, in blocks of any size.
+// FuzzFindWindows checks candidate generation against arbitrary state
+// strings and signatures: results must be in-range, sorted, exact
+// matches and every match a per-start compare finds, and the walk
+// underneath (the postings for a signature of a gram or more, the state
+// string for a shorter one) must equal the byte-by-byte reference in
+// blocks of any size.
 func FuzzFindWindows(f *testing.F) {
 	f.Add("EOIEOIEOI", "EOI")
 	f.Add("RRRRRR", "EO")
 	f.Add("EOIEOIE", "")
+	f.Add("EOIREOIEOIRR", "R")
+	f.Add("EOIREOIEOIRR", "EOIEOIRR")
 	f.Add("EOIEOIEOIEOIEOIEOIEOIE", "EOIEOIEOIEOI")
 	f.Add("EOIEOIEOIEOIEOIEOIEOIE", "OIEOIEOIEOIEOIEOIE")
 	// Signatures of 17 to 33 states, the length of a dynamic predict
@@ -94,6 +99,9 @@ func FuzzFindWindows(f *testing.F) {
 			t.Fatal(err)
 		}
 		ws := st.FindWindows(sig)
+		if len(sig) > 0 && !slices.Equal(ws, naiveStarts(streamStates, sig)) {
+			t.Fatalf("FindWindows(%q) = %v, per-start compare gave %v", sig, ws, naiveStarts(streamStates, sig))
+		}
 		prev := -1
 		for _, j := range ws {
 			if j <= prev {

@@ -44,7 +44,6 @@ func TestNoMaterialisationOnServedPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.EnableIndexes()
 	unasked(t, "the build", db)
 
 	// Search and the four prediction folds.
@@ -65,10 +64,9 @@ func TestNoMaterialisationOnServedPaths(t *testing.T) {
 		t.Fatalf("fixture: FindSimilar = %d matches, %v", len(found), err)
 	}
 	_, errPos := m.PredictPosition(q, found, 0.2, 0)
-	_, errTraj := m.PredictTrajectory(q, found, []float64{0.1, 0.4}, 0)
 	_, errDisp := m.PredictDisplacement(q, found, 0.1, 0.3, 0)
 	_, errSeg := m.PredictNextSegment(q, found, 0)
-	if err := errors.Join(errPos, errTraj, errDisp, errSeg); err != nil {
+	if err := errors.Join(errPos, errDisp, errSeg); err != nil {
 		t.Fatalf("fixture: a prediction fold found nothing to fold: %v", err)
 	}
 	unasked(t, "search and prediction", db)

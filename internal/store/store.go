@@ -6,10 +6,10 @@
 // The store also provides candidate generation for subsequence
 // matching: given a query's state signature, it enumerates all vertex
 // windows in a stream whose per-segment state order matches — the
-// precondition (condition 1) of the paper's Definition 2. A small
-// n-gram inverted index over state strings accelerates this for long
-// streams; matching falls back to a linear scan when the index is
-// disabled (the ablation benchmarks compare both paths).
+// precondition (condition 1) of the paper's Definition 2. Every stream
+// keeps a small n-gram inverted index over its state string, so a
+// signature of a gram or more walks the postings of its first gram; a
+// shorter one scans the state string.
 package store
 
 import (
@@ -96,7 +96,7 @@ type Stream struct {
 	SessionID string
 
 	mu    sync.RWMutex
-	index *ngramIndex
+	index ngramIndex
 	hook  *hookRef
 
 	// cols holds the columns (ScanView documents them; its postings
@@ -110,16 +110,16 @@ type Stream struct {
 }
 
 // NewStream creates an empty stream owned by the given patient and
-// session.
+// session, with its n-gram index.
 func NewStream(patientID, sessionID string) *Stream {
-	return &Stream{PatientID: patientID, SessionID: sessionID}
+	return &Stream{PatientID: patientID, SessionID: sessionID,
+		index: ngramIndex{postings: make(map[uint32][]int32)}}
 }
 
 // Append adds vertices to the end of the stream, maintaining the
-// columns and, when enabled, the index. Vertices must continue the
-// existing time order, be finite and have the stream's dimensionality
-// (the first vertex fixes it); the batch stops at the first that does
-// not.
+// columns and the index. Vertices must continue the existing time
+// order, be finite and have the stream's dimensionality (the first
+// vertex fixes it); the batch stops at the first that does not.
 func (s *Stream) Append(vs ...plr.Vertex) error {
 	if len(vs) == 0 {
 		return nil // what a segmenter emits for most samples
@@ -184,9 +184,7 @@ func (s *Stream) push(t float64, pos []float64, state plr.State) error {
 	c.T = append(c.T, t)
 	c.Pos = append(c.Pos, pos...)
 	c.States = append(c.States, state.Byte())
-	if s.index != nil {
-		s.index.extend(c.States)
-	}
+	s.index.extend(c.States)
 	mVertices.Inc()
 	return nil
 }
@@ -260,29 +258,18 @@ func (s *Stream) Window(j, n int) plr.Sequence {
 	return v.Window(j, n)
 }
 
-// EnableIndex builds (or rebuilds) the n-gram index over the stream's
-// state string. Subsequent appends keep it current.
-func (s *Stream) EnableIndex() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.index = &ngramIndex{postings: make(map[uint32][]int32)}
-	s.index.extend(s.cols.States)
-}
-
-// IndexEnabled reports whether the n-gram index is active.
-func (s *Stream) IndexEnabled() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.index != nil
-}
+// EnableIndex does nothing: every stream is indexed from NewStream on.
+//
+// Deprecated: no-op.
+func (s *Stream) EnableIndex() {}
 
 // ScanView is one consistent read-locked view of a stream's columns,
 // everything a reader of stored vertices needs: vertex i has time T[i],
 // position Pos[i*Dims:(i+1)*Dims], signature letter States[i] and
-// displacement-norm prefix sum Amps[i] (Snapshot's sums). When the
-// stream is indexed the view also carries the postings to walk. All of
-// it is append-only, so a view stays valid (and mutually consistent)
-// across later appends.
+// displacement-norm prefix sum Amps[i] (Snapshot's sums). For a
+// signature of a gram or more the view also carries the postings to
+// walk. All of it is append-only, so a view stays valid (and mutually
+// consistent) across later appends.
 type ScanView struct {
 	T      []float64
 	Pos    []float64
@@ -292,8 +279,8 @@ type ScanView struct {
 	// Listed restricts the view's windows to the starts in Postings
 	// (ascending): the stream's own postings of the signature's first
 	// n-gram, consumed in place — a superset of the windows with that
-	// signature. Otherwise (no index, or a signature shorter than a
-	// gram) every start is a candidate.
+	// signature. Otherwise (a signature shorter than a gram, or none)
+	// every start is a candidate.
 	Listed   bool
 	Postings []int32
 	next     int // AppendWindows' cursor into Postings
@@ -306,7 +293,7 @@ func (s *Stream) ScanView(sig string) ScanView {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	v := s.cols
-	if s.index != nil && len(sig) >= ngramSize {
+	if len(sig) >= ngramSize {
 		v.Listed, v.Postings = true, s.index.postings[gramKey(sig)]
 	}
 	return v
@@ -594,9 +581,7 @@ func (db *DB) NumVertices() int {
 	return n
 }
 
-// EnableIndexes builds the n-gram index on every stream.
-func (db *DB) EnableIndexes() {
-	for _, st := range db.Streams() {
-		st.EnableIndex()
-	}
-}
+// EnableIndexes does nothing: every stream is indexed from NewStream on.
+//
+// Deprecated: no-op.
+func (db *DB) EnableIndexes() {}

@@ -90,50 +90,78 @@ func TestFindWindowsScan(t *testing.T) {
 }
 
 func TestFindWindowsShortSignatureFallback(t *testing.T) {
-	// Signatures shorter than ngramSize cannot use the n-gram
-	// postings: even with the index enabled, FindWindows must fall
-	// back to the linear state-string scan and return identical
-	// results.
+	// Signatures shorter than ngramSize cannot use the n-gram postings:
+	// FindWindows walks the state string instead, and must find what a
+	// per-start compare finds.
+	const states = "EOIEOIEOIE"
 	st := NewStream("P1", "S1")
-	if err := st.Append(seqFromStates("EOIEOIEOIE")...); err != nil {
+	if err := st.Append(seqFromStates(states)...); err != nil {
 		t.Fatal(err)
 	}
-	sigs := []string{"E", "EO", "EOI"}
-	for _, sig := range sigs {
+	for _, sig := range []string{"E", "EO", "EOI"} {
 		if len(sig) >= ngramSize {
 			t.Fatalf("test signature %q not shorter than ngramSize %d", sig, ngramSize)
 		}
-	}
-	unindexed := map[string][]int{}
-	for _, sig := range sigs {
-		unindexed[sig] = st.FindWindows(sig)
-	}
-	st.EnableIndex()
-	if !st.IndexEnabled() {
-		t.Fatal("index not enabled")
-	}
-	for _, sig := range sigs {
-		got := st.FindWindows(sig)
-		if !reflect.DeepEqual(got, unindexed[sig]) {
-			t.Errorf("FindWindows(%q) with index = %v, scan fallback gave %v", sig, got, unindexed[sig])
+		if v := st.ScanView(sig); v.Listed {
+			t.Errorf("ScanView(%q) is listed; a signature shorter than a gram has no postings", sig)
+		}
+		if got, want := st.FindWindows(sig), naiveStarts(states, sig); !slices.Equal(got, want) {
+			t.Errorf("FindWindows(%q) = %v, per-start compare gave %v", sig, got, want)
 		}
 	}
 	// Known positions for the 3-segment signature: starts 0, 3, 6.
 	if got := st.FindWindows("EOI"); !reflect.DeepEqual(got, []int{0, 3, 6}) {
 		t.Errorf("FindWindows(EOI) = %v, want [0 3 6]", got)
 	}
-	// A signature at exactly ngramSize exercises the indexed path on
-	// the same stream and must agree with a pre-index scan too.
+	// A signature at exactly ngramSize takes the postings on the same
+	// stream.
 	if got, want := st.FindWindows("EOIE"), []int{0, 3}; !reflect.DeepEqual(got, want) {
 		t.Errorf("FindWindows(EOIE) = %v, want %v", got, want)
 	}
 }
 
+// naiveStarts is FindWindows by a per-start compare: every start that
+// leaves room for a window of len(sig)+1 vertices and spells sig.
+func naiveStarts(states, sig string) []int {
+	var out []int
+	for _, j := range naiveWindows(states, sig, 0, len(states)-len(sig)) {
+		out = append(out, int(j))
+	}
+	return out
+}
+
+// TestFreshStreamIsIndexed: a stream straight from AddStream, never
+// asked for an index, walks the postings for a signature of a gram or
+// more.
+func TestFreshStreamIsIndexed(t *testing.T) {
+	p, err := NewDB().AddPatient(PatientInfo{ID: "P"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p.AddStream("S")
+	if err := st.Append(seqFromStates("EOIEOIEOIR")...); err != nil {
+		t.Fatal(err)
+	}
+	for _, sig := range []string{"EOIE", "OIEOI", "EOIEOIEOI"} {
+		v := st.ScanView(sig)
+		if !v.Listed {
+			t.Fatalf("ScanView(%q) on a fresh stream is not listed", sig)
+		}
+		if want := naiveWindows("EOIEOIEOIR", sig[:ngramSize], 0, 10-ngramSize+1); !slices.Equal(v.Postings, want) {
+			t.Errorf("ScanView(%q).Postings = %v, want the starts of %q: %v", sig, v.Postings, sig[:ngramSize], want)
+		}
+	}
+}
+
+// TestFindWindowsIndexMatchesScan: the postings walk (signatures of a
+// gram or more) and the state-string walk (shorter ones) find exactly
+// the windows a per-start compare finds, for signatures of 1 to 20
+// states.
 func TestFindWindowsIndexMatchesScan(t *testing.T) {
 	letters := []byte("EOIR")
 	rng := rand.New(rand.NewSource(5))
 	f := func(n uint16, sigLen uint8) bool {
-		length := int(n%300) + 12
+		length := int(n%300) + 22
 		states := make([]byte, length)
 		for i := range states {
 			// Mostly regular rotation with occasional irregularity,
@@ -148,55 +176,43 @@ func TestFindWindowsIndexMatchesScan(t *testing.T) {
 		if err := st.Append(seqFromStates(string(states))...); err != nil {
 			return false
 		}
-		sl := int(sigLen%6) + 4 // signatures of 4..9 (index path)
-		if sl >= length-1 {
-			sl = length - 2
-		}
+		sl := int(sigLen%20) + 1 // signatures of 1..20
 		start := rng.Intn(length - sl)
 		sig := string(states[start : start+sl])
-
-		scan := st.FindWindows(sig)
-		st.EnableIndex()
-		indexed := st.FindWindows(sig)
-		return reflect.DeepEqual(scan, indexed)
+		return slices.Equal(st.FindWindows(sig), naiveStarts(string(states), sig))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestIndexStaysCurrentAcrossAppends: windows that appends complete are
+// found, whether they straddle the batches or lie in the later one.
 func TestIndexStaysCurrentAcrossAppends(t *testing.T) {
+	const states = "EOIEOIRREOIEOIEOOIEOIEOIRE"
 	st := NewStream("P", "S")
-	if err := st.Append(seqFromStates("EOIEOI")...); err != nil {
-		t.Fatal(err)
-	}
-	st.EnableIndex()
-	if !st.IndexEnabled() {
-		t.Fatal("index not enabled")
-	}
-	more := seqFromStates("EOIEOIE")
-	for i := range more {
-		more[i].T += 6
-	}
-	if err := st.Append(more...); err != nil {
-		t.Fatal(err)
-	}
-	got := st.FindWindows("EOIE")
-	// State string is EOIEOIEOIEOIE (13 vertices); sig EOIE at 0,3,6;
-	// 9+4+1 > 13 excludes 9... wait 9+4=13 needs vertex 13 (len 14): excluded.
-	fresh := NewStream("P", "S2")
-	if err := fresh.Append(seqFromStates("EOIEOIEOIEOIE")...); err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.FindWindows("EOIE")
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("indexed after append = %v, scan of equivalent = %v", got, want)
+	for from, to := 0, 0; from < len(states); from = to {
+		to = min(from+1+from%5, len(states))
+		batch := seqFromStates(states[from:to])
+		for i := range batch {
+			batch[i].T += float64(from)
+		}
+		if err := st.Append(batch...); err != nil {
+			t.Fatal(err)
+		}
+		for l := 1; l <= 20 && l < to; l++ {
+			for _, sig := range []string{states[to-l-1 : to-1], states[:l]} {
+				if got, want := st.FindWindows(sig), naiveStarts(states[:to], sig); !slices.Equal(got, want) {
+					t.Fatalf("after %d vertices FindWindows(%q) = %v, per-start compare gave %v", to, sig, got, want)
+				}
+			}
+		}
 	}
 }
 
-// TestIndexFreshAfterDBEnableIndexes guards the live-ingestion path:
-// DB.EnableIndexes() runs once at preload time, and every vertex
-// appended afterwards must still be found through the index.
+// TestIndexFreshAfterDBEnableIndexes guards the live-ingestion path: a
+// stream opened through the database and appended to after preload has
+// every later window in its postings.
 func TestIndexFreshAfterDBEnableIndexes(t *testing.T) {
 	db := NewDB()
 	p, err := db.AddPatient(PatientInfo{ID: "P"})
@@ -207,8 +223,6 @@ func TestIndexFreshAfterDBEnableIndexes(t *testing.T) {
 	if err := st.Append(seqFromStates("EOIEOIEOI")...); err != nil {
 		t.Fatal(err)
 	}
-	db.EnableIndexes()
-
 	// Append a suffix whose signature appears nowhere in the prefix.
 	more := seqFromStates("EEOOI")
 	for i := range more {
@@ -219,15 +233,16 @@ func TestIndexFreshAfterDBEnableIndexes(t *testing.T) {
 	}
 	got := st.FindWindows("EEOO") // needs vertices 9..13: only in the suffix
 	if len(got) != 1 || got[0] != 9 {
-		t.Fatalf("FindWindows after post-EnableIndexes append = %v, want [9]", got)
+		t.Fatalf("FindWindows after a post-preload append = %v, want [9]", got)
 	}
-	// And the indexed result must agree with a brute-force scan.
-	fresh := NewStream("P", "S")
-	if err := fresh.Append(st.Seq()...); err != nil {
-		t.Fatal(err)
-	}
-	if want := fresh.FindWindows("EEOO"); !reflect.DeepEqual(got, want) {
-		t.Errorf("indexed = %v, scan = %v", got, want)
+	const states = "EOIEOIEOIEEOOI"
+	for l := 1; l <= len(states)-1; l++ {
+		for j := 0; j+l < len(states); j++ {
+			sig := states[j : j+l]
+			if got, want := st.FindWindows(sig), naiveStarts(states, sig); !slices.Equal(got, want) {
+				t.Errorf("FindWindows(%q) = %v, per-start compare gave %v", sig, got, want)
+			}
+		}
 	}
 }
 
@@ -272,12 +287,6 @@ func TestDBPatients(t *testing.T) {
 	}
 	if db.NumVertices() != 7 {
 		t.Errorf("NumVertices = %d, want 7", db.NumVertices())
-	}
-	db.EnableIndexes()
-	for _, st := range db.Streams() {
-		if !st.IndexEnabled() {
-			t.Error("EnableIndexes missed a stream")
-		}
 	}
 }
 
@@ -336,7 +345,6 @@ func TestReadJSONRejectsBadInput(t *testing.T) {
 
 func TestStreamConcurrentReadsDuringAppend(t *testing.T) {
 	st := NewStream("P", "S")
-	st.EnableIndex()
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -593,7 +601,6 @@ func TestFindWindowsShortSignatureAllocs(t *testing.T) {
 	if err := st.Append(seqFromStates(strings.Repeat("EOI", 3334)[:10000])...); err != nil {
 		t.Fatal(err)
 	}
-	st.EnableIndex()
 	tail := seqFromStates("RRE") // one window of two irregular segments
 	for i := range tail {
 		tail[i].T += 1e6
@@ -626,7 +633,6 @@ func TestFindWindowsShortSignatureAllocs(t *testing.T) {
 func TestScanViewConsistentUnderAppend(t *testing.T) {
 	const total, sig = 3000, "EOIEOI"
 	st := NewStream("P", "S")
-	st.EnableIndex()
 	full := seqFromStates(strings.Repeat("EOIEOIRE", total/8))
 
 	var (
@@ -800,35 +806,30 @@ func naiveWindows(states, sig string, from, to int) []int32 {
 }
 
 // checkAppendWindows holds AppendWindows to naiveWindows over a stream
-// with the given states, indexed and not, walked in blocks of 1, 3 and
-// 256 starts from the stream's head and from inside it, and once more
-// on the same view after its cursor has run to the end.
+// with the given states, walked in blocks of 1, 3 and 256 starts from
+// the stream's head and from inside it, and once more on the same view
+// after its cursor has run to the end.
 func checkAppendWindows(t *testing.T, states, sig string) {
 	t.Helper()
 	to := len(states) - len(sig)
-	for _, indexed := range []bool{false, true} {
-		st := NewStream("P", "S")
-		if indexed {
-			st.EnableIndex()
-		}
-		if err := st.Append(seqFromStates(states)...); err != nil {
-			t.Fatal(err)
-		}
-		for _, blk := range []int{1, 3, 256} {
-			v := st.ScanView(sig)
-			for _, from := range []int{0, to / 3, 0} {
-				var got []int32
-				buf := make([]int32, blk)
-				for at := from; at < to; {
-					b, next := v.AppendWindows(buf[:0], sig, at, to)
-					if next <= at || next > to {
-						t.Fatalf("%q in %q (indexed %v, block %d): resume point %d after %d", sig, states, indexed, blk, next, at)
-					}
-					got, at = append(got, b...), next
+	st := NewStream("P", "S")
+	if err := st.Append(seqFromStates(states)...); err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range []int{1, 3, 256} {
+		v := st.ScanView(sig)
+		for _, from := range []int{0, to / 3, 0} {
+			var got []int32
+			buf := make([]int32, blk)
+			for at := from; at < to; {
+				b, next := v.AppendWindows(buf[:0], sig, at, to)
+				if next <= at || next > to {
+					t.Fatalf("%q in %q (block %d): resume point %d after %d", sig, states, blk, next, at)
 				}
-				if want := naiveWindows(states, sig, from, to); !slices.Equal(got, want) {
-					t.Fatalf("%q in %q (indexed %v, block %d, from %d):\n got %v\nwant %v", sig, states, indexed, blk, from, got, want)
-				}
+				got, at = append(got, b...), next
+			}
+			if want := naiveWindows(states, sig, from, to); !slices.Equal(got, want) {
+				t.Fatalf("%q in %q (block %d, from %d):\n got %v\nwant %v", sig, states, blk, from, got, want)
 			}
 		}
 	}
@@ -857,7 +858,6 @@ func TestAppendWindowsWordCompareEqualsNaive(t *testing.T) {
 			tail := states[n-l-1 : n-1]
 			checkAppendWindows(t, states, tail)
 			st := NewStream("P", "S")
-			st.EnableIndex()
 			if err := st.Append(seqFromStates(states)...); err != nil {
 				t.Fatal(err)
 			}

@@ -235,8 +235,9 @@ func (m *Manager) Expel(id string) bool {
 }
 
 // Ack advances a subscription's delivery high-water mark and drops
-// acknowledged events from the buffer. It reports whether the
-// subscription exists.
+// acknowledged events from the buffer; a seq past the last emitted
+// event acknowledges that event, whether it comes from a consumer, the
+// journal or a primary. It reports whether the subscription exists.
 func (m *Manager) Ack(id string, seq uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -244,6 +245,8 @@ func (m *Manager) Ack(id string, seq uint64) bool {
 	if !ok {
 		return false
 	}
+	// Nothing past the last emitted event can have been delivered.
+	seq = min(seq, s.state.NextSeq-1)
 	if seq > s.state.Delivered {
 		s.state.Delivered = seq
 		i := 0
@@ -510,20 +513,6 @@ func (m *Manager) StatesInScope(patientID, sessionID string) []wal.SubState {
 	for _, id := range m.order {
 		if s := m.subs[id]; s.inScope(patientID, sessionID) {
 			out = append(out, s.stateLocked())
-		}
-	}
-	return out
-}
-
-// IDsInScope returns the IDs of every subscription covering the given
-// stream, in registration order.
-func (m *Manager) IDsInScope(patientID, sessionID string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for _, id := range m.order {
-		if m.subs[id].inScope(patientID, sessionID) {
-			out = append(out, id)
 		}
 	}
 	return out

@@ -101,14 +101,6 @@ func (ft *FaultTransport) Script(seq ...Fault) *FaultTransport {
 	return ft
 }
 
-// ScriptAt sets the fault for one request index.
-func (ft *FaultTransport) ScriptAt(idx int, f Fault) *FaultTransport {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	ft.script[idx] = f
-	return ft
-}
-
 // SeedRandom arms a deterministic pseudo-random fault plan for every
 // request index not covered by the script: with probability prob the
 // request draws one of the menu faults. The same seed always yields

@@ -5,6 +5,10 @@ package stsmatch_test
 // predictd -> clusterpat) on a temporary directory.
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -205,6 +209,167 @@ func TestSeqOnlyAtTheAPIEdge(t *testing.T) {
 					t.Errorf("%s:%d materialises a stream off the API edge: %s", file, i+1, strings.TrimSpace(line))
 				}
 			}
+		}
+	}
+}
+
+// TestInternalExportsHaveCallers: every exported function and method
+// declared under internal/ is referenced by some non-test code of either
+// module (bench/ counts) other than its own declaration, so that nothing
+// lives on for its tests alone. internal/testutil is exempt; an export
+// kept for another reason is listed here with that reason, and an entry
+// that excuses nothing fails too.
+//
+// A reference is a name, not a resolved object: a package-level function
+// is referenced by its package-qualified name elsewhere, or by its bare
+// name inside its own package; a method by any selector of its name, or
+// by an interface that declares that name.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parsing both modules is slow for -short")
+	}
+	allowed := map[string]string{
+		// Reference oracles the optimised paths are held to.
+		"core.OfflineDistance": "Definition 3's unpruned distance, the oracle of OfflineSearch",
+		"shard.MergeMatches":   "the sort-based merge the gateway's streaming merge is held to",
+		// Test seams.
+		"server.SetMigrationHook": "pauses a migration between phases for the failover tests",
+		"subscribe.SetClock":      "drives the lease clock for the subscription tests",
+		// Introspection the tests read state through.
+		"fsm.SamplesSeen":     "the segmenter's progress, read by the fsm tests",
+		"fsm.SegmentsEmitted": "the segmenter's progress, read by the fsm tests",
+		"server.Traces":       "the trace collector, read by the trace tests",
+		"shard.Traces":        "the trace collector, read by the trace tests",
+		"shard.NumHealthy":    "the pool's admitted set, read by the health tests",
+		"shard.Owner":         "a key's primary, read by the ring tests",
+		"shard.MovedKeys":     "the keys a ring change moves, read by the ring tests",
+		// internal/sigindex leaves with bench/'s index layers; these are
+		// its own test helpers.
+		"sigindex.Covers":          "sigindex is retired with bench/'s index layers",
+		"sigindex.Stats":           "sigindex is retired with bench/'s index layers",
+		"sigindex.Dump":            "sigindex is retired with bench/'s index layers",
+		"sigindex.DecodeSignature": "sigindex is retired with bench/'s index layers",
+		// Test-only, each deleted together with its tests later.
+		"baseline.PAA":          "PAA feature baseline; no experiment runs it",
+		"baseline.PAADistance":  "PAA feature baseline; no experiment runs it",
+		"baseline.DFT":          "DFT feature baseline; no experiment runs it",
+		"baseline.DFTDistance":  "DFT feature baseline; no experiment runs it",
+		"baseline.LastObserved": "Figure 1's no-prediction baseline; only its test calls it",
+		"plr.Resample":          "turns a PLR back into samples for the tests",
+		"plr.Samples1D":         "builds 1-D samples for the tests",
+		"stats.NewHistogram":    "stats.Histogram has no caller",
+		"stats.Total":           "stats.Histogram has no caller",
+		"stats.Counts":          "stats.Histogram has no caller",
+		"stats.BucketCenter":    "stats.Histogram has no caller",
+		"stats.Sum":             "batch statistic with no caller",
+		"stats.StdDev":          "batch statistic with no caller",
+		"stats.Min":             "batch statistic with no caller",
+		"stats.Max":             "batch statistic with no caller",
+		"stats.Percentile":      "batch statistic with no caller",
+	}
+
+	type decl struct {
+		dir, key string // key is "package.Name"
+		method   bool
+		pos      token.Position
+	}
+	var (
+		decls     []decl
+		bare      = map[string]map[string]bool{} // package dir -> identifiers used in it
+		qualified = map[string]bool{}            // "package.Name" used through an import
+		selectors = map[string]bool{}            // Name used as X.Name, any X
+		ifaces    = map[string]bool{}            // method names interfaces declare
+	)
+	fset := token.NewFileSet()
+	for _, root := range []string{".", "bench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path != root && (path == "bench" || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			dir := filepath.ToSlash(filepath.Dir(path))
+			own := map[*ast.Ident]bool{}
+			if strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "internal/testutil") {
+				for _, dcl := range f.Decls {
+					if fn, ok := dcl.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+						own[fn.Name] = true
+						decls = append(decls, decl{dir: dir, key: f.Name.Name + "." + fn.Name.Name,
+							method: fn.Recv != nil, pos: fset.Position(fn.Pos())})
+					}
+				}
+			}
+			imports := map[string]string{} // local name -> package name, for internal imports
+			for _, imp := range f.Imports {
+				p := strings.Trim(imp.Path.Value, `"`)
+				if !strings.HasPrefix(p, "stsmatch/internal/") {
+					continue
+				}
+				name := p[strings.LastIndexByte(p, '/')+1:]
+				if imp.Name != nil {
+					imports[imp.Name.Name] = name
+				} else {
+					imports[name] = name
+				}
+			}
+			if bare[dir] == nil {
+				bare[dir] = map[string]bool{}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					selectors[n.Sel.Name] = true
+					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						qualified[imports[x.Name]+"."+n.Sel.Name] = true
+					}
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, name := range m.Names {
+							ifaces[name.Name] = true
+						}
+					}
+				case *ast.Ident:
+					if !own[n] {
+						bare[dir][n.Name] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(decls) < 100 {
+		t.Fatalf("found only %d exported internal functions; is the walk rooted at the repository?", len(decls))
+	}
+	excused := map[string]bool{}
+	for _, d := range decls {
+		name := d.key[strings.IndexByte(d.key, '.')+1:]
+		if qualified[d.key] || !d.method && bare[d.dir][name] || d.method && (selectors[name] || ifaces[name]) {
+			continue
+		}
+		if allowed[d.key] != "" {
+			excused[d.key] = true
+			continue
+		}
+		t.Errorf("%s: %s is exported from internal/ but no non-test code calls it", d.pos, d.key)
+	}
+	for key := range allowed {
+		if !excused[key] {
+			t.Errorf("allow-list entry %s excuses nothing: delete it", key)
 		}
 	}
 }
