@@ -59,16 +59,12 @@ func main() {
 	listen := flag.String("listen", ":8760", "HTTP listen address")
 	backends := flag.String("backends", "", "comma-separated backend base URLs (required)")
 	replicas := flag.Int("replicas", 1, "replication factor: primary plus R-1 WAL-following replicas per session")
-	vnodes := flag.Int("vnodes", shard.DefaultVnodes, "virtual nodes per backend on the hash ring")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-attempt backend request timeout")
 	retries := flag.Int("retries", 2, "retry attempts for idempotent backend calls")
 	healthEvery := flag.Duration("health-interval", 2*time.Second, "active health-probe period (negative = disabled)")
 	failThreshold := flag.Int("fail-threshold", 3, "consecutive failures before a backend is ejected")
 	readmitThreshold := flag.Int("readmit-threshold", 2, "consecutive probe successes before an ejected backend is readmitted")
-	rebalanceConc := flag.Int("rebalance-concurrency", shard.DefaultRebalanceConcurrency, "sessions migrated in parallel during a rebalance drain")
 	migrateTimeout := flag.Duration("migrate-timeout", shard.DefaultMigrateTimeout, "per-session migration deadline during a rebalance")
-	traceCap := flag.Int("trace-capacity", obs.DefaultTraceCapacity, "traces retained in each in-memory ring (recent and slow)")
-	traceSlow := flag.Duration("trace-slow", obs.DefaultSlowThreshold, "latency threshold at which a trace is pinned in the slow ring")
 	pprofOn := flag.Bool("pprof", false, "serve /debug/pprof/ on the listen address")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit JSON log lines instead of text")
@@ -92,19 +88,13 @@ func main() {
 	}
 
 	gw, err := shard.NewGateway(urls, shard.Options{
-		Vnodes:           *vnodes,
 		Replicas:         *replicas,
 		Timeout:          *timeout,
 		MaxRetries:       *retries,
 		HealthInterval:   *healthEvery,
 		FailThreshold:    *failThreshold,
 		ReadmitThreshold: *readmitThreshold,
-
-		RebalanceConcurrency: *rebalanceConc,
-		MigrateTimeout:       *migrateTimeout,
-
-		TraceCapacity:      *traceCap,
-		TraceSlowThreshold: *traceSlow,
+		MigrateTimeout:   *migrateTimeout,
 	})
 	if err != nil {
 		fatalStartup(err)
@@ -112,7 +102,7 @@ func main() {
 	defer gw.Close()
 	log.Info("ring built",
 		slog.Int("backends", len(urls)),
-		slog.Int("vnodes", *vnodes),
+		slog.Int("vnodes", shard.DefaultVnodes),
 		slog.Int("replicas", *replicas))
 
 	mux := http.NewServeMux()

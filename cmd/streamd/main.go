@@ -81,12 +81,8 @@ func main() {
 	dataDir := flag.String("data-dir", "", "directory for the write-ahead log and snapshots (empty = in-memory only)")
 	fsyncEvery := flag.Duration("fsync", 50*time.Millisecond, "WAL group-commit fsync interval (0 = fsync every append)")
 	snapshotEvery := flag.Duration("snapshot-every", 5*time.Minute, "periodic WAL compaction into snapshots (0 = only on shutdown)")
-	matchPar := flag.Int("match-parallelism", 0, "worker goroutines per similarity search (0 = GOMAXPROCS, 1 = sequential)")
 	advertise := flag.String("advertise", "", "base URL this daemon advertises as the source of its WAL shipments (e.g. http://10.0.0.1:8750)")
 	replicateFrom := flag.String("replicate-from", "", "comma-separated source URLs allowed to ship WAL batches here (empty = accept any)")
-	subBuffer := flag.Int("sub-buffer", 0, "per-subscription undelivered event buffer (0 = default 4096; oldest events drop past it)")
-	traceCap := flag.Int("trace-capacity", obs.DefaultTraceCapacity, "traces retained in each in-memory ring (recent and slow)")
-	traceSlow := flag.Duration("trace-slow", obs.DefaultSlowThreshold, "latency threshold at which a trace is pinned in the slow ring")
 	demo := flag.Bool("demo", false, "run the self-contained demo client and exit")
 	pprofOn := flag.Bool("pprof", false, "serve /debug/pprof/ on the listen address")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -123,17 +119,12 @@ func main() {
 			replFrom = append(replFrom, strings.TrimRight(u, "/"))
 		}
 	}
-	params := core.DefaultParams()
-	params.Parallelism = *matchPar
-	srv, err := server.NewWithOptions(db, params, fsm.DefaultConfig(), server.Options{
-		DataDir:            *dataDir,
-		FsyncInterval:      *fsyncEvery,
-		SnapshotEvery:      *snapshotEvery,
-		AdvertiseURL:       strings.TrimRight(*advertise, "/"),
-		ReplicateFrom:      replFrom,
-		SubscriptionBuffer: *subBuffer,
-		TraceCapacity:      *traceCap,
-		TraceSlowThreshold: *traceSlow,
+	srv, err := server.NewWithOptions(db, core.DefaultParams(), fsm.DefaultConfig(), server.Options{
+		DataDir:       *dataDir,
+		FsyncInterval: *fsyncEvery,
+		SnapshotEvery: *snapshotEvery,
+		AdvertiseURL:  strings.TrimRight(*advertise, "/"),
+		ReplicateFrom: replFrom,
 	})
 	if err != nil {
 		fatal(log, err)

@@ -44,7 +44,7 @@ func serve(t *testing.T, srv *server.Server, method, path string, body any, trac
 // caller did not sample reads the clock zero times and leaves nothing
 // in the recent ring; the same match sampled reads it and is kept.
 func TestUnsampledServedMatchReadsNoStageClock(t *testing.T) {
-	srv, err := server.New(nil, core.DefaultParams(), fsm.DefaultConfig())
+	srv, err := server.NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

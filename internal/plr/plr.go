@@ -32,6 +32,12 @@ const (
 // NumStates is the size of the state alphabet.
 const NumStates = 4
 
+// MaxDims is the most position dimensions a stream's vertices may have:
+// the store refuses a stream with more, and the binary formats that
+// persist vertices (the store's, the write-ahead log's) read no more
+// back.
+const MaxDims = 64
+
 // String returns the conventional name of the state.
 func (s State) String() string {
 	switch s {

@@ -39,13 +39,6 @@ type Options struct {
 	// Zero snapshots only on graceful shutdown.
 	SnapshotEvery time.Duration
 
-	// MaxBodyBytes caps request bodies on the body-accepting endpoints
-	// (session create, sample ingest, remote match) via
-	// http.MaxBytesReader, so a misbehaving client cannot balloon a
-	// shard's memory. 0 selects DefaultMaxBodyBytes; negative disables
-	// the cap.
-	MaxBodyBytes int64
-
 	// AdvertiseURL is this node's base URL as replicas should see it;
 	// it is stamped into shipped batches as the source and checked
 	// against the receivers' ReplicateFrom allowlists.
@@ -61,23 +54,18 @@ type Options struct {
 	// carrier (internal/frame).
 	ReplicateTransport http.RoundTripper
 
-	// TraceCapacity bounds the in-memory trace collector's rings (both
-	// recent and slow). 0 selects obs.DefaultTraceCapacity.
-	TraceCapacity int
-
 	// TraceSlowThreshold is the latency at or above which a trace is
 	// pinned in the slow ring (and slow WAL group commits are captured).
-	// 0 selects obs.DefaultSlowThreshold.
+	// 0 selects obs.DefaultSlowThreshold, which the daemon runs at; tests
+	// lower it to see a slow trace kept.
 	TraceSlowThreshold time.Duration
-
-	// SubscriptionBuffer caps each standing subscription's undelivered
-	// event buffer; the oldest events are dropped (and counted) past
-	// it. 0 selects subscribe.DefaultBuffer.
-	SubscriptionBuffer int
 }
 
-// DefaultMaxBodyBytes is the default request-body cap: 8 MiB holds
-// ~100k samples per ingest batch, far above any sane client.
+// DefaultMaxBodyBytes caps request bodies on the body-accepting
+// endpoints (session create, sample ingest, remote match) via
+// http.MaxBytesReader, so a misbehaving client cannot balloon a shard's
+// memory: 8 MiB holds ~100k samples per ingest batch, far above any
+// sane client.
 const DefaultMaxBodyBytes = 8 << 20
 
 // durability is the server's handle on the WAL subsystem.

@@ -280,7 +280,7 @@ func TestServedMatchAllocs(t *testing.T) {
 	params := core.DefaultParams()
 	params.Parallelism = 1
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	srv, err := New(db, params, fsm.DefaultConfig())
+	srv, err := NewWithOptions(db, params, fsm.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

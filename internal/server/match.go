@@ -183,7 +183,7 @@ func scanMatchRequest(data []byte) (req MatchRequest, ok bool) {
 // the search are one path.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	leg := r.Header.Get("Content-Type") == wal.MatchLegContentType
-	buf, err := s.readBody(w, r)
+	buf, err := readBody(w, r)
 	if err != nil {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding match request: %w", err))
 		return

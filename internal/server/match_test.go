@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +16,6 @@ import (
 	"stsmatch/internal/fsm"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/signal"
-	"stsmatch/internal/store"
 	"stsmatch/internal/wal"
 )
 
@@ -134,7 +135,7 @@ func TestShardStats(t *testing.T) {
 }
 
 func TestMaxBodyBytes(t *testing.T) {
-	srv, err := NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), Options{MaxBodyBytes: 1024})
+	srv, err := NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,37 +147,24 @@ func TestMaxBodyBytes(t *testing.T) {
 		t.Fatalf("create status %d", resp.StatusCode)
 	}
 
-	// An oversized ingest batch is rejected with 413, not decoded.
-	big := make([]SampleIn, 200)
-	for i := range big {
-		big[i] = SampleIn{T: float64(i), Pos: []float64{1, 2, 3}}
+	// A batch padded to exactly the cap is read; one byte more is
+	// rejected with 413, not decoded.
+	post := func(t0, size int) int {
+		t.Helper()
+		body := []byte(fmt.Sprintf(`[{"t":%d,"pos":[1]}]`, t0))
+		body = append(body, bytes.Repeat([]byte{' '}, size-len(body))...)
+		resp, err := http.Post(ts.URL+"/v1/sessions/S01/samples", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp = postJSON(t, ts.URL+"/v1/sessions/S01/samples", big)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized batch status %d, want 413", resp.StatusCode)
+	if code := post(0, DefaultMaxBodyBytes); code != http.StatusOK {
+		t.Errorf("batch at the cap status %d, want 200", code)
 	}
-
-	// A small batch still works.
-	resp = postJSON(t, ts.URL+"/v1/sessions/S01/samples", []SampleIn{{T: 0, Pos: []float64{1}}})
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("small batch status %d, want 200", resp.StatusCode)
-	}
-
-	// Negative disables the cap entirely.
-	srv2, err := NewWithOptions(store.NewDB(), core.DefaultParams(), fsm.DefaultConfig(), Options{MaxBodyBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv2.maxBody > 0 {
-		t.Errorf("maxBody = %d, want disabled", srv2.maxBody)
-	}
-	// Zero selects the default.
-	srv3, err := New(store.NewDB(), core.DefaultParams(), fsm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv3.maxBody != DefaultMaxBodyBytes {
-		t.Errorf("maxBody = %d, want default %d", srv3.maxBody, DefaultMaxBodyBytes)
+	if code := post(1, DefaultMaxBodyBytes+1); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("batch one byte over the cap status %d, want 413", code)
 	}
 }
 

@@ -119,7 +119,7 @@ func (s *Server) goneOr404(w http.ResponseWriter, sid string) {
 // handleMigrate answers POST /v1/sessions/{sid}/migrate.
 func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
-	s.capBody(w, r)
+	capBody(w, r)
 	var req MigrateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding migrate request: %w", err))

@@ -30,7 +30,7 @@ func predictServer(t testing.TB, params core.Params, patients, sessions int, sec
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(db, params, fsm.DefaultConfig())
+	srv, err := NewWithOptions(db, params, fsm.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

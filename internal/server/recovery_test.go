@@ -4,11 +4,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"stsmatch/internal/core"
 	"stsmatch/internal/fsm"
+	"stsmatch/internal/plr"
 	"stsmatch/internal/signal"
+	"stsmatch/internal/store"
 )
 
 // newDurableServer builds a Server journaling to dir with fsync on
@@ -302,5 +307,109 @@ func TestCloseSessionEndpoint(t *testing.T) {
 	hz, _ := getJSON[HealthzResponse](t, ts.URL+"/v1/healthz")
 	if hz.OpenSessions != 0 {
 		t.Errorf("OpenSessions = %d after close, want 0", hz.OpenSessions)
+	}
+}
+
+// TestDimsLimitSurvivesRecovery: a session is kept only as wide as the
+// binary formats read back (plr.MaxDims). A 17-dimension session
+// recovers from its snapshot, with nothing left to replay, and a batch
+// with a 65-dimension sample is a 400 that stores none of its samples.
+func TestDimsLimitSurvivesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newDurableServer(t, dir)
+	gen, err := signal.NewRespiration(signal.DefaultRespiration(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := gen.Generate(60)
+	padded := func(dims int) []SampleIn {
+		batch := make([]SampleIn, len(samples))
+		for i, s := range samples {
+			batch[i] = SampleIn{T: s.T, Pos: append(slices.Clone(s.Pos), make([]float64, dims-len(s.Pos))...)}
+		}
+		return batch
+	}
+	for _, sid := range []string{"S17", "S65"} {
+		if resp := postJSON(t, ts.URL+"/v1/sessions", CreateSessionRequest{PatientID: "P01", SessionID: sid}); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s status %d", sid, resp.StatusCode)
+		}
+	}
+	if resp := postJSON(t, ts.URL+"/v1/sessions/S17/samples", padded(17)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("17-dimension ingest status %d", resp.StatusCode)
+	}
+	wide := padded(1)
+	wide[len(wide)-1].Pos = make([]float64, plr.MaxDims+1)
+	if resp := postJSON(t, ts.URL+"/v1/sessions/S65/samples", wide); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("batch with a %d-dimension sample: status %d, want 400", plr.MaxDims+1, resp.StatusCode)
+	}
+	// The refused batch left the session untouched: the same samples
+	// without the wide one are all new.
+	if resp := postJSON(t, ts.URL+"/v1/sessions/S65/samples", wide[:len(wide)-1]); resp.StatusCode != http.StatusOK {
+		t.Errorf("narrow ingest status %d", resp.StatusCode)
+	} else if sr := decode[SamplesResponse](t, resp); sr.TotalSamples != len(wide)-1 {
+		t.Errorf("TotalSamples = %d after the refused batch, want %d", sr.TotalSamples, len(wide)-1)
+	}
+	before, code := getJSON[PLRResponse](t, ts.URL+"/v1/sessions/S17/plr")
+	if code != http.StatusOK || len(before.Vertices) == 0 {
+		t.Fatalf("plr status %d, %d vertices", code, len(before.Vertices))
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil { // flushes and writes a snapshot
+		t.Fatal(err)
+	}
+
+	_, ts2 := newDurableServer(t, dir)
+	hz, _ := getJSON[HealthzResponse](t, ts2.URL+"/v1/healthz")
+	if hz.WAL == nil || hz.WAL.SnapshotLSN == 0 || hz.WAL.RecordsReplayed != 0 || hz.WAL.RecordsTruncated != 0 {
+		t.Fatalf("recovery %+v, want everything from the snapshot", hz.WAL)
+	}
+	after, code := getJSON[PLRResponse](t, ts2.URL+"/v1/sessions/S17/plr")
+	if code != http.StatusOK || !reflect.DeepEqual(after, before) {
+		t.Errorf("recovered plr (status %d) differs from the plr before the restart", code)
+	}
+}
+
+// TestIDLimitSurvivesRecovery: every journalled vertex carries its
+// patient and session IDs, so create-session refuses an ID recovery
+// would not read back, and one at the limit survives a crash.
+func TestIDLimitSurvivesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newDurableServer(t, dir)
+	long := strings.Repeat("p", store.MaxIDBytes)
+	for _, req := range []CreateSessionRequest{
+		{PatientID: long + "p", SessionID: "S1"},
+		{PatientID: "P1", SessionID: long + "s"},
+	} {
+		if resp := postJSON(t, ts.URL+"/v1/sessions", req); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("create with a %d-byte ID: status %d, want 400", store.MaxIDBytes+1, resp.StatusCode)
+		}
+	}
+	if resp := postJSON(t, ts.URL+"/v1/sessions", CreateSessionRequest{PatientID: long, SessionID: "S1"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with a %d-byte ID: status %d", store.MaxIDBytes, resp.StatusCode)
+	}
+	gen, err := signal.NewRespiration(signal.DefaultRespiration(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []SampleIn
+	for _, s := range gen.Generate(20) {
+		batch = append(batch, SampleIn{T: s.T, Pos: s.Pos})
+	}
+	if resp := postJSON(t, ts.URL+"/v1/sessions/S1/samples", batch); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status %d", resp.StatusCode)
+	}
+	before, _ := getJSON[StatsResponse](t, ts.URL+"/v1/stats")
+	if before.Patients != 1 || before.Vertices == 0 {
+		t.Fatalf("stats %+v, want one patient with vertices", before)
+	}
+	ts.Close() // crash: only the WAL survives
+
+	_, ts2 := newDurableServer(t, dir)
+	hz, _ := getJSON[HealthzResponse](t, ts2.URL+"/v1/healthz")
+	if hz.WAL == nil || hz.WAL.RecordsTruncated != 0 {
+		t.Fatalf("recovery %+v, want nothing truncated", hz.WAL)
+	}
+	if after, _ := getJSON[StatsResponse](t, ts2.URL+"/v1/stats"); after != before {
+		t.Errorf("stats %+v after recovery, want %+v", after, before)
 	}
 }

@@ -445,7 +445,7 @@ type ReplicateResponse struct {
 
 // handleReplicate is the follower half of log shipping.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	s.capBody(w, r)
+	capBody(w, r)
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
 		httpError(w, bodyErrCode(err), fmt.Errorf("reading batch: %w", err))
@@ -646,7 +646,7 @@ type PromoteResponse struct {
 // deposed primary.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
-	s.capBody(w, r)
+	capBody(w, r)
 	var req PromoteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding promote request: %w", err))

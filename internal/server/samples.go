@@ -12,8 +12,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
+
+	"stsmatch/internal/plr"
 )
 
 // maxPooledBody is the largest body buffer worth keeping: a 30-sample
@@ -23,11 +26,11 @@ const maxPooledBody = 64 << 10
 
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readBody reads r's body under the server's cap into a pooled buffer.
+// readBody reads r's body under the cap into a pooled buffer.
 // The caller hands the buffer back with releaseBody once nothing
 // aliases its bytes.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
-	s.capBody(w, r)
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	capBody(w, r)
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if _, err := buf.ReadFrom(r.Body); err != nil {
@@ -44,8 +47,8 @@ func releaseBody(buf *bytes.Buffer) {
 }
 
 // decodeJSONBody reads r's body and unmarshals it into v.
-func (s *Server) decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
-	buf, err := s.readBody(w, r)
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
+	buf, err := readBody(w, r)
 	if err != nil {
 		return err
 	}
@@ -56,14 +59,22 @@ func (s *Server) decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) e
 // decodeSamples decodes an ingest batch. The canonical shape takes the
 // scanner below; anything else is json.Unmarshal's to accept or refuse,
 // so the accepted language and every decoded value are what they were
-// when json.Unmarshal was the only decoder.
+// when json.Unmarshal was the only decoder. A sample with more than
+// plr.MaxDims coordinates refuses the whole batch, since the store would
+// not keep its stream.
 func decodeSamples(data []byte) ([]SampleIn, error) {
-	if batch, ok := scanSamples(data); ok {
-		return batch, nil
+	batch, ok := scanSamples(data)
+	if !ok {
+		if err := json.Unmarshal(data, &batch); err != nil {
+			return nil, err
+		}
 	}
-	var batch []SampleIn
-	err := json.Unmarshal(data, &batch)
-	return batch, err
+	for _, in := range batch {
+		if len(in.Pos) > plr.MaxDims {
+			return nil, fmt.Errorf("sample at t=%v has %d dimensions, at most %d are kept", in.T, len(in.Pos), plr.MaxDims)
+		}
+	}
+	return batch, nil
 }
 
 // scanSamples decodes exactly

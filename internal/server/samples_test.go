@@ -181,7 +181,7 @@ func TestScanSamplesPosDoNotOverlap(t *testing.T) {
 // 400 on every route that takes a body from a client, while a body over
 // the cap is still a 413.
 func TestStrictBodies(t *testing.T) {
-	srv, err := NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), Options{MaxBodyBytes: 4096})
+	srv, err := NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,9 @@ func TestStrictBodies(t *testing.T) {
 				t.Errorf("%s: trailing %q status %d, want 400", tc.route, tail, code)
 			}
 		}
-		if code := post(tc.path, body()+strings.Repeat(" ", 4096)); code != http.StatusRequestEntityTooLarge {
+		over := body()
+		over += strings.Repeat(" ", DefaultMaxBodyBytes+1-len(over))
+		if code := post(tc.path, over); code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s: body over the cap status %d, want 413", tc.route, code)
 		}
 	}

@@ -28,7 +28,7 @@
 // same route (see handleMatch); everything a client sees is JSON.
 //
 // A request body is exactly one JSON value: trailing bytes other than
-// whitespace are a 400, a body over Options.MaxBodyBytes a 413.
+// whitespace are a 400, a body over DefaultMaxBodyBytes a 413.
 //
 // With Options.DataDir set, every mutation is journaled to a
 // write-ahead log and compacted into snapshots (see internal/wal); a
@@ -74,7 +74,6 @@ type Server struct {
 	met      *serverMetrics
 	start    time.Time
 	wal      *durability // nil when Options.DataDir is unset
-	maxBody  int64       // request-body cap; <= 0 disables
 
 	// subs holds the standing subscriptions (see subscriptions.go and
 	// internal/subscribe). Created before durability opens so WAL
@@ -144,17 +143,12 @@ type session struct {
 	resumedAt float64
 }
 
-// New builds a fully in-memory server around an existing database
-// (which may already hold historical sessions for cross-session
-// matching). The database is owned by the server afterwards.
-func New(db *store.DB, params core.Params, segCfg fsm.Config) (*Server, error) {
-	return NewWithOptions(db, params, segCfg, Options{})
-}
-
-// NewWithOptions builds a server with durability options. When
-// opts.DataDir is set, the server recovers the write-ahead log before
-// serving: the recovered database replaces db (db then only seeds a
-// fresh data dir), and sessions open at the crash resume mid-stream.
+// NewWithOptions builds a server around an existing database (which
+// may already hold historical sessions for cross-session matching); the
+// database is owned by the server afterwards. When opts.DataDir is set,
+// the server recovers the write-ahead log before serving: the recovered
+// database replaces db (db then only seeds a fresh data dir), and
+// sessions open at the crash resume mid-stream.
 func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Options) (*Server, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -174,20 +168,16 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 		log:        obs.Logger("server"),
 		met:        newServerMetrics(obs.Default()),
 		start:      time.Now(),
-		maxBody:    opts.MaxBodyBytes,
 		replicas:   make(map[string]*replicaState),
 		migrations: make(map[string]*wal.MigrationState),
 		advertise:  opts.AdvertiseURL,
 		replFrom:   opts.ReplicateFrom,
-		col:        obs.NewCollector(opts.TraceCapacity, opts.TraceSlowThreshold),
+		col:        obs.NewCollector(obs.DefaultTraceCapacity, opts.TraceSlowThreshold),
 	}
 	obs.RegisterBuildInfo(obs.Default())
-	if s.maxBody == 0 {
-		s.maxBody = DefaultMaxBodyBytes
-	}
-	s.frames.MaxBody = s.maxBody
+	s.frames.MaxBody = DefaultMaxBodyBytes
 	s.peers = cmp.Or[http.RoundTripper](opts.ReplicateTransport, &frame.Transport{})
-	s.subs = subscribe.NewManager(params, opts.SubscriptionBuffer)
+	s.subs = subscribe.NewManager(params, subscribe.DefaultBuffer)
 	if opts.DataDir != "" {
 		if err := s.openDurability(db, opts); err != nil {
 			return nil, err
@@ -255,13 +245,11 @@ func (s *Server) lock() {
 	s.met.lockWait.Observe(time.Since(start).Seconds())
 }
 
-// capBody applies the request-body limit (Options.MaxBodyBytes) on a
+// capBody applies the request-body limit (DefaultMaxBodyBytes) on a
 // body-accepting handler, so decoding a hostile body aborts at the cap
 // instead of exhausting the shard's memory.
-func (s *Server) capBody(w http.ResponseWriter, r *http.Request) {
-	if s.maxBody > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
+func capBody(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 }
 
 // bodyErrCode maps a request-decode error to a status code: 413 when
@@ -285,12 +273,18 @@ type CreateSessionRequest struct {
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
-	if err := s.decodeJSONBody(w, r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	if req.PatientID == "" || req.SessionID == "" {
 		httpError(w, http.StatusBadRequest, errors.New("patientId and sessionId are required"))
+		return
+	}
+	if max(len(req.PatientID), len(req.SessionID)) > store.MaxIDBytes {
+		// Every journalled vertex carries both IDs, and recovery reads
+		// no longer string back.
+		httpError(w, http.StatusBadRequest, fmt.Errorf("patientId and sessionId take at most %d bytes each", store.MaxIDBytes))
 		return
 	}
 	repl, code, err := s.createSession(req)
@@ -379,7 +373,7 @@ type SamplesResponse struct {
 
 func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
-	buf, err := s.readBody(w, r)
+	buf, err := readBody(w, r)
 	if err != nil {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding samples: %w", err))
 		return

@@ -16,7 +16,7 @@ import (
 
 func newTestServer(t *testing.T, db *store.DB) *httptest.Server {
 	t.Helper()
-	srv, err := New(db, core.DefaultParams(), fsm.DefaultConfig())
+	srv, err := NewWithOptions(db, core.DefaultParams(), fsm.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,23 +239,24 @@ func TestServerErrorPaths(t *testing.T) {
 func TestServerRejectsInvalidConfig(t *testing.T) {
 	bad := core.DefaultParams()
 	bad.DistThreshold = -1
-	if _, err := New(nil, bad, fsm.DefaultConfig()); err == nil {
+	if _, err := NewWithOptions(nil, bad, fsm.DefaultConfig(), Options{}); err == nil {
 		t.Error("invalid params accepted")
 	}
 	badSeg := fsm.DefaultConfig()
 	badSeg.SlopeWindow = 0
-	if _, err := New(nil, core.DefaultParams(), badSeg); err == nil {
+	if _, err := NewWithOptions(nil, core.DefaultParams(), badSeg, Options{}); err == nil {
 		t.Error("invalid segmenter config accepted")
 	}
 }
 
 // TestMatcherParallelismOption: the worker count of a served search is
-// params.Parallelism and nothing else — what streamd -match-parallelism
-// writes reaches every pooled matcher, and a negative count is refused.
+// params.Parallelism and nothing else — what a library caller sets
+// reaches every pooled matcher (streamd leaves it 0, GOMAXPROCS), and a
+// negative count is refused.
 func TestMatcherParallelismOption(t *testing.T) {
 	params := core.DefaultParams()
 	params.Parallelism = 3
-	srv, err := New(nil, params, fsm.DefaultConfig())
+	srv, err := NewWithOptions(nil, params, fsm.DefaultConfig(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestMatcherParallelismOption(t *testing.T) {
 	srv.matchers.Put(m)
 
 	params.Parallelism = -2
-	if _, err := New(nil, params, fsm.DefaultConfig()); err == nil {
+	if _, err := NewWithOptions(nil, params, fsm.DefaultConfig(), Options{}); err == nil {
 		t.Error("negative Parallelism accepted")
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"stsmatch/internal/core"
 	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
+	"stsmatch/internal/store"
 	"stsmatch/internal/subscribe"
 	"stsmatch/internal/wal"
 )
@@ -55,13 +56,6 @@ type SubscriptionRequest struct {
 	K         int     `json:"k,omitempty"`
 }
 
-// What a journalled subscription may hold: wal's decoder refuses more
-// on recovery, so the registration is refused instead.
-const (
-	maxSubDims   = 64
-	maxSubString = 1 << 20
-)
-
 // Validate reports why a decoded request cannot be registered, in the
 // words a client sees with the 400.
 func (req SubscriptionRequest) Validate() error {
@@ -74,11 +68,13 @@ func (req SubscriptionRequest) Validate() error {
 	if req.K < 0 || uint64(req.K) > math.MaxUint32 {
 		return fmt.Errorf("k must be in [0, %d], got %d", uint32(math.MaxUint32), req.K)
 	}
-	if d := req.Seq.Dims(); d > maxSubDims {
-		return fmt.Errorf("pattern has %d dimensions, at most %d can be journalled", d, maxSubDims)
+	// What a journalled subscription may hold: wal's decoder refuses
+	// more on recovery, so the registration is refused instead.
+	if d := req.Seq.Dims(); d > plr.MaxDims {
+		return fmt.Errorf("pattern has %d dimensions, at most %d can be journalled", d, plr.MaxDims)
 	}
-	if max(len(req.ID), len(req.PatientID), len(req.SessionID)) > maxSubString {
-		return fmt.Errorf("id, patientId and sessionId take at most %d bytes each", maxSubString)
+	if max(len(req.ID), len(req.PatientID), len(req.SessionID)) > store.MaxIDBytes {
+		return fmt.Errorf("id, patientId and sessionId take at most %d bytes each", store.MaxIDBytes)
 	}
 	return nil
 }
@@ -145,7 +141,7 @@ func subScopeCovers(st wal.SubState, patientID, sessionID string) bool {
 
 func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request) {
 	var req SubscriptionRequest
-	if err := s.decodeJSONBody(w, r, &req); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		httpError(w, bodyErrCode(err), fmt.Errorf("decoding subscription: %w", err))
 		return
 	}

@@ -23,10 +23,6 @@ import (
 // Options tunes the gateway's backend clients. The zero value selects
 // production-shaped defaults.
 type Options struct {
-	// Vnodes is the number of virtual nodes per backend on the
-	// consistent-hash ring (0 = DefaultVnodes).
-	Vnodes int
-
 	// Replicas is the replication factor R: each session lives on a
 	// primary plus R-1 successor replicas on the ring, and the gateway
 	// fails sessions over to a replica when the primary is ejected.
@@ -67,18 +63,6 @@ type Options struct {
 	// the frame carrier (internal/frame), which Close closes.
 	Transport http.RoundTripper
 
-	// TraceCapacity bounds the gateway's in-memory trace collector
-	// rings (0 = obs.DefaultTraceCapacity).
-	TraceCapacity int
-
-	// TraceSlowThreshold is the latency at or above which a gateway
-	// trace is pinned in the slow ring (0 = obs.DefaultSlowThreshold).
-	TraceSlowThreshold time.Duration
-
-	// RebalanceConcurrency bounds how many session migrations a
-	// rebalance drains concurrently (0 = DefaultRebalanceConcurrency).
-	RebalanceConcurrency int
-
 	// MigrateTimeout bounds one POST /v1/sessions/{sid}/migrate call —
 	// a migration ships a session's full state, so it gets its own
 	// budget instead of the per-request Timeout (0 =
@@ -90,18 +74,15 @@ type Options struct {
 	FreshnessInterval time.Duration
 }
 
-// DefaultRebalanceConcurrency bounds in-flight migrations during a
-// rebalance drain when Options.RebalanceConcurrency is zero.
-const DefaultRebalanceConcurrency = 2
+// rebalanceConcurrency bounds in-flight migrations during a rebalance
+// drain.
+const rebalanceConcurrency = 2
 
 // DefaultMigrateTimeout bounds one migrate call when
 // Options.MigrateTimeout is zero.
 const DefaultMigrateTimeout = 60 * time.Second
 
 func (o Options) withDefaults() Options {
-	if o.Vnodes <= 0 {
-		o.Vnodes = DefaultVnodes
-	}
 	if o.Replicas <= 0 {
 		o.Replicas = 1
 	}
@@ -128,9 +109,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReadmitThreshold <= 0 {
 		o.ReadmitThreshold = 2
-	}
-	if o.RebalanceConcurrency <= 0 {
-		o.RebalanceConcurrency = DefaultRebalanceConcurrency
 	}
 	if o.MigrateTimeout <= 0 {
 		o.MigrateTimeout = DefaultMigrateTimeout

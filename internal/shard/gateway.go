@@ -78,7 +78,7 @@ func NewGateway(backends []string, opts Options) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	ring := NewRing(opts.Vnodes)
+	ring := NewRing(DefaultVnodes)
 	for _, b := range backends {
 		ring.Add(b)
 	}
@@ -90,7 +90,7 @@ func NewGateway(backends []string, opts Options) (*Gateway, error) {
 		log:       obs.Logger("gateway"),
 		met:       pool.met,
 		http:      obs.NewHTTPMetrics(obs.Default(), "stsmatch_gateway"),
-		col:       obs.NewCollector(opts.TraceCapacity, opts.TraceSlowThreshold),
+		col:       obs.NewCollector(obs.DefaultTraceCapacity, obs.DefaultSlowThreshold),
 		start:     time.Now(),
 		places:    make(map[string]*placement),
 		subPlaces: make(map[string]*subPlacement),

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"stsmatch/internal/server"
 	"stsmatch/internal/shard"
 	"stsmatch/internal/signal"
+	"stsmatch/internal/store"
 	"stsmatch/internal/testutil"
 )
 
@@ -32,7 +34,7 @@ type fixture struct {
 
 func newOracleTS(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, err := server.New(nil, core.DefaultParams(), fsm.DefaultConfig())
+	srv, err := server.NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), server.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,5 +434,24 @@ func TestGatewaySessionIDEscaping(t *testing.T) {
 		}
 		same("predict", http.MethodGet, primary, path+"/predict?delta=200ms", nil)
 		same("close", http.MethodDelete, oracle.URL, path, nil)
+	}
+}
+
+// TestGatewayRelaysIDLimit: a shard refuses a patient or session ID its
+// log could not read back (store.MaxIDBytes), and the gateway relays
+// that 400 without placing the session.
+func TestGatewayRelaysIDLimit(t *testing.T) {
+	c := testutil.StartCluster(t, 2, 2)
+	long := strings.Repeat("x", store.MaxIDBytes+1)
+	for _, req := range []server.CreateSessionRequest{
+		{PatientID: long, SessionID: "S1"},
+		{PatientID: "P1", SessionID: long},
+	} {
+		if resp := testutil.PostJSON(t, c.URL+"/v1/sessions", req); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("create with a %d-byte ID via the gateway: status %d, want 400", len(long), resp.StatusCode)
+		}
+		if _, _, ok := c.Gateway.SessionPlacement(req.SessionID); ok {
+			t.Errorf("the gateway placed the refused session %.20s", req.SessionID)
+		}
 	}
 }

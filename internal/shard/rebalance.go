@@ -101,7 +101,7 @@ func (g *Gateway) Rebalance(ctx context.Context) RebalanceReport {
 	var (
 		mu  sync.Mutex
 		wg  sync.WaitGroup
-		sem = make(chan struct{}, g.opts.RebalanceConcurrency)
+		sem = make(chan struct{}, rebalanceConcurrency)
 	)
 	for _, t := range tasks {
 		wg.Add(1)

@@ -30,6 +30,12 @@ const (
 	binaryVersion = 1
 )
 
+// MaxIDBytes is the longest string, a patient or session ID above all,
+// that the binary formats read back: this one and the write-ahead log's
+// records and snapshots. An API that journals an ID refuses a longer one
+// rather than acknowledge what recovery would lose.
+const MaxIDBytes = 1 << 20
+
 // WriteBinary serializes the database in the compact binary format.
 func (db *DB) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -148,7 +154,7 @@ func readStream(br *bufio.Reader, p *Patient) error {
 	if err != nil {
 		return err
 	}
-	if dims > 16 {
+	if dims > plr.MaxDims {
 		return fmt.Errorf("store: implausible dims %d", dims)
 	}
 	n, err := binary.ReadUvarint(br)
@@ -197,7 +203,7 @@ func readString(br *bufio.Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > 1<<20 {
+	if n > MaxIDBytes {
 		return "", fmt.Errorf("store: implausible string length %d", n)
 	}
 	buf := make([]byte, n)

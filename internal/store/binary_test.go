@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"stsmatch/internal/plr"
 )
 
 func buildBinaryTestDB(t *testing.T) *DB {
@@ -140,5 +142,34 @@ func TestBinaryStringGuards(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(data)); err == nil ||
 		!strings.Contains(err.Error(), "implausible") {
 		t.Errorf("huge string accepted: %v", err)
+	}
+}
+
+// TestBinaryLimitsMatchAppend: whatever Append keeps, ReadBinary reads
+// back — a stream of plr.MaxDims dimensions and an ID of MaxIDBytes —
+// and a first vertex with more dimensions is refused.
+func TestBinaryLimitsMatchAppend(t *testing.T) {
+	db := NewDB()
+	p, err := db.AddPatient(PatientInfo{ID: strings.Repeat("p", MaxIDBytes)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vertex := func(dims int) plr.Vertex { return plr.Vertex{T: 1, Pos: make([]float64, dims)} }
+	if err := p.AddStream("wide").Append(vertex(plr.MaxDims + 1)); err == nil {
+		t.Errorf("a %d-dimension stream was accepted", plr.MaxDims+1)
+	}
+	if err := p.AddStream("widest").Append(vertex(plr.MaxDims)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatalf("reading back what Append kept: %v", err)
+	}
+	if back.NumVertices() != 1 || back.Patient(p.Info.ID) == nil {
+		t.Errorf("read back %d vertices, patient found %v", back.NumVertices(), back.Patient(p.Info.ID) != nil)
 	}
 }

@@ -119,7 +119,8 @@ func NewStream(patientID, sessionID string) *Stream {
 // Append adds vertices to the end of the stream, maintaining the
 // columns and the index. Vertices must continue the existing time
 // order, be finite and have the stream's dimensionality (the first
-// vertex fixes it); the batch stops at the first that does not.
+// vertex fixes it, at most plr.MaxDims); the batch stops at the first
+// that does not.
 func (s *Stream) Append(vs ...plr.Vertex) error {
 	if len(vs) == 0 {
 		return nil // what a segmenter emits for most samples
@@ -127,6 +128,10 @@ func (s *Stream) Append(vs ...plr.Vertex) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cols.Len() == 0 {
+		if len(vs[0].Pos) > plr.MaxDims {
+			return fmt.Errorf("store: vertex at time %v of stream %s has %d dimensions, at most %d are kept",
+				vs[0].T, s.SessionID, len(vs[0].Pos), plr.MaxDims)
+		}
 		s.cols.Dims = len(vs[0].Pos)
 	}
 	s.reserve(len(vs))

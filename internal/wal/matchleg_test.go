@@ -209,7 +209,7 @@ func TestMatchLegDecodersRefuse(t *testing.T) {
 		b = binary.AppendUvarint(binary.AppendUvarint(b, dims), n)
 		return sealFrame(b, off)
 	}
-	requests["dims beyond maxDims"] = huge(maxDims+1, 2)
+	requests["dims beyond plr.MaxDims"] = huge(plr.MaxDims+1, 2)
 	requests["vertices beyond maxVertices"] = huge(1, maxVertices+1)
 	for name, msg := range requests {
 		if _, err := DecodeMatchLegRequest(msg); !errors.Is(err, ErrTorn) {

@@ -240,9 +240,7 @@ var ErrTorn = errors.New("wal: torn or corrupt record")
 const (
 	frameHeaderLen = 8
 	maxPayload     = 1 << 26 // 64 MiB: far above any real record
-	maxString      = 1 << 20
 	maxVertices    = 1 << 24
-	maxDims        = 64
 	maxSubCursors  = 1 << 20
 	maxSubEvents   = 1 << 20
 )
@@ -594,7 +592,7 @@ func (d *decoder) f64() float64 {
 // vertices parses a serialized PLR sequence (appendVertices inverse).
 func (d *decoder) vertices() plr.Sequence {
 	dims := d.uvarint()
-	if d.err == nil && dims > maxDims {
+	if d.err == nil && dims > plr.MaxDims {
 		d.err = fmt.Errorf("%w: implausible vertex dims %d", ErrTorn, dims)
 	}
 	// A vertex is 9+8*dims bytes: a count the payload cannot hold is
@@ -695,7 +693,7 @@ func (d *decoder) anchor(rec *Record) {
 	if d.err != nil {
 		return
 	}
-	if dims > maxDims {
+	if dims > plr.MaxDims {
 		d.err = fmt.Errorf("%w: implausible anchor dims %d", ErrTorn, dims)
 		return
 	}
@@ -710,7 +708,7 @@ func (d *decoder) str() string {
 	if d.err != nil {
 		return ""
 	}
-	if n > maxString || d.off+int(n) > len(d.b) {
+	if n > store.MaxIDBytes || d.off+int(n) > len(d.b) {
 		d.err = fmt.Errorf("%w: bad string length %d", ErrTorn, n)
 		return ""
 	}

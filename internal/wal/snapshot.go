@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
 )
 
@@ -33,7 +34,7 @@ type SessionState struct {
 }
 
 // Snapshot serializes the database plus the open-session manifest to
-// snap-<LSN>.db, then compacts: all but the newest KeepSnapshots
+// snap-<LSN>.db, then compacts: all but the newest keepSnapshots
 // snapshots are deleted, along with every segment entirely below the
 // oldest snapshot that remains (so each kept snapshot still has a
 // contiguous WAL tail to replay).
@@ -167,7 +168,7 @@ func readSnapshotFile(path string) (*snapshotFile, error) {
 
 	for i, n := 0, s.count(1<<20, "session count"); uint64(i) < n && s.err == nil; i++ {
 		ss := SessionState{PatientID: s.str(), SessionID: s.str(), Samples: s.uvarint(), LastT: s.f64()}
-		ss.LastPos = make([]float64, s.count(maxDims, "anchor dims"))
+		ss.LastPos = make([]float64, s.count(plr.MaxDims, "anchor dims"))
 		for j := range ss.LastPos {
 			ss.LastPos[j] = s.f64()
 		}
@@ -280,7 +281,7 @@ func (s *snapReader) f64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 }
 
-func (s *snapReader) str() string { return string(s.bytes(s.count(maxString, "string length"))) }
+func (s *snapReader) str() string { return string(s.bytes(s.count(store.MaxIDBytes, "string length"))) }
 
 // compactLocked prunes old snapshots and deletes log segments no
 // retained snapshot needs. Recovery may fall back to the OLDEST kept
@@ -294,11 +295,11 @@ func (l *Log) compactLocked(lsn uint64) {
 	if err != nil {
 		return
 	}
-	for i := 0; i < len(snaps)-l.opts.KeepSnapshots; i++ {
+	for i := 0; i < len(snaps)-keepSnapshots; i++ {
 		os.Remove(filepath.Join(l.opts.Dir, snapshotName(snaps[i]))) //nolint:errcheck
 	}
 	retain := lsn
-	if oldest := len(snaps) - l.opts.KeepSnapshots; oldest < len(snaps) {
+	if oldest := len(snaps) - keepSnapshots; oldest < len(snaps) {
 		if oldest < 0 {
 			oldest = 0
 		}

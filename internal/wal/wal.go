@@ -46,7 +46,11 @@ const (
 	segHdrLen  = 4 + 2 + 8
 
 	defaultSegmentMaxBytes = 64 << 20
-	defaultKeepSnapshots   = 2
+
+	// keepSnapshots is how many snapshots survive compaction (the
+	// newest ones): one to recover from plus one fallback if the newest
+	// is itself torn.
+	keepSnapshots = 2
 )
 
 // Options configures a Log.
@@ -64,11 +68,6 @@ type Options struct {
 	// size. Zero uses the 64 MiB default.
 	SegmentMaxBytes int64
 
-	// KeepSnapshots is how many snapshots survive compaction (the
-	// newest ones). Zero uses the default of 2: one to recover from
-	// plus one fallback if the newest is itself torn.
-	KeepSnapshots int
-
 	// Collector, when set, receives trace data for slow group commits:
 	// a flush (buffer write + fsync) at or above the collector's slow
 	// threshold is recorded as a standalone single-span trace, so
@@ -80,9 +79,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentMaxBytes <= 0 {
 		o.SegmentMaxBytes = defaultSegmentMaxBytes
-	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = defaultKeepSnapshots
 	}
 	return o
 }

@@ -447,14 +447,14 @@ func TestUnsupportedSegmentVersionFailsOpen(t *testing.T) {
 	}
 }
 
-// TestFallbackSnapshotReplaysContiguousTail pins the KeepSnapshots
+// TestFallbackSnapshotReplaysContiguousTail pins the keepSnapshots
 // contract: when the newest snapshot is unreadable, recovery falls
 // back to the previous one, and compaction must have retained every
 // segment that fallback needs — no silent hole between the older
 // snapshot and the surviving WAL tail.
 func TestFallbackSnapshotReplaysContiguousTail(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, SegmentMaxBytes: 256, KeepSnapshots: 2}
+	opts := Options{Dir: dir, SegmentMaxBytes: 256}
 	reopen := func(l *Log) (*Log, *RecoveryResult) {
 		t.Helper()
 		if l != nil {
@@ -569,7 +569,7 @@ func TestSnapshotCompactsSegments(t *testing.T) {
 
 func TestSnapshotPruneKeepsNewest(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(Options{Dir: dir, KeepSnapshots: 2}, nil)
+	l, _, err := Open(Options{Dir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,52 +594,52 @@ func TestSnapshotPruneKeepsNewest(t *testing.T) {
 
 // TestSnapshotOtherVersionRefused: there is one snapshot format. A file
 // stamped with any other version is refused by name, and a log whose
-// newest snapshot is such a file fails Open — the segments below it
-// were compacted away, so starting from an empty database would lose
-// data silently.
+// kept snapshots are all such files fails Open — the segments below
+// them were compacted away, so starting from an empty database would
+// lose data silently.
 func TestSnapshotOtherVersionRefused(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, KeepSnapshots: 1, SegmentMaxBytes: 256}
-	l, _, err := Open(opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendSession(t, l, "P1", "S1", mkVerts(0, 24)) // several 256-byte segments
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, res, err := Open(opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsn, err := l.Snapshot(res.DB, nil, nil) // compacts the segments below it
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, snapshotName(lsn))
-	if _, err := readSnapshotFile(path); err != nil {
-		t.Fatalf("current-version snapshot unreadable: %v", err)
-	}
-
-	for _, version := range []uint16{1, 3, snapVersion + 1} {
-		raw, err := os.ReadFile(path)
+	opts := Options{Dir: dir, SegmentMaxBytes: 256}
+	var paths []string
+	for _, sid := range []string{"S1", "S2"} { // one per kept snapshot
+		l, res, err := Open(opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		binary.LittleEndian.PutUint16(raw[4:6], version)
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
+		appendSession(t, l, "P1", sid, mkVerts(0, 24)) // several 256-byte segments
+		lsn, err := l.Snapshot(res.DB, nil, nil)       // compacts the segments below it
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = readSnapshotFile(path)
-		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
-			t.Errorf("version %d: read error = %v, want unsupported snapshot version", version, err)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, filepath.Join(dir, snapshotName(lsn)))
+	}
+	for _, path := range paths {
+		if _, err := readSnapshotFile(path); err != nil {
+			t.Fatalf("current-version snapshot unreadable: %v", err)
+		}
+	}
+
+	for _, version := range []uint16{1, 3, snapVersion + 1} {
+		for _, path := range paths {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint16(raw[4:6], version)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = readSnapshotFile(path)
+			if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+				t.Errorf("version %d: read error = %v, want unsupported snapshot version", version, err)
+			}
 		}
 		if l2, _, err := Open(opts, nil); err == nil {
 			l2.Close()
-			t.Errorf("version %d: Open started from an empty database over a refused snapshot", version)
+			t.Errorf("version %d: Open started from an empty database over refused snapshots", version)
 		}
 	}
 }

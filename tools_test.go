@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -176,6 +177,54 @@ func TestDaemonsDoNotLinkSigindex(t *testing.T) {
 	}
 }
 
+// TestDaemonFlagsDocumented: README's "Daemon flags" table lists, for
+// each daemon, exactly the flags its main.go defines — one row per
+// flag.<Kind>("name", ...) call.
+func TestDaemonFlagsDocumented(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("(?m)^\\| `(streamd|gateway)` \\| `-([a-z-]+)` \\|")
+	documented := map[string][]string{}
+	for _, m := range row.FindAllStringSubmatch(string(readme), -1) {
+		documented[m[1]] = append(documented[m[1]], m[2])
+	}
+	for _, daemon := range []string{"streamd", "gateway"} {
+		f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", daemon, "main.go"), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var defined []string
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			if name, ok := call.Args[0].(*ast.BasicLit); ok && name.Kind == token.STRING {
+				defined = append(defined, strings.Trim(name.Value, `"`))
+			}
+			return true
+		})
+		if len(defined) == 0 {
+			t.Fatalf("found no flag in cmd/%s/main.go", daemon)
+		}
+		slices.Sort(defined)
+		got := slices.Clone(documented[daemon])
+		slices.Sort(got)
+		if !slices.Equal(got, defined) {
+			t.Errorf("README lists %s flags %v, cmd/%s/main.go defines %v", daemon, got, daemon, defined)
+		}
+	}
+}
+
 // TestSeqOnlyAtTheAPIEdge guards the column store: the packages on the
 // served paths read a stream through store.ScanView, and call
 // (*store.Stream).Seq or Snapshot — which materialise the stream as a
@@ -222,7 +271,8 @@ func TestSeqOnlyAtTheAPIEdge(t *testing.T) {
 //
 // A reference is a name, not a resolved object: a package-level function
 // is referenced by its package-qualified name elsewhere, or by its bare
-// name inside its own package; a method by any selector of its name, or
+// name inside its own package (not as the Name of an X.Name, nor as a
+// composite-literal key); a method by any selector of its name, or
 // by an interface that declares that name.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	if testing.Short() {
@@ -300,11 +350,16 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 				return err
 			}
 			dir := filepath.ToSlash(filepath.Dir(path))
-			own := map[*ast.Ident]bool{}
+			// notRef holds the names that refer to no package-level
+			// function of dir: the exported declarations themselves, the
+			// Name of every X.Name (errors.New is not this package's New)
+			// and every composite-literal key (sync.Pool{New: f} names a
+			// field; a map key cannot be a function).
+			notRef := map[*ast.Ident]bool{}
 			if strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "internal/testutil") {
 				for _, dcl := range f.Decls {
 					if fn, ok := dcl.(*ast.FuncDecl); ok && fn.Name.IsExported() {
-						own[fn.Name] = true
+						notRef[fn.Name] = true
 						decls = append(decls, decl{dir: dir, key: f.Name.Name + "." + fn.Name.Name,
 							method: fn.Recv != nil, pos: fset.Position(fn.Pos())})
 					}
@@ -329,6 +384,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
+					notRef[n.Sel] = true
 					selectors[n.Sel.Name] = true
 					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 						qualified[imports[x.Name]+"."+n.Sel.Name] = true
@@ -339,8 +395,12 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 							ifaces[name.Name] = true
 						}
 					}
+				case *ast.KeyValueExpr:
+					if key, ok := n.Key.(*ast.Ident); ok {
+						notRef[key] = true
+					}
 				case *ast.Ident:
-					if !own[n] {
+					if !notRef[n] {
 						bare[dir][n.Name] = true
 					}
 				}
