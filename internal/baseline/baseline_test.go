@@ -193,24 +193,6 @@ func TestLCSS(t *testing.T) {
 	}
 }
 
-func TestLastObserved(t *testing.T) {
-	seq := plr.Sequence{
-		{T: 0, Pos: []float64{1, 2}, State: plr.EX},
-		{T: 1, Pos: []float64{3, 4}, State: plr.EOE},
-	}
-	got := LastObserved(seq)
-	if got[0] != 3 || got[1] != 4 {
-		t.Errorf("LastObserved = %v", got)
-	}
-	got[0] = 99
-	if seq[1].Pos[0] == 99 {
-		t.Error("LastObserved returned a view")
-	}
-	if LastObserved(nil) != nil {
-		t.Error("empty LastObserved should be nil")
-	}
-}
-
 func TestMethodString(t *testing.T) {
 	names := map[Method]string{
 		MethodEuclidean:         "euclidean",

@@ -10,10 +10,10 @@ import (
 // Clinical prediction baselines. The paper cites an evaluation of
 // "commonly used predictive methods to compensate respiratory motion"
 // ([24]); the standard entries in that family are the no-predictor
-// (last observed position) and polynomial extrapolation of the recent
-// trajectory. LastObserved lives in matcher.go; this file adds linear
-// extrapolation over a sliding window of raw samples, which is the
-// strongest simple competitor at short horizons.
+// (last observed position, gating.LastObservedPositioner) and
+// polynomial extrapolation of the recent trajectory. This file adds
+// linear extrapolation over a sliding window of raw samples, which is
+// the strongest simple competitor at short horizons.
 
 // Extrapolator predicts future positions by least-squares linear
 // extrapolation over the most recent Window seconds of raw samples.

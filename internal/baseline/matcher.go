@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"stsmatch/internal/core"
-	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
 )
 
@@ -139,17 +138,4 @@ func (m *Matcher) FindSimilar(q core.Query) ([]core.Match, error) {
 		out = out[:m.TopK]
 	}
 	return out, nil
-}
-
-// LastObserved is the no-prediction clinical baseline of Figure 1: the
-// system treats the target at its last observed position, paying the
-// full latency error. It returns the position at the query's final
-// vertex.
-func LastObserved(q plr.Sequence) []float64 {
-	if len(q) == 0 {
-		return nil
-	}
-	out := make([]float64, len(q[len(q)-1].Pos))
-	copy(out, q[len(q)-1].Pos)
-	return out
 }

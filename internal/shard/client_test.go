@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -138,6 +139,53 @@ func TestPoolEjectionAndReadmission(t *testing.T) {
 	}
 	if p.NumHealthy() != 1 {
 		t.Error("NumHealthy != 1 after readmission")
+	}
+}
+
+// TestScatterSkipsEjectedInOrderConcurrently: scatter never calls an
+// ejected backend and reports it as unhealthy (ejected), answers in
+// backend order, and runs the healthy calls concurrently: each blocks
+// until all of them have started.
+func TestScatterSkipsEjectedInOrderConcurrently(t *testing.T) {
+	urls := []string{"http://a.invalid", "http://b.invalid", "http://c.invalid", "http://d.invalid"}
+	p, err := NewPool(urls, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const ejected = 2
+	p.ByURL(urls[ejected]).healthy.Store(false)
+
+	var started sync.WaitGroup
+	started.Add(len(urls) - 1)
+	all := make(chan struct{})
+	go func() { started.Wait(); close(all) }()
+	answers := scatter(p, func(b *Backend) (string, error) {
+		if b.URL() == urls[ejected] {
+			t.Errorf("ejected backend %s called", b.URL())
+			return "", nil
+		}
+		started.Done()
+		select {
+		case <-all:
+			return b.URL(), nil
+		case <-time.After(5 * time.Second):
+			return "", errors.New("the calls did not all start")
+		}
+	})
+	if len(answers) != len(urls) {
+		t.Fatalf("%d answers for %d backends", len(answers), len(urls))
+	}
+	for i, a := range answers {
+		if a.backend.URL() != urls[i] {
+			t.Errorf("answer %d from %s, want %s", i, a.backend.URL(), urls[i])
+		}
+		switch {
+		case i == ejected && (a.err == nil || a.err.Error() != "unhealthy (ejected)" || a.val != ""):
+			t.Errorf("ejected backend answered %q, %v; want unhealthy (ejected)", a.val, a.err)
+		case i != ejected && (a.err != nil || a.val != urls[i]):
+			t.Errorf("backend %s answered %q, %v", urls[i], a.val, a.err)
+		}
 	}
 }
 

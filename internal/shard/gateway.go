@@ -131,44 +131,64 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.handler.
 // Close stops the pool's health checker.
 func (g *Gateway) Close() { g.pool.Close() }
 
-// inventory is one backend's /v1/shard/stats answer.
-type inventory struct {
-	url   string
-	stats server.ShardStatsResponse
+// errEjected is the error a scatter reports for a backend the health
+// checker has ejected: it is not called.
+var errEjected = errors.New("unhealthy (ejected)")
+
+// answer is what one backend brought back from a scatter: its value, or
+// why there is none.
+type answer[T any] struct {
+	backend *Backend
+	val     T
+	err     error
 }
 
-// inventories polls /v1/shard/stats on every healthy backend of one
-// Backends() snapshot and returns the answers that arrived, in backend
-// order: what placement rediscovery and the rebalance diff read.
-func (g *Gateway) inventories(ctx context.Context) []inventory {
-	backends := g.pool.Backends()
-	polled := make([]*inventory, len(backends))
+// scatter is the gateway's one fan-out: it calls call once per healthy
+// backend of one Backends() snapshot, concurrently, and returns every
+// backend's answer in snapshot order. An ejected backend is not called
+// and answers errEjected.
+func scatter[T any](p *Pool, call func(*Backend) (T, error)) []answer[T] {
+	backends := p.Backends()
+	answers := make([]answer[T], len(backends))
 	var wg sync.WaitGroup
 	for i, b := range backends {
+		answers[i].backend = b
 		if !b.Healthy() {
+			answers[i].err = errEjected
 			continue
 		}
 		wg.Add(1)
-		go func(i int, b *Backend) {
+		go func(a *answer[T]) {
 			defer wg.Done()
-			status, body, _, err := g.pool.do(ctx, b, http.MethodGet, "/v1/shard/stats", "", nil, true)
-			if err != nil || status != http.StatusOK {
-				return
-			}
-			inv := &inventory{url: b.URL()}
-			if json.Unmarshal(body, &inv.stats) == nil {
-				polled[i] = inv
-			}
-		}(i, b)
+			a.val, a.err = call(a.backend)
+		}(&answers[i])
 	}
 	wg.Wait()
-	invs := make([]inventory, 0, len(polled))
-	for _, inv := range polled {
-		if inv != nil {
-			invs = append(invs, *inv)
+	return answers
+}
+
+// getJSON is the scatter call that GETs path from a backend (retried:
+// a GET is idempotent) and decodes its 200 answer; any other status is
+// an error in the backend's own words.
+func getJSON[T any](ctx context.Context, p *Pool, path string) func(*Backend) (T, error) {
+	return func(b *Backend) (T, error) {
+		var v T
+		status, body, _, err := p.do(ctx, b, http.MethodGet, path, "", nil, true)
+		if err != nil {
+			return v, err
 		}
+		if status != http.StatusOK {
+			return v, fmt.Errorf("status %d: %s", status, errDetail(body))
+		}
+		return v, json.Unmarshal(body, &v)
 	}
-	return invs
+}
+
+// inventories polls /v1/shard/stats on every healthy backend: what
+// placement rediscovery, the rebalance diff and the gateway's /v1/stats
+// read.
+func (g *Gateway) inventories(ctx context.Context) []answer[server.ShardStatsResponse] {
+	return scatter(g.pool, getJSON[server.ShardStatsResponse](ctx, g.pool, "/v1/shard/stats"))
 }
 
 // Pool exposes the gateway's backend pool (health introspection).
@@ -517,15 +537,19 @@ func (g *Gateway) discoverPlacements(ctx context.Context, only string) {
 		return pl
 	}
 	for _, inv := range g.inventories(ctx) {
-		for _, e := range inv.stats.Sessions {
+		if inv.err != nil {
+			continue
+		}
+		u := inv.backend.URL()
+		for _, e := range inv.val.Sessions {
 			if pl := claim(e); pl != nil && pl.primary == "" {
-				pl.primary = inv.url
-				pl.owners = append([]string{inv.url}, pl.owners...)
+				pl.primary = u
+				pl.owners = append([]string{u}, pl.owners...)
 			}
 		}
-		for _, e := range inv.stats.Replicas {
+		for _, e := range inv.val.Replicas {
 			if pl := claim(e); pl != nil {
-				pl.owners = append(pl.owners, inv.url)
+				pl.owners = append(pl.owners, u)
 			}
 		}
 	}
@@ -623,37 +647,26 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	}
 	legBody := wal.AppendMatchLegRequest(nil, wal.MatchLegRequest{
 		K: req.K, Now: req.Now, PatientID: req.PatientID, SessionID: req.SessionID, Seq: req.Seq})
-	backends := g.pool.Backends()
-	legs := make([]legResult, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		if !b.Healthy() {
-			legs[i].err = errors.New("unhealthy (ejected)")
-			continue
-		}
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			legs[i] = g.matchLeg(r.Context(), b, path, legBody)
-		}(i, b)
-	}
-	wg.Wait()
+	legs := scatter(g.pool, func(b *Backend) (wal.MatchLegReply, error) {
+		return g.matchLeg(r.Context(), b, path, legBody)
+	})
 
-	res := MatchResult{ShardsQueried: len(backends), ShardErrors: map[string]string{}}
-	answered := make(map[string]bool, len(backends))
+	res := MatchResult{ShardsQueried: len(legs), ShardErrors: map[string]string{}}
+	answered := make(map[string]bool, len(legs))
 	var merge hitMerger
-	for i, b := range backends {
-		if legs[i].err != nil {
-			res.ShardErrors[b.URL()] = legs[i].err.Error()
+	for i := range legs {
+		leg := &legs[i]
+		if leg.err != nil {
+			res.ShardErrors[leg.backend.URL()] = leg.err.Error()
 			continue
 		}
 		res.ShardsOK++
-		answered[b.URL()] = true
-		merge.addLeg(&legs[i].reply)
+		answered[leg.backend.URL()] = true
+		merge.addLeg(&leg.val)
 		// The shard's handler root is parented on this gateway's attempt
 		// span (it continued our traceparent), so grafting its flattened
 		// spans into the trace reassembles one tree.
-		if p := legs[i].reply.Profile; len(p) > 0 {
+		if p := leg.val.Profile; len(p) > 0 {
 			var tree obs.Profile
 			if json.Unmarshal(p, &tree) == nil && tree.Root != nil {
 				obs.AddExternalSpans(r.Context(), tree.Root.Flatten())
@@ -718,34 +731,26 @@ func writeMatchResult(w http.ResponseWriter, res MatchResult) {
 	relay(w, http.StatusOK, out)
 }
 
-// legResult is what one match leg brought back: the decoded reply, or
-// why there is none.
-type legResult struct {
-	reply wal.MatchLegReply
-	err   error
-}
-
 // matchLeg asks one backend to score the query, body in the binary leg
 // format. One span per leg; the leg's context flows into the pool,
 // whose per-attempt spans (and the backend's own trace, via the
 // propagated traceparent) nest underneath. A reply that does not decode
 // is the leg's error like any other: the shard is reported, nothing is
 // merged.
-func (g *Gateway) matchLeg(ctx context.Context, b *Backend, path string, body []byte) legResult {
+func (g *Gateway) matchLeg(ctx context.Context, b *Backend, path string, body []byte) (wal.MatchLegReply, error) {
 	lctx, sp := obs.StartSpan(ctx, "scatter.leg")
 	defer sp.Finish()
 	sp.Annotate("backend", b.URL())
 	status, respBody, _, err := g.pool.do(lctx, b, http.MethodPost, path, wal.MatchLegContentType, body, true)
 	if err != nil {
 		sp.Annotate("error", err.Error())
-		return legResult{err: err}
+		return wal.MatchLegReply{}, err
 	}
 	sp.Annotate("status", status)
 	if status != http.StatusOK {
-		return legResult{err: fmt.Errorf("status %d: %s", status, errDetail(respBody))}
+		return wal.MatchLegReply{}, fmt.Errorf("status %d: %s", status, errDetail(respBody))
 	}
-	reply, err := wal.DecodeMatchLegReply(respBody)
-	return legResult{reply: reply, err: err}
+	return wal.DecodeMatchLegReply(respBody)
 }
 
 // errDetail extracts the "error" field of a JSON error body, falling
@@ -764,9 +769,10 @@ func errDetail(body []byte) string {
 	return string(body)
 }
 
-// GatewayStatsResponse aggregates the shards' database stats. Totals
-// are physical: with replication factor R, replicated streams count
-// once per holder.
+// GatewayStatsResponse aggregates the shards' database stats, summed
+// over the inventory poll. Totals are physical: with replication factor
+// R, replicated streams count once per holder. OpenSessions counts the
+// sessions each shard serves as primary.
 type GatewayStatsResponse struct {
 	Patients     int               `json:"patients"`
 	Streams      int               `json:"streams"`
@@ -779,44 +785,18 @@ type GatewayStatsResponse struct {
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	backends := g.pool.Backends()
-	type leg struct {
-		stats server.StatsResponse
-		err   error
-	}
-	legs := make([]leg, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		if !b.Healthy() {
-			legs[i].err = errors.New("unhealthy (ejected)")
-			continue
-		}
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			status, body, _, err := g.pool.do(r.Context(), b, http.MethodGet, "/v1/stats", "", nil, true)
-			switch {
-			case err != nil:
-				legs[i].err = err
-			case status != http.StatusOK:
-				legs[i].err = fmt.Errorf("status %d: %s", status, errDetail(body))
-			default:
-				legs[i].err = json.Unmarshal(body, &legs[i].stats)
-			}
-		}(i, b)
-	}
-	wg.Wait()
-	res := GatewayStatsResponse{Shards: len(backends), ShardErrors: map[string]string{}}
-	for i, b := range backends {
-		if legs[i].err != nil {
-			res.ShardErrors[b.URL()] = legs[i].err.Error()
+	invs := g.inventories(r.Context())
+	res := GatewayStatsResponse{Shards: len(invs), ShardErrors: map[string]string{}}
+	for _, inv := range invs {
+		if inv.err != nil {
+			res.ShardErrors[inv.backend.URL()] = inv.err.Error()
 			continue
 		}
 		res.ShardsOK++
-		res.Patients += legs[i].stats.Patients
-		res.Streams += legs[i].stats.Streams
-		res.Vertices += legs[i].stats.Vertices
-		res.OpenSessions += legs[i].stats.OpenSessions
+		res.Patients += inv.val.Patients
+		res.Streams += inv.val.Streams
+		res.Vertices += inv.val.Vertices
+		res.OpenSessions += len(inv.val.Sessions)
 	}
 	res.Degraded = len(res.ShardErrors) > 0
 	if !res.Degraded {

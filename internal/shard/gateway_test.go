@@ -71,9 +71,12 @@ func ingestSession(t *testing.T, baseURL, pid, sid string, seed int64) {
 }
 
 // newFixture spins up 3 shards behind a gateway at the given
-// replication factor, ingests 6 patients through the gateway (routed
-// by the ring), and mirrors the identical data into a single-node
-// oracle.
+// replication factor, ingests patients P00, P01, ... through the
+// gateway (routed by the ring), and mirrors the identical data into a
+// single-node oracle. It takes at least 6 patients, and more until
+// their primaries span two shards: the ring hashes the backends'
+// loopback URLs, whose ports are random, so 6 patients alone land on
+// one shard now and then.
 func newFixture(t *testing.T, replicas int) *fixture {
 	t.Helper()
 	f := &fixture{
@@ -81,8 +84,14 @@ func newFixture(t *testing.T, replicas int) *fixture {
 		oracle:   newOracleTS(t),
 		sessions: map[string]string{},
 	}
-	for i := 0; i < 6; i++ {
+	ring := shard.NewRing(shard.DefaultVnodes)
+	for _, n := range f.cluster.Nodes {
+		ring.Add(n.URL)
+	}
+	primaries := map[string]bool{}
+	for i := 0; i < 6 || len(primaries) < 2; i++ {
 		pid := fmt.Sprintf("P%02d", i)
+		primaries[ring.Owner(pid)] = true
 		sid := "S-" + pid
 		f.sessions[sid] = pid
 		ingestSession(t, f.cluster.URL, pid, sid, int64(100+i))
@@ -235,6 +244,37 @@ func TestGatewayDegradedOnBackendFailure(t *testing.T) {
 	}
 	if st.Patients == 0 || st.Vertices == 0 {
 		t.Error("surviving shards' stats not aggregated")
+	}
+}
+
+// TestGatewayStatsEqualShardSums: the gateway's /v1/stats, summed over
+// the shards' inventories, equals the sums of the shards' own /v1/stats
+// on a replicated cluster, and openSessions counts each session once,
+// on its primary.
+func TestGatewayStatsEqualShardSums(t *testing.T) {
+	c := testutil.StartCluster(t, 3, 2)
+	const sessions = 4
+	for i := 0; i < sessions; i++ {
+		pid := fmt.Sprintf("P%02d", i)
+		createSession(t, c.URL, pid, "S-"+pid)
+		for _, b := range respBatches(t, int64(200+i), 30) {
+			ingestBatch(t, c.URL, "S-"+pid, b)
+		}
+	}
+	var want server.StatsResponse
+	for _, n := range c.Nodes {
+		st := testutil.GetJSON[server.StatsResponse](t, n.URL+"/v1/stats")
+		want.Patients += st.Patients
+		want.Streams += st.Streams
+		want.Vertices += st.Vertices
+		want.OpenSessions += st.OpenSessions
+	}
+	got := testutil.GetJSON[shard.GatewayStatsResponse](t, c.URL+"/v1/stats")
+	if got.Patients != want.Patients || got.Streams != want.Streams || got.Vertices != want.Vertices || got.OpenSessions != want.OpenSessions {
+		t.Errorf("gateway stats %+v, want the shards' sums %+v", got, want)
+	}
+	if got.OpenSessions != sessions || got.Vertices == 0 || got.Shards != 3 || got.ShardsOK != 3 || got.Degraded {
+		t.Errorf("gateway stats %+v, want %d open sessions over 3 healthy shards", got, sessions)
 	}
 }
 

@@ -6,7 +6,8 @@
 // byte, tracks the last event ID it forwarded, and on an upstream
 // failure re-resolves the placement (promoting a replica if the
 // primary died) and reconnects with Last-Event-ID, so a consumer
-// keeps one uninterrupted stream across a failover.
+// keeps one uninterrupted stream across a failover. A long-poll is
+// relayed as one request to the same shard.
 
 package shard
 
@@ -15,11 +16,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"stsmatch/internal/obs"
@@ -113,41 +114,15 @@ type GatewaySubsResponse struct {
 // copy with the highest delivered/eval progress wins the dedupe so the
 // listing reflects the serving primary.
 func (g *Gateway) handleListSubscriptions(w http.ResponseWriter, r *http.Request) {
-	backends := g.pool.Backends()
-	type leg struct {
-		resp GatewaySubsResponse
-		err  error
-	}
-	legs := make([]leg, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		if !b.Healthy() {
-			legs[i].err = errors.New("unhealthy (ejected)")
-			continue
-		}
-		wg.Add(1)
-		go func(i int, b *Backend) {
-			defer wg.Done()
-			status, body, _, err := g.pool.do(r.Context(), b, http.MethodGet, "/v1/subscriptions", "", nil, true)
-			switch {
-			case err != nil:
-				legs[i].err = err
-			case status != http.StatusOK:
-				legs[i].err = fmt.Errorf("status %d: %s", status, errDetail(body))
-			default:
-				legs[i].err = json.Unmarshal(body, &legs[i].resp)
-			}
-		}(i, b)
-	}
-	wg.Wait()
+	legs := scatter(g.pool, getJSON[GatewaySubsResponse](r.Context(), g.pool, "/v1/subscriptions"))
 	res := GatewaySubsResponse{Subscriptions: []subscribe.Status{}, ShardErrors: map[string]string{}}
 	byID := make(map[string]int)
-	for i, b := range backends {
-		if legs[i].err != nil {
-			res.ShardErrors[b.URL()] = legs[i].err.Error()
+	for _, leg := range legs {
+		if leg.err != nil {
+			res.ShardErrors[leg.backend.URL()] = leg.err.Error()
 			continue
 		}
-		for _, st := range legs[i].resp.Subscriptions {
+		for _, st := range leg.val.Subscriptions {
 			if j, dup := byID[st.ID]; dup {
 				if st.Sent > res.Subscriptions[j].Sent || st.Evals > res.Subscriptions[j].Evals {
 					res.Subscriptions[j] = st
@@ -189,28 +164,33 @@ func (g *Gateway) handleDeleteSubscription(w http.ResponseWriter, r *http.Reques
 	}
 	// Unknown or stale placement: scatter. Delete is idempotent on each
 	// shard, so hitting followers too is safe.
-	status, body := http.StatusNotFound, []byte(`{"error":"subscription not found on any reachable shard"}`)
-	for _, b := range g.pool.Backends() {
-		if !b.Healthy() {
-			continue
+	legs := scatter(g.pool, func(b *Backend) ([]byte, error) {
+		status, body, _, err := g.pool.do(r.Context(), b, http.MethodDelete, path, "", nil, false)
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("status %d", status)
 		}
-		st, rb, _, err := g.pool.do(r.Context(), b, http.MethodDelete, path, "", nil, false)
-		if err != nil {
-			continue
-		}
-		if st == http.StatusOK {
-			status, body = st, rb
+		return body, err
+	})
+	for _, leg := range legs {
+		if leg.err == nil {
+			relay(w, http.StatusOK, leg.val)
+			return
 		}
 	}
-	relay(w, status, body)
+	relay(w, http.StatusNotFound, []byte(`{"error":"subscription not found on any reachable shard"}`))
 }
 
 // handleSubEvents proxies a subscription's SSE stream from the owning
 // shard, reconnecting through placement re-resolution (and session
 // failover) when the upstream drops, resuming from the last event ID
-// it forwarded so the consumer sees no duplicates and no gaps.
+// it forwarded so the consumer sees no duplicates and no gaps. A
+// long-poll (?mode=poll) is relayed as one request instead.
 func (g *Gateway) handleSubEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	if r.URL.Query().Get("mode") == "poll" {
+		g.relaySubPoll(w, r, id)
+		return
+	}
 	fl, canFlush := w.(http.Flusher)
 	if !canFlush {
 		gwError(w, http.StatusNotImplemented, errors.New("streaming unsupported"))
@@ -237,7 +217,7 @@ func (g *Gateway) handleSubEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		resp, err := g.openSubStream(r, b, id, lastID)
+		resp, err := g.openSubEvents(r, b, id, lastID, false)
 		if err != nil {
 			continue
 		}
@@ -281,19 +261,8 @@ func (g *Gateway) subEventsBackend(r *http.Request, id string) (*Backend, error)
 	if pl != nil {
 		return g.subBackend(r, pl.patientID, pl.sessionID)
 	}
-	for _, b := range g.pool.Backends() {
-		if !b.Healthy() {
-			continue
-		}
-		status, body, _, err := g.pool.do(r.Context(), b, http.MethodGet, "/v1/subscriptions", "", nil, true)
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		var resp GatewaySubsResponse
-		if json.Unmarshal(body, &resp) != nil {
-			continue
-		}
-		for _, st := range resp.Subscriptions {
+	for _, leg := range scatter(g.pool, getJSON[GatewaySubsResponse](r.Context(), g.pool, "/v1/subscriptions")) {
+		for _, st := range leg.val.Subscriptions {
 			if st.ID == id {
 				g.mu.Lock()
 				g.subPlaces[id] = &subPlacement{patientID: st.PatientID, sessionID: st.SessionID}
@@ -305,17 +274,47 @@ func (g *Gateway) subEventsBackend(r *http.Request, id string) (*Backend, error)
 	return nil, fmt.Errorf("no subscription %q on any reachable shard", id)
 }
 
-// openSubStream starts the upstream SSE request. No per-attempt
-// timeout: the stream lives as long as the client's request context.
-func (g *Gateway) openSubStream(r *http.Request, b *Backend, id, lastID string) (*http.Response, error) {
+// relaySubPoll answers a long-poll with one request to the shard
+// holding the subscription: the client's query (after, wait) and
+// Last-Event-ID go as sent, and the shard's status and body come back.
+// The request is bounded by the client's context, not the per-attempt
+// timeout, so a wait longer than that still gets the shard's answer.
+func (g *Gateway) relaySubPoll(w http.ResponseWriter, r *http.Request, id string) {
+	b, err := g.subEventsBackend(r, id)
+	if err != nil {
+		gwError(w, http.StatusServiceUnavailable, err)
+		return
+	}
+	resp, err := g.openSubEvents(r, b, id, r.Header.Get("Last-Event-ID"), true)
+	if err != nil {
+		gwError(w, http.StatusBadGateway, err)
+		return
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		gwError(w, http.StatusBadGateway, err)
+		return
+	}
+	relay(w, resp.StatusCode, body)
+}
+
+// openSubEvents starts one upstream events request: the SSE stream, or
+// with poll the client's long-poll. No per-attempt timeout: either lives
+// as long as the client's request context.
+func (g *Gateway) openSubEvents(r *http.Request, b *Backend, id, lastID string, poll bool) (*http.Response, error) {
 	u := b.URL() + "/v1/subscriptions/" + url.PathEscape(id) + "/events"
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err
 	}
-	// An event stream stays on net/http: the frame carrier hands any
-	// request that accepts text/event-stream to its HTTP transport.
-	req.Header.Set("Accept", "text/event-stream")
+	if poll {
+		req.URL.RawQuery = r.URL.RawQuery
+	} else {
+		// An event stream stays on net/http: the frame carrier hands any
+		// request that accepts text/event-stream to its HTTP transport.
+		req.Header.Set("Accept", "text/event-stream")
+	}
 	if lastID != "" {
 		req.Header.Set("Last-Event-ID", lastID)
 	}

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,6 +87,98 @@ func TestGatewaySubscriptionScope(t *testing.T) {
 	}
 	if list := testutil.GetJSON[shard.GatewaySubsResponse](t, c.URL+"/v1/subscriptions"); len(list.Subscriptions) != 0 {
 		t.Errorf("list after delete = %+v, want empty", list.Subscriptions)
+	}
+}
+
+// TestGatewaySubscriptionPoll: a long-poll (?mode=poll) through the
+// gateway is one request relayed to the shard serving the subscription.
+// It answers at once with that shard's own bytes, forwards
+// Last-Event-ID, and a wait longer than the gateway's per-attempt
+// timeout still gets the shard's answer — there through a fresh gateway
+// that finds the subscription by scattering the shards' listings.
+func TestGatewaySubscriptionPoll(t *testing.T) {
+	c := testutil.StartCluster(t, 3, 2)
+	createSession(t, c.URL, "P01", "S01")
+	batches := respBatches(t, 5, 60)
+	half := len(batches) / 2
+	for _, b := range batches[:half] {
+		ingestBatch(t, c.URL, "S01", b)
+	}
+	pr := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/S01/plr")
+	if len(pr.Vertices) < 8 {
+		t.Fatalf("PLR too short: %d", len(pr.Vertices))
+	}
+	sub := server.SubscriptionRequest{ID: "p1", Seq: pr.Vertices[len(pr.Vertices)-8:], SessionID: "S01"}
+	if resp := testutil.PostJSON(t, c.URL+"/v1/subscriptions", sub); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("subscribe: status %d", resp.StatusCode)
+	}
+	primary, _, ok := c.Gateway.SessionPlacement("S01")
+	if !ok {
+		t.Fatal("gateway lost the session placement")
+	}
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	poll := func(base, query, lastID string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, base+"/v1/subscriptions/p1/events?mode=poll"+query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lastID != "" {
+			req.Header.Set("Last-Event-ID", lastID)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("poll via %s: %v", base, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("poll via %s: %v", base, err)
+		}
+		return resp, body
+	}
+
+	resp, got := poll(c.URL, "", "")
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("poll via gateway: status %d, %s; want 200 application/json", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	if _, want := poll(primary, "", ""); string(got) != string(want) {
+		t.Errorf("poll via gateway answered %s, the serving shard %s", got, want)
+	}
+
+	for _, b := range batches[half:] {
+		ingestBatch(t, c.URL, "S01", b)
+	}
+	_, got = poll(c.URL, "&after=0", "")
+	var batch server.SubEventsPoll
+	if err := json.Unmarshal(got, &batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Events) == 0 || batch.Next != batch.Events[len(batch.Events)-1].Seq {
+		t.Fatalf("poll after ingest = %s, want the new events", got)
+	}
+
+	urls := make([]string, len(c.Nodes))
+	for i, n := range c.Nodes {
+		urls[i] = n.URL
+	}
+	const timeout, wait = 200 * time.Millisecond, time.Second
+	gw2, err := shard.NewGateway(urls, shard.Options{Replicas: 2, Timeout: timeout, HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw2.Close()
+	ts2 := httptest.NewServer(gw2)
+	defer ts2.Close()
+	start := time.Now()
+	next := strconv.FormatUint(batch.Next, 10)
+	resp, got = poll(ts2.URL, "&wait="+wait.String(), next)
+	if elapsed := time.Since(start); resp.StatusCode != http.StatusOK || elapsed < wait {
+		t.Fatalf("poll with wait %v past a %v timeout: status %d after %v: %s", wait, timeout, resp.StatusCode, elapsed, got)
+	}
+	if want := `{"events":[],"next":` + next + "}\n"; string(got) != want {
+		t.Errorf("poll with Last-Event-ID %s answered %s, want %s", next, got, want)
 	}
 }
 

@@ -93,49 +93,3 @@ func (m *DistMatrix) String() string {
 	}
 	return b.String()
 }
-
-// Histogram is a fixed-width bucket histogram over [lo, hi). Values
-// outside the range are clamped into the first/last bucket so counts
-// are never lost.
-type Histogram struct {
-	lo, hi float64
-	counts []int
-	total  int
-}
-
-// NewHistogram builds a histogram with nbuckets buckets over [lo, hi).
-func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
-	if nbuckets <= 0 || hi <= lo {
-		panic("stats: invalid histogram configuration")
-	}
-	return &Histogram{lo: lo, hi: hi, counts: make([]int, nbuckets)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Counts returns a copy of the per-bucket counts.
-func (h *Histogram) Counts() []int {
-	out := make([]int, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// BucketCenter returns the center value of bucket i.
-func (h *Histogram) BucketCenter(i int) float64 {
-	w := (h.hi - h.lo) / float64(len(h.counts))
-	return h.lo + (float64(i)+0.5)*w
-}

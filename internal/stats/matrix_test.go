@@ -73,37 +73,3 @@ func TestDistMatrixString(t *testing.T) {
 		t.Errorf("expected 2 rows, got %q", s)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0.5, 1, 3, 9.9, -4, 15} {
-		h.Add(x)
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d, want 6", h.Total())
-	}
-	counts := h.Counts()
-	// -4 clamps into bucket 0; 15 clamps into bucket 4.
-	if counts[0] != 3 { // 0.5, 1, -4
-		t.Errorf("bucket 0 = %d, want 3", counts[0])
-	}
-	if counts[4] != 2 { // 9.9, 15
-		t.Errorf("bucket 4 = %d, want 2", counts[4])
-	}
-	if got := h.BucketCenter(0); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("BucketCenter(0) = %v, want 1", got)
-	}
-	counts[0] = 99
-	if h.Counts()[0] == 99 {
-		t.Error("Counts returned a view, want a copy")
-	}
-}
-
-func TestHistogramPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for hi <= lo")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}

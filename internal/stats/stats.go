@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit used throughout
-// the repository: streaming moments, order statistics, histograms,
-// incremental simple linear regression, and distance-matrix helpers.
+// the repository: streaming moments, incremental simple linear
+// regression, and distance-matrix helpers.
 //
 // Everything here is deliberately dependency-free (stdlib only) and
 // allocation-conscious: the online prediction path calls into this
@@ -9,9 +9,7 @@ package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by reductions over empty data sets.
@@ -29,15 +27,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Variance returns the population variance of xs, or 0 when len(xs) < 2.
 func Variance(xs []float64) float64 {
 	if len(xs) < 2 {
@@ -51,9 +40,6 @@ func Variance(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the minimum of xs. It returns ErrEmpty for empty input.
 func Min(xs []float64) (float64, error) {
@@ -81,31 +67,6 @@ func Max(xs []float64) (float64, error) {
 		}
 	}
 	return m, nil
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. The input is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v out of range [0,100]", p)
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
 // Welford accumulates streaming mean and variance using Welford's

@@ -30,13 +30,10 @@ func TestMeanBasics(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
+func TestVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
 		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
 	}
 	if got := Variance([]float64{42}); got != 0 {
 		t.Errorf("Variance of singleton = %v, want 0", got)
@@ -55,47 +52,6 @@ func TestMinMax(t *testing.T) {
 	mx, _ := Max(xs)
 	if mn != -1 || mx != 5 {
 		t.Errorf("Min/Max = %v/%v, want -1/5", mn, mx)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct {
-		p, want float64
-	}{
-		{0, 1}, {25, 2}, {50, 3}, {75, 4}, {100, 5}, {10, 1.4},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatalf("Percentile(%v): %v", c.p, err)
-		}
-		if !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Errorf("empty percentile error = %v, want ErrEmpty", err)
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("expected error for p > 100")
-	}
-	if _, err := Percentile(xs, -1); err == nil {
-		t.Error("expected error for p < 0")
-	}
-	one, _ := Percentile([]float64{7}, 30)
-	if one != 7 {
-		t.Errorf("singleton percentile = %v, want 7", one)
-	}
-}
-
-func TestPercentileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("input mutated: %v", xs)
 	}
 }
 

@@ -282,6 +282,12 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		// Reference oracles the optimised paths are held to.
 		"core.OfflineDistance": "Definition 3's unpruned distance, the oracle of OfflineSearch",
 		"shard.MergeMatches":   "the sort-based merge the gateway's streaming merge is held to",
+		"stats.Variance":       "the batch variance Welford is held to",
+		"stats.Min":            "the batch minimum Welford is held to",
+		"stats.Max":            "the batch maximum Welford is held to",
+		// Shared test fixtures.
+		"plr.Resample":  "turns a PLR back into samples for the tests",
+		"plr.Samples1D": "builds 1-D samples for the tests",
 		// Test seams.
 		"server.SetMigrationHook": "pauses a migration between phases for the failover tests",
 		"subscribe.SetClock":      "drives the lease clock for the subscription tests",
@@ -299,23 +305,6 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		"sigindex.Stats":           "sigindex is retired with bench/'s index layers",
 		"sigindex.Dump":            "sigindex is retired with bench/'s index layers",
 		"sigindex.DecodeSignature": "sigindex is retired with bench/'s index layers",
-		// Test-only, each deleted together with its tests later.
-		"baseline.PAA":          "PAA feature baseline; no experiment runs it",
-		"baseline.PAADistance":  "PAA feature baseline; no experiment runs it",
-		"baseline.DFT":          "DFT feature baseline; no experiment runs it",
-		"baseline.DFTDistance":  "DFT feature baseline; no experiment runs it",
-		"baseline.LastObserved": "Figure 1's no-prediction baseline; only its test calls it",
-		"plr.Resample":          "turns a PLR back into samples for the tests",
-		"plr.Samples1D":         "builds 1-D samples for the tests",
-		"stats.NewHistogram":    "stats.Histogram has no caller",
-		"stats.Total":           "stats.Histogram has no caller",
-		"stats.Counts":          "stats.Histogram has no caller",
-		"stats.BucketCenter":    "stats.Histogram has no caller",
-		"stats.Sum":             "batch statistic with no caller",
-		"stats.StdDev":          "batch statistic with no caller",
-		"stats.Min":             "batch statistic with no caller",
-		"stats.Max":             "batch statistic with no caller",
-		"stats.Percentile":      "batch statistic with no caller",
 	}
 
 	type decl struct {
