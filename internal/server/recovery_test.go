@@ -9,11 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/core"
 	"stsmatch/internal/fsm"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/signal"
-	"stsmatch/internal/store"
 )
 
 // newDurableServer builds a Server journaling to dir with fsync on
@@ -375,17 +375,17 @@ func TestDimsLimitSurvivesRecovery(t *testing.T) {
 func TestIDLimitSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newDurableServer(t, dir)
-	long := strings.Repeat("p", store.MaxIDBytes)
+	long := strings.Repeat("p", binfmt.MaxIDBytes)
 	for _, req := range []CreateSessionRequest{
 		{PatientID: long + "p", SessionID: "S1"},
 		{PatientID: "P1", SessionID: long + "s"},
 	} {
 		if resp := postJSON(t, ts.URL+"/v1/sessions", req); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("create with a %d-byte ID: status %d, want 400", store.MaxIDBytes+1, resp.StatusCode)
+			t.Errorf("create with a %d-byte ID: status %d, want 400", binfmt.MaxIDBytes+1, resp.StatusCode)
 		}
 	}
 	if resp := postJSON(t, ts.URL+"/v1/sessions", CreateSessionRequest{PatientID: long, SessionID: "S1"}); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create with a %d-byte ID: status %d", store.MaxIDBytes, resp.StatusCode)
+		t.Fatalf("create with a %d-byte ID: status %d", binfmt.MaxIDBytes, resp.StatusCode)
 	}
 	gen, err := signal.NewRespiration(signal.DefaultRespiration(), 7)
 	if err != nil {

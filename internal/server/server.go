@@ -52,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/core"
 	"stsmatch/internal/frame"
 	"stsmatch/internal/fsm"
@@ -281,10 +282,10 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, errors.New("patientId and sessionId are required"))
 		return
 	}
-	if max(len(req.PatientID), len(req.SessionID)) > store.MaxIDBytes {
+	if max(len(req.PatientID), len(req.SessionID)) > binfmt.MaxIDBytes {
 		// Every journalled vertex carries both IDs, and recovery reads
 		// no longer string back.
-		httpError(w, http.StatusBadRequest, fmt.Errorf("patientId and sessionId take at most %d bytes each", store.MaxIDBytes))
+		httpError(w, http.StatusBadRequest, fmt.Errorf("patientId and sessionId take at most %d bytes each", binfmt.MaxIDBytes))
 		return
 	}
 	repl, code, err := s.createSession(req)

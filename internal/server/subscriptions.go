@@ -21,10 +21,10 @@ import (
 	"strconv"
 	"time"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/core"
 	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
-	"stsmatch/internal/store"
 	"stsmatch/internal/subscribe"
 	"stsmatch/internal/wal"
 )
@@ -73,8 +73,8 @@ func (req SubscriptionRequest) Validate() error {
 	if d := req.Seq.Dims(); d > plr.MaxDims {
 		return fmt.Errorf("pattern has %d dimensions, at most %d can be journalled", d, plr.MaxDims)
 	}
-	if max(len(req.ID), len(req.PatientID), len(req.SessionID)) > store.MaxIDBytes {
-		return fmt.Errorf("id, patientId and sessionId take at most %d bytes each", store.MaxIDBytes)
+	if max(len(req.ID), len(req.PatientID), len(req.SessionID)) > binfmt.MaxIDBytes {
+		return fmt.Errorf("id, patientId and sessionId take at most %d bytes each", binfmt.MaxIDBytes)
 	}
 	return nil
 }

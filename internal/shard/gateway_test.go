@@ -12,13 +12,13 @@ import (
 	"sync"
 	"testing"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/core"
 	"stsmatch/internal/fsm"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/server"
 	"stsmatch/internal/shard"
 	"stsmatch/internal/signal"
-	"stsmatch/internal/store"
 	"stsmatch/internal/testutil"
 )
 
@@ -478,11 +478,11 @@ func TestGatewaySessionIDEscaping(t *testing.T) {
 }
 
 // TestGatewayRelaysIDLimit: a shard refuses a patient or session ID its
-// log could not read back (store.MaxIDBytes), and the gateway relays
+// log could not read back (binfmt.MaxIDBytes), and the gateway relays
 // that 400 without placing the session.
 func TestGatewayRelaysIDLimit(t *testing.T) {
 	c := testutil.StartCluster(t, 2, 2)
-	long := strings.Repeat("x", store.MaxIDBytes+1)
+	long := strings.Repeat("x", binfmt.MaxIDBytes+1)
 	for _, req := range []server.CreateSessionRequest{
 		{PatientID: long, SessionID: "S1"},
 		{PatientID: "P1", SessionID: long},

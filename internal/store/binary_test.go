@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/plr"
 )
 
@@ -146,11 +148,11 @@ func TestBinaryStringGuards(t *testing.T) {
 }
 
 // TestBinaryLimitsMatchAppend: whatever Append keeps, ReadBinary reads
-// back — a stream of plr.MaxDims dimensions and an ID of MaxIDBytes —
+// back — a stream of plr.MaxDims dimensions and an ID of binfmt.MaxIDBytes —
 // and a first vertex with more dimensions is refused.
 func TestBinaryLimitsMatchAppend(t *testing.T) {
 	db := NewDB()
-	p, err := db.AddPatient(PatientInfo{ID: strings.Repeat("p", MaxIDBytes)})
+	p, err := db.AddPatient(PatientInfo{ID: strings.Repeat("p", binfmt.MaxIDBytes)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +173,41 @@ func TestBinaryLimitsMatchAppend(t *testing.T) {
 	}
 	if back.NumVertices() != 1 || back.Patient(p.Info.ID) == nil {
 		t.Errorf("read back %d vertices, patient found %v", back.NumVertices(), back.Patient(p.Info.ID) != nil)
+	}
+}
+
+// TestRefusedFirstVertexFixesNoDims: a first vertex Append refuses
+// leaves an empty stream with no dimensions, so the stream is written
+// as the block 00 00 and the next first vertex sets them afresh.
+func TestRefusedFirstVertexFixesNoDims(t *testing.T) {
+	refused := map[string]plr.Vertex{
+		"NaN time":      {T: math.NaN(), Pos: []float64{1, 2, 3}},
+		"Inf position":  {T: 1, Pos: []float64{1, math.Inf(1)}},
+		"invalid state": {T: 1, State: plr.IRR + 1, Pos: []float64{1, 2}},
+		"too many dims": {T: 1, Pos: make([]float64, plr.MaxDims+1)},
+	}
+	for name, v := range refused {
+		db := NewDB()
+		p, err := db.AddPatient(PatientInfo{ID: "P"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := p.AddStream("S")
+		if err := st.Append(v); err == nil {
+			t.Fatalf("%s: appended", name)
+		}
+		if dims := st.ScanView("").Dims; dims != 0 {
+			t.Errorf("%s: the empty stream has %d dimensions", name, dims)
+		}
+		var buf bytes.Buffer
+		if err := db.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(buf.Bytes(), []byte{1, 'S', 0, 0}) {
+			t.Errorf("%s: stream written as %x, want the block 00 00", name, buf.Bytes())
+		}
+		if err := st.Append(plr.Vertex{T: 2, Pos: []float64{4}}); err != nil {
+			t.Errorf("%s: a 1-D first vertex after the refusal: %v", name, err)
+		}
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzReadBinary hammers the binary decoder with arbitrary bytes: it
-// must reject garbage with an error (or decode a valid database) and
-// never panic or over-allocate on hostile length fields.
+// must reject garbage with an error (or decode a valid database), never
+// panic or over-allocate on hostile length fields, and whatever decodes
+// must re-encode to the same bytes.
 func FuzzReadBinary(f *testing.F) {
 	// Seed with a valid database plus structured mutations.
 	db := NewDB()
@@ -24,6 +25,10 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("STSM"))
 	f.Add([]byte{})
+	// A stream written as an empty block that names 3 dimensions, what
+	// Append left behind after refusing a first vertex: it reads back
+	// with its dimensions kept.
+	f.Add([]byte("STSM\x01\x00\x01\x01P\x00\x00\x00\x01\x01S\x03\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadBinary(bytes.NewReader(data))
@@ -31,17 +36,12 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatal("nil database without error")
 		}
 		if err == nil {
-			// Anything that decodes must round-trip consistently.
 			var again bytes.Buffer
 			if err := got.WriteBinary(&again); err != nil {
 				t.Fatalf("re-encode failed: %v", err)
 			}
-			back, err := ReadBinary(&again)
-			if err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			if back.NumVertices() != got.NumVertices() {
-				t.Fatal("round trip changed vertex count")
+			if !bytes.Equal(again.Bytes(), data) {
+				t.Fatalf("re-encode differs:\n got %x\nwant %x", again.Bytes(), data)
 			}
 		}
 	})

@@ -152,6 +152,8 @@ func (s *Stream) Append(vs ...plr.Vertex) error {
 			SessionID: s.SessionID,
 			Vertices:  vs[:appended],
 		})
+	} else if s.cols.Len() == 0 {
+		s.cols.Dims = 0 // a refused first vertex fixes nothing
 	}
 	return err
 }

@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/store"
 )
 
@@ -90,9 +94,9 @@ func FuzzWALDecode(f *testing.F) {
 // FuzzReplicationBatch hammers the replication batch decoder and the
 // follower cursor: malformed batches must fail cleanly as ErrTorn,
 // valid ones must round-trip through the canonical encoding (the
-// encoder is a fixed point — batch header varints are not
-// CRC-protected, so a crafted non-minimal varint may decode but must
-// canonicalize on re-encode), and no sequence of Accept calls may
+// encoder is a fixed point; batch header varints are not CRC-protected,
+// but a non-minimal one is refused like any other malformed field),
+// and no sequence of Accept calls may
 // ever apply records out of order or leave a hole — the core
 // gap-detection safety property.
 func FuzzReplicationBatch(f *testing.F) {
@@ -171,8 +175,7 @@ func FuzzReplicationBatch(f *testing.F) {
 // any version but the current one never decodes, anything that decodes
 // must hold the properties the gateway and the shard rely on (finite
 // floats, in-range stream indices), and encode→decode is the identity on
-// whatever a decoder produced (as for batches, header varints may be
-// non-minimal, so identity is on values, and the encoder is a fixed
+// whatever a decoder produced (on values, and the encoder is a fixed
 // point). The first seeds are version-2 messages, which must be refused;
 // the version-3 seeds after them decode.
 func FuzzMatchLegCodec(f *testing.F) {
@@ -247,6 +250,70 @@ func FuzzMatchLegCodec(f *testing.F) {
 		}
 		if again := AppendMatchLegReply(nil, p2); !bytes.Equal(again, enc) {
 			t.Fatalf("reply encoder is not a fixed point")
+		}
+	})
+}
+
+// FuzzSnapshotRead hammers the snapshot decoder with arbitrary bytes: it
+// must never panic or allocate more than the input could back, and
+// whatever decodes must re-encode to the same bytes — but for a set
+// reserved byte, which the writer always writes as 0 and without the
+// retired fields behind it.
+func FuzzSnapshotRead(f *testing.F) {
+	snaps, err := filepath.Glob(filepath.Join(goldenDir, "snap-*.db"))
+	if err != nil || len(snaps) == 0 {
+		f.Fatalf("golden snapshots %v, %v", snaps, err)
+	}
+	for _, path := range snaps {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		f.Add(withRetiredIndexSection(f, raw))
+		f.Add(raw[:len(raw)/2])
+	}
+	f.Add([]byte("STSS\x04\x00"))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sf, err := decodeSnapshot(data)
+		runtime.ReadMemStats(&after)
+		// A stream costs a few hundred bytes of structure for three
+		// bytes of input; a count the input cannot back costs megabytes.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1024*uint64(len(data))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		enc.Write(appendSnapshotHead(nil, sf.LSN, sf.Sessions, sf.Subs, sf.Migrations))
+		if err := sf.DB.WriteBinary(&enc); err != nil {
+			t.Fatal(err)
+		}
+		got := enc.Bytes()
+		if bytes.Equal(got, data) {
+			return
+		}
+		// Only the reserved byte may differ: set in data, with the four
+		// retired fields after it, and 0 in what the writer made.
+		at := 0
+		for at < len(got) && at < len(data) && got[at] == data[at] {
+			at++
+		}
+		if at == len(got) || at == len(data) || got[at] != 0 {
+			t.Fatalf("re-encode differs at byte %d:\n got %x\nwant %x", at, got, data)
+		}
+		d := binfmt.NewDecoder(data[at+1:])
+		d.Uvarint()
+		d.Uvarint()
+		d.F64()
+		d.F64()
+		if d.Err() != nil || !bytes.Equal(d.Rest(), got[at+1:]) {
+			t.Fatalf("re-encode differs at byte %d beyond the reserved section:\n got %x\nwant %x", at, got, data)
 		}
 	})
 }

@@ -39,6 +39,7 @@ import (
 	"math"
 	"slices"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/plr"
 )
 
@@ -93,8 +94,7 @@ type MatchLegReply struct {
 // appendLegHeader opens a message and reserves its frame header; the
 // returned offset is what sealFrame needs once the payload is written.
 func appendLegHeader(b []byte, magic string) ([]byte, int) {
-	b = append(b, magic...)
-	b = binary.LittleEndian.AppendUint16(b, legVersion)
+	b = binfmt.AppendHeader(b, magic, legVersion)
 	off := len(b)
 	return append(b, make([]byte, frameHeaderLen)...), off
 }
@@ -106,23 +106,24 @@ func AppendMatchLegRequest(b []byte, req MatchLegRequest) []byte {
 	b, off := appendLegHeader(b, legRequestMagic)
 	b = binary.AppendUvarint(b, uint64(req.K))
 	if req.Now != nil {
-		b = appendF64(append(b, 1), *req.Now)
+		b = binfmt.AppendF64(append(b, 1), *req.Now)
 	} else {
 		b = append(b, 0)
 	}
-	b = appendString(b, req.PatientID)
-	b = appendString(b, req.SessionID)
-	b = appendVertices(b, req.Seq)
+	b = binfmt.AppendString(b, req.PatientID)
+	b = binfmt.AppendString(b, req.SessionID)
+	b = binfmt.AppendSequence(b, req.Seq)
 	return sealFrame(b, off)
 }
 
 // legPayload strips a leg message down to its frame's payload.
 func legPayload(data []byte, magic string) ([]byte, error) {
-	body, err := checkHeader(data, magic, legVersion)
-	if err != nil {
-		return nil, err
+	d := binfmt.NewDecoder(data)
+	d.Header(magic, legVersion)
+	if err := d.Err(); err != nil {
+		return nil, torn(err)
 	}
-	payload, rest, err := splitFrame(body)
+	payload, rest, err := splitFrame(d.Rest())
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +135,7 @@ func legPayload(data []byte, magic string) ([]byte, error) {
 
 // DecodeMatchLegRequest parses and validates a leg request: magic,
 // version, CRC, no trailing bytes, k within int, valid state bytes,
-// dims and vertex count within the record limits, and every float
+// dims and vertex count within the binfmt bounds, and every float
 // finite. It does not re-run plr.Sequence.Validate (time order); the
 // handler does, as it does for JSON.
 func DecodeMatchLegRequest(data []byte) (MatchLegRequest, error) {
@@ -143,18 +144,18 @@ func DecodeMatchLegRequest(data []byte) (MatchLegRequest, error) {
 	if err != nil {
 		return req, err
 	}
-	d := decoder{b: payload}
-	k := d.uvarint()
-	hasNow := d.u8()
+	d := binfmt.NewDecoder(payload)
+	k := d.Uvarint()
+	hasNow := d.U8()
 	if hasNow == 1 {
-		now := d.f64()
+		now := d.F64()
 		req.Now = &now
 	}
-	req.PatientID = d.str()
-	req.SessionID = d.str()
-	req.Seq = d.vertices()
-	if err := d.finish(); err != nil {
-		return req, err
+	req.PatientID = d.Str()
+	req.SessionID = d.Str()
+	req.Seq = d.Sequence()
+	if err := d.Finish(); err != nil {
+		return req, torn(err)
 	}
 	if k > math.MaxInt || hasNow > 1 {
 		return req, fmt.Errorf("%w: invalid k or now flag", ErrTorn)
@@ -184,8 +185,8 @@ func AppendMatchLegReply(b []byte, rep MatchLegReply) []byte {
 	b, off := appendLegHeader(b, legReplyMagic)
 	b = binary.AppendUvarint(b, uint64(len(rep.Streams)))
 	for _, s := range rep.Streams {
-		b = appendString(b, s.PatientID)
-		b = appendString(b, s.SessionID)
+		b = binfmt.AppendString(b, s.PatientID)
+		b = binfmt.AppendString(b, s.SessionID)
 		b = append(b, s.Relation)
 	}
 	b = binary.AppendUvarint(b, uint64(len(rep.Hits)))
@@ -193,8 +194,8 @@ func AppendMatchLegReply(b []byte, rep MatchLegReply) []byte {
 		b = binary.AppendUvarint(b, uint64(h.Stream))
 		b = binary.AppendUvarint(b, uint64(h.Start))
 		b = binary.AppendUvarint(b, uint64(h.N))
-		b = appendF64(b, h.Distance)
-		b = appendF64(b, h.Weight)
+		b = binfmt.AppendF64(b, h.Distance)
+		b = binfmt.AppendF64(b, h.Weight)
 	}
 	b = binary.AppendUvarint(b, uint64(len(rep.Profile)))
 	b = append(b, rep.Profile...)
@@ -211,18 +212,18 @@ func DecodeMatchLegReply(data []byte) (MatchLegReply, error) {
 	if err != nil {
 		return rep, err
 	}
-	d := decoder{b: payload}
-	rep.Streams = make([]LegStream, d.count(3))
+	d := binfmt.NewDecoder(payload)
+	rep.Streams = make([]LegStream, d.Count(3))
 	for i := range rep.Streams {
-		rep.Streams[i] = LegStream{PatientID: d.str(), SessionID: d.str(), Relation: d.u8()}
+		rep.Streams[i] = LegStream{PatientID: d.Str(), SessionID: d.Str(), Relation: d.U8()}
 	}
-	rep.Hits = make([]LegHit, d.count(19))
+	rep.Hits = make([]LegHit, d.Count(19))
 	for i := range rep.Hits {
-		rep.Hits[i] = LegHit{Stream: d.u32(), Start: d.u32(), N: d.u32(), Distance: d.f64(), Weight: d.f64()}
+		rep.Hits[i] = LegHit{Stream: d.U32(), Start: d.U32(), N: d.U32(), Distance: d.F64(), Weight: d.F64()}
 	}
-	rep.Profile = []byte(d.str())
-	if err := d.finish(); err != nil {
-		return rep, err
+	rep.Profile = []byte(d.Str())
+	if err := d.Finish(); err != nil {
+		return rep, torn(err)
 	}
 	for i, s := range rep.Streams {
 		if s.Relation > maxLegRelation {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/plr"
 )
 
@@ -63,7 +64,7 @@ func v2ScopeShapes() []v2Scope {
 func appendV2Strings(b []byte, ss []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
-		b = appendString(b, s)
+		b = binfmt.AppendString(b, s)
 	}
 	return b
 }
@@ -71,7 +72,7 @@ func appendV2Strings(b []byte, ss []string) []byte {
 func appendV2Holdings(b []byte, hs []v2Holdings) []byte {
 	b = binary.AppendUvarint(b, uint64(len(hs)))
 	for _, h := range hs {
-		b = binary.AppendUvarint(appendString(b, h.pid), h.streams)
+		b = binary.AppendUvarint(binfmt.AppendString(b, h.pid), h.streams)
 		b = binary.AppendUvarint(b, h.vertices)
 	}
 	return b
@@ -93,7 +94,7 @@ func appendV2Reply(rep MatchLegReply, refused []string, fresh []v2Holdings) []by
 	rep.Profile = nil
 	b := AppendMatchLegReply(nil, rep)
 	b = appendV2Holdings(appendV2Strings(b[:len(b)-1], refused), fresh) // b ended with the empty profile
-	b = appendString(b, string(profile))
+	b = binfmt.AppendString(b, string(profile))
 	b[4] = 2
 	return reseal(b)
 }
@@ -205,12 +206,12 @@ func TestMatchLegDecodersRefuse(t *testing.T) {
 	huge := func(dims, n uint64) []byte {
 		b, off := appendLegHeader(nil, legRequestMagic)
 		b = append(binary.AppendUvarint(b, 1), 0)
-		b = appendString(appendString(b, ""), "")
+		b = binfmt.AppendString(binfmt.AppendString(b, ""), "")
 		b = binary.AppendUvarint(binary.AppendUvarint(b, dims), n)
 		return sealFrame(b, off)
 	}
 	requests["dims beyond plr.MaxDims"] = huge(plr.MaxDims+1, 2)
-	requests["vertices beyond maxVertices"] = huge(1, maxVertices+1)
+	requests["2^24+1 vertices in a short payload"] = huge(1, 1<<24+1)
 	for name, msg := range requests {
 		if _, err := DecodeMatchLegRequest(msg); !errors.Is(err, ErrTorn) {
 			t.Errorf("request %s: err = %v, want ErrTorn", name, err)

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
 )
@@ -235,14 +235,11 @@ var ErrTorn = errors.New("wal: torn or corrupt record")
 //
 //	u8 type | uvarint lsn | type-specific fields
 //
-// with strings as uvarint length + bytes and float64s as little-endian
-// IEEE words (the same primitives as the store binary format).
+// built from the binfmt primitives. maxPayload bounds a frame read off a
+// stream, before its bytes are in hand to bound anything else.
 const (
 	frameHeaderLen = 8
 	maxPayload     = 1 << 26 // 64 MiB: far above any real record
-	maxVertices    = 1 << 24
-	maxSubCursors  = 1 << 20
-	maxSubEvents   = 1 << 20
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -254,48 +251,42 @@ func encodePayload(rec Record) []byte {
 	b = binary.AppendUvarint(b, rec.LSN)
 	switch rec.Type {
 	case TypePatientUpsert:
-		b = appendString(b, rec.Patient.ID)
-		b = appendString(b, rec.Patient.Class)
-		b = appendString(b, rec.Patient.TumorSite)
-		b = binary.AppendUvarint(b, uint64(rec.Patient.Age))
+		b = appendPatient(b, rec.Patient)
 	case TypeStreamOpen:
-		b = appendString(b, rec.PatientID)
-		b = appendString(b, rec.SessionID)
+		b = binfmt.AppendString(b, rec.PatientID)
+		b = binfmt.AppendString(b, rec.SessionID)
 	case TypeVertexAppend:
-		b = appendString(b, rec.PatientID)
-		b = appendString(b, rec.SessionID)
-		b = appendVertices(b, rec.Vertices)
+		b = binfmt.AppendString(b, rec.PatientID)
+		b = binfmt.AppendString(b, rec.SessionID)
+		b = binfmt.AppendSequence(b, rec.Vertices)
 	case TypeSessionClose:
-		b = appendString(b, rec.SessionID)
+		b = binfmt.AppendString(b, rec.SessionID)
 	case TypeSessionAnchor:
-		b = appendString(b, rec.PatientID)
-		b = appendString(b, rec.SessionID)
-		b = appendAnchor(b, rec)
+		b = binfmt.AppendString(b, rec.PatientID)
+		b = binfmt.AppendString(b, rec.SessionID)
+		b = appendAnchor(b, rec.Samples, rec.AnchorT, rec.AnchorPos)
 	case TypeReplicaSnapshot:
-		b = appendString(b, rec.Patient.ID)
-		b = appendString(b, rec.Patient.Class)
-		b = appendString(b, rec.Patient.TumorSite)
-		b = binary.AppendUvarint(b, uint64(rec.Patient.Age))
-		b = appendString(b, rec.PatientID)
-		b = appendString(b, rec.SessionID)
-		b = appendVertices(b, rec.Vertices)
-		b = appendAnchor(b, rec)
+		b = appendPatient(b, rec.Patient)
+		b = binfmt.AppendString(b, rec.PatientID)
+		b = binfmt.AppendString(b, rec.SessionID)
+		b = binfmt.AppendSequence(b, rec.Vertices)
+		b = appendAnchor(b, rec.Samples, rec.AnchorT, rec.AnchorPos)
 	case TypeReplicaPromote:
-		b = appendString(b, rec.PatientID)
-		b = appendString(b, rec.SessionID)
-		b = appendAnchor(b, rec)
+		b = binfmt.AppendString(b, rec.PatientID)
+		b = binfmt.AppendString(b, rec.SessionID)
+		b = appendAnchor(b, rec.Samples, rec.AnchorT, rec.AnchorPos)
 		b = binary.AppendUvarint(b, rec.Epoch)
 	case TypeSubUpsert:
 		b = appendSubState(b, rec.Sub)
 	case TypeSubDelete:
-		b = appendString(b, rec.SubID)
+		b = binfmt.AppendString(b, rec.SubID)
 	case TypeSubAck:
-		b = appendString(b, rec.SubID)
+		b = binfmt.AppendString(b, rec.SubID)
 		b = binary.AppendUvarint(b, rec.SubAck)
 	case TypeSessionMigrate:
-		b = appendString(b, rec.PatientID)
-		b = appendString(b, rec.SessionID)
-		b = appendString(b, rec.Target)
+		b = binfmt.AppendString(b, rec.PatientID)
+		b = binfmt.AppendString(b, rec.SessionID)
+		b = binfmt.AppendString(b, rec.Target)
 		b = binary.AppendUvarint(b, rec.Epoch)
 		b = append(b, rec.Phase)
 	}
@@ -308,125 +299,181 @@ func appendSubState(b []byte, s *SubState) []byte {
 	if s == nil {
 		s = &SubState{}
 	}
-	b = appendString(b, s.ID)
-	b = appendString(b, s.PatientID)
-	b = appendString(b, s.SessionID)
-	b = appendF64(b, s.Threshold)
+	b = binfmt.AppendString(b, s.ID)
+	b = binfmt.AppendString(b, s.PatientID)
+	b = binfmt.AppendString(b, s.SessionID)
+	b = binfmt.AppendF64(b, s.Threshold)
 	b = binary.AppendUvarint(b, uint64(s.K))
-	b = appendVertices(b, s.Pattern)
+	b = binfmt.AppendSequence(b, s.Pattern)
 	b = binary.AppendUvarint(b, s.NextSeq)
 	b = binary.AppendUvarint(b, s.Delivered)
 	b = binary.AppendUvarint(b, uint64(len(s.Cursors)))
 	for _, c := range s.Cursors {
-		b = appendString(b, c.PatientID)
-		b = appendString(b, c.SessionID)
+		b = binfmt.AppendString(b, c.PatientID)
+		b = binfmt.AppendString(b, c.SessionID)
 		b = binary.AppendUvarint(b, c.Len)
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Events)))
 	for _, e := range s.Events {
 		b = binary.AppendUvarint(b, e.Seq)
-		b = appendString(b, e.PatientID)
-		b = appendString(b, e.SessionID)
+		b = binfmt.AppendString(b, e.PatientID)
+		b = binfmt.AppendString(b, e.SessionID)
 		b = binary.AppendUvarint(b, uint64(e.Start))
 		b = binary.AppendUvarint(b, uint64(e.N))
 		b = append(b, e.Relation)
-		b = appendF64(b, e.Distance)
-		b = appendF64(b, e.Weight)
-		b = appendF64(b, e.EndT)
-		b = appendF64(b, e.At)
+		b = binfmt.AppendF64(b, e.Distance)
+		b = binfmt.AppendF64(b, e.Weight)
+		b = binfmt.AppendF64(b, e.EndT)
+		b = binfmt.AppendF64(b, e.At)
 	}
 	return b
 }
 
-// appendVertices serializes a PLR sequence (dims, count, vertices):
-// the shared trailer of vertex-append and replica-snapshot records.
-func appendVertices(b []byte, vs plr.Sequence) []byte {
-	dims := vs.Dims()
-	b = binary.AppendUvarint(b, uint64(dims))
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = appendF64(b, v.T)
-		b = append(b, byte(v.State))
-		for d := 0; d < dims; d++ {
-			b = appendF64(b, v.Pos[d])
-		}
+// appendAnchor serializes a raw-sample anchor: sample count, time,
+// position. Records and the snapshot's session manifest share it.
+func appendAnchor(b []byte, samples uint64, t float64, pos []float64) []byte {
+	b = binfmt.AppendF64(binary.AppendUvarint(b, samples), t)
+	b = binary.AppendUvarint(b, uint64(len(pos)))
+	for _, x := range pos {
+		b = binfmt.AppendF64(b, x)
 	}
 	return b
 }
 
-// appendAnchor serializes the raw-sample anchor triple.
-func appendAnchor(b []byte, rec Record) []byte {
-	b = binary.AppendUvarint(b, rec.Samples)
-	b = appendF64(b, rec.AnchorT)
-	b = binary.AppendUvarint(b, uint64(len(rec.AnchorPos)))
-	for _, x := range rec.AnchorPos {
-		b = appendF64(b, x)
+// decodeAnchor parses what appendAnchor writes.
+func decodeAnchor(d *binfmt.Decoder) (samples uint64, t float64, pos []float64) {
+	samples, t = d.Uvarint(), d.F64()
+	pos = make([]float64, d.Dims())
+	for i := range pos {
+		pos[i] = d.F64()
 	}
-	return b
+	return samples, t, pos
+}
+
+// torn marks a decoding failure as a torn record.
+func torn(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrTorn, err)
 }
 
 // decodePayload parses a record payload. It never panics on hostile
 // input; anything malformed returns ErrTorn (possibly wrapped).
 func decodePayload(b []byte) (Record, error) {
-	d := decoder{b: b}
+	d := binfmt.NewDecoder(b)
 	var rec Record
-	rec.Type = Type(d.u8())
-	rec.LSN = d.uvarint()
+	rec.Type = Type(d.U8())
+	rec.LSN = d.Uvarint()
 	switch rec.Type {
 	case TypePatientUpsert:
-		rec.Patient.ID = d.str()
-		rec.Patient.Class = d.str()
-		rec.Patient.TumorSite = d.str()
-		rec.Patient.Age = int(d.uvarint())
+		rec.Patient = decodePatient(&d)
 	case TypeStreamOpen:
-		rec.PatientID = d.str()
-		rec.SessionID = d.str()
+		rec.PatientID = d.Str()
+		rec.SessionID = d.Str()
 	case TypeVertexAppend:
-		rec.PatientID = d.str()
-		rec.SessionID = d.str()
-		rec.Vertices = d.vertices()
+		rec.PatientID = d.Str()
+		rec.SessionID = d.Str()
+		rec.Vertices = d.Sequence()
 	case TypeSessionClose:
-		rec.SessionID = d.str()
+		rec.SessionID = d.Str()
 	case TypeSessionAnchor:
-		rec.PatientID = d.str()
-		rec.SessionID = d.str()
-		d.anchor(&rec)
+		rec.PatientID = d.Str()
+		rec.SessionID = d.Str()
+		rec.Samples, rec.AnchorT, rec.AnchorPos = decodeAnchor(&d)
 	case TypeReplicaSnapshot:
-		rec.Patient.ID = d.str()
-		rec.Patient.Class = d.str()
-		rec.Patient.TumorSite = d.str()
-		rec.Patient.Age = int(d.uvarint())
-		rec.PatientID = d.str()
-		rec.SessionID = d.str()
-		rec.Vertices = d.vertices()
-		d.anchor(&rec)
+		rec.Patient = decodePatient(&d)
+		rec.PatientID = d.Str()
+		rec.SessionID = d.Str()
+		rec.Vertices = d.Sequence()
+		rec.Samples, rec.AnchorT, rec.AnchorPos = decodeAnchor(&d)
 	case TypeReplicaPromote:
-		rec.PatientID = d.str()
-		rec.SessionID = d.str()
-		d.anchor(&rec)
-		rec.Epoch = d.uvarint()
+		rec.PatientID = d.Str()
+		rec.SessionID = d.Str()
+		rec.Samples, rec.AnchorT, rec.AnchorPos = decodeAnchor(&d)
+		rec.Epoch = d.Uvarint()
 	case typeRetiredIndex:
-		d.off = len(d.b)
+		d.Bytes(len(d.Rest()))
 	case TypeSubUpsert:
-		rec.Sub = d.subState()
+		rec.Sub = decodeSubState(&d)
 	case TypeSubDelete:
-		rec.SubID = d.str()
+		rec.SubID = d.Str()
 	case TypeSubAck:
-		rec.SubID = d.str()
-		rec.SubAck = d.uvarint()
+		rec.SubID = d.Str()
+		rec.SubAck = d.Uvarint()
 	case TypeSessionMigrate:
-		rec.PatientID = d.str()
-		rec.SessionID = d.str()
-		rec.Target = d.str()
-		rec.Epoch = d.uvarint()
-		rec.Phase = d.u8()
-		if d.err == nil && (rec.Phase < MigratePrepare || rec.Phase > MigrateAbort) {
-			return rec, fmt.Errorf("%w: invalid migration phase %d", ErrTorn, rec.Phase)
-		}
+		rec.PatientID = d.Str()
+		rec.SessionID = d.Str()
+		rec.Target = d.Str()
+		rec.Epoch = d.Uvarint()
+		rec.Phase = decodePhase(&d)
 	default:
-		return rec, fmt.Errorf("%w: unknown record type %d", ErrTorn, rec.Type)
+		d.Fail(fmt.Errorf("unknown record type %d", rec.Type))
 	}
-	return rec, d.finish()
+	return rec, torn(d.Finish())
+}
+
+// appendPatient serializes the patient fields of a patient-upsert or
+// replica-snapshot record.
+func appendPatient(b []byte, p store.PatientInfo) []byte {
+	b = binfmt.AppendString(b, p.ID)
+	b = binfmt.AppendString(b, p.Class)
+	b = binfmt.AppendString(b, p.TumorSite)
+	return binary.AppendUvarint(b, uint64(p.Age))
+}
+
+// decodePatient parses the patient fields of a patient-upsert or
+// replica-snapshot record.
+func decodePatient(d *binfmt.Decoder) store.PatientInfo {
+	return store.PatientInfo{ID: d.Str(), Class: d.Str(), TumorSite: d.Str(), Age: int(d.Uvarint())}
+}
+
+// decodePhase reads a migration phase byte, which must name a phase.
+func decodePhase(d *binfmt.Decoder) uint8 {
+	phase := d.U8()
+	if d.Err() == nil && (phase < MigratePrepare || phase > MigrateAbort) {
+		d.Fail(fmt.Errorf("invalid migration phase %d", phase))
+	}
+	return phase
+}
+
+// decodeSubState parses what appendSubState writes. A cursor is at
+// least three bytes (two empty IDs and a length), an event at least 38
+// (five one-byte fields, a relation byte and four floats).
+func decodeSubState(d *binfmt.Decoder) *SubState {
+	s := &SubState{
+		ID:        d.Str(),
+		PatientID: d.Str(),
+		SessionID: d.Str(),
+		Threshold: d.F64(),
+		K:         d.U32(),
+		Pattern:   d.Sequence(),
+		NextSeq:   d.Uvarint(),
+		Delivered: d.Uvarint(),
+	}
+	s.Cursors = make([]SubCursor, d.Count(3))
+	for i := range s.Cursors {
+		s.Cursors[i] = SubCursor{PatientID: d.Str(), SessionID: d.Str(), Len: d.Uvarint()}
+	}
+	s.Events = make([]SubEvent, d.Count(38))
+	for i := range s.Events {
+		s.Events[i] = SubEvent{
+			Seq:       d.Uvarint(),
+			PatientID: d.Str(),
+			SessionID: d.Str(),
+			Start:     d.U32(),
+			N:         d.U32(),
+			Relation:  d.U8(),
+			Distance:  d.F64(),
+			Weight:    d.F64(),
+			EndT:      d.F64(),
+			At:        d.F64(),
+		}
+	}
+	if d.Err() != nil {
+		return nil
+	}
+	return s
 }
 
 // appendFrame wraps a payload with the length + CRC framing.
@@ -505,223 +552,4 @@ func splitFrame(data []byte) (payload, rest []byte, err error) {
 		return nil, nil, err
 	}
 	return payload, rest, nil
-}
-
-// decoder is a bounds-checked cursor over a payload; the first failure
-// sticks so call sites can read fields linearly and check once.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.b) {
-		d.err = fmt.Errorf("%w: short payload", ErrTorn)
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.err = fmt.Errorf("%w: bad uvarint", ErrTorn)
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count reads an element count and refuses one the rest of the payload
-// could not hold at minSize bytes an element, so a caller may allocate
-// exactly that many.
-func (d *decoder) count(minSize int) int {
-	n := d.uvarint()
-	if d.err == nil && n > uint64((len(d.b)-d.off)/minSize) {
-		d.err = fmt.Errorf("%w: count %d exceeds the payload", ErrTorn, n)
-	}
-	if d.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-// finish reports the first decoding failure, or bytes left over.
-func (d *decoder) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrTorn, len(d.b)-d.off)
-	}
-	return nil
-}
-
-// u32 reads a uvarint that must fit in 32 bits; larger values could
-// not round-trip and are torn.
-func (d *decoder) u32() uint32 {
-	v := d.uvarint()
-	if d.err == nil && v > math.MaxUint32 {
-		d.err = fmt.Errorf("%w: value %d overflows u32", ErrTorn, v)
-	}
-	return uint32(v)
-}
-
-func (d *decoder) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.b) {
-		d.err = fmt.Errorf("%w: short float", ErrTorn)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
-}
-
-// vertices parses a serialized PLR sequence (appendVertices inverse).
-func (d *decoder) vertices() plr.Sequence {
-	dims := d.uvarint()
-	if d.err == nil && dims > plr.MaxDims {
-		d.err = fmt.Errorf("%w: implausible vertex dims %d", ErrTorn, dims)
-	}
-	// A vertex is 9+8*dims bytes: a count the payload cannot hold is
-	// refused before anything is sized by it (count reads nothing once an
-	// error is latched).
-	n := d.count(9 + 8*int(dims))
-	if d.err == nil && n > maxVertices {
-		d.err = fmt.Errorf("%w: implausible vertex count %d", ErrTorn, n)
-	}
-	if d.err != nil {
-		return nil
-	}
-	if n == 0 && dims != 0 {
-		// The encoder derives dims from the sequence, so an empty batch
-		// always carries dims 0; anything else cannot round-trip.
-		d.err = fmt.Errorf("%w: empty vertex batch with dims %d", ErrTorn, dims)
-		return nil
-	}
-	// The positions share one array.
-	vs, pos := make(plr.Sequence, n), make([]float64, n*int(dims))
-	for i := range vs {
-		v := plr.Vertex{T: d.f64(), State: plr.State(d.u8()), Pos: pos[:dims:dims]}
-		if !v.State.Valid() {
-			d.err = fmt.Errorf("%w: invalid state byte", ErrTorn)
-			return nil
-		}
-		for j := range v.Pos {
-			v.Pos[j] = d.f64()
-		}
-		vs[i], pos = v, pos[dims:]
-	}
-	return vs
-}
-
-// subState parses a serialized subscription state (appendSubState
-// inverse).
-func (d *decoder) subState() *SubState {
-	s := &SubState{
-		ID:        d.str(),
-		PatientID: d.str(),
-		SessionID: d.str(),
-		Threshold: d.f64(),
-		K:         d.u32(),
-		Pattern:   d.vertices(),
-		NextSeq:   d.uvarint(),
-		Delivered: d.uvarint(),
-	}
-	nc := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if nc > maxSubCursors {
-		d.err = fmt.Errorf("%w: implausible cursor count %d", ErrTorn, nc)
-		return nil
-	}
-	s.Cursors = make([]SubCursor, 0, min(int(nc), 4096))
-	for i := uint64(0); i < nc && d.err == nil; i++ {
-		s.Cursors = append(s.Cursors, SubCursor{
-			PatientID: d.str(),
-			SessionID: d.str(),
-			Len:       d.uvarint(),
-		})
-	}
-	ne := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if ne > maxSubEvents {
-		d.err = fmt.Errorf("%w: implausible event count %d", ErrTorn, ne)
-		return nil
-	}
-	s.Events = make([]SubEvent, 0, min(int(ne), 4096))
-	for i := uint64(0); i < ne && d.err == nil; i++ {
-		s.Events = append(s.Events, SubEvent{
-			Seq:       d.uvarint(),
-			PatientID: d.str(),
-			SessionID: d.str(),
-			Start:     d.u32(),
-			N:         d.u32(),
-			Relation:  d.u8(),
-			Distance:  d.f64(),
-			Weight:    d.f64(),
-			EndT:      d.f64(),
-			At:        d.f64(),
-		})
-	}
-	if d.err != nil {
-		return nil
-	}
-	return s
-}
-
-// anchor parses the raw-sample anchor triple (appendAnchor inverse).
-func (d *decoder) anchor(rec *Record) {
-	rec.Samples = d.uvarint()
-	rec.AnchorT = d.f64()
-	dims := d.uvarint()
-	if d.err != nil {
-		return
-	}
-	if dims > plr.MaxDims {
-		d.err = fmt.Errorf("%w: implausible anchor dims %d", ErrTorn, dims)
-		return
-	}
-	rec.AnchorPos = make([]float64, dims)
-	for i := range rec.AnchorPos {
-		rec.AnchorPos[i] = d.f64()
-	}
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > store.MaxIDBytes || d.off+int(n) > len(d.b) {
-		d.err = fmt.Errorf("%w: bad string length %d", ErrTorn, n)
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendF64(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
@@ -268,18 +268,21 @@ func replaySegment(path string, nameLSN, snapLSN uint64, rs *replayState, res *R
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
+	// A header cut short or naming another LSN is torn; another version
+	// is not, and fails Open with the segment left as it is.
 	var hdr [segHdrLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, fmt.Errorf("%w: segment header: %v", ErrTorn, err)
 	}
-	if string(hdr[:4]) != segMagic {
-		return 0, 0, fmt.Errorf("%w: bad segment magic %q", ErrTorn, hdr[:4])
+	d := binfmt.NewDecoder(hdr[:])
+	d.Header(segMagic, segVersion)
+	if first := d.Fixed64(); d.Err() == nil && first != nameLSN {
+		d.Fail(fmt.Errorf("segment header LSN %d != name %d", first, nameLSN))
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != segVersion {
-		return 0, 0, fmt.Errorf("wal: unsupported segment version %d", v)
-	}
-	if first := binary.LittleEndian.Uint64(hdr[6:]); first != nameLSN {
-		return 0, 0, fmt.Errorf("%w: segment header LSN %d != name %d", ErrTorn, first, nameLSN)
+	if err := d.Err(); errors.Is(err, binfmt.ErrVersion) {
+		return 0, 0, fmt.Errorf("wal: segment: %w", err)
+	} else if err != nil {
+		return 0, 0, torn(err)
 	}
 
 	offset := int64(segHdrLen)

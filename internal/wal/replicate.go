@@ -27,15 +27,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"stsmatch/internal/binfmt"
 )
 
 const (
 	batchMagic   = "STRB"
 	batchVersion = 1
-
-	// maxBatchRecords bounds a single replication batch; primaries ship
-	// per-ingest-call batches that are far smaller.
-	maxBatchRecords = 1 << 16
 )
 
 // Batch is one replication shipment for a single session.
@@ -59,11 +57,10 @@ type Batch struct {
 // with FirstSeq+i so the wire sequence is dense by construction.
 func EncodeBatch(b Batch) []byte {
 	out := make([]byte, 0, 64+len(b.Records)*64)
-	out = append(out, batchMagic...)
-	out = binary.LittleEndian.AppendUint16(out, batchVersion)
-	out = appendString(out, b.Source)
-	out = appendString(out, b.SessionID)
-	out = appendString(out, b.PatientID)
+	out = binfmt.AppendHeader(out, batchMagic, batchVersion)
+	out = binfmt.AppendString(out, b.Source)
+	out = binfmt.AppendString(out, b.SessionID)
+	out = binfmt.AppendString(out, b.PatientID)
 	out = binary.AppendUvarint(out, b.Epoch)
 	out = binary.AppendUvarint(out, b.FirstSeq)
 	out = binary.AppendUvarint(out, uint64(len(b.Records)))
@@ -80,30 +77,26 @@ func EncodeBatch(b Batch) []byte {
 // ErrTorn; a valid batch can be handed to Cursor.Accept.
 func DecodeBatch(data []byte) (Batch, error) {
 	var b Batch
-	body, err := checkHeader(data, batchMagic, batchVersion)
-	if err != nil {
-		return b, err
+	d := binfmt.NewDecoder(data)
+	d.Header(batchMagic, batchVersion)
+	b.Source = d.Str()
+	b.SessionID = d.Str()
+	b.PatientID = d.Str()
+	b.Epoch = d.Uvarint()
+	b.FirstSeq = d.Uvarint()
+	// A record frame is at least its header, a type byte and an LSN.
+	n := d.Count(frameHeaderLen + 2)
+	if err := d.Err(); err != nil {
+		return b, torn(err)
 	}
-	d := decoder{b: body}
-	b.Source = d.str()
-	b.SessionID = d.str()
-	b.PatientID = d.str()
-	b.Epoch = d.uvarint()
-	b.FirstSeq = d.uvarint()
-	n := d.uvarint()
-	if d.err != nil {
-		return b, d.err
-	}
-	if n > maxBatchRecords {
-		return b, fmt.Errorf("%w: implausible batch of %d records", ErrTorn, n)
-	}
-	b.Records = make([]Record, 0, min(int(n), 4096))
-	rest := body[d.off:]
-	for i := uint64(0); i < n; i++ {
-		var payload []byte
-		if payload, rest, err = splitFrame(rest); err != nil {
+	b.Records = make([]Record, 0, n)
+	rest := d.Rest()
+	for i := range uint64(n) {
+		payload, tail, err := splitFrame(rest)
+		if err != nil {
 			return b, fmt.Errorf("%w: record %d: %v", ErrTorn, i, err)
 		}
+		rest = tail
 		rec, err := decodePayload(payload)
 		if err != nil {
 			return b, fmt.Errorf("%w: record %d: %v", ErrTorn, i, err)
@@ -118,22 +111,6 @@ func DecodeBatch(data []byte) (Batch, error) {
 		return b, fmt.Errorf("%w: %d trailing bytes after batch", ErrTorn, len(rest))
 	}
 	return b, nil
-}
-
-// checkHeader strips the 4-byte magic and u16 version that open every
-// wire message built on the record framing (replication batches, match
-// legs) and returns what follows.
-func checkHeader(data []byte, magic string, version uint16) ([]byte, error) {
-	if len(data) < len(magic)+2 {
-		return nil, fmt.Errorf("%w: short %s header", ErrTorn, magic)
-	}
-	if string(data[:len(magic)]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q, want %s", ErrTorn, data[:len(magic)], magic)
-	}
-	if v := binary.LittleEndian.Uint16(data[len(magic):]); v != version {
-		return nil, fmt.Errorf("%w: unsupported %s version %d", ErrTorn, magic, v)
-	}
-	return data[len(magic)+2:], nil
 }
 
 // ErrGap reports a batch whose sequence range does not connect to the

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/store"
 )
 
@@ -21,8 +22,8 @@ import (
 func retiredIndexFields(b []byte) []byte {
 	b = binary.AppendUvarint(b, 9)
 	b = binary.AppendUvarint(b, 24)
-	b = appendF64(b, 4)
-	return appendF64(b, 2.5)
+	b = binfmt.AppendF64(b, 4)
+	return binfmt.AppendF64(b, 2.5)
 }
 
 // retiredIndexPayload is the type-8 record payload at lsn.
@@ -32,22 +33,18 @@ func retiredIndexPayload(lsn uint64) []byte {
 
 // withRetiredIndexSection returns the snapshot raw (as the writer makes
 // it, reserved byte 0) with the byte set and the fields inserted.
-func withRetiredIndexSection(t *testing.T, raw []byte) []byte {
+func withRetiredIndexSection(t testing.TB, raw []byte) []byte {
 	t.Helper()
 	const hdrLen = 4 + 2 + 8
-	d := decoder{b: raw[hdrLen:]}
-	for i, n := uint64(0), d.uvarint(); i < n; i++ {
-		d.str()
-		d.str()
-		d.uvarint()
-		d.f64()
-		for j, dims := uint64(0), d.uvarint(); j < dims; j++ {
-			d.f64()
-		}
+	d := binfmt.NewDecoder(raw[hdrLen:])
+	for i, n := 0, d.Count(12); i < n; i++ {
+		d.Str()
+		d.Str()
+		decodeAnchor(&d)
 	}
-	at := hdrLen + d.off
-	if d.err != nil || raw[at] != 0 {
-		t.Fatalf("no reserved 0 byte after the session section (err %v)", d.err)
+	at := len(raw) - len(d.Rest())
+	if d.Err() != nil || raw[at] != 0 {
+		t.Fatalf("no reserved 0 byte after the session section (err %v)", d.Err())
 	}
 	out := append([]byte{}, raw[:at]...)
 	out = retiredIndexFields(append(out, 1))

@@ -1,16 +1,13 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
 
-	"stsmatch/internal/plr"
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/store"
 )
 
@@ -79,25 +76,25 @@ func writeSnapshotFile(path string, lsn uint64, db *store.DB, sessions []Session
 		return err
 	}
 	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<16)
-	var hdr [4 + 2 + 8]byte
-	copy(hdr[:4], snapMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], snapVersion)
-	binary.LittleEndian.PutUint64(hdr[6:], lsn)
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := f.Write(appendSnapshotHead(nil, lsn, sessions, subs, migrations)); err != nil {
 		return err
 	}
-	var b []byte
+	if err := db.WriteBinary(f); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// appendSnapshotHead appends everything of a snapshot before its store
+// body: header, sessions, reserved byte, subscriptions, migrations.
+func appendSnapshotHead(b []byte, lsn uint64, sessions []SessionState, subs []SubState, migrations []MigrationState) []byte {
+	b = binfmt.AppendHeader(b, snapMagic, snapVersion)
+	b = binary.LittleEndian.AppendUint64(b, lsn)
 	b = binary.AppendUvarint(b, uint64(len(sessions)))
 	for _, ss := range sessions {
-		b = appendString(b, ss.PatientID)
-		b = appendString(b, ss.SessionID)
-		b = binary.AppendUvarint(b, ss.Samples)
-		b = appendF64(b, ss.LastT)
-		b = binary.AppendUvarint(b, uint64(len(ss.LastPos)))
-		for _, x := range ss.LastPos {
-			b = appendF64(b, x)
-		}
+		b = binfmt.AppendString(b, ss.PatientID)
+		b = binfmt.AppendString(b, ss.SessionID)
+		b = appendAnchor(b, ss.Samples, ss.LastT, ss.LastPos)
 	}
 	// Reserved byte, always 0: it was the presence byte of the
 	// window-signature index configuration (see typeRetiredIndex).
@@ -119,22 +116,13 @@ func writeSnapshotFile(path string, lsn uint64, db *store.DB, sessions []Session
 	// (or an in-flight prepare) is still load-bearing.
 	b = binary.AppendUvarint(b, uint64(len(migrations)))
 	for _, m := range migrations {
-		b = appendString(b, m.SessionID)
-		b = appendString(b, m.PatientID)
-		b = appendString(b, m.Target)
+		b = binfmt.AppendString(b, m.SessionID)
+		b = binfmt.AppendString(b, m.PatientID)
+		b = binfmt.AppendString(b, m.Target)
 		b = binary.AppendUvarint(b, m.Epoch)
 		b = append(b, m.Phase)
 	}
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	if err := db.WriteBinary(w); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return f.Sync()
+	return b
 }
 
 // snapshotFile is one snapshot's decoded content.
@@ -146,142 +134,58 @@ type snapshotFile struct {
 	Migrations []MigrationState
 }
 
-// readSnapshotFile loads one snapshot file.
+// readSnapshotFile loads one snapshot file, read whole.
 func readSnapshotFile(path string) (*snapshotFile, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	s := snapReader{r: bufio.NewReaderSize(f, 1<<16)}
-	var hdr [4 + 2 + 8]byte
-	if _, err := io.ReadFull(s.r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("wal: snapshot header: %w", err)
-	}
-	if string(hdr[:4]) != snapMagic {
-		return nil, fmt.Errorf("wal: bad snapshot magic %q", hdr[:4])
-	}
-	if version := binary.LittleEndian.Uint16(hdr[4:6]); version != snapVersion {
-		return nil, fmt.Errorf("wal: unsupported snapshot version %d", version)
-	}
-	sf := &snapshotFile{LSN: binary.LittleEndian.Uint64(hdr[6:])}
-
-	for i, n := 0, s.count(1<<20, "session count"); uint64(i) < n && s.err == nil; i++ {
-		ss := SessionState{PatientID: s.str(), SessionID: s.str(), Samples: s.uvarint(), LastT: s.f64()}
-		ss.LastPos = make([]float64, s.count(plr.MaxDims, "anchor dims"))
-		for j := range ss.LastPos {
-			ss.LastPos[j] = s.f64()
-		}
-		sf.Sessions = append(sf.Sessions, ss)
-	}
-	if s.err != nil {
-		return nil, fmt.Errorf("wal: snapshot session section: %w", s.err)
-	}
-
-	// The reserved byte: a snapshot written while the index was served
-	// set it and put the four configuration fields after it.
-	if s.u8() != 0 {
-		s.uvarint()
-		s.uvarint()
-		s.f64()
-		s.f64()
-	}
-	if s.err != nil {
-		return nil, fmt.Errorf("wal: snapshot reserved section: %w", s.err)
-	}
-
-	for i, n := 0, s.count(1<<20, "subscription count"); uint64(i) < n && s.err == nil; i++ {
-		d := decoder{b: s.bytes(s.count(maxPayload, "subscription blob length"))}
-		if s.err != nil {
-			break
-		}
-		st := d.subState()
-		if d.err == nil && d.off != len(d.b) {
-			d.err = fmt.Errorf("%d trailing bytes", len(d.b)-d.off)
-		}
-		if d.err != nil {
-			s.err = fmt.Errorf("subscription %d: %w", i, d.err)
-			break
-		}
-		sf.Subs = append(sf.Subs, *st)
-	}
-	if s.err != nil {
-		return nil, fmt.Errorf("wal: snapshot subscription section: %w", s.err)
-	}
-
-	for i, n := 0, s.count(1<<20, "migration count"); uint64(i) < n && s.err == nil; i++ {
-		m := MigrationState{SessionID: s.str(), PatientID: s.str(), Target: s.str(), Epoch: s.uvarint(), Phase: s.u8()}
-		if s.err == nil && (m.Phase < MigratePrepare || m.Phase > MigrateAbort) {
-			s.err = fmt.Errorf("migration %d: invalid phase %d", i, m.Phase)
-		}
-		sf.Migrations = append(sf.Migrations, m)
-	}
-	if s.err != nil {
-		return nil, fmt.Errorf("wal: snapshot migration section: %w", s.err)
-	}
-
-	if sf.DB, err = store.ReadBinary(s.r); err != nil {
-		return nil, fmt.Errorf("wal: snapshot payload: %w", err)
+	sf, err := decodeSnapshot(b)
+	if err != nil {
+		return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
 	}
 	return sf, nil
 }
 
-// snapReader reads a snapshot's sections off the stream, latching the
-// first error so the section decoders read straight-line (what decoder
-// does for a record's byte slice). After an error every read returns
-// zero.
-type snapReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (s *snapReader) uvarint() uint64 {
-	if s.err != nil {
-		return 0
+// decodeSnapshot parses a whole snapshot file. A session is at least 12
+// bytes (two empty IDs, a sample count, a time, no dims), a migration at
+// least five (three empty strings, an epoch, a phase).
+func decodeSnapshot(b []byte) (*snapshotFile, error) {
+	d := binfmt.NewDecoder(b)
+	d.Header(snapMagic, snapVersion)
+	sf := &snapshotFile{LSN: d.Fixed64()}
+	for i, n := 0, d.Count(12); i < n && d.Err() == nil; i++ {
+		ss := SessionState{PatientID: d.Str(), SessionID: d.Str()}
+		ss.Samples, ss.LastT, ss.LastPos = decodeAnchor(&d)
+		sf.Sessions = append(sf.Sessions, ss)
 	}
-	var v uint64
-	v, s.err = binary.ReadUvarint(s.r)
-	return v
-}
-
-// count reads a uvarint that sizes an allocation or a loop and refuses
-// values above max, so a corrupt file cannot demand unbounded work.
-func (s *snapReader) count(max uint64, what string) uint64 {
-	v := s.uvarint()
-	if s.err == nil && v > max {
-		s.err = fmt.Errorf("implausible %s %d", what, v)
-		return 0
+	// The reserved byte: a snapshot written while the index was served
+	// set it and put the four configuration fields after it.
+	if d.U8() != 0 {
+		d.Uvarint()
+		d.Uvarint()
+		d.F64()
+		d.F64()
 	}
-	return v
-}
-
-func (s *snapReader) bytes(n uint64) []byte {
-	if s.err != nil {
-		return nil
+	for i, n := 0, d.Count(1); i < n && d.Err() == nil; i++ {
+		blob := binfmt.NewDecoder(d.Bytes(d.Count(1)))
+		st := decodeSubState(&blob)
+		if err := blob.Finish(); err != nil {
+			d.Fail(fmt.Errorf("subscription %d: %w", i, err))
+			break
+		}
+		sf.Subs = append(sf.Subs, *st)
 	}
-	buf := make([]byte, n)
-	_, s.err = io.ReadFull(s.r, buf)
-	return buf
-}
-
-func (s *snapReader) u8() byte {
-	if s.err != nil {
-		return 0
+	for i, n := 0, d.Count(5); i < n && d.Err() == nil; i++ {
+		sf.Migrations = append(sf.Migrations, MigrationState{
+			SessionID: d.Str(), PatientID: d.Str(), Target: d.Str(), Epoch: d.Uvarint(), Phase: decodePhase(&d)})
 	}
-	var v byte
-	v, s.err = s.r.ReadByte()
-	return v
-}
-
-func (s *snapReader) f64() float64 {
-	var b [8]byte
-	if s.err == nil {
-		_, s.err = io.ReadFull(s.r, b[:])
+	sf.DB = store.DecodeBinary(&d)
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	return sf, nil
 }
-
-func (s *snapReader) str() string { return string(s.bytes(s.count(store.MaxIDBytes, "string length"))) }
 
 // compactLocked prunes old snapshots and deletes log segments no
 // retained snapshot needs. Recovery may fall back to the OLDEST kept

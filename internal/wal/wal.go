@@ -10,7 +10,7 @@
 //	wal-<firstLSN hex>.log   log segments ("STWL" u16 version u64 firstLSN,
 //	                         then framed records)
 //	snap-<LSN hex>.db        snapshots ("STSS" u16 version u64 LSN,
-//	                         open-session manifest, index config,
+//	                         open-session manifest, reserved byte,
 //	                         subscriptions, migrations, store binary
 //	                         payload — one format, see snapshot.go)
 //
@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/obs"
 )
 
@@ -258,11 +259,8 @@ func (l *Log) openSegmentLocked(firstLSN uint64) error {
 		l.fail(err)
 		return l.err
 	}
-	var hdr [segHdrLen]byte
-	copy(hdr[:4], segMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], segVersion)
-	binary.LittleEndian.PutUint64(hdr[6:], firstLSN)
-	if _, err := f.Write(hdr[:]); err != nil {
+	hdr := binary.LittleEndian.AppendUint64(binfmt.AppendHeader(nil, segMagic, segVersion), firstLSN)
+	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		l.fail(err)
 		return l.err

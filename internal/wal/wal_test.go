@@ -2,12 +2,15 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
 )
@@ -633,8 +636,8 @@ func TestSnapshotOtherVersionRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err = readSnapshotFile(path)
-			if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
-				t.Errorf("version %d: read error = %v, want unsupported snapshot version", version, err)
+			if !errors.Is(err, binfmt.ErrVersion) || !strings.Contains(err.Error(), fmt.Sprintf("STSS: unsupported version %d", version)) {
+				t.Errorf("version %d: read error = %v, want unsupported STSS version", version, err)
 			}
 		}
 		if l2, _, err := Open(opts, nil); err == nil {
