@@ -587,30 +587,36 @@ func TestLargeCorpusHeapBudget(t *testing.T) {
 
 // BenchmarkSegmentationPerPoint measures the online segmenter's
 // per-sample cost ("constant space, linear time with respect to raw
-// data points").
+// data points") on a 1-D stream and a 3-D one: a sample's secondary
+// coordinates ride through the trend window beside the primary one.
 func BenchmarkSegmentationPerPoint(b *testing.B) {
-	cfg := signal.DefaultRespiration()
-	cfg.IrregularProb = 0.01
-	gen, err := signal.NewRespiration(cfg, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples := gen.Generate(120)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seg, err := fsm.New(fsm.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sm := range samples {
-			if _, err := seg.Push(sm); err != nil {
+	for _, dims := range []int{1, 3} {
+		b.Run(fmt.Sprintf("dims=%d", dims), func(b *testing.B) {
+			cfg := signal.DefaultRespiration()
+			cfg.Dims = dims
+			cfg.IrregularProb = 0.01
+			gen, err := signal.NewRespiration(cfg, 7)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		seg.Flush()
+			samples := gen.Generate(120)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seg, err := fsm.New(fsm.DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, sm := range samples {
+					if _, err := seg.Push(sm); err != nil {
+						b.Fatal(err)
+					}
+				}
+				seg.Flush()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(samples)), "ns/point")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(samples)), "ns/point")
 }
 
 // BenchmarkMatchLinear measures retrieval cost against growing database

@@ -275,7 +275,7 @@ func runDemo(log *slog.Logger, h http.Handler) {
 		fatal(log, err)
 	}
 	headline := []string{
-		"stsmatch_fsm_samples_total",
+		"stsmatch_server_samples_in_total",
 		"stsmatch_fsm_vertices_total",
 		"stsmatch_matcher_index_pruned_total",
 		"stsmatch_matcher_candidates_scanned_total",

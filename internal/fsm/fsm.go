@@ -158,19 +158,23 @@ func (c Config) Validate() error {
 type Segmenter struct {
 	cfg Config
 
-	// trend window (ring buffer of the last SlopeWindow samples)
-	win        []plr.Sample
+	// Trend window: a ring of the last SlopeWindow cleaned samples in
+	// two pointer-free columns, times in wT and positions flat in wPos
+	// (dims slots a sample). head is the slot the next sample takes, so
+	// once the window is full it is also the oldest sample's.
+	dims       int
+	wT, wPos   []float64
+	head       int
 	reg        stats.LinReg
 	smooth     float64
 	jump       stats.Welford // running |Δprimary| stats for spike rejection
 	lastGoodY  float64
 	spikeHolds int
 
-	started   bool
-	lastRaw   plr.Sample
-	curState  plr.State
-	segStart  plr.Sample
-	segStartT float64
+	started  bool
+	lastT    float64 // newest sample's time, for the ordering check
+	curState plr.State
+	segStart plr.Sample
 
 	// FSA bookkeeping
 	allowed      [plr.NumStates][plr.NumStates]bool
@@ -193,7 +197,7 @@ func New(cfg Config) (*Segmenter, error) {
 	}
 	return &Segmenter{
 		cfg:      cfg,
-		win:      make([]plr.Sample, 0, cfg.SlopeWindow),
+		wT:       make([]float64, cfg.SlopeWindow),
 		curState: plr.IRR,
 		allowed:  cfg.allowedNext(),
 	}, nil
@@ -210,17 +214,20 @@ func (s *Segmenter) CurrentState() plr.State { return s.curState }
 
 // Push feeds one sample and returns any vertices completed by it
 // (usually none or one). The returned slice aliases no internal state.
-// Samples must arrive in strictly increasing time order; out-of-order
-// samples return an error.
+// Samples must arrive in strictly increasing time order and keep the
+// first sample's dimensionality; any other sample returns an error and
+// leaves the segmenter as it was.
 func (s *Segmenter) Push(sm plr.Sample) ([]plr.Vertex, error) {
 	if s.cfg.PrimaryDim >= len(sm.Pos) {
 		return nil, fmt.Errorf("fsm: sample has %d dims, primary dim is %d", len(sm.Pos), s.cfg.PrimaryDim)
 	}
-	if s.started && sm.T <= s.lastRaw.T {
-		return nil, fmt.Errorf("fsm: non-increasing sample time %v after %v", sm.T, s.lastRaw.T)
+	if s.started && sm.T <= s.lastT {
+		return nil, fmt.Errorf("fsm: non-increasing sample time %v after %v", sm.T, s.lastT)
+	}
+	if s.started && len(sm.Pos) != s.dims {
+		return nil, fmt.Errorf("fsm: sample has %d dims, the stream has %d", len(sm.Pos), s.dims)
 	}
 	s.samplesSeen++
-	mSamples.Inc()
 
 	y := sm.Pos[s.cfg.PrimaryDim]
 
@@ -255,45 +262,42 @@ func (s *Segmenter) Push(sm plr.Sample) ([]plr.Vertex, error) {
 		s.smooth = y
 	}
 
-	// Maintain the trend window; the sample it evicts gives up its
-	// position slot to the new one, so a steady-state Push allocates
-	// nothing.
-	var slot []float64
-	if len(s.win) == s.cfg.SlopeWindow {
-		old := s.win[0]
-		s.reg.Remove(old.T, old.Pos[s.cfg.PrimaryDim])
-		copy(s.win, s.win[1:])
-		s.win = s.win[:len(s.win)-1]
-		slot = old.Pos[:0]
+	// Maintain the trend window: the new sample takes the oldest one's
+	// slot, so a steady-state Push allocates nothing. The slot keeps the
+	// full position but with the cleaned primary dimension, so emitted
+	// vertices are denoised too; whatever outlives the window (the open
+	// segment's start) holds a copy of its own.
+	w, p := s.cfg.SlopeWindow, s.cfg.PrimaryDim
+	if !s.started {
+		s.dims = len(sm.Pos)
+		s.wPos = make([]float64, w*s.dims)
 	}
-
-	// The stored sample keeps the full position but with the cleaned
-	// primary dimension, so emitted vertices are denoised too. Window
-	// slots are recycled, so whatever outlives the window — the open
-	// segment's start, the last sample — holds a copy of its own.
-	clean := plr.Sample{T: sm.T, Pos: append(slot, sm.Pos...)}
-	clean.Pos[s.cfg.PrimaryDim] = s.smooth
-
-	var out []plr.Vertex
+	if s.samplesSeen > w {
+		s.reg.Remove(s.wT[s.head], s.wPos[s.head*s.dims+p])
+	}
+	slot := s.wPos[s.head*s.dims : (s.head+1)*s.dims]
+	copy(slot, sm.Pos)
+	slot[p] = s.smooth
+	s.wT[s.head] = sm.T
+	if s.head++; s.head == w {
+		s.head = 0
+	}
+	s.lastT = sm.T
 	if !s.started {
 		s.started = true
-		s.segStart = clean.Clone()
-		s.segStartT = clean.T
+		s.segStart = plr.Sample{T: sm.T, Pos: append([]float64(nil), slot...)}
 	}
-	s.lastRaw = plr.Sample{T: clean.T, Pos: append(s.lastRaw.Pos[:0], clean.Pos...)}
+	s.reg.Add(sm.T, s.smooth)
 
-	s.win = append(s.win, clean)
-	s.reg.Add(clean.T, s.smooth)
-
-	if len(s.win) < s.cfg.SlopeWindow {
+	if s.samplesSeen < w {
 		return nil, nil // not enough evidence yet
 	}
 
 	obs := s.classify(s.reg.Slope())
-	if v, emitted := s.transition(obs, clean); emitted {
-		out = append(out, v)
+	if v, emitted := s.transition(obs, sm.T); emitted {
+		return []plr.Vertex{v}, nil
 	}
-	return out, nil
+	return nil, nil
 }
 
 // classify maps an instantaneous slope to a raw observed state with a
@@ -322,8 +326,9 @@ func (s *Segmenter) classify(slope float64) plr.State {
 }
 
 // transition runs the finite state automaton on the observed state and
-// emits a vertex when the current segment closes.
-func (s *Segmenter) transition(obs plr.State, at plr.Sample) (plr.Vertex, bool) {
+// emits a vertex when the current segment closes. It runs only on a
+// full trend window; at is the newest sample's time.
+func (s *Segmenter) transition(obs plr.State, at float64) (plr.Vertex, bool) {
 	if s.curState == plr.IRR && !s.irr && s.segsEmitted == 0 && s.samplesSeen <= s.cfg.SlopeWindow+1 {
 		// Initial state assignment: adopt the first confident
 		// observation without emitting a vertex.
@@ -341,10 +346,10 @@ func (s *Segmenter) transition(obs plr.State, at plr.Sample) (plr.Vertex, bool) 
 	if !s.havePending || s.pendingState != obs {
 		s.havePending = true
 		s.pendingState = obs
-		s.pendingSince = at.T
+		s.pendingSince = at
 		return plr.Vertex{}, false
 	}
-	if at.T-s.pendingSince < s.cfg.MinSegmentDur {
+	if at-s.pendingSince < s.cfg.MinSegmentDur {
 		return plr.Vertex{}, false
 	}
 	s.havePending = false
@@ -356,19 +361,21 @@ func (s *Segmenter) transition(obs plr.State, at plr.Sample) (plr.Vertex, bool) 
 	// pendingSince - window/2. Backdating keeps segment amplitudes
 	// and durations faithful, which the irregularity statistics and
 	// the similarity measure both depend on.
-	boundary := s.boundarySample()
+	b := s.boundarySlot()
+	endT, endPos := s.wT[b], s.wPos[b*s.dims:(b+1)*s.dims]
+	endY := endPos[s.cfg.PrimaryDim]
 
 	// A segment whose own duration or amplitude is anomalous (a
 	// breath hold, a deep breath) is labeled IRR directly and kept
 	// out of the running statistics.
-	anomalous := s.segmentAnomalous(boundary)
+	anomalous := s.segmentAnomalous(endT, endY)
 	stateForV := s.effectiveState()
 	if anomalous {
 		stateForV = plr.IRR
 	}
 	v := plr.Vertex{T: s.segStart.T, Pos: s.segStart.Pos, State: stateForV}
 	if !anomalous && !s.irr {
-		s.noteSegment(s.curState, boundary)
+		s.noteSegment(s.curState, endT, endY)
 	}
 
 	switch {
@@ -378,34 +385,32 @@ func (s *Segmenter) transition(obs plr.State, at plr.Sample) (plr.Vertex, bool) 
 		s.maybeLeaveIRR(obs)
 	}
 	s.curState = obs
-	s.segStart = boundary.Clone()
-	s.segStartT = boundary.T
+	s.segStart = plr.Sample{T: endT, Pos: append([]float64(nil), endPos...)}
 	s.segsEmitted++
 	mTransitions.Inc()
 	mVertices.Inc()
 	return v, true
 }
 
-// boundarySample estimates the sample at the physical state
-// transition: the pending state was first observed at pendingSince,
-// which itself lags the signal by half the trend window. The estimate
-// is clamped inside the retained window and strictly after the current
-// segment start so vertex times stay increasing.
-func (s *Segmenter) boundarySample() plr.Sample {
-	n := len(s.win)
-	best := s.win[n-1]
-	if n < 2 {
-		return best
-	}
-	dt := (s.win[n-1].T - s.win[0].T) / float64(n-1)
-	target := s.pendingSince - float64(s.cfg.SlopeWindow)/2*dt
-	bestDiff := math.Abs(best.T - target)
-	for _, sm := range s.win {
-		if sm.T <= s.segStart.T {
+// boundarySlot estimates the window slot of the sample at the physical
+// state transition: the pending state was first observed at
+// pendingSince, which itself lags the signal by half the trend window.
+// The estimate is clamped inside the full window, walked from oldest
+// to newest, and strictly after the current segment start so vertex
+// times stay increasing.
+func (s *Segmenter) boundarySlot() int {
+	w := s.cfg.SlopeWindow
+	best := (s.head + w - 1) % w
+	dt := (s.wT[best] - s.wT[s.head]) / float64(w-1)
+	target := s.pendingSince - float64(w)/2*dt
+	bestDiff := math.Abs(s.wT[best] - target)
+	for k := range w {
+		i := (s.head + k) % w
+		if s.wT[i] <= s.segStart.T {
 			continue
 		}
-		if d := math.Abs(sm.T - target); d < bestDiff {
-			best, bestDiff = sm, d
+		if d := math.Abs(s.wT[i] - target); d < bestDiff {
+			best, bestDiff = i, d
 		}
 	}
 	return best
@@ -444,7 +449,8 @@ func (s *Segmenter) fsaViolation(obs plr.State) bool {
 // amplitude deviates wildly from its state's running statistics (a
 // breath hold stretches EOE; a deep breath doubles EX/IN amplitude).
 // Checks engage only once enough regular segments have been observed.
-func (s *Segmenter) segmentAnomalous(end plr.Sample) bool {
+// The segment ends at time endT with primary coordinate endY.
+func (s *Segmenter) segmentAnomalous(endT, endY float64) bool {
 	if s.irr {
 		return false // everything inside an IRR run is already irregular
 	}
@@ -453,7 +459,7 @@ func (s *Segmenter) segmentAnomalous(end plr.Sample) bool {
 		return false
 	}
 	if s.durStats[k].N() >= 4 {
-		dur := end.T - s.segStartT
+		dur := endT - s.segStart.T
 		mean := s.durStats[k].Mean()
 		if mean > 0 && (dur > mean*s.cfg.MaxCycleDeviation || dur < mean/(2*s.cfg.MaxCycleDeviation)) {
 			return true
@@ -462,7 +468,7 @@ func (s *Segmenter) segmentAnomalous(end plr.Sample) bool {
 	// Amplitude deviations only mean something for the moving states;
 	// EOE plateaus have near-zero, noise-dominated amplitudes.
 	if k != plr.EOE && s.ampStats[k].N() >= 4 {
-		amp := math.Abs(end.Pos[s.cfg.PrimaryDim] - s.segStart.Pos[s.cfg.PrimaryDim])
+		amp := math.Abs(endY - s.segStart.Pos[s.cfg.PrimaryDim])
 		mean := s.ampStats[k].Mean()
 		if mean > 1 && (amp > mean*s.cfg.MaxCycleDeviation || amp < mean/(2*s.cfg.MaxCycleDeviation)) {
 			return true
@@ -495,9 +501,9 @@ func (s *Segmenter) maybeLeaveIRR(obs plr.State) {
 
 // noteSegment records duration/amplitude statistics of the closing
 // segment for irregularity detection.
-func (s *Segmenter) noteSegment(st plr.State, end plr.Sample) {
-	dur := end.T - s.segStartT
-	amp := math.Abs(end.Pos[s.cfg.PrimaryDim] - s.segStart.Pos[s.cfg.PrimaryDim])
+func (s *Segmenter) noteSegment(st plr.State, endT, endY float64) {
+	dur := endT - s.segStart.T
+	amp := math.Abs(endY - s.segStart.Pos[s.cfg.PrimaryDim])
 	if st.Valid() {
 		s.durStats[st].Add(dur)
 		s.ampStats[st].Add(amp)
@@ -514,8 +520,10 @@ func (s *Segmenter) Flush() []plr.Vertex {
 	out := []plr.Vertex{
 		{T: s.segStart.T, Pos: s.segStart.Pos, State: s.effectiveState()},
 	}
-	if s.lastRaw.T > s.segStart.T {
-		out = append(out, plr.Vertex{T: s.lastRaw.T, Pos: s.lastRaw.Pos, State: s.effectiveState()})
+	if s.lastT > s.segStart.T {
+		newest := (s.head + s.cfg.SlopeWindow - 1) % s.cfg.SlopeWindow
+		pos := append([]float64(nil), s.wPos[newest*s.dims:(newest+1)*s.dims]...)
+		out = append(out, plr.Vertex{T: s.lastT, Pos: pos, State: s.effectiveState()})
 	}
 	mVertices.Add(len(out))
 	return out

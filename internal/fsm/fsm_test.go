@@ -171,6 +171,64 @@ func TestPushErrors(t *testing.T) {
 	}
 }
 
+// TestPushRefusesDimensionChange: the first sample, or the first primed
+// vertex, fixes the stream's dimensionality; a sample of another length
+// is refused before it touches any state, so the output is what the
+// stream gives without it.
+func TestPushRefusesDimensionChange(t *testing.T) {
+	samples := cleanBreathing(8, 4, 15)
+	want, err := SegmentAll(DefaultConfig(), samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got plr.Sequence
+	for i, sm := range samples {
+		if i%50 == 7 {
+			wide := plr.Sample{T: sm.T, Pos: []float64{sm.Pos[0], 1}}
+			if _, err := seg.Push(wide); err == nil {
+				t.Fatalf("sample %d: a 2-dimension sample was accepted by a 1-dimension stream", i)
+			}
+		}
+		vs, err := seg.Push(sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, vs...)
+	}
+	got = append(got, seg.Flush()...)
+	if len(got) != len(want) {
+		t.Fatalf("%d vertices, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].T != want[i].T || got[i].Pos[0] != want[i].Pos[0] || got[i].State != want[i].State || len(got[i].Pos) != 1 {
+			t.Fatalf("vertex %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	// A primed segmenter takes its dimensionality from the recovered
+	// tail, and a tail of mixed lengths does not prime.
+	wide := plr.Sequence{{T: 1, Pos: []float64{1, 2}, State: plr.EX}, {T: 2, Pos: []float64{0, 1}, State: plr.EOE}}
+	seg, _ = New(DefaultConfig())
+	if err := seg.Prime(wide); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seg.Push(plr.Sample{T: 3, Pos: []float64{1}}); err == nil {
+		t.Error("a 1-dimension sample was accepted after priming from 2-dimension vertices")
+	}
+	if _, err := seg.Push(plr.Sample{T: 3, Pos: []float64{1, 2}}); err != nil {
+		t.Error(err)
+	}
+	mixed := append(wide.Clone(), plr.Vertex{T: 3, Pos: []float64{1}, State: plr.IN})
+	seg, _ = New(DefaultConfig())
+	if err := seg.Prime(mixed); err == nil {
+		t.Error("Prime accepted vertices of mixed dimensionality")
+	}
+}
+
 func TestFlushEmptyAndShort(t *testing.T) {
 	seg, _ := New(DefaultConfig())
 	if vs := seg.Flush(); vs != nil {

@@ -8,31 +8,50 @@ import (
 )
 
 // FuzzSegmenter feeds arbitrary byte-derived sample streams through the
-// online segmenter: whatever the input, the segmenter must never panic
-// and must either reject a sample with an error or keep its output a
-// valid, strictly time-ordered PLR sequence.
+// online segmenter: whatever the input, the segmenter must never panic,
+// must refuse the one sample whose dimensionality differs from the
+// stream's, and must keep its output a valid, strictly time-ordered PLR
+// sequence whose every vertex has the first sample's dimensionality.
+// The first byte picks the dimensionality (1-3), the sample spacing and
+// where, after the first sample, the wrong-length one goes.
 func FuzzSegmenter(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 20, 30, 40})
 	f.Add([]byte{255, 0, 255, 0, 255, 0, 255, 0, 255, 0, 255, 0})
 	f.Add([]byte("breathing patterns are structured time series"))
 	f.Add([]byte{128, 128, 128, 128, 128, 128, 128, 128, 128, 128})
+	f.Add([]byte{0x47, 3, 9, 27, 81, 243, 217, 139, 161, 227, 169, 251, 241, 211, 121, 107, 65, 195})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 3 {
 			return
 		}
+		head, data := data[0], data[1:]
+		dims := 1 + int(head%3)
+		spacing := 1.0 / 30 * float64(1+(head/3)%4) // 30, 15, 10 or 7.5 Hz
+		wrongAt := 1 + int(head/12)%(len(data)-1)
 		seg, err := New(DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		var seq plr.Sequence
 		tcur := 0.0
-		for _, b := range data {
-			// Derive a sample: time always advances; position walks
-			// with the byte value (including large jumps -> spikes).
-			tcur += 1.0/30 + float64(b%7)/100
+		for i, b := range data {
+			// Derive a sample: time always advances, by a jittered
+			// step; position walks with the byte value (including
+			// large jumps -> spikes), secondary axes at fractions of it.
+			tcur += spacing + float64(b%7)/100
 			y := float64(int(b)-128) / 4
-			vs, err := seg.Push(plr.Sample{T: tcur, Pos: []float64{y}})
+			pos := make([]float64, dims)
+			for d := range pos {
+				pos[d] = y / float64(1+d)
+			}
+			if i == wrongAt {
+				wrong := plr.Sample{T: tcur, Pos: make([]float64, 1+dims%3)}
+				if _, err := seg.Push(wrong); err == nil {
+					t.Fatalf("sample %d: %d-dimension sample accepted by a %d-dimension stream", i, len(wrong.Pos), dims)
+				}
+			}
+			vs, err := seg.Push(plr.Sample{T: tcur, Pos: pos})
 			if err != nil {
 				t.Fatalf("monotone input rejected: %v", err)
 			}
@@ -43,8 +62,13 @@ func FuzzSegmenter(f *testing.F) {
 			t.Fatalf("invalid output: %v", err)
 		}
 		for _, v := range seq {
-			if math.IsNaN(v.Pos[0]) || math.IsInf(v.Pos[0], 0) {
-				t.Fatalf("non-finite vertex position %v", v.Pos[0])
+			if len(v.Pos) != dims {
+				t.Fatalf("vertex at %v has %d dims, the stream has %d", v.T, len(v.Pos), dims)
+			}
+			for _, x := range v.Pos {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("non-finite vertex position %v", x)
+				}
 			}
 		}
 	})

@@ -3,11 +3,11 @@ package fsm
 import "stsmatch/internal/obs"
 
 // Process-wide segmentation metrics, aggregated across every live
-// Segmenter. Per-instance counts remain available via SamplesSeen,
-// SegmentsEmitted, StateTransitions and IRREntries.
+// Segmenter and written only when a segment closes or a sample is
+// clamped: a plain Push touches none of them. Per-instance counts remain
+// available via SamplesSeen and SegmentsEmitted; the server counts the
+// samples it ingests.
 var (
-	mSamples = obs.Default().Counter("stsmatch_fsm_samples_total",
-		"Raw samples pushed through online segmenters.")
 	mVertices = obs.Default().Counter("stsmatch_fsm_vertices_total",
 		"PLR vertices emitted by online segmenters.")
 	mTransitions = obs.Default().Counter("stsmatch_fsm_state_transitions_total",

@@ -29,9 +29,6 @@ func (s *Segmenter) Prime(seq plr.Sequence) error {
 	}
 	start := max(0, len(seq)-s.cfg.SlopeWindow)
 	for _, v := range seq[start:] {
-		if s.cfg.PrimaryDim >= len(v.Pos) {
-			return fmt.Errorf("fsm: recovered vertex has %d dims, primary dim is %d", len(v.Pos), s.cfg.PrimaryDim)
-		}
 		// Emitted vertices are discarded: the stream already holds the
 		// recovered PLR; priming only rebuilds internal state.
 		if _, err := s.Push(plr.Sample{T: v.T, Pos: v.Pos}); err != nil {
@@ -41,7 +38,6 @@ func (s *Segmenter) Prime(seq plr.Sequence) error {
 	last := seq[len(seq)-1]
 	s.curState = last.State
 	s.segStart = plr.Sample{T: last.T, Pos: append([]float64(nil), last.Pos...)}
-	s.segStartT = last.T
 	s.havePending = false
 	return nil
 }

@@ -126,7 +126,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The registry is process-global, so values accumulate across
 	// tests: assert presence and nonzero, not exact counts.
 	for _, name := range []string{
-		"stsmatch_fsm_samples_total",
 		"stsmatch_fsm_vertices_total",
 		"stsmatch_fsm_state_transitions_total",
 		"stsmatch_matcher_searches_total",
@@ -176,8 +175,8 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("counter %s went backwards: %v -> %v", name, v1, v2)
 		}
 	}
-	if second["stsmatch_fsm_samples_total"] <= first["stsmatch_fsm_samples_total"] {
-		t.Error("fsm samples counter did not advance with new traffic")
+	if second["stsmatch_server_samples_in_total"] <= first["stsmatch_server_samples_in_total"] {
+		t.Error("ingested samples counter did not advance with new traffic")
 	}
 }
 
@@ -383,8 +382,8 @@ func TestConcurrentScrapesDuringIngestion(t *testing.T) {
 	wg.Wait()
 
 	m := scrapeMetrics(t, ts.URL)
-	if m["stsmatch_fsm_samples_total"] == 0 || m["stsmatch_http_in_flight"] != 0 {
+	if m["stsmatch_server_samples_in_total"] == 0 || m["stsmatch_http_in_flight"] != 0 {
 		t.Errorf("post-run metrics: samples=%v inFlight=%v",
-			m["stsmatch_fsm_samples_total"], m["stsmatch_http_in_flight"])
+			m["stsmatch_server_samples_in_total"], m["stsmatch_http_in_flight"])
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"stsmatch/internal/core"
 	"stsmatch/internal/dataset"
 	"stsmatch/internal/fsm"
+	"stsmatch/internal/plr"
 	"stsmatch/internal/signal"
 	"stsmatch/internal/store"
 )
@@ -233,6 +234,71 @@ func TestServerErrorPaths(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed create status %d", r.StatusCode)
+	}
+}
+
+// TestIngestRefusesDimensionChange: a sample whose dimensionality
+// differs from the session's is refused with the batch that holds it
+// (400, the batch's prefix kept), and later, valid batches store every
+// vertex they close: the session ends holding exactly what segmenting
+// the accepted samples gives.
+func TestIngestRefusesDimensionChange(t *testing.T) {
+	ts := newTestServer(t, nil)
+	postJSON(t, ts.URL+"/v1/sessions", CreateSessionRequest{PatientID: "P", SessionID: "S"})
+	gen, err := signal.NewRespiration(signal.DefaultRespiration(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := gen.Generate(60)
+	const bad, batchLen = 341, 30
+	var accepted []plr.Sample
+	for i := 0; i < len(samples); i += batchLen {
+		batch := make([]SampleIn, 0, batchLen)
+		for j, s := range samples[i:min(i+batchLen, len(samples))] {
+			if i+j == bad {
+				batch = append(batch, SampleIn{T: s.T, Pos: []float64{s.Pos[0], 1}})
+				continue
+			}
+			batch = append(batch, SampleIn{T: s.T, Pos: s.Pos})
+		}
+		resp := postJSON(t, ts.URL+"/v1/sessions/S/samples", batch)
+		want := http.StatusOK
+		if i <= bad && bad < i+batchLen {
+			want = http.StatusBadRequest
+			accepted = append(accepted, samples[i:bad]...)
+		} else {
+			accepted = append(accepted, samples[i:i+len(batch)]...)
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("batch [%d,%d): status %d, want %d", i, i+len(batch), resp.StatusCode, want)
+		}
+	}
+
+	seg, err := fsm.New(fsm.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want plr.Sequence
+	for _, sm := range accepted {
+		vs, err := seg.Push(sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, vs...)
+	}
+	resp, err := http.Get(ts.URL + "/v1/sessions/S/plr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got := decode[PLRResponse](t, resp).Vertices
+	if len(got) != len(want) || len(want) < 10 {
+		t.Fatalf("session holds %d vertices, segmenting the accepted samples gives %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].T != want[i].T || got[i].State != want[i].State || len(got[i].Pos) != 1 {
+			t.Fatalf("vertex %d: %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 

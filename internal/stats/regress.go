@@ -62,10 +62,15 @@ func (r *LinReg) Fit() (a, b float64) {
 	return a, b
 }
 
-// Slope returns only the fitted slope.
+// Slope returns only the fitted slope: Fit's b, bit for bit, without
+// the division the intercept costs.
 func (r *LinReg) Slope() float64 {
-	_, b := r.Fit()
-	return b
+	nf := float64(r.n)
+	den := nf*r.sxx - r.sx*r.sx
+	if r.n < 2 || math.Abs(den) < 1e-12 {
+		return 0
+	}
+	return (nf*r.sxy - r.sx*r.sy) / den
 }
 
 // MSE returns the mean squared residual of the current fit.

@@ -125,3 +125,46 @@ func TestLinRegMSENonNegative(t *testing.T) {
 		}
 	}
 }
+
+// TestLinRegSlopeIsFitSlope: Slope skips the intercept's division but
+// must return Fit's b bit for bit — on n = 0, 1 and 2, on identical x
+// values (den under 1e-12), and on a window slid through many Add and
+// Remove pairs, where the accumulated sums carry rounding residue.
+func TestLinRegSlopeIsFitSlope(t *testing.T) {
+	same := func(at string, r *LinReg) {
+		t.Helper()
+		if _, b := r.Fit(); math.Float64bits(r.Slope()) != math.Float64bits(b) {
+			t.Fatalf("%s: Slope %v (%x), Fit's b %v (%x)", at, r.Slope(), math.Float64bits(r.Slope()), b, math.Float64bits(b))
+		}
+	}
+	var r LinReg
+	same("n=0", &r)
+	r.Add(1.5, -2)
+	same("n=1", &r)
+	r.Add(2.25, 7)
+	same("n=2", &r)
+	r.Reset()
+	for i := range 5 {
+		r.Add(3, float64(i))
+		same("identical x", &r)
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	const win = 15
+	xs, ys := make([]float64, 0, 5000), make([]float64, 0, 5000)
+	r.Reset()
+	x := 1e4 * rng.Float64()
+	for i := range 5000 {
+		x += 1.0/30 + rng.Float64()/100
+		y := 20*math.Sin(x) + rng.NormFloat64()
+		if i%97 == 0 {
+			y += 1e3 * rng.NormFloat64() // a spike the sums keep residue of
+		}
+		xs, ys = append(xs, x), append(ys, y)
+		r.Add(x, y)
+		if i >= win {
+			r.Remove(xs[i-win], ys[i-win])
+		}
+		same("sliding window", &r)
+	}
+}
