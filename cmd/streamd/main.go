@@ -276,7 +276,7 @@ func runDemo(log *slog.Logger, h http.Handler) {
 	}
 	headline := []string{
 		"stsmatch_server_samples_in_total",
-		"stsmatch_fsm_vertices_total",
+		"stsmatch_server_vertices_out_total",
 		"stsmatch_matcher_index_pruned_total",
 		"stsmatch_matcher_candidates_scanned_total",
 		"stsmatch_matcher_matches_total",

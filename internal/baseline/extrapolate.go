@@ -64,9 +64,6 @@ func (e *Extrapolator) Observe(sm plr.Sample) error {
 	return nil
 }
 
-// N returns the number of samples currently in the window.
-func (e *Extrapolator) N() int { return len(e.buf) }
-
 // Predict extrapolates the fitted line to time t. It returns false
 // until at least two samples are in the window.
 func (e *Extrapolator) Predict(t float64) (float64, bool) {
@@ -74,10 +71,4 @@ func (e *Extrapolator) Predict(t float64) (float64, bool) {
 		return 0, false
 	}
 	return e.reg.At(t), true
-}
-
-// Reset clears the window.
-func (e *Extrapolator) Reset() {
-	e.buf = e.buf[:0]
-	e.reg.Reset()
 }

@@ -360,7 +360,6 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	}
 	pl := &plan
 	m.buf = pl.vw // the (possibly regrown) scratch, by its full capacity
-	mSearches.Inc()
 	mQueryLen.Observe(float64(pl.n))
 
 	// When the caller's context carries a trace, the whole search runs

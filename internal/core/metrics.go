@@ -11,8 +11,6 @@ import "stsmatch/internal/obs"
 // matches_total are returned. A healthy funnel keeps each layer a
 // small fraction of the one above it.
 var (
-	mSearches = obs.Default().Counter("stsmatch_matcher_searches_total",
-		"FindSimilar invocations.")
 	mCandidates = obs.Default().Counter("stsmatch_matcher_candidates_scanned_total",
 		"Candidate windows that passed the state-order filter and reached distance evaluation.")
 	mIndexPruned = obs.Default().Counter("stsmatch_matcher_index_pruned_total",
@@ -29,7 +27,7 @@ var (
 		"Query length in vertices per search.",
 		[]float64{2, 4, 7, 10, 13, 16, 19, 22, 25, 31})
 	mSearchSeconds = obs.Default().Histogram("stsmatch_matcher_search_seconds",
-		"FindSimilar wall time in seconds.", obs.DefLatencyBuckets)
+		"Search wall time in seconds; its _count is the number of searches.", obs.DefLatencyBuckets)
 	mStableQueries = obs.Default().Counter("stsmatch_query_stable_total",
 		"Dynamic queries whose stability strip halted on a stable window.")
 	mUnstableQueries = obs.Default().Counter("stsmatch_query_unstable_total",

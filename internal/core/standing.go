@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
 )
 
@@ -51,14 +50,8 @@ func NewStandingQuery(p Params, q Query, threshold float64, k int) (*StandingQue
 	return &StandingQuery{plan: &plan, k: k}, nil
 }
 
-// Pattern returns the registered query sequence (read-only).
-func (sq *StandingQuery) Pattern() plr.Sequence { return sq.plan.q.Seq }
-
 // Threshold returns the effective acceptance threshold.
 func (sq *StandingQuery) Threshold() float64 { return sq.plan.threshold }
-
-// K returns the per-batch result cap (0 = uncapped).
-func (sq *StandingQuery) K() int { return sq.k }
 
 // EvalRange evaluates the windows of st that END at vertex indices in
 // [fromEnd, toEnd): exactly the suffix windows completed by the

@@ -387,8 +387,6 @@ func (s *Segmenter) transition(obs plr.State, at float64) (plr.Vertex, bool) {
 	s.curState = obs
 	s.segStart = plr.Sample{T: endT, Pos: append([]float64(nil), endPos...)}
 	s.segsEmitted++
-	mTransitions.Inc()
-	mVertices.Inc()
 	return v, true
 }
 
@@ -525,7 +523,6 @@ func (s *Segmenter) Flush() []plr.Vertex {
 		pos := append([]float64(nil), s.wPos[newest*s.dims:(newest+1)*s.dims]...)
 		out = append(out, plr.Vertex{T: s.lastT, Pos: pos, State: s.effectiveState()})
 	}
-	mVertices.Add(len(out))
 	return out
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"expvar"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -212,9 +211,7 @@ func AccessLog(log *slog.Logger, next http.Handler) http.Handler {
 }
 
 // AttachPprof mounts the net/http/pprof handlers on mux under
-// /debug/pprof/, plus the expvar JSON dump at /debug/vars (expvar
-// only self-registers on http.DefaultServeMux, which daemons here
-// never serve), for daemons that opt in via a -pprof flag. The
+// /debug/pprof/, for daemons that opt in via a -pprof flag. The
 // handlers are deliberately not registered by default: debug
 // endpoints should not be reachable unless asked for.
 func AttachPprof(mux *http.ServeMux) {
@@ -223,5 +220,4 @@ func AttachPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 }

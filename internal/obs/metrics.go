@@ -1,8 +1,8 @@
 // Package obs is the repo's observability layer: a stdlib-only
 // metrics registry (atomic counters, gauges, fixed-bucket histograms)
-// with Prometheus text exposition and an expvar mirror, per-component
-// structured loggers built on log/slog, and HTTP middleware for
-// request IDs, per-route instrumentation, and pprof wiring.
+// with Prometheus text exposition, per-component structured loggers
+// built on log/slog, and HTTP middleware for request IDs, per-route
+// instrumentation, and pprof wiring.
 //
 // The package has no dependencies outside the standard library and no
 // dependencies on the rest of the repo, so every layer (store, fsm,
@@ -10,12 +10,12 @@
 //
 // Metric naming follows the Prometheus conventions: everything is
 // prefixed "stsmatch_", counters end in "_total", durations are in
-// seconds and use "_seconds" histograms. The catalogue of metrics the
-// pipeline emits is documented in README.md ("Observability").
+// seconds and use "_seconds" histograms. README.md's metric catalogue
+// ("Observability") is the one list of the series the pipeline
+// registers, one row each; the root TestMetricsCatalogued holds it.
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -58,9 +58,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adjusts the value by n (n may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
@@ -72,11 +69,12 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket histogram of float64 observations
 // (typically latencies in seconds). Buckets are cumulative-at-export,
-// Prometheus style, with an implicit +Inf bucket.
+// Prometheus style, with an implicit +Inf bucket. The count is the sum
+// of the buckets, not a second counter, so an export's _count always
+// equals the +Inf bucket it was read with.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds (inclusive)
 	buckets []atomic.Uint64
-	count   atomic.Uint64
 	sumBits atomic.Uint64 // float64 bits, CAS-updated
 }
 
@@ -91,7 +89,6 @@ func newHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -101,8 +98,14 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the number of observations: the sum of the buckets.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -175,19 +178,9 @@ var (
 )
 
 // Default returns the process-wide registry used by the pipeline's
-// built-in instrumentation. Its first use also mirrors the registry
-// through expvar under the key "stsmatch_metrics".
+// built-in instrumentation.
 func Default() *Registry {
-	defaultOnce.Do(func() {
-		defaultReg = NewRegistry()
-		expvar.Publish("stsmatch_metrics", expvar.Func(func() any {
-			m := make(map[string]float64)
-			for _, p := range defaultReg.Gather() {
-				m[p.Name] = p.Value
-			}
-			return m
-		}))
-	})
+	defaultOnce.Do(func() { defaultReg = NewRegistry() })
 	return defaultReg
 }
 
@@ -281,8 +274,9 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.child(strings.Join(values, labelSep)).(*Histogram)
 }
 
-// Point is one flattened metric sample, as used by the expvar mirror
-// and the end-of-run summaries. Histograms flatten to _count and _sum.
+// Point is one flattened metric sample, as the daemons' exit summaries
+// and the benchmark read the registry through Gather. Histograms
+// flatten to _count and _sum.
 type Point struct {
 	Name  string // full name including {labels}
 	Value float64
@@ -403,7 +397,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
 					labelsWith(f.labels, key, "le", "+Inf"), cum)
 				fmt.Fprintf(w, "%s_sum%s %g\n", f.name, formatLabels(f.labels, key), m.Sum())
-				fmt.Fprintf(w, "%s_count%s %d\n", f.name, formatLabels(f.labels, key), m.Count())
+				fmt.Fprintf(w, "%s_count%s %d\n", f.name, formatLabels(f.labels, key), cum)
 			}
 		}
 	}

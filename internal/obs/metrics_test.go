@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -20,9 +21,10 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := r.Gauge("test_depth", "depth")
 	g.Set(10)
 	g.Dec()
-	g.Add(-2)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
+	g.Dec()
+	g.Inc()
+	if got := g.Value(); got != 9 {
+		t.Fatalf("gauge = %d, want 9", got)
 	}
 }
 
@@ -127,40 +129,73 @@ func TestGatherHistogramFlattens(t *testing.T) {
 
 // TestConcurrentScrape exercises the registry under -race: writers
 // hammer counters/histograms/vec children while readers render the
-// exposition.
+// exposition, and every rendered histogram's _count equals its +Inf
+// bucket, as the text format requires.
 func TestConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("race_total", "race")
 	h := r.Histogram("race_seconds", "race", DefLatencyBuckets)
 	v := r.CounterVec("race_vec_total", "race", "k")
-	var wg sync.WaitGroup
+	var (
+		writers, readers sync.WaitGroup
+		stop             = make(chan struct{})
+		observed         atomic.Uint64
+	)
+	// Writers run until the readers are done (and at least 500 rounds
+	// each), so every scrape overlaps an Observe.
 	for i := 0; i < 4; i++ {
-		wg.Add(1)
+		writers.Add(1)
 		go func(id int) {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
+			defer writers.Done()
+			for j := 0; ; j++ {
+				if j >= 500 {
+					select {
+					case <-stop:
+						observed.Add(uint64(j))
+						return
+					default:
+					}
+				}
 				c.Inc()
-				h.Observe(float64(j) / 1000)
+				h.Observe(float64(j%1000) / 1000)
 				v.With(string(rune('a' + id))).Inc()
 			}
 		}(i)
 	}
+	var mismatched atomic.Int64
 	for i := 0; i < 2; i++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func() {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
+			defer readers.Done()
+			for j := 0; j < 100; j++ {
 				var buf bytes.Buffer
 				r.WritePrometheus(&buf)
 				r.Gather()
+				var inf, count string
+				for _, line := range strings.Split(buf.String(), "\n") {
+					if v, ok := strings.CutPrefix(line, `race_seconds_bucket{le="+Inf"} `); ok {
+						inf = v
+					} else if v, ok := strings.CutPrefix(line, "race_seconds_count "); ok {
+						count = v
+					}
+				}
+				if inf == "" || count != inf {
+					mismatched.Add(1)
+				}
 			}
 		}()
 	}
-	wg.Wait()
-	if c.Value() != 2000 {
-		t.Fatalf("counter = %d, want 2000", c.Value())
+	readers.Wait()
+	close(stop)
+	writers.Wait()
+	if n := mismatched.Load(); n != 0 {
+		t.Errorf("%d of 200 scrapes rendered race_seconds_count unequal to its +Inf bucket", n)
 	}
-	if h.Count() != 2000 {
-		t.Fatalf("histogram count = %d, want 2000", h.Count())
+	want := observed.Load()
+	if c.Value() != want {
+		t.Fatalf("counter = %d, want %d", c.Value(), want)
+	}
+	if h.Count() != want {
+		t.Fatalf("histogram count = %d, want %d", h.Count(), want)
 	}
 }

@@ -349,6 +349,7 @@ func (s *Server) snapshotLoop(every time.Duration) {
 // releases the data dir. Call it after the HTTP listener has drained so
 // no requests race the final snapshot.
 func (s *Server) Close() error {
+	liveServer.CompareAndSwap(s, nil)
 	s.frames.Close()
 	if t, ok := s.peers.(*frame.Transport); ok {
 		t.Close()

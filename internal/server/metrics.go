@@ -1,6 +1,16 @@
 package server
 
-import "stsmatch/internal/obs"
+import (
+	"sync/atomic"
+
+	"stsmatch/internal/obs"
+)
+
+// liveServer is the server stsmatch_repl_lag_records reads at scrape
+// time: the newest one created and not yet closed, which is the only
+// one in a deployed process (tests start several). Close releases it,
+// so the registry keeps no closed server alive.
+var liveServer atomic.Pointer[Server]
 
 // serverMetrics bundles the server's handles into the shared default
 // registry. Registration is idempotent, so every Server in a process
@@ -20,7 +30,6 @@ type serverMetrics struct {
 	replShipErrors *obs.Counter
 	replApplied    *obs.Counter
 	replSnapshots  *obs.Counter
-	replLag        *obs.Gauge
 	replPromotions *obs.Counter
 
 	// Live session migration (see migration.go).
@@ -31,6 +40,17 @@ type serverMetrics struct {
 }
 
 func newServerMetrics(r *obs.Registry) *serverMetrics {
+	r.GaugeFunc("stsmatch_repl_lag_records",
+		"Worst unacknowledged replication backlog across sessions and links.",
+		func() float64 {
+			s := liveServer.Load()
+			if s == nil {
+				return 0
+			}
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(s.maxReplLagLocked())
+		})
 	return &serverMetrics{
 		http: obs.NewHTTPMetrics(r, "stsmatch"),
 		sessionsOpen: r.Gauge("stsmatch_sessions_open",
@@ -57,8 +77,6 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 			"Replication records applied as a follower."),
 		replSnapshots: r.Counter("stsmatch_repl_snapshots_total",
 			"Snapshot catch-up shipments sent to lagging replicas."),
-		replLag: r.Gauge("stsmatch_repl_lag_records",
-			"Worst unacknowledged replication backlog across sessions and links."),
 		replPromotions: r.Counter("stsmatch_repl_promotions_total",
 			"Replica sessions promoted to primary (failovers served)."),
 		migrations: r.Counter("stsmatch_migrations_total",

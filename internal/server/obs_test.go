@@ -126,9 +126,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	// The registry is process-global, so values accumulate across
 	// tests: assert presence and nonzero, not exact counts.
 	for _, name := range []string{
-		"stsmatch_fsm_vertices_total",
-		"stsmatch_fsm_state_transitions_total",
-		"stsmatch_matcher_searches_total",
+		"stsmatch_server_vertices_out_total",
+		"stsmatch_matcher_search_seconds_count",
 		"stsmatch_matcher_candidates_scanned_total",
 		"stsmatch_server_samples_in_total",
 		"stsmatch_store_vertices",

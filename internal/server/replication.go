@@ -230,7 +230,6 @@ func (s *Server) replFlush(ctx context.Context, r *replicator) []string {
 		}(link)
 	}
 	wg.Wait()
-	s.met.replLag.Set(int64(r.lag()))
 	return errs
 }
 
@@ -718,6 +717,19 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxReplLagLocked is the worst unshipped backlog over every session
+// this node ships and every link of it: healthz's maxLagRecords and the
+// stsmatch_repl_lag_records gauge. The caller holds s.mu.
+func (s *Server) maxReplLagLocked() int {
+	worst := 0
+	for _, sess := range s.sessions {
+		if sess.repl != nil {
+			worst = max(worst, sess.repl.lag())
+		}
+	}
+	return worst
+}
+
 // ReplSessionHealth details one replicated session's shipping state in
 // healthz: the per-link assigned/acked sequence numbers.
 type ReplSessionHealth struct {
@@ -744,15 +756,12 @@ type ReplicationHealth struct {
 func (s *Server) replicationHealth() *ReplicationHealth {
 	s.lock()
 	defer s.mu.Unlock()
-	h := &ReplicationHealth{ReplicaSessions: len(s.replicas)}
+	h := &ReplicationHealth{ReplicaSessions: len(s.replicas), MaxLagRecords: s.maxReplLagLocked()}
 	for sid, sess := range s.sessions {
 		if sess.repl == nil {
 			continue
 		}
 		h.PrimarySessions++
-		if lag := sess.repl.lag(); lag > h.MaxLagRecords {
-			h.MaxLagRecords = lag
-		}
 		detail := ReplSessionHealth{
 			SessionID: sid,
 			PatientID: sess.patientID,

@@ -119,6 +119,40 @@ func TestReplicationShipsStream(t *testing.T) {
 	_ = primarySrv
 }
 
+// TestReplLagGaugeReportsWorstLink: stsmatch_repl_lag_records is the
+// worst backlog over every session and link, the number healthz reports
+// as maxLagRecords, so one session's clean flush does not hide another
+// session whose follower is down.
+func TestReplLagGaugeReportsWorstLink(t *testing.T) {
+	_, replica := newReplServer(t, Options{})
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close()
+	// Created last, so its gauge is the one the registry serves.
+	_, primary := newReplServer(t, Options{AdvertiseURL: "http://primary"})
+	for sid, target := range map[string]string{"S01": down.URL, "S02": replica.URL} {
+		resp := postJSON(t, primary.URL+"/v1/sessions", CreateSessionRequest{
+			PatientID: "P" + sid, SessionID: sid, Replicate: []string{target},
+		})
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s status %d", sid, resp.StatusCode)
+		}
+	}
+	samples := respSamples(t, 13, 30)
+	resp := postJSON(t, primary.URL+"/v1/sessions/S01/samples", samples)
+	if sr := decode[SamplesResponse](t, resp); resp.StatusCode != http.StatusOK || len(sr.ReplicaErrors) == 0 {
+		t.Fatalf("ingest to a session whose follower is down: status %d, replica errors %v", resp.StatusCode, sr.ReplicaErrors)
+	}
+	ingestBatches(t, primary.URL, "S02", samples, 256)
+
+	hz, _ := getJSON[HealthzResponse](t, primary.URL+"/v1/healthz")
+	if hz.Replication == nil || hz.Replication.MaxLagRecords == 0 {
+		t.Fatalf("healthz replication = %+v, want S01's backlog", hz.Replication)
+	}
+	if got := scrapeMetrics(t, primary.URL)["stsmatch_repl_lag_records"]; got != float64(hz.Replication.MaxLagRecords) {
+		t.Errorf("stsmatch_repl_lag_records = %v after S02's clean flush, want S01's backlog %d", got, hz.Replication.MaxLagRecords)
+	}
+}
+
 // TestReplicateEndpointGapAndFencing drives /v1/replicate directly:
 // a gap answers 409 without applying anything, a snapshot re-anchors,
 // and a stale epoch answers 412.

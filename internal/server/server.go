@@ -184,6 +184,7 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 			return nil, err
 		}
 	}
+	liveServer.Store(s)
 	// Appends buffer deltas for standing-query evaluation; the ingest
 	// and replication paths drain them synchronously under s.mu, so
 	// event order is deterministic. Added after the WAL hook, so a

@@ -34,7 +34,10 @@ func movedPatient(t testing.TB, urls []string, newURL string) string {
 	for _, u := range urls {
 		before.Add(u)
 	}
-	after := before.Clone()
+	after := shard.NewRing(0)
+	for _, u := range urls {
+		after.Add(u)
+	}
 	after.Add(newURL)
 	for i := 50; i < 250; i++ {
 		pid := fmt.Sprintf("P%02d", i)

@@ -103,25 +103,6 @@ func (r *Ring) Add(node string) {
 	sort.Slice(r.hashes, func(a, b int) bool { return r.hashes[a] < r.hashes[b] })
 }
 
-// Remove deletes a backend and its virtual nodes.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.nodes[node]; !ok {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.hashes[:0]
-	for _, h := range r.hashes {
-		if r.owner[h] == node {
-			delete(r.owner, h)
-			continue
-		}
-		kept = append(kept, h)
-	}
-	r.hashes = kept
-}
-
 // Owner returns the backend owning the given key, or "" when the ring
 // is empty.
 func (r *Ring) Owner(key string) string {
@@ -211,40 +192,6 @@ func (r *Ring) Covered(node string, replicas int, ok func(string) bool) bool {
 	return true
 }
 
-// Clone returns an independent copy of the ring. Add is deterministic
-// and order-independent, so rebuilding from the node set reproduces
-// the layout exactly — rebalance planning diffs a clone against the
-// mutated original.
-func (r *Ring) Clone() *Ring {
-	c := NewRing(r.replicas)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for n := range r.nodes {
-		c.addNoLock(n)
-	}
-	return c
-}
-
-// addNoLock is Add without taking c's lock; Clone owns c exclusively.
-func (r *Ring) addNoLock(node string) {
-	if _, ok := r.nodes[node]; ok {
-		return
-	}
-	r.nodes[node] = struct{}{}
-	for i := 0; i < r.replicas; i++ {
-		h := hashKey(vnodeKey(node, i))
-		if prev, ok := r.owner[h]; ok {
-			if node < prev {
-				r.owner[h] = node
-			}
-			continue
-		}
-		r.owner[h] = node
-		r.hashes = append(r.hashes, h)
-	}
-	sort.Slice(r.hashes, func(a, b int) bool { return r.hashes[a] < r.hashes[b] })
-}
-
 // MovedKeys returns the keys (in input order) whose primary owner
 // differs between two ring layouts — the minimal session set a
 // membership change requires moving. Keys whose replica tail changed
@@ -264,23 +211,4 @@ func MovedKeys(before, after *Ring, keys []string, n int) []string {
 		}
 	}
 	return out
-}
-
-// Nodes returns the backends currently in the ring, sorted.
-func (r *Ring) Nodes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of backends in the ring.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes)
 }

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"stsmatch/internal/stats"
+	"stsmatch/internal/plr"
 )
 
 func TestRespirationConfigValidate(t *testing.T) {
@@ -81,11 +81,8 @@ func TestRespirationShape(t *testing.T) {
 		}
 	}
 	// Range roughly matches configured amplitude.
-	var w stats.Welford
-	for _, s := range samples {
-		w.Add(s.Pos[0])
-	}
-	span := w.Max() - w.Min()
+	lo, hi := axisRange(samples, 0)
+	span := hi - lo
 	if span < cfg.Amplitude*0.7 || span > cfg.Amplitude*2.2 {
 		t.Errorf("motion span %v inconsistent with amplitude %v", span, cfg.Amplitude)
 	}
@@ -124,19 +121,16 @@ func TestRespirationDims(t *testing.T) {
 	cfg.Dims = 3
 	g, _ := NewRespiration(cfg, 5)
 	samples := g.Generate(20)
-	var si, ap, lr stats.Welford
 	for _, s := range samples {
 		if len(s.Pos) != 3 {
 			t.Fatalf("sample with %d dims", len(s.Pos))
 		}
-		si.Add(s.Pos[0])
-		ap.Add(s.Pos[1])
-		lr.Add(s.Pos[2])
 	}
 	// Attenuation ordering: SI > AP > LR motion spans.
-	siSpan := si.Max() - si.Min()
-	apSpan := ap.Max() - ap.Min()
-	lrSpan := lr.Max() - lr.Min()
+	siLo, siHi := axisRange(samples, 0)
+	apLo, apHi := axisRange(samples, 1)
+	lrLo, lrHi := axisRange(samples, 2)
+	siSpan, apSpan, lrSpan := siHi-siLo, apHi-apLo, lrHi-lrLo
 	if !(siSpan > apSpan && apSpan > lrSpan) {
 		t.Errorf("axis spans not ordered: SI=%.1f AP=%.1f LR=%.1f", siSpan, apSpan, lrSpan)
 	}
@@ -256,16 +250,14 @@ func TestHeartbeatGenerator(t *testing.T) {
 	if len(samples) < 2500 {
 		t.Fatalf("too few samples: %d", len(samples))
 	}
-	var w stats.Welford
 	for i, s := range samples {
 		if i > 0 && s.T <= samples[i-1].T {
 			t.Fatal("non-monotone heartbeat times")
 		}
-		w.Add(s.Pos[0])
 	}
 	cfg := DefaultHeartbeat()
-	if span := w.Max() - w.Min(); span < cfg.Amplitude*0.8 {
-		t.Errorf("pulse span %.1f too small for amplitude %.1f", span, cfg.Amplitude)
+	if lo, hi := axisRange(samples, 0); hi-lo < cfg.Amplitude*0.8 {
+		t.Errorf("pulse span %.1f too small for amplitude %.1f", hi-lo, cfg.Amplitude)
 	}
 	bad := DefaultHeartbeat()
 	bad.Rate = 0
@@ -284,15 +276,12 @@ func TestRobotArmGenerator(t *testing.T) {
 		t.Fatal("no samples")
 	}
 	cfg := DefaultRobotArm()
-	var w stats.Welford
-	for _, s := range samples {
-		w.Add(s.Pos[0])
+	lo, hi := axisRange(samples, 0)
+	if hi < cfg.Travel*0.9 {
+		t.Errorf("arm never reached work position: max %.1f", hi)
 	}
-	if w.Max() < cfg.Travel*0.9 {
-		t.Errorf("arm never reached work position: max %.1f", w.Max())
-	}
-	if w.Min() > cfg.Travel*0.1 {
-		t.Errorf("arm never returned home: min %.1f", w.Min())
+	if lo > cfg.Travel*0.1 {
+		t.Errorf("arm never returned home: min %.1f", lo)
 	}
 	bad := DefaultRobotArm()
 	bad.Travel = 0
@@ -330,4 +319,13 @@ func TestTideGenerator(t *testing.T) {
 	if math.IsNaN(samples[len(samples)-1].Pos[0]) {
 		t.Error("NaN in tide output")
 	}
+}
+
+// axisRange returns the smallest and largest coordinate dim of samples.
+func axisRange(samples []plr.Sample, dim int) (lo, hi float64) {
+	lo, hi = samples[0].Pos[dim], samples[0].Pos[dim]
+	for _, s := range samples {
+		lo, hi = min(lo, s.Pos[dim]), max(hi, s.Pos[dim])
+	}
+	return lo, hi
 }

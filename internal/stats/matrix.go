@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -56,26 +55,6 @@ func (m *DistMatrix) MeanOffDiagonal() float64 {
 		}
 	}
 	return s / float64(m.n*(m.n-1))
-}
-
-// Validate checks symmetry, zero diagonal and non-negativity, and
-// returns a descriptive error for the first violation found.
-func (m *DistMatrix) Validate() error {
-	for i := 0; i < m.n; i++ {
-		if m.At(i, i) != 0 {
-			return fmt.Errorf("stats: nonzero diagonal at %d: %v", i, m.At(i, i))
-		}
-		for j := i + 1; j < m.n; j++ {
-			a, b := m.At(i, j), m.At(j, i)
-			if a != b {
-				return fmt.Errorf("stats: asymmetric at (%d,%d): %v vs %v", i, j, a, b)
-			}
-			if a < 0 || math.IsNaN(a) {
-				return fmt.Errorf("stats: invalid distance at (%d,%d): %v", i, j, a)
-			}
-		}
-	}
-	return nil
 }
 
 // String renders the matrix with three decimals, for reports and

@@ -39,12 +39,6 @@ func (r *LinReg) Remove(x, y float64) {
 	}
 }
 
-// N returns the number of points currently in the regression.
-func (r *LinReg) N() int { return r.n }
-
-// Reset empties the regression.
-func (r *LinReg) Reset() { *r = LinReg{} }
-
 // Fit returns the intercept a and slope b of the least-squares line
 // y = a + b*x. For fewer than two points, or degenerate x spread, it
 // returns a horizontal line through the mean y.
@@ -88,9 +82,6 @@ func (r *LinReg) MSE() float64 {
 	}
 	return sse / nf
 }
-
-// RMSE returns the root mean squared residual of the current fit.
-func (r *LinReg) RMSE() float64 { return math.Sqrt(r.MSE()) }
 
 // At evaluates the fitted line at x.
 func (r *LinReg) At(x float64) float64 {

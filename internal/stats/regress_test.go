@@ -36,7 +36,7 @@ func TestLinRegDegenerate(t *testing.T) {
 		t.Errorf("single-point Fit = (%v, %v), want (7, 0)", a, b)
 	}
 	// All x identical: horizontal line through mean y.
-	r.Reset()
+	r = LinReg{}
 	r.Add(2, 1)
 	r.Add(2, 3)
 	a, b = r.Fit()
@@ -82,8 +82,8 @@ func TestLinRegRemoveToEmptyResets(t *testing.T) {
 	var r LinReg
 	r.Add(1, 2)
 	r.Remove(1, 2)
-	if r.N() != 0 {
-		t.Errorf("N = %d, want 0", r.N())
+	if r.n != 0 {
+		t.Errorf("n = %d, want 0", r.n)
 	}
 	a, b := r.Fit()
 	if a != 0 || b != 0 {
@@ -120,8 +120,8 @@ func TestLinRegMSENonNegative(t *testing.T) {
 		if r.MSE() < 0 {
 			t.Fatalf("negative MSE at %d", i)
 		}
-		if math.IsNaN(r.RMSE()) {
-			t.Fatalf("NaN RMSE at %d", i)
+		if math.IsNaN(r.MSE()) {
+			t.Fatalf("NaN MSE at %d", i)
 		}
 	}
 }
@@ -143,7 +143,7 @@ func TestLinRegSlopeIsFitSlope(t *testing.T) {
 	same("n=1", &r)
 	r.Add(2.25, 7)
 	same("n=2", &r)
-	r.Reset()
+	r = LinReg{}
 	for i := range 5 {
 		r.Add(3, float64(i))
 		same("identical x", &r)
@@ -152,7 +152,7 @@ func TestLinRegSlopeIsFitSlope(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const win = 15
 	xs, ys := make([]float64, 0, 5000), make([]float64, 0, 5000)
-	r.Reset()
+	r = LinReg{}
 	x := 1e4 * rng.Float64()
 	for i := range 5000 {
 		x += 1.0/30 + rng.Float64()/100

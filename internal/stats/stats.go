@@ -41,20 +41,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Min returns the minimum of xs. It returns ErrEmpty for empty input.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Max returns the maximum of xs. It returns ErrEmpty for empty input.
 func Max(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -75,22 +61,14 @@ type Welford struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add folds x into the accumulator.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
+	if w.n == 1 || x > w.max {
+		w.max = x
 	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
@@ -114,14 +92,8 @@ func (w *Welford) Variance() float64 {
 // StdDev returns the running population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// Min returns the smallest sample seen (0 when empty).
-func (w *Welford) Min() float64 { return w.min }
-
 // Max returns the largest sample seen (0 when empty).
 func (w *Welford) Max() float64 { return w.max }
-
-// Reset returns the accumulator to its zero state.
-func (w *Welford) Reset() { *w = Welford{} }
 
 // Merge folds another accumulator into w (parallel Welford merge).
 func (w *Welford) Merge(o Welford) {
@@ -136,9 +108,6 @@ func (w *Welford) Merge(o Welford) {
 	d := o.mean - w.mean
 	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
 	w.mean += d * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
 	if o.max > w.max {
 		w.max = o.max
 	}

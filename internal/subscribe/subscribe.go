@@ -480,16 +480,6 @@ func (m *Manager) List() []Status {
 	return out
 }
 
-// Get returns one subscription's status.
-func (m *Manager) Get(id string) (Status, bool) {
-	for _, st := range m.List() {
-		if st.ID == id {
-			return st, true
-		}
-	}
-	return Status{}, false
-}
-
 // States returns the full durable state of every subscription, in
 // registration order: the WAL snapshot section and the replication
 // catch-up payload.

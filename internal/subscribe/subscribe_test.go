@@ -191,8 +191,11 @@ func TestBufferOverflowDropsOldest(t *testing.T) {
 	if len(events) != 2 || events[0].Seq != 2 || events[1].Seq != 3 {
 		t.Fatalf("buffered events = %+v, want seqs 2,3", events)
 	}
-	status, ok := m.Get("s1")
-	if !ok || status.Dropped != 1 || status.Buffered != 2 {
+	list := m.List()
+	if len(list) != 1 || list[0].ID != "s1" {
+		t.Fatalf("list = %+v, want s1 alone", list)
+	}
+	if status := list[0]; status.Dropped != 1 || status.Buffered != 2 {
 		t.Fatalf("status = %+v, want dropped 1 buffered 2", status)
 	}
 }
@@ -304,11 +307,11 @@ func TestStandingEvalDoesNotGrowWithCorpus(t *testing.T) {
 			}
 			m.Drain(context.Background(), db)
 		}
-		status, ok := m.Get("s")
-		if !ok {
+		list := m.List()
+		if len(list) != 1 {
 			t.Fatal("subscription vanished")
 		}
-		return float64(status.Candidates) / float64(len(live)-cut), corpus
+		return float64(list[0].Candidates) / float64(len(live)-cut), corpus
 	}
 	small, nSmall := perVertex(3)
 	large, nLarge := perVertex(48)

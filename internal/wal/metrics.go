@@ -7,10 +7,8 @@ import "stsmatch/internal/obs"
 var met = struct {
 	records            *obs.Counter
 	bytes              *obs.Counter
-	fsyncs             *obs.Counter
 	appendErrors       *obs.Counter
 	rotations          *obs.Counter
-	snapshots          *obs.Counter
 	activeBytes        *obs.Gauge
 	fsyncSeconds       *obs.Histogram
 	groupCommitSeconds *obs.Histogram
@@ -23,23 +21,19 @@ var met = struct {
 		"Records appended to the write-ahead log."),
 	bytes: obs.Default().Counter("stsmatch_wal_bytes_total",
 		"Bytes appended to the write-ahead log (framing included)."),
-	fsyncs: obs.Default().Counter("stsmatch_wal_fsyncs_total",
-		"Group-commit fsync calls on the active WAL segment."),
 	appendErrors: obs.Default().Counter("stsmatch_wal_append_errors_total",
 		"WAL writes that failed with a (sticky) I/O error."),
 	rotations: obs.Default().Counter("stsmatch_wal_segment_rotations_total",
 		"WAL segment rotations."),
-	snapshots: obs.Default().Counter("stsmatch_wal_snapshots_total",
-		"Snapshots written."),
 	activeBytes: obs.Default().Gauge("stsmatch_wal_active_segment_bytes",
 		"Size of the active WAL segment."),
 	fsyncSeconds: obs.Default().Histogram("stsmatch_wal_fsync_seconds",
-		"Duration of WAL fsync calls.", obs.DefLatencyBuckets),
+		"Duration of WAL fsync calls; its _count is the number of fsyncs.", obs.DefLatencyBuckets),
 	groupCommitSeconds: obs.Default().Histogram("stsmatch_wal_group_commit_seconds",
 		"Duration of a full group commit (buffer flush plus fsync).",
 		obs.DefLatencyBuckets),
 	snapshotSeconds: obs.Default().Histogram("stsmatch_wal_snapshot_seconds",
-		"Duration of snapshot writes (serialize, fsync, rename, compact).",
+		"Duration of snapshot writes (serialize, fsync, rename, compact); its _count is the number of snapshots.",
 		obs.DefLatencyBuckets),
 	recoverySeconds: obs.Default().Histogram("stsmatch_wal_recovery_seconds",
 		"Duration of crash recovery (snapshot load plus WAL replay).",

@@ -64,7 +64,6 @@ func (l *Log) Snapshot(db *store.DB, sessions []SessionState, subs []SubState, m
 	}
 	syncDir(l.opts.Dir)
 	l.compactLocked(lsn)
-	met.snapshots.Inc()
 	met.snapshotSeconds.Observe(time.Since(start).Seconds())
 	return lsn, nil
 }

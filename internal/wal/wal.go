@@ -112,13 +112,6 @@ func (l *Log) NextLSN() uint64 {
 	return l.nextLSN
 }
 
-// Err returns the sticky I/O error, if any.
-func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
 // Append assigns the next LSN to rec and writes it to the active
 // segment. The record is buffered; it becomes durable at the next
 // group commit (or immediately when FsyncInterval is zero).
@@ -217,7 +210,6 @@ func (l *Log) flushLocked() error {
 		return l.err
 	}
 	now := time.Now()
-	met.fsyncs.Inc()
 	met.fsyncSeconds.Observe(now.Sub(syncStart).Seconds())
 	met.groupCommitSeconds.Observe(now.Sub(start).Seconds())
 	// A slow group commit is the classic silent ingest-ack stall; the

@@ -6,8 +6,11 @@ package stsmatch_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -225,6 +228,121 @@ func TestDaemonFlagsDocumented(t *testing.T) {
 	}
 }
 
+// TestMetricsCatalogued: README's metric catalogue is the one list of
+// the series the program serves — one row per series, and a series per
+// row. A series is registered by a Registry.Counter, Gauge, GaugeFunc,
+// Histogram, CounterVec, GaugeVec or HistogramVec call in non-test code
+// whose name is a "stsmatch_" literal, or whose name is a parameter plus
+// a literal suffix (obs.NewHTTPMetrics), once per literal prefix a call
+// of that function passes; a registration named any other way fails.
+// internal/sigindex is exempt: no daemon links it, and its series leave
+// with it.
+func TestMetricsCatalogued(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("(?m)^\\| `([a-z_]+)(?:\\{[a-z,]+\\})?` \\| (?:counter|gauge|histogram) \\|")
+	documented := map[string]bool{}
+	for _, m := range row.FindAllStringSubmatch(string(readme), -1) {
+		name := "stsmatch_" + m[1]
+		if documented[name] {
+			t.Errorf("README's metric catalogue has two rows for %s", name)
+		}
+		documented[name] = true
+	}
+
+	registers := map[string]bool{"Counter": true, "Gauge": true, "GaugeFunc": true, "Histogram": true,
+		"CounterVec": true, "GaugeVec": true, "HistogramVec": true}
+	registered := map[string]string{} // series -> where
+	suffixes := map[string][]string{} // function -> suffixes it appends to a parameter
+	type prefixCall struct{ fn, prefix, pos string }
+	var prefixCalls []prefixCall
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path == filepath.Join("internal", "sigindex") || path != "." && strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, dcl := range f.Decls {
+			fn := ""
+			if fd, ok := dcl.(*ast.FuncDecl); ok {
+				fn = fd.Name.Name
+			}
+			ast.Inspect(dcl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) == 0 {
+					return true
+				}
+				var callee string
+				switch fun := call.Fun.(type) {
+				case *ast.SelectorExpr:
+					callee = fun.Sel.Name
+				case *ast.Ident:
+					callee = fun.Name
+				}
+				pos := fset.Position(call.Pos()).String()
+				for _, arg := range call.Args {
+					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING && strings.HasPrefix(lit.Value, `"stsmatch`) {
+						prefixCalls = append(prefixCalls, prefixCall{callee, strings.Trim(lit.Value, `"`), pos})
+					}
+				}
+				if !registers[callee] {
+					return true
+				}
+				switch name := call.Args[0].(type) {
+				case *ast.BasicLit:
+					if v := strings.Trim(name.Value, `"`); name.Kind == token.STRING && strings.HasPrefix(v, "stsmatch_") {
+						registered[v] = pos
+					}
+					return true
+				case *ast.BinaryExpr:
+					if lit, ok := name.Y.(*ast.BasicLit); ok && name.Op == token.ADD && lit.Kind == token.STRING {
+						suffixes[fn] = append(suffixes[fn], strings.Trim(lit.Value, `"`))
+						return true
+					}
+				}
+				t.Errorf("%s: %s registers a series whose name this guard cannot read", pos, callee)
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range prefixCalls {
+		for _, suffix := range suffixes[c.fn] {
+			registered[c.prefix+suffix] = c.pos
+		}
+	}
+	if len(registered) < 50 {
+		t.Fatalf("found only %d registered series; is the walk rooted at the repository?", len(registered))
+	}
+	for name, pos := range registered {
+		if !documented[name] {
+			t.Errorf("%s: %s is registered but has no row in README's metric catalogue", pos, name)
+		}
+	}
+	for name := range documented {
+		if registered[name] == "" {
+			t.Errorf("README's metric catalogue lists %s, which nothing registers", name)
+		}
+	}
+}
+
 // TestSeqOnlyAtTheAPIEdge guards the column store: the packages on the
 // served paths read a stream through store.ScanView, and call
 // (*store.Stream).Seq or Snapshot — which materialise the stream as a
@@ -263,63 +381,168 @@ func TestSeqOnlyAtTheAPIEdge(t *testing.T) {
 }
 
 // TestInternalExportsHaveCallers: every exported function and method
-// declared under internal/ is referenced by some non-test code of either
-// module (bench/ counts) other than its own declaration, so that nothing
-// lives on for its tests alone. internal/testutil is exempt; an export
-// kept for another reason is listed here with that reason, and an entry
-// that excuses nothing fails too.
+// declared under internal/ is used by some non-test code of either
+// module (bench/ counts), so that nothing lives on for its tests alone.
+// internal/testutil is exempt; an export kept for another reason is
+// listed here with that reason, and an entry that excuses nothing fails
+// too.
 //
-// A reference is a name, not a resolved object: a package-level function
-// is referenced by its package-qualified name elsewhere, or by its bare
-// name inside its own package (not as the Name of an X.Name, nor as a
-// composite-literal key); a method by any selector of its name, or
-// by an interface that declares that name.
+// A use is resolved by object (go/types over both modules), not by
+// name: Ring.Remove is not reached by a call of LinReg.Remove. A method
+// also counts as reached when an interface declared in either module
+// names it (a call through the interface reaches whichever type is
+// behind it), when its type implements a standard-library interface
+// that declares it (fmt calls String, net/http calls ServeHTTP), or when
+// its type is aliased by the public packages stsmatch, synth or
+// gatingsim, whose methods are public API.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("parsing both modules is slow for -short")
+		t.Skip("type-checking both modules is slow for -short")
 	}
 	allowed := map[string]string{
 		// Reference oracles the optimised paths are held to.
-		"core.OfflineDistance": "Definition 3's unpruned distance, the oracle of OfflineSearch",
-		"shard.MergeMatches":   "the sort-based merge the gateway's streaming merge is held to",
-		"stats.Variance":       "the batch variance Welford is held to",
-		"stats.Min":            "the batch minimum Welford is held to",
-		"stats.Max":            "the batch maximum Welford is held to",
+		"shard.MergeMatches": "the sort-based merge the gateway's streaming merge is held to",
+		"stats.Variance":     "the batch variance Welford is held to",
+		"stats.Max":          "the batch maximum Welford is held to",
 		// Shared test fixtures.
-		"plr.Resample":  "turns a PLR back into samples for the tests",
 		"plr.Samples1D": "builds 1-D samples for the tests",
 		// Test seams.
 		"server.SetMigrationHook": "pauses a migration between phases for the failover tests",
 		"subscribe.SetClock":      "drives the lease clock for the subscription tests",
 		// Introspection the tests read state through.
-		"fsm.SamplesSeen":     "the segmenter's progress, read by the fsm tests",
-		"fsm.SegmentsEmitted": "the segmenter's progress, read by the fsm tests",
-		"server.Traces":       "the trace collector, read by the trace tests",
-		"shard.Traces":        "the trace collector, read by the trace tests",
-		"shard.NumHealthy":    "the pool's admitted set, read by the health tests",
-		"shard.Owner":         "a key's primary, read by the ring tests",
-		"shard.MovedKeys":     "the keys a ring change moves, read by the ring tests",
+		"server.Traces":    "the trace collector, read by the trace tests",
+		"shard.Traces":     "the trace collector, read by the trace tests",
+		"obs.Recent":       "the collector's recent ring, read by the trace tests",
+		"obs.Slow":         "the collector's slow ring, read by the trace tests",
+		"stats.MSE":        "the fit's residual, read by the regression tests",
+		"shard.NumHealthy": "the pool's admitted set, read by the health tests",
+		"shard.Owner":      "a key's primary, read by the ring tests",
+		"shard.MovedKeys":  "the keys a ring change moves, read by the ring tests",
 		// internal/sigindex leaves with bench/'s index layers; these are
 		// its own test helpers.
 		"sigindex.Covers":          "sigindex is retired with bench/'s index layers",
 		"sigindex.Stats":           "sigindex is retired with bench/'s index layers",
 		"sigindex.Dump":            "sigindex is retired with bench/'s index layers",
 		"sigindex.DecodeSignature": "sigindex is retired with bench/'s index layers",
+		"sigindex.Config":          "sigindex is retired with bench/'s index layers",
+		"sigindex.Coverage":        "sigindex is retired with bench/'s index layers",
 	}
 
-	type decl struct {
-		dir, key string // key is "package.Name"
-		method   bool
-		pos      token.Position
+	prog := loadModules(t)
+	used := map[*types.Func]bool{}
+	for _, obj := range prog.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			used[fn.Origin()] = true
+		}
 	}
-	var (
-		decls     []decl
-		bare      = map[string]map[string]bool{} // package dir -> identifiers used in it
-		qualified = map[string]bool{}            // "package.Name" used through an import
-		selectors = map[string]bool{}            // Name used as X.Name, any X
-		ifaces    = map[string]bool{}            // method names interfaces declare
-	)
-	fset := token.NewFileSet()
+	ifaces := map[string]bool{} // method names interfaces of either module declare
+	for _, f := range prog.files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, name := range m.Names {
+						ifaces[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	public := map[*types.Func]bool{} // methods of the types the public packages alias
+	for _, obj := range prog.info.Defs {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || !tn.IsAlias() || !slices.Contains([]string{"stsmatch", "stsmatch/synth", "stsmatch/gatingsim"}, tn.Pkg().Path()) {
+			continue
+		}
+		if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+			for i := 0; i < named.NumMethods(); i++ {
+				public[named.Method(i).Origin()] = true
+			}
+		}
+	}
+	var stdIfaces []*types.Interface
+	for _, name := range []string{"error", "fmt.Stringer", "net/http.Handler", "net/http.ResponseWriter",
+		"net/http.Flusher", "net/http.RoundTripper"} {
+		stdIfaces = append(stdIfaces, prog.lookupInterface(t, name))
+	}
+	implementsStd := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		for _, it := range stdIfaces {
+			if types.Implements(types.NewPointer(recv), it) {
+				for i := 0; i < it.NumMethods(); i++ {
+					if it.Method(i).Name() == fn.Name() {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+
+	n := 0
+	excused := map[string]bool{}
+	for _, f := range prog.files {
+		if !strings.HasPrefix(f.dir, "internal/") || strings.HasPrefix(f.dir, "internal/testutil") {
+			continue
+		}
+		for _, dcl := range f.ast.Decls {
+			fd, ok := dcl.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
+				continue
+			}
+			n++
+			fn := prog.info.Defs[fd.Name].(*types.Func)
+			if used[fn] || fd.Recv != nil && (ifaces[fn.Name()] || public[fn] || implementsStd(fn)) {
+				continue
+			}
+			key := f.ast.Name.Name + "." + fn.Name()
+			if allowed[key] != "" {
+				excused[key] = true
+				continue
+			}
+			t.Errorf("%s: %s is exported from internal/ but no non-test code calls it", prog.fset.Position(fd.Pos()), fn.FullName())
+		}
+	}
+	if n < 100 {
+		t.Fatalf("found only %d exported internal functions; is the walk rooted at the repository?", n)
+	}
+	for key := range allowed {
+		if !excused[key] {
+			t.Errorf("allow-list entry %s excuses nothing: delete it", key)
+		}
+	}
+}
+
+// srcFile is one parsed non-test Go file of either module.
+type srcFile struct {
+	dir string // relative to the repository root
+	ast *ast.File
+}
+
+// program is both modules' non-test code, parsed and type-checked from
+// source, with one types.Info over all of it.
+type program struct {
+	fset  *token.FileSet
+	files []srcFile
+	info  *types.Info
+	std   types.Importer
+}
+
+// loadModules parses the non-test files of both modules that the
+// default build context selects (build tags and file-name suffixes, so
+// a package with per-platform files is checked once) and type-checks
+// them, resolving the standard library from source.
+func loadModules(t *testing.T) *program {
+	t.Helper()
+	prog := &program{
+		fset: token.NewFileSet(),
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	prog.std = importer.ForCompiler(prog.fset, "source", nil)
+	byPath := map[string][]*ast.File{}
 	for _, root := range []string{".", "bench"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
@@ -331,94 +554,76 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 				}
 				return nil
 			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			dir, name := filepath.Dir(path), filepath.Base(path)
+			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 				return nil
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+				return err
+			}
+			f, err := parser.ParseFile(prog.fset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
 				return err
 			}
-			dir := filepath.ToSlash(filepath.Dir(path))
-			// notRef holds the names that refer to no package-level
-			// function of dir: the exported declarations themselves, the
-			// Name of every X.Name (errors.New is not this package's New)
-			// and every composite-literal key (sync.Pool{New: f} names a
-			// field; a map key cannot be a function).
-			notRef := map[*ast.Ident]bool{}
-			if strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "internal/testutil") {
-				for _, dcl := range f.Decls {
-					if fn, ok := dcl.(*ast.FuncDecl); ok && fn.Name.IsExported() {
-						notRef[fn.Name] = true
-						decls = append(decls, decl{dir: dir, key: f.Name.Name + "." + fn.Name.Name,
-							method: fn.Recv != nil, pos: fset.Position(fn.Pos())})
-					}
-				}
+			dir = filepath.ToSlash(dir)
+			pkgPath := "stsmatch"
+			if dir != "." {
+				pkgPath += "/" + dir
 			}
-			imports := map[string]string{} // local name -> package name, for internal imports
-			for _, imp := range f.Imports {
-				p := strings.Trim(imp.Path.Value, `"`)
-				if !strings.HasPrefix(p, "stsmatch/internal/") {
-					continue
-				}
-				name := p[strings.LastIndexByte(p, '/')+1:]
-				if imp.Name != nil {
-					imports[imp.Name.Name] = name
-				} else {
-					imports[name] = name
-				}
-			}
-			if bare[dir] == nil {
-				bare[dir] = map[string]bool{}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					notRef[n.Sel] = true
-					selectors[n.Sel.Name] = true
-					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-						qualified[imports[x.Name]+"."+n.Sel.Name] = true
-					}
-				case *ast.InterfaceType:
-					for _, m := range n.Methods.List {
-						for _, name := range m.Names {
-							ifaces[name.Name] = true
-						}
-					}
-				case *ast.KeyValueExpr:
-					if key, ok := n.Key.(*ast.Ident); ok {
-						notRef[key] = true
-					}
-				case *ast.Ident:
-					if !notRef[n] {
-						bare[dir][n.Name] = true
-					}
-				}
-				return true
-			})
+			prog.files = append(prog.files, srcFile{dir: dir, ast: f})
+			byPath[pkgPath] = append(byPath[pkgPath], f)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(decls) < 100 {
-		t.Fatalf("found only %d exported internal functions; is the walk rooted at the repository?", len(decls))
-	}
-	excused := map[string]bool{}
-	for _, d := range decls {
-		name := d.key[strings.IndexByte(d.key, '.')+1:]
-		if qualified[d.key] || !d.method && bare[d.dir][name] || d.method && (selectors[name] || ifaces[name]) {
-			continue
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
 		}
-		if allowed[d.key] != "" {
-			excused[d.key] = true
-			continue
+		files, ok := byPath[path]
+		if !ok {
+			return prog.std.Import(path)
 		}
-		t.Errorf("%s: %s is exported from internal/ but no non-test code calls it", d.pos, d.key)
+		conf := types.Config{Importer: imp}
+		p, err := conf.Check(path, prog.fset, files, prog.info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = p
+		return p, nil
 	}
-	for key := range allowed {
-		if !excused[key] {
-			t.Errorf("allow-list entry %s excuses nothing: delete it", key)
+	for path := range byPath {
+		if _, err := imp(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
 		}
 	}
+	return prog
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// lookupInterface resolves a standard-library interface by its
+// qualified name ("error" for the predeclared one).
+func (prog *program) lookupInterface(t *testing.T, qualified string) *types.Interface {
+	t.Helper()
+	scope := types.Universe
+	name := qualified
+	if i := strings.LastIndexByte(qualified, '.'); i >= 0 {
+		pkg, err := prog.std.Import(qualified[:i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		scope, name = pkg.Scope(), qualified[i+1:]
+	}
+	obj := scope.Lookup(name)
+	if obj == nil {
+		t.Fatalf("no %s", qualified)
+	}
+	return obj.Type().Underlying().(*types.Interface)
 }
