@@ -62,10 +62,15 @@ func TestEvaluateProducesPredictions(t *testing.T) {
 	if res.MeanError() > 1 {
 		t.Errorf("mean error %v too large on periodic data", res.MeanError())
 	}
-	// Query lengths within configured bounds.
+	// Query lengths within configured bounds: every query, seen one at
+	// a time through Replay, is at least 2 vertices long.
 	p := DefaultParams()
-	if res.QueryLen.Mean() < 2 || res.QueryLen.Max() > float64(p.MaxQueryVertices()) {
-		t.Errorf("query lengths out of bounds: mean %v, max %v", res.QueryLen.Mean(), res.QueryLen.Max())
+	minLen := p.MaxQueryVertices() + 1
+	if _, err := m.Replay(opts, nil, func(a Attempt) { minLen = min(minLen, len(a.Query.Seq)) }); err != nil {
+		t.Fatal(err)
+	}
+	if minLen < 2 || res.QueryLen.Max() > float64(p.MaxQueryVertices()) {
+		t.Errorf("query lengths out of bounds: [%v, %v]", minLen, res.QueryLen.Max())
 	}
 }
 

@@ -47,9 +47,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 			if s == nil {
 				return 0
 			}
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(s.maxReplLagLocked())
+			return float64(s.maxReplLag())
 		})
 	return &serverMetrics{
 		http: obs.NewHTTPMetrics(r, "stsmatch"),

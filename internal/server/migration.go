@@ -173,6 +173,7 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 	}
 	if sess.repl == nil {
 		sess.repl = newReplicator(sess.patientID, sid, s.advertise, 1, nil, false)
+		s.track(nil, sess.repl)
 	}
 	repl := sess.repl
 	link := repl.handoffLink(target)
@@ -268,6 +269,7 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 		s.met.migrationFailures.Inc()
 		return resp, http.StatusInternalServerError, fmt.Errorf("flushing migration commit: %w", jerr)
 	}
+	s.track(sess.repl, nil)
 	delete(s.sessions, sid)
 	// Retire: the followers the new owner does not keep are told what
 	// a close would tell them, so none stays a failover candidate
@@ -368,6 +370,7 @@ func (s *Server) abortMigration(ctx context.Context, sid string, sess *session, 
 	}
 	sess.fenced = false
 	if sess.repl != nil && sess.repl.unlink(func(l *replicaLink) bool { return l.handoff }) == 0 {
+		s.track(sess.repl, nil)
 		sess.repl = nil
 	}
 	if m, ok := s.migrations[sid]; ok && m.Phase == wal.MigratePrepare {

@@ -698,6 +698,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	delete(s.replicas, sid)
 	if len(req.Replicate) > 0 {
 		sess.repl = newReplicator(sess.patientID, sid, s.advertise, epoch, req.Replicate, true)
+		s.track(nil, sess.repl)
 	}
 	s.sessions[sid] = sess
 	s.met.sessionsOpen.Set(int64(len(s.sessions)))
@@ -717,15 +718,28 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxReplLagLocked is the worst unshipped backlog over every session
-// this node ships and every link of it: healthz's maxLagRecords and the
-// stsmatch_repl_lag_records gauge. The caller holds s.mu.
-func (s *Server) maxReplLagLocked() int {
+// track moves s.shipping from a session's replicator from to its
+// replicator to; either may be nil. The caller holds s.mu.
+func (s *Server) track(from, to *replicator) {
+	s.shippingMu.Lock()
+	defer s.shippingMu.Unlock()
+	delete(s.shipping, from)
+	if to != nil {
+		s.shipping[to] = struct{}{}
+	}
+}
+
+// maxReplLag is the worst unshipped backlog over every session this
+// node ships and every link of it: healthz's maxLagRecords and the
+// stsmatch_repl_lag_records gauge. It takes shippingMu and each
+// replicator's own lock, never s.mu, so a scrape does not wait out a
+// snapshot.
+func (s *Server) maxReplLag() int {
+	s.shippingMu.Lock()
+	defer s.shippingMu.Unlock()
 	worst := 0
-	for _, sess := range s.sessions {
-		if sess.repl != nil {
-			worst = max(worst, sess.repl.lag())
-		}
+	for r := range s.shipping {
+		worst = max(worst, r.lag())
 	}
 	return worst
 }
@@ -756,7 +770,7 @@ type ReplicationHealth struct {
 func (s *Server) replicationHealth() *ReplicationHealth {
 	s.lock()
 	defer s.mu.Unlock()
-	h := &ReplicationHealth{ReplicaSessions: len(s.replicas), MaxLagRecords: s.maxReplLagLocked()}
+	h := &ReplicationHealth{ReplicaSessions: len(s.replicas), MaxLagRecords: s.maxReplLag()}
 	for sid, sess := range s.sessions {
 		if sess.repl == nil {
 			continue

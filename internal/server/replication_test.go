@@ -5,9 +5,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"stsmatch/internal/core"
 	"stsmatch/internal/fsm"
+	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/signal"
 	"stsmatch/internal/wal"
@@ -128,7 +130,7 @@ func TestReplLagGaugeReportsWorstLink(t *testing.T) {
 	down := httptest.NewServer(http.NotFoundHandler())
 	down.Close()
 	// Created last, so its gauge is the one the registry serves.
-	_, primary := newReplServer(t, Options{AdvertiseURL: "http://primary"})
+	primarySrv, primary := newReplServer(t, Options{AdvertiseURL: "http://primary"})
 	for sid, target := range map[string]string{"S01": down.URL, "S02": replica.URL} {
 		resp := postJSON(t, primary.URL+"/v1/sessions", CreateSessionRequest{
 			PatientID: "P" + sid, SessionID: sid, Replicate: []string{target},
@@ -150,6 +152,21 @@ func TestReplLagGaugeReportsWorstLink(t *testing.T) {
 	}
 	if got := scrapeMetrics(t, primary.URL)["stsmatch_repl_lag_records"]; got != float64(hz.Replication.MaxLagRecords) {
 		t.Errorf("stsmatch_repl_lag_records = %v after S02's clean flush, want S01's backlog %d", got, hz.Replication.MaxLagRecords)
+	}
+
+	// A scrape reads the backlog without the session lock, which a
+	// snapshot holds while it writes.
+	primarySrv.mu.Lock()
+	defer primarySrv.mu.Unlock()
+	scraped := make(chan struct{})
+	go func() {
+		obs.Default().Gather()
+		close(scraped)
+	}()
+	select {
+	case <-scraped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a scrape waited on the session lock")
 	}
 }
 

@@ -94,6 +94,13 @@ type Server struct {
 	advertise string
 	replFrom  []string
 
+	// shipping holds the replicator of every session in sessions that
+	// has one, under its own lock, so the lag gauge reads the backlog
+	// without waiting on mu, which a snapshot holds while it writes.
+	// Only track changes it, under mu.
+	shippingMu sync.Mutex
+	shipping   map[*replicator]struct{}
+
 	// peers carries replication shipments and migration promotes to other
 	// shards; frames serves every request, HTTP or framed.
 	peers  http.RoundTripper
@@ -170,6 +177,7 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 		met:        newServerMetrics(obs.Default()),
 		start:      time.Now(),
 		replicas:   make(map[string]*replicaState),
+		shipping:   make(map[*replicator]struct{}),
 		migrations: make(map[string]*wal.MigrationState),
 		advertise:  opts.AdvertiseURL,
 		replFrom:   opts.ReplicateFrom,
@@ -345,6 +353,7 @@ func (s *Server) createSession(req CreateSessionRequest) (*replicator, int, erro
 	}
 	if len(req.Replicate) > 0 {
 		sess.repl = newReplicator(req.PatientID, req.SessionID, s.advertise, 1, req.Replicate, false)
+		s.track(nil, sess.repl)
 		sess.repl.enqueue(
 			wal.Record{Type: wal.TypePatientUpsert, Patient: p.Info},
 			wal.Record{Type: wal.TypeStreamOpen, PatientID: req.PatientID, SessionID: req.SessionID},
@@ -563,6 +572,7 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 		if repl = sess.repl; repl != nil {
 			repl.enqueue(closed)
 		}
+		s.track(repl, nil)
 		delete(s.sessions, sid)
 		s.met.sessionsOpen.Set(int64(len(s.sessions)))
 		s.met.sessionsClosed.Inc()
