@@ -276,7 +276,11 @@ func TestPoolResponseTooLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	gw.places["S"] = &placement{patientID: "P", primary: ts.URL, owners: []string{ts.URL}}
+	_, _, commit, err := gw.placements.create("S", "P", gw.healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit()
 	rec := httptest.NewRecorder()
 	gw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/S/plr", nil))
 	if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), errResponseTooLarge.Error()) {

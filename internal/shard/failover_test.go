@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -339,6 +340,82 @@ func TestRebalanceAfterGatewayRestartFailsOverOrphan(t *testing.T) {
 		t.Fatalf("ingest after failover: status %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// cutTransport is a gateway transport over the frame carrier that fails
+// every request to the node whose URL cut holds: the gateway ejects that
+// node while its peers, on their own transports, still reach it.
+func cutTransport(t *testing.T, cut *atomic.Pointer[string]) http.RoundTripper {
+	frames := new(frame.Transport)
+	t.Cleanup(frames.Close)
+	return roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if u := cut.Load(); u != nil && "http://"+r.URL.Host == *u {
+			return nil, fmt.Errorf("%s is cut off from the gateway", *u)
+		}
+		return frames.RoundTrip(r)
+	})
+}
+
+// TestFailoverNeverPromotesDeposedPrimary: the gateway loses a primary
+// that stays up, fails the session over and acks more ingest on the
+// promoted follower. The old primary still holds the session as primary,
+// at its pre-failover stream, and answers a promote with "already
+// primary here". Once it is readmitted and the new primary dies, the
+// gateway must not offer it the session again: promoting it would serve
+// a stream without the vertices acked since. The request answers 503.
+func TestFailoverNeverPromotesDeposedPrimary(t *testing.T) {
+	var cut atomic.Pointer[string]
+	c := testutil.StartCluster(t, 2, 2, func(cfg *testutil.ClusterConfig) {
+		cfg.Gateway.Transport = cutTransport(t, &cut)
+	})
+	const pid, sid = "P00", "S-P00"
+	createSession(t, c.URL, pid, sid)
+	batches := respBatches(t, 77, 45)
+	third := len(batches) / 3
+	for _, b := range batches[:third] {
+		ingestBatch(t, c.URL, sid, b)
+	}
+	old, owners, ok := c.Gateway.SessionPlacement(sid)
+	if !ok || len(owners) != 2 {
+		t.Fatalf("placement = %q %v, want a primary with 2 owners", old, owners)
+	}
+	stale := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/"+sid+"/plr")
+
+	cut.Store(&old)
+	c.Probe(1) // the gateway ejects the old primary; it stays up
+	for _, b := range batches[third : 2*third] {
+		ingestBatch(t, c.URL, sid, b) // the first batch fails the session over
+	}
+	promoted, _, _ := c.Gateway.SessionPlacement(sid)
+	if promoted == old {
+		t.Fatalf("session did not fail over: primary still %q", promoted)
+	}
+	acked := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/"+sid+"/plr")
+	if len(acked.Vertices) <= len(stale.Vertices) {
+		t.Fatalf("PLR has %d vertices after the failover, %d before: fixture too short to tell", len(acked.Vertices), len(stale.Vertices))
+	}
+
+	cut.Store(nil)
+	c.Probe(2) // the deposed primary is readmitted
+	c.Kill(promoted)
+	c.Probe(1)
+
+	resp := testutil.PostJSON(t, c.URL+"/v1/sessions/"+sid+"/samples", batches[2*third])
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		plrNow, _ := http.Get(c.URL + "/v1/sessions/" + sid + "/plr")
+		var got server.PLRResponse
+		if plrNow != nil {
+			json.NewDecoder(plrNow.Body).Decode(&got) //nolint:errcheck
+			plrNow.Body.Close()
+		}
+		t.Fatalf("ingest with only the deposed primary left: status %d (%s), want 503; the session now serves %d vertices where %d were acked",
+			resp.StatusCode, trunc(body), len(got.Vertices), len(acked.Vertices))
+	}
+	if p, _, _ := c.Gateway.SessionPlacement(sid); p != promoted {
+		t.Errorf("placement = %q after the refused failover, want it left on %q", p, promoted)
+	}
 }
 
 // TestReplicationEquivalence checks the steady-state invariant behind

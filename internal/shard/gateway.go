@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -20,55 +19,29 @@ import (
 )
 
 // Gateway fronts N streamd backends. Session-scoped traffic (create,
-// ingest, predict, PLR, close) is routed to the shard owning the
-// session's patient on the consistent-hash ring; similarity queries
-// scatter to every backend and gather into an exact merged result.
-//
-// With replication factor R > 1 each session is placed on the first R
-// distinct backends clockwise from the patient's hash: the primary
-// serves traffic and streams its WAL to the successors. When the
-// health checker ejects a primary, the gateway promotes the first
-// healthy replica (POST /v1/sessions/{sid}/promote) and re-routes the
-// session there; scatter queries stay complete — not degraded — as
-// long as every dead shard's arcs are covered by an answering
-// replica.
+// ingest, predict, PLR, close) is routed to the shard serving the
+// session, and similarity queries scatter to every backend and gather
+// into an exact merged result. Where a session lives and who follows it
+// is decided by the gateway's placements (placement.go). When the
+// health checker ejects a primary, the gateway promotes a follower
+// (POST /v1/sessions/{sid}/promote); scatter queries stay complete —
+// not degraded — while every dead shard's arcs are covered by an
+// answering replica.
 type Gateway struct {
-	ring    *Ring
-	pool    *Pool
-	opts    Options
-	mux     *http.ServeMux
-	handler http.Handler
-	log     *slog.Logger
-	met     *shardMetrics
-	http    *obs.HTTPMetrics
-	col     *obs.Collector
-	start   time.Time
-
-	// mu guards places and every placement's fields. places maps open
-	// session IDs to their primary + replica set; it is populated on
-	// create and lazily rebuilt from the shards' /v1/shard/stats
-	// inventories after a gateway restart.
-	mu     sync.Mutex
-	places map[string]*placement
-
-	// subPlaces maps subscription IDs to the scope they were registered
-	// under (guarded by mu); the scope — not the backend — is
-	// authoritative, so event streams re-resolve through session
-	// failover or the ring on every (re)connect.
-	subPlaces map[string]*subPlacement
+	placements *placements
+	pool       *Pool
+	opts       Options
+	mux        *http.ServeMux
+	handler    http.Handler
+	log        *slog.Logger
+	met        *shardMetrics
+	http       *obs.HTTPMetrics
+	col        *obs.Collector
+	start      time.Time
 
 	// promoteMu serializes failovers so concurrent requests against a
 	// dead primary elect exactly one replacement.
 	promoteMu sync.Mutex
-}
-
-// placement records where a session lives: the backend currently
-// serving it and the full owner set (primary first) chosen by the
-// ring at create time.
-type placement struct {
-	patientID string
-	primary   string
-	owners    []string
 }
 
 // NewGateway builds a gateway over the given backend base URLs.
@@ -78,22 +51,16 @@ func NewGateway(backends []string, opts Options) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	ring := NewRing(DefaultVnodes)
-	for _, b := range backends {
-		ring.Add(b)
-	}
 	g := &Gateway{
-		ring:      ring,
-		pool:      pool,
-		opts:      opts,
-		mux:       http.NewServeMux(),
-		log:       obs.Logger("gateway"),
-		met:       pool.met,
-		http:      obs.NewHTTPMetrics(obs.Default(), "stsmatch_gateway"),
-		col:       obs.NewCollector(obs.DefaultTraceCapacity, obs.DefaultSlowThreshold),
-		start:     time.Now(),
-		places:    make(map[string]*placement),
-		subPlaces: make(map[string]*subPlacement),
+		placements: newPlacements(backends, opts.Replicas),
+		pool:       pool,
+		opts:       opts,
+		mux:        http.NewServeMux(),
+		log:        obs.Logger("gateway"),
+		met:        pool.met,
+		http:       obs.NewHTTPMetrics(obs.Default(), "stsmatch_gateway"),
+		col:        obs.NewCollector(obs.DefaultTraceCapacity, obs.DefaultSlowThreshold),
+		start:      time.Now(),
 	}
 	obs.RegisterBuildInfo(obs.Default())
 	g.route("POST /v1/sessions", "create_session", g.handleCreateSession)
@@ -194,17 +161,19 @@ func (g *Gateway) inventories(ctx context.Context) []answer[server.ShardStatsRes
 // Pool exposes the gateway's backend pool (health introspection).
 func (g *Gateway) Pool() *Pool { return g.pool }
 
+// healthy is the backend health every placement decision reads: in the
+// pool and admitted.
+func (g *Gateway) healthy(u string) bool {
+	b := g.pool.ByURL(u)
+	return b != nil && b.Healthy()
+}
+
 // SessionPlacement reports where the gateway believes a session lives:
 // the backend currently serving it and the full owner set (primary
 // first). ok is false when the session is unknown to this gateway.
 func (g *Gateway) SessionPlacement(sid string) (primary string, owners []string, ok bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	pl, ok := g.places[sid]
-	if !ok {
-		return "", nil, false
-	}
-	return pl.primary, append([]string(nil), pl.owners...), true
+	primary, owners, _, ok = g.placements.lookup(sid)
+	return primary, owners, ok
 }
 
 func gwError(w http.ResponseWriter, code int, err error) {
@@ -240,10 +209,8 @@ func relay(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body) //nolint:errcheck
 }
 
-// handleCreateSession places a session on the ring: the first R
-// distinct owners clockwise from the patient's hash, with the first
-// healthy owner as primary and the rest injected into the create
-// request as replication targets, so the chosen shard streams its WAL
+// handleCreateSession places a session (placements.create) and names its
+// followers in the create request, so the chosen shard streams its WAL
 // to them from the first record.
 func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
@@ -260,55 +227,29 @@ func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		gwError(w, http.StatusBadRequest, errors.New("patientId and sessionId are required"))
 		return
 	}
-	owners := g.ring.Owners(req.PatientID, g.opts.Replicas)
-	if len(owners) == 0 {
-		gwError(w, http.StatusServiceUnavailable, errors.New("no backends configured"))
+	primary, replicate, commit, err := g.placements.create(req.SessionID, req.PatientID, g.healthy)
+	if err != nil {
+		gwError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	// The ring's first owner is the natural primary, but any healthy
-	// owner can take the role at create time — there is no data to
-	// hand over yet.
-	var primary *Backend
-	for _, u := range owners {
-		if b := g.pool.ByURL(u); b != nil && b.Healthy() {
-			primary = b
-			break
-		}
-	}
-	if primary == nil {
-		gwError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("no healthy owner for patient %s (owners %v)", req.PatientID, owners))
-		return
-	}
-	req.Replicate = req.Replicate[:0]
-	for _, u := range owners {
-		if u != primary.URL() {
-			req.Replicate = append(req.Replicate, u)
-		}
-	}
+	req.Replicate = replicate
 	fwd, err := json.Marshal(req)
 	if err != nil {
 		gwError(w, http.StatusInternalServerError, err)
 		return
 	}
-	status, respBody, _, err := g.pool.do(r.Context(), primary, http.MethodPost, "/v1/sessions", "application/json", fwd, false)
+	status, respBody, _, err := g.pool.do(r.Context(), g.pool.ByURL(primary), http.MethodPost, "/v1/sessions", "application/json", fwd, false)
 	if err != nil {
 		gwError(w, http.StatusBadGateway, err)
 		return
 	}
 	if status == http.StatusCreated {
-		g.mu.Lock()
-		g.places[req.SessionID] = &placement{
-			patientID: req.PatientID,
-			primary:   primary.URL(),
-			owners:    owners,
-		}
-		g.mu.Unlock()
-		g.met.routed.With(primary.URL()).Inc()
+		commit()
+		g.met.routed.With(primary).Inc()
 		g.log.Info("session routed",
 			slog.String("patientId", req.PatientID),
 			slog.String("sessionId", req.SessionID),
-			slog.String("backend", primary.URL()),
+			slog.String("backend", primary),
 			slog.Int("replicas", len(req.Replicate)))
 	}
 	relay(w, status, respBody)
@@ -320,10 +261,10 @@ func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 // idempotent and retried; mutations get a single attempt.
 func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
-	b, pl, err := g.serving(r.Context(), sid)
+	b, known, err := g.serving(r.Context(), sid)
 	if err != nil {
 		code := http.StatusServiceUnavailable
-		if pl == nil {
+		if !known {
 			code = http.StatusNotFound
 		}
 		gwError(w, code, err)
@@ -347,14 +288,21 @@ func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if status == http.StatusGone {
-		// The session migrated away: the placement cache pointed at a
-		// tombstoned source. Invalidate, follow the redirect hint (or
-		// rediscover from the shards' inventories), and retry exactly
-		// once on the new owner — converging without bouncing the
-		// client.
-		if nb := g.placementAfterGone(r, sid, pl, respHdr); nb != nil && nb.URL() != b.URL() {
+		// The session migrated away: the placement pointed at a
+		// tombstoned source. Follow its Location hint, or else rediscover
+		// the session from the shards' inventories, and retry exactly once
+		// on the new owner — converging without bouncing the client.
+		g.met.placementInvalidations.Inc()
+		if hint := respHdr.Get("Location"); hint != "" && g.healthy(hint) {
+			g.placements.movedTo(sid, hint)
+			g.log.Info("placement repaired from tombstone hint",
+				slog.String("sessionId", sid), slog.String("backend", hint))
+		} else {
+			g.placements.forget(sid)
+		}
+		if nb, _, _ := g.serving(r.Context(), sid); nb != nil && nb != b {
 			b = nb
-			status, respBody, respHdr, err = g.pool.do(r.Context(), b, r.Method, path, "application/json", body, idempotent)
+			status, respBody, _, err = g.pool.do(r.Context(), b, r.Method, path, "application/json", body, idempotent)
 			if err != nil {
 				gwError(w, http.StatusBadGateway, err)
 				return
@@ -362,96 +310,28 @@ func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if r.Method == http.MethodDelete && status == http.StatusOK {
-		g.mu.Lock()
-		delete(g.places, sid)
-		g.mu.Unlock()
+		g.placements.forget(sid)
 	}
 	relay(w, status, respBody)
 }
 
-// placementAfterGone repairs a session's cached placement after a 410
-// tombstone response: the Location header names the new owner when the
-// source knew it; otherwise the stale entry is dropped and rebuilt
-// from the shards' inventories. Returns the backend to retry on, or
-// nil when no new owner could be resolved.
-func (g *Gateway) placementAfterGone(r *http.Request, sid string, pl *placement, respHdr http.Header) *Backend {
-	g.met.placementInvalidations.Inc()
-	if hint := respHdr.Get("Location"); hint != "" {
-		if nb := g.pool.ByURL(hint); nb != nil && nb.Healthy() {
-			g.mu.Lock()
-			pl.primary = hint
-			if pid := pl.patientID; pid != "" {
-				if desired := g.ring.Owners(pid, g.opts.Replicas); len(desired) > 0 {
-					pl.owners = append([]string(nil), desired...)
-				}
-			}
-			if !slices.Contains(pl.owners, hint) {
-				pl.owners = append([]string{hint}, pl.owners...)
-			}
-			g.mu.Unlock()
-			g.log.Info("placement repaired from tombstone hint",
-				slog.String("sessionId", sid), slog.String("backend", hint))
-			return nb
-		}
-	}
-	g.mu.Lock()
-	delete(g.places, sid)
-	g.mu.Unlock()
-	nb, _, _ := g.serving(r.Context(), sid)
-	return nb
-}
-
-// primaryBackend returns the backend currently serving a session, or
-// nil when it is unknown or unhealthy.
-func (g *Gateway) primaryBackend(pl *placement) *Backend {
-	g.mu.Lock()
-	u := pl.primary
-	g.mu.Unlock()
-	if u == "" {
-		return nil
-	}
-	if b := g.pool.ByURL(u); b != nil && b.Healthy() {
-		return b
-	}
-	return nil
-}
-
-// failover promotes the first healthy replica of a session to primary
-// and re-points the placement at it. Serialized per gateway so
-// concurrent requests against a dead primary elect one replacement;
-// later waiters observe the updated placement and return immediately.
-func (g *Gateway) failover(ctx context.Context, sid string, pl *placement) (*Backend, error) {
+// failover promotes the first of placements.candidates that accepts,
+// and records it. Serialized per gateway, so concurrent requests against
+// a dead primary elect one replacement and later waiters find it.
+func (g *Gateway) failover(ctx context.Context, sid string) (*Backend, error) {
 	g.promoteMu.Lock()
 	defer g.promoteMu.Unlock()
-	if b := g.primaryBackend(pl); b != nil {
-		return b, nil // raced with another request's failover
+	if u, _ := g.placements.resolve(sid, g.healthy); u != "" {
+		return g.pool.ByURL(u), nil // raced with another request's failover
 	}
-	g.mu.Lock()
-	old := pl.primary
-	owners := append([]string(nil), pl.owners...)
-	g.mu.Unlock()
-	lastErr := fmt.Errorf("no healthy replica among owners %v", owners)
-	for _, cand := range owners {
-		if cand == old {
-			continue
-		}
-		b := g.pool.ByURL(cand)
-		if b == nil || !b.Healthy() {
-			continue
-		}
-		// The dead primary is dropped from the new replica set: if it
-		// comes back it still holds the old epoch and would fence the
-		// shipments anyway.
-		rest := make([]string, 0, len(owners))
-		for _, u := range owners {
-			if u != cand && u != old {
-				rest = append(rest, u)
-			}
-		}
-		body, err := json.Marshal(server.PromoteRequest{Replicate: rest})
+	from, cands := g.placements.candidates(sid, g.healthy)
+	lastErr := errors.New("no healthy owner left to promote")
+	for _, c := range cands {
+		body, err := json.Marshal(server.PromoteRequest{Replicate: c.replicate})
 		if err != nil {
 			return nil, err
 		}
+		b := g.pool.ByURL(c.to)
 		status, respBody, _, err := g.pool.do(ctx, b,
 			http.MethodPost, "/v1/sessions/"+url.PathEscape(sid)+"/promote", "application/json", body, false)
 		if err != nil {
@@ -459,20 +339,18 @@ func (g *Gateway) failover(ctx context.Context, sid string, pl *placement) (*Bac
 			continue
 		}
 		if status != http.StatusOK {
-			lastErr = fmt.Errorf("promote on %s: status %d: %s", cand, status, errDetail(respBody))
+			lastErr = fmt.Errorf("promote on %s: status %d: %s", c.to, status, errDetail(respBody))
 			continue
 		}
-		g.mu.Lock()
-		pl.primary = cand
-		g.mu.Unlock()
+		g.placements.failedOver(sid, from, c.to)
 		g.met.failovers.Inc()
 		g.log.Warn("session failed over",
 			slog.String("sessionId", sid),
-			slog.String("from", old),
-			slog.String("to", cand))
+			slog.String("from", from),
+			slog.String("to", c.to))
 		return b, nil
 	}
-	return nil, lastErr
+	return nil, fmt.Errorf("session %s: primary down and no replica promoted: %w", sid, lastErr)
 }
 
 // bodyErrCode maps a buffered-read error to a status: 413 when the
@@ -489,84 +367,21 @@ func bodyErrCode(err error) int {
 // after a gateway restart the shards' inventories), then its healthy
 // primary, else the replica a failover promotes. Every session-addressed
 // path — proxied requests, subscription routing, the rebalance drain —
-// asks here. A nil placement with the error means the session is
-// unknown; a non-nil one means nothing healthy holds it.
-func (g *Gateway) serving(ctx context.Context, sid string) (*Backend, *placement, error) {
-	g.mu.Lock()
-	pl, ok := g.places[sid]
-	g.mu.Unlock()
-	if !ok {
-		g.discoverPlacements(ctx, sid)
-		g.mu.Lock()
-		pl, ok = g.places[sid]
-		g.mu.Unlock()
-		if !ok {
-			return nil, nil, fmt.Errorf("no open session %q on any reachable shard", sid)
+// asks here. known is false when no shard holds the session; with an
+// error, a known session has nothing healthy to serve it.
+func (g *Gateway) serving(ctx context.Context, sid string) (b *Backend, known bool, err error) {
+	u, known := g.placements.resolve(sid, g.healthy)
+	if !known {
+		g.placements.fold(sid, g.inventories(ctx))
+		if u, known = g.placements.resolve(sid, g.healthy); !known {
+			return nil, false, fmt.Errorf("no open session %q on any reachable shard", sid)
 		}
 	}
-	if b := g.primaryBackend(pl); b != nil {
-		return b, pl, nil
+	if u != "" {
+		return g.pool.ByURL(u), true, nil
 	}
-	b, err := g.failover(ctx, sid, pl)
-	if err != nil {
-		return nil, pl, fmt.Errorf("session %s: primary down and no replica promoted: %w", sid, err)
-	}
-	return b, pl, nil
-}
-
-// discoverPlacements folds the healthy shards' session inventories into
-// the placement table — for one session, or for all of them when only
-// is "" — so routing after a gateway restart and the rebalance diff
-// both start from where sessions ACTUALLY live. A Sessions claim names
-// the primary, a Replicas claim a follower; a session whose only
-// survivors are followers gets a placement with no primary, which the
-// first caller of serving fails over. The table stays authoritative
-// (it is updated synchronously on create/migrate/failover): only
-// unknown sessions are added, and a missing primary is filled.
-func (g *Gateway) discoverPlacements(ctx context.Context, only string) {
-	found := make(map[string]*placement)
-	claim := func(e server.ShardSession) *placement {
-		if only != "" && e.SessionID != only {
-			return nil
-		}
-		pl := found[e.SessionID]
-		if pl == nil {
-			pl = &placement{patientID: e.PatientID}
-			found[e.SessionID] = pl
-		}
-		return pl
-	}
-	for _, inv := range g.inventories(ctx) {
-		if inv.err != nil {
-			continue
-		}
-		u := inv.backend.URL()
-		for _, e := range inv.val.Sessions {
-			if pl := claim(e); pl != nil && pl.primary == "" {
-				pl.primary = u
-				pl.owners = append([]string{u}, pl.owners...)
-			}
-		}
-		for _, e := range inv.val.Replicas {
-			if pl := claim(e); pl != nil {
-				pl.owners = append(pl.owners, u)
-			}
-		}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for sid, pl := range found {
-		cur, ok := g.places[sid]
-		switch {
-		case !ok:
-			g.places[sid] = pl
-		case cur.primary == "" && pl.primary != "":
-			cur.primary = pl.primary
-			if !slices.Contains(cur.owners, pl.primary) {
-				cur.owners = append([]string{pl.primary}, cur.owners...)
-			}
-		}
-	}
+	b, err = g.failover(ctx, sid)
+	return b, true, err
 }
 
 // MatchResult is the gateway's scatter-gather response: the exact
@@ -686,7 +501,7 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	// no answering replica; the coverage test is against the shards
 	// that actually answered this query, not nominal health.
 	for failed := range res.ShardErrors {
-		if !g.ring.Covered(failed, g.opts.Replicas, func(u string) bool { return answered[u] }) {
+		if !g.placements.covered(failed, answered) {
 			res.Degraded = true
 			break
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -423,6 +424,89 @@ func TestMigrateKillSourceMidCatchup(t *testing.T) {
 		server.MatchRequest{Seq: seq, PatientID: pid, SessionID: sid}, 2, 3)
 	logMetricLines(t, "gateway", c.URL,
 		"stsmatch_gateway_rebalance_failures_total", "stsmatch_gateway_failovers_total")
+}
+
+// TestRebalanceKeepsEjectedFollower: a rebalance that runs while the
+// gateway has ejected one of the moved session's designated followers
+// still gives the new primary that follower. At R=3 the gateway loses
+// the third owner (the shards still reach it), grows from 3 shards to 4
+// and later readmits it. The new primary must ship to both designated
+// followers, so that with it and the old source both dead the third
+// owner, holding every acked vertex, takes the session over.
+func TestRebalanceKeepsEjectedFollower(t *testing.T) {
+	var cut atomic.Pointer[string]
+	c := testutil.StartCluster(t, 3, 3, func(cfg *testutil.ClusterConfig) {
+		cfg.Gateway.Transport = cutTransport(t, &cut)
+	})
+	urls := []string{c.Nodes[0].URL, c.Nodes[1].URL, c.Nodes[2].URL}
+	n4 := c.AddNode(nil)
+	pid := movedPatient(t, urls, n4.URL)
+	sid := "S-" + pid
+	grown := shard.NewRing(0)
+	for _, u := range append(urls, n4.URL) {
+		grown.Add(u)
+	}
+	desired := grown.Owners(pid, 3)
+
+	createSession(t, c.URL, pid, sid)
+	batches := respBatches(t, 77, 45)
+	half := len(batches) / 2
+	for _, b := range batches[:half] {
+		ingestBatch(t, c.URL, sid, b)
+	}
+	src, _, _ := c.Gateway.SessionPlacement(sid)
+	if desired[0] != n4.URL || desired[1] != src {
+		t.Fatalf("grown ring designates %v for %s, want [%s %s ...]; ring fixture broken", desired, pid, n4.URL, src)
+	}
+	third := desired[2]
+
+	cut.Store(&third)
+	c.Probe(1) // the gateway ejects the third owner; the shards still reach it
+	assertSessionMoved(t, growBackends(t, c.URL, n4.URL).Rebalance, sid, n4.URL)
+	cut.Store(nil)
+	c.Probe(2) // readmitted
+	resp := testutil.PostJSON(t, c.URL+"/v1/admin/rebalance", struct{}{})
+	if rep := testutil.Decode[shard.RebalanceReport](t, resp); len(rep.Moved) != 0 || len(rep.Failed) != 0 {
+		t.Fatalf("second rebalance moved %v, failed %v; want nothing to do", rep.Moved, rep.Failed)
+	}
+	for _, b := range batches[half:] {
+		ingestBatch(t, c.URL, sid, b)
+	}
+
+	st := testutil.GetJSON[server.ShardStatsResponse](t, n4.URL+"/v1/shard/stats")
+	var links []string
+	for _, e := range st.Sessions {
+		if e.SessionID == sid {
+			for _, l := range e.Links {
+				links = append(links, l.Target)
+			}
+		}
+	}
+	slices.Sort(links)
+	want := slices.Clone(desired[1:])
+	slices.Sort(want)
+	if !slices.Equal(links, want) {
+		t.Errorf("new primary %s ships %s to %v, want the designated followers %v", n4.URL, sid, links, want)
+	}
+
+	acked := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/"+sid+"/plr")
+	c.Kill(n4.URL)
+	c.Kill(src)
+	c.Probe(1)
+	got, err := http.Get(c.URL + "/v1/sessions/" + sid + "/plr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Body.Close()
+	if got.StatusCode != http.StatusOK {
+		t.Fatalf("PLR with the designated follower %s alive: status %d, want 200", third, got.StatusCode)
+	}
+	if plr := testutil.Decode[server.PLRResponse](t, got); !reflect.DeepEqual(plr.Vertices, acked.Vertices) {
+		t.Fatalf("PLR after failover has %d vertices, %d were acked", len(plr.Vertices), len(acked.Vertices))
+	}
+	if p, _, _ := c.Gateway.SessionPlacement(sid); p != third {
+		t.Fatalf("placement after failover = %q, want %q", p, third)
+	}
 }
 
 // TestMigrateKillTargetMidCutover kills the migration target at the

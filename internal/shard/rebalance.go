@@ -1,20 +1,14 @@
-// Elastic rebalancing (PR 10): when the backend set changes, the
-// gateway computes which sessions' ring arcs moved and drains exactly
-// those onto their new owners through the shards' live-migration
-// endpoint (POST /v1/sessions/{sid}/migrate), with bounded
-// concurrency and per-session retry/backoff.
-//
-// The drain is crash-safe from either side because it is formulated as
-// "diff ACTUAL placement against DESIRED", not as a journal of planned
-// moves. Actual placement is rediscovered from the shards' own
-// inventories (/v1/shard/stats), so a fresh gateway — or one restarted
-// mid-drain — recomputes exactly the not-yet-moved remainder: sessions
-// whose migration committed answer from their new primary (or via the
-// source's 410 tombstone) and drop out of the diff, while interrupted
-// ones are re-driven through the migrate endpoint's idempotent
-// re-drive path. A shard crash mid-migration is likewise recovered by
-// re-running Rebalance: a dead source fails over onto a surviving
-// replica first, and the move re-drives from the new primary.
+// Elastic rebalancing: when the backend set changes, the gateway drains
+// the sessions whose designated primary moved onto their new owners
+// through the shards' live-migration endpoint (POST
+// /v1/sessions/{sid}/migrate), with bounded concurrency and per-session
+// retry/backoff. The drain diffs actual placement, folded from the
+// shards' own inventories, against the ring (placements.fold, then
+// placements.diff) rather than journaling planned moves, so a fresh or
+// restarted gateway recomputes exactly the remainder: committed moves
+// answer from their new primary (or via the source's 410) and drop out,
+// interrupted ones re-drive through the migrate endpoint's idempotent
+// path, and a dead source fails over onto a surviving replica first.
 package shard
 
 import (
@@ -25,7 +19,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -67,7 +60,7 @@ func (g *Gateway) AddBackend(url string) error {
 	if _, err := g.pool.AddBackend(url); err != nil {
 		return err
 	}
-	g.ring.Add(url)
+	g.placements.join(url)
 	return nil
 }
 
@@ -77,56 +70,34 @@ func (g *Gateway) AddBackend(url string) error {
 // ring, and the re-drive path after any crash.
 func (g *Gateway) Rebalance(ctx context.Context) RebalanceReport {
 	g.met.rebalances.Inc()
-	g.discoverPlacements(ctx, "")
+	g.placements.fold("", g.inventories(ctx))
+	moves, checked := g.placements.diff()
+	rep := RebalanceReport{Checked: checked, Skipped: checked - len(moves), Failed: map[string]string{}}
 
-	type task struct {
-		sid, pid, from string
-		desired        []string
-	}
-	var tasks []task
-	rep := RebalanceReport{Failed: map[string]string{}}
-	g.mu.Lock()
-	for sid, pl := range g.places {
-		rep.Checked++
-		desired := g.ring.Owners(pl.patientID, g.opts.Replicas)
-		if len(desired) == 0 || pl.primary == desired[0] {
-			rep.Skipped++
-			continue
-		}
-		tasks = append(tasks, task{sid: sid, pid: pl.patientID, from: pl.primary, desired: desired})
-	}
-	g.mu.Unlock()
-	sort.Slice(tasks, func(a, b int) bool { return tasks[a].sid < tasks[b].sid })
-
-	var (
-		mu  sync.Mutex
-		wg  sync.WaitGroup
-		sem = make(chan struct{}, rebalanceConcurrency)
-	)
-	for _, t := range tasks {
+	errs := make([]error, len(moves))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, rebalanceConcurrency)
+	for i, m := range moves {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(t task) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			err := g.migrateSession(ctx, t.sid, t.desired)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				rep.Failed[t.sid] = err.Error()
-				g.met.rebalanceFailures.Inc()
-				g.log.Warn("rebalance: session move failed",
-					slog.String("sessionId", t.sid), slog.Any("err", err))
-				return
-			}
-			rep.Moved = append(rep.Moved, MovedSession{
-				SessionID: t.sid, PatientID: t.pid, From: t.from, To: t.desired[0],
-			})
-			g.met.rebalanceMoved.Inc()
-		}(t)
+			errs[i] = g.migrateSession(ctx, m.SessionID, m.To)
+		}()
 	}
 	wg.Wait()
-	sort.Slice(rep.Moved, func(a, b int) bool { return rep.Moved[a].SessionID < rep.Moved[b].SessionID })
+	for i, m := range moves {
+		if errs[i] != nil {
+			rep.Failed[m.SessionID] = errs[i].Error()
+			g.met.rebalanceFailures.Inc()
+			g.log.Warn("rebalance: session move failed",
+				slog.String("sessionId", m.SessionID), slog.Any("err", errs[i]))
+			continue
+		}
+		rep.Moved = append(rep.Moved, m)
+		g.met.rebalanceMoved.Inc()
+	}
 	if len(rep.Failed) == 0 {
 		rep.Failed = nil
 	}
@@ -137,16 +108,16 @@ func (g *Gateway) Rebalance(ctx context.Context) RebalanceReport {
 	return rep
 }
 
-// migrateSession moves one session onto desired[0], retrying with
+// migrateSession moves one session onto target, retrying with
 // backoff. A dead source is failed over onto a surviving replica first
 // (the ordinary promote path), then the move re-drives from the new
 // primary; a source that already committed the migration answers
 // AlreadyMigrated and the placement just catches up.
-func (g *Gateway) migrateSession(ctx context.Context, sid string, desired []string) error {
+func (g *Gateway) migrateSession(ctx context.Context, sid, target string) error {
 	ctx, sp := obs.StartSpan(ctx, "migrate")
 	defer sp.Finish()
 	sp.Annotate("sessionId", sid)
-	sp.Annotate("target", desired[0])
+	sp.Annotate("target", target)
 	var lastErr error
 	for attempt := 0; attempt < rebalanceAttempts; attempt++ {
 		if attempt > 0 {
@@ -160,27 +131,27 @@ func (g *Gateway) migrateSession(ctx context.Context, sid string, desired []stri
 		// live primary to migrate from. The promoted replica holds every
 		// acked vertex (replication is synchronous with the ack), so no
 		// data is at risk; the move then re-drives.
-		src, pl, err := g.serving(ctx, sid)
-		if pl == nil {
+		src, known, err := g.serving(ctx, sid)
+		if !known {
 			return err // closed since the diff was taken
 		}
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if src.URL() == desired[0] {
+		if src.URL() == target {
 			// Failover (or a prior partially-observed attempt) already put
 			// the session on its designated owner.
-			g.updatePlacement(sid, desired)
+			g.placements.movedTo(sid, target)
 			return nil
 		}
-		resp, err := g.callMigrate(ctx, src, sid, desired)
+		resp, err := g.callMigrate(ctx, src, sid, target)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		sp.Annotate("epoch", resp.Epoch)
-		g.updatePlacement(sid, desired)
+		g.placements.movedTo(sid, target)
 		return nil
 	}
 	return lastErr
@@ -188,19 +159,10 @@ func (g *Gateway) migrateSession(ctx context.Context, sid string, desired []stri
 
 // callMigrate POSTs one migrate request to the session's source shard,
 // under the budget of a full session drain rather than one proxied
-// request.
-func (g *Gateway) callMigrate(ctx context.Context, src *Backend, sid string, desired []string) (*server.MigrateResponse, error) {
-	// Unhealthy designated replicas are dropped from the tail, exactly
-	// as failover drops a dead primary: shipping to a dead node would
-	// put a replica error on every post-cutover ack. A re-run once the
-	// node is readmitted re-links it.
-	tail := make([]string, 0, len(desired)-1)
-	for _, u := range desired[1:] {
-		if b := g.pool.ByURL(u); b != nil && b.Healthy() {
-			tail = append(tail, u)
-		}
-	}
-	body, err := json.Marshal(server.MigrateRequest{Target: desired[0], Replicate: tail})
+// request. The target's followers are the one rule's
+// (placements.migrateFollowers).
+func (g *Gateway) callMigrate(ctx context.Context, src *Backend, sid, target string) (*server.MigrateResponse, error) {
+	body, err := json.Marshal(server.MigrateRequest{Target: target, Replicate: g.placements.migrateFollowers(sid, target)})
 	if err != nil {
 		return nil, err
 	}
@@ -219,20 +181,9 @@ func (g *Gateway) callMigrate(ctx context.Context, src *Backend, sid string, des
 	case http.StatusGone:
 		// The source already tombstoned the session (a prior attempt
 		// committed); the migration is done.
-		return &server.MigrateResponse{SessionID: sid, Target: desired[0], AlreadyMigrated: true}, nil
+		return &server.MigrateResponse{SessionID: sid, Target: target, AlreadyMigrated: true}, nil
 	default:
 		return nil, fmt.Errorf("migrate on %s: status %d: %s", src.URL(), status, errDetail(data))
-	}
-}
-
-// updatePlacement points a session's placement at its ring-designated
-// owner set after a completed move.
-func (g *Gateway) updatePlacement(sid string, desired []string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if pl, ok := g.places[sid]; ok {
-		pl.primary = desired[0]
-		pl.owners = append([]string(nil), desired...)
 	}
 }
 

@@ -20,8 +20,8 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
-	"sync"
 )
 
 // DefaultVnodes is the default number of virtual nodes per backend.
@@ -31,10 +31,10 @@ const DefaultVnodes = 128
 
 // Ring is a consistent-hash ring with virtual nodes. Keys (patient
 // IDs) map to the first vnode clockwise from the key's hash, so adding
-// or removing one backend remaps only ~1/N of the keyspace. All
-// methods are safe for concurrent use.
+// or removing one backend remaps only ~1/N of the keyspace. Reads may
+// run concurrently, but Add may not run alongside any other call: the
+// gateway holds its ring under its placements' lock.
 type Ring struct {
-	mu       sync.RWMutex
 	replicas int
 	hashes   []uint64          // sorted vnode hashes
 	owner    map[uint64]string // vnode hash -> node
@@ -83,8 +83,6 @@ func vnodeKey(node string, i int) string {
 // lexically smaller node keeps the slot so the layout stays
 // deterministic regardless of insertion order.
 func (r *Ring) Add(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.nodes[node]; ok {
 		return
 	}
@@ -106,45 +104,32 @@ func (r *Ring) Add(node string) {
 // Owner returns the backend owning the given key, or "" when the ring
 // is empty.
 func (r *Ring) Owner(key string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.hashes) == 0 {
-		return ""
+	if o := r.Owners(key, 1); len(o) > 0 {
+		return o[0]
 	}
-	h := hashKey(key)
-	// First vnode clockwise of h, wrapping to the start.
-	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-	if i == len(r.hashes) {
-		i = 0
-	}
-	return r.owner[r.hashes[i]]
+	return ""
 }
 
 // Owners returns the first n distinct backends clockwise from the
 // key's hash: index 0 is the primary (identical to Owner), the rest
 // are successor replicas. Fewer than n backends in the ring yields
-// them all. The walk skips vnodes of already-collected backends, so
-// replica sets are always distinct nodes.
+// them all.
 func (r *Ring) Owners(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.hashes) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
 	h := hashKey(key)
-	start := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
+	return r.walk(sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h }), n)
+}
+
+// walk returns the first n distinct backends clockwise from vnode index
+// start, skipping the vnodes of backends already collected.
+func (r *Ring) walk(start, n int) []string {
+	out := make([]string, 0, min(n, len(r.nodes)))
 	for i := 0; i < len(r.hashes) && len(out) < n; i++ {
-		node := r.owner[r.hashes[(start+i)%len(r.hashes)]]
-		if _, dup := seen[node]; dup {
-			continue
+		if node := r.owner[r.hashes[(start+i)%len(r.hashes)]]; !slices.Contains(out, node) {
+			out = append(out, node)
 		}
-		seen[node] = struct{}{}
-		out = append(out, node)
 	}
 	return out
 }
@@ -156,36 +141,15 @@ func (r *Ring) Owners(key string, n int) []string {
 // replication factor R, each of node's primary arcs is mirrored on its
 // successors, so as long as one successor per arc is still answering,
 // the merged result is complete. replicas <= 1 means unreplicated and
-// therefore never covered.
+// therefore never covered; a node not in the ring owns no arcs.
 func (r *Ring) Covered(node string, replicas int, ok func(string) bool) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if replicas <= 1 {
 		return false
 	}
-	if _, in := r.nodes[node]; !in {
-		return true // owns no arcs
-	}
 	for i, h := range r.hashes {
-		if r.owner[h] != node {
-			continue
-		}
-		// Keys on this arc have node as their first distinct owner;
-		// walk the same successor sequence Owners would.
-		covered := false
-		seen := map[string]struct{}{node: {}}
-		for j := 1; j < len(r.hashes) && len(seen) < replicas; j++ {
-			n := r.owner[r.hashes[(i+j)%len(r.hashes)]]
-			if _, dup := seen[n]; dup {
-				continue
-			}
-			seen[n] = struct{}{}
-			if ok(n) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		// Keys on this arc have node as their first owner, and the rest
+		// of the walk from it as their replicas.
+		if r.owner[h] == node && !slices.ContainsFunc(r.walk(i, replicas)[1:], ok) {
 			return false
 		}
 	}

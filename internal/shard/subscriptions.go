@@ -32,14 +32,6 @@ import (
 // reconnects after an upstream failure before giving up.
 const subReconnects = 5
 
-// subPlacement records where a subscription was registered. Session
-// scope re-resolves through the session placement (and its failover
-// machinery); patient scope re-resolves through the ring.
-type subPlacement struct {
-	patientID string
-	sessionID string
-}
-
 // handleCreateSubscription routes a scoped registration to the owning
 // shard: the primary currently serving the session, or the first
 // healthy ring owner of the patient. Unscoped subscriptions have no
@@ -78,9 +70,7 @@ func (g *Gateway) handleCreateSubscription(w http.ResponseWriter, r *http.Reques
 	if status == http.StatusCreated {
 		var resp server.SubscriptionResponse
 		if json.Unmarshal(respBody, &resp) == nil && resp.ID != "" {
-			g.mu.Lock()
-			g.subPlaces[resp.ID] = &subPlacement{patientID: req.PatientID, sessionID: req.SessionID}
-			g.mu.Unlock()
+			g.placements.subscribed(resp.ID, req.PatientID, req.SessionID)
 		}
 	}
 	relay(w, status, respBody)
@@ -94,13 +84,8 @@ func (g *Gateway) subBackend(r *http.Request, patientID, sessionID string) (*Bac
 		b, _, err := g.serving(r.Context(), sessionID)
 		return b, err
 	}
-	owners := g.ring.Owners(patientID, g.opts.Replicas)
-	for _, u := range owners {
-		if b := g.pool.ByURL(u); b != nil && b.Healthy() {
-			return b, nil
-		}
-	}
-	return nil, fmt.Errorf("no healthy owner for patient %s (owners %v)", patientID, owners)
+	u, _, err := g.placements.firstHealthy(patientID, g.healthy)
+	return g.pool.ByURL(u), err
 }
 
 // GatewaySubsResponse is the merged subscription inventory.
@@ -149,12 +134,8 @@ func (g *Gateway) handleListSubscriptions(w http.ResponseWriter, r *http.Request
 func (g *Gateway) handleDeleteSubscription(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	path := "/v1/subscriptions/" + url.PathEscape(id)
-	g.mu.Lock()
-	pl := g.subPlaces[id]
-	delete(g.subPlaces, id)
-	g.mu.Unlock()
-	if pl != nil {
-		if b, err := g.subBackend(r, pl.patientID, pl.sessionID); err == nil {
+	if pid, sid, ok := g.placements.subscription(id, true); ok {
+		if b, err := g.subBackend(r, pid, sid); err == nil {
 			status, body, _, err := g.pool.do(r.Context(), b, http.MethodDelete, path, "", nil, false)
 			if err == nil && status != http.StatusNotFound {
 				relay(w, status, body)
@@ -255,18 +236,13 @@ func (g *Gateway) handleSubEvents(w http.ResponseWriter, r *http.Request) {
 // subEventsBackend finds the shard holding a subscription: known
 // placement first, then a scatter over the shard listings.
 func (g *Gateway) subEventsBackend(r *http.Request, id string) (*Backend, error) {
-	g.mu.Lock()
-	pl := g.subPlaces[id]
-	g.mu.Unlock()
-	if pl != nil {
-		return g.subBackend(r, pl.patientID, pl.sessionID)
+	if pid, sid, ok := g.placements.subscription(id, false); ok {
+		return g.subBackend(r, pid, sid)
 	}
 	for _, leg := range scatter(g.pool, getJSON[GatewaySubsResponse](r.Context(), g.pool, "/v1/subscriptions")) {
 		for _, st := range leg.val.Subscriptions {
 			if st.ID == id {
-				g.mu.Lock()
-				g.subPlaces[id] = &subPlacement{patientID: st.PatientID, sessionID: st.SessionID}
-				g.mu.Unlock()
+				g.placements.subscribed(id, st.PatientID, st.SessionID)
 				return g.subBackend(r, st.PatientID, st.SessionID)
 			}
 		}

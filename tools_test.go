@@ -380,6 +380,68 @@ func TestSeqOnlyAtTheAPIEdge(t *testing.T) {
 	}
 }
 
+// TestCIRunNamesExist: every alternative of every -run pattern in the CI
+// workflow names the start of some Test, Fuzz or Benchmark function of
+// either module, so a step cannot go on passing while part of it
+// matches nothing. Comment lines are skipped, ^ and $ anchors stripped,
+// and '^$' runs no test.
+func TestCIRunNamesExist(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var funcs []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				funcs = append(funcs, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := regexp.MustCompile(`-run (?:'([^']*)'|(\S+))`)
+	var patterns [][]string
+	for _, line := range strings.Split(string(ci), "\n") {
+		if !strings.HasPrefix(strings.TrimSpace(line), "#") {
+			patterns = append(patterns, run.FindAllStringSubmatch(line, -1)...)
+		}
+	}
+	if len(patterns) == 0 {
+		t.Fatal("found no -run pattern in ci.yml")
+	}
+	for _, m := range patterns {
+		for _, alt := range strings.Split(m[1]+m[2], "|") {
+			alt = strings.TrimSuffix(strings.TrimPrefix(alt, "^"), "$")
+			if alt == "" {
+				continue
+			}
+			exists := slices.ContainsFunc(funcs, func(name string) bool {
+				return strings.HasPrefix(name, alt) && (strings.HasPrefix(name, "Test") ||
+					strings.HasPrefix(name, "Fuzz") || strings.HasPrefix(name, "Benchmark"))
+			})
+			if !exists {
+				t.Errorf("ci.yml runs -run %q, and no test function starts with %q", m[1]+m[2], alt)
+			}
+		}
+	}
+}
+
 // TestInternalExportsHaveCallers: every exported function and method
 // declared under internal/ is used by some non-test code of either
 // module (bench/ counts), so that nothing lives on for its tests alone.
