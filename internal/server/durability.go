@@ -113,7 +113,8 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 
 	// Resume the sessions that were open at the crash: the stream (and
 	// its vertices) came back via snapshot+replay; the segmenter is
-	// fresh and re-primed from the PLR tail.
+	// fresh and re-primed from the PLR tail, and the replicator ships to
+	// the journaled followers at the journaled epoch.
 	for _, ss := range res.Sessions {
 		sess, err := s.resumeSession(ss)
 		if err != nil {
@@ -121,10 +122,9 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 				slog.String("sessionId", ss.SessionID), slog.Any("err", err))
 			continue
 		}
-		s.sessions[ss.SessionID] = sess
+		s.open(sess)
 		d.resumed++
 	}
-	s.met.sessionsOpen.Set(int64(len(s.sessions)))
 	s.replaySubscriptions(res)
 
 	// Re-seed migration state. A committed entry is a tombstone (the
@@ -155,8 +155,8 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 
 // resumeSession rebuilds one live session from stored state — crash
 // recovery's, or a replica's at promotion — around the stream in the
-// database and a fresh segmenter re-primed from its PLR tail. The
-// caller installs it in s.sessions.
+// database, a fresh segmenter re-primed from its PLR tail and a
+// replicator at ss's epoch and followers. The caller opens it.
 func (s *Server) resumeSession(ss wal.SessionState) (*session, error) {
 	p := s.db.Patient(ss.PatientID)
 	if p == nil {
@@ -186,6 +186,7 @@ func (s *Server) resumeSession(ss wal.SessionState) (*session, error) {
 		samples:   int(ss.Samples),
 		lastT:     ss.LastT,
 		lastPos:   append([]float64(nil), ss.LastPos...),
+		repl:      newReplicator(ss.PatientID, ss.SessionID, s.advertise, ss.Epoch, ss.Followers),
 		resumed:   true,
 	}
 	if n > 0 {
@@ -304,9 +305,27 @@ func (s *Server) sessionStates() []wal.SessionState {
 			Samples:   uint64(sess.samples),
 			LastT:     sess.lastT,
 			LastPos:   append([]float64(nil), sess.lastPos...),
+			Epoch:     sess.repl.epoch,
+			Followers: sess.repl.followers,
 		})
 	}
 	return out
+}
+
+// ownerRecord journals this node as the session's owner — at create and
+// at promotion — with what recovery resumes it from: the anchor, the
+// epoch and the followers.
+func (sess *session) ownerRecord() wal.Record {
+	return wal.Record{
+		Type:      wal.TypeReplicaPromote,
+		PatientID: sess.patientID,
+		SessionID: sess.sessionID,
+		Samples:   uint64(sess.samples),
+		AnchorT:   sess.lastT,
+		AnchorPos: sess.lastPos,
+		Epoch:     sess.repl.epoch,
+		Followers: sess.repl.followers,
+	}
 }
 
 // snapshot compacts the WAL into a snapshot. It holds the session

@@ -294,6 +294,9 @@ type ShardSession struct {
 	Samples   int    `json:"samples"`
 	// Vertices is the session stream's current length.
 	Vertices int `json:"vertices"`
+	// Epoch is, for a Sessions entry, the epoch this node serves the
+	// session at; of two nodes serving it, the higher is the primary.
+	Epoch uint64 `json:"epoch,omitempty"`
 	// Links reports, for a primary session, each replica link's
 	// assigned/acked sequence numbers (see ReplLinkStatus); absent on
 	// unreplicated sessions and on Replicas entries.
@@ -321,16 +324,14 @@ func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 	s.lock()
 	sessions := make([]ShardSession, 0, len(s.sessions))
 	for sid, sess := range s.sessions {
-		entry := ShardSession{
+		sessions = append(sessions, ShardSession{
 			SessionID: sid,
 			PatientID: sess.patientID,
 			Samples:   sess.samples,
 			Vertices:  sess.stream.Len(),
-		}
-		if sess.repl != nil {
-			entry.Links = sess.repl.linkStatuses()
-		}
-		sessions = append(sessions, entry)
+			Epoch:     sess.repl.epoch,
+			Links:     sess.repl.linkStatuses(),
+		})
 	}
 	replicas := make([]ShardSession, 0, len(s.replicas))
 	for sid, rs := range s.replicas {

@@ -2,8 +2,7 @@
 // moves one open session to another shard with zero acked-vertex loss,
 // generalizing the failover machinery into a planned handover. The
 // source adds the target as one more follower link on the session's
-// replicator — snapshot-first, like a freshly promoted primary's links —
-// so every ingest ack, subscription operation and close reaches it
+// replicator — snapshot-first, like every link — so every ingest ack, subscription operation and close reaches it
 // like any replica; it then fences local writes, journals a durable
 // prepare marker, drains the link, promotes the target through the
 // normal epoch-fenced promote path, and finally journals a commit
@@ -171,12 +170,8 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 		s.mu.Unlock()
 		return resp, http.StatusNotFound, fmt.Errorf("no open session %q", sid)
 	}
-	if sess.repl == nil {
-		sess.repl = newReplicator(sess.patientID, sid, s.advertise, 1, nil, false)
-		s.track(nil, sess.repl)
-	}
 	repl := sess.repl
-	link := repl.handoffLink(target)
+	link := repl.follow(target, true)
 	s.met.migrationsInFlight.Inc()
 	s.mu.Unlock()
 	defer s.met.migrationsInFlight.Dec()
@@ -269,8 +264,7 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 		s.met.migrationFailures.Inc()
 		return resp, http.StatusInternalServerError, fmt.Errorf("flushing migration commit: %w", jerr)
 	}
-	s.track(sess.repl, nil)
-	delete(s.sessions, sid)
+	s.retire(sess)
 	// Retire: the followers the new owner does not keep are told what
 	// a close would tell them, so none stays a failover candidate
 	// holding a stale copy.
@@ -278,7 +272,6 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 	s.expelMigratedSubsLocked(ctx, sess.patientID, sid, repl)
 	repl.enqueue(wal.Record{Type: wal.TypeSessionClose, SessionID: sid})
 	retire = true
-	s.met.sessionsOpen.Set(int64(len(s.sessions)))
 	s.met.migrations.Inc()
 	s.log.Info("session migrated away",
 		slog.String("patientId", sess.patientID),
@@ -355,8 +348,8 @@ func (s *Server) expelMigratedSubsLocked(ctx context.Context, pid, sid string, r
 
 // abortMigration rolls a failed hand-off back so the session keeps
 // serving on this node: unfence, take the link the hand-off added off
-// the replicator (and the replicator off a session nothing else
-// follows), and undo a journaled prepare with a durable abort record.
+// the replicator, and undo a journaled prepare with a durable abort
+// record.
 // It reports false when the session was closed meanwhile.
 func (s *Server) abortMigration(ctx context.Context, sid string, sess *session, cause error) bool {
 	s.lock()
@@ -369,10 +362,7 @@ func (s *Server) abortMigration(ctx context.Context, sid string, sess *session, 
 		return false
 	}
 	sess.fenced = false
-	if sess.repl != nil && sess.repl.unlink(func(l *replicaLink) bool { return l.handoff }) == 0 {
-		s.track(sess.repl, nil)
-		sess.repl = nil
-	}
+	sess.repl.unlink(func(l *replicaLink) bool { return l.handoff })
 	if m, ok := s.migrations[sid]; ok && m.Phase == wal.MigratePrepare {
 		abort := *m
 		abort.Phase = wal.MigrateAbort

@@ -10,12 +10,11 @@
 // Per-link sequencing: every replica link numbers its shipped records
 // independently (dense, 1-based, carried in the record's LSN slot), so
 // a follower's wal.Cursor detects drops and reorders without any
-// cross-replica coordination. A gap (HTTP 409) or an overflowing
-// pending queue collapses the link to snapshot catch-up: the next
-// shipment is a single TypeReplicaSnapshot record carrying the
-// session's complete state, which re-anchors the follower's cursor. A
-// deposed primary is answered with HTTP 412 (stale epoch) and stops
-// shipping.
+// cross-replica coordination. A link's first shipment, a gap (HTTP 409)
+// and an overflowing pending queue all ship a single
+// TypeReplicaSnapshot record carrying the session's complete state,
+// which re-anchors the follower's cursor. A deposed primary is answered
+// with HTTP 412 (stale epoch) and stops shipping.
 
 package server
 
@@ -46,14 +45,18 @@ const DefaultReplicateTimeout = 5 * time.Second
 // collapses to snapshot catch-up instead of buffering without bound.
 const maxPendingRecords = 1024
 
-// replicator ships one session's records to its replica set.
+// replicator ships one session's records to its followers. Every
+// session a node owns has one, built where the node became its owner:
+// create (epoch 1), promote (the replica's epoch + 1) and recovery (the
+// journaled epoch and followers). With no links it ships nothing.
 type replicator struct {
 	mu        sync.Mutex
 	patientID string
 	sessionID string
-	source    string // primary's advertised base URL
-	epoch     uint64
-	deposed   bool // a replica rejected us with a newer epoch
+	source    string   // primary's advertised base URL
+	epoch     uint64   // fixed for the replicator's life
+	followers []string // what is journaled for recovery to re-link
+	deposed   bool     // a replica rejected us with a newer epoch
 	links     []*replicaLink
 }
 
@@ -80,16 +83,41 @@ type replicaLink struct {
 	shipMu sync.Mutex
 }
 
-// newReplicator builds the shipping state for a session. snapshotFirst
-// marks every link for snapshot catch-up before normal shipping — the
-// mode a freshly promoted primary starts in, since its sequence
-// numbering has no relation to the deposed primary's.
-func newReplicator(patientID, sessionID, source string, epoch uint64, targets []string, snapshotFirst bool) *replicator {
-	r := &replicator{patientID: patientID, sessionID: sessionID, source: source, epoch: epoch}
-	for _, t := range targets {
-		r.links = append(r.links, &replicaLink{target: t, nextSeq: 1, needSnap: snapshotFirst})
+// newReplicator builds the shipping state of a session this node owns
+// at epoch, with a link to each follower.
+func newReplicator(patientID, sessionID, source string, epoch uint64, followers []string) *replicator {
+	r := &replicator{patientID: patientID, sessionID: sessionID, source: source, epoch: epoch, followers: followers}
+	for _, f := range followers {
+		r.follow(f, false)
 	}
 	return r
+}
+
+// follow returns the link shipping to target, adding one when none does
+// (handoff marks a migration target's). It is the one place a link is
+// built, and every link starts snapshot-first: its numbering starts at
+// 1, and a follower's cursor drops sequence numbers at or below its own
+// within an epoch as duplicates, so a rebuilt link's (a restarted
+// primary's) incremental records would be acked and discarded.
+func (r *replicator) follow(target string, handoff bool) *replicaLink {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, link := range r.links {
+		if link.target == target {
+			return link
+		}
+	}
+	link := &replicaLink{target: target, nextSeq: 1, needSnap: true, handoff: handoff}
+	r.links = append(r.links, link)
+	return link
+}
+
+// idle reports that nothing follows the session, so there is nothing
+// to stage.
+func (r *replicator) idle() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.links) == 0
 }
 
 // enqueue stages records on every link, assigning per-link sequence
@@ -116,34 +144,11 @@ func (r *replicator) enqueue(recs ...wal.Record) {
 	}
 }
 
-// handoffLink returns the link shipping to target, adding one when
-// target does not follow the session yet: snapshot-first, exactly what
-// a freshly promoted primary's links are.
-func (r *replicator) handoffLink(target string) *replicaLink {
+// unlink removes the links drop selects.
+func (r *replicator) unlink(drop func(*replicaLink) bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, link := range r.links {
-		if link.target == target {
-			return link
-		}
-	}
-	link := &replicaLink{target: target, nextSeq: 1, needSnap: true, handoff: true}
-	r.links = append(r.links, link)
-	return link
-}
-
-// unlink removes the links drop selects and reports how many remain.
-func (r *replicator) unlink(drop func(*replicaLink) bool) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	kept := r.links[:0]
-	for _, link := range r.links {
-		if !drop(link) {
-			kept = append(kept, link)
-		}
-	}
-	r.links = kept
-	return len(kept)
+	r.links = slices.DeleteFunc(r.links, drop)
 }
 
 // ReplLinkStatus is one primary→replica shipping lane's sequence
@@ -210,8 +215,11 @@ func (s *Server) replFlush(ctx context.Context, r *replicator) []string {
 	links := append([]*replicaLink(nil), r.links...)
 	deposed := r.deposed
 	r.mu.Unlock()
-	if deposed {
+	switch {
+	case deposed:
 		return []string{"replication fenced: a replica reported a newer epoch"}
+	case len(links) == 0:
+		return nil // nothing follows: no fan-out to allocate
 	}
 	var (
 		wg   sync.WaitGroup
@@ -654,79 +662,69 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 	s.lock()
 	defer s.mu.Unlock()
-	if sess, live := s.sessions[sid]; live {
-		// Already primary here — promotion is idempotent so a gateway
-		// retry after a dropped response converges.
-		epoch := uint64(0)
-		if sess.repl != nil {
-			epoch = sess.repl.epoch
+	sess, live := s.sessions[sid]
+	if !live {
+		rs, ok := s.replicas[sid]
+		if !ok || rs.stream == nil {
+			httpError(w, http.StatusNotFound, fmt.Errorf("no replica state for session %q", sid))
+			return
 		}
-		writeJSON(w, http.StatusOK, PromoteResponse{
-			PatientID: sess.patientID, SessionID: sid, Epoch: epoch,
-			Vertices: sess.stream.Len(), Samples: sess.samples,
+		var err error
+		sess, err = s.resumeSession(wal.SessionState{
+			PatientID: rs.patientID, SessionID: sid,
+			Samples: rs.samples, LastT: rs.lastT, LastPos: rs.lastPos,
+			Epoch: rs.cursor.Epoch + 1, Followers: req.Replicate,
 		})
-		return
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, fmt.Errorf("resuming replica: %w", err))
+			return
+		}
+		// Journal (and flush) the promotion before going live: a 200 must
+		// mean a restart resumes this session as primary, shipping to the
+		// same followers at the same epoch.
+		if err := s.journalSync(r.Context(), sess.ownerRecord()); err != nil {
+			httpError(w, http.StatusInternalServerError, fmt.Errorf("flushing promotion: %w", err))
+			return
+		}
+		delete(s.replicas, sid)
+		s.open(sess)
+		s.met.replPromotions.Inc()
+		s.log.Info("session promoted to primary",
+			slog.String("patientId", sess.patientID),
+			slog.String("sessionId", sid),
+			slog.Uint64("epoch", sess.repl.epoch),
+			slog.Int("vertices", sess.stream.Len()),
+			slog.Int("replicas", len(req.Replicate)))
 	}
-	rs, ok := s.replicas[sid]
-	if !ok || rs.stream == nil {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no replica state for session %q", sid))
-		return
-	}
-	sess, err := s.resumeSession(wal.SessionState{
-		PatientID: rs.patientID, SessionID: sid,
-		Samples: rs.samples, LastT: rs.lastT, LastPos: rs.lastPos,
-	})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("resuming replica: %w", err))
-		return
-	}
-	epoch := rs.cursor.Epoch + 1
-	// Journal (and flush) the promotion before going live: a 200 must
-	// mean a restart resumes this session as primary.
-	if err := s.journalSync(r.Context(), wal.Record{
-		Type:      wal.TypeReplicaPromote,
-		PatientID: sess.patientID,
-		SessionID: sid,
-		Samples:   uint64(sess.samples),
-		AnchorT:   sess.lastT,
-		AnchorPos: sess.lastPos,
-		Epoch:     epoch,
-	}); err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("flushing promotion: %w", err))
-		return
-	}
-	delete(s.replicas, sid)
-	if len(req.Replicate) > 0 {
-		sess.repl = newReplicator(sess.patientID, sid, s.advertise, epoch, req.Replicate, true)
-		s.track(nil, sess.repl)
-	}
-	s.sessions[sid] = sess
-	s.met.sessionsOpen.Set(int64(len(s.sessions)))
-	s.met.replPromotions.Inc()
-	s.log.Info("session promoted to primary",
-		slog.String("patientId", sess.patientID),
-		slog.String("sessionId", sid),
-		slog.Uint64("epoch", epoch),
-		slog.Int("vertices", sess.stream.Len()),
-		slog.Int("replicas", len(req.Replicate)))
+	// Already primary here, the answer is the same: promotion is
+	// idempotent so a retry after a dropped response converges.
 	writeJSON(w, http.StatusOK, PromoteResponse{
 		PatientID: sess.patientID,
 		SessionID: sid,
-		Epoch:     epoch,
+		Epoch:     sess.repl.epoch,
 		Vertices:  sess.stream.Len(),
 		Samples:   sess.samples,
 	})
 }
 
-// track moves s.shipping from a session's replicator from to its
-// replicator to; either may be nil. The caller holds s.mu.
-func (s *Server) track(from, to *replicator) {
+// open makes sess live on this node, its replicator among those the
+// lag gauge reads. Callers hold s.mu.
+func (s *Server) open(sess *session) {
+	s.sessions[sess.sessionID] = sess
 	s.shippingMu.Lock()
-	defer s.shippingMu.Unlock()
-	delete(s.shipping, from)
-	if to != nil {
-		s.shipping[to] = struct{}{}
-	}
+	s.shipping[sess.repl] = struct{}{}
+	s.shippingMu.Unlock()
+	s.met.sessionsOpen.Set(int64(len(s.sessions)))
+}
+
+// retire ends sess on this node: closed, or migrated away. Callers hold
+// s.mu.
+func (s *Server) retire(sess *session) {
+	delete(s.sessions, sess.sessionID)
+	s.shippingMu.Lock()
+	delete(s.shipping, sess.repl)
+	s.shippingMu.Unlock()
+	s.met.sessionsOpen.Set(int64(len(s.sessions)))
 }
 
 // maxReplLag is the worst unshipped backlog over every session this
@@ -772,16 +770,16 @@ func (s *Server) replicationHealth() *ReplicationHealth {
 	defer s.mu.Unlock()
 	h := &ReplicationHealth{ReplicaSessions: len(s.replicas), MaxLagRecords: s.maxReplLag()}
 	for sid, sess := range s.sessions {
-		if sess.repl == nil {
-			continue
-		}
-		h.PrimarySessions++
 		detail := ReplSessionHealth{
 			SessionID: sid,
 			PatientID: sess.patientID,
 			Epoch:     sess.repl.epoch,
 			Links:     sess.repl.linkStatuses(),
 		}
+		if len(detail.Links) == 0 {
+			continue // ships nowhere
+		}
+		h.PrimarySessions++
 		for _, link := range detail.Links {
 			if link.LastError != "" {
 				h.LastShipError = link.LastError

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -419,5 +420,162 @@ func TestFollowerRestartRecoversReplicaAsHistory(t *testing.T) {
 	}
 	if hz.Vertices != stats.Vertices {
 		t.Errorf("recovered %d vertices, follower had %d", hz.Vertices, stats.Vertices)
+	}
+}
+
+// restartable is a durable node that restarts in place: one listener,
+// and so one advertised URL, in front of whichever *Server is current.
+type restartable struct {
+	t   *testing.T
+	dir string
+	ts  *httptest.Server
+	srv atomic.Pointer[Server]
+}
+
+func newRestartable(t *testing.T) *restartable {
+	t.Helper()
+	n := &restartable{t: t, dir: t.TempDir()}
+	n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n.srv.Load().ServeHTTP(w, r)
+	}))
+	t.Cleanup(n.ts.Close)
+	n.start()
+	return n
+}
+
+// start opens a server on the node's data dir, every append fsynced.
+func (n *restartable) start() {
+	n.t.Helper()
+	srv, err := NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), Options{
+		DataDir: n.dir, AdvertiseURL: n.ts.URL,
+	})
+	if err != nil {
+		n.t.Fatal(err)
+	}
+	n.srv.Store(srv)
+}
+
+// restart reopens the node from its data dir: after a graceful Close
+// (recovery reads the final snapshot's manifest), or, with crash, with
+// the old server abandoned (recovery replays the journaled records).
+func (n *restartable) restart(crash bool) {
+	n.t.Helper()
+	if !crash {
+		if err := n.srv.Load().Close(); err != nil {
+			n.t.Fatal(err)
+		}
+	}
+	n.start()
+}
+
+// plrLen is the length of a live session's PLR on node url.
+func plrLen(t *testing.T, url, sid string) int {
+	t.Helper()
+	plr, code := getJSON[PLRResponse](t, url+"/v1/sessions/"+sid+"/plr")
+	if code != http.StatusOK {
+		t.Fatalf("plr on %s: status %d", url, code)
+	}
+	return len(plr.Vertices)
+}
+
+// replicaVertices is how many vertices of session sid follower url
+// holds.
+func replicaVertices(t *testing.T, url, sid string) int {
+	t.Helper()
+	stats, _ := getJSON[ShardStatsResponse](t, url+"/v1/shard/stats")
+	for _, e := range stats.Replicas {
+		if e.SessionID == sid {
+			return e.Vertices
+		}
+	}
+	t.Fatalf("%s follows no session %s: %+v", url, sid, stats.Replicas)
+	return 0
+}
+
+// TestPrimaryRestartKeepsReplicating: a primary restarted in place
+// resumes every session with the followers and epoch it journaled and
+// re-links each follower snapshot-first, so a follower holds every
+// vertex the primary acked after the restart too, and the acks carry no
+// replica error. Restarted at epoch 1 and shipping nothing, the primary
+// would ack vertices its followers never see; restarted at epoch 1
+// after a promotion to 2, every shipment would be fenced.
+func TestPrimaryRestartKeepsReplicating(t *testing.T) {
+	samples := respSamples(t, 19, 60)
+	half := len(samples) / 2
+
+	t.Run("created here", func(t *testing.T) {
+		_, follower := newReplServer(t, Options{})
+		primary := newRestartable(t)
+		resp := postJSON(t, primary.ts.URL+"/v1/sessions", CreateSessionRequest{
+			PatientID: "P01", SessionID: "S01", Replicate: []string{follower.URL},
+		})
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create status %d", resp.StatusCode)
+		}
+		ingestBatches(t, primary.ts.URL, "S01", samples[:half], 256)
+		primary.restart(false)
+		ingestBatches(t, primary.ts.URL, "S01", samples[half:], 256)
+		acked := plrLen(t, primary.ts.URL, "S01")
+		if got := replicaVertices(t, follower.URL, "S01"); got != acked {
+			t.Fatalf("follower holds %d vertices, the restarted primary acked %d", got, acked)
+		}
+	})
+
+	t.Run("promoted, then crashed", func(t *testing.T) {
+		_, origin := newReplServer(t, Options{AdvertiseURL: "http://origin"})
+		promoted := newRestartable(t)
+		_, follower := newReplServer(t, Options{})
+		resp := postJSON(t, origin.URL+"/v1/sessions", CreateSessionRequest{
+			PatientID: "P01", SessionID: "S01", Replicate: []string{promoted.ts.URL},
+		})
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create status %d", resp.StatusCode)
+		}
+		quarter := half / 2
+		ingestBatches(t, origin.URL, "S01", samples[:quarter], 256)
+		resp = postJSON(t, promoted.ts.URL+"/v1/sessions/S01/promote", PromoteRequest{Replicate: []string{follower.URL}})
+		if pr := decode[PromoteResponse](t, resp); resp.StatusCode != http.StatusOK || pr.Epoch != 2 {
+			t.Fatalf("promote: status %d, epoch %d, want 200 at epoch 2", resp.StatusCode, pr.Epoch)
+		}
+		ingestBatches(t, promoted.ts.URL, "S01", samples[quarter:half], 256)
+		promoted.restart(true)
+		// ingestBatches fails on any replica error: a restart shipping at
+		// epoch 1 would be fenced by the follower's epoch-2 cursor.
+		ingestBatches(t, promoted.ts.URL, "S01", samples[half:], 256)
+		acked := plrLen(t, promoted.ts.URL, "S01")
+		if got := replicaVertices(t, follower.URL, "S01"); got != acked {
+			t.Fatalf("follower holds %d vertices, the restarted primary acked %d", got, acked)
+		}
+		resp = postJSON(t, promoted.ts.URL+"/v1/sessions/S01/promote", PromoteRequest{})
+		if pr := decode[PromoteResponse](t, resp); pr.Epoch != 2 {
+			t.Errorf("the restarted primary serves at epoch %d, want the journaled 2", pr.Epoch)
+		}
+	})
+}
+
+// TestRepeatedPromoteKeepsEpoch: promoting a session that is primary
+// here already answers the epoch it was promoted to, also when it was
+// promoted with no followers — a migration that lost the first answer
+// journals the second into its commit tombstone.
+func TestRepeatedPromoteKeepsEpoch(t *testing.T) {
+	_, replica := newReplServer(t, Options{})
+	_, primary := newReplServer(t, Options{AdvertiseURL: "http://primary"})
+	resp := postJSON(t, primary.URL+"/v1/sessions", CreateSessionRequest{
+		PatientID: "P01", SessionID: "S01", Replicate: []string{replica.URL},
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d", resp.StatusCode)
+	}
+	ingestBatches(t, primary.URL, "S01", respSamples(t, 23, 20), 256)
+	var epochs []uint64
+	for range 2 {
+		resp := postJSON(t, replica.URL+"/v1/sessions/S01/promote", PromoteRequest{Replicate: []string{}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("promote status %d", resp.StatusCode)
+		}
+		epochs = append(epochs, decode[PromoteResponse](t, resp).Epoch)
+	}
+	if epochs[0] == 0 || epochs[1] != epochs[0] {
+		t.Fatalf("promote answered epochs %v, want the same non-zero epoch twice", epochs)
 	}
 }

@@ -94,10 +94,10 @@ type Server struct {
 	advertise string
 	replFrom  []string
 
-	// shipping holds the replicator of every session in sessions that
-	// has one, under its own lock, so the lag gauge reads the backlog
-	// without waiting on mu, which a snapshot holds while it writes.
-	// Only track changes it, under mu.
+	// shipping holds the replicator of every session in sessions, under
+	// its own lock, so the lag gauge reads the backlog without waiting on
+	// mu, which a snapshot holds while it writes. Only open and retire
+	// change it, under mu.
 	shippingMu sync.Mutex
 	shipping   map[*replicator]struct{}
 
@@ -135,8 +135,7 @@ type session struct {
 
 	// repl is the one place records are staged for whoever follows this
 	// session: replicas and, during a hand-off, the migration target.
-	// Nil when nothing does. A migration sets and clears it under s.mu,
-	// so handlers that flush outside the lock capture it inside.
+	// Never nil; built wherever this node became the session's owner.
 	repl *replicator
 
 	// fenced rejects new writes while a migration cutover is in flight
@@ -302,12 +301,9 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, err)
 		return
 	}
-	var replErrs []string
-	if repl != nil {
-		// Ship the open synchronously: a 201 means the replicas know the
-		// session exists (or the response says which ones do not).
-		replErrs = s.replFlush(r.Context(), repl)
-	}
+	// Ship the open synchronously: a 201 means the replicas know the
+	// session exists (or the response says which ones do not).
+	replErrs := s.replFlush(r.Context(), repl)
 	s.log.Info("session opened",
 		slog.String("patientId", req.PatientID),
 		slog.String("sessionId", req.SessionID),
@@ -320,9 +316,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// createSession performs the locked portion of session creation and
-// stages the opening records on the session's replica links; it
-// returns the replicator to flush (nil for an unreplicated session).
+// createSession performs the locked portion of session creation: the
+// session opens here at epoch 1, journaled as its owner's record beside
+// the open's own, and its links start snapshot-first, so the first
+// flush carries the patient and the empty stream. It returns the
+// replicator to flush.
 func (s *Server) createSession(req CreateSessionRequest) (*replicator, int, error) {
 	s.lock()
 	defer s.mu.Unlock()
@@ -344,23 +342,15 @@ func (s *Server) createSession(req CreateSessionRequest) (*replicator, int, erro
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
-	st := p.AddStream(req.SessionID)
 	sess := &session{
 		patientID: req.PatientID,
 		sessionID: req.SessionID,
 		seg:       seg,
-		stream:    st,
+		stream:    p.AddStream(req.SessionID),
+		repl:      newReplicator(req.PatientID, req.SessionID, s.advertise, 1, req.Replicate),
 	}
-	if len(req.Replicate) > 0 {
-		sess.repl = newReplicator(req.PatientID, req.SessionID, s.advertise, 1, req.Replicate, false)
-		s.track(nil, sess.repl)
-		sess.repl.enqueue(
-			wal.Record{Type: wal.TypePatientUpsert, Patient: p.Info},
-			wal.Record{Type: wal.TypeStreamOpen, PatientID: req.PatientID, SessionID: req.SessionID},
-		)
-	}
-	s.sessions[req.SessionID] = sess
-	s.met.sessionsOpen.Set(int64(len(s.sessions)))
+	s.walAppend(sess.ownerRecord())
+	s.open(sess)
 	return sess.repl, 0, nil
 }
 
@@ -405,12 +395,10 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, err)
 		return
 	}
-	if repl != nil {
-		// Ship before answering — even on error, so replicas hold
-		// exactly what this node stored. The ack then implies every
-		// healthy replica has every acknowledged vertex.
-		resp.ReplicaErrors = s.replFlush(r.Context(), repl)
-	}
+	// Ship before answering — even on error, so replicas hold exactly
+	// what this node stored. The ack then implies every healthy replica
+	// has every acknowledged vertex.
+	resp.ReplicaErrors = s.replFlush(r.Context(), repl)
 	if err != nil {
 		httpError(w, code, err)
 		return
@@ -441,9 +429,8 @@ func writeSamplesAck(w http.ResponseWriter, resp SamplesResponse) {
 
 // ingestLocked runs one ingest batch under the session lock and stages
 // the resulting records on the session's replica links. The returned
-// replicator (nil for unreplicated sessions) must be flushed by the
-// caller after the lock is released. Status 404 (no such session) and
-// 503 (fenced) mean nothing was stored.
+// replicator must be flushed by the caller after the lock is released.
+// Status 404 (no such session) and 503 (fenced) mean nothing was stored.
 func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn) (SamplesResponse, *replicator, int, error) {
 	s.lock()
 	defer s.mu.Unlock()
@@ -510,7 +497,7 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 		// from exactly the newest pre-crash observation.
 		s.walAppendCtx(ctx, anchor)
 	}
-	if sess.repl != nil && resp.Accepted > 0 {
+	if resp.Accepted > 0 && !sess.repl.idle() {
 		// Stage everything this call stored — including partial progress
 		// before an error — so replicas never trail what we kept.
 		recs := make([]wal.Record, 0, 2)
@@ -549,7 +536,6 @@ type CloseSessionResponse struct {
 // sessions map only ever grows.
 func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
-	var repl *replicator
 	sess, code, err := func() (*session, int, error) {
 		s.lock()
 		defer s.mu.Unlock()
@@ -569,12 +555,8 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 			s.log.Error("flushing session close", slog.Any("err", err))
 			return nil, http.StatusInternalServerError, fmt.Errorf("flushing session close: %w", err)
 		}
-		if repl = sess.repl; repl != nil {
-			repl.enqueue(closed)
-		}
-		s.track(repl, nil)
-		delete(s.sessions, sid)
-		s.met.sessionsOpen.Set(int64(len(s.sessions)))
+		sess.repl.enqueue(closed)
+		s.retire(sess)
 		s.met.sessionsClosed.Inc()
 		return sess, 0, nil
 	}()
@@ -586,12 +568,10 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 		httpError(w, code, err)
 		return
 	}
-	if repl != nil {
-		// Tell the replicas the session is closed; failures are logged
-		// (a lagging replica just keeps stale follower state around).
-		if errs := s.replFlush(r.Context(), repl); len(errs) > 0 {
-			s.log.Warn("close not replicated everywhere", slog.Any("replicaErrors", errs))
-		}
+	// Tell the replicas the session is closed; failures are logged (a
+	// lagging replica just keeps stale follower state around).
+	if errs := s.replFlush(r.Context(), sess.repl); len(errs) > 0 {
+		s.log.Warn("close not replicated everywhere", slog.Any("replicaErrors", errs))
 	}
 	s.log.Info("session closed",
 		slog.String("patientId", sess.patientID),

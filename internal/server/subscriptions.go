@@ -214,7 +214,7 @@ func (s *Server) registerSubscription(r *http.Request, st *wal.SubState) ([]*rep
 func (s *Server) enqueueSubRecord(rec wal.Record, st wal.SubState) []*replicator {
 	var repls []*replicator
 	for _, sess := range s.sessions {
-		if sess.repl != nil && subScopeCovers(st, sess.patientID, sess.sessionID) {
+		if subScopeCovers(st, sess.patientID, sess.sessionID) {
 			sess.repl.enqueue(rec)
 			repls = append(repls, sess.repl)
 		}

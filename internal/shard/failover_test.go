@@ -418,6 +418,47 @@ func TestFailoverNeverPromotesDeposedPrimary(t *testing.T) {
 	}
 }
 
+// TestFailoverAfterPrimaryRestart: a primary restarted in place from
+// its data dir keeps shipping to its follower, so when it dies after
+// the restart the promoted follower serves every vertex the cluster
+// acked — before the restart and after it.
+func TestFailoverAfterPrimaryRestart(t *testing.T) {
+	c := testutil.StartCluster(t, 3, 2, func(cfg *testutil.ClusterConfig) {
+		cfg.ConfigureServer = func(_ int, o *server.Options) { o.DataDir = t.TempDir() }
+	})
+	const pid, sid = "P00", "S-P00"
+	createSession(t, c.URL, pid, sid)
+	batches := respBatches(t, 77, 45)
+	half := len(batches) / 2
+	for _, b := range batches[:half] {
+		ingestBatch(t, c.URL, sid, b)
+	}
+	primary, owners, ok := c.Gateway.SessionPlacement(sid)
+	if !ok || len(owners) != 2 {
+		t.Fatalf("placement = %q %v, want a primary with 2 owners", primary, owners)
+	}
+	before := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/"+sid+"/plr")
+
+	c.Restart(primary)
+	for _, b := range batches[half:] {
+		ingestBatch(t, c.URL, sid, b)
+	}
+	acked := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/"+sid+"/plr")
+	if len(acked.Vertices) <= len(before.Vertices) {
+		t.Fatalf("PLR has %d vertices after the restart, %d before: fixture too short to tell", len(acked.Vertices), len(before.Vertices))
+	}
+
+	c.Kill(primary)
+	c.Probe(1)
+	got := testutil.GetJSON[server.PLRResponse](t, c.URL+"/v1/sessions/"+sid+"/plr")
+	if now, _, _ := c.Gateway.SessionPlacement(sid); now == primary {
+		t.Fatalf("session did not fail over: primary still %q", now)
+	}
+	if !reflect.DeepEqual(got.Vertices, acked.Vertices) {
+		t.Fatalf("the promoted follower serves %d vertices, %d were acked", len(got.Vertices), len(acked.Vertices))
+	}
+}
+
 // TestReplicationEquivalence checks the steady-state invariant behind
 // failover: with every backend healthy at replication factor 2, each
 // session is held by exactly one primary and one follower, followers

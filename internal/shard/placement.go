@@ -197,10 +197,15 @@ func (p *placements) forget(sid string) {
 // and the rebalance diff start from where sessions actually live. A
 // Sessions claim names the primary, a Replicas claim a follower; a
 // session only followers hold gets no primary, and the first resolve
-// fails it over. The table stays authoritative: only unknown sessions
-// are added, and a missing primary is filled.
+// fails it over. Of two Sessions claims the higher epoch is the
+// primary and the lower one is deposed: a primary a failover deposed
+// and that came back still serving its stale copy, or a migration's
+// fenced source beside its promoted target. The table stays
+// authoritative: only unknown sessions are added, and a missing
+// primary is filled.
 func (p *placements) fold(only string, invs []answer[server.ShardStatsResponse]) {
 	found := make(map[string]*placement)
+	epochs := make(map[string]uint64) // the epoch each found primary claims
 	claim := func(e server.ShardSession) *placement {
 		if only != "" && e.SessionID != only {
 			return nil
@@ -218,8 +223,17 @@ func (p *placements) fold(only string, invs []answer[server.ShardStatsResponse])
 		}
 		u := inv.backend.URL()
 		for _, e := range inv.val.Sessions {
-			if pl := claim(e); pl != nil && pl.primary == "" {
+			pl := claim(e)
+			switch {
+			case pl == nil:
+			case pl.primary == "" || e.Epoch > epochs[e.SessionID]:
+				if pl.primary != "" {
+					pl.deposed = append(pl.deposed, pl.primary)
+				}
 				pl.setPrimary(u)
+				epochs[e.SessionID] = e.Epoch
+			case e.Epoch < epochs[e.SessionID]:
+				pl.deposed = append(pl.deposed, u)
 			}
 		}
 		for _, e := range inv.val.Replicas {
@@ -235,6 +249,7 @@ func (p *placements) fold(only string, invs []answer[server.ShardStatsResponse])
 			p.sessions[sid] = pl
 		} else if cur.primary == "" && pl.primary != "" {
 			cur.setPrimary(pl.primary)
+			cur.deposed = append(cur.deposed, pl.deposed...)
 		}
 	}
 }

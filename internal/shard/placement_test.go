@@ -261,6 +261,34 @@ func TestPlacementsFold(t *testing.T) {
 	}
 }
 
+// TestPlacementsFoldHighestEpoch: a restarted gateway that finds two
+// nodes serving one session takes the higher epoch as primary, in
+// whichever order the inventories answer, and never promotes or ships
+// to the lower one — the deposed primary that came back.
+func TestPlacementsFoldHighestEpoch(t *testing.T) {
+	zombie, live, follower := placementNodes[0], placementNodes[1], placementNodes[2]
+	claim := func(u string, epoch uint64) answer[server.ShardStatsResponse] {
+		inv := inventory(u, []string{"S1"}, nil)
+		inv.val.Sessions[0].Epoch = epoch
+		return inv
+	}
+	for _, order := range [][]answer[server.ShardStatsResponse]{
+		{claim(zombie, 1), claim(live, 2), inventory(follower, nil, []string{"S1"})},
+		{claim(live, 2), claim(zombie, 1), inventory(follower, nil, []string{"S1"})},
+	} {
+		first := order[0].backend.URL()
+		p := newPlacements(placementNodes[:3], 3)
+		p.fold("", order)
+		primary, _, deposed, ok := p.lookup("S1")
+		if !ok || primary != live || !slices.Equal(deposed, []string{zombie}) {
+			t.Errorf("%s answering first: primary %q, deposed %v, want %s with %s deposed", first, primary, deposed, live, zombie)
+		}
+		if from, cands := p.candidates("S1", admit(live)); from != live || len(cands) != 1 || !equalPromotion(cands[0], promotion{to: follower}) {
+			t.Errorf("%s answering first: with %s down the candidates are %v from %q, want %s alone, shipping to no one", first, live, cands, from, follower)
+		}
+	}
+}
+
 func TestPlacementsSubscriptionRouting(t *testing.T) {
 	p := newPlacements(placementNodes[:3], 2)
 	owners := mustCreate(t, p, "S1", "P1")

@@ -18,6 +18,8 @@ import (
 type Node struct {
 	URL    string
 	Server *server.Server
+	srv    atomic.Pointer[server.Server] // Server, as the listener reads it
+	opts   server.Options
 	ts     *httptest.Server
 	killed atomic.Bool // listener closed or partitioned off
 	dead   atomic.Bool // inbound requests aborted without a response
@@ -142,7 +144,7 @@ func (c *Cluster) AddNode(configure func(o *server.Options)) *Node {
 		if node.dead.Load() {
 			panic(http.ErrAbortHandler) // sever without a response
 		}
-		node.Server.ServeHTTP(w, r)
+		node.srv.Load().ServeHTTP(w, r)
 	}))
 	node.ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
 		node.mu.Lock()
@@ -155,19 +157,48 @@ func (c *Cluster) AddNode(configure func(o *server.Options)) *Node {
 	}
 	node.ts.Start()
 	node.URL = node.ts.URL
-	opts := server.Options{AdvertiseURL: node.URL}
+	node.opts = server.Options{AdvertiseURL: node.URL}
 	if configure != nil {
-		configure(&opts)
+		configure(&node.opts)
 	}
-	srv, err := server.NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), opts)
-	if err != nil {
+	if err := node.start(); err != nil {
 		node.ts.Close()
 		c.t.Fatalf("testutil: backend %d: %v", len(c.Nodes), err)
 	}
-	node.Server = srv
 	c.Nodes = append(c.Nodes, node)
 	c.t.Cleanup(func() { c.Kill(node.URL) })
 	return node
+}
+
+// start builds the node's server from its options and puts it behind
+// the listener.
+func (n *Node) start() error {
+	srv, err := server.NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), n.opts)
+	if err != nil {
+		return err
+	}
+	n.Server = srv
+	n.srv.Store(srv)
+	return nil
+}
+
+// Restart closes a durable backend's server (a graceful shutdown: the
+// WAL flushed, a final snapshot taken) and reopens it from its DataDir
+// behind the same listener, so it comes back under the same URL — a
+// process restarted in place. Requests arriving in between reach the
+// closed server.
+func (c *Cluster) Restart(url string) {
+	c.t.Helper()
+	n := c.Node(url)
+	if n.opts.DataDir == "" {
+		c.t.Fatalf("testutil: restarting %s: the backend has no DataDir", url)
+	}
+	if err := n.Server.Close(); err != nil {
+		c.t.Fatalf("testutil: closing %s: %v", url, err)
+	}
+	if err := n.start(); err != nil {
+		c.t.Fatalf("testutil: reopening %s: %v", url, err)
+	}
 }
 
 // Node returns the backend with the given base URL.

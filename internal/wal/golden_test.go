@@ -3,32 +3,46 @@ package wal
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"stsmatch/internal/binfmt"
 )
 
-// goldenDir is a data dir an earlier build wrote, kept as bytes. Its
-// snapshot (LSN 0x28) holds three open sessions with anchors (one of 64
-// dimensions), two subscriptions (one with cursors and undelivered
-// events), a prepared and a committed migration, a 64-dimension stream,
-// a patient with no stream, and an empty stream whose vertex block
-// still says 3 dimensions: the block Stream.Append left behind when it
-// refused a 3-D first vertex with a NaN time. Its one log segment holds
-// every live record type and the retired type 8. want.json is what Open
-// recovered from it then.
+// goldenDir is a data dir kept as bytes, at snapshot version 5 and
+// segment version 2. Its snapshot (LSN 0x28) holds three open sessions
+// with anchors (one of 64 dimensions), epochs and followers (none, one,
+// two), two subscriptions (one with cursors and undelivered events), a
+// prepared and a committed migration, a 64-dimension stream, a patient
+// with no stream, and an empty stream whose vertex block still says 3
+// dimensions: the block Stream.Append left behind when it refused a 3-D
+// first vertex with a NaN time. Its one log segment holds every live
+// record type, a promote with a follower among them, and the retired
+// type 8. want.json is what Open recovered from it when it was written.
+//
+// The dir is goldenV4Dir, written by an earlier build at snapshot
+// version 4 and segment version 1, carried to today's versions: the
+// same records and sections, each session given an epoch and
+// followers, the promote record a follower. Its want.json differs from
+// goldenV4Dir's in those fields alone.
 const goldenDir = "testdata/golden"
 
-// goldenRecovery opens a copy of dir and returns the recovered state as
-// indented JSON: what want.json holds.
-func goldenRecovery(t *testing.T, dir string) []byte {
+// goldenV4Dir is the data dir goldenDir was carried over from, as that
+// build wrote it; its want.json is what that build recovered.
+const goldenV4Dir = "testdata/golden-v4"
+
+// dirFiles reads every file of dir but want.json.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
-	work := t.TempDir()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	files := make(map[string][]byte)
 	for _, e := range entries {
 		if e.Name() == "want.json" {
 			continue
@@ -37,11 +51,28 @@ func goldenRecovery(t *testing.T, dir string) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(work, e.Name()), raw, 0o644); err != nil {
+		files[e.Name()] = raw
+	}
+	return files
+}
+
+// goldenCopy copies dir, want.json aside, into a fresh temp dir.
+func goldenCopy(t *testing.T, dir string) string {
+	t.Helper()
+	work := t.TempDir()
+	for name, raw := range dirFiles(t, dir) {
+		if err := os.WriteFile(filepath.Join(work, name), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l, res, err := Open(Options{Dir: work}, nil)
+	return work
+}
+
+// goldenRecovery opens a copy of dir and returns the recovered state as
+// indented JSON: what want.json holds.
+func goldenRecovery(t *testing.T, dir string) []byte {
+	t.Helper()
+	l, res, err := Open(Options{Dir: goldenCopy(t, dir)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,5 +160,23 @@ func TestGoldenDataDirOpensWhole(t *testing.T) {
 		if !types[typ] {
 			t.Errorf("golden segment holds no %s record", typ)
 		}
+	}
+}
+
+// TestGoldenV4DataDirRefused: a data dir an earlier build wrote at
+// snapshot version 4 fails Open with binfmt.ErrVersion, every file left
+// byte for byte as it was — refused, never read as something it is not
+// and never recovered from an older state beside it.
+func TestGoldenV4DataDirRefused(t *testing.T) {
+	work := goldenCopy(t, goldenV4Dir)
+	before := dirFiles(t, work)
+	if l, _, err := Open(Options{Dir: work}, nil); !errors.Is(err, binfmt.ErrVersion) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("Open = %v, want binfmt.ErrVersion", err)
+	}
+	if after := dirFiles(t, work); !reflect.DeepEqual(after, before) {
+		t.Errorf("a refused Open changed the data dir: %d files, were %d", len(after), len(before))
 	}
 }

@@ -38,12 +38,13 @@ const (
 	// without reopening the session locally.
 	TypeReplicaSnapshot Type = 6
 
-	// TypeReplicaPromote marks a failover: the node journaling it was
-	// promoted from replica to primary for the session. Recovery treats
-	// it like a session-open with the embedded anchor, so a promoted
-	// node that crashes later still resumes the session as primary.
-	// Epoch fences zombie primaries: batches with a lower epoch are
-	// rejected by followers.
+	// TypeReplicaPromote marks the node journaling it as the session's
+	// owner: at create (epoch 1, beside the open's own records) and when
+	// a replica is promoted to primary. Recovery treats it like a
+	// session-open with the embedded anchor, epoch and followers, so a
+	// node that restarts later resumes the session as primary and ships
+	// to the same followers at the same epoch. Epoch fences zombie
+	// primaries: batches with a lower epoch are rejected by followers.
 	TypeReplicaPromote Type = 7
 
 	// typeRetiredIndex is retired: it carried the window-signature index
@@ -165,6 +166,9 @@ type Record struct {
 	// epochs so a deposed primary cannot overwrite a promoted one.
 	Epoch uint64 // TypeReplicaPromote, TypeSessionMigrate
 
+	// Followers are the base URLs the owner ships the session to.
+	Followers []string // TypeReplicaPromote
+
 	// Target is the migration target's advertised base URL; Phase is
 	// the migration phase (MigratePrepare/Commit/Abort).
 	Target string // TypeSessionMigrate
@@ -275,7 +279,7 @@ func encodePayload(rec Record) []byte {
 		b = binfmt.AppendString(b, rec.PatientID)
 		b = binfmt.AppendString(b, rec.SessionID)
 		b = appendAnchor(b, rec.Samples, rec.AnchorT, rec.AnchorPos)
-		b = binary.AppendUvarint(b, rec.Epoch)
+		b = appendOwner(b, rec.Epoch, rec.Followers)
 	case TypeSubUpsert:
 		b = appendSubState(b, rec.Sub)
 	case TypeSubDelete:
@@ -350,6 +354,30 @@ func decodeAnchor(d *binfmt.Decoder) (samples uint64, t float64, pos []float64) 
 	return samples, t, pos
 }
 
+// appendOwner serializes who owns a session: its epoch, then its
+// followers. Promote records and the snapshot's session manifest share
+// it.
+func appendOwner(b []byte, epoch uint64, followers []string) []byte {
+	b = binary.AppendUvarint(binary.AppendUvarint(b, epoch), uint64(len(followers)))
+	for _, f := range followers {
+		b = binfmt.AppendString(b, f)
+	}
+	return b
+}
+
+// decodeOwner parses what appendOwner writes. A follower is at least
+// one byte (an empty URL).
+func decodeOwner(d *binfmt.Decoder) (epoch uint64, followers []string) {
+	epoch = d.Uvarint()
+	if n := d.Count(1); n > 0 {
+		followers = make([]string, n)
+		for i := range followers {
+			followers[i] = d.Str()
+		}
+	}
+	return epoch, followers
+}
+
 // torn marks a decoding failure as a torn record.
 func torn(err error) error {
 	if err == nil {
@@ -391,7 +419,7 @@ func decodePayload(b []byte) (Record, error) {
 		rec.PatientID = d.Str()
 		rec.SessionID = d.Str()
 		rec.Samples, rec.AnchorT, rec.AnchorPos = decodeAnchor(&d)
-		rec.Epoch = d.Uvarint()
+		rec.Epoch, rec.Followers = decodeOwner(&d)
 	case typeRetiredIndex:
 		d.Bytes(len(d.Rest()))
 	case TypeSubUpsert:

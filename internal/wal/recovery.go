@@ -124,10 +124,16 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 	// Load the newest snapshot that parses; a torn snapshot (crash
 	// during rename is prevented, but disks rot) falls back to the
 	// previous one, and failing all of them to an empty database plus
-	// full replay.
+	// full replay. A snapshot of another version is not torn: it fails
+	// Open like a segment of another version, with every file left as it
+	// is, rather than recover an older state beside it.
 	snap := &snapshotFile{}
 	for i := len(snaps) - 1; i >= 0; i-- {
-		if sf, err := readSnapshotFile(filepath.Join(opts.Dir, snapshotName(snaps[i]))); err == nil {
+		sf, err := readSnapshotFile(filepath.Join(opts.Dir, snapshotName(snaps[i])))
+		if errors.Is(err, binfmt.ErrVersion) {
+			return nil, nil, err
+		}
+		if err == nil {
 			snap = sf
 			break
 		}
@@ -421,17 +427,16 @@ func (rs *replayState) apply(rec Record) error {
 		}
 		return rs.appendTail(st, rec)
 	case TypeReplicaPromote:
-		// This node took over the session at a failover: reopen it with
-		// the promoted anchor so a later crash still recovers it as
-		// primary. A session that migrated away and came back sheds its
-		// tombstone — this node owns it again.
+		// This node owns the session, from its create or a promotion:
+		// (re)open it with the record's anchor, epoch and followers so a
+		// later restart resumes it as primary, shipping where it did. A
+		// session that migrated away and came back sheds its tombstone —
+		// this node owns it again.
 		delete(rs.migrations, rec.SessionID)
 		rs.open(SessionState{PatientID: rec.PatientID, SessionID: rec.SessionID})
-		if i, ok := rs.idx[rec.SessionID]; ok && i >= 0 {
-			rs.sessions[i].Samples = rec.Samples
-			rs.sessions[i].LastT = rec.AnchorT
-			rs.sessions[i].LastPos = rec.AnchorPos
-		}
+		ss := &rs.sessions[rs.idx[rec.SessionID]]
+		ss.Samples, ss.LastT, ss.LastPos = rec.Samples, rec.AnchorT, rec.AnchorPos
+		ss.Epoch, ss.Followers = rec.Epoch, rec.Followers
 	case typeRetiredIndex:
 		rs.retired++
 	case TypeSubUpsert:

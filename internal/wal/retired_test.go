@@ -37,10 +37,11 @@ func withRetiredIndexSection(t testing.TB, raw []byte) []byte {
 	t.Helper()
 	const hdrLen = 4 + 2 + 8
 	d := binfmt.NewDecoder(raw[hdrLen:])
-	for i, n := 0, d.Count(12); i < n; i++ {
+	for i, n := 0, d.Count(14); i < n; i++ {
 		d.Str()
 		d.Str()
 		decodeAnchor(&d)
+		decodeOwner(&d)
 	}
 	at := len(raw) - len(d.Rest())
 	if d.Err() != nil || raw[at] != 0 {

@@ -13,21 +13,25 @@ import (
 
 const (
 	snapMagic = "STSS"
-	// snapVersion is the one snapshot format: header, session manifest,
-	// one reserved byte, standing subscriptions, session migrations,
-	// database payload. Any other version is refused.
-	snapVersion = 4
+	// snapVersion is the one snapshot format: header, session manifest
+	// (each session's anchor, epoch and followers), one reserved byte,
+	// standing subscriptions, session migrations, database payload. Any
+	// other version fails Open. Version 4 had no epoch or followers.
+	snapVersion = 5
 )
 
 // SessionState is the durable part of one open ingestion session: the
-// identifiers plus the raw-sample anchor the prediction path resumes
-// from. The segmenter itself is re-primed from the recovered PLR tail.
+// identifiers, the raw-sample anchor the prediction path resumes from,
+// and the epoch and followers its owner ships at. The segmenter itself
+// is re-primed from the recovered PLR tail.
 type SessionState struct {
 	PatientID string
 	SessionID string
 	Samples   uint64
 	LastT     float64
 	LastPos   []float64
+	Epoch     uint64
+	Followers []string
 }
 
 // Snapshot serializes the database plus the open-session manifest to
@@ -94,6 +98,7 @@ func appendSnapshotHead(b []byte, lsn uint64, sessions []SessionState, subs []Su
 		b = binfmt.AppendString(b, ss.PatientID)
 		b = binfmt.AppendString(b, ss.SessionID)
 		b = appendAnchor(b, ss.Samples, ss.LastT, ss.LastPos)
+		b = appendOwner(b, ss.Epoch, ss.Followers)
 	}
 	// Reserved byte, always 0: it was the presence byte of the
 	// window-signature index configuration (see typeRetiredIndex).
@@ -146,16 +151,18 @@ func readSnapshotFile(path string) (*snapshotFile, error) {
 	return sf, nil
 }
 
-// decodeSnapshot parses a whole snapshot file. A session is at least 12
-// bytes (two empty IDs, a sample count, a time, no dims), a migration at
-// least five (three empty strings, an epoch, a phase).
+// decodeSnapshot parses a whole snapshot file. A session is at least 14
+// bytes (two empty IDs, a sample count, a time, no dims, an epoch, no
+// followers), a migration at least five (three empty strings, an epoch,
+// a phase).
 func decodeSnapshot(b []byte) (*snapshotFile, error) {
 	d := binfmt.NewDecoder(b)
 	d.Header(snapMagic, snapVersion)
 	sf := &snapshotFile{LSN: d.Fixed64()}
-	for i, n := 0, d.Count(12); i < n && d.Err() == nil; i++ {
+	for i, n := 0, d.Count(14); i < n && d.Err() == nil; i++ {
 		ss := SessionState{PatientID: d.Str(), SessionID: d.Str()}
 		ss.Samples, ss.LastT, ss.LastPos = decodeAnchor(&d)
+		ss.Epoch, ss.Followers = decodeOwner(&d)
 		sf.Sessions = append(sf.Sessions, ss)
 	}
 	// The reserved byte: a snapshot written while the index was served

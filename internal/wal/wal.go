@@ -42,8 +42,10 @@ import (
 )
 
 const (
-	segMagic   = "STWL"
-	segVersion = 1
+	segMagic = "STWL"
+	// segVersion 2's promote records carry the session's followers;
+	// version 1's did not, and its segments fail Open.
+	segVersion = 2
 	segHdrLen  = 4 + 2 + 8
 
 	defaultSegmentMaxBytes = 64 << 20

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -644,6 +645,50 @@ func TestSnapshotOtherVersionRefused(t *testing.T) {
 			l2.Close()
 			t.Errorf("version %d: Open started from an empty database over refused snapshots", version)
 		}
+	}
+}
+
+// TestNewerSnapshotVersionFailsOpen: a snapshot of another version
+// fails Open even with an older readable snapshot beside it — like a
+// segment of another version, it is not torn, so recovery does not fall
+// back past it to an older state — and leaves every file as it was.
+func TestNewerSnapshotVersionFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir}
+	var newest string
+	for _, sid := range []string{"S1", "S2"} { // one per kept snapshot
+		l, res, err := Open(opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendSession(t, l, "P1", sid, mkVerts(0, 8))
+		lsn, err := l.Snapshot(res.DB, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		newest = filepath.Join(dir, snapshotName(lsn))
+	}
+	raw, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(raw[4:6], snapVersion+1)
+	if err := os.WriteFile(newest, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	if l, res, err := Open(opts, nil); !errors.Is(err, binfmt.ErrVersion) {
+		if err == nil {
+			l.Close()
+			t.Fatalf("Open recovered from the older snapshot (LSN %d) beside a version-%d one", res.SnapshotLSN, snapVersion+1)
+		}
+		t.Fatalf("Open = %v, want binfmt.ErrVersion", err)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("a refused Open changed the data dir: %d files, were %d", len(after), len(before))
 	}
 }
 
