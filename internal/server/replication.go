@@ -435,7 +435,6 @@ func (s *Server) callPeer(ctx context.Context, url, ctype string, body []byte) (
 // tracks the cursor and the prediction anchor needed for promotion.
 type replicaState struct {
 	patientID string
-	source    string
 	cursor    wal.Cursor
 	stream    *store.Stream
 	samples   uint64
@@ -483,7 +482,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	rs, ok := s.replicas[b.SessionID]
 	if !ok {
-		rs = &replicaState{patientID: b.PatientID, source: b.Source}
+		rs = &replicaState{patientID: b.PatientID}
 		s.replicas[b.SessionID] = rs
 	}
 	apply, err := rs.cursor.Accept(b)
@@ -498,7 +497,6 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	rs.source = b.Source
 	for _, rec := range apply {
 		if err := s.applyReplicated(rs, rec); err != nil {
 			// The cursor has advanced past this record; a local apply
@@ -522,22 +520,12 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyReplicated applies one shipped record to the follower's store.
-// Mutations flow through the store hook, so a durable follower
-// journals them into its own WAL exactly like local writes.
+// A link ships a replica snapshot first, then vertex appends, anchors,
+// the close and subscription records; it never ships a patient upsert
+// or a stream open. Mutations flow through the store hook, so a durable
+// follower journals them into its own WAL exactly like local writes.
 func (s *Server) applyReplicated(rs *replicaState, rec wal.Record) error {
 	switch rec.Type {
-	case wal.TypePatientUpsert:
-		// Existing patients keep their info: rewriting it in place would
-		// race matcher reads, and replicated upserts re-ship the same
-		// record on catch-up anyway.
-		if s.db.Patient(rec.Patient.ID) != nil {
-			return nil
-		}
-		_, err := s.db.AddPatient(rec.Patient)
-		return err
-	case wal.TypeStreamOpen:
-		_, err := s.replicaStream(rs, rec.PatientID, rec.SessionID)
-		return err
 	case wal.TypeVertexAppend:
 		st, err := s.replicaStream(rs, rec.PatientID, rec.SessionID)
 		if err != nil {
@@ -600,8 +588,8 @@ func (s *Server) applyReplicated(rs *replicaState, rec wal.Record) error {
 		}
 		return nil
 	default:
-		// Unknown/irrelevant record types (e.g. a promote marker) are
-		// ignored rather than rejected, for forward compatibility.
+		// Any other type is ignored rather than rejected, for forward
+		// compatibility.
 		return nil
 	}
 }

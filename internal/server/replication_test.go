@@ -198,7 +198,8 @@ func TestReplicateEndpointGapAndFencing(t *testing.T) {
 		return wal.Batch{Source: "http://primary", SessionID: "SG", PatientID: "PG",
 			Epoch: epoch, FirstSeq: firstSeq, Records: recs}
 	}
-	open := wal.Record{Type: wal.TypeStreamOpen, PatientID: "PG", SessionID: "SG"}
+	// Every link opens with a snapshot at seq 1.
+	open := wal.Record{Type: wal.TypeReplicaSnapshot, PatientID: "PG", SessionID: "SG"}
 
 	// Contiguous from scratch: accepted.
 	resp := post(batch(1, 1, open, wal.Record{Type: wal.TypeVertexAppend, PatientID: "PG", SessionID: "SG", Vertices: verts(0, 3)}))
@@ -379,7 +380,7 @@ func TestPromotedPrimaryLeadsWithSnapshot(t *testing.T) {
 func TestReplicateAllowlist(t *testing.T) {
 	_, ts := newReplServer(t, Options{ReplicateFrom: []string{"http://trusted"}})
 	b := wal.Batch{Source: "http://stranger", SessionID: "SX", PatientID: "PX", Epoch: 1, FirstSeq: 1,
-		Records: []wal.Record{{Type: wal.TypeStreamOpen, PatientID: "PX", SessionID: "SX"}}}
+		Records: []wal.Record{{Type: wal.TypeReplicaSnapshot, PatientID: "PX", SessionID: "SX"}}}
 	resp, err := http.Post(ts.URL+"/v1/replicate", "application/octet-stream",
 		bytes.NewReader(wal.EncodeBatch(b)))
 	if err != nil {

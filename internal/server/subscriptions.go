@@ -131,14 +131,6 @@ func eventOut(e wal.SubEvent) SubEventOut {
 	}
 }
 
-// subScopeCovers reports whether a subscription's scope includes the
-// given stream (mirrors subscribe's in-scope rule for the replication
-// fan-out, which needs it outside the manager).
-func subScopeCovers(st wal.SubState, patientID, sessionID string) bool {
-	return (st.PatientID == "" || st.PatientID == patientID) &&
-		(st.SessionID == "" || st.SessionID == sessionID)
-}
-
 func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request) {
 	var req SubscriptionRequest
 	if err := decodeJSONBody(w, r, &req); err != nil {
@@ -214,7 +206,7 @@ func (s *Server) registerSubscription(r *http.Request, st *wal.SubState) ([]*rep
 func (s *Server) enqueueSubRecord(rec wal.Record, st wal.SubState) []*replicator {
 	var repls []*replicator
 	for _, sess := range s.sessions {
-		if subScopeCovers(st, sess.patientID, sess.sessionID) {
+		if st.Covers(sess.patientID, sess.sessionID) {
 			sess.repl.enqueue(rec)
 			repls = append(repls, sess.repl)
 		}

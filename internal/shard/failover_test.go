@@ -418,6 +418,82 @@ func TestFailoverNeverPromotesDeposedPrimary(t *testing.T) {
 	}
 }
 
+// TestRebalanceRefoldsPlacementReadMidTransfer: a drain whose
+// inventory scatter read a transfer's target before its promote and its
+// source after its commit saw only a follower's replica claim, so the
+// session is known with no primary. Before failing it over, the gateway
+// reads the inventories again, finds the target serving at a higher
+// epoch, and promotes no one: the old follower, which has dropped its
+// copy, would answer every promote 404. The backends are stubs whose
+// inventories change between reads.
+func TestRebalanceRefoldsPlacementReadMidTransfer(t *testing.T) {
+	type stub struct {
+		url      string
+		reads    atomic.Int32
+		promotes atomic.Int32
+	}
+	var follower, target stub
+	serve := func(st *stub, inventory func(read int32) server.ShardStatsResponse) {
+		ts := httptest.NewServer(&frame.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.URL.Path == "/v1/shard/stats":
+				json.NewEncoder(w).Encode(inventory(st.reads.Add(1))) //nolint:errcheck
+			case strings.HasSuffix(r.URL.Path, "/promote"):
+				st.promotes.Add(1)
+				http.Error(w, `{"error":"no replica state"}`, http.StatusNotFound)
+			default:
+				http.NotFound(w, r)
+			}
+		})})
+		t.Cleanup(ts.Close)
+		st.url = ts.URL
+	}
+	var pid, sid string
+	serve(&follower, func(int32) server.ShardStatsResponse {
+		return server.ShardStatsResponse{Replicas: []server.ShardSession{{SessionID: sid, PatientID: pid}}}
+	})
+	serve(&target, func(read int32) server.ShardStatsResponse {
+		if read == 1 {
+			return server.ShardStatsResponse{}
+		}
+		return server.ShardStatsResponse{Sessions: []server.ShardSession{{SessionID: sid, PatientID: pid, Epoch: 2}}}
+	})
+	// A patient the ring designates the target's, so the drain's move
+	// ends where the target already serves.
+	ring := shard.NewRing(0)
+	ring.Add(follower.url)
+	ring.Add(target.url)
+	for i := 0; pid == ""; i++ {
+		if p := fmt.Sprintf("P%02d", i); ring.Owner(p) == target.url {
+			pid, sid = p, "S-"+p
+		}
+	}
+
+	gw, err := shard.NewGateway([]string{follower.url, target.url}, shard.Options{
+		Replicas:       2,
+		HealthInterval: -1,
+		BackoffBase:    time.Millisecond,
+		BackoffMax:     5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	rep := gw.Rebalance(context.Background())
+	if len(rep.Failed) != 0 {
+		t.Fatalf("rebalance failed %v", rep.Failed)
+	}
+	if primary, _, _ := gw.SessionPlacement(sid); primary != target.url {
+		t.Errorf("placement = %q, want the target %s", primary, target.url)
+	}
+	if n := follower.promotes.Load(); n != 0 {
+		t.Errorf("the old follower was asked to promote %d times", n)
+	}
+	if target.reads.Load() < 2 {
+		t.Errorf("the target's inventory was read %d times, want a second read", target.reads.Load())
+	}
+}
+
 // TestFailoverAfterPrimaryRestart: a primary restarted in place from
 // its data dir keeps shipping to its follower, so when it dies after
 // the restart the promoted follower serves every vertex the cluster

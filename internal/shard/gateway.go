@@ -369,13 +369,22 @@ func bodyErrCode(err error) int {
 // path — proxied requests, subscription routing, the rebalance drain —
 // asks here. known is false when no shard holds the session; with an
 // error, a known session has nothing healthy to serve it.
+//
+// A session the table does not know, or knows with no primary, is
+// folded from the inventories again before anything is failed over: a
+// fold that read a transfer's target before its promote and its source
+// after its commit saw only followers, and a read now finds the target
+// serving.
 func (g *Gateway) serving(ctx context.Context, sid string) (b *Backend, known bool, err error) {
 	u, known := g.placements.resolve(sid, g.healthy)
-	if !known {
-		g.placements.fold(sid, g.inventories(ctx))
-		if u, known = g.placements.resolve(sid, g.healthy); !known {
-			return nil, false, fmt.Errorf("no open session %q on any reachable shard", sid)
+	if u == "" {
+		if primary, _, _, _ := g.placements.lookup(sid); primary == "" {
+			g.placements.fold(sid, g.inventories(ctx))
+			u, known = g.placements.resolve(sid, g.healthy)
 		}
+	}
+	if !known {
+		return nil, false, fmt.Errorf("no open session %q on any reachable shard", sid)
 	}
 	if u != "" {
 		return g.pool.ByURL(u), true, nil

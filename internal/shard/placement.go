@@ -202,7 +202,7 @@ func (p *placements) forget(sid string) {
 // and that came back still serving its stale copy, or a migration's
 // fenced source beside its promoted target. The table stays
 // authoritative: only unknown sessions are added, and a missing
-// primary is filled.
+// primary is filled, never with a node the entry lists as deposed.
 func (p *placements) fold(only string, invs []answer[server.ShardStatsResponse]) {
 	found := make(map[string]*placement)
 	epochs := make(map[string]uint64) // the epoch each found primary claims
@@ -247,7 +247,7 @@ func (p *placements) fold(only string, invs []answer[server.ShardStatsResponse])
 	for sid, pl := range found {
 		if cur, ok := p.sessions[sid]; !ok {
 			p.sessions[sid] = pl
-		} else if cur.primary == "" && pl.primary != "" {
+		} else if cur.primary == "" && pl.primary != "" && !slices.Contains(cur.deposed, pl.primary) {
 			cur.setPrimary(pl.primary)
 			cur.deposed = append(cur.deposed, pl.deposed...)
 		}

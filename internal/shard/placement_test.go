@@ -289,6 +289,22 @@ func TestPlacementsFoldHighestEpoch(t *testing.T) {
 	}
 }
 
+// TestPlacementsFoldFillSkipsDeposed: a missing primary is filled from
+// a later inventory, but never with a node the entry lists as deposed.
+func TestPlacementsFoldFillSkipsDeposed(t *testing.T) {
+	zombie, live := placementNodes[0], placementNodes[1]
+	p := newPlacements(placementNodes[:3], 2)
+	p.sessions["S1"] = &placement{patientID: "P", owners: []string{zombie, live}, deposed: []string{zombie}}
+	p.fold("S1", []answer[server.ShardStatsResponse]{inventory(zombie, []string{"S1"}, nil)})
+	if primary, _, _, _ := p.lookup("S1"); primary != "" {
+		t.Fatalf("the fill elected %q, which the entry lists as deposed", primary)
+	}
+	p.fold("S1", []answer[server.ShardStatsResponse]{inventory(live, []string{"S1"}, nil)})
+	if primary, _, _, _ := p.lookup("S1"); primary != live {
+		t.Fatalf("primary = %q after %s claimed the session, want it", primary, live)
+	}
+}
+
 func TestPlacementsSubscriptionRouting(t *testing.T) {
 	p := newPlacements(placementNodes[:3], 2)
 	owners := mustCreate(t, p, "S1", "P1")

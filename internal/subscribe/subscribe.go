@@ -347,7 +347,7 @@ func (m *Manager) evalStreamLocked(ctx context.Context, st *store.Stream, to uin
 	recording := obs.SpanFromContext(ctx).Recording() // the spans' attribute maps are built only for a recorded trace
 	for _, id := range m.order {
 		s := m.subs[id]
-		if !s.inScope(st.PatientID, st.SessionID) {
+		if !s.state.Covers(st.PatientID, st.SessionID) {
 			continue
 		}
 		key := streamKey(st.PatientID, st.SessionID)
@@ -405,11 +405,6 @@ func (m *Manager) evalStreamLocked(ctx context.Context, st *store.Stream, to uin
 		}
 	}
 	return emitted
-}
-
-func (s *Subscription) inScope(patientID, sessionID string) bool {
-	return (s.state.PatientID == "" || s.state.PatientID == patientID) &&
-		(s.state.SessionID == "" || s.state.SessionID == sessionID)
 }
 
 // Read returns a copy of the buffered events with Seq > after, plus a
@@ -501,7 +496,7 @@ func (m *Manager) StatesInScope(patientID, sessionID string) []wal.SubState {
 	defer m.mu.Unlock()
 	var out []wal.SubState
 	for _, id := range m.order {
-		if s := m.subs[id]; s.inScope(patientID, sessionID) {
+		if s := m.subs[id]; s.state.Covers(patientID, sessionID) {
 			out = append(out, s.stateLocked())
 		}
 	}

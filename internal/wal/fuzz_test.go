@@ -11,15 +11,13 @@ import (
 	"runtime"
 	"testing"
 
-	"stsmatch/internal/binfmt"
 	"stsmatch/internal/store"
 )
 
 // FuzzWALDecode hammers the record decoder with arbitrary bytes
 // (mirroring store's FuzzReadBinary): it must never panic or
 // over-allocate, must cleanly report torn/corrupt input, and anything
-// that decodes must re-encode to an identical payload — but for the
-// retired type 8, which decodes by dropping a payload nothing encodes.
+// that decodes must re-encode to an identical payload.
 func FuzzWALDecode(f *testing.F) {
 	// Seed with a valid frame stream of every record type plus
 	// structured mutations of it.
@@ -48,7 +46,7 @@ func FuzzWALDecode(f *testing.F) {
 		stream = appendFrame(stream, encodePayload(rec))
 	}
 	f.Add(stream)
-	f.Add(appendFrame(nil, retiredIndexPayload(8)))
+	f.Add(appendFrame(nil, []byte{8, 8, 9, 24})) // the retired type 8 is torn
 	f.Add(stream[:len(stream)/2])
 	f.Add(stream[1:])
 	f.Add([]byte{})
@@ -75,7 +73,7 @@ func FuzzWALDecode(f *testing.F) {
 				continue
 			}
 			// Valid records round-trip bit-for-bit.
-			if got := encodePayload(rec); rec.Type != typeRetiredIndex && !bytes.Equal(got, payload) {
+			if got := encodePayload(rec); !bytes.Equal(got, payload) {
 				t.Fatalf("re-encode mismatch:\n got %x\nwant %x", got, payload)
 			}
 		}
@@ -256,9 +254,7 @@ func FuzzMatchLegCodec(f *testing.F) {
 
 // FuzzSnapshotRead hammers the snapshot decoder with arbitrary bytes: it
 // must never panic or allocate more than the input could back, and
-// whatever decodes must re-encode to the same bytes — but for a set
-// reserved byte, which the writer always writes as 0 and without the
-// retired fields behind it.
+// whatever decodes must re-encode to the same bytes.
 func FuzzSnapshotRead(f *testing.F) {
 	snaps, err := filepath.Glob(filepath.Join(goldenDir, "snap-*.db"))
 	if err != nil || len(snaps) == 0 {
@@ -270,7 +266,7 @@ func FuzzSnapshotRead(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(raw)
-		f.Add(withRetiredIndexSection(f, raw))
+		f.Add(withReservedByte(f, raw, 1))
 		f.Add(raw[:len(raw)/2])
 	}
 	f.Add([]byte("STSS\x04\x00"))
@@ -294,26 +290,8 @@ func FuzzSnapshotRead(f *testing.F) {
 		if err := sf.DB.WriteBinary(&enc); err != nil {
 			t.Fatal(err)
 		}
-		got := enc.Bytes()
-		if bytes.Equal(got, data) {
-			return
-		}
-		// Only the reserved byte may differ: set in data, with the four
-		// retired fields after it, and 0 in what the writer made.
-		at := 0
-		for at < len(got) && at < len(data) && got[at] == data[at] {
-			at++
-		}
-		if at == len(got) || at == len(data) || got[at] != 0 {
-			t.Fatalf("re-encode differs at byte %d:\n got %x\nwant %x", at, got, data)
-		}
-		d := binfmt.NewDecoder(data[at+1:])
-		d.Uvarint()
-		d.Uvarint()
-		d.F64()
-		d.F64()
-		if d.Err() != nil || !bytes.Equal(d.Rest(), got[at+1:]) {
-			t.Fatalf("re-encode differs at byte %d beyond the reserved section:\n got %x\nwant %x", at, got, data)
+		if got := enc.Bytes(); !bytes.Equal(got, data) {
+			t.Fatalf("re-encode differs:\n got %x\nwant %x", got, data)
 		}
 	})
 }

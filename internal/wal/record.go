@@ -26,16 +26,15 @@ const (
 	TypeSessionClose  Type = 4 // ingestion session closed
 	TypeSessionAnchor Type = 5 // latest raw observation of an open session
 
-	// Replication record types (PR 5). They ride both in replication
-	// batches (internal/wal Batch) and in follower WALs, so recovery
-	// and the fuzzers handle them like any other record.
+	// Replication record types. A replica snapshot rides only in
+	// replication batches (Batch); a promote only in the owner's log.
 
 	// TypeReplicaSnapshot carries one session's full replicated state:
 	// patient info, the complete PLR sequence, and the raw-sample
-	// anchor. A primary sends it to a follower whose cursor has a gap
-	// (catch-up) and as the first record of a post-promotion stream; a
-	// follower journals it so its own recovery rebuilds the stream
-	// without reopening the session locally.
+	// anchor. A primary sends it as the first record of every link and
+	// to a follower whose cursor has a gap (catch-up). It is wire-only:
+	// a follower journals what applying it changes through the store
+	// hook, never the record itself.
 	TypeReplicaSnapshot Type = 6
 
 	// TypeReplicaPromote marks the node journaling it as the session's
@@ -47,13 +46,9 @@ const (
 	// primaries: batches with a lower epoch are rejected by followers.
 	TypeReplicaPromote Type = 7
 
-	// typeRetiredIndex is retired: it carried the window-signature index
-	// configuration (PR 7's TypeIndexConfig) while a shard could serve
-	// the index. Nothing writes it any more and the number is never
-	// reused, but a data dir that ran with the index on still holds one,
-	// so it decodes — its payload skipped — and replay passes over it;
-	// answering ErrTorn would make recovery cut the log off there.
-	typeRetiredIndex Type = 8
+	// Type 8 is retired: it carried the window-signature index
+	// configuration. No data dir Open accepts can hold one, and the
+	// number is never reused.
 
 	// Standing-subscription record types (PR 8). A subscription's
 	// events are a deterministic function of (pattern, stream content,
@@ -131,8 +126,6 @@ func (t Type) String() string {
 		return "replica-snapshot"
 	case TypeReplicaPromote:
 		return "replica-promote"
-	case typeRetiredIndex:
-		return "retired-index-config"
 	case TypeSubUpsert:
 		return "sub-upsert"
 	case TypeSubDelete:
@@ -201,6 +194,13 @@ type SubState struct {
 	Delivered uint64 // delivery high-water mark (consumer-acked)
 	Cursors   []SubCursor
 	Events    []SubEvent // emitted, not yet acknowledged
+}
+
+// Covers reports whether the subscription's scope includes the stream
+// of patientID's session sessionID: an empty scope field matches any.
+func (s *SubState) Covers(patientID, sessionID string) bool {
+	return (s.PatientID == "" || s.PatientID == patientID) &&
+		(s.SessionID == "" || s.SessionID == sessionID)
 }
 
 // SubCursor is one stream's evaluation cursor inside a subscription:
@@ -420,8 +420,6 @@ func decodePayload(b []byte) (Record, error) {
 		rec.SessionID = d.Str()
 		rec.Samples, rec.AnchorT, rec.AnchorPos = decodeAnchor(&d)
 		rec.Epoch, rec.Followers = decodeOwner(&d)
-	case typeRetiredIndex:
-		d.Bytes(len(d.Rest()))
 	case TypeSubUpsert:
 		rec.Sub = decodeSubState(&d)
 	case TypeSubDelete:

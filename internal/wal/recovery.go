@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
 	"stsmatch/internal/binfmt"
-	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
 )
@@ -213,10 +211,6 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 	res.Subscriptions = snap.Subs
 	res.SubOps = rs.subOps
 	res.Migrations = rs.migrationList()
-	if rs.retired > 0 {
-		obs.Logger("wal").Warn("log holds window-signature index configuration records; the served index was removed and they are ignored",
-			slog.String("dir", opts.Dir), slog.Int("records", rs.retired))
-	}
 
 	// Reopen the tail segment for appending, or start the first one. A
 	// tail whose own header was torn (crash between segment creation
@@ -332,7 +326,6 @@ type replayState struct {
 	subOps     []SubReplayOp             // subscription-relevant history, log order
 	migrations map[string]MigrationState // surviving migration states (snapshot-seeded)
 	applied    uint64
-	retired    int // typeRetiredIndex records passed over
 }
 
 func (rs *replayState) open(ss SessionState) {
@@ -354,10 +347,13 @@ func (rs *replayState) migrationList() []MigrationState {
 	return out
 }
 
+// list returns the open sessions in open order. A session closed and
+// opened again (a follower's stream, then its promote) is listed once,
+// at its last open.
 func (rs *replayState) list() []SessionState {
 	out := make([]SessionState, 0, len(rs.sessions))
-	for _, ss := range rs.sessions {
-		if i, ok := rs.idx[ss.SessionID]; ok && i >= 0 {
+	for i, ss := range rs.sessions {
+		if rs.idx[ss.SessionID] == i {
 			out = append(out, ss)
 		}
 	}
@@ -410,22 +406,6 @@ func (rs *replayState) apply(rec Record) error {
 			rs.sessions[i].LastT = rec.AnchorT
 			rs.sessions[i].LastPos = rec.AnchorPos
 		}
-	case TypeReplicaSnapshot:
-		// Replica catch-up state journaled by a follower: rebuild the
-		// stream (and patient) but do NOT open the session locally — the
-		// primary owns it; this node only holds the copy.
-		p, err := rs.patient(rec.PatientID)
-		if err != nil {
-			return err
-		}
-		if rec.Patient.ID == rec.PatientID && rec.PatientID != "" {
-			p.Info = rec.Patient
-		}
-		st := p.StreamBySession(rec.SessionID)
-		if st == nil {
-			st = p.AddStream(rec.SessionID)
-		}
-		return rs.appendTail(st, rec)
 	case TypeReplicaPromote:
 		// This node owns the session, from its create or a promotion:
 		// (re)open it with the record's anchor, epoch and followers so a
@@ -437,8 +417,6 @@ func (rs *replayState) apply(rec Record) error {
 		ss := &rs.sessions[rs.idx[rec.SessionID]]
 		ss.Samples, ss.LastT, ss.LastPos = rec.Samples, rec.AnchorT, rec.AnchorPos
 		ss.Epoch, ss.Followers = rec.Epoch, rec.Followers
-	case typeRetiredIndex:
-		rs.retired++
 	case TypeSubUpsert:
 		if rec.Sub == nil {
 			return fmt.Errorf("sub-upsert without state")

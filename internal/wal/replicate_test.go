@@ -175,6 +175,10 @@ func TestCursorEpochFencing(t *testing.T) {
 	}
 }
 
+// TestNewRecordTypesRoundTripThroughLog: what a follower journals
+// through its store hook while it applies a link's snapshot — the
+// patient, the stream opened and at once closed, the vertices — and
+// then its promote recover as the promoted session over that stream.
 func TestNewRecordTypesRoundTripThroughLog(t *testing.T) {
 	dir := t.TempDir()
 	l, res, err := Open(Options{Dir: dir}, nil)
@@ -184,20 +188,17 @@ func TestNewRecordTypesRoundTripThroughLog(t *testing.T) {
 	if !res.Fresh {
 		t.Fatal("fresh dir reported stale")
 	}
-	snap := Record{
-		Type: TypeReplicaSnapshot, Patient: store.PatientInfo{ID: "P9", Class: "irregular"},
-		PatientID: "P9", SessionID: "S9", Vertices: mkVerts(0, 6),
-		Samples: 44, AnchorT: 5.5, AnchorPos: []float64{1.25},
-	}
-	promote := Record{
-		Type: TypeReplicaPromote, PatientID: "P9", SessionID: "S9",
-		Samples: 44, AnchorT: 5.5, AnchorPos: []float64{1.25}, Epoch: 2,
-	}
-	if err := l.Append(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(promote); err != nil {
-		t.Fatal(err)
+	for _, rec := range []Record{
+		{Type: TypePatientUpsert, Patient: store.PatientInfo{ID: "P9", Class: "irregular"}},
+		{Type: TypeStreamOpen, PatientID: "P9", SessionID: "S9"},
+		{Type: TypeSessionClose, SessionID: "S9"},
+		{Type: TypeVertexAppend, PatientID: "P9", SessionID: "S9", Vertices: mkVerts(0, 6)},
+		{Type: TypeReplicaPromote, PatientID: "P9", SessionID: "S9",
+			Samples: 44, AnchorT: 5.5, AnchorPos: []float64{1.25}, Epoch: 2},
+	} {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -207,11 +208,11 @@ func TestNewRecordTypesRoundTripThroughLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Snapshot rebuilt the stream; promote reopened the session with
-	// the anchor.
+	// The follower's records rebuilt the stream; promote reopened the
+	// session with the anchor.
 	p := res2.DB.Patient("P9")
-	if p == nil {
-		t.Fatal("replica snapshot did not recover the patient")
+	if p == nil || p.Info.Class != "irregular" {
+		t.Fatalf("replica patient not recovered: %+v", p)
 	}
 	st := p.StreamBySession("S9")
 	if st == nil || st.Len() != 6 {

@@ -101,7 +101,8 @@ func appendSnapshotHead(b []byte, lsn uint64, sessions []SessionState, subs []Su
 		b = appendOwner(b, ss.Epoch, ss.Followers)
 	}
 	// Reserved byte, always 0: it was the presence byte of the
-	// window-signature index configuration (see typeRetiredIndex).
+	// window-signature index configuration, and the reader refuses any
+	// other value.
 	b = append(b, 0)
 	// Standing-subscription section — count, then each state as a
 	// length-prefixed appendSubState blob (the TypeSubUpsert body).
@@ -165,13 +166,8 @@ func decodeSnapshot(b []byte) (*snapshotFile, error) {
 		ss.Epoch, ss.Followers = decodeOwner(&d)
 		sf.Sessions = append(sf.Sessions, ss)
 	}
-	// The reserved byte: a snapshot written while the index was served
-	// set it and put the four configuration fields after it.
-	if d.U8() != 0 {
-		d.Uvarint()
-		d.Uvarint()
-		d.F64()
-		d.F64()
+	if reserved := d.U8(); reserved != 0 {
+		d.Fail(fmt.Errorf("reserved byte %d, want 0", reserved))
 	}
 	for i, n := 0, d.Count(1); i < n && d.Err() == nil; i++ {
 		blob := binfmt.NewDecoder(d.Bytes(d.Count(1)))

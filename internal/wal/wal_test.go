@@ -694,9 +694,8 @@ func TestNewerSnapshotVersionFailsOpen(t *testing.T) {
 
 // TestSnapshotTruncatedRefused: every proper prefix of a snapshot that
 // fills all three sections is refused with an error — no section reader
-// panics, loops, or accepts a short file. Once as the writer makes it
-// (reserved byte 0) and once with the byte set and the four retired
-// fields behind it, so the skip is cut short at every byte too.
+// panics, loops, or accepts a short file — and so is the whole file with
+// its reserved byte set, which no writer of this format produces.
 func TestSnapshotTruncatedRefused(t *testing.T) {
 	dir := t.TempDir()
 	db := store.NewDB()
@@ -719,27 +718,46 @@ func TestSnapshotTruncatedRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sf, err := readSnapshotFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sf.LSN != 7 || len(sf.Sessions) != 1 || len(sf.Subs) != 1 || len(sf.Migrations) != 1 || sf.DB.NumVertices() != 8 {
+		t.Fatalf("full snapshot decoded to %+v", sf)
+	}
 	cut := filepath.Join(dir, "cut.db")
-	for name, file := range map[string][]byte{"reserved byte 0": raw, "reserved byte 1": withRetiredIndexSection(t, raw)} {
-		if err := os.WriteFile(cut, file, 0o644); err != nil {
+	for n := 0; n < len(raw); n++ {
+		if err := os.WriteFile(cut, raw[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sf, err := readSnapshotFile(cut)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if sf.LSN != 7 || len(sf.Sessions) != 1 || len(sf.Subs) != 1 || len(sf.Migrations) != 1 || sf.DB.NumVertices() != 8 {
-			t.Fatalf("%s: full snapshot decoded to %+v", name, sf)
-		}
-		for n := 0; n < len(file); n++ {
-			if err := os.WriteFile(cut, file[:n], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := readSnapshotFile(cut); err == nil {
-				t.Fatalf("%s: snapshot truncated to %d of %d bytes was accepted", name, n, len(file))
-			}
+		if _, err := readSnapshotFile(cut); err == nil {
+			t.Fatalf("snapshot truncated to %d of %d bytes was accepted", n, len(raw))
 		}
 	}
+	if _, err := decodeSnapshot(withReservedByte(t, raw, 1)); err == nil {
+		t.Fatal("a snapshot with its reserved byte set was accepted")
+	}
+}
+
+// withReservedByte returns a copy of the snapshot raw with its reserved
+// byte, the one after the session section, set to v.
+func withReservedByte(t testing.TB, raw []byte, v byte) []byte {
+	t.Helper()
+	const hdrLen = 4 + 2 + 8
+	d := binfmt.NewDecoder(raw[hdrLen:])
+	for i, n := 0, d.Count(14); i < n; i++ {
+		d.Str()
+		d.Str()
+		decodeAnchor(&d)
+		decodeOwner(&d)
+	}
+	at := len(raw) - len(d.Rest())
+	if d.Err() != nil || raw[at] != 0 {
+		t.Fatalf("no reserved 0 byte after the session section (err %v)", d.Err())
+	}
+	out := append([]byte{}, raw...)
+	out[at] = v
+	return out
 }
 
 func TestFreshDirSeedsInitialSnapshot(t *testing.T) {
