@@ -31,8 +31,9 @@
 // sources may ship WAL batches here. Followers also serve reads:
 // POST /v1/match on a replica answers from its WAL-applied store, which
 // is how a gateway's scatter covers a dead primary's data.
-// /v1/shard/stats and /v1/healthz report per-session per-link
-// shipped/acked sequence numbers.
+// /v1/shard/stats reports per-session per-link shipped/acked sequence
+// numbers. /v1/healthz answers whether this node is healthy: 503 once
+// its WAL has failed.
 //
 // A gateway or peer shard upgrades its connections on the same port to
 // frames (internal/frame), served by the same handlers; curl and every

@@ -13,7 +13,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stsmatch/internal/frame"
@@ -71,11 +70,7 @@ const DefaultMaxBodyBytes = 8 << 20
 // durability is the server's handle on the WAL subsystem.
 type durability struct {
 	log      *wal.Log
-	recovery *wal.RecoveryResult
-	dataDir  string
-	resumed  int
-
-	lastErr  atomic.Value // string: sticky append-failure note for healthz
+	failLog  sync.Once // logs the log's first failure
 	snapStop chan struct{}
 	snapDone chan struct{}
 	stopOnce sync.Once
@@ -93,7 +88,7 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 	if err != nil {
 		return fmt.Errorf("server: opening WAL: %w", err)
 	}
-	d := &durability{log: log, recovery: res, dataDir: opts.DataDir}
+	d := &durability{log: log}
 	s.db = res.DB
 	if !res.Fresh {
 		if initial != nil && initial.NumPatients() > 0 {
@@ -123,7 +118,6 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 			continue
 		}
 		s.open(sess)
-		d.resumed++
 	}
 	s.replaySubscriptions(res)
 
@@ -239,8 +233,8 @@ func (s *Server) replaySubscriptions(res *wal.RecoveryResult) {
 
 // onMutation is the store hook: translate each mutation into a WAL
 // record. Append errors are sticky in the log; the server keeps
-// serving (availability over durability) and surfaces the degradation
-// in /v1/healthz and the error log.
+// serving (availability over durability), and /v1/healthz answers 503
+// from then on.
 func (s *Server) onMutation(m store.Mutation) {
 	var rec wal.Record
 	switch m.Kind {
@@ -256,8 +250,7 @@ func (s *Server) onMutation(m store.Mutation) {
 	s.walAppend(rec)
 }
 
-// walAppend journals one record, recording (and logging once) any
-// sticky failure.
+// walAppend journals one record, logging the log's first failure.
 func (s *Server) walAppend(rec wal.Record) {
 	s.walAppendCtx(context.Background(), rec)
 }
@@ -270,12 +263,17 @@ func (s *Server) walAppendCtx(ctx context.Context, rec wal.Record) {
 		return
 	}
 	if err := s.wal.log.AppendCtx(ctx, rec); err != nil {
-		if s.wal.lastErr.Load() == nil {
-			s.log.Error("WAL append failed; serving without durability",
-				slog.Any("err", err))
-		}
-		s.wal.lastErr.Store(err.Error())
+		s.walFailed(err)
 	}
+}
+
+// walFailed logs the log's first failure. The error is sticky in the
+// log, which healthz reads; this only tells the operator when.
+func (s *Server) walFailed(err error) {
+	s.wal.failLog.Do(func() {
+		s.log.Error("WAL failed; serving without durability, healthz answers 503",
+			slog.Any("err", err))
+	})
 }
 
 // journalSync journals one record and fsyncs it before returning: the
@@ -290,7 +288,7 @@ func (s *Server) journalSync(ctx context.Context, rec wal.Record) error {
 		err = s.wal.log.SyncCtx(ctx)
 	}
 	if err != nil {
-		s.wal.lastErr.Store(err.Error())
+		s.walFailed(err)
 	}
 	return err
 }
@@ -388,38 +386,4 @@ func (s *Server) Close() error {
 		}
 	})
 	return err
-}
-
-// WALHealth is the durability section of the healthz payload.
-type WALHealth struct {
-	Enabled          bool   `json:"enabled"`
-	DataDir          string `json:"dataDir,omitempty"`
-	SnapshotLSN      uint64 `json:"snapshotLsn,omitempty"`
-	RecordsReplayed  uint64 `json:"recordsReplayed"`
-	RecordsTruncated uint64 `json:"recordsTruncated"`
-	BytesTruncated   int64  `json:"bytesTruncated"`
-	ResumedSessions  int    `json:"resumedSessions"`
-	NextLSN          uint64 `json:"nextLsn"`
-	LastError        string `json:"lastError,omitempty"`
-}
-
-// walHealth summarizes the durability subsystem for /v1/healthz.
-func (s *Server) walHealth() *WALHealth {
-	if s.wal == nil {
-		return nil
-	}
-	h := &WALHealth{
-		Enabled:          true,
-		DataDir:          s.wal.dataDir,
-		SnapshotLSN:      s.wal.recovery.SnapshotLSN,
-		RecordsReplayed:  s.wal.recovery.RecordsReplayed,
-		RecordsTruncated: s.wal.recovery.RecordsTruncated,
-		BytesTruncated:   s.wal.recovery.BytesTruncated,
-		ResumedSessions:  s.wal.resumed,
-		NextLSN:          s.wal.log.NextLSN(),
-	}
-	if e := s.wal.lastErr.Load(); e != nil {
-		h.LastError = e.(string)
-	}
-	return h
 }

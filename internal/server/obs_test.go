@@ -78,20 +78,16 @@ func ingestSeconds(t *testing.T, baseURL, sid string, seed int64, seconds, tOffs
 func TestHealthzEndpoint(t *testing.T) {
 	ts := newTestServer(t, nil)
 	postJSON(t, ts.URL+"/v1/sessions", CreateSessionRequest{PatientID: "HP", SessionID: "HS"})
-	resp, err := http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
+	code, body := healthzBody(t, ts.URL)
+	if code != http.StatusOK || body["status"] != "ok" {
+		t.Fatalf("healthz status %d, body %v", code, body)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status %d", resp.StatusCode)
+	if up, _ := body["uptimeSeconds"].(float64); up < 0 {
+		t.Errorf("negative uptime %v", up)
 	}
-	h := decode[HealthzResponse](t, resp)
-	if h.Status != "ok" || h.OpenSessions != 1 || h.Patients != 1 {
-		t.Errorf("healthz = %+v", h)
-	}
-	if h.UptimeSeconds < 0 {
-		t.Errorf("negative uptime %v", h.UptimeSeconds)
+	wantKeys(t, body, "goVersion", "status", "uptimeSeconds", "version")
+	if st, _ := getJSON[StatsResponse](t, ts.URL+"/v1/stats"); st.OpenSessions != 1 || st.Patients != 1 {
+		t.Errorf("stats = %+v, want the one session's patient and session", st)
 	}
 }
 

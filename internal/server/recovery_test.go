@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -87,25 +88,19 @@ func TestCrashRecovery(t *testing.T) {
 	ts.Close()
 
 	// --- Server B: recover from the same directory. ---
-	_, ts2 := newDurableServer(t, dir)
-	hz, code := getJSON[HealthzResponse](t, ts2.URL+"/v1/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("healthz status %d", code)
+	srv2, ts2 := newDurableServer(t, dir)
+	if hz, code := getJSON[HealthzResponse](t, ts2.URL+"/v1/healthz"); code != http.StatusOK || hz.Status != "ok" {
+		t.Fatalf("healthz after durable restart: status %d, %+v", code, hz)
 	}
-	if hz.WAL == nil || !hz.WAL.Enabled {
-		t.Fatal("healthz reports no WAL after durable restart")
-	}
-	if hz.WAL.RecordsReplayed == 0 {
+	m := scrapeMetrics(t, ts2.URL)
+	if m["stsmatch_wal_recovery_replayed_records"] == 0 {
 		t.Error("recovery replayed no records")
 	}
-	if hz.WAL.RecordsTruncated != 0 {
-		t.Errorf("clean WAL reported %d truncated records", hz.WAL.RecordsTruncated)
+	if n := m["stsmatch_wal_recovery_truncated_records"]; n != 0 {
+		t.Errorf("clean WAL reported %v truncated records", n)
 	}
-	if hz.WAL.ResumedSessions != 1 {
-		t.Errorf("ResumedSessions = %d, want 1", hz.WAL.ResumedSessions)
-	}
-	if hz.OpenSessions != 1 {
-		t.Errorf("OpenSessions = %d after recovery, want 1", hz.OpenSessions)
+	if n := srv2.OpenSessions(); n != 1 {
+		t.Errorf("OpenSessions = %d after recovery, want 1", n)
 	}
 
 	// The recovered PLR must match the pre-crash PLR vertex for vertex.
@@ -206,11 +201,11 @@ func TestRecoverySkipsClosedSessions(t *testing.T) {
 	ts.Close()
 
 	_, ts2 := newDurableServer(t, dir)
-	hz, _ := getJSON[HealthzResponse](t, ts2.URL+"/v1/healthz")
-	if hz.OpenSessions != 0 {
-		t.Errorf("closed session resurrected: OpenSessions = %d", hz.OpenSessions)
+	st, _ := getJSON[StatsResponse](t, ts2.URL+"/v1/stats")
+	if st.OpenSessions != 0 {
+		t.Errorf("closed session resurrected: OpenSessions = %d", st.OpenSessions)
 	}
-	if hz.Vertices == 0 {
+	if st.Vertices == 0 {
 		t.Error("closed session's history lost on recovery")
 	}
 }
@@ -245,6 +240,52 @@ func TestCloseSessionFailsWhenWALFlushFails(t *testing.T) {
 	}
 	if n := srv.OpenSessions(); n != 1 {
 		t.Errorf("session removed despite failed close flush: OpenSessions = %d", n)
+	}
+}
+
+// TestHealthzUnhealthyAfterWALFailure: a durable node answers 200 "ok"
+// while its log accepts writes, and 503 "unhealthy" naming the log's
+// error once the log is closed under it: the status the gateway's
+// prober ejects a node on. Either body holds only what a probe reads.
+func TestHealthzUnhealthyAfterWALFailure(t *testing.T) {
+	srv, ts := newDurableServer(t, t.TempDir())
+	code, body := healthzBody(t, ts.URL)
+	if code != http.StatusOK || body["status"] != "ok" {
+		t.Fatalf("healthy node: status %d, body %v", code, body)
+	}
+	wantKeys(t, body, "goVersion", "status", "uptimeSeconds", "version")
+
+	if err := srv.wal.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	code, body = healthzBody(t, ts.URL)
+	if code != http.StatusServiceUnavailable || body["status"] != "unhealthy" || body["error"] != "wal: log is closed" {
+		t.Fatalf("node with a closed log: status %d, body %v; want 503 unhealthy naming the log's error", code, body)
+	}
+	wantKeys(t, body, "error", "goVersion", "status", "uptimeSeconds", "version")
+}
+
+// healthzBody fetches /v1/healthz at any status, decoded into a map so
+// a test sees every key the body carries.
+func healthzBody(t *testing.T, baseURL string) (int, map[string]any) {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	return resp.StatusCode, decode[map[string]any](t, resp)
+}
+
+// wantKeys fails unless body has exactly the keys want, given sorted.
+func wantKeys(t *testing.T, body map[string]any, want ...string) {
+	t.Helper()
+	got := make([]string, 0, len(body))
+	for k := range body {
+		got = append(got, k)
+	}
+	if slices.Sort(got); !slices.Equal(got, want) {
+		t.Errorf("healthz keys %v, want %v", got, want)
 	}
 }
 
@@ -304,9 +345,8 @@ func TestCloseSessionEndpoint(t *testing.T) {
 	if resp := del(); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("second delete status %d, want 404", resp.StatusCode)
 	}
-	hz, _ := getJSON[HealthzResponse](t, ts.URL+"/v1/healthz")
-	if hz.OpenSessions != 0 {
-		t.Errorf("OpenSessions = %d after close, want 0", hz.OpenSessions)
+	if st, _ := getJSON[StatsResponse](t, ts.URL+"/v1/stats"); st.OpenSessions != 0 {
+		t.Errorf("OpenSessions = %d after close, want 0", st.OpenSessions)
 	}
 }
 
@@ -358,10 +398,13 @@ func TestDimsLimitSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.db")); err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshot in the data dir after Close (%v)", err)
+	}
 	_, ts2 := newDurableServer(t, dir)
-	hz, _ := getJSON[HealthzResponse](t, ts2.URL+"/v1/healthz")
-	if hz.WAL == nil || hz.WAL.SnapshotLSN == 0 || hz.WAL.RecordsReplayed != 0 || hz.WAL.RecordsTruncated != 0 {
-		t.Fatalf("recovery %+v, want everything from the snapshot", hz.WAL)
+	m := scrapeMetrics(t, ts2.URL)
+	if r, tr := m["stsmatch_wal_recovery_replayed_records"], m["stsmatch_wal_recovery_truncated_records"]; r != 0 || tr != 0 {
+		t.Fatalf("recovery replayed %v and truncated %v records, want everything from the snapshot", r, tr)
 	}
 	after, code := getJSON[PLRResponse](t, ts2.URL+"/v1/sessions/S17/plr")
 	if code != http.StatusOK || !reflect.DeepEqual(after, before) {
@@ -405,9 +448,8 @@ func TestIDLimitSurvivesRecovery(t *testing.T) {
 	ts.Close() // crash: only the WAL survives
 
 	_, ts2 := newDurableServer(t, dir)
-	hz, _ := getJSON[HealthzResponse](t, ts2.URL+"/v1/healthz")
-	if hz.WAL == nil || hz.WAL.RecordsTruncated != 0 {
-		t.Fatalf("recovery %+v, want nothing truncated", hz.WAL)
+	if n := scrapeMetrics(t, ts2.URL)["stsmatch_wal_recovery_truncated_records"]; n != 0 {
+		t.Fatalf("recovery truncated %v records, want none", n)
 	}
 	if after, _ := getJSON[StatsResponse](t, ts2.URL+"/v1/stats"); after != before {
 		t.Errorf("stats %+v after recovery, want %+v", after, before)

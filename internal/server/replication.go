@@ -28,7 +28,6 @@ import (
 	"log/slog"
 	"net/http"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -152,8 +151,8 @@ func (r *replicator) unlink(drop func(*replicaLink) bool) {
 }
 
 // ReplLinkStatus is one primary→replica shipping lane's sequence
-// state, exposed in /v1/shard/stats and /v1/healthz so operators can
-// see which replica is behind.
+// state, exposed in /v1/shard/stats so operators can see which replica
+// is behind.
 type ReplLinkStatus struct {
 	Target string `json:"target"`
 	// ShippedSeq is the highest sequence number assigned on this link
@@ -716,10 +715,9 @@ func (s *Server) retire(sess *session) {
 }
 
 // maxReplLag is the worst unshipped backlog over every session this
-// node ships and every link of it: healthz's maxLagRecords and the
-// stsmatch_repl_lag_records gauge. It takes shippingMu and each
-// replicator's own lock, never s.mu, so a scrape does not wait out a
-// snapshot.
+// node ships and every link of it: the stsmatch_repl_lag_records
+// gauge. It takes shippingMu and each replicator's own lock, never
+// s.mu, so a scrape does not wait out a snapshot.
 func (s *Server) maxReplLag() int {
 	s.shippingMu.Lock()
 	defer s.shippingMu.Unlock()
@@ -728,56 +726,4 @@ func (s *Server) maxReplLag() int {
 		worst = max(worst, r.lag())
 	}
 	return worst
-}
-
-// ReplSessionHealth details one replicated session's shipping state in
-// healthz: the per-link assigned/acked sequence numbers.
-type ReplSessionHealth struct {
-	SessionID string           `json:"sessionId"`
-	PatientID string           `json:"patientId"`
-	Epoch     uint64           `json:"epoch"`
-	Links     []ReplLinkStatus `json:"links"`
-}
-
-// ReplicationHealth is the replication section of healthz.
-type ReplicationHealth struct {
-	PrimarySessions int    `json:"primarySessions"` // sessions this node ships
-	ReplicaSessions int    `json:"replicaSessions"` // sessions this node follows
-	MaxLagRecords   int    `json:"maxLagRecords"`   // worst unshipped backlog
-	LastShipError   string `json:"lastShipError,omitempty"`
-	// Sessions details each primary session's links, sorted by session
-	// ID, so a single healthz poll shows exactly which replica of which
-	// session is behind (not just the worst aggregate).
-	Sessions []ReplSessionHealth `json:"sessions,omitempty"`
-}
-
-// replicationHealth summarizes replication for /v1/healthz. Returns
-// nil when this node neither ships nor follows anything.
-func (s *Server) replicationHealth() *ReplicationHealth {
-	s.lock()
-	defer s.mu.Unlock()
-	h := &ReplicationHealth{ReplicaSessions: len(s.replicas), MaxLagRecords: s.maxReplLag()}
-	for sid, sess := range s.sessions {
-		detail := ReplSessionHealth{
-			SessionID: sid,
-			PatientID: sess.patientID,
-			Epoch:     sess.repl.epoch,
-			Links:     sess.repl.linkStatuses(),
-		}
-		if len(detail.Links) == 0 {
-			continue // ships nowhere
-		}
-		h.PrimarySessions++
-		for _, link := range detail.Links {
-			if link.LastError != "" {
-				h.LastShipError = link.LastError
-			}
-		}
-		h.Sessions = append(h.Sessions, detail)
-	}
-	sort.Slice(h.Sessions, func(a, b int) bool { return h.Sessions[a].SessionID < h.Sessions[b].SessionID })
-	if h.PrimarySessions == 0 && h.ReplicaSessions == 0 {
-		return nil
-	}
-	return h
 }

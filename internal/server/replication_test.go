@@ -111,21 +111,41 @@ func TestReplicationShipsStream(t *testing.T) {
 		}
 	}
 
-	// Primary healthz shows a drained backlog.
-	hz, _ := getJSON[HealthzResponse](t, primary.URL+"/v1/healthz")
-	if hz.Replication == nil || hz.Replication.PrimarySessions != 1 {
-		t.Fatalf("primary replication health = %+v", hz.Replication)
+	// The primary ships S01 and its backlog is drained.
+	pStats, _ := getJSON[ShardStatsResponse](t, primary.URL+"/v1/shard/stats")
+	if len(pStats.Sessions) != 1 || len(pStats.Sessions[0].Links) == 0 {
+		t.Fatalf("primary sessions = %+v, want S01 shipping", pStats.Sessions)
 	}
-	if hz.Replication.MaxLagRecords != 0 {
-		t.Errorf("lag = %d after synchronous flush, want 0", hz.Replication.MaxLagRecords)
+	if n := linkBacklog(pStats); n != 0 {
+		t.Errorf("links' backlog = %d after synchronous flush, want 0", n)
+	}
+	if got := scrapeMetrics(t, primary.URL)["stsmatch_repl_lag_records"]; got != 0 {
+		t.Errorf("stsmatch_repl_lag_records = %v after synchronous flush, want 0", got)
 	}
 	_ = primarySrv
 }
 
+// linkBacklog is the worst unacknowledged backlog over the links of
+// st's sessions, counted as stsmatch_repl_lag_records counts it: a
+// link's shipped-but-unacked records, plus one for a pending snapshot.
+func linkBacklog(st ShardStatsResponse) int {
+	worst := 0
+	for _, sess := range st.Sessions {
+		for _, l := range sess.Links {
+			n := int(l.ShippedSeq - l.AckedSeq)
+			if l.SnapshotPending {
+				n++
+			}
+			worst = max(worst, n)
+		}
+	}
+	return worst
+}
+
 // TestReplLagGaugeReportsWorstLink: stsmatch_repl_lag_records is the
-// worst backlog over every session and link, the number healthz reports
-// as maxLagRecords, so one session's clean flush does not hide another
-// session whose follower is down.
+// worst backlog over every session and link of /v1/shard/stats, so one
+// session's clean flush does not hide another session whose follower
+// is down.
 func TestReplLagGaugeReportsWorstLink(t *testing.T) {
 	_, replica := newReplServer(t, Options{})
 	down := httptest.NewServer(http.NotFoundHandler())
@@ -147,12 +167,13 @@ func TestReplLagGaugeReportsWorstLink(t *testing.T) {
 	}
 	ingestBatches(t, primary.URL, "S02", samples, 256)
 
-	hz, _ := getJSON[HealthzResponse](t, primary.URL+"/v1/healthz")
-	if hz.Replication == nil || hz.Replication.MaxLagRecords == 0 {
-		t.Fatalf("healthz replication = %+v, want S01's backlog", hz.Replication)
+	pStats, _ := getJSON[ShardStatsResponse](t, primary.URL+"/v1/shard/stats")
+	backlog := linkBacklog(pStats)
+	if backlog == 0 {
+		t.Fatalf("primary sessions = %+v, want S01's backlog on its link", pStats.Sessions)
 	}
-	if got := scrapeMetrics(t, primary.URL)["stsmatch_repl_lag_records"]; got != float64(hz.Replication.MaxLagRecords) {
-		t.Errorf("stsmatch_repl_lag_records = %v after S02's clean flush, want S01's backlog %d", got, hz.Replication.MaxLagRecords)
+	if got := scrapeMetrics(t, primary.URL)["stsmatch_repl_lag_records"]; got != float64(backlog) {
+		t.Errorf("stsmatch_repl_lag_records = %v after S02's clean flush, want S01's backlog %d", got, backlog)
 	}
 
 	// A scrape reads the backlog without the session lock, which a
@@ -415,12 +436,12 @@ func TestFollowerRestartRecoversReplicaAsHistory(t *testing.T) {
 	follower.Close() // crash the follower
 
 	_, follower2 := newDurableServer(t, dir)
-	hz, _ := getJSON[HealthzResponse](t, follower2.URL+"/v1/healthz")
-	if hz.OpenSessions != 0 {
-		t.Errorf("replicated session resurrected as live: OpenSessions = %d", hz.OpenSessions)
+	after, _ := getJSON[StatsResponse](t, follower2.URL+"/v1/stats")
+	if after.OpenSessions != 0 {
+		t.Errorf("replicated session resurrected as live: OpenSessions = %d", after.OpenSessions)
 	}
-	if hz.Vertices != stats.Vertices {
-		t.Errorf("recovered %d vertices, follower had %d", hz.Vertices, stats.Vertices)
+	if after.Vertices != stats.Vertices {
+		t.Errorf("recovered %d vertices, follower had %d", after.Vertices, stats.Vertices)
 	}
 }
 

@@ -17,7 +17,7 @@
 //	POST   /v1/match                    {"seq",...,"k"}            -> similarity search
 //	GET    /v1/stats                                               -> database stats
 //	GET    /v1/shard/stats                                         -> shard-local inventory
-//	GET    /v1/healthz                                             -> liveness + recovery stats
+//	GET    /v1/healthz                                             -> health: 200 ok, 503 on a failed WAL
 //	GET    /metrics                                                -> Prometheus text format
 //
 // /v1/match and /v1/shard/stats exist for the sharding gateway
@@ -736,33 +736,31 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// HealthzResponse is the liveness payload. WAL is present only when
-// durability is enabled and carries the most recent recovery's stats.
+// HealthzResponse is the health payload: whether this node is healthy,
+// and which binary answered. A node whose WAL has failed is
+// "unhealthy" with a 503 and the log's error; every number about the
+// node is on /metrics, /v1/stats or /v1/shard/stats.
 type HealthzResponse struct {
-	Status        string             `json:"status"`
-	Version       string             `json:"version"`
-	GoVersion     string             `json:"goVersion"`
-	UptimeSeconds float64            `json:"uptimeSeconds"`
-	Patients      int                `json:"patients"`
-	Vertices      int                `json:"vertices"`
-	OpenSessions  int                `json:"openSessions"`
-	WAL           *WALHealth         `json:"wal,omitempty"`
-	Replication   *ReplicationHealth `json:"replication,omitempty"`
-	Subscriptions *subscribe.Health  `json:"subscriptions,omitempty"`
+	Status        string  `json:"status"` // ok | unhealthy
+	Version       string  `json:"version"`
+	GoVersion     string  `json:"goVersion"`
+	UptimeSeconds float64 `json:"uptimeSeconds"`
+	Error         string  `json:"error,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	version, goVersion := obs.BuildInfo()
-	writeJSON(w, http.StatusOK, HealthzResponse{
+	res := HealthzResponse{
 		Status:        "ok",
 		Version:       version,
 		GoVersion:     goVersion,
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Patients:      s.db.NumPatients(),
-		Vertices:      s.db.NumVertices(),
-		OpenSessions:  s.OpenSessions(),
-		WAL:           s.walHealth(),
-		Replication:   s.replicationHealth(),
-		Subscriptions: s.subscriptionHealth(),
-	})
+	}
+	code := http.StatusOK
+	if s.wal != nil {
+		if err := s.wal.log.Err(); err != nil {
+			res.Status, res.Error, code = "unhealthy", err.Error(), http.StatusServiceUnavailable
+		}
+	}
+	writeJSON(w, code, res)
 }

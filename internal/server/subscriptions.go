@@ -25,18 +25,11 @@ import (
 	"stsmatch/internal/core"
 	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
-	"stsmatch/internal/subscribe"
 	"stsmatch/internal/wal"
 )
 
 // subHeartbeat is the SSE keep-alive comment interval.
 const subHeartbeat = 15 * time.Second
-
-// subscriptionHealth builds the healthz subscriptions section.
-func (s *Server) subscriptionHealth() *subscribe.Health {
-	h := s.subs.Health()
-	return &h
-}
 
 // SubscriptionRequest registers a standing query. The pattern is
 // matched incrementally against arriving vertices: only windows that

@@ -361,12 +361,6 @@ func TestSubscriptionLifecycle(t *testing.T) {
 	if len(list.Subscriptions) != 1 || list.Subscriptions[0].ID != gen.ID {
 		t.Errorf("list after delete = %+v, want only %s", list.Subscriptions, gen.ID)
 	}
-
-	// Healthz reports the subscription section.
-	hz, code := getJSON[HealthzResponse](t, ts.URL+"/v1/healthz")
-	if code != http.StatusOK || hz.Subscriptions == nil || hz.Subscriptions.Count != 1 {
-		t.Errorf("healthz subscriptions = %+v", hz.Subscriptions)
-	}
 }
 
 // TestSubscriptionAckPastLastEvent: a Last-Event-ID or ?after= beyond

@@ -585,14 +585,20 @@ func TestReplicationEquivalence(t *testing.T) {
 		}
 	}
 
-	// Ship-before-ack means zero replica lag at rest.
+	// Ship-before-ack means zero replica lag at rest: no link of any
+	// node's sessions has an unacknowledged record, and the lag gauge
+	// agrees (one registry serves every in-process node).
 	for _, n := range c.Nodes {
-		hz := testutil.GetJSON[server.HealthzResponse](t, n.URL+"/v1/healthz")
-		if hz.Replication == nil {
-			continue
+		st := testutil.GetJSON[server.ShardStatsResponse](t, n.URL+"/v1/shard/stats")
+		for _, s := range st.Sessions {
+			for _, l := range s.Links {
+				if l.ShippedSeq != l.AckedSeq || l.SnapshotPending {
+					t.Errorf("backend %s: session %s link %+v after full acks, want nothing unacked", n.URL, s.SessionID, l)
+				}
+			}
 		}
-		if hz.Replication.MaxLagRecords != 0 {
-			t.Errorf("backend %s: replica lag %d after full acks, want 0", n.URL, hz.Replication.MaxLagRecords)
+		if got := scrapeCounter(t, n.URL, "stsmatch_repl_lag_records"); got != 0 {
+			t.Errorf("backend %s: stsmatch_repl_lag_records = %v after full acks, want 0", n.URL, got)
 		}
 	}
 

@@ -643,7 +643,6 @@ type GatewayHealthResponse struct {
 	GoVersion     string          `json:"goVersion"`
 	UptimeSeconds float64         `json:"uptimeSeconds"`
 	Backends      []BackendHealth `json:"backends"`
-	HealthyCount  int             `json:"healthyCount"`
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -656,9 +655,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, b := range g.pool.Backends() {
 		h := b.Healthy()
-		if h {
-			res.HealthyCount++
-		} else {
+		if !h {
 			res.Status = "degraded"
 		}
 		res.Backends = append(res.Backends, BackendHealth{URL: b.URL(), Healthy: h})

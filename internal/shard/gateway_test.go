@@ -225,9 +225,40 @@ func TestGatewayDegradedOnBackendFailure(t *testing.T) {
 
 	// Active probing ejects the dead backend; healthz reports it.
 	f.cluster.Probe(3)
-	hz := testutil.GetJSON[shard.GatewayHealthResponse](t, f.cluster.URL+"/v1/healthz")
-	if hz.Status != "degraded" || hz.HealthyCount != 2 {
-		t.Errorf("healthz = %+v, want degraded with 2 healthy backends", hz)
+	hzResp, err := http.Get(f.cluster.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(hzResp.Body)
+	hzResp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	var hz shard.GatewayHealthResponse
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &hz); err != nil {
+		t.Fatal(err)
+	}
+	wantKeys := []string{"backends", "goVersion", "status", "uptimeSeconds", "version"}
+	for _, k := range wantKeys {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("gateway healthz lacks %q: %s", k, raw)
+		}
+	}
+	if len(keys) != len(wantKeys) {
+		t.Errorf("gateway healthz keys are not exactly %v: %s", wantKeys, raw)
+	}
+	healthy := 0
+	for _, b := range hz.Backends {
+		if b.Healthy {
+			healthy++
+		}
+	}
+	if hz.Status != "degraded" || len(hz.Backends) != 3 || healthy != 2 {
+		t.Errorf("healthz = %+v, want degraded with 2 of 3 backends healthy", hz)
 	}
 
 	// An ejected backend is skipped (not re-dialed) but still reported.

@@ -161,8 +161,7 @@ type StreamCoverage struct {
 	Poisoned bool
 }
 
-// Stats is a point-in-time summary of the index, surfaced through
-// /v1/healthz.
+// Stats is a point-in-time summary of the index.
 type Stats struct {
 	Streams         int    `json:"streams"`
 	PoisonedStreams int    `json:"poisonedStreams"`

@@ -538,28 +538,3 @@ func (s *Subscription) stateLocked() wal.SubState {
 	st.Events = append([]wal.SubEvent(nil), s.state.Events...)
 	return st
 }
-
-// Health is the healthz view of the subsystem.
-type Health struct {
-	Count     int     `json:"count"`
-	Buffered  int     `json:"eventsBuffered"`
-	OldestLag float64 `json:"oldestCursorLagSeconds"`
-}
-
-// Health reports the active subscription count, total buffered
-// undelivered events, and the age of the oldest undelivered event.
-func (m *Manager) Health() Health {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := Health{Count: len(m.subs)}
-	now := m.now()
-	for _, s := range m.subs {
-		h.Buffered += len(s.state.Events)
-		if len(s.state.Events) > 0 {
-			if lag := now - s.state.Events[0].At; lag > h.OldestLag {
-				h.OldestLag = lag
-			}
-		}
-	}
-	return h
-}

@@ -94,6 +94,9 @@ func goldenRecovery(t *testing.T, dir string) []byte {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	l.mu.Lock()
+	next := l.nextLSN
+	l.mu.Unlock()
 	var db bytes.Buffer
 	if err := res.DB.WriteBinary(&db); err != nil {
 		t.Fatal(err)
@@ -101,7 +104,7 @@ func goldenRecovery(t *testing.T, dir string) []byte {
 	out, err := json.MarshalIndent(struct {
 		SnapshotLSN, RecordsReplayed, RecordsTruncated, NextLSN uint64
 		Recovered                                               recovered
-	}{res.SnapshotLSN, res.RecordsReplayed, res.RecordsTruncated, l.NextLSN(),
+	}{res.SnapshotLSN, res.RecordsReplayed, res.RecordsTruncated, next,
 		recovered{db.Bytes(), res.Sessions, res.Subscriptions, res.SubOps, res.Migrations}}, "", "\t")
 	if err != nil {
 		t.Fatal(err)

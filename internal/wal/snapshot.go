@@ -47,7 +47,7 @@ func (l *Log) Snapshot(db *store.DB, sessions []SessionState, subs []SubState, m
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return 0, fmt.Errorf("wal: log is closed")
+		return 0, errClosed
 	}
 	if err := l.flushLocked(); err != nil {
 		return 0, err

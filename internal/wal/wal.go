@@ -107,11 +107,18 @@ type Log struct {
 	done chan struct{}
 }
 
-// NextLSN returns the LSN the next appended record will receive.
-func (l *Log) NextLSN() uint64 {
+// errClosed is what every write to a closed log returns.
+var errClosed = errors.New("wal: log is closed")
+
+// Err returns the sticky I/O error, or errClosed once the log is
+// closed; nil while the log accepts writes.
+func (l *Log) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.nextLSN
+	if l.err == nil && l.closed {
+		return errClosed
+	}
+	return l.err
 }
 
 // Append assigns the next LSN to rec and writes it to the active
@@ -121,7 +128,7 @@ func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return errors.New("wal: log is closed")
+		return errClosed
 	}
 	if l.err != nil {
 		return l.err

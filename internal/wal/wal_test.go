@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"stsmatch/internal/binfmt"
 	"stsmatch/internal/plr"
@@ -150,6 +151,51 @@ func TestSessionCloseRemovesSession(t *testing.T) {
 	}
 	if res.DB.NumVertices() != 6 {
 		t.Errorf("stream history lost on close: %d vertices", res.DB.NumVertices())
+	}
+}
+
+// TestErrReportsStickyFailure: Err is nil while the log accepts writes,
+// the sticky I/O error once a flush fails (here a segment file closed
+// under the log), and errClosed after a clean Close.
+func TestErrReportsStickyFailure(t *testing.T) {
+	l, _, err := Open(Options{Dir: t.TempDir(), FsyncInterval: time.Hour}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendSession(t, l, "P1", "S1", mkVerts(0, 4))
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("Err() = %v on a healthy log", err)
+	}
+	l.mu.Lock()
+	l.f.Close()
+	l.mu.Unlock()
+	if err := l.Append(Record{Type: TypeSessionClose, SessionID: "S1"}); err != nil {
+		t.Fatalf("buffered append failed before any flush: %v", err)
+	}
+	syncErr := l.Sync()
+	if syncErr == nil {
+		t.Fatal("Sync succeeded on a closed segment file")
+	}
+	if err := l.Err(); !errors.Is(err, syncErr) {
+		t.Fatalf("Err() = %v, want the sticky %v", err, syncErr)
+	}
+	if err := l.Append(Record{Type: TypeSessionClose, SessionID: "S1"}); !errors.Is(err, syncErr) {
+		t.Errorf("append after the failure = %v, want the sticky %v", err, syncErr)
+	}
+
+	healthy, _, err := Open(Options{Dir: t.TempDir()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := healthy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := healthy.Err(); !errors.Is(err, errClosed) {
+		t.Errorf("Err() = %v after Close, want %v", err, errClosed)
 	}
 }
 
