@@ -14,9 +14,8 @@
 //
 // Every POST /v1/match is the exact scatter: each healthy shard scores
 // everything it holds, primaries and followers alike, and the merge
-// drops the duplicate copies. A client's ?max-lag=N (or body "maxLag")
-// is validated and always met, since the answer has no lag at all. The
-// gateway caches no results.
+// drops the duplicate copies, so the answer has no replication lag at
+// all. The gateway caches no results.
 //
 //	gateway -listen :8760 -replicas 2 \
 //	        -backends http://127.0.0.1:8751,http://127.0.0.1:8752,http://127.0.0.1:8753

@@ -227,21 +227,19 @@ func TestFunnelCountsEqualSingleStageBound(t *testing.T) {
 			}
 		}
 		// Standing: every stream fed to the query seven vertices at a time.
-		for _, k := range []int{0, 1, 10} {
-			sq, err := NewStandingQuery(tight, Query{Seq: q.Seq, PatientID: "Q"}, 0, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var o outcome
-			for _, st := range db.Streams() {
-				for from := 0; from < st.Len(); from += 7 {
-					ms, c, _ := sq.EvalRange(st, from, min(from+7, st.Len()))
-					o.matches = append(o.matches, ms...)
-					o.counts.Add(c)
-				}
-			}
-			got[fmt.Sprintf("standing/k=%d", k)] = o
+		sq, err := NewStandingQuery(tight, Query{Seq: q.Seq, PatientID: "Q"}, 0, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var o outcome
+		for _, st := range db.Streams() {
+			for from := 0; from < st.Len(); from += 7 {
+				ms, c, _ := sq.EvalRange(st, from, min(from+7, st.Len()))
+				o.matches = append(o.matches, ms...)
+				o.counts.Add(c)
+			}
+		}
+		got["standing"] = o
 		return got
 	}
 
@@ -299,22 +297,19 @@ func randomBreathing(rng *rand.Rand, n int) plr.Sequence {
 // candidate sets.
 func TestStandingEqualsSearchDiff(t *testing.T) {
 	const qn = 7
-	for seed, tc := range []struct {
+	for _, tc := range []struct {
 		name       string
 		stateOrder bool
-		k          int
 		sameStream bool
+		seed       int64
 	}{
-		{"other-patient", true, 0, false},
-		{"other-patient/top1", true, 1, false},
-		{"other-patient/ablation", false, 0, false},
-		{"other-patient/ablation/top1", false, 1, false},
-		{"same-session", true, 0, true},
-		{"same-session/top1", true, 1, true},
-		{"same-session/ablation", false, 0, true},
+		{"other-patient", true, false, 0},
+		{"other-patient/ablation", false, false, 2},
+		{"same-session", true, true, 4},
+		{"same-session/ablation", false, true, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(seed)))
+			rng := rand.New(rand.NewSource(tc.seed))
 			full := randomBreathing(rng, 160)
 			params := DefaultParams()
 			params.RequireStateOrder = tc.stateOrder
@@ -344,9 +339,12 @@ func TestStandingEqualsSearchDiff(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := p1.AddStream("S1")
-			sq, err := NewStandingQuery(params, q, 0, tc.k)
+			sq, err := NewStandingQuery(params, q, 0, 0)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if _, err := NewStandingQuery(params, q, 0, 1); err == nil {
+				t.Error("NewStandingQuery took k = 1: a standing query delivers every match")
 			}
 			m, err := NewMatcher(db, params)
 			if err != nil {
@@ -354,7 +352,7 @@ func TestStandingEqualsSearchDiff(t *testing.T) {
 			}
 
 			var total FunnelCounts
-			emitted, capped := 0, 0
+			emitted := 0
 			for done := 0; done < len(full); {
 				batch := 1 + rng.Intn(12)
 				if done+batch > len(full) {
@@ -375,8 +373,8 @@ func TestStandingEqualsSearchDiff(t *testing.T) {
 				}
 				total.Add(counts)
 
-				// The oracle: what a full search gained from this batch,
-				// capped to the k best and put back in stream order.
+				// The oracle: what a full search gained from this batch, in
+				// stream order.
 				all, err := m.FindSimilar(q, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -386,10 +384,6 @@ func TestStandingEqualsSearchDiff(t *testing.T) {
 					if end := mt.Start + mt.N - 1; end >= done && end < done+batch {
 						want = append(want, mt)
 					}
-				}
-				if tc.k > 0 && len(want) > tc.k {
-					want = want[:tc.k] // FindSimilar output is already in matchLess order
-					capped++
 				}
 				sort.Slice(want, func(a, b int) bool { return want[a].Start < want[b].Start })
 				if len(got) != len(want) {
@@ -403,8 +397,8 @@ func TestStandingEqualsSearchDiff(t *testing.T) {
 				emitted += len(got)
 				done += batch
 			}
-			if emitted == 0 || (tc.k > 0) != (capped > 0) {
-				t.Errorf("fixture: %d matches emitted, %d batches hit the k=%d cap", emitted, capped, tc.k)
+			if emitted == 0 {
+				t.Error("fixture: no match emitted")
 			}
 			if want := len(full) - qn + 1; total.Windows != want {
 				t.Errorf("standing considered %d windows over the stream's life, want every one of %d", total.Windows, want)

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"stsmatch/internal/store"
 )
@@ -22,14 +20,15 @@ import (
 // use (evaluations share only read-only state).
 type StandingQuery struct {
 	plan *queryPlan
-	k    int
 }
 
 // NewStandingQuery validates and precomputes a standing query.
-// threshold <= 0 selects the params' distance threshold. k > 0 caps
-// each evaluation batch to the k best new matches (ranked by the same
-// total order the search uses); k == 0 emits every match within the
-// threshold.
+// threshold <= 0 selects the params' distance threshold. A standing
+// query emits every match within the threshold, so its events depend
+// only on the stream's vertices, never on how they were batched.
+//
+// Deprecated: k is kept only for callers that pass 0; any other value
+// is refused.
 func NewStandingQuery(p Params, q Query, threshold float64, k int) (*StandingQuery, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -37,8 +36,8 @@ func NewStandingQuery(p Params, q Query, threshold float64, k int) (*StandingQue
 	if err := q.Seq.Validate(); err != nil {
 		return nil, fmt.Errorf("core: standing query pattern: %w", err)
 	}
-	if k < 0 {
-		return nil, fmt.Errorf("core: standing query needs k >= 0, got %d", k)
+	if k != 0 {
+		return nil, fmt.Errorf("core: a standing query delivers every match; k must be 0, got %d", k)
 	}
 	if threshold <= 0 {
 		threshold = p.DistThreshold
@@ -47,7 +46,7 @@ func NewStandingQuery(p Params, q Query, threshold float64, k int) (*StandingQue
 	if err != nil {
 		return nil, err
 	}
-	return &StandingQuery{plan: &plan, k: k}, nil
+	return &StandingQuery{plan: &plan}, nil
 }
 
 // Threshold returns the effective acceptance threshold.
@@ -72,7 +71,6 @@ func (sq *StandingQuery) EvalRange(st *store.Stream, fromEnd, toEnd int) ([]Matc
 	c.excludePresent(pl, rel)
 	var w workerState
 	found := pl.run(&w, st, rel, 0, &c, hits[:0])
-	counts := w.counts
 	var matches []Match
 	if len(found) > 0 {
 		matches = make([]Match, len(found))
@@ -80,14 +78,5 @@ func (sq *StandingQuery) EvalRange(st *store.Stream, fromEnd, toEnd int) ([]Matc
 			matches[i] = pl.match(st, rel, h)
 		}
 	}
-	if sq.k > 0 && len(matches) > sq.k {
-		slices.SortFunc(matches, matchCmp)
-		dropped := len(matches) - sq.k
-		counts.Matched -= dropped
-		counts.DistRejected += dropped
-		matches = matches[:sq.k]
-		// Restore start order so event emission stays in stream order.
-		slices.SortFunc(matches, func(a, b Match) int { return cmp.Compare(a.Start, b.Start) })
-	}
-	return matches, counts, nil
+	return matches, w.counts, nil
 }

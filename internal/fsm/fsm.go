@@ -175,6 +175,10 @@ type Segmenter struct {
 	lastT    float64 // newest sample's time, for the ordering check
 	curState plr.State
 	segStart plr.Sample
+	// primedT is the time of the last vertex Prime restored (-Inf when
+	// unprimed): the caller's stream already holds every vertex at or
+	// before it, so none is emitted.
+	primedT float64
 
 	// FSA bookkeeping
 	allowed      [plr.NumStates][plr.NumStates]bool
@@ -199,6 +203,7 @@ func New(cfg Config) (*Segmenter, error) {
 		cfg:      cfg,
 		wT:       make([]float64, cfg.SlopeWindow),
 		curState: plr.IRR,
+		primedT:  math.Inf(-1),
 		allowed:  cfg.allowedNext(),
 	}, nil
 }
@@ -387,7 +392,9 @@ func (s *Segmenter) transition(obs plr.State, at float64) (plr.Vertex, bool) {
 	s.curState = obs
 	s.segStart = plr.Sample{T: endT, Pos: append([]float64(nil), endPos...)}
 	s.segsEmitted++
-	return v, true
+	// A primed segmenter's first close re-emits the vertex its open
+	// segment was anchored at; the caller's stream holds it already.
+	return v, v.T > s.primedT
 }
 
 // boundarySlot estimates the window slot of the sample at the physical
@@ -515,8 +522,9 @@ func (s *Segmenter) Flush() []plr.Vertex {
 	if !s.started {
 		return nil
 	}
-	out := []plr.Vertex{
-		{T: s.segStart.T, Pos: s.segStart.Pos, State: s.effectiveState()},
+	var out []plr.Vertex
+	if s.segStart.T > s.primedT {
+		out = append(out, plr.Vertex{T: s.segStart.T, Pos: s.segStart.Pos, State: s.effectiveState()})
 	}
 	if s.lastT > s.segStart.T {
 		newest := (s.head + s.cfg.SlopeWindow - 1) % s.cfg.SlopeWindow

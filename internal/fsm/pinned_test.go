@@ -15,9 +15,10 @@ import (
 // checksum over every vertex's time, coordinates and state for a
 // seeded cohort that reaches each branch of Push — 1, 2 and 3
 // dimensions, irregular episodes, a spike-heavy stream the filter
-// clamps, SmoothAlpha 0, a custom transition relation, and the
-// vertices a primed segmenter emits after resuming mid-stream. A
-// rewrite of the segmenter's internals must leave it unchanged.
+// clamps, SmoothAlpha 0, a custom transition relation, and the stream
+// a primed segmenter resumes mid-stream: the last primed vertex, then
+// every vertex emitted after it. A rewrite of the segmenter's internals
+// must leave it unchanged.
 func TestSegmentationPinned(t *testing.T) {
 	const want = "4969ab4e110d83f2"
 	h := fnv.New64a()
@@ -74,7 +75,8 @@ func TestSegmentationPinned(t *testing.T) {
 	sum(h, segment(axis, trapezoid(10, 120, 0.8, 0.5)))
 
 	// Resume mid-stream: prime from the first half's PLR, then push the
-	// samples after its last vertex.
+	// samples after its last vertex. The caller's stream already holds
+	// that vertex, and the segmenter never emits it again.
 	for dims := 1; dims <= 3; dims += 2 {
 		samples := gen(dims, int64(30+dims), nil)
 		half := samples[:len(samples)/2]
@@ -87,7 +89,7 @@ func TestSegmentationPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		last := seq[len(seq)-1].T
-		var resumed plr.Sequence
+		resumed := plr.Sequence{seq[len(seq)-1]}
 		for _, sm := range samples {
 			if sm.T <= last {
 				continue
@@ -95,6 +97,11 @@ func TestSegmentationPinned(t *testing.T) {
 			vs, err := seg.Push(sm)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, v := range vs {
+				if v.T <= last {
+					t.Fatalf("primed segmenter emitted t=%v, at or before its last primed vertex", v.T)
+				}
 			}
 			resumed = append(resumed, vs...)
 		}

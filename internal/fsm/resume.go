@@ -16,10 +16,10 @@ import (
 //
 // Priming is best-effort: vertices are ~1 Hz where raw samples are
 // ~30 Hz, so slope and noise statistics re-converge over the first
-// seconds of resumed ingestion. The first vertex the primed segmenter
-// emits opens at the anchor time, which the stream already holds —
-// callers must drop re-emitted vertices at or before the last
-// recovered vertex time.
+// seconds of resumed ingestion. The primed segmenter never emits a
+// vertex at or before the last one of seq, which the caller's stream
+// already holds: its first segment close, which reports the anchor
+// vertex again, emits nothing.
 func (s *Segmenter) Prime(seq plr.Sequence) error {
 	if s.started || s.samplesSeen > 0 {
 		return errors.New("fsm: cannot prime a segmenter that has already seen samples")
@@ -38,6 +38,7 @@ func (s *Segmenter) Prime(seq plr.Sequence) error {
 	last := seq[len(seq)-1]
 	s.curState = last.State
 	s.segStart = plr.Sample{T: last.T, Pos: append([]float64(nil), last.Pos...)}
+	s.primedT = last.T
 	s.havePending = false
 	return nil
 }

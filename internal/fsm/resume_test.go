@@ -47,13 +47,71 @@ func TestPrimeResumesFromRecoveredTail(t *testing.T) {
 	if len(emitted) == 0 {
 		t.Fatal("primed segmenter emitted no vertices on continued ingestion")
 	}
-	// Re-emitted vertices at or before the anchor are expected (the
-	// caller drops them); everything after must be strictly ordered.
 	for i := 1; i < len(emitted); i++ {
 		if emitted[i].T <= emitted[i-1].T {
 			t.Errorf("emitted vertices out of order at %d: %v then %v",
 				i, emitted[i-1].T, emitted[i].T)
 		}
+	}
+}
+
+// TestPrimedSegmenterNeverReemits: a segmenter primed from the PLR of
+// the first part of a recording, then fed the rest of it, never emits
+// a vertex at or before the last primed one — neither at its first
+// segment close, which reports the anchor vertex again and so emits
+// nothing, nor at a Flush before any close.
+func TestPrimedSegmenterNeverReemits(t *testing.T) {
+	cfg := DefaultConfig()
+	samples := cleanBreathing(12, 4, 15)
+	cut := len(samples) / 2
+	seq, err := SegmentAll(cfg, samples[:cut])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq = seq[:len(seq)-2] // Flush's two vertices are no segmenter's emissions
+	last := seq[len(seq)-1]
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Prime(seq); err != nil {
+		t.Fatal(err)
+	}
+	primed := s.SegmentsEmitted()
+	var emitted plr.Sequence
+	for _, sm := range samples[cut:] {
+		vs, err := s.Push(sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emitted = append(emitted, vs...)
+	}
+	if len(emitted) == 0 {
+		t.Fatal("primed segmenter emitted no vertex")
+	}
+	if closes := s.SegmentsEmitted() - primed; closes != len(emitted)+1 {
+		t.Errorf("%d segment closes emitted %d vertices; want exactly the first one swallowed", closes, len(emitted))
+	}
+	for _, v := range append(emitted, s.Flush()...) {
+		if v.T <= last.T {
+			t.Errorf("emitted a vertex at t=%v, at or before the last primed one at t=%v", v.T, last.T)
+		}
+	}
+
+	// A Flush before the first close holds only the newest sample.
+	s, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Prime(seq); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Push(samples[cut]); err != nil {
+		t.Fatal(err)
+	}
+	if out := s.Flush(); len(out) != 1 || out[0].T != samples[cut].T {
+		t.Errorf("Flush after prime and one sample = %+v, want the sample's vertex alone", out)
 	}
 }
 

@@ -181,11 +181,9 @@ func (s *Server) resumeSession(ss wal.SessionState) (*session, error) {
 		lastT:     ss.LastT,
 		lastPos:   append([]float64(nil), ss.LastPos...),
 		repl:      newReplicator(ss.PatientID, ss.SessionID, s.advertise, ss.Epoch, ss.Followers),
-		resumed:   true,
 	}
 	if n > 0 {
 		last := view.Vertex(n - 1)
-		sess.resumedAt = last.T
 		// The anchor record can lag the last replayed vertex when the
 		// crash clipped the final anchor; never resume behind the PLR.
 		if sess.lastT < last.T {

@@ -21,8 +21,8 @@ import (
 )
 
 // matchBodies are the shapes the benchmark's query pool sends — with
-// provenance, held out with no IDs, with an explicit now, with a
-// max-lag — each as json.Marshal writes it.
+// provenance, held out with no IDs, with an explicit now, in threshold
+// mode — each as json.Marshal writes it.
 func matchBodies(t testing.TB) [][]byte {
 	t.Helper()
 	now := 12.5
@@ -32,7 +32,7 @@ func matchBodies(t testing.TB) [][]byte {
 		{Seq: seq, PatientID: "P007", SessionID: "P007-s1", K: 10},
 		{Seq: seq, K: 10},
 		{Seq: seq, PatientID: "P01", SessionID: "S01", Now: &now, K: 5},
-		{Seq: seq, PatientID: "P01", SessionID: "S01", K: 10, MaxLag: 1 << 20},
+		{Seq: seq, PatientID: "P01", SessionID: "S01", Now: &now},
 		{Seq: seq},
 	} {
 		body, err := json.Marshal(req)
@@ -54,12 +54,12 @@ var matchCorpus = []struct {
 }{
 	{`{"seq":[{"t":0,"pos":[1],"state":0},{"t":1.5,"pos":[-2e-3],"state":2}]}`, true},
 	{`{"seq":[]}`, true},
-	{`{"seq":[{"t":0,"pos":[1,2],"state":1}],"patientId":"P01","sessionId":"S01","now":12.5,"k":5,"maxLag":2}`, true},
+	{`{"seq":[{"t":0,"pos":[1,2],"state":1}],"patientId":"P01","sessionId":"S01","now":12.5,"k":5}`, true},
 	{" { \"seq\" : [ { \"t\" : 0 , \"pos\" : [ ] , \"state\" : 3 } ] , \"k\" : 0 }\r\n", true},
-	{`{"seq":[` + oneVertex + `],"sessionId":"S 01/x?%#","maxLag":7}`, true},
+	{`{"seq":[` + oneVertex + `],"sessionId":"S 01/x?%#","maxLag":7}`, false},
 	{`{"seq":[` + oneVertex + `],"patientId":"","now":-0}`, true},
 	{`{"seq":[{"t":0,"pos":[1],"state":255}],"k":1099511627776}`, true},
-	{`{"seq":[` + oneVertex + `],"now":1e308,"k":0,"maxLag":0}`, true},
+	{`{"seq":[` + oneVertex + `],"sessionId":"S 01/x?%#","now":1e308,"k":0}`, true},
 	{`{"k":1,"seq":[` + oneVertex + `]}`, false},
 	{`{"seq":[` + oneVertex + `],"sessionId":"S","patientId":"P"}`, false},
 	{`{"seq":[` + oneVertex + `],"maxLag":1,"k":1}`, false},

@@ -35,11 +35,6 @@ type MatchRequest struct {
 	// threshold (Matcher.TopK); K == 0 returns every match within the
 	// threshold (Matcher.FindSimilar).
 	K int `json:"k,omitempty"`
-	// MaxLag is the number of vertices of replication lag the client
-	// tolerates per patient. It is validated (a negative value is a
-	// 400) and otherwise changes nothing: every answer is the exact
-	// lag-0 one, which meets any tolerance.
-	MaxLag int `json:"maxLag,omitempty"`
 }
 
 // Validate reports why a decoded request cannot be searched for, in the
@@ -53,9 +48,6 @@ func (req MatchRequest) Validate() error {
 	}
 	if req.K < 0 {
 		return fmt.Errorf("k must be >= 0, got %d", req.K)
-	}
-	if req.MaxLag < 0 {
-		return fmt.Errorf("maxLag must be >= 0, got %d", req.MaxLag)
 	}
 	return nil
 }
@@ -106,14 +98,14 @@ func DecodeMatchRequest(body []byte) (MatchRequest, error) {
 	return req, err
 }
 
-// maxScanInt bounds k and maxLag on the scanner's path; a larger value
+// maxScanInt bounds k on the scanner's path; a larger value
 // is json.Unmarshal's, which takes any int.
 const maxScanInt = 1 << 40
 
 // scanMatchRequest decodes exactly what json.Marshal makes of a
 // MatchRequest,
 //
-//	{"seq":[{"t":N,"pos":[N,...],"state":S},...],"patientId":"P","sessionId":"P","now":N,"k":I,"maxLag":I}
+//	{"seq":[{"t":N,"pos":[N,...],"state":S},...],"patientId":"P","sessionId":"P","now":N,"k":I}
 //
 // with every member after seq optional but in that order, JSON
 // whitespace between tokens, N as scanSamples takes it, S an integer of
@@ -165,9 +157,7 @@ func scanMatchRequest(data []byte) (req MatchRequest, ok bool) {
 			return MatchRequest{}, false
 		}
 	}
-	if sc.member(`"k"`) && !sc.smallInt(&req.K, maxScanInt) ||
-		sc.member(`"maxLag"`) && !sc.smallInt(&req.MaxLag, maxScanInt) ||
-		!sc.token('}') || !sc.end() {
+	if sc.member(`"k"`) && !sc.smallInt(&req.K, maxScanInt) || !sc.token('}') || !sc.end() {
 		return MatchRequest{}, false
 	}
 	return req, true

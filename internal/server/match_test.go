@@ -180,7 +180,7 @@ func TestMaxBodyBytes(t *testing.T) {
 // 400 from the shard), never change it.
 func FuzzMatchRequest(f *testing.F) {
 	now := 12.5
-	valid, err := json.Marshal(MatchRequest{Seq: seqStates("EOIEOI", 3), PatientID: "P01", SessionID: "S01", Now: &now, K: 5, MaxLag: 2})
+	valid, err := json.Marshal(MatchRequest{Seq: seqStates("EOIEOI", 3), PatientID: "P01", SessionID: "S01", Now: &now, K: 5})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -190,17 +190,17 @@ func (r *replicator) linkStatuses() []ReplLinkStatus {
 func (r *replicator) lag() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	maxLag := 0
+	most := 0
 	for _, link := range r.links {
 		n := len(link.pending)
 		if link.needSnap {
 			n++
 		}
-		if n > maxLag {
-			maxLag = n
+		if n > most {
+			most = n
 		}
 	}
-	return maxLag
+	return most
 }
 
 // flush synchronously ships every link's backlog and returns one error

@@ -142,12 +142,6 @@ type session struct {
 	// (or after a restart recovered a prepared-but-uncommitted
 	// migration).
 	fenced bool
-
-	// resumed marks a session rebuilt by crash recovery: its segmenter
-	// was re-primed from the stored PLR tail, so vertices it re-emits
-	// at or before resumedAt are already in the stream and are dropped.
-	resumed   bool
-	resumedAt float64
 }
 
 // NewWithOptions builds a server around an existing database (which
@@ -455,17 +449,6 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 			pushCode = http.StatusBadRequest
 			break
 		}
-		if sess.resumed {
-			// A re-primed segmenter re-emits the vertex that anchors
-			// its open segment; the recovered stream already holds it.
-			kept := vs[:0]
-			for _, v := range vs {
-				if v.T > sess.resumedAt {
-					kept = append(kept, v)
-				}
-			}
-			vs = kept
-		}
 		if err := sess.stream.Append(vs...); err != nil {
 			pushErr = err
 			pushCode = http.StatusInternalServerError
@@ -621,7 +604,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	patientID, sessionID := sess.patientID, sess.sessionID
 	lastT := sess.lastT
 	lastPos := append([]float64(nil), sess.lastPos...)
-	seq := sess.stream.Seq()
+	// The dynamic query reads at most the stream's last
+	// MaxQueryVertices, so only that tail is copied out of the columns.
+	view := sess.stream.ScanView("")
+	n := view.Len()
+	m := min(n, s.params.MaxQueryVertices())
+	seq := view.Window(n-m, m)
 	s.mu.Unlock()
 
 	if len(seq) < 2 {
@@ -712,7 +700,8 @@ func (s *Server) handlePLR(w http.ResponseWriter, r *http.Request) {
 		s.goneOr404(w, sid)
 		return
 	}
-	seq := sess.stream.Seq()
+	view := sess.stream.ScanView("")
+	seq := view.Window(0, view.Len())
 	writeJSON(w, http.StatusOK, PLRResponse{
 		Vertices:    seq,
 		StateString: seq.StateString(),

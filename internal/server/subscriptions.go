@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -43,10 +42,11 @@ type SubscriptionRequest struct {
 	PatientID string `json:"patientId,omitempty"`
 	SessionID string `json:"sessionId,omitempty"`
 	// Threshold overrides the params' distance threshold (<= 0 keeps
-	// the default). K > 0 caps each incremental evaluation to the k
-	// best new matches.
+	// the default).
 	Threshold float64 `json:"threshold,omitempty"`
-	K         int     `json:"k,omitempty"`
+	// K is read only to refuse it: a standing query delivers every
+	// match, so its stream is the same however samples were batched.
+	K int `json:"k,omitempty"`
 }
 
 // Validate reports why a decoded request cannot be registered, in the
@@ -58,8 +58,8 @@ func (req SubscriptionRequest) Validate() error {
 	if err := req.Seq.Validate(); err != nil {
 		return fmt.Errorf("invalid pattern: %w", err)
 	}
-	if req.K < 0 || uint64(req.K) > math.MaxUint32 {
-		return fmt.Errorf("k must be in [0, %d], got %d", uint32(math.MaxUint32), req.K)
+	if req.K != 0 {
+		return fmt.Errorf("k is not supported (got %d): a standing query delivers every match within its threshold", req.K)
 	}
 	// What a journalled subscription may hold: wal's decoder refuses
 	// more on recovery, so the registration is refused instead.
@@ -79,7 +79,6 @@ func (req SubscriptionRequest) state() wal.SubState {
 		PatientID: req.PatientID,
 		SessionID: req.SessionID,
 		Threshold: req.Threshold,
-		K:         uint32(req.K),
 		Pattern:   req.Seq,
 	}
 }
@@ -90,7 +89,6 @@ type SubscriptionResponse struct {
 	PatientID     string   `json:"patientId,omitempty"`
 	SessionID     string   `json:"sessionId,omitempty"`
 	Threshold     float64  `json:"threshold"`
-	K             int      `json:"k,omitempty"`
 	PatternN      int      `json:"patternN"`
 	ReplicaErrors []string `json:"replicaErrors,omitempty"`
 }
@@ -163,7 +161,6 @@ func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request
 		PatientID:     st.PatientID,
 		SessionID:     st.SessionID,
 		Threshold:     st.Threshold,
-		K:             int(st.K),
 		PatternN:      len(st.Pattern),
 		ReplicaErrors: replErrs,
 	})

@@ -6,13 +6,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"stsmatch/internal/core"
+	"stsmatch/internal/fsm"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/signal"
 	"stsmatch/internal/subscribe"
@@ -527,12 +532,102 @@ func TestSubscriptionCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestSubscriptionKRefused: a registration asking for the k best
+// matches per evaluation is a 400 naming why, and nothing is
+// registered: a standing query delivers every match, because any cap
+// per evaluation would depend on how each node batched the vertices.
+func TestSubscriptionKRefused(t *testing.T) {
+	_, ts := newDurableServer(t, t.TempDir())
+	for _, k := range []int{1, -1} {
+		resp := postJSON(t, ts.URL+"/v1/subscriptions", SubscriptionRequest{ID: fmt.Sprint("k", k), Seq: seqStates("EOIEOI", 3), K: k})
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "every match") {
+			t.Errorf("k=%d: status %d: %s; want a 400 saying every match is delivered", k, resp.StatusCode, body)
+		}
+	}
+	list, _ := getJSON[struct {
+		Subscriptions []subscribe.Status `json:"subscriptions"`
+	}](t, ts.URL+"/v1/subscriptions")
+	if len(list.Subscriptions) != 0 {
+		t.Errorf("refused registrations listed: %+v", list.Subscriptions)
+	}
+}
+
+// TestSubscriptionEventsIndependentOfBatching: the same samples ingested
+// in batches of 1, 7 and 256 and all at once give one event list —
+// sequence numbers, windows and distances — live on the primary, on the
+// primary recovered after a crash, and on its follower once promoted.
+// Live ingest evaluates once per request, WAL replay once per journaled
+// vertex append and a follower once per shipped batch, so any list that
+// depended on the batching would differ somewhere here.
+func TestSubscriptionEventsIndependentOfBatching(t *testing.T) {
+	samples := respSamples(t, 7, 60)
+	raw := make([]plr.Sample, len(samples))
+	for i, s := range samples {
+		raw[i] = plr.Sample{T: s.T, Pos: s.Pos}
+	}
+	full, err := fsm.SegmentAll(fsm.DefaultConfig(), raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern := full[len(full)/2 : len(full)/2+8]
+
+	var want []SubEventOut
+	for _, batch := range []int{1, 7, 256, len(samples)} {
+		dir := t.TempDir()
+		open := func() *httptest.Server {
+			srv, err := NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(),
+				Options{DataDir: dir, AdvertiseURL: "http://primary"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
+			return ts
+		}
+		primary := open()
+		_, follower := newReplServer(t, Options{})
+		if resp := postJSON(t, primary.URL+"/v1/sessions", CreateSessionRequest{
+			PatientID: "P01", SessionID: "S01", Replicate: []string{follower.URL},
+		}); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create status %d", resp.StatusCode)
+		}
+		if resp := postJSON(t, primary.URL+"/v1/subscriptions", SubscriptionRequest{ID: "every", Seq: pattern}); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("subscribe status %d", resp.StatusCode)
+		}
+		ingestBatches(t, primary.URL, "S01", samples, batch)
+
+		lists := map[string][]SubEventOut{"live": pollEvents(t, primary.URL, "every", 0).Events}
+		if resp := postJSON(t, follower.URL+"/v1/sessions/S01/promote", PromoteRequest{}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("promote status %d", resp.StatusCode)
+		}
+		lists["promoted follower"] = pollEvents(t, follower.URL, "every", 0).Events
+		primary.Close() // a crash: no shutdown, no final snapshot
+		lists["recovered"] = pollEvents(t, open().URL, "every", 0).Events
+
+		if want == nil {
+			want = lists["live"]
+			if len(want) < 3 {
+				t.Fatalf("fixture: %d events", len(want))
+			}
+		}
+		for name, got := range lists {
+			if !slices.Equal(got, want) {
+				t.Errorf("batches of %d, %s: %d events\n%+v\nwant %d\n%+v", batch, name, len(got), got, len(want), want)
+			}
+		}
+	}
+}
+
 // FuzzSubscriptionRequest: the register body's decoder and Validate
 // survive arbitrary bytes, and the subscription a validated request
 // registers comes back from the journal's codec unchanged — so no
 // acknowledged registration is one that recovery cannot read.
 func FuzzSubscriptionRequest(f *testing.F) {
-	valid, err := json.Marshal(SubscriptionRequest{ID: "s", Seq: seqStates("EOIEOI", 3), PatientID: "P01", SessionID: "S01", Threshold: 2.5, K: 5})
+	valid, err := json.Marshal(SubscriptionRequest{ID: "s", Seq: seqStates("EOIEOI", 3), PatientID: "P01", SessionID: "S01", Threshold: 2.5})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -546,8 +641,8 @@ func FuzzSubscriptionRequest(f *testing.F) {
 	}
 	for _, seed := range [][]byte{
 		valid, valid[:len(valid)/2], append(append([]byte{}, valid...), '}'), tooWide,
-		[]byte(`{"seq":[{"t":0,"pos":[1],"state":1},{"t":1,"pos":[2],"state":2}],"k":4294967297}`),
-		[]byte(`{"seq":[{"t":0,"pos":null,"state":1},{"t":1,"pos":[],"state":2}],"k":4294967295,"threshold":-1}`),
+		[]byte(`{"seq":[{"t":0,"pos":[1],"state":1},{"t":1,"pos":[2],"state":2}],"k":1}`),
+		[]byte(`{"seq":[{"t":0,"pos":null,"state":1},{"t":1,"pos":[],"state":2}],"k":0,"threshold":-1}`),
 		[]byte(`{"seq":[{"t":1,"pos":[1],"state":1},{"t":1,"pos":[1,2],"state":9}],"k":-1}`),
 		[]byte(`{"seq":null,"threshold":1e999}`), []byte(`[]`), []byte(`{"k":1e3}`), {},
 	} {
@@ -558,16 +653,16 @@ func FuzzSubscriptionRequest(f *testing.F) {
 		if json.Unmarshal(body, &req) != nil || req.Validate() != nil {
 			return
 		}
-		want := req.state()
-		if int(want.K) != req.K {
-			t.Fatalf("k = %d registers as %d", req.K, want.K)
+		if req.K != 0 {
+			t.Fatalf("k = %d validated", req.K)
 		}
+		want := req.state()
 		b, err := wal.DecodeBatch(wal.EncodeBatch(wal.Batch{Records: []wal.Record{{Type: wal.TypeSubUpsert, Sub: &want}}}))
 		if err != nil {
 			t.Fatalf("a validated registration did not survive the journal's codec: %v\n%+v", err, req)
 		}
 		got := b.Records[0].Sub
-		same := got.ID == want.ID && got.PatientID == want.PatientID && got.SessionID == want.SessionID && got.K == want.K &&
+		same := got.ID == want.ID && got.PatientID == want.PatientID && got.SessionID == want.SessionID &&
 			math.Float64bits(got.Threshold) == math.Float64bits(want.Threshold) && len(got.Pattern) == len(want.Pattern)
 		for i := 0; same && i < len(want.Pattern); i++ {
 			a, b := got.Pattern[i], want.Pattern[i]

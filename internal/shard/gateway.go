@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
@@ -427,8 +426,7 @@ type MatchResult struct {
 // scored by its primary and by each follower, and the merge drops the
 // duplicates. A lagging follower's copy is a prefix of the primary's
 // (closed windows never change), so its hits are a subset of the
-// primary's and the merge is exact whatever the follower's lag; a
-// client's max-lag is therefore validated and always met.
+// primary's and the merge is exact whatever the follower's lag.
 //
 // The public request and response are JSON; the legs are not. Every
 // leg is the same message in the binary leg format of internal/wal,
@@ -446,15 +444,6 @@ func (g *Gateway) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		gwError(w, http.StatusBadRequest, fmt.Errorf("decoding match request: %w", err))
 		return
-	}
-	// ?max-lag= overrides the body knob; either is only validated.
-	if v := r.URL.Query().Get("max-lag"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			gwError(w, http.StatusBadRequest, fmt.Errorf("invalid max-lag %q", v))
-			return
-		}
-		req.MaxLag = n
 	}
 	// The leg encoding takes a sequence's shape on trust, so what a
 	// shard would refuse is refused here, in the shard's words.

@@ -229,9 +229,9 @@ func TestGatewayReportsBadLegReply(t *testing.T) {
 
 // TestGatewayLegsCarryScope records what the gateway sends each shard.
 // The name dates from the follower-read planner, which pinned patients
-// with per-leg scopes above max-lag 0. Now at every max-lag each healthy
-// shard gets exactly one leg, and every leg is the one shared, unscoped
-// version-3 encoding of the query. No request carries a scope header.
+// with per-leg scopes. Now each healthy shard gets exactly one leg, and
+// every leg is the one shared, unscoped version-3 encoding of the
+// query. No request carries a scope header.
 func TestGatewayLegsCarryScope(t *testing.T) {
 	type sent struct {
 		backend string
@@ -287,28 +287,23 @@ func TestGatewayLegsCarryScope(t *testing.T) {
 	if v := binary.LittleEndian.Uint16(want[4:]); v != 3 {
 		t.Fatalf("legs encode as version %d, want 3", v)
 	}
-	for _, maxLag := range []int{0, 10, 1 << 20} {
-		mu.Lock()
-		legs = nil
-		mu.Unlock()
-		res := matchFull(t, gts.URL, server.MatchRequest{Seq: seq, K: 5, MaxLag: maxLag})
-		mu.Lock()
-		got := legs
-		mu.Unlock()
-		if res.Degraded || res.ShardsOK != len(urls) || len(got) != len(urls) {
-			t.Fatalf("max-lag %d: degraded=%v shardsOk=%d, %d legs; want one clean leg to each of %d shards",
-				maxLag, res.Degraded, res.ShardsOK, len(got), len(urls))
+	res := matchFull(t, gts.URL, server.MatchRequest{Seq: seq, K: 5})
+	mu.Lock()
+	got := legs
+	mu.Unlock()
+	if res.Degraded || res.ShardsOK != len(urls) || len(got) != len(urls) {
+		t.Fatalf("degraded=%v shardsOk=%d, %d legs; want one clean leg to each of %d shards",
+			res.Degraded, res.ShardsOK, len(got), len(urls))
+	}
+	seen := map[string]bool{}
+	for _, l := range got {
+		seen[l.backend] = true
+		if !bytes.Equal(l.body, want) {
+			t.Errorf("leg to %s: %x; want the one shared unscoped encoding %x", l.backend, l.body, want)
 		}
-		seen := map[string]bool{}
-		for _, l := range got {
-			seen[l.backend] = true
-			if !bytes.Equal(l.body, want) {
-				t.Errorf("max-lag %d leg to %s: %x; want the one shared unscoped encoding %x", maxLag, l.backend, l.body, want)
-			}
-		}
-		if len(seen) != len(urls) {
-			t.Errorf("max-lag %d: legs went to %v, want each of %v once", maxLag, seen, urls)
-		}
+	}
+	if len(seen) != len(urls) {
+		t.Errorf("legs went to %v, want each of %v once", seen, urls)
 	}
 }
 
@@ -349,12 +344,11 @@ func TestGatewayStrictBodies(t *testing.T) {
 		}
 	}
 	for name, body := range map[string]string{
-		"one vertex":      `{"seq":[{"t":0,"pos":[0],"state":0}]}`,
-		"ragged dims":     `{"seq":[{"t":0,"pos":[0],"state":0},{"t":1,"pos":[1,2],"state":1}]}`,
-		"time order":      `{"seq":[{"t":1,"pos":[0],"state":0},{"t":1,"pos":[1],"state":1}]}`,
-		"invalid state":   `{"seq":[{"t":0,"pos":[0],"state":9},{"t":1,"pos":[1],"state":1}]}`,
-		"negative k":      `{"k":-1,"seq":` + string(seq) + `}`,
-		"negative maxLag": `{"maxLag":-1,"seq":` + string(seq) + `}`,
+		"one vertex":    `{"seq":[{"t":0,"pos":[0],"state":0}]}`,
+		"ragged dims":   `{"seq":[{"t":0,"pos":[0],"state":0},{"t":1,"pos":[1,2],"state":1}]}`,
+		"time order":    `{"seq":[{"t":1,"pos":[0],"state":0},{"t":1,"pos":[1],"state":1}]}`,
+		"invalid state": `{"seq":[{"t":0,"pos":[0],"state":9},{"t":1,"pos":[1],"state":1}]}`,
+		"negative k":    `{"k":-1,"seq":` + string(seq) + `}`,
 	} {
 		if code, out := post("/v1/match", body); code != http.StatusBadRequest {
 			t.Errorf("invalid query (%s): status %d, want 400: %s", name, code, out)

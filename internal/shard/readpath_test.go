@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -64,53 +63,23 @@ func mustEqualMatches(t *testing.T, label string, want, got []server.RemoteMatch
 	}
 }
 
-// readLags are the tolerances every read test asks at: the default, a
-// tight one and one no follower could ever trail by.
-var readLags = []int{0, 10, 1 << 20}
-
-// matchAtLag asks the gateway req at one max-lag, spelled in the body
-// and as ?max-lag=, and requires both answers to agree: the same bytes
-// when every shard answered, else the same matches and the same failed
-// shards (a transport error's wording varies from call to call).
-func matchAtLag(t *testing.T, baseURL string, req server.MatchRequest, maxLag int) shard.MatchResult {
+// matchExact asks the gateway req and requires an answer with none of
+// the follower-read planner's keys: every read is the exact scatter.
+func matchExact(t *testing.T, baseURL string, req server.MatchRequest) shard.MatchResult {
 	t.Helper()
-	req.MaxLag = maxLag
 	raw, res := matchBody(t, baseURL, req)
-	req.MaxLag = 0
-	resp := testutil.PostJSON(t, baseURL+"/v1/match?max-lag="+strconv.Itoa(maxLag), req)
-	viaQuery, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("?max-lag=%d: status %d (%v): %s", maxLag, resp.StatusCode, err, viaQuery)
-	}
-	var other shard.MatchResult
-	if err := json.Unmarshal(viaQuery, &other); err != nil {
-		t.Fatal(err)
-	}
-	failed := func(r shard.MatchResult) []string {
-		var urls []string
-		for u := range r.ShardErrors {
-			urls = append(urls, u)
-		}
-		slices.Sort(urls)
-		return urls
-	}
-	if res.ShardErrors == nil && !bytes.Equal(raw, viaQuery) ||
-		!reflect.DeepEqual(res.Matches, other.Matches) || res.Degraded != other.Degraded ||
-		!slices.Equal(failed(res), failed(other)) {
-		t.Errorf("max-lag %d: body knob answered\n%s\nthe query parameter\n%s", maxLag, trunc(raw), trunc(viaQuery))
-	}
 	for _, key := range []string{`"plannedPatients"`, `"followerServed"`, `"unservedPatients"`} {
 		if bytes.Contains(raw, []byte(key)) {
-			t.Errorf("max-lag %d: answer carries %s: %s", maxLag, key, trunc(raw))
+			t.Errorf("answer carries %s: %s", key, trunc(raw))
 		}
 	}
 	return res
 }
 
 // TestFollowerReadsByteIdenticalToPrimary: the name dates from the
-// follower-read planner. Every read is now the exact scatter, so at
-// every max-lag, in threshold and top-k mode, a healthy R=2 cluster
-// answers byte for byte what the single-node oracle answers.
+// follower-read planner. Every read is now the exact scatter, so in
+// threshold and top-k mode a healthy R=2 cluster answers byte for byte
+// what the single-node oracle answers.
 func TestFollowerReadsByteIdenticalToPrimary(t *testing.T) {
 	f := newFixture(t, 2)
 	seq := f.querySeq(t)
@@ -120,13 +89,11 @@ func TestFollowerReadsByteIdenticalToPrimary(t *testing.T) {
 		if len(oracle) == 0 {
 			t.Fatalf("k=%d: oracle found no matches; fixture broken", k)
 		}
-		for _, lag := range readLags {
-			res := matchAtLag(t, f.cluster.URL, req, lag)
-			if res.Degraded || res.ShardsOK != 3 {
-				t.Fatalf("k=%d max-lag %d: degraded=%v shardsOk=%d", k, lag, res.Degraded, res.ShardsOK)
-			}
-			mustEqualMatches(t, fmt.Sprintf("k=%d max-lag %d vs oracle", k, lag), oracle, res.Matches)
+		res := matchExact(t, f.cluster.URL, req)
+		if res.Degraded || res.ShardsOK != 3 {
+			t.Fatalf("k=%d: degraded=%v shardsOk=%d", k, res.Degraded, res.ShardsOK)
 		}
+		mustEqualMatches(t, fmt.Sprintf("k=%d vs oracle", k), oracle, res.Matches)
 	}
 }
 
@@ -134,8 +101,8 @@ func TestFollowerReadsByteIdenticalToPrimary(t *testing.T) {
 // when a lagging follower refused a tight max-lag and served a loose
 // one. Replication shipments are dropped mid-session, so the follower
 // holds a genuine prefix of the primary's stream and answers a
-// different (prefix) result on its own. Through the gateway, every
-// max-lag answers the oracle's result, never the follower's: the
+// different (prefix) result on its own. Through the gateway, the
+// query answers the oracle's result, never the follower's: the
 // follower's hits are a subset of the primary's, and the merge drops
 // them as duplicates.
 func TestStaleFollowerRefusedThenServedAtLooseBound(t *testing.T) {
@@ -217,18 +184,16 @@ func TestStaleFollowerRefusedThenServedAtLooseBound(t *testing.T) {
 	if bytes.Equal(wb, fb) {
 		t.Fatal("the lagging follower answers what the oracle answers; fixture proves nothing")
 	}
-	for _, lag := range append(readLags, 1) {
-		res := matchAtLag(t, c.URL, req, lag)
-		if res.Degraded || res.ShardsOK != 2 {
-			t.Fatalf("max-lag %d: degraded=%v shardsOk=%d", lag, res.Degraded, res.ShardsOK)
-		}
-		mustEqualMatches(t, fmt.Sprintf("max-lag %d with a lagging follower", lag), want, res.Matches)
+	res := matchExact(t, c.URL, req)
+	if res.Degraded || res.ShardsOK != 2 {
+		t.Fatalf("degraded=%v shardsOk=%d", res.Degraded, res.ShardsOK)
 	}
+	mustEqualMatches(t, "with a lagging follower", want, res.Matches)
 }
 
 // TestKillPrimaryDuringFollowerReads is the chaos step: killing a
 // shard — both before and after the health checker notices — keeps
-// every answer, at every max-lag, byte-identical to the oracle through
+// every answer byte-identical to the oracle through
 // the surviving owners, and never degraded.
 func TestKillPrimaryDuringFollowerReads(t *testing.T) {
 	cluster := testutil.StartCluster(t, 3, 2)
@@ -247,16 +212,14 @@ func TestKillPrimaryDuringFollowerReads(t *testing.T) {
 	}
 	check := func(phase string, wantErr string) {
 		t.Helper()
-		for _, lag := range readLags {
-			res := matchAtLag(t, cluster.URL, req, lag)
-			if res.Degraded {
-				t.Fatalf("%s max-lag %d: degraded, shardErrors=%v", phase, lag, res.ShardErrors)
-			}
-			if wantErr != "" && res.ShardErrors[wantErr] == "" {
-				t.Errorf("%s max-lag %d: dead shard's leg not reported", phase, lag)
-			}
-			mustEqualMatches(t, fmt.Sprintf("%s max-lag %d", phase, lag), owant.Matches, res.Matches)
+		res := matchExact(t, cluster.URL, req)
+		if res.Degraded {
+			t.Fatalf("%s: degraded, shardErrors=%v", phase, res.ShardErrors)
 		}
+		if wantErr != "" && res.ShardErrors[wantErr] == "" {
+			t.Errorf("%s: dead shard's leg not reported", phase)
+		}
+		mustEqualMatches(t, phase, owant.Matches, res.Matches)
 	}
 	check("pre-kill", "")
 
@@ -285,37 +248,37 @@ func (f *fixture) oracleMatches(t *testing.T, req server.MatchRequest) []server.
 // TestMatchCacheHitMissAndInvalidation: after an acked ingest of a new
 // patient, the next query — cut from that patient's session, so its
 // answer must include the patient — equals a single-node oracle holding
-// the same union, at max-lag 0 and at a loose bound.
+// the same union, for each of two patients in turn.
 func TestMatchCacheHitMissAndInvalidation(t *testing.T) {
 	f := newFixture(t, 2)
-	for i, maxLag := range []int{0, 1 << 20} {
+	for i := range 2 {
 		pid := fmt.Sprintf("P%02d", 6+i)
 		ingestSession(t, f.cluster.URL, pid, "S-"+pid, int64(206+i))
 		ingestSession(t, f.oracle.URL, pid, "S-"+pid, int64(206+i))
 		pr := testutil.GetJSON[server.PLRResponse](t, f.oracle.URL+"/v1/sessions/S-"+pid+"/plr")
-		req := server.MatchRequest{Seq: pr.Vertices[len(pr.Vertices)-20 : len(pr.Vertices)-10], K: 10, MaxLag: maxLag}
+		req := server.MatchRequest{Seq: pr.Vertices[len(pr.Vertices)-20 : len(pr.Vertices)-10], K: 10}
 		res := matchFull(t, f.cluster.URL, req)
 		if res.Degraded {
-			t.Fatalf("max-lag %d: healthy cluster degraded: %+v", maxLag, res)
+			t.Fatalf("%s: healthy cluster degraded: %+v", pid, res)
 		}
 		if !slices.ContainsFunc(res.Matches, func(m server.RemoteMatch) bool { return m.PatientID == pid }) {
-			t.Errorf("max-lag %d: no match from %s, whose ingest was acked", maxLag, pid)
+			t.Errorf("no match from %s, whose ingest was acked", pid)
 		}
-		mustEqualMatches(t, fmt.Sprintf("max-lag %d after the acked ingest of %s", maxLag, pid), f.oracleMatches(t, req), res.Matches)
+		mustEqualMatches(t, "after the acked ingest of "+pid, f.oracleMatches(t, req), res.Matches)
 	}
 }
 
 // TestMatchCacheConcurrentIngest: four queriers run while sessions are
 // created and ingested through the same gateway. Every response is a
 // complete 200, and once the last ingest is acked the query equals a
-// single-node oracle holding the same union, at max-lag 0 and at a
-// loose bound.
+// single-node oracle holding the same union, in top-k and threshold
+// mode.
 func TestMatchCacheConcurrentIngest(t *testing.T) {
 	f := newFixture(t, 2)
 	seq := f.querySeq(t)
 	reqs := []server.MatchRequest{
 		{Seq: seq, PatientID: f.queryPID, SessionID: f.querySID, K: 10},
-		{Seq: seq, PatientID: f.queryPID, SessionID: f.querySID, K: 10, MaxLag: 1 << 20},
+		{Seq: seq, PatientID: f.queryPID, SessionID: f.querySID},
 	}
 	var bodies [][]byte
 	for _, req := range reqs {
@@ -361,6 +324,6 @@ func TestMatchCacheConcurrentIngest(t *testing.T) {
 	}()
 	t.Logf("%d queries answered during ingest", answered.Load())
 	for _, req := range reqs {
-		mustEqualMatches(t, fmt.Sprintf("max-lag %d once ingest settled", req.MaxLag), f.oracleMatches(t, req), matchFull(t, f.cluster.URL, req).Matches)
+		mustEqualMatches(t, fmt.Sprintf("k=%d once ingest settled", req.K), f.oracleMatches(t, req), matchFull(t, f.cluster.URL, req).Matches)
 	}
 }

@@ -134,7 +134,7 @@ func (m *Manager) Register(st *wal.SubState, db *store.DB) (*Subscription, error
 		return nil, fmt.Errorf("subscribe: subscription needs an id")
 	}
 	q := core.Query{Seq: st.Pattern, PatientID: st.PatientID, SessionID: st.SessionID}
-	sq, err := core.NewStandingQuery(m.params, q, st.Threshold, int(st.K))
+	sq, err := core.NewStandingQuery(m.params, q, st.Threshold, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +434,6 @@ type Status struct {
 	PatientID string  `json:"patientId,omitempty"`
 	SessionID string  `json:"sessionId,omitempty"`
 	Threshold float64 `json:"threshold"`
-	K         int     `json:"k,omitempty"`
 	PatternN  int     `json:"patternN"`
 
 	Evals      uint64 `json:"evals"`
@@ -459,7 +458,6 @@ func (m *Manager) List() []Status {
 			PatientID: s.state.PatientID,
 			SessionID: s.state.SessionID,
 			Threshold: s.state.Threshold,
-			K:         int(s.state.K),
 			PatternN:  len(s.state.Pattern),
 
 			Evals:      s.evals,

@@ -200,25 +200,6 @@ func TestBufferOverflowDropsOldest(t *testing.T) {
 	}
 }
 
-// TestKModeCapsPerEvaluation: K limits each incremental evaluation to
-// the k best new matches.
-func TestKModeCapsPerEvaluation(t *testing.T) {
-	db, st := testDB(t)
-	m := testManager(db)
-	sub := wal.SubState{ID: "k1", PatientID: "P1", K: 1, Pattern: mkSeq(0, 3)}
-	if _, err := m.Register(&sub, db); err != nil {
-		t.Fatal(err)
-	}
-	// Two full cycles in one batch: two congruent windows close in a
-	// single evaluation; K=1 keeps only the best.
-	if err := st.Append(mkSeq(6, 6)...); err != nil {
-		t.Fatal(err)
-	}
-	if n := m.Drain(context.Background(), db); n != 1 {
-		t.Fatalf("k=1 evaluation emitted %d events", n)
-	}
-}
-
 // TestStateRoundTripRearms: a state exported by States() re-arms on a
 // fresh manager with cursors, sequence numbers, and buffered events
 // intact — the recovery and replication path.

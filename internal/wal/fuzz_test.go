@@ -32,7 +32,7 @@ func FuzzWALDecode(f *testing.F) {
 			PatientID: "P1", SessionID: "S1", Vertices: mkVerts(0, 3), Samples: 90, AnchorT: 3.1, AnchorPos: []float64{5}},
 		{Type: TypeReplicaPromote, LSN: 7, PatientID: "P1", SessionID: "S1", Samples: 90, AnchorT: 3.1, AnchorPos: []float64{5}, Epoch: 2},
 		{Type: TypeSubUpsert, LSN: 9, Sub: &SubState{
-			ID: "sub-1", PatientID: "P1", SessionID: "S1", Threshold: 2.5, K: 3,
+			ID: "sub-1", PatientID: "P1", SessionID: "S1", Threshold: 2.5,
 			Pattern: mkVerts(0, 3), NextSeq: 4, Delivered: 2,
 			Cursors: []SubCursor{{PatientID: "P1", SessionID: "S1", Len: 7}},
 			Events: []SubEvent{{Seq: 1, PatientID: "P1", SessionID: "S1", Start: 2, N: 3,

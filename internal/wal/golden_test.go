@@ -13,8 +13,8 @@ import (
 	"stsmatch/internal/binfmt"
 )
 
-// goldenDir is a data dir kept as bytes, at snapshot version 5 and
-// segment version 2. Its snapshot (LSN 0x28) holds three open sessions
+// goldenDir is a data dir kept as bytes, at snapshot version 6 and
+// segment version 3. Its snapshot (LSN 0x28) holds three open sessions
 // with anchors (one of 64 dimensions), epochs and followers (none, one,
 // two), two subscriptions (one with cursors and undelivered events), a
 // prepared and a committed migration, a 64-dimension stream, a patient
@@ -24,11 +24,9 @@ import (
 // journaled record type, a promote with a follower among them, and
 // nothing else. want.json is what Open recovers from it.
 //
-// The dir is goldenV4Dir, written by an earlier build at snapshot
-// version 4 and segment version 1, carried to today's versions: each
-// session given an epoch and followers, the promote record a follower,
-// and the segment's replica-snapshot and retired type-8 records, which
-// no writer journals, removed with the later LSNs renumbered.
+// The dir is goldenV5Dir carried to today's versions: the
+// subscriptions' per-evaluation k removed from the snapshot and the
+// segment's subscription record, every other byte re-encoded as it was.
 const goldenDir = "testdata/golden"
 
 // journaled are the record types a node writes to its own log; a
@@ -39,9 +37,10 @@ var journaled = []Type{
 	TypeReplicaPromote, TypeSubUpsert, TypeSubDelete, TypeSubAck, TypeSessionMigrate,
 }
 
-// goldenV4Dir is the data dir goldenDir was carried over from, as that
-// build wrote it; its want.json is what that build recovered.
-const goldenV4Dir = "testdata/golden-v4"
+// goldenV5Dir is the data dir goldenDir was carried over from, as an
+// earlier build wrote it at snapshot version 5 and segment version 2;
+// its want.json is what that build recovered.
+const goldenV5Dir = "testdata/golden-v5"
 
 // dirFiles reads every file of dir but want.json.
 func dirFiles(t *testing.T, dir string) map[string][]byte {
@@ -184,12 +183,12 @@ func TestGoldenDataDirOpensWhole(t *testing.T) {
 	}
 }
 
-// TestGoldenV4DataDirRefused: a data dir an earlier build wrote at
-// snapshot version 4 fails Open with binfmt.ErrVersion, every file left
+// TestGoldenV5DataDirRefused: a data dir an earlier build wrote at
+// snapshot version 5 fails Open with binfmt.ErrVersion, every file left
 // byte for byte as it was — refused, never read as something it is not
 // and never recovered from an older state beside it.
-func TestGoldenV4DataDirRefused(t *testing.T) {
-	work := goldenCopy(t, goldenV4Dir)
+func TestGoldenV5DataDirRefused(t *testing.T) {
+	work := goldenCopy(t, goldenV5Dir)
 	before := dirFiles(t, work)
 	if l, _, err := Open(Options{Dir: work}, nil); !errors.Is(err, binfmt.ErrVersion) {
 		if err == nil {

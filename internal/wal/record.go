@@ -187,7 +187,6 @@ type SubState struct {
 	PatientID string // scope + query provenance; "" = every patient
 	SessionID string // "" = every session of the scoped patient(s)
 	Threshold float64
-	K         uint32
 	Pattern   plr.Sequence
 
 	NextSeq   uint64 // next event sequence number (1-based)
@@ -307,7 +306,6 @@ func appendSubState(b []byte, s *SubState) []byte {
 	b = binfmt.AppendString(b, s.PatientID)
 	b = binfmt.AppendString(b, s.SessionID)
 	b = binfmt.AppendF64(b, s.Threshold)
-	b = binary.AppendUvarint(b, uint64(s.K))
 	b = binfmt.AppendSequence(b, s.Pattern)
 	b = binary.AppendUvarint(b, s.NextSeq)
 	b = binary.AppendUvarint(b, s.Delivered)
@@ -472,7 +470,6 @@ func decodeSubState(d *binfmt.Decoder) *SubState {
 		PatientID: d.Str(),
 		SessionID: d.Str(),
 		Threshold: d.F64(),
-		K:         d.U32(),
 		Pattern:   d.Sequence(),
 		NextSeq:   d.Uvarint(),
 		Delivered: d.Uvarint(),

@@ -74,10 +74,10 @@ type RecoveryResult struct {
 // SubReplayOp is one subscription-relevant event from the WAL tail, in
 // log order. Exactly one of the four shapes is set: Upsert (a
 // registration or replicated re-arm), DeleteID (a deletion), AckID+Ack
-// (a delivery acknowledgement), or PatientID/SessionID/From/To (PLR
+// (a delivery acknowledgement), or PatientID/SessionID/To (PLR
 // vertices applied to a stream while subscriptions were live — the
-// owner re-evaluates windows ending in [From, To) against each
-// registered pattern, clamped by that subscription's cursor).
+// owner re-evaluates the windows ending below To against each
+// registered pattern, from that subscription's cursor on).
 type SubReplayOp struct {
 	Upsert   *SubState
 	DeleteID string
@@ -86,7 +86,7 @@ type SubReplayOp struct {
 
 	PatientID string
 	SessionID string
-	From, To  int
+	To        int
 }
 
 // Open opens (creating if necessary) the write-ahead log in opts.Dir
@@ -468,7 +468,6 @@ func (rs *replayState) appendTail(st *store.Stream, rec Record) error {
 	if len(vs) == 0 {
 		return nil
 	}
-	from := st.Len()
 	if err := st.Append(vs...); err != nil {
 		return err
 	}
@@ -476,8 +475,7 @@ func (rs *replayState) appendTail(st *store.Stream, rec Record) error {
 		rs.subOps = append(rs.subOps, SubReplayOp{
 			PatientID: rec.PatientID,
 			SessionID: rec.SessionID,
-			From:      from,
-			To:        from + len(vs),
+			To:        st.Len(),
 		})
 	}
 	return nil

@@ -32,8 +32,10 @@ import (
 )
 
 const (
-	batchMagic   = "STRB"
-	batchVersion = 1
+	batchMagic = "STRB"
+	// batchVersion 2's subscription records carry no per-evaluation k;
+	// a version-1 batch is refused.
+	batchVersion = 2
 )
 
 // Batch is one replication shipment for a single session.

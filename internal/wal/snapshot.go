@@ -16,8 +16,9 @@ const (
 	// snapVersion is the one snapshot format: header, session manifest
 	// (each session's anchor, epoch and followers), one reserved byte,
 	// standing subscriptions, session migrations, database payload. Any
-	// other version fails Open. Version 4 had no epoch or followers.
-	snapVersion = 5
+	// other version fails Open. Version 4 had no epoch or followers,
+	// version 5's subscriptions carried a per-evaluation k.
+	snapVersion = 6
 )
 
 // SessionState is the durable part of one open ingestion session: the

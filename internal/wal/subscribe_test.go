@@ -13,7 +13,6 @@ func testSubState() *SubState {
 		PatientID: "P1",
 		SessionID: "S1",
 		Threshold: 2.5,
-		K:         3,
 		Pattern:   mkVerts(0, 3),
 		NextSeq:   4,
 		Delivered: 2,
@@ -140,8 +139,8 @@ func TestSubOpsReplayedInLogOrder(t *testing.T) {
 		t.Errorf("op 0 should be the upsert, got %+v", ops[0])
 	}
 	if ops[1].Upsert != nil || ops[1].DeleteID != "" || ops[1].AckID != "" ||
-		ops[1].PatientID != "P1" || ops[1].SessionID != "S1" || ops[1].From != 3 || ops[1].To != 5 {
-		t.Errorf("op 1 should be append boundary [3,5), got %+v", ops[1])
+		ops[1].PatientID != "P1" || ops[1].SessionID != "S1" || ops[1].To != 5 {
+		t.Errorf("op 1 should be the append boundary 5, got %+v", ops[1])
 	}
 	if ops[2].AckID != "sub-1" || ops[2].Ack != 1 {
 		t.Errorf("op 2 should be the ack, got %+v", ops[2])

@@ -43,9 +43,10 @@ import (
 
 const (
 	segMagic = "STWL"
-	// segVersion 2's promote records carry the session's followers;
-	// version 1's did not, and its segments fail Open.
-	segVersion = 2
+	// segVersion 3's subscription records carry no per-evaluation k,
+	// version 2's did and version 1's promote records no followers; the
+	// segments of either fail Open.
+	segVersion = 3
 	segHdrLen  = 4 + 2 + 8
 
 	defaultSegmentMaxBytes = 64 << 20

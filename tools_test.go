@@ -353,8 +353,6 @@ func TestSeqOnlyAtTheAPIEdge(t *testing.T) {
 	allowed := map[string]string{
 		// The offline evaluation harness replays cut points of whole streams.
 		"internal/core/evaluate.go: seq := st.Seq()": "evaluateStream",
-		// A live session's dynamic query is cut from its own stream's tail.
-		"internal/server/server.go: seq := sess.stream.Seq()": "handlePredict, handlePLR",
 	}
 	call := regexp.MustCompile(`\.(Seq|Snapshot)\(\)`)
 	for _, dir := range []string{"internal/core", "internal/subscribe", "internal/server"} {
