@@ -1,9 +1,10 @@
 // Durability wiring: the server opens/recovers the write-ahead log at
 // construction, replays it into the live database, resumes the
 // sessions that were open at the crash (fresh segmenters re-primed
-// from the recovered PLR tail), journals every subsequent mutation
-// through the store's mutation hook, and snapshots periodically plus
-// on graceful shutdown.
+// from the recovered PLR tail), and snapshots periodically plus on
+// graceful shutdown. What is journaled is decided where it is built:
+// each writer (create, ingest, close, promote, subscriptions,
+// migration, and the follower) appends its own records.
 
 package server
 
@@ -77,8 +78,8 @@ type durability struct {
 }
 
 // openDurability recovers (or initializes) the data dir, installs the
-// recovered database as s.db, rebuilds open sessions, and hooks the
-// store so every further mutation is journaled.
+// recovered database as s.db, and rebuilds open sessions and
+// subscriptions.
 func (s *Server) openDurability(initial *store.DB, opts Options) error {
 	log, res, err := wal.Open(wal.Options{
 		Dir:           opts.DataDir,
@@ -119,7 +120,15 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 		}
 		s.open(sess)
 	}
-	s.replaySubscriptions(res)
+	// Re-arm the snapshot's subscriptions, then apply the log tail's
+	// subscription history on top.
+	for i := range res.Subscriptions {
+		st := res.Subscriptions[i]
+		if _, err := s.subs.Register(&st, nil); err != nil {
+			s.log.Warn("could not re-arm subscription", slog.String("id", st.ID), slog.Any("err", err))
+		}
+	}
+	s.applySubOps(context.Background(), res.SubOps)
 
 	// Re-seed migration state. A committed entry is a tombstone (the
 	// session lives elsewhere; stale routes get 410 + redirect). A
@@ -137,7 +146,6 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 		}
 	}
 
-	s.db.SetMutationHook(s.onMutation)
 	s.wal = d
 	if opts.SnapshotEvery > 0 {
 		d.snapStop = make(chan struct{})
@@ -194,30 +202,28 @@ func (s *Server) resumeSession(ss wal.SessionState) (*session, error) {
 	return sess, nil
 }
 
-// replaySubscriptions re-arms the subscriptions persisted in the
-// snapshot, then replays the logged subscription operations — upserts,
-// deletes, acks, and the vertex-append boundaries recorded while any
-// subscription was live — in log order. Because streams are
-// append-only, re-running each incremental evaluation up to its logged
-// boundary re-derives exactly the pre-crash event sequence (same
-// matches, same event sequence numbers), so consumers resuming with
-// Last-Event-ID observe no duplicates and no gaps.
-func (s *Server) replaySubscriptions(res *wal.RecoveryResult) {
-	for i := range res.Subscriptions {
-		st := res.Subscriptions[i]
-		if _, err := s.subs.Register(&st, nil); err != nil {
-			s.log.Warn("could not re-arm subscription",
-				slog.String("id", st.ID), slog.Any("err", err))
-		}
-	}
-	ctx := context.Background()
-	for _, op := range res.SubOps {
+// applySubOps applies subscription history in log order — recovery's
+// log tail and a follower's applied records alike: upserts, deletes,
+// acks, and the vertex-append boundaries recorded while any
+// subscription was live. Because streams are append-only, re-running
+// each incremental evaluation up to its boundary re-derives exactly the
+// event sequence the node that journaled it emitted (same matches, same
+// event sequence numbers), so consumers resuming with Last-Event-ID
+// observe no duplicates and no gaps.
+func (s *Server) applySubOps(ctx context.Context, ops []wal.SubReplayOp) {
+	for _, op := range ops {
 		switch {
 		case op.Upsert != nil:
+			// A subscription spanning several sessions arrives on every
+			// link and is journaled as it came; only the newest copy
+			// (NextSeq is monotone) applies, so a stale duplicate cannot
+			// rewind the event stream.
+			if cur, ok := s.subs.State(op.Upsert.ID); ok && cur.NextSeq > op.Upsert.NextSeq {
+				continue
+			}
 			st := *op.Upsert
 			if _, err := s.subs.Register(&st, nil); err != nil {
-				s.log.Warn("could not re-arm subscription",
-					slog.String("id", st.ID), slog.Any("err", err))
+				s.log.Warn("could not re-arm subscription", slog.String("id", st.ID), slog.Any("err", err))
 			}
 		case op.DeleteID != "":
 			s.subs.Delete(op.DeleteID)
@@ -227,25 +233,6 @@ func (s *Server) replaySubscriptions(res *wal.RecoveryResult) {
 			s.subs.EvalStream(ctx, s.db, op.PatientID, op.SessionID, uint64(op.To))
 		}
 	}
-}
-
-// onMutation is the store hook: translate each mutation into a WAL
-// record. Append errors are sticky in the log; the server keeps
-// serving (availability over durability), and /v1/healthz answers 503
-// from then on.
-func (s *Server) onMutation(m store.Mutation) {
-	var rec wal.Record
-	switch m.Kind {
-	case store.MutPatientUpsert:
-		rec = wal.Record{Type: wal.TypePatientUpsert, Patient: m.Patient}
-	case store.MutStreamOpen:
-		rec = wal.Record{Type: wal.TypeStreamOpen, PatientID: m.PatientID, SessionID: m.SessionID}
-	case store.MutVertexAppend:
-		rec = wal.Record{Type: wal.TypeVertexAppend, PatientID: m.PatientID, SessionID: m.SessionID, Vertices: m.Vertices}
-	default:
-		return
-	}
-	s.walAppend(rec)
 }
 
 // walAppend journals one record, logging the log's first failure.
@@ -306,6 +293,19 @@ func (s *Server) sessionStates() []wal.SessionState {
 		})
 	}
 	return out
+}
+
+// anchorRecord is the session's raw-sample anchor as a record, its
+// position copied so the record can outlive s.mu.
+func (sess *session) anchorRecord() wal.Record {
+	return wal.Record{
+		Type:      wal.TypeSessionAnchor,
+		PatientID: sess.patientID,
+		SessionID: sess.sessionID,
+		Samples:   uint64(sess.samples),
+		AnchorT:   sess.lastT,
+		AnchorPos: append([]float64(nil), sess.lastPos...),
+	}
 }
 
 // ownerRecord journals this node as the session's owner — at create and

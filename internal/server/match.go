@@ -325,13 +325,16 @@ func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 	}
 	replicas := make([]ShardSession, 0, len(s.replicas))
 	for sid, rs := range s.replicas {
+		ss, _ := s.replay.Session(sid)
 		entry := ShardSession{
 			SessionID: sid,
 			PatientID: rs.patientID,
-			Samples:   int(rs.samples),
+			Samples:   int(ss.Samples),
 		}
-		if rs.stream != nil {
-			entry.Vertices = rs.stream.Len()
+		if p := s.db.Patient(rs.patientID); p != nil {
+			if st := p.StreamBySession(sid); st != nil {
+				entry.Vertices = st.Len()
+			}
 		}
 		if rs.cursor.Next > 0 {
 			entry.AppliedSeq = rs.cursor.Next - 1

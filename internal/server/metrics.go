@@ -74,7 +74,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		replApplied: r.Counter("stsmatch_repl_applied_records_total",
 			"Replication records applied as a follower."),
 		replSnapshots: r.Counter("stsmatch_repl_snapshots_total",
-			"Snapshot shipments sent to replicas: every link's first, and catch-up after a gap."),
+			"Catch-up shipments sent to replicas: every link's first, and one after a gap."),
 		replPromotions: r.Counter("stsmatch_repl_promotions_total",
 			"Replica sessions promoted to primary (failovers served)."),
 		migrations: r.Counter("stsmatch_migrations_total",

@@ -2,7 +2,7 @@
 // moves one open session to another shard with zero acked-vertex loss,
 // generalizing the failover machinery into a planned handover. The
 // source adds the target as one more follower link on the session's
-// replicator — snapshot-first, like every link — so every ingest ack, subscription operation and close reaches it
+// replicator — catch-up-first, like every link — so every ingest ack, subscription operation and close reaches it
 // like any replica; it then fences local writes, journals a durable
 // prepare marker, drains the link, promotes the target through the
 // normal epoch-fenced promote path, and finally journals a commit
@@ -314,7 +314,7 @@ func (s *Server) journalMigrationLocked(ctx context.Context, m wal.MigrationStat
 
 // expelMigratedSubsLocked hands in-scope subscriptions over with the
 // migrated session. They reached the target over its link — inside the
-// catch-up snapshot or staged behind it — so the source's copies are
+// catch-up or staged behind it — so the source's copies are
 // dropped: journaled as deletes (no dedicated fsync — resurrection
 // after a crash only leaves an idle armed copy the list dedupe already
 // tolerates), staged as deletes for the retired followers, and

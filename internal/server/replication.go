@@ -1,8 +1,10 @@
 // Replication: a primary ships each replicated session's WAL records
 // to follower shards over POST /v1/replicate, synchronously with the
 // ingest ack, so killing the primary loses no acknowledged vertex as
-// long as one replica survives. Followers apply the records through
-// the store (journaling them into their own WAL) but do not run a
+// long as one replica survives. A follower is recovery over a shipped
+// log: it applies each record with wal.Replay, the interpreter crash
+// recovery uses, and journals it as applied, so its state and its
+// restart are the same function of the same records. It runs no
 // segmenter; POST /v1/sessions/{sid}/promote turns a caught-up replica
 // into the live primary using the same resume path crash recovery
 // uses, fenced against the deposed primary by a bumped epoch.
@@ -11,10 +13,10 @@
 // independently (dense, 1-based, carried in the record's LSN slot), so
 // a follower's wal.Cursor detects drops and reorders without any
 // cross-replica coordination. A link's first shipment, a gap (HTTP 409)
-// and an overflowing pending queue all ship a single
-// TypeReplicaSnapshot record carrying the session's complete state,
-// which re-anchors the follower's cursor. A deposed primary is answered
-// with HTTP 412 (stale epoch) and stops shipping.
+// and an overflowing pending queue all ship a catch-up: the session as
+// the records that built it, led by a stream-open that re-anchors the
+// follower's cursor. A deposed primary is answered with HTTP 412
+// (stale epoch) and stops shipping.
 
 package server
 
@@ -32,7 +34,6 @@ import (
 	"time"
 
 	"stsmatch/internal/obs"
-	"stsmatch/internal/store"
 	"stsmatch/internal/wal"
 )
 
@@ -41,7 +42,7 @@ import (
 const DefaultReplicateTimeout = 5 * time.Second
 
 // maxPendingRecords caps a link's unshipped backlog; past it the link
-// collapses to snapshot catch-up instead of buffering without bound.
+// collapses to catch-up instead of buffering without bound.
 const maxPendingRecords = 1024
 
 // replicator ships one session's records to its followers. Every
@@ -65,11 +66,11 @@ var errFenced = errors.New("fenced by newer epoch")
 
 // replicaLink is one primary→replica shipping lane.
 type replicaLink struct {
-	target   string
-	nextSeq  uint64       // next sequence number to assign (1-based)
-	pending  []wal.Record // enqueued, not yet acknowledged by the replica
-	needSnap bool         // next shipment must be a full snapshot
-	lastErr  string
+	target      string
+	nextSeq     uint64       // next sequence number to assign (1-based)
+	pending     []wal.Record // enqueued, not yet acknowledged by the replica
+	needCatchup bool         // next shipment must be a catch-up
+	lastErr     string
 
 	// handoff marks the link a migration added for its target (see
 	// migration.go): its traffic is counted as migration bytes, and a
@@ -94,7 +95,7 @@ func newReplicator(patientID, sessionID, source string, epoch uint64, followers 
 
 // follow returns the link shipping to target, adding one when none does
 // (handoff marks a migration target's). It is the one place a link is
-// built, and every link starts snapshot-first: its numbering starts at
+// built, and every link starts with a catch-up: its numbering starts at
 // 1, and a follower's cursor drops sequence numbers at or below its own
 // within an epoch as duplicates, so a rebuilt link's (a restarted
 // primary's) incremental records would be acked and discarded.
@@ -106,7 +107,7 @@ func (r *replicator) follow(target string, handoff bool) *replicaLink {
 			return link
 		}
 	}
-	link := &replicaLink{target: target, nextSeq: 1, needSnap: true, handoff: handoff}
+	link := &replicaLink{target: target, nextSeq: 1, needCatchup: true, handoff: handoff}
 	r.links = append(r.links, link)
 	return link
 }
@@ -126,8 +127,8 @@ func (r *replicator) enqueue(recs ...wal.Record) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, link := range r.links {
-		if link.needSnap {
-			// The backlog is superseded by the snapshot the next flush
+		if link.needCatchup {
+			// The backlog is superseded by the catch-up the next flush
 			// ships; buffering more would only be thrown away then.
 			continue
 		}
@@ -138,7 +139,7 @@ func (r *replicator) enqueue(recs ...wal.Record) {
 		}
 		if len(link.pending) > maxPendingRecords {
 			link.pending = nil
-			link.needSnap = true
+			link.needCatchup = true
 		}
 	}
 }
@@ -161,8 +162,8 @@ type ReplLinkStatus struct {
 	// link's in-flight backlog in records.
 	ShippedSeq uint64 `json:"shippedSeq"`
 	AckedSeq   uint64 `json:"ackedSeq"`
-	// SnapshotPending marks a link collapsed to snapshot catch-up: the
-	// next shipment re-anchors the follower with full session state.
+	// SnapshotPending marks a link collapsed to catch-up: the next
+	// shipment re-anchors the follower with the session's records.
 	SnapshotPending bool   `json:"snapshotPending,omitempty"`
 	LastError       string `json:"lastError,omitempty"`
 }
@@ -178,7 +179,7 @@ func (r *replicator) linkStatuses() []ReplLinkStatus {
 			Target:          link.target,
 			ShippedSeq:      shipped,
 			AckedSeq:        shipped - uint64(len(link.pending)),
-			SnapshotPending: link.needSnap,
+			SnapshotPending: link.needCatchup,
 			LastError:       link.lastErr,
 		})
 	}
@@ -186,14 +187,14 @@ func (r *replicator) linkStatuses() []ReplLinkStatus {
 }
 
 // lag returns the largest unacknowledged backlog across links. A link
-// in snapshot catch-up counts as one pending shipment.
+// awaiting catch-up counts as one pending shipment.
 func (r *replicator) lag() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	most := 0
 	for _, link := range r.links {
 		n := len(link.pending)
-		if link.needSnap {
+		if link.needCatchup {
 			n++
 		}
 		if n > most {
@@ -205,7 +206,7 @@ func (r *replicator) lag() int {
 
 // flush synchronously ships every link's backlog and returns one error
 // string per link that could not be brought current. Callers must NOT
-// hold s.mu: snapshot catch-up re-acquires it to read session state.
+// hold s.mu: a catch-up re-acquires it to read session state.
 // The context carries the request's trace and request ID across the
 // shipments, so a synchronous replication stall shows up as repl.ship
 // spans inside the ingest trace.
@@ -241,7 +242,7 @@ func (s *Server) replFlush(ctx context.Context, r *replicator) []string {
 }
 
 // flushLink brings one link current: ships the pending backlog, or a
-// full snapshot when the link needs catch-up.
+// catch-up when the link needs one.
 func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink) error {
 	link.shipMu.Lock()
 	defer link.shipMu.Unlock()
@@ -249,8 +250,8 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 	for attempt := 0; attempt < 2; attempt++ {
 		var batch wal.Batch
 		r.mu.Lock()
-		needSnap := link.needSnap
-		if !needSnap {
+		catchup := link.needCatchup
+		if !catchup {
 			if len(link.pending) == 0 {
 				r.mu.Unlock()
 				return nil
@@ -258,11 +259,11 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 			batch = r.batch(append([]wal.Record(nil), link.pending...))
 		}
 		r.mu.Unlock()
-		if needSnap {
+		if catchup {
 			var ok bool
-			batch, ok = s.snapshotBatch(r, link)
+			batch, ok = s.catchupBatch(r, link)
 			if !ok {
-				return errors.New("session gone before snapshot catch-up")
+				return errors.New("session gone before catch-up")
 			}
 			s.met.replSnapshots.Inc()
 		}
@@ -282,7 +283,7 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 			}
 			link.pending = kept
 			link.lastErr = ""
-			retry := len(link.pending) > 0 || link.needSnap
+			retry := len(link.pending) > 0 || link.needCatchup
 			r.mu.Unlock()
 			s.met.replShipped.Add(len(batch.Records))
 			if link.handoff {
@@ -293,9 +294,9 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 			}
 			continue // ship the records that arrived mid-flight
 		case err == nil && status == http.StatusConflict:
-			// Sequence gap on the replica: catch up with a snapshot.
+			// Sequence gap on the replica: catch it up.
 			r.mu.Lock()
-			link.needSnap = true
+			link.needCatchup = true
 			link.pending = nil
 			r.mu.Unlock()
 			continue
@@ -313,8 +314,8 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 				err = fmt.Errorf("replica answered %d", status)
 			}
 			r.mu.Lock()
-			if needSnap {
-				link.needSnap = true // the snapshot never landed
+			if catchup {
+				link.needCatchup = true // the catch-up never landed
 			}
 			link.lastErr = err.Error()
 			r.mu.Unlock()
@@ -322,53 +323,44 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 			return err
 		}
 	}
-	return errors.New("replica still behind after snapshot catch-up")
+	return errors.New("replica still behind after catch-up")
 }
 
-// snapshotBatch builds a single-record snapshot shipment carrying the
-// session's complete state. It holds s.mu (then r.mu) so no enqueue
-// can slip a record between the state read and the backlog reset —
-// every staged-then-discarded record's effect is inside the snapshot.
-func (s *Server) snapshotBatch(r *replicator, link *replicaLink) (wal.Batch, bool) {
+// catchupBatch builds a catch-up shipment: the session as the records
+// that built it — stream-open, patient-upsert, one vertex-append holding
+// the whole stream (none while it is empty) and the anchor — then the
+// sub-upserts of the subscriptions in scope, so a fresh (or lapsed)
+// follower arms them before any incremental append and a later promote
+// needs no other protocol. It holds s.mu (then r.mu) so no enqueue can
+// slip a record between the state read and the backlog reset: every
+// staged-then-discarded record's effect is inside the catch-up.
+func (s *Server) catchupBatch(r *replicator, link *replicaLink) (wal.Batch, bool) {
 	s.lock()
 	defer s.mu.Unlock()
 	sess, ok := s.sessions[r.sessionID]
 	if !ok {
 		return wal.Batch{}, false
 	}
-	var info store.PatientInfo
-	if p := s.db.Patient(r.patientID); p != nil {
-		info = p.Info
+	recs := []wal.Record{
+		{Type: wal.TypeStreamOpen, PatientID: r.patientID, SessionID: r.sessionID},
+		{Type: wal.TypePatientUpsert, Patient: s.db.Patient(r.patientID).Info},
 	}
-	view := sess.stream.ScanView("") // its copy for the encoder goes with the batch
-	snap := wal.Record{
-		Type:      wal.TypeReplicaSnapshot,
-		Patient:   info,
-		PatientID: r.patientID,
-		SessionID: r.sessionID,
-		Vertices:  view.Window(0, view.Len()),
-		Samples:   uint64(sess.samples),
-		AnchorT:   sess.lastT,
-		AnchorPos: append([]float64(nil), sess.lastPos...),
+	if view := sess.stream.ScanView(""); view.Len() > 0 { // its copy for the encoder goes with the batch
+		recs = append(recs, wal.Record{Type: wal.TypeVertexAppend, PatientID: r.patientID, SessionID: r.sessionID,
+			Vertices: view.Window(0, view.Len())})
 	}
-	// Ship the standing subscriptions scoped to this session along with
-	// the snapshot, so a fresh (or lapsed) follower arms them before any
-	// incremental appends arrive — a later promote then already has the
-	// subscription state without any extra catch-up protocol.
-	subs := s.subs.StatesInScope(r.patientID, r.sessionID)
+	recs = append(recs, sess.anchorRecord())
+	for _, st := range s.subs.StatesInScope(r.patientID, r.sessionID) {
+		recs = append(recs, wal.Record{Type: wal.TypeSubUpsert, Sub: &st})
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	snap.LSN = link.nextSeq
-	link.nextSeq++
-	recs := make([]wal.Record, 0, 1+len(subs))
-	recs = append(recs, snap)
-	for i := range subs {
-		rec := wal.Record{Type: wal.TypeSubUpsert, Sub: &subs[i], LSN: link.nextSeq}
+	for i := range recs {
+		recs[i].LSN = link.nextSeq
 		link.nextSeq++
-		recs = append(recs, rec)
 	}
 	link.pending = nil
-	link.needSnap = false
+	link.needCatchup = false
 	return r.batch(recs), true
 }
 
@@ -386,7 +378,7 @@ func (r *replicator) batch(recs []wal.Record) wal.Batch {
 
 // shipBatch POSTs one encoded batch to a replica's /v1/replicate. A
 // traced caller gets a "repl.ship" span per shipment (target, record
-// count, snapshot-or-incremental, status), and the trace context plus
+// count, catch-up or incremental, status), and the trace context plus
 // request ID propagate to the follower, so one ingest's trace spans
 // primary and replicas alike.
 func (s *Server) shipBatch(ctx context.Context, target string, b wal.Batch) (status, sent int, err error) {
@@ -395,8 +387,8 @@ func (s *Server) shipBatch(ctx context.Context, target string, b wal.Batch) (sta
 	sp.Annotate("target", target)
 	sp.Annotate("sessionId", b.SessionID)
 	sp.Annotate("records", len(b.Records))
-	if len(b.Records) == 1 && b.Records[0].Type == wal.TypeReplicaSnapshot {
-		sp.Annotate("snapshot", true)
+	if b.Records[0].Type == wal.TypeStreamOpen {
+		sp.Annotate("catchup", true)
 	}
 	payload := wal.EncodeBatch(b)
 	status, _, err = s.callPeer(sctx, target+"/v1/replicate", "application/octet-stream", payload)
@@ -429,16 +421,11 @@ func (s *Server) callPeer(ctx context.Context, url, ctype string, body []byte) (
 	return resp.StatusCode, data, err
 }
 
-// replicaState is a follower's view of one replicated session: the
-// stream data lives in the database (and the follower's own WAL); this
-// tracks the cursor and the prediction anchor needed for promotion.
+// replicaState is a follower's position in one session it follows: the
+// session's stream is in the database and its anchor in s.replay.
 type replicaState struct {
 	patientID string
 	cursor    wal.Cursor
-	stream    *store.Stream
-	samples   uint64
-	lastT     float64
-	lastPos   []float64
 }
 
 // ReplicateResponse acknowledges an applied batch.
@@ -448,7 +435,11 @@ type ReplicateResponse struct {
 	Applied int    `json:"applied"`
 }
 
-// handleReplicate is the follower half of log shipping.
+// handleReplicate is the follower half of log shipping: recovery over a
+// shipped log. The records the cursor accepts are applied with
+// s.replay and journaled as applied — verbatim, but a vertex-append
+// holding only the vertices it added — then their subscription history
+// is applied as recovery applies it.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	capBody(w, r)
 	data, err := io.ReadAll(r.Body)
@@ -468,6 +459,13 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if b.SessionID == "" || b.PatientID == "" {
 		httpError(w, http.StatusBadRequest, errors.New("batch missing session or patient ID"))
 		return
+	}
+	for _, rec := range b.Records {
+		// Ownership is decided by this node's own records alone.
+		if rec.Type == wal.TypeReplicaPromote || rec.Type == wal.TypeSessionMigrate {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("a link never ships a %s record", rec.Type))
+			return
+		}
 	}
 
 	s.lock()
@@ -496,21 +494,36 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	var applyErr error
 	for _, rec := range apply {
-		if err := s.applyReplicated(rs, rec); err != nil {
-			// The cursor has advanced past this record; a local apply
-			// failure (e.g. non-advancing vertices) means divergence we
-			// cannot hide. Force the primary to resend a snapshot.
-			rs.cursor = wal.Cursor{Epoch: rs.cursor.Epoch}
-			httpError(w, http.StatusConflict, fmt.Errorf("applying replicated record: %w", err))
-			return
+		var applied wal.Record
+		applied, applyErr = s.replay.Apply(rec)
+		// What landed is journaled, a refused vertex-append's prefix too.
+		if len(applied.Vertices) > 0 || applyErr == nil && applied.Type != wal.TypeVertexAppend {
+			s.walAppendCtx(r.Context(), applied)
+		}
+		if applyErr != nil {
+			break
+		}
+		if rec.Type == wal.TypeSessionClose {
+			delete(s.replicas, rec.SessionID)
 		}
 	}
-	s.met.replApplied.Add(len(apply))
-	// Evaluate standing queries against the replicated appends so a
-	// promoted follower already holds the same buffered events (same
-	// sequence numbers) the primary derived.
+	s.applySubOps(r.Context(), s.replay.TakeSubOps())
+	// Appends the interpreter recorded no boundary for (it knew of no
+	// live subscription) are evaluated here, so a promoted follower
+	// holds the same buffered events (same sequence numbers) the
+	// primary derived.
 	s.subs.Drain(r.Context(), s.db)
+	if applyErr != nil {
+		// The cursor has advanced past this record; a local apply failure
+		// (e.g. non-advancing vertices) means divergence we cannot hide.
+		// Force the primary to send a catch-up.
+		rs.cursor = wal.Cursor{Epoch: rs.cursor.Epoch}
+		httpError(w, http.StatusConflict, fmt.Errorf("applying replicated record: %w", applyErr))
+		return
+	}
+	s.met.replApplied.Add(len(apply))
 	writeJSON(w, http.StatusOK, ReplicateResponse{
 		NextSeq: rs.cursor.Next,
 		Epoch:   rs.cursor.Epoch,
@@ -518,109 +531,9 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// applyReplicated applies one shipped record to the follower's store.
-// A link ships a replica snapshot first, then vertex appends, anchors,
-// the close and subscription records; it never ships a patient upsert
-// or a stream open. Mutations flow through the store hook, so a durable
-// follower journals them into its own WAL exactly like local writes.
-func (s *Server) applyReplicated(rs *replicaState, rec wal.Record) error {
-	switch rec.Type {
-	case wal.TypeVertexAppend:
-		st, err := s.replicaStream(rs, rec.PatientID, rec.SessionID)
-		if err != nil {
-			return err
-		}
-		return st.Append(rec.Vertices...)
-	case wal.TypeSessionAnchor:
-		rs.samples = rec.Samples
-		rs.lastT = rec.AnchorT
-		rs.lastPos = append(rs.lastPos[:0], rec.AnchorPos...)
-		return nil
-	case wal.TypeSessionClose:
-		delete(s.replicas, rec.SessionID)
-		return nil
-	case wal.TypeReplicaSnapshot:
-		if rec.Patient.ID == rec.PatientID && rec.PatientID != "" && s.db.Patient(rec.PatientID) == nil {
-			if _, err := s.db.AddPatient(rec.Patient); err != nil {
-				return err
-			}
-		}
-		st, err := s.replicaStream(rs, rec.PatientID, rec.SessionID)
-		if err != nil {
-			return err
-		}
-		// Append only the vertices past our current tail: a snapshot
-		// re-ships the whole stream, and Append rejects regressions.
-		if vs := wal.TailAfter(st, rec.Vertices); len(vs) > 0 {
-			if err := st.Append(vs...); err != nil {
-				return err
-			}
-		}
-		rs.samples = rec.Samples
-		rs.lastT = rec.AnchorT
-		rs.lastPos = append(rs.lastPos[:0], rec.AnchorPos...)
-		return nil
-	case wal.TypeSubUpsert:
-		if rec.Sub == nil {
-			return errors.New("replicated sub-upsert without state")
-		}
-		// A subscription spanning several replicated sessions arrives on
-		// every link; apply only the newest copy (NextSeq is monotone) so
-		// a stale duplicate cannot rewind the follower's event stream.
-		if cur, ok := s.subs.State(rec.Sub.ID); ok && cur.NextSeq > rec.Sub.NextSeq {
-			return nil
-		}
-		st := *rec.Sub
-		if _, err := s.subs.Register(&st, nil); err != nil {
-			return fmt.Errorf("arming replicated subscription %q: %w", st.ID, err)
-		}
-		s.walAppend(wal.Record{Type: wal.TypeSubUpsert, Sub: &st})
-		return nil
-	case wal.TypeSubDelete:
-		if s.subs.Delete(rec.SubID) {
-			s.walAppend(wal.Record{Type: wal.TypeSubDelete, SubID: rec.SubID})
-		}
-		return nil
-	case wal.TypeSubAck:
-		if s.subs.Ack(rec.SubID, rec.SubAck) {
-			s.walAppend(wal.Record{Type: wal.TypeSubAck, SubID: rec.SubID, SubAck: rec.SubAck})
-		}
-		return nil
-	default:
-		// Any other type is ignored rather than rejected, for forward
-		// compatibility.
-		return nil
-	}
-}
-
-// replicaStream returns (creating if needed) the follower-side stream
-// for a replicated session. A created stream is immediately journaled
-// as closed, so a follower restart recovers the data as history
-// instead of resurrecting the session as a live primary.
-func (s *Server) replicaStream(rs *replicaState, patientID, sessionID string) (*store.Stream, error) {
-	if rs.stream != nil {
-		return rs.stream, nil
-	}
-	p := s.db.Patient(patientID)
-	if p == nil {
-		var err error
-		p, err = s.db.AddPatient(store.PatientInfo{ID: patientID})
-		if err != nil {
-			return nil, err
-		}
-	}
-	st := p.StreamBySession(sessionID)
-	if st == nil {
-		st = p.AddStream(sessionID)
-		s.walAppend(wal.Record{Type: wal.TypeSessionClose, SessionID: sessionID})
-	}
-	rs.stream = st
-	return st, nil
-}
-
 // PromoteRequest turns a replica into the live primary for a session.
 // Replicate lists the new primary's own replica targets (the surviving
-// members of the placement); they are brought current via snapshot.
+// members of the placement); they are brought current via catch-up.
 type PromoteRequest struct {
 	Replicate []string `json:"replicate,omitempty"`
 }
@@ -652,16 +565,14 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	sess, live := s.sessions[sid]
 	if !live {
 		rs, ok := s.replicas[sid]
-		if !ok || rs.stream == nil {
+		ss, seen := s.replay.Session(sid)
+		if !ok || !seen {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no replica state for session %q", sid))
 			return
 		}
+		ss.Epoch, ss.Followers = rs.cursor.Epoch+1, req.Replicate
 		var err error
-		sess, err = s.resumeSession(wal.SessionState{
-			PatientID: rs.patientID, SessionID: sid,
-			Samples: rs.samples, LastT: rs.lastT, LastPos: rs.lastPos,
-			Epoch: rs.cursor.Epoch + 1, Followers: req.Replicate,
-		})
+		sess, err = s.resumeSession(ss)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, fmt.Errorf("resuming replica: %w", err))
 			return
@@ -674,6 +585,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		delete(s.replicas, sid)
+		s.replay.Forget(sid)
 		s.open(sess)
 		s.met.replPromotions.Inc()
 		s.log.Info("session promoted to primary",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -193,7 +194,7 @@ func TestReplLagGaugeReportsWorstLink(t *testing.T) {
 }
 
 // TestReplicateEndpointGapAndFencing drives /v1/replicate directly:
-// a gap answers 409 without applying anything, a snapshot re-anchors,
+// a gap answers 409 without applying anything, a catch-up re-anchors,
 // and a stale epoch answers 412.
 func TestReplicateEndpointGapAndFencing(t *testing.T) {
 	srv, ts := newReplServer(t, Options{})
@@ -219,8 +220,8 @@ func TestReplicateEndpointGapAndFencing(t *testing.T) {
 		return wal.Batch{Source: "http://primary", SessionID: "SG", PatientID: "PG",
 			Epoch: epoch, FirstSeq: firstSeq, Records: recs}
 	}
-	// Every link opens with a snapshot at seq 1.
-	open := wal.Record{Type: wal.TypeReplicaSnapshot, PatientID: "PG", SessionID: "SG"}
+	// Every link opens with a catch-up, led by a stream-open, at seq 1.
+	open := wal.Record{Type: wal.TypeStreamOpen, PatientID: "PG", SessionID: "SG"}
 
 	// Contiguous from scratch: accepted.
 	resp := post(batch(1, 1, open, wal.Record{Type: wal.TypeVertexAppend, PatientID: "PG", SessionID: "SG", Vertices: verts(0, 3)}))
@@ -242,25 +243,25 @@ func TestReplicateEndpointGapAndFencing(t *testing.T) {
 		t.Fatalf("gapped batch applied records: %d -> %d vertices", before, got)
 	}
 
-	// Snapshot catch-up at an arbitrary sequence: accepted, re-anchors.
-	snap := wal.Record{Type: wal.TypeReplicaSnapshot, PatientID: "PG", SessionID: "SG",
-		Vertices: verts(0, 6), Samples: 60, AnchorT: 5, AnchorPos: []float64{5}}
-	resp = post(batch(1, 40, snap))
+	// Catch-up at an arbitrary sequence: accepted, re-anchors.
+	whole := wal.Record{Type: wal.TypeVertexAppend, PatientID: "PG", SessionID: "SG", Vertices: verts(0, 6)}
+	anchor := wal.Record{Type: wal.TypeSessionAnchor, PatientID: "PG", SessionID: "SG",
+		Samples: 60, AnchorT: 5, AnchorPos: []float64{5}}
+	resp = post(batch(1, 40, open, whole, anchor))
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot batch status %d", resp.StatusCode)
+		t.Fatalf("catch-up batch status %d", resp.StatusCode)
 	}
-	if ack := decode[ReplicateResponse](t, resp); ack.NextSeq != 41 {
-		t.Fatalf("post-snapshot nextSeq = %d, want 41", ack.NextSeq)
+	if ack := decode[ReplicateResponse](t, resp); ack.NextSeq != 43 {
+		t.Fatalf("post-catch-up nextSeq = %d, want 43", ack.NextSeq)
 	}
 	if got := srv.db.NumVertices(); got != 6 {
-		t.Fatalf("snapshot left %d vertices, want 6", got)
+		t.Fatalf("catch-up left %d vertices, want 6", got)
 	}
 
 	// Stale epoch after the follower saw epoch 1 via... bump epoch first.
-	snap2 := snap
-	snap2.Vertices = verts(0, 7)
-	if resp := post(batch(3, 1, snap2)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("epoch-3 snapshot status %d", resp.StatusCode)
+	whole.Vertices = verts(0, 7)
+	if resp := post(batch(3, 1, open, whole, anchor)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("epoch-3 catch-up status %d", resp.StatusCode)
 	}
 	resp = post(batch(2, 50, wal.Record{Type: wal.TypeVertexAppend, PatientID: "PG", SessionID: "SG", Vertices: verts(20, 1)}))
 	if resp.StatusCode != http.StatusPreconditionFailed {
@@ -347,10 +348,10 @@ func TestPromoteFailsOver(t *testing.T) {
 	}
 }
 
-// TestPromotedPrimaryLeadsWithSnapshot: a promoted primary given new
-// replica targets brings them current via snapshot, so a second
+// TestPromotedPrimaryLeadsWithCatchup: a promoted primary given new
+// replica targets brings them current via catch-up, so a second
 // failover would lose nothing either.
-func TestPromotedPrimaryLeadsWithSnapshot(t *testing.T) {
+func TestPromotedPrimaryLeadsWithCatchup(t *testing.T) {
 	_, replicaB := newReplServer(t, Options{})
 	_, replicaC := newReplServer(t, Options{})
 	_, primary := newReplServer(t, Options{AdvertiseURL: "http://primary"})
@@ -366,7 +367,7 @@ func TestPromotedPrimaryLeadsWithSnapshot(t *testing.T) {
 	ingestBatches(t, primary.URL, "S01", samples[:half], 256)
 
 	// Promote B with C as its new replica: C starts empty and must be
-	// caught up by snapshot.
+	// caught up.
 	resp = postJSON(t, replicaB.URL+"/v1/sessions/S01/promote", PromoteRequest{Replicate: []string{replicaC.URL}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("promote status %d", resp.StatusCode)
@@ -389,10 +390,41 @@ func TestPromotedPrimaryLeadsWithSnapshot(t *testing.T) {
 	bStats, _ := getJSON[ShardStatsResponse](t, replicaB.URL+"/v1/shard/stats")
 	cStats, _ := getJSON[ShardStatsResponse](t, replicaC.URL+"/v1/shard/stats")
 	if cStats.Vertices != bStats.Vertices {
-		t.Fatalf("snapshot catch-up left C at %d vertices, B has %d", cStats.Vertices, bStats.Vertices)
+		t.Fatalf("catch-up left C at %d vertices, B has %d", cStats.Vertices, bStats.Vertices)
 	}
 	if len(cStats.Replicas) != 1 || cStats.Replicas[0].SessionID != "S01" {
 		t.Fatalf("C inventory = %+v", cStats.Replicas)
+	}
+}
+
+// TestBatchVersion2Refused: a batch an earlier build shipped (version 2,
+// a catch-up led by the retired type 6) is answered 400 and nothing of
+// it is applied or journaled.
+func TestBatchVersion2Refused(t *testing.T) {
+	raw, err := os.ReadFile("../wal/testdata/batch-v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	srv, ts := newDurableServer(t, dir)
+	resp, err := http.Post(ts.URL+"/v1/replicate", "application/octet-stream", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("version-2 batch: status %d, want 400", resp.StatusCode)
+	}
+	stats, _ := getJSON[ShardStatsResponse](t, ts.URL+"/v1/shard/stats")
+	if stats.Patients != 0 || stats.Vertices != 0 || len(stats.Replicas) != 0 {
+		t.Fatalf("a refused batch was applied: %+v", stats)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, again := newDurableServer(t, dir)
+	if after, _ := getJSON[StatsResponse](t, again.URL+"/v1/stats"); after.Patients != 0 || after.Vertices != 0 {
+		t.Fatalf("a refused batch was journaled: %+v", after)
 	}
 }
 
@@ -401,7 +433,7 @@ func TestPromotedPrimaryLeadsWithSnapshot(t *testing.T) {
 func TestReplicateAllowlist(t *testing.T) {
 	_, ts := newReplServer(t, Options{ReplicateFrom: []string{"http://trusted"}})
 	b := wal.Batch{Source: "http://stranger", SessionID: "SX", PatientID: "PX", Epoch: 1, FirstSeq: 1,
-		Records: []wal.Record{{Type: wal.TypeReplicaSnapshot, PatientID: "PX", SessionID: "SX"}}}
+		Records: []wal.Record{{Type: wal.TypeStreamOpen, PatientID: "PX", SessionID: "SX"}}}
 	resp, err := http.Post(ts.URL+"/v1/replicate", "application/octet-stream",
 		bytes.NewReader(wal.EncodeBatch(b)))
 	if err != nil {
@@ -410,6 +442,32 @@ func TestReplicateAllowlist(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("untrusted source status %d, want 403", resp.StatusCode)
+	}
+}
+
+// TestReplicateRefusesOwnershipRecords: a batch holding a promote or a
+// migration record is answered 400 and nothing of it is applied: a
+// follower journals what it applies, and such a record would make a
+// restart resume the session as this node's.
+func TestReplicateRefusesOwnershipRecords(t *testing.T) {
+	srv, ts := newReplServer(t, Options{})
+	for _, rec := range []wal.Record{
+		{Type: wal.TypeReplicaPromote, PatientID: "PX", SessionID: "SX", Epoch: 1},
+		{Type: wal.TypeSessionMigrate, PatientID: "PX", SessionID: "SX", Target: "http://b", Phase: wal.MigratePrepare},
+	} {
+		b := wal.Batch{Source: "http://primary", SessionID: "SX", PatientID: "PX", Epoch: 1, FirstSeq: 1,
+			Records: []wal.Record{{Type: wal.TypeStreamOpen, PatientID: "PX", SessionID: "SX"}, rec}}
+		resp, err := http.Post(ts.URL+"/v1/replicate", "application/octet-stream", bytes.NewReader(wal.EncodeBatch(b)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("batch with a %s record: status %d, want 400", rec.Type, resp.StatusCode)
+		}
+	}
+	if n := srv.db.NumPatients(); n != 0 {
+		t.Errorf("a refused batch was applied: %d patients", n)
 	}
 }
 
@@ -448,15 +506,19 @@ func TestFollowerRestartRecoversReplicaAsHistory(t *testing.T) {
 // restartable is a durable node that restarts in place: one listener,
 // and so one advertised URL, in front of whichever *Server is current.
 type restartable struct {
-	t   *testing.T
-	dir string
-	ts  *httptest.Server
-	srv atomic.Pointer[Server]
+	t     *testing.T
+	dir   string
+	peers http.RoundTripper // Options.ReplicateTransport; nil for the default
+	ts    *httptest.Server
+	srv   atomic.Pointer[Server]
 }
 
-func newRestartable(t *testing.T) *restartable {
+func newRestartable(t *testing.T, peers ...http.RoundTripper) *restartable {
 	t.Helper()
 	n := &restartable{t: t, dir: t.TempDir()}
+	if len(peers) > 0 {
+		n.peers = peers[0]
+	}
 	n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n.srv.Load().ServeHTTP(w, r)
 	}))
@@ -469,7 +531,7 @@ func newRestartable(t *testing.T) *restartable {
 func (n *restartable) start() {
 	n.t.Helper()
 	srv, err := NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), Options{
-		DataDir: n.dir, AdvertiseURL: n.ts.URL,
+		DataDir: n.dir, AdvertiseURL: n.ts.URL, ReplicateTransport: n.peers,
 	})
 	if err != nil {
 		n.t.Fatal(err)

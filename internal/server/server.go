@@ -30,9 +30,10 @@
 // A request body is exactly one JSON value: trailing bytes other than
 // whitespace are a 400, a body over DefaultMaxBodyBytes a 413.
 //
-// With Options.DataDir set, every mutation is journaled to a
-// write-ahead log and compacted into snapshots (see internal/wal); a
-// restarted server recovers the database and resumes open sessions.
+// With Options.DataDir set, every handler journals the records it
+// builds to a write-ahead log, compacted into snapshots (see
+// internal/wal); a restarted server recovers the database and resumes
+// open sessions.
 //
 // Every route is instrumented through internal/obs: request counts by
 // status class, latency histograms, an in-flight gauge, and
@@ -88,9 +89,11 @@ type Server struct {
 	col *obs.Collector
 
 	// Replication (see replication.go): sessions this node follows as
-	// a replica (guarded by mu), this node's advertised URL, and the
-	// source allowlist for /v1/replicate.
+	// a replica and the interpreter applying their records (both
+	// guarded by mu), this node's advertised URL, and the source
+	// allowlist for /v1/replicate.
 	replicas  map[string]*replicaState
+	replay    *wal.Replay
 	advertise string
 	replFrom  []string
 
@@ -185,11 +188,11 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 			return nil, err
 		}
 	}
+	s.replay = wal.NewReplay(s.db)
 	liveServer.Store(s)
 	// Appends buffer deltas for standing-query evaluation; the ingest
 	// and replication paths drain them synchronously under s.mu, so
-	// event order is deterministic. Added after the WAL hook, so a
-	// vertex is journaled before a standing query can match it.
+	// event order is deterministic, after journaling the append.
 	s.db.AddMutationHook(s.subs.OnMutation)
 	s.matchers.New = func() any {
 		// params were validated above; the error path is unreachable.
@@ -311,10 +314,10 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // createSession performs the locked portion of session creation: the
-// session opens here at epoch 1, journaled as its owner's record beside
-// the open's own, and its links start snapshot-first, so the first
-// flush carries the patient and the empty stream. It returns the
-// replicator to flush.
+// session opens here at epoch 1, journaled as a patient-upsert (for a
+// new patient), a stream-open and its owner's promote, and its links
+// start with a catch-up, so the first flush carries the patient and the
+// empty stream. It returns the replicator to flush.
 func (s *Server) createSession(req CreateSessionRequest) (*replicator, int, error) {
 	s.lock()
 	defer s.mu.Unlock()
@@ -328,6 +331,7 @@ func (s *Server) createSession(req CreateSessionRequest) (*replicator, int, erro
 		if err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
+		s.walAppend(wal.Record{Type: wal.TypePatientUpsert, Patient: p.Info})
 	}
 	if p.StreamBySession(req.SessionID) != nil {
 		return nil, http.StatusConflict, fmt.Errorf("session %q already stored", req.SessionID)
@@ -343,6 +347,7 @@ func (s *Server) createSession(req CreateSessionRequest) (*replicator, int, erro
 		stream:    p.AddStream(req.SessionID),
 		repl:      newReplicator(req.PatientID, req.SessionID, s.advertise, 1, req.Replicate),
 	}
+	s.walAppend(wal.Record{Type: wal.TypeStreamOpen, PatientID: req.PatientID, SessionID: req.SessionID})
 	s.walAppend(sess.ownerRecord())
 	s.open(sess)
 	return sess.repl, 0, nil
@@ -421,10 +426,12 @@ func writeSamplesAck(w http.ResponseWriter, resp SamplesResponse) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ingestLocked runs one ingest batch under the session lock and stages
-// the resulting records on the session's replica links. The returned
-// replicator must be flushed by the caller after the lock is released.
-// Status 404 (no such session) and 503 (fenced) mean nothing was stored.
+// ingestLocked runs one ingest batch under the session lock, journals
+// the records it builds (one vertex-append holding every vertex that
+// landed, the anchor) and stages the same records on the session's
+// replica links. The returned replicator must be flushed by the caller
+// after the lock is released. Status 404 (no such session) and 503
+// (fenced) mean nothing was stored.
 func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn) (SamplesResponse, *replicator, int, error) {
 	s.lock()
 	defer s.mu.Unlock()
@@ -439,6 +446,7 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 			fmt.Errorf("session %q is migrating; retry shortly", sid)
 	}
 	resp := SamplesResponse{}
+	start := sess.stream.Len()
 	var newVs []plr.Vertex
 	var pushErr error
 	var pushCode int
@@ -450,6 +458,9 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 			break
 		}
 		if err := sess.stream.Append(vs...); err != nil {
+			// The prefix the stream took before refusing is stored, so
+			// it is journaled and shipped too.
+			newVs = append(newVs, vs[:sess.stream.Len()-start-len(newVs)]...)
 			pushErr = err
 			pushCode = http.StatusInternalServerError
 			break
@@ -463,37 +474,33 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 	}
 	s.met.samplesIn.Add(resp.Accepted)
 	s.met.verticesOut.Add(resp.NewVertices)
-	// Evaluate standing queries against the windows the new vertices
-	// just closed — synchronously, still under s.mu, so every
-	// subscription observes appends in exactly ingest order.
-	s.subs.Drain(ctx, s.db)
-	anchor := wal.Record{
-		Type:      wal.TypeSessionAnchor,
-		PatientID: sess.patientID,
-		SessionID: sess.sessionID,
-		Samples:   uint64(sess.samples),
-		AnchorT:   sess.lastT,
-		AnchorPos: sess.lastPos,
+	// Journal the vertices before evaluating standing queries, so a
+	// vertex is journaled before a standing query can match it. Then
+	// evaluate the windows they just closed — synchronously, still under
+	// s.mu, so every subscription observes appends in exactly ingest
+	// order.
+	appended := wal.Record{Type: wal.TypeVertexAppend, PatientID: sess.patientID, SessionID: sess.sessionID, Vertices: newVs}
+	if len(newVs) > 0 {
+		s.walAppendCtx(ctx, appended)
 	}
-	if s.wal != nil && resp.Accepted > 0 {
-		// Journal the raw-sample anchor so a recovered session predicts
-		// from exactly the newest pre-crash observation.
+	s.subs.Drain(ctx, s.db)
+	var anchor wal.Record
+	if resp.Accepted > 0 {
+		// The raw-sample anchor, so a recovered or promoted session
+		// predicts from exactly the newest observation.
+		anchor = sess.anchorRecord()
 		s.walAppendCtx(ctx, anchor)
 	}
-	if resp.Accepted > 0 && !sess.repl.idle() {
-		// Stage everything this call stored — including partial progress
+	if !sess.repl.idle() {
+		// Stage exactly what was journaled — including partial progress
 		// before an error — so replicas never trail what we kept.
 		recs := make([]wal.Record, 0, 2)
 		if len(newVs) > 0 {
-			recs = append(recs, wal.Record{
-				Type:      wal.TypeVertexAppend,
-				PatientID: sess.patientID,
-				SessionID: sess.sessionID,
-				Vertices:  append([]plr.Vertex(nil), newVs...),
-			})
+			recs = append(recs, appended)
 		}
-		anchor.AnchorPos = append([]float64(nil), anchor.AnchorPos...)
-		recs = append(recs, anchor)
+		if resp.Accepted > 0 {
+			recs = append(recs, anchor)
+		}
 		sess.repl.enqueue(recs...)
 	}
 	if pushErr != nil {

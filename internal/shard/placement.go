@@ -60,7 +60,7 @@ func newPlacements(backends []string, replicas int) *placements {
 // was failed over away from, healthy or not. A deposed node holds the
 // epoch it lost and would fence every shipment. An unhealthy owner
 // costs each ack a replica error while it is down and is caught up
-// snapshot-first once back; leaving it out would leave the session a
+// once back; leaving it out would leave the session a
 // follower short for good.
 func followers(owners []string, primary string, deposed []string) []string {
 	out := make([]string, 0, len(owners))

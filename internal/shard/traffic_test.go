@@ -87,10 +87,11 @@ func journaledTypes(t *testing.T, dir string, into map[wal.Type]int) {
 // every data dir's segments are read before anything closes the node
 // (a graceful Close snapshots and compacts them away).
 //
-// A link opens with a replica snapshot, which a follower applies through
-// its store hook, so the log sees the patient, stream and vertices it
-// creates and never the snapshot. No primary ships a patient upsert or a
-// stream open.
+// A link opens with a catch-up made of the session's own records
+// (stream-open, patient-upsert, vertex-append, anchor, sub-upserts), and
+// a follower journals what it applies as it came, so every type a link
+// ships is also a journaled type. Only owners journal promotes and
+// migration records, and no link ships one.
 func TestRecordTraffic(t *testing.T) {
 	rec := &trafficRecorder{t: t, inner: &frame.Transport{}, shipped: map[wal.Type]int{}}
 	t.Cleanup(rec.inner.Close)
@@ -176,7 +177,7 @@ func TestRecordTraffic(t *testing.T) {
 		want   []wal.Type // in type order
 	}{
 		{"shipped", shipped, []wal.Type{
-			wal.TypeVertexAppend, wal.TypeSessionClose, wal.TypeSessionAnchor, wal.TypeReplicaSnapshot,
+			wal.TypePatientUpsert, wal.TypeStreamOpen, wal.TypeVertexAppend, wal.TypeSessionClose, wal.TypeSessionAnchor,
 			wal.TypeSubUpsert, wal.TypeSubDelete, wal.TypeSubAck,
 		}},
 		{"journaled", journaled, []wal.Type{
@@ -190,6 +191,11 @@ func TestRecordTraffic(t *testing.T) {
 		}
 		if slices.Sort(got); !slices.Equal(got, set.want) {
 			t.Errorf("%s record types %v, want %v (counts %v)", set.name, got, set.want, set.counts)
+		}
+	}
+	for typ := range shipped {
+		if journaled[typ] == 0 {
+			t.Errorf("links ship %s records, which no node journals", typ)
 		}
 	}
 }

@@ -7,12 +7,11 @@ import (
 )
 
 // TestMutationHookChaining pins the multi-hook contract: AddMutationHook
-// chains observers in installation order, SetMutationHook replaces the
-// whole set, and nil clears it.
+// chains observers in installation order, and a nil hook adds nothing.
 func TestMutationHookChaining(t *testing.T) {
 	db := NewDB()
 	var order []string
-	db.SetMutationHook(func(m Mutation) { order = append(order, "a:"+kindName(m.Kind)) })
+	db.AddMutationHook(func(m Mutation) { order = append(order, "a:"+kindName(m.Kind)) })
 	db.AddMutationHook(func(m Mutation) { order = append(order, "b:"+kindName(m.Kind)) })
 
 	p, err := db.AddPatient(PatientInfo{ID: "P1"})
@@ -38,26 +37,12 @@ func TestMutationHookChaining(t *testing.T) {
 		}
 	}
 
-	// Set replaces both; nil clears.
+	// A nil hook is not installed.
 	order = nil
-	db.SetMutationHook(func(m Mutation) { order = append(order, "c") })
+	db.AddMutationHook(nil)
 	p.AddStream("S2")
-	if len(order) != 1 || order[0] != "c" {
-		t.Fatalf("after SetMutationHook: calls = %v, want [c]", order)
-	}
-	order = nil
-	db.SetMutationHook(nil)
-	p.AddStream("S3")
-	if len(order) != 0 {
-		t.Fatalf("after clearing hooks: calls = %v, want none", order)
-	}
-
-	// AddMutationHook on a clean DB works without a prior Set.
-	order = nil
-	db.AddMutationHook(func(m Mutation) { order = append(order, "d") })
-	p.AddStream("S4")
-	if len(order) != 1 || order[0] != "d" {
-		t.Fatalf("Add without Set: calls = %v, want [d]", order)
+	if len(order) != 2 {
+		t.Fatalf("after adding nil: calls = %v, want a and b only", order)
 	}
 }
 

@@ -47,7 +47,7 @@ type Mutation struct {
 	Vertices  []plr.Vertex // MutVertexAppend
 }
 
-// MutationHook observes store mutations (the write-ahead-log seam).
+// MutationHook observes store mutations (standing queries' seam).
 // Hooks run synchronously on the mutating goroutine, while the
 // mutated stream's lock is held, so they must be fast and must not
 // call back into the store.
@@ -484,24 +484,11 @@ func NewDB() *DB {
 	return &DB{byID: make(map[string]*Patient), hook: &hookRef{}}
 }
 
-// SetMutationHook installs the hook observing every mutation of this
-// database, including streams that already exist, replacing any hooks
-// installed earlier (nil removes them all). The write-ahead log uses
-// this seam to journal patient-upserts, stream-opens and
-// vertex-appends without the store knowing about files.
-func (db *DB) SetMutationHook(h MutationHook) {
-	if h == nil {
-		db.hook.fns.Store(nil)
-		return
-	}
-	db.hook.fns.Store(&[]MutationHook{h})
-}
-
-// AddMutationHook appends a hook to the set installed on this
-// database, preserving the ones already there. Hooks run in
-// installation order, synchronously, under the same contract as
-// SetMutationHook; the signature index chains onto the WAL hook this
-// way.
+// AddMutationHook appends a hook to the set observing every mutation
+// of this database, including streams that already exist, preserving
+// the ones already there. Hooks run in installation order,
+// synchronously, under MutationHook's contract; standing-query
+// evaluation observes appends this way.
 func (db *DB) AddMutationHook(h MutationHook) {
 	if h == nil {
 		return

@@ -405,7 +405,7 @@ func TestStreamsDuringAddStream(t *testing.T) {
 func TestMutationHookObservesAllKinds(t *testing.T) {
 	db := NewDB()
 	var got []Mutation
-	db.SetMutationHook(func(m Mutation) {
+	db.AddMutationHook(func(m Mutation) {
 		// Vertices alias the caller's slice only for the call; copy.
 		m.Vertices = append([]plr.Vertex(nil), m.Vertices...)
 		got = append(got, m)
@@ -441,7 +441,7 @@ func TestMutationHookObservesAllKinds(t *testing.T) {
 }
 
 func TestMutationHookCoversPreexistingStreams(t *testing.T) {
-	// Installing the hook after recovery must still journal appends to
+	// Installing the hook after recovery must still observe appends to
 	// streams created before installation.
 	db := NewDB()
 	p, err := db.AddPatient(PatientInfo{ID: "P1"})
@@ -451,21 +451,12 @@ func TestMutationHookCoversPreexistingStreams(t *testing.T) {
 	st := p.AddStream("S1")
 
 	var kinds []MutationKind
-	db.SetMutationHook(func(m Mutation) { kinds = append(kinds, m.Kind) })
+	db.AddMutationHook(func(m Mutation) { kinds = append(kinds, m.Kind) })
 	if err := st.Append(seqFromStates("E")...); err != nil {
 		t.Fatal(err)
 	}
 	if len(kinds) != 1 || kinds[0] != MutVertexAppend {
 		t.Errorf("kinds = %v, want [MutVertexAppend]", kinds)
-	}
-
-	// Removing the hook silences it again.
-	db.SetMutationHook(nil)
-	if err := st.Append(plr.Vertex{T: 100, Pos: []float64{0}, State: plr.EX}); err != nil {
-		t.Fatal(err)
-	}
-	if len(kinds) != 1 {
-		t.Error("mutation emitted after hook removal")
 	}
 }
 
@@ -494,7 +485,7 @@ func TestMutationHookReportsPartialAppend(t *testing.T) {
 		}
 		st := p.AddStream("S1")
 		var appended int
-		db.SetMutationHook(func(m Mutation) {
+		db.AddMutationHook(func(m Mutation) {
 			if m.Kind == MutVertexAppend {
 				appended += len(m.Vertices)
 			}

@@ -213,7 +213,7 @@ func (m *Manager) Delete(id string) bool {
 // immediately instead of waiting out a heartbeat. This is the
 // migration-handoff path, not a consumer-visible deletion: the
 // subscription lives on at the session's new home (it was shipped
-// inside the catch-up snapshot), and a woken gateway proxy re-resolves
+// inside the catch-up), and a woken gateway proxy re-resolves
 // the placement and resumes the stream there from its Last-Event-ID.
 func (m *Manager) Expel(id string) bool {
 	m.mu.Lock()
@@ -488,7 +488,7 @@ func (m *Manager) States() []wal.SubState {
 
 // StatesInScope returns the durable state of every subscription whose
 // scope covers the given stream, in registration order — the records a
-// primary ships so a follower re-arms them (snapshot catch-up path).
+// primary ships so a follower re-arms them (the catch-up path).
 func (m *Manager) StatesInScope(patientID, sessionID string) []wal.SubState {
 	m.mu.Lock()
 	defer m.mu.Unlock()

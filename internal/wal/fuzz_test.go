@@ -28,8 +28,6 @@ func FuzzWALDecode(f *testing.F) {
 		{Type: TypeVertexAppend, LSN: 3, PatientID: "P1", SessionID: "S1", Vertices: mkVerts(0, 4)},
 		{Type: TypeSessionAnchor, LSN: 4, PatientID: "P1", SessionID: "S1", Samples: 120, AnchorT: 4.2, AnchorPos: []float64{7}},
 		{Type: TypeSessionClose, LSN: 5, SessionID: "S1"},
-		{Type: TypeReplicaSnapshot, LSN: 6, Patient: store.PatientInfo{ID: "P1", Class: "calm", Age: 50},
-			PatientID: "P1", SessionID: "S1", Vertices: mkVerts(0, 3), Samples: 90, AnchorT: 3.1, AnchorPos: []float64{5}},
 		{Type: TypeReplicaPromote, LSN: 7, PatientID: "P1", SessionID: "S1", Samples: 90, AnchorT: 3.1, AnchorPos: []float64{5}, Epoch: 2},
 		{Type: TypeSubUpsert, LSN: 9, Sub: &SubState{
 			ID: "sub-1", PatientID: "P1", SessionID: "S1", Threshold: 2.5,
@@ -46,6 +44,7 @@ func FuzzWALDecode(f *testing.F) {
 		stream = appendFrame(stream, encodePayload(rec))
 	}
 	f.Add(stream)
+	f.Add(appendFrame(nil, []byte{6, 6, 0, 0}))  // the retired type 6 is torn
 	f.Add(appendFrame(nil, []byte{8, 8, 9, 24})) // the retired type 8 is torn
 	f.Add(stream[:len(stream)/2])
 	f.Add(stream[1:])
@@ -98,13 +97,12 @@ func FuzzWALDecode(f *testing.F) {
 // ever apply records out of order or leave a hole — the core
 // gap-detection safety property.
 func FuzzReplicationBatch(f *testing.F) {
-	snap := Record{Type: TypeReplicaSnapshot, Patient: store.PatientInfo{ID: "P1"},
-		PatientID: "P1", SessionID: "S1", Vertices: mkVerts(0, 2), Samples: 30, AnchorT: 1.0}
+	open := Record{Type: TypeStreamOpen, PatientID: "P1", SessionID: "S1"}
 	vtx := Record{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S1", Vertices: mkVerts(2, 2)}
 	base := Batch{Source: "http://a", SessionID: "S1", PatientID: "P1", Epoch: 1, FirstSeq: 1,
 		Records: []Record{vtx, vtx}}
 	f.Add(EncodeBatch(base), uint64(0), uint64(0))
-	f.Add(EncodeBatch(Batch{SessionID: "S1", Epoch: 2, FirstSeq: 5, Records: []Record{snap, vtx}}), uint64(3), uint64(1))
+	f.Add(EncodeBatch(Batch{SessionID: "S1", Epoch: 2, FirstSeq: 5, Records: []Record{open, vtx}}), uint64(3), uint64(1))
 	f.Add(EncodeBatch(Batch{SessionID: "S1", Epoch: 1, FirstSeq: 9, Records: []Record{vtx}}), uint64(3), uint64(1))
 	f.Add([]byte("STRB"), uint64(0), uint64(0))
 	f.Add([]byte{}, uint64(7), uint64(2))
@@ -143,13 +141,13 @@ func FuzzReplicationBatch(f *testing.F) {
 		}
 		// Applied records must be strictly increasing, contiguous after
 		// each anchor point, and never behind the pre-batch cursor
-		// except where a snapshot explicitly re-anchored it.
+		// except where a catch-up's stream-open re-anchored it.
 		want := before.Next
 		if want == 0 {
 			want = 1
 		}
 		for i, rec := range apply {
-			if rec.Type == TypeReplicaSnapshot {
+			if rec.Type == TypeStreamOpen {
 				want = rec.LSN + 1
 				continue
 			}

@@ -29,9 +29,9 @@ import (
 // segment's subscription record, every other byte re-encoded as it was.
 const goldenDir = "testdata/golden"
 
-// journaled are the record types a node writes to its own log; a
-// replica snapshot travels on the wire only. The traffic test in
-// internal/shard pins the same set.
+// journaled are the record types a node writes to its own log, which
+// hold every type a link ships. The traffic test in internal/shard
+// pins the same set.
 var journaled = []Type{
 	TypePatientUpsert, TypeStreamOpen, TypeVertexAppend, TypeSessionClose, TypeSessionAnchor,
 	TypeReplicaPromote, TypeSubUpsert, TypeSubDelete, TypeSubAck, TypeSessionMigrate,

@@ -12,43 +12,33 @@ import (
 	"stsmatch/internal/store"
 )
 
-// Type identifies a WAL record. The first four are the store/session
-// mutations named in the durability design; SessionAnchor additionally
-// persists each ingest batch's raw-sample anchor so a recovered
-// session predicts from exactly the pre-crash observation.
+// Type identifies a WAL record. A node journals the records its
+// writers build and those it follows; a link ships a subset of them,
+// and Replay interprets both (DESIGN §8).
 type Type uint8
 
 // The WAL record types.
 const (
 	TypePatientUpsert Type = 1 // patient created (or metadata updated)
-	TypeStreamOpen    Type = 2 // session stream created under a patient
-	TypeVertexAppend  Type = 3 // PLR vertices appended to a stream
+	TypeStreamOpen    Type = 2 // session stream created under a patient; a link's catch-up starts with one
+	TypeVertexAppend  Type = 3 // PLR vertices appended to a stream: one ingest request's, or a catch-up's whole stream
 	TypeSessionClose  Type = 4 // ingestion session closed
-	TypeSessionAnchor Type = 5 // latest raw observation of an open session
+	TypeSessionAnchor Type = 5 // latest raw observation of a session, owned or followed
 
-	// Replication record types. A replica snapshot rides only in
-	// replication batches (Batch); a promote only in the owner's log.
-
-	// TypeReplicaSnapshot carries one session's full replicated state:
-	// patient info, the complete PLR sequence, and the raw-sample
-	// anchor. A primary sends it as the first record of every link and
-	// to a follower whose cursor has a gap (catch-up). It is wire-only:
-	// a follower journals what applying it changes through the store
-	// hook, never the record itself.
-	TypeReplicaSnapshot Type = 6
+	// Types 6 and 8 are retired, their numbers never reused: 6 carried
+	// a session's whole state on the wire only (a catch-up is the
+	// session's own records now; DecodeBatch refuses the batch version
+	// that held one), 8 the window-signature index configuration (no
+	// data dir Open accepts can hold one).
 
 	// TypeReplicaPromote marks the node journaling it as the session's
 	// owner: at create (epoch 1, beside the open's own records) and when
-	// a replica is promoted to primary. Recovery treats it like a
-	// session-open with the embedded anchor, epoch and followers, so a
-	// node that restarts later resumes the session as primary and ships
-	// to the same followers at the same epoch. Epoch fences zombie
+	// a replica is promoted to primary. A session is owned on a node iff
+	// its last ownership record there is a promote, so a node that
+	// restarts later resumes it as primary from the embedded anchor and
+	// ships to the same followers at the same epoch. Epoch fences zombie
 	// primaries: batches with a lower epoch are rejected by followers.
 	TypeReplicaPromote Type = 7
-
-	// Type 8 is retired: it carried the window-signature index
-	// configuration. No data dir Open accepts can hold one, and the
-	// number is never reused.
 
 	// Standing-subscription record types (PR 8). A subscription's
 	// events are a deterministic function of (pattern, stream content,
@@ -61,7 +51,7 @@ const (
 
 	// TypeSubUpsert registers (or, replicated, re-arms) a standing
 	// subscription, carrying its full durable state: pattern, scope,
-	// threshold/k, per-stream cursors, event numbering and any
+	// threshold, per-stream cursors, event numbering and any
 	// undelivered events. Journaled and fsynced before the create is
 	// acknowledged.
 	TypeSubUpsert Type = 9
@@ -122,8 +112,6 @@ func (t Type) String() string {
 		return "session-close"
 	case TypeSessionAnchor:
 		return "session-anchor"
-	case TypeReplicaSnapshot:
-		return "replica-snapshot"
 	case TypeReplicaPromote:
 		return "replica-promote"
 	case TypeSubUpsert:
@@ -145,14 +133,14 @@ type Record struct {
 	Type Type
 	LSN  uint64
 
-	Patient   store.PatientInfo // TypePatientUpsert, TypeReplicaSnapshot
-	PatientID string            // TypeStreamOpen, TypeVertexAppend, TypeSessionAnchor, TypeReplicaSnapshot, TypeReplicaPromote
+	Patient   store.PatientInfo // TypePatientUpsert
+	PatientID string            // TypeStreamOpen, TypeVertexAppend, TypeSessionAnchor, TypeReplicaPromote
 	SessionID string            // all but TypePatientUpsert
-	Vertices  plr.Sequence      // TypeVertexAppend, TypeReplicaSnapshot
+	Vertices  plr.Sequence      // TypeVertexAppend
 
-	Samples   uint64    // TypeSessionAnchor, TypeReplicaSnapshot, TypeReplicaPromote
-	AnchorT   float64   // TypeSessionAnchor, TypeReplicaSnapshot, TypeReplicaPromote
-	AnchorPos []float64 // TypeSessionAnchor, TypeReplicaSnapshot, TypeReplicaPromote
+	Samples   uint64    // TypeSessionAnchor, TypeReplicaPromote
+	AnchorT   float64   // TypeSessionAnchor, TypeReplicaPromote
+	AnchorPos []float64 // TypeSessionAnchor, TypeReplicaPromote
 
 	// Epoch is the replication fencing term (TypeReplicaPromote): each
 	// promotion increments it, and followers reject batches from lower
@@ -267,12 +255,6 @@ func encodePayload(rec Record) []byte {
 	case TypeSessionAnchor:
 		b = binfmt.AppendString(b, rec.PatientID)
 		b = binfmt.AppendString(b, rec.SessionID)
-		b = appendAnchor(b, rec.Samples, rec.AnchorT, rec.AnchorPos)
-	case TypeReplicaSnapshot:
-		b = appendPatient(b, rec.Patient)
-		b = binfmt.AppendString(b, rec.PatientID)
-		b = binfmt.AppendString(b, rec.SessionID)
-		b = binfmt.AppendSequence(b, rec.Vertices)
 		b = appendAnchor(b, rec.Samples, rec.AnchorT, rec.AnchorPos)
 	case TypeReplicaPromote:
 		b = binfmt.AppendString(b, rec.PatientID)
@@ -407,12 +389,6 @@ func decodePayload(b []byte) (Record, error) {
 		rec.PatientID = d.Str()
 		rec.SessionID = d.Str()
 		rec.Samples, rec.AnchorT, rec.AnchorPos = decodeAnchor(&d)
-	case TypeReplicaSnapshot:
-		rec.Patient = decodePatient(&d)
-		rec.PatientID = d.Str()
-		rec.SessionID = d.Str()
-		rec.Vertices = d.Sequence()
-		rec.Samples, rec.AnchorT, rec.AnchorPos = decodeAnchor(&d)
 	case TypeReplicaPromote:
 		rec.PatientID = d.Str()
 		rec.SessionID = d.Str()
@@ -437,8 +413,8 @@ func decodePayload(b []byte) (Record, error) {
 	return rec, torn(d.Finish())
 }
 
-// appendPatient serializes the patient fields of a patient-upsert or
-// replica-snapshot record.
+// appendPatient serializes the patient fields of a patient-upsert
+// record.
 func appendPatient(b []byte, p store.PatientInfo) []byte {
 	b = binfmt.AppendString(b, p.ID)
 	b = binfmt.AppendString(b, p.Class)
@@ -446,8 +422,7 @@ func appendPatient(b []byte, p store.PatientInfo) []byte {
 	return binary.AppendUvarint(b, uint64(p.Age))
 }
 
-// decodePatient parses the patient fields of a patient-upsert or
-// replica-snapshot record.
+// decodePatient parses the patient fields of a patient-upsert record.
 func decodePatient(d *binfmt.Decoder) store.PatientInfo {
 	return store.PatientInfo{ID: d.Str(), Class: d.Str(), TumorSite: d.Str(), Age: int(d.Uvarint())}
 }

@@ -45,9 +45,6 @@ type RecoveryResult struct {
 	// BytesTruncated is how many bytes of torn log were cut off.
 	BytesTruncated int64
 
-	// SegmentsScanned is how many log segments replay visited.
-	SegmentsScanned int
-
 	// Subscriptions are the standing subscriptions materialized in the
 	// loaded snapshot. SubOps then replays the WAL tail's
 	// subscription-relevant history on top: the caller seeds its
@@ -147,20 +144,15 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 	snapLSN := snap.LSN
 	res.SnapshotLSN = snapLSN
 
-	rs := &replayState{
-		db:         db,
-		idx:        make(map[string]int),
-		subs:       make(map[string]bool),
-		migrations: make(map[string]MigrationState),
-	}
+	rp := NewReplay(db)
 	for _, ss := range snap.Sessions {
-		rs.open(ss)
+		rp.own(ss)
 	}
 	for i := range snap.Subs {
-		rs.subs[snap.Subs[i].ID] = true
+		rp.subs[snap.Subs[i].ID] = true
 	}
 	for _, m := range snap.Migrations {
-		rs.migrations[m.SessionID] = m
+		rp.migrations[m.SessionID] = m
 	}
 
 	// Replay segments in LSN order, verifying checksums and LSN
@@ -181,8 +173,7 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 			return nil, nil, fmt.Errorf("wal: gap in log: segment %s starts at LSN %d but %d is next; refusing to replay over missing records",
 				segmentName(first), first, nextLSN)
 		}
-		end, last, err := replaySegment(filepath.Join(opts.Dir, segmentName(first)), first, snapLSN, rs, res)
-		res.SegmentsScanned++
+		end, last, err := replaySegment(filepath.Join(opts.Dir, segmentName(first)), first, snapLSN, rp, res)
 		if last >= nextLSN {
 			nextLSN = last + 1
 		}
@@ -205,12 +196,12 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 		}
 	}
 	l.nextLSN = nextLSN
-	res.Sessions = rs.list()
-	res.RecordsReplayed = rs.applied
+	res.Sessions = rp.owned()
+	res.RecordsReplayed = rp.applied
 	res.DB = db
 	res.Subscriptions = snap.Subs
-	res.SubOps = rs.subOps
-	res.Migrations = rs.migrationList()
+	res.SubOps = rp.TakeSubOps()
+	res.Migrations = rp.migrationList()
 
 	// Reopen the tail segment for appending, or start the first one. A
 	// tail whose own header was torn (crash between segment creation
@@ -261,7 +252,7 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 // is torn at that offset (safe to truncate there); any other error —
 // I/O failure, unsupported version — means the data may be intact and
 // the caller must not truncate.
-func replaySegment(path string, nameLSN, snapLSN uint64, rs *replayState, res *RecoveryResult) (int64, uint64, error) {
+func replaySegment(path string, nameLSN, snapLSN uint64, rp *Replay, res *RecoveryResult) (int64, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
@@ -304,7 +295,7 @@ func replaySegment(path string, nameLSN, snapLSN uint64, rs *replayState, res *R
 			return offset, last, fmt.Errorf("%w: LSN %d, expected %d", ErrTorn, rec.LSN, expect)
 		}
 		if rec.LSN >= snapLSN {
-			if err := rs.apply(rec); err != nil {
+			if _, err := rp.Apply(rec); err != nil {
 				return offset, last, fmt.Errorf("%w: applying %s: %v", ErrTorn, rec.Type, err)
 			}
 		}
@@ -314,178 +305,209 @@ func replaySegment(path string, nameLSN, snapLSN uint64, rs *replayState, res *R
 	}
 }
 
-// replayState rebuilds the database and the open-session set from
-// records. Application is tolerant of replays that overlap the
-// snapshot: existing patients/streams are reused and vertices that do
-// not advance a stream are skipped.
-type replayState struct {
+// Replay is the one interpreter of records: recovery replays a data dir
+// through it and a follower applies every shipped record with it, so a
+// node's state is one function of the records it has seen. A session it
+// has seen is owned iff its last ownership record is a promote (or the
+// snapshot manifest lists it), followed otherwise; a close drops it.
+// Records overlapping the database apply idempotently.
+type Replay struct {
 	db         *store.DB
-	sessions   []SessionState
-	idx        map[string]int            // sessionID -> index in sessions, -1 when closed
-	subs       map[string]bool           // live subscription IDs (snapshot-seeded)
-	subOps     []SubReplayOp             // subscription-relevant history, log order
-	migrations map[string]MigrationState // surviving migration states (snapshot-seeded)
+	sessions   map[string]*replaySession
+	owners     []*replaySession          // in the order sessions came to be owned
+	subs       map[string]bool           // live subscription IDs
+	subOps     []SubReplayOp             // subscription history not yet taken, log order
+	migrations map[string]MigrationState // surviving migration states
 	applied    uint64
 }
 
-func (rs *replayState) open(ss SessionState) {
-	if i, ok := rs.idx[ss.SessionID]; ok && i >= 0 {
-		return
+// replaySession is a session Replay has seen, owned or followed.
+type replaySession struct {
+	SessionState
+	owned bool
+}
+
+// NewReplay returns an interpreter of records applying them to db.
+func NewReplay(db *store.DB) *Replay {
+	return &Replay{db: db, sessions: map[string]*replaySession{}, subs: map[string]bool{}, migrations: map[string]MigrationState{}}
+}
+
+// session returns the entry of sessionID, adding a followed one.
+func (r *Replay) session(patientID, sessionID string) *replaySession {
+	rs := r.sessions[sessionID]
+	if rs == nil {
+		rs = &replaySession{SessionState: SessionState{PatientID: patientID, SessionID: sessionID}}
+		r.sessions[sessionID] = rs
 	}
-	rs.idx[ss.SessionID] = len(rs.sessions)
-	rs.sessions = append(rs.sessions, ss)
+	return rs
+}
+
+// own records ss as owned here; an owned session keeps its place.
+func (r *Replay) own(ss SessionState) {
+	rs := r.session(ss.PatientID, ss.SessionID)
+	if !rs.owned {
+		rs.owned = true
+		r.owners = append(r.owners, rs)
+	}
+	rs.SessionState = ss
+}
+
+// owned returns the owned sessions in the order they came to be owned:
+// an entry dropped since (closed, migrated away) is not in sessions.
+func (r *Replay) owned() []SessionState {
+	out := make([]SessionState, 0, len(r.owners))
+	for _, rs := range r.owners {
+		if r.sessions[rs.SessionID] == rs {
+			out = append(out, rs.SessionState)
+		}
+	}
+	return out
+}
+
+// Session returns a session seen and not closed since: the anchor a
+// promoted follower resumes from.
+func (r *Replay) Session(sessionID string) (SessionState, bool) {
+	if rs, ok := r.sessions[sessionID]; ok {
+		return rs.SessionState, true
+	}
+	return SessionState{}, false
+}
+
+// Forget drops a followed session once it is promoted here.
+func (r *Replay) Forget(sessionID string) { delete(r.sessions, sessionID) }
+
+// TakeSubOps returns the subscription history applied since the last
+// call, in log order, and forgets it.
+func (r *Replay) TakeSubOps() []SubReplayOp {
+	ops := r.subOps
+	r.subOps = nil
+	return ops
 }
 
 // migrationList returns the surviving migration states sorted by
 // session ID, so recovery output is deterministic.
-func (rs *replayState) migrationList() []MigrationState {
-	out := make([]MigrationState, 0, len(rs.migrations))
-	for _, m := range rs.migrations {
+func (r *Replay) migrationList() []MigrationState {
+	out := make([]MigrationState, 0, len(r.migrations))
+	for _, m := range r.migrations {
 		out = append(out, m)
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].SessionID < out[b].SessionID })
 	return out
 }
 
-// list returns the open sessions in open order. A session closed and
-// opened again (a follower's stream, then its promote) is listed once,
-// at its last open.
-func (rs *replayState) list() []SessionState {
-	out := make([]SessionState, 0, len(rs.sessions))
-	for i, ss := range rs.sessions {
-		if rs.idx[ss.SessionID] == i {
-			out = append(out, ss)
+// stream returns a session's stream, adding it (and a bare patient).
+func (r *Replay) stream(patientID, sessionID string) (*store.Stream, error) {
+	p := r.db.Patient(patientID)
+	if p == nil {
+		var err error
+		if p, err = r.db.AddPatient(store.PatientInfo{ID: patientID}); err != nil {
+			return nil, err
 		}
 	}
-	return out
-}
-
-func (rs *replayState) patient(id string) (*store.Patient, error) {
-	if p := rs.db.Patient(id); p != nil {
-		return p, nil
+	if st := p.StreamBySession(sessionID); st != nil {
+		return st, nil
 	}
-	return rs.db.AddPatient(store.PatientInfo{ID: id})
+	return p.AddStream(sessionID), nil
 }
 
-func (rs *replayState) apply(rec Record) error {
-	rs.applied++
+// Apply interprets one record and returns it as applied: a vertex
+// append carries only the vertices it added to the stream (those that
+// landed before an error too), any other record is returned as it came.
+func (r *Replay) Apply(rec Record) (Record, error) {
+	r.applied++
 	switch rec.Type {
 	case TypePatientUpsert:
-		p := rs.db.Patient(rec.Patient.ID)
-		if p == nil {
-			_, err := rs.db.AddPatient(rec.Patient)
-			return err
+		if p := r.db.Patient(rec.Patient.ID); p != nil {
+			p.Info = rec.Patient
+		} else if _, err := r.db.AddPatient(rec.Patient); err != nil {
+			return rec, err
 		}
-		p.Info = rec.Patient
 	case TypeStreamOpen:
-		p, err := rs.patient(rec.PatientID)
-		if err != nil {
-			return err
+		// A create journals a promote beside it; a follower does not.
+		if _, err := r.stream(rec.PatientID, rec.SessionID); err != nil {
+			return rec, err
 		}
-		if p.StreamBySession(rec.SessionID) == nil {
-			p.AddStream(rec.SessionID)
-		}
-		rs.open(SessionState{PatientID: rec.PatientID, SessionID: rec.SessionID})
+		r.session(rec.PatientID, rec.SessionID)
 	case TypeVertexAppend:
-		p, err := rs.patient(rec.PatientID)
+		st, err := r.stream(rec.PatientID, rec.SessionID)
 		if err != nil {
-			return err
+			return rec, err
 		}
-		st := p.StreamBySession(rec.SessionID)
-		if st == nil {
-			st = p.AddStream(rec.SessionID)
-		}
-		return rs.appendTail(st, rec)
+		return r.appendTail(st, rec)
 	case TypeSessionClose:
-		if i, ok := rs.idx[rec.SessionID]; ok && i >= 0 {
-			rs.idx[rec.SessionID] = -1
-		}
+		delete(r.sessions, rec.SessionID)
 	case TypeSessionAnchor:
-		if i, ok := rs.idx[rec.SessionID]; ok && i >= 0 {
-			rs.sessions[i].Samples = rec.Samples
-			rs.sessions[i].LastT = rec.AnchorT
-			rs.sessions[i].LastPos = rec.AnchorPos
-		}
-	case TypeReplicaPromote:
-		// This node owns the session, from its create or a promotion:
-		// (re)open it with the record's anchor, epoch and followers so a
-		// later restart resumes it as primary, shipping where it did. A
-		// session that migrated away and came back sheds its tombstone —
-		// this node owns it again.
-		delete(rs.migrations, rec.SessionID)
-		rs.open(SessionState{PatientID: rec.PatientID, SessionID: rec.SessionID})
-		ss := &rs.sessions[rs.idx[rec.SessionID]]
+		ss := &r.session(rec.PatientID, rec.SessionID).SessionState
 		ss.Samples, ss.LastT, ss.LastPos = rec.Samples, rec.AnchorT, rec.AnchorPos
-		ss.Epoch, ss.Followers = rec.Epoch, rec.Followers
+	case TypeReplicaPromote:
+		// Owned from its create or a promotion, resumed at the record's
+		// anchor, epoch and followers. A session that migrated away and
+		// came back sheds its tombstone.
+		delete(r.migrations, rec.SessionID)
+		r.own(SessionState{
+			PatientID: rec.PatientID, SessionID: rec.SessionID,
+			Samples: rec.Samples, LastT: rec.AnchorT, LastPos: rec.AnchorPos,
+			Epoch: rec.Epoch, Followers: rec.Followers,
+		})
 	case TypeSubUpsert:
 		if rec.Sub == nil {
-			return fmt.Errorf("sub-upsert without state")
+			return rec, fmt.Errorf("sub-upsert without state")
 		}
-		rs.subs[rec.Sub.ID] = true
-		rs.subOps = append(rs.subOps, SubReplayOp{Upsert: rec.Sub})
+		r.subs[rec.Sub.ID] = true
+		r.subOps = append(r.subOps, SubReplayOp{Upsert: rec.Sub})
 	case TypeSubDelete:
-		delete(rs.subs, rec.SubID)
-		rs.subOps = append(rs.subOps, SubReplayOp{DeleteID: rec.SubID})
+		delete(r.subs, rec.SubID)
+		r.subOps = append(r.subOps, SubReplayOp{DeleteID: rec.SubID})
 	case TypeSubAck:
-		if rs.subs[rec.SubID] {
-			rs.subOps = append(rs.subOps, SubReplayOp{AckID: rec.SubID, Ack: rec.SubAck})
+		if r.subs[rec.SubID] {
+			r.subOps = append(r.subOps, SubReplayOp{AckID: rec.SubID, Ack: rec.SubAck})
 		}
 	case TypeSessionMigrate:
+		m := MigrationState{SessionID: rec.SessionID, PatientID: rec.PatientID,
+			Target: rec.Target, Epoch: rec.Epoch, Phase: rec.Phase}
 		switch rec.Phase {
 		case MigratePrepare:
-			// The session stays open (it resumes fenced on the source);
+			// The session stays owned (it resumes fenced on the source);
 			// the prepare marks the cutover as re-drivable.
-			rs.migrations[rec.SessionID] = MigrationState{
-				SessionID: rec.SessionID, PatientID: rec.PatientID,
-				Target: rec.Target, Epoch: rec.Epoch, Phase: MigratePrepare,
-			}
+			r.migrations[rec.SessionID] = m
 		case MigrateCommit:
-			// The target is primary now: close the session here and keep
-			// a tombstone so stale routes are answered 410 + Target.
-			if i, ok := rs.idx[rec.SessionID]; ok && i >= 0 {
-				rs.idx[rec.SessionID] = -1
-			}
-			rs.migrations[rec.SessionID] = MigrationState{
-				SessionID: rec.SessionID, PatientID: rec.PatientID,
-				Target: rec.Target, Epoch: rec.Epoch, Phase: MigrateCommit,
-			}
+			// The target is primary now: the session ends here, and a
+			// tombstone answers stale routes with 410 + Target.
+			delete(r.sessions, rec.SessionID)
+			r.migrations[rec.SessionID] = m
 		case MigrateAbort:
-			delete(rs.migrations, rec.SessionID)
+			delete(r.migrations, rec.SessionID)
 		default:
-			return fmt.Errorf("unknown migration phase %d", rec.Phase)
+			return rec, fmt.Errorf("unknown migration phase %d", rec.Phase)
 		}
 	default:
-		return fmt.Errorf("unknown record type %d", rec.Type)
+		return rec, fmt.Errorf("unknown record type %d", rec.Type)
 	}
-	return nil
+	return rec, nil
 }
 
 // appendTail applies a record's vertex tail to st and, while any
-// subscription is live, records the append boundaries so the owner can
-// re-derive the events the pre-crash node emitted for it.
-func (rs *replayState) appendTail(st *store.Stream, rec Record) error {
-	vs := TailAfter(st, rec.Vertices)
-	if len(vs) == 0 {
-		return nil
-	}
-	if err := st.Append(vs...); err != nil {
-		return err
-	}
-	if len(rs.subs) > 0 {
-		rs.subOps = append(rs.subOps, SubReplayOp{
+// subscription is live, records the append boundary so the events are
+// re-derived where the journaling node derived them.
+func (r *Replay) appendTail(st *store.Stream, rec Record) (Record, error) {
+	vs := tailAfter(st, rec.Vertices)
+	before := st.Len()
+	err := st.Append(vs...)
+	rec.Vertices = vs[:st.Len()-before]
+	if len(rec.Vertices) > 0 && len(r.subs) > 0 {
+		r.subOps = append(r.subOps, SubReplayOp{
 			PatientID: rec.PatientID,
 			SessionID: rec.SessionID,
 			To:        st.Len(),
 		})
 	}
-	return nil
+	return rec, err
 }
 
-// TailAfter drops the vertices of vs already present in the stream
-// (those at or before the stream's last time), so replays and re-shipped
-// snapshots that overlap existing state stay idempotent. The kept tail
-// reuses vs.
-func TailAfter(st *store.Stream, vs []plr.Vertex) []plr.Vertex {
+// tailAfter drops the vertices of vs at or before the stream's last
+// time, so overlapping replays and catch-ups stay idempotent. The kept
+// tail reuses vs.
+func tailAfter(st *store.Stream, vs []plr.Vertex) []plr.Vertex {
 	view := st.ScanView("")
 	if view.Len() == 0 {
 		return vs

@@ -15,11 +15,12 @@
 // Gap safety: records inside a batch must be seq-contiguous (enforced
 // at decode), and a Cursor refuses any batch that would skip past its
 // next expected sequence — out-of-order records are never applied.
-// A TypeReplicaSnapshot record carries the session's complete state
-// and (re)establishes the cursor wherever the primary says, which is
-// the catch-up path after a gap and the first record a freshly
-// promoted primary sends. Epochs fence deposed primaries: a batch
-// with an epoch below the cursor's is rejected outright.
+// A catch-up — every link's first shipment and the answer to a gap —
+// is the session's own records, and its leading stream-open
+// (re)establishes the cursor wherever the primary says. Epochs fence
+// deposed primaries: a batch with an epoch below the cursor's is
+// rejected outright. A follower applies what its cursor accepts with
+// Replay, the interpreter recovery uses.
 
 package wal
 
@@ -33,9 +34,9 @@ import (
 
 const (
 	batchMagic = "STRB"
-	// batchVersion 2's subscription records carry no per-evaluation k;
-	// a version-1 batch is refused.
-	batchVersion = 2
+	// batchVersion 3 catches up with the session's own records,
+	// version 2 with the retired type 6; a version-2 batch is refused.
+	batchVersion = 3
 )
 
 // Batch is one replication shipment for a single session.
@@ -117,7 +118,7 @@ func DecodeBatch(data []byte) (Batch, error) {
 
 // ErrGap reports a batch whose sequence range does not connect to the
 // cursor: applying it would skip records. The follower answers 409 and
-// the primary falls back to snapshot catch-up.
+// the primary falls back to catch-up.
 var ErrGap = errors.New("wal: replication sequence gap")
 
 // ErrStaleEpoch reports a batch from a deposed primary (its epoch is
@@ -127,7 +128,7 @@ var ErrStaleEpoch = errors.New("wal: stale replication epoch")
 // Cursor is a follower's per-session replication position: the next
 // expected sequence number and the highest epoch accepted so far. The
 // zero value accepts a stream that starts at sequence 1 (or any
-// snapshot). Cursor is not safe for concurrent use; the server
+// catch-up). Cursor is not safe for concurrent use; the server
 // serializes Accept per session.
 type Cursor struct {
 	Next  uint64 // next expected sequence (0 and 1 both mean "at start")
@@ -136,7 +137,8 @@ type Cursor struct {
 
 // Accept validates a batch against the cursor and returns the records
 // to apply, in order: duplicates below the cursor are dropped, a
-// snapshot record resets the cursor to its own sequence, and any batch
+// stream-open (a catch-up's first record) resets the cursor to its own
+// sequence, and any batch
 // that would leave a hole fails with ErrGap (out-of-order records are
 // never returned). Sequence numbers are derived from FirstSeq (batches
 // are dense by construction), and each returned record's LSN is set to
@@ -151,21 +153,21 @@ func (c *Cursor) Accept(b Batch) ([]Record, error) {
 		next = 1
 	}
 	// A higher epoch means a new primary whose sequence numbering has no
-	// relation to ours: only a snapshot can re-establish position. A
+	// relation to ours: only a catch-up can re-establish position. A
 	// cursor that has never accepted anything (Next == 0) has no position
 	// to lose, so it takes the stream at whatever epoch it starts at.
 	synced := b.Epoch == c.Epoch || c.Next == 0
 	apply := make([]Record, 0, len(b.Records))
 	for i, rec := range b.Records {
 		rec.LSN = b.FirstSeq + uint64(i)
-		if rec.Type == TypeReplicaSnapshot {
+		if rec.Type == TypeStreamOpen {
 			next = rec.LSN + 1
 			synced = true
 			apply = append(apply, rec)
 			continue
 		}
 		if !synced {
-			return nil, fmt.Errorf("%w: epoch advanced to %d without a snapshot", ErrGap, b.Epoch)
+			return nil, fmt.Errorf("%w: epoch advanced to %d without a catch-up", ErrGap, b.Epoch)
 		}
 		switch {
 		case rec.LSN < next: // duplicate of an already-applied record
@@ -177,9 +179,9 @@ func (c *Cursor) Accept(b Batch) ([]Record, error) {
 		}
 	}
 	if !synced {
-		// An empty batch from a new epoch carries no snapshot to anchor
-		// the new primary's numbering; force catch-up instead.
-		return nil, fmt.Errorf("%w: epoch advanced to %d without a snapshot", ErrGap, b.Epoch)
+		// An empty batch from a new epoch carries no stream-open to
+		// anchor the new primary's numbering; force catch-up instead.
+		return nil, fmt.Errorf("%w: epoch advanced to %d without a catch-up", ErrGap, b.Epoch)
 	}
 	c.Next = next
 	c.Epoch = b.Epoch

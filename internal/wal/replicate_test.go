@@ -2,8 +2,10 @@ package wal
 
 import (
 	"errors"
+	"os"
 	"testing"
 
+	"stsmatch/internal/binfmt"
 	"stsmatch/internal/store"
 )
 
@@ -28,8 +30,6 @@ func TestBatchRoundTrip(t *testing.T) {
 		Record{Type: TypeStreamOpen, PatientID: "P1", SessionID: "S1"},
 		vertexRec(0),
 		Record{Type: TypeSessionAnchor, PatientID: "P1", SessionID: "S1", Samples: 9, AnchorT: 1.5, AnchorPos: []float64{2}},
-		Record{Type: TypeReplicaSnapshot, Patient: store.PatientInfo{ID: "P1"}, PatientID: "P1", SessionID: "S1",
-			Vertices: mkVerts(0, 3), Samples: 12, AnchorT: 2.5, AnchorPos: []float64{4}},
 		Record{Type: TypeReplicaPromote, PatientID: "P1", SessionID: "S1", Samples: 12, AnchorT: 2.5, AnchorPos: []float64{4}, Epoch: 3},
 	)
 	got, err := DecodeBatch(EncodeBatch(b))
@@ -48,8 +48,22 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Errorf("record %d type %v, want %v", i, rec.Type, b.Records[i].Type)
 		}
 	}
-	if got.Records[5].Epoch != 3 {
+	if got.Records[4].Epoch != 3 {
 		t.Errorf("promote epoch %d, want 3", got.Records[5].Epoch)
+	}
+}
+
+// TestBatchVersion2Refused: testdata/batch-v2.bin is a catch-up as an
+// earlier build shipped it, at batch version 2 and led by a record of
+// the retired type 6. It is refused whole as another version, never
+// read as records of this one.
+func TestBatchVersion2Refused(t *testing.T) {
+	raw, err := os.ReadFile("testdata/batch-v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := DecodeBatch(raw); !errors.Is(err, binfmt.ErrVersion) {
+		t.Fatalf("DecodeBatch = %d records, %v; want binfmt.ErrVersion", len(b.Records), err)
 	}
 }
 
@@ -123,12 +137,12 @@ func TestCursorRejectsGap(t *testing.T) {
 	}
 }
 
-func TestCursorSnapshotResets(t *testing.T) {
+func TestCursorStreamOpenResets(t *testing.T) {
 	c := Cursor{Next: 3, Epoch: 1}
-	snap := Record{Type: TypeReplicaSnapshot, PatientID: "P1", SessionID: "S1", Vertices: mkVerts(0, 5)}
-	// Catch-up after a gap: snapshot at seq 9 re-anchors, follow-on
-	// records apply.
-	apply, err := c.Accept(mkBatch("S1", 1, 9, snap, vertexRec(5)))
+	open := Record{Type: TypeStreamOpen, PatientID: "P1", SessionID: "S1"}
+	// Catch-up after a gap: its stream-open at seq 9 re-anchors, the
+	// records behind it apply.
+	apply, err := c.Accept(mkBatch("S1", 1, 9, open, vertexRec(5)))
 	if err != nil || len(apply) != 2 {
 		t.Fatalf("apply %d, err %v", len(apply), err)
 	}
@@ -146,18 +160,18 @@ func TestCursorEpochFencing(t *testing.T) {
 		t.Fatalf("stale epoch accepted: %v", err)
 	}
 
-	// A new primary (epoch 3) must lead with a snapshot; bare records
+	// A new primary (epoch 3) must lead with a catch-up; bare records
 	// cannot anchor its fresh numbering.
 	if _, err := c.Accept(mkBatch("S1", 3, 1, vertexRec(0))); !errors.Is(err, ErrGap) {
-		t.Fatalf("epoch jump without snapshot accepted: %v", err)
+		t.Fatalf("epoch jump without catch-up accepted: %v", err)
 	}
 	if c.Epoch != 2 {
 		t.Fatalf("epoch committed on rejected batch: %d", c.Epoch)
 	}
 
-	// With a snapshot it goes through and the epoch advances.
-	snap := Record{Type: TypeReplicaSnapshot, PatientID: "P1", SessionID: "S1", Vertices: mkVerts(0, 4)}
-	apply, err := c.Accept(mkBatch("S1", 3, 1, snap, vertexRec(1)))
+	// With a catch-up it goes through and the epoch advances.
+	open := Record{Type: TypeStreamOpen, PatientID: "P1", SessionID: "S1"}
+	apply, err := c.Accept(mkBatch("S1", 3, 1, open, vertexRec(1)))
 	if err != nil || len(apply) != 2 {
 		t.Fatalf("promoted primary rejected: apply %d, err %v", len(apply), err)
 	}
@@ -175,10 +189,11 @@ func TestCursorEpochFencing(t *testing.T) {
 	}
 }
 
-// TestNewRecordTypesRoundTripThroughLog: what a follower journals
-// through its store hook while it applies a link's snapshot — the
-// patient, the stream opened and at once closed, the vertices — and
-// then its promote recover as the promoted session over that stream.
+// TestNewRecordTypesRoundTripThroughLog: what a follower journals while
+// it applies a link's catch-up — the stream-open, the patient, the
+// vertices, the anchor — recovers as a followed stream, not a session,
+// and a promote after it recovers as the promoted session over that
+// stream.
 func TestNewRecordTypesRoundTripThroughLog(t *testing.T) {
 	dir := t.TempDir()
 	l, res, err := Open(Options{Dir: dir}, nil)
@@ -188,41 +203,53 @@ func TestNewRecordTypesRoundTripThroughLog(t *testing.T) {
 	if !res.Fresh {
 		t.Fatal("fresh dir reported stale")
 	}
-	for _, rec := range []Record{
-		{Type: TypePatientUpsert, Patient: store.PatientInfo{ID: "P9", Class: "irregular"}},
-		{Type: TypeStreamOpen, PatientID: "P9", SessionID: "S9"},
-		{Type: TypeSessionClose, SessionID: "S9"},
-		{Type: TypeVertexAppend, PatientID: "P9", SessionID: "S9", Vertices: mkVerts(0, 6)},
-		{Type: TypeReplicaPromote, PatientID: "P9", SessionID: "S9",
-			Samples: 44, AnchorT: 5.5, AnchorPos: []float64{1.25}, Epoch: 2},
-	} {
-		if err := l.Append(rec); err != nil {
+	appendAll := func(l *Log, recs ...Record) {
+		t.Helper()
+		for _, rec := range recs {
+			if err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendAll(l,
+		Record{Type: TypeStreamOpen, PatientID: "P9", SessionID: "S9"},
+		Record{Type: TypePatientUpsert, Patient: store.PatientInfo{ID: "P9", Class: "irregular"}},
+		Record{Type: TypeVertexAppend, PatientID: "P9", SessionID: "S9", Vertices: mkVerts(0, 6)},
+		Record{Type: TypeSessionAnchor, PatientID: "P9", SessionID: "S9", Samples: 40, AnchorT: 5.2, AnchorPos: []float64{1}},
+	)
 
-	_, res2, err := Open(Options{Dir: dir}, nil)
+	l, res, err = Open(Options{Dir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The follower's records rebuilt the stream; promote reopened the
-	// session with the anchor.
-	p := res2.DB.Patient("P9")
+	// The follower's records rebuilt the stream, and nothing made the
+	// session this node's.
+	p := res.DB.Patient("P9")
 	if p == nil || p.Info.Class != "irregular" {
 		t.Fatalf("replica patient not recovered: %+v", p)
 	}
-	st := p.StreamBySession("S9")
-	if st == nil || st.Len() != 6 {
+	if st := p.StreamBySession("S9"); st == nil || st.Len() != 6 {
 		t.Fatalf("replica stream not recovered (len %v)", st)
 	}
-	if len(res2.Sessions) != 1 {
-		t.Fatalf("recovered %d open sessions, want 1 (promoted)", len(res2.Sessions))
+	if len(res.Sessions) != 0 {
+		t.Fatalf("a followed session recovered as open: %+v", res.Sessions)
 	}
-	ss := res2.Sessions[0]
-	if ss.SessionID != "S9" || ss.Samples != 44 || ss.LastT != 5.5 {
+	appendAll(l, Record{Type: TypeReplicaPromote, PatientID: "P9", SessionID: "S9",
+		Samples: 44, AnchorT: 5.5, AnchorPos: []float64{1.25}, Epoch: 2})
+
+	_, res, err = Open(Options{Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The promote opened the session with its anchor.
+	if len(res.Sessions) != 1 {
+		t.Fatalf("recovered %d open sessions, want 1 (promoted)", len(res.Sessions))
+	}
+	ss := res.Sessions[0]
+	if ss.SessionID != "S9" || ss.Samples != 44 || ss.LastT != 5.5 || ss.Epoch != 2 {
 		t.Fatalf("promoted session state = %+v", ss)
 	}
 }

@@ -32,8 +32,9 @@ func mkVerts(t0 float64, n int) plr.Sequence {
 	return seq
 }
 
-// appendSession writes the standard record sequence of one ingesting
-// session: patient, stream, vertex batches, anchors.
+// appendSession writes the record sequence a create and its ingests
+// journal: patient, stream, the owner's promote, vertex batches,
+// anchors.
 func appendSession(t *testing.T, l *Log, pid, sid string, verts plr.Sequence) {
 	t.Helper()
 	must := func(err error) {
@@ -44,6 +45,7 @@ func appendSession(t *testing.T, l *Log, pid, sid string, verts plr.Sequence) {
 	}
 	must(l.Append(Record{Type: TypePatientUpsert, Patient: store.PatientInfo{ID: pid, Class: "calm", Age: 61}}))
 	must(l.Append(Record{Type: TypeStreamOpen, PatientID: pid, SessionID: sid}))
+	must(l.Append(Record{Type: TypeReplicaPromote, PatientID: pid, SessionID: sid, Epoch: 1}))
 	for i := 0; i < len(verts); i += 4 {
 		end := min(i+4, len(verts))
 		must(l.Append(Record{Type: TypeVertexAppend, PatientID: pid, SessionID: sid, Vertices: verts[i:end]}))
