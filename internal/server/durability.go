@@ -189,6 +189,7 @@ func (s *Server) resumeSession(ss wal.SessionState) (*session, error) {
 		lastT:     ss.LastT,
 		lastPos:   append([]float64(nil), ss.LastPos...),
 		repl:      newReplicator(ss.PatientID, ss.SessionID, s.advertise, ss.Epoch, ss.Followers),
+		acked:     n, // any of it may have been acknowledged
 	}
 	if n > 0 {
 		last := view.Vertex(n - 1)

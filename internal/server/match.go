@@ -285,8 +285,10 @@ type ShardSession struct {
 	// Vertices is the session stream's current length.
 	Vertices int `json:"vertices"`
 	// Epoch is, for a Sessions entry, the epoch this node serves the
-	// session at; of two nodes serving it, the higher is the primary.
+	// session at, for a Retired one that of Owner, the node it was handed
+	// over to; of two claims, the higher is the primary.
 	Epoch uint64 `json:"epoch,omitempty"`
+	Owner string `json:"owner,omitempty"`
 	// Links reports, for a primary session, each replica link's
 	// assigned/acked sequence numbers (see ReplLinkStatus); absent on
 	// unreplicated sessions and on Replicas entries.
@@ -308,6 +310,8 @@ type ShardStatsResponse struct {
 	// failover candidates, not primaries — a gateway rediscovering
 	// placement must route to a Sessions entry, never a Replicas one.
 	Replicas []ShardSession `json:"replicas,omitempty"`
+	// Retired lists the sessions this shard handed over (its tombstones).
+	Retired []ShardSession `json:"retired,omitempty"`
 }
 
 func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
@@ -330,25 +334,29 @@ func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 			SessionID: sid,
 			PatientID: rs.patientID,
 			Samples:   int(ss.Samples),
-		}
-		if p := s.db.Patient(rs.patientID); p != nil {
-			if st := p.StreamBySession(sid); st != nil {
-				entry.Vertices = st.Len()
-			}
+			Vertices:  s.streamLen(rs.patientID, sid),
 		}
 		if rs.cursor.Next > 0 {
 			entry.AppliedSeq = rs.cursor.Next - 1
 		}
 		replicas = append(replicas, entry)
 	}
+	var retired []ShardSession
+	for sid, m := range s.migrations {
+		if m.Phase == wal.MigrateCommit {
+			retired = append(retired, ShardSession{SessionID: sid, PatientID: m.PatientID, Owner: m.Target, Epoch: m.Epoch})
+		}
+	}
 	s.mu.Unlock()
-	sort.Slice(sessions, func(a, b int) bool { return sessions[a].SessionID < sessions[b].SessionID })
-	sort.Slice(replicas, func(a, b int) bool { return replicas[a].SessionID < replicas[b].SessionID })
+	for _, l := range [][]ShardSession{sessions, replicas, retired} {
+		sort.Slice(l, func(a, b int) bool { return l[a].SessionID < l[b].SessionID })
+	}
 	writeJSON(w, http.StatusOK, ShardStatsResponse{
 		Patients: s.db.NumPatients(),
 		Streams:  len(s.db.Streams()),
 		Vertices: s.db.NumVertices(),
 		Sessions: sessions,
 		Replicas: replicas,
+		Retired:  retired,
 	})
 }

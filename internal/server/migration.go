@@ -1,24 +1,13 @@
 // Live session migration (PR 10): POST /v1/sessions/{sid}/migrate
-// moves one open session to another shard with zero acked-vertex loss,
-// generalizing the failover machinery into a planned handover. The
-// source adds the target as one more follower link on the session's
-// replicator — catch-up-first, like every link — so every ingest ack, subscription operation and close reaches it
-// like any replica; it then fences local writes, journals a durable
-// prepare marker, drains the link, promotes the target through the
-// normal epoch-fenced promote path, and finally journals a commit
-// tombstone: the session is closed here and stale routes get 410 Gone
-// plus the target URL as a redirect hint.
-//
-// Crash safety is two-sided. The prepare record is fsynced before the
-// promote call, so a source restart resumes the session *fenced* — no
-// write can land in the ambiguous window between promote and commit —
-// and the whole handler is idempotent: re-driving it on a prepared (or
-// already-committed) session converges without re-shipping acknowledged
-// data it can avoid. A target that is primary already (a previous
-// attempt's promote landed but the response was lost) fences the
-// catch-up shipment with 412; the commit then completes after verifying
-// the target holds at least everything this node acked. DESIGN §11
-// tabulates the transitions.
+// moves one open session to another shard with zero acked-vertex loss.
+// The source adds the target as one more catch-up-first follower link,
+// so every ingest ack, subscription operation and close reaches it like
+// any replica; it then fences local writes, journals a durable prepare
+// marker, drains the link, promotes the target and hands the session
+// over (handOverLocked). A source restart resumes a prepared session
+// fenced, as does a promote whose answer was lost; the re-drive's
+// shipment then meets the target's higher epoch, and the yield to it is
+// the commit. DESIGN §11 tabulates the transitions.
 
 package server
 
@@ -45,8 +34,7 @@ type MigrateRequest struct {
 	Replicate []string `json:"replicate,omitempty"`
 }
 
-// MigrateResponse reports a completed (or previously completed)
-// migration.
+// MigrateResponse reports a completed migration.
 type MigrateResponse struct {
 	PatientID string `json:"patientId"`
 	SessionID string `json:"sessionId"`
@@ -54,9 +42,6 @@ type MigrateResponse struct {
 	// Epoch is the target's fencing epoch after promotion.
 	Epoch    uint64 `json:"epoch"`
 	Vertices int    `json:"vertices"`
-	// AlreadyMigrated marks an idempotent re-drive: the session had a
-	// committed tombstone before this request arrived.
-	AlreadyMigrated bool `json:"alreadyMigrated,omitempty"`
 }
 
 // migrateHook runs the scripted migration-phase fault point, if a test
@@ -80,39 +65,21 @@ func (s *Server) SetMigrationHook(h func(phase string)) {
 	s.testHookMigrate.Store(&h)
 }
 
-// migratedLocked returns the already-migrated answer for a session
-// with a committed tombstone. Callers hold s.mu.
-func (s *Server) migratedLocked(sid string) (MigrateResponse, bool) {
-	m, ok := s.migrations[sid]
-	if !ok || m.Phase != wal.MigrateCommit {
-		return MigrateResponse{}, false
-	}
-	return MigrateResponse{
-		PatientID: m.PatientID, SessionID: sid, Target: m.Target,
-		Epoch: m.Epoch, AlreadyMigrated: true,
-	}, true
-}
-
 // goneOr404 is the shared not-found tail of the session-scoped
-// handlers. A migrated-away session answers 410 Gone with the new
-// owner in both the Location header and the JSON body — the redirect
-// hint the gateway uses to repair its placement table; anything else
-// stays a plain 404.
+// handlers. A handed-over session answers 410 Gone with the owner its
+// tombstone names in the Location header and the JSON body — the hint
+// the gateway repairs its placement with; anything else is a 404.
 func (s *Server) goneOr404(w http.ResponseWriter, sid string) {
 	s.lock()
-	m, gone := s.migratedLocked(sid)
+	m, gone := s.migrations[sid]
+	gone = gone && m.Phase == wal.MigrateCommit
 	s.mu.Unlock()
 	if !gone {
 		httpError(w, http.StatusNotFound, fmt.Errorf("no open session %q", sid))
 		return
 	}
 	w.Header().Set("Location", m.Target)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusGone)
-	json.NewEncoder(w).Encode(map[string]string{ //nolint:errcheck
-		"error":    fmt.Sprintf("session %q migrated away", sid),
-		"location": m.Target,
-	})
+	writeJSON(w, http.StatusGone, map[string]string{"error": fmt.Sprintf("session %q migrated away", sid), "location": m.Target})
 }
 
 // handleMigrate answers POST /v1/sessions/{sid}/migrate.
@@ -140,7 +107,6 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	resp, code, err := s.migrate(ctx, sid, target, req.Replicate)
 	switch {
 	case err == nil:
-		sp.Annotate("alreadyMigrated", resp.AlreadyMigrated)
 		sp.Annotate("epoch", resp.Epoch)
 		sp.Annotate("vertices", resp.Vertices)
 		writeJSON(w, http.StatusOK, resp)
@@ -152,19 +118,15 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 }
 
 // migrate hands session sid over to target: add link → flush → fence +
-// fsync prepare → flush → promote → fsync commit. A failure before the
-// target is promoted rolls back at the one deferred site below and
-// leaves the session serving here; a failure after it keeps the
-// session fenced and prepared for the re-drive, because unfencing
-// beside a promoted target could diverge — unless it already has.
+// fsync prepare → flush → promote → hand over. A failure before the
+// promote, or the target's refusal of it, rolls back at the one
+// deferred site below; any other failure keeps the session fenced and
+// prepared for the re-drive, since unfencing beside a promoted target
+// could diverge.
 func (s *Server) migrate(ctx context.Context, sid, target string, replicate []string) (resp MigrateResponse, code int, err error) {
 	// Add link: from here on every path that stages or flushes records
 	// for the session's followers reaches the target too.
 	s.lock()
-	if done, ok := s.migratedLocked(sid); ok {
-		s.mu.Unlock()
-		return done, http.StatusOK, nil
-	}
 	sess, ok := s.sessions[sid]
 	if !ok {
 		s.mu.Unlock()
@@ -172,6 +134,7 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 	}
 	repl := sess.repl
 	link := repl.follow(target, true)
+	sess.handoff = append([]string{target}, replicate...)
 	s.met.migrationsInFlight.Inc()
 	s.mu.Unlock()
 	defer s.met.migrationsInFlight.Dec()
@@ -179,31 +142,29 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 	rollback := true
 	defer func() {
 		if err != nil && rollback && !s.abortMigration(ctx, sid, sess, err) {
-			code = http.StatusNotFound // closed meanwhile, whatever step noticed
+			code = http.StatusNotFound // closed or handed over meanwhile, whatever step noticed
 		}
 	}()
 
 	s.migrateHook("catchup")
 
-	// Flush: the snapshot ships before anything is fenced; each ingest
-	// ack keeps the target current from then on. errFenced, here and in
-	// the drain, means the target is primary already (a lost promote
-	// response) and the link is as current as it will ever be: the
-	// promote below is idempotent there, and the commit's divergence
-	// check has the last word.
-	if ferr := s.flushLink(ctx, repl, link); ferr != nil && !errors.Is(ferr, errFenced) {
+	// Flush: the catch-up ships before anything is fenced; each ingest
+	// ack keeps the target current from then on.
+	if ferr := s.flushLink(ctx, repl, link); ferr != nil {
 		return resp, http.StatusBadGateway, fmt.Errorf("migration catch-up failed: %s: %w", target, ferr)
 	}
 
 	// Fence new writes and journal the prepare durably BEFORE promoting,
-	// so a crash in the ambiguous window resumes the session fenced
-	// (re-drivable, no divergent writes).
+	// so a crash in the ambiguous window resumes the session fenced. The
+	// anchor staged here makes the final drain a round trip, so a target
+	// lost now fails the drain, not the promote.
 	s.lock()
 	if s.sessions[sid] != sess {
 		s.mu.Unlock()
 		return resp, http.StatusNotFound, fmt.Errorf("session %q closed mid-migration", sid)
 	}
 	sess.fenced = true
+	repl.enqueue(sess.anchorRecord())
 	jerr := s.journalMigrationLocked(ctx, wal.MigrationState{
 		SessionID: sid, PatientID: sess.patientID, Target: target, Phase: wal.MigratePrepare,
 	})
@@ -217,69 +178,36 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 	// Final drain: the fence was set under s.mu, so no vertex can be
 	// staged behind it; a clean flush means the target holds everything
 	// this node ever acknowledged.
-	if ferr := s.flushLink(ctx, repl, link); ferr != nil && !errors.Is(ferr, errFenced) {
+	if ferr := s.flushLink(ctx, repl, link); ferr != nil {
 		return resp, http.StatusBadGateway, fmt.Errorf("migration final drain failed: %s: %w", target, ferr)
 	}
 
-	presp, perr := s.promoteTarget(ctx, target, sid, replicate)
+	presp, refused, perr := s.promoteTarget(ctx, target, sid, replicate)
 	if perr != nil {
+		rollback = refused
 		return resp, http.StatusBadGateway, fmt.Errorf("promoting migration target: %w", perr)
 	}
 	rollback = false
 
 	s.migrateHook("tombstone")
 
-	// Commit: durable tombstone, session closed here. The divergence
-	// check guards the one unwinnable window — a past promote landed,
-	// this node kept serving unfenced, and now holds vertices the
-	// target lacks; dropping the session would lose acked data, so the
-	// hand-off refuses, surfaces it, and keeps serving the superset.
-	retire := false
+	// Commit: the hand-over, unless this node yielded to the target's
+	// first shipment already. A refused hand-over rolls the prepare back.
 	s.lock()
-	defer func() {
-		s.mu.Unlock()
-		if retire {
-			// Best effort, like a close's.
-			if errs := s.replFlush(ctx, repl); len(errs) > 0 {
-				s.log.Warn("migration not told to every retired follower", slog.Any("replicaErrors", errs))
-			}
-		}
-	}()
 	if s.sessions[sid] != sess {
-		if done, ok := s.migratedLocked(sid); ok {
-			return done, http.StatusOK, nil
+		s.mu.Unlock()
+		return resp, http.StatusNotFound, fmt.Errorf("session %q handed over or closed mid-migration", sid)
+	}
+	told, code, err := s.handOverLocked(ctx, sess, target, presp.Epoch, presp.Vertices >= sess.stream.Len())
+	s.mu.Unlock()
+	if err != nil {
+		if rollback = code == http.StatusConflict; !rollback {
+			s.met.migrationFailures.Inc()
 		}
-		return resp, http.StatusConflict, fmt.Errorf("session %q closed mid-migration", sid)
+		return resp, code, fmt.Errorf("migration commit: %w", err)
 	}
-	if sess.stream.Len() > presp.Vertices {
-		rollback = true
-		return resp, http.StatusConflict, fmt.Errorf(
-			"migration diverged: source holds %d vertices, promoted target %d; refusing to drop acked data",
-			sess.stream.Len(), presp.Vertices)
-	}
-	if jerr := s.journalMigrationLocked(ctx, wal.MigrationState{
-		SessionID: sid, PatientID: sess.patientID, Target: target,
-		Epoch: presp.Epoch, Phase: wal.MigrateCommit,
-	}); jerr != nil {
-		s.met.migrationFailures.Inc()
-		return resp, http.StatusInternalServerError, fmt.Errorf("flushing migration commit: %w", jerr)
-	}
-	s.retire(sess)
-	// Retire: the followers the new owner does not keep are told what
-	// a close would tell them, so none stays a failover candidate
-	// holding a stale copy.
-	repl.unlink(func(l *replicaLink) bool { return l.target == target || slices.Contains(replicate, l.target) })
-	s.expelMigratedSubsLocked(ctx, sess.patientID, sid, repl)
-	repl.enqueue(wal.Record{Type: wal.TypeSessionClose, SessionID: sid})
-	retire = true
+	s.flushHandOver(ctx, told)
 	s.met.migrations.Inc()
-	s.log.Info("session migrated away",
-		slog.String("patientId", sess.patientID),
-		slog.String("sessionId", sid),
-		slog.String("target", target),
-		slog.Uint64("epoch", presp.Epoch),
-		slog.Int("vertices", sess.stream.Len()),
-		slog.String("requestId", obs.RequestIDFrom(ctx)))
 	return MigrateResponse{
 		PatientID: sess.patientID,
 		SessionID: sid,
@@ -287,6 +215,55 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 		Epoch:     presp.Epoch,
 		Vertices:  sess.stream.Len(),
 	}, http.StatusOK, nil
+}
+
+// handOverLocked ends this node's ownership of sess to owner at epoch:
+// the migration commit and both kinds of yield. Unless owner is known
+// and holds every vertex this node acknowledged, the node keeps its
+// copy, acknowledges no further write (superseded) and answers 409.
+// Otherwise it fsyncs a commit tombstone naming owner (410 + Location
+// from then on) and retires the session with its subscriptions. Only
+// the migration to owner knows who follows owner (session.handoff):
+// those links are unlinked, and the rest are staged the subscriptions'
+// deletes and a close on told, which the caller flushes once s.mu is
+// released (flushHandOver). Any other yield leaves the links as they
+// are, for owner's catch-up re-anchors the followers it keeps.
+func (s *Server) handOverLocked(ctx context.Context, sess *session, owner string, epoch uint64, holds bool) (told *replicator, code int, err error) {
+	if owner == "" || !holds {
+		sess.superseded = max(sess.superseded, epoch)
+		return nil, http.StatusConflict, fmt.Errorf(
+			"session %q diverged: %q owns it at epoch %d without every vertex this node acknowledged; refusing to drop acked data",
+			sess.sessionID, owner, epoch)
+	}
+	if err := s.journalMigrationLocked(ctx, wal.MigrationState{
+		SessionID: sess.sessionID, PatientID: sess.patientID, Target: owner,
+		Epoch: epoch, Phase: wal.MigrateCommit,
+	}); err != nil {
+		sess.superseded = max(sess.superseded, epoch)
+		return nil, http.StatusInternalServerError, fmt.Errorf("flushing hand-over: %w", err)
+	}
+	s.retire(sess)
+	if sess.fenced && slices.Index(sess.handoff, owner) == 0 {
+		told = sess.repl
+		told.unlink(func(l *replicaLink) bool { return slices.Contains(sess.handoff, l.target) })
+	}
+	s.expelMigratedSubsLocked(ctx, sess.patientID, sess.sessionID, told)
+	if told != nil {
+		told.enqueue(wal.Record{Type: wal.TypeSessionClose, SessionID: sess.sessionID})
+	}
+	s.log.Info("session handed over", slog.String("sessionId", sess.sessionID),
+		slog.String("owner", owner), slog.Uint64("epoch", epoch), slog.String("requestId", obs.RequestIDFrom(ctx)))
+	return told, 0, nil
+}
+
+// flushHandOver ships a hand-over's staged close, if any, best effort.
+func (s *Server) flushHandOver(ctx context.Context, told *replicator) {
+	if told == nil {
+		return
+	}
+	if errs := s.replFlush(ctx, told); len(errs) > 0 {
+		s.log.Info("hand-over not told to every follower", slog.Any("replicaErrors", errs))
+	}
 }
 
 // journalMigrationLocked journals and fsyncs one migration phase
@@ -313,18 +290,16 @@ func (s *Server) journalMigrationLocked(ctx context.Context, m wal.MigrationStat
 }
 
 // expelMigratedSubsLocked hands in-scope subscriptions over with the
-// migrated session. They reached the target over its link — inside the
-// catch-up or staged behind it — so the source's copies are
-// dropped: journaled as deletes (no dedicated fsync — resurrection
-// after a crash only leaves an idle armed copy the list dedupe already
-// tolerates), staged as deletes for the retired followers, and
-// expelled from the manager, which wakes attached event streams so the
-// gateway proxy re-resolves to the new primary and resumes from its
-// Last-Event-ID. Session-scoped subscriptions always follow the
-// session; patient-scoped ones follow only when this was the
-// patient's last open session here. Callers hold s.mu, with the
-// migrated session already removed from s.sessions.
-func (s *Server) expelMigratedSubsLocked(ctx context.Context, pid, sid string, retired *replicator) {
+// session: the new owner holds them, so this node's copies are
+// journaled as deletes (no dedicated fsync — resurrection after a crash
+// only leaves an idle armed copy the list dedupe tolerates), staged as
+// deletes on told when it is given, and expelled from the manager,
+// which wakes attached event streams so the gateway proxy re-resolves
+// to the new primary and resumes from its Last-Event-ID. Session-scoped
+// subscriptions always follow the session; patient-scoped ones only when
+// it was the patient's last open session here. Callers hold s.mu, with
+// the session already removed from s.sessions.
+func (s *Server) expelMigratedSubsLocked(ctx context.Context, pid, sid string, told *replicator) {
 	for _, st := range s.subs.States() {
 		follows := st.SessionID == sid
 		if !follows && st.SessionID == "" && st.PatientID == pid {
@@ -341,7 +316,9 @@ func (s *Server) expelMigratedSubsLocked(ctx context.Context, pid, sid string, r
 		}
 		del := wal.Record{Type: wal.TypeSubDelete, SubID: st.ID}
 		s.walAppendCtx(ctx, del)
-		retired.enqueue(del)
+		if told != nil {
+			told.enqueue(del)
+		}
 		s.subs.Expel(st.ID)
 	}
 }
@@ -350,18 +327,18 @@ func (s *Server) expelMigratedSubsLocked(ctx context.Context, pid, sid string, r
 // serving on this node: unfence, take the link the hand-off added off
 // the replicator, and undo a journaled prepare with a durable abort
 // record.
-// It reports false when the session was closed meanwhile.
+// It reports false when the session was closed or handed over.
 func (s *Server) abortMigration(ctx context.Context, sid string, sess *session, cause error) bool {
 	s.lock()
 	defer s.mu.Unlock()
+	if s.sessions[sid] != sess {
+		return false
+	}
 	s.met.migrationFailures.Inc()
 	s.log.Warn("migration aborted",
 		slog.String("sessionId", sid),
 		slog.Any("cause", cause))
-	if s.sessions[sid] != sess {
-		return false
-	}
-	sess.fenced = false
+	sess.fenced, sess.handoff = false, nil
 	sess.repl.unlink(func(l *replicaLink) bool { return l.handoff })
 	if m, ok := s.migrations[sid]; ok && m.Phase == wal.MigratePrepare {
 		abort := *m
@@ -378,24 +355,26 @@ func (s *Server) abortMigration(ctx context.Context, sid string, sess *session, 
 }
 
 // promoteTarget asks the target to take the session over, returning
-// its post-promotion state.
-func (s *Server) promoteTarget(ctx context.Context, target, sid string, replicate []string) (*PromoteResponse, error) {
+// its post-promotion state. refused reports a definite answer other
+// than 200: after a transport error or an unreadable answer the promote
+// may have landed.
+func (s *Server) promoteTarget(ctx context.Context, target, sid string, replicate []string) (pr *PromoteResponse, refused bool, err error) {
 	body, err := json.Marshal(PromoteRequest{Replicate: replicate})
 	if err != nil {
-		return nil, err
+		return nil, true, err
 	}
 	status, data, err := s.callPeer(ctx, target+"/v1/sessions/"+url.PathEscape(sid)+"/promote", "application/json", body)
-	if err != nil {
-		return nil, err
+	switch {
+	case err != nil:
+		return nil, false, err
+	case status != http.StatusOK:
+		return nil, true, fmt.Errorf("target answered %d: %s", status, strings.TrimSpace(string(data)))
 	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("target answered %d: %s", status, strings.TrimSpace(string(data)))
+	pr = new(PromoteResponse)
+	if err := json.Unmarshal(data, pr); err != nil {
+		return nil, false, fmt.Errorf("decoding promote response: %w", err)
 	}
-	var pr PromoteResponse
-	if err := json.Unmarshal(data, &pr); err != nil {
-		return nil, fmt.Errorf("decoding promote response: %w", err)
-	}
-	return &pr, nil
+	return pr, false, nil
 }
 
 // migrationStates snapshots the migration table for a WAL snapshot.

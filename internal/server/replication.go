@@ -7,7 +7,8 @@
 // restart are the same function of the same records. It runs no
 // segmenter; POST /v1/sessions/{sid}/promote turns a caught-up replica
 // into the live primary using the same resume path crash recovery
-// uses, fenced against the deposed primary by a bumped epoch.
+// uses, at a bumped epoch: of two nodes that claim a session, the one
+// at the lower epoch yields.
 //
 // Per-link sequencing: every replica link numbers its shipped records
 // independently (dense, 1-based, carried in the record's LSN slot), so
@@ -15,8 +16,9 @@
 // cross-replica coordination. A link's first shipment, a gap (HTTP 409)
 // and an overflowing pending queue all ship a catch-up: the session as
 // the records that built it, led by a stream-open that re-anchors the
-// follower's cursor. A deposed primary is answered with HTTP 412
-// (stale epoch) and stops shipping.
+// follower's cursor. A shipment at an epoch no higher than the one
+// the receiver knows is answered 412 with that epoch; when that epoch is
+// above the shipper's, the shipper yields (yield).
 
 package server
 
@@ -29,11 +31,13 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"slices"
 	"sync"
 	"time"
 
 	"stsmatch/internal/obs"
+	"stsmatch/internal/store"
 	"stsmatch/internal/wal"
 )
 
@@ -56,13 +60,20 @@ type replicator struct {
 	source    string   // primary's advertised base URL
 	epoch     uint64   // fixed for the replicator's life
 	followers []string // what is journaled for recovery to re-link
-	deposed   bool     // a replica rejected us with a newer epoch
 	links     []*replicaLink
 }
 
-// errFenced is a link's answer from a replica that follows (or serves)
-// the session under a newer epoch.
-var errFenced = errors.New("fenced by newer epoch")
+// staleEpoch is the 412 answer to a shipment below the epoch the
+// receiver knows: that epoch, the owner it knows (itself, or the source
+// it follows) and its stream length.
+type staleEpoch struct {
+	Err      string `json:"error"`
+	Epoch    uint64 `json:"epoch"`
+	Owner    string `json:"owner,omitempty"`
+	Vertices int    `json:"vertices"`
+}
+
+func (e *staleEpoch) Error() string { return e.Err }
 
 // replicaLink is one primary→replica shipping lane.
 type replicaLink struct {
@@ -204,21 +215,18 @@ func (r *replicator) lag() int {
 	return most
 }
 
-// flush synchronously ships every link's backlog and returns one error
-// string per link that could not be brought current. Callers must NOT
-// hold s.mu: a catch-up re-acquires it to read session state.
+// replFlush synchronously ships every link's backlog and returns one
+// error string per link that could not be brought current. Callers must
+// NOT hold s.mu: a catch-up re-acquires it to read session state, and a
+// yield takes it.
 // The context carries the request's trace and request ID across the
 // shipments, so a synchronous replication stall shows up as repl.ship
 // spans inside the ingest trace.
 func (s *Server) replFlush(ctx context.Context, r *replicator) []string {
 	r.mu.Lock()
 	links := append([]*replicaLink(nil), r.links...)
-	deposed := r.deposed
 	r.mu.Unlock()
-	switch {
-	case deposed:
-		return []string{"replication fenced: a replica reported a newer epoch"}
-	case len(links) == 0:
+	if len(links) == 0 {
 		return nil // nothing follows: no fan-out to allocate
 	}
 	var (
@@ -241,9 +249,37 @@ func (s *Server) replFlush(ctx context.Context, r *replicator) []string {
 	return errs
 }
 
-// flushLink brings one link current: ships the pending backlog, or a
-// catch-up when the link needs one.
+// flushLink brings one link current, then yields if the follower
+// answered with a higher epoch (yieldTo).
 func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink) error {
+	err := s.shipLink(ctx, r, link)
+	s.yieldTo(ctx, r, link, err)
+	return err
+}
+
+// yieldTo is the shipper's half of the one comparison. A link's 412
+// naming a higher epoch hands the session over when the link is that
+// epoch's live owner and holds every vertex this node acknowledged
+// (session.acked; a write that reached every follower is in the
+// owner's copy); otherwise this node is superseded. A write flushed
+// behind the hand-over meets the same answer and is not acknowledged.
+func (s *Server) yieldTo(ctx context.Context, r *replicator, link *replicaLink, err error) {
+	var se *staleEpoch
+	if !errors.As(err, &se) || se.Epoch <= r.epoch {
+		return
+	}
+	var told *replicator
+	s.lock()
+	if sess, ok := s.sessions[r.sessionID]; ok && sess.repl == r { // else handed over already, or closed
+		told, _, _ = s.handOverLocked(ctx, sess, se.Owner, se.Epoch, se.Owner == link.target && se.Vertices >= sess.acked)
+	}
+	s.mu.Unlock()
+	s.flushHandOver(ctx, told)
+}
+
+// shipLink ships one link's pending backlog, or a catch-up when the
+// link needs one.
+func (s *Server) shipLink(ctx context.Context, r *replicator, link *replicaLink) error {
 	link.shipMu.Lock()
 	defer link.shipMu.Unlock()
 
@@ -268,7 +304,7 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 			s.met.replSnapshots.Inc()
 		}
 
-		status, sent, err := s.shipBatch(ctx, link.target, batch)
+		status, sent, body, err := s.shipBatch(ctx, link.target, batch)
 		switch {
 		case err == nil && status == http.StatusOK:
 			r.mu.Lock()
@@ -300,18 +336,13 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 			link.pending = nil
 			r.mu.Unlock()
 			continue
-		case err == nil && status == http.StatusPreconditionFailed:
-			// The replica follows a newer epoch: we are deposed. Stop
-			// shipping; the new primary owns the session now.
-			r.mu.Lock()
-			r.deposed = true
-			link.lastErr = errFenced.Error()
-			r.mu.Unlock()
-			s.met.replShipErrors.Inc()
-			return errFenced
 		default:
 			if err == nil {
 				err = fmt.Errorf("replica answered %d", status)
+				var se staleEpoch
+				if status == http.StatusPreconditionFailed && json.Unmarshal(body, &se) == nil {
+					err = &se
+				}
 			}
 			r.mu.Lock()
 			if catchup {
@@ -381,7 +412,7 @@ func (r *replicator) batch(recs []wal.Record) wal.Batch {
 // count, catch-up or incremental, status), and the trace context plus
 // request ID propagate to the follower, so one ingest's trace spans
 // primary and replicas alike.
-func (s *Server) shipBatch(ctx context.Context, target string, b wal.Batch) (status, sent int, err error) {
+func (s *Server) shipBatch(ctx context.Context, target string, b wal.Batch) (status, sent int, body []byte, err error) {
 	sctx, sp := obs.StartSpan(ctx, "repl.ship")
 	defer sp.Finish()
 	sp.Annotate("target", target)
@@ -391,13 +422,13 @@ func (s *Server) shipBatch(ctx context.Context, target string, b wal.Batch) (sta
 		sp.Annotate("catchup", true)
 	}
 	payload := wal.EncodeBatch(b)
-	status, _, err = s.callPeer(sctx, target+"/v1/replicate", "application/octet-stream", payload)
+	status, body, err = s.callPeer(sctx, target+"/v1/replicate", "application/octet-stream", payload)
 	if err != nil {
 		sp.Annotate("error", err.Error())
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	sp.Annotate("status", status)
-	return status, len(payload), nil
+	return status, len(payload), body, nil
 }
 
 // callPeer POSTs one request to another shard through s.peers under
@@ -425,6 +456,7 @@ func (s *Server) callPeer(ctx context.Context, url, ctype string, body []byte) (
 // session's stream is in the database and its anchor in s.replay.
 type replicaState struct {
 	patientID string
+	source    string // of the batches the cursor accepted: the owner it follows
 	cursor    wal.Cursor
 }
 
@@ -440,6 +472,9 @@ type ReplicateResponse struct {
 // s.replay and journaled as applied — verbatim, but a vertex-append
 // holding only the vertices it added — then their subscription history
 // is applied as recovery applies it.
+// A batch for a session live here is the one comparison: 412 at an
+// epoch no higher than this node's; at a higher one this node yields to
+// the source and applies the batch as its follower.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	capBody(w, r)
 	data, err := io.ReadAll(r.Body)
@@ -468,14 +503,23 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	var told *replicator
 	s.lock()
-	defer s.mu.Unlock()
-	if _, live := s.sessions[b.SessionID]; live {
-		// We are the primary for this session (promoted); the sender is
-		// a deposed primary. Fence it.
-		httpError(w, http.StatusPreconditionFailed,
-			fmt.Errorf("session %q is live here; shipping epoch %d is stale", b.SessionID, b.Epoch))
-		return
+	defer func() {
+		s.mu.Unlock()
+		s.flushHandOver(r.Context(), told)
+	}()
+	if sess, live := s.sessions[b.SessionID]; live {
+		if b.Epoch <= sess.repl.epoch {
+			writeJSON(w, http.StatusPreconditionFailed, staleEpoch{Epoch: sess.repl.epoch, Owner: s.advertise, Vertices: sess.stream.Len(),
+				Err: fmt.Sprintf("session %q is live here at epoch %d; shipping epoch %d is stale", b.SessionID, sess.repl.epoch, b.Epoch)})
+			return
+		}
+		var code int
+		if told, code, err = s.handOverLocked(r.Context(), sess, b.Source, b.Epoch, catchupHolds(sess.stream, b)); err != nil {
+			httpError(w, code, err)
+			return
+		}
 	}
 	rs, ok := s.replicas[b.SessionID]
 	if !ok {
@@ -485,7 +529,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	apply, err := rs.cursor.Accept(b)
 	switch {
 	case errors.Is(err, wal.ErrStaleEpoch):
-		httpError(w, http.StatusPreconditionFailed, err)
+		writeJSON(w, http.StatusPreconditionFailed, staleEpoch{Err: err.Error(), Epoch: rs.cursor.Epoch, Owner: rs.source,
+			Vertices: s.streamLen(b.PatientID, b.SessionID)})
 		return
 	case errors.Is(err, wal.ErrGap):
 		httpError(w, http.StatusConflict, err)
@@ -505,8 +550,9 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		if applyErr != nil {
 			break
 		}
-		if rec.Type == wal.TypeSessionClose {
+		if rec.Type == wal.TypeSessionClose { // over, here and at any owner a tombstone names
 			delete(s.replicas, rec.SessionID)
+			delete(s.migrations, rec.SessionID)
 		}
 	}
 	s.applySubOps(r.Context(), s.replay.TakeSubOps())
@@ -523,12 +569,40 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, fmt.Errorf("applying replicated record: %w", applyErr))
 		return
 	}
+	rs.source = b.Source
 	s.met.replApplied.Add(len(apply))
 	writeJSON(w, http.StatusOK, ReplicateResponse{
 		NextSeq: rs.cursor.Next,
 		Epoch:   rs.cursor.Epoch,
 		Applied: len(apply),
 	})
+}
+
+// streamLen is the length of a session's stream here, 0 when there is
+// none. Callers hold s.mu.
+func (s *Server) streamLen(patientID, sessionID string) int {
+	if p := s.db.Patient(patientID); p != nil {
+		if st := p.StreamBySession(sessionID); st != nil {
+			return st.Len()
+		}
+	}
+	return 0
+}
+
+// catchupHolds reports whether batch b is a catch-up whose
+// vertex-append begins with exactly st.
+func catchupHolds(st *store.Stream, b wal.Batch) bool {
+	if len(b.Records) == 0 || b.Records[0].Type != wal.TypeStreamOpen {
+		return false
+	}
+	view := st.ScanView("")
+	n := view.Len()
+	for _, rec := range b.Records {
+		if rec.Type == wal.TypeVertexAppend && len(rec.Vertices) >= n && reflect.DeepEqual(rec.Vertices[:n], view.Window(0, n)) {
+			return true
+		}
+	}
+	return n == 0
 }
 
 // PromoteRequest turns a replica into the live primary for a session.
@@ -549,8 +623,8 @@ type PromoteResponse struct {
 
 // handlePromote fails a replicated session over to this node: the
 // replica's stream becomes the live session through resumeSession —
-// the crash-recovery path — under a bumped epoch that fences the
-// deposed primary.
+// the crash-recovery path — under a bumped epoch, which the previous
+// owner yields to when the two meet.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("sid")
 	capBody(w, r)
@@ -584,7 +658,9 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, fmt.Errorf("flushing promotion: %w", err))
 			return
 		}
+		// A session that migrated away and back sheds its tombstone.
 		delete(s.replicas, sid)
+		delete(s.migrations, sid)
 		s.replay.Forget(sid)
 		s.open(sess)
 		s.met.replPromotions.Inc()

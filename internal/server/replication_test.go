@@ -270,14 +270,14 @@ func TestReplicateEndpointGapAndFencing(t *testing.T) {
 }
 
 // TestPromoteFailsOver: after promotion the replica serves the session
-// as primary — same PLR, continued ingestion — and fences the deposed
-// primary's further shipments.
+// as primary — same PLR, continued ingestion — and the deposed primary
+// yields to it when its next shipment meets the higher epoch.
 func TestPromoteFailsOver(t *testing.T) {
-	_, replica := newReplServer(t, Options{})
+	_, replicaURL := newAdvertised(t, Options{}) // the 412 names it, so it is an owner to yield to
 	_, primary := newReplServer(t, Options{AdvertiseURL: "http://primary"})
 
 	resp := postJSON(t, primary.URL+"/v1/sessions", CreateSessionRequest{
-		PatientID: "P01", SessionID: "S01", Replicate: []string{replica.URL},
+		PatientID: "P01", SessionID: "S01", Replicate: []string{replicaURL},
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d", resp.StatusCode)
@@ -289,7 +289,7 @@ func TestPromoteFailsOver(t *testing.T) {
 	primaryPLR, _ := getJSON[PLRResponse](t, primary.URL+"/v1/sessions/S01/plr")
 
 	// Fail over to the replica.
-	resp = postJSON(t, replica.URL+"/v1/sessions/S01/promote", PromoteRequest{})
+	resp = postJSON(t, replicaURL+"/v1/sessions/S01/promote", PromoteRequest{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("promote status %d", resp.StatusCode)
 	}
@@ -302,7 +302,7 @@ func TestPromoteFailsOver(t *testing.T) {
 	}
 
 	// Identical PLR on the new primary.
-	promotedPLR, code := getJSON[PLRResponse](t, replica.URL+"/v1/sessions/S01/plr")
+	promotedPLR, code := getJSON[PLRResponse](t, replicaURL+"/v1/sessions/S01/plr")
 	if code != http.StatusOK {
 		t.Fatalf("promoted plr status %d", code)
 	}
@@ -317,19 +317,20 @@ func TestPromoteFailsOver(t *testing.T) {
 	}
 
 	// Promotion is idempotent (a gateway retry converges).
-	resp = postJSON(t, replica.URL+"/v1/sessions/S01/promote", PromoteRequest{})
+	resp = postJSON(t, replicaURL+"/v1/sessions/S01/promote", PromoteRequest{})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-promote status %d", resp.StatusCode)
 	}
 
-	// The deposed primary's next shipment is fenced: the ingest still
-	// succeeds locally but reports the replica error.
+	// The deposed primary's next shipment meets the higher epoch, and
+	// the promoted replica holds every vertex acked before it: the old
+	// primary yields. The ingest is not acknowledged; it answers like a
+	// migrated session, 410 naming the new owner.
 	resp = postJSON(t, primary.URL+"/v1/sessions/S01/samples", samples[half:half+64])
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("deposed ingest status %d", resp.StatusCode)
-	}
-	if sr := decode[SamplesResponse](t, resp); len(sr.ReplicaErrors) == 0 {
-		t.Error("deposed primary's ingest reported no replica errors")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone || resp.Header.Get("Location") != replicaURL {
+		t.Fatalf("deposed ingest: status %d, Location %q; want 410 naming %s",
+			resp.StatusCode, resp.Header.Get("Location"), replicaURL)
 	}
 
 	// The new primary keeps accepting the stream where it left off.
@@ -339,7 +340,7 @@ func TestPromoteFailsOver(t *testing.T) {
 			cont = append(cont, s)
 		}
 	}
-	resp = postJSON(t, replica.URL+"/v1/sessions/S01/samples", cont)
+	resp = postJSON(t, replicaURL+"/v1/sessions/S01/samples", cont)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-failover ingest status %d", resp.StatusCode)
 	}

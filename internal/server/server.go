@@ -143,8 +143,18 @@ type session struct {
 
 	// fenced rejects new writes while a migration cutover is in flight
 	// (or after a restart recovered a prepared-but-uncommitted
-	// migration).
-	fenced bool
+	// migration). handoff is that migration's target and the followers
+	// it keeps, nil when unknown (handOverLocked).
+	fenced  bool
+	handoff []string
+
+	// acked is the longest stream an ingest acknowledged with a replica
+	// error, or that this node resumed: a follower may lack it, so a yield
+	// needs the new owner to hold it (yieldTo). superseded is the epoch of
+	// an owner this node could not hand the session over to: it acks no
+	// further write.
+	acked      int
+	superseded uint64
 }
 
 // NewWithOptions builds a server around an existing database (which
@@ -385,24 +395,32 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding samples: %w", err))
 		return
 	}
-	resp, repl, code, err := s.ingestLocked(r.Context(), sid, batch)
-	switch code {
-	case http.StatusNotFound:
+	resp, sess, end, code, err := s.ingestLocked(r.Context(), sid, batch)
+	if sess != nil {
+		// Ship before answering — even on error, so replicas hold exactly
+		// what this node stored. The ack then implies every healthy
+		// replica has every acknowledged vertex.
+		resp.ReplicaErrors = s.replFlush(r.Context(), sess.repl)
+		if len(resp.ReplicaErrors) > 0 {
+			// A follower lacks this write; a yield meanwhile leaves it
+			// unacknowledged.
+			s.lock()
+			if c, e := s.ownsLocked(sess); e != nil {
+				code, err = c, e
+			} else {
+				sess.acked = max(sess.acked, end)
+			}
+			s.mu.Unlock()
+		}
+	}
+	switch {
+	case code == http.StatusNotFound:
 		s.goneOr404(w, sid)
-		return
-	case http.StatusServiceUnavailable: // fenced: nothing stored, nothing to ship
+	case err != nil:
 		httpError(w, code, err)
-		return
+	default:
+		writeSamplesAck(w, resp)
 	}
-	// Ship before answering — even on error, so replicas hold exactly
-	// what this node stored. The ack then implies every healthy replica
-	// has every acknowledged vertex.
-	resp.ReplicaErrors = s.replFlush(r.Context(), repl)
-	if err != nil {
-		httpError(w, code, err)
-		return
-	}
-	writeSamplesAck(w, resp)
 }
 
 // writeSamplesAck answers an ingest with the bytes writeJSON gives resp,
@@ -429,23 +447,25 @@ func writeSamplesAck(w http.ResponseWriter, resp SamplesResponse) {
 // ingestLocked runs one ingest batch under the session lock, journals
 // the records it builds (one vertex-append holding every vertex that
 // landed, the anchor) and stages the same records on the session's
-// replica links. The returned replicator must be flushed by the caller
-// after the lock is released. Status 404 (no such session) and 503
-// (fenced) mean nothing was stored.
-func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn) (SamplesResponse, *replicator, int, error) {
+// replica links. The returned session's replicator must be flushed by
+// the caller after the lock is released; end is the stream's length
+// after the batch. With no session (404, 409 superseded, 503 fenced)
+// nothing was stored.
+func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn) (resp SamplesResponse, sess *session, end, code int, err error) {
 	s.lock()
 	defer s.mu.Unlock()
 	sess, ok := s.sessions[sid]
 	if !ok {
-		return SamplesResponse{}, nil, http.StatusNotFound, fmt.Errorf("no open session %q", sid)
+		return resp, nil, 0, http.StatusNotFound, fmt.Errorf("no open session %q", sid)
+	}
+	if code, err := s.ownsLocked(sess); err != nil {
+		return resp, nil, 0, code, err
 	}
 	if sess.fenced {
 		// A migration cutover is in flight; accepting the write here
 		// could lose it when the target takes over. Retryable.
-		return SamplesResponse{}, nil, http.StatusServiceUnavailable,
-			fmt.Errorf("session %q is migrating; retry shortly", sid)
+		return resp, nil, 0, http.StatusServiceUnavailable, fmt.Errorf("session %q is migrating; retry shortly", sid)
 	}
-	resp := SamplesResponse{}
 	start := sess.stream.Len()
 	var newVs []plr.Vertex
 	var pushErr error
@@ -504,11 +524,24 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 		sess.repl.enqueue(recs...)
 	}
 	if pushErr != nil {
-		return resp, sess.repl, pushCode, pushErr
+		return resp, sess, sess.stream.Len(), pushCode, pushErr
 	}
 	resp.TotalSamples = sess.samples
 	resp.CurrentState = sess.seg.CurrentState().String()
-	return resp, sess.repl, 0, nil
+	return resp, sess, sess.stream.Len(), 0, nil
+}
+
+// ownsLocked reports whether this node still owns sess and acks its
+// writes: 404 once it is retired, 409 once superseded. Callers hold
+// s.mu.
+func (s *Server) ownsLocked(sess *session) (int, error) {
+	switch {
+	case s.sessions[sess.sessionID] != sess:
+		return http.StatusNotFound, fmt.Errorf("no open session %q", sess.sessionID)
+	case sess.superseded > 0:
+		return http.StatusConflict, fmt.Errorf("session %q is owned at epoch %d elsewhere, by a node it could not be handed over to; this node keeps its copy", sess.sessionID, sess.superseded)
+	}
+	return 0, nil
 }
 
 // CloseSessionResponse reports the final state of a closed session.

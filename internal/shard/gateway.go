@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"sync"
 	"time"
 
@@ -314,44 +313,6 @@ func (g *Gateway) handleSessionScoped(w http.ResponseWriter, r *http.Request) {
 	relay(w, status, respBody)
 }
 
-// failover promotes the first of placements.candidates that accepts,
-// and records it. Serialized per gateway, so concurrent requests against
-// a dead primary elect one replacement and later waiters find it.
-func (g *Gateway) failover(ctx context.Context, sid string) (*Backend, error) {
-	g.promoteMu.Lock()
-	defer g.promoteMu.Unlock()
-	if u, _ := g.placements.resolve(sid, g.healthy); u != "" {
-		return g.pool.ByURL(u), nil // raced with another request's failover
-	}
-	from, cands := g.placements.candidates(sid, g.healthy)
-	lastErr := errors.New("no healthy owner left to promote")
-	for _, c := range cands {
-		body, err := json.Marshal(server.PromoteRequest{Replicate: c.replicate})
-		if err != nil {
-			return nil, err
-		}
-		b := g.pool.ByURL(c.to)
-		status, respBody, _, err := g.pool.do(ctx, b,
-			http.MethodPost, "/v1/sessions/"+url.PathEscape(sid)+"/promote", "application/json", body, false)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if status != http.StatusOK {
-			lastErr = fmt.Errorf("promote on %s: status %d: %s", c.to, status, errDetail(respBody))
-			continue
-		}
-		g.placements.failedOver(sid, from, c.to)
-		g.met.failovers.Inc()
-		g.log.Warn("session failed over",
-			slog.String("sessionId", sid),
-			slog.String("from", from),
-			slog.String("to", c.to))
-		return b, nil
-	}
-	return nil, fmt.Errorf("session %s: primary down and no replica promoted: %w", sid, lastErr)
-}
-
 // bodyErrCode maps a buffered-read error to a status: 413 when the
 // proxy body cap tripped, 400 otherwise.
 func bodyErrCode(err error) int {
@@ -360,36 +321,6 @@ func bodyErrCode(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-// serving resolves who serves a session: its placement (the table, or
-// after a gateway restart the shards' inventories), then its healthy
-// primary, else the replica a failover promotes. Every session-addressed
-// path — proxied requests, subscription routing, the rebalance drain —
-// asks here. known is false when no shard holds the session; with an
-// error, a known session has nothing healthy to serve it.
-//
-// A session the table does not know, or knows with no primary, is
-// folded from the inventories again before anything is failed over: a
-// fold that read a transfer's target before its promote and its source
-// after its commit saw only followers, and a read now finds the target
-// serving.
-func (g *Gateway) serving(ctx context.Context, sid string) (b *Backend, known bool, err error) {
-	u, known := g.placements.resolve(sid, g.healthy)
-	if u == "" {
-		if primary, _, _, _ := g.placements.lookup(sid); primary == "" {
-			g.placements.fold(sid, g.inventories(ctx))
-			u, known = g.placements.resolve(sid, g.healthy)
-		}
-	}
-	if !known {
-		return nil, false, fmt.Errorf("no open session %q on any reachable shard", sid)
-	}
-	if u != "" {
-		return g.pool.ByURL(u), true, nil
-	}
-	b, err = g.failover(ctx, sid)
-	return b, true, err
 }
 
 // MatchResult is the gateway's scatter-gather response: the exact

@@ -15,7 +15,7 @@ type shardMetrics struct {
 	routed    *obs.CounterVec // backend: sessions routed by the ring
 	failovers *obs.Counter    // sessions promoted onto a replica
 
-	// Elastic rebalancing (see rebalance.go).
+	// Elastic rebalancing (see transfer.go).
 	rebalances             *obs.Counter
 	rebalanceMoved         *obs.Counter
 	rebalanceFailures      *obs.Counter

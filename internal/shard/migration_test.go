@@ -781,19 +781,18 @@ func TestMigrateTombstoneRepairsPlacement(t *testing.T) {
 		t.Fatalf("direct migrate: status %d", resp.StatusCode)
 	}
 	mr := testutil.Decode[server.MigrateResponse](t, resp)
-	if mr.Target != target || mr.AlreadyMigrated {
-		t.Fatalf("migrate response %+v, want a fresh move to %s", mr, target)
+	if mr.Target != target {
+		t.Fatalf("migrate response %+v, want a move to %s", mr, target)
 	}
 
-	// Re-driving the migrate endpoint is idempotent: same outcome,
-	// flagged as already migrated.
+	// Re-driving the migrate endpoint answers like every session route
+	// of a migrated session: 410 Gone, the new owner in Location.
 	resp2 := testutil.PostJSON(t, src+"/v1/sessions/"+sid+"/migrate",
 		server.MigrateRequest{Target: target})
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("re-driven migrate: status %d", resp2.StatusCode)
-	}
-	if mr2 := testutil.Decode[server.MigrateResponse](t, resp2); !mr2.AlreadyMigrated {
-		t.Errorf("re-driven migrate response %+v, want alreadyMigrated", mr2)
+	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusGone || resp2.Header.Get("Location") != target {
+		t.Fatalf("re-driven migrate: status %d, Location %q; want 410 naming %s",
+			resp2.StatusCode, resp2.Header.Get("Location"), target)
 	}
 
 	// The gateway still believes the old placement. One request must
@@ -1080,5 +1079,116 @@ func TestMigrateCloseDuringCatchup(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRebalanceMovesToReadmittedDeposedPrimary: a primary the gateway
+// lost, that stayed up and was failed over away from, is readmitted, and
+// the ring still designates it. One Rebalance pass moves the session
+// back onto it: its stale copy is a prefix of the new owner's, so it
+// yields to the new owner's catch-up, follows, and is promoted. The
+// moved session serves every acked vertex and /v1/match stays
+// byte-identical to the single-node oracle, crashed and reopened where
+// each promote resumed the session.
+func TestRebalanceMovesToReadmittedDeposedPrimary(t *testing.T) {
+	var cut atomic.Pointer[string]
+	c := testutil.StartCluster(t, 2, 2, func(cfg *testutil.ClusterConfig) {
+		cfg.Gateway.Transport = cutTransport(t, &cut)
+	})
+	oracleDir := t.TempDir()
+	oracle := newDurableOracle(t, oracleDir)
+	ingestContextPatients(t, c.URL, oracle.URL, 2)
+	const pid, sid = "P00", "S-P00"
+	createSession(t, c.URL, pid, sid)
+	createSession(t, oracle.URL, pid, sid)
+	batches := respBatches(t, 77, 45)
+	third := len(batches) / 3
+	for _, b := range batches[:third] {
+		ingestBatch(t, c.URL, sid, b)
+		ingestBatch(t, oracle.URL, sid, b)
+	}
+	old, _, _ := c.Gateway.SessionPlacement(sid)
+
+	cut.Store(&old)
+	c.Probe(1) // the gateway ejects the primary; it stays up
+	oracle.Close()
+	oracle = newDurableOracle(t, oracleDir)
+	for _, b := range batches[third : 2*third] {
+		ingestBatch(t, c.URL, sid, b) // the first batch fails the session over
+		ingestBatch(t, oracle.URL, sid, b)
+	}
+	if p, _, _ := c.Gateway.SessionPlacement(sid); p == old {
+		t.Fatalf("session did not fail over: primary still %q", p)
+	}
+	cut.Store(nil)
+	c.Probe(2) // the deposed primary is readmitted
+
+	rep := c.Gateway.Rebalance(context.Background())
+	if len(rep.Failed) != 0 {
+		t.Fatalf("rebalance onto the readmitted primary failed: %v", rep.Failed)
+	}
+	assertSessionMoved(t, rep, sid, old)
+	if p, _, _ := c.Gateway.SessionPlacement(sid); p != old {
+		t.Fatalf("placement = %q after the move, want %q", p, old)
+	}
+	oracle.Close()
+	oracle = newDurableOracle(t, oracleDir)
+	for _, b := range batches[2*third:] {
+		ingestBatch(t, c.URL, sid, b)
+		ingestBatch(t, oracle.URL, sid, b)
+	}
+	want := assertPLREqual(t, "moved back", c.URL, oracle.URL, sid)
+	seq := plr.Sequence(want.Vertices[len(want.Vertices)-10:])
+	assertMatchEquivalence(t, "moved back", c.URL, oracle.URL,
+		server.MatchRequest{Seq: seq, PatientID: pid, SessionID: sid}, 2, 2)
+}
+
+// TestMigrationLostPromoteAnswerStaysFenced: the target's promote lands
+// but its answer is cut short. The source cannot tell whether it landed,
+// so it stays fenced and prepared (503 to ingest) instead of rolling
+// back beside a target serving at epoch 2; the re-drive meets the
+// target's epoch, the source yields, and the target holds every acked
+// vertex. At R=1 nothing else would ever tell the source.
+func TestMigrationLostPromoteAnswerStaysFenced(t *testing.T) {
+	ft := testutil.NewFaultTransport().
+		Only(func(r *http.Request) bool { return strings.HasSuffix(r.URL.Path, "/promote") }).
+		Script(testutil.FaultPartialBody)
+	c := testutil.StartCluster(t, 1, 1, func(cfg *testutil.ClusterConfig) {
+		cfg.ConfigureServer = func(_ int, o *server.Options) { o.ReplicateTransport = ft }
+	})
+	target := c.AddNode(nil)
+	const pid, sid = "P00", "S-P00"
+	createSession(t, c.URL, pid, sid)
+	batches := respBatches(t, 41, 40)
+	half := len(batches) / 2
+	for _, b := range batches[:half] {
+		ingestBatch(t, c.URL, sid, b)
+	}
+	src := c.Nodes[0].URL
+	acked := testutil.GetJSON[server.PLRResponse](t, src+"/v1/sessions/"+sid+"/plr")
+
+	resp := testutil.PostJSON(t, src+"/v1/sessions/"+sid+"/migrate", server.MigrateRequest{Target: target.URL})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("migrate with the promote answer cut short: status %d, want 502", resp.StatusCode)
+	}
+	if st := testutil.GetJSON[server.ShardStatsResponse](t, target.URL+"/v1/shard/stats"); len(st.Sessions) != 1 || st.Sessions[0].Epoch != 2 {
+		t.Fatalf("target inventory %+v, want the session served at epoch 2", st.Sessions)
+	}
+	resp = testutil.PostJSON(t, src+"/v1/sessions/"+sid+"/samples", batches[half])
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("ingest on the source after the lost answer: status %d, want 503 (still fenced)", resp.StatusCode)
+	}
+
+	resp = testutil.PostJSON(t, src+"/v1/sessions/"+sid+"/migrate", server.MigrateRequest{Target: target.URL})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone || resp.Header.Get("Location") != target.URL {
+		t.Fatalf("re-driven migrate: status %d, Location %q; want 410 naming %s",
+			resp.StatusCode, resp.Header.Get("Location"), target.URL)
+	}
+	got := testutil.GetJSON[server.PLRResponse](t, target.URL+"/v1/sessions/"+sid+"/plr")
+	if !reflect.DeepEqual(got.Vertices, acked.Vertices) {
+		t.Fatalf("the target serves %d vertices, the source acked %d", len(got.Vertices), len(acked.Vertices))
 	}
 }

@@ -178,11 +178,14 @@ func (p *placements) movedTo(sid, primary string) {
 	}
 }
 
+// setPrimary makes u the session's primary, among its owners and no
+// longer deposed.
 func (pl *placement) setPrimary(u string) {
 	pl.primary = u
 	if !slices.Contains(pl.owners, u) {
 		pl.owners = append([]string{u}, pl.owners...)
 	}
+	pl.deposed = slices.DeleteFunc(pl.deposed, func(d string) bool { return d == u })
 }
 
 // forget drops a session: it closed, or its entry went stale.
@@ -195,12 +198,14 @@ func (p *placements) forget(sid string) {
 // fold merges the shards' session inventories into the table — for one
 // session, or all when only is "" — so routing after a gateway restart
 // and the rebalance diff start from where sessions actually live. A
-// Sessions claim names the primary, a Replicas claim a follower; a
+// Sessions claim names its node at its epoch, a Retired claim (a
+// tombstone) the owner it names at that owner's epoch, so a transfer
+// read mid-way is never unplaced; a Replicas claim names a follower. A
 // session only followers hold gets no primary, and the first resolve
-// fails it over. Of two Sessions claims the higher epoch is the
-// primary and the lower one is deposed: a primary a failover deposed
-// and that came back still serving its stale copy, or a migration's
-// fenced source beside its promoted target. The table stays
+// fails it over. Of the claims the highest epoch is the primary and the
+// lower ones are deposed: a primary a failover deposed and that came
+// back still serving its stale copy, or a migration's fenced source
+// beside its promoted target. The table stays
 // authoritative: only unknown sessions are added, and a missing
 // primary is filled, never with a node the entry lists as deposed.
 func (p *placements) fold(only string, invs []answer[server.ShardStatsResponse]) {
@@ -222,18 +227,26 @@ func (p *placements) fold(only string, invs []answer[server.ShardStatsResponse])
 			continue
 		}
 		u := inv.backend.URL()
-		for _, e := range inv.val.Sessions {
+		for i, e := range slices.Concat(inv.val.Sessions, inv.val.Retired) {
+			by := u
+			if i >= len(inv.val.Sessions) {
+				if by = e.Owner; by == "" {
+					continue // a tombstone naming no owner claims nothing
+				}
+			}
 			pl := claim(e)
 			switch {
 			case pl == nil:
+			case pl.primary == by:
+				epochs[e.SessionID] = max(epochs[e.SessionID], e.Epoch)
 			case pl.primary == "" || e.Epoch > epochs[e.SessionID]:
 				if pl.primary != "" {
 					pl.deposed = append(pl.deposed, pl.primary)
 				}
-				pl.setPrimary(u)
+				pl.setPrimary(by)
 				epochs[e.SessionID] = e.Epoch
 			case e.Epoch < epochs[e.SessionID]:
-				pl.deposed = append(pl.deposed, u)
+				pl.deposed = append(pl.deposed, by)
 			}
 		}
 		for _, e := range inv.val.Replicas {

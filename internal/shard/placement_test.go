@@ -353,3 +353,49 @@ func TestPlacementsCovered(t *testing.T) {
 		t.Error("covered with nothing answering")
 	}
 }
+
+// TestPlacementsFoldTombstone: a hand-over's tombstone is a claim for
+// the owner it names, at that owner's epoch. A fold that read the
+// target before the first catch-up reached it, the source after its
+// commit and the old follower after its close still places the session
+// on the target; a live claim at a higher epoch beats the tombstone.
+func TestPlacementsFoldTombstone(t *testing.T) {
+	source, follower, target, other := placementNodes[0], placementNodes[1], placementNodes[2], placementNodes[3]
+	retired := func(u, owner string, epoch uint64) answer[server.ShardStatsResponse] {
+		inv := inventory(u, nil, nil)
+		inv.val.Retired = []server.ShardSession{{SessionID: "S1", PatientID: "P-S1", Owner: owner, Epoch: epoch}}
+		return inv
+	}
+	p := newPlacements(placementNodes, 2)
+	p.fold("", []answer[server.ShardStatsResponse]{
+		inventory(target, nil, nil), retired(source, target, 2), inventory(follower, nil, nil),
+	})
+	if primary, _, deposed, ok := p.lookup("S1"); !ok || primary != target || len(deposed) != 0 {
+		t.Fatalf("placement = %q deposed %v known %v, want %s", primary, deposed, ok, target)
+	}
+
+	live := inventory(other, []string{"S1"}, nil)
+	live.val.Sessions[0].Epoch = 3
+	for _, order := range [][]answer[server.ShardStatsResponse]{
+		{retired(source, target, 2), live},
+		{live, retired(source, target, 2)},
+	} {
+		p := newPlacements(placementNodes, 2)
+		p.fold("", order)
+		if primary, _, deposed, _ := p.lookup("S1"); primary != other || !slices.Equal(deposed, []string{target}) {
+			t.Errorf("placement = %q deposed %v, want %s with %s deposed", primary, deposed, other, target)
+		}
+	}
+
+	// A tombstone naming no owner (a node that advertises no URL) claims
+	// nothing: not for the node holding it, not at all.
+	p = newPlacements(placementNodes, 2)
+	p.fold("", []answer[server.ShardStatsResponse]{retired(source, "", 2)})
+	if _, _, _, ok := p.lookup("S1"); ok {
+		t.Error("an owner-less tombstone placed the session")
+	}
+	p.fold("", []answer[server.ShardStatsResponse]{inventory(source, []string{"S1"}, nil), retired(follower, "", 2)})
+	if primary, _, deposed, _ := p.lookup("S1"); primary != source || len(deposed) != 0 {
+		t.Errorf("placement = %q deposed %v, want %s", primary, deposed, source)
+	}
+}

@@ -1,17 +1,14 @@
-// Elastic rebalancing: when the backend set changes, the gateway drains
-// the sessions whose designated primary moved onto their new owners
-// through the shards' live-migration endpoint (POST
-// /v1/sessions/{sid}/migrate), with bounded concurrency and per-session
-// retry/backoff. The drain diffs actual placement, folded from the
-// shards' own inventories, against the ring (placements.fold, then
-// placements.diff) rather than journaling planned moves, so a fresh or
-// restarted gateway recomputes exactly the remainder: committed moves
-// answer from their new primary (or via the source's 410) and drop out,
-// interrupted ones re-drive through the migrate endpoint's idempotent
-// path, and a dead source fails over onto a surviving replica first.
+// Session transfer, the gateway's half: every call that moves a session
+// between shards. serving resolves who serves a session and failover
+// promotes a follower of an ejected primary. Rebalance drains the
+// sessions whose designated primary moved through the shards' migrate
+// endpoint, diffing placement folded from the shards' inventories
+// against the ring (placements.fold, then placements.diff), so a fresh
+// or restarted gateway recomputes exactly the remainder.
 package shard
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -88,6 +85,9 @@ func (g *Gateway) Rebalance(ctx context.Context) RebalanceReport {
 	}
 	wg.Wait()
 	for i, m := range moves {
+		if errors.Is(errs[i], errClosed) {
+			continue // nothing left to move: the placement is forgotten
+		}
 		if errs[i] != nil {
 			rep.Failed[m.SessionID] = errs[i].Error()
 			g.met.rebalanceFailures.Inc()
@@ -108,11 +108,15 @@ func (g *Gateway) Rebalance(ctx context.Context) RebalanceReport {
 	return rep
 }
 
+// errClosed is a move whose source answered 404: the session closed on
+// the owner a tombstone named, and the move forgets it.
+var errClosed = errors.New("session closed on its source")
+
 // migrateSession moves one session onto target, retrying with
 // backoff. A dead source is failed over onto a surviving replica first
 // (the ordinary promote path), then the move re-drives from the new
-// primary; a source that already committed the migration answers
-// AlreadyMigrated and the placement just catches up.
+// primary; a source that already handed the session over answers 410
+// and the placement just catches up to the owner it names.
 func (g *Gateway) migrateSession(ctx context.Context, sid, target string) error {
 	ctx, sp := obs.StartSpan(ctx, "migrate")
 	defer sp.Finish()
@@ -145,46 +149,112 @@ func (g *Gateway) migrateSession(ctx context.Context, sid, target string) error 
 			g.placements.movedTo(sid, target)
 			return nil
 		}
-		resp, err := g.callMigrate(ctx, src, sid, target)
+		owner, err := g.callMigrate(ctx, src, sid, target)
+		if errors.Is(err, errClosed) {
+			g.placements.forget(sid)
+			return err
+		}
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		sp.Annotate("epoch", resp.Epoch)
-		g.placements.movedTo(sid, target)
+		g.placements.movedTo(sid, owner)
 		return nil
 	}
 	return lastErr
 }
 
 // callMigrate POSTs one migrate request to the session's source shard,
-// under the budget of a full session drain rather than one proxied
-// request. The target's followers are the one rule's
-// (placements.migrateFollowers).
-func (g *Gateway) callMigrate(ctx context.Context, src *Backend, sid, target string) (*server.MigrateResponse, error) {
+// under the budget of a full session drain, and returns the owner after
+// it. The target's followers are placements.migrateFollowers'.
+func (g *Gateway) callMigrate(ctx context.Context, src *Backend, sid, target string) (string, error) {
 	body, err := json.Marshal(server.MigrateRequest{Target: target, Replicate: g.placements.migrateFollowers(sid, target)})
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	status, data, _, err := g.pool.once(ctx, src, http.MethodPost,
+	status, data, hdr, err := g.pool.once(ctx, src, http.MethodPost,
 		"/v1/sessions/"+url.PathEscape(sid)+"/migrate", "application/json", body, g.opts.MigrateTimeout)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	switch status {
 	case http.StatusOK:
-		var mr server.MigrateResponse
-		if err := json.Unmarshal(data, &mr); err != nil {
-			return nil, fmt.Errorf("decoding migrate response: %w", err)
-		}
-		return &mr, nil
-	case http.StatusGone:
-		// The source already tombstoned the session (a prior attempt
-		// committed); the migration is done.
-		return &server.MigrateResponse{SessionID: sid, Target: target, AlreadyMigrated: true}, nil
+		return target, nil
+	case http.StatusGone: // handed over already; the tombstone names the owner
+		return cmp.Or(hdr.Get("Location"), target), nil
+	case http.StatusNotFound:
+		return "", errClosed
 	default:
-		return nil, fmt.Errorf("migrate on %s: status %d: %s", src.URL(), status, errDetail(data))
+		return "", fmt.Errorf("migrate on %s: status %d: %s", src.URL(), status, errDetail(data))
 	}
+}
+
+// serving resolves who serves a session: its placement (the table, or
+// after a gateway restart the shards' inventories), then its healthy
+// primary, else the replica a failover promotes. Every session-addressed
+// path — proxied requests, subscription routing, the rebalance drain —
+// asks here. known is false when no shard holds the session; with an
+// error, a known session has nothing healthy to serve it.
+//
+// A session the table does not know, or knows with no primary, is
+// folded from the inventories again before anything is failed over: a
+// fold that read a transfer's target before its promote and its source
+// after its commit saw only followers, and a read now finds the target
+// serving.
+func (g *Gateway) serving(ctx context.Context, sid string) (b *Backend, known bool, err error) {
+	u, known := g.placements.resolve(sid, g.healthy)
+	if u == "" {
+		if primary, _, _, _ := g.placements.lookup(sid); primary == "" {
+			g.placements.fold(sid, g.inventories(ctx))
+			u, known = g.placements.resolve(sid, g.healthy)
+		}
+	}
+	if !known {
+		return nil, false, fmt.Errorf("no open session %q on any reachable shard", sid)
+	}
+	if u != "" {
+		return g.pool.ByURL(u), true, nil
+	}
+	b, err = g.failover(ctx, sid)
+	return b, true, err
+}
+
+// failover promotes the first of placements.candidates that accepts,
+// and records it. Serialized per gateway, so concurrent requests against
+// a dead primary elect one replacement and later waiters find it.
+func (g *Gateway) failover(ctx context.Context, sid string) (*Backend, error) {
+	g.promoteMu.Lock()
+	defer g.promoteMu.Unlock()
+	if u, _ := g.placements.resolve(sid, g.healthy); u != "" {
+		return g.pool.ByURL(u), nil // raced with another request's failover
+	}
+	from, cands := g.placements.candidates(sid, g.healthy)
+	lastErr := errors.New("no healthy owner left to promote")
+	for _, c := range cands {
+		body, err := json.Marshal(server.PromoteRequest{Replicate: c.replicate})
+		if err != nil {
+			return nil, err
+		}
+		b := g.pool.ByURL(c.to)
+		status, respBody, _, err := g.pool.do(ctx, b,
+			http.MethodPost, "/v1/sessions/"+url.PathEscape(sid)+"/promote", "application/json", body, false)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if status != http.StatusOK {
+			lastErr = fmt.Errorf("promote on %s: status %d: %s", c.to, status, errDetail(respBody))
+			continue
+		}
+		g.placements.failedOver(sid, from, c.to)
+		g.met.failovers.Inc()
+		g.log.Warn("session failed over",
+			slog.String("sessionId", sid),
+			slog.String("from", from),
+			slog.String("to", c.to))
+		return b, nil
+	}
+	return nil, fmt.Errorf("session %s: primary down and no replica promoted: %w", sid, lastErr)
 }
 
 // AddBackendRequest is the admin payload growing the cluster.

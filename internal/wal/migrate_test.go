@@ -142,3 +142,35 @@ func TestSnapshotCarriesMigrations(t *testing.T) {
 		t.Fatalf("migrations after tail abort:\n got %+v\nwant %+v", res.Migrations, want[1:])
 	}
 }
+
+// TestCloseShedsTombstone: a session handed over and then closed by its
+// new owner (the close this node journals as that owner's follower)
+// leaves no tombstone after replay, so the node's inventory stops
+// claiming the session for that owner.
+func TestCloseShedsTombstone(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Options{Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSession(t, l, "P1", "S1", mkVerts(0, 8))
+	for _, rec := range []Record{
+		{Type: TypeSessionMigrate, PatientID: "P1", SessionID: "S1", Target: "http://b", Epoch: 2, Phase: MigrateCommit},
+		{Type: TypeStreamOpen, PatientID: "P1", SessionID: "S1"},
+		{Type: TypeSessionClose, SessionID: "S1"},
+	} {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, res, err := Open(Options{Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Migrations) != 0 || openSessions(res)["S1"] {
+		t.Fatalf("after the owner's close: migrations %+v, open %v; want neither", res.Migrations, openSessions(res))
+	}
+}

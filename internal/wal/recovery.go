@@ -435,7 +435,9 @@ func (r *Replay) Apply(rec Record) (Record, error) {
 		}
 		return r.appendTail(st, rec)
 	case TypeSessionClose:
+		// Closed: no longer owned, and no longer a tombstone's claim.
 		delete(r.sessions, rec.SessionID)
+		delete(r.migrations, rec.SessionID)
 	case TypeSessionAnchor:
 		ss := &r.session(rec.PatientID, rec.SessionID).SessionState
 		ss.Samples, ss.LastT, ss.LastPos = rec.Samples, rec.AnchorT, rec.AnchorPos
