@@ -154,24 +154,29 @@ func TestPredictDisplacementCtxBitIdentical(t *testing.T) {
 // TestPredictDisplacementCtxObservable: the fused search is the ordinary
 // funnel — the same stsmatch_matcher_* deltas as FindSimilar on the same
 // query, counts that partition, and under a trace the matcher.search
-// span with its funnel stages.
+// span with its funnel stages. Each search runs on a matcher of its own,
+// which has kept no retrieval to answer it from.
 func TestPredictDisplacementCtxObservable(t *testing.T) {
 	alwaysFanOut(t)
 	db := forecastCorpus(t, 9, 1)
 	for _, par := range []int{1, 2} {
 		p := DefaultParams()
 		p.Parallelism = par
-		m, err := NewMatcher(db, p)
-		if err != nil {
-			t.Fatal(err)
+		fresh := func() *Matcher {
+			m, err := NewMatcher(db, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
 		}
 		st := db.Streams()[3]
 		seq := st.Seq()
 		q := NewQuery(seq[len(seq)-30:len(seq)-20], st.PatientID, st.SessionID)
-		ms, want := searchCounts(t, func() ([]Match, error) { return m.FindSimilar(q, nil) })
+		ms, want := searchCounts(t, func() ([]Match, error) { return fresh().FindSimilar(q, nil) })
 		var n int
+		var err error
 		_, got := searchCounts(t, func() ([]Match, error) {
-			_, n, _, err = m.PredictDisplacementCtx(context.Background(), q, 0, 0.2, 0)
+			_, n, _, err = fresh().PredictDisplacementCtx(context.Background(), q, 0, 0.2, 0)
 			return nil, err
 		})
 		if got != want || !partitions(got) || n != len(ms) || got.Matched != n {
@@ -180,7 +185,7 @@ func TestPredictDisplacementCtxObservable(t *testing.T) {
 
 		col := obs.NewCollector(4, time.Hour)
 		root := obs.StartTrace("test.predict", "test", obs.SpanContext{}, col)
-		if _, _, _, err := m.PredictDisplacementCtx(obs.ContextWithSpan(context.Background(), root), q, 0, 0.2, 0); err != nil {
+		if _, _, _, err := fresh().PredictDisplacementCtx(obs.ContextWithSpan(context.Background(), root), q, 0, 0.2, 0); err != nil {
 			t.Fatal(err)
 		}
 		root.Finish()
@@ -210,6 +215,7 @@ func TestPredictDisplacementCtxPanicLeavesMatcherClean(t *testing.T) {
 	st := db.Streams()[1]
 	seq := st.Seq()
 	q := NewQuery(seq[len(seq)-40:len(seq)-30], st.PatientID, st.SessionID)
+	other := NewQuery(seq[len(seq)-50:len(seq)-40], st.PatientID, st.SessionID)
 	var reads, boomAt atomic.Int64
 	now = func() time.Time {
 		if n := reads.Add(1); boomAt.Load() > 0 && n >= boomAt.Load() {
@@ -238,8 +244,9 @@ func TestPredictDisplacementCtxPanicLeavesMatcherClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A clean fused search first, so that the scratch holds sums.
-		if _, _, _, err := m.PredictDisplacementCtx(context.Background(), q, 1, 2, 0); err != nil {
+		// A clean fused search first, so that the scratch holds sums; of
+		// another query, so that the one that panics runs the funnel.
+		if _, _, _, err := m.PredictDisplacementCtx(context.Background(), other, 1, 2, 0); err != nil {
 			t.Fatal(err)
 		}
 		func() {

@@ -112,6 +112,7 @@ type Matcher struct {
 	workers []*workerState
 	buckets []int32  // order's bucket table
 	fc      forecast // PredictDisplacementCtx's collector
+	kept    kept     // the last unrestricted threshold retrieval
 }
 
 // workerState is one funnel worker's private output: the hits it
@@ -339,10 +340,16 @@ func newQueryPlan(p Params, q Query, sig string, threshold float64, buf []float6
 	}
 	pl.wsum, pl.vwMin = sumMin(pl.vw)
 	pl.wa, pl.wf = p.ampFreqWeights()
-	for rel := range pl.ws {
-		pl.ws[rel] = p.StreamWeight(SourceRelation(rel))
-	}
+	pl.ws = streamWeights(p)
 	return pl, nil
+}
+
+// streamWeights is w_s by SourceRelation.
+func streamWeights(p Params) (ws [3]float64) {
+	for rel := range ws {
+		ws[rel] = p.StreamWeight(SourceRelation(rel))
+	}
+	return ws
 }
 
 // search is the unified retrieval core behind FindSimilar (k == 0),
@@ -352,8 +359,23 @@ func newQueryPlan(p Params, q Query, sig string, threshold float64, buf []float6
 // workers; every candidate goes through queryPlan.run, and partial
 // results merge into the matchLess total order, so the output is
 // byte-identical at every parallelism setting.
+//
+// An unrestricted threshold search (k == 0, restrict == nil) is kept
+// (kept): the next such search for the same query under the same
+// parameters over the database at the same version is answered from it,
+// without the funnel. The version is read before the streams are listed,
+// so an append racing the search can only make the next one miss.
 func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool, k int, threshold float64, fc *forecast) ([]Match, error) {
 	start := time.Now()
+	keeps, version := k == 0 && restrict == nil, m.DB.Version()
+	if keeps {
+		if m.kept.holds(m.DB, version, m.Params, threshold, q) {
+			if out, ok := m.reuse(ctx, start, version, q, fc); ok {
+				return out, nil
+			}
+		}
+		m.kept.ok = false // until this search completes
+	}
 	plan, err := newQueryPlan(m.Params, q, q.Seq.StateSignature(), threshold, m.buf)
 	if err != nil {
 		return nil, err
@@ -376,13 +398,13 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 
 	streams := m.DB.AppendStreams(m.streams[:0])
 	if restrict != nil {
-		kept := streams[:0]
+		in := streams[:0]
 		for _, st := range streams {
 			if restrict[st.PatientID] {
-				kept = append(kept, st)
+				in = append(in, st)
 			}
 		}
-		streams = kept
+		streams = in
 	}
 	m.streams = streams
 
@@ -406,9 +428,9 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	pl.dispatch(active, streams)
 
 	// Merge: top-k mode drains the shared heap, threshold mode orders the
-	// workers' hits and ranks or folds them. Either way the matchCmp total
-	// order fully determines the output, so worker scheduling cannot
-	// affect it.
+	// workers' hits and ranks or folds them, and an unrestricted one keeps
+	// them. Either way the matchCmp total order fully determines the
+	// output, so worker scheduling cannot affect it.
 	mergeStart := time.Now()
 	var out []Match
 	switch {
@@ -420,6 +442,10 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	default:
 		out = m.rank(pl, active, streams)
 	}
+	if keeps {
+		m.kept.keep(m.DB, version, m.Params, threshold, q, streams)
+		m.kept.hits = keptHits(m.kept.hits[:0], out, fc, active)
+	}
 	mergeDur := time.Since(mergeStart)
 
 	var sg stageNS
@@ -429,6 +455,9 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		// rejected by the adaptive bound after all.
 		counts.DistRejected += counts.Matched - len(out)
 		counts.Matched = len(out)
+	}
+	if keeps {
+		m.kept.counts, m.kept.ok = counts, true
 	}
 	mSearchSeconds.Observe(time.Since(start).Seconds())
 
@@ -443,6 +472,7 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 			"distRejected": counts.DistRejected})
 		obs.AddSpan(ctx, "funnel.topk_merge", mergeStart, mergeDur, map[string]any{
 			"matched": counts.Matched})
+		span.Annotate("reused", false)
 		span.Annotate("streams", len(streams))
 		span.Annotate("parallelism", par)
 		span.Annotate("k", k)

@@ -23,6 +23,8 @@ var (
 		"Candidate windows rejected by the acceptance bound (threshold or adaptive top-k), including early abandonment.")
 	mMatched = obs.Default().Counter("stsmatch_matcher_matches_total",
 		"Candidate windows accepted as matches.")
+	mReused = obs.Default().Counter("stsmatch_matcher_reused_total",
+		"Threshold searches answered from the matcher's kept last retrieval, without the funnel: the same query over an unchanged database.")
 	mQueryLen = obs.Default().Histogram("stsmatch_matcher_query_vertices",
 		"Query length in vertices per search.",
 		[]float64{2, 4, 7, 10, 13, 16, 19, 22, 25, 31})

@@ -190,7 +190,8 @@ type forecast struct {
 	wsum, dsum float64   // Σ w over the hits with a future; Σ distance over all
 	used       int       // hits with a future
 	matches    int
-	refs       []hitRef // the hits in order
+	refs       []hitRef  // the hits in order
+	ab         []float64 // refold's two positions
 }
 
 // future records, beside the hit worker w just accepted — a window
@@ -201,14 +202,23 @@ type forecast struct {
 func (f *forecast) future(w *workerState, ts, pos []float64, dims, end int) {
 	at := len(w.disp)
 	w.disp = slices.Grow(w.disp, 2*dims)[:at+2*dims]
-	a, b := w.disp[at:at+dims], w.disp[at+dims:]
-	ok := positionFrom(ts, pos, dims, a, ts[end]+f.d1, end) && positionFrom(ts, pos, dims, b, ts[end]+f.d2, end)
-	if ok {
-		for k := range a {
-			a[k] = b[k] - a[k]
-		}
-	}
+	ok := f.between(ts, pos, dims, end, w.disp[at:])
 	w.fut, w.disp = append(w.fut, ok), w.disp[:at+dims]
+}
+
+// between writes into ab[:dims] the displacement of the stream with
+// columns ts and pos between the horizons past vertex end, using
+// ab[dims:2*dims] as scratch, and reports whether the stream reaches
+// both.
+func (f *forecast) between(ts, pos []float64, dims, end int, ab []float64) bool {
+	a, b := ab[:dims], ab[dims:2*dims]
+	if !positionFrom(ts, pos, dims, a, ts[end]+f.d1, end) || !positionFrom(ts, pos, dims, b, ts[end]+f.d2, end) {
+		return false
+	}
+	for k := range a {
+		a[k] = b[k] - a[k]
+	}
+	return true
 }
 
 // fold puts the workers' hits in order and sums them in that order,
@@ -221,25 +231,57 @@ func (f *forecast) fold(m *Matcher, pl *queryPlan, workers []*workerState, strea
 	f.refs = slices.Grow(f.refs[:0], n)[:n]
 	m.order(pl, workers, streams, nil, f.refs)
 
+	dims := f.begin(pl, n)
+	for _, r := range f.refs {
+		w := workers[r.wk]
+		var d []float64
+		if w.fut[r.i] {
+			d = w.disp[int(r.i)*dims:][:dims]
+		}
+		f.add(pl.ws[r.rel], w.hits[r.i].dist, d)
+	}
+}
+
+// refold is fold over a kept retrieval: hits already in order, each
+// window's future read off its stream at the current horizons.
+func (f *forecast) refold(pl *queryPlan, streams []*store.Stream, hits []hit) {
+	dims := f.begin(pl, len(hits))
+	f.ab = slices.Grow(f.ab[:0], 2*dims)[:2*dims]
+	for _, h := range hits {
+		st := streams[h.ord]
+		ts, pos, _ := st.Track()
+		var d []float64
+		if f.between(ts, pos, dims, int(h.start)+pl.n-1, f.ab) {
+			d = f.ab[:dims]
+		}
+		f.add(pl.ws[relationOf(pl.q, st)], h.dist, d)
+	}
+}
+
+// begin clears the sums for a fold of n hits and returns the query's
+// dimensionality.
+func (f *forecast) begin(pl *queryPlan, n int) int {
 	dims := pl.q.Seq.Dims()
 	f.acc = slices.Grow(f.acc[:0], dims)[:dims]
 	clear(f.acc)
 	f.wsum, f.dsum, f.used, f.matches = 0, 0, 0, n
-	for _, r := range f.refs {
-		w := workers[r.wk]
-		h := w.hits[r.i]
-		f.dsum += h.dist
-		if !w.fut[r.i] {
-			continue
-		}
-		wt := pl.ws[r.rel] / (1 + h.dist)
-		d := w.disp[int(r.i)*dims:][:dims]
-		for k := range f.acc {
-			f.acc[k] += wt * d[k]
-		}
-		f.wsum += wt
-		f.used++
+	return dims
+}
+
+// add sums the next hit in order: its distance, and when its stream
+// reaches both horizons (d, its displacement, non-nil) its weight
+// ws/(1+dist) — Match.Weight — and weighted displacement.
+func (f *forecast) add(ws, dist float64, d []float64) {
+	f.dsum += dist
+	if d == nil {
+		return
 	}
+	wt := ws / (1 + dist)
+	for k := range f.acc {
+		f.acc[k] += wt * d[k]
+	}
+	f.wsum += wt
+	f.used++
 }
 
 // SegmentForecast is the predicted shape of the breathing segment that

@@ -289,8 +289,18 @@ func TestThresholdStagesCoverSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := regularQuery(t, db.Streams()[0], 10)
+	far := q
+	far.Seq = q.Seq.Clone()
+	for i := range far.Seq {
+		far.Seq[i].Pos[0] *= 40
+	}
 	best := 0.0
 	for try := 0; try < 12 && best < 0.95; try++ {
+		// Another query in between, so that the traced one runs the funnel
+		// rather than being answered from the kept retrieval.
+		if _, err := m.FindSimilar(far, nil); err != nil {
+			t.Fatal(err)
+		}
 		col := obs.NewCollector(1, time.Hour)
 		root := obs.StartTrace("test.query", "test", obs.SpanContext{}, col)
 		got, err := m.FindSimilarCtx(obs.ContextWithSpan(context.Background(), root), q, nil)

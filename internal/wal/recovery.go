@@ -188,9 +188,22 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 			if fi, statErr := os.Stat(filepath.Join(opts.Dir, segmentName(first))); statErr == nil {
 				res.BytesTruncated += fi.Size() - end
 			}
-			os.Truncate(filepath.Join(opts.Dir, segmentName(first)), end) //nolint:errcheck
+			// Appends resume at the tear, so a cut that fails fails Open:
+			// new records would follow bytes that are not records. The
+			// later segments go first: until the tear is cut, the next Open
+			// stops at it again and retries both.
 			for _, later := range segs[i+1:] {
-				os.Remove(filepath.Join(opts.Dir, segmentName(later))) //nolint:errcheck
+				if err := remove(filepath.Join(opts.Dir, segmentName(later))); err != nil {
+					return nil, nil, fmt.Errorf("wal: removing %s past the tear in %s: %w", segmentName(later), segmentName(first), err)
+				}
+			}
+			if i+1 < len(segs) {
+				if err := syncDir(opts.Dir); err != nil {
+					return nil, nil, err
+				}
+			}
+			if err := truncate(filepath.Join(opts.Dir, segmentName(first)), end); err != nil {
+				return nil, nil, fmt.Errorf("wal: cutting %s at its tear: %w", segmentName(first), err)
 			}
 			break
 		}
@@ -210,8 +223,12 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 	// its magic check and truncate everything written since. Replace it
 	// with a fresh, properly-headered segment instead.
 	if resume >= 0 && resumeEnd < segHdrLen {
-		os.Remove(filepath.Join(opts.Dir, segmentName(segs[resume]))) //nolint:errcheck
-		syncDir(opts.Dir)
+		if err := remove(filepath.Join(opts.Dir, segmentName(segs[resume]))); err != nil {
+			return nil, nil, fmt.Errorf("wal: removing headerless %s: %w", segmentName(segs[resume]), err)
+		}
+		if err := syncDir(opts.Dir); err != nil {
+			return nil, nil, err
+		}
 		resume = -1
 	}
 	if resume >= 0 {

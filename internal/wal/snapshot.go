@@ -67,7 +67,12 @@ func (l *Log) Snapshot(db *store.DB, sessions []SessionState, subs []SubState, m
 		l.fail(err)
 		return 0, l.err
 	}
-	syncDir(l.opts.Dir)
+	// A rename a crash may undo leaves the old snapshot and the log the
+	// recoverable state, so nothing they need is compacted away.
+	if err := syncDir(l.opts.Dir); err != nil {
+		l.fail(err)
+		return 0, l.err
+	}
 	l.compactLocked(lsn)
 	met.snapshotSeconds.Observe(time.Since(start).Seconds())
 	return lsn, nil
@@ -229,5 +234,8 @@ func (l *Log) compactLocked(lsn uint64) {
 			os.Remove(filepath.Join(l.opts.Dir, segmentName(first))) //nolint:errcheck
 		}
 	}
-	syncDir(l.opts.Dir)
+	// A removal a crash undoes leaves a file recovery reads past (a
+	// snapshot older than the newest, records below it) and the next
+	// compaction removes again.
+	_ = syncDir(l.opts.Dir)
 }

@@ -272,7 +272,13 @@ func (l *Log) openSegmentLocked(firstLSN uint64) error {
 		l.fail(err)
 		return l.err
 	}
-	syncDir(l.opts.Dir)
+	// Appends acknowledged into a segment whose directory entry is lost
+	// in a crash are lost with it.
+	if err := syncDir(l.opts.Dir); err != nil {
+		f.Close()
+		l.fail(err)
+		return l.err
+	}
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 1<<16)
 	l.segFirst = firstLSN
@@ -393,13 +399,24 @@ func listSeq(dir, prefix, suffix string) ([]uint64, error) {
 	return out, nil
 }
 
-// syncDir fsyncs a directory so renames and creates survive a crash.
-// Best effort: some platforms/filesystems reject directory fsync.
-func syncDir(dir string) {
+// syncDir fsyncs a directory so that the creates, renames and removals
+// in it survive a crash.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return
+		return err
 	}
-	d.Sync() //nolint:errcheck
-	d.Close()
+	err = fsyncDir(d)
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
+
+// The file-system calls whose failure the recovery tests provoke: the
+// directory fsync, and the cuts Open makes at a tear.
+var (
+	fsyncDir = (*os.File).Sync
+	truncate = os.Truncate
+	remove   = os.Remove
+)
