@@ -27,28 +27,43 @@ import (
 // A top-k or restricted search neither reads nor writes it; an
 // unrestricted threshold search that fails or panics leaves it empty.
 type kept struct {
-	ok        bool
-	db        *store.DB
-	version   uint64 // db.Version(), read before the search listed its streams
-	params    Params
-	threshold float64
-	q         Query     // by value: its positions are in pos
-	pos       []float64 // the query's positions, vertex after vertex
-	streams   []*store.Stream
-	hits      []hit // in matchCmp order; a hit's ord indexes streams
-	counts    FunnelCounts
+	ok bool
+	searchKey
+	version uint64 // db.Version(), read before the search listed its streams
+	streams []*store.Stream
+	hits    []hit // in matchCmp order; a hit's ord indexes streams
+	counts  FunnelCounts
 }
 
 // holds reports whether the kept retrieval answers an unrestricted
 // threshold search for q under p over db at version.
 func (k *kept) holds(db *store.DB, version uint64, p Params, threshold float64, q Query) bool {
-	if !k.ok || k.db != db || k.version != version || k.params != p || !sameFloat(k.threshold, threshold) ||
-		k.q.PatientID != q.PatientID || k.q.SessionID != q.SessionID || !sameFloat(k.q.Now, q.Now) ||
-		len(k.q.Seq) != len(q.Seq) {
+	return k.ok && k.version == version && k.is(db, p, threshold, 0, q)
+}
+
+// searchKey is what a kept search was asked: the database, the
+// parameters, the acceptance threshold, k (0 for a threshold search) and
+// the query, by value, but for its Now, which no stage of the funnel
+// reads: two searches that differ only in Now have one answer.
+type searchKey struct {
+	db        *store.DB
+	params    Params
+	threshold float64
+	k         int
+	q         Query     // by value: its positions are in pos
+	pos       []float64 // the query's positions, vertex after vertex
+}
+
+// is reports whether the key is that of a search for q under p over db
+// with the threshold and k given.
+func (s *searchKey) is(db *store.DB, p Params, threshold float64, k int, q Query) bool {
+	if s.db != db || s.k != k || s.params != p || !sameFloat(s.threshold, threshold) ||
+		s.q.PatientID != q.PatientID || s.q.SessionID != q.SessionID ||
+		len(s.q.Seq) != len(q.Seq) {
 		return false
 	}
 	for i, v := range q.Seq {
-		w := k.q.Seq[i]
+		w := s.q.Seq[i]
 		if !sameFloat(w.T, v.T) || w.State != v.State || len(w.Pos) != len(v.Pos) {
 			return false
 		}
@@ -64,23 +79,30 @@ func (k *kept) holds(db *store.DB, version uint64, p Params, threshold float64, 
 // sameFloat is equality of the bits: what the funnel can tell apart.
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// keep records the key of a search and the streams it listed; the
-// caller fills in hits and counts, and sets ok once the search has
-// completed. The query is copied, never aliased: a caller may reuse its
-// buffers.
-func (k *kept) keep(db *store.DB, version uint64, p Params, threshold float64, q Query, streams []*store.Stream) {
-	k.db, k.version, k.params, k.threshold = db, version, p, threshold
-	k.pos = k.pos[:0]
+// set makes the key that of a search for q under p over db with the
+// threshold and k given. The query is copied, never aliased: a caller may
+// reuse its buffers.
+func (s *searchKey) set(db *store.DB, p Params, threshold float64, k int, q Query) {
+	s.db, s.params, s.threshold, s.k = db, p, threshold, k
+	s.pos = s.pos[:0]
 	for _, v := range q.Seq {
-		k.pos = append(k.pos, v.Pos...)
+		s.pos = append(s.pos, v.Pos...)
 	}
-	seq := append(k.q.Seq[:0], q.Seq...)
+	seq := append(s.q.Seq[:0], q.Seq...)
 	at := 0
 	for i, v := range seq {
-		seq[i].Pos = k.pos[at : at+len(v.Pos) : at+len(v.Pos)]
+		seq[i].Pos = s.pos[at : at+len(v.Pos) : at+len(v.Pos)]
 		at += len(v.Pos)
 	}
-	k.q = Query{Seq: seq, PatientID: q.PatientID, SessionID: q.SessionID, Now: q.Now}
+	s.q = Query{Seq: seq, PatientID: q.PatientID, SessionID: q.SessionID}
+}
+
+// keep records the key of a search and the streams it listed; the
+// caller fills in hits and counts, and sets ok once the search has
+// completed.
+func (k *kept) keep(db *store.DB, version uint64, p Params, threshold float64, q Query, streams []*store.Stream) {
+	k.set(db, p, threshold, 0, q)
+	k.version = version
 	k.streams = append(k.streams[:0], streams...)
 }
 

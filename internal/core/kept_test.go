@@ -36,10 +36,10 @@ func sameMatchBits(t *testing.T, label string, want, got []Match) {
 // TestKeptRetrievalEqualsFreshMatcher: a matcher that keeps its last
 // threshold retrieval answers every FindSimilar, PredictDisplacementCtx,
 // TopK and restricted search, bit for bit, as a matcher built afresh for
-// that one answer does — across appends that land a vertex and appends
-// that land none, to the query's own stream and to others, a new stream,
-// a new patient, a Params change, a database read back from its binary
-// form and swapped in, and a search that panicked. Where nothing a search
+// that one answer does — across a moved Now, appends that land a vertex
+// and appends that land none, to the query's own stream and to others, a
+// new stream, a new patient, a Params change, a database read back from
+// its binary form and swapped in, and a search that panicked. Where nothing a search
 // can see changed, the answers are the kept ones; where something did,
 // the first is not.
 func TestKeptRetrievalEqualsFreshMatcher(t *testing.T) {
@@ -131,6 +131,10 @@ func TestKeptRetrievalEqualsFreshMatcher(t *testing.T) {
 
 		changed("first search")
 		unchanged("repeated")
+		// No stage of the funnel reads Now: a client's own clock is the
+		// same search.
+		q.Now += 1
+		unchanged("now moved")
 		// A sample the segmenter closes no vertex on.
 		if err := live.Append(); err != nil {
 			t.Fatal(err)

@@ -110,9 +110,12 @@ type Matcher struct {
 	buf     []float64 // the plan's vertex weights and query segments
 	streams []*store.Stream
 	workers []*workerState
-	buckets []int32  // order's bucket table
-	fc      forecast // PredictDisplacementCtx's collector
-	kept    kept     // the last unrestricted threshold retrieval
+	buckets []int32    // order's bucket table
+	fc      forecast   // PredictDisplacementCtx's collector
+	kept    kept       // the last unrestricted threshold retrieval
+	answers answers    // the recent unrestricted top-k answers
+	tracks  []trackRow // PredictDisplacement's columns by stream ordinal
+	call    uint64     // PredictDisplacement's calls, telling tracks' rows apart
 }
 
 // workerState is one funnel worker's private output: the hits it
@@ -309,6 +312,11 @@ type queryPlan struct {
 	// each hit's future beside it, and the hits are folded into a
 	// prediction instead of listed.
 	fc *forecast
+	// lens, when non-nil, is a top-k search's kept answer: per stream
+	// ordinal, the length up to which the answer holds the stream's
+	// windows. Workers range only over the windows ending past it, and
+	// leave the length they ranked up to.
+	lens []int32
 	// timed is set when the search runs under a trace span: workers
 	// then accumulate per-stage wall time.
 	timed bool
@@ -364,7 +372,9 @@ func streamWeights(p Params) (ws [3]float64) {
 // (kept): the next such search for the same query under the same
 // parameters over the database at the same version is answered from it,
 // without the funnel. The version is read before the streams are listed,
-// so an append racing the search can only make the next one miss.
+// so an append racing the search can only make the next one miss. An
+// unrestricted top-k search is kept too (answers), and repaired when
+// asked again: the funnel then runs over the windows appended since.
 func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool, k int, threshold float64, fc *forecast) ([]Match, error) {
 	start := time.Now()
 	keeps, version := k == 0 && restrict == nil, m.DB.Version()
@@ -408,7 +418,18 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	}
 	m.streams = streams
 
-	par := m.fanOut(streams)
+	var ans *answer
+	repaired := false
+	if k > 0 && restrict == nil {
+		ans, repaired = m.answers.open(m.DB, m.Params, k, q, streams)
+		pl.lens = ans.lens
+		pl.col.seed(pl, streams, ans.hits)
+	}
+	// A repair ranges over a few appended windows: no fan-out.
+	par := 1
+	if !repaired {
+		par = m.fanOut(streams)
+	}
 	for len(m.workers) < par {
 		m.workers = append(m.workers, &workerState{starts: make([]int32, passBlock), lbs: make([]float64, passBlock)})
 	}
@@ -451,13 +472,23 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	var sg stageNS
 	counts, sg = drainWorkers(active)
 	if pl.col != nil {
-		// A top-k match displaced from the heap by a better one was
-		// rejected by the adaptive bound after all.
+		// A repair considered the kept answer's windows too (zero counts
+		// for a full search). A top-k match displaced from the heap by a
+		// better one was rejected by the adaptive bound after all.
+		if ans != nil {
+			counts.Add(ans.counts)
+		}
 		counts.DistRejected += counts.Matched - len(out)
 		counts.Matched = len(out)
 	}
 	if keeps {
 		m.kept.counts, m.kept.ok = counts, true
+	}
+	if ans != nil {
+		m.answers.done(ans, out, counts)
+	}
+	if repaired {
+		mRepaired.Inc()
 	}
 	mSearchSeconds.Observe(time.Since(start).Seconds())
 
@@ -473,6 +504,7 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		obs.AddSpan(ctx, "funnel.topk_merge", mergeStart, mergeDur, map[string]any{
 			"matched": counts.Matched})
 		span.Annotate("reused", false)
+		span.Annotate("repaired", repaired)
 		span.Annotate("streams", len(streams))
 		span.Annotate("parallelism", par)
 		span.Annotate("k", k)
@@ -553,11 +585,21 @@ func (pl *queryPlan) dispatch(workers []*workerState, streams []*store.Stream) {
 // a fresh view of it and runs the funnel over it.
 func (pl *queryPlan) feed(w *workerState, st *store.Stream, ord int) {
 	w.lap(pl, nil)
+	// A kept top-k answer holds every window ending before seen.
+	var seen int
+	if pl.lens != nil {
+		if seen = int(pl.lens[ord]); seen > 0 && st.Len() == seen {
+			return
+		}
+	}
 	// An indexed stream's postings for the signature's first gram,
 	// consumed in place; every start of an unindexed one, or of any
 	// stream in ablation mode.
-	c := candidateSet{view: st.ScanView(pl.scanSig), sig: pl.scanSig, starts: w.starts, lbs: w.lbs}
+	c := candidateSet{view: st.ScanView(pl.scanSig), lo: seen - pl.n + 1, sig: pl.scanSig, starts: w.starts, lbs: w.lbs}
 	c.hi = c.view.Len()
+	if pl.lens != nil {
+		pl.lens[ord] = int32(c.hi)
+	}
 	rel := relationOf(pl.q, st)
 	c.excludePresent(pl, rel)
 	w.hits = pl.run(w, st, rel, ord, &c, w.hits)
@@ -750,8 +792,16 @@ type collector struct {
 	heap []Match // max-heap by matchLess; len <= k
 }
 
+// collectorPresize caps the heap a collector allocates up front: a
+// client's k is not bounded, and a heap never outgrows the windows there
+// are.
+const collectorPresize = 4096
+
+// newCollector makes a collector whose heap is allocated once, at k (up
+// to collectorPresize) matches. The heap becomes the search's result, so
+// each search allocates its own.
 func newCollector(k int) *collector {
-	c := &collector{k: k}
+	c := &collector{k: k, heap: make([]Match, 0, min(k, collectorPresize))}
 	c.reset()
 	return c
 }
@@ -761,6 +811,19 @@ func newCollector(k int) *collector {
 func (c *collector) reset() {
 	c.heap = c.heap[:0]
 	c.boundBits.Store(math.Float64bits(inf))
+}
+
+// seed fills the empty heap with a kept answer's matches, hits in the
+// result order over streams: reversed, they are a max-heap as they
+// stand. Not safe while workers run.
+func (c *collector) seed(pl *queryPlan, streams []*store.Stream, hits []hit) {
+	for i := len(hits) - 1; i >= 0; i-- {
+		st := streams[hits[i].ord]
+		c.heap = append(c.heap, pl.match(st, relationOf(pl.q, st), hits[i]))
+	}
+	if len(c.heap) == c.k {
+		c.publish()
+	}
 }
 
 // bound returns the current acceptance bound: no candidate with a

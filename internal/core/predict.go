@@ -128,8 +128,9 @@ func (m *Matcher) PredictDisplacement(q Query, matches []Match, d1, d2 float64, 
 	acc, a, b := buf[:dims:dims], buf[dims:2*dims], buf[2*dims:]
 	var wsum float64
 	used := 0
+	m.call++
 	for _, mt := range matches {
-		ts, pos, d := mt.Stream.Track()
+		ts, pos, d := m.track(mt)
 		end := mt.Start + mt.N - 1
 		if !positionFrom(ts, pos, d, a, ts[end]+d1, end) || !positionFrom(ts, pos, d, b, ts[end]+d2, end) {
 			continue
@@ -147,6 +148,32 @@ func (m *Matcher) PredictDisplacement(q Query, matches []Match, d1, d2 float64, 
 		acc[k] /= wsum
 	}
 	return acc, nil
+}
+
+// trackRow is a stream's time and position columns (store.Stream.Track)
+// as read by one PredictDisplacement call.
+type trackRow struct {
+	st      *store.Stream
+	call    uint64
+	ts, pos []float64
+	dims    int
+}
+
+// track returns the columns of mt's stream, read once per
+// PredictDisplacement call: a table row per stream ordinal, taken as the
+// call's if it names this call and mt's stream (a caller's matches may
+// come from any matcher, or none).
+func (m *Matcher) track(mt Match) (ts, pos []float64, dims int) {
+	o := int(mt.ord)
+	if o >= len(m.tracks) {
+		m.tracks = slices.Grow(m.tracks, o+1-len(m.tracks))[:o+1]
+	}
+	t := &m.tracks[o]
+	if t.st != mt.Stream || t.call != m.call {
+		t.ts, t.pos, t.dims = mt.Stream.Track()
+		t.st, t.call = mt.Stream, m.call
+	}
+	return t.ts, t.pos, t.dims
 }
 
 // PredictDisplacementCtx is the server's estimator in one funnel pass:

@@ -83,7 +83,15 @@ func TestUnsampledServedMatchReadsNoStageClock(t *testing.T) {
 		t.Errorf("X-Trace-Id %q", rec.Header().Get("X-Trace-Id"))
 	}
 
+	// The query asked from another session: the same one again would
+	// be repaired from the matcher's kept answer, not searched afresh.
+	body.SessionID = "S01~1"
+	repaired := obs.Default().Counter("stsmatch_matcher_repaired_total", "")
+	before := repaired.Value()
 	serve(t, srv, http.MethodPost, "/v1/match", body, parent+"-01")
+	if n := repaired.Value() - before; n != 0 {
+		t.Fatalf("the sampled match was a repair (%d), not a search", n)
+	}
 	if reads.Load() == 0 {
 		t.Error("a sampled served match never read the stage clock")
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"stsmatch/internal/obs"
 )
 
 // quickEnv builds the shared quick-scale environment once per test
@@ -235,5 +237,25 @@ func TestNamesSorted(t *testing.T) {
 		if names[i] <= names[i-1] {
 			t.Error("names not sorted")
 		}
+	}
+}
+
+// TestEfficiencyPredictionLatencyTimed: Section 7.5's prediction latency
+// times a funnel run per repetition, each at its own cut point, and
+// reports it in fractional milliseconds: it is above zero, and no
+// repetition is answered from the matcher's kept retrieval.
+func TestEfficiencyPredictionLatencyTimed(t *testing.T) {
+	env := quickEnv(t)
+	reused := obs.Default().Counter("stsmatch_matcher_reused_total", "")
+	before := reused.Value()
+	r, err := Efficiency(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reused.Value() - before; n != 0 {
+		t.Errorf("%d of the timed predictions were answered from the kept retrieval", n)
+	}
+	if !(r.PredictMS > 0) {
+		t.Errorf("mean prediction latency %v ms, want > 0", r.PredictMS)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -264,11 +265,12 @@ func TestWriteJSONRefusesNonFinite(t *testing.T) {
 // TestServedMatchAllocs: a JSON /v1/match through the mux allocates as
 // often for a 25-vertex query as for a 10-vertex one — the decode makes
 // one sequence and one position array, the answer goes out of a pooled
-// buffer — and 19 times where encoding/json's decode and encode made it
-// 42 (10 vertices) and 58 (25 vertices).
+// buffer — and 15 times where encoding/json's decode and encode made it
+// 42 (10 vertices) and 58 (25 vertices), whether it runs the funnel over
+// everything or repairs the matcher's kept answer to the same query.
 func TestServedMatchAllocs(t *testing.T) {
 	if raceDetector {
-		t.Skip("the matcher pool drops matchers at random under the race detector")
+		t.Skip("the body and answer pools drop buffers at random under the race detector")
 	}
 	cfg := signal.DefaultCohort()
 	cfg.NumPatients, cfg.SessionsPer, cfg.SessionDur = 6, 1, 120
@@ -287,36 +289,66 @@ func TestServedMatchAllocs(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	hist := db.Streams()[0]
 	seq := hist.Seq()
+	repaired := obs.Default().Counter("stsmatch_matcher_repaired_total", "")
 	allocs := map[int]float64{}
+	funnel := map[int]float64{}
 	for _, n := range []int{10, 25} {
-		body, err := json.Marshal(MatchRequest{Seq: seq[len(seq)-n:], PatientID: hist.PatientID, SessionID: hist.SessionID, K: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := scanMatchRequest(body); !ok {
-			t.Fatalf("%d-vertex query declined by the scanner", n)
+		// The query asked from sessions of its own, one per request, that
+		// no stream holds: each is a search the matcher keeps no answer to.
+		const fill, runs = 128, 50 // the matcher keeps 128 answers
+		bodies := make([][]byte, fill+runs+1)
+		for i := range bodies {
+			body, err := json.Marshal(MatchRequest{Seq: seq[len(seq)-n:], PatientID: hist.PatientID,
+				SessionID: fmt.Sprintf("%s~%d", hist.SessionID, i), K: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := scanMatchRequest(body); !ok {
+				t.Fatalf("%d-vertex query declined by the scanner", n)
+			}
+			bodies[i] = body
 		}
 		req := httptest.NewRequest(http.MethodPost, "/v1/match", nil)
 		w := &chainWriter{h: http.Header{}}
 		var rd bytes.Reader
+		asked := 0
 		serve := func() {
 			clear(w.h)
 			w.code = http.StatusOK
-			rd.Reset(body)
+			rd.Reset(bodies[asked%len(bodies)])
 			req.Body = io.NopCloser(&rd)
 			srv.mux.ServeHTTP(w, req)
 			if w.code != http.StatusOK {
 				t.Fatalf("%d-vertex query: status %d", n, w.code)
 			}
 		}
+		// Take every answer slot, with its buffers sized, then measure
+		// searches that run the funnel over everything.
+		for asked = 0; asked < fill; asked++ {
+			serve()
+		}
 		runtime.GC()
-		serve()
-		allocs[n] = testing.AllocsPerRun(50, serve)
+		before := repaired.Value()
+		funnel[n] = testing.AllocsPerRun(runs, func() { serve(); asked++ })
+		if r := repaired.Value() - before; r != 0 {
+			t.Fatalf("%d-vertex queries: %d of the distinct matches were repairs", n, r)
+		}
+		// The last body again and again: a repaired match.
+		asked--
+		allocs[n] = testing.AllocsPerRun(runs, serve)
+		if r := repaired.Value() - before; r != runs+1 {
+			t.Fatalf("%d-vertex queries: %d of %d repeated matches repaired", n, r, runs+1)
+		}
 	}
-	if allocs[10] != allocs[25] {
-		t.Errorf("a served match allocates %v times for 10 vertices and %v for 25", allocs[10], allocs[25])
+	for name, got := range map[string]map[int]float64{"searched": funnel, "repaired": allocs} {
+		if got[10] != got[25] {
+			t.Errorf("a %s match allocates %v times for 10 vertices and %v for 25", name, got[10], got[25])
+		}
 	}
-	if allocs[10] > 19 {
-		t.Errorf("a served match allocates %v times, want at most 19", allocs[10])
+	if allocs[10] > 15 {
+		t.Errorf("a repaired served match allocates %v times, want at most 15", allocs[10])
+	}
+	if funnel[10] > 15 {
+		t.Errorf("a searched served match allocates %v times, want at most 15", funnel[10])
 	}
 }

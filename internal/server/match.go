@@ -164,7 +164,7 @@ func scanMatchRequest(data []byte) (req MatchRequest, ok bool) {
 }
 
 // handleMatch runs a similarity search for a serialized query. Like
-// prediction, the search runs on a pooled matcher outside the session
+// prediction, the search runs on a lent matcher outside the session
 // lock, so remote queries never block ingestion.
 //
 // The route speaks two codecs, told apart by Content-Type: the public
@@ -192,14 +192,16 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if req.Now != nil {
 		q.Now = *req.Now
 	}
-	matcher := s.matchers.Get().(*core.Matcher)
-	defer s.matchers.Put(matcher)
+	// The matches are the caller's own: the matcher goes back before
+	// the answer is written. One whose search panicked is not returned.
+	matcher := s.matchers.get()
 	var matches []core.Match
 	if req.K > 0 {
 		matches, err = matcher.TopKCtx(r.Context(), q, req.K, nil)
 	} else {
 		matches, err = matcher.FindSimilarCtx(r.Context(), q, nil)
 	}
+	s.matchers.put(matcher)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return

@@ -162,14 +162,13 @@ func TestPredictAnswerUnchanged(t *testing.T) {
 // their number (a Match list did, by 48 bytes a match).
 func TestPredictAllocsFlat(t *testing.T) {
 	if raceDetector {
-		t.Skip("the matcher pool drops matchers at random under the race detector")
+		t.Skip("the body and answer pools drop buffers at random under the race detector")
 	}
 	// One worker: a fanned-out search's goroutines are a cost per worker,
 	// and how a search's hits fall between two workers' buffers varies.
 	params := core.DefaultParams()
 	params.Parallelism = 1
-	// One P, as AllocsPerRun has it, so that every request finds the
-	// matcher the previous one put back: a pool keeps one per P.
+	// One P, as AllocsPerRun has it.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	allocs, bytesPer := map[int]float64{}, map[int]uint64{}
 	for _, patients := range []int{12, 48} {
@@ -184,8 +183,8 @@ func TestPredictAllocsFlat(t *testing.T) {
 			}
 		}
 		// The corpus build's garbage collected first, so that no
-		// collection (which empties the pool) falls among the measured
-		// runs; then a pooled matcher warmed.
+		// collection (which empties the buffer pools) falls among the
+		// measured runs; then the server's matcher warmed.
 		runtime.GC()
 		predict()
 		var before, after runtime.MemStats

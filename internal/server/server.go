@@ -118,12 +118,13 @@ type Server struct {
 	// boundary; chaos tests kill nodes there (see SetMigrationHook).
 	testHookMigrate atomic.Pointer[func(phase string)]
 
-	// matchers pools core.Matcher instances (one in flight per
-	// prediction; a Matcher carries scratch buffers and is not safe for
-	// concurrent use). The matchers wrap the server's live *store.DB,
-	// so they never go stale as sessions append — no per-request
-	// construction and, crucially, no similarity search under s.mu.
-	matchers sync.Pool
+	// matchers lends core.Matcher instances (one in flight per search;
+	// a Matcher carries scratch buffers and kept answers and is not safe
+	// for concurrent use). The matchers wrap the server's live
+	// *store.DB, so they never go stale as sessions append — no
+	// per-request construction and, crucially, no similarity search
+	// under s.mu.
+	matchers *matcherSet
 }
 
 // session is one live ingestion stream.
@@ -204,11 +205,7 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 	// and replication paths drain them synchronously under s.mu, so
 	// event order is deterministic, after journaling the append.
 	s.db.AddMutationHook(s.subs.OnMutation)
-	s.matchers.New = func() any {
-		// params were validated above; the error path is unreachable.
-		m, _ := core.NewMatcher(s.db, s.params)
-		return m
-	}
+	s.matchers = newMatcherSet(s.db, s.params) // params validated above
 	s.route("POST /v1/sessions", "create_session", s.handleCreateSession)
 	s.route("POST /v1/sessions/{sid}/samples", "ingest_samples", s.handleSamples)
 	s.route("DELETE /v1/sessions/{sid}", "close_session", s.handleCloseSession)
@@ -659,8 +656,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	qseq, info := s.params.DynamicQuery(seq)
 	q := core.NewQuery(qseq, patientID, sessionID)
-	matcher := s.matchers.Get().(*core.Matcher)
-	defer s.matchers.Put(matcher)
+	matcher := s.matchers.get() // returned, as in handleMatch, before the answer is written
 	// Anchor the forecast at the newest *observation*, not the last
 	// PLR vertex (which can lag it by most of a segment): predict the
 	// displacement from the observation time to observation+delta and
@@ -669,6 +665,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	d2 := d1 + delta.Seconds()
 	work := time.Now()
 	disp, matches, meanDist, err := matcher.PredictDisplacementCtx(r.Context(), q, d1, d2, 0)
+	s.matchers.put(matcher)
 	s.met.predictWork.Observe(time.Since(work).Seconds())
 	switch {
 	case errors.Is(err, core.ErrNoMatches):

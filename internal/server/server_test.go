@@ -317,7 +317,7 @@ func TestServerRejectsInvalidConfig(t *testing.T) {
 
 // TestMatcherParallelismOption: the worker count of a served search is
 // params.Parallelism and nothing else — what a library caller sets
-// reaches every pooled matcher (streamd leaves it 0, GOMAXPROCS), and a
+// reaches every served matcher (streamd leaves it 0, GOMAXPROCS), and a
 // negative count is refused.
 func TestMatcherParallelismOption(t *testing.T) {
 	params := core.DefaultParams()
@@ -326,11 +326,11 @@ func TestMatcherParallelismOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := srv.matchers.Get().(*core.Matcher)
+	m := srv.matchers.get()
 	if m.Params.Parallelism != 3 {
-		t.Errorf("pooled matcher Parallelism = %d, want 3", m.Params.Parallelism)
+		t.Errorf("served matcher Parallelism = %d, want 3", m.Params.Parallelism)
 	}
-	srv.matchers.Put(m)
+	srv.matchers.put(m)
 
 	params.Parallelism = -2
 	if _, err := NewWithOptions(nil, params, fsm.DefaultConfig(), Options{}); err == nil {

@@ -178,12 +178,25 @@ func spanNames(td obs.TraceData) map[string]bool {
 // never recorded. Every response carries its trace ID either way.
 func TestServedMatchHeadSampling(t *testing.T) {
 	ts, seq := matchTestServer(t)
-	body := MatchRequest{Seq: seq[len(seq)-10:], PatientID: "P01", SessionID: "S01", K: 3}
+	// Each request asks its query from a session of its own: one asked
+	// again would be repaired from the matcher's kept answer, and its
+	// funnel stages would not run.
+	asked := 0
+	body := func() MatchRequest {
+		asked++
+		return MatchRequest{Seq: seq[len(seq)-10:], PatientID: "P01", SessionID: fmt.Sprintf("S01~%d", asked), K: 3}
+	}
+	repaired := obs.Default().Counter("stsmatch_matcher_repaired_total", "")
+	defer func(before uint64) {
+		if n := repaired.Value() - before; n != 0 {
+			t.Errorf("%d of the matches were repairs, not searches", n)
+		}
+	}(repaired.Value())
 	const traceID = "0123456789abcdef0123456789abcdef"
 	const parent = "00-" + traceID + "-0123456789abcdef"
 
 	for i := 0; i < 2*obs.SampleEvery; i++ {
-		if id := postTraced(t, ts.URL+"/v1/match", body, parent+"-00", http.StatusOK); id != traceID {
+		if id := postTraced(t, ts.URL+"/v1/match", body(), parent+"-00", http.StatusOK); id != traceID {
 			t.Fatalf("unsampled caller's trace not continued: X-Trace-Id %q", id)
 		}
 	}
@@ -193,7 +206,7 @@ func TestServedMatchHeadSampling(t *testing.T) {
 
 	full := 0
 	for i := 0; i < obs.SampleEvery; i++ {
-		id := postTraced(t, ts.URL+"/v1/match", body, "", http.StatusOK)
+		id := postTraced(t, ts.URL+"/v1/match", body(), "", http.StatusOK)
 		if len(id) != 32 {
 			t.Fatalf("X-Trace-Id %q", id)
 		}
@@ -213,7 +226,7 @@ func TestServedMatchHeadSampling(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		span := fmt.Sprintf("%016x", i+1)
 		sampledID := fmt.Sprintf("%032x", i+1)
-		postTraced(t, ts.URL+"/v1/match", body, "00-"+sampledID+"-"+span+"-01", http.StatusOK)
+		postTraced(t, ts.URL+"/v1/match", body(), "00-"+sampledID+"-"+span+"-01", http.StatusOK)
 		recent, _ := tracesOf(t, ts.URL, sampledID)
 		if len(recent) != 1 || !spanNames(recent[0])["matcher.search"] {
 			t.Fatalf("a -01 caller's match %d not recorded in full: %+v", i, recent)

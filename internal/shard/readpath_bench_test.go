@@ -1,8 +1,9 @@
 package shard_test
 
-// Read-path benchmarks: the same deterministic query through the
-// scatter of a steady R=2 cluster — and, in BenchmarkRebalanceDrain,
-// while the cluster grows a backend underneath it. Every response's
+// Read-path benchmarks: the same deterministic query (from a session of
+// its own per request, see benchQuery) through the scatter of a steady
+// R=2 cluster — and, in BenchmarkRebalanceDrain, while the cluster
+// grows a backend underneath it. Every response's
 // match list is checked against the first answer, so CI's bench smoke
 // at -benchtime=1x doubles as a cheap end-to-end exercise of both; for
 // representative numbers run them at the default -benchtime (the
@@ -19,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"stsmatch/internal/obs"
 	"stsmatch/internal/server"
 	"stsmatch/internal/shard"
 	"stsmatch/internal/signal"
@@ -88,25 +90,36 @@ func benchCohort(b *testing.B, c *testutil.Cluster, pids []string) {
 	}
 }
 
-// benchQuery builds the request body off the tail of S-P00, and the
-// reference match-list bytes every response to it must reproduce.
-func benchQuery(b *testing.B, c *testutil.Cluster) (query, want []byte) {
+// benchQuery builds the request off the tail of S-P00, and the
+// reference match-list bytes every response to it must reproduce. Each
+// call of query renders the body asked from a session of P00's of its
+// own, one no stream holds: the same query again would be repaired from
+// each shard matcher's kept answer, and the funnel would not run over
+// everything. Every stream stands in the same relation to each of them,
+// so they do the same work and have one answer.
+func benchQuery(b *testing.B, c *testutil.Cluster) (query func() []byte, want []byte) {
 	b.Helper()
 	pr := testutil.GetJSON[server.PLRResponse](b, c.URL+"/v1/sessions/S-P00/plr")
 	if len(pr.Vertices) < 12 {
 		b.Fatalf("query stream too short: %d vertices", len(pr.Vertices))
 	}
-	req := server.MatchRequest{Seq: pr.Vertices[len(pr.Vertices)-10:],
-		PatientID: "P00", SessionID: "S-P00", K: 10}
-	query, err := json.Marshal(req)
-	if err != nil {
-		b.Fatal(err)
+	req := server.MatchRequest{Seq: pr.Vertices[len(pr.Vertices)-10:], PatientID: "P00", K: 10}
+	asked := 0
+	query = func() []byte {
+		asked++
+		req.SessionID = fmt.Sprintf("S-P00~%d", asked)
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return body
 	}
-	res := benchMatch(b, c.URL, query)
+	res := benchMatch(b, c.URL, query())
 	if res.Degraded || len(res.Matches) == 0 {
 		b.Fatalf("warmup degraded=%v matches=%d", res.Degraded, len(res.Matches))
 	}
-	if want, err = json.Marshal(res.Matches); err != nil {
+	want, err := json.Marshal(res.Matches)
+	if err != nil {
 		b.Fatal(err)
 	}
 	return query, want
@@ -138,10 +151,15 @@ func BenchmarkMatchPrimaryOnly(b *testing.B) {
 	c := testutil.StartCluster(b, 3, 2)
 	benchCohort(b, c, []string{"P00", "P01", "P02"})
 	query, want := benchQuery(b, c)
+	repaired := obs.Default().Counter("stsmatch_matcher_repaired_total", "")
+	before := repaired.Value()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := benchMatch(b, c.URL, query)
+		res := benchMatch(b, c.URL, query())
 		checkMatches(b, res, want)
+	}
+	if n := repaired.Value() - before; n != 0 {
+		b.Fatalf("%d shard legs were repairs of a kept answer, not the funnel", n)
 	}
 }
 
@@ -172,7 +190,7 @@ func BenchmarkRebalanceDrain(b *testing.B) {
 		query, want := benchQuery(b, c)
 
 		checked := func() error {
-			res, err := tryMatch(c.URL, query)
+			res, err := tryMatch(c.URL, query())
 			if err != nil {
 				return err
 			}

@@ -574,7 +574,11 @@ func (db *DB) NumPatients() int {
 func (db *DB) Streams() []*Stream { return db.AppendStreams(nil) }
 
 // AppendStreams appends every stream, in patient order, to dst (the
-// matcher's reusable form of Streams).
+// matcher's reusable form of Streams). The list only grows: AddStream
+// inserts a stream and none is ever removed, so two listings of one
+// database that are equally long are the same list in the same order.
+// That is how a matcher tells that the list its kept top-k answers
+// ranked has not changed, with no counter to read beside the listing.
 func (db *DB) AppendStreams(dst []*Stream) []*Stream {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -372,12 +372,18 @@ func TestStreamConcurrentReadsDuringAppend(t *testing.T) {
 
 // TestStreamsDuringAddStream: a search lists the streams (AppendStreams)
 // under no lock but the DB's, while a server opens sessions under its
-// own; under -race this fails unless AddStream takes the DB's lock.
+// own; under -race this fails unless AddStream takes the DB's lock. Two
+// listings equally long are the same list, even while streams are
+// inserted ahead of others (the first patient's): what a matcher's kept
+// top-k answers rely on.
 func TestStreamsDuringAddStream(t *testing.T) {
 	db := NewDB()
-	p, err := db.AddPatient(PatientInfo{ID: "P"})
-	if err != nil {
-		t.Fatal(err)
+	var ps [2]*Patient
+	for i := range ps {
+		var err error
+		if ps[i], err = db.AddPatient(PatientInfo{ID: strconv.Itoa(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const n = 200
 	var wg sync.WaitGroup
@@ -385,15 +391,21 @@ func TestStreamsDuringAddStream(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			p.AddStream(strconv.Itoa(i))
+			ps[i%2].AddStream(strconv.Itoa(i))
 		}
 	}()
 	go func() {
 		defer wg.Done()
+		byLen := map[int][]*Stream{}
 		for i := 0; i < n; i++ {
-			for _, st := range db.Streams() {
+			list := db.Streams()
+			for _, st := range list {
 				st.Len()
 			}
+			if seen, ok := byLen[len(list)]; ok && !slices.Equal(seen, list) {
+				t.Errorf("two listings of %d streams differ", len(list))
+			}
+			byLen[len(list)] = list
 		}
 	}()
 	wg.Wait()
