@@ -428,7 +428,7 @@ func poolQueries(b testing.TB, db *store.DB, n int) []core.Query {
 }
 
 // BenchmarkTopKLargeCorpus is the scan cost where the candidate funnel
-// is nearly all of a query: 200 synthetic streams (~100k vertices, past
+// is nearly all of a query: 200 synthetic streams (~48k vertices, past
 // the L2), top-10, sequential and at the default parallelism; allocs/op
 // must stay a small constant whatever the corpus size. par=N asks one
 // regular query over and over (from sessions of its own: ownSessions), so the corpus lines its candidates touch

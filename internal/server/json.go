@@ -10,11 +10,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 
 	"stsmatch/internal/core"
@@ -28,12 +31,11 @@ type jsonScanner struct {
 
 func (sc *jsonScanner) space() {
 	for sc.off < len(sc.b) {
-		switch sc.b[sc.off] {
-		case ' ', '\t', '\n', '\r':
-			sc.off++
-		default:
+		// Most tokens follow no whitespace: one compare rules it out.
+		if c := sc.b[sc.off]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
 			return
 		}
+		sc.off++
 	}
 }
 
@@ -47,21 +49,33 @@ func (sc *jsonScanner) token(c byte) bool {
 	return false
 }
 
-// literal consumes lit, after any whitespace, if it is next.
-func (sc *jsonScanner) literal(lit string) bool {
-	sc.space()
-	if len(sc.b)-sc.off >= len(lit) && string(sc.b[sc.off:sc.off+len(lit)]) == lit {
-		sc.off += len(lit)
+// tokens consumes the tokens spelled in toks — punctuation and quoted
+// keys, written without whitespace — if they are next, with any JSON
+// whitespace before and between them. The spelling as it stands, which
+// is how json.Marshal writes it, is one compare.
+func (sc *jsonScanner) tokens(toks string) bool {
+	if b := sc.b[sc.off:]; len(b) >= len(toks) && string(b[:len(toks)]) == toks {
+		sc.off += len(toks)
 		return true
 	}
-	return false
+	for i, n := 0, 0; i < len(toks); i += n {
+		n = 1 // a punctuation byte, or a quoted key through its closing quote
+		if toks[i] == '"' {
+			n = strings.IndexByte(toks[i+1:], '"') + 2
+		}
+		if sc.space(); len(sc.b)-sc.off < n || string(sc.b[sc.off:sc.off+n]) != toks[i:i+n] {
+			return false
+		}
+		sc.off += n
+	}
+	return true
 }
 
-// member consumes `,key:` when that is next, and nothing otherwise: an
-// optional object member, key spelled with its quotes.
-func (sc *jsonScanner) member(key string) bool {
+// member consumes the tokens of an optional object member up to its
+// value, `,"key":`, when they are next, and nothing otherwise.
+func (sc *jsonScanner) member(toks string) bool {
 	off := sc.off
-	if sc.token(',') && sc.literal(key) && sc.token(':') {
+	if sc.tokens(toks) {
 		return true
 	}
 	sc.off = off
@@ -78,54 +92,132 @@ func (sc *jsonScanner) end() bool {
 //
 //	-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
 //
-// and parses it the way encoding/json does for a float64 field.
+// and parses it as encoding/json does for a float64 field, which is
+// strconv.ParseFloat's value bit for bit. The one pass that checks the
+// grammar also keeps the first 19 significant digits and the decimal
+// exponent, and decimalFloat converts those exactly. A number it cannot
+// decide — a nonzero digit past the nineteenth, or a value decimalFloat
+// declines — is strconv.ParseFloat's, on the same bytes.
 func (sc *jsonScanner) number(out *float64) bool {
 	sc.space()
 	b, i := sc.b, sc.off
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var man uint64     // the significant digits kept
+	exp, taken := 0, 0 // the power of ten man scales by; digits a run put in man
+	dropped := false   // a nonzero digit did not fit in man
 	if i < len(b) && b[i] == '0' {
 		i++ // "01" leaves its 1 behind for the caller's next token to trip on
-	} else if i = skipDigits(b, i); i < 0 {
-		return false
+	} else {
+		start := i
+		if i, man, taken, dropped = digits(b, i, 0); i == start {
+			return false
+		}
+		exp = i - start - taken
 	}
 	if i < len(b) && b[i] == '.' {
-		if i = skipDigits(b, i+1); i < 0 {
+		start, lost := i+1, false
+		if i, man, taken, lost = digits(b, start, man); i == start {
 			return false
 		}
+		exp -= taken
+		dropped = dropped || lost
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (eneg || b[i] == '+') {
 			i++
 		}
-		if i = skipDigits(b, i); i < 0 {
+		start, e := i, 0
+		for ; i < len(b) && b[i]-'0' < 10; i++ {
+			if e < 1e6 { // past the table either way; saturating keeps exp from overflowing
+				e = 10*e + int(b[i]-'0')
+			}
+		}
+		if i == start {
 			return false
 		}
+		if eneg {
+			e = -e
+		}
+		exp += e
 	}
-	x, err := strconv.ParseFloat(string(b[sc.off:i]), 64)
-	if err != nil {
-		return false
+	x, ok := decimalFloat(man, exp, neg)
+	if !ok || dropped {
+		var err error
+		if x, err = strconv.ParseFloat(string(b[sc.off:i]), 64); err != nil {
+			return false
+		}
 	}
 	*out, sc.off = x, i
 	return true
 }
 
+// digits consumes the run of decimal digits at b[i:], appending each to
+// man while man has fewer than 19. It returns the offset past the run,
+// man, how many digits went into man, and whether a nonzero digit did
+// not. Eight bytes at a time while man has room for eight more digits:
+// the run's length within them is their first non-digit byte, and its
+// value one SWAR multiply-add ladder (Lemire's parse_eight_digits).
+func digits(b []byte, i int, man uint64) (int, uint64, int, bool) {
+	start := i
+	for man < 1e11 && len(b)-i >= 8 {
+		// A byte is no digit when subtracting '0' or adding 0x46 sets its
+		// top bit. A borrow or carry out of a byte leaves only a non-digit
+		// and reaches only later bytes, past the run.
+		v := binary.LittleEndian.Uint64(b[i:])
+		d := v - 0x3030303030303030
+		n := bits.TrailingZeros64((d|(v+0x4646464646464646))&0x8080808080808080) >> 3
+		// The run's n digit values, moved to the high bytes (none at all
+		// when n is 0: Go's shift by 64 is 0), then summed pairwise.
+		d <<= 64 - 8*n
+		d = d*10 + d>>8
+		d = ((d&0x000000FF000000FF)*(100+1000000<<32) + (d>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+		man = man*uint64pow10[n] + uint64(uint32(d))
+		if i += n; n < 8 {
+			return i, man, i - start, false
+		}
+	}
+	taken, dropped := i-start, false
+	for ; i < len(b) && b[i]-'0' < 10; i++ {
+		if man < 1e18 {
+			man, taken = 10*man+uint64(b[i]-'0'), taken+1
+		} else {
+			dropped = dropped || b[i] != '0'
+		}
+	}
+	return i, man, taken, dropped
+}
+
+var uint64pow10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
 // numbers consumes the rest of a number array whose '[' has been
 // consumed, appending its elements to dst.
 func (sc *jsonScanner) numbers(dst []float64) ([]float64, bool) {
+	ok := true
 	for more := !sc.token(']'); more; {
 		var x float64
 		if !sc.number(&x) {
 			return dst, false
 		}
 		dst = append(dst, x)
-		if more = !sc.token(']'); more && !sc.token(',') {
+		if more, ok = sc.next(); !ok {
 			return dst, false
 		}
 	}
 	return dst, true
+}
+
+// next consumes the ',' or the ']' after an array element: more reports
+// a ',', and ok false that neither came.
+func (sc *jsonScanner) next() (more, ok bool) {
+	if sc.token(',') {
+		return true, true
+	}
+	return false, sc.token(']')
 }
 
 // smallInt consumes a non-negative integer with no fraction or exponent
@@ -167,19 +259,6 @@ func (sc *jsonScanner) plainString(out *string) bool {
 		}
 	}
 	return false
-}
-
-// skipDigits returns the offset past the run of digits at b[i:], or -1
-// when there is none.
-func skipDigits(b []byte, i int) int {
-	start := i
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		i++
-	}
-	if i == start {
-		return -1
-	}
-	return i
 }
 
 // scanCap clamps a count taken from a body not yet known to have the

@@ -116,7 +116,7 @@ const maxScanInt = 1 << 40
 // bytes — and every Pos shares one backing array.
 func scanMatchRequest(data []byte) (req MatchRequest, ok bool) {
 	sc := jsonScanner{b: data}
-	if !sc.token('{') || !sc.literal(`"seq"`) || !sc.token(':') || !sc.token('[') {
+	if !sc.tokens(`{"seq":[`) {
 		return MatchRequest{}, false
 	}
 	// On the accepted shape n vertices of d positions each and f members
@@ -128,8 +128,7 @@ func scanMatchRequest(data []byte) (req MatchRequest, ok bool) {
 	backing := make([]float64, 0, scanCap(positions))
 	for more := !sc.token(']'); more; {
 		var v plr.Vertex
-		if !sc.token('{') || !sc.literal(`"t"`) || !sc.token(':') || !sc.number(&v.T) ||
-			!sc.token(',') || !sc.literal(`"pos"`) || !sc.token(':') || !sc.token('[') {
+		if !sc.tokens(`{"t":`) || !sc.number(&v.T) || !sc.tokens(`,"pos":[`) {
 			return MatchRequest{}, false
 		}
 		first := len(backing)
@@ -138,26 +137,26 @@ func scanMatchRequest(data []byte) (req MatchRequest, ok bool) {
 		}
 		v.Pos = backing[first:len(backing):len(backing)]
 		var state int
-		if !sc.token(',') || !sc.literal(`"state"`) || !sc.token(':') || !sc.smallInt(&state, math.MaxUint8) || !sc.token('}') {
+		if !sc.tokens(`,"state":`) || !sc.smallInt(&state, math.MaxUint8) || !sc.token('}') {
 			return MatchRequest{}, false
 		}
 		v.State = plr.State(state)
 		seq = append(seq, v)
-		if more = !sc.token(']'); more && !sc.token(',') {
+		if more, ok = sc.next(); !ok {
 			return MatchRequest{}, false
 		}
 	}
 	req.Seq = seq
-	if sc.member(`"patientId"`) && !sc.plainString(&req.PatientID) ||
-		sc.member(`"sessionId"`) && !sc.plainString(&req.SessionID) {
+	if sc.member(`,"patientId":`) && !sc.plainString(&req.PatientID) ||
+		sc.member(`,"sessionId":`) && !sc.plainString(&req.SessionID) {
 		return MatchRequest{}, false
 	}
-	if sc.member(`"now"`) {
+	if sc.member(`,"now":`) {
 		if req.Now = new(float64); !sc.number(req.Now) {
 			return MatchRequest{}, false
 		}
 	}
-	if sc.member(`"k"`) && !sc.smallInt(&req.K, maxScanInt) || !sc.token('}') || !sc.end() {
+	if sc.member(`,"k":`) && !sc.smallInt(&req.K, maxScanInt) || !sc.token('}') || !sc.end() {
 		return MatchRequest{}, false
 	}
 	return req, true

@@ -198,6 +198,9 @@ func FuzzMatchRequest(f *testing.F) {
 	for _, tc := range matchCorpus {
 		f.Add([]byte(tc.body))
 	}
+	for _, s := range numberCases {
+		f.Add([]byte(`{"seq":[{"t":` + s + `,"pos":[` + s + `],"state":1}],"now":` + s + `,"k":2}`))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if got, ok := scanMatchRequest(body); ok {
 			var want MatchRequest

@@ -65,9 +65,11 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
 func decodeSamples(data []byte) ([]SampleIn, error) {
 	batch, ok := scanSamples(data)
 	if !ok {
-		if err := json.Unmarshal(data, &batch); err != nil {
+		var decoded []SampleIn // apart from batch, so only this path moves it to the heap
+		if err := json.Unmarshal(data, &decoded); err != nil {
 			return nil, err
 		}
+		batch = decoded
 	}
 	for _, in := range batch {
 		if len(in.Pos) > plr.MaxDims {
@@ -103,8 +105,7 @@ func scanSamples(data []byte) (batch []SampleIn, ok bool) {
 	backing := make([]float64, 0, scanCap(bytes.Count(data, []byte{','})+1-n))
 	for more := !sc.token(']'); more; {
 		var in SampleIn
-		if !sc.token('{') || !sc.literal(`"t"`) || !sc.token(':') || !sc.number(&in.T) ||
-			!sc.token(',') || !sc.literal(`"pos"`) || !sc.token(':') || !sc.token('[') {
+		if !sc.tokens(`{"t":`) || !sc.number(&in.T) || !sc.tokens(`,"pos":[`) {
 			return nil, false
 		}
 		first := len(backing)
@@ -113,7 +114,7 @@ func scanSamples(data []byte) (batch []SampleIn, ok bool) {
 		}
 		in.Pos = backing[first:len(backing):len(backing)]
 		batch = append(batch, in)
-		if more = !sc.token(']'); more && !sc.token(',') {
+		if more, ok = sc.next(); !ok {
 			return nil, false
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"stsmatch/internal/core"
 	"stsmatch/internal/fsm"
+	"stsmatch/internal/plr"
 )
 
 // benchBatch is the shape the benchmark (and a 30 Hz console) posts:
@@ -129,6 +130,9 @@ func FuzzSamplesDecode(f *testing.F) {
 	}
 	f.Add(benchBatch(f, 30, 1))
 	f.Add(benchBatch(f, 4, 3))
+	for _, s := range numberCases {
+		f.Add([]byte(`[{"t":` + s + `,"pos":[` + s + `,-1]}]`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, ok := scanSamples(data)
 		if !ok {
@@ -161,6 +165,46 @@ func TestScanSamplesAllocs(t *testing.T) {
 			t.Errorf("%d-D batch of 30: %.0f allocations, want <= 3", dims, allocs)
 		}
 	}
+}
+
+// BenchmarkDecodeSamples times the two request decoders a served
+// session keeps busy, on the shapes json.Marshal writes: a 30-sample
+// ingest batch (one second at 30 Hz) and a 10-vertex match body, every
+// number a full-precision float as a console or the gateway sends it.
+func BenchmarkDecodeSamples(b *testing.B) {
+	batch := benchBatch(b, 30, 1)
+	seq := make(plr.Sequence, 10)
+	for i := range seq {
+		seq[i] = plr.Vertex{T: 12.5 + float64(i)*1.3/3, Pos: []float64{7.25 * math.Sin(float64(i)/2)}, State: plr.State(i % 3)}
+	}
+	match, err := json.Marshal(MatchRequest{Seq: seq, PatientID: "P007", SessionID: "P007-s1", K: 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, ok := scanSamples(batch); !ok {
+		b.Fatal("the scanner declined the batch")
+	}
+	if _, ok := scanMatchRequest(match); !ok {
+		b.Fatal("the scanner declined the match body")
+	}
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(batch)))
+		for range b.N {
+			if _, err := decodeSamples(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("match", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(match)))
+		for range b.N {
+			if _, err := DecodeMatchRequest(match); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestScanSamplesPosDoNotOverlap: every Pos is cut from one backing

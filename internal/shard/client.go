@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -365,7 +364,7 @@ func (p *Pool) once(ctx context.Context, b *Backend, method, path, ctype string,
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
+	respBody, err := readAll(resp.Body, resp.ContentLength)
 	if err != nil {
 		return 0, nil, nil, err
 	}

@@ -378,3 +378,47 @@ func TestBackoffBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestReadAllAtDeclaredLength: a body that declares its length is read
+// into one buffer of that length (plus the byte that meets the end),
+// whatever it turns out to hold; an unknown length reads as io.ReadAll
+// does; and a gateway body over the proxy cap is still a 413.
+func TestReadAllAtDeclaredLength(t *testing.T) {
+	body := strings.Repeat("0123456789", 150)
+	for _, tc := range []struct {
+		declared int64
+		wantCap  int
+	}{
+		{int64(len(body)), len(body) + 1},
+		{-1, 0}, // io.ReadAll's growth
+		{10, 0}, // declared short: read on past it
+		{server.DefaultMaxBodyBytes + 1, 0},
+	} {
+		got, err := readAll(strings.NewReader(body), tc.declared)
+		if err != nil || string(got) != body {
+			t.Fatalf("declared %d: %d bytes, %v", tc.declared, len(got), err)
+		}
+		if tc.wantCap > 0 && cap(got) != tc.wantCap {
+			t.Errorf("declared %d: a buffer of %d for %d bytes", tc.declared, cap(got), len(got))
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := readAll(strings.NewReader(body), int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 { // the buffer, and the reader the closure builds
+		t.Errorf("a declared-length read allocates %v times", allocs)
+	}
+
+	over := strings.Repeat(" ", server.DefaultMaxBodyBytes+1)
+	for _, declared := range []bool{true, false} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(over))
+		if !declared {
+			r.ContentLength = -1
+		}
+		if _, err := readBody(httptest.NewRecorder(), r); bodyErrCode(err) != http.StatusRequestEntityTooLarge {
+			t.Errorf("declared %v: a body over the cap gave %v, status %d", declared, err, bodyErrCode(err))
+		}
+	}
+}

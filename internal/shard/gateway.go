@@ -197,7 +197,29 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	if r.Body == nil {
 		return nil, nil
 	}
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, server.DefaultMaxBodyBytes))
+	return readAll(http.MaxBytesReader(w, r.Body, server.DefaultMaxBodyBytes), r.ContentLength)
+}
+
+// readAll is io.ReadAll into one buffer sized for n, the length the
+// sender declared, where io.ReadAll grows one from 512 bytes. A length
+// that is unknown (-1) or past the proxy cap starts as io.ReadAll does.
+func readAll(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n > server.DefaultMaxBodyBytes {
+		n = 511
+	}
+	b := make([]byte, 0, n+1) // the spare byte lets the read that meets the end do so in place
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		} else if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // relay forwards a backend response verbatim.

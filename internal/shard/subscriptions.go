@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -267,7 +266,7 @@ func (g *Gateway) relaySubPoll(w http.ResponseWriter, r *http.Request, id string
 		return
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readAll(resp.Body, resp.ContentLength)
 	if err != nil {
 		gwError(w, http.StatusBadGateway, err)
 		return

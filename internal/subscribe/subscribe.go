@@ -253,7 +253,7 @@ func (m *Manager) Ack(id string, seq uint64) bool {
 		for i < len(s.state.Events) && s.state.Events[i].Seq <= seq {
 			i++
 		}
-		s.state.Events = append(s.state.Events[:0], s.state.Events[i:]...)
+		s.state.Events = s.state.Events[i:] // append's next growth sheds the acknowledged prefix
 	}
 	return true
 }
@@ -381,8 +381,10 @@ func (m *Manager) evalStreamLocked(ctx context.Context, st *store.Stream, to uin
 			emitted++
 		}
 		if over := len(s.state.Events) - m.bufCap; over > 0 {
+			// Reslicing evicts in O(1): append's next growth copies only
+			// the kept window, so the backing stays within twice the cap.
 			s.dropped += uint64(over)
-			s.state.Events = append(s.state.Events[:0], s.state.Events[over:]...)
+			s.state.Events = s.state.Events[over:]
 		}
 		if len(matches) > 0 {
 			close(s.notify)

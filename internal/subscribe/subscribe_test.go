@@ -2,6 +2,7 @@ package subscribe
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"testing"
 
@@ -198,6 +199,73 @@ func TestBufferOverflowDropsOldest(t *testing.T) {
 	if status := list[0]; status.Dropped != 1 || status.Buffered != 2 {
 		t.Fatalf("status = %+v, want dropped 1 buffered 2", status)
 	}
+}
+
+// TestBufferWrapKeepsWindow: a buffer filled far past its cap, with
+// acks between, keeps exactly the newest unacknowledged events, counts
+// exactly the evicted ones, answers Read and Ack after every wrap as a
+// copying buffer did, and never holds more than twice the cap.
+func TestBufferWrapKeepsWindow(t *testing.T) {
+	const bufCap = 8
+	db, st := testDB(t)
+	p := core.DefaultParams()
+	p.DistThreshold = 1e9
+	m := NewManager(p, bufCap)
+	m.SetClock(func() float64 { return 1000 })
+	db.AddMutationHook(m.OnMutation)
+	sub := wal.SubState{ID: "s1", PatientID: "P1", Pattern: mkSeq(0, 3)}
+	if _, err := m.Register(&sub, db); err != nil {
+		t.Fatal(err)
+	}
+	// The model: the sequence numbers a copying buffer would hold.
+	var want []uint64
+	var dropped, next uint64 = 0, 1
+	check := func(when string) {
+		t.Helper()
+		events, _, _ := m.Read("s1", 0)
+		got := make([]uint64, len(events))
+		for i, e := range events {
+			got[i] = e.Seq
+		}
+		status := m.List()[0]
+		if !slices.Equal(got, want) || status.Dropped != dropped || status.Buffered != len(want) {
+			t.Fatalf("%s: buffered %v dropped %d, want %v dropped %d", when, got, status.Dropped, want, dropped)
+		}
+		if c := cap(m.subs["s1"].state.Events); c > 2*bufCap {
+			t.Fatalf("%s: the buffer's backing holds %d events, cap %d", when, c, bufCap)
+		}
+		if len(want) > 1 { // a Read from the middle of the window
+			i := (len(want) - 1) / 2
+			if tail, _, _ := m.Read("s1", want[i]); len(tail) != len(want)-i-1 || tail[0].Seq != want[i+1] {
+				t.Fatalf("%s: Read after %d = %+v, want %v", when, want[i], tail, want[i+1:])
+			}
+		}
+	}
+	for i := 0; i < 60; i++ {
+		if err := st.Append(mkSeq(float64(6+3*i), 3)...); err != nil {
+			t.Fatal(err)
+		}
+		m.Drain(context.Background(), db)
+		for ; next < m.subs["s1"].state.NextSeq; next++ {
+			want = append(want, next)
+		}
+		if over := len(want) - bufCap; over > 0 {
+			dropped += uint64(over)
+			want = want[over:]
+		}
+		check("after a drain")
+		if i%7 == 6 && len(want) > 2 { // acknowledge all but the newest two
+			m.Ack("s1", want[len(want)-3])
+			want = want[len(want)-2:]
+			check("after an ack")
+		}
+	}
+	if dropped == 0 || next < 4*bufCap {
+		t.Fatalf("emitted %d events, dropped %d: the buffer never wrapped", next-1, dropped)
+	}
+	m.Ack("s1", next+100) // past the last event: acknowledges it
+	want = nil
+	check("after acking everything")
 }
 
 // TestStateRoundTripRearms: a state exported by States() re-arms on a
