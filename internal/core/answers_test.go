@@ -227,27 +227,205 @@ func TestRepairedTopKEqualsFreshMatcher(t *testing.T) {
 // TestTopKAnswersLRU: a matcher keeps answerCap top-k answers. Asked
 // round after round over a cycle of answerCap queries it repairs every
 // one after the first round; over a cycle one longer, least recently
-// used, it repairs none.
+// used, it repairs none. A new threshold search after every top-k query
+// of the cycle takes the threshold slot, not a top-k one: the cycle is
+// still repaired.
 func TestTopKAnswersLRU(t *testing.T) {
 	db := scanCorpus(t, 3, 4, 200)
 	q := regularQuery(t, db.Streams()[0], 8)
-	for _, cycle := range []int{answerCap, answerCap + 1} {
+	for _, c := range []struct {
+		cycle      int
+		thresholds bool
+	}{{answerCap, false}, {answerCap + 1, false}, {answerCap, true}} {
 		m := mustMatcher(t, db, DefaultParams())
-		qs := ownSessions(q, cycle)
+		qs := ownSessions(q, c.cycle)
+		thr := ownSessions(q, 3*c.cycle)
 		before := mRepaired.Value()
 		for round := 0; round < 3; round++ {
-			for _, qi := range qs {
+			for i, qi := range qs {
 				if _, err := m.TopK(qi, 5, nil); err != nil {
+					t.Fatal(err)
+				}
+				if !c.thresholds {
+					continue
+				}
+				if _, err := m.FindSimilar(thr[round*c.cycle+i], nil); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		want := 0
-		if cycle <= answerCap {
-			want = 2 * cycle
+		if c.cycle <= answerCap {
+			want = 2 * c.cycle
 		}
 		if n := int(mRepaired.Value() - before); n != want {
-			t.Errorf("a cycle of %d queries: %d repairs, want %d", cycle, n, want)
+			t.Errorf("a cycle of %d queries (threshold searches between: %v): %d repairs, want %d", c.cycle, c.thresholds, n, want)
+		}
+	}
+}
+
+// TestRepairedThresholdUnderConcurrentAppend: a threshold answer repaired
+// while a writer appends to a stream that holds hits near its end, and
+// every other stream has grown since the last call, is the answer over
+// the prefix the repair ranked. After every FindSimilar and
+// every PredictDisplacementCtx, a fresh matcher over a copy of the
+// database cut at the threshold slot's lens, its stream order kept, gives
+// the same matches, the same prediction to the bit and the same funnel
+// counts field for field: the threshold is fixed, so every window's fate
+// is too.
+func TestRepairedThresholdUnderConcurrentAppend(t *testing.T) {
+	alwaysFanOut(t)
+	for _, par := range []int{1, 2} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) { testRepairedThresholdUnderAppend(t, par) })
+	}
+}
+
+// testRepairedThresholdUnderAppend is one parallelism's run of
+// TestRepairedThresholdUnderConcurrentAppend.
+func testRepairedThresholdUnderAppend(t *testing.T, par int) {
+	db := forecastCorpus(t, 37, 1)
+	p := DefaultParams()
+	p.Parallelism = par
+	m := mustMatcher(t, db, p)
+	src := db.Patient("P2").Streams[0]
+	seq := src.Seq()
+	q := NewQuery(seq[len(seq)-10:], src.PatientID, src.SessionID)
+	ctx := context.Background()
+
+	// The racing stream is the first listed, so every other stream is
+	// fed after it while its writer goes on. It grows by copies of the
+	// query, a match ending every ten vertices, and each vertex
+	// appended brings some match's horizons into the stream.
+	racing := db.Patient("P0").Streams[0]
+	ts, _, _ := racing.Track()
+	var more plr.Sequence
+	for at := ts[len(ts)-1] + 1; len(more) < 3500; {
+		for _, v := range q.Seq {
+			v.T += at - q.Seq[0].T
+			more = append(more, v)
+		}
+		at = more[len(more)-1].T + 1
+	}
+	if err := racing.Append(more[:100]...); err != nil {
+		t.Fatal(err)
+	}
+	// Each call to m starts the writer on a burst of a few vertices
+	// (race), which lands while the call runs.
+	burst, appended := make(chan struct{}, 1), make(chan struct{})
+	go func() {
+		defer close(appended)
+		next := 100
+		for range burst {
+			for end := min(next+4, len(more)); next < end; next++ {
+				if err := racing.Append(more[next]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		close(burst)
+		<-appended
+	})
+	// Every other stream grows by a vertex before each call too, so that
+	// a repair scores a window in each after the racing stream was fed.
+	others := db.Streams()[1:]
+	grow := make([]plr.Sequence, len(others))
+	rng := rand.New(rand.NewSource(19))
+	for i, st := range others {
+		ts, _, _ := st.Track()
+		grow[i] = randomBreathing(rng, 1000)
+		for j := range grow[i] {
+			grow[i][j].T += ts[len(ts)-1] + 1
+		}
+	}
+	step := 0
+	race := func() {
+		for i, st := range others {
+			if err := st.Append(grow[i][step]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step++
+		select {
+		case burst <- struct{}{}:
+		default:
+		}
+	}
+
+	// cut is the database as the threshold answer ranked it, each of
+	// its streams extended to the answer's lens before every check:
+	// the lens of one query's answer only grow.
+	cut := store.NewDB()
+	var copies []*store.Stream
+	for _, pat := range db.Patients() {
+		np, err := cut.AddPatient(pat.Info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range pat.Streams {
+			copies = append(copies, np.AddStream(st.SessionID))
+		}
+	}
+	oracle := func() *Matcher {
+		lens := m.answers.last.lens
+		if len(lens) != len(copies) {
+			t.Fatalf("the answer ranked %d streams, the database lists %d", len(lens), len(copies))
+		}
+		for ord, st := range db.Streams() {
+			have := copies[ord].Len()
+			if int(lens[ord]) < have {
+				t.Fatalf("stream %d ranked to %d vertices, after %d", ord, lens[ord], have)
+			}
+			if err := copies[ord].Append(st.Seq()[have:lens[ord]]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return mustMatcher(t, cut, p)
+	}
+	horizons := [][2]float64{{0.5, 1.5}, {1, 20}, {2, 40}}
+	predict := func(m *Matcher, h [2]float64) (disp []float64, n int, mean float64, err error, c FunnelCounts) {
+		_, c = searchCounts(t, func() ([]Match, error) {
+			disp, n, mean, err = m.PredictDisplacementCtx(ctx, q, h[0], h[1], 0)
+			return nil, nil
+		})
+		return disp, n, mean, err, c
+	}
+	for call := 0; call < 200; call++ {
+		label := fmt.Sprintf("call %d", call)
+		race()
+		got, gc := searchCounts(t, func() ([]Match, error) { return m.FindSimilar(q, nil) })
+		want, wc := searchCounts(t, func() ([]Match, error) { return oracle().FindSimilar(q, nil) })
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d matches, the cut database's %d", label, len(got), len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.Stream.PatientID != w.Stream.PatientID || g.Stream.SessionID != w.Stream.SessionID ||
+				g.Start != w.Start || g.N != w.N || g.Relation != w.Relation || g.ord != w.ord ||
+				!sameFloat(g.Distance, w.Distance) || !sameFloat(g.Weight, w.Weight) {
+				t.Fatalf("%s: match %d is %+v, the cut database's %+v", label, i, g, w)
+			}
+		}
+		if gc != wc {
+			t.Fatalf("%s: counts %+v, the cut database's %+v", label, gc, wc)
+		}
+		for _, h := range horizons {
+			race()
+			gd, gn, gm, gerr, gc := predict(m, h)
+			wd, wn, wm, werr, wc := predict(oracle(), h)
+			if (gerr == nil) != (werr == nil) || gn != wn || !sameFloat(gm, wm) || len(gd) != len(wd) {
+				t.Fatalf("%s horizons %v: %v %d %v %v, the cut database's %v %d %v %v", label, h, gd, gn, gm, gerr, wd, wn, wm, werr)
+			}
+			for k := range gd {
+				if !sameFloat(gd[k], wd[k]) {
+					t.Fatalf("%s horizons %v: disp[%d] = %v, the cut database's %v", label, h, k, gd[k], wd[k])
+				}
+			}
+			if gc != wc {
+				t.Fatalf("%s horizons %v: counts %+v, the cut database's %+v", label, h, gc, wc)
+			}
 		}
 	}
 }

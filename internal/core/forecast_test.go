@@ -204,7 +204,7 @@ func TestPredictDisplacementCtxObservable(t *testing.T) {
 }
 
 // TestPredictDisplacementCtxPanicLeavesMatcherClean: a fused search that
-// panics once its workers have recorded hits and futures leaves the
+// panics once its workers have recorded hits leaves the
 // matcher's workers empty and its next searches — fused or not — what a
 // fresh matcher gives, as TestPredictAdaptiveLeavesParams asks of
 // Params. The panic comes from the stage clock of a traced search, some
@@ -262,9 +262,8 @@ func TestPredictDisplacementCtxPanicLeavesMatcherClean(t *testing.T) {
 			_, _, _, _ = m.PredictDisplacementCtx(obs.ContextWithSpan(context.Background(), root), q, 0.1, 0.5, 0)
 		}()
 		for i, w := range m.workers {
-			if len(w.hits)+len(w.fut)+len(w.disp) != 0 || w.counts != (FunnelCounts{}) {
-				t.Errorf("par=%d: worker %d keeps %d hits, %d futures, %d displacements, counts %+v",
-					par, i, len(w.hits), len(w.fut), len(w.disp), w.counts)
+			if len(w.hits) != 0 || w.counts != (FunnelCounts{}) {
+				t.Errorf("par=%d: worker %d keeps %d hits, counts %+v", par, i, len(w.hits), w.counts)
 			}
 		}
 

@@ -107,13 +107,13 @@ type Matcher struct {
 	// concurrent use; create one per goroutine). Each search worker
 	// goroutine owns one workerState; the slice grows to the effective
 	// parallelism and is reused across searches.
+	plan    queryPlan // the running search's, a field so that no search allocates one
 	buf     []float64 // the plan's vertex weights and query segments
 	streams []*store.Stream
 	workers []*workerState
 	buckets []int32    // order's bucket table
 	fc      forecast   // PredictDisplacementCtx's collector
-	kept    kept       // the last unrestricted threshold retrieval
-	answers answers    // the recent unrestricted top-k answers
+	answers answers    // the recent unrestricted answers
 	tracks  []trackRow // PredictDisplacement's columns by stream ordinal
 	call    uint64     // PredictDisplacement's calls, telling tracks' rows apart
 }
@@ -123,11 +123,6 @@ type Matcher struct {
 // worker-local so the hot loop never contends on shared counters.
 type workerState struct {
 	hits []hit
-	// In a forecast search, each hit's future beside it (forecast.future):
-	// whether its stream reaches both horizons, and dims values per hit
-	// of the displacement between them.
-	fut  []bool
-	disp []float64
 	// The least and greatest distance among hits, what order scales its
 	// buckets to; meaningful once counts.Matched > 0.
 	dmin, dmax float64
@@ -215,7 +210,7 @@ func drainWorkers(workers []*workerState) (c FunnelCounts, sg stageNS) {
 		sg.stateOrder += w.stage.stateOrder
 		sg.lb += w.stage.lb
 		sg.dist += w.stage.dist
-		*w = workerState{hits: w.hits[:0], fut: w.fut[:0], disp: w.disp[:0], starts: w.starts, lbs: w.lbs}
+		*w = workerState{hits: w.hits[:0], starts: w.starts, lbs: w.lbs}
 	}
 	return c, sg
 }
@@ -308,11 +303,7 @@ type queryPlan struct {
 	// replaces the threshold; nil keeps every match within threshold in
 	// the worker-local buffers.
 	col *collector
-	// fc, when non-nil, is a threshold search's forecast: workers keep
-	// each hit's future beside it, and the hits are folded into a
-	// prediction instead of listed.
-	fc *forecast
-	// lens, when non-nil, is a top-k search's kept answer: per stream
+	// lens, when non-nil, is an unrestricted search's kept answer: per stream
 	// ordinal, the length up to which the answer holds the stream's
 	// windows. Workers range only over the windows ending past it, and
 	// leave the length they ranked up to.
@@ -368,44 +359,12 @@ func streamWeights(p Params) (ws [3]float64) {
 // results merge into the matchLess total order, so the output is
 // byte-identical at every parallelism setting.
 //
-// An unrestricted threshold search (k == 0, restrict == nil) is kept
-// (kept): the next such search for the same query under the same
-// parameters over the database at the same version is answered from it,
-// without the funnel. The version is read before the streams are listed,
-// so an append racing the search can only make the next one miss. An
-// unrestricted top-k search is kept too (answers), and repaired when
-// asked again: the funnel then runs over the windows appended since.
+// An unrestricted search keeps its answer (answers) and, asked again over
+// the same stream list, is repaired: the funnel then runs over the
+// windows appended since. Each stream's length is read once, when the
+// stream is fed, so an append racing the search lands in the next one.
 func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool, k int, threshold float64, fc *forecast) ([]Match, error) {
 	start := time.Now()
-	keeps, version := k == 0 && restrict == nil, m.DB.Version()
-	if keeps {
-		if m.kept.holds(m.DB, version, m.Params, threshold, q) {
-			if out, ok := m.reuse(ctx, start, version, q, fc); ok {
-				return out, nil
-			}
-		}
-		m.kept.ok = false // until this search completes
-	}
-	plan, err := newQueryPlan(m.Params, q, q.Seq.StateSignature(), threshold, m.buf)
-	if err != nil {
-		return nil, err
-	}
-	pl := &plan
-	m.buf = pl.vw // the (possibly regrown) scratch, by its full capacity
-	mQueryLen.Observe(float64(pl.n))
-
-	// When the caller's context carries a trace, the whole search runs
-	// as one child span and the funnel stages report their aggregate
-	// wall time (summed across workers, so stage durations can exceed
-	// the span's wall-clock duration at parallelism > 1).
-	ctx, span := obs.StartSpan(ctx, "matcher.search")
-	defer span.Finish()
-	pl.timed = span != nil
-	if k > 0 {
-		pl.col = newCollector(k)
-	}
-	pl.fc = fc
-
 	streams := m.DB.AppendStreams(m.streams[:0])
 	if restrict != nil {
 		in := streams[:0]
@@ -420,10 +379,44 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 
 	var ans *answer
 	repaired := false
-	if k > 0 && restrict == nil {
-		ans, repaired = m.answers.open(m.DB, m.Params, k, q, streams)
+	if restrict == nil {
+		ans, repaired = m.answers.open(m.DB, m.Params, threshold, k, q, streams)
+	}
+	// The key fixes the plan, so a kept answer keeps the one it was made
+	// with, over the key's copy of the query (the query but for Now, which
+	// the funnel does not read), and a repair plans nothing.
+	var err error
+	pl := &m.plan
+	switch {
+	case repaired:
+		*pl = ans.plan
+	case ans != nil:
+		ans.plan, err = newQueryPlan(m.Params, ans.q, ans.q.Seq.StateSignature(), threshold, ans.plan.vw)
+		*pl = ans.plan
+	default:
+		*pl, err = newQueryPlan(m.Params, q, q.Seq.StateSignature(), threshold, m.buf)
+		m.buf = pl.vw // the (possibly regrown) scratch, by its full capacity
+	}
+	if err != nil {
+		return nil, err
+	}
+	mQueryLen.Observe(float64(pl.n))
+
+	// When the caller's context carries a trace, the whole search runs
+	// as one child span and the funnel stages report their aggregate
+	// wall time (summed across workers, so stage durations can exceed
+	// the span's wall-clock duration at parallelism > 1).
+	ctx, span := obs.StartSpan(ctx, "matcher.search")
+	defer span.Finish()
+	pl.timed = span != nil
+	if ans != nil {
 		pl.lens = ans.lens
-		pl.col.seed(pl, streams, ans.hits)
+	}
+	if k > 0 {
+		pl.col = newCollector(k)
+		if ans != nil {
+			pl.col.seed(pl, streams, ans.hits)
+		}
 	}
 	// A repair ranges over a few appended windows: no fan-out.
 	par := 1
@@ -448,9 +441,10 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 
 	pl.dispatch(active, streams)
 
-	// Merge: top-k mode drains the shared heap, threshold mode orders the
-	// workers' hits and ranks or folds them, and an unrestricted one keeps
-	// them. Either way the matchCmp total order fully determines the
+	// Merge: top-k mode drains the shared heap; a threshold repair merges
+	// the new hits into the kept ones, and a full threshold search places
+	// the workers' hits in order, as the hits a forecast folds or as
+	// Matches. Either way the matchCmp total order fully determines the
 	// output, so worker scheduling cannot affect it.
 	mergeStart := time.Now()
 	var out []Match
@@ -458,36 +452,52 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	case pl.col != nil:
 		out = pl.col.heap
 		slices.SortFunc(out, matchCmp)
+	case repaired:
+		ans.repair(streams, active[0].hits) // a repair runs on one worker
 	case fc != nil:
-		fc.fold(m, pl, active, streams)
+		n := hitCount(active)
+		ans.hits = slices.Grow(ans.hits[:0], n)[:n]
+		m.order(pl, active, streams, nil, ans.hits)
 	default:
 		out = m.rank(pl, active, streams)
 	}
-	if keeps {
-		m.kept.keep(m.DB, version, m.Params, threshold, q, streams)
-		m.kept.hits = keptHits(m.kept.hits[:0], out, fc, active)
+	switch {
+	case fc != nil:
+		fc.fold(m, pl, streams, ans.lens, ans.hits)
+	case repaired && k == 0:
+		out = make([]Match, len(ans.hits))
+		for i, h := range ans.hits {
+			st := streams[h.ord]
+			out[i] = pl.match(st, relationOf(q, st), h)
+		}
+	case ans != nil:
+		ans.keep(out)
 	}
 	mergeDur := time.Since(mergeStart)
 
 	var sg stageNS
 	counts, sg = drainWorkers(active)
-	if pl.col != nil {
+	// A threshold answer served with no window to range over is reused;
+	// every other answer from a kept one is repaired.
+	reused := repaired && k == 0 && counts.Windows == 0
+	if ans != nil {
 		// A repair considered the kept answer's windows too (zero counts
-		// for a full search). A top-k match displaced from the heap by a
-		// better one was rejected by the adaptive bound after all.
-		if ans != nil {
-			counts.Add(ans.counts)
-		}
+		// for a full search).
+		counts.Add(ans.counts)
+	}
+	if pl.col != nil {
+		// A top-k match displaced from the heap by a better one was
+		// rejected by the adaptive bound after all.
 		counts.DistRejected += counts.Matched - len(out)
 		counts.Matched = len(out)
 	}
-	if keeps {
-		m.kept.counts, m.kept.ok = counts, true
-	}
 	if ans != nil {
-		m.answers.done(ans, out, counts)
+		m.answers.done(ans, counts)
 	}
-	if repaired {
+	switch {
+	case reused:
+		mReused.Inc()
+	case repaired:
 		mRepaired.Inc()
 	}
 	mSearchSeconds.Observe(time.Since(start).Seconds())
@@ -503,8 +513,8 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 			"distRejected": counts.DistRejected})
 		obs.AddSpan(ctx, "funnel.topk_merge", mergeStart, mergeDur, map[string]any{
 			"matched": counts.Matched})
-		span.Annotate("reused", false)
-		span.Annotate("repaired", repaired)
+		span.Annotate("reused", reused)
+		span.Annotate("repaired", repaired && !reused)
 		span.Annotate("streams", len(streams))
 		span.Annotate("parallelism", par)
 		span.Annotate("k", k)
@@ -585,7 +595,7 @@ func (pl *queryPlan) dispatch(workers []*workerState, streams []*store.Stream) {
 // a fresh view of it and runs the funnel over it.
 func (pl *queryPlan) feed(w *workerState, st *store.Stream, ord int) {
 	w.lap(pl, nil)
-	// A kept top-k answer holds every window ending before seen.
+	// A kept answer holds every window ending before seen.
 	var seen int
 	if pl.lens != nil {
 		if seen = int(pl.lens[ord]); seen > 0 && st.Len() == seen {
@@ -736,9 +746,6 @@ func (pl *queryPlan) run(w *workerState, st *store.Stream, rel SourceRelation, o
 			switch {
 			case pl.col == nil:
 				hits = append(hits, h)
-				if pl.fc != nil {
-					pl.fc.future(w, ts, pos, dims, j+n-1)
-				}
 				if w.counts.Matched == 0 || d < w.dmin {
 					w.dmin = d
 				}

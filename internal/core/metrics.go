@@ -24,9 +24,9 @@ var (
 	mMatched = obs.Default().Counter("stsmatch_matcher_matches_total",
 		"Candidate windows accepted as matches.")
 	mReused = obs.Default().Counter("stsmatch_matcher_reused_total",
-		"Threshold searches answered from the matcher's kept last retrieval, without the funnel: the same query over an unchanged database.")
+		"Threshold searches answered from the matcher's kept answer to the same search with no window to range over: nothing appended since.")
 	mRepaired = obs.Default().Counter("stsmatch_matcher_repaired_total",
-		"Top-k searches answered by repairing a kept answer to the same search: the funnel ran over the windows appended since.")
+		"Other searches answered by repairing a kept answer to the same search: the funnel ran over the windows appended since.")
 	mQueryLen = obs.Default().Histogram("stsmatch_matcher_query_vertices",
 		"Query length in vertices per search.",
 		[]float64{2, 4, 7, 10, 13, 16, 19, 22, 25, 31})

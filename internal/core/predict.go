@@ -130,7 +130,7 @@ func (m *Matcher) PredictDisplacement(q Query, matches []Match, d1, d2 float64, 
 	used := 0
 	m.call++
 	for _, mt := range matches {
-		ts, pos, d := m.track(mt)
+		ts, pos, d := m.track(mt.Stream, mt.ord)
 		end := mt.Start + mt.N - 1
 		if !positionFrom(ts, pos, d, a, ts[end]+d1, end) || !positionFrom(ts, pos, d, b, ts[end]+d2, end) {
 			continue
@@ -151,7 +151,7 @@ func (m *Matcher) PredictDisplacement(q Query, matches []Match, d1, d2 float64, 
 }
 
 // trackRow is a stream's time and position columns (store.Stream.Track)
-// as read by one PredictDisplacement call.
+// as read by one PredictDisplacement call or forecast fold.
 type trackRow struct {
 	st      *store.Stream
 	call    uint64
@@ -159,19 +159,19 @@ type trackRow struct {
 	dims    int
 }
 
-// track returns the columns of mt's stream, read once per
-// PredictDisplacement call: a table row per stream ordinal, taken as the
-// call's if it names this call and mt's stream (a caller's matches may
-// come from any matcher, or none).
-func (m *Matcher) track(mt Match) (ts, pos []float64, dims int) {
-	o := int(mt.ord)
+// track returns the columns of stream st, the ord-th of a stream list,
+// read once per call: a table row per stream ordinal, taken as the call's
+// if it names this call and st (a caller's matches may come from any
+// matcher, or none).
+func (m *Matcher) track(st *store.Stream, ord int32) (ts, pos []float64, dims int) {
+	o := int(ord)
 	if o >= len(m.tracks) {
 		m.tracks = slices.Grow(m.tracks, o+1-len(m.tracks))[:o+1]
 	}
 	t := &m.tracks[o]
-	if t.st != mt.Stream || t.call != m.call {
-		t.ts, t.pos, t.dims = mt.Stream.Track()
-		t.st, t.call = mt.Stream, m.call
+	if t.st != st || t.call != m.call {
+		t.ts, t.pos, t.dims = st.Track()
+		t.st, t.call = st, m.call
 	}
 	return t.ts, t.pos, t.dims
 }
@@ -180,9 +180,8 @@ func (m *Matcher) track(mt Match) (ts, pos []float64, dims int) {
 // the displacement PredictDisplacement would estimate from
 // FindSimilarCtx's matches, bit for bit, together with the number of
 // those matches and their mean distance (0 without any). No Match is
-// built: each search worker records an accepted window's displacement
-// between the horizons while the window's columns are at hand, and the
-// hits, placed in the result order, are folded straight into the sums.
+// built: the hits, placed in the result order or repaired, are folded
+// straight into the sums (forecast.fold).
 // A prediction from too few matches is ErrNoMatches, still with the
 // count and mean distance. The context carries the trace, as for
 // FindSimilarCtx.
@@ -217,20 +216,7 @@ type forecast struct {
 	wsum, dsum float64   // Σ w over the hits with a future; Σ distance over all
 	used       int       // hits with a future
 	matches    int
-	refs       []hitRef  // the hits in order
-	ab         []float64 // refold's two positions
-}
-
-// future records, beside the hit worker w just accepted — a window
-// ending at vertex end of the stream with columns ts and pos — whether
-// the stream reaches both horizons past that vertex and, if it does, its
-// displacement between them. disp grows by dims values per hit either
-// way, so hit i's are disp[i*dims:].
-func (f *forecast) future(w *workerState, ts, pos []float64, dims, end int) {
-	at := len(w.disp)
-	w.disp = slices.Grow(w.disp, 2*dims)[:at+2*dims]
-	ok := f.between(ts, pos, dims, end, w.disp[at:])
-	w.fut, w.disp = append(w.fut, ok), w.disp[:at+dims]
+	ab         []float64 // a hit's two positions, then its displacement
 }
 
 // between writes into ab[:dims] the displacement of the stream with
@@ -248,67 +234,34 @@ func (f *forecast) between(ts, pos []float64, dims, end int, ab []float64) bool 
 	return true
 }
 
-// fold puts the workers' hits in order and sums them in that order,
-// which is matchCmp's — the order of FindSimilar's result.
-// PredictDisplacement and a mean over that result add the same terms
-// (each weight computed as Match.Weight is) in the same order, so the
-// sums come out the same to the bit.
-func (f *forecast) fold(m *Matcher, pl *queryPlan, workers []*workerState, streams []*store.Stream) {
-	n := hitCount(workers)
-	f.refs = slices.Grow(f.refs[:0], n)[:n]
-	m.order(pl, workers, streams, nil, f.refs)
-
-	dims := f.begin(pl, n)
-	for _, r := range f.refs {
-		w := workers[r.wk]
-		var d []float64
-		if w.fut[r.i] {
-			d = w.disp[int(r.i)*dims:][:dims]
-		}
-		f.add(pl.ws[r.rel], w.hits[r.i].dist, d)
-	}
-}
-
-// refold is fold over a kept retrieval: hits already in order, each
-// window's future read off its stream at the current horizons.
-func (f *forecast) refold(pl *queryPlan, streams []*store.Stream, hits []hit) {
-	dims := f.begin(pl, len(hits))
-	f.ab = slices.Grow(f.ab[:0], 2*dims)[:2*dims]
-	for _, h := range hits {
-		st := streams[h.ord]
-		ts, pos, _ := st.Track()
-		var d []float64
-		if f.between(ts, pos, dims, int(h.start)+pl.n-1, f.ab) {
-			d = f.ab[:dims]
-		}
-		f.add(pl.ws[relationOf(pl.q, st)], h.dist, d)
-	}
-}
-
-// begin clears the sums for a fold of n hits and returns the query's
-// dimensionality.
-func (f *forecast) begin(pl *queryPlan, n int) int {
+// fold sums a threshold answer's hits in its order, which is matchCmp's —
+// the order of FindSimilar's result. Each window's future is read at the
+// horizons off its stream's columns cut at lens, the prefix the answer
+// ranked, so a vertex appended since, even while the search ran, is not
+// in it. PredictDisplacement and a mean over FindSimilar's result add the
+// same terms in the same order, so the sums come out the same to the bit.
+func (f *forecast) fold(m *Matcher, pl *queryPlan, streams []*store.Stream, lens []int32, hits []hit) {
 	dims := pl.q.Seq.Dims()
 	f.acc = slices.Grow(f.acc[:0], dims)[:dims]
 	clear(f.acc)
-	f.wsum, f.dsum, f.used, f.matches = 0, 0, 0, n
-	return dims
-}
-
-// add sums the next hit in order: its distance, and when its stream
-// reaches both horizons (d, its displacement, non-nil) its weight
-// ws/(1+dist) — Match.Weight — and weighted displacement.
-func (f *forecast) add(ws, dist float64, d []float64) {
-	f.dsum += dist
-	if d == nil {
-		return
+	f.wsum, f.dsum, f.used, f.matches = 0, 0, 0, len(hits)
+	f.ab = slices.Grow(f.ab[:0], 2*dims)[:2*dims]
+	m.call++
+	for _, h := range hits {
+		st, n := streams[h.ord], int(lens[h.ord])
+		ts, pos, _ := m.track(st, h.ord)
+		f.dsum += h.dist
+		if !f.between(ts[:n], pos[:n*dims], dims, int(h.start)+pl.n-1, f.ab) {
+			continue // the stream does not reach both horizons
+		}
+		// The weight is Match.Weight's, ws/(1+dist).
+		wt := pl.ws[relationOf(pl.q, st)] / (1 + h.dist)
+		for k := range f.acc {
+			f.acc[k] += wt * f.ab[k]
+		}
+		f.wsum += wt
+		f.used++
 	}
-	wt := ws / (1 + dist)
-	for k := range f.acc {
-		f.acc[k] += wt * d[k]
-	}
-	f.wsum += wt
-	f.used++
 }
 
 // SegmentForecast is the predicted shape of the breathing segment that

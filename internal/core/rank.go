@@ -23,11 +23,11 @@ const bucketsPerHit = 4
 // order is the one routine that puts a threshold search's hits in the
 // matchCmp total order. It has two consumers, and writes each hit at its
 // place in the order for whichever called: rank passes out, and gets
-// FindSimilar's Matches, each built in its place; forecast.fold passes
-// refs, and gets a reference to each hit (its worker, its index there,
-// its stream's relation to the query) to sum through, with a nil out.
-// The slice written holds one place per hit. (A branch per hit on which
-// it is, not a callback: a call per hit cost rank 13 % at 300 hits.)
+// FindSimilar's Matches, each built in its place; a forecast search
+// passes hits, and gets the hits themselves, which its answer keeps and
+// the forecast folds, with a nil out. The slice written holds one place
+// per hit. (A branch per hit on which it is, not a callback: a call per
+// hit cost rank 13 % at 300 hits.)
 //
 // It works by placement: the hits are counted into buckets that are
 // monotone in distance — bucket (d-dmin)·scale over the range the
@@ -39,7 +39,7 @@ const bucketsPerHit = 4
 // equal) is the one-bucket case, place and sort; no result is small
 // enough for that to be the cheaper way (measured from two hits up:
 // DESIGN §10).
-func (m *Matcher) order(pl *queryPlan, workers []*workerState, streams []*store.Stream, out []Match, refs []hitRef) {
+func (m *Matcher) order(pl *queryPlan, workers []*workerState, streams []*store.Stream, out []Match, hits []hit) {
 	total, dmin, dmax := 0, 0.0, 0.0
 	for _, w := range workers {
 		if len(w.hits) == 0 {
@@ -69,12 +69,12 @@ func (m *Matcher) order(pl *queryPlan, workers []*workerState, streams []*store.
 	for b, n := range at {
 		at[b], next = next, next+n
 	}
-	for wk, w := range workers {
+	for _, w := range workers {
 		// A worker's hits come a stream at a time.
 		var st *store.Stream
 		var rel SourceRelation
 		ord := int32(-1)
-		for i, h := range w.hits {
+		for _, h := range w.hits {
 			if h.ord != ord {
 				ord, st = h.ord, streams[h.ord]
 				rel = relationOf(pl.q, st)
@@ -83,13 +83,12 @@ func (m *Matcher) order(pl *queryPlan, workers []*workerState, streams []*store.
 			if out != nil {
 				out[at[b]] = pl.match(st, rel, h)
 			} else {
-				refs[at[b]] = hitRef{wk: int32(wk), i: int32(i), rel: rel}
+				hits[at[b]] = h
 			}
 			at[b]++
 		}
 	}
 	// Every cursor now stands at its bucket's end.
-	refCmp := func(a, b hitRef) int { return matchCmp(refKey(workers, streams, a), refKey(workers, streams, b)) }
 	lo := int32(0)
 	for _, hi := range at {
 		switch {
@@ -97,24 +96,18 @@ func (m *Matcher) order(pl *queryPlan, workers []*workerState, streams []*store.
 		case out != nil:
 			slices.SortFunc(out[lo:hi], matchCmp)
 		default:
-			slices.SortFunc(refs[lo:hi], refCmp)
+			slices.SortFunc(hits[lo:hi], hitOrder(streams))
 		}
 		lo = hi
 	}
 }
 
-// hitRef is a hit as the forecast fold orders it: where the hit lies
-// (its worker, its index in that worker's hits, fut and disp) and its
-// stream's relation to the query.
-type hitRef struct {
-	wk, i int32
-	rel   SourceRelation
-}
-
-// refKey is what matchCmp reads of the hit r refers to.
-func refKey(workers []*workerState, streams []*store.Stream, r hitRef) Match {
-	h := workers[r.wk].hits[r.i]
-	return Match{Stream: streams[h.ord], Start: int(h.start), Distance: h.dist, ord: h.ord}
+// hitOrder is matchCmp over the hits of a search over streams.
+func hitOrder(streams []*store.Stream) func(a, b hit) int {
+	key := func(h hit) Match {
+		return Match{Stream: streams[h.ord], Start: int(h.start), Distance: h.dist, ord: h.ord}
+	}
+	return func(a, b hit) int { return matchCmp(key(a), key(b)) }
 }
 
 // hitCount is the number of hits the workers hold.

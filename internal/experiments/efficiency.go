@@ -115,7 +115,7 @@ func Efficiency(env *Env) (*EfficiencyResult, error) {
 	// retrieval + prediction. Each repetition predicts at its own cut
 	// point, a vertex earlier than the last, as the online loop sees a
 	// new query at every vertex close: one query asked again would be
-	// answered from the matcher's kept retrieval, not timed.
+	// answered from the matcher's kept answer, not timed.
 	const reps = 30
 	start := time.Now()
 	for r := 0; r < reps; r++ {

@@ -98,7 +98,6 @@ type Stream struct {
 	mu    sync.RWMutex
 	index ngramIndex
 	hook  *hookRef
-	db    *DB // the owning DB, whose version each landed vertex bumps; nil for a bare stream
 
 	// cols holds the columns (ScanView documents them; its postings
 	// fields stay zero here). Amps is extended incrementally on Append,
@@ -194,9 +193,6 @@ func (s *Stream) push(t float64, pos []float64, state plr.State) error {
 	c.States = append(c.States, state.Byte())
 	s.index.extend(c.States)
 	mVertices.Inc()
-	if s.db != nil {
-		s.db.version.Add(1)
-	}
 	return nil
 }
 
@@ -448,15 +444,12 @@ type Patient struct {
 // streams under it (AppendStreams), outside any lock of the caller's.
 func (p *Patient) AddStream(sessionID string) *Stream {
 	st := NewStream(p.Info.ID, sessionID)
-	st.hook, st.db = p.hook, p.db
+	st.hook = p.hook
 	if p.db != nil {
 		p.db.mu.Lock()
 	}
 	p.Streams = append(p.Streams, st)
 	if p.db != nil {
-		// An empty stream holds no window, but it moves every later
-		// stream's place in the list a search reads.
-		p.db.version.Add(1)
 		p.db.mu.Unlock()
 	}
 	mStreams.Inc()
@@ -484,18 +477,7 @@ type DB struct {
 	patients []*Patient
 	byID     map[string]*Patient
 	hook     *hookRef
-	version  atomic.Uint64 // Version's counter
 }
-
-// Version counts the changes a search can see: every vertex landed in a
-// stream of the database and every stream added. Each change bumps it
-// after the change is visible, under the lock that publishes it. So a
-// search that reads the version before it lists the streams saw every
-// change the value counts, and a later read of the same value means no
-// change has landed since: a racing change can only make the two reads
-// differ. A patient with no stream holds nothing a search reads, so
-// adding one does not bump it.
-func (db *DB) Version() uint64 { return db.version.Load() }
 
 // NewDB creates an empty database.
 func NewDB() *DB {
