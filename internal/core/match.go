@@ -110,6 +110,7 @@ type Matcher struct {
 	plan    queryPlan // the running search's, a field so that no search allocates one
 	buf     []float64 // the plan's vertex weights and query segments
 	streams []*store.Stream
+	rels    []SourceRelation // a search's relations by stream ordinal, plus one; 0 until read
 	workers []*workerState
 	buckets []int32    // order's bucket table
 	fc      forecast   // PredictDisplacementCtx's collector
@@ -237,6 +238,15 @@ func relationOf(q Query, st *store.Stream) SourceRelation {
 	default:
 		return OtherPatient
 	}
+}
+
+// relation is the ord-th stream's relation to the running search's
+// query, worked out once a search.
+func (m *Matcher) relation(ord int32) SourceRelation {
+	if m.rels[ord] == 0 {
+		m.rels[ord] = relationOf(m.plan.q, m.streams[ord]) + 1
+	}
+	return m.rels[ord] - 1
 }
 
 // FindSimilar retrieves every stored subsequence similar to the query
@@ -376,6 +386,8 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		streams = in
 	}
 	m.streams = streams
+	m.rels = slices.Grow(m.rels[:0], len(streams))[:len(streams)]
+	clear(m.rels)
 
 	var ans *answer
 	repaired := false
@@ -415,7 +427,7 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	if k > 0 {
 		pl.col = newCollector(k)
 		if ans != nil {
-			pl.col.seed(pl, streams, ans.hits)
+			pl.col.seed(m, pl, streams, ans.hits)
 		}
 	}
 	// A repair ranges over a few appended windows: no fan-out.
@@ -446,7 +458,10 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	// the workers' hits in order, as the hits a forecast folds or as
 	// Matches. Either way the matchCmp total order fully determines the
 	// output, so worker scheduling cannot affect it.
-	mergeStart := time.Now()
+	var mergeStart time.Time // the merge's clock, read in a traced search only
+	if pl.timed {
+		mergeStart = time.Now()
+	}
 	var out []Match
 	switch {
 	case pl.col != nil:
@@ -467,13 +482,15 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	case repaired && k == 0:
 		out = make([]Match, len(ans.hits))
 		for i, h := range ans.hits {
-			st := streams[h.ord]
-			out[i] = pl.match(st, relationOf(q, st), h)
+			out[i] = pl.match(streams[h.ord], m.relation(h.ord), h)
 		}
 	case ans != nil:
 		ans.keep(out)
 	}
-	mergeDur := time.Since(mergeStart)
+	var mergeDur time.Duration
+	if pl.timed {
+		mergeDur = time.Since(mergeStart)
+	}
 
 	var sg stageNS
 	counts, sg = drainWorkers(active)
@@ -823,10 +840,10 @@ func (c *collector) reset() {
 // seed fills the empty heap with a kept answer's matches, hits in the
 // result order over streams: reversed, they are a max-heap as they
 // stand. Not safe while workers run.
-func (c *collector) seed(pl *queryPlan, streams []*store.Stream, hits []hit) {
+func (c *collector) seed(m *Matcher, pl *queryPlan, streams []*store.Stream, hits []hit) {
 	for i := len(hits) - 1; i >= 0; i-- {
-		st := streams[hits[i].ord]
-		c.heap = append(c.heap, pl.match(st, relationOf(pl.q, st), hits[i]))
+		h := hits[i]
+		c.heap = append(c.heap, pl.match(streams[h.ord], m.relation(h.ord), h))
 	}
 	if len(c.heap) == c.k {
 		c.publish()

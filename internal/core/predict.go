@@ -255,7 +255,7 @@ func (f *forecast) fold(m *Matcher, pl *queryPlan, streams []*store.Stream, lens
 			continue // the stream does not reach both horizons
 		}
 		// The weight is Match.Weight's, ws/(1+dist).
-		wt := pl.ws[relationOf(pl.q, st)] / (1 + h.dist)
+		wt := pl.ws[m.relation(h.ord)] / (1 + h.dist)
 		for k := range f.acc {
 			f.acc[k] += wt * f.ab[k]
 		}

@@ -14,6 +14,7 @@ import (
 
 	"stsmatch/internal/core"
 	"stsmatch/internal/fsm"
+	"stsmatch/internal/plr"
 )
 
 // newAdvertised builds an in-memory server that advertises its own test
@@ -29,6 +30,15 @@ func newAdvertised(t *testing.T, opts Options) (*Server, string) {
 		t.Fatal(err)
 	}
 	return srv, ts.URL
+}
+
+// copyOf is node srv's copy of a session's stream, whether it owns the
+// session, follows it or only holds it.
+func copyOf(srv *Server, patientID, sessionID string) plr.Sequence {
+	srv.lock()
+	defer srv.mu.Unlock()
+	v := srv.held(patientID, sessionID)
+	return v.Window(0, v.Len())
 }
 
 // migrateTo drives POST /v1/sessions/{sid}/migrate on from and returns
@@ -123,11 +133,12 @@ func TestSourceYieldsToPromotedTarget(t *testing.T) {
 // TestSupersededPrimaryKeepsItsCopy: a deposed primary that acked a
 // vertex its successor lacks (its shipments to the follower were lost)
 // does not yield to the successor's catch-up. It refuses the catch-up
-// whole with 409, keeps its copy, and acknowledges no further write.
+// whole with 422, keeps its copy, and acknowledges no further write; the
+// successor ships it no further catch-up.
 func TestSupersededPrimaryKeepsItsCopy(t *testing.T) {
 	drop := &shipDropper{}
 	_, primURL := newAdvertised(t, Options{ReplicateTransport: drop})
-	_, folURL := newAdvertised(t, Options{})
+	folSrv, folURL := newAdvertised(t, Options{})
 	drop.target = folURL
 	resp := postJSON(t, primURL+"/v1/sessions", CreateSessionRequest{
 		PatientID: "P01", SessionID: "S01", Replicate: []string{folURL},
@@ -157,11 +168,19 @@ func TestSupersededPrimaryKeepsItsCopy(t *testing.T) {
 		t.Fatalf("promote: status %d, epoch %d", resp.StatusCode, pr.Epoch)
 	}
 	// The promoted follower's first shipment to the old primary is a
-	// catch-up short of the old primary's stream: refused.
-	resp = postJSON(t, folURL+"/v1/sessions/S01/samples", samples[2*third:])
+	// catch-up short of the old primary's stream: refused (422), and the
+	// successor drops the link, so its later ingests, 30 and more, ship
+	// no other catch-up and carry no replica error.
+	catchups := folSrv.met.replSnapshots.Value()
+	resp = postJSON(t, folURL+"/v1/sessions/S01/samples", samples[2*third:2*third+10])
 	sr := decode[SamplesResponse](t, resp)
-	if resp.StatusCode != http.StatusOK || len(sr.ReplicaErrors) != 1 || !strings.HasPrefix(sr.ReplicaErrors[0], primURL) {
-		t.Fatalf("the successor's ingest: status %d, replica errors %v, want 200 with %s's refusal", resp.StatusCode, sr.ReplicaErrors, primURL)
+	if resp.StatusCode != http.StatusOK || len(sr.ReplicaErrors) != 1 || !strings.HasPrefix(sr.ReplicaErrors[0], primURL) || !strings.Contains(sr.ReplicaErrors[0], "422") {
+		t.Fatalf("the successor's ingest: status %d, replica errors %v, want 200 with %s's 422", resp.StatusCode, sr.ReplicaErrors, primURL)
+	}
+	rest := samples[2*third+10:]
+	ingestBatches(t, folURL, "S01", rest, len(rest)/30)
+	if n := folSrv.met.replSnapshots.Value() - catchups; n > 2 {
+		t.Errorf("the successor shipped %d catch-ups over 31 ingests and more, want at most 2", n)
 	}
 
 	// The old primary keeps its copy, still its own at epoch 1...
@@ -182,6 +201,62 @@ func TestSupersededPrimaryKeepsItsCopy(t *testing.T) {
 	if n := plrLen(t, primURL, "S01"); n != len(held.Vertices) {
 		t.Fatalf("the refused ingest stored vertices: %d, was %d", n, len(held.Vertices))
 	}
+}
+
+// TestYieldedCopyRefusesDivergedCatchup: A yields to B, its successor,
+// holding the vertices of the write whose flush met B's 412, which B
+// never acknowledged. B's catch-up then reaches A, whose copy is no
+// prefix of B's stream: A refuses it whole (422), keeps its copy, follows
+// no more (not listed, not promotable) and counts the divergence, and B
+// drops the link, so its later ingests carry no replica error.
+func TestYieldedCopyRefusesDivergedCatchup(t *testing.T) {
+	aSrv, a := newAdvertised(t, Options{})
+	_, b := newAdvertised(t, Options{})
+	if resp := postJSON(t, a+"/v1/sessions", CreateSessionRequest{PatientID: "P01", SessionID: "S01", Replicate: []string{b}}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d", resp.StatusCode)
+	}
+	samples := respSamples(t, 37, 90)
+	third := len(samples) / 3
+	ingestBatches(t, a, "S01", samples[:third], 256)
+	if resp := postJSON(t, b+"/v1/sessions/S01/promote", PromoteRequest{Replicate: []string{a}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("promote status %d", resp.StatusCode)
+	}
+
+	// A's next write lands in its copy, meets B's 412 and A yields: the
+	// write is not acknowledged.
+	resp := postJSON(t, a+"/v1/sessions/S01/samples", samples[third:2*third])
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Fatalf("A's write after B's promote: status %d, want 410", resp.StatusCode)
+	}
+	held := copyOf(aSrv, "P01", "S01")
+	if n := plrLen(t, b, "S01"); len(held) <= n {
+		t.Fatalf("A holds %d vertices, B %d: fixture does not diverge", len(held), n)
+	}
+	before, _ := json.Marshal(held)
+	diverged := aSrv.met.replDiverged.Value()
+
+	resp = postJSON(t, b+"/v1/sessions/S01/samples", samples[2*third:2*third+20]) // ships B's catch-up to A
+	if sr := decode[SamplesResponse](t, resp); resp.StatusCode != http.StatusOK || len(sr.ReplicaErrors) != 1 ||
+		!strings.HasPrefix(sr.ReplicaErrors[0], a) || !strings.Contains(sr.ReplicaErrors[0], "422") {
+		t.Fatalf("B's first ingest: status %d, replica errors %v, want 200 with A's 422", resp.StatusCode, sr.ReplicaErrors)
+	}
+	if after, _ := json.Marshal(copyOf(aSrv, "P01", "S01")); !bytes.Equal(after, before) {
+		t.Fatalf("A's copy changed under the refused catch-up: %d bytes, was %d", len(after), len(before))
+	}
+	if st := shardStats(t, a); len(st.Replicas) != 0 {
+		t.Errorf("A still lists %+v under replicas", st.Replicas)
+	}
+	resp = postJSON(t, a+"/v1/sessions/S01/promote", PromoteRequest{})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("promote on A: status %d, want 404", resp.StatusCode)
+	}
+	if n := aSrv.met.replDiverged.Value() - diverged; n != 1 {
+		t.Errorf("stsmatch_repl_diverged_total rose by %d on A, want 1", n)
+	}
+	// ingestBatches fails on any replica error.
+	ingestBatches(t, b, "S01", samples[2*third+20:], 64)
 }
 
 // TestPromoteBackShedsTombstone: a session migrated A→B and back B→A is
@@ -304,17 +379,27 @@ func TestYieldNeedsAKnownOwner(t *testing.T) {
 	}
 }
 
-// TestFollowerCannotVouchForOwner: a follower's copy can be longer than
-// its new owner's (a catch-up onto a longer copy is trimmed), so its 412
-// does not make the old primary yield. A acked a write with B cut off;
-// B, promoted over it, re-anchors C, which kept that write. A's next
-// shipment meets C's 412 naming B with C's longer stream and B's own,
-// short of what A acknowledged: A keeps its copy and answers 409.
+// TestFollowerCannotVouchForOwner: a follower's copy is never longer
+// than its owner's, so no follower's 412 can vouch for an owner short of
+// what the old primary acknowledged. A acked a write with B cut off; B,
+// promoted over it, ships its catch-up to C, which kept that write: C
+// refuses it (422), keeps its copy and follows no more, but stays fenced
+// at B's epoch. A's next shipment meets B's 412 short of what A
+// acknowledged, or, with B still cut off, C's 412 naming B: either way A
+// keeps its copy and answers 409.
 func TestFollowerCannotVouchForOwner(t *testing.T) {
+	for _, cut := range []bool{false, true} {
+		t.Run(map[bool]string{false: "B reachable", true: "B cut off"}[cut], func(t *testing.T) {
+			followerCannotVouchForOwner(t, cut)
+		})
+	}
+}
+
+func followerCannotVouchForOwner(t *testing.T, cut bool) {
 	drop := &shipDropper{}
 	_, a := newAdvertised(t, Options{ReplicateTransport: drop})
 	_, b := newAdvertised(t, Options{})
-	_, c := newAdvertised(t, Options{})
+	cs, c := newAdvertised(t, Options{})
 	drop.target = b
 	if resp := postJSON(t, a+"/v1/sessions", CreateSessionRequest{PatientID: "P01", SessionID: "S01", Replicate: []string{b, c}}); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d", resp.StatusCode)
@@ -327,17 +412,26 @@ func TestFollowerCannotVouchForOwner(t *testing.T) {
 	if sr := decode[SamplesResponse](t, resp); resp.StatusCode != http.StatusOK || len(sr.ReplicaErrors) != 1 {
 		t.Fatalf("ingest with B cut off: status %d, replica errors %v", resp.StatusCode, sr.ReplicaErrors)
 	}
-	drop.drops.Store(0)
+	if !cut {
+		drop.drops.Store(0)
+	}
 	held, _ := getJSON[PLRResponse](t, a+"/v1/sessions/S01/plr")
 
 	if resp := postJSON(t, b+"/v1/sessions/S01/promote", PromoteRequest{Replicate: []string{c}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("promote status %d", resp.StatusCode)
 	}
-	if resp := postJSON(t, b+"/v1/sessions/S01/samples", []SampleIn{}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("empty ingest on B: status %d", resp.StatusCode) // ships B's catch-up to C
+	resp = postJSON(t, b+"/v1/sessions/S01/samples", []SampleIn{}) // ships B's catch-up to C
+	if sr := decode[SamplesResponse](t, resp); resp.StatusCode != http.StatusOK || len(sr.ReplicaErrors) != 1 || !strings.HasPrefix(sr.ReplicaErrors[0], c) {
+		t.Fatalf("empty ingest on B: status %d, replica errors %v, want C's refusal", resp.StatusCode, sr.ReplicaErrors)
 	}
-	if got, owner := replicaVertices(t, c, "S01"), plrLen(t, b, "S01"); got != len(held.Vertices) || owner >= got {
-		t.Fatalf("C follows B with %d vertices, B holds %d, A acked %d: fixture does not diverge", got, owner, len(held.Vertices))
+	if st := shardStats(t, c); len(st.Replicas) != 0 {
+		t.Fatalf("C still follows after refusing B's catch-up: %+v", st.Replicas)
+	}
+	if resp := postJSON(t, c+"/v1/sessions/S01/promote", PromoteRequest{}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("promote on C after its refusal: status %d, want 404", resp.StatusCode)
+	}
+	if got, owner := len(copyOf(cs, "P01", "S01")), plrLen(t, b, "S01"); got != len(held.Vertices) || owner >= got {
+		t.Fatalf("C holds %d vertices, B %d, A acked %d: fixture does not diverge", got, owner, len(held.Vertices))
 	}
 
 	resp = postJSON(t, a+"/v1/sessions/S01/samples", samples[2*third:])

@@ -330,12 +330,15 @@ func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 	}
 	replicas := make([]ShardSession, 0, len(s.replicas))
 	for sid, rs := range s.replicas {
+		if rs.diverged {
+			continue
+		}
 		ss, _ := s.replay.Session(sid)
 		entry := ShardSession{
 			SessionID: sid,
 			PatientID: rs.patientID,
 			Samples:   int(ss.Samples),
-			Vertices:  s.streamLen(rs.patientID, sid),
+			Vertices:  len(s.held(rs.patientID, sid).T),
 		}
 		if rs.cursor.Next > 0 {
 			entry.AppliedSeq = rs.cursor.Next - 1

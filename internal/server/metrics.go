@@ -28,6 +28,7 @@ type serverMetrics struct {
 	// Replication (see replication.go).
 	replShipped    *obs.Counter
 	replShipErrors *obs.Counter
+	replDiverged   *obs.Counter
 	replApplied    *obs.Counter
 	replSnapshots  *obs.Counter
 	replPromotions *obs.Counter
@@ -70,7 +71,9 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		replShipped: r.Counter("stsmatch_repl_shipped_records_total",
 			"Replication records acknowledged by replicas."),
 		replShipErrors: r.Counter("stsmatch_repl_ship_errors_total",
-			"Replication shipments that failed (timeout, refusal, fencing)."),
+			"Replication flushes that failed (timeout, refusal, fencing, a replica still behind)."),
+		replDiverged: r.Counter("stsmatch_repl_diverged_total",
+			"Replication batches refused here because they would not extend this node's copy."),
 		replApplied: r.Counter("stsmatch_repl_applied_records_total",
 			"Replication records applied as a follower."),
 		replSnapshots: r.Counter("stsmatch_repl_snapshots_total",

@@ -18,7 +18,9 @@
 // the records that built it, led by a stream-open that re-anchors the
 // follower's cursor. A shipment at an epoch no higher than the one
 // the receiver knows is answered 412 with that epoch; when that epoch is
-// above the shipper's, the shipper yields (yield).
+// above the shipper's, the shipper yields (yield). A shipment that would
+// not extend the receiver's copy by the one rule (wal.Extend) is
+// answered 422 and the shipper drops the link.
 
 package server
 
@@ -31,7 +33,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"reflect"
 	"slices"
 	"sync"
 	"time"
@@ -250,9 +251,12 @@ func (s *Server) replFlush(ctx context.Context, r *replicator) []string {
 }
 
 // flushLink brings one link current, then yields if the follower
-// answered with a higher epoch (yieldTo).
+// answered with a higher epoch (yieldTo). Every flush that fails counts.
 func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink) error {
 	err := s.shipLink(ctx, r, link)
+	if err != nil {
+		s.met.replShipErrors.Inc()
+	}
 	s.yieldTo(ctx, r, link, err)
 	return err
 }
@@ -350,7 +354,9 @@ func (s *Server) shipLink(ctx context.Context, r *replicator, link *replicaLink)
 			}
 			link.lastErr = err.Error()
 			r.mu.Unlock()
-			s.met.replShipErrors.Inc()
+			if status == http.StatusUnprocessableEntity { // no catch-up extends the follower's copy
+				r.unlink(func(l *replicaLink) bool { return l == link })
+			}
 			return err
 		}
 	}
@@ -457,6 +463,7 @@ func (s *Server) callPeer(ctx context.Context, url, ctype string, body []byte) (
 type replicaState struct {
 	patientID string
 	source    string // of the batches the cursor accepted: the owner it follows
+	diverged  bool   // the last batch would not extend the copy: not following
 	cursor    wal.Cursor
 }
 
@@ -474,7 +481,9 @@ type ReplicateResponse struct {
 // is applied as recovery applies it.
 // A batch for a session live here is the one comparison: 412 at an
 // epoch no higher than this node's; at a higher one this node yields to
-// the source and applies the batch as its follower.
+// the source and applies the batch as its follower. A catch-up that
+// would not extend this node's copy (wal.Extend) is refused whole, an
+// append from the first vertex the copy cannot take: 422.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	capBody(w, r)
 	data, err := io.ReadAll(r.Body)
@@ -509,14 +518,21 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.flushHandOver(r.Context(), told)
 	}()
-	if sess, live := s.sessions[b.SessionID]; live {
-		if b.Epoch <= sess.repl.epoch {
-			writeJSON(w, http.StatusPreconditionFailed, staleEpoch{Epoch: sess.repl.epoch, Owner: s.advertise, Vertices: sess.stream.Len(),
-				Err: fmt.Sprintf("session %q is live here at epoch %d; shipping epoch %d is stale", b.SessionID, sess.repl.epoch, b.Epoch)})
-			return
-		}
+	sess, live := s.sessions[b.SessionID]
+	if live && b.Epoch <= sess.repl.epoch {
+		writeJSON(w, http.StatusPreconditionFailed, staleEpoch{Epoch: sess.repl.epoch, Owner: s.advertise, Vertices: sess.stream.Len(),
+			Err: fmt.Sprintf("session %q is live here at epoch %d; shipping epoch %d is stale", b.SessionID, sess.repl.epoch, b.Epoch)})
+		return
+	}
+	catchup, diverged := wal.Extend(s.held(b.PatientID, b.SessionID), b.Records)
+	if live {
+		// A catch-up that does not extend this node's copy supersedes it.
 		var code int
-		if told, code, err = s.handOverLocked(r.Context(), sess, b.Source, b.Epoch, catchupHolds(sess.stream, b)); err != nil {
+		if told, code, err = s.handOverLocked(r.Context(), sess, b.Source, b.Epoch, catchup && diverged == nil); diverged != nil {
+			s.met.replDiverged.Inc()
+			code, err = http.StatusUnprocessableEntity, fmt.Errorf("session %q: %w", b.SessionID, diverged)
+		}
+		if err != nil {
 			httpError(w, code, err)
 			return
 		}
@@ -530,7 +546,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, wal.ErrStaleEpoch):
 		writeJSON(w, http.StatusPreconditionFailed, staleEpoch{Err: err.Error(), Epoch: rs.cursor.Epoch, Owner: rs.source,
-			Vertices: s.streamLen(b.PatientID, b.SessionID)})
+			Vertices: len(s.held(b.PatientID, b.SessionID).T)})
 		return
 	case errors.Is(err, wal.ErrGap):
 		httpError(w, http.StatusConflict, err)
@@ -539,18 +555,18 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	var applyErr error
+	applyErr := diverged // a diverged catch-up applies nothing
 	for _, rec := range apply {
+		if applyErr != nil {
+			break
+		}
 		var applied wal.Record
 		applied, applyErr = s.replay.Apply(rec)
 		// What landed is journaled, a refused vertex-append's prefix too.
 		if len(applied.Vertices) > 0 || applyErr == nil && applied.Type != wal.TypeVertexAppend {
 			s.walAppendCtx(r.Context(), applied)
 		}
-		if applyErr != nil {
-			break
-		}
-		if rec.Type == wal.TypeSessionClose { // over, here and at any owner a tombstone names
+		if applyErr == nil && rec.Type == wal.TypeSessionClose { // over, here and at any owner a tombstone names
 			delete(s.replicas, rec.SessionID)
 			delete(s.migrations, rec.SessionID)
 		}
@@ -561,15 +577,22 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	// holds the same buffered events (same sequence numbers) the
 	// primary derived.
 	s.subs.Drain(r.Context(), s.db)
-	if applyErr != nil {
-		// The cursor has advanced past this record; a local apply failure
-		// (e.g. non-advancing vertices) means divergence we cannot hide.
-		// Force the primary to send a catch-up.
+	switch {
+	case errors.Is(applyErr, wal.ErrDiverged):
+		// No catch-up repairs it: the copy stays, follows no more
+		// (neither listed nor promotable) and stays fenced at the batch's
+		// epoch, until a catch-up it is a prefix of.
+		rs.source, rs.diverged = b.Source, true
+		s.met.replDiverged.Inc()
+		httpError(w, http.StatusUnprocessableEntity, fmt.Errorf("session %q: %w", b.SessionID, applyErr))
+		return
+	case applyErr != nil:
+		// The cursor has advanced past this record: force a catch-up.
 		rs.cursor = wal.Cursor{Epoch: rs.cursor.Epoch}
 		httpError(w, http.StatusConflict, fmt.Errorf("applying replicated record: %w", applyErr))
 		return
 	}
-	rs.source = b.Source
+	rs.source, rs.diverged = b.Source, false
 	s.met.replApplied.Add(len(apply))
 	writeJSON(w, http.StatusOK, ReplicateResponse{
 		NextSeq: rs.cursor.Next,
@@ -578,31 +601,15 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// streamLen is the length of a session's stream here, 0 when there is
+// held is this node's copy of a session's stream, empty when there is
 // none. Callers hold s.mu.
-func (s *Server) streamLen(patientID, sessionID string) int {
+func (s *Server) held(patientID, sessionID string) store.ScanView {
 	if p := s.db.Patient(patientID); p != nil {
 		if st := p.StreamBySession(sessionID); st != nil {
-			return st.Len()
+			return st.ScanView("")
 		}
 	}
-	return 0
-}
-
-// catchupHolds reports whether batch b is a catch-up whose
-// vertex-append begins with exactly st.
-func catchupHolds(st *store.Stream, b wal.Batch) bool {
-	if len(b.Records) == 0 || b.Records[0].Type != wal.TypeStreamOpen {
-		return false
-	}
-	view := st.ScanView("")
-	n := view.Len()
-	for _, rec := range b.Records {
-		if rec.Type == wal.TypeVertexAppend && len(rec.Vertices) >= n && reflect.DeepEqual(rec.Vertices[:n], view.Window(0, n)) {
-			return true
-		}
-	}
-	return n == 0
+	return store.ScanView{}
 }
 
 // PromoteRequest turns a replica into the live primary for a session.
@@ -640,7 +647,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if !live {
 		rs, ok := s.replicas[sid]
 		ss, seen := s.replay.Session(sid)
-		if !ok || !seen {
+		if !ok || !seen || rs.diverged {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no replica state for session %q", sid))
 			return
 		}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"stsmatch/internal/binfmt"
-	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
 )
 
@@ -327,7 +327,7 @@ func replaySegment(path string, nameLSN, snapLSN uint64, rp *Replay, res *Recove
 // node's state is one function of the records it has seen. A session it
 // has seen is owned iff its last ownership record is a promote (or the
 // snapshot manifest lists it), followed otherwise; a close drops it.
-// Records overlapping the database apply idempotently.
+// A vertex-append extends its stream only past its last vertex.
 type Replay struct {
 	db         *store.DB
 	sessions   map[string]*replaySession
@@ -505,14 +505,15 @@ func (r *Replay) Apply(rec Record) (Record, error) {
 	return rec, nil
 }
 
-// appendTail applies a record's vertex tail to st and, while any
-// subscription is live, records the append boundary so the events are
-// re-derived where the journaling node derived them.
+// appendTail appends a record's vertices to st and, while any
+// subscription is live, records the boundary so the events are
+// re-derived where the journaling node derived them. The store takes an
+// append only past the stream's last vertex: a vertex it refuses is a
+// divergence.
 func (r *Replay) appendTail(st *store.Stream, rec Record) (Record, error) {
-	vs := tailAfter(st, rec.Vertices)
 	before := st.Len()
-	err := st.Append(vs...)
-	rec.Vertices = vs[:st.Len()-before]
+	err := st.Append(rec.Vertices...)
+	rec.Vertices = rec.Vertices[:st.Len()-before]
 	if len(rec.Vertices) > 0 && len(r.subs) > 0 {
 		r.subOps = append(r.subOps, SubReplayOp{
 			PatientID: rec.PatientID,
@@ -520,25 +521,37 @@ func (r *Replay) appendTail(st *store.Stream, rec Record) (Record, error) {
 			To:        st.Len(),
 		})
 	}
-	return rec, err
+	if err != nil {
+		return rec, fmt.Errorf("%w: %w", ErrDiverged, err)
+	}
+	return rec, nil
 }
 
-// tailAfter drops the vertices of vs at or before the stream's last
-// time, so overlapping replays and catch-ups stay idempotent. The kept
-// tail reuses vs.
-func tailAfter(st *store.Stream, vs []plr.Vertex) []plr.Vertex {
-	view := st.ScanView("")
-	if view.Len() == 0 {
-		return vs
+// ErrDiverged reports vertices that would not extend the copy they meet.
+var ErrDiverged = errors.New("wal: the copy is not a prefix of the owner's stream")
+
+// Extend is the one rule for a catch-up, records led by a stream-open,
+// to held, a node's copy of the session's stream: it extends the copy
+// only if the copy is a prefix, bit for bit as the log encodes it, of
+// the stream the catch-up carries (empty without a vertex-append). Then
+// Extend cuts the vertex-append to the vertices past the copy; else it
+// returns ErrDiverged. It reports whether recs are a catch-up.
+func Extend(held store.ScanView, recs []Record) (catchup bool, err error) {
+	if len(recs) == 0 || recs[0].Type != TypeStreamOpen {
+		return false, nil
 	}
-	lastT := view.T[view.Len()-1]
-	keep := vs[:0]
-	for _, v := range vs {
-		if v.T > lastT {
-			keep = append(keep, v)
+	n := held.Len()
+	for i, rec := range recs {
+		if vs := rec.Vertices; rec.Type == TypeVertexAppend && len(vs) >= n &&
+			bytes.Equal(binfmt.AppendSequence(nil, held.Window(0, n)), binfmt.AppendSequence(nil, vs[:n])) {
+			recs[i].Vertices = vs[n:]
+			return true, nil
 		}
 	}
-	return keep
+	if n > 0 {
+		return true, ErrDiverged
+	}
+	return true, nil
 }
 
 // removeTempFiles clears half-written snapshot temp files left by a

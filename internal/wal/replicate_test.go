@@ -2,10 +2,14 @@ package wal
 
 import (
 	"errors"
+	"math"
 	"os"
+	"reflect"
+	"slices"
 	"testing"
 
 	"stsmatch/internal/binfmt"
+	"stsmatch/internal/plr"
 	"stsmatch/internal/store"
 )
 
@@ -251,5 +255,63 @@ func TestNewRecordTypesRoundTripThroughLog(t *testing.T) {
 	ss := res.Sessions[0]
 	if ss.SessionID != "S9" || ss.Samples != 44 || ss.LastT != 5.5 || ss.Epoch != 2 {
 		t.Fatalf("promoted session state = %+v", ss)
+	}
+}
+
+// TestOnePrefixRule: a catch-up extends a copy only if the copy is a
+// prefix, bit for bit, of the stream it carries, and an append only past
+// the copy's last vertex; a divergence appends nothing. Each case runs as
+// a follower applies a batch: Extend, then Replay.
+func TestOnePrefixRule(t *testing.T) {
+	open := Record{Type: TypeStreamOpen, PatientID: "P1", SessionID: "S1"}
+	anchor := Record{Type: TypeSessionAnchor, PatientID: "P1", SessionID: "S1"}
+	appendOf := func(vs plr.Sequence) Record {
+		return Record{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S1", Vertices: vs}
+	}
+	negZero := mkVerts(0, 5)
+	negZero[0].Pos = []float64{math.Copysign(0, -1)}
+	cases := []struct {
+		name string
+		held int // the copy: mkVerts(0, held)
+		recs []Record
+		want int // the copy's length after; -1 for a divergence
+	}{
+		{"empty copy, catch-up", 0, []Record{open, appendOf(mkVerts(0, 4)), anchor}, 4},
+		{"empty copy, append", 0, []Record{appendOf(mkVerts(0, 4))}, 4},
+		{"append past the last vertex", 3, []Record{appendOf(mkVerts(0, 5)[3:])}, 5},
+		{"append at the last vertex", 3, []Record{appendOf(mkVerts(0, 5)[2:])}, -1},
+		{"catch-up equal to the copy", 3, []Record{open, appendOf(mkVerts(0, 3)), anchor}, 3},
+		{"catch-up longer than the copy", 3, []Record{open, appendOf(mkVerts(0, 5)), anchor}, 5},
+		{"catch-up shorter than the copy", 3, []Record{open, appendOf(mkVerts(0, 2)), anchor}, -1},
+		{"catch-up differing in one position bit", 3, []Record{open, appendOf(negZero), anchor}, -1},
+		{"catch-up with no vertex-append over a non-empty copy", 3, []Record{open, anchor}, -1},
+		{"catch-up with no vertex-append over an empty copy", 0, []Record{open, anchor}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rp := NewReplay(store.NewDB())
+			st, err := rp.stream("P1", "S1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Append(mkVerts(0, tc.held)...); err != nil {
+				t.Fatal(err)
+			}
+			recs := slices.Clone(tc.recs)
+			_, err = Extend(st.ScanView(""), recs)
+			for i := 0; err == nil && i < len(recs); i++ {
+				_, err = rp.Apply(recs[i])
+			}
+			view := st.ScanView("")
+			if tc.want < 0 {
+				if !errors.Is(err, ErrDiverged) || view.Len() != tc.held {
+					t.Fatalf("err %v, copy %d vertices; want ErrDiverged and the copy's %d", err, view.Len(), tc.held)
+				}
+				return
+			}
+			if err != nil || !reflect.DeepEqual(view.Window(0, view.Len()), mkVerts(0, tc.want)) {
+				t.Fatalf("err %v, copy %d vertices; want the first %d", err, view.Len(), tc.want)
+			}
+		})
 	}
 }
