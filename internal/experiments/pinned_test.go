@@ -12,10 +12,9 @@ import (
 
 // pinnedTables is the FNV-64a of every deterministic experiment's
 // rendered output at quick scale, as `cmd/experiments -exp NAME -scale
-// quick` prints it. efficiency, ablate-index and dtw-cost are absent (every
-// cell is wall-clock); fig8a's comment line (two ms/query figures) and
-// Figure 6c's baseline comment (pinned as text below) are left out of the
-// sums. A refactor of the replay or the runner must leave all of them as
+// quick` prints it. efficiency and dtw-cost are absent (every cell is
+// wall-clock); fig8a's comment line (two ms/query figures) and Figure
+// 6c's baseline comment (pinned as text below) are left out of the sums. A refactor of the replay or the runner must leave all of them as
 // they are; re-pin only after showing which figure moved and why.
 var pinnedTables = map[string]string{
 	"ablate-anchor":        "ddf0307699dde708",
@@ -48,7 +47,7 @@ func TestExperimentTablesPinned(t *testing.T) {
 	env := quickEnv(t)
 	for _, name := range Names() {
 		switch name {
-		case "efficiency", "ablate-index", "dtw-cost":
+		case "efficiency", "dtw-cost":
 			continue
 		}
 		var buf bytes.Buffer

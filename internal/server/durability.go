@@ -78,8 +78,11 @@ type durability struct {
 }
 
 // openDurability recovers (or initializes) the data dir, installs the
-// recovered database as s.db, and rebuilds open sessions and
-// subscriptions.
+// recovered database as s.db and the interpreter that rebuilt it as
+// s.replay, and rebuilds open sessions and subscriptions. A session
+// whose migration prepare survived resumes fenced: a cutover was racing
+// when the node went down, and the migration's re-drive completes or
+// aborts it.
 func (s *Server) openDurability(initial *store.DB, opts Options) error {
 	log, res, err := wal.Open(wal.Options{
 		Dir:           opts.DataDir,
@@ -90,7 +93,7 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 		return fmt.Errorf("server: opening WAL: %w", err)
 	}
 	d := &durability{log: log}
-	s.db = res.DB
+	s.db, s.replay = res.DB, res.Replay
 	if !res.Fresh {
 		if initial != nil && initial.NumPatients() > 0 {
 			s.log.Warn("data dir holds recovered state; preloaded database ignored",
@@ -129,22 +132,6 @@ func (s *Server) openDurability(initial *store.DB, opts Options) error {
 		}
 	}
 	s.applySubOps(context.Background(), res.SubOps)
-
-	// Re-seed migration state. A committed entry is a tombstone (the
-	// session lives elsewhere; stale routes get 410 + redirect). A
-	// prepared entry whose session resumed above means we crashed inside
-	// the cutover window: resume *fenced* so no write can diverge from a
-	// target that may already be primary; the migration's re-drive (from
-	// the gateway) completes or aborts it.
-	for i := range res.Migrations {
-		m := res.Migrations[i]
-		s.migrations[m.SessionID] = &m
-		if m.Phase == wal.MigratePrepare {
-			if sess, ok := s.sessions[m.SessionID]; ok {
-				sess.fenced = true
-			}
-		}
-	}
 
 	s.wal = d
 	if opts.SnapshotEvery > 0 {
@@ -279,6 +266,19 @@ func (s *Server) journalSync(ctx context.Context, rec wal.Record) error {
 	return err
 }
 
+// decide journals and fsyncs a record that decides a session's owner
+// (promote, close) or migration phase, then applies it to s.replay as
+// recovery would, so the node's table of such decisions is the same
+// live as after a restart. On failure nothing is decided. Callers hold
+// s.mu.
+func (s *Server) decide(ctx context.Context, rec wal.Record) error {
+	if err := s.journalSync(ctx, rec); err != nil {
+		return err
+	}
+	_, err := s.replay.Apply(rec)
+	return err
+}
+
 // sessionStates snapshots the open sessions. Callers hold s.mu.
 func (s *Server) sessionStates() []wal.SessionState {
 	out := make([]wal.SessionState, 0, len(s.sessions))
@@ -310,8 +310,8 @@ func (sess *session) anchorRecord() wal.Record {
 }
 
 // ownerRecord journals this node as the session's owner — at create and
-// at promotion — with what recovery resumes it from: the anchor, the
-// epoch and the followers.
+// at promotion — with what recovery resumes it from: the anchor (copied,
+// for s.replay keeps the record), the epoch and the followers.
 func (sess *session) ownerRecord() wal.Record {
 	return wal.Record{
 		Type:      wal.TypeReplicaPromote,
@@ -319,7 +319,7 @@ func (sess *session) ownerRecord() wal.Record {
 		SessionID: sess.sessionID,
 		Samples:   uint64(sess.samples),
 		AnchorT:   sess.lastT,
-		AnchorPos: sess.lastPos,
+		AnchorPos: append([]float64(nil), sess.lastPos...),
 		Epoch:     sess.repl.epoch,
 		Followers: sess.repl.followers,
 	}
@@ -333,7 +333,7 @@ func (s *Server) snapshot() error {
 	}
 	s.lock()
 	defer s.mu.Unlock()
-	lsn, err := s.wal.log.Snapshot(s.db, s.sessionStates(), s.subs.States(), s.migrationStates()...)
+	lsn, err := s.wal.log.Snapshot(s.db, s.sessionStates(), s.subs.States(), s.replay.Migrations()...)
 	if err != nil {
 		s.log.Error("snapshot failed", slog.Any("err", err))
 		return err

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -75,7 +78,7 @@ func stateOf(t *testing.T, srv *Server, pid, sid, subID string) nodeState {
 	ns.sub = sub
 	if sess, live := srv.sessions[sid]; live {
 		ns.anchor = wal.SessionState{Samples: uint64(sess.samples), LastT: sess.lastT, LastPos: sess.lastPos}
-	} else if ss, seen := srv.replay.Session(sid); seen {
+	} else if ss, _, seen := srv.replay.Session(sid); seen {
 		ns.anchor = wal.SessionState{Samples: ss.Samples, LastT: ss.LastT, LastPos: ss.LastPos}
 	}
 	return ns
@@ -230,4 +233,163 @@ func TestFollowerStateEqualsRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// promoteRefuser carries a node's calls to other shards over the frame
+// carrier and answers a promote to target 409 itself, as a migration
+// target that refuses it would.
+type promoteRefuser struct {
+	inner  frame.Transport
+	target atomic.Pointer[string]
+}
+
+func (p *promoteRefuser) RoundTrip(req *http.Request) (*http.Response, error) {
+	if t := p.target.Load(); t != nil && strings.HasPrefix(req.URL.String(), *t) && strings.HasSuffix(req.URL.Path, "/promote") {
+		return &http.Response{StatusCode: http.StatusConflict, Header: http.Header{}, Request: req,
+			Body: io.NopCloser(strings.NewReader("promote refused\n"))}, nil
+	}
+	return p.inner.RoundTrip(req)
+}
+
+// decisions is what a node's interpreter holds of its records'
+// decisions: every tombstone and prepare, and the anchor of every
+// session it follows (its position in them is soft state, left out).
+type decisions struct {
+	Migrations []wal.MigrationState
+	Followed   map[string]wal.SessionState
+}
+
+func decisionsOf(rp *wal.Replay) decisions {
+	d := decisions{Migrations: rp.Migrations(), Followed: map[string]wal.SessionState{}}
+	rp.Followed(func(ss wal.SessionState, _ *wal.Follow) { d.Followed[ss.SessionID] = ss })
+	return d
+}
+
+// TestLiveDecisionsEqualRecovery: a durable node keeps one table of what
+// its records decided, and it is the table a recovery of its data dir
+// builds. The node runs through a migration whose target refuses the
+// promote (aborted), a migration commit, a promote back that sheds the
+// tombstone, a followed session its owner closes, and a crash between a
+// migration's prepare and its promote, re-driven to its commit. After
+// each step the live node's interpreter and one recovered from a copy of
+// its data dir hold the same tombstones, prepares and followed anchors,
+// and those are the step's.
+func TestLiveDecisionsEqualRecovery(t *testing.T) {
+	refuser := &promoteRefuser{}
+	t.Cleanup(refuser.inner.Close)
+	n := newRestartable(t, refuser)
+	_, t1 := newAdvertised(t, Options{})
+	t2Srv, t2 := newAdvertised(t, Options{})
+	agree := func(step string, want []wal.MigrationState, followed ...string) {
+		t.Helper()
+		srv := n.srv.Load()
+		srv.mu.Lock()
+		live := decisionsOf(srv.replay)
+		srv.mu.Unlock()
+		log, res, err := wal.Open(wal.Options{Dir: copyDir(t, n.dir)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		if recovered := decisionsOf(res.Replay); !reflect.DeepEqual(live, recovered) {
+			t.Errorf("%s: the live node decided\n %+v\nits recovery\n %+v", step, live, recovered)
+		}
+		if !reflect.DeepEqual(live.Migrations, append([]wal.MigrationState{}, want...)) {
+			t.Errorf("%s: migrations %+v, want %+v", step, live.Migrations, want)
+		}
+		if len(live.Followed) != len(followed) {
+			t.Errorf("%s: follows %+v, want %v", step, live.Followed, followed)
+		}
+		for _, sid := range followed {
+			if ss, ok := live.Followed[sid]; !ok || ss.Samples == 0 {
+				t.Errorf("%s: follows %s with anchor %+v, want one", step, sid, ss)
+			}
+		}
+	}
+	samples := respSamples(t, 67, 120)
+	quarter := len(samples) / 4
+	if resp := postJSON(t, n.ts.URL+"/v1/sessions", CreateSessionRequest{PatientID: "P1", SessionID: "S1"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d", resp.StatusCode)
+	}
+	ingestBatches(t, n.ts.URL, "S1", samples[:quarter], 64)
+	agree("created", nil)
+
+	refuser.target.Store(&t1)
+	if code, _ := migrateTo(t, n.ts.URL, "S1", t1); code != http.StatusBadGateway {
+		t.Fatalf("migrate to a target refusing the promote: status %d, want 502", code)
+	}
+	refuser.target.Store(nil)
+	agree("aborted", nil)
+	ingestBatches(t, n.ts.URL, "S1", samples[quarter:2*quarter], 64) // not fenced
+
+	if code, _ := migrateTo(t, n.ts.URL, "S1", t2); code != http.StatusOK {
+		t.Fatalf("migrate to %s: status %d", t2, code)
+	}
+	agree("committed", []wal.MigrationState{{SessionID: "S1", PatientID: "P1", Target: t2, Epoch: 2, Phase: wal.MigrateCommit}})
+
+	ingestBatches(t, t2, "S1", samples[2*quarter:3*quarter], 64)
+	paused, release := make(chan struct{}), make(chan struct{})
+	t2Srv.SetMigrationHook(func(phase string) {
+		if phase == "cutover" {
+			close(paused)
+			<-release
+		}
+	})
+	back := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(MigrateRequest{Target: n.ts.URL})
+		resp, err := http.Post(t2+"/v1/sessions/S1/migrate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			back <- 0
+			return
+		}
+		resp.Body.Close()
+		back <- resp.StatusCode
+	}()
+	<-paused
+	agree("following its new owner", []wal.MigrationState{{SessionID: "S1", PatientID: "P1", Target: t2, Epoch: 2, Phase: wal.MigrateCommit}}, "S1")
+	close(release)
+	if code := <-back; code != http.StatusOK {
+		t.Fatalf("migrate back: status %d", code)
+	}
+	t2Srv.SetMigrationHook(nil)
+	agree("promoted back", nil)
+
+	other := respSamples(t, 71, 40)
+	if resp := postJSON(t, t1+"/v1/sessions", CreateSessionRequest{PatientID: "P2", SessionID: "S2", Replicate: []string{n.ts.URL}}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create S2 status %d", resp.StatusCode)
+	}
+	ingestBatches(t, t1, "S2", other, 64)
+	agree("following S2", nil, "S2")
+	req, _ := http.NewRequest(http.MethodDelete, t1+"/v1/sessions/S2", nil)
+	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("close S2 on its owner: %v %+v", err, resp)
+	}
+	agree("S2 closed by its owner", nil)
+
+	// The node crashes between the prepare and the promote: the hook
+	// ends the migrate there, and the node restarts from its data dir.
+	ingestBatches(t, n.ts.URL, "S1", samples[3*quarter:], 64)
+	n.srv.Load().SetMigrationHook(func(phase string) {
+		if phase == "cutover" {
+			panic(http.ErrAbortHandler)
+		}
+	})
+	body, _ := json.Marshal(MigrateRequest{Target: t1})
+	if resp, err := http.Post(n.ts.URL+"/v1/sessions/S1/migrate", "application/json", bytes.NewReader(body)); err == nil {
+		resp.Body.Close()
+		t.Fatalf("the migrate crashed at its cutover answered %d", resp.StatusCode)
+	}
+	n.restart(true)
+	prepared := []wal.MigrationState{{SessionID: "S1", PatientID: "P1", Target: t1, Phase: wal.MigratePrepare}}
+	agree("crashed between prepare and promote", prepared)
+	resp := postJSON(t, n.ts.URL+"/v1/sessions/S1/samples", samples[len(samples)-1:])
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("ingest on the recovered, prepared node: status %d, want 503", resp.StatusCode)
+	}
+	if code, _ := migrateTo(t, n.ts.URL, "S1", t1); code != http.StatusOK {
+		t.Fatalf("re-driven migrate to %s: status %d", t1, code)
+	}
+	agree("re-driven to its commit", []wal.MigrationState{{SessionID: "S1", PatientID: "P1", Target: t1, Epoch: 4, Phase: wal.MigrateCommit}})
 }

@@ -487,11 +487,11 @@ func TestYieldGuardIsTheAckedLength(t *testing.T) {
 	repl := a.sessions["S01"].repl
 	a.mu.Unlock()
 	link := repl.links[0]
-	a.yieldTo(context.Background(), repl, link, &staleEpoch{Epoch: 2, Owner: o, Vertices: short})
+	a.yieldTo(context.Background(), repl, link, &staleEpoch{Epoch: 2, Owner: o, Shared: short})
 	if st := shardStats(t, aURL); len(st.Sessions) != 1 || len(st.Retired) != 0 {
 		t.Fatalf("after a 412 short of the acked stream: sessions %+v retired %+v, want S01 kept", st.Sessions, st.Retired)
 	}
-	a.yieldTo(context.Background(), repl, link, &staleEpoch{Epoch: 2, Owner: o, Vertices: full})
+	a.yieldTo(context.Background(), repl, link, &staleEpoch{Epoch: 2, Owner: o, Shared: full})
 	if st := shardStats(t, aURL); len(st.Retired) != 1 || st.Retired[0].Owner != o || st.Retired[0].Epoch != 2 {
 		t.Errorf("after a 412 holding the acked stream: retired %+v, want S01 handed to %s at epoch 2", st.Retired, o)
 	}
@@ -522,5 +522,51 @@ func TestYieldLeavesTheNewOwnersFollowers(t *testing.T) {
 	}
 	if st := shardStats(t, c); len(st.Replicas) != 1 || st.Replicas[0].SessionID != "S01" {
 		t.Errorf("C's replicas after A yielded: %+v, want S01 kept", st.Replicas)
+	}
+}
+
+// TestYieldNeedsTheSharedPrefix: a yield asks the owner's stream to
+// share every vertex this node acknowledged, not to be as long. A acks a
+// write with B cut off; B, promoted over it, grows past A's acked length
+// with samples A never saw. A's next ingest then meets B's 412: B shares
+// only the vertices from before the cut, so A keeps its copy byte for
+// byte, answers 409 naming the epoch and writes no tombstone.
+func TestYieldNeedsTheSharedPrefix(t *testing.T) {
+	drop := &shipDropper{}
+	_, a := newAdvertised(t, Options{ReplicateTransport: drop})
+	_, b := newAdvertised(t, Options{})
+	drop.target = b
+	if resp := postJSON(t, a+"/v1/sessions", CreateSessionRequest{PatientID: "P01", SessionID: "S01", Replicate: []string{b}}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d", resp.StatusCode)
+	}
+	samples := respSamples(t, 73, 120)
+	fifth := len(samples) / 5
+	ingestBatches(t, a, "S01", samples[:fifth], 256)
+	drop.drops.Store(1 << 20)
+	resp := postJSON(t, a+"/v1/sessions/S01/samples", samples[fifth:2*fifth])
+	if sr := decode[SamplesResponse](t, resp); resp.StatusCode != http.StatusOK || len(sr.ReplicaErrors) != 1 {
+		t.Fatalf("ingest with B cut off: status %d, replica errors %v", resp.StatusCode, sr.ReplicaErrors)
+	}
+	drop.drops.Store(0)
+	acked, _ := getJSON[PLRResponse](t, a+"/v1/sessions/S01/plr")
+
+	if resp := postJSON(t, b+"/v1/sessions/S01/promote", PromoteRequest{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("promote status %d", resp.StatusCode)
+	}
+	ingestBatches(t, b, "S01", samples[2*fifth:len(samples)-1], 256)
+	if n := plrLen(t, b, "S01"); n <= len(acked.Vertices) {
+		t.Fatalf("B holds %d vertices, A acked %d: fixture does not grow past it", n, len(acked.Vertices))
+	}
+
+	resp = postJSON(t, a+"/v1/sessions/S01/samples", samples[len(samples)-1:])
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "epoch 2") {
+		t.Fatalf("A's next ingest: status %d %s, want 409 naming epoch 2", resp.StatusCode, body)
+	}
+	if kept, _ := getJSON[PLRResponse](t, a+"/v1/sessions/S01/plr"); !reflect.DeepEqual(kept, acked) {
+		t.Errorf("A serves %d vertices, it acked %d: the copy changed", len(kept.Vertices), len(acked.Vertices))
+	}
+	if st := shardStats(t, a); len(st.Retired) != 0 || len(st.Sessions) != 1 {
+		t.Errorf("A's inventory: sessions %+v retired %+v, want S01 kept and no tombstone", st.Sessions, st.Retired)
 	}
 }

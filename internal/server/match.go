@@ -328,27 +328,16 @@ func (s *Server) handleShardStats(w http.ResponseWriter, r *http.Request) {
 			Links:     sess.repl.linkStatuses(),
 		})
 	}
-	replicas := make([]ShardSession, 0, len(s.replicas))
-	for sid, rs := range s.replicas {
-		if rs.diverged {
-			continue
+	var replicas, retired []ShardSession
+	s.replay.Followed(func(ss wal.SessionState, f *wal.Follow) {
+		if f.Following() {
+			replicas = append(replicas, ShardSession{SessionID: ss.SessionID, PatientID: ss.PatientID, Samples: int(ss.Samples),
+				Vertices: len(s.held(ss.PatientID, ss.SessionID).T), AppliedSeq: max(f.Cursor.Next, 1) - 1})
 		}
-		ss, _ := s.replay.Session(sid)
-		entry := ShardSession{
-			SessionID: sid,
-			PatientID: rs.patientID,
-			Samples:   int(ss.Samples),
-			Vertices:  len(s.held(rs.patientID, sid).T),
-		}
-		if rs.cursor.Next > 0 {
-			entry.AppliedSeq = rs.cursor.Next - 1
-		}
-		replicas = append(replicas, entry)
-	}
-	var retired []ShardSession
-	for sid, m := range s.migrations {
+	})
+	for _, m := range s.replay.Migrations() {
 		if m.Phase == wal.MigrateCommit {
-			retired = append(retired, ShardSession{SessionID: sid, PatientID: m.PatientID, Owner: m.Target, Epoch: m.Epoch})
+			retired = append(retired, ShardSession{SessionID: m.SessionID, PatientID: m.PatientID, Owner: m.Target, Epoch: m.Epoch})
 		}
 	}
 	s.mu.Unlock()

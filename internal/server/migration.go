@@ -71,7 +71,7 @@ func (s *Server) SetMigrationHook(h func(phase string)) {
 // the gateway repairs its placement with; anything else is a 404.
 func (s *Server) goneOr404(w http.ResponseWriter, sid string) {
 	s.lock()
-	m, gone := s.migrations[sid]
+	m, gone := s.replay.Migration(sid)
 	gone = gone && m.Phase == wal.MigrateCommit
 	s.mu.Unlock()
 	if !gone {
@@ -80,6 +80,13 @@ func (s *Server) goneOr404(w http.ResponseWriter, sid string) {
 	}
 	w.Header().Set("Location", m.Target)
 	writeJSON(w, http.StatusGone, map[string]string{"error": fmt.Sprintf("session %q migrated away", sid), "location": m.Target})
+}
+
+// fenced reports that a migration cutover of sid is in flight, so no
+// write is taken: s.replay holds its prepare. Callers hold s.mu.
+func (s *Server) fenced(sid string) bool {
+	m, ok := s.replay.Migration(sid)
+	return ok && m.Phase == wal.MigratePrepare
 }
 
 // handleMigrate answers POST /v1/sessions/{sid}/migrate.
@@ -163,11 +170,9 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 		s.mu.Unlock()
 		return resp, http.StatusNotFound, fmt.Errorf("session %q closed mid-migration", sid)
 	}
-	sess.fenced = true
 	repl.enqueue(sess.anchorRecord())
-	jerr := s.journalMigrationLocked(ctx, wal.MigrationState{
-		SessionID: sid, PatientID: sess.patientID, Target: target, Phase: wal.MigratePrepare,
-	})
+	jerr := s.decide(ctx, wal.Record{Type: wal.TypeSessionMigrate,
+		SessionID: sid, PatientID: sess.patientID, Target: target, Phase: wal.MigratePrepare})
 	s.mu.Unlock()
 	if jerr != nil {
 		return resp, http.StatusInternalServerError, fmt.Errorf("flushing migration prepare: %w", jerr)
@@ -175,7 +180,7 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 
 	s.migrateHook("cutover")
 
-	// Final drain: the fence was set under s.mu, so no vertex can be
+	// Final drain: the prepare was decided under s.mu, so no vertex can be
 	// staged behind it; a clean flush means the target holds everything
 	// this node ever acknowledged.
 	if ferr := s.flushLink(ctx, repl, link); ferr != nil {
@@ -235,15 +240,14 @@ func (s *Server) handOverLocked(ctx context.Context, sess *session, owner string
 			"session %q diverged: %q owns it at epoch %d without every vertex this node acknowledged; refusing to drop acked data",
 			sess.sessionID, owner, epoch)
 	}
-	if err := s.journalMigrationLocked(ctx, wal.MigrationState{
-		SessionID: sess.sessionID, PatientID: sess.patientID, Target: owner,
-		Epoch: epoch, Phase: wal.MigrateCommit,
-	}); err != nil {
+	toTarget := s.fenced(sess.sessionID) && slices.Index(sess.handoff, owner) == 0
+	if err := s.decide(ctx, wal.Record{Type: wal.TypeSessionMigrate, SessionID: sess.sessionID,
+		PatientID: sess.patientID, Target: owner, Epoch: epoch, Phase: wal.MigrateCommit}); err != nil {
 		sess.superseded = max(sess.superseded, epoch)
 		return nil, http.StatusInternalServerError, fmt.Errorf("flushing hand-over: %w", err)
 	}
 	s.retire(sess)
-	if sess.fenced && slices.Index(sess.handoff, owner) == 0 {
+	if toTarget {
 		told = sess.repl
 		told.unlink(func(l *replicaLink) bool { return slices.Contains(sess.handoff, l.target) })
 	}
@@ -264,29 +268,6 @@ func (s *Server) flushHandOver(ctx context.Context, told *replicator) {
 	if errs := s.replFlush(ctx, told); len(errs) > 0 {
 		s.log.Info("hand-over not told to every follower", slog.Any("replicaErrors", errs))
 	}
-}
-
-// journalMigrationLocked journals and fsyncs one migration phase
-// transition and records it in the in-memory migration table. Callers
-// hold s.mu. In-memory servers (no WAL) keep only the table entry.
-func (s *Server) journalMigrationLocked(ctx context.Context, m wal.MigrationState) error {
-	if err := s.journalSync(ctx, wal.Record{
-		Type:      wal.TypeSessionMigrate,
-		PatientID: m.PatientID,
-		SessionID: m.SessionID,
-		Target:    m.Target,
-		Epoch:     m.Epoch,
-		Phase:     m.Phase,
-	}); err != nil {
-		return err
-	}
-	if m.Phase == wal.MigrateAbort {
-		delete(s.migrations, m.SessionID)
-	} else {
-		st := m
-		s.migrations[m.SessionID] = &st
-	}
-	return nil
 }
 
 // expelMigratedSubsLocked hands in-scope subscriptions over with the
@@ -324,10 +305,9 @@ func (s *Server) expelMigratedSubsLocked(ctx context.Context, pid, sid string, t
 }
 
 // abortMigration rolls a failed hand-off back so the session keeps
-// serving on this node: unfence, take the link the hand-off added off
-// the replicator, and undo a journaled prepare with a durable abort
-// record.
-// It reports false when the session was closed or handed over.
+// serving on this node: take the link the hand-off added off the
+// replicator, and undo a prepare, the fence, with a durable abort
+// record. It reports false when the session was closed or handed over.
 func (s *Server) abortMigration(ctx context.Context, sid string, sess *session, cause error) bool {
 	s.lock()
 	defer s.mu.Unlock()
@@ -338,18 +318,17 @@ func (s *Server) abortMigration(ctx context.Context, sid string, sess *session, 
 	s.log.Warn("migration aborted",
 		slog.String("sessionId", sid),
 		slog.Any("cause", cause))
-	sess.fenced, sess.handoff = false, nil
+	sess.handoff = nil
 	sess.repl.unlink(func(l *replicaLink) bool { return l.handoff })
-	if m, ok := s.migrations[sid]; ok && m.Phase == wal.MigratePrepare {
-		abort := *m
-		abort.Phase = wal.MigrateAbort
-		if err := s.journalMigrationLocked(ctx, abort); err != nil {
+	if m, ok := s.replay.Migration(sid); ok && m.Phase == wal.MigratePrepare {
+		abort := wal.Record{Type: wal.TypeSessionMigrate, SessionID: sid, PatientID: m.PatientID, Target: m.Target, Phase: wal.MigrateAbort}
+		if err := s.journalSync(ctx, abort); err != nil {
 			// The abort is in memory only: a crash before the next
 			// successful transition resumes the session fenced, which
 			// is safe (a re-drive or a later abort converges).
 			s.log.Error("flushing migration abort", slog.Any("err", err))
-			delete(s.migrations, sid)
 		}
+		s.replay.Apply(abort) //nolint:errcheck // an abort always applies
 	}
 	return true
 }
@@ -375,14 +354,4 @@ func (s *Server) promoteTarget(ctx context.Context, target, sid string, replicat
 		return nil, false, fmt.Errorf("decoding promote response: %w", err)
 	}
 	return pr, false, nil
-}
-
-// migrationStates snapshots the migration table for a WAL snapshot.
-// Callers hold s.mu.
-func (s *Server) migrationStates() []wal.MigrationState {
-	out := make([]wal.MigrationState, 0, len(s.migrations))
-	for _, m := range s.migrations {
-		out = append(out, *m)
-	}
-	return out
 }

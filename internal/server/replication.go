@@ -66,12 +66,13 @@ type replicator struct {
 
 // staleEpoch is the 412 answer to a shipment below the epoch the
 // receiver knows: that epoch, the owner it knows (itself, or the source
-// it follows) and its stream length.
+// it follows) and, from a live owner to a catch-up, how many leading
+// vertices of the catch-up's stream its own shares (wal.Extend).
 type staleEpoch struct {
-	Err      string `json:"error"`
-	Epoch    uint64 `json:"epoch"`
-	Owner    string `json:"owner,omitempty"`
-	Vertices int    `json:"vertices"`
+	Err    string `json:"error"`
+	Epoch  uint64 `json:"epoch"`
+	Owner  string `json:"owner,omitempty"`
+	Shared int    `json:"shared,omitempty"`
 }
 
 func (e *staleEpoch) Error() string { return e.Err }
@@ -263,10 +264,11 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 
 // yieldTo is the shipper's half of the one comparison. A link's 412
 // naming a higher epoch hands the session over when the link is that
-// epoch's live owner and holds every vertex this node acknowledged
-// (session.acked; a write that reached every follower is in the
-// owner's copy); otherwise this node is superseded. A write flushed
-// behind the hand-over meets the same answer and is not acknowledged.
+// epoch's live owner and its stream shares every vertex this node
+// acknowledged (session.acked; a write that reached every follower is
+// in the owner's copy), as its answer to this node's catch-up counts
+// them; otherwise this node is superseded. A write flushed behind the
+// hand-over meets the same answer and is not acknowledged.
 func (s *Server) yieldTo(ctx context.Context, r *replicator, link *replicaLink, err error) {
 	var se *staleEpoch
 	if !errors.As(err, &se) || se.Epoch <= r.epoch {
@@ -275,7 +277,7 @@ func (s *Server) yieldTo(ctx context.Context, r *replicator, link *replicaLink, 
 	var told *replicator
 	s.lock()
 	if sess, ok := s.sessions[r.sessionID]; ok && sess.repl == r { // else handed over already, or closed
-		told, _, _ = s.handOverLocked(ctx, sess, se.Owner, se.Epoch, se.Owner == link.target && se.Vertices >= sess.acked)
+		told, _, _ = s.handOverLocked(ctx, sess, se.Owner, se.Epoch, se.Owner == link.target && se.Shared >= sess.acked)
 	}
 	s.mu.Unlock()
 	s.flushHandOver(ctx, told)
@@ -309,6 +311,10 @@ func (s *Server) shipLink(ctx context.Context, r *replicator, link *replicaLink)
 		}
 
 		status, sent, body, err := s.shipBatch(ctx, link.target, batch)
+		var se staleEpoch
+		if err == nil && status == http.StatusPreconditionFailed && json.Unmarshal(body, &se) == nil {
+			err = &se
+		}
 		switch {
 		case err == nil && status == http.StatusOK:
 			r.mu.Lock()
@@ -333,8 +339,10 @@ func (s *Server) shipLink(ctx context.Context, r *replicator, link *replicaLink)
 				return nil
 			}
 			continue // ship the records that arrived mid-flight
-		case err == nil && status == http.StatusConflict:
-			// Sequence gap on the replica: catch it up.
+		case err == nil && status == http.StatusConflict, attempt == 0 && !catchup && se.Epoch > r.epoch:
+			// A sequence gap on the replica, or an owner at a higher epoch:
+			// catch it up, and the owner's answer tells how far the
+			// streams agree (yieldTo).
 			r.mu.Lock()
 			link.needCatchup = true
 			link.pending = nil
@@ -343,10 +351,6 @@ func (s *Server) shipLink(ctx context.Context, r *replicator, link *replicaLink)
 		default:
 			if err == nil {
 				err = fmt.Errorf("replica answered %d", status)
-				var se staleEpoch
-				if status == http.StatusPreconditionFailed && json.Unmarshal(body, &se) == nil {
-					err = &se
-				}
 			}
 			r.mu.Lock()
 			if catchup {
@@ -458,15 +462,6 @@ func (s *Server) callPeer(ctx context.Context, url, ctype string, body []byte) (
 	return resp.StatusCode, data, err
 }
 
-// replicaState is a follower's position in one session it follows: the
-// session's stream is in the database and its anchor in s.replay.
-type replicaState struct {
-	patientID string
-	source    string // of the batches the cursor accepted: the owner it follows
-	diverged  bool   // the last batch would not extend the copy: not following
-	cursor    wal.Cursor
-}
-
 // ReplicateResponse acknowledges an applied batch.
 type ReplicateResponse struct {
 	NextSeq uint64 `json:"nextSeq"`
@@ -475,15 +470,16 @@ type ReplicateResponse struct {
 }
 
 // handleReplicate is the follower half of log shipping: recovery over a
-// shipped log. The records the cursor accepts are applied with
-// s.replay and journaled as applied — verbatim, but a vertex-append
-// holding only the vertices it added — then their subscription history
-// is applied as recovery applies it.
+// shipped log. The records the cursor of the session's entry in s.replay
+// accepts are applied with s.replay and journaled as applied — verbatim,
+// but a vertex-append holding only the vertices it added — then their
+// subscription history is applied as recovery applies it.
 // A batch for a session live here is the one comparison: 412 at an
-// epoch no higher than this node's; at a higher one this node yields to
-// the source and applies the batch as its follower. A catch-up that
-// would not extend this node's copy (wal.Extend) is refused whole, an
-// append from the first vertex the copy cannot take: 422.
+// epoch no higher than this node's, saying how far a catch-up's stream
+// agrees with its own; at a higher one this node yields to the source
+// and applies the batch as its follower. A catch-up that would not
+// extend this node's copy (wal.Extend) is refused whole, an append from
+// the first vertex the copy cannot take: 422.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	capBody(w, r)
 	data, err := io.ReadAll(r.Body)
@@ -519,12 +515,12 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		s.flushHandOver(r.Context(), told)
 	}()
 	sess, live := s.sessions[b.SessionID]
+	catchup, shared, diverged := wal.Extend(s.held(b.PatientID, b.SessionID), b.Records)
 	if live && b.Epoch <= sess.repl.epoch {
-		writeJSON(w, http.StatusPreconditionFailed, staleEpoch{Epoch: sess.repl.epoch, Owner: s.advertise, Vertices: sess.stream.Len(),
+		writeJSON(w, http.StatusPreconditionFailed, staleEpoch{Epoch: sess.repl.epoch, Owner: s.advertise, Shared: shared,
 			Err: fmt.Sprintf("session %q is live here at epoch %d; shipping epoch %d is stale", b.SessionID, sess.repl.epoch, b.Epoch)})
 		return
 	}
-	catchup, diverged := wal.Extend(s.held(b.PatientID, b.SessionID), b.Records)
 	if live {
 		// A catch-up that does not extend this node's copy supersedes it.
 		var code int
@@ -537,16 +533,11 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rs, ok := s.replicas[b.SessionID]
-	if !ok {
-		rs = &replicaState{patientID: b.PatientID}
-		s.replicas[b.SessionID] = rs
-	}
-	apply, err := rs.cursor.Accept(b)
+	f := s.replay.Follow(b.PatientID, b.SessionID)
+	apply, err := f.Cursor.Accept(b)
 	switch {
 	case errors.Is(err, wal.ErrStaleEpoch):
-		writeJSON(w, http.StatusPreconditionFailed, staleEpoch{Err: err.Error(), Epoch: rs.cursor.Epoch, Owner: rs.source,
-			Vertices: len(s.held(b.PatientID, b.SessionID).T)})
+		writeJSON(w, http.StatusPreconditionFailed, staleEpoch{Err: err.Error(), Epoch: f.Cursor.Epoch, Owner: f.Source})
 		return
 	case errors.Is(err, wal.ErrGap):
 		httpError(w, http.StatusConflict, err)
@@ -563,12 +554,9 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		var applied wal.Record
 		applied, applyErr = s.replay.Apply(rec)
 		// What landed is journaled, a refused vertex-append's prefix too.
+		// A close ends the entry, and a tombstone's claim with it.
 		if len(applied.Vertices) > 0 || applyErr == nil && applied.Type != wal.TypeVertexAppend {
 			s.walAppendCtx(r.Context(), applied)
-		}
-		if applyErr == nil && rec.Type == wal.TypeSessionClose { // over, here and at any owner a tombstone names
-			delete(s.replicas, rec.SessionID)
-			delete(s.migrations, rec.SessionID)
 		}
 	}
 	s.applySubOps(r.Context(), s.replay.TakeSubOps())
@@ -582,21 +570,21 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		// No catch-up repairs it: the copy stays, follows no more
 		// (neither listed nor promotable) and stays fenced at the batch's
 		// epoch, until a catch-up it is a prefix of.
-		rs.source, rs.diverged = b.Source, true
+		f.Source, f.Diverged = b.Source, true
 		s.met.replDiverged.Inc()
 		httpError(w, http.StatusUnprocessableEntity, fmt.Errorf("session %q: %w", b.SessionID, applyErr))
 		return
 	case applyErr != nil:
 		// The cursor has advanced past this record: force a catch-up.
-		rs.cursor = wal.Cursor{Epoch: rs.cursor.Epoch}
+		f.Cursor = wal.Cursor{Epoch: f.Cursor.Epoch}
 		httpError(w, http.StatusConflict, fmt.Errorf("applying replicated record: %w", applyErr))
 		return
 	}
-	rs.source, rs.diverged = b.Source, false
+	f.Source, f.Diverged = b.Source, false
 	s.met.replApplied.Add(len(apply))
 	writeJSON(w, http.StatusOK, ReplicateResponse{
-		NextSeq: rs.cursor.Next,
-		Epoch:   rs.cursor.Epoch,
+		NextSeq: f.Cursor.Next,
+		Epoch:   f.Cursor.Epoch,
 		Applied: len(apply),
 	})
 }
@@ -645,13 +633,12 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	sess, live := s.sessions[sid]
 	if !live {
-		rs, ok := s.replicas[sid]
-		ss, seen := s.replay.Session(sid)
-		if !ok || !seen || rs.diverged {
+		ss, f, ok := s.replay.Session(sid)
+		if !ok || !f.Following() {
 			httpError(w, http.StatusNotFound, fmt.Errorf("no replica state for session %q", sid))
 			return
 		}
-		ss.Epoch, ss.Followers = rs.cursor.Epoch+1, req.Replicate
+		ss.Epoch, ss.Followers = f.Cursor.Epoch+1, req.Replicate
 		var err error
 		sess, err = s.resumeSession(ss)
 		if err != nil {
@@ -660,15 +647,12 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		}
 		// Journal (and flush) the promotion before going live: a 200 must
 		// mean a restart resumes this session as primary, shipping to the
-		// same followers at the same epoch.
-		if err := s.journalSync(r.Context(), sess.ownerRecord()); err != nil {
+		// same followers at the same epoch. A session that migrated away
+		// and back sheds its tombstone.
+		if err := s.decide(r.Context(), sess.ownerRecord()); err != nil {
 			httpError(w, http.StatusInternalServerError, fmt.Errorf("flushing promotion: %w", err))
 			return
 		}
-		// A session that migrated away and back sheds its tombstone.
-		delete(s.replicas, sid)
-		delete(s.migrations, sid)
-		s.replay.Forget(sid)
 		s.open(sess)
 		s.met.replPromotions.Inc()
 		s.log.Info("session promoted to primary",

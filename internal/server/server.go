@@ -88,11 +88,13 @@ type Server struct {
 	// genuinely separate trace stores.
 	col *obs.Collector
 
-	// Replication (see replication.go): sessions this node follows as
-	// a replica and the interpreter applying their records (both
-	// guarded by mu), this node's advertised URL, and the source
-	// allowlist for /v1/replicate.
-	replicas  map[string]*replicaState
+	// replay interprets this node's records (guarded by mu): the one that
+	// recovered the data dir, else a fresh one. It applies what a follower
+	// is shipped and the promote, close and migration records this node
+	// journals, so it is the one table of what they decided: sessions
+	// owned and followed (with the position in each), prepares (fences)
+	// and tombstones. Then this node's advertised URL, and the source
+	// allowlist for /v1/replicate (see replication.go).
 	replay    *wal.Replay
 	advertise string
 	replFrom  []string
@@ -108,11 +110,6 @@ type Server struct {
 	// shards; frames serves every request, HTTP or framed.
 	peers  http.RoundTripper
 	frames frame.Server
-
-	// Live session migration (see migration.go): per-session migration
-	// state (guarded by mu; committed entries are tombstones answering
-	// 410 with a redirect hint).
-	migrations map[string]*wal.MigrationState
 
 	// testHookMigrate, when non-nil, runs at each migration phase
 	// boundary; chaos tests kill nodes there (see SetMigrationHook).
@@ -142,11 +139,9 @@ type session struct {
 	// Never nil; built wherever this node became the session's owner.
 	repl *replicator
 
-	// fenced rejects new writes while a migration cutover is in flight
-	// (or after a restart recovered a prepared-but-uncommitted
-	// migration). handoff is that migration's target and the followers
-	// it keeps, nil when unknown (handOverLocked).
-	fenced  bool
+	// handoff is the target of a migration in flight here and the
+	// followers it keeps, nil when unknown (handOverLocked). The session
+	// is fenced while s.replay holds the migration's prepare.
 	handoff []string
 
 	// acked is the longest stream an ingest acknowledged with a replica
@@ -175,20 +170,18 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 		db = store.NewDB()
 	}
 	s := &Server{
-		db:         db,
-		params:     params,
-		segCfg:     segCfg,
-		sessions:   make(map[string]*session),
-		mux:        http.NewServeMux(),
-		log:        obs.Logger("server"),
-		met:        newServerMetrics(obs.Default()),
-		start:      time.Now(),
-		replicas:   make(map[string]*replicaState),
-		shipping:   make(map[*replicator]struct{}),
-		migrations: make(map[string]*wal.MigrationState),
-		advertise:  opts.AdvertiseURL,
-		replFrom:   opts.ReplicateFrom,
-		col:        obs.NewCollector(obs.DefaultTraceCapacity, opts.TraceSlowThreshold),
+		db:        db,
+		params:    params,
+		segCfg:    segCfg,
+		sessions:  make(map[string]*session),
+		mux:       http.NewServeMux(),
+		log:       obs.Logger("server"),
+		met:       newServerMetrics(obs.Default()),
+		start:     time.Now(),
+		shipping:  make(map[*replicator]struct{}),
+		advertise: opts.AdvertiseURL,
+		replFrom:  opts.ReplicateFrom,
+		col:       obs.NewCollector(obs.DefaultTraceCapacity, opts.TraceSlowThreshold),
 	}
 	obs.RegisterBuildInfo(obs.Default())
 	s.frames.MaxBody = DefaultMaxBodyBytes
@@ -198,8 +191,9 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 		if err := s.openDurability(db, opts); err != nil {
 			return nil, err
 		}
+	} else {
+		s.replay = wal.NewReplay(s.db)
 	}
-	s.replay = wal.NewReplay(s.db)
 	liveServer.Store(s)
 	// Appends buffer deltas for standing-query evaluation; the ingest
 	// and replication paths drain them synchronously under s.mu, so
@@ -355,7 +349,9 @@ func (s *Server) createSession(req CreateSessionRequest) (*replicator, int, erro
 		repl:      newReplicator(req.PatientID, req.SessionID, s.advertise, 1, req.Replicate),
 	}
 	s.walAppend(wal.Record{Type: wal.TypeStreamOpen, PatientID: req.PatientID, SessionID: req.SessionID})
-	s.walAppend(sess.ownerRecord())
+	owner := sess.ownerRecord()
+	s.walAppend(owner)
+	s.replay.Apply(owner) //nolint:errcheck // a promote always applies
 	s.open(sess)
 	return sess.repl, 0, nil
 }
@@ -458,7 +454,7 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 	if code, err := s.ownsLocked(sess); err != nil {
 		return resp, nil, 0, code, err
 	}
-	if sess.fenced {
+	if s.fenced(sid) {
 		// A migration cutover is in flight; accepting the write here
 		// could lose it when the target takes over. Retryable.
 		return resp, nil, 0, http.StatusServiceUnavailable, fmt.Errorf("session %q is migrating; retry shortly", sid)
@@ -563,7 +559,7 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return nil, http.StatusNotFound, fmt.Errorf("no open session %q", sid)
 		}
-		if sess.fenced {
+		if s.fenced(sid) {
 			return nil, http.StatusConflict, fmt.Errorf("session %q is mid-migration; close it on its new home", sid)
 		}
 		// Journal and fsync the close record before removing the
@@ -571,7 +567,7 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 		// fails the session stays open and the client can retry.
 		// Holding s.mu across one fsync is acceptable on this rare path.
 		closed := wal.Record{Type: wal.TypeSessionClose, SessionID: sid}
-		if err := s.journalSync(r.Context(), closed); err != nil {
+		if err := s.decide(r.Context(), closed); err != nil {
 			s.log.Error("flushing session close", slog.Any("err", err))
 			return nil, http.StatusInternalServerError, fmt.Errorf("flushing session close: %w", err)
 		}

@@ -104,7 +104,7 @@ func goldenRecovery(t *testing.T, dir string) []byte {
 		SnapshotLSN, RecordsReplayed, RecordsTruncated, NextLSN uint64
 		Recovered                                               recovered
 	}{res.SnapshotLSN, res.RecordsReplayed, res.RecordsTruncated, next,
-		recovered{db.Bytes(), res.Sessions, res.Subscriptions, res.SubOps, res.Migrations}}, "", "\t")
+		recovered{db.Bytes(), res.Sessions, res.Subscriptions, res.SubOps, res.Replay.Migrations()}}, "", "\t")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,8 +56,8 @@ func TestMigrationReplay(t *testing.T) {
 		{SessionID: "S1", PatientID: "P1", Target: "http://b", Epoch: 7, Phase: MigrateCommit},
 		{SessionID: "S3", PatientID: "P3", Target: "http://b", Phase: MigratePrepare},
 	}
-	if !reflect.DeepEqual(res.Migrations, want) {
-		t.Fatalf("migrations after replay:\n got %+v\nwant %+v", res.Migrations, want)
+	if !reflect.DeepEqual(res.Replay.Migrations(), want) {
+		t.Fatalf("migrations after replay:\n got %+v\nwant %+v", res.Replay.Migrations(), want)
 	}
 	open := openSessions(res)
 	if open["S1"] {
@@ -80,8 +80,8 @@ func TestMigrationReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Migrations, want[1:]) {
-		t.Fatalf("migrations after migrate-back:\n got %+v\nwant %+v", res.Migrations, want[1:])
+	if !reflect.DeepEqual(res.Replay.Migrations(), want[1:]) {
+		t.Fatalf("migrations after migrate-back:\n got %+v\nwant %+v", res.Replay.Migrations(), want[1:])
 	}
 	if !openSessions(res)["S1"] {
 		t.Error("migrated-back session S1 not reopened by promote replay")
@@ -121,8 +121,8 @@ func TestSnapshotCarriesMigrations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Migrations, want) {
-		t.Fatalf("migrations from snapshot:\n got %+v\nwant %+v", res.Migrations, want)
+	if !reflect.DeepEqual(res.Replay.Migrations(), want) {
+		t.Fatalf("migrations from snapshot:\n got %+v\nwant %+v", res.Replay.Migrations(), want)
 	}
 
 	// The tail replays over the snapshot-seeded state: the abort
@@ -138,8 +138,8 @@ func TestSnapshotCarriesMigrations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Migrations, want[1:]) {
-		t.Fatalf("migrations after tail abort:\n got %+v\nwant %+v", res.Migrations, want[1:])
+	if !reflect.DeepEqual(res.Replay.Migrations(), want[1:]) {
+		t.Fatalf("migrations after tail abort:\n got %+v\nwant %+v", res.Replay.Migrations(), want[1:])
 	}
 }
 
@@ -170,7 +170,7 @@ func TestCloseShedsTombstone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Migrations) != 0 || openSessions(res)["S1"] {
-		t.Fatalf("after the owner's close: migrations %+v, open %v; want neither", res.Migrations, openSessions(res))
+	if len(res.Replay.Migrations()) != 0 || openSessions(res)["S1"] {
+		t.Fatalf("after the owner's close: migrations %+v, open %v; want neither", res.Replay.Migrations(), openSessions(res))
 	}
 }

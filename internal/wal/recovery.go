@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -56,13 +57,13 @@ type RecoveryResult struct {
 	Subscriptions []SubState
 	SubOps        []SubReplayOp
 
-	// Migrations are the surviving session-migration states, from the
-	// snapshot with the WAL tail's TypeSessionMigrate records replayed
-	// on top: committed tombstones (the session migrated away; the
-	// owner answers stale routes with 410 + Target) and in-flight
-	// prepares (the session is in Sessions but must resume fenced —
-	// a cutover was racing when the node went down).
-	Migrations []MigrationState
+	// Replay is the interpreter that rebuilt all of this. The node keeps
+	// it as its one table of what its records decided, live as after a
+	// restart: owned and followed sessions, committed tombstones (the
+	// session migrated away; stale routes get 410 + Target) and in-flight
+	// prepares (the session is in Sessions but resumes fenced — a cutover
+	// was racing when the node went down).
+	Replay *Replay
 
 	// Duration is the wall time of snapshot load plus replay.
 	Duration time.Duration
@@ -214,7 +215,7 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 	res.DB = db
 	res.Subscriptions = snap.Subs
 	res.SubOps = rp.TakeSubOps()
-	res.Migrations = rp.migrationList()
+	res.Replay = rp
 
 	// Reopen the tail segment for appending, or start the first one. A
 	// tail whose own header was torn (crash between segment creation
@@ -323,15 +324,17 @@ func replaySegment(path string, nameLSN, snapLSN uint64, rp *Replay, res *Recove
 }
 
 // Replay is the one interpreter of records: recovery replays a data dir
-// through it and a follower applies every shipped record with it, so a
-// node's state is one function of the records it has seen. A session it
-// has seen is owned iff its last ownership record is a promote (or the
-// snapshot manifest lists it), followed otherwise; a close drops it.
-// A vertex-append extends its stream only past its last vertex.
+// through it, a follower applies every shipped record with it and a node
+// applies the ownership and migration records it journals, so a node's
+// state is one function of the records it has seen, live as after a
+// restart. A session it has seen is owned iff its last ownership record
+// is a promote (or the snapshot manifest lists it), followed otherwise;
+// a close drops it. A vertex-append extends its stream only past its
+// last vertex.
 type Replay struct {
 	db         *store.DB
 	sessions   map[string]*replaySession
-	owners     []*replaySession          // in the order sessions came to be owned
+	ownings    uint64                    // sessions that came to be owned, for their order
 	subs       map[string]bool           // live subscription IDs
 	subOps     []SubReplayOp             // subscription history not yet taken, log order
 	migrations map[string]MigrationState // surviving migration states
@@ -341,8 +344,23 @@ type Replay struct {
 // replaySession is a session Replay has seen, owned or followed.
 type replaySession struct {
 	SessionState
-	owned bool
+	Follow
+	owned uint64 // 1 + its place among the sessions that came to be owned; 0 while followed
 }
+
+// Follow is a node's position in a session it follows: the cursor of the
+// batches it applied, their source and whether the last one diverged. It
+// is soft state, not journaled: a restarted node follows nothing until a
+// link catches it up.
+type Follow struct {
+	Cursor   Cursor
+	Source   string // of the batches the cursor accepted: the owner followed
+	Diverged bool   // the last batch would not extend the copy: not following
+}
+
+// Following reports that a link caught the session up since the node
+// started and its copy did not diverge: it is listed and promotable.
+func (f *Follow) Following() bool { return f.Cursor.Epoch > 0 && !f.Diverged }
 
 // NewReplay returns an interpreter of records applying them to db.
 func NewReplay(db *store.DB) *Replay {
@@ -362,36 +380,56 @@ func (r *Replay) session(patientID, sessionID string) *replaySession {
 // own records ss as owned here; an owned session keeps its place.
 func (r *Replay) own(ss SessionState) {
 	rs := r.session(ss.PatientID, ss.SessionID)
-	if !rs.owned {
-		rs.owned = true
-		r.owners = append(r.owners, rs)
+	if rs.owned == 0 {
+		r.ownings++
+		rs.owned = r.ownings
 	}
 	rs.SessionState = ss
 }
 
-// owned returns the owned sessions in the order they came to be owned:
-// an entry dropped since (closed, migrated away) is not in sessions.
+// owned returns the owned sessions in the order they came to be owned.
 func (r *Replay) owned() []SessionState {
-	out := make([]SessionState, 0, len(r.owners))
-	for _, rs := range r.owners {
-		if r.sessions[rs.SessionID] == rs {
+	var out []SessionState
+	for _, rs := range r.sessions {
+		if rs.owned > 0 {
 			out = append(out, rs.SessionState)
 		}
 	}
+	sort.Slice(out, func(a, b int) bool { return r.sessions[out[a].SessionID].owned < r.sessions[out[b].SessionID].owned })
 	return out
 }
 
-// Session returns a session seen and not closed since: the anchor a
-// promoted follower resumes from.
-func (r *Replay) Session(sessionID string) (SessionState, bool) {
-	if rs, ok := r.sessions[sessionID]; ok {
-		return rs.SessionState, true
+// Session returns a followed session — seen, not owned and not closed
+// since — with its anchor, the one a promoted follower resumes from, and
+// the node's position in it.
+func (r *Replay) Session(sessionID string) (SessionState, *Follow, bool) {
+	if rs, ok := r.sessions[sessionID]; ok && rs.owned == 0 {
+		return rs.SessionState, &rs.Follow, true
 	}
-	return SessionState{}, false
+	return SessionState{}, nil, false
 }
 
-// Forget drops a followed session once it is promoted here.
-func (r *Replay) Forget(sessionID string) { delete(r.sessions, sessionID) }
+// Follow returns the node's position in a session, adding a followed
+// entry.
+func (r *Replay) Follow(patientID, sessionID string) *Follow {
+	return &r.session(patientID, sessionID).Follow
+}
+
+// Followed calls fn with every followed session, as Session returns it.
+func (r *Replay) Followed(fn func(SessionState, *Follow)) {
+	for _, rs := range r.sessions {
+		if rs.owned == 0 {
+			fn(rs.SessionState, &rs.Follow)
+		}
+	}
+}
+
+// Migration returns a session's surviving migration state: a prepare
+// (the session is fenced) or a commit (its tombstone).
+func (r *Replay) Migration(sessionID string) (MigrationState, bool) {
+	m, ok := r.migrations[sessionID]
+	return m, ok
+}
 
 // TakeSubOps returns the subscription history applied since the last
 // call, in log order, and forgets it.
@@ -401,9 +439,9 @@ func (r *Replay) TakeSubOps() []SubReplayOp {
 	return ops
 }
 
-// migrationList returns the surviving migration states sorted by
-// session ID, so recovery output is deterministic.
-func (r *Replay) migrationList() []MigrationState {
+// Migrations returns the surviving migration states sorted by session
+// ID, so a snapshot and a listing are deterministic.
+func (r *Replay) Migrations() []MigrationState {
 	out := make([]MigrationState, 0, len(r.migrations))
 	for _, m := range r.migrations {
 		out = append(out, m)
@@ -531,27 +569,37 @@ func (r *Replay) appendTail(st *store.Stream, rec Record) (Record, error) {
 var ErrDiverged = errors.New("wal: the copy is not a prefix of the owner's stream")
 
 // Extend is the one rule for a catch-up, records led by a stream-open,
-// to held, a node's copy of the session's stream: it extends the copy
-// only if the copy is a prefix, bit for bit as the log encodes it, of
-// the stream the catch-up carries (empty without a vertex-append). Then
-// Extend cuts the vertex-append to the vertices past the copy; else it
-// returns ErrDiverged. It reports whether recs are a catch-up.
-func Extend(held store.ScanView, recs []Record) (catchup bool, err error) {
+// to held, a node's copy of the session's stream. It counts how many
+// leading vertices of the stream the catch-up carries (empty without a
+// vertex-append) the copy shares, bit for bit as the log encodes a
+// vertex; an owner's 412 to a deposed node's catch-up reports the count.
+// Only a copy that shares all its vertices, a prefix, is extended:
+// Extend cuts the vertex-append to the vertices past it; else it returns
+// ErrDiverged. It reports whether recs are a catch-up, and the count.
+func Extend(held store.ScanView, recs []Record) (catchup bool, shared int, err error) {
 	if len(recs) == 0 || recs[0].Type != TypeStreamOpen {
-		return false, nil
+		return false, 0, nil
 	}
-	n := held.Len()
-	for i, rec := range recs {
-		if vs := rec.Vertices; rec.Type == TypeVertexAppend && len(vs) >= n &&
-			bytes.Equal(binfmt.AppendSequence(nil, held.Window(0, n)), binfmt.AppendSequence(nil, vs[:n])) {
+	n, i := held.Len(), slices.IndexFunc(recs, func(rec Record) bool { return rec.Type == TypeVertexAppend })
+	if i >= 0 {
+		vs := recs[i].Vertices
+		var a, b []byte
+		for ; shared < min(n, len(vs)); shared++ {
+			h, v := held.Vertex(shared), vs[shared]
+			a, b = binfmt.AppendVertex(a[:0], h.T, h.State, h.Pos), binfmt.AppendVertex(b[:0], v.T, v.State, v.Pos)
+			if !bytes.Equal(a, b) {
+				break
+			}
+		}
+		if shared == n {
 			recs[i].Vertices = vs[n:]
-			return true, nil
+			return true, n, nil
 		}
 	}
 	if n > 0 {
-		return true, ErrDiverged
+		return true, shared, ErrDiverged
 	}
-	return true, nil
+	return true, 0, nil
 }
 
 // removeTempFiles clears half-written snapshot temp files left by a

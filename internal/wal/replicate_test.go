@@ -261,7 +261,8 @@ func TestNewRecordTypesRoundTripThroughLog(t *testing.T) {
 // TestOnePrefixRule: a catch-up extends a copy only if the copy is a
 // prefix, bit for bit, of the stream it carries, and an append only past
 // the copy's last vertex; a divergence appends nothing. Each case runs as
-// a follower applies a batch: Extend, then Replay.
+// a follower applies a batch: Extend, then Replay. Extend also counts the
+// leading vertices a catch-up's stream shares with the copy.
 func TestOnePrefixRule(t *testing.T) {
 	open := Record{Type: TypeStreamOpen, PatientID: "P1", SessionID: "S1"}
 	anchor := Record{Type: TypeSessionAnchor, PatientID: "P1", SessionID: "S1"}
@@ -275,17 +276,20 @@ func TestOnePrefixRule(t *testing.T) {
 		held int // the copy: mkVerts(0, held)
 		recs []Record
 		want int // the copy's length after; -1 for a divergence
+		// shared is how many leading vertices of a catch-up's stream the
+		// copy shares, as Extend counts them.
+		shared int
 	}{
-		{"empty copy, catch-up", 0, []Record{open, appendOf(mkVerts(0, 4)), anchor}, 4},
-		{"empty copy, append", 0, []Record{appendOf(mkVerts(0, 4))}, 4},
-		{"append past the last vertex", 3, []Record{appendOf(mkVerts(0, 5)[3:])}, 5},
-		{"append at the last vertex", 3, []Record{appendOf(mkVerts(0, 5)[2:])}, -1},
-		{"catch-up equal to the copy", 3, []Record{open, appendOf(mkVerts(0, 3)), anchor}, 3},
-		{"catch-up longer than the copy", 3, []Record{open, appendOf(mkVerts(0, 5)), anchor}, 5},
-		{"catch-up shorter than the copy", 3, []Record{open, appendOf(mkVerts(0, 2)), anchor}, -1},
-		{"catch-up differing in one position bit", 3, []Record{open, appendOf(negZero), anchor}, -1},
-		{"catch-up with no vertex-append over a non-empty copy", 3, []Record{open, anchor}, -1},
-		{"catch-up with no vertex-append over an empty copy", 0, []Record{open, anchor}, 0},
+		{"empty copy, catch-up", 0, []Record{open, appendOf(mkVerts(0, 4)), anchor}, 4, 0},
+		{"empty copy, append", 0, []Record{appendOf(mkVerts(0, 4))}, 4, 0},
+		{"append past the last vertex", 3, []Record{appendOf(mkVerts(0, 5)[3:])}, 5, 0},
+		{"append at the last vertex", 3, []Record{appendOf(mkVerts(0, 5)[2:])}, -1, 0},
+		{"catch-up equal to the copy", 3, []Record{open, appendOf(mkVerts(0, 3)), anchor}, 3, 3},
+		{"catch-up longer than the copy", 3, []Record{open, appendOf(mkVerts(0, 5)), anchor}, 5, 3},
+		{"catch-up shorter than the copy", 3, []Record{open, appendOf(mkVerts(0, 2)), anchor}, -1, 2},
+		{"catch-up differing in one position bit", 3, []Record{open, appendOf(negZero), anchor}, -1, 0},
+		{"catch-up with no vertex-append over a non-empty copy", 3, []Record{open, anchor}, -1, 0},
+		{"catch-up with no vertex-append over an empty copy", 0, []Record{open, anchor}, 0, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -298,7 +302,10 @@ func TestOnePrefixRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			recs := slices.Clone(tc.recs)
-			_, err = Extend(st.ScanView(""), recs)
+			_, shared, err := Extend(st.ScanView(""), recs)
+			if shared != tc.shared {
+				t.Errorf("Extend counts %d shared vertices, want %d", shared, tc.shared)
+			}
 			for i := 0; err == nil && i < len(recs); i++ {
 				_, err = rp.Apply(recs[i])
 			}
