@@ -58,6 +58,7 @@ type answer struct {
 	used   uint64    // the stamp of the last use; 0 while the slot holds no complete answer
 	lens   []int32   // per listed stream, the vertices the answer ranked the windows of
 	hits   []hit     // in matchCmp order; a hit's ord indexes the stream list
+	fut    futures   // a threshold answer's: beside the hits, their futures as last folded
 	counts FunnelCounts
 }
 
@@ -187,15 +188,25 @@ func (a *answer) keep(out []Match) {
 }
 
 // repair merges a threshold repair's new hits, sorted where they lie,
-// into a's kept ones from the back: a kept hit moves at most once.
+// into a's kept ones from the back: a kept hit moves at most once, and
+// its future's row, once folded, with it.
 func (a *answer) repair(streams []*store.Stream, add []hit) {
 	cmp := hitOrder(streams)
 	slices.SortFunc(add, cmp)
 	i := len(a.hits) - 1
 	a.hits = slices.Grow(a.hits, len(add))[:len(a.hits)+len(add)]
+	fu, d := &a.fut, a.fut.dims
+	if len(fu.rows) > 0 {
+		fu.grow(len(a.hits))
+	}
 	for at, j := len(a.hits)-1, len(add)-1; j >= 0; at-- {
 		if i >= 0 && cmp(a.hits[i], add[j]) > 0 {
-			a.hits[at], i = a.hits[i], i-1
+			a.hits[at] = a.hits[i]
+			if i < len(fu.rows) {
+				fu.rows[at], fu.sts[at] = fu.rows[i], fu.sts[i]
+				copy(fu.prods[at*d:(at+1)*d], fu.prods[i*d:])
+			}
+			i--
 		} else {
 			a.hits[at], j = add[j], j-1
 		}

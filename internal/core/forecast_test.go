@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -29,7 +30,8 @@ func legacyPredict(t *testing.T, m *Matcher, q Query, d1, d2 float64, minMatches
 		ts, pos, d := mt.Stream.Track()
 		end := mt.Start + mt.N - 1
 		a, b := make([]float64, d), make([]float64, d)
-		if positionFrom(ts, pos, d, a, ts[end]+d1, end) && positionFrom(ts, pos, d, b, ts[end]+d2, end) {
+		_, ina := positionFrom(ts, pos, d, a, ts[end]+d1, end)
+		if _, inb := positionFrom(ts, pos, d, b, ts[end]+d2, end); ina && inb {
 			withFuture++
 		}
 	}
@@ -281,5 +283,252 @@ func TestPredictDisplacementCtxPanicLeavesMatcherClean(t *testing.T) {
 			t.Fatal(err)
 		}
 		matchesIdentical(t, fmt.Sprintf("par=%d FindSimilar after the panic", par), wantMatches, got)
+	}
+}
+
+// TestFoldMemoEqualsFreshFold: a matcher that keeps each folded window's
+// future beside its threshold answer predicts, through both doors
+// (FindSimilar then PredictDisplacement, and PredictDisplacementCtx), bit
+// for bit what a matcher built afresh for that one prediction does — at
+// the same horizons twice, at changed horizons and back, after a stream
+// grows past a future it did not reach, after a repair inserts hits
+// ahead of the kept ones, over a caller's matches with one Weight,
+// Start, N or Stream edited, over TopK's matches (and the kept answer
+// after them at other horizons), and after a fold in other dimensions —
+// at one and two workers, in one and three dimensions — and after a
+// stream grows past a horizon that fell on its last vertex.
+func TestFoldMemoEqualsFreshFold(t *testing.T) {
+	alwaysFanOut(t)
+	ctx := context.Background()
+	for _, dims := range []int{1, 3} {
+		for _, par := range []int{1, 2} {
+			db := forecastCorpus(t, int64(60+dims), dims)
+			p := DefaultParams()
+			p.Parallelism = par
+			m, err := NewMatcher(db, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := func() *Matcher {
+				f, err := NewMatcher(db, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			// grow holds the first half of src's vertices; the query is the
+			// last of them, so its match at grow's end has no future until
+			// the rest lands.
+			src := db.Streams()[2].Seq()
+			cut := len(src) / 2
+			grow := db.Patient("P0").AddStream("grow")
+			if err := grow.Append(src[:cut]...); err != nil {
+				t.Fatal(err)
+			}
+			q := NewQuery(src[cut-8:cut], "", "")
+			h1, h2 := [2]float64{0.2, 0.9}, [2]float64{0.5, 2.5}
+
+			same := func(label string, gd []float64, gerr error, wd []float64, werr error) {
+				t.Helper()
+				if (gerr == nil) != (werr == nil) || len(gd) != len(wd) {
+					t.Fatalf("dims=%d par=%d %s: %v %v, want %v %v", dims, par, label, gd, gerr, wd, werr)
+				}
+				for k := range gd {
+					if !sameFloat(gd[k], wd[k]) {
+						t.Fatalf("dims=%d par=%d %s: disp[%d] = %v, want %v", dims, par, label, k, gd[k], wd[k])
+					}
+				}
+			}
+			// over compares m's fold of the caller's matches ms with a fresh
+			// matcher's fold of the same matches.
+			over := func(label string, ms []Match, h [2]float64) {
+				t.Helper()
+				gd, gerr := m.PredictDisplacement(q, ms, h[0], h[1], 0)
+				wd, werr := fresh().PredictDisplacement(q, slices.Clone(ms), h[0], h[1], 0)
+				same(label, gd, gerr, wd, werr)
+			}
+			// both compares both doors of m at h with a fresh matcher's.
+			both := func(label string, h [2]float64) {
+				t.Helper()
+				f := fresh()
+				want, err := f.FindSimilar(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := m.FindSimilar(q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameMatchBits(t, label, want, got)
+				gd, gerr := m.PredictDisplacement(q, got, h[0], h[1], 0)
+				wd, werr := f.PredictDisplacement(q, want, h[0], h[1], 0)
+				same(label+" PredictDisplacement", gd, gerr, wd, werr)
+				gd, _, _, gerr = m.PredictDisplacementCtx(ctx, q, h[0], h[1], 0)
+				wd, _, _, werr = fresh().PredictDisplacementCtx(ctx, q, h[0], h[1], 0)
+				same(label+" PredictDisplacementCtx", gd, gerr, wd, werr)
+			}
+			// settled counts the kept rows a fold at h would sum as they are.
+			settled := func() (n int) {
+				for _, r := range m.answers.last.fut.rows {
+					if r.need > 0 && r.at == m.answers.last.fut.at {
+						n++
+					}
+				}
+				return n
+			}
+
+			both("first", h1)
+			both("same horizons", h1)
+			if settled() == 0 {
+				t.Fatalf("dims=%d par=%d: no row settled after a fold", dims, par)
+			}
+			both("changed horizons", h2)
+			both("changed horizons, repeated", h2)
+			both("horizons back", h1)
+
+			ms, err := m.FindSimilar(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unreached := 0
+			for _, mt := range ms {
+				if ts, _, _ := mt.Stream.Track(); mt.Stream == grow && ts[mt.Start+mt.N-1]+h1[1] > ts[len(ts)-1] {
+					unreached++
+				}
+			}
+			if unreached == 0 {
+				t.Fatalf("dims=%d par=%d fixture: no match in grow short of its future", dims, par)
+			}
+			for at := cut; at < len(src); at += 7 {
+				if err := grow.Append(src[at:min(at+7, len(src))]...); err != nil {
+					t.Fatal(err)
+				}
+				both(fmt.Sprintf("grown to %d", min(at+7, len(src))), h1)
+			}
+			both("grown, repeated", h1)
+
+			// Another patient's stream grows by a copy of the query and what
+			// follows it: distance-0 hits, ranked ahead of every kept one.
+			other := db.Patient("P4").Streams[0]
+			ts, _, _ := other.Track()
+			shift := ts[len(ts)-1] + 1 - src[cut-8].T
+			for i, v := range src[cut-8 : cut+6] {
+				v.T += shift
+				if err := other.Append(v); err != nil {
+					t.Fatal(err)
+				}
+				both(fmt.Sprintf("repair ahead, vertex %d", i), h1)
+			}
+			both("repair ahead, repeated", h1)
+
+			ms, err = m.FindSimilar(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			over("kept matches", ms, h1)
+			edited := slices.Clone(ms)
+			edited[len(edited)/2].Weight *= 1.5
+			over("one Weight edited", edited, h1)
+			edited = slices.Clone(ms)
+			for i := range edited {
+				if edited[i].Start > 0 {
+					edited[i].Start--
+					break
+				}
+			}
+			over("one Start edited", edited, h1)
+			edited = slices.Clone(ms)
+			edited[len(edited)/3].N--
+			over("one N edited", edited, h1)
+			edited = slices.Clone(ms)
+			for i := range edited {
+				if ts, _, _ := other.Track(); edited[i].Stream != other && edited[i].Start+edited[i].N+20 < len(ts) {
+					edited[i].Stream = other
+					break
+				}
+			}
+			over("one Stream edited", edited, h1)
+			tk, err := m.TopK(q, 7, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			over("TopK", tk, h1)
+			over("TopK, repeated", tk, h1)
+			both("after TopK", h1)
+			// A short list at new horizons, then the kept answer at them:
+			// the rows past the short list are still the old horizons'.
+			over("TopK at other horizons", tk, h2)
+			both("after TopK at other horizons", h2)
+
+			// A fold in another number of dimensions reaches no future
+			// and moves the rows' stride.
+			wide := q
+			wide.Seq = q.Seq.Clone()
+			for i := range wide.Seq {
+				wide.Seq[i].Pos = append(wide.Seq[i].Pos, 0)
+			}
+			if _, err := m.PredictDisplacement(wide, ms, h1[0], h1[1], 0); !errors.Is(err, ErrNoMatches) {
+				t.Fatalf("dims=%d par=%d: a fold in %d dimensions: %v, want ErrNoMatches", dims, par, dims+1, err)
+			}
+			both("after a fold in other dimensions", h1)
+			both("after a fold in other dimensions, repeated", h1)
+		}
+	}
+
+	// A horizon at a stream's last vertex is read again once the stream
+	// grows: the next vertex makes it a segment's start, interpolated
+	// with a zero fraction, which here overflows to NaN.
+	st := store.NewStream("P", "S")
+	if err := st.Append(plr.Vertex{T: 0, Pos: []float64{0}}, plr.Vertex{T: 1, Pos: []float64{1e308}}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMatcher(store.NewDB(), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := []Match{{Stream: st, N: 1, Weight: 1}}
+	q := NewQuery(plr.Sequence{{T: 0, Pos: []float64{0}}}, "", "")
+	for _, grown := range []bool{false, true} {
+		if grown {
+			if err := st.Append(plr.Vertex{T: 2, Pos: []float64{-1e308}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gd, gerr := m.PredictDisplacement(q, ms, 0.5, 1, 1)
+		wd, werr := NewMatcher(store.NewDB(), DefaultParams())
+		if werr != nil {
+			t.Fatal(werr)
+		}
+		want, werr := wd.PredictDisplacement(q, ms, 0.5, 1, 1)
+		if gerr != nil || werr != nil || !sameFloat(gd[0], want[0]) {
+			t.Fatalf("last vertex, grown %v: %v %v, want %v %v", grown, gd, gerr, want, werr)
+		}
+	}
+}
+
+// TestRepeatedPredictAllocs: a PredictDisplacement over the kept answer's
+// matches at the horizons of the fold before allocates its result only.
+func TestRepeatedPredictAllocs(t *testing.T) {
+	db := forecastCorpus(t, 61, 1)
+	m, err := NewMatcher(db, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := db.Streams()[2].Seq()
+	q := NewQuery(seq[len(seq)/2-8:len(seq)/2], "", "")
+	ms, err := m.FindSimilar(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PredictDisplacement(q, ms, 0.2, 0.9, 0); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := m.PredictDisplacement(q, ms, 0.2, 0.9, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("a repeated PredictDisplacement over %d matches allocates %v times, want 1 (its result)", len(ms), allocs)
 	}
 }

@@ -292,18 +292,33 @@ func TestThresholdMissAllocsConstant(t *testing.T) {
 // BenchmarkPredictRepeated is a prediction as an in-process caller makes
 // it — FindSimilarCtx over the stream's dynamic query, then
 // PredictDisplacement over the matches — on a corpus_small-sized
-// database (12 patients x 180 s). "fresh" alternates the tails of two
-// streams, so every retrieval runs the funnel; "repeated" asks for one
-// tail over the unchanged database, as a predict between two vertex
-// closes does, and is answered from the kept answer with no window to
-// range over; "appended" asks for the same tail after a vertex lands in
+// database (12 patients x 180 s) and a corpus_large-sized one (200
+// patients x 600 s, thousands of matches a prediction). "fresh"
+// alternates the tails of two streams, so every retrieval runs the
+// funnel; "repeated" asks for one tail over the unchanged database, as a
+// predict between two vertex closes does, and is answered from the kept
+// answer with no window to range over and every hit's future as the last
+// fold left it; "horizon_moved" asks for that tail at horizons that
+// alternate between two pairs, so the answer is kept but every future is
+// read again; "appended" asks for the same tail after a vertex lands in
 // another patient's stream (untimed), and is repaired over that vertex's
-// window. The vertex is irregular breathing, a state the tail does not end in, so
-// the windows of the tail's state order, and the answer, stay as they
-// were however long the row runs.
+// window. The vertex is irregular breathing, a state the tail does not
+// end in, so the windows of the tail's state order, and the answer, stay
+// as they were however long the row runs.
 func BenchmarkPredictRepeated(b *testing.B) {
+	for _, size := range []struct {
+		patients int
+		dur      float64
+	}{{12, 180}, {200, 600}} {
+		b.Run(fmt.Sprintf("%dx%.0fs", size.patients, size.dur), func(b *testing.B) {
+			benchPredictRepeated(b, size.patients, size.dur)
+		})
+	}
+}
+
+func benchPredictRepeated(b *testing.B, patients int, dur float64) {
 	cfg := signal.DefaultCohort()
-	cfg.NumPatients, cfg.SessionsPer, cfg.SessionDur = 12, 1, 180
+	cfg.NumPatients, cfg.SessionsPer, cfg.SessionDur = patients, 1, dur
 	db, _, err := dataset.Build(cfg, fsm.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -312,13 +327,14 @@ func BenchmarkPredictRepeated(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	predict := func(q Query) error {
+	predictAt := func(q Query, d1, d2 float64) error {
 		matches, err := m.FindSimilarCtx(context.Background(), q, nil)
 		if err == nil {
-			_, err = m.PredictDisplacement(q, matches, 0.1, 0.3, 0)
+			_, err = m.PredictDisplacement(q, matches, d1, d2, 0)
 		}
 		return err
 	}
+	predict := func(q Query) error { return predictAt(q, 0.1, 0.3) }
 	// The tails of the first two streams that have a prediction.
 	var tails []Query
 	for _, st := range db.Streams() {
@@ -340,6 +356,14 @@ func BenchmarkPredictRepeated(b *testing.B) {
 	b.Run("repeated", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := predict(tails[0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("horizon_moved", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d1 := 0.1 + 0.05*float64(i%2)
+			if err := predictAt(tails[0], d1, d1+0.2); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -113,10 +113,10 @@ type Matcher struct {
 	rels    []SourceRelation // a search's relations by stream ordinal, plus one; 0 until read
 	workers []*workerState
 	buckets []int32    // order's bucket table
-	fc      forecast   // PredictDisplacementCtx's collector
+	fc      forecast   // both prediction doors' fold
 	answers answers    // the recent unrestricted answers
-	tracks  []trackRow // PredictDisplacement's columns by stream ordinal
-	call    uint64     // PredictDisplacement's calls, telling tracks' rows apart
+	tracks  []trackRow // a prediction's columns by stream ordinal
+	call    uint64     // the predictions, telling tracks' rows apart
 }
 
 // workerState is one funnel worker's private output: the hits it
@@ -478,7 +478,7 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	}
 	switch {
 	case fc != nil:
-		fc.fold(m, pl, streams, ans.lens, ans.hits)
+		fc.fold(m, &ans.fut, pl.q.Seq.Dims(), nil, ans.hits, ans.lens)
 	case repaired && k == 0:
 		out = make([]Match, len(ans.hits))
 		for i, h := range ans.hits {

@@ -57,12 +57,13 @@ func (m *Matcher) PredictPosition(q Query, matches []Match, delta float64, minMa
 	acc, f := buf[:dims], buf[dims:]
 	var wsum, dsum float64
 	used := 0
+	m.call++
 	for _, mt := range matches {
-		// One view of the stream per match; the future point lies a
+		// One view of each stream per call; the future point lies a
 		// horizon past the window's last vertex, so look from there.
-		ts, pos, d := mt.Stream.Track()
+		ts, pos, d := m.track(mt.Stream, mt.ord)
 		end := mt.Start + mt.N - 1
-		if !positionFrom(ts, pos, d, f, ts[end]+delta, end) {
+		if _, in := positionFrom(ts, pos, d, f, ts[end]+delta, end); !in {
 			continue // stream ends before the future point
 		}
 		at := mt.Start
@@ -117,41 +118,17 @@ func (m *Matcher) Predict(q Query, delta float64, restrict map[string]bool) (Pre
 // position rather than the current position, this latency will reduce
 // the effectiveness" (Section 1).
 func (m *Matcher) PredictDisplacement(q Query, matches []Match, d1, d2 float64, minMatches int) ([]float64, error) {
-	if minMatches <= 0 {
-		minMatches = MinMatchesForPrediction
-	}
 	if len(q.Seq) == 0 {
 		return nil, ErrTooShort
 	}
-	dims := q.Seq.Dims()
-	buf := make([]float64, 3*dims)
-	acc, a, b := buf[:dims:dims], buf[dims:2*dims], buf[2*dims:]
-	var wsum float64
-	used := 0
-	m.call++
-	for _, mt := range matches {
-		ts, pos, d := m.track(mt.Stream, mt.ord)
-		end := mt.Start + mt.N - 1
-		if !positionFrom(ts, pos, d, a, ts[end]+d1, end) || !positionFrom(ts, pos, d, b, ts[end]+d2, end) {
-			continue
-		}
-		for k := 0; k < dims; k++ {
-			acc[k] += mt.Weight * (b[k] - a[k])
-		}
-		wsum += mt.Weight
-		used++
-	}
-	if used < minMatches || wsum == 0 {
-		return nil, ErrNoMatches
-	}
-	for k := range acc {
-		acc[k] /= wsum
-	}
-	return acc, nil
+	f := &m.fc
+	f.d1, f.d2 = d1, d2
+	f.fold(m, &m.answers.last.fut, q.Seq.Dims(), matches, nil, nil)
+	return f.disp(minMatches)
 }
 
 // trackRow is a stream's time and position columns (store.Stream.Track)
-// as read by one PredictDisplacement call or forecast fold.
+// as read by one prediction.
 type trackRow struct {
 	st      *store.Stream
 	call    uint64
@@ -186,9 +163,6 @@ func (m *Matcher) track(st *store.Stream, ord int32) (ts, pos []float64, dims in
 // count and mean distance. The context carries the trace, as for
 // FindSimilarCtx.
 func (m *Matcher) PredictDisplacementCtx(ctx context.Context, q Query, d1, d2 float64, minMatches int) (disp []float64, matches int, meanDist float64, err error) {
-	if minMatches <= 0 {
-		minMatches = MinMatchesForPrediction
-	}
 	f := &m.fc
 	f.d1, f.d2 = d1, d2
 	if _, err := m.search(ctx, q, nil, 0, m.Params.DistThreshold, f); err != nil {
@@ -197,71 +171,142 @@ func (m *Matcher) PredictDisplacementCtx(ctx context.Context, q Query, d1, d2 fl
 	if f.matches > 0 {
 		meanDist = f.dsum / float64(f.matches)
 	}
-	if f.used < minMatches || f.wsum == 0 {
-		return nil, f.matches, meanDist, ErrNoMatches
-	}
-	disp = make([]float64, len(f.acc))
-	for k, a := range f.acc {
-		disp[k] = a / f.wsum
-	}
-	return disp, f.matches, meanDist, nil
+	disp, err = f.disp(minMatches)
+	return disp, f.matches, meanDist, err
 }
 
-// forecast is the collector of a PredictDisplacementCtx search. Its
-// sums live in the Matcher and are cleared by every fold, so a search
-// that panicked leaves nothing behind for the next.
+// forecast is the one fold behind both prediction doors, PredictDisplacement
+// and PredictDisplacementCtx. Its sums live in the Matcher and are cleared by
+// every fold, so a search that panicked leaves nothing behind for the next.
 type forecast struct {
 	d1, d2     float64   // the horizons, seconds past each window's last vertex
 	acc        []float64 // Σ w·(b−a), per coordinate
-	wsum, dsum float64   // Σ w over the hits with a future; Σ distance over all
-	used       int       // hits with a future
+	wsum, dsum float64   // Σ w over the windows with a future; Σ distance over all
+	used       int       // windows with a future, of matches
 	matches    int
-	ab         []float64 // a hit's two positions, then its displacement
+	ab         []float64 // a window's two positions
 }
 
-// between writes into ab[:dims] the displacement of the stream with
-// columns ts and pos between the horizons past vertex end, using
-// ab[dims:2*dims] as scratch, and reports whether the stream reaches
-// both.
-func (f *forecast) between(ts, pos []float64, dims, end int, ab []float64) bool {
-	a, b := ab[:dims], ab[dims:2*dims]
-	if !positionFrom(ts, pos, dims, a, ts[end]+f.d1, end) || !positionFrom(ts, pos, dims, b, ts[end]+f.d2, end) {
-		return false
-	}
-	for k := range a {
-		a[k] = b[k] - a[k]
-	}
-	return true
+// futures keep, beside a threshold answer's hits, row i for the i-th
+// window of the last fold: its future, settled once its stream reaches
+// both horizons (the database is append-only). A fold at the same
+// horizons sums a row only for the window and weight it was computed
+// from, so no caller's list, edited or another's, reads a row not its own.
+type futures struct {
+	rows   []future
+	sts    []*store.Stream // row i's stream, apart so that rows hold no pointer
+	prods  []float64       // row i's w·(b−a), at [i*dims, (i+1)*dims)
+	dims   int
+	d1, d2 float64 // the current horizons, and their stamp, counted from 1
+	at     uint32
 }
 
-// fold sums a threshold answer's hits in its order, which is matchCmp's —
-// the order of FindSimilar's result. Each window's future is read at the
-// horizons off its stream's columns cut at lens, the prefix the answer
-// ranked, so a vertex appended since, even while the search ran, is not
-// in it. PredictDisplacement and a mean over FindSimilar's result add the
-// same terms in the same order, so the sums come out the same to the bit.
-func (f *forecast) fold(m *Matcher, pl *queryPlan, streams []*store.Stream, lens []int32, hits []hit) {
-	dims := pl.q.Seq.Dims()
+// future is a row's key and need: every prefix of the stream at least
+// need vertices long gives the same positions. need is 0 to compute the
+// row again: its stream does not reach both horizons, or reaches one at
+// its last vertex, where a next vertex may move a zero's sign.
+type future struct {
+	w              float64 // the window's weight: a key, and the Σ w term
+	start, n, need int32
+	at             uint32 // the horizons' stamp
+}
+
+// fold is the one fold kernel: over the caller's matches
+// (PredictDisplacement), or a threshold answer's hits in FindSimilar's
+// order, each stream cut at lens, the prefix the answer ranked
+// (PredictDisplacementCtx, in m's running search). Row i of fu is summed
+// if it is the i-th window's at these horizons and the columns cover its
+// need; else the columns are read and fill it. The terms are the rounded
+// products either way: the sums' bits do not depend on which rows were reused.
+func (f *forecast) fold(m *Matcher, fu *futures, dims int, matches []Match, hits []hit, lens []int32) {
 	f.acc = slices.Grow(f.acc[:0], dims)[:dims]
 	clear(f.acc)
-	f.wsum, f.dsum, f.used, f.matches = 0, 0, 0, len(hits)
+	n := len(matches) + len(hits) // one of them is empty
+	f.matches = n
+	wsum, dsum, used := 0.0, 0.0, 0
 	f.ab = slices.Grow(f.ab[:0], 2*dims)[:2*dims]
-	m.call++
-	for _, h := range hits {
-		st, n := streams[h.ord], int(lens[h.ord])
-		ts, pos, _ := m.track(st, h.ord)
-		f.dsum += h.dist
-		if !f.between(ts[:n], pos[:n*dims], dims, int(h.start)+pl.n-1, f.ab) {
-			continue // the stream does not reach both horizons
-		}
-		// The weight is Match.Weight's, ws/(1+dist).
-		wt := pl.ws[m.relation(h.ord)] / (1 + h.dist)
-		for k := range f.acc {
-			f.acc[k] += wt * f.ab[k]
-		}
-		f.wsum += wt
-		f.used++
+	stale := !sameFloat(fu.d1, f.d1) || !sameFloat(fu.d2, f.d2) || fu.at == 0 // no row is current
+	if stale {
+		fu.d1, fu.d2, fu.at = f.d1, f.d2, fu.at+1
 	}
+	if fu.dims != dims || fu.at == 0 { // a new stride, or the stamps wrapped
+		clear(fu.rows)
+		fu.rows, fu.sts, fu.prods, fu.dims, fu.at = fu.rows[:0], fu.sts[:0], fu.prods[:0], dims, 1
+	}
+	fu.grow(n)
+	m.call++
+	rows, sts, prods, at, acc, a, b := fu.rows[:n], fu.sts[:n], fu.prods, fu.at, f.acc, f.ab[:dims], f.ab[dims:]
+	for i := range rows {
+		var st *store.Stream
+		var start, wn, d int // the window's first vertex and length; the stream's coordinates
+		var w float64
+		var ts, pos []float64
+		if i < len(matches) {
+			mt := &matches[i]
+			st, start, wn, w = mt.Stream, mt.Start, mt.N, mt.Weight
+			ts, pos, d = m.track(st, mt.ord)
+		} else {
+			// The weight is Match.Weight's, ws/(1+dist).
+			h := &hits[i]
+			st, start, wn, w = m.streams[h.ord], int(h.start), m.plan.n, m.plan.ws[m.relation(h.ord)]/(1+h.dist)
+			ts, pos, d = m.track(st, h.ord)
+			ts, pos = ts[:lens[h.ord]], pos[:int(lens[h.ord])*d]
+			dsum += h.dist
+		}
+		r, p := &rows[i], prods[i*dims:(i+1)*dims]
+		if stale || r.need == 0 || int(r.need) > len(ts) || r.at != at || sts[i] != st ||
+			r.start != int32(start) || r.n != int32(wn) || !sameFloat(r.w, w) {
+			*r = future{w: w, start: int32(start), n: int32(wn), at: at}
+			if sts[i] != st {
+				sts[i] = st
+			}
+			end := start + wn - 1
+			na, ina := positionFrom(ts, pos, d, a, ts[end]+f.d1, end)
+			nb, inb := positionFrom(ts, pos, d, b, ts[end]+f.d2, end)
+			if !ina || !inb {
+				continue // the stream does not reach both horizons
+			}
+			if na > 0 && nb > 0 {
+				r.need = int32(max(na, nb))
+			}
+			for k := range p {
+				x := float64(w * (b[k] - a[k]))
+				p[k], acc[k] = x, acc[k]+x
+			}
+		} else {
+			for k, x := range p {
+				acc[k] += x
+			}
+		}
+		wsum += w
+		used++
+	}
+	f.wsum, f.dsum, f.used = wsum, dsum, used
+}
+
+// grow makes room for n rows; one it adds is zero (fold clears the rows it drops).
+func (fu *futures) grow(n int) {
+	if k := n - len(fu.rows); k > 0 {
+		fu.rows = slices.Grow(fu.rows, k)[:n]
+		fu.sts = slices.Grow(fu.sts, k)[:n]
+		fu.prods = slices.Grow(fu.prods, k*fu.dims)[:n*fu.dims]
+	}
+}
+
+// disp is the fold's estimate, Σ w·(b−a) / Σ w in a slice of its own, or
+// ErrNoMatches from fewer than minMatches windows with a future.
+func (f *forecast) disp(minMatches int) ([]float64, error) {
+	if minMatches <= 0 {
+		minMatches = MinMatchesForPrediction
+	}
+	if f.used < minMatches || f.wsum == 0 {
+		return nil, ErrNoMatches
+	}
+	disp := make([]float64, len(f.acc))
+	for k, a := range f.acc {
+		disp[k] = a / f.wsum
+	}
+	return disp, nil
 }
 
 // SegmentForecast is the predicted shape of the breathing segment that
@@ -322,20 +367,22 @@ func (m *Matcher) PredictNextSegment(q Query, matches []Match, minMatches int) (
 // position columns (store.Stream.Track): it writes the position the
 // stream held at time t into dst, which must have the stream's d
 // coordinates (times outside the stream clamp to its ends), and reports
-// whether t lies inside the stream. When vertex hint lies at or before t
-// the segment holding t is walked to from there; any other hint bisects.
-func positionFrom(ts, pos []float64, d int, dst []float64, t float64, hint int) bool {
+// whether t lies inside the stream, and how long a prefix gives the same
+// position (0 at the last vertex, which a later one makes a segment's
+// start). When vertex hint lies at or before t the segment holding t is
+// walked to from there; any other hint bisects.
+func positionFrom(ts, pos []float64, d int, dst []float64, t float64, hint int) (need int, in bool) {
 	last := len(ts) - 1
 	if last < 0 || len(dst) != d {
-		return false
+		return 0, false
 	}
 	if t <= ts[0] {
 		copy(dst, pos[:d])
-		return t == ts[0]
+		return 1, t == ts[0]
 	}
 	if t >= ts[last] {
 		copy(dst, pos[last*d:])
-		return t == ts[last]
+		return 0, t == ts[last]
 	}
 	// The segment containing t: ts[lo] <= t < ts[lo+1].
 	lo := hint
@@ -353,5 +400,5 @@ func positionFrom(ts, pos []float64, d int, dst []float64, t float64, hint int) 
 	for k := range dst {
 		dst[k] = a[k] + frac*(b[k]-a[k])
 	}
-	return true
+	return lo + 2, true
 }

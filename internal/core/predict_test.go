@@ -332,7 +332,8 @@ func TestPositionFromEqualsSequence(t *testing.T) {
 	got, want := make([]float64, 2), make([]float64, 2)
 	for _, at := range times {
 		for _, hint := range []int{-1, 0, seq.IndexAtTime(at) - 1, seq.IndexAtTime(at), seq.IndexAtTime(at) + 1, last, last + 5} {
-			gotIn, wantIn := positionFrom(ts, pos, d, got, at, hint), seq.PositionFrom(want, at, hint)
+			_, gotIn := positionFrom(ts, pos, d, got, at, hint)
+			wantIn := seq.PositionFrom(want, at, hint)
 			if gotIn != wantIn || math.Float64bits(got[0]) != math.Float64bits(want[0]) || math.Float64bits(got[1]) != math.Float64bits(want[1]) {
 				t.Fatalf("t=%v hint=%d: columns give %v, %v; the sequence %v, %v", at, hint, got, gotIn, want, wantIn)
 			}

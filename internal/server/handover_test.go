@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -525,13 +526,12 @@ func TestYieldLeavesTheNewOwnersFollowers(t *testing.T) {
 	}
 }
 
-// TestYieldNeedsTheSharedPrefix: a yield asks the owner's stream to
-// share every vertex this node acknowledged, not to be as long. A acks a
-// write with B cut off; B, promoted over it, grows past A's acked length
-// with samples A never saw. A's next ingest then meets B's 412: B shares
-// only the vertices from before the cut, so A keeps its copy byte for
-// byte, answers 409 naming the epoch and writes no tombstone.
-func TestYieldNeedsTheSharedPrefix(t *testing.T) {
+// supersededWithoutPrefix is TestYieldNeedsTheSharedPrefix's setup: A
+// acks a write with B cut off, B is promoted over it and grows past A's
+// acked length, and A's next ingest answers 409 naming epoch 2. It
+// returns A's URL and the PLR A acknowledged.
+func supersededWithoutPrefix(t *testing.T) (string, PLRResponse) {
+	t.Helper()
 	drop := &shipDropper{}
 	_, a := newAdvertised(t, Options{ReplicateTransport: drop})
 	_, b := newAdvertised(t, Options{})
@@ -563,6 +563,35 @@ func TestYieldNeedsTheSharedPrefix(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "epoch 2") {
 		t.Fatalf("A's next ingest: status %d %s, want 409 naming epoch 2", resp.StatusCode, body)
 	}
+	return a, acked
+}
+
+// TestSupersededStagesNoSubscriptionRecord: a node superseded in a
+// session's scope stages no subscription record on that session's link,
+// which has collapsed to a catch-up the owner refuses, so registering
+// subscriptions there ships no catch-up.
+func TestSupersededStagesNoSubscriptionRecord(t *testing.T) {
+	a, acked := supersededWithoutPrefix(t)
+	before := scrapeMetrics(t, a)["stsmatch_repl_snapshots_total"]
+	for i := 0; i < 5; i++ {
+		resp := postJSON(t, a+"/v1/subscriptions", SubscriptionRequest{
+			ID: fmt.Sprintf("late-%d", i), Seq: plr.Sequence(acked.Vertices[len(acked.Vertices)-6:]), PatientID: "P01",
+		})
+		resp.Body.Close()
+	}
+	if after := scrapeMetrics(t, a)["stsmatch_repl_snapshots_total"]; after != before {
+		t.Errorf("5 subscriptions registered on the superseded node shipped %v catch-ups, want 0", after-before)
+	}
+}
+
+// TestYieldNeedsTheSharedPrefix: a yield asks the owner's stream to
+// share every vertex this node acknowledged, not to be as long. A acks a
+// write with B cut off; B, promoted over it, grows past A's acked length
+// with samples A never saw. A's next ingest then meets B's 412: B shares
+// only the vertices from before the cut, so A keeps its copy byte for
+// byte, answers 409 naming the epoch and writes no tombstone.
+func TestYieldNeedsTheSharedPrefix(t *testing.T) {
+	a, acked := supersededWithoutPrefix(t)
 	if kept, _ := getJSON[PLRResponse](t, a+"/v1/sessions/S01/plr"); !reflect.DeepEqual(kept, acked) {
 		t.Errorf("A serves %d vertices, it acked %d: the copy changed", len(kept.Vertices), len(acked.Vertices))
 	}

@@ -192,11 +192,12 @@ func (s *Server) registerSubscription(r *http.Request, st *wal.SubState) ([]*rep
 
 // enqueueSubRecord stages a subscription record on the links of every
 // in-scope session something follows — replicas and, mid-hand-off, the
-// migration target alike. Callers hold s.mu.
+// migration target alike — but a superseded one: its links have
+// collapsed to a catch-up the owner refuses. Callers hold s.mu.
 func (s *Server) enqueueSubRecord(rec wal.Record, st wal.SubState) []*replicator {
 	var repls []*replicator
 	for _, sess := range s.sessions {
-		if st.Covers(sess.patientID, sess.sessionID) {
+		if sess.superseded == 0 && st.Covers(sess.patientID, sess.sessionID) {
 			sess.repl.enqueue(rec)
 			repls = append(repls, sess.repl)
 		}
