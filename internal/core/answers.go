@@ -201,12 +201,11 @@ func (a *answer) repair(streams []*store.Stream, add []hit) {
 	}
 	for at, j := len(a.hits)-1, len(add)-1; j >= 0; at-- {
 		if i >= 0 && cmp(a.hits[i], add[j]) > 0 {
-			a.hits[at] = a.hits[i]
 			if i < len(fu.rows) {
 				fu.rows[at], fu.sts[at] = fu.rows[i], fu.sts[i]
 				copy(fu.prods[at*d:(at+1)*d], fu.prods[i*d:])
 			}
-			i--
+			a.hits[at], i = a.hits[i], i-1
 		} else {
 			a.hits[at], j = add[j], j-1
 		}

@@ -16,9 +16,47 @@ import (
 	"stsmatch/internal/store"
 )
 
+// refDisplacement is PredictDisplacement as a plain loop over each match's
+// columns, kept apart from the fold kernel: Σ w·(b−a) / Σ w in the
+// matches' order over the windows whose streams reach both horizons, each
+// product rounded before it is summed, as the kernel's stored terms are.
+func refDisplacement(q Query, ms []Match, d1, d2 float64, minMatches int) ([]float64, error) {
+	if minMatches <= 0 {
+		minMatches = MinMatchesForPrediction
+	}
+	dims := q.Seq.Dims()
+	acc := make([]float64, dims)
+	var wsum float64
+	used := 0
+	for _, mt := range ms {
+		ts, pos, d := mt.Stream.Track()
+		end := mt.Start + mt.N - 1
+		a, b := make([]float64, dims), make([]float64, dims)
+		_, ina := positionFrom(ts, pos, d, a, ts[end]+d1, end)
+		_, inb := positionFrom(ts, pos, d, b, ts[end]+d2, end)
+		if !ina || !inb {
+			continue
+		}
+		for k := range acc {
+			acc[k] += float64(mt.Weight * (b[k] - a[k]))
+		}
+		wsum += mt.Weight
+		used++
+	}
+	if used < minMatches || wsum == 0 {
+		return nil, ErrNoMatches
+	}
+	for k := range acc {
+		acc[k] /= wsum
+	}
+	return acc, nil
+}
+
 // legacyPredict is the served estimator as three steps: FindSimilarCtx,
-// PredictDisplacement over its matches, and the mean of their distances.
-// It also counts the matches whose streams reach both horizons.
+// refDisplacement over its matches, and the mean of their distances.
+// It also counts the matches whose streams reach both horizons, and
+// holds m's PredictDisplacement over the same matches, folded afresh and
+// then again from its kept rows, to the plain loop's bits.
 func legacyPredict(t *testing.T, m *Matcher, q Query, d1, d2 float64, minMatches int) (disp []float64, matches int, meanDist float64, withFuture int, err error) {
 	t.Helper()
 	ms, err := m.FindSimilar(q, nil)
@@ -38,7 +76,18 @@ func legacyPredict(t *testing.T, m *Matcher, q Query, d1, d2 float64, minMatches
 	if len(ms) > 0 {
 		meanDist /= float64(len(ms))
 	}
-	disp, err = m.PredictDisplacement(q, ms, d1, d2, minMatches)
+	disp, err = refDisplacement(q, ms, d1, d2, minMatches)
+	for _, pass := range []string{"fresh", "repeated"} {
+		got, gerr := m.PredictDisplacement(q, ms, d1, d2, minMatches)
+		if !errors.Is(gerr, err) || len(got) != len(disp) {
+			t.Fatalf("%s PredictDisplacement at %v, %v: %v %v, want %v %v", pass, d1, d2, got, gerr, disp, err)
+		}
+		for k := range got {
+			if !sameFloat(got[k], disp[k]) {
+				t.Fatalf("%s PredictDisplacement at %v, %v: disp[%d] = %v, want %v", pass, d1, d2, k, got[k], disp[k])
+			}
+		}
+	}
 	return disp, len(ms), meanDist, withFuture, err
 }
 
@@ -289,7 +338,8 @@ func TestPredictDisplacementCtxPanicLeavesMatcherClean(t *testing.T) {
 // TestFoldMemoEqualsFreshFold: a matcher that keeps each folded window's
 // future beside its threshold answer predicts, through both doors
 // (FindSimilar then PredictDisplacement, and PredictDisplacementCtx), bit
-// for bit what a matcher built afresh for that one prediction does — at
+// for bit what refDisplacement gives over the matches of a matcher built
+// afresh for that one prediction — at
 // the same horizons twice, at changed horizons and back, after a stream
 // grows past a future it did not reach, after a repair inserts hits
 // ahead of the kept ones, over a caller's matches with one Weight,
@@ -339,15 +389,16 @@ func TestFoldMemoEqualsFreshFold(t *testing.T) {
 					}
 				}
 			}
-			// over compares m's fold of the caller's matches ms with a fresh
-			// matcher's fold of the same matches.
+			// over compares m's fold of the caller's matches ms with the
+			// plain loop over them.
 			over := func(label string, ms []Match, h [2]float64) {
 				t.Helper()
 				gd, gerr := m.PredictDisplacement(q, ms, h[0], h[1], 0)
-				wd, werr := fresh().PredictDisplacement(q, slices.Clone(ms), h[0], h[1], 0)
+				wd, werr := refDisplacement(q, ms, h[0], h[1], 0)
 				same(label, gd, gerr, wd, werr)
 			}
-			// both compares both doors of m at h with a fresh matcher's.
+			// both compares both doors of m at h with the plain loop over a
+			// fresh matcher's matches.
 			both := func(label string, h [2]float64) {
 				t.Helper()
 				f := fresh()
@@ -360,11 +411,10 @@ func TestFoldMemoEqualsFreshFold(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameMatchBits(t, label, want, got)
+				wd, werr := refDisplacement(q, want, h[0], h[1], 0)
 				gd, gerr := m.PredictDisplacement(q, got, h[0], h[1], 0)
-				wd, werr := f.PredictDisplacement(q, want, h[0], h[1], 0)
 				same(label+" PredictDisplacement", gd, gerr, wd, werr)
 				gd, _, _, gerr = m.PredictDisplacementCtx(ctx, q, h[0], h[1], 0)
-				wd, _, _, werr = fresh().PredictDisplacementCtx(ctx, q, h[0], h[1], 0)
 				same(label+" PredictDisplacementCtx", gd, gerr, wd, werr)
 			}
 			// settled counts the kept rows a fold at h would sum as they are.
@@ -495,11 +545,7 @@ func TestFoldMemoEqualsFreshFold(t *testing.T) {
 			}
 		}
 		gd, gerr := m.PredictDisplacement(q, ms, 0.5, 1, 1)
-		wd, werr := NewMatcher(store.NewDB(), DefaultParams())
-		if werr != nil {
-			t.Fatal(werr)
-		}
-		want, werr := wd.PredictDisplacement(q, ms, 0.5, 1, 1)
+		want, werr := refDisplacement(q, ms, 0.5, 1, 1)
 		if gerr != nil || werr != nil || !sameFloat(gd[0], want[0]) {
 			t.Fatalf("last vertex, grown %v: %v %v, want %v %v", grown, gd, gerr, want, werr)
 		}

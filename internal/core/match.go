@@ -478,7 +478,7 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	}
 	switch {
 	case fc != nil:
-		fc.fold(m, &ans.fut, pl.q.Seq.Dims(), nil, ans.hits, ans.lens)
+		fc.fold(m, nil, pl.q.Seq.Dims(), nil, ans.hits, ans.lens)
 	case repaired && k == 0:
 		out = make([]Match, len(ans.hits))
 		for i, h := range ans.hits {

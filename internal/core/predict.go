@@ -185,13 +185,14 @@ type forecast struct {
 	used       int       // windows with a future, of matches
 	matches    int
 	ab         []float64 // a window's two positions
+	one        futures   // the served door's one row: its d1 moves with every ingest, so it keeps none
 }
 
 // futures keep, beside a threshold answer's hits, row i for the i-th
-// window of the last fold: its future, settled once its stream reaches
-// both horizons (the database is append-only). A fold at the same
-// horizons sums a row only for the window and weight it was computed
-// from, so no caller's list, edited or another's, reads a row not its own.
+// window of PredictDisplacement's last fold: its future, settled once its
+// stream reaches both horizons (the database is append-only). A fold at
+// the same horizons sums a row only for the window and weight it was
+// computed from, so no caller's list, edited or another's, reads a row not its own.
 type futures struct {
 	rows   []future
 	sts    []*store.Stream // row i's stream, apart so that rows hold no pointer
@@ -211,32 +212,34 @@ type future struct {
 	at             uint32 // the horizons' stamp
 }
 
-// fold is the one fold kernel: over the caller's matches
-// (PredictDisplacement), or a threshold answer's hits in FindSimilar's
-// order, each stream cut at lens, the prefix the answer ranked
-// (PredictDisplacementCtx, in m's running search). Row i of fu is summed
-// if it is the i-th window's at these horizons and the columns cover its
-// need; else the columns are read and fill it. The terms are the rounded
-// products either way: the sums' bits do not depend on which rows were reused.
+// fold is the one fold kernel: over the caller's matches (PredictDisplacement),
+// or a threshold answer's hits in FindSimilar's order, each stream cut at lens,
+// the prefix the answer ranked (PredictDisplacementCtx, in m's running search).
+// Row i of fu (with fu nil, f's one row, for every window) is summed if it is
+// the window's at these horizons and the columns cover its need; else the
+// columns are read and fill it. The terms are the rounded products either way:
+// the sums' bits do not depend on which rows were reused.
 func (f *forecast) fold(m *Matcher, fu *futures, dims int, matches []Match, hits []hit, lens []int32) {
 	f.acc = slices.Grow(f.acc[:0], dims)[:dims]
 	clear(f.acc)
 	n := len(matches) + len(hits) // one of them is empty
-	f.matches = n
 	wsum, dsum, used := 0.0, 0.0, 0
 	f.ab = slices.Grow(f.ab[:0], 2*dims)[:2*dims]
-	stale := !sameFloat(fu.d1, f.d1) || !sameFloat(fu.d2, f.d2) || fu.at == 0 // no row is current
+	mask, stale := -1, fu == nil // window i's row is fu's row i&mask
 	if stale {
+		fu, mask = &f.one, 0
+	}
+	if stale = stale || !sameFloat(fu.d1, f.d1) || !sameFloat(fu.d2, f.d2) || fu.at == 0; stale { // no row is current
 		fu.d1, fu.d2, fu.at = f.d1, f.d2, fu.at+1
 	}
 	if fu.dims != dims || fu.at == 0 { // a new stride, or the stamps wrapped
 		clear(fu.rows)
 		fu.rows, fu.sts, fu.prods, fu.dims, fu.at = fu.rows[:0], fu.sts[:0], fu.prods[:0], dims, 1
 	}
-	fu.grow(n)
+	fu.grow(max(n&mask, 1))
 	m.call++
-	rows, sts, prods, at, acc, a, b := fu.rows[:n], fu.sts[:n], fu.prods, fu.at, f.acc, f.ab[:dims], f.ab[dims:]
-	for i := range rows {
+	rows, sts, prods, at, acc, a, b := fu.rows, fu.sts, fu.prods, fu.at, f.acc, f.ab[:dims], f.ab[dims:]
+	for i := 0; i < n; i++ {
 		var st *store.Stream
 		var start, wn, d int // the window's first vertex and length; the stream's coordinates
 		var w float64
@@ -253,12 +256,13 @@ func (f *forecast) fold(m *Matcher, fu *futures, dims int, matches []Match, hits
 			ts, pos = ts[:lens[h.ord]], pos[:int(lens[h.ord])*d]
 			dsum += h.dist
 		}
-		r, p := &rows[i], prods[i*dims:(i+1)*dims]
-		if stale || r.need == 0 || int(r.need) > len(ts) || r.at != at || sts[i] != st ||
+		j := i & mask
+		r, p := &rows[j], prods[j*dims:(j+1)*dims]
+		if stale || r.need == 0 || int(r.need) > len(ts) || r.at != at || sts[j] != st ||
 			r.start != int32(start) || r.n != int32(wn) || !sameFloat(r.w, w) {
 			*r = future{w: w, start: int32(start), n: int32(wn), at: at}
-			if sts[i] != st {
-				sts[i] = st
+			if sts[j] != st {
+				sts[j] = st
 			}
 			end := start + wn - 1
 			na, ina := positionFrom(ts, pos, d, a, ts[end]+f.d1, end)
@@ -270,18 +274,16 @@ func (f *forecast) fold(m *Matcher, fu *futures, dims int, matches []Match, hits
 				r.need = int32(max(na, nb))
 			}
 			for k := range p {
-				x := float64(w * (b[k] - a[k]))
-				p[k], acc[k] = x, acc[k]+x
+				p[k] = float64(w * (b[k] - a[k]))
 			}
-		} else {
-			for k, x := range p {
-				acc[k] += x
-			}
+		}
+		for k, x := range p {
+			acc[k] += x
 		}
 		wsum += w
 		used++
 	}
-	f.wsum, f.dsum, f.used = wsum, dsum, used
+	f.wsum, f.dsum, f.used, f.matches = wsum, dsum, used, n
 }
 
 // grow makes room for n rows; one it adds is zero (fold clears the rows it drops).

@@ -569,7 +569,7 @@ func supersededWithoutPrefix(t *testing.T) (string, PLRResponse) {
 // TestSupersededStagesNoSubscriptionRecord: a node superseded in a
 // session's scope stages no subscription record on that session's link,
 // which has collapsed to a catch-up the owner refuses, so registering
-// subscriptions there ships no catch-up.
+// subscriptions there (each one created) ships no catch-up.
 func TestSupersededStagesNoSubscriptionRecord(t *testing.T) {
 	a, acked := supersededWithoutPrefix(t)
 	before := scrapeMetrics(t, a)["stsmatch_repl_snapshots_total"]
@@ -577,7 +577,13 @@ func TestSupersededStagesNoSubscriptionRecord(t *testing.T) {
 		resp := postJSON(t, a+"/v1/subscriptions", SubscriptionRequest{
 			ID: fmt.Sprintf("late-%d", i), Seq: plr.Sequence(acked.Vertices[len(acked.Vertices)-6:]), PatientID: "P01",
 		})
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
+		// A superseded node still registers subscriptions; should it come to
+		// refuse them (409), this check goes with that change.
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("registration %d on the superseded node: status %d %s, want 201", i, resp.StatusCode, body)
+		}
 	}
 	if after := scrapeMetrics(t, a)["stsmatch_repl_snapshots_total"]; after != before {
 		t.Errorf("5 subscriptions registered on the superseded node shipped %v catch-ups, want 0", after-before)
