@@ -102,6 +102,7 @@ func (c *CoverageController) Attempts() int { return c.attempts }
 // FindSimilar is m.FindSimilar under the controller's current threshold.
 // The threshold goes to the search as an argument: m.Params is never
 // written, so nothing leaks into later calls whatever the search does.
+// Its result is shared and read-only, as m.FindSimilar's.
 func (c *CoverageController) FindSimilar(m *Matcher, q Query) ([]Match, error) {
 	return m.search(context.Background(), q, nil, 0, c.eps, nil)
 }

@@ -22,6 +22,11 @@ import (
 // which is how a prediction loop asking its dynamic query again between
 // two vertex closes (Section 4.3) is answered.
 //
+// The threshold answer also keeps the []Match FindSimilar last returned,
+// shared with its caller and never written into: a search that adds no
+// hit returns it again; new hits, or another key or stream list at open,
+// drop it for the next FindSimilar to build anew.
+//
 // A repair records the kept answer's funnel counts plus the new windows'
 // (top-k matches displaced by new ones move to DistRejected), so the
 // stsmatch_matcher_* funnel series count what a fresh search would.
@@ -51,13 +56,15 @@ const answerCap = 128
 
 // answer is one kept answer: its key and the plan made from it, each
 // listed stream's length when it was made, and its hits in the result
-// order.
+// order; a threshold answer also the list FindSimilar returned and the
+// futures a fold read.
 type answer struct {
 	searchKey
 	plan   queryPlan // its vertex weights and query segments in a buffer of its own
 	used   uint64    // the stamp of the last use; 0 while the slot holds no complete answer
 	lens   []int32   // per listed stream, the vertices the answer ranked the windows of
 	hits   []hit     // in matchCmp order; a hit's ord indexes the stream list
+	list   []Match   // a threshold answer's: its hits as FindSimilar last returned them, len == cap; nil once they change
 	fut    futures   // a threshold answer's: beside the hits, their futures as last folded
 	counts FunnelCounts
 }
@@ -136,7 +143,7 @@ func (as *answers) open(db *store.DB, p Params, threshold float64, k int, q Quer
 	if !repair {
 		a.lens = slices.Grow(a.lens[:0], len(streams))[:len(streams)]
 		clear(a.lens)
-		a.hits, a.counts = a.hits[:0], FunnelCounts{}
+		a.hits, a.list, a.counts = a.hits[:0], nil, FunnelCounts{}
 	}
 	a.used = 0
 	return a, repair
@@ -189,8 +196,13 @@ func (a *answer) keep(out []Match) {
 
 // repair merges a threshold repair's new hits, sorted where they lie,
 // into a's kept ones from the back: a kept hit moves at most once, and
-// its future's row, once folded, with it.
+// its future's row, once folded, with it. New hits drop the kept list,
+// never written into: its caller may still be reading it.
 func (a *answer) repair(streams []*store.Stream, add []hit) {
+	if len(add) == 0 {
+		return
+	}
+	a.list = nil
 	cmp := hitOrder(streams)
 	slices.SortFunc(add, cmp)
 	i := len(a.hits) - 1

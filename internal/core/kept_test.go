@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"stsmatch/internal/dataset"
 	"stsmatch/internal/fsm"
@@ -241,6 +244,171 @@ func TestKeptRetrievalEqualsFreshMatcher(t *testing.T) {
 			t.Errorf("par=%d: a panicked search left a retrieval kept", par)
 		}
 		changed("after a panicked search")
+	}
+}
+
+// TestKeptListIsShared: a threshold search asked again returns the list
+// it returned before, the same array with len == cap, allocating nothing
+// (and a prediction over it its result only); and no list a matcher has
+// handed out changes afterwards, through a repair that adds hits, a
+// PredictDisplacementCtx that rewrites the hits, a search for another
+// query and a TopK. Every list equals a fresh matcher's, at one and two
+// workers.
+func TestKeptListIsShared(t *testing.T) {
+	alwaysFanOut(t)
+	ctx := context.Background()
+	seed := maphash.MakeSeed()
+	// sum digests a list's values, the bits of every field.
+	sum := func(ms []Match) uint64 {
+		var h maphash.Hash
+		h.SetSeed(seed)
+		for _, mt := range ms {
+			fmt.Fprintf(&h, "%p %d %d %d %d %x %x;", mt.Stream, mt.Start, mt.N, mt.Relation, mt.ord,
+				math.Float64bits(mt.Distance), math.Float64bits(mt.Weight))
+		}
+		return h.Sum64()
+	}
+	for _, par := range []int{1, 2} {
+		db := forecastCorpus(t, 71, 1)
+		p := DefaultParams()
+		p.Parallelism = par
+		m, err := NewMatcher(db, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := db.Streams()[2].Seq()
+		q := NewQuery(seq[len(seq)/2-8:len(seq)/2], "", "")
+		other := NewQuery(seq[len(seq)/3-8:len(seq)/3], "", "")
+
+		// handed are the lists m returned, each with its digest then.
+		type list struct {
+			label string
+			ms    []Match
+			sum   uint64
+		}
+		var handed []list
+		// find asks m for a threshold search of q, holds the list to a
+		// fresh matcher's and keeps it with its digest.
+		find := func(label string, q Query) []Match {
+			t.Helper()
+			label = fmt.Sprintf("par=%d %s", par, label)
+			f, err := NewMatcher(db, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := f.FindSimilar(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.FindSimilar(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMatchBits(t, label, want, got)
+			if len(got) != cap(got) {
+				t.Fatalf("%s: len %d, cap %d", label, len(got), cap(got))
+			}
+			handed = append(handed, list{label, got, sum(got)})
+			return got
+		}
+		// intact checks that no handed-out list changed.
+		intact := func(after string) {
+			t.Helper()
+			for _, l := range handed {
+				if sum(l.ms) != l.sum {
+					t.Fatalf("par=%d: the list of %q changed after %s", par, l.label, after)
+				}
+			}
+		}
+		same := func(a, b []Match) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
+
+		first := find("first", q)
+		if len(first) < 10 {
+			t.Fatalf("par=%d fixture: %d matches", par, len(first))
+		}
+		before := mReused.Value()
+		if again := find("again", q); !same(again, first) {
+			t.Fatalf("par=%d: a reused search returned a new list", par)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := m.FindSimilar(q, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("par=%d: a reused FindSimilar allocates %v times, want 0", par, n)
+		}
+		if _, err := m.PredictDisplacement(q, first, 0.2, 0.9, 0); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			ms, err := m.FindSimilar(q, nil)
+			if err == nil {
+				_, err = m.PredictDisplacement(q, ms, 0.2, 0.9, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("par=%d: a repeated FindSimilar and PredictDisplacement allocate %v times, want 1 (the result)", par, n)
+		}
+		if n := mReused.Value() - before; n < 41 {
+			t.Fatalf("par=%d: %d searches reused, want at least 41", par, n)
+		}
+
+		// Another patient's stream grows by a copy of q: distance-0 hits,
+		// ranked ahead of every kept one.
+		st := db.Patient("P4").Streams[0]
+		ts, _, _ := st.Track()
+		shift := ts[len(ts)-1] + 1 - q.Seq[0].T
+		appendCopy := func() {
+			t.Helper()
+			for _, v := range q.Seq {
+				v.T += shift
+				if err := st.Append(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shift += q.Seq.Duration() + 1
+		}
+		appendCopy()
+		if grown := find("repair that adds hits", q); same(grown, first) || len(grown) <= len(first) {
+			t.Fatalf("par=%d: a repair that adds hits returned the kept list (%d matches, %d before)", par, len(grown), len(first))
+		}
+		intact("a repair that adds hits")
+		repaired := find("repaired, again", q)
+		intact("a reuse of a repaired list")
+
+		appendCopy()
+		if _, _, _, err := m.PredictDisplacementCtx(ctx, q, 0.2, 0.9, 0); err != nil {
+			t.Fatal(err)
+		}
+		intact("a PredictDisplacementCtx that repairs")
+		if again := find("after PredictDisplacementCtx", q); same(again, repaired) {
+			t.Fatalf("par=%d: the list outlived the hits a PredictDisplacementCtx added", par)
+		}
+		find("another query", other)
+		intact("a search for another query")
+		if _, _, _, err := m.PredictDisplacementCtx(ctx, q, 0.2, 0.9, 0); err != nil {
+			t.Fatal(err)
+		}
+		intact("a fresh PredictDisplacementCtx")
+		back := find("back from another query", q)
+		tk, err := m.TopK(q, 7, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk2, err := m.TopK(q, 7, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same(tk, tk2) {
+			t.Errorf("par=%d: a repeated TopK returned the list it returned before", par)
+		}
+		intact("a TopK")
+		if again := find("after TopK", q); !same(again, back) {
+			t.Errorf("par=%d: a TopK dropped the threshold answer's list", par)
+		}
+		intact("the last search")
 	}
 }
 

@@ -257,6 +257,13 @@ func (m *Matcher) relation(ord int32) SourceRelation {
 // restrict, when non-nil, limits the search to streams of the listed
 // patients (the cluster-restricted search of Section 5.3); keys are
 // patient IDs.
+//
+// The result is shared with the matcher and read-only: a caller that
+// edits it clones it first. An unrestricted search keeps the list it
+// returns, and the same search asked again with no new hit returns that
+// list again, allocating nothing. The matcher never writes into a list
+// it has returned, so a list stays as it was through later calls and
+// may be read while the matcher serves another search.
 func (m *Matcher) FindSimilar(q Query, restrict map[string]bool) ([]Match, error) {
 	return m.FindSimilarCtx(context.Background(), q, restrict)
 }
@@ -265,14 +272,16 @@ func (m *Matcher) FindSimilar(q Query, restrict map[string]bool) ([]Match, error
 // carries a trace span (obs.StartSpan), the search emits a
 // "matcher.search" child span plus per-funnel-stage spans carrying
 // stage wall time and candidate counts. Untraced contexts behave
-// exactly like FindSimilar.
+// exactly like FindSimilar. Its result is shared and read-only, as
+// FindSimilar's.
 func (m *Matcher) FindSimilarCtx(ctx context.Context, q Query, restrict map[string]bool) ([]Match, error) {
 	return m.search(ctx, q, restrict, 0, m.Params.DistThreshold, nil)
 }
 
 // TopK retrieves the k nearest stored subsequences with the query's
 // state order, regardless of the distance threshold. (Definition 3's
-// top-h within one stream is OfflineSearch.TopH.)
+// top-h within one stream is OfflineSearch.TopH.) Each call returns a
+// new list, the caller's own.
 //
 // The threshold is ignored by plumbing an infinite bound through the
 // search rather than by mutating m.Params, so an error or panic
@@ -480,12 +489,18 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	case fc != nil:
 		fc.fold(m, nil, pl.q.Seq.Dims(), nil, ans.hits, ans.lens)
 	case repaired && k == 0:
-		out = make([]Match, len(ans.hits))
-		for i, h := range ans.hits {
-			out[i] = pl.match(streams[h.ord], m.relation(h.ord), h)
+		if ans.list == nil {
+			ans.list = make([]Match, len(ans.hits))
+			for i, h := range ans.hits {
+				ans.list[i] = pl.match(streams[h.ord], m.relation(h.ord), h)
+			}
 		}
+		out = ans.list
 	case ans != nil:
 		ans.keep(out)
+		if k == 0 {
+			ans.list = out
+		}
 	}
 	var mergeDur time.Duration
 	if pl.timed {

@@ -99,7 +99,8 @@ func (m *Matcher) PredictPosition(q Query, matches []Match, delta float64, minMa
 
 // Predict runs the full online pipeline for one horizon: retrieve
 // similar subsequences for the query, then predict the position delta
-// seconds ahead.
+// seconds ahead. An unrestricted one asked again with no new hit
+// retrieves FindSimilar's kept list, allocating nothing for it.
 func (m *Matcher) Predict(q Query, delta float64, restrict map[string]bool) (Prediction, error) {
 	matches, err := m.FindSimilar(q, restrict)
 	if err != nil {

@@ -191,8 +191,10 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if req.Now != nil {
 		q.Now = *req.Now
 	}
-	// The matches are the caller's own: the matcher goes back before
-	// the answer is written. One whose search panicked is not returned.
+	// The matcher goes back before the answer is written. A threshold
+	// answer's matches are shared with it and read-only: no later search
+	// on it writes into a list it has returned (core.Matcher.FindSimilar).
+	// One whose search panicked is not returned.
 	matcher := s.matchers.get()
 	var matches []core.Match
 	if req.K > 0 {

@@ -57,6 +57,91 @@ func TestServedMatchersSurviveGC(t *testing.T) {
 	}
 }
 
+// TestServedThresholdListUnderIngest (run under -race): threshold
+// /v1/match requests for one query, answered at once while another
+// goroutine ingests into a live session and closes vertices, write their
+// answers from lists the matchers share after they went back to the set;
+// no search writes into one. Once the ingest stops, two answers in a row
+// are byte for byte the same, the second from the kept answer, and equal
+// a fresh matcher's.
+func TestServedThresholdListUnderIngest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	params := core.DefaultParams()
+	srv, feed := predictServer(t, params, 6, 1, 150)
+	feed(60)
+	hist := srv.db.Streams()[0]
+	seq := hist.Seq()
+	body, err := json.Marshal(MatchRequest{Seq: seq[len(seq)-10:], PatientID: hist.PatientID, SessionID: hist.SessionID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	match := func() (int, []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/match", bytes.NewReader(body)))
+		return rec.Code, rec.Body.Bytes()
+	}
+
+	liveStream := srv.sessions["live"].stream
+	vertices := liveStream.Len()
+	repaired := obs.Default().Counter("stsmatch_matcher_repaired_total", "")
+	repairs := repaired.Value()
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				if code, b := match(); code != http.StatusOK || !json.Valid(b) {
+					t.Errorf("a match under ingest: status %d, body %.200s", code, b)
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for to := 61.0; to <= 150; to++ {
+		feed(to)
+	}
+	close(stop)
+	readers.Wait()
+	if liveStream.Len() == vertices {
+		t.Fatal("fixture: the ingest closed no vertex")
+	}
+	if repaired.Value() == repairs {
+		t.Error("no match under ingest was repaired")
+	}
+
+	reused := obs.Default().Counter("stsmatch_matcher_reused_total", "")
+	code, first := match()
+	before := reused.Value()
+	code2, second := match()
+	if code != http.StatusOK || code2 != http.StatusOK || !bytes.Equal(first, second) {
+		t.Fatalf("two answers with no ingest between them: %d %s, then %d %s", code, first, code2, second)
+	}
+	if reused.Value() == before {
+		t.Error("the second of two answers in a row was not reused")
+	}
+	m, err := core.NewMatcher(srv.db, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := core.NewQuery(seq[len(seq)-10:], hist.PatientID, hist.SessionID)
+	want, err := m.FindSimilar(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	writeMatches(rec, want, nil)
+	if !bytes.Equal(second, rec.Body.Bytes()) {
+		t.Errorf("the served answer %.200s, a fresh matcher's %.200s", second, rec.Body.Bytes())
+	}
+}
+
 // TestMatcherSetLendsLastReturned: the set lends GOMAXPROCS distinct
 // matchers at once, and the one returned last first.
 func TestMatcherSetLendsLastReturned(t *testing.T) {
