@@ -36,6 +36,8 @@ import (
 // write them.
 type answers struct {
 	last  answer   // the last threshold search's; each new one replaces it
+	list  []Match  // last's hits as FindSimilar last returned them, len == cap; nil once they change
+	fut   futures  // beside last's hits, their futures as last folded
 	sums  []uint64 // each top-k slot's answerSum, scanned before any key is compared
 	slots []*answer
 	tick  uint64 // the last use's stamp
@@ -56,16 +58,14 @@ const answerCap = 128
 
 // answer is one kept answer: its key and the plan made from it, each
 // listed stream's length when it was made, and its hits in the result
-// order; a threshold answer also the list FindSimilar returned and the
-// futures a fold read.
+// order. What only the threshold answer keeps beside (answers.list and
+// answers.fut) is not in every top-k slot.
 type answer struct {
 	searchKey
 	plan   queryPlan // its vertex weights and query segments in a buffer of its own
 	used   uint64    // the stamp of the last use; 0 while the slot holds no complete answer
 	lens   []int32   // per listed stream, the vertices the answer ranked the windows of
 	hits   []hit     // in matchCmp order; a hit's ord indexes the stream list
-	list   []Match   // a threshold answer's: its hits as FindSimilar last returned them, len == cap; nil once they change
-	fut    futures   // a threshold answer's: beside the hits, their futures as last folded
 	counts FunnelCounts
 }
 
@@ -143,7 +143,10 @@ func (as *answers) open(db *store.DB, p Params, threshold float64, k int, q Quer
 	if !repair {
 		a.lens = slices.Grow(a.lens[:0], len(streams))[:len(streams)]
 		clear(a.lens)
-		a.hits, a.list, a.counts = a.hits[:0], nil, FunnelCounts{}
+		a.hits, a.counts = a.hits[:0], FunnelCounts{}
+		if k == 0 {
+			as.list = nil
+		}
 	}
 	a.used = 0
 	return a, repair
@@ -195,19 +198,20 @@ func (a *answer) keep(out []Match) {
 }
 
 // repair merges a threshold repair's new hits, sorted where they lie,
-// into a's kept ones from the back: a kept hit moves at most once, and
+// into the kept ones from the back: a kept hit moves at most once, and
 // its future's row, once folded, with it. New hits drop the kept list,
 // never written into: its caller may still be reading it.
-func (a *answer) repair(streams []*store.Stream, add []hit) {
+func (as *answers) repair(streams []*store.Stream, add []hit) {
 	if len(add) == 0 {
 		return
 	}
-	a.list = nil
+	as.list = nil
+	a := &as.last
 	cmp := hitOrder(streams)
 	slices.SortFunc(add, cmp)
 	i := len(a.hits) - 1
 	a.hits = slices.Grow(a.hits, len(add))[:len(a.hits)+len(add)]
-	fu, d := &a.fut, a.fut.dims
+	fu, d := &as.fut, as.fut.dims
 	if len(fu.rows) > 0 {
 		fu.grow(len(a.hits))
 	}

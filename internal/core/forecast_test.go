@@ -419,8 +419,8 @@ func TestFoldMemoEqualsFreshFold(t *testing.T) {
 			}
 			// settled counts the kept rows a fold at h would sum as they are.
 			settled := func() (n int) {
-				for _, r := range m.answers.last.fut.rows {
-					if r.need > 0 && r.at == m.answers.last.fut.at {
+				for _, r := range m.answers.fut.rows {
+					if r.need > 0 && r.at == m.answers.fut.at {
 						n++
 					}
 				}

@@ -477,7 +477,7 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 		out = pl.col.heap
 		slices.SortFunc(out, matchCmp)
 	case repaired:
-		ans.repair(streams, active[0].hits) // a repair runs on one worker
+		m.answers.repair(streams, active[0].hits) // a repair runs on one worker
 	case fc != nil:
 		n := hitCount(active)
 		ans.hits = slices.Grow(ans.hits[:0], n)[:n]
@@ -489,17 +489,18 @@ func (m *Matcher) search(ctx context.Context, q Query, restrict map[string]bool,
 	case fc != nil:
 		fc.fold(m, nil, pl.q.Seq.Dims(), nil, ans.hits, ans.lens)
 	case repaired && k == 0:
-		if ans.list == nil {
-			ans.list = make([]Match, len(ans.hits))
+		as := &m.answers
+		if as.list == nil {
+			as.list = make([]Match, len(ans.hits))
 			for i, h := range ans.hits {
-				ans.list[i] = pl.match(streams[h.ord], m.relation(h.ord), h)
+				as.list[i] = pl.match(streams[h.ord], m.relation(h.ord), h)
 			}
 		}
-		out = ans.list
+		out = as.list
 	case ans != nil:
 		ans.keep(out)
 		if k == 0 {
-			ans.list = out
+			m.answers.list = out
 		}
 	}
 	var mergeDur time.Duration

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -451,5 +452,17 @@ func TestNonFiniteDistanceNeverMatches(t *testing.T) {
 func TestMatchSize(t *testing.T) {
 	if size := unsafe.Sizeof(Match{}); size != 48 {
 		t.Errorf("a Match is %d bytes, want 48", size)
+	}
+}
+
+// TestAnswerSlotSize: a matcher keeps up to answerCap top-k slots, so a
+// slot carries nothing only the threshold answer uses (its returned list
+// and its futures sit in answers beside it).
+func TestAnswerSlotSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("the sizes are of 64-bit words")
+	}
+	if size := unsafe.Sizeof(answer{}); size != 576 {
+		t.Errorf("an answer is %d bytes, want 576", size)
 	}
 }

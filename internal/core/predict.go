@@ -124,7 +124,7 @@ func (m *Matcher) PredictDisplacement(q Query, matches []Match, d1, d2 float64, 
 	}
 	f := &m.fc
 	f.d1, f.d2 = d1, d2
-	f.fold(m, &m.answers.last.fut, q.Seq.Dims(), matches, nil, nil)
+	f.fold(m, &m.answers.fut, q.Seq.Dims(), matches, nil, nil)
 	return f.disp(minMatches)
 }
 

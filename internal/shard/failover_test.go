@@ -299,6 +299,7 @@ func TestRebalanceAfterGatewayRestartFailsOverOrphan(t *testing.T) {
 		urls[i] = n.URL
 	}
 	gw2, err := shard.NewGateway(urls, shard.Options{
+		Transport:      c.Transport,
 		Replicas:       2,
 		HealthInterval: -1,
 		FailThreshold:  1,
@@ -342,17 +343,17 @@ func TestRebalanceAfterGatewayRestartFailsOverOrphan(t *testing.T) {
 	resp.Body.Close()
 }
 
-// cutTransport is a gateway transport over the frame carrier that fails
+// cutTransport is a gateway transport over a cluster carrier that fails
 // every request to the node whose URL cut holds: the gateway ejects that
 // node while its peers, on their own transports, still reach it.
 func cutTransport(t *testing.T, cut *atomic.Pointer[string]) http.RoundTripper {
-	frames := new(frame.Transport)
-	t.Cleanup(frames.Close)
+	carrier := new(testutil.Carrier)
+	t.Cleanup(carrier.Close)
 	return roundTripFunc(func(r *http.Request) (*http.Response, error) {
 		if u := cut.Load(); u != nil && "http://"+r.URL.Host == *u {
 			return nil, fmt.Errorf("%s is cut off from the gateway", *u)
 		}
-		return frames.RoundTrip(r)
+		return carrier.RoundTrip(r)
 	})
 }
 
@@ -635,11 +636,11 @@ func TestReplicationEquivalence(t *testing.T) {
 // through the gateway alone — sessions created and ingested at R=2, a
 // match in both modes, predict, PLR, stats, probes,
 // then a primary killed and its session failed over and ingested again —
-// and counts what each shard served: no HTTP request but the upgrades
-// to the frame carrier, which carried every call from the gateway or a
-// peer.
+// on the one cluster whose nodes are loopback listeners, and counts what
+// each shard served: no HTTP request but the upgrades to the frame
+// carrier, which carried every call from the gateway or a peer.
 func TestFramesCarryClusterTraffic(t *testing.T) {
-	c := testutil.StartCluster(t, 3, 2)
+	c := testutil.StartCluster(t, 3, 2, func(cfg *testutil.ClusterConfig) { cfg.Sockets = true })
 	for i := 0; i < 6; i++ {
 		pid := fmt.Sprintf("P%02d", i)
 		createSession(t, c.URL, pid, "S-"+pid)

@@ -71,12 +71,9 @@ func ingestSession(t *testing.T, baseURL, pid, sid string, seed int64) {
 }
 
 // newFixture spins up 3 shards behind a gateway at the given
-// replication factor, ingests patients P00, P01, ... through the
-// gateway (routed by the ring), and mirrors the identical data into a
-// single-node oracle. It takes at least 6 patients, and more until
-// their primaries span two shards: the ring hashes the backends'
-// loopback URLs, whose ports are random, so 6 patients alone land on
-// one shard now and then.
+// replication factor, ingests patients P00…P05 through the gateway
+// (routed by the ring, which hashes the fixed node names), and mirrors
+// the identical data into a single-node oracle.
 func newFixture(t *testing.T, replicas int) *fixture {
 	t.Helper()
 	f := &fixture{
@@ -84,14 +81,8 @@ func newFixture(t *testing.T, replicas int) *fixture {
 		oracle:   newOracleTS(t),
 		sessions: map[string]string{},
 	}
-	ring := shard.NewRing(shard.DefaultVnodes)
-	for _, n := range f.cluster.Nodes {
-		ring.Add(n.URL)
-	}
-	primaries := map[string]bool{}
-	for i := 0; i < 6 || len(primaries) < 2; i++ {
+	for i := 0; i < 6; i++ {
 		pid := fmt.Sprintf("P%02d", i)
-		primaries[ring.Owner(pid)] = true
 		sid := "S-" + pid
 		f.sessions[sid] = pid
 		ingestSession(t, f.cluster.URL, pid, sid, int64(100+i))
@@ -332,7 +323,7 @@ func TestGatewaySessionRoutingAndDiscovery(t *testing.T) {
 	for i, n := range f.cluster.Nodes {
 		urls[i] = n.URL
 	}
-	gw2, err := shard.NewGateway(urls, shard.Options{HealthInterval: -1})
+	gw2, err := shard.NewGateway(urls, shard.Options{Transport: f.cluster.Transport, HealthInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,7 +211,7 @@ func TestGatewayReportsBadLegReply(t *testing.T) {
 			w.Header().Set("Content-Type", wal.MatchLegContentType)
 			w.Write(reply) //nolint:errcheck
 		})})
-		gw, err := shard.NewGateway([]string{good.URL, bad.URL}, shard.Options{HealthInterval: -1})
+		gw, err := shard.NewGateway([]string{good.URL, bad.URL}, shard.Options{Transport: f.cluster.Transport, HealthInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"stsmatch/internal/frame"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/server"
 	"stsmatch/internal/shard"
@@ -27,8 +26,7 @@ import (
 // movedPatient picks a patient ID whose ring arc moves onto newURL
 // when it joins a ring currently holding urls. The rings here are
 // rebuilt with the gateway's deterministic layout (DefaultVnodes), so
-// the prediction matches what Rebalance will decide at runtime even
-// though the loopback URLs differ per run.
+// the prediction matches what Rebalance will decide at runtime.
 func movedPatient(t testing.TB, urls []string, newURL string) string {
 	t.Helper()
 	before := shard.NewRing(0)
@@ -289,6 +287,7 @@ func TestMigrateKillGatewayMidDrain(t *testing.T) {
 	// A fresh gateway over the full backend set: no inherited placement
 	// table, no inherited ring state beyond the configured membership.
 	gw2, err := shard.NewGateway([]string{c.Nodes[0].URL, c.Nodes[1].URL, n3.URL}, shard.Options{
+		Transport:      c.Transport,
 		Replicas:       2,
 		HealthInterval: -1,
 		FailThreshold:  1,
@@ -1006,10 +1005,10 @@ func TestMigrateCloseDuringCatchup(t *testing.T) {
 			var afterShip atomic.Pointer[func(*http.Request)]
 			c := testutil.StartCluster(t, 2, 2, func(cfg *testutil.ClusterConfig) {
 				cfg.ConfigureServer = func(i int, o *server.Options) {
-					frames := new(frame.Transport)
-					t.Cleanup(frames.Close)
+					carrier := new(testutil.Carrier)
+					t.Cleanup(carrier.Close)
 					o.ReplicateTransport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
-						resp, err := frames.RoundTrip(r)
+						resp, err := carrier.RoundTrip(r)
 						if fn := afterShip.Load(); fn != nil {
 							(*fn)(r)
 						}

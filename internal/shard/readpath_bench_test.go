@@ -180,8 +180,8 @@ func BenchmarkRebalanceDrain(b *testing.B) {
 		c := testutil.StartCluster(b, 3, 2)
 		urls := []string{c.Nodes[0].URL, c.Nodes[1].URL, c.Nodes[2].URL}
 		n4 := c.AddNode(nil)
-		// Loopback ports differ per run and so does the ring: one patient
-		// is picked for an arc that does move, the rest fall as they may.
+		// One patient is picked for an arc that does move, the rest fall
+		// as they may.
 		pids := []string{movedPatient(b, urls, n4.URL)}
 		for p := 0; p < 11; p++ {
 			pids = append(pids, fmt.Sprintf("P%02d", p))
@@ -251,6 +251,7 @@ func BenchmarkRebalanceDrain(b *testing.B) {
 		moved += float64(len(rep.Moved))
 		during += float64(spent.Nanoseconds()) / float64(queries)
 		after += timed("after")
+		c.Close() // its names, for the next iteration's cluster
 	}
 	n := float64(b.N)
 	b.ReportMetric(drainS/n, "drain-s")

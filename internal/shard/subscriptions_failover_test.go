@@ -164,7 +164,7 @@ func TestGatewaySubscriptionPoll(t *testing.T) {
 		urls[i] = n.URL
 	}
 	const timeout, wait = 200 * time.Millisecond, time.Second
-	gw2, err := shard.NewGateway(urls, shard.Options{Replicas: 2, Timeout: timeout, HealthInterval: -1})
+	gw2, err := shard.NewGateway(urls, shard.Options{Transport: c.Transport, Replicas: 2, Timeout: timeout, HealthInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

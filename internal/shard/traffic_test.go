@@ -14,18 +14,17 @@ import (
 	"sync"
 	"testing"
 
-	"stsmatch/internal/frame"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/server"
 	"stsmatch/internal/testutil"
 	"stsmatch/internal/wal"
 )
 
-// trafficRecorder carries a node's calls to other shards over the frame
-// carrier and counts the record types of every /v1/replicate body.
+// trafficRecorder carries a node's calls to other shards over the
+// cluster's carrier and counts the record types of every /v1/replicate body.
 type trafficRecorder struct {
 	t     *testing.T
-	inner *frame.Transport
+	inner *testutil.Carrier
 
 	mu      sync.Mutex
 	shipped map[wal.Type]int
@@ -93,7 +92,7 @@ func journaledTypes(t *testing.T, dir string, into map[wal.Type]int) {
 // ships is also a journaled type. Only owners journal promotes and
 // migration records, and no link ships one.
 func TestRecordTraffic(t *testing.T) {
-	rec := &trafficRecorder{t: t, inner: &frame.Transport{}, shipped: map[wal.Type]int{}}
+	rec := &trafficRecorder{t: t, inner: new(testutil.Carrier), shipped: map[wal.Type]int{}}
 	t.Cleanup(rec.inner.Close)
 	var dirs []string
 	durable := func(o *server.Options) {

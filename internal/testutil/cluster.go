@@ -1,10 +1,10 @@
 package testutil
 
 import (
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -18,51 +18,62 @@ import (
 type Node struct {
 	URL    string
 	Server *server.Server
-	srv    atomic.Pointer[server.Server] // Server, as the listener reads it
+	srv    atomic.Pointer[server.Server] // Server, as requests reach it
 	opts   server.Options
-	ts     *httptest.Server
-	killed atomic.Bool // listener closed or partitioned off
-	dead   atomic.Bool // inbound requests aborted without a response
+	down   atomic.Bool // killed or partitioned off
+	host   *host       // the carrier's entry for URL; nil on a listener
 
-	mu       sync.Mutex
-	frames   []net.Conn // connections the frame carrier took over
-	requests int        // HTTP requests read, upgrades included
+	requests, upgrades atomic.Int64 // what a listener served (ClusterConfig.Sockets)
 }
 
-// Requests counts the HTTP requests the node has served other than
-// upgrades to the frame carrier, and the upgrades.
+// serve hands a request to the node's server. A node killed or
+// partitioned off aborts it without a response.
+func (n *Node) serve(w http.ResponseWriter, r *http.Request) {
+	if n.down.Load() {
+		panic(http.ErrAbortHandler)
+	}
+	n.srv.Load().ServeHTTP(w, r)
+}
+
+// Requests counts the HTTP requests a node on a listener
+// (ClusterConfig.Sockets) has served other than upgrades to the frame
+// carrier, and the upgrades.
 func (n *Node) Requests() (plain, upgrades int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.requests - len(n.frames), len(n.frames)
+	u := n.upgrades.Load()
+	return int(n.requests.Load() - u), int(u)
 }
 
 // Killed reports whether the node has been killed or partitioned off.
-func (n *Node) Killed() bool { return n.killed.Load() }
+func (n *Node) Killed() bool { return n.down.Load() }
 
-// PartitionOff makes the node unreachable to every subsequent inbound
-// request (connections are aborted without a response, like a machine
-// dropping off the network) while leaving the listener open. Unlike
-// Kill it is safe to call from inside one of the node's own request
-// handlers — e.g. a migration-phase hook — where closing the listener
-// would deadlock waiting for the very handler that called it.
-func (n *Node) PartitionOff() {
-	n.killed.Store(true)
-	n.dead.Store(true)
-}
+// PartitionOff makes the node refuse every later request, like a
+// machine dropping off the network, and lets the exchanges in flight
+// finish. It waits for nothing, so a hook inside one of the node's own
+// handlers may call it, as it may Kill.
+func (n *Node) PartitionOff() { n.down.Store(true) }
 
-// Cluster is an in-process sharded deployment: N streamd backends on
-// loopback listeners behind a replication-aware gateway. Health
-// probing is disabled so tests drive ejection deterministically via
-// Probe; the gateway ejects after a single failed probe and readmits
-// after two consecutive successes.
+// Cluster is an in-process sharded deployment: N streamd backends
+// behind a replication-aware gateway. Each node is a name,
+// http://shard-<i>, and the gateway http://gateway; a Carrier delivers
+// every call between them, and the client's through
+// http.DefaultTransport, in memory. The names are the cluster's while
+// it runs, so ring placement is the same in every run. Health probing
+// is disabled so tests drive ejection deterministically via Probe; the
+// gateway ejects after a single failed probe and readmits after two
+// consecutive successes.
 type Cluster struct {
 	Gateway *shard.Gateway
 	URL     string // gateway base URL
 	Nodes   []*Node
+	// Transport is the carrier the gateway and the nodes call through;
+	// nil with ClusterConfig.Sockets, where they use the frame carrier.
+	Transport http.RoundTripper
 
-	t  testing.TB
-	ts *httptest.Server
+	t       testing.TB
+	sockets bool
+	hosts   []*host
+	closers []func()
+	closed  bool
 }
 
 // ClusterConfig customizes StartCluster beyond the (n, replicas)
@@ -75,11 +86,15 @@ type ClusterConfig struct {
 	// before construction (e.g. to set a DataDir or inject a
 	// ReplicateTransport).
 	ConfigureServer func(i int, o *server.Options)
+	// Sockets puts each node on a loopback listener, its URL the
+	// listener's, and leaves every call between nodes to the production
+	// frame carrier; Node.Requests counts what each served.
+	Sockets bool
 }
 
 // StartCluster boots n streamd backends behind a gateway with the
-// given replication factor and registers cleanup on t. Backends
-// advertise their own loopback URL, so WAL shipments between them
+// given replication factor and closes the cluster when t ends.
+// Backends advertise their own URL, so WAL shipments between them
 // carry real source identities.
 func StartCluster(t testing.TB, n, replicas int, conf ...func(*ClusterConfig)) *Cluster {
 	t.Helper()
@@ -87,7 +102,13 @@ func StartCluster(t testing.TB, n, replicas int, conf ...func(*ClusterConfig)) *
 	for _, fn := range conf {
 		fn(&cfg)
 	}
-	c := &Cluster{t: t}
+	c := &Cluster{t: t, sockets: cfg.Sockets}
+	t.Cleanup(c.Close)
+	if !cfg.Sockets {
+		carrier := new(Carrier)
+		c.Transport = carrier
+		c.closers = append(c.closers, carrier.Close)
+	}
 	urls := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		node := c.AddNode(func(o *server.Options) {
@@ -112,16 +133,54 @@ func StartCluster(t testing.TB, n, replicas int, conf ...func(*ClusterConfig)) *
 	if gopts.BackoffMax == 0 {
 		gopts.BackoffMax = 5e6
 	}
+	if gopts.Transport == nil {
+		gopts.Transport = c.Transport
+	}
 	gw, err := shard.NewGateway(urls, gopts)
 	if err != nil {
 		t.Fatalf("testutil: gateway: %v", err)
 	}
-	t.Cleanup(gw.Close)
+	c.closers = append(c.closers, gw.Close)
 	c.Gateway = gw
-	c.ts = httptest.NewServer(gw)
-	t.Cleanup(c.ts.Close)
-	c.URL = c.ts.URL
+	c.URL, _ = c.name("gateway", gw)
 	return c
+}
+
+// name registers h under http://<name> until the cluster closes.
+func (c *Cluster) name(name string, h http.Handler) (string, *host) {
+	hs, err := register(name, h)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.hosts = append(c.hosts, hs)
+	c.closers = append(c.closers, hs.unregister)
+	return "http://" + name, hs
+}
+
+// Close closes the cluster: its gateway's name is freed once the
+// requests in flight to it are answered, then the gateway closes, and
+// each node is killed and its name freed. StartCluster registers it
+// with t; a test that starts a cluster again before it ends closes the
+// last one first.
+func (c *Cluster) Close() {
+	if c.closed {
+		return
+	}
+	c.closed = true
+	for i := len(c.closers) - 1; i >= 0; i-- {
+		c.closers[i]()
+	}
+}
+
+// Exchanges counts the requests the carrier has delivered to the
+// cluster's names: the client's to the gateway and every call between
+// nodes.
+func (c *Cluster) Exchanges() int {
+	var n int64
+	for _, h := range c.hosts {
+		n += h.exchanges.Load()
+	}
+	return int(n)
 }
 
 // AddNode boots one streamd backend and appends it to c.Nodes. On a
@@ -135,43 +194,37 @@ func (c *Cluster) AddNode(configure func(o *server.Options)) *Node {
 		h.Helper()
 	}
 	node := &Node{}
-	// The handler closes over the node so the listener (and its URL)
-	// can exist before the server it fronts: backends need their own
-	// URL at construction time to advertise it.
-	// Framed requests are dispatched to this outermost handler too, so a
-	// partitioned node aborts them as it aborts HTTP ones.
-	node.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if node.dead.Load() {
-			panic(http.ErrAbortHandler) // sever without a response
+	if c.sockets {
+		ts := httptest.NewUnstartedServer(http.HandlerFunc(node.serve))
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			switch st {
+			case http.StateActive:
+				node.requests.Add(1)
+			case http.StateHijacked:
+				node.upgrades.Add(1)
+			}
 		}
-		node.srv.Load().ServeHTTP(w, r)
-	}))
-	node.ts.Config.ConnState = func(c net.Conn, st http.ConnState) {
-		node.mu.Lock()
-		defer node.mu.Unlock()
-		if st == http.StateActive {
-			node.requests++
-		} else if st == http.StateHijacked {
-			node.frames = append(node.frames, c)
-		}
+		ts.Start()
+		c.closers = append(c.closers, ts.Close)
+		node.URL = ts.URL
+	} else {
+		node.URL, node.host = c.name(fmt.Sprintf("shard-%d", len(c.Nodes)), http.HandlerFunc(node.serve))
+		c.closers = append(c.closers, node.kill) // before the name is freed
+		node.opts.ReplicateTransport = c.Transport
 	}
-	node.ts.Start()
-	node.URL = node.ts.URL
-	node.opts = server.Options{AdvertiseURL: node.URL}
+	node.opts.AdvertiseURL = node.URL
 	if configure != nil {
 		configure(&node.opts)
 	}
 	if err := node.start(); err != nil {
-		node.ts.Close()
 		c.t.Fatalf("testutil: backend %d: %v", len(c.Nodes), err)
 	}
 	c.Nodes = append(c.Nodes, node)
-	c.t.Cleanup(func() { c.Kill(node.URL) })
 	return node
 }
 
 // start builds the node's server from its options and puts it behind
-// the listener.
+// its URL.
 func (n *Node) start() error {
 	srv, err := server.NewWithOptions(nil, core.DefaultParams(), fsm.DefaultConfig(), n.opts)
 	if err != nil {
@@ -184,9 +237,8 @@ func (n *Node) start() error {
 
 // Restart closes a durable backend's server (a graceful shutdown: the
 // WAL flushed, a final snapshot taken) and reopens it from its DataDir
-// behind the same listener, so it comes back under the same URL — a
-// process restarted in place. Requests arriving in between reach the
-// closed server.
+// under the same URL — a process restarted in place. Requests arriving
+// in between reach the closed server.
 func (c *Cluster) Restart(url string) {
 	c.t.Helper()
 	n := c.Node(url)
@@ -212,21 +264,17 @@ func (c *Cluster) Node(url string) *Node {
 	return nil
 }
 
-// Kill shuts a backend's listener down hard, severing its connections
-// — HTTP and framed, in flight and idle — so the process looks dead to
-// the gateway and to its replication peers. The in-memory server object
-// is left untouched — like a machine dropping off the network.
-func (c *Cluster) Kill(url string) {
-	n := c.Node(url)
-	n.killed.Store(true)
-	n.dead.Store(true)
-	n.ts.CloseClientConnections()
-	n.mu.Lock()
-	for _, conn := range n.frames { // the listener does not reach them
-		conn.Close()
+// Kill makes a backend look dead to the gateway and to its peers: its
+// name is refused and the exchanges in flight are aborted (on a
+// listener, every later request is). The server object is left as it
+// is, like a machine dropping off the network.
+func (c *Cluster) Kill(url string) { c.Node(url).kill() }
+
+func (n *Node) kill() {
+	n.down.Store(true)
+	if n.host != nil {
+		n.host.abort(fmt.Errorf("testutil: %s was killed", n.URL))
 	}
-	n.mu.Unlock()
-	n.ts.Close()
 }
 
 // Probe runs the gateway's health prober `times` times, synchronously.

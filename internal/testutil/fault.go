@@ -3,11 +3,12 @@
 // http.RoundTripper whose behavior is scripted per request index (or
 // seeded pseudo-randomly, so chaos runs reproduce exactly), an
 // in-process cluster harness that boots N streamd backends behind a
-// replication-aware gateway, and small JSON helpers shared by the
-// integration tests.
+// replication-aware gateway, each a name that an in-memory Carrier
+// delivers to, and small JSON helpers shared by the integration tests.
 //
 // Everything here is test-only plumbing; nothing imports it outside
-// _test files.
+// _test files. Importing it puts a Carrier in front of
+// http.DefaultTransport, so a plain http.Get reaches a cluster's names.
 package testutil
 
 import (
@@ -19,8 +20,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"stsmatch/internal/frame"
 )
 
 // Fault is one scripted behavior for a single HTTP request.
@@ -67,20 +66,20 @@ func (f Fault) String() string {
 // under concurrency the index a request draws depends on arrival
 // order, so deterministic scripts pair best with sequential callers.
 type FaultTransport struct {
-	// Inner performs the real round trips (nil = the frame carrier, as in
-	// production).
+	// Inner performs the real round trips (nil = a Carrier: a cluster's
+	// names in memory, any other host over the frame carrier).
 	Inner http.RoundTripper
 	// Delay is the sleep applied by FaultDelay (0 = 5ms).
 	Delay time.Duration
 
-	frames frame.Transport // the carrier when Inner is nil
-	mu     sync.Mutex
-	n      int
-	script map[int]Fault
-	only   func(*http.Request) bool
-	rng    *rand.Rand
-	prob   float64
-	menu   []Fault
+	carrier Carrier // when Inner is nil
+	mu      sync.Mutex
+	n       int
+	script  map[int]Fault
+	only    func(*http.Request) bool
+	rng     *rand.Rand
+	prob    float64
+	menu    []Fault
 }
 
 // NewFaultTransport returns a transport that passes everything through
@@ -143,7 +142,7 @@ func (ft *FaultTransport) inner() http.RoundTripper {
 	if ft.Inner != nil {
 		return ft.Inner
 	}
-	return &ft.frames
+	return &ft.carrier
 }
 
 // RoundTrip implements http.RoundTripper.
