@@ -528,12 +528,14 @@ func TestYieldLeavesTheNewOwnersFollowers(t *testing.T) {
 
 // supersededWithoutPrefix is TestYieldNeedsTheSharedPrefix's setup: A
 // acks a write with B cut off, B is promoted over it and grows past A's
-// acked length, and A's next ingest answers 409 naming epoch 2. It
-// returns A's URL and the PLR A acknowledged.
-func supersededWithoutPrefix(t *testing.T) (string, PLRResponse) {
+// acked length, and A's next ingest answers 409 naming epoch 2. A runs
+// with opts, and mid, when given, runs on A's URL between its first write
+// and the cut-off one. It returns A's URL and the PLR A acknowledged.
+func supersededWithoutPrefix(t *testing.T, opts Options, mid func(a string)) (string, PLRResponse) {
 	t.Helper()
 	drop := &shipDropper{}
-	_, a := newAdvertised(t, Options{ReplicateTransport: drop})
+	opts.ReplicateTransport = drop
+	_, a := newAdvertised(t, opts)
 	_, b := newAdvertised(t, Options{})
 	drop.target = b
 	if resp := postJSON(t, a+"/v1/sessions", CreateSessionRequest{PatientID: "P01", SessionID: "S01", Replicate: []string{b}}); resp.StatusCode != http.StatusCreated {
@@ -542,6 +544,9 @@ func supersededWithoutPrefix(t *testing.T) (string, PLRResponse) {
 	samples := respSamples(t, 73, 120)
 	fifth := len(samples) / 5
 	ingestBatches(t, a, "S01", samples[:fifth], 256)
+	if mid != nil {
+		mid(a)
+	}
 	drop.drops.Store(1 << 20)
 	resp := postJSON(t, a+"/v1/sessions/S01/samples", samples[fifth:2*fifth])
 	if sr := decode[SamplesResponse](t, resp); resp.StatusCode != http.StatusOK || len(sr.ReplicaErrors) != 1 {
@@ -567,11 +572,11 @@ func supersededWithoutPrefix(t *testing.T) (string, PLRResponse) {
 }
 
 // TestSupersededStagesNoSubscriptionRecord: a node superseded in a
-// session's scope stages no subscription record on that session's link,
-// which has collapsed to a catch-up the owner refuses, so registering
-// subscriptions there (each one created) ships no catch-up.
+// session's scope refuses a subscription there and stages no record on
+// a link, so registering subscriptions there (each one refused) ships no
+// catch-up.
 func TestSupersededStagesNoSubscriptionRecord(t *testing.T) {
-	a, acked := supersededWithoutPrefix(t)
+	a, acked := supersededWithoutPrefix(t, Options{}, nil)
 	before := scrapeMetrics(t, a)["stsmatch_repl_snapshots_total"]
 	for i := 0; i < 5; i++ {
 		resp := postJSON(t, a+"/v1/subscriptions", SubscriptionRequest{
@@ -579,14 +584,13 @@ func TestSupersededStagesNoSubscriptionRecord(t *testing.T) {
 		})
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		// A superseded node still registers subscriptions; should it come to
-		// refuse them (409), this check goes with that change.
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("registration %d on the superseded node: status %d %s, want 201", i, resp.StatusCode, body)
+		// A superseded node takes no write in the session's scope.
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "epoch 2") {
+			t.Fatalf("registration %d on the superseded node: status %d %s, want 409 naming epoch 2", i, resp.StatusCode, body)
 		}
 	}
 	if after := scrapeMetrics(t, a)["stsmatch_repl_snapshots_total"]; after != before {
-		t.Errorf("5 subscriptions registered on the superseded node shipped %v catch-ups, want 0", after-before)
+		t.Errorf("5 registrations on the superseded node shipped %v catch-ups, want 0", after-before)
 	}
 }
 
@@ -597,7 +601,7 @@ func TestSupersededStagesNoSubscriptionRecord(t *testing.T) {
 // only the vertices from before the cut, so A keeps its copy byte for
 // byte, answers 409 naming the epoch and writes no tombstone.
 func TestYieldNeedsTheSharedPrefix(t *testing.T) {
-	a, acked := supersededWithoutPrefix(t)
+	a, acked := supersededWithoutPrefix(t, Options{}, nil)
 	if kept, _ := getJSON[PLRResponse](t, a+"/v1/sessions/S01/plr"); !reflect.DeepEqual(kept, acked) {
 		t.Errorf("A serves %d vertices, it acked %d: the copy changed", len(kept.Vertices), len(acked.Vertices))
 	}

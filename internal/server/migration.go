@@ -134,10 +134,10 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 	// Add link: from here on every path that stages or flushes records
 	// for the session's followers reaches the target too.
 	s.lock()
-	sess, ok := s.sessions[sid]
-	if !ok {
+	sess, code, err := s.gate(sid, opRides, nil)
+	if err != nil {
 		s.mu.Unlock()
-		return resp, http.StatusNotFound, fmt.Errorf("no open session %q", sid)
+		return resp, code, err
 	}
 	repl := sess.repl
 	link := repl.follow(target, true)
@@ -166,9 +166,9 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 	// anchor staged here makes the final drain a round trip, so a target
 	// lost now fails the drain, not the promote.
 	s.lock()
-	if s.sessions[sid] != sess {
+	if _, code, err = s.gate(sid, opRides, sess); err != nil {
 		s.mu.Unlock()
-		return resp, http.StatusNotFound, fmt.Errorf("session %q closed mid-migration", sid)
+		return resp, code, err
 	}
 	repl.enqueue(sess.anchorRecord())
 	jerr := s.decide(ctx, wal.Record{Type: wal.TypeSessionMigrate,
@@ -199,9 +199,9 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 	// Commit: the hand-over, unless this node yielded to the target's
 	// first shipment already. A refused hand-over rolls the prepare back.
 	s.lock()
-	if s.sessions[sid] != sess {
+	if _, code, err = s.gate(sid, opRides, sess); err != nil {
 		s.mu.Unlock()
-		return resp, http.StatusNotFound, fmt.Errorf("session %q handed over or closed mid-migration", sid)
+		return resp, code, err
 	}
 	told, code, err := s.handOverLocked(ctx, sess, target, presp.Epoch, presp.Vertices >= sess.stream.Len())
 	s.mu.Unlock()
@@ -225,7 +225,7 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 // handOverLocked ends this node's ownership of sess to owner at epoch:
 // the migration commit and both kinds of yield. Unless owner is known
 // and holds every vertex this node acknowledged, the node keeps its
-// copy, acknowledges no further write (superseded) and answers 409.
+// copy, is superseded (supersede) and answers 409.
 // Otherwise it fsyncs a commit tombstone naming owner (410 + Location
 // from then on) and retires the session with its subscriptions. Only
 // the migration to owner knows who follows owner (session.handoff):
@@ -235,7 +235,7 @@ func (s *Server) migrate(ctx context.Context, sid, target string, replicate []st
 // are, for owner's catch-up re-anchors the followers it keeps.
 func (s *Server) handOverLocked(ctx context.Context, sess *session, owner string, epoch uint64, holds bool) (told *replicator, code int, err error) {
 	if owner == "" || !holds {
-		sess.superseded = max(sess.superseded, epoch)
+		s.supersede(sess, epoch)
 		return nil, http.StatusConflict, fmt.Errorf(
 			"session %q diverged: %q owns it at epoch %d without every vertex this node acknowledged; refusing to drop acked data",
 			sess.sessionID, owner, epoch)
@@ -243,7 +243,7 @@ func (s *Server) handOverLocked(ctx context.Context, sess *session, owner string
 	toTarget := s.fenced(sess.sessionID) && slices.Index(sess.handoff, owner) == 0
 	if err := s.decide(ctx, wal.Record{Type: wal.TypeSessionMigrate, SessionID: sess.sessionID,
 		PatientID: sess.patientID, Target: owner, Epoch: epoch, Phase: wal.MigrateCommit}); err != nil {
-		sess.superseded = max(sess.superseded, epoch)
+		s.supersede(sess, epoch)
 		return nil, http.StatusInternalServerError, fmt.Errorf("flushing hand-over: %w", err)
 	}
 	s.retire(sess)
@@ -258,6 +258,15 @@ func (s *Server) handOverLocked(ctx context.Context, sess *session, owner string
 	s.log.Info("session handed over", slog.String("sessionId", sess.sessionID),
 		slog.String("owner", owner), slog.Uint64("epoch", epoch), slog.String("requestId", obs.RequestIDFrom(ctx)))
 	return told, 0, nil
+}
+
+// supersede leaves sess to an owner at epoch that this node could not
+// hand it over to: the gate takes no further write, and every link goes,
+// so the node ships nothing more (the owner refuses what it would ship)
+// and lists and counts no link for the session. The copy stays.
+func (s *Server) supersede(sess *session, epoch uint64) {
+	sess.superseded = max(sess.superseded, epoch)
+	sess.repl.unlink(func(*replicaLink) bool { return true })
 }
 
 // flushHandOver ships a hand-over's staged close, if any, best effort.

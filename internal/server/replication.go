@@ -267,8 +267,9 @@ func (s *Server) flushLink(ctx context.Context, r *replicator, link *replicaLink
 // epoch's live owner and its stream shares every vertex this node
 // acknowledged (session.acked; a write that reached every follower is
 // in the owner's copy), as its answer to this node's catch-up counts
-// them; otherwise this node is superseded. A write flushed behind the
-// hand-over meets the same answer and is not acknowledged.
+// them; otherwise this node is superseded. A write flushed behind
+// either meets the same answer, or the door's second ask of the gate,
+// and is not acknowledged.
 func (s *Server) yieldTo(ctx context.Context, r *replicator, link *replicaLink, err error) {
 	var se *staleEpoch
 	if !errors.As(err, &se) || se.Epoch <= r.epoch {

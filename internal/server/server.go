@@ -147,8 +147,8 @@ type session struct {
 	// acked is the longest stream an ingest acknowledged with a replica
 	// error, or that this node resumed: a follower may lack it, so a yield
 	// needs the new owner to hold it (yieldTo). superseded is the epoch of
-	// an owner this node could not hand the session over to: it acks no
-	// further write.
+	// an owner this node could not hand the session over to (supersede):
+	// the gate takes no further write.
 	acked      int
 	superseded uint64
 }
@@ -388,20 +388,27 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding samples: %w", err))
 		return
 	}
-	resp, sess, end, code, err := s.ingestLocked(r.Context(), sid, batch)
+	resp, sess, end, staged, code, err := s.ingestLocked(r.Context(), sid, batch)
 	if sess != nil {
 		// Ship before answering — even on error, so replicas hold exactly
 		// what this node stored. The ack then implies every healthy
 		// replica has every acknowledged vertex.
-		resp.ReplicaErrors = s.replFlush(r.Context(), sess.repl)
-		if len(resp.ReplicaErrors) > 0 {
-			// A follower lacks this write; a yield meanwhile leaves it
-			// unacknowledged.
+		errs := s.replFlush(r.Context(), sess.repl)
+		resp.ReplicaErrors = errs
+		if staged || len(errs) > 0 {
+			// Ask the gate again. A supersede since leaves the write
+			// unacknowledged: the owner may lack it, and the flush may
+			// have met no refusal, for supersede drops the links. A yield
+			// or close since leaves it so only if a follower lacks it; a
+			// clean flush reached every link, the new owner's included.
 			s.lock()
-			if c, e := s.ownsLocked(sess); e != nil {
+			switch _, c, e := s.gate(sid, opRides, sess); {
+			case e == nil:
+				if len(errs) > 0 {
+					sess.acked = max(sess.acked, end)
+				}
+			case len(errs) > 0 || c == http.StatusConflict: // opRides meets 409 only superseded
 				code, err = c, e
-			} else {
-				sess.acked = max(sess.acked, end)
 			}
 			s.mu.Unlock()
 		}
@@ -442,22 +449,14 @@ func writeSamplesAck(w http.ResponseWriter, resp SamplesResponse) {
 // landed, the anchor) and stages the same records on the session's
 // replica links. The returned session's replicator must be flushed by
 // the caller after the lock is released; end is the stream's length
-// after the batch. With no session (404, 409 superseded, 503 fenced)
-// nothing was stored.
-func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn) (resp SamplesResponse, sess *session, end, code int, err error) {
+// after the batch, and staged reports that a link took the records.
+// With no session (the gate refused it) nothing was stored.
+func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn) (resp SamplesResponse, sess *session, end int, staged bool, code int, err error) {
 	s.lock()
 	defer s.mu.Unlock()
-	sess, ok := s.sessions[sid]
-	if !ok {
-		return resp, nil, 0, http.StatusNotFound, fmt.Errorf("no open session %q", sid)
-	}
-	if code, err := s.ownsLocked(sess); err != nil {
-		return resp, nil, 0, code, err
-	}
-	if s.fenced(sid) {
-		// A migration cutover is in flight; accepting the write here
-		// could lose it when the target takes over. Retryable.
-		return resp, nil, 0, http.StatusServiceUnavailable, fmt.Errorf("session %q is migrating; retry shortly", sid)
+	sess, code, err = s.gate(sid, opIngest, nil)
+	if err != nil {
+		return resp, nil, 0, false, code, err
 	}
 	start := sess.stream.Len()
 	var newVs []plr.Vertex
@@ -504,7 +503,7 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 		anchor = sess.anchorRecord()
 		s.walAppendCtx(ctx, anchor)
 	}
-	if !sess.repl.idle() {
+	if staged = !sess.repl.idle(); staged {
 		// Stage exactly what was journaled — including partial progress
 		// before an error — so replicas never trail what we kept.
 		recs := make([]wal.Record, 0, 2)
@@ -517,24 +516,42 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 		sess.repl.enqueue(recs...)
 	}
 	if pushErr != nil {
-		return resp, sess, sess.stream.Len(), pushCode, pushErr
+		return resp, sess, sess.stream.Len(), staged, pushCode, pushErr
 	}
 	resp.TotalSamples = sess.samples
 	resp.CurrentState = sess.seg.CurrentState().String()
-	return resp, sess, sess.stream.Len(), 0, nil
+	return resp, sess, sess.stream.Len(), staged, 0, nil
 }
 
-// ownsLocked reports whether this node still owns sess and acks its
-// writes: 404 once it is retired, 409 once superseded. Callers hold
-// s.mu.
-func (s *Server) ownsLocked(sess *session) (int, error) {
+// writeOp is a write door as the gate sees it: what the door answers
+// while a migration cutover fences the session.
+type writeOp uint8
+
+const (
+	opIngest writeOp = iota // 503: a write taken now could be lost when the target takes over; retryable
+	opClose                 // 409: close it on its new home
+	opRides                 // taken, riding the link: an ingest's ack, a migrate's re-drive, a subscription operation
+)
+
+// gate is the one answer to "does this node take write op on session
+// sid now?": the session when it does, else the status and error to
+// answer. held is the session the door took earlier (nil at its first
+// call), which must still be the one live here. A superseded session
+// takes no write (409 naming the owner's epoch); a fenced one answers
+// as op says. Callers hold s.mu.
+func (s *Server) gate(sid string, op writeOp, held *session) (*session, int, error) {
+	sess, ok := s.sessions[sid]
 	switch {
-	case s.sessions[sess.sessionID] != sess:
-		return http.StatusNotFound, fmt.Errorf("no open session %q", sess.sessionID)
+	case !ok || held != nil && sess != held:
+		return nil, http.StatusNotFound, fmt.Errorf("no open session %q", sid)
 	case sess.superseded > 0:
-		return http.StatusConflict, fmt.Errorf("session %q is owned at epoch %d elsewhere, by a node it could not be handed over to; this node keeps its copy", sess.sessionID, sess.superseded)
+		return nil, http.StatusConflict, fmt.Errorf("session %q is owned at epoch %d elsewhere, by a node it could not be handed over to; this node keeps its copy", sid, sess.superseded)
+	case op == opRides || !s.fenced(sid):
+		return sess, 0, nil
+	case op == opIngest:
+		return nil, http.StatusServiceUnavailable, fmt.Errorf("session %q is migrating; retry shortly", sid)
 	}
-	return 0, nil
+	return nil, http.StatusConflict, fmt.Errorf("session %q is mid-migration; close it on its new home", sid)
 }
 
 // CloseSessionResponse reports the final state of a closed session.
@@ -555,12 +572,9 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	sess, code, err := func() (*session, int, error) {
 		s.lock()
 		defer s.mu.Unlock()
-		sess, ok := s.sessions[sid]
-		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("no open session %q", sid)
-		}
-		if s.fenced(sid) {
-			return nil, http.StatusConflict, fmt.Errorf("session %q is mid-migration; close it on its new home", sid)
+		sess, code, err := s.gate(sid, opClose, nil)
+		if err != nil {
+			return nil, code, err
 		}
 		// Journal and fsync the close record before removing the
 		// session, so a 200 really means "durably closed": if the flush

@@ -10,6 +10,7 @@
 package server
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -146,9 +147,10 @@ func (s *Server) handleCreateSubscription(w http.ResponseWriter, r *http.Request
 		httpError(w, code, err)
 		return
 	}
-	var replErrs []string
-	for _, repl := range repls {
-		replErrs = append(replErrs, s.replFlush(r.Context(), repl)...)
+	replErrs, code, err := s.flushScope(r.Context(), st, repls)
+	if err != nil {
+		httpError(w, code, err)
+		return
 	}
 	s.log.Info("subscription registered",
 		slog.String("id", st.ID),
@@ -177,6 +179,10 @@ func (s *Server) registerSubscription(r *http.Request, st *wal.SubState) ([]*rep
 	if s.subs.Has(st.ID) {
 		return nil, http.StatusConflict, fmt.Errorf("subscription %q already exists", st.ID)
 	}
+	repls, code, err := s.gateScope(*st)
+	if err != nil {
+		return nil, code, err
+	}
 	if _, err := s.subs.Register(st, s.db); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -187,22 +193,44 @@ func (s *Server) registerSubscription(r *http.Request, st *wal.SubState) ([]*rep
 		s.subs.Delete(st.ID)
 		return nil, http.StatusInternalServerError, fmt.Errorf("flushing subscription: %w", err)
 	}
-	return s.enqueueSubRecord(upsert, *st), 0, nil
+	for _, repl := range repls {
+		repl.enqueue(upsert)
+	}
+	return repls, 0, nil
 }
 
-// enqueueSubRecord stages a subscription record on the links of every
-// in-scope session something follows — replicas and, mid-hand-off, the
-// migration target alike — but a superseded one: its links have
-// collapsed to a catch-up the owner refuses. Callers hold s.mu.
-func (s *Server) enqueueSubRecord(rec wal.Record, st wal.SubState) []*replicator {
+// gateScope is the gate of a subscription operation: every live session
+// st's scope covers must take it (opRides), or its refusal is the
+// answer. It returns their replicators, on which the operation's record
+// is staged once journaled — replicas and, mid-hand-off, the migration
+// target alike. Callers hold s.mu.
+func (s *Server) gateScope(st wal.SubState) ([]*replicator, int, error) {
 	var repls []*replicator
-	for _, sess := range s.sessions {
-		if sess.superseded == 0 && st.Covers(sess.patientID, sess.sessionID) {
-			sess.repl.enqueue(rec)
-			repls = append(repls, sess.repl)
+	for sid, sess := range s.sessions {
+		if !st.Covers(sess.patientID, sid) {
+			continue
 		}
+		if _, code, err := s.gate(sid, opRides, nil); err != nil {
+			return nil, code, err
+		}
+		repls = append(repls, sess.repl)
 	}
-	return repls
+	return repls, 0, nil
+}
+
+// flushScope ships a subscription operation staged on repls, then asks
+// the gate again, as an ingest does: a session in st's scope superseded
+// since leaves the operation unacknowledged. Callers do not hold s.mu.
+func (s *Server) flushScope(ctx context.Context, st wal.SubState, repls []*replicator) (errs []string, code int, err error) {
+	for _, repl := range repls {
+		errs = append(errs, s.replFlush(ctx, repl)...)
+	}
+	if len(repls) > 0 {
+		s.lock()
+		_, code, err = s.gateScope(st)
+		s.mu.Unlock()
+	}
+	return errs, code, err
 }
 
 func (s *Server) handleListSubscriptions(w http.ResponseWriter, r *http.Request) {
@@ -211,12 +239,17 @@ func (s *Server) handleListSubscriptions(w http.ResponseWriter, r *http.Request)
 
 func (s *Server) handleDeleteSubscription(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	var st wal.SubState
 	repls, code, err := func() ([]*replicator, int, error) {
 		s.lock()
 		defer s.mu.Unlock()
-		st, ok := s.subs.State(id)
-		if !ok {
+		var ok bool
+		if st, ok = s.subs.State(id); !ok {
 			return nil, http.StatusNotFound, fmt.Errorf("no subscription %q", id)
+		}
+		repls, code, err := s.gateScope(st)
+		if err != nil {
+			return nil, code, err
 		}
 		// Journal and fsync the delete before removing, so a 200 means
 		// the subscription can never resurrect after recovery.
@@ -225,16 +258,22 @@ func (s *Server) handleDeleteSubscription(w http.ResponseWriter, r *http.Request
 			return nil, http.StatusInternalServerError, fmt.Errorf("flushing subscription delete: %w", err)
 		}
 		s.subs.Delete(id)
-		return s.enqueueSubRecord(del, st), 0, nil
+		for _, repl := range repls {
+			repl.enqueue(del)
+		}
+		return repls, 0, nil
 	}()
 	if err != nil {
 		httpError(w, code, err)
 		return
 	}
-	for _, repl := range repls {
-		if errs := s.replFlush(r.Context(), repl); len(errs) > 0 {
-			s.log.Warn("subscription delete not replicated everywhere", slog.Any("replicaErrors", errs))
-		}
+	errs, code, err := s.flushScope(r.Context(), st, repls)
+	if len(errs) > 0 {
+		s.log.Warn("subscription delete not replicated everywhere", slog.Any("replicaErrors", errs))
+	}
+	if err != nil {
+		httpError(w, code, err)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
@@ -246,25 +285,32 @@ func (s *Server) handleDeleteSubscription(w http.ResponseWriter, r *http.Request
 // journaled and shipped. Best-effort durable (no fsync — a lost ack
 // only means redelivery, which the consumer's resume filter already
 // dedups) and staged on in-scope replication links so a promoted
-// follower trims too.
-func (s *Server) ackSubscription(r *http.Request, id string, seq uint64) {
+// follower trims too. An ack that moves nothing is no write; one the
+// gate refuses is the request's answer.
+func (s *Server) ackSubscription(r *http.Request, id string, seq uint64) (int, error) {
 	s.lock()
 	st, ok := s.subs.State(id)
 	seq = min(seq, st.NextSeq-1)
 	if !ok || seq <= st.Delivered {
 		s.mu.Unlock()
-		return
+		return 0, nil
+	}
+	repls, code, err := s.gateScope(st)
+	if err != nil {
+		s.mu.Unlock()
+		return code, err
 	}
 	ack := wal.Record{Type: wal.TypeSubAck, SubID: id, SubAck: seq}
 	s.walAppendCtx(r.Context(), ack)
 	s.subs.Ack(id, seq)
-	repls := s.enqueueSubRecord(ack, st)
-	s.mu.Unlock()
-	// Ship with the request, but do not fail it: the ack rides the
-	// next ingest flush anyway if a replica is unreachable.
 	for _, repl := range repls {
-		s.replFlush(r.Context(), repl)
+		repl.enqueue(ack)
 	}
+	s.mu.Unlock()
+	// Ship with the request, but do not fail it on a replica error: the
+	// ack rides the next ingest flush anyway if a replica is unreachable.
+	_, code, err = s.flushScope(r.Context(), st, repls)
+	return code, err
 }
 
 // SubEventsPoll is the long-poll (mode=poll) payload.
@@ -302,7 +348,10 @@ func (s *Server) handleSubEvents(w http.ResponseWriter, r *http.Request) {
 		after = n
 	}
 	if after > 0 {
-		s.ackSubscription(r, id, after)
+		if code, err := s.ackSubscription(r, id, after); err != nil {
+			httpError(w, code, err)
+			return
+		}
 	}
 	if r.URL.Query().Get("mode") == "poll" {
 		s.pollSubEvents(w, r, id, after)

@@ -251,6 +251,10 @@ func TestPoolResponseTooLarge(t *testing.T) {
 
 	opts := fastOpts()
 	opts.FailThreshold = 1
+	// The backend buffers the whole 64 MiB reply before its length goes
+	// out, which takes seconds on a loaded machine; the timeout is not
+	// under test, so it leaves room for that.
+	opts.Timeout = time.Minute
 	p, err := NewPool([]string{ts.URL}, opts)
 	if err != nil {
 		t.Fatal(err)
