@@ -145,7 +145,7 @@ func (as *answers) open(db *store.DB, p Params, threshold float64, k int, q Quer
 		clear(a.lens)
 		a.hits, a.counts = a.hits[:0], FunnelCounts{}
 		if k == 0 {
-			as.list = nil
+			as.list, as.fut.kept = nil, 0
 		}
 	}
 	a.used = 0
@@ -205,7 +205,7 @@ func (as *answers) repair(streams []*store.Stream, add []hit) {
 	if len(add) == 0 {
 		return
 	}
-	as.list = nil
+	as.list, as.fut.kept = nil, 0
 	a := &as.last
 	cmp := hitOrder(streams)
 	slices.SortFunc(add, cmp)

@@ -552,6 +552,132 @@ func TestFoldMemoEqualsFreshFold(t *testing.T) {
 	}
 }
 
+// rowsRead runs fold, a PredictDisplacement of m over n matches, and
+// returns the rows it read: all n when it ran the row loop, which counts
+// a call (m.call), none when it returned the kept result.
+func rowsRead(m *Matcher, n int, fold func()) int {
+	before := m.call
+	fold()
+	if m.call == before {
+		return 0
+	}
+	return n
+}
+
+// TestKeptFoldReadsNoRow: a PredictDisplacement over the list FindSimilar
+// last returned, at the horizons of the fold before, returns that fold's
+// result and reads no row; every other fold reads each of its rows — over
+// a clone of the list (one Weight edited or not), a sub-slice, the list
+// once a stream holding an open window grew (appended to directly, or
+// through a repair that adds no hit and returns the same list), at other
+// horizons and back, and after a fold in other dimensions. Every estimate
+// is refDisplacement's, bit for bit, at one and two workers, in one and
+// three dimensions.
+func TestKeptFoldReadsNoRow(t *testing.T) {
+	alwaysFanOut(t)
+	for _, dims := range []int{1, 3} {
+		for _, par := range []int{1, 2} {
+			db := forecastCorpus(t, int64(70+dims), dims)
+			p := DefaultParams()
+			p.Parallelism = par
+			m, err := NewMatcher(db, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// grow ends in the query, a match with no future.
+			src := db.Streams()[2].Seq()
+			cut := len(src) / 2
+			grow := db.Patient("P0").AddStream("grow")
+			if err := grow.Append(src[:cut]...); err != nil {
+				t.Fatal(err)
+			}
+			q := NewQuery(src[cut-8:cut], "", "")
+			h1, h2 := [2]float64{0.2, 0.9}, [2]float64{0.5, 2.5}
+			ms, err := m.FindSimilar(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// fold asks m for the estimate over list at h and holds it to
+			// refDisplacement and the rows it read to read.
+			fold := func(label string, list []Match, h [2]float64, read int) {
+				t.Helper()
+				var gd []float64
+				var gerr error
+				rows := rowsRead(m, len(list), func() { gd, gerr = m.PredictDisplacement(q, list, h[0], h[1], 0) })
+				wd, werr := refDisplacement(q, list, h[0], h[1], 0)
+				if (gerr == nil) != (werr == nil) || len(gd) != len(wd) {
+					t.Fatalf("dims=%d par=%d %s: %v %v, want %v %v", dims, par, label, gd, gerr, wd, werr)
+				}
+				for k := range gd {
+					if !sameFloat(gd[k], wd[k]) {
+						t.Fatalf("dims=%d par=%d %s: disp[%d] = %v, want %v", dims, par, label, k, gd[k], wd[k])
+					}
+				}
+				if rows != read {
+					t.Fatalf("dims=%d par=%d %s: the fold read %d rows, want %d", dims, par, label, rows, read)
+				}
+			}
+			// appendOff lands a vertex in grow that starts no hit: its state
+			// is not the query's last.
+			last := q.Seq[len(q.Seq)-1]
+			off := plr.IRR
+			if last.State == off {
+				off = plr.EX
+			}
+			appendOff := func() {
+				t.Helper()
+				ts, pos, d := grow.Track()
+				v := plr.Vertex{T: ts[len(ts)-1] + 0.01, Pos: pos[len(pos)-d:], State: off}
+				if err := grow.Append(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n := len(ms)
+			fold("first", ms, h1, n)
+			fold("same horizons", ms, h1, 0)
+			if !slices.Contains(m.answers.fut.open, grow) {
+				t.Fatalf("dims=%d par=%d fixture: grow holds no open window of the kept result", dims, par)
+			}
+			fold("a clone", slices.Clone(ms), h1, n)
+			edited := slices.Clone(ms)
+			edited[n/2].Weight *= 1.5
+			fold("a clone, one Weight edited", edited, h1, n)
+			fold("a sub-slice", ms[:n-1], h1, n-1)
+			fold("from the second match", ms[1:], h1, n-1)
+			fold("after a clone and sub-slices", ms, h1, 0)
+
+			appendOff()
+			fold("grow appended", ms, h1, n)
+			fold("grow appended, repeated", ms, h1, 0)
+			appendOff()
+			again, err := m.FindSimilar(q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(again) != n || &again[0] != &ms[0] {
+				t.Fatalf("dims=%d par=%d: a repair that adds no hit returned another list", dims, par)
+			}
+			fold("repaired, grow appended", ms, h1, n)
+			fold("repaired, repeated", ms, h1, 0)
+
+			fold("other horizons", ms, h2, n)
+			fold("other horizons, repeated", ms, h2, 0)
+			fold("horizons back", ms, h1, n)
+			fold("horizons back, repeated", ms, h1, 0)
+			wide := q
+			wide.Seq = q.Seq.Clone()
+			for i := range wide.Seq {
+				wide.Seq[i].Pos = append(wide.Seq[i].Pos, 0)
+			}
+			if _, err := m.PredictDisplacement(wide, ms, h1[0], h1[1], 0); !errors.Is(err, ErrNoMatches) {
+				t.Fatalf("dims=%d par=%d: a fold in %d dimensions: %v, want ErrNoMatches", dims, par, dims+1, err)
+			}
+			fold("after a fold in other dimensions", ms, h1, n)
+			fold("after a fold in other dimensions, repeated", ms, h1, 0)
+		}
+	}
+}
+
 // TestRepeatedPredictAllocs: a PredictDisplacement over the kept answer's
 // matches at the horizons of the fold before allocates its result only.
 func TestRepeatedPredictAllocs(t *testing.T) {
@@ -576,5 +702,25 @@ func TestRepeatedPredictAllocs(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("a repeated PredictDisplacement over %d matches allocates %v times, want 1 (its result)", len(ms), allocs)
+	}
+	// Alternating horizons, every fold reads its rows and keeps its
+	// result again, the open streams among it, in the buffers it had.
+	if len(m.answers.fut.open) == 0 {
+		t.Fatal("fixture: the kept result holds no open window")
+	}
+	i := 0
+	allocs = testing.AllocsPerRun(50, func() {
+		i++
+		d1 := 0.2 + 0.1*float64(i%2)
+		before := m.call
+		if _, err := m.PredictDisplacement(q, ms, d1, d1+0.7, 0); err != nil {
+			t.Fatal(err)
+		}
+		if m.call == before {
+			t.Fatal("a fold at moved horizons returned the kept result")
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("a PredictDisplacement over %d matches at alternating horizons allocates %v times, want 1 (its result)", len(ms), allocs)
 	}
 }

@@ -472,7 +472,11 @@ func TestThresholdMissAllocsConstant(t *testing.T) {
 // another patient's stream (untimed), and is repaired over that vertex's
 // window. The vertex is irregular breathing, a state the tail does not
 // end in, so the windows of the tail's state order, and the answer, stay
-// as they were however long the row runs.
+// as they were however long the row runs. "appended_open" appends such a
+// vertex to a stream holding an open window of the kept answer (a
+// window whose stream does not reach both horizons), short of that
+// window's horizon, so every fold misses the kept result and reads its
+// rows again.
 func BenchmarkPredictRepeated(b *testing.B) {
 	for _, size := range []struct {
 		patients int
@@ -553,6 +557,38 @@ func benchPredictRepeated(b *testing.B, patients int, dur float64) {
 			b.StopTimer()
 			v.T++
 			if err := other.Append(v); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := predict(tails[0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// open is the kept answer's open window that reaches its far horizon
+	// last, in another patient's stream; the vertices land short of it.
+	if err := predict(tails[0]); err != nil {
+		b.Fatal(err)
+	}
+	var open *store.Stream
+	far := math.Inf(-1)
+	for _, mt := range m.answers.list {
+		ts, _, _ := mt.Stream.Track()
+		if h := ts[mt.Start+mt.N-1] + 0.3; mt.Stream.PatientID != tails[0].PatientID && h > ts[len(ts)-1] && h > far {
+			open, far = mt.Stream, h
+		}
+	}
+	if open == nil {
+		b.Fatal("fixture: no open window in another patient's stream")
+	}
+	b.Run("appended_open", func(b *testing.B) {
+		ts, pos, dims := open.Track()
+		v := plr.Vertex{T: ts[len(ts)-1], Pos: pos[len(pos)-dims:], State: plr.IRR}
+		step := (far - v.T) / float64(2*b.N+2)
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			v.T += step
+			if err := open.Append(v); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()

@@ -118,6 +118,11 @@ func (m *Matcher) Predict(q Query, delta float64, restrict map[string]bool) (Pre
 // forecasts the present — "if treatment is based on the last observed
 // position rather than the current position, this latency will reduce
 // the effectiveness" (Section 1).
+//
+// The list FindSimilar last returned is trusted by identity (its first
+// element, at its length): handed it again at the horizons of the fold
+// before, with no stream holding an open window grown since, it returns
+// that fold's estimate, reading no row or column.
 func (m *Matcher) PredictDisplacement(q Query, matches []Match, d1, d2 float64, minMatches int) ([]float64, error) {
 	if len(q.Seq) == 0 {
 		return nil, ErrTooShort
@@ -201,6 +206,16 @@ type futures struct {
 	dims   int
 	d1, d2 float64 // the current horizons, and their stamp, counted from 1
 	at     uint32
+
+	// The kept result: the last fold over answers.list, made at stamp kept
+	// (0 for none; dropped with the list), its sums, and each stream holding
+	// an open window (a row not settled) with the length it had then.
+	kept  uint32
+	acc   []float64
+	wsum  float64
+	used  int
+	open  []*store.Stream
+	openN []int
 }
 
 // future is a row's key and need: every prefix of the stream at least
@@ -219,13 +234,16 @@ type future struct {
 // Row i of fu (with fu nil, f's one row, for every window) is summed if it is
 // the window's at these horizons and the columns cover its need; else the
 // columns are read and fill it. The terms are the rounded products either way:
-// the sums' bits do not depend on which rows were reused.
+// the sums' bits do not depend on which rows were reused. A fold over
+// answers.list keeps its result: the list never changes, nor a settled row.
 func (f *forecast) fold(m *Matcher, fu *futures, dims int, matches []Match, hits []hit, lens []int32) {
 	f.acc = slices.Grow(f.acc[:0], dims)[:dims]
 	clear(f.acc)
 	n := len(matches) + len(hits) // one of them is empty
 	wsum, dsum, used := 0.0, 0.0, 0
 	f.ab = slices.Grow(f.ab[:0], 2*dims)[:2*dims]
+	list := m.answers.list
+	kept := fu != nil && n > 0 && n == len(list) && &matches[0] == &list[0]
 	mask, stale := -1, fu == nil // window i's row is fu's row i&mask
 	if stale {
 		fu, mask = &f.one, 0
@@ -235,7 +253,19 @@ func (f *forecast) fold(m *Matcher, fu *futures, dims int, matches []Match, hits
 	}
 	if fu.dims != dims || fu.at == 0 { // a new stride, or the stamps wrapped
 		clear(fu.rows)
-		fu.rows, fu.sts, fu.prods, fu.dims, fu.at = fu.rows[:0], fu.sts[:0], fu.prods[:0], dims, 1
+		fu.rows, fu.sts, fu.prods, fu.dims, fu.at, fu.kept = fu.rows[:0], fu.sts[:0], fu.prods[:0], dims, 1, 0
+	}
+	hit := kept && fu.kept == fu.at
+	for i := 0; hit && i < len(fu.open); i++ {
+		hit = fu.open[i].Len() == fu.openN[i]
+	}
+	if hit {
+		copy(f.acc, fu.acc)
+		f.wsum, f.dsum, f.used, f.matches = fu.wsum, 0, fu.used, n
+		return
+	}
+	if kept {
+		fu.open, fu.openN, fu.kept = fu.open[:0], fu.openN[:0], 0
 	}
 	fu.grow(max(n&mask, 1))
 	m.call++
@@ -268,11 +298,13 @@ func (f *forecast) fold(m *Matcher, fu *futures, dims int, matches []Match, hits
 			end := start + wn - 1
 			na, ina := positionFrom(ts, pos, d, a, ts[end]+f.d1, end)
 			nb, inb := positionFrom(ts, pos, d, b, ts[end]+f.d2, end)
+			if ina && inb && na > 0 && nb > 0 {
+				r.need = int32(max(na, nb))
+			} else if kept {
+				fu.open, fu.openN = append(fu.open, st), append(fu.openN, len(ts))
+			}
 			if !ina || !inb {
 				continue // the stream does not reach both horizons
-			}
-			if na > 0 && nb > 0 {
-				r.need = int32(max(na, nb))
 			}
 			for k := range p {
 				p[k] = float64(w * (b[k] - a[k]))
@@ -285,6 +317,10 @@ func (f *forecast) fold(m *Matcher, fu *futures, dims int, matches []Match, hits
 		used++
 	}
 	f.wsum, f.dsum, f.used, f.matches = wsum, dsum, used, n
+	if kept {
+		fu.acc = append(fu.acc[:0], acc...)
+		fu.wsum, fu.used, fu.kept = wsum, used, at
+	}
 }
 
 // grow makes room for n rows; one it adds is zero (fold clears the rows it drops).

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"stsmatch/internal/plr"
@@ -348,7 +349,10 @@ func TestPositionFromEqualsSequence(t *testing.T) {
 // takes one view of each matched stream, and a writer appending to a
 // matched stream meanwhile changes nothing for matches whose horizons
 // lay inside the stream as it stood — each fold is bit-equal to the
-// fold over the quiescent corpus.
+// fold over the quiescent corpus. Folds over the kept list, whose
+// result is kept while no stream holding an open window grows, are
+// bit-equal to the quiescent fold at a length of the growing stream
+// they observed, from before the fold to after it.
 func TestFoldUnderConcurrentAppend(t *testing.T) {
 	db := scanCorpus(t, 9, 6, 300)
 	m, err := NewMatcher(db, DefaultParams())
@@ -356,11 +360,20 @@ func TestFoldUnderConcurrentAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := regularQuery(t, db.Streams()[0], 10)
+	// grow ends in a copy of the query: a match with no future until
+	// the writer's first vertex lands.
+	grow := db.Streams()[1]
+	ts, _, _ := grow.Track()
+	for _, v := range q.Seq {
+		v.T += ts[len(ts)-1] + 1 - q.Seq[0].T
+		if err := grow.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
 	found, err := m.FindSimilar(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grow := db.Streams()[1]
 	horizons := []float64{0.1, 0.4, 1.5}
 	var matches []Match
 	inGrow := 0
@@ -398,6 +411,52 @@ func TestFoldUnderConcurrentAppend(t *testing.T) {
 	for i := range more {
 		more[i].T += 1e4
 	}
+	// keptAt is the plain loop over found with grow cut at each length
+	// from len0 on: ref holds grow's vertices, extended as folds observe
+	// grow grow.
+	len0 := grow.Len()
+	ref := store.NewStream(grow.PatientID, grow.SessionID)
+	if err := ref.Append(grow.Seq()...); err != nil {
+		t.Fatal(err)
+	}
+	onRef := slices.Clone(found)
+	for i := range onRef {
+		if onRef[i].Stream == grow {
+			onRef[i].Stream = ref
+		}
+	}
+	var keptAt [][]float64
+	keptFold := func() {
+		lo := grow.Len()
+		got, err := m.PredictDisplacement(q, found, horizons[0], horizons[2], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi := grow.Len()
+		for len0+len(keptAt) <= hi {
+			if l := len0 + len(keptAt); l > len0 {
+				if err := ref.Append(more[l-len0-1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w, err := refDisplacement(q, onRef, horizons[0], horizons[2], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keptAt = append(keptAt, w)
+		}
+		for l := lo; l <= hi; l++ {
+			if slices.EqualFunc(got, keptAt[l-len0], sameFloat) {
+				return
+			}
+		}
+		t.Fatalf("a fold over the kept list, the stream growing from %d to %d vertices, gives %v; at those lengths the plain loop gives %v",
+			lo, hi, got, keptAt[lo-len0:hi-len0+1])
+	}
+	keptFold()
+	if !slices.Contains(m.answers.fut.open, grow) {
+		t.Fatal("fixture: grow holds no open window of the kept list")
+	}
 	appended := make(chan struct{})
 	go func() {
 		defer close(appended)
@@ -417,5 +476,10 @@ func TestFoldUnderConcurrentAppend(t *testing.T) {
 		if got := fold(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("fold under append differs from the quiescent fold:\n got %+v\nwant %+v", got, want)
 		}
+		keptFold()
+	}
+	keptFold()
+	if n := rowsRead(m, len(found), keptFold); n != 0 {
+		t.Errorf("a repeated fold over the kept list at rest read %d rows, want 0", n)
 	}
 }
