@@ -619,12 +619,25 @@ func TestLargeCorpusHeapBudget(t *testing.T) {
 // per-sample cost ("constant space, linear time with respect to raw
 // data points") on a 1-D stream and a 3-D one: a sample's secondary
 // coordinates ride through the trend window beside the primary one.
+// The spiky stream takes a spike about every twentieth sample, so about
+// a tenth of its jumps cross the spike floor and pay for the limit.
 func BenchmarkSegmentationPerPoint(b *testing.B) {
-	for _, dims := range []int{1, 3} {
-		b.Run(fmt.Sprintf("dims=%d", dims), func(b *testing.B) {
+	for _, c := range []struct {
+		name      string
+		dims      int
+		spikeProb float64
+	}{
+		{"dims=1", 1, 0},
+		{"dims=3", 3, 0},
+		{"spiky", 1, 0.05},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			cfg := signal.DefaultRespiration()
-			cfg.Dims = dims
+			cfg.Dims = c.dims
 			cfg.IrregularProb = 0.01
+			if c.spikeProb > 0 {
+				cfg.SpikeProb = c.spikeProb
+			}
 			gen, err := signal.NewRespiration(cfg, 7)
 			if err != nil {
 				b.Fatal(err)

@@ -171,7 +171,6 @@ type Segmenter struct {
 	lastGoodY  float64
 	spikeHolds int
 
-	started  bool
 	lastT    float64 // newest sample's time, for the ordering check
 	curState plr.State
 	segStart plr.Sample
@@ -226,42 +225,41 @@ func (s *Segmenter) Push(sm plr.Sample) ([]plr.Vertex, error) {
 	if s.cfg.PrimaryDim >= len(sm.Pos) {
 		return nil, fmt.Errorf("fsm: sample has %d dims, primary dim is %d", len(sm.Pos), s.cfg.PrimaryDim)
 	}
-	if s.started && sm.T <= s.lastT {
+	if s.samplesSeen == 0 {
+		s.start(sm)
+		return nil, nil
+	}
+	if sm.T <= s.lastT {
 		return nil, fmt.Errorf("fsm: non-increasing sample time %v after %v", sm.T, s.lastT)
 	}
-	if s.started && len(sm.Pos) != s.dims {
+	if len(sm.Pos) != s.dims {
 		return nil, fmt.Errorf("fsm: sample has %d dims, the stream has %d", len(sm.Pos), s.dims)
 	}
 	s.samplesSeen++
-
-	y := sm.Pos[s.cfg.PrimaryDim]
 
 	// Spike rejection (Figure 3d): a sample-to-sample jump far beyond
 	// the running jump statistics is an acquisition artifact — hold
 	// the last good value instead. Genuine fast motion (a cough)
 	// persists, so after maxSpikeHold consecutive rejections the new
-	// level is accepted.
+	// level is accepted. The limit is never below SpikeSigma*jumpFloor
+	// (multiplying by a positive constant is monotone, and a NaN limit
+	// rejects nothing), so a jump at or under that floor skips it.
 	const maxSpikeHold = 3
-	if s.started && s.cfg.SpikeSigma > 0 && s.jump.N() >= 10 {
-		jump := math.Abs(y - s.lastGoodY)
-		limit := s.cfg.SpikeSigma * math.Max(s.jump.Mean()+3*s.jump.StdDev(), 0.2)
-		if jump > limit && s.spikeHolds < maxSpikeHold {
-			y = s.lastGoodY
-			s.spikeHolds++
-			mSpikeRejects.Inc()
-		} else {
-			s.spikeHolds = 0
-		}
+	y := sm.Pos[s.cfg.PrimaryDim]
+	jump := math.Abs(y - s.lastGoodY)
+	if jump > s.cfg.SpikeSigma*jumpFloor && s.cfg.SpikeSigma > 0 && s.jump.N() >= 10 && s.spikeHolds < maxSpikeHold &&
+		jump > s.cfg.SpikeSigma*math.Max(s.jump.Mean()+3*s.jump.StdDev(), jumpFloor) {
+		y = s.lastGoodY
+		s.spikeHolds++
+		mSpikeRejects.Inc()
+	} else {
+		s.spikeHolds = 0
+		s.jump.Add(jump)
+		s.lastGoodY = y
 	}
-	if s.started && s.spikeHolds == 0 {
-		s.jump.Add(math.Abs(y - s.lastGoodY))
-	}
-	s.lastGoodY = y
 
 	// Exponential smoothing of the classification signal.
-	if !s.started {
-		s.smooth = y
-	} else if s.cfg.SmoothAlpha > 0 {
+	if s.cfg.SmoothAlpha > 0 {
 		s.smooth = s.cfg.SmoothAlpha*y + (1-s.cfg.SmoothAlpha)*s.smooth
 	} else {
 		s.smooth = y
@@ -272,37 +270,63 @@ func (s *Segmenter) Push(sm plr.Sample) ([]plr.Vertex, error) {
 	// full position but with the cleaned primary dimension, so emitted
 	// vertices are denoised too; whatever outlives the window (the open
 	// segment's start) holds a copy of its own.
-	w, p := s.cfg.SlopeWindow, s.cfg.PrimaryDim
-	if !s.started {
-		s.dims = len(sm.Pos)
-		s.wPos = make([]float64, w*s.dims)
-	}
+	w := s.cfg.SlopeWindow
 	if s.samplesSeen > w {
-		s.reg.Remove(s.wT[s.head], s.wPos[s.head*s.dims+p])
+		s.reg.Remove(s.wT[s.head], s.wPos[s.head*s.dims+s.cfg.PrimaryDim])
 	}
-	slot := s.wPos[s.head*s.dims : (s.head+1)*s.dims]
-	copy(slot, sm.Pos)
-	slot[p] = s.smooth
-	s.wT[s.head] = sm.T
-	if s.head++; s.head == w {
-		s.head = 0
-	}
-	s.lastT = sm.T
-	if !s.started {
-		s.started = true
-		s.segStart = plr.Sample{T: sm.T, Pos: append([]float64(nil), slot...)}
-	}
+	s.fill(sm)
 	s.reg.Add(sm.T, s.smooth)
-
 	if s.samplesSeen < w {
 		return nil, nil // not enough evidence yet
 	}
 
 	obs := s.classify(s.reg.Slope())
+	if obs == s.curState {
+		// classify never answers IRR, so this is transition's unchanged
+		// branch, without the call.
+		s.havePending = false
+		return nil, nil
+	}
 	if v, emitted := s.transition(obs, sm.T); emitted {
 		return []plr.Vertex{v}, nil
 	}
 	return nil, nil
+}
+
+// jumpFloor is the least jump deviation (in the primary dimension's
+// units) the spike limit scales: SpikeSigma*jumpFloor is the smallest
+// jump that can be rejected.
+const jumpFloor = 0.2
+
+// start takes a stream's first sample: it fixes the dimensionality,
+// seeds the smoother and the spike filter, and opens the first segment.
+func (s *Segmenter) start(sm plr.Sample) {
+	s.samplesSeen++
+	s.dims = len(sm.Pos)
+	s.wPos = make([]float64, s.cfg.SlopeWindow*s.dims)
+	s.lastGoodY = sm.Pos[s.cfg.PrimaryDim]
+	s.smooth = s.lastGoodY
+	slot := s.fill(sm)
+	s.segStart = plr.Sample{T: sm.T, Pos: append([]float64(nil), slot...)}
+	s.reg.Add(sm.T, s.smooth)
+}
+
+// fill writes sm into the window's head slot, its primary dimension
+// replaced by the smoothed value, advances the head and returns the
+// slot. The slot is written by a loop: copy would cost a call for what
+// is usually one float.
+func (s *Segmenter) fill(sm plr.Sample) []float64 {
+	slot := s.wPos[s.head*s.dims : (s.head+1)*s.dims]
+	for i, x := range sm.Pos {
+		slot[i] = x
+	}
+	slot[s.cfg.PrimaryDim] = s.smooth
+	s.wT[s.head] = sm.T
+	if s.head++; s.head == s.cfg.SlopeWindow {
+		s.head = 0
+	}
+	s.lastT = sm.T
+	return slot
 }
 
 // classify maps an instantaneous slope to a raw observed state with a
@@ -519,7 +543,7 @@ func (s *Segmenter) noteSegment(st plr.State, endT, endY float64) {
 // a final vertex at the last sample time. Call once at end of stream;
 // the Segmenter must not be reused afterwards.
 func (s *Segmenter) Flush() []plr.Vertex {
-	if !s.started {
+	if s.samplesSeen == 0 {
 		return nil
 	}
 	var out []plr.Vertex

@@ -12,6 +12,8 @@ import (
 // must refuse the one sample whose dimensionality differs from the
 // stream's, and must keep its output a valid, strictly time-ordered PLR
 // sequence whose every vertex has the first sample's dimensionality.
+// Every sample also goes through refPush, and Push must equal it bit
+// for bit, in output and in state.
 // The first byte picks the dimensionality (1-3), the sample spacing and
 // where, after the first sample, the wrong-length one goes.
 func FuzzSegmenter(f *testing.F) {
@@ -29,10 +31,7 @@ func FuzzSegmenter(f *testing.F) {
 		dims := 1 + int(head%3)
 		spacing := 1.0 / 30 * float64(1+(head/3)%4) // 30, 15, 10 or 7.5 Hz
 		wrongAt := 1 + int(head/12)%(len(data)-1)
-		seg, err := New(DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		seg := newTwin(t, DefaultConfig())
 		var seq plr.Sequence
 		tcur := 0.0
 		for i, b := range data {
@@ -47,17 +46,17 @@ func FuzzSegmenter(f *testing.F) {
 			}
 			if i == wrongAt {
 				wrong := plr.Sample{T: tcur, Pos: make([]float64, 1+dims%3)}
-				if _, err := seg.Push(wrong); err == nil {
+				if seg.push(t, wrong); seg.err == nil {
 					t.Fatalf("sample %d: %d-dimension sample accepted by a %d-dimension stream", i, len(wrong.Pos), dims)
 				}
 			}
-			vs, err := seg.Push(plr.Sample{T: tcur, Pos: pos})
-			if err != nil {
-				t.Fatalf("monotone input rejected: %v", err)
+			vs := seg.push(t, plr.Sample{T: tcur, Pos: pos})
+			if seg.err != nil {
+				t.Fatalf("monotone input rejected: %v", seg.err)
 			}
 			seq = append(seq, vs...)
 		}
-		seq = append(seq, seg.Flush()...)
+		seq = append(seq, seg.s.Flush()...)
 		if err := seq.Validate(); err != nil {
 			t.Fatalf("invalid output: %v", err)
 		}

@@ -21,7 +21,7 @@ import (
 // already holds: its first segment close, which reports the anchor
 // vertex again, emits nothing.
 func (s *Segmenter) Prime(seq plr.Sequence) error {
-	if s.started || s.samplesSeen > 0 {
+	if s.samplesSeen > 0 {
 		return errors.New("fsm: cannot prime a segmenter that has already seen samples")
 	}
 	if len(seq) == 0 {

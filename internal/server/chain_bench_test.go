@@ -17,6 +17,7 @@ import (
 	"stsmatch/internal/obs"
 	"stsmatch/internal/plr"
 	"stsmatch/internal/signal"
+	"stsmatch/internal/store"
 )
 
 // chainBench is a durable server over a 24-patient history with one
@@ -38,7 +39,10 @@ type chainBench struct {
 
 const chainBatch = 30 // samples per ingest request: one second at 30 Hz
 
-func newChainBench(b *testing.B) *chainBench {
+// newBenchServer is a durable server over online's cohort shape: 24
+// patients of one 300 s session each, fsynced every 50 ms. It returns
+// the cohort too.
+func newBenchServer(b *testing.B) (*Server, *store.DB) {
 	b.Helper()
 	cfg := signal.DefaultCohort()
 	cfg.NumPatients, cfg.SessionsPer, cfg.SessionDur = 24, 1, 300
@@ -54,6 +58,12 @@ func newChainBench(b *testing.B) *chainBench {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { srv.Close() })
+	return srv, db
+}
+
+func newChainBench(b *testing.B) *chainBench {
+	b.Helper()
+	srv, db := newBenchServer(b)
 	gen, err := signal.NewRespiration(signal.DefaultRespiration(), 11)
 	if err != nil {
 		b.Fatal(err)
@@ -122,20 +132,25 @@ func (cb *chainBench) nextBatch() []byte {
 		if i > 0 {
 			out = append(out, ',')
 		}
-		out = append(out, `{"t":`...)
-		out = strconv.AppendFloat(out, s.T+float64(cb.sent/len(cb.live))*cb.lap, 'g', -1, 64)
-		out = append(out, `,"pos":[`...)
-		for d, p := range s.Pos {
-			if d > 0 {
-				out = append(out, ',')
-			}
-			out = strconv.AppendFloat(out, p, 'g', -1, 64)
-		}
-		out = append(out, "]}"...)
+		out = appendSampleJSON(out, s.T+float64(cb.sent/len(cb.live))*cb.lap, s.Pos)
 		cb.sent++
 	}
 	cb.body = append(out, ']')
 	return cb.body
+}
+
+// appendSampleJSON appends one sample of an ingest body.
+func appendSampleJSON(out []byte, t float64, pos []float64) []byte {
+	out = append(out, `{"t":`...)
+	out = strconv.AppendFloat(out, t, 'g', -1, 64)
+	out = append(out, `,"pos":[`...)
+	for d, p := range pos {
+		if d > 0 {
+			out = append(out, ',')
+		}
+		out = strconv.AppendFloat(out, p, 'g', -1, 64)
+	}
+	return append(out, "]}"...)
 }
 
 // chainBlock is how many request bodies BenchmarkServeHTTPChain renders

@@ -352,11 +352,11 @@ func (v *ScanView) AppendWindows(dst []int32, sig string, from, to int) ([]int32
 		if i > len(list) || i > 0 && int(list[i-1]) >= from || i < len(list) && int(list[i]) < from {
 			i = sort.Search(len(list), func(k int) bool { return int(list[k]) >= from })
 		}
-		// A signature of up to 16 states is compared as one or two
-		// (overlapping) 8-byte words prepared here, not by a call per
-		// posting; a longer one, or a posting within 8 bytes of the
+		// A signature of up to 24 states is compared as one, two or
+		// three (overlapping) 8-byte words prepared here, not by a call
+		// per posting; a longer one, or a posting within 8 bytes of the
 		// stream's end, keeps the byte compare.
-		var pad [16]byte
+		var pad [24]byte
 		n := copy(pad[:], sig)
 		w0, w1, mask, off := binary.LittleEndian.Uint64(pad[:]), uint64(0), ^uint64(0), 0
 		if n < 8 {
@@ -365,6 +365,7 @@ func (v *ScanView) AppendWindows(dst []int32, sig string, from, to int) ([]int32
 			off = n - 8
 			w1 = binary.LittleEndian.Uint64(pad[off:])
 		}
+		w2 := binary.LittleEndian.Uint64(pad[8:]) // the middle word, compared when off > 8
 		for ; i < len(list); i++ {
 			j := int(list[i])
 			if j >= to {
@@ -379,7 +380,8 @@ func (v *ScanView) AppendWindows(dst []int32, sig string, from, to int) ([]int32
 					continue
 				}
 			} else if (binary.LittleEndian.Uint64(states[j:])^w0)&mask != 0 ||
-				off > 0 && binary.LittleEndian.Uint64(states[j+off:]) != w1 {
+				off > 0 && binary.LittleEndian.Uint64(states[j+off:]) != w1 ||
+				off > 8 && binary.LittleEndian.Uint64(states[j+8:]) != w2 {
 				continue
 			}
 			dst = append(dst, list[i])

@@ -840,13 +840,13 @@ func checkAppendWindows(t *testing.T, states, sig string) {
 
 // TestAppendWindowsWordCompareEqualsNaive: the word-at-a-time state
 // compare and the postings cursor find exactly the windows a byte loop
-// finds — for every signature length either side of the 8- and 16-state
-// word boundaries, in streams shorter than a word, for a window ending on
+// finds — for every signature length either side of the 8-, 16- and
+// 24-state word boundaries, in streams shorter than a word, for a window ending on
 // the stream's last vertex, for near misses in each byte of the
 // signature, and when a walk resumes across blocks.
 func TestAppendWindowsWordCompareEqualsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{2, 3, 5, 7, 8, 9, 12, 16, 17, 18, 21, 24, 40, 300} {
+	for _, n := range []int{2, 3, 5, 7, 8, 9, 12, 16, 17, 18, 21, 24, 25, 26, 31, 33, 40, 300} {
 		b := make([]byte, n)
 		for i := range b {
 			b[i] = "EOI"[i%3]
@@ -855,7 +855,7 @@ func TestAppendWindowsWordCompareEqualsNaive(t *testing.T) {
 			}
 		}
 		states := string(b)
-		for l := 1; l <= 20 && l < n; l++ {
+		for l := 1; l <= 32 && l < n; l++ {
 			// The signature of the stream's last window, which must be
 			// found, and of one from its middle.
 			tail := states[n-l-1 : n-1]
