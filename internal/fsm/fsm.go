@@ -123,25 +123,32 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Each float check is written
+// so that NaN fails it.
 func (c Config) Validate() error {
 	if c.SlopeWindow < 2 {
 		return fmt.Errorf("fsm: SlopeWindow must be >= 2, got %d", c.SlopeWindow)
 	}
-	if c.SlopeThreshold <= 0 {
+	if !(c.SlopeThreshold > 0) {
 		return fmt.Errorf("fsm: SlopeThreshold must be positive, got %v", c.SlopeThreshold)
 	}
-	if c.MinSegmentDur < 0 {
+	if !(c.MinSegmentDur >= 0) {
 		return fmt.Errorf("fsm: MinSegmentDur must be >= 0, got %v", c.MinSegmentDur)
 	}
-	if c.SmoothAlpha < 0 || c.SmoothAlpha > 1 {
+	if !(c.SmoothAlpha >= 0 && c.SmoothAlpha <= 1) {
 		return fmt.Errorf("fsm: SmoothAlpha must be in [0,1], got %v", c.SmoothAlpha)
 	}
 	if c.PrimaryDim < 0 {
 		return fmt.Errorf("fsm: PrimaryDim must be >= 0, got %d", c.PrimaryDim)
 	}
-	if c.MaxCycleDeviation <= 1 {
+	if !(c.SpikeSigma >= 0) {
+		return fmt.Errorf("fsm: SpikeSigma must be >= 0 (0 turns spike rejection off), got %v", c.SpikeSigma)
+	}
+	if !(c.MaxCycleDeviation > 1) {
 		return fmt.Errorf("fsm: MaxCycleDeviation must be > 1, got %v", c.MaxCycleDeviation)
+	}
+	if c.MinRegularCycles < 0 {
+		return fmt.Errorf("fsm: MinRegularCycles must be >= 0, got %d", c.MinRegularCycles)
 	}
 	for _, tr := range c.Transitions {
 		if !tr[0].Valid() || !tr[1].Valid() || tr[0] == plr.IRR || tr[1] == plr.IRR {

@@ -52,6 +52,18 @@ func TestConfigValidate(t *testing.T) {
 		{"smooth alpha", func(c *Config) { c.SmoothAlpha = 1.5 }},
 		{"primary dim", func(c *Config) { c.PrimaryDim = -1 }},
 		{"cycle deviation", func(c *Config) { c.MaxCycleDeviation = 1 }},
+		{"negative spike sigma", func(c *Config) { c.SpikeSigma = -1 }},
+		{"NaN spike sigma", func(c *Config) { c.SpikeSigma = math.NaN() }},
+		{"NaN slope threshold", func(c *Config) { c.SlopeThreshold = math.NaN() }},
+		{"NaN min segment dur", func(c *Config) { c.MinSegmentDur = math.NaN() }},
+		{"NaN smooth alpha", func(c *Config) { c.SmoothAlpha = math.NaN() }},
+		{"NaN cycle deviation", func(c *Config) { c.MaxCycleDeviation = math.NaN() }},
+		{"negative regular cycles", func(c *Config) { c.MinRegularCycles = -1 }},
+	}
+	off := DefaultConfig()
+	off.SpikeSigma = 0 // spike rejection off, on purpose
+	if err := off.Validate(); err != nil {
+		t.Errorf("SpikeSigma 0: %v", err)
 	}
 	for _, m := range mutations {
 		cfg := DefaultConfig()

@@ -192,12 +192,12 @@ func (s *Server) resumeSession(ss wal.SessionState) (*session, error) {
 
 // applySubOps applies subscription history in log order — recovery's
 // log tail and a follower's applied records alike: upserts, deletes,
-// acks, and the vertex-append boundaries recorded while any
-// subscription was live. Because streams are append-only, re-running
-// each incremental evaluation up to its boundary re-derives exactly the
-// event sequence the node that journaled it emitted (same matches, same
-// event sequence numbers), so consumers resuming with Last-Event-ID
-// observe no duplicates and no gaps.
+// acks, and the boundaries of vertex-appends. Because streams are
+// append-only, running each incremental evaluation up to its boundary
+// re-derives exactly the event sequence the node that journaled it
+// emitted (same matches, same event sequence numbers), so consumers
+// resuming with Last-Event-ID observe no duplicates and no gaps. An ack
+// or delete of a subscription this node does not hold is a no-op.
 func (s *Server) applySubOps(ctx context.Context, ops []wal.SubReplayOp) {
 	for _, op := range ops {
 		switch {

@@ -17,7 +17,9 @@ import (
 
 	"stsmatch/internal/binfmt"
 	"stsmatch/internal/frame"
+	"stsmatch/internal/fsm"
 	"stsmatch/internal/plr"
+	"stsmatch/internal/signal"
 	"stsmatch/internal/wal"
 )
 
@@ -232,6 +234,95 @@ func TestFollowerStateEqualsRecovery(t *testing.T) {
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestLiveSubscriptionOnFollowerEqualsOwner: a subscription registered
+// live on a follower, and named by no record the follower applies, is
+// evaluated at the boundaries of the appends it applies. The follower
+// is a durable node restarted from a data dir whose snapshot holds no
+// subscription. A patient-scoped subscription is registered on it, and
+// it follows a session of that patient, owned by a node that holds no
+// subscription, through batches of 1, 7 and 256 samples with acks in
+// between. A second node owns the same history, fed the same batches,
+// with the same subscription and acks. The follower's state (the stream
+// columns, each event's sequence number, window and distance, the
+// cursors and the acked mark) equals that owner's, and so does what a
+// node recovered from a copy of the follower's data dir re-derives.
+func TestLiveSubscriptionOnFollowerEqualsOwner(t *testing.T) {
+	samples := respSamples(t, 31, 120)
+	gen, err := signal.NewRespiration(signal.DefaultRespiration(), 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pattern, err := fsm.SegmentAll(fsm.DefaultConfig(), gen.Generate(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := newRestartable(t)
+	follower.restart(false)
+	if snaps, _ := filepath.Glob(filepath.Join(follower.dir, "snap-*.db")); len(snaps) == 0 {
+		t.Fatal("fixture: the restart wrote no snapshot")
+	}
+	primary := newRestartable(t)
+	ownerSrv, owner := newDurableServer(t, t.TempDir())
+
+	const pid, sid, subID = "P07", "S07", "live"
+	sub := SubscriptionRequest{ID: subID, Seq: pattern[len(pattern)-6:], PatientID: pid}
+	for _, url := range []string{follower.ts.URL, owner.URL} {
+		if resp := postJSON(t, url+"/v1/subscriptions", sub); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("subscribe on %s: status %d", url, resp.StatusCode)
+		}
+	}
+	for url, req := range map[string]CreateSessionRequest{
+		primary.ts.URL: {PatientID: pid, SessionID: sid, Replicate: []string{follower.ts.URL}},
+		owner.URL:      {PatientID: pid, SessionID: sid},
+	} {
+		if resp := postJSON(t, url+"/v1/sessions", req); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create on %s: status %d", url, resp.StatusCode)
+		}
+	}
+	next := 0
+	ingest := func(n, batch int) {
+		t.Helper()
+		for _, url := range []string{primary.ts.URL, owner.URL} {
+			ingestBatches(t, url, sid, samples[next:next+n], batch)
+		}
+		next += n
+	}
+	ack := func() {
+		t.Helper()
+		if evs := pollEvents(t, owner.URL, subID, 0); len(evs.Events) > 0 {
+			seq := evs.Events[len(evs.Events)/2].Seq
+			pollEvents(t, owner.URL, subID, seq)
+			pollEvents(t, follower.ts.URL, subID, seq)
+		}
+	}
+	ingest(600, 256)
+	ack()
+	ingest(300, 1)
+	ack()
+	ingest(700, 7)
+	ack()
+	ingest(len(samples)-next, 256)
+
+	want := stateOf(t, ownerSrv, pid, sid, subID)
+	if want.sub.Delivered == 0 || len(want.sub.Events) == 0 {
+		t.Fatalf("fixture: subscription state %+v has nothing acked or buffered", want.sub)
+	}
+	got := stateOf(t, follower.srv.Load(), pid, sid, subID)
+	got.anchor = want.anchor
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("follower differs from the owner:\n got %+v\nwant %+v", got.sub, want.sub)
+	}
+	srv, _ := newDurableServer(t, copyDir(t, follower.dir))
+	got = stateOf(t, srv, pid, sid, subID)
+	got.anchor = want.anchor
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("follower recovered from its data dir differs from the owner:\n got %+v\nwant %+v", got.sub, want.sub)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -283,7 +283,7 @@ func (s *Server) flushHandOver(ctx context.Context, told *replicator) {
 // session: the new owner holds them, so this node's copies are
 // journaled as deletes (no dedicated fsync — resurrection after a crash
 // only leaves an idle armed copy the list dedupe tolerates), staged as
-// deletes on told when it is given, and expelled from the manager,
+// deletes on told when it is given, and deleted from the manager,
 // which wakes attached event streams so the gateway proxy re-resolves
 // to the new primary and resumes from its Last-Event-ID. Session-scoped
 // subscriptions always follow the session; patient-scoped ones only when
@@ -309,7 +309,7 @@ func (s *Server) expelMigratedSubsLocked(ctx context.Context, pid, sid string, t
 		if told != nil {
 			told.enqueue(del)
 		}
-		s.subs.Expel(st.ID)
+		s.subs.Delete(st.ID)
 	}
 }
 

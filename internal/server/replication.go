@@ -561,11 +561,6 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.applySubOps(r.Context(), s.replay.TakeSubOps())
-	// Appends the interpreter recorded no boundary for (it knew of no
-	// live subscription) are evaluated here, so a promoted follower
-	// holds the same buffered events (same sequence numbers) the
-	// primary derived.
-	s.subs.Drain(r.Context(), s.db)
 	switch {
 	case errors.Is(applyErr, wal.ErrDiverged):
 		// No catch-up repairs it: the copy stays, follows no more

@@ -195,10 +195,6 @@ func NewWithOptions(db *store.DB, params core.Params, segCfg fsm.Config, opts Op
 		s.replay = wal.NewReplay(s.db)
 	}
 	liveServer.Store(s)
-	// Appends buffer deltas for standing-query evaluation; the ingest
-	// and replication paths drain them synchronously under s.mu, so
-	// event order is deterministic, after journaling the append.
-	s.db.AddMutationHook(s.subs.OnMutation)
 	s.matchers = newMatcherSet(s.db, s.params) // params validated above
 	s.route("POST /v1/sessions", "create_session", s.handleCreateSession)
 	s.route("POST /v1/sessions/{sid}/samples", "ingest_samples", s.handleSamples)
@@ -488,14 +484,14 @@ func (s *Server) ingestLocked(ctx context.Context, sid string, batch []SampleIn)
 	s.met.verticesOut.Add(resp.NewVertices)
 	// Journal the vertices before evaluating standing queries, so a
 	// vertex is journaled before a standing query can match it. Then
-	// evaluate the windows they just closed — synchronously, still under
-	// s.mu, so every subscription observes appends in exactly ingest
-	// order.
+	// evaluate the windows they just closed at the append's boundary, as
+	// a follower and recovery do — still under s.mu, so every
+	// subscription observes appends in exactly journal order.
 	appended := wal.Record{Type: wal.TypeVertexAppend, PatientID: sess.patientID, SessionID: sess.sessionID, Vertices: newVs}
 	if len(newVs) > 0 {
 		s.walAppendCtx(ctx, appended)
+		s.subs.EvalStream(ctx, s.db, sess.patientID, sess.sessionID, uint64(sess.stream.Len()))
 	}
-	s.subs.Drain(ctx, s.db)
 	var anchor wal.Record
 	if resp.Accepted > 0 {
 		// The raw-sample anchor, so a recovered or promoted session

@@ -368,6 +368,76 @@ func TestSubscriptionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSubscriptionDeleteEndsReaders: a DELETE ends the readers
+// attached to the subscription at once. An open SSE stream ends, and a
+// long-poll waiting 30 s answers 404, each well inside 2 s rather than
+// at the 15 s heartbeat or the poll's deadline.
+func TestSubscriptionDeleteEndsReaders(t *testing.T) {
+	ts, seq := matchTestServer(t)
+	if resp := postJSON(t, ts.URL+"/v1/subscriptions", SubscriptionRequest{ID: "gone", Seq: seq[len(seq)-6:], PatientID: "P01"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("subscribe status %d", resp.StatusCode)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/subscriptions/gone/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", stream.StatusCode)
+	}
+	sseDone := make(chan struct{})
+	go func() {
+		io.Copy(io.Discard, stream.Body) //nolint:errcheck // the stream's end is what is awaited
+		close(sseDone)
+	}()
+	pollDone := make(chan int, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/subscriptions/gone/events?mode=poll&wait=30s", nil)
+		if err != nil {
+			pollDone <- 0
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			pollDone <- 0
+			return
+		}
+		resp.Body.Close()
+		pollDone <- resp.StatusCode
+	}()
+	time.Sleep(300 * time.Millisecond) // both readers are waiting on the subscription
+
+	del, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/subscriptions/gone", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: %v status %d", err, resp.StatusCode)
+	}
+	resp.Body.Close()
+	deadline := time.After(2 * time.Second)
+	for sse, poll := sseDone, pollDone; sse != nil || poll != nil; {
+		select {
+		case <-sse:
+			sse = nil
+		case code := <-poll:
+			if code != http.StatusNotFound {
+				t.Errorf("waiting long-poll answered %d after the delete, want 404", code)
+			}
+			poll = nil
+		case <-deadline:
+			t.Fatalf("2 s after the delete: SSE stream ended %v, long-poll answered %v", sse == nil, poll == nil)
+		}
+	}
+}
+
 // TestSubscriptionAckPastLastEvent: a Last-Event-ID or ?after= beyond
 // the last emitted event acknowledges that event and no more — so a
 // fresh subscription acked at 1000 still buffers the events it emits
@@ -529,6 +599,51 @@ func TestSubscriptionCrashRecovery(t *testing.T) {
 		if want := ackSeq + uint64(i) + 1; e.Seq != want {
 			t.Fatalf("post-recovery seq %d at index %d, want %d (gap or duplicate)", e.Seq, i, want)
 		}
+	}
+}
+
+// TestSubscriptionAckAfterDeleteStaysDeleted: a log holding a
+// subscription, then its delete, then an ack of it (an ack journaled
+// after a racing delete) recovers no subscription: replayed in log
+// order the ack meets none and re-creates nothing.
+func TestSubscriptionAckAfterDeleteStaysDeleted(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newDurableServer(t, dir)
+	if resp := postJSON(t, ts.URL+"/v1/sessions", CreateSessionRequest{PatientID: "P01", SessionID: "S01"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d", resp.StatusCode)
+	}
+	if resp := postJSON(t, ts.URL+"/v1/subscriptions", SubscriptionRequest{ID: "gone", Seq: seqStates("EOIEOI", 3), PatientID: "P01"}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("subscribe status %d", resp.StatusCode)
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, _, err := wal.Open(wal.Options{Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []wal.Record{
+		{Type: wal.TypeSubDelete, SubID: "gone"},
+		{Type: wal.TypeSubAck, SubID: "gone", SubAck: 1},
+	} {
+		if err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts2 := newDurableServer(t, dir)
+	list, code := getJSON[struct {
+		Subscriptions []subscribe.Status `json:"subscriptions"`
+	}](t, ts2.URL+"/v1/subscriptions")
+	if code != http.StatusOK || len(list.Subscriptions) != 0 {
+		t.Errorf("recovered subscriptions: status %d, %+v; want none", code, list.Subscriptions)
+	}
+	if _, code := getJSON[SubEventsPoll](t, ts2.URL+"/v1/subscriptions/gone/events?mode=poll"); code != http.StatusNotFound {
+		t.Errorf("deleted subscription resurrected by a later ack: status %d", code)
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package subscribe implements standing queries: patterns registered
 // once and evaluated incrementally as vertices arrive, instead of
 // re-scanning the corpus per poll. A Manager multiplexes every
-// registered subscription over the store mutation-hook path the WAL
-// and signature index already ride — the hook only buffers (it runs
-// under the mutated stream's write lock), and the server drains the
-// buffer under its session lock right after each ingest batch, so
-// evaluation order is exactly WAL order and recovery can re-derive
-// the event stream deterministically.
+// registered subscription. The server evaluates them through one entry,
+// EvalStream, at the boundary of each vertex-append it applies, in log
+// order and under its session lock: its own ingest right after
+// journaling the append, a follower's shipped batch and recovery's
+// replayed tail alike. So the events are one function of the journal,
+// and a follower or a recovered node derives the sequence the node
+// that journaled the appends emitted.
 package subscribe
 
 import (
@@ -28,8 +29,8 @@ const DefaultBuffer = 4096
 
 // Manager owns every standing subscription on one node. All mutating
 // entry points are safe for concurrent use; evaluation itself
-// (Drain, Replay) is additionally serialized by the server's session
-// lock, which is what makes event derivation deterministic.
+// (EvalStream) is additionally serialized by the server's session lock,
+// which is what makes event derivation deterministic.
 type Manager struct {
 	params core.Params
 	bufCap int
@@ -39,9 +40,8 @@ type Manager struct {
 	subs  map[string]*Subscription
 	order []string // registration order (evaluation order per delta)
 
-	// pending buffers stream deltas noted by the mutation hook, which
-	// runs under the mutated stream's write lock and therefore cannot
-	// evaluate (evaluation reads the stream). Drain consumes it.
+	// pending buffers the stream deltas OnMutation notes for Drain; only
+	// the benchmark module feeds it.
 	pmu     sync.Mutex
 	pending []delta
 }
@@ -190,32 +190,13 @@ func (m *Manager) baselines(st *wal.SubState, db *store.DB) []wal.SubCursor {
 	return cursors
 }
 
-// Delete removes a subscription. It reports whether it existed.
+// Delete removes a subscription and wakes every reader waiting on it,
+// so an attached event stream ends and a long-poll answers at once
+// instead of waiting out its heartbeat or deadline. A migration's
+// hand-over removes the subscriptions it shipped the same way: a woken
+// gateway proxy re-resolves the placement and resumes at the session's
+// new home from its Last-Event-ID. It reports whether it existed.
 func (m *Manager) Delete(id string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.subs[id]; !ok {
-		return false
-	}
-	delete(m.subs, id)
-	for i, oid := range m.order {
-		if oid == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
-	mActive.Dec()
-	return true
-}
-
-// Expel removes a subscription locally AND wakes any consumer stream
-// blocked on its notify channel, so attached readers disconnect
-// immediately instead of waiting out a heartbeat. This is the
-// migration-handoff path, not a consumer-visible deletion: the
-// subscription lives on at the session's new home (it was shipped
-// inside the catch-up), and a woken gateway proxy re-resolves
-// the placement and resumes the stream there from its Last-Event-ID.
-func (m *Manager) Expel(id string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s, ok := m.subs[id]
@@ -272,8 +253,10 @@ func (m *Manager) NoteDelivered(id string, n int) {
 	m.mu.Unlock()
 }
 
-// OnMutation is the store mutation hook: it runs under the mutated
-// stream's write lock, so it only buffers the delta for Drain.
+// OnMutation is a store mutation hook that buffers the delta for Drain
+// (it runs under the mutated stream's write lock). No node installs it:
+// it and Drain stay only because the benchmark module calls them, and
+// go with the store's mutation hook.
 func (m *Manager) OnMutation(mut store.Mutation) {
 	if mut.Kind != store.MutVertexAppend || len(mut.Vertices) == 0 {
 		return
@@ -289,11 +272,10 @@ func (m *Manager) OnMutation(mut store.Mutation) {
 	m.pmu.Unlock()
 }
 
-// Drain evaluates every buffered stream delta against every in-scope
-// subscription, in registration order, up to each stream's current
-// length. The caller must hold the server's session lock so that
-// evaluation order equals WAL append order. It returns the number of
-// events emitted.
+// Drain evaluates every delta OnMutation buffered against every
+// in-scope subscription, in registration order, up to each stream's
+// current length, and returns the number of events emitted. Only the
+// benchmark module calls it (see OnMutation).
 func (m *Manager) Drain(ctx context.Context, db *store.DB) int {
 	m.pmu.Lock()
 	deltas := m.pending
@@ -322,11 +304,18 @@ func (m *Manager) Drain(ctx context.Context, db *store.DB) int {
 	return emitted
 }
 
-// EvalStream evaluates one stream against every in-scope subscription
-// up to the given length (the replication and recovery-replay entry
-// point, where the caller knows the exact boundary the events must be
-// derived at). The caller must hold the server's session lock.
+// EvalStream evaluates one stream against every in-scope subscription,
+// in registration order, up to the given length: the boundary of a
+// vertex-append, whether the node journaled it, a follower applied it
+// from a shipped batch or recovery replayed it. It returns the number
+// of events emitted. The caller must hold the server's session lock, so
+// that evaluation order is log order.
 func (m *Manager) EvalStream(ctx context.Context, db *store.DB, patientID, sessionID string, to uint64) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.subs) == 0 {
+		return 0
+	}
 	p := db.Patient(patientID)
 	if p == nil {
 		return 0
@@ -335,8 +324,6 @@ func (m *Manager) EvalStream(ctx context.Context, db *store.DB, patientID, sessi
 	if st == nil {
 		return 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.evalStreamLocked(ctx, st, to)
 }
 

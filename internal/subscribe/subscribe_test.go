@@ -133,11 +133,22 @@ func TestBaselineAndIncrementalEval(t *testing.T) {
 		t.Errorf("durable state delivered=%d nextSeq=%d, want 1/3", st2.Delivered, st2.NextSeq)
 	}
 
+	_, wait, _ = m.Read("s1", 2)
 	if !m.Delete("s1") {
 		t.Fatal("delete failed")
 	}
+	// A reader waiting on the deleted subscription is woken at once.
+	select {
+	case <-wait:
+	default:
+		t.Fatal("notify channel not closed by the delete")
+	}
 	if _, _, ok := m.Read("s1", 0); ok {
 		t.Error("read succeeded after delete")
+	}
+	// A later ack (a replayed one too) is a no-op and resurrects nothing.
+	if m.Ack("s1", 2) || m.Has("s1") {
+		t.Error("ack after delete found the subscription")
 	}
 }
 

@@ -64,33 +64,53 @@ func BenchmarkWALAppendSync(b *testing.B) {
 }
 
 // BenchmarkRecovery measures a full Open (snapshot scan + replay of
-// 10k records) against a prebuilt log directory.
+// 10k records) against a prebuilt log directory. Its appends are of
+// one stream: with no subscription named they record no subscription
+// op ("bare"), and after a subscription record their boundaries are one
+// op ("subscribed").
 func BenchmarkRecovery(b *testing.B) {
-	dir := b.TempDir()
-	l, _, err := Open(Options{Dir: dir, FsyncInterval: 1e9}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const records = 10_000
-	for i := 0; i < records; i++ {
-		if err := l.Append(benchRecord(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, res, err := Open(Options{Dir: dir, FsyncInterval: 1e9}, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.RecordsReplayed != records {
-			b.Fatalf("replayed %d records, want %d", res.RecordsReplayed, records)
-		}
-		l.Close()
+	for _, c := range []struct {
+		name string
+		lead []Record
+		ops  int
+	}{
+		{"bare", nil, 0},
+		{"subscribed", []Record{{Type: TypeSubUpsert, Sub: testSubState()}}, 2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			dir := b.TempDir()
+			l, _, err := Open(Options{Dir: dir, FsyncInterval: 1e9}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			const appends = 10_000
+			records := uint64(len(c.lead) + appends)
+			for _, rec := range c.lead {
+				if err := l.Append(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < appends; i++ {
+				if err := l.Append(benchRecord(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l, res, err := Open(Options{Dir: dir, FsyncInterval: 1e9}, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.RecordsReplayed != records || len(res.SubOps) != c.ops {
+					b.Fatalf("replayed %d records into %d subscription ops, want %d into %d", res.RecordsReplayed, len(res.SubOps), records, c.ops)
+				}
+				l.Close()
+			}
+		})
 	}
 }
 

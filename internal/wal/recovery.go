@@ -53,7 +53,10 @@ type RecoveryResult struct {
 	// order, re-deriving exactly the events the pre-crash node emitted
 	// (evaluation is deterministic in log order, and window content
 	// below each op's To boundary is immutable under append-only
-	// streams).
+	// streams). Every vertex-append of the tail from the first
+	// subscription named on (in the snapshot or the tail) has its
+	// boundary there, whatever subscriptions were live when it was
+	// journaled.
 	Subscriptions []SubState
 	SubOps        []SubReplayOp
 
@@ -72,10 +75,11 @@ type RecoveryResult struct {
 // SubReplayOp is one subscription-relevant event from the WAL tail, in
 // log order. Exactly one of the four shapes is set: Upsert (a
 // registration or replicated re-arm), DeleteID (a deletion), AckID+Ack
-// (a delivery acknowledgement), or PatientID/SessionID/To (PLR
-// vertices applied to a stream while subscriptions were live — the
-// owner re-evaluates the windows ending below To against each
-// registered pattern, from that subscription's cursor on).
+// (a delivery acknowledgement), or PatientID/SessionID/To (the
+// boundary of a vertex-append: the windows ending below To are
+// evaluated against each subscription in scope, from that
+// subscription's cursor on). Consecutive appends to one stream share
+// one boundary op, at the last one's length.
 type SubReplayOp struct {
 	Upsert   *SubState
 	DeleteID string
@@ -146,11 +150,9 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 	res.SnapshotLSN = snapLSN
 
 	rp := NewReplay(db)
+	rp.bare = len(snap.Subs) == 0
 	for _, ss := range snap.Sessions {
 		rp.own(ss)
-	}
-	for i := range snap.Subs {
-		rp.subs[snap.Subs[i].ID] = true
 	}
 	for _, m := range snap.Migrations {
 		rp.migrations[m.SessionID] = m
@@ -215,6 +217,7 @@ func Open(opts Options, initial *store.DB) (*Log, *RecoveryResult, error) {
 	res.DB = db
 	res.Subscriptions = snap.Subs
 	res.SubOps = rp.TakeSubOps()
+	rp.bare = false // a live node can register a subscription at any time
 	res.Replay = rp
 
 	// Reopen the tail segment for appending, or start the first one. A
@@ -335,8 +338,8 @@ type Replay struct {
 	db         *store.DB
 	sessions   map[string]*replaySession
 	ownings    uint64                    // sessions that came to be owned, for their order
-	subs       map[string]bool           // live subscription IDs
 	subOps     []SubReplayOp             // subscription history not yet taken, log order
+	bare       bool                      // recovery before any subscription is named: no boundary can evaluate one
 	migrations map[string]MigrationState // surviving migration states
 	applied    uint64
 }
@@ -364,7 +367,7 @@ func (f *Follow) Following() bool { return f.Cursor.Epoch > 0 && !f.Diverged }
 
 // NewReplay returns an interpreter of records applying them to db.
 func NewReplay(db *store.DB) *Replay {
-	return &Replay{db: db, sessions: map[string]*replaySession{}, subs: map[string]bool{}, migrations: map[string]MigrationState{}}
+	return &Replay{db: db, sessions: map[string]*replaySession{}, migrations: map[string]MigrationState{}}
 }
 
 // session returns the entry of sessionID, adding a followed one.
@@ -510,15 +513,12 @@ func (r *Replay) Apply(rec Record) (Record, error) {
 		if rec.Sub == nil {
 			return rec, fmt.Errorf("sub-upsert without state")
 		}
-		r.subs[rec.Sub.ID] = true
+		r.bare = false
 		r.subOps = append(r.subOps, SubReplayOp{Upsert: rec.Sub})
 	case TypeSubDelete:
-		delete(r.subs, rec.SubID)
 		r.subOps = append(r.subOps, SubReplayOp{DeleteID: rec.SubID})
 	case TypeSubAck:
-		if r.subs[rec.SubID] {
-			r.subOps = append(r.subOps, SubReplayOp{AckID: rec.SubID, Ack: rec.SubAck})
-		}
+		r.subOps = append(r.subOps, SubReplayOp{AckID: rec.SubID, Ack: rec.SubAck})
 	case TypeSessionMigrate:
 		m := MigrationState{SessionID: rec.SessionID, PatientID: rec.PatientID,
 			Target: rec.Target, Epoch: rec.Epoch, Phase: rec.Phase}
@@ -543,21 +543,23 @@ func (r *Replay) Apply(rec Record) (Record, error) {
 	return rec, nil
 }
 
-// appendTail appends a record's vertices to st and, while any
-// subscription is live, records the boundary so the events are
-// re-derived where the journaling node derived them. The store takes an
-// append only past the stream's last vertex: a vertex it refuses is a
-// divergence.
+// appendTail appends a record's vertices to st and records the boundary
+// of what landed, so the events are derived where the journaling node
+// derived them; a boundary right after one of the same stream extends
+// it. A recovery records none before the snapshot or the tail names a
+// subscription: the node holds none to evaluate. The store takes an append only past the stream's last vertex: a
+// vertex it refuses is a divergence.
 func (r *Replay) appendTail(st *store.Stream, rec Record) (Record, error) {
 	before := st.Len()
 	err := st.Append(rec.Vertices...)
 	rec.Vertices = rec.Vertices[:st.Len()-before]
-	if len(rec.Vertices) > 0 && len(r.subs) > 0 {
-		r.subOps = append(r.subOps, SubReplayOp{
-			PatientID: rec.PatientID,
-			SessionID: rec.SessionID,
-			To:        st.Len(),
-		})
+	if len(rec.Vertices) > 0 && !r.bare {
+		if n := len(r.subOps) - 1; n >= 0 && r.subOps[n].To > 0 &&
+			r.subOps[n].PatientID == rec.PatientID && r.subOps[n].SessionID == rec.SessionID {
+			r.subOps[n].To = st.Len()
+		} else {
+			r.subOps = append(r.subOps, SubReplayOp{PatientID: rec.PatientID, SessionID: rec.SessionID, To: st.Len()})
+		}
 	}
 	if err != nil {
 		return rec, fmt.Errorf("%w: %w", ErrDiverged, err)

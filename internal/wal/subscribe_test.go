@@ -89,9 +89,11 @@ func TestSnapshotCarriesSubscriptions(t *testing.T) {
 }
 
 // TestSubOpsReplayedInLogOrder: recovery returns subscription ops —
-// upserts, acks, deletes, and the append boundaries recorded while a
-// subscription was live — in exactly log order, so the server can
-// re-derive the pre-crash event sequence deterministically.
+// upserts, acks, deletes, and the boundary of every vertex-append from
+// the first subscription named on, whether or not one is still live —
+// in exactly log order, so the server can re-derive the pre-crash event
+// sequence deterministically. Consecutive appends to one stream share
+// one boundary, at the last one's length.
 func TestSubOpsReplayedInLogOrder(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(Options{Dir: dir}, nil)
@@ -106,14 +108,16 @@ func TestSubOpsReplayedInLogOrder(t *testing.T) {
 	recs := []Record{
 		{Type: TypePatientUpsert, Patient: store.PatientInfo{ID: "P1"}},
 		{Type: TypeStreamOpen, PatientID: "P1", SessionID: "S1"},
-		// Before any subscription: no boundary op recorded.
+		{Type: TypeStreamOpen, PatientID: "P1", SessionID: "S2"},
 		{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S1", Vertices: mkVerts(0, 3)},
 		{Type: TypeSubUpsert, Sub: sub},
 		{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S1", Vertices: mkVerts(3, 2)},
 		{Type: TypeSubAck, SubID: "sub-1", SubAck: 1},
 		{Type: TypeSubDelete, SubID: "sub-1"},
-		// After the delete: no live subscription, no boundary op.
 		{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S1", Vertices: mkVerts(5, 1)},
+		{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S1", Vertices: mkVerts(6, 1)},
+		{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S2", Vertices: mkVerts(0, 2)},
+		{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S1", Vertices: mkVerts(7, 1)},
 	}
 	for _, rec := range recs {
 		if err := l.Append(rec); err != nil {
@@ -128,30 +132,68 @@ func TestSubOpsReplayedInLogOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DB.NumVertices() != 6 {
-		t.Fatalf("replayed %d vertices, want 6", res.DB.NumVertices())
+	if res.DB.NumVertices() != 10 {
+		t.Fatalf("replayed %d vertices, want 10", res.DB.NumVertices())
 	}
-	ops := res.SubOps
-	if len(ops) != 4 {
-		t.Fatalf("got %d sub ops, want 4: %+v", len(ops), ops)
+	boundary := func(sid string, to int) SubReplayOp { return SubReplayOp{PatientID: "P1", SessionID: sid, To: to} }
+	want := []SubReplayOp{
+		{Upsert: sub},
+		boundary("S1", 5),
+		{AckID: "sub-1", Ack: 1},
+		{DeleteID: "sub-1"},
+		boundary("S1", 7),
+		boundary("S2", 2),
+		boundary("S1", 8),
 	}
-	if ops[0].Upsert == nil || ops[0].Upsert.ID != "sub-1" {
-		t.Errorf("op 0 should be the upsert, got %+v", ops[0])
+	if len(res.SubOps) == len(want) && res.SubOps[0].Upsert != nil && res.SubOps[0].Upsert.ID == sub.ID {
+		want[0].Upsert = res.SubOps[0].Upsert // the journal's copy of the state
 	}
-	if ops[1].Upsert != nil || ops[1].DeleteID != "" || ops[1].AckID != "" ||
-		ops[1].PatientID != "P1" || ops[1].SessionID != "S1" || ops[1].To != 5 {
-		t.Errorf("op 1 should be the append boundary 5, got %+v", ops[1])
-	}
-	if ops[2].AckID != "sub-1" || ops[2].Ack != 1 {
-		t.Errorf("op 2 should be the ack, got %+v", ops[2])
-	}
-	if ops[3].DeleteID != "sub-1" {
-		t.Errorf("op 3 should be the delete, got %+v", ops[3])
+	if !reflect.DeepEqual(res.SubOps, want) {
+		t.Errorf("sub ops:\n got %+v\nwant %+v", res.SubOps, want)
 	}
 }
 
-// TestDeletedSubscriptionIgnoresLaterAcks: an ack for a deleted
-// subscription replays as a no-op instead of resurrecting it.
+// TestRecoveredReplayRecordsBoundaries: a recovery that names no
+// subscription records no boundary, and the interpreter it hands the
+// node records the boundary of each append after it, since a live node
+// can register a subscription at any time.
+func TestRecoveredReplayRecordsBoundaries(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Options{Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []Record{
+		{Type: TypeStreamOpen, PatientID: "P1", SessionID: "S1"},
+		{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S1", Vertices: mkVerts(0, 3)},
+	} {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, res, err := Open(Options{Dir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.SubOps) != 0 {
+		t.Errorf("a recovery naming no subscription returned ops %+v", res.SubOps)
+	}
+	if _, err := res.Replay.Apply(Record{Type: TypeVertexAppend, PatientID: "P1", SessionID: "S1", Vertices: mkVerts(3, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if ops, want := res.Replay.TakeSubOps(), []SubReplayOp{{PatientID: "P1", SessionID: "S1", To: 4}}; !reflect.DeepEqual(ops, want) {
+		t.Errorf("after recovery an append recorded %+v, want %+v", ops, want)
+	}
+}
+
+// TestDeletedSubscriptionIgnoresLaterAcks: an ack journaled after its
+// subscription's delete replays after the delete, so applied in log
+// order it meets no subscription (an ack of an unknown one is a no-op,
+// subscribe.Manager.Ack; the server's
+// TestSubscriptionAckAfterDeleteStaysDeleted recovers such a log).
 func TestDeletedSubscriptionIgnoresLaterAcks(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(Options{Dir: dir}, nil)
@@ -175,9 +217,8 @@ func TestDeletedSubscriptionIgnoresLaterAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range res.SubOps {
-		if op.AckID != "" {
-			t.Errorf("ack after delete should not replay, got %+v", op)
-		}
+	ops := res.SubOps
+	if len(ops) != 3 || ops[0].Upsert == nil || ops[1].DeleteID != sub.ID || ops[2].AckID != sub.ID {
+		t.Errorf("sub ops %+v, want the upsert, then the delete, then the ack", ops)
 	}
 }

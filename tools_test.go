@@ -382,7 +382,9 @@ func TestSeqOnlyAtTheAPIEdge(t *testing.T) {
 // workflow names the start of some Test, Fuzz or Benchmark function of
 // either module, so a step cannot go on passing while part of it
 // matches nothing. Comment lines are skipped, ^ and $ anchors stripped,
-// and '^$' runs no test.
+// and '^$' runs no test. A line with an unpaired single quote (the
+// shell fails the step) and an empty alternative (it runs every test)
+// are errors too.
 func TestCIRunNamesExist(t *testing.T) {
 	ci, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
@@ -415,10 +417,14 @@ func TestCIRunNamesExist(t *testing.T) {
 	}
 	run := regexp.MustCompile(`-run (?:'([^']*)'|(\S+))`)
 	var patterns [][]string
-	for _, line := range strings.Split(string(ci), "\n") {
-		if !strings.HasPrefix(strings.TrimSpace(line), "#") {
-			patterns = append(patterns, run.FindAllStringSubmatch(line, -1)...)
+	for i, line := range strings.Split(string(ci), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
 		}
+		if strings.Contains(line, "-run ") && strings.Count(line, "'")%2 != 0 {
+			t.Errorf("ci.yml:%d has an unpaired single quote: %s", i+1, strings.TrimSpace(line))
+		}
+		patterns = append(patterns, run.FindAllStringSubmatch(line, -1)...)
 	}
 	if len(patterns) == 0 {
 		t.Fatal("found no -run pattern in ci.yml")
@@ -427,6 +433,9 @@ func TestCIRunNamesExist(t *testing.T) {
 		for _, alt := range strings.Split(m[1]+m[2], "|") {
 			alt = strings.TrimSuffix(strings.TrimPrefix(alt, "^"), "$")
 			if alt == "" {
+				if m[1]+m[2] != "^$" {
+					t.Errorf("ci.yml runs -run %q, whose empty alternative matches every test", m[1]+m[2])
+				}
 				continue
 			}
 			exists := slices.ContainsFunc(funcs, func(name string) bool {
